@@ -34,6 +34,13 @@ pub const SPECS: &[HandlerSpec] = &[
         enum_name: "AgentReply",
         dispatch: &["crates/core/src/agent.rs"],
     },
+    // The model checker's lossy-mail network decides per reply kind
+    // whether it is lost; a new kind must be classified there too, or
+    // the missed-notice family silently stops covering it.
+    HandlerSpec {
+        enum_name: "AgentReply",
+        dispatch: &["crates/mcheck/src/model.rs"],
+    },
     HandlerSpec {
         enum_name: "AgentEnvelope",
         dispatch: &["crates/agent/src/runtime.rs"],

@@ -147,4 +147,17 @@ fn wire_inventory_covers_protocol_crates() {
     // Every handwritten non-leaf impl is actually checked, not just
     // inventoried: they all classify as Enum or Struct.
     assert_eq!(inv.len(), 52, "workspace-wide Wire impl count");
+    // The two MARP message enums, by variant: the symmetry pass checks
+    // one tag per variant, so these are the tag counts it covers.
+    // AgentReply gained the `LlChanged` change notice; NodeMsg lost
+    // `LlQueryKeyed` (folded into the one keyed `LlQuery`).
+    let variants = |name: &str| {
+        ws.files
+            .iter()
+            .flat_map(|f| &f.enums)
+            .find(|e| e.name == name && !e.is_test)
+            .map(|e| e.variants.len())
+    };
+    assert_eq!(variants("AgentReply"), Some(3));
+    assert_eq!(variants("NodeMsg"), Some(8));
 }

@@ -10,9 +10,9 @@
 //! (documented in `DESIGN.md`): UPDATE acknowledgements validate the
 //! claim and reserve the lock; a claim that cannot assemble a positive
 //! majority is released and retried; an agent that exhausts its
-//! itinerary *parks* and keeps its locking table fresh through pushed
-//! LL-change notifications plus periodic re-polls (which double as lock
-//! lease refreshes).
+//! itinerary *parks*; servers push it a small change notice on every
+//! COMMIT ("agent W finished"), and periodic re-polls — which double as
+//! lock lease refreshes — fetch the full picture if a notice was lost.
 
 use crate::host::MarpServerState;
 use crate::lt::{decide, majority, LockingTable, Priority};
@@ -46,6 +46,12 @@ pub enum Phase {
         /// server's applied version. Its start time is when the lock was
         /// established (the paper's ALT endpoint).
         call: QuorumCall<u64>,
+        /// LL news (a change notice or an `LlInfo`) was absorbed while
+        /// this claim was in flight. If the claim then aborts, the view
+        /// it was refused on is already out of date — typically the
+        /// claim's UPDATE overtook the previous winner's COMMIT — so the
+        /// agent re-evaluates at once instead of waiting for a re-poll.
+        news: bool,
     },
 }
 
@@ -58,11 +64,13 @@ impl Wire for Phase {
                 via_tie,
                 certificate,
                 call,
+                news,
             } => {
                 2u8.encode(buf);
                 via_tie.encode(buf);
                 certificate.encode(buf);
                 call.encode(buf);
+                news.encode(buf);
             }
         }
     }
@@ -74,6 +82,7 @@ impl Wire for Phase {
                 via_tie: bool::decode(buf)?,
                 certificate: Vec::decode(buf)?,
                 call: QuorumCall::decode(buf)?,
+                news: bool::decode(buf)?,
             }),
             tag => Err(WireError::InvalidTag {
                 type_name: "Phase",
@@ -88,7 +97,13 @@ impl Wire for Phase {
                 via_tie,
                 certificate,
                 call,
-            } => via_tie.encoded_len() + certificate.encoded_len() + call.encoded_len(),
+                news,
+            } => {
+                via_tie.encoded_len()
+                    + certificate.encoded_len()
+                    + call.encoded_len()
+                    + news.encoded_len()
+            }
         }
     }
 }
@@ -393,6 +408,7 @@ impl UpdateAgent {
             via_tie,
             certificate,
             call: QuorumCall::majority(self.n, env.now()).with_span(update_span),
+            news: false,
         };
         self.timers.disarm_kind(TIMER_ACK);
         let tag = self.timers.arm(TIMER_ACK, u64::from(self.attempt));
@@ -486,7 +502,13 @@ impl UpdateAgent {
         Action::Dispose
     }
 
-    fn abort_claim(&mut self, env: &mut AgentEnv<'_>) {
+    /// Give up the current claim. Returns the next action: normally the
+    /// agent just parks until a notice or re-poll, but if LL news
+    /// arrived during the claim (the `news` flag of `Phase::Updating`)
+    /// it re-evaluates immediately. Each retry consumes the news that
+    /// justified it, so retries are bounded by the news received.
+    fn abort_claim(&mut self, host: &mut MarpServerState, env: &mut AgentEnv<'_>) -> Action {
+        let retry = matches!(self.phase, Phase::Updating { news: true, .. });
         env.trace(TraceEvent::WinAborted {
             agent: self.id.key(),
         });
@@ -518,20 +540,24 @@ impl UpdateAgent {
         // which doubles as backoff) refreshes the locking table.
         self.phase = Phase::Travelling; // force the parked transition
         self.enter_parked(env);
+        if retry {
+            self.evaluate(host, env)
+        } else {
+            Action::Stay
+        }
     }
 
-    fn absorb_ll_info(
-        &mut self,
-        node: NodeId,
-        snapshot: marp_replica::LlSnapshot,
-        board: LockingTable,
-        ul: UpdatedList,
-    ) {
+    /// LL news was merged into the LT/UAL: a parked agent re-decides; a
+    /// claiming agent remembers it in case the claim aborts.
+    fn on_ll_news(&mut self, host: &mut MarpServerState, env: &mut AgentEnv<'_>) -> Action {
         self.repoll_round = 0;
-        self.ual.merge(&ul);
-        self.lt.merge(node, snapshot);
-        if self.gossip {
-            self.lt.merge_table(&board);
+        match &mut self.phase {
+            Phase::Parked => self.evaluate(host, env),
+            Phase::Updating { news, .. } => {
+                *news = true;
+                Action::Stay
+            }
+            Phase::Travelling => Action::Stay,
         }
     }
 }
@@ -632,11 +658,8 @@ impl AgentBehavior for UpdateAgent {
                 // returns a verdict.
                 match call.offer_vote(node, positive, store_version) {
                     Some(Verdict::Won) => self.commit_and_dispose(env),
-                    Some(Verdict::Lost) => {
-                        // A positive majority is no longer possible.
-                        self.abort_claim(env);
-                        Action::Stay
-                    }
+                    // A positive majority is no longer possible.
+                    Some(Verdict::Lost) => self.abort_claim(host, env),
                     _ => Action::Stay,
                 }
             }
@@ -646,40 +669,32 @@ impl AgentBehavior for UpdateAgent {
                 board,
                 ul,
             } => {
-                self.absorb_ll_info(node, snapshot, board, ul);
-                if matches!(self.phase, Phase::Parked) {
-                    self.evaluate(host, env)
-                } else {
-                    Action::Stay
+                self.ual.merge(&ul);
+                self.lt.merge(node, snapshot);
+                if self.gossip {
+                    self.lt.merge_table(&board);
                 }
+                self.on_ll_news(host, env)
+            }
+            AgentReply::LlChanged { finished, at, .. } => {
+                self.ual.record(finished, at);
+                self.on_ll_news(host, env)
             }
         }
     }
 
-    fn on_timer(
-        &mut self,
-        tag: u64,
-        _host: &mut MarpServerState,
-        env: &mut AgentEnv<'_>,
-    ) -> Action {
+    fn on_timer(&mut self, tag: u64, host: &mut MarpServerState, env: &mut AgentEnv<'_>) -> Action {
         let Some((kind, epoch)) = self.timers.fired(tag) else {
             return Action::Stay; // stale: disarmed or from a dead epoch
         };
         match kind {
             TIMER_REPOLL => {
                 if matches!(self.phase, Phase::Parked) && epoch == u64::from(self.repoll_epoch) {
-                    // Key 0 keeps the legacy query form so single-key
-                    // deployments stay byte-identical on the wire.
-                    let msg = match self.key() {
-                        0 => NodeMsg::LlQuery {
-                            agent: self.id,
-                            reply_to: env.here(),
-                        },
-                        key => NodeMsg::LlQueryKeyed {
-                            agent: self.id,
-                            key,
-                            reply_to: env.here(),
-                        },
+                    let msg = NodeMsg::LlQuery {
+                        agent: self.id,
+                        key: self.key(),
+                        reply_to: env.here(),
+                        horizon: self.lt.horizon(),
                     };
                     self.broadcast(env, &msg);
                     self.repoll_round = self.repoll_round.saturating_add(1);
@@ -690,9 +705,10 @@ impl AgentBehavior for UpdateAgent {
             TIMER_ACK => {
                 if matches!(self.phase, Phase::Updating { .. }) && epoch == u64::from(self.attempt)
                 {
-                    self.abort_claim(env);
+                    self.abort_claim(host, env)
+                } else {
+                    Action::Stay
                 }
-                Action::Stay
             }
             _ => Action::Stay,
         }
@@ -798,6 +814,7 @@ mod tests {
             via_tie: true,
             certificate: vec![AgentId::new(1, SimTime::ZERO, 0)],
             call,
+            news: true,
         };
         a.visited = vec![0, 1, 2];
         a.attempt = 3;

@@ -77,8 +77,8 @@ pub struct MarpConfig {
     /// How long a winner waits for UPDATE acknowledgements before
     /// aborting and re-gathering.
     pub ack_timeout: Duration,
-    /// Re-poll interval for parked agents (they also rely on pushed LL
-    /// change notifications; this is the fallback).
+    /// Re-poll interval for parked agents (servers push them a change
+    /// notice on every COMMIT; this is the fallback for a lost one).
     pub park_repoll: Duration,
     /// How long a positive acknowledgement reserves the lock for the
     /// claimant before the reservation lapses.

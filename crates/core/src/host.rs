@@ -296,7 +296,7 @@ impl MarpServerState {
     /// Handle a COMMIT: apply the records, retire the winner from its
     /// key's queue into the UL, clear its reservation, and report the
     /// remaining queue members (with their last known hosts) so the
-    /// node can push change notifications to them.
+    /// node can push the change notice to them.
     pub fn handle_commit(
         &mut self,
         agent: AgentId,
@@ -333,19 +333,26 @@ impl MarpServerState {
 
     /// Handle a parked agent's LL query for its key: refresh its lease
     /// (without creating an entry at servers it never visited) and
-    /// return fresh locking information.
+    /// return fresh locking information. Board entries the asker's
+    /// `horizon` already covers are left out; the snapshot and the UL
+    /// always travel whole, so the reply alone recovers a missed notice.
     pub fn handle_ll_query(
         &mut self,
         agent: AgentId,
         key: u64,
         reply_to: NodeId,
+        horizon: &BTreeMap<NodeId, u64>,
         now: SimTime,
     ) -> AgentReply {
         self.core.ll.purge_expired(now);
         self.core
             .ll
             .refresh(key, agent, now, self.core.lock_lease(), reply_to);
-        self.ll_info(key, now)
+        let mut info = self.ll_info(key, now);
+        if let AgentReply::LlInfo { board, .. } = &mut info {
+            board.prune_covered_by(horizon);
+        }
+        info
     }
 
     /// Build an `LlInfo` reply about `key` from the current state.
@@ -601,7 +608,8 @@ mod tests {
         let a = aid(1, 1);
         let stranger = aid(7, 7);
         state.visit(a, 1, SimTime::from_millis(1), 1);
-        let reply = state.handle_ll_query(stranger, 1, 5, SimTime::from_millis(2));
+        let reply =
+            state.handle_ll_query(stranger, 1, 5, &BTreeMap::new(), SimTime::from_millis(2));
         match reply {
             AgentReply::LlInfo { snapshot, .. } => {
                 assert_eq!(snapshot.queue, vec![a]);
@@ -609,6 +617,34 @@ mod tests {
             _ => panic!("expected LlInfo"),
         }
         assert!(!state.core.ll.contains(1, stranger));
+    }
+
+    #[test]
+    fn ll_query_reply_omits_board_entries_under_the_askers_horizon() {
+        let mut state = state();
+        let a = aid(1, 1);
+        let mut lt = LockingTable::new();
+        for (server, version) in [(1, 4), (2, 6)] {
+            lt.merge(
+                server,
+                LlSnapshot {
+                    version,
+                    taken_at: SimTime::from_millis(version),
+                    queue: vec![a],
+                },
+            );
+        }
+        state.deposit_gossip(1, &lt);
+        // The asker already holds server 1 at version 4 and server 2 at
+        // version 5: only server 2's newer snapshot is news to it.
+        let horizon = BTreeMap::from([(1, 4), (2, 5)]);
+        let reply = state.handle_ll_query(a, 1, 5, &horizon, SimTime::from_millis(7));
+        let AgentReply::LlInfo { board, .. } = reply else {
+            panic!("expected LlInfo");
+        };
+        assert_eq!(board.horizon(), BTreeMap::from([(2, 6)]));
+        // The board itself keeps everything for the next visitor.
+        assert_eq!(state.board.known_servers(1), 2);
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub use msg::{
     wire_tag_name, wrap_agent_envelope, wrap_client_request, wrap_read_agent_envelope, wrap_sync,
     AgentReply, CommitMsg, NodeMsg, UpdateMsg, WIRE_TAG_SYNC,
 };
-pub use node::MarpNode;
+pub use node::{MailCounters, MarpNode};
 pub use read_agent::ReadAgent;
 
 use marp_net::{RoutingTable, Topology};

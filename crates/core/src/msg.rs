@@ -10,6 +10,7 @@ use marp_agent::{AgentEnvelope, AgentId};
 use marp_replica::{ClientRequest, CommitRecord, LlSnapshot, SyncMsg, UpdatedList, WriteRequest};
 use marp_sim::{NodeId, SimTime};
 use marp_wire::{Wire, WireError};
+use std::collections::BTreeMap;
 
 /// The winning agent's UPDATE broadcast: "having obtained the lock,
 /// broadcast a message to all the replicas to request the update".
@@ -76,30 +77,24 @@ pub enum NodeMsg {
         agent: AgentId,
     },
     /// A parked agent refreshing its lease and asking for fresh LL info
-    /// about object key 0 (the legacy single-key form; agents for other
-    /// keys send [`NodeMsg::LlQueryKeyed`] so single-key traffic stays
-    /// byte-identical).
+    /// about its object key — the loss-recovery path behind the pushed
+    /// change notices.
     LlQuery {
-        /// The asking agent.
-        agent: AgentId,
-        /// Where it is parked (replies go there).
-        reply_to: NodeId,
-    },
-    /// Anti-entropy.
-    Sync(SyncMsg),
-    /// Read-agent runtime traffic (the consistent-read extension runs
-    /// its agents in a separate runtime with its own envelope space).
-    RAgent(AgentEnvelope),
-    /// A parked agent refreshing its lease and asking for fresh LL info
-    /// about a specific object key (sent only when the key is not 0).
-    LlQueryKeyed {
         /// The asking agent.
         agent: AgentId,
         /// The object key whose queue the agent waits on.
         key: u64,
         /// Where it is parked (replies go there).
         reply_to: NodeId,
+        /// The asker's Locking-Table horizon (`server → snapshot
+        /// version`): the reply's board omits what it already covers.
+        horizon: BTreeMap<NodeId, u64>,
     },
+    /// Anti-entropy.
+    Sync(SyncMsg),
+    /// Read-agent runtime traffic (the consistent-read extension runs
+    /// its agents in a separate runtime with its own envelope space).
+    RAgent(AgentEnvelope),
 }
 
 const TAG_CLIENT: u8 = 0;
@@ -110,7 +105,6 @@ const TAG_RELEASE: u8 = 4;
 const TAG_LL_QUERY: u8 = 5;
 const TAG_SYNC: u8 = 6;
 const TAG_RAGENT: u8 = 7;
-const TAG_LL_QUERY_KEYED: u8 = 8;
 
 /// Leading wire-tag byte of [`NodeMsg::Sync`] frames — the anti-entropy
 /// (gossip reconciliation) channel. The sim kernel buckets sent bytes by
@@ -131,7 +125,6 @@ pub fn wire_tag_name(tag: u8) -> &'static str {
         TAG_LL_QUERY => "ll-query",
         TAG_SYNC => "sync",
         TAG_RAGENT => "ragent",
-        TAG_LL_QUERY_KEYED => "ll-query-keyed",
         _ => "other",
     }
 }
@@ -159,10 +152,17 @@ impl Wire for NodeMsg {
                 TAG_RELEASE.encode(buf);
                 agent.encode(buf);
             }
-            NodeMsg::LlQuery { agent, reply_to } => {
+            NodeMsg::LlQuery {
+                agent,
+                key,
+                reply_to,
+                horizon,
+            } => {
                 TAG_LL_QUERY.encode(buf);
                 agent.encode(buf);
+                key.encode(buf);
                 reply_to.encode(buf);
+                horizon.encode(buf);
             }
             NodeMsg::Sync(msg) => {
                 TAG_SYNC.encode(buf);
@@ -171,16 +171,6 @@ impl Wire for NodeMsg {
             NodeMsg::RAgent(env) => {
                 TAG_RAGENT.encode(buf);
                 env.encode(buf);
-            }
-            NodeMsg::LlQueryKeyed {
-                agent,
-                key,
-                reply_to,
-            } => {
-                TAG_LL_QUERY_KEYED.encode(buf);
-                agent.encode(buf);
-                key.encode(buf);
-                reply_to.encode(buf);
             }
         }
     }
@@ -196,15 +186,12 @@ impl Wire for NodeMsg {
             }),
             TAG_LL_QUERY => Ok(NodeMsg::LlQuery {
                 agent: AgentId::decode(buf)?,
+                key: u64::decode(buf)?,
                 reply_to: NodeId::decode(buf)?,
+                horizon: BTreeMap::decode(buf)?,
             }),
             TAG_SYNC => Ok(NodeMsg::Sync(SyncMsg::decode(buf)?)),
             TAG_RAGENT => Ok(NodeMsg::RAgent(AgentEnvelope::decode(buf)?)),
-            TAG_LL_QUERY_KEYED => Ok(NodeMsg::LlQueryKeyed {
-                agent: AgentId::decode(buf)?,
-                key: u64::decode(buf)?,
-                reply_to: NodeId::decode(buf)?,
-            }),
             tag => Err(WireError::InvalidTag {
                 type_name: "NodeMsg",
                 tag: u32::from(tag),
@@ -219,13 +206,18 @@ impl Wire for NodeMsg {
             NodeMsg::Update(msg) => msg.encoded_len(),
             NodeMsg::Commit(msg) => msg.encoded_len(),
             NodeMsg::Release { agent } => agent.encoded_len(),
-            NodeMsg::LlQuery { agent, reply_to } => agent.encoded_len() + reply_to.encoded_len(),
-            NodeMsg::Sync(msg) => msg.encoded_len(),
-            NodeMsg::LlQueryKeyed {
+            NodeMsg::LlQuery {
                 agent,
                 key,
                 reply_to,
-            } => agent.encoded_len() + key.encoded_len() + reply_to.encoded_len(),
+                horizon,
+            } => {
+                agent.encoded_len()
+                    + key.encoded_len()
+                    + reply_to.encoded_len()
+                    + horizon.encoded_len()
+            }
+            NodeMsg::Sync(msg) => msg.encoded_len(),
         }
     }
 }
@@ -253,8 +245,8 @@ pub enum AgentReply {
         /// dispose — its work belongs to another incarnation.
         fenced: bool,
     },
-    /// Fresh locking information (reply to `LlQuery`, a visit, or a
-    /// pushed change notification).
+    /// Fresh locking information: the reply to an `LlQuery`, i.e. the
+    /// recovery path for an agent that missed a change notice.
     LlInfo {
         /// The reporting server.
         node: NodeId,
@@ -264,6 +256,19 @@ pub enum AgentReply {
         board: LockingTable,
         /// Its Updated List.
         ul: UpdatedList,
+    },
+    /// Change notice pushed on COMMIT to the agents still queued: the
+    /// one fact a commit changes for a waiter is that `finished` left
+    /// every queue. The agent records it in its UAL and re-decides; its
+    /// carried snapshots stay valid because the priority calculation
+    /// skips finished agents.
+    LlChanged {
+        /// The reporting server.
+        node: NodeId,
+        /// The agent whose commit was just applied there.
+        finished: AgentId,
+        /// When the server recorded it in its Updated List.
+        at: SimTime,
     },
 }
 
@@ -298,6 +303,12 @@ impl Wire for AgentReply {
                 board.encode(buf);
                 ul.encode(buf);
             }
+            AgentReply::LlChanged { node, finished, at } => {
+                2u8.encode(buf);
+                node.encode(buf);
+                finished.encode(buf);
+                at.encode(buf);
+            }
         }
     }
 
@@ -316,6 +327,11 @@ impl Wire for AgentReply {
                 snapshot: LlSnapshot::decode(buf)?,
                 board: LockingTable::decode(buf)?,
                 ul: UpdatedList::decode(buf)?,
+            }),
+            2 => Ok(AgentReply::LlChanged {
+                node: NodeId::decode(buf)?,
+                finished: AgentId::decode(buf)?,
+                at: SimTime::decode(buf)?,
             }),
             tag => Err(WireError::InvalidTag {
                 type_name: "AgentReply",
@@ -348,6 +364,9 @@ impl Wire for AgentReply {
                 ul,
             } => {
                 node.encoded_len() + snapshot.encoded_len() + board.encoded_len() + ul.encoded_len()
+            }
+            AgentReply::LlChanged { node, finished, at } => {
+                node.encoded_len() + finished.encoded_len() + at.encoded_len()
             }
         }
     }
@@ -428,12 +447,9 @@ mod tests {
         roundtrip(NodeMsg::Release { agent: aid(1) });
         roundtrip(NodeMsg::LlQuery {
             agent: aid(1),
-            reply_to: 2,
-        });
-        roundtrip(NodeMsg::LlQueryKeyed {
-            agent: aid(1),
             key: 6,
             reply_to: 2,
+            horizon: BTreeMap::from([(0, 3), (4, 9)]),
         });
         roundtrip(NodeMsg::Sync(SyncMsg::Pull { from_version: 0 }));
         roundtrip(NodeMsg::RAgent(AgentEnvelope::MigrateAck {
@@ -479,6 +495,15 @@ mod tests {
         };
         let bytes = marp_wire::to_bytes(&reply);
         assert_eq!(marp_wire::from_bytes::<AgentReply>(&bytes).unwrap(), reply);
+
+        let notice = AgentReply::LlChanged {
+            node: 2,
+            finished: aid(5),
+            at: SimTime::from_millis(9),
+        };
+        let bytes = marp_wire::to_bytes(&notice);
+        assert!(bytes.len() <= 20, "notice is {} bytes", bytes.len());
+        assert_eq!(marp_wire::from_bytes::<AgentReply>(&bytes).unwrap(), notice);
     }
 
     #[test]

@@ -38,6 +38,34 @@ struct OutstandingBatch {
     seq: u64,
 }
 
+/// Server→agent mail this node has sent, as plain counts (the hot path
+/// pays an integer add, not a trace record). `marp-trace sweep` reads
+/// them to show where agent-addressed bytes go.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MailCounters {
+    /// Change notices pushed on COMMIT.
+    pub notices_sent: u64,
+    /// Encoded `AgentReply` bytes of those notices.
+    pub notice_bytes: u64,
+    /// Notices not sent because the queued agent had already left this
+    /// host.
+    pub notices_skipped: u64,
+    /// `LlInfo` replies to `LlQuery`.
+    pub replies_sent: u64,
+    /// Encoded `AgentReply` bytes of those replies.
+    pub reply_bytes: u64,
+}
+
+impl std::ops::AddAssign for MailCounters {
+    fn add_assign(&mut self, other: Self) {
+        self.notices_sent += other.notices_sent;
+        self.notice_bytes += other.notice_bytes;
+        self.notices_skipped += other.notices_skipped;
+        self.replies_sent += other.replies_sent;
+        self.reply_bytes += other.reply_bytes;
+    }
+}
+
 /// One MARP replica server node.
 pub struct MarpNode {
     cfg: MarpConfig,
@@ -53,6 +81,7 @@ pub struct MarpNode {
     regen_seq: u64,
     /// Timer epoch → registry key, for deadline fires.
     regen_agents: BTreeMap<u64, AgentId>,
+    mail: MailCounters,
 }
 
 impl MarpNode {
@@ -77,6 +106,7 @@ impl MarpNode {
             regen_mux: TimerMux::new(),
             regen_seq: 0,
             regen_agents: BTreeMap::new(),
+            mail: MailCounters::default(),
             cfg,
         }
     }
@@ -84,6 +114,11 @@ impl MarpNode {
     /// The server-side state (for tests and experiment harnesses).
     pub fn state(&self) -> &MarpServerState {
         &self.state
+    }
+
+    /// Server→agent mail sent so far.
+    pub fn mail(&self) -> MailCounters {
+        self.mail
     }
 
     /// Number of update agents currently hosted here.
@@ -244,12 +279,11 @@ impl MarpNode {
         self.launch(remaining, batch.incarnation + 1, batch.attempts + 1, ctx);
     }
 
-    fn send_to_agent(&self, at: NodeId, agent: AgentId, reply: &AgentReply, ctx: &mut dyn Context) {
-        let envelope = AgentEnvelope::ToAgent {
-            agent,
-            payload: marp_wire::to_bytes(reply),
-        };
-        ctx.send(at, wrap_agent_envelope(envelope));
+    fn send_to_agent(&self, at: NodeId, agent: AgentId, payload: Bytes, ctx: &mut dyn Context) {
+        ctx.send(
+            at,
+            wrap_agent_envelope(AgentEnvelope::ToAgent { agent, payload }),
+        );
     }
 
     fn handle_node_msg(&mut self, from: NodeId, msg: NodeMsg, ctx: &mut dyn Context) {
@@ -283,33 +317,51 @@ impl MarpNode {
             }
             NodeMsg::Update(update) => {
                 let ack = self.state.handle_update(&update, ctx);
-                self.send_to_agent(update.reply_to, update.agent, &ack, ctx);
+                let payload = marp_wire::to_bytes(&ack);
+                self.send_to_agent(update.reply_to, update.agent, payload, ctx);
             }
             NodeMsg::Commit(commit) => {
-                let key = commit.records.first().map_or(0, |r| r.key);
-                let notify = self.state.handle_commit(commit.agent, commit.records, ctx);
-                // Push the LL change to the remaining queued agents so
-                // parked agents learn promptly that the winner is gone.
-                if !notify.is_empty() {
-                    let info = self.state.ll_info(key, ctx.now());
-                    for (host, agent) in notify {
-                        self.send_to_agent(host, agent, &info, ctx);
+                let finished = commit.agent;
+                let notify = self.state.handle_commit(finished, commit.records, ctx);
+                if notify.is_empty() {
+                    return;
+                }
+                // Tell the remaining queued agents that the winner is
+                // gone. One encoding serves every recipient.
+                let notice = marp_wire::to_bytes(&AgentReply::LlChanged {
+                    node: self.me(),
+                    finished,
+                    at: ctx.now(),
+                });
+                for (host, agent) in notify {
+                    // An agent last seen here that is no longer resident
+                    // has migrated on (or died): mail to it would only be
+                    // dropped on arrival.
+                    if host == self.me() && self.runtime.resident(agent).is_none() {
+                        self.mail.notices_skipped += 1;
+                        continue;
                     }
+                    self.mail.notices_sent += 1;
+                    self.mail.notice_bytes += notice.len() as u64;
+                    self.send_to_agent(host, agent, notice.clone(), ctx);
                 }
             }
             NodeMsg::Release { agent } => self.state.handle_release(agent),
-            NodeMsg::LlQuery { agent, reply_to } => {
-                // Legacy query form: always the key-0 locking list.
-                let info = self.state.handle_ll_query(agent, 0, reply_to, ctx.now());
-                self.send_to_agent(reply_to, agent, &info, ctx);
-            }
-            NodeMsg::LlQueryKeyed {
+            NodeMsg::LlQuery {
                 agent,
                 key,
                 reply_to,
+                horizon,
             } => {
-                let info = self.state.handle_ll_query(agent, key, reply_to, ctx.now());
-                self.send_to_agent(reply_to, agent, &info, ctx);
+                // The full `LlInfo`: the recovery path for missed
+                // notices.
+                let info = self
+                    .state
+                    .handle_ll_query(agent, key, reply_to, &horizon, ctx.now());
+                let payload = marp_wire::to_bytes(&info);
+                self.mail.replies_sent += 1;
+                self.mail.reply_bytes += payload.len() as u64;
+                self.send_to_agent(reply_to, agent, payload, ctx);
             }
             NodeMsg::Sync(sync) => self.state.core.handle_sync(from, sync, ctx),
         }
@@ -431,4 +483,140 @@ impl Process for MarpNode {
     }
 
     impl_as_any!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::msg::CommitMsg;
+    use marp_net::Topology;
+    use marp_replica::CommitRecord;
+    use marp_sim::SimTime;
+    use std::time::Duration;
+
+    #[derive(Default)]
+    struct TestCtx {
+        sent: Vec<(NodeId, Bytes)>,
+        traced: Vec<TraceEvent>,
+    }
+    impl Context for TestCtx {
+        fn now(&self) -> SimTime {
+            SimTime::from_millis(9)
+        }
+        fn me(&self) -> NodeId {
+            0
+        }
+        fn send(&mut self, to: NodeId, msg: Bytes) {
+            self.sent.push((to, msg));
+        }
+        fn set_timer(&mut self, _after: Duration, _tag: u64) -> TimerId {
+            TimerId(0)
+        }
+        fn cancel_timer(&mut self, _id: TimerId) {}
+        fn trace(&mut self, event: TraceEvent) {
+            self.traced.push(event);
+        }
+        fn halt(&mut self) {}
+    }
+
+    fn commit_of(winner: AgentId) -> Bytes {
+        marp_wire::to_bytes(&NodeMsg::Commit(CommitMsg {
+            agent: winner,
+            records: vec![CommitRecord {
+                version: 1,
+                key: 1,
+                value: 7,
+                agent: winner.key(),
+                request: 1,
+                committed_at: SimTime::from_millis(8),
+            }],
+        }))
+    }
+
+    /// A node whose key-1 queue holds the winner, then two waiters: one
+    /// last seen here (but no longer resident) and one last seen at
+    /// server 2.
+    fn node_with_queue() -> (MarpNode, [AgentId; 3]) {
+        let topo = Topology::uniform_lan(3, Duration::from_millis(1));
+        let mut node = MarpNode::new(0, MarpConfig::new(3), RoutingTable::from_topology(0, &topo));
+        let agents = [0, 1, 2].map(|home| AgentId::new(home, SimTime::from_millis(1), 0));
+        let lease = node.state.core.lock_lease();
+        for (agent, last_host) in agents.iter().zip([1, 0, 2]) {
+            node.state
+                .core
+                .ll
+                .request(1, *agent, SimTime::from_millis(2), lease, last_host);
+        }
+        (node, agents)
+    }
+
+    #[test]
+    fn commit_pushes_one_shared_notice_and_skips_departed_agents() {
+        let (mut node, [winner, departed, remote]) = node_with_queue();
+        let mut ctx = TestCtx::default();
+        node.on_message(1, commit_of(winner), &mut ctx);
+
+        // Exactly one push: to the waiter at server 2. The waiter last
+        // seen here has migrated away — mailing it would only produce an
+        // `agent-msg-missed` on arrival — so it gets nothing.
+        assert_eq!(ctx.sent.len(), 1);
+        let (to, frame) = &ctx.sent[0];
+        assert_eq!(*to, 2);
+        let Ok(NodeMsg::Agent(AgentEnvelope::ToAgent { agent, payload })) =
+            marp_wire::from_bytes::<NodeMsg>(frame)
+        else {
+            panic!("expected agent mail");
+        };
+        assert_eq!(agent, remote);
+        assert_eq!(
+            marp_wire::from_bytes::<AgentReply>(&payload).unwrap(),
+            AgentReply::LlChanged {
+                node: 0,
+                finished: winner,
+                at: SimTime::from_millis(9),
+            }
+        );
+        assert!(!ctx.traced.iter().any(|e| matches!(
+            e,
+            TraceEvent::Custom {
+                kind: "agent-msg-missed",
+                ..
+            }
+        )));
+        assert_eq!(
+            node.mail(),
+            MailCounters {
+                notices_sent: 1,
+                notice_bytes: payload.len() as u64,
+                notices_skipped: 1,
+                ..MailCounters::default()
+            }
+        );
+        assert!(node.state().core.ll.contains(1, departed));
+    }
+
+    #[test]
+    fn ll_query_is_answered_with_a_counted_full_reply() {
+        let (mut node, [_, _, remote]) = node_with_queue();
+        let mut ctx = TestCtx::default();
+        let query = NodeMsg::LlQuery {
+            agent: remote,
+            key: 1,
+            reply_to: 2,
+            horizon: BTreeMap::new(),
+        };
+        node.on_message(2, marp_wire::to_bytes(&query), &mut ctx);
+        assert_eq!(ctx.sent.len(), 1);
+        let Ok(NodeMsg::Agent(AgentEnvelope::ToAgent { payload, .. })) =
+            marp_wire::from_bytes::<NodeMsg>(&ctx.sent[0].1)
+        else {
+            panic!("expected agent mail");
+        };
+        assert!(matches!(
+            marp_wire::from_bytes::<AgentReply>(&payload).unwrap(),
+            AgentReply::LlInfo { node: 0, .. }
+        ));
+        assert_eq!(node.mail().replies_sent, 1);
+        assert_eq!(node.mail().reply_bytes, payload.len() as u64);
+    }
 }

@@ -100,15 +100,18 @@ fn arb_node_msg() -> impl Strategy<Value = NodeMsg> {
         )
             .prop_map(|(agent, records)| NodeMsg::Commit(CommitMsg { agent, records })),
         arb_agent_id().prop_map(|agent| NodeMsg::Release { agent }),
-        (arb_agent_id(), any::<u16>())
-            .prop_map(|(agent, reply_to)| NodeMsg::LlQuery { agent, reply_to }),
-        (arb_agent_id(), 1u64..1_000_000, any::<u16>()).prop_map(|(agent, key, reply_to)| {
-            NodeMsg::LlQueryKeyed {
+        (
+            arb_agent_id(),
+            0u64..1_000_000,
+            any::<u16>(),
+            proptest::collection::btree_map(any::<u16>(), any::<u64>(), 0..4),
+        )
+            .prop_map(|(agent, key, reply_to, horizon)| NodeMsg::LlQuery {
                 agent,
                 key,
                 reply_to,
-            }
-        }),
+                horizon,
+            }),
         any::<u64>().prop_map(|v| NodeMsg::Sync(SyncMsg::Pull { from_version: v })),
     ]
 }
@@ -119,6 +122,14 @@ proptest! {
         let bytes = marp_wire::to_bytes(&msg);
         let back: NodeMsg = marp_wire::from_bytes(&bytes).unwrap();
         prop_assert_eq!(back, msg);
+    }
+
+    #[test]
+    fn change_notices_roundtrip(node in any::<u16>(), finished in arb_agent_id(), ms in 0u64..1_000_000) {
+        let notice = AgentReply::LlChanged { node, finished, at: SimTime::from_millis(ms) };
+        let bytes = marp_wire::to_bytes(&notice);
+        let back: AgentReply = marp_wire::from_bytes(&bytes).unwrap();
+        prop_assert_eq!(back, notice);
     }
 
     /// Garbage never panics any decoder a replica exposes to the

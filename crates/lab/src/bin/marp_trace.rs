@@ -16,6 +16,7 @@
 //! marp-trace aggregate <trace.bin> [...]     flamegraph-style span-path profile
 //! marp-trace sweep [--test] [...]            run N=3/5/9 and fit growth exponents
 //! marp-trace diff <before.json> <after.json> compare two profiles or two sweeps
+//!                                            (--fail-steeper bytes,messages gates CI)
 //! marp-trace diagnose <sweep.json> [...]     rule-based cliff diagnosis
 //! ```
 
@@ -39,8 +40,10 @@ const USAGE: &str = "usage: marp-trace <command> <args>\n\
   sweep [--test] [--ns 3,5,9] [--json <out.json>] [--diagnosis-json <out.json>]\n\
                                   run the paper scenario across replica counts,\n\
                                   print the per-phase scaling table and diagnosis\n\
-  diff <before.json> <after.json> [out.json]\n\
-                                  compare two aggregate profiles or two sweeps\n\
+  diff <before.json> <after.json> [out.json] [--fail-steeper <metric,...>]\n\
+                                  compare two aggregate profiles or two sweeps;\n\
+                                  with --fail-steeper, fail if a named sweep metric's\n\
+                                  growth exponent rose\n\
   diagnose <sweep.json> [out.json]\n\
                                   re-run the cliff diagnoser on a saved sweep";
 
@@ -269,12 +272,21 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// How much a gated growth exponent may rise before `diff
+/// --fail-steeper` fails. The sweep is deterministic, so any rise is a
+/// real protocol change; the slack only absorbs the fit's 4-decimal
+/// rounding.
+const STEEPER_TOLERANCE: f64 = 0.001;
+
 fn cmd_diff(args: &[String]) -> Result<(), String> {
+    let mut args = args.to_vec();
+    let gated = take_flag(&mut args, "--fail-steeper")?;
     let before_path = args.first().ok_or("diff: missing <before.json>")?;
     let after_path = args.get(1).ok_or("diff: missing <after.json>")?;
     let before = load_json(before_path)?;
     let after = load_json(after_path)?;
     let schema = before.get("schema").and_then(Json::as_str).unwrap_or("");
+    let mut steeper = Vec::new();
     let (text, json) = match schema {
         "marp-prof/profile/v1" => {
             let b = Profile::from_json(&before)
@@ -290,6 +302,21 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
             let a = SweepReport::from_json(&after)
                 .map_err(|err| format!("diff: '{after_path}': {err}"))?;
             let diff = SweepDiff::between(&b, &a);
+            if let Some(gated) = &gated {
+                let gated: Vec<&str> = gated.split(',').map(str::trim).collect();
+                if let Some(unknown) = gated
+                    .iter()
+                    .find(|g| !diff.metrics.iter().any(|m| m.metric == **g))
+                {
+                    return Err(format!("diff: --fail-steeper: no sweep metric '{unknown}'"));
+                }
+                steeper = diff
+                    .steepened(STEEPER_TOLERANCE)
+                    .into_iter()
+                    .filter(|m| gated.contains(&m.metric.as_str()))
+                    .map(|m| format!("{} exponent {:?} -> {:?}", m.metric, m.before_k, m.after_k))
+                    .collect();
+            }
             (diff.render(), diff.to_json())
         }
         other => {
@@ -303,7 +330,11 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
     if let Some(path) = args.get(2) {
         write_file(path, &json.render())?;
     }
-    Ok(())
+    if steeper.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("diff: steeper growth: {}", steeper.join("; ")))
+    }
 }
 
 fn cmd_diagnose(args: &[String]) -> Result<(), String> {

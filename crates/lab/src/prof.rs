@@ -80,7 +80,15 @@ pub fn scale_sweep(config: &SweepConfig) -> SweepReport {
             let chunk = &results[i * per_point..(i + 1) * per_point];
             let traces: Vec<&marp_sim::TraceLog> = chunk.iter().map(|(_, t)| t).collect();
             let stats: Vec<marp_sim::RunStats> = chunk.iter().map(|(o, _)| o.stats).collect();
-            SweepPoint::measure(n, &config.seeds, &traces, &stats, WIRE_TAG_SYNC)
+            let mut point = SweepPoint::measure(n, &config.seeds, &traces, &stats, WIRE_TAG_SYNC);
+            for (outcome, _) in chunk {
+                point.notices += outcome.mail.notices_sent;
+                point.notice_bytes += outcome.mail.notice_bytes;
+                point.notices_skipped += outcome.mail.notices_skipped;
+                point.replies += outcome.mail.replies_sent;
+                point.reply_bytes += outcome.mail.reply_bytes;
+            }
+            point
         })
         .collect();
     SweepReport::new(points)
@@ -98,6 +106,10 @@ mod tests {
             assert!(point.commits > 0, "n={} recorded no commits", point.n);
             assert!(point.total_bytes > 0);
             assert!(point.migrations > 0);
+            // Contended writers: waiters were notified, and every
+            // notice byte is part of the total.
+            assert!(point.notices > 0);
+            assert!(point.notice_bytes + point.reply_bytes < point.total_bytes);
             // The clamped decomposition must survive the pooling: the
             // four phases sum to the total commit latency.
             assert!(

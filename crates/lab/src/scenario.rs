@@ -11,7 +11,10 @@ use marp_baselines::{
     wrap_wv_client_request, AcConfig, AcNode, McvConfig, McvNode, PcConfig, PcNode, WvConfig,
     WvNode,
 };
-use marp_core::{build_cluster, wrap_client_request as wrap_marp_client_request, MarpConfig};
+use marp_core::{
+    build_cluster, wrap_client_request as wrap_marp_client_request, MailCounters, MarpConfig,
+    MarpNode,
+};
 use marp_metrics::{audit, audit_keyed, audit_relaxed, AuditReport, PaperMetrics, Samples};
 use marp_net::{FaultPlan, LinkModel, SimTransport, Topology};
 use marp_replica::ClientProcess;
@@ -298,6 +301,9 @@ pub struct RunOutcome {
     pub audit: AuditReport,
     /// Kernel statistics (messages, bytes, events).
     pub stats: RunStats,
+    /// Server→agent mail counters summed over the MARP servers (all
+    /// zero for the message-passing baselines).
+    pub mail: MailCounters,
     /// Client-observed read latencies (ms).
     pub client_read_ms: Samples,
     /// Client-observed write latencies (ms).
@@ -456,6 +462,13 @@ pub fn run_scenario_traced(scenario: &Scenario) -> (RunOutcome, marp_sim::TraceL
         }
     }
 
+    let mut mail = MailCounters::default();
+    for server in 0..n as NodeId {
+        if let Some(node) = sim.process::<MarpNode>(server) {
+            mail += node.mail();
+        }
+    }
+
     let trace = sim.into_trace();
     let metrics = PaperMetrics::from_trace(&trace);
     // The durability cross-check: every write acknowledged to a client
@@ -487,6 +500,7 @@ pub fn run_scenario_traced(scenario: &Scenario) -> (RunOutcome, marp_sim::TraceL
         metrics,
         audit,
         stats,
+        mail,
         client_read_ms,
         client_write_ms,
         issued,

@@ -32,5 +32,5 @@ pub mod model;
 pub mod schedule;
 
 pub use explore::{CheckConfig, Choice, Counterexample, Explorer, Report};
-pub use model::{Family, ModelSpec, OneShotWriter};
+pub use model::{Family, MailLoss, ModelSpec, OneShotWriter};
 pub use schedule::{agent_loss_schedule, from_text, replay, shrink, to_text, ReplayOutcome};

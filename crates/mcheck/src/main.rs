@@ -30,6 +30,7 @@ fn usage() -> ExitCode {
          \n\
          check    [--family marp|mcv|pc] [--replicas N] [--agents N] [--crashes N]\n\
          \x20        [--chaos none|lifo|blind-acks|lifo-blind] [--distinct-keys]\n\
+         \x20        [--mail-loss none|notices|notices+reply]\n\
          \x20        [--preemptions N|full] [--budget N|smoke] [--depth N]\n\
          \x20        [--timers N] [--out FILE]\n\
          replay   <FILE>\n\
@@ -53,6 +54,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut agents = 2usize;
     let mut chaos = marp_core::ChaosMode::None;
     let mut distinct_keys = false;
+    let mut mail_loss = marp_mcheck::MailLoss::None;
     let mut cfg = CheckConfig::default();
     let mut out = None;
     let mut positional = Vec::new();
@@ -119,6 +121,11 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                     .map_err(|_| "--timers: not a number".to_string())?;
             }
             "--distinct-keys" => distinct_keys = true,
+            "--mail-loss" => {
+                let v = value("--mail-loss")?;
+                mail_loss = marp_mcheck::MailLoss::parse(&v)
+                    .ok_or_else(|| format!("unknown mail loss {v}"))?;
+            }
             "--out" => out = Some(value("--out")?),
             other if other.starts_with("--") => return Err(format!("unknown option {other}")),
             other => positional.push(other.to_string()),
@@ -127,6 +134,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut spec = ModelSpec::new(family, replicas, agents);
     spec.chaos = chaos;
     spec.distinct_keys = distinct_keys;
+    spec.mail_loss = mail_loss;
     Ok(Opts {
         spec,
         cfg,
@@ -176,7 +184,7 @@ fn write_counterexample(
 
 fn cmd_check(opts: &Opts) -> ExitCode {
     println!(
-        "checking {} replicas={} agents={} keys={} chaos={} crashes<={} preemptions={}",
+        "checking {} replicas={} agents={} keys={} chaos={} mail-loss={} crashes<={} preemptions={}",
         opts.spec.family.name(),
         opts.spec.replicas,
         opts.spec.agents,
@@ -186,6 +194,7 @@ fn cmd_check(opts: &Opts) -> ExitCode {
             "shared"
         },
         schedule::chaos_name(opts.spec.chaos),
+        opts.spec.mail_loss.name(),
         opts.cfg.max_crashes,
         opts.cfg
             .preemption_bound

@@ -9,16 +9,21 @@
 //! recovery paths sit within the explorer's per-path timer budget.
 
 use bytes::Bytes;
+use marp_agent::AgentEnvelope;
 use marp_baselines::{
     wrap_mcv_client_request, wrap_pc_client_request, McvConfig, McvNode, PcConfig, PcNode,
 };
 use marp_core::{
-    build_cluster, wrap_client_request as wrap_marp_client_request, ChaosMode, MarpConfig,
+    wrap_client_request as wrap_marp_client_request, AgentReply, ChaosMode, MarpConfig, MarpNode,
+    NodeMsg,
 };
 use marp_metrics::InvariantMonitor;
-use marp_net::Topology;
+use marp_net::{RoutingTable, Topology};
 use marp_replica::{request_id, ClientReply, ClientRequest, ClientWrapFn, Operation};
-use marp_sim::{impl_as_any, Context, FixedDelay, NodeId, Process, Simulation, TraceLevel};
+use marp_sim::{
+    impl_as_any, Context, FixedDelay, NodeId, Process, Simulation, TimerId, TraceEvent, TraceLevel,
+};
+use std::any::Any;
 use std::time::Duration;
 
 /// Which protocol family a model runs.
@@ -53,6 +58,45 @@ impl Family {
     }
 }
 
+/// Which server→agent mail the model's network loses (MARP only): the
+/// **missed-notice schedule family**. Safety must not depend on the
+/// COMMIT change notices, and liveness must fall back to the parked
+/// agents' `TIMER_REPOLL`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum MailLoss {
+    /// Reliable mail (the faithful default).
+    #[default]
+    None,
+    /// Every change notice is lost — in particular every one addressed
+    /// to the would-be next winner.
+    Notices,
+    /// Every change notice, plus the first `LlInfo` reply each host
+    /// would have received: the first re-poll's answer is incomplete
+    /// too.
+    NoticesAndFirstReply,
+}
+
+impl MailLoss {
+    /// Parse a CLI / schedule-file name.
+    pub fn parse(name: &str) -> Option<MailLoss> {
+        match name {
+            "none" => Some(MailLoss::None),
+            "notices" => Some(MailLoss::Notices),
+            "notices+reply" => Some(MailLoss::NoticesAndFirstReply),
+            _ => None,
+        }
+    }
+
+    /// The CLI / schedule-file name.
+    pub fn name(&self) -> &'static str {
+        match self {
+            MailLoss::None => "none",
+            MailLoss::Notices => "notices",
+            MailLoss::NoticesAndFirstReply => "notices+reply",
+        }
+    }
+}
+
 /// A fully-specified model: protocol, cluster size, concurrent writers,
 /// and (for checker self-tests) a seeded protocol mutation.
 #[derive(Debug, Clone, Copy)]
@@ -77,6 +121,9 @@ pub struct ModelSpec {
     /// key `k + 1`: the disjoint-key family, which must commit with
     /// per-key chains and no cross-key interference.
     pub distinct_keys: bool,
+    /// Agent mail the network loses (MARP only; `None` for faithful
+    /// checking).
+    pub mail_loss: MailLoss,
 }
 
 impl ModelSpec {
@@ -91,6 +138,7 @@ impl ModelSpec {
             chaos: ChaosMode::None,
             regeneration: true,
             distinct_keys: false,
+            mail_loss: MailLoss::None,
         }
     }
 
@@ -120,7 +168,18 @@ impl ModelSpec {
         let wrap: ClientWrapFn = match self.family {
             Family::Marp => {
                 let topo = Topology::uniform_lan(n + self.agents, delay);
-                build_cluster(&mut sim, &self.marp_config(), &topo);
+                let cfg = self.marp_config();
+                for me in 0..n as NodeId {
+                    let node = MarpNode::new(me, cfg, RoutingTable::from_topology(me, &topo));
+                    sim.add_process(match self.mail_loss {
+                        MailLoss::None => Box::new(node),
+                        loss => Box::new(LossyMail {
+                            node,
+                            loss,
+                            reply_lost: false,
+                        }),
+                    });
+                }
                 wrap_marp_client_request
             }
             Family::Mcv => {
@@ -161,6 +220,75 @@ impl ModelSpec {
             // report no visits.
             Family::Mcv | Family::PrimaryCopy => InvariantMonitor::strict(0),
         }
+    }
+}
+
+/// A MARP node behind a network that loses agent mail per
+/// [`MailLoss`]. Losing a message in flight and discarding it on
+/// arrival are indistinguishable to the protocol; doing it here keeps
+/// the loss a pure function of the delivery order, so explored paths
+/// replay exactly.
+struct LossyMail {
+    node: MarpNode,
+    loss: MailLoss,
+    reply_lost: bool,
+}
+
+impl LossyMail {
+    fn loses(&mut self, msg: &Bytes) -> bool {
+        let Ok(NodeMsg::Agent(AgentEnvelope::ToAgent { payload, .. })) =
+            marp_wire::from_bytes::<NodeMsg>(msg)
+        else {
+            return false;
+        };
+        match marp_wire::from_bytes::<AgentReply>(&payload) {
+            Ok(AgentReply::LlChanged { .. }) => true,
+            Ok(AgentReply::LlInfo { .. }) => {
+                let lose = self.loss == MailLoss::NoticesAndFirstReply && !self.reply_lost;
+                self.reply_lost |= lose;
+                lose
+            }
+            Ok(AgentReply::UpdateAck { .. }) | Err(_) => false,
+        }
+    }
+}
+
+impl Process for LossyMail {
+    fn on_start(&mut self, ctx: &mut dyn Context) {
+        self.node.on_start(ctx);
+    }
+
+    fn on_message(&mut self, from: NodeId, msg: Bytes, ctx: &mut dyn Context) {
+        if self.loses(&msg) {
+            ctx.trace(TraceEvent::Custom {
+                kind: "agent-mail-lost",
+                a: u64::from(from),
+                b: msg.len() as u64,
+            });
+            return;
+        }
+        self.node.on_message(from, msg, ctx);
+    }
+
+    fn on_timer(&mut self, timer: TimerId, tag: u64, ctx: &mut dyn Context) {
+        self.node.on_timer(timer, tag, ctx);
+    }
+
+    fn on_node_status(&mut self, node: NodeId, up: bool, ctx: &mut dyn Context) {
+        self.node.on_node_status(node, up, ctx);
+    }
+
+    fn on_recover(&mut self, ctx: &mut dyn Context) {
+        self.node.on_recover(ctx);
+    }
+
+    // Inspection sees through to the protocol node.
+    fn as_any(&self) -> &dyn Any {
+        &self.node
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        &mut self.node
     }
 }
 

@@ -9,7 +9,7 @@
 //! everything downstream.
 
 use crate::explore::{Choice, Counterexample};
-use crate::model::{Family, ModelSpec};
+use crate::model::{Family, MailLoss, ModelSpec};
 use marp_core::ChaosMode;
 use marp_metrics::Violation;
 use marp_sim::{Control, NodeId, PendingKind, TraceEvent};
@@ -74,6 +74,9 @@ pub fn to_text(spec: &ModelSpec, schedule: &[Choice], note: &str) -> String {
         // Omitted when off (the conflicting default), same reason.
         out.push_str("distinct-keys 1\n");
     }
+    if spec.mail_loss != MailLoss::None {
+        out.push_str(&format!("mail-loss {}\n", spec.mail_loss.name()));
+    }
     for choice in schedule {
         out.push_str(&fmt_choice(choice));
         out.push('\n');
@@ -89,6 +92,7 @@ pub fn from_text(text: &str) -> Result<(ModelSpec, Vec<Choice>), String> {
     let mut chaos = ChaosMode::None;
     let mut regeneration = true;
     let mut distinct_keys = false;
+    let mut mail_loss = MailLoss::None;
     let mut schedule = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim();
@@ -109,6 +113,9 @@ pub fn from_text(text: &str) -> Result<(ModelSpec, Vec<Choice>), String> {
             }
             "regeneration" if fields.len() == 2 => regeneration = num(fields[1])? != 0,
             "distinct-keys" if fields.len() == 2 => distinct_keys = num(fields[1])? != 0,
+            "mail-loss" if fields.len() == 2 => {
+                mail_loss = MailLoss::parse(fields[1]).ok_or_else(|| err("unknown mail loss"))?;
+            }
             "crash" if fields.len() == 2 => {
                 schedule.push(Choice::Crash {
                     node: num(fields[1])? as u16,
@@ -158,6 +165,7 @@ pub fn from_text(text: &str) -> Result<(ModelSpec, Vec<Choice>), String> {
     spec.chaos = chaos;
     spec.regeneration = regeneration;
     spec.distinct_keys = distinct_keys;
+    spec.mail_loss = mail_loss;
     Ok((spec, schedule))
 }
 

@@ -1,0 +1,80 @@
+//! The missed-notice schedule family: the network loses every COMMIT
+//! change notice (and, in the harsher variant, the first `LlInfo`
+//! reply each host would receive). The notices are an optimisation —
+//! Theorems 1–3 and exactly-once must hold on every interleaving
+//! without them, and a parked agent must still reach its commit
+//! through `TIMER_REPOLL`.
+
+use marp_mcheck::{CheckConfig, Choice, Explorer, Family, MailLoss, ModelSpec};
+use marp_sim::PendingKind;
+
+fn lossy(loss: MailLoss) -> ModelSpec {
+    let mut spec = ModelSpec::new(Family::Marp, 3, 2);
+    spec.mail_loss = loss;
+    spec
+}
+
+/// Timer steps of a schedule that are an agent's `TIMER_REPOLL` (mux
+/// kind 1 in the tag's low byte; node timers use raw tags ≥ 100 and
+/// the regeneration mux kind 7).
+fn repolls(schedule: &[Choice]) -> usize {
+    schedule
+        .iter()
+        .filter(|c| {
+            matches!(
+                c,
+                Choice::Deliver {
+                    kind: PendingKind::Timer { tag, .. },
+                    ..
+                } if tag & 0xff == 1
+            )
+        })
+        .count()
+}
+
+#[test]
+fn invariants_hold_on_every_interleaving_without_notices() {
+    for loss in [MailLoss::Notices, MailLoss::NoticesAndFirstReply] {
+        let report = Explorer::new(lossy(loss), CheckConfig::default()).run();
+        assert!(
+            report.violation.is_none(),
+            "{}: {:?}",
+            loss.name(),
+            report.violation
+        );
+        assert!(report.complete, "{}: budget ran out", loss.name());
+        // Paths whose schedule lets the parked agent's host run its
+        // timers all complete; the remainder starve that host's timers
+        // for the whole per-path budget, which bounded search reports
+        // as stuck rather than slow.
+        assert!(report.terminal_paths > report.stuck_paths);
+    }
+}
+
+#[test]
+fn a_missed_notice_costs_exactly_one_repoll() {
+    let faithful = Explorer::new(lossy(MailLoss::None), CheckConfig::default());
+    assert_eq!(repolls(&faithful.canonical_schedule()), 0);
+    for loss in [MailLoss::Notices, MailLoss::NoticesAndFirstReply] {
+        let spec = lossy(loss);
+        let schedule = Explorer::new(spec, CheckConfig::default()).canonical_schedule();
+        assert_eq!(repolls(&schedule), 1, "{}", loss.name());
+        let outcome = marp_mcheck::replay(&spec, &schedule);
+        assert_eq!(outcome.completed, 2, "{}", loss.name());
+        assert!(outcome.all_violations().is_empty(), "{}", loss.name());
+        assert_eq!(outcome.drained_steps, 0, "the schedule itself completes");
+    }
+}
+
+#[test]
+fn mail_loss_header_roundtrips() {
+    let spec = lossy(MailLoss::NoticesAndFirstReply);
+    let text = marp_mcheck::to_text(&spec, &[], "header only");
+    assert!(text.contains("mail-loss notices+reply"));
+    let (parsed, _) = marp_mcheck::from_text(&text).expect("parses");
+    assert_eq!(parsed.mail_loss, MailLoss::NoticesAndFirstReply);
+    // Faithful models omit the line, so older schedule files are
+    // unchanged.
+    let text = marp_mcheck::to_text(&lossy(MailLoss::None), &[], "");
+    assert!(!text.contains("mail-loss"));
+}

@@ -12,8 +12,11 @@
 //!
 //! * **lock-queue convoy** — lock-wait time per commit grows
 //!   superlinearly: agents serialize behind ever-longer Locking Lists;
-//! * **gossip amplification** — bytes per commit grow superlinearly,
-//!   with the anti-entropy / carried-state share called out;
+//! * **wire-byte growth** — bytes per commit grow superlinearly; the
+//!   verdict names whichever measured component (migrated agent state,
+//!   anti-entropy, change notices, `LlInfo` replies, everything else)
+//!   holds the largest share at the top point, so its label can never
+//!   contradict its own evidence row;
 //! * **migration storm** — migrations per commit exceed Theorem 3's
 //!   `⌈(N+1)/2⌉ ≤ m ≤ N` bound, i.e. agents tour more than the
 //!   protocol's worst case per won lock;
@@ -112,7 +115,7 @@ impl Diagnosis {
     pub fn from_sweep(report: &SweepReport) -> Self {
         let mut verdicts = Vec::new();
         lock_queue_convoy(report, &mut verdicts);
-        gossip_amplification(report, &mut verdicts);
+        wire_byte_growth(report, &mut verdicts);
         migration_storm(report, &mut verdicts);
         superlinear_phases(report, &mut verdicts);
         verdicts.sort_by(|a, b| {
@@ -216,7 +219,22 @@ fn lock_queue_convoy(report: &SweepReport, out: &mut Vec<Verdict>) {
     });
 }
 
-fn gossip_amplification(report: &SweepReport, out: &mut Vec<Verdict>) {
+/// The measured components of a point's wire bytes, largest first by
+/// the caller's sort: `(label, bytes)`. "other" is what the four
+/// counted components leave of the total (UPDATE/COMMIT/ack frames,
+/// client traffic, envelope headers).
+fn byte_components(p: &crate::sweep::SweepPoint) -> [(&'static str, u64); 5] {
+    let counted = p.migrated_bytes + p.gossip_bytes + p.notice_bytes + p.reply_bytes;
+    [
+        ("migrated agent state", p.migrated_bytes),
+        ("anti-entropy", p.gossip_bytes),
+        ("COMMIT change notices", p.notice_bytes),
+        ("LlInfo re-poll replies", p.reply_bytes),
+        ("other frames", p.total_bytes.saturating_sub(counted)),
+    ]
+}
+
+fn wire_byte_growth(report: &SweepReport, out: &mut Vec<Verdict>) {
     let Some(k) = report.exponent("bytes") else {
         return;
     };
@@ -227,34 +245,45 @@ fn gossip_amplification(report: &SweepReport, out: &mut Vec<Verdict>) {
         .points
         .iter()
         .map(|p| {
+            let parts: Vec<String> = byte_components(p)
+                .iter()
+                .map(|&(label, bytes)| format!("{:.0} {label}", p.per_commit(bytes as f64)))
+                .collect();
             format!(
-                "n={}: {:.0} bytes/commit ({:.0} migrated-state, {:.0} gossip, {:.1} LT entries/migration)",
+                "n={}: {:.0} bytes/commit ({})",
                 p.n,
                 p.per_commit(p.total_bytes as f64),
-                p.per_commit(p.migrated_bytes as f64),
-                p.per_commit(p.gossip_bytes as f64),
-                if p.migrations == 0 {
-                    0.0
-                } else {
-                    p.lt_entries_carried as f64 / p.migrations as f64
-                }
+                parts.join(", ")
             )
         })
         .collect();
     evidence.push(format!(
         "fitted exponent k={k:.4} (superlinear above {SUPERLINEAR_K})"
     ));
-    if let Some(k_lt) = report.exponent("lt-entries") {
-        evidence.push(format!("carried LT entries per commit grow as n^{k_lt:.4}"));
+    for metric in ["reply-bytes", "notice-bytes", "migrated-bytes"] {
+        if let Some(k_part) = report.exponent(metric) {
+            evidence.push(format!("{metric} per commit grow as n^{k_part:.4}"));
+        }
     }
+    let dominant = report.top_point().and_then(|p| {
+        byte_components(p)
+            .into_iter()
+            .max_by_key(|&(_, bytes)| bytes)
+            .map(|(label, bytes)| (p.n, label, bytes as f64 / p.total_bytes.max(1) as f64))
+    });
+    let summary = match dominant {
+        Some((n, label, share)) => format!(
+            "wire bytes per commit grow as n^{k:.2}; at n={n} the largest share is {label} \
+             ({:.1}% of all bytes)",
+            share * 100.0
+        ),
+        None => format!("wire bytes per commit grow as n^{k:.2}"),
+    };
     out.push(Verdict {
-        rule: "gossip-amplification",
+        rule: "wire-byte-growth",
         severity: severity_for(k),
         score: round3(k),
-        summary: format!(
-            "wire bytes per commit grow as n^{k:.2}: carried locking state and \
-             reconciliation traffic amplify with every added replica"
-        ),
+        summary,
         evidence,
     });
 }
@@ -369,6 +398,7 @@ mod tests {
                 total_bytes: (2000.0 * linear) as u64,
                 messages: (50.0 * linear) as u64,
                 lt_entries_carried: (20.0 * linear) as u64,
+                ..SweepPoint::default()
             }
         };
         SweepReport::new(vec![point(3), point(5), point(9)])
@@ -416,18 +446,37 @@ mod tests {
     }
 
     #[test]
-    fn gossip_amplification_cites_byte_rows() {
+    fn wire_byte_growth_names_the_component_its_evidence_shows() {
         let mut report = convoy_sweep(1.0);
         for p in &mut report.points {
             p.total_bytes = (2000.0 * (p.n as f64).powf(2.2)) as u64;
+            // Nearly all of it is re-poll replies.
+            p.reply_bytes = p.total_bytes - p.migrated_bytes - p.gossip_bytes - 100;
         }
         let diagnosis = Diagnosis::from_sweep(&report);
-        let gossip = diagnosis
+        let growth = diagnosis
             .verdicts
             .iter()
-            .find(|v| v.rule == "gossip-amplification")
-            .expect("gossip rule should fire");
-        assert!(gossip.evidence.iter().any(|e| e.contains("bytes/commit")));
+            .find(|v| v.rule == "wire-byte-growth")
+            .expect("byte-growth rule should fire");
+        assert!(growth.evidence.iter().any(|e| e.contains("bytes/commit")));
+        assert!(
+            growth.summary.contains("LlInfo re-poll replies"),
+            "{}",
+            growth.summary
+        );
+        // Same growth, different culprit: the label follows the bytes.
+        for p in &mut report.points {
+            p.migrated_bytes = p.reply_bytes;
+            p.reply_bytes = 0;
+        }
+        let diagnosis = Diagnosis::from_sweep(&report);
+        let growth = diagnosis
+            .verdicts
+            .iter()
+            .find(|v| v.rule == "wire-byte-growth")
+            .expect("byte-growth rule should fire");
+        assert!(growth.summary.contains("migrated agent state"));
     }
 
     #[test]

@@ -344,6 +344,7 @@ mod tests {
                 total_bytes: (200.0 * v) as u64,
                 messages: (20.0 * v) as u64,
                 lt_entries_carried: (5.0 * v) as u64,
+                ..SweepPoint::default()
             }
         };
         SweepReport::new(vec![point(3), point(5), point(9)])

@@ -31,7 +31,7 @@
 //! * [`diff`] — stable, machine-readable comparison of two profiles or
 //!   two sweeps (which phases grew, which exponents steepened);
 //! * [`diagnose`] — rule-based cliff diagnosis over a sweep (lock-queue
-//!   convoy, gossip amplification, migration storm vs Theorem 3,
+//!   convoy, wire-byte growth by component, migration storm vs Theorem 3,
 //!   generic superlinear phases), ranked with cited evidence.
 //!
 //! Unlike the protocol crates this one is *not* sans-io: it owns file

@@ -4,8 +4,9 @@
 //! count: the four critical-path phase totals (which by the clamped
 //! decomposition of [`crate::critical`] sum exactly to total commit
 //! latency), byte accounting split out of the kernel's per-wire-tag
-//! buckets, migration counts, and the locking-knowledge entries agents
-//! carried. A [`SweepReport`] strings points over N and fits a growth
+//! buckets, migration counts, the locking-knowledge entries agents
+//! carried, and the servers' own agent-mail counters (change notices
+//! pushed and skipped, `LlInfo` replies). A [`SweepReport`] strings points over N and fits a growth
 //! exponent per per-commit metric (the slope of log cost against log N),
 //! which is what the [`crate::diagnose`] rules run on.
 
@@ -52,6 +53,19 @@ pub struct SweepPoint {
     pub messages: u64,
     /// Locking-knowledge entries carried across all migrations.
     pub lt_entries_carried: u64,
+    /// COMMIT change notices servers pushed to queued agents. The five
+    /// mail fields are the servers' own counters, not trace-derived:
+    /// [`Self::measure`] leaves them zero and the harness that owns the
+    /// nodes adds them.
+    pub notices: u64,
+    /// Agent-reply payload bytes of those notices.
+    pub notice_bytes: u64,
+    /// Notices not sent because the queued agent had left the host.
+    pub notices_skipped: u64,
+    /// `LlInfo` replies to parked agents' `LlQuery` re-polls.
+    pub replies: u64,
+    /// Agent-reply payload bytes of those replies.
+    pub reply_bytes: u64,
 }
 
 /// Round to microsecond precision so rendered/JSON output is compact
@@ -168,6 +182,13 @@ pub const METRICS: &[(&str, MetricFn)] = &[
     ("messages", |p| p.per_commit(p.messages as f64)),
     ("migrations", |p| p.per_commit(p.migrations as f64)),
     ("lt-entries", |p| p.per_commit(p.lt_entries_carried as f64)),
+    ("notices", |p| p.per_commit(p.notices as f64)),
+    ("notice-bytes", |p| p.per_commit(p.notice_bytes as f64)),
+    ("notices-skipped", |p| {
+        p.per_commit(p.notices_skipped as f64)
+    }),
+    ("replies", |p| p.per_commit(p.replies as f64)),
+    ("reply-bytes", |p| p.per_commit(p.reply_bytes as f64)),
 ];
 
 /// A sweep over replica counts.
@@ -241,7 +262,7 @@ impl SweepReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:>3} {:>8} {:>12} {:>11} {:>11} {:>11} {:>11} {:>10} {:>12} {:>12} {:>10} {:>10}",
+            "{:>3} {:>8} {:>12} {:>11} {:>11} {:>11} {:>11} {:>10} {:>12} {:>12} {:>10} {:>10} {:>9} {:>10} {:>9} {:>9} {:>11}",
             "n",
             "commits",
             "total_ms",
@@ -253,12 +274,17 @@ impl SweepReport {
             "bytes",
             "gossip_b",
             "lt_entries",
-            "phase_sum"
+            "phase_sum",
+            "notices",
+            "notice_b",
+            "skipped",
+            "replies",
+            "reply_b"
         );
         for p in &self.points {
             let _ = writeln!(
                 out,
-                "{:>3} {:>8} {:>12.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>10} {:>12} {:>12} {:>10} {:>10.3}",
+                "{:>3} {:>8} {:>12.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>10} {:>12} {:>12} {:>10} {:>10.3} {:>9} {:>10} {:>9} {:>9} {:>11}",
                 p.n,
                 p.commits,
                 p.total_ms,
@@ -270,7 +296,12 @@ impl SweepReport {
                 p.total_bytes,
                 p.gossip_bytes,
                 p.lt_entries_carried,
-                p.phase_sum_ms()
+                p.phase_sum_ms(),
+                p.notices,
+                p.notice_bytes,
+                p.notices_skipped,
+                p.replies,
+                p.reply_bytes
             );
         }
         let _ = writeln!(
@@ -320,6 +351,11 @@ impl SweepReport {
                     ("total_bytes", Json::Num(p.total_bytes as f64)),
                     ("messages", Json::Num(p.messages as f64)),
                     ("lt_entries_carried", Json::Num(p.lt_entries_carried as f64)),
+                    ("notices", Json::Num(p.notices as f64)),
+                    ("notice_bytes", Json::Num(p.notice_bytes as f64)),
+                    ("notices_skipped", Json::Num(p.notices_skipped as f64)),
+                    ("replies", Json::Num(p.replies as f64)),
+                    ("reply_bytes", Json::Num(p.reply_bytes as f64)),
                 ])
             })
             .collect();
@@ -349,6 +385,11 @@ impl SweepReport {
                 .and_then(Json::as_num)
                 .ok_or_else(|| format!("missing numeric field '{field}'"))
         };
+        // Sweeps recorded before the servers counted their agent mail
+        // have no mail fields; they read as zero so old and new sweeps
+        // still diff.
+        let mail =
+            |j: &Json, field: &str| j.get(field).and_then(Json::as_num).unwrap_or(0.0) as u64;
         let parsed: Result<Vec<SweepPoint>, String> = points
             .iter()
             .map(|j| {
@@ -377,6 +418,11 @@ impl SweepReport {
                     total_bytes: num(j, "total_bytes")? as u64,
                     messages: num(j, "messages")? as u64,
                     lt_entries_carried: num(j, "lt_entries_carried")? as u64,
+                    notices: mail(j, "notices"),
+                    notice_bytes: mail(j, "notice_bytes"),
+                    notices_skipped: mail(j, "notices_skipped"),
+                    replies: mail(j, "replies"),
+                    reply_bytes: mail(j, "reply_bytes"),
                 })
             })
             .collect();
@@ -407,6 +453,11 @@ mod tests {
             total_bytes: (2000.0 * v) as u64,
             messages: (50.0 * v) as u64,
             lt_entries_carried: (20.0 * v) as u64,
+            notices: (30.0 * v) as u64,
+            notice_bytes: (600.0 * v) as u64,
+            notices_skipped: (5.0 * v) as u64,
+            replies: (15.0 * v) as u64,
+            reply_bytes: (900.0 * v) as u64,
         }
     }
 

@@ -418,6 +418,16 @@ impl Simulation {
         out
     }
 
+    /// The encoded payload of the in-flight message `seq`, for
+    /// controlled schedulers that pick deliveries by content (a
+    /// [`PendingKind::Message`] shows only the endpoints and the size).
+    pub fn pending_payload(&self, seq: u64) -> Option<&Bytes> {
+        self.queue.iter().find_map(|Reverse(e)| match &e.kind {
+            EventKind::Message { payload, .. } if e.seq == seq => Some(payload),
+            _ => None,
+        })
+    }
+
     /// Execute the queued event identified by `seq` *now*, regardless of
     /// its position in time order. Virtual time advances to
     /// `max(now, event.at)` — a controlled schedule may run events out

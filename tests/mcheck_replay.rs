@@ -3,7 +3,10 @@
 //! The files under `tests/schedules/` are recorded by `marp-mcheck
 //! sample` (canonical schedules, one per protocol family) and
 //! `marp-mcheck selftest` (a shrunk counterexample for the seeded
-//! `lifo-blind` protocol mutation). Replaying them pins down three
+//! `lifo-blind` protocol mutation); the `missed_notice` pair is the
+//! canonical schedule of a model whose network loses every COMMIT
+//! change notice (`sample --mail-loss notices|notices+reply`).
+//! Replaying them pins down three
 //! things at once: the schedule text format stays parseable, the
 //! replayer's event resolution keeps finding the recorded steps as the
 //! protocols evolve, and each file's verdict — clean or violating —
@@ -46,6 +49,21 @@ fn assert_clean(name: &str) {
 #[test]
 fn canonical_marp_schedule_replays_clean() {
     assert_clean("marp_3x2_canonical.txt");
+}
+
+/// With every change notice lost, the second writer can only commit
+/// through the parked agent's re-poll; the recorded schedules must
+/// still complete.
+#[test]
+fn missed_notice_schedules_recover_through_the_repoll() {
+    for name in [
+        "marp_3x2_missed_notice.txt",
+        "marp_3x2_missed_notice_and_reply.txt",
+    ] {
+        assert_clean(name);
+        let (spec, _) = from_text(&load(name)).expect("schedule parses");
+        assert_ne!(spec.mail_loss, marp_mcheck::MailLoss::None, "{name}");
+    }
 }
 
 #[test]
