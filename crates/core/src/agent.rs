@@ -9,10 +9,15 @@
 //! Differences from the paper's pseudo-code are confined to robustness
 //! (documented in `DESIGN.md`): UPDATE acknowledgements validate the
 //! claim and reserve the lock; a claim that cannot assemble a positive
-//! majority is released and retried; an agent that exhausts its
-//! itinerary *parks*; servers push it a small change notice on every
+//! majority is released and retried — a claim whose only obstacle is
+//! the previous winner's reservation is *held* by the server and
+//! answered when that winner's COMMIT lands, so the lock hands over
+//! without a refusal (see `host.rs`); an agent that exhausts its
+//! itinerary *parks*; its host pushes it a small change notice on every
 //! COMMIT ("agent W finished"), and periodic re-polls — which double as
 //! lock lease refreshes — fetch the full picture if a notice was lost.
+//! A re-poll whose timer ran while notices were arriving has nothing to
+//! ask and stays quiet, up to `MAX_QUIET_FIRES` times in a row.
 
 use crate::host::MarpServerState;
 use crate::lt::{decide, majority, LockingTable, Priority};
@@ -28,6 +33,12 @@ use std::time::Duration;
 
 const TIMER_REPOLL: u8 = 1;
 const TIMER_ACK: u8 = 2;
+/// The re-poll backoff doubles this many times (25 ms → 200 ms).
+const REPOLL_MAX_DOUBLINGS: u32 = 3;
+/// Consecutive re-poll fires that LL news may silence before one
+/// queries anyway: the same 8× cap as the backoff, so lock leases are
+/// refreshed at least every ~8 × `park_repoll`.
+const MAX_QUIET_FIRES: u8 = 1 << REPOLL_MAX_DOUBLINGS;
 
 /// The agent's current protocol phase.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,7 +143,12 @@ pub struct UpdateAgent {
     /// of the same batch. Servers fence claims from stale incarnations.
     incarnation: u32,
     repoll_epoch: u32,
+    /// Re-poll timers armed since the last LL news (`on_ll_news` zeroes
+    /// it): the backoff step of the next one, and a fire that finds it 0
+    /// knows news arrived while its timer ran.
     repoll_round: u32,
+    /// Consecutive re-poll fires that sent no query because of that.
+    quiet_fires: u8,
     timers: TimerMux,
     phase: Phase,
 }
@@ -154,6 +170,7 @@ impl Wire for UpdateAgent {
         self.incarnation.encode(buf);
         self.repoll_epoch.encode(buf);
         self.repoll_round.encode(buf);
+        self.quiet_fires.encode(buf);
         self.timers.encode(buf);
         self.phase.encode(buf);
     }
@@ -174,6 +191,7 @@ impl Wire for UpdateAgent {
             incarnation: u32::decode(buf)?,
             repoll_epoch: u32::decode(buf)?,
             repoll_round: u32::decode(buf)?,
+            quiet_fires: u8::decode(buf)?,
             timers: TimerMux::decode(buf)?,
             phase: Phase::decode(buf)?,
         })
@@ -194,6 +212,7 @@ impl Wire for UpdateAgent {
             + self.incarnation.encoded_len()
             + self.repoll_epoch.encoded_len()
             + self.repoll_round.encoded_len()
+            + self.quiet_fires.encoded_len()
             + self.timers.encoded_len()
             + self.phase.encoded_len()
     }
@@ -219,6 +238,7 @@ impl UpdateAgent {
             incarnation: 0,
             repoll_epoch: 0,
             repoll_round: 0,
+            quiet_fires: 0,
             timers: TimerMux::new(),
             phase: Phase::Travelling,
         }
@@ -229,6 +249,14 @@ impl UpdateAgent {
     /// every regeneration).
     pub fn with_incarnation(mut self, incarnation: u32) -> Self {
         self.incarnation = incarnation;
+        self
+    }
+
+    /// The agent with every itinerary stop already consumed: it parks
+    /// on arrival unless it wins there.
+    #[cfg(test)]
+    pub(crate) fn with_itinerary_done(mut self) -> Self {
+        while self.itinerary.next_destination(|_| 0.0).is_some() {}
         self
     }
 
@@ -343,6 +371,7 @@ impl UpdateAgent {
         self.timers.disarm_kind(TIMER_REPOLL);
         self.repoll_epoch += 1;
         self.repoll_round = 0;
+        self.quiet_fires = 0;
         self.arm_repoll(env);
     }
 
@@ -353,12 +382,16 @@ impl UpdateAgent {
     /// deterministic per-agent stagger so many agents parking together
     /// do not re-poll in lockstep.
     fn repoll_policy(&self) -> RetryPolicy {
-        RetryPolicy::exponential(Duration::from_millis(u64::from(self.park_repoll_ms)), 3)
-            .staggered(Duration::from_millis(1), self.id.key(), 8)
+        RetryPolicy::exponential(
+            Duration::from_millis(u64::from(self.park_repoll_ms)),
+            REPOLL_MAX_DOUBLINGS,
+        )
+        .staggered(Duration::from_millis(1), self.id.key(), 8)
     }
 
     fn arm_repoll(&mut self, env: &mut AgentEnv<'_>) {
         let delay = self.repoll_policy().next_delay(self.repoll_round);
+        self.repoll_round = self.repoll_round.saturating_add(1);
         let tag = self.timers.arm(TIMER_REPOLL, u64::from(self.repoll_epoch));
         env.set_timer(delay, tag);
     }
@@ -547,17 +580,25 @@ impl UpdateAgent {
         }
     }
 
-    /// LL news was merged into the LT/UAL: a parked agent re-decides; a
-    /// claiming agent remembers it in case the claim aborts.
-    fn on_ll_news(&mut self, host: &mut MarpServerState, env: &mut AgentEnv<'_>) -> Action {
+    /// LL news arrived. If it `changed` the LT or UAL a parked agent
+    /// re-decides (`decide` is a pure function of those and the
+    /// unavailable set, so news that changed nothing cannot change the
+    /// verdict); a claiming agent remembers it in case the claim
+    /// aborts. Either way the next re-poll knows it has been heard from.
+    fn on_ll_news(
+        &mut self,
+        changed: bool,
+        host: &mut MarpServerState,
+        env: &mut AgentEnv<'_>,
+    ) -> Action {
         self.repoll_round = 0;
         match &mut self.phase {
-            Phase::Parked => self.evaluate(host, env),
+            Phase::Parked if changed => self.evaluate(host, env),
             Phase::Updating { news, .. } => {
                 *news = true;
                 Action::Stay
             }
-            Phase::Travelling => Action::Stay,
+            Phase::Parked | Phase::Travelling => Action::Stay,
         }
     }
 }
@@ -674,11 +715,12 @@ impl AgentBehavior for UpdateAgent {
                 if self.gossip {
                     self.lt.merge_table(&board);
                 }
-                self.on_ll_news(host, env)
+                self.on_ll_news(true, host, env)
             }
             AgentReply::LlChanged { finished, at, .. } => {
+                let changed = !self.ual.contains(finished);
                 self.ual.record(finished, at);
-                self.on_ll_news(host, env)
+                self.on_ll_news(changed, host, env)
             }
         }
     }
@@ -690,14 +732,20 @@ impl AgentBehavior for UpdateAgent {
         match kind {
             TIMER_REPOLL => {
                 if matches!(self.phase, Phase::Parked) && epoch == u64::from(self.repoll_epoch) {
-                    let msg = NodeMsg::LlQuery {
-                        agent: self.id,
-                        key: self.key(),
-                        reply_to: env.here(),
-                        horizon: self.lt.horizon(),
-                    };
-                    self.broadcast(env, &msg);
-                    self.repoll_round = self.repoll_round.saturating_add(1);
+                    if self.repoll_round == 0 && self.quiet_fires < MAX_QUIET_FIRES {
+                        // News arrived while this timer ran: there is
+                        // nothing to ask, and the leases can wait.
+                        self.quiet_fires += 1;
+                    } else {
+                        self.quiet_fires = 0;
+                        let msg = NodeMsg::LlQuery {
+                            agent: self.id,
+                            key: self.key(),
+                            reply_to: env.here(),
+                            horizon: self.lt.horizon(),
+                        };
+                        self.broadcast(env, &msg);
+                    }
                     self.arm_repoll(env);
                 }
                 Action::Stay
@@ -777,8 +825,12 @@ impl AgentBehavior for UpdateAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::{wrap_agent_envelope, wrap_sync};
     use crate::MarpConfig;
-    use marp_sim::SimTime;
+    use marp_agent::{AgentEnvelope, AgentRuntime};
+    use marp_net::{RoutingTable, Topology};
+    use marp_replica::{ServerConfig, ServerCore};
+    use marp_sim::{Context, SimTime, TimerId};
 
     fn agent() -> UpdateAgent {
         let cfg = MarpConfig::new(5);
@@ -834,5 +886,175 @@ mod tests {
         assert_eq!(a.maj(), 3);
         assert_eq!(a.incarnation(), 0);
         assert_eq!(a.with_incarnation(4).incarnation(), 4);
+    }
+
+    /// Records what a hosted agent sends, arms and traces.
+    #[derive(Default)]
+    struct HostCtx {
+        sent: Vec<NodeMsg>,
+        timers: Vec<(TimerId, u64)>,
+        traced: Vec<TraceEvent>,
+    }
+    impl Context for HostCtx {
+        fn now(&self) -> SimTime {
+            SimTime::from_millis(9)
+        }
+        fn me(&self) -> NodeId {
+            0
+        }
+        fn send(&mut self, _to: NodeId, msg: Bytes) {
+            self.sent
+                .push(marp_wire::from_bytes(&msg).expect("a NodeMsg"));
+        }
+        fn set_timer(&mut self, _after: Duration, tag: u64) -> TimerId {
+            let id = TimerId(self.timers.len() as u64);
+            self.timers.push((id, tag));
+            id
+        }
+        fn cancel_timer(&mut self, _id: TimerId) {}
+        fn trace(&mut self, event: TraceEvent) {
+            self.traced.push(event);
+        }
+        fn halt(&mut self) {}
+    }
+
+    /// A one-server deployment hosting `agent()`, parked behind
+    /// `winner` on its key's queue: one notice away from claiming.
+    struct Parked {
+        runtime: AgentRuntime<UpdateAgent>,
+        state: MarpServerState,
+        ctx: HostCtx,
+        me: AgentId,
+        winner: AgentId,
+    }
+
+    impl Parked {
+        fn new() -> Self {
+            let cfg = MarpConfig::new(1);
+            let topo = Topology::uniform_lan(1, Duration::from_millis(1));
+            let mut state = MarpServerState::new(
+                ServerCore::new(0, ServerConfig::default(), wrap_sync),
+                RoutingTable::from_topology(0, &topo),
+                &cfg,
+            );
+            let winner = AgentId::new(0, SimTime::ZERO, 7);
+            let me = agent().id;
+            state.visit(winner, 2, SimTime::from_millis(1), 0);
+            let mut runtime = AgentRuntime::new(cfg.migration, wrap_agent_envelope);
+            let mut ctx = HostCtx::default();
+            let parked = UpdateAgent::new(me, &cfg, agent().rl);
+            runtime.spawn(parked, &mut state, &mut ctx);
+            let mut this = Parked {
+                runtime,
+                state,
+                ctx,
+                me,
+                winner,
+            };
+            assert_eq!(*this.agent().phase(), Phase::Parked);
+            this.ctx.sent.clear();
+            this
+        }
+
+        fn agent(&self) -> &UpdateAgent {
+            self.runtime.resident(self.me).expect("resident")
+        }
+
+        fn mail(&mut self, reply: AgentReply) {
+            let envelope = AgentEnvelope::ToAgent {
+                agent: self.me,
+                payload: marp_wire::to_bytes(&reply),
+            };
+            self.runtime
+                .handle_envelope(0, envelope, &mut self.state, &mut self.ctx);
+        }
+
+        fn notice(&mut self) {
+            self.mail(AgentReply::LlChanged {
+                node: 0,
+                finished: self.winner,
+                at: SimTime::from_millis(8),
+            });
+        }
+
+        /// The (only) server refuses claim `attempt`.
+        fn refuse_claim(&mut self, attempt: u32) {
+            self.mail(AgentReply::UpdateAck {
+                node: 0,
+                attempt,
+                positive: false,
+                fenced: false,
+                store_version: 0,
+                last_update: SimTime::ZERO,
+            });
+        }
+
+        /// Fire the most recently armed re-poll timer; returns whether
+        /// it sent `LlQuery`.
+        fn fire_repoll(&mut self) -> bool {
+            let &(timer, _) = self
+                .ctx
+                .timers
+                .iter()
+                .rev()
+                .find(|(_, tag)| tag & 0xff == u64::from(TIMER_REPOLL))
+                .expect("a re-poll timer");
+            self.ctx.sent.clear();
+            assert!(self
+                .runtime
+                .handle_timer(timer, &mut self.state, &mut self.ctx));
+            self.ctx
+                .sent
+                .iter()
+                .any(|m| matches!(m, NodeMsg::LlQuery { .. }))
+        }
+
+        fn claims(&self) -> usize {
+            self.ctx
+                .traced
+                .iter()
+                .filter(|e| matches!(e, TraceEvent::UpdateSent { .. }))
+                .count()
+        }
+    }
+
+    #[test]
+    fn a_duplicate_notice_is_news_but_not_a_reason_to_decide_again() {
+        let mut p = Parked::new();
+        // The first notice changes the UAL: the agent decides, and wins.
+        p.notice();
+        assert_eq!(p.claims(), 1);
+        // The claim is refused with nothing new heard meanwhile, so the
+        // agent parks — in a state `decide` would call a win.
+        p.refuse_claim(1);
+        assert_eq!(*p.agent().phase(), Phase::Parked);
+        assert_eq!(p.claims(), 1);
+        // The same notice again changes nothing, so nothing is decided
+        // (a second evaluation would claim again)...
+        p.notice();
+        assert_eq!(p.claims(), 1);
+        assert_eq!(*p.agent().phase(), Phase::Parked);
+        // ...but the agent has been heard from: the re-poll stays quiet.
+        assert!(!p.fire_repoll());
+        // With no news since, the next fire asks.
+        assert!(p.fire_repoll());
+    }
+
+    #[test]
+    fn the_ninth_consecutive_quiet_fire_queries_anyway() {
+        let mut p = Parked::new();
+        // Make every later notice a duplicate, and park again.
+        p.notice();
+        p.refuse_claim(1);
+        for fire in 1..=MAX_QUIET_FIRES {
+            p.notice();
+            assert!(!p.fire_repoll(), "fire {fire} should stay quiet");
+        }
+        // News keeps coming, but the leases are due a refresh.
+        p.notice();
+        assert!(p.fire_repoll());
+        // The streak starts over.
+        p.notice();
+        assert!(!p.fire_repoll());
     }
 }

@@ -1,6 +1,22 @@
 //! Server-side MARP state: what a visiting agent touches locally, and
 //! the handlers for the UPDATE / COMMIT / RELEASE / LL-query messages
 //! (the paper's Algorithm 2).
+//!
+//! # Held claims (the pipelined lock handoff)
+//!
+//! The next winner hears "W finished" from its own host the moment W's
+//! COMMIT lands there, so its UPDATE usually reaches the other servers
+//! *before* W's COMMIT does. Such a claim is not wrong, only early: the
+//! one thing between it and a positive ack is W's reservation, which
+//! the COMMIT in flight is about to clear. A server therefore *holds*
+//! an UPDATE whose sole obstacle is another claimant's live reservation
+//! — it answers nothing — and runs the claim through
+//! [`MarpServerState::handle_update`] again when the reservation goes:
+//! the holder's COMMIT, its RELEASE, or the lease lapsing. A hold only
+//! delays an answer that the unchanged validation then computes, so
+//! safety rests on exactly the code it rested on before; the wait is
+//! bounded by the claimant's `ack_timeout` (abort → RELEASE → the held
+//! claim is dropped) and the holder's `reserve_lease`.
 
 use crate::config::{ChaosMode, MarpConfig};
 use crate::gossip::GossipBoard;
@@ -27,6 +43,28 @@ pub struct VisitInfo {
     pub ul: UpdatedList,
 }
 
+/// An UPDATE acknowledgement ready to be mailed to `agent`, which
+/// awaits it at `reply_to`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ClaimAnswer {
+    /// The host the claimant awaits acknowledgements at.
+    pub reply_to: NodeId,
+    /// The claimant.
+    pub agent: AgentId,
+    /// The `UpdateAck`.
+    pub ack: AgentReply,
+}
+
+/// What a COMMIT leaves for the node to send.
+#[derive(Debug, Default, PartialEq)]
+pub struct CommitOutcome {
+    /// Agents still queued on the winner's key, in queue order: the
+    /// node pushes the change notice to those resident on it.
+    pub waiters: Vec<AgentId>,
+    /// Acknowledgements of claims that were held behind the winner.
+    pub answers: Vec<ClaimAnswer>,
+}
+
 /// The MARP-specific state of one replica server.
 pub struct MarpServerState {
     /// Protocol-independent server substrate.
@@ -41,6 +79,13 @@ pub struct MarpServerState {
     /// validate and commit concurrently, so each key carries its own
     /// reservation.
     reserved: BTreeMap<u64, (AgentId, SimTime)>,
+    /// Claims held behind `reserved[key]` (see the module docs): one
+    /// slot per agent, never the reservation holder's own, and no entry
+    /// for a key without a reservation.
+    held: BTreeMap<u64, Vec<UpdateMsg>>,
+    /// UPDATEs held so far (a re-validated claim held again counts
+    /// again).
+    claims_held: u64,
     chaos: ChaosMode,
     /// Last knowledge horizon advertised by each peer (piggybacked on
     /// its migration acks), as packed `key << 16 | server` slots.
@@ -65,6 +110,8 @@ impl MarpServerState {
             gossip_enabled: cfg.gossip,
             reserve_lease: cfg.reserve_lease,
             reserved: BTreeMap::new(),
+            held: BTreeMap::new(),
+            claims_held: 0,
             chaos: cfg.chaos,
             peer_horizons: BTreeMap::new(),
             fences: BTreeMap::new(),
@@ -136,6 +183,22 @@ impl MarpServerState {
         self.reserved.get(&key).map(|&(agent, _)| agent)
     }
 
+    /// Agents whose claim on `key` is held behind the current
+    /// reservation (for inspection).
+    pub fn held_claimants(&self, key: u64) -> impl Iterator<Item = AgentId> + '_ {
+        self.held.get(&key).into_iter().flatten().map(|m| m.agent)
+    }
+
+    /// Keys with at least one held claim (for inspection).
+    pub fn held_keys(&self) -> impl Iterator<Item = u64> + '_ {
+        self.held.keys().copied()
+    }
+
+    /// UPDATEs this server has held instead of answering at once.
+    pub fn claims_held(&self) -> u64 {
+        self.claims_held
+    }
+
     /// A visiting agent requests the lock on its object key and reads
     /// the local coordination state (paper Algorithm 2, "upon arrival
     /// of a mobile agent").
@@ -178,32 +241,65 @@ impl MarpServerState {
         self.routing.cost(to)
     }
 
-    fn reservation_blocks(&mut self, key: u64, agent: AgentId, now: SimTime) -> bool {
-        match self.reserved.get(&key) {
-            Some(&(holder, expires)) if holder != agent => {
-                if expires <= now {
-                    self.reserved.remove(&key);
-                    false
-                } else {
-                    true
-                }
-            }
-            _ => false,
-        }
+    /// The reservation holder of `key`, if that is not `agent` itself.
+    fn blocking_holder(&self, key: u64, agent: AgentId) -> Option<AgentId> {
+        self.reserved
+            .get(&key)
+            .map(|&(holder, _)| holder)
+            .filter(|&holder| holder != agent)
+    }
+
+    /// Whether every agent queued above `rank` on `key` is `vouched`
+    /// for or, by this server's UL, already finished (a stale entry —
+    /// e.g. a commit applied via anti-entropy before the purge — blocks
+    /// no claim).
+    fn all_above(&self, key: u64, rank: usize, vouched: impl Fn(AgentId) -> bool) -> bool {
+        let entries = self.core.ll.list(key).map_or(&[][..], |ll| ll.entries());
+        entries[..rank]
+            .iter()
+            .all(|e| vouched(e.agent) || self.core.ul.contains(e.agent))
     }
 
     /// Handle an UPDATE claim (validation + reservation). Returns the
-    /// acknowledgement to send back to the claimant.
-    pub fn handle_update(&mut self, msg: &UpdateMsg, ctx: &mut dyn Context) -> AgentReply {
+    /// acknowledgements to send: this claim's, unless it is held (see
+    /// the module docs), preceded by those of claims a lapsed
+    /// reservation had been holding. Held claims come back through here
+    /// when their obstacle goes, so first-time and re-validated claims
+    /// share one validation path.
+    pub fn handle_update(&mut self, msg: UpdateMsg, ctx: &mut dyn Context) -> Vec<ClaimAnswer> {
         let now = ctx.now();
         // Batches are key-uniform (the node splits mixed batches at
         // dispatch), so the claim's object key is its first request's.
         let key = msg.requests.first().map_or(0, |r| r.key);
+        let mut answers = Vec::new();
         self.core.ll.purge_expired(now);
+        if self
+            .reserved
+            .get(&key)
+            .is_some_and(|&(_, expires)| expires <= now)
+        {
+            self.reserved.remove(&key);
+            self.revalidate_held(key, ctx, &mut answers);
+        }
+        // One held slot per agent: a newer attempt replaces it, and an
+        // older one is dropped unanswered (the agent has moved on and
+        // would ignore the ack).
+        if let Some(slots) = self.held.get_mut(&key) {
+            if let Some(i) = slots.iter().position(|h| h.agent == msg.agent) {
+                if slots[i].attempt > msg.attempt {
+                    return answers;
+                }
+                slots.remove(i);
+                if slots.is_empty() {
+                    self.held.remove(&key);
+                }
+            }
+        }
         // Refusal reasons are traced for diagnosability: 1 = reserved
-        // for another claimant, 2 = claimant absent from the LL,
-        // 3 = an agent ranked above the claimant is missing from its
-        // certificate, 4 = not top and no certificate offered,
+        // for another claimant (and the claim would fail without the
+        // reservation too — otherwise it is held), 2 = claimant absent
+        // from the LL, 3 = an agent ranked above the claimant is missing
+        // from its certificate, 4 = not top and no certificate offered,
         // 5 = the claim's incarnation is below a fence (a regenerated
         // successor has been acked here), 6 = every carried request has
         // already committed here. 5 and 6 mark the claimant superseded:
@@ -230,7 +326,25 @@ impl MarpServerState {
             // Seeded bug (checker self-test): ack without validating or
             // reserving.
             true
-        } else if self.reservation_blocks(key, msg.agent, now) {
+        } else if let Some(holder) = self.blocking_holder(key, msg.agent) {
+            // Early, not wrong: the claimant is enqueued here and the
+            // holder is the only unfinished, unvouched-for agent above
+            // it, so the reservation is all that stands in the way.
+            let cert = msg.tie_certificate.as_deref().unwrap_or_default();
+            let early = self.core.ll.rank_of(key, msg.agent).is_some_and(|rank| {
+                self.all_above(key, rank, |a| a == holder || cert.contains(&a))
+            });
+            if early {
+                ctx.trace(TraceEvent::Custom {
+                    kind: "update-held",
+                    a: msg.agent.key(),
+                    b: u64::from(self.core.me()),
+                });
+                self.claims_held += 1;
+                self.held.entry(key).or_default().push(msg);
+                debug_assert!(self.held_consistent(key));
+                return answers;
+            }
             refusal = 1;
             false
         } else if self.core.ll.top(key) == Some(msg.agent) {
@@ -238,13 +352,7 @@ impl MarpServerState {
         } else if let Some(cert) = &msg.tie_certificate {
             match self.core.ll.rank_of(key, msg.agent) {
                 Some(rank) => {
-                    // Entries of agents our UL says already finished are
-                    // stale (e.g. a commit applied via anti-entropy
-                    // before this purge) and do not block a claim.
-                    let entries = self.core.ll.list(key).map_or(&[][..], |ll| ll.entries());
-                    let ok = entries[..rank]
-                        .iter()
-                        .all(|e| cert.contains(&e.agent) || self.core.ul.contains(e.agent));
+                    let ok = self.all_above(key, rank, |a| cert.contains(&a));
                     if !ok {
                         refusal = 3;
                     }
@@ -283,31 +391,96 @@ impl MarpServerState {
             node: self.core.me(),
             positive,
         });
-        AgentReply::UpdateAck {
-            node: self.core.me(),
-            attempt: msg.attempt,
-            positive,
-            fenced,
-            store_version: self.core.store.applied_version_for(key),
-            last_update: self.core.store.last_update_time_for(key),
+        answers.push(ClaimAnswer {
+            reply_to: msg.reply_to,
+            agent: msg.agent,
+            ack: AgentReply::UpdateAck {
+                node: self.core.me(),
+                attempt: msg.attempt,
+                positive,
+                fenced,
+                store_version: self.core.store.applied_version_for(key),
+                last_update: self.core.store.last_update_time_for(key),
+            },
+        });
+        debug_assert!(self.held_consistent(key));
+        answers
+    }
+
+    /// The reservation of `key` is gone: run the claims it was holding
+    /// through `handle_update` again, in queue order. The first one that
+    /// validates takes the reservation, and the rest are held behind it
+    /// or refused.
+    fn revalidate_held(&mut self, key: u64, ctx: &mut dyn Context, answers: &mut Vec<ClaimAnswer>) {
+        let Some(mut claims) = self.held.remove(&key) else {
+            return;
+        };
+        self.core.ll.purge_expired(ctx.now());
+        claims.sort_by_key(|m| self.core.ll.rank_of(key, m.agent).unwrap_or(usize::MAX));
+        for msg in claims {
+            answers.extend(self.handle_update(msg, ctx));
         }
     }
 
+    /// Re-validate the held claims of every key that no longer has a
+    /// reservation.
+    fn revalidate_unreserved(&mut self, ctx: &mut dyn Context) -> Vec<ClaimAnswer> {
+        let mut answers = Vec::new();
+        let freed: Vec<u64> = self
+            .held
+            .keys()
+            .copied()
+            .filter(|key| !self.reserved.contains_key(key))
+            .collect();
+        for key in freed {
+            self.revalidate_held(key, ctx, &mut answers);
+        }
+        debug_assert!(self.held_claims_consistent());
+        answers
+    }
+
+    /// Forget `agent`'s own held claims (it finished or gave up).
+    fn drop_held_of(&mut self, agent: AgentId) {
+        self.held.retain(|_, slots| {
+            slots.retain(|m| m.agent != agent);
+            !slots.is_empty()
+        });
+    }
+
+    /// The held-claim invariant: no claim stays held once its holder's
+    /// reservation is gone, and a reservation holder is never held
+    /// behind itself. (A lapsed reservation counts as gone when
+    /// `maintain` or the key's next UPDATE removes it.)
+    pub fn held_claims_consistent(&self) -> bool {
+        self.held.keys().all(|&key| self.held_consistent(key))
+    }
+
+    fn held_consistent(&self, key: u64) -> bool {
+        self.held.get(&key).is_none_or(|slots| {
+            !slots.is_empty()
+                && self
+                    .reserved
+                    .get(&key)
+                    .is_some_and(|&(holder, _)| slots.iter().all(|m| m.agent != holder))
+        })
+    }
+
     /// Handle a COMMIT: apply the records, retire the winner from its
-    /// key's queue into the UL, clear its reservation, and report the
-    /// remaining queue members (with their last known hosts) so the
-    /// node can push the change notice to them.
+    /// key's queue into the UL, clear its reservation, and re-validate
+    /// the claims that were held behind it. Reports the remaining queue
+    /// members so the node can push the change notice to its residents.
     pub fn handle_commit(
         &mut self,
         agent: AgentId,
         records: Vec<marp_replica::CommitRecord>,
         ctx: &mut dyn Context,
-    ) -> Vec<(NodeId, AgentId)> {
+    ) -> CommitOutcome {
         // Single-key batches: the winner's object key is its records'.
         let key = records.first().map_or(0, |r| r.key);
         self.core.apply_commits(records, ctx);
         self.core.ll.remove(key, agent);
         self.core.ul.record(agent, ctx.now());
+        self.drop_held_of(agent);
         if self.reserved.get(&key).map(|&(holder, _)| holder) == Some(agent) {
             self.reserved.remove(&key);
         }
@@ -316,19 +489,21 @@ impl MarpServerState {
             let snapshot = self.core.ll.snapshot(key, ctx.now());
             self.board.post(key, self.core.me(), snapshot);
         }
-        self.core.ll.list(key).map_or_else(Vec::new, |ll| {
-            ll.entries()
-                .iter()
-                .map(|e| (e.last_host, e.agent))
-                .collect()
-        })
+        let answers = self.revalidate_unreserved(ctx);
+        let waiters = self.core.ll.list(key).map_or_else(Vec::new, |ll| {
+            ll.entries().iter().map(|e| e.agent).collect()
+        });
+        CommitOutcome { waiters, answers }
     }
 
     /// Handle a RELEASE from an aborting claimant (a RELEASE names no
     /// key; agent ids are globally unique, so clearing every
-    /// reservation the agent holds is unambiguous).
-    pub fn handle_release(&mut self, agent: AgentId) {
+    /// reservation the agent holds — and every held claim of its own —
+    /// is unambiguous). Claims held behind it are re-validated.
+    pub fn handle_release(&mut self, agent: AgentId, ctx: &mut dyn Context) -> Vec<ClaimAnswer> {
+        self.drop_held_of(agent);
         self.reserved.retain(|_, &mut (holder, _)| holder != agent);
+        self.revalidate_unreserved(ctx)
     }
 
     /// Handle a parked agent's LL query for its key: refresh its lease
@@ -369,11 +544,12 @@ impl MarpServerState {
         }
     }
 
-    /// Periodic maintenance: purge expired LL entries and reservations,
-    /// and prune Updated List entries and incarnation fences too old for
+    /// Periodic maintenance: purge expired LL entries and reservations
+    /// (answering the claims a lapsed reservation was holding), and
+    /// prune Updated List entries and incarnation fences too old for
     /// any stale claimant to still be live (bounded by the lock lease;
     /// the store's request dedup remains the permanent backstop).
-    pub fn maintain(&mut self, ctx: &mut dyn Context) {
+    pub fn maintain(&mut self, ctx: &mut dyn Context) -> Vec<ClaimAnswer> {
         self.core.purge_expired_locks(ctx);
         let horizon = ctx.now().checked_since(SimTime::ZERO).unwrap_or_default();
         if horizon > self.core.lock_lease() {
@@ -383,6 +559,7 @@ impl MarpServerState {
         }
         let now = ctx.now();
         self.reserved.retain(|_, &mut (_, expires)| expires > now);
+        self.revalidate_unreserved(ctx)
     }
 
     /// Crash recovery: volatile coordination state resets.
@@ -390,6 +567,7 @@ impl MarpServerState {
         self.core.on_recover();
         self.board.clear();
         self.reserved.clear();
+        self.held.clear();
         self.peer_horizons.clear();
         self.fences.clear();
     }
@@ -457,6 +635,57 @@ mod tests {
         }
     }
 
+    fn ctx_at(ms: u64) -> TestCtx {
+        TestCtx {
+            now: SimTime::from_millis(ms),
+            traced: vec![],
+        }
+    }
+
+    /// Submit a claim that must be answered at once, alone.
+    fn claim(state: &mut MarpServerState, msg: UpdateMsg, ctx: &mut TestCtx) -> AgentReply {
+        let mut answers = state.handle_update(msg, ctx);
+        assert_eq!(answers.len(), 1, "expected exactly one ack: {answers:?}");
+        answers.remove(0).ack
+    }
+
+    /// A request id no other agent's batch shares.
+    fn own_request(agent: AgentId) -> u64 {
+        100 + u64::from(agent.home)
+    }
+
+    /// `update_msg`, but carrying the agent's own request.
+    fn own_msg(agent: AgentId, cert: Option<Vec<AgentId>>) -> UpdateMsg {
+        let mut msg = update_msg(agent, cert);
+        msg.requests[0].id = own_request(agent);
+        msg
+    }
+
+    fn commit_record(winner: AgentId, version: u64, at: SimTime) -> marp_replica::CommitRecord {
+        marp_replica::CommitRecord {
+            version,
+            key: 1,
+            value: 7,
+            agent: winner.key(),
+            request: own_request(winner),
+            committed_at: at,
+        }
+    }
+
+    fn traced(ctx: &TestCtx, kind: &'static str) -> usize {
+        ctx.traced
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Custom { kind: k, .. } if *k == kind))
+            .count()
+    }
+
+    fn acked(ctx: &TestCtx, agent: AgentId) -> usize {
+        ctx.traced
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::UpdateAcked { agent: a, .. } if *a == agent.key()))
+            .count()
+    }
+
     fn positive(reply: &AgentReply) -> bool {
         match reply {
             AgentReply::UpdateAck { positive, .. } => *positive,
@@ -491,7 +720,7 @@ mod tests {
             now: SimTime::from_millis(2),
             traced: vec![],
         };
-        let ack = state.handle_update(&update_msg(a, None), &mut ctx);
+        let ack = claim(&mut state, update_msg(a, None), &mut ctx);
         assert!(positive(&ack));
         assert_eq!(state.reserved_for(1), Some(a));
     }
@@ -507,7 +736,7 @@ mod tests {
             now: SimTime::from_millis(3),
             traced: vec![],
         };
-        let ack = state.handle_update(&update_msg(b, None), &mut ctx);
+        let ack = claim(&mut state, update_msg(b, None), &mut ctx);
         assert!(!positive(&ack));
         assert_eq!(state.reserved_for(1), None);
     }
@@ -524,36 +753,227 @@ mod tests {
             traced: vec![],
         };
         // b claims with a certificate naming a — valid.
-        let ack = state.handle_update(&update_msg(b, Some(vec![a])), &mut ctx);
+        let ack = claim(&mut state, update_msg(b, Some(vec![a])), &mut ctx);
         assert!(positive(&ack));
         // A certificate missing a does not validate for a third agent.
         let c = aid(3, 3);
         state.visit(c, 1, SimTime::from_millis(3), 0);
-        state.handle_release(b);
-        let ack = state.handle_update(&update_msg(c, Some(vec![b])), &mut ctx);
+        state.handle_release(b, &mut ctx);
+        let ack = claim(&mut state, update_msg(c, Some(vec![b])), &mut ctx);
         assert!(!positive(&ack));
     }
 
-    #[test]
-    fn reservation_blocks_other_claimants_until_release() {
+    /// Server 0 with `a` then `b` queued on key 1 and `a` holding the
+    /// reservation (its claim acked at 3 ms).
+    fn reserved_for_a() -> (MarpServerState, AgentId, AgentId, TestCtx) {
         let mut state = state();
         let a = aid(1, 1);
         let b = aid(2, 2);
         state.visit(a, 1, SimTime::from_millis(1), 1);
         state.visit(b, 1, SimTime::from_millis(2), 2);
-        let mut ctx = TestCtx {
-            now: SimTime::from_millis(3),
-            traced: vec![],
-        };
-        assert!(positive(
-            &state.handle_update(&update_msg(a, None), &mut ctx)
+        let mut ctx = ctx_at(3);
+        assert!(positive(&claim(&mut state, own_msg(a, None), &mut ctx)));
+        (state, a, b, ctx)
+    }
+
+    #[test]
+    fn early_claim_is_held_then_acked_after_the_holders_commit() {
+        let (mut state, a, b, mut ctx) = reserved_for_a();
+        // b heard "a finished" at its own host and claims before a's
+        // COMMIT lands here: only a's reservation is in the way.
+        let mut early = own_msg(b, None);
+        early.attempt = 4;
+        assert!(state.handle_update(early, &mut ctx).is_empty());
+        assert_eq!(state.held_claimants(1).collect::<Vec<_>>(), vec![b]);
+        assert_eq!(state.claims_held(), 1);
+        assert_eq!(traced(&ctx, "update-held"), 1);
+        assert_eq!(traced(&ctx, "update-refused"), 0);
+        assert_eq!(acked(&ctx, b), 0, "no ack is traced before one is sent");
+        assert_eq!(state.reserved_for(1), Some(a));
+
+        ctx.now = SimTime::from_millis(5);
+        let record = commit_record(a, 1, ctx.now);
+        let outcome = state.handle_commit(a, vec![record], &mut ctx);
+        assert_eq!(outcome.waiters, vec![b]);
+        assert_eq!(outcome.answers.len(), 1);
+        let answer = &outcome.answers[0];
+        assert_eq!((answer.agent, answer.reply_to), (b, b.home));
+        match answer.ack {
+            AgentReply::UpdateAck {
+                attempt,
+                positive,
+                fenced,
+                store_version,
+                ..
+            } => {
+                assert!(positive && !fenced);
+                assert_eq!(attempt, 4, "the held message's attempt is echoed");
+                assert_eq!(store_version, 1, "a's commit is already applied");
+            }
+            _ => panic!("expected ack"),
+        }
+        assert_eq!(acked(&ctx, b), 1);
+        assert_eq!(state.reserved_for(1), Some(b));
+        assert_eq!(state.held_claimants(1).count(), 0);
+        assert!(state.held_claims_consistent());
+    }
+
+    #[test]
+    fn held_claims_are_answered_when_the_holder_releases() {
+        let (mut state, a, b, mut ctx) = reserved_for_a();
+        let c = aid(3, 3);
+        state.visit(c, 1, SimTime::from_millis(3), 0);
+        // b vouches for a by certificate; c claims as if a were done.
+        assert!(state
+            .handle_update(own_msg(b, Some(vec![a])), &mut ctx)
+            .is_empty());
+        assert!(state
+            .handle_update(own_msg(c, Some(vec![a, b])), &mut ctx)
+            .is_empty());
+        // a aborts. It is still queued ahead, unfinished: b's
+        // certificate covers that, so b takes the reservation, and c is
+        // now held behind b.
+        let answers = state.handle_release(a, &mut ctx);
+        assert_eq!(answers.len(), 1);
+        assert_eq!(answers[0].agent, b);
+        assert!(positive(&answers[0].ack));
+        assert_eq!(state.reserved_for(1), Some(b));
+        assert_eq!(state.held_claimants(1).collect::<Vec<_>>(), vec![c]);
+        // b aborts too: c's certificate names both, so c validates.
+        let answers = state.handle_release(b, &mut ctx);
+        assert_eq!(answers.len(), 1);
+        assert!(positive(&answers[0].ack));
+        assert!(state.held_claims_consistent());
+    }
+
+    #[test]
+    fn a_held_claim_can_be_refused_once_the_holder_releases() {
+        let (mut state, a, b, mut ctx) = reserved_for_a();
+        // No certificate: b believed a finished. a aborts instead and
+        // stays queued ahead of b, so the unchanged validation refuses.
+        assert!(state.handle_update(own_msg(b, None), &mut ctx).is_empty());
+        let answers = state.handle_release(a, &mut ctx);
+        assert_eq!(answers.len(), 1);
+        assert!(!positive(&answers[0].ack));
+        assert_eq!(state.reserved_for(1), None);
+        assert!(ctx.traced.iter().any(|e| matches!(
+            e,
+            TraceEvent::Custom { kind: "update-refused", b, .. } if b & 0xff == 4
+        )));
+    }
+
+    #[test]
+    fn held_claims_are_answered_when_the_reservation_lapses() {
+        let (mut state, a, b, mut ctx) = reserved_for_a();
+        assert!(state
+            .handle_update(own_msg(b, Some(vec![a])), &mut ctx)
+            .is_empty());
+        // Inside the lease, maintenance leaves the hold alone.
+        ctx.now = SimTime::from_secs(1);
+        assert!(state.maintain(&mut ctx).is_empty());
+        assert_eq!(state.held_claimants(1).count(), 1);
+        // Past the 5 s reservation lease the holder is presumed dead.
+        ctx.now = SimTime::from_secs(10);
+        let answers = state.maintain(&mut ctx);
+        assert_eq!(answers.len(), 1);
+        assert_eq!(answers[0].agent, b);
+        assert!(positive(&answers[0].ack));
+        assert_eq!(state.reserved_for(1), Some(b));
+    }
+
+    #[test]
+    fn a_lapsed_reservation_is_noticed_by_the_next_update_too() {
+        let (mut state, a, b, mut ctx) = reserved_for_a();
+        let c = aid(3, 3);
+        state.visit(c, 1, SimTime::from_millis(3), 0);
+        assert!(state
+            .handle_update(own_msg(b, Some(vec![a])), &mut ctx)
+            .is_empty());
+        // c's claim arrives after the lease ran out but before the
+        // maintenance tick: b, held first, is answered first.
+        ctx.now = SimTime::from_secs(10);
+        let answers = state.handle_update(own_msg(c, None), &mut ctx);
+        let verdicts: Vec<(AgentId, bool)> = answers
+            .iter()
+            .map(|x| (x.agent, positive(&x.ack)))
+            .collect();
+        assert_eq!(verdicts, vec![(b, true), (c, false)]);
+        assert_eq!(state.reserved_for(1), Some(b));
+        assert!(state.held_claims_consistent());
+    }
+
+    #[test]
+    fn a_newer_attempt_replaces_the_held_one() {
+        let (mut state, a, b, mut ctx) = reserved_for_a();
+        let mut first = own_msg(b, None);
+        first.attempt = 1;
+        let mut second = own_msg(b, None);
+        second.attempt = 2;
+        assert!(state.handle_update(first.clone(), &mut ctx).is_empty());
+        assert!(state.handle_update(second, &mut ctx).is_empty());
+        // A reordered copy of the older attempt changes nothing.
+        assert!(state.handle_update(first, &mut ctx).is_empty());
+        assert_eq!(state.held_claimants(1).collect::<Vec<_>>(), vec![b]);
+        let record = commit_record(a, 1, ctx.now);
+        let outcome = state.handle_commit(a, vec![record], &mut ctx);
+        assert_eq!(outcome.answers.len(), 1, "one slot per agent");
+        assert!(matches!(
+            outcome.answers[0].ack,
+            AgentReply::UpdateAck {
+                attempt: 2,
+                positive: true,
+                ..
+            }
         ));
-        // Even a valid certificate claim is blocked while reserved.
-        let ack = state.handle_update(&update_msg(b, Some(vec![a])), &mut ctx);
-        assert!(!positive(&ack));
-        state.handle_release(a);
-        let ack = state.handle_update(&update_msg(b, Some(vec![a])), &mut ctx);
-        assert!(positive(&ack));
+    }
+
+    #[test]
+    fn the_claimants_own_release_drops_its_held_claim() {
+        let (mut state, a, b, mut ctx) = reserved_for_a();
+        assert!(state.handle_update(own_msg(b, None), &mut ctx).is_empty());
+        // b's ack timeout fired: it aborts and broadcasts RELEASE.
+        assert!(state.handle_release(b, &mut ctx).is_empty());
+        assert_eq!(state.held_claimants(1).count(), 0);
+        assert_eq!(
+            state.reserved_for(1),
+            Some(a),
+            "a's reservation is untouched"
+        );
+        let record = commit_record(a, 1, ctx.now);
+        assert!(state
+            .handle_commit(a, vec![record], &mut ctx)
+            .answers
+            .is_empty());
+        // Crash recovery forgets held claims with the rest.
+        state.visit(aid(3, 3), 1, ctx.now, 0);
+        assert!(positive(&claim(&mut state, own_msg(b, None), &mut ctx)));
+        assert!(state
+            .handle_update(own_msg(aid(3, 3), None), &mut ctx)
+            .is_empty());
+        state.on_recover();
+        assert_eq!(state.held_keys().count(), 0);
+    }
+
+    #[test]
+    fn doomed_claims_are_refused_at_once_never_held() {
+        let (mut state, a, b, mut ctx) = reserved_for_a();
+        let c = aid(3, 3);
+        state.visit(c, 1, SimTime::from_millis(3), 0);
+        // Behind an unfinished agent (b) that c's certificate omits.
+        let ack = claim(&mut state, own_msg(c, Some(vec![a])), &mut ctx);
+        assert!(!positive(&ack) && !fenced(&ack));
+        // Not enqueued here at all.
+        let stranger = aid(4, 4);
+        let ack = claim(&mut state, own_msg(stranger, Some(vec![a, b, c])), &mut ctx);
+        assert!(!positive(&ack) && !fenced(&ack));
+        // Fenced: a regenerated successor of b's batch was acked.
+        state.fences.insert(own_request(b), (1, ctx.now));
+        let ack = claim(&mut state, own_msg(b, None), &mut ctx);
+        assert!(!positive(&ack) && fenced(&ack));
+        assert_eq!(state.held_keys().count(), 0);
+        assert_eq!(state.claims_held(), 0);
+        assert_eq!(traced(&ctx, "update-held"), 0);
+        assert_eq!(traced(&ctx, "update-refused"), 3);
     }
 
     #[test]
@@ -567,17 +987,15 @@ mod tests {
             now: SimTime::from_millis(3),
             traced: vec![],
         };
-        assert!(positive(
-            &state.handle_update(&update_msg(a, None), &mut ctx)
-        ));
+        assert!(positive(&claim(&mut state, update_msg(a, None), &mut ctx)));
         // Well past the 5 s reservation lease.
         ctx.now = SimTime::from_secs(10);
-        let ack = state.handle_update(&update_msg(b, Some(vec![a])), &mut ctx);
+        let ack = claim(&mut state, update_msg(b, Some(vec![a])), &mut ctx);
         assert!(positive(&ack));
     }
 
     #[test]
-    fn commit_retires_winner_and_reports_notify_targets() {
+    fn commit_retires_winner_and_reports_the_waiters() {
         let mut state = state();
         let a = aid(1, 1);
         let b = aid(2, 2);
@@ -595,8 +1013,9 @@ mod tests {
             request: 1,
             committed_at: ctx.now,
         };
-        let notify = state.handle_commit(a, vec![record], &mut ctx);
-        assert_eq!(notify, vec![(2, b)]);
+        let outcome = state.handle_commit(a, vec![record], &mut ctx);
+        assert_eq!(outcome.waiters, vec![b]);
+        assert!(outcome.answers.is_empty());
         assert!(!state.core.ll.contains(1, a));
         assert!(state.core.ul.contains(a));
         assert_eq!(state.core.store.applied_version(), 1);
@@ -692,7 +1111,7 @@ mod tests {
         // Claim with a certificate that does NOT name the stale agent:
         // it must still validate because the server's UL marks the
         // entry as finished.
-        let ack = state.handle_update(&update_msg(claimant, Some(vec![])), &mut ctx);
+        let ack = claim(&mut state, update_msg(claimant, Some(vec![])), &mut ctx);
         assert!(positive(&ack));
     }
 
@@ -767,17 +1186,17 @@ mod tests {
         };
         // The regenerated agent (incarnation 1) gets a positive ack,
         // raising the fence for request 1.
-        let mut claim = update_msg(regenerated, None);
-        claim.incarnation = 1;
-        let ack = state.handle_update(&claim, &mut ctx);
+        let mut first = update_msg(regenerated, None);
+        first.incarnation = 1;
+        let ack = claim(&mut state, first, &mut ctx);
         assert!(positive(&ack));
         assert!(!fenced(&ack));
-        state.handle_release(regenerated);
+        state.handle_release(regenerated, &mut ctx);
         // The zombie original (incarnation 0) now claims — even from the
         // top of the queue it must be refused and told it is superseded.
         state.visit(original, 1, SimTime::from_millis(7), 2);
         state.core.ll.remove(1, regenerated);
-        let ack = state.handle_update(&update_msg(original, None), &mut ctx);
+        let ack = claim(&mut state, update_msg(original, None), &mut ctx);
         assert!(!positive(&ack));
         assert!(fenced(&ack), "stale incarnation must get a fenced ack");
         assert!(ctx.traced.iter().any(|e| matches!(
@@ -812,7 +1231,7 @@ mod tests {
         // A different agent carrying the same (already committed)
         // request gets a fenced refusal regardless of queue position.
         state.visit(zombie, 1, SimTime::from_millis(6), 2);
-        let ack = state.handle_update(&update_msg(zombie, None), &mut ctx);
+        let ack = claim(&mut state, update_msg(zombie, None), &mut ctx);
         assert!(!positive(&ack));
         assert!(fenced(&ack), "committed work must fence late claimants");
         assert!(ctx.traced.iter().any(|e| matches!(

@@ -4,7 +4,7 @@
 
 use crate::agent::UpdateAgent;
 use crate::config::MarpConfig;
-use crate::host::MarpServerState;
+use crate::host::{ClaimAnswer, MarpServerState};
 use crate::msg::{wrap_agent_envelope, wrap_read_agent_envelope, wrap_sync, AgentReply, NodeMsg};
 use crate::read_agent::ReadAgent;
 use bytes::Bytes;
@@ -43,13 +43,16 @@ struct OutstandingBatch {
 /// them to show where agent-addressed bytes go.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MailCounters {
-    /// Change notices pushed on COMMIT.
+    /// Change notices pushed on COMMIT (to agents resident here).
     pub notices_sent: u64,
     /// Encoded `AgentReply` bytes of those notices.
     pub notice_bytes: u64,
-    /// Notices not sent because the queued agent had already left this
-    /// host.
+    /// Notices not sent because the agent, though queued here, is
+    /// hosted elsewhere (its own host tells it) or has departed.
     pub notices_skipped: u64,
+    /// UPDATE claims held behind the committing winner's reservation
+    /// instead of being refused.
+    pub claims_held: u64,
     /// `LlInfo` replies to `LlQuery`.
     pub replies_sent: u64,
     /// Encoded `AgentReply` bytes of those replies.
@@ -61,6 +64,7 @@ impl std::ops::AddAssign for MailCounters {
         self.notices_sent += other.notices_sent;
         self.notice_bytes += other.notice_bytes;
         self.notices_skipped += other.notices_skipped;
+        self.claims_held += other.claims_held;
         self.replies_sent += other.replies_sent;
         self.reply_bytes += other.reply_bytes;
     }
@@ -118,7 +122,10 @@ impl MarpNode {
 
     /// Server→agent mail sent so far.
     pub fn mail(&self) -> MailCounters {
-        self.mail
+        MailCounters {
+            claims_held: self.state.claims_held(),
+            ..self.mail
+        }
     }
 
     /// Number of update agents currently hosted here.
@@ -286,6 +293,13 @@ impl MarpNode {
         );
     }
 
+    fn send_answers(&self, answers: Vec<ClaimAnswer>, ctx: &mut dyn Context) {
+        for answer in answers {
+            let payload = marp_wire::to_bytes(&answer.ack);
+            self.send_to_agent(answer.reply_to, answer.agent, payload, ctx);
+        }
+    }
+
     fn handle_node_msg(&mut self, from: NodeId, msg: NodeMsg, ctx: &mut dyn Context) {
         match msg {
             NodeMsg::Client(request) => {
@@ -316,37 +330,40 @@ impl MarpNode {
                     .handle_envelope(from, envelope, &mut self.state, ctx);
             }
             NodeMsg::Update(update) => {
-                let ack = self.state.handle_update(&update, ctx);
-                let payload = marp_wire::to_bytes(&ack);
-                self.send_to_agent(update.reply_to, update.agent, payload, ctx);
+                let answers = self.state.handle_update(update, ctx);
+                self.send_answers(answers, ctx);
             }
             NodeMsg::Commit(commit) => {
                 let finished = commit.agent;
-                let notify = self.state.handle_commit(finished, commit.records, ctx);
-                if notify.is_empty() {
-                    return;
-                }
-                // Tell the remaining queued agents that the winner is
-                // gone. One encoding serves every recipient.
-                let notice = marp_wire::to_bytes(&AgentReply::LlChanged {
-                    node: self.me(),
-                    finished,
-                    at: ctx.now(),
-                });
-                for (host, agent) in notify {
-                    // An agent last seen here that is no longer resident
-                    // has migrated on (or died): mail to it would only be
-                    // dropped on arrival.
-                    if host == self.me() && self.runtime.resident(agent).is_none() {
+                let outcome = self.state.handle_commit(finished, commit.records, ctx);
+                self.send_answers(outcome.answers, ctx);
+                // Tell the queued agents hosted here that the winner is
+                // gone; a waiter hosted elsewhere hears it from that
+                // host, at the moment the COMMIT lands there. One
+                // encoding serves every recipient.
+                let me = self.me();
+                let mut notice: Option<Bytes> = None;
+                for agent in outcome.waiters {
+                    if self.runtime.resident(agent).is_none() {
                         self.mail.notices_skipped += 1;
                         continue;
                     }
+                    let notice = notice.get_or_insert_with(|| {
+                        marp_wire::to_bytes(&AgentReply::LlChanged {
+                            node: me,
+                            finished,
+                            at: ctx.now(),
+                        })
+                    });
                     self.mail.notices_sent += 1;
                     self.mail.notice_bytes += notice.len() as u64;
-                    self.send_to_agent(host, agent, notice.clone(), ctx);
+                    self.send_to_agent(me, agent, notice.clone(), ctx);
                 }
             }
-            NodeMsg::Release { agent } => self.state.handle_release(agent),
+            NodeMsg::Release { agent } => {
+                let answers = self.state.handle_release(agent, ctx);
+                self.send_answers(answers, ctx);
+            }
             NodeMsg::LlQuery {
                 agent,
                 key,
@@ -390,7 +407,8 @@ impl MarpNode {
     }
 
     fn maintenance(&mut self, ctx: &mut dyn Context) {
-        self.state.maintain(ctx);
+        let answers = self.state.maintain(ctx);
+        self.send_answers(answers, ctx);
         if self.cfg.adaptive_batching {
             self.adapt_batch_size(ctx);
         }
@@ -533,13 +551,21 @@ mod tests {
         }))
     }
 
+    fn test_node() -> MarpNode {
+        let topo = Topology::uniform_lan(3, Duration::from_millis(1));
+        MarpNode::new(0, MarpConfig::new(3), RoutingTable::from_topology(0, &topo))
+    }
+
+    fn agent_ids() -> [AgentId; 3] {
+        [0, 1, 2].map(|home| AgentId::new(home, SimTime::from_millis(1), 0))
+    }
+
     /// A node whose key-1 queue holds the winner, then two waiters: one
     /// last seen here (but no longer resident) and one last seen at
     /// server 2.
     fn node_with_queue() -> (MarpNode, [AgentId; 3]) {
-        let topo = Topology::uniform_lan(3, Duration::from_millis(1));
-        let mut node = MarpNode::new(0, MarpConfig::new(3), RoutingTable::from_topology(0, &topo));
-        let agents = [0, 1, 2].map(|home| AgentId::new(home, SimTime::from_millis(1), 0));
+        let mut node = test_node();
+        let agents = agent_ids();
         let lease = node.state.core.lock_lease();
         for (agent, last_host) in agents.iter().zip([1, 0, 2]) {
             node.state
@@ -550,32 +576,92 @@ mod tests {
         (node, agents)
     }
 
+    /// Decode the agent mail in `sent`, as `(to, agent, reply)`.
+    fn agent_mail(sent: &[(NodeId, Bytes)]) -> Vec<(NodeId, AgentId, AgentReply)> {
+        sent.iter()
+            .filter_map(
+                |(to, frame)| match marp_wire::from_bytes::<NodeMsg>(frame) {
+                    Ok(NodeMsg::Agent(AgentEnvelope::ToAgent { agent, payload })) => {
+                        Some((*to, agent, marp_wire::from_bytes(&payload).unwrap()))
+                    }
+                    _ => None,
+                },
+            )
+            .collect()
+    }
+
     #[test]
-    fn commit_pushes_one_shared_notice_and_skips_departed_agents() {
+    fn commit_mails_exactly_the_resident_waiters_and_nothing_off_node() {
+        let mut node = test_node();
+        let [winner, parked, remote] = agent_ids();
+        let write = |id| WriteRequest {
+            id,
+            client: 9,
+            key: 1,
+            value: id,
+            arrived: SimTime::ZERO,
+        };
+        // The winner toured and left; `remote` queued here on its tour
+        // and parked at server 2 (its re-poll even named that host);
+        // `parked` exhausted its itinerary here and stays.
+        let lease = node.state.core.lock_lease();
+        for (agent, last_host) in [(winner, 1), (remote, 2)] {
+            node.state
+                .core
+                .ll
+                .request(1, agent, SimTime::from_millis(2), lease, last_host);
+        }
+        let mut ctx = TestCtx::default();
+        // Nowhere left to go: it parks on arrival.
+        let resident = UpdateAgent::new(parked, &node.cfg, vec![write(2)]).with_itinerary_done();
+        node.runtime.spawn(resident, &mut node.state, &mut ctx);
+        assert_eq!(
+            node.runtime.resident(parked).map(|a| a.phase()),
+            Some(&crate::agent::Phase::Parked)
+        );
+        ctx.sent.clear();
+
+        node.on_message(1, commit_of(winner), &mut ctx);
+
+        let mail = agent_mail(&ctx.sent);
+        assert_eq!(
+            mail,
+            vec![(
+                0,
+                parked,
+                AgentReply::LlChanged {
+                    node: 0,
+                    finished: winner,
+                    at: SimTime::from_millis(9),
+                }
+            )]
+        );
+        assert!(
+            ctx.sent.iter().all(|(to, _)| *to == 0),
+            "a COMMIT sends nothing across the network"
+        );
+        let notice_len = marp_wire::to_bytes(&mail[0].2).len() as u64;
+        assert_eq!(
+            node.mail(),
+            MailCounters {
+                notices_sent: 1,
+                notice_bytes: notice_len,
+                notices_skipped: 1,
+                ..MailCounters::default()
+            }
+        );
+        assert!(node.state().core.ll.contains(1, remote));
+    }
+
+    #[test]
+    fn commit_skips_departed_agents() {
         let (mut node, [winner, departed, remote]) = node_with_queue();
         let mut ctx = TestCtx::default();
         node.on_message(1, commit_of(winner), &mut ctx);
-
-        // Exactly one push: to the waiter at server 2. The waiter last
-        // seen here has migrated away — mailing it would only produce an
-        // `agent-msg-missed` on arrival — so it gets nothing.
-        assert_eq!(ctx.sent.len(), 1);
-        let (to, frame) = &ctx.sent[0];
-        assert_eq!(*to, 2);
-        let Ok(NodeMsg::Agent(AgentEnvelope::ToAgent { agent, payload })) =
-            marp_wire::from_bytes::<NodeMsg>(frame)
-        else {
-            panic!("expected agent mail");
-        };
-        assert_eq!(agent, remote);
-        assert_eq!(
-            marp_wire::from_bytes::<AgentReply>(&payload).unwrap(),
-            AgentReply::LlChanged {
-                node: 0,
-                finished: winner,
-                at: SimTime::from_millis(9),
-            }
-        );
+        // Neither waiter is hosted here: one migrated away (mail would
+        // only produce an `agent-msg-missed`), the other is told by
+        // server 2.
+        assert!(ctx.sent.is_empty());
         assert!(!ctx.traced.iter().any(|e| matches!(
             e,
             TraceEvent::Custom {
@@ -586,13 +672,55 @@ mod tests {
         assert_eq!(
             node.mail(),
             MailCounters {
-                notices_sent: 1,
-                notice_bytes: payload.len() as u64,
-                notices_skipped: 1,
+                notices_skipped: 2,
                 ..MailCounters::default()
             }
         );
         assert!(node.state().core.ll.contains(1, departed));
+        assert!(node.state().core.ll.contains(1, remote));
+    }
+
+    #[test]
+    fn a_held_claim_is_acked_by_the_commit_that_frees_it() {
+        let (mut node, [winner, _, successor]) = node_with_queue();
+        node.state.core.ll.remove(1, agent_ids()[1]);
+        let mut ctx = TestCtx::default();
+        let update = |agent: AgentId, reply_to| {
+            marp_wire::to_bytes(&NodeMsg::Update(crate::msg::UpdateMsg {
+                agent,
+                attempt: 1,
+                incarnation: 0,
+                reply_to,
+                requests: vec![WriteRequest {
+                    id: u64::from(agent.home) + 1,
+                    client: 9,
+                    key: 1,
+                    value: 1,
+                    arrived: SimTime::ZERO,
+                }],
+                tie_certificate: None,
+            }))
+        };
+        node.on_message(1, update(winner, 1), &mut ctx);
+        assert_eq!(agent_mail(&ctx.sent).len(), 1);
+        // The successor's UPDATE overtakes the winner's COMMIT: nothing
+        // is sent until the COMMIT lands.
+        node.on_message(2, update(successor, 2), &mut ctx);
+        assert_eq!(agent_mail(&ctx.sent).len(), 1);
+        assert_eq!(node.mail().claims_held, 1);
+        node.on_message(1, commit_of(winner), &mut ctx);
+        let mail = agent_mail(&ctx.sent);
+        assert_eq!(mail.len(), 2);
+        let (to, agent, reply) = &mail[1];
+        assert_eq!((*to, *agent), (2, successor));
+        assert!(matches!(
+            reply,
+            AgentReply::UpdateAck {
+                positive: true,
+                store_version: 1,
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -1,24 +1,32 @@
-//! The lock-handoff race, forced deterministically.
+//! The lock handoff, forced deterministically.
 //!
-//! The next winner learns "W finished" from the first change notice —
-//! its own host's — and claims at once, so its UPDATE can reach the
-//! other servers before W's COMMIT does. Those servers still see W on
-//! top (and hold W's reservation) and refuse; the claim aborts although
-//! nothing is wrong except timing. This test drives the simulator's
-//! controlled scheduler through exactly that interleaving and requires
-//! the agent to re-claim immediately — it absorbed the late notices
-//! while the doomed claim was in flight — and commit within two round
-//! trips of the abort, with no timer firing.
+//! The next winner learns "W finished" from its own host's change
+//! notice and claims at once, so its UPDATE can reach the other servers
+//! before W's COMMIT does. Those servers still see W on top and hold
+//! W's reservation — the claim is early, not wrong. The first test
+//! drives the simulator's controlled scheduler through exactly that
+//! interleaving and requires the pipelined handoff: the servers *hold*
+//! the early claim, answer it the moment W's COMMIT lands, and the
+//! successor commits one hop later — no refusal, no abort, no RELEASE,
+//! no timer.
+//!
+//! The second test keeps the retry rule honest for the aborts that
+//! remain possible. A claimant that is wrong about who finished is
+//! behind an unfinished agent, which is a refusal no hold may paper
+//! over; when the news that makes it right arrives during the doomed
+//! claim, it must claim again at once instead of going dormant until a
+//! re-poll.
 
 use marp_agent::{AgentEnvelope, AgentId};
-use marp_core::{build_cluster, wrap_client_request, AgentReply, MarpConfig, MarpNode, NodeMsg};
+use marp_core::{
+    build_cluster, wrap_agent_envelope, wrap_client_request, AgentReply, MarpConfig, MarpNode,
+    NodeMsg, Phase,
+};
 use marp_net::Topology;
 use marp_replica::{ClientProcess, Operation, ScriptedSource};
 use marp_sim::{FixedDelay, NodeId, PendingKind, SimTime, Simulation, TraceEvent, TraceLevel};
 use std::time::Duration;
 
-const N: usize = 5;
-const MAJORITY: usize = N / 2 + 1;
 const ONE_WAY: Duration = Duration::from_millis(1);
 
 /// A pending server-bound message, decoded.
@@ -30,14 +38,14 @@ struct InFlight {
     mail: Option<(AgentId, AgentReply)>,
 }
 
-fn in_flight(sim: &mut Simulation) -> Vec<InFlight> {
+fn in_flight(sim: &mut Simulation, n: usize) -> Vec<InFlight> {
     sim.pending_events()
         .into_iter()
         .filter_map(|e| {
             let PendingKind::Message { to, .. } = e.kind else {
                 return None;
             };
-            if usize::from(to) >= N {
+            if usize::from(to) >= n {
                 return None; // replies to clients are not NodeMsgs
             }
             let msg: NodeMsg = marp_wire::from_bytes(sim.pending_payload(e.seq)?).ok()?;
@@ -60,18 +68,18 @@ fn in_flight(sim: &mut Simulation) -> Vec<InFlight> {
 /// Deliver, oldest first, every server-bound message `pick` accepts —
 /// including ones those deliveries send — and every client-bound one.
 /// Timers never fire. Returns how many server-bound messages ran.
-fn deliver_all(sim: &mut Simulation, pick: impl Fn(&InFlight) -> bool) -> usize {
+fn deliver_all(sim: &mut Simulation, n: usize, pick: impl Fn(&InFlight) -> bool) -> usize {
     let mut delivered = 0;
     loop {
         let client_bound = sim.pending_events().into_iter().find_map(|e| match e.kind {
-            PendingKind::Message { to, .. } if usize::from(to) >= N => Some(e.seq),
+            PendingKind::Message { to, .. } if usize::from(to) >= n => Some(e.seq),
             _ => None,
         });
         if let Some(seq) = client_bound {
             sim.step_event(seq);
             continue;
         }
-        let Some(next) = in_flight(sim).into_iter().find(|m| pick(m)) else {
+        let Some(next) = in_flight(sim, n).into_iter().find(|m| pick(m)) else {
             return delivered;
         };
         sim.step_event(next.seq);
@@ -99,19 +107,48 @@ fn count(sim: &Simulation, pred: impl Fn(&TraceEvent) -> bool) -> usize {
     sim.trace().count(pred)
 }
 
-#[test]
-fn aborted_handoff_claim_retries_at_once() {
-    let mut cfg = MarpConfig::new(N);
+fn custom(sim: &Simulation, kind: &'static str) -> usize {
+    count(
+        sim,
+        |e| matches!(e, TraceEvent::Custom { kind: k, .. } if *k == kind),
+    )
+}
+
+fn claims(sim: &Simulation) -> usize {
+    count(sim, |e| matches!(e, TraceEvent::UpdateSent { .. }))
+}
+
+fn aborts(sim: &Simulation) -> usize {
+    count(sim, |e| matches!(e, TraceEvent::WinAborted { .. }))
+}
+
+fn completions(sim: &Simulation) -> Vec<SimTime> {
+    sim.trace()
+        .records()
+        .iter()
+        .filter(|r| matches!(r.event, TraceEvent::UpdateCompleted { .. }))
+        .map(|r| r.at)
+        .collect()
+}
+
+/// `n` servers and one single-write client per entry of `homes`
+/// (attached to that server), every write on key 1. Runs the start
+/// events and the clients' arrival timers, in order.
+fn cluster(n: usize, homes: &[NodeId]) -> (Simulation, MarpConfig) {
+    let mut cfg = MarpConfig::new(n);
     cfg.batch.max_batch = 1; // every write dispatches its agent immediately
-    let topo = Topology::uniform_lan(N + 2, ONE_WAY);
+    let topo = Topology::uniform_lan(n + homes.len(), ONE_WAY);
     let mut sim = Simulation::new(Box::new(FixedDelay(ONE_WAY)), TraceLevel::Protocol);
     build_cluster(&mut sim, &cfg, &topo);
-    for (server, value) in [(0, 10), (1, 11)] {
+    for (i, &server) in homes.iter().enumerate() {
         sim.add_process(Box::new(ClientProcess::new(
             server,
             Box::new(ScriptedSource::new([(
                 Duration::from_millis(1),
-                Operation::Write { key: 1, value },
+                Operation::Write {
+                    key: 1,
+                    value: 10 + i as u64,
+                },
             )])),
             wrap_client_request,
         )));
@@ -121,7 +158,7 @@ fn aborted_handoff_claim_retries_at_once() {
         sim.step_event(seq);
     }
     // The clients issue their writes off a timer each.
-    for client in [N as NodeId, N as NodeId + 1] {
+    for client in (n..n + homes.len()).map(|c| c as NodeId) {
         let issue = sim
             .pending_events()
             .into_iter()
@@ -129,101 +166,217 @@ fn aborted_handoff_claim_retries_at_once() {
             .expect("client arrival timer");
         sim.step_event(issue.seq);
     }
+    (sim, cfg)
+}
+
+/// The parked agents, each with its host.
+fn parked(sim: &Simulation, n: usize) -> Vec<(NodeId, AgentId)> {
+    (0..n as NodeId)
+        .flat_map(|s| {
+            let runtime = sim.process::<MarpNode>(s).expect("server").update_runtime();
+            runtime
+                .resident_ids()
+                .filter(|&id| runtime.resident(id).map(|a| a.phase()) == Some(&Phase::Parked))
+                .map(move |id| (s, id))
+                .collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+#[test]
+fn an_early_claim_is_held_and_the_lock_hands_over_without_an_abort() {
+    const N: usize = 5;
+    const MAJORITY: usize = N / 2 + 1;
+    let (mut sim, cfg) = cluster(N, &[0, 1]);
 
     // Both agents tour; one claims (its acks are held back so it stays
     // mid-claim), the other exhausts its itinerary and parks.
-    deliver_all(&mut sim, |m| !is_ack(m));
-    assert_eq!(
-        count(&sim, |e| matches!(e, TraceEvent::UpdateSent { .. })),
-        1
-    );
-    let (host, loser) = (0..N as NodeId)
-        .find_map(|s| {
-            let runtime = sim.process::<MarpNode>(s)?.update_runtime();
-            let parked = runtime.resident_ids().find(|&id| {
-                matches!(
-                    runtime.resident(id).map(|a| a.phase()),
-                    Some(marp_core::Phase::Parked)
-                )
-            })?;
-            Some((s, parked))
-        })
-        .expect("the losing agent parked somewhere");
+    deliver_all(&mut sim, N, |m| !is_ack(m));
+    assert_eq!(claims(&sim), 1);
+    let [(host, successor)] = parked(&sim, N)[..] else {
+        panic!("exactly one agent parks");
+    };
+    // (The winner itself was refused where the other agent queued
+    // first; that is not the handoff.)
+    let refused_before = custom(&sim, "update-refused");
 
-    // The parked agent re-polls once, so every server knows where to
-    // push its change notices.
-    let repoll = sim
-        .pending_events()
-        .into_iter()
-        .find(|e| matches!(e.kind, PendingKind::Timer { node, tag } if node == host && tag & 0xff == 1))
-        .expect("the parked agent armed its re-poll");
-    sim.step_event(repoll.seq);
-    deliver_all(&mut sim, |m| !is_ack(m));
-
-    // The winner gets its acks and broadcasts COMMIT; only the loser's
-    // host applies it for now.
-    deliver_all(&mut sim, |m| !is_commit(m));
+    // The winner gets its acks and broadcasts COMMIT; only the parked
+    // agent's host applies it for now.
+    deliver_all(&mut sim, N, |m| !is_commit(m));
     assert_eq!(
-        in_flight(&mut sim).iter().filter(|m| is_commit(m)).count(),
+        in_flight(&mut sim, N)
+            .iter()
+            .filter(|m| is_commit(m))
+            .count(),
         N
     );
-    deliver_all(&mut sim, |m| is_commit(m) && m.to == host);
-    // Its notice reaches the loser, who claims on the spot...
-    assert_eq!(deliver_all(&mut sim, is_notice), 1);
-    assert_eq!(
-        count(&sim, |e| matches!(e, TraceEvent::UpdateSent { .. })),
-        2
-    );
+    deliver_all(&mut sim, N, |m| is_commit(m) && m.to == host);
+    // Its notice — the only one any server sends — reaches the parked
+    // agent, which claims on the spot...
+    assert_eq!(deliver_all(&mut sim, N, is_notice), 1);
+    assert_eq!(claims(&sim), 2);
     // ...and the claim's UPDATE overtakes the COMMIT at the other
-    // servers: the winner still tops a majority of them, which refuses.
-    assert_eq!(deliver_all(&mut sim, is_update), N);
+    // servers. Those that acked the winner still hold its reservation:
+    // they keep the early claim instead of refusing it. Without them
+    // the successor has no majority.
+    let reserving: Vec<NodeId> = (0..N as NodeId)
+        .filter(|&s| {
+            let state = sim.process::<MarpNode>(s).expect("server").state();
+            state.reserved_for(1).is_some()
+        })
+        .collect();
+    assert!(!reserving.contains(&host));
+    assert!(N - reserving.len() < MAJORITY);
+    assert_eq!(deliver_all(&mut sim, N, is_update), N);
+    assert_eq!(custom(&sim, "update-held"), reserving.len());
+    assert_eq!(custom(&sim, "update-refused"), refused_before);
     assert_eq!(
         count(
             &sim,
-            |e| matches!(e, TraceEvent::UpdateAcked { agent, positive: false, .. } if *agent == loser.key())
+            |e| matches!(e, TraceEvent::UpdateAcked { agent, .. } if *agent == successor.key())
         ),
-        MAJORITY
+        N - reserving.len(),
+        "only servers with no reservation in the way answer yet"
     );
-    // The COMMIT lands; the late notices reach the loser mid-claim.
-    assert_eq!(deliver_all(&mut sim, is_commit), N - 1);
-    assert_eq!(deliver_all(&mut sim, is_notice), N - 1);
-    // The refusals arrive: the claim aborts.
-    deliver_all(&mut sim, is_ack);
-    assert_eq!(
-        count(&sim, |e| matches!(e, TraceEvent::WinAborted { .. })),
-        1
-    );
-    let aborted_at = sim.now();
+    for &server in &reserving {
+        let state = sim.process::<MarpNode>(server).expect("server").state();
+        assert_eq!(state.held_claimants(1).collect::<Vec<_>>(), vec![successor]);
+    }
 
-    // It must already have re-claimed — not gone dormant until the
-    // 25 ms re-poll — and the retry commits with no timer firing.
-    assert_eq!(
-        count(&sim, |e| matches!(e, TraceEvent::UpdateSent { .. })),
-        3,
-        "the aborted claim was not retried immediately"
-    );
-    deliver_all(&mut sim, |_| true);
-    let completions: Vec<SimTime> = sim
-        .trace()
-        .records()
-        .iter()
-        .filter(|r| matches!(r.event, TraceEvent::UpdateCompleted { .. }))
-        .map(|r| r.at)
+    // The COMMIT lands: every server answers the held claim, positively
+    // and carrying the post-COMMIT version, and mails no one else.
+    assert_eq!(deliver_all(&mut sim, N, is_commit), N - 1);
+    let commit_landed = sim.now();
+    let acks: Vec<AgentReply> = in_flight(&mut sim, N)
+        .into_iter()
+        .filter_map(|m| m.mail.map(|(_, reply)| reply))
         .collect();
-    assert_eq!(completions.len(), 2, "both writes commit");
-    assert_eq!(
-        count(&sim, |e| matches!(e, TraceEvent::WinAborted { .. })),
-        1
-    );
-    let round_trip = ONE_WAY * 2;
+    assert_eq!(acks.len(), N);
+    assert!(acks
+        .iter()
+        .all(|reply| matches!(reply, AgentReply::UpdateAck { positive: true, .. })));
+    let post_commit = |reply: &&AgentReply| {
+        matches!(
+            reply,
+            AgentReply::UpdateAck {
+                store_version: 1,
+                ..
+            }
+        )
+    };
+    assert!(acks.iter().filter(post_commit).count() > reserving.len());
+    assert_eq!(deliver_all(&mut sim, N, is_notice), 0);
+
+    // The acks arrive and the successor commits: one hop after the
+    // predecessor's COMMIT landed (a refusal would cost an abort, a
+    // RELEASE and a second UPDATE round on top of the notice hop).
+    deliver_all(&mut sim, N, |_| true);
+    let done = completions(&sim);
+    assert_eq!(done.len(), 2, "both writes commit");
     assert!(
-        completions[1] <= aborted_at + round_trip * 2,
-        "retry committed {:?} after the abort",
-        completions[1].checked_since(aborted_at)
+        done[1] <= commit_landed + ONE_WAY * 2,
+        "successor committed {:?} after the predecessor's COMMIT landed",
+        done[1].checked_since(commit_landed)
     );
-    assert!(round_trip * 2 < cfg.park_repoll);
+    assert_eq!(aborts(&sim), 0);
+    assert_eq!(claims(&sim), 2);
+    let release = (0..16)
+        .find(|&tag| marp_core::wire_tag_name(tag) == "release")
+        .expect("RELEASE has a wire tag");
+    assert_eq!(
+        sim.stats().bytes_for_kind(release),
+        0,
+        "nobody broadcast RELEASE"
+    );
+    assert!(ONE_WAY * 2 < cfg.park_repoll);
     for server in 0..N as NodeId {
         let node = sim.process::<MarpNode>(server).expect("server");
         assert_eq!(node.state().core.store.applied_version_for(1), 2);
+        assert_eq!(node.state().held_keys().count(), 0);
+    }
+}
+
+#[test]
+fn a_claim_refused_behind_an_unfinished_agent_retries_on_the_news_it_absorbed() {
+    const N: usize = 3;
+    // Three writers on one server: their agents queue in the same order
+    // everywhere. The first wins; the other two tour and park.
+    let (mut sim, _) = cluster(N, &[0, 0, 0]);
+    deliver_all(&mut sim, N, |m| !is_ack(m));
+    assert_eq!(claims(&sim), 1);
+    let waiting = parked(&sim, N);
+    assert_eq!(waiting.len(), 2);
+    let rank = |sim: &Simulation, agent| {
+        let node = sim.process::<MarpNode>(0).expect("server");
+        node.state().core.ll.rank_of(1, agent).expect("queued")
+    };
+    let (second_host, second) = *waiting
+        .iter()
+        .find(|&&(_, a)| rank(&sim, a) == 1)
+        .expect("the agent ranked second");
+    let (third_host, third) = *waiting
+        .iter()
+        .find(|&&(_, a)| rank(&sim, a) == 2)
+        .expect("the agent ranked third");
+    let from = |agent: AgentId| move |m: &InFlight| matches!(&m.msg, NodeMsg::Update(u) if u.agent == agent);
+    let ack_to = |agent: AgentId| {
+        move |m: &InFlight| is_ack(m) && m.mail.as_ref().is_some_and(|(to, _)| *to == agent)
+    };
+
+    // The first winner commits; its COMMIT reaches the waiters' hosts,
+    // whose notices make the second agent claim. Its UPDATEs stay in
+    // flight.
+    deliver_all(&mut sim, N, |m| !is_commit(m));
+    deliver_all(&mut sim, N, |m| {
+        is_commit(m) && (m.to == second_host || m.to == third_host)
+    });
+    deliver_all(&mut sim, N, is_notice);
+    assert_eq!(claims(&sim), 2);
+
+    // The third agent is told — wrongly, as by a stale clone's commit —
+    // that the second has finished too, believes itself on top, and
+    // claims.
+    let forged = wrap_agent_envelope(AgentEnvelope::ToAgent {
+        agent: third,
+        payload: marp_wire::to_bytes(&AgentReply::LlChanged {
+            node: third_host,
+            finished: second,
+            at: sim.now(),
+        }),
+    });
+    let now = sim.now();
+    sim.schedule_external(now, third_host, forged);
+    assert_eq!(deliver_all(&mut sim, N, is_notice), 1);
+    assert_eq!(claims(&sim), 3);
+    // Every server finds the unfinished second agent ahead of it. That
+    // is no early claim: it is refused at once, never held.
+    let refused_before = custom(&sim, "update-refused");
+    assert_eq!(deliver_all(&mut sim, N, from(third)), N);
+    assert_eq!(custom(&sim, "update-refused"), refused_before + N);
+    assert_eq!(custom(&sim, "update-held"), 0);
+
+    // Meanwhile the second agent really does win and commit. The
+    // notice reaches the third mid-claim: it names an agent already in
+    // its UAL, but it is news all the same.
+    deliver_all(&mut sim, N, |m| !ack_to(third)(m));
+    assert_eq!(completions(&sim).len(), 2);
+    assert_eq!(aborts(&sim), 0);
+
+    // The refusals arrive: the claim aborts, and — having heard news
+    // during it — the agent claims again in the same instant.
+    deliver_all(&mut sim, N, ack_to(third));
+    assert_eq!(aborts(&sim), 1);
+    assert_eq!(
+        claims(&sim),
+        4,
+        "the aborted claim was not retried immediately"
+    );
+    // The retry commits with no timer firing.
+    deliver_all(&mut sim, N, |_| true);
+    assert_eq!(completions(&sim).len(), 3);
+    assert_eq!(aborts(&sim), 1);
+    for server in 0..N as NodeId {
+        let node = sim.process::<MarpNode>(server).expect("server");
+        assert_eq!(node.state().core.store.applied_version_for(1), 3);
     }
 }

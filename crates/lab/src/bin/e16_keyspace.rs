@@ -24,6 +24,10 @@ use marp_sim::{SimTime, TraceEvent, TraceLog};
 use marp_workload::KeyDist;
 use std::collections::{BTreeMap, HashMap};
 
+/// Floor on the committed-writes/sec ratio of 16 uniform keys over the
+/// paper's single key (see the assertion in `main`).
+const MIN_SPEEDUP: f64 = 2.3;
+
 /// One sweep arm: a key distribution under the paper's N = 5 cluster
 /// at the heaviest arrival rate of the figure sweep.
 fn scenario(keys: KeyDist, requests_per_client: u64, seed: u64) -> Scenario {
@@ -207,10 +211,15 @@ fn main() {
     );
     // The keyed protocol's headline claim: disjoint keys commit
     // concurrently, so spreading the same offered load over 16 keys
-    // must lift saturation throughput by at least 3x.
+    // must lift saturation throughput severalfold. The floor was 3x
+    // until the pipelined lock handoff made the *single-key* arm faster
+    // (256 -> 313 committed writes/s in --test mode, 252 -> 303 in the
+    // full sweep; the 16-key arm unchanged at ~805 / ~825): the
+    // measured ratio is now 2.57x (--test) and 2.72x (full sweep).
     assert!(
-        speedup >= 3.0,
-        "expected >= 3x committed-writes/sec from 16 uniform keys, got {speedup:.2}x"
+        speedup >= MIN_SPEEDUP,
+        "expected >= {MIN_SPEEDUP}x committed-writes/sec from 16 uniform keys over one key \
+         (measured 2.57x since the pipelined handoff sped the single-key arm up), got {speedup:.2}x"
     );
 
     marp_lab::write_obs_outputs(

@@ -16,7 +16,7 @@
 //! marp-trace aggregate <trace.bin> [...]     flamegraph-style span-path profile
 //! marp-trace sweep [--test] [...]            run N=3/5/9 and fit growth exponents
 //! marp-trace diff <before.json> <after.json> compare two profiles or two sweeps
-//!                                            (--fail-steeper bytes,messages gates CI)
+//!                                            (--fail-steeper bytes,messages,lock-wait-ms gates CI)
 //! marp-trace diagnose <sweep.json> [...]     rule-based cliff diagnosis
 //! ```
 

@@ -87,6 +87,7 @@ pub fn scale_sweep(config: &SweepConfig) -> SweepReport {
                 point.notices_skipped += outcome.mail.notices_skipped;
                 point.replies += outcome.mail.replies_sent;
                 point.reply_bytes += outcome.mail.reply_bytes;
+                point.claims_held += outcome.mail.claims_held;
             }
             point
         })

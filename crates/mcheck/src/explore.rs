@@ -17,6 +17,11 @@
 //!   node re-arms its maintenance tick forever, so without this the
 //!   state space has no finite frontier.
 //!
+//! The **early-claim family** ([`ModelSpec::early_claims`]) changes
+//! only the canonical order — COMMITs travel last, and reach servers
+//! hosting a waiting agent first — so the handoff race sits on the
+//! zero-preemption path instead of two preemptions away from it.
+//!
 //! On top of those, an optional **preemption bound** (CHESS-style)
 //! caps how many times a path may deviate from the canonical
 //! lowest-sequence-first order. Small bounds find realistic bugs at a
@@ -29,6 +34,7 @@
 //! requirement that protocol state be cloneable or hashable).
 
 use crate::model::ModelSpec;
+use marp_core::MarpNode;
 use marp_metrics::{InvariantMonitor, Violation};
 use marp_sim::{Control, NodeId, PendingKind, Simulation};
 use std::collections::HashSet;
@@ -255,10 +261,12 @@ impl Explorer {
             let records = sim.trace().records();
             monitor.observe_all(&records[trace_pos..]);
             trace_pos = records.len();
-            if !monitor.ok() {
+            let mut violations = monitor.violations().to_vec();
+            violations.extend(self.spec.state_violations(&sim));
+            if !violations.is_empty() {
                 report.violation = Some(Counterexample {
                     schedule: path.clone(),
-                    violations: monitor.violations().to_vec(),
+                    violations,
                 });
                 break;
             }
@@ -329,6 +337,16 @@ impl Explorer {
     /// plain event-loop run would take — and is what `marp-mcheck
     /// sample` writes for the regression corpus.
     pub fn canonical_schedule(&self) -> Vec<Choice> {
+        self.canonical_schedule_until(|_| false).0
+    }
+
+    /// The canonical schedule, cut short after the first step that
+    /// leaves the simulation in a state `stop` accepts. Also returns
+    /// whether that happened (false: the schedule ran to its end).
+    pub fn canonical_schedule_until(
+        &self,
+        mut stop: impl FnMut(&Simulation) -> bool,
+    ) -> (Vec<Choice>, bool) {
         let (mut sim, mut monitor, mut trace_pos) = self.initial();
         let mut path = Vec::new();
         let mut timer_steps = 0u32;
@@ -343,8 +361,11 @@ impl Explorer {
             let records = sim.trace().records();
             monitor.observe_all(&records[trace_pos..]);
             trace_pos = records.len();
+            if stop(&sim) {
+                return (path, true);
+            }
         }
-        path
+        (path, false)
     }
 
     /// Build the initial state: construct the sim, execute every Start
@@ -456,6 +477,10 @@ impl Explorer {
                 PendingKind::Timer { .. } => {}
             }
         }
+        if self.spec.early_claims {
+            // Stable: within a class the sequence order stands.
+            choices.sort_by_cached_key(|c| commit_lag(sim, c));
+        }
         if done && !have_msgs {
             // Every write completed and every consequence has been
             // delivered: a terminal state. Remaining timers are the
@@ -495,5 +520,30 @@ impl Explorer {
             }
         }
         choices
+    }
+}
+
+/// Early-claim delivery class of a choice: 0 for anything but a COMMIT,
+/// 1 for a COMMIT to a server hosting an update agent (a waiter who will
+/// hear of it and claim), 2 for a COMMIT to any other server.
+fn commit_lag(sim: &Simulation, choice: &Choice) -> u8 {
+    let Choice::Deliver {
+        seq,
+        kind: PendingKind::Message { to, .. },
+    } = choice
+    else {
+        return 0;
+    };
+    let tag = sim.pending_payload(*seq).and_then(|p| p.first().copied());
+    if tag.map(marp_core::wire_tag_name) != Some("commit") {
+        return 0;
+    }
+    let hosts_waiter = sim
+        .process::<MarpNode>(*to)
+        .is_some_and(|node| node.resident_agents() > 0);
+    if hosts_waiter {
+        1
+    } else {
+        2
     }
 }

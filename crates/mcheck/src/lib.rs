@@ -33,4 +33,7 @@ pub mod schedule;
 
 pub use explore::{CheckConfig, Choice, Counterexample, Explorer, Report};
 pub use model::{Family, MailLoss, ModelSpec, OneShotWriter};
-pub use schedule::{agent_loss_schedule, from_text, replay, shrink, to_text, ReplayOutcome};
+pub use schedule::{
+    agent_loss_schedule, early_claim_crash_schedule, from_text, replay, shrink, to_text,
+    ReplayOutcome,
+};

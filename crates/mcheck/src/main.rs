@@ -3,7 +3,8 @@
 //! ```text
 //! marp-mcheck check   [--family marp|mcv|pc] [--replicas N] [--agents N]
 //!                     [--crashes N] [--chaos none|lifo|blind-acks|lifo-blind]
-//!                     [--distinct-keys] [--preemptions N|full]
+//!                     [--distinct-keys] [--mail-loss none|notices|notices+reply]
+//!                     [--early-claims] [--preemptions N|full]
 //!                     [--budget N|smoke] [--out FILE]
 //! marp-mcheck replay  <FILE>
 //! marp-mcheck sample  [model options] --out FILE
@@ -30,7 +31,7 @@ fn usage() -> ExitCode {
          \n\
          check    [--family marp|mcv|pc] [--replicas N] [--agents N] [--crashes N]\n\
          \x20        [--chaos none|lifo|blind-acks|lifo-blind] [--distinct-keys]\n\
-         \x20        [--mail-loss none|notices|notices+reply]\n\
+         \x20        [--mail-loss none|notices|notices+reply] [--early-claims]\n\
          \x20        [--preemptions N|full] [--budget N|smoke] [--depth N]\n\
          \x20        [--timers N] [--out FILE]\n\
          replay   <FILE>\n\
@@ -55,6 +56,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut chaos = marp_core::ChaosMode::None;
     let mut distinct_keys = false;
     let mut mail_loss = marp_mcheck::MailLoss::None;
+    let mut early_claims = false;
     let mut cfg = CheckConfig::default();
     let mut out = None;
     let mut positional = Vec::new();
@@ -126,6 +128,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 mail_loss = marp_mcheck::MailLoss::parse(&v)
                     .ok_or_else(|| format!("unknown mail loss {v}"))?;
             }
+            "--early-claims" => early_claims = true,
             "--out" => out = Some(value("--out")?),
             other if other.starts_with("--") => return Err(format!("unknown option {other}")),
             other => positional.push(other.to_string()),
@@ -135,6 +138,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     spec.chaos = chaos;
     spec.distinct_keys = distinct_keys;
     spec.mail_loss = mail_loss;
+    spec.early_claims = early_claims;
     Ok(Opts {
         spec,
         cfg,
@@ -184,7 +188,7 @@ fn write_counterexample(
 
 fn cmd_check(opts: &Opts) -> ExitCode {
     println!(
-        "checking {} replicas={} agents={} keys={} chaos={} mail-loss={} crashes<={} preemptions={}",
+        "checking {} replicas={} agents={} keys={} chaos={} mail-loss={} early-claims={} crashes<={} preemptions={}",
         opts.spec.family.name(),
         opts.spec.replicas,
         opts.spec.agents,
@@ -195,6 +199,7 @@ fn cmd_check(opts: &Opts) -> ExitCode {
         },
         schedule::chaos_name(opts.spec.chaos),
         opts.spec.mail_loss.name(),
+        if opts.spec.early_claims { "on" } else { "off" },
         opts.cfg.max_crashes,
         opts.cfg
             .preemption_bound
@@ -252,6 +257,10 @@ fn cmd_replay(file: &str) -> ExitCode {
     println!(
         "applied {} steps ({} skipped), drained {} more, {} writes completed",
         outcome.steps_applied, outcome.steps_skipped, outcome.drained_steps, outcome.completed
+    );
+    println!(
+        "claims held {}, claims aborted {}",
+        outcome.held_claims, outcome.aborted_claims
     );
     let all = outcome.all_violations();
     if all.is_empty() {

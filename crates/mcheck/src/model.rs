@@ -17,7 +17,7 @@ use marp_core::{
     wrap_client_request as wrap_marp_client_request, AgentReply, ChaosMode, MarpConfig, MarpNode,
     NodeMsg,
 };
-use marp_metrics::InvariantMonitor;
+use marp_metrics::{InvariantMonitor, Violation};
 use marp_net::{RoutingTable, Topology};
 use marp_replica::{request_id, ClientReply, ClientRequest, ClientWrapFn, Operation};
 use marp_sim::{
@@ -124,6 +124,14 @@ pub struct ModelSpec {
     /// Agent mail the network loses (MARP only; `None` for faithful
     /// checking).
     pub mail_loss: MailLoss,
+    /// The **early-claim schedule family** (MARP only): the network is
+    /// slow for COMMITs. Everything else in flight is delivered first,
+    /// and a COMMIT reaches the servers hosting a waiting agent before
+    /// the others — so the next winner hears of the commit, claims, and
+    /// its UPDATE arrives ahead of the previous COMMIT at every other
+    /// server: the pipelined handoff's held-claim path, on the
+    /// canonical schedule and every bounded deviation from it.
+    pub early_claims: bool,
 }
 
 impl ModelSpec {
@@ -139,6 +147,7 @@ impl ModelSpec {
             regeneration: true,
             distinct_keys: false,
             mail_loss: MailLoss::None,
+            early_claims: false,
         }
     }
 
@@ -207,6 +216,27 @@ impl ModelSpec {
             )));
         }
         sim
+    }
+
+    /// State invariants the trace cannot show, checked after every
+    /// step: no MARP server keeps a claim held once the reservation it
+    /// waits behind is gone, nor behind the claimant's own reservation.
+    pub fn state_violations(&self, sim: &Simulation) -> Vec<Violation> {
+        if self.family != Family::Marp {
+            return Vec::new();
+        }
+        (0..self.replicas as NodeId)
+            .filter_map(|server| {
+                let state = sim.process::<MarpNode>(server)?.state();
+                (!state.held_claims_consistent()).then(|| Violation {
+                    rule: "held-claim-orphaned",
+                    detail: format!(
+                        "server {server} holds claims on keys {:?} behind no foreign reservation",
+                        state.held_keys().collect::<Vec<_>>()
+                    ),
+                })
+            })
+            .collect()
     }
 
     /// The invariant monitor matching this family's guarantees (same

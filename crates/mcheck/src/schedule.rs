@@ -8,7 +8,7 @@
 //! meaningful after shrinking passes delete steps and renumber
 //! everything downstream.
 
-use crate::explore::{Choice, Counterexample};
+use crate::explore::{CheckConfig, Choice, Counterexample, Explorer};
 use crate::model::{Family, MailLoss, ModelSpec};
 use marp_core::ChaosMode;
 use marp_metrics::Violation;
@@ -77,6 +77,9 @@ pub fn to_text(spec: &ModelSpec, schedule: &[Choice], note: &str) -> String {
     if spec.mail_loss != MailLoss::None {
         out.push_str(&format!("mail-loss {}\n", spec.mail_loss.name()));
     }
+    if spec.early_claims {
+        out.push_str("early-claims 1\n");
+    }
     for choice in schedule {
         out.push_str(&fmt_choice(choice));
         out.push('\n');
@@ -93,6 +96,7 @@ pub fn from_text(text: &str) -> Result<(ModelSpec, Vec<Choice>), String> {
     let mut regeneration = true;
     let mut distinct_keys = false;
     let mut mail_loss = MailLoss::None;
+    let mut early_claims = false;
     let mut schedule = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim();
@@ -116,6 +120,7 @@ pub fn from_text(text: &str) -> Result<(ModelSpec, Vec<Choice>), String> {
             "mail-loss" if fields.len() == 2 => {
                 mail_loss = MailLoss::parse(fields[1]).ok_or_else(|| err("unknown mail loss"))?;
             }
+            "early-claims" if fields.len() == 2 => early_claims = num(fields[1])? != 0,
             "crash" if fields.len() == 2 => {
                 schedule.push(Choice::Crash {
                     node: num(fields[1])? as u16,
@@ -166,6 +171,7 @@ pub fn from_text(text: &str) -> Result<(ModelSpec, Vec<Choice>), String> {
     spec.regeneration = regeneration;
     spec.distinct_keys = distinct_keys;
     spec.mail_loss = mail_loss;
+    spec.early_claims = early_claims;
     Ok((spec, schedule))
 }
 
@@ -234,6 +240,32 @@ pub fn agent_loss_schedule(spec: &ModelSpec, victim: NodeId) -> Vec<Choice> {
     panic!("no agent migrated to node {victim}; pick a victim on the majority itinerary");
 }
 
+/// Build an **early-claim crash schedule**: follow the early-claim
+/// family's canonical schedule until some server first holds a claim —
+/// the previous winner's COMMITs are still in flight to the servers
+/// holding it — then fail-stop `victim` and recover it immediately.
+/// Depending on the victim that kills the committed winner's host
+/// mid-COMMIT, a server with the held claim and the reservation it
+/// waits behind, or the early claimant itself; [`replay`]'s drain must
+/// complete every write exactly once all the same.
+///
+/// Panics if the schedule never holds a claim (pick a shape whose
+/// winner and successor sit on different hosts, e.g. 5 replicas × 2).
+pub fn early_claim_crash_schedule(spec: &ModelSpec, victim: NodeId) -> Vec<Choice> {
+    assert!(spec.early_claims, "not an early-claim model");
+    let holds_a_claim = |sim: &marp_sim::Simulation| {
+        (0..spec.replicas as NodeId)
+            .filter_map(|s| sim.process::<marp_core::MarpNode>(s))
+            .any(|node| node.state().held_keys().next().is_some())
+    };
+    let (mut schedule, held) =
+        Explorer::new(*spec, CheckConfig::default()).canonical_schedule_until(holds_a_claim);
+    assert!(held, "the canonical schedule never holds a claim");
+    schedule.push(Choice::Crash { node: victim });
+    schedule.push(Choice::Recover { node: victim });
+    schedule
+}
+
 /// What replaying a schedule produced.
 #[derive(Debug, Clone)]
 pub struct ReplayOutcome {
@@ -250,6 +282,10 @@ pub struct ReplayOutcome {
     pub drained_steps: usize,
     /// Writes that completed.
     pub completed: usize,
+    /// UPDATE claims servers held behind a committing winner (MARP).
+    pub held_claims: u64,
+    /// Claims that aborted (`WinAborted`).
+    pub aborted_claims: usize,
 }
 
 /// Upper bound on post-schedule drain steps (a wedged model must not
@@ -334,6 +370,18 @@ pub fn replay(spec: &ModelSpec, schedule: &[Choice]) -> ReplayOutcome {
         steps_skipped: 0,
         drained_steps: 0,
         completed: 0,
+        held_claims: 0,
+        aborted_claims: 0,
+    };
+    // State-invariant violations (deduplicated: a broken state usually
+    // persists over many steps).
+    let mut state_violations: Vec<Violation> = Vec::new();
+    let mut check_state = |sim: &marp_sim::Simulation| {
+        for v in spec.state_violations(sim) {
+            if !state_violations.contains(&v) {
+                state_violations.push(v);
+            }
+        }
     };
     for choice in schedule {
         let applied = match choice {
@@ -399,6 +447,7 @@ pub fn replay(spec: &ModelSpec, schedule: &[Choice]) -> ReplayOutcome {
         let records = sim.trace().records();
         monitor.observe_all(&records[pos..]);
         pos = records.len();
+        check_state(&sim);
     }
     // Canonical drain: deliver what's still in flight, oldest first,
     // letting time pass (bounded) only at message quiescence.
@@ -426,9 +475,20 @@ pub fn replay(spec: &ModelSpec, schedule: &[Choice]) -> ReplayOutcome {
         let records = sim.trace().records();
         monitor.observe_all(&records[pos..]);
         pos = records.len();
+        check_state(&sim);
     }
     outcome.violations = monitor.violations().to_vec();
+    outcome.violations.extend(state_violations);
     outcome.completed = monitor.completed_requests();
+    outcome.aborted_claims = sim
+        .trace()
+        .count(|e| matches!(e, TraceEvent::WinAborted { .. }));
+    if spec.family == Family::Marp {
+        outcome.held_claims = (0..spec.replicas as NodeId)
+            .filter_map(|s| sim.process::<marp_core::MarpNode>(s))
+            .map(|node| node.mail().claims_held)
+            .sum();
+    }
     let quiescent = !sim
         .pending_events()
         .iter()

@@ -205,13 +205,35 @@ fn lock_queue_convoy(report: &SweepReport, out: &mut Vec<Verdict>) {
     evidence.push(format!(
         "fitted exponent k={k:.4} (superlinear above {SUPERLINEAR_K})"
     ));
+    // How the lock changed hands: a claim held behind the committing
+    // winner is the pipelined handoff working; an aborted one paid a
+    // RELEASE and a second UPDATE round inside the lock-wait phase.
+    evidence.push(format!(
+        "handoffs per commit: {}",
+        report
+            .points
+            .iter()
+            .map(|p| format!(
+                "n={} held {:.3} aborted {:.3}",
+                p.n,
+                p.per_commit(p.claims_held as f64),
+                p.per_commit(p.aborted_claims as f64)
+            ))
+            .collect::<Vec<_>>()
+            .join(", ")
+    ));
+    let aborted_at_top = report
+        .top_point()
+        .map(|p| p.per_commit(p.aborted_claims as f64))
+        .unwrap_or(0.0);
     out.push(Verdict {
         rule: "lock-queue-convoy",
         severity: severity_for(k),
         score: round3(k * (1.0 + top_share)),
         summary: format!(
             "lock-wait per commit grows as n^{k:.2} and is {:.1}% of commit latency at n={}: \
-             agents convoy behind growing Locking List queues",
+             agents convoy behind growing Locking List queues ({aborted_at_top:.2} aborted \
+             claims per commit there)",
             top_share * 100.0,
             report.top_point().map(|p| p.n).unwrap_or(0)
         ),
@@ -414,6 +436,11 @@ mod tests {
             .evidence
             .iter()
             .any(|e| e.starts_with("n=9:")));
+        assert!(diagnosis.verdicts[0]
+            .evidence
+            .iter()
+            .any(|e| e.starts_with("handoffs per commit: n=3 held")));
+        assert!(diagnosis.verdicts[0].summary.contains("aborted"));
         // The generic detector also names the phase.
         assert!(diagnosis
             .verdicts

@@ -5,10 +5,12 @@
 //! decomposition of [`crate::critical`] sum exactly to total commit
 //! latency), byte accounting split out of the kernel's per-wire-tag
 //! buckets, migration counts, the locking-knowledge entries agents
-//! carried, and the servers' own agent-mail counters (change notices
-//! pushed and skipped, `LlInfo` replies). A [`SweepReport`] strings points over N and fits a growth
-//! exponent per per-commit metric (the slope of log cost against log N),
-//! which is what the [`crate::diagnose`] rules run on.
+//! carried, the servers' own agent-mail counters (change notices
+//! pushed and skipped, `LlInfo` replies), and how the lock changed
+//! hands (claims held behind a committing winner, claims aborted). A
+//! [`SweepReport`] strings points over N and fits a growth exponent per
+//! per-commit metric (the slope of log cost against log N), which is
+//! what the [`crate::diagnose`] rules run on.
 
 use crate::critical::CriticalPathReport;
 use crate::json::Json;
@@ -53,19 +55,26 @@ pub struct SweepPoint {
     pub messages: u64,
     /// Locking-knowledge entries carried across all migrations.
     pub lt_entries_carried: u64,
-    /// COMMIT change notices servers pushed to queued agents. The five
-    /// mail fields are the servers' own counters, not trace-derived:
-    /// [`Self::measure`] leaves them zero and the harness that owns the
-    /// nodes adds them.
+    /// COMMIT change notices servers pushed to the queued agents they
+    /// host. The five mail fields and `claims_held` are the servers' own
+    /// counters, not trace-derived: [`Self::measure`] leaves them zero
+    /// and the harness that owns the nodes adds them.
     pub notices: u64,
     /// Agent-reply payload bytes of those notices.
     pub notice_bytes: u64,
-    /// Notices not sent because the queued agent had left the host.
+    /// Notices not sent because the agent, though queued at the server,
+    /// is hosted elsewhere (its own host tells it) or has departed.
     pub notices_skipped: u64,
     /// `LlInfo` replies to parked agents' `LlQuery` re-polls.
     pub replies: u64,
     /// Agent-reply payload bytes of those replies.
     pub reply_bytes: u64,
+    /// UPDATE claims servers held behind the committing winner's
+    /// reservation instead of refusing (the pipelined handoff at work).
+    pub claims_held: u64,
+    /// Claims that aborted (`WinAborted`): each costs a RELEASE
+    /// broadcast and a second UPDATE round.
+    pub aborted_claims: u64,
 }
 
 /// Round to microsecond precision so rendered/JSON output is compact
@@ -108,6 +117,7 @@ impl SweepPoint {
                 match rec.event {
                     TraceEvent::UpdateCompleted { .. } => point.commits += 1,
                     TraceEvent::AgentMigrated { .. } => point.migrations += 1,
+                    TraceEvent::WinAborted { .. } => point.aborted_claims += 1,
                     TraceEvent::Custom { kind, a, b: _ } => {
                         if kind == LT_ENTRIES_KIND {
                             point.lt_entries_carried += a;
@@ -128,7 +138,6 @@ impl SweepPoint {
                     | TraceEvent::LockGranted { .. }
                     | TraceEvent::UpdateSent { .. }
                     | TraceEvent::UpdateAcked { .. }
-                    | TraceEvent::WinAborted { .. }
                     | TraceEvent::CommitApplied { .. }
                     | TraceEvent::AgentDisposed { .. }
                     | TraceEvent::SpanStart { .. }
@@ -189,6 +198,8 @@ pub const METRICS: &[(&str, MetricFn)] = &[
     }),
     ("replies", |p| p.per_commit(p.replies as f64)),
     ("reply-bytes", |p| p.per_commit(p.reply_bytes as f64)),
+    ("held", |p| p.per_commit(p.claims_held as f64)),
+    ("aborted-claims", |p| p.per_commit(p.aborted_claims as f64)),
 ];
 
 /// A sweep over replica counts.
@@ -262,7 +273,7 @@ impl SweepReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:>3} {:>8} {:>12} {:>11} {:>11} {:>11} {:>11} {:>10} {:>12} {:>12} {:>10} {:>10} {:>9} {:>10} {:>9} {:>9} {:>11}",
+            "{:>3} {:>8} {:>12} {:>11} {:>11} {:>11} {:>11} {:>10} {:>12} {:>12} {:>10} {:>10} {:>9} {:>10} {:>9} {:>9} {:>11} {:>8} {:>8}",
             "n",
             "commits",
             "total_ms",
@@ -279,12 +290,14 @@ impl SweepReport {
             "notice_b",
             "skipped",
             "replies",
-            "reply_b"
+            "reply_b",
+            "held",
+            "aborted"
         );
         for p in &self.points {
             let _ = writeln!(
                 out,
-                "{:>3} {:>8} {:>12.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>10} {:>12} {:>12} {:>10} {:>10.3} {:>9} {:>10} {:>9} {:>9} {:>11}",
+                "{:>3} {:>8} {:>12.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>10} {:>12} {:>12} {:>10} {:>10.3} {:>9} {:>10} {:>9} {:>9} {:>11} {:>8} {:>8}",
                 p.n,
                 p.commits,
                 p.total_ms,
@@ -301,7 +314,9 @@ impl SweepReport {
                 p.notice_bytes,
                 p.notices_skipped,
                 p.replies,
-                p.reply_bytes
+                p.reply_bytes,
+                p.claims_held,
+                p.aborted_claims
             );
         }
         let _ = writeln!(
@@ -356,6 +371,8 @@ impl SweepReport {
                     ("notices_skipped", Json::Num(p.notices_skipped as f64)),
                     ("replies", Json::Num(p.replies as f64)),
                     ("reply_bytes", Json::Num(p.reply_bytes as f64)),
+                    ("claims_held", Json::Num(p.claims_held as f64)),
+                    ("aborted_claims", Json::Num(p.aborted_claims as f64)),
                 ])
             })
             .collect();
@@ -386,8 +403,8 @@ impl SweepReport {
                 .ok_or_else(|| format!("missing numeric field '{field}'"))
         };
         // Sweeps recorded before the servers counted their agent mail
-        // have no mail fields; they read as zero so old and new sweeps
-        // still diff.
+        // (or the handoff columns existed) lack those fields; they read
+        // as zero so old and new sweeps still diff.
         let mail =
             |j: &Json, field: &str| j.get(field).and_then(Json::as_num).unwrap_or(0.0) as u64;
         let parsed: Result<Vec<SweepPoint>, String> = points
@@ -423,6 +440,8 @@ impl SweepReport {
                     notices_skipped: mail(j, "notices_skipped"),
                     replies: mail(j, "replies"),
                     reply_bytes: mail(j, "reply_bytes"),
+                    claims_held: mail(j, "claims_held"),
+                    aborted_claims: mail(j, "aborted_claims"),
                 })
             })
             .collect();
@@ -458,6 +477,8 @@ mod tests {
             notices_skipped: (5.0 * v) as u64,
             replies: (15.0 * v) as u64,
             reply_bytes: (900.0 * v) as u64,
+            claims_held: (8.0 * v) as u64,
+            aborted_claims: (2.0 * v) as u64,
         }
     }
 
@@ -513,6 +534,11 @@ mod tests {
             },
         );
         log.push(
+            SimTime::from_millis(4),
+            1,
+            TraceEvent::WinAborted { agent: 42 },
+        );
+        log.push(
             SimTime::from_millis(9),
             0,
             TraceEvent::UpdateCompleted {
@@ -537,6 +563,7 @@ mod tests {
         assert_eq!(point.commits, 1);
         assert_eq!(point.migrations, 1);
         assert_eq!(point.lt_entries_carried, 7);
+        assert_eq!(point.aborted_claims, 1);
         assert_eq!(point.gossip_bytes, 44);
         assert_eq!(point.migrated_bytes, 120);
         assert_eq!(point.total_bytes, 500);

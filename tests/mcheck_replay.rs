@@ -5,7 +5,10 @@
 //! `marp-mcheck selftest` (a shrunk counterexample for the seeded
 //! `lifo-blind` protocol mutation); the `missed_notice` pair is the
 //! canonical schedule of a model whose network loses every COMMIT
-//! change notice (`sample --mail-loss notices|notices+reply`).
+//! change notice (`sample --mail-loss notices|notices+reply`), and
+//! `early_claim` that of the early-claim family, whose slow COMMITs let
+//! the next winner's UPDATE overtake them (`sample --replicas 5
+//! --agents 2 --early-claims`).
 //! Replaying them pins down three
 //! things at once: the schedule text format stays parseable, the
 //! replayer's event resolution keeps finding the recorded steps as the
@@ -64,6 +67,20 @@ fn missed_notice_schedules_recover_through_the_repoll() {
         let (spec, _) = from_text(&load(name)).expect("schedule parses");
         assert_ne!(spec.mail_loss, marp_mcheck::MailLoss::None, "{name}");
     }
+}
+
+/// The successor's UPDATE reaches a majority ahead of the previous
+/// winner's COMMIT: the servers hold it, and the lock hands over
+/// without a refusal or an abort.
+#[test]
+fn early_claim_schedule_hands_over_through_held_claims() {
+    let name = "marp_5x2_early_claim.txt";
+    assert_clean(name);
+    let (spec, steps) = from_text(&load(name)).expect("schedule parses");
+    assert!(spec.early_claims, "{name}");
+    let outcome = replay(&spec, &steps);
+    assert_eq!(outcome.held_claims, 3, "{name}");
+    assert_eq!(outcome.aborted_claims, 0, "{name}");
 }
 
 #[test]
