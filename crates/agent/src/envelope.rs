@@ -8,8 +8,7 @@
 //! as the paper prescribes for unreachable replicas.
 
 use crate::id::AgentId;
-use bytes::{Bytes, BytesMut};
-use marp_wire::{Wire, WireError};
+use bytes::Bytes;
 use std::collections::BTreeMap;
 
 /// Messages exchanged by agent runtimes on different hosts. Host
@@ -52,76 +51,11 @@ pub enum AgentEnvelope {
     },
 }
 
-const TAG_MIGRATE: u8 = 0;
-const TAG_MIGRATE_ACK: u8 = 1;
-const TAG_TO_AGENT: u8 = 2;
-
-impl Wire for AgentEnvelope {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            AgentEnvelope::Migrate { agent, hop, state } => {
-                TAG_MIGRATE.encode(buf);
-                agent.encode(buf);
-                hop.encode(buf);
-                state.encode(buf);
-            }
-            AgentEnvelope::MigrateAck {
-                agent,
-                hop,
-                horizon,
-            } => {
-                TAG_MIGRATE_ACK.encode(buf);
-                agent.encode(buf);
-                hop.encode(buf);
-                horizon.encode(buf);
-            }
-            AgentEnvelope::ToAgent { agent, payload } => {
-                TAG_TO_AGENT.encode(buf);
-                agent.encode(buf);
-                payload.encode(buf);
-            }
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            TAG_MIGRATE => Ok(AgentEnvelope::Migrate {
-                agent: AgentId::decode(buf)?,
-                hop: u32::decode(buf)?,
-                state: Bytes::decode(buf)?,
-            }),
-            TAG_MIGRATE_ACK => Ok(AgentEnvelope::MigrateAck {
-                agent: AgentId::decode(buf)?,
-                hop: u32::decode(buf)?,
-                horizon: BTreeMap::decode(buf)?,
-            }),
-            TAG_TO_AGENT => Ok(AgentEnvelope::ToAgent {
-                agent: AgentId::decode(buf)?,
-                payload: Bytes::decode(buf)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                type_name: "AgentEnvelope",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            AgentEnvelope::Migrate { agent, hop, state } => {
-                agent.encoded_len() + hop.encoded_len() + state.encoded_len()
-            }
-            AgentEnvelope::MigrateAck {
-                agent,
-                hop,
-                horizon,
-            } => agent.encoded_len() + hop.encoded_len() + horizon.encoded_len(),
-            AgentEnvelope::ToAgent { agent, payload } => {
-                agent.encoded_len() + payload.encoded_len()
-            }
-        }
-    }
-}
+marp_wire::wire_enum!(AgentEnvelope {
+    0 => Migrate { agent, hop, state },
+    1 => MigrateAck { agent, hop, horizon },
+    2 => ToAgent { agent, payload },
+});
 
 #[cfg(test)]
 mod tests {
@@ -169,7 +103,7 @@ mod tests {
         let bytes = Bytes::from_static(&[9]);
         assert!(matches!(
             marp_wire::from_bytes::<AgentEnvelope>(&bytes),
-            Err(WireError::InvalidTag { .. })
+            Err(marp_wire::WireError::InvalidTag { .. })
         ));
     }
 }

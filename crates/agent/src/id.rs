@@ -8,9 +8,7 @@
 //! rule ("the tie is resolved by using the mobile agents' identifiers")
 //! needs one.
 
-use bytes::{Bytes, BytesMut};
 use marp_sim::{agent_key, AgentKey, NodeId, SimTime};
-use marp_wire::{Wire, WireError};
 use std::fmt;
 
 /// Globally unique mobile-agent identifier.
@@ -30,6 +28,8 @@ pub struct AgentId {
     pub seq: u32,
 }
 
+marp_wire::wire_struct!(AgentId { born, home, seq });
+
 impl AgentId {
     /// Create an identifier.
     pub fn new(home: NodeId, born: SimTime, seq: u32) -> Self {
@@ -45,24 +45,6 @@ impl AgentId {
 impl fmt::Display for AgentId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "agent:{}/{}@{}", self.home, self.seq, self.born)
-    }
-}
-
-impl Wire for AgentId {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.born.encode(buf);
-        self.home.encode(buf);
-        self.seq.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(AgentId {
-            born: SimTime::decode(buf)?,
-            home: NodeId::decode(buf)?,
-            seq: u32::decode(buf)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.born.encoded_len() + self.home.encoded_len() + self.seq.encoded_len()
     }
 }
 

@@ -7,9 +7,7 @@
 //! with the agent (it is part of the serialized state), and its ordering
 //! policy is the subject of ablation experiment E9.
 
-use bytes::{Bytes, BytesMut};
 use marp_sim::{splitmix64, NodeId};
-use marp_wire::{Wire, WireError};
 
 /// How the next destination is chosen from the unvisited set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,37 +25,11 @@ pub enum ItineraryPolicy {
     },
 }
 
-impl Wire for ItineraryPolicy {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            ItineraryPolicy::CostSorted => 0u8.encode(buf),
-            ItineraryPolicy::FixedOrder => 1u8.encode(buf),
-            ItineraryPolicy::Random { seed } => {
-                2u8.encode(buf);
-                seed.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(ItineraryPolicy::CostSorted),
-            1 => Ok(ItineraryPolicy::FixedOrder),
-            2 => Ok(ItineraryPolicy::Random {
-                seed: u64::decode(buf)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                type_name: "ItineraryPolicy",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            ItineraryPolicy::CostSorted | ItineraryPolicy::FixedOrder => 0,
-            ItineraryPolicy::Random { seed } => seed.encoded_len(),
-        }
-    }
-}
+marp_wire::wire_enum!(ItineraryPolicy {
+    0 => CostSorted,
+    1 => FixedOrder,
+    2 => Random { seed },
+});
 
 /// The travelling USL plus the set of replicas the agent has declared
 /// unavailable for this round (paper §2: after repeated failed migration
@@ -69,6 +41,13 @@ pub struct Itinerary {
     policy: ItineraryPolicy,
     decisions: u64,
 }
+
+marp_wire::wire_struct!(Itinerary {
+    unvisited,
+    unavailable,
+    policy,
+    decisions
+});
 
 impl Itinerary {
     /// All nodes in `0..n` except `home`, under the given policy.
@@ -169,29 +148,6 @@ impl Itinerary {
         let restored = self.unavailable.len();
         self.unvisited.append(&mut self.unavailable);
         restored
-    }
-}
-
-impl Wire for Itinerary {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.unvisited.encode(buf);
-        self.unavailable.encode(buf);
-        self.policy.encode(buf);
-        self.decisions.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(Itinerary {
-            unvisited: Vec::decode(buf)?,
-            unavailable: Vec::decode(buf)?,
-            policy: ItineraryPolicy::decode(buf)?,
-            decisions: u64::decode(buf)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.unvisited.encoded_len()
-            + self.unavailable.encoded_len()
-            + self.policy.encoded_len()
-            + self.decisions.encoded_len()
     }
 }
 

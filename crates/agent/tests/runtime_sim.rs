@@ -2,7 +2,7 @@
 //! simulator: migration, retries, unavailability, agent messaging, and
 //! agent timers.
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use marp_agent::{
     Action, AgentBehavior, AgentConfig, AgentEnv, AgentEnvelope, AgentId, AgentRuntime,
 };
@@ -11,7 +11,6 @@ use marp_sim::{
     impl_as_any, Context, Control, NodeId, Process, SimRng, SimTime, Simulation, TimerId,
     TraceEvent, TraceLevel,
 };
-use marp_wire::{Wire, WireError};
 use std::time::Duration;
 
 /// A toy agent that walks a fixed itinerary, stamping each host's
@@ -24,28 +23,12 @@ struct Hopper {
     skipped: Vec<NodeId>,
 }
 
-impl Wire for Hopper {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.id.encode(buf);
-        self.route.encode(buf);
-        self.stamped.encode(buf);
-        self.skipped.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(Hopper {
-            id: AgentId::decode(buf)?,
-            route: Vec::decode(buf)?,
-            stamped: Vec::decode(buf)?,
-            skipped: Vec::decode(buf)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.id.encoded_len()
-            + self.route.encoded_len()
-            + self.stamped.encoded_len()
-            + self.skipped.encoded_len()
-    }
-}
+marp_wire::wire_struct!(Hopper {
+    id,
+    route,
+    stamped,
+    skipped
+});
 
 /// Host-side state the agent interacts with locally.
 #[derive(Debug, Default)]
@@ -313,21 +296,7 @@ struct Sitter {
     ticks: u32,
 }
 
-impl Wire for Sitter {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.id.encode(buf);
-        self.ticks.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(Sitter {
-            id: AgentId::decode(buf)?,
-            ticks: u32::decode(buf)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.id.encoded_len() + self.ticks.encoded_len()
-    }
-}
+marp_wire::wire_struct!(Sitter { id, ticks });
 
 impl AgentBehavior for Sitter {
     type Host = GuestBook;

@@ -10,11 +10,10 @@
 //! visible.
 
 use crate::common::{LwwStore, LwwTs};
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use marp_quorum::{QuorumCall, SuccessRule, TimerMux, Verdict};
 use marp_replica::{ClientReply, ClientRequest, Operation};
 use marp_sim::{impl_as_any, span_id, Context, NodeId, Process, SpanKind, TimerId, TraceEvent};
-use marp_wire::{Wire, WireError};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -77,73 +76,13 @@ pub enum AcMsg {
     },
 }
 
-impl Wire for AcMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            AcMsg::Client(req) => {
-                0u8.encode(buf);
-                req.encode(buf);
-            }
-            AcMsg::Write {
-                request,
-                key,
-                value,
-                ts,
-            } => {
-                1u8.encode(buf);
-                request.encode(buf);
-                key.encode(buf);
-                value.encode(buf);
-                ts.encode(buf);
-            }
-            AcMsg::WriteAck { request } => {
-                2u8.encode(buf);
-                request.encode(buf);
-            }
-            AcMsg::StatePull => 3u8.encode(buf),
-            AcMsg::StatePush { dump } => {
-                4u8.encode(buf);
-                dump.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(AcMsg::Client(ClientRequest::decode(buf)?)),
-            1 => Ok(AcMsg::Write {
-                request: u64::decode(buf)?,
-                key: u64::decode(buf)?,
-                value: u64::decode(buf)?,
-                ts: LwwTs::decode(buf)?,
-            }),
-            2 => Ok(AcMsg::WriteAck {
-                request: u64::decode(buf)?,
-            }),
-            3 => Ok(AcMsg::StatePull),
-            4 => Ok(AcMsg::StatePush {
-                dump: Vec::decode(buf)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                type_name: "AcMsg",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            AcMsg::Client(req) => req.encoded_len(),
-            AcMsg::Write {
-                request,
-                key,
-                value,
-                ts,
-            } => request.encoded_len() + key.encoded_len() + value.encoded_len() + ts.encoded_len(),
-            AcMsg::WriteAck { request } => request.encoded_len(),
-            AcMsg::StatePull => 0,
-            AcMsg::StatePush { dump } => dump.encoded_len(),
-        }
-    }
-}
+marp_wire::wire_enum!(AcMsg {
+    0 => Client(request),
+    1 => Write { request, key, value, ts },
+    2 => WriteAck { request },
+    3 => StatePull,
+    4 => StatePush { dump },
+});
 
 /// Encode a [`ClientRequest`] into the AC node message space.
 pub fn wrap_client_request(request: ClientRequest) -> Bytes {

@@ -1,8 +1,6 @@
 //! Pieces shared by the message-passing baseline protocols.
 
-use bytes::BytesMut;
 use marp_sim::{NodeId, SimTime};
-use marp_wire::Wire;
 use std::time::Duration;
 
 /// A totally ordered round identifier for coordinator-based protocols:
@@ -165,12 +163,6 @@ impl LwwStore {
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
-}
-
-// Silence unused-import warnings from the wire_struct macro expansion.
-#[allow(dead_code)]
-fn _assert_wire(buf: &mut BytesMut) {
-    Ballot::first(0).encode(buf);
 }
 
 #[cfg(test)]

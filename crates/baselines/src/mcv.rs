@@ -9,11 +9,10 @@
 //! "sessions of passing messages and waiting for replies" of §1.
 
 use crate::common::{Ballot, Promise};
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use marp_quorum::{QuorumCall, RetryPolicy, TimerMux, Verdict};
 use marp_replica::{ClientRequest, CommitRecord, ServerConfig, ServerCore, SyncMsg, WriteRequest};
 use marp_sim::{impl_as_any, span_id, Context, NodeId, Process, SpanKind, TimerId, TraceEvent};
-use marp_wire::{Wire, WireError};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -95,82 +94,14 @@ pub enum McvMsg {
     Sync(SyncMsg),
 }
 
-impl Wire for McvMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            McvMsg::Client(req) => {
-                0u8.encode(buf);
-                req.encode(buf);
-            }
-            McvMsg::VoteReq { ballot } => {
-                1u8.encode(buf);
-                ballot.encode(buf);
-            }
-            McvMsg::Vote {
-                ballot,
-                granted,
-                store_version,
-            } => {
-                2u8.encode(buf);
-                ballot.encode(buf);
-                granted.encode(buf);
-                store_version.encode(buf);
-            }
-            McvMsg::Apply { ballot, records } => {
-                3u8.encode(buf);
-                ballot.encode(buf);
-                records.encode(buf);
-            }
-            McvMsg::Release { ballot } => {
-                4u8.encode(buf);
-                ballot.encode(buf);
-            }
-            McvMsg::Sync(sync) => {
-                5u8.encode(buf);
-                sync.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(McvMsg::Client(ClientRequest::decode(buf)?)),
-            1 => Ok(McvMsg::VoteReq {
-                ballot: Ballot::decode(buf)?,
-            }),
-            2 => Ok(McvMsg::Vote {
-                ballot: Ballot::decode(buf)?,
-                granted: bool::decode(buf)?,
-                store_version: u64::decode(buf)?,
-            }),
-            3 => Ok(McvMsg::Apply {
-                ballot: Ballot::decode(buf)?,
-                records: Vec::decode(buf)?,
-            }),
-            4 => Ok(McvMsg::Release {
-                ballot: Ballot::decode(buf)?,
-            }),
-            5 => Ok(McvMsg::Sync(SyncMsg::decode(buf)?)),
-            tag => Err(WireError::InvalidTag {
-                type_name: "McvMsg",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            McvMsg::Client(req) => req.encoded_len(),
-            McvMsg::VoteReq { ballot } => ballot.encoded_len(),
-            McvMsg::Vote {
-                ballot,
-                granted,
-                store_version,
-            } => ballot.encoded_len() + granted.encoded_len() + store_version.encoded_len(),
-            McvMsg::Apply { ballot, records } => ballot.encoded_len() + records.encoded_len(),
-            McvMsg::Release { ballot } => ballot.encoded_len(),
-            McvMsg::Sync(sync) => sync.encoded_len(),
-        }
-    }
-}
+marp_wire::wire_enum!(McvMsg {
+    0 => Client(request),
+    1 => VoteReq { ballot },
+    2 => Vote { ballot, granted, store_version },
+    3 => Apply { ballot, records },
+    4 => Release { ballot },
+    5 => Sync(msg),
+});
 
 /// Encode a [`ClientRequest`] into the MCV node message space.
 pub fn wrap_client_request(request: ClientRequest) -> Bytes {

@@ -8,11 +8,10 @@
 //! primary stalls every write) is exactly what the fully-distributed
 //! MARP design avoids, and experiment E7 shows it.
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use marp_quorum::{QuorumCall, TimerMux, Verdict};
 use marp_replica::{ClientRequest, CommitRecord, ServerConfig, ServerCore, SyncMsg, WriteRequest};
 use marp_sim::{impl_as_any, span_id, Context, NodeId, Process, SpanKind, TimerId, TraceEvent};
-use marp_wire::{Wire, WireError};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -63,60 +62,13 @@ pub enum PcMsg {
     Sync(SyncMsg),
 }
 
-impl Wire for PcMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            PcMsg::Client(req) => {
-                0u8.encode(buf);
-                req.encode(buf);
-            }
-            PcMsg::Forward { request } => {
-                1u8.encode(buf);
-                request.encode(buf);
-            }
-            PcMsg::Replicate { record } => {
-                2u8.encode(buf);
-                record.encode(buf);
-            }
-            PcMsg::RepAck { version } => {
-                3u8.encode(buf);
-                version.encode(buf);
-            }
-            PcMsg::Sync(sync) => {
-                4u8.encode(buf);
-                sync.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(PcMsg::Client(ClientRequest::decode(buf)?)),
-            1 => Ok(PcMsg::Forward {
-                request: WriteRequest::decode(buf)?,
-            }),
-            2 => Ok(PcMsg::Replicate {
-                record: CommitRecord::decode(buf)?,
-            }),
-            3 => Ok(PcMsg::RepAck {
-                version: u64::decode(buf)?,
-            }),
-            4 => Ok(PcMsg::Sync(SyncMsg::decode(buf)?)),
-            tag => Err(WireError::InvalidTag {
-                type_name: "PcMsg",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            PcMsg::Client(req) => req.encoded_len(),
-            PcMsg::Forward { request } => request.encoded_len(),
-            PcMsg::Replicate { record } => record.encoded_len(),
-            PcMsg::RepAck { version } => version.encoded_len(),
-            PcMsg::Sync(sync) => sync.encoded_len(),
-        }
-    }
-}
+marp_wire::wire_enum!(PcMsg {
+    0 => Client(request),
+    1 => Forward { request },
+    2 => Replicate { record },
+    3 => RepAck { version },
+    4 => Sync(msg),
+});
 
 /// Encode a [`ClientRequest`] into the primary-copy message space.
 pub fn wrap_client_request(request: ClientRequest) -> Bytes {

@@ -7,11 +7,10 @@
 //! *reads* pay quorum assembly here — that asymmetry is experiment E13.
 
 use crate::common::{Ballot, Promise};
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use marp_quorum::{QuorumCall, RetryPolicy, SuccessRule, TimerMux, Verdict};
 use marp_replica::{ClientReply, ClientRequest, Operation, WriteRequest};
 use marp_sim::{impl_as_any, span_id, Context, NodeId, Process, SpanKind, TimerId, TraceEvent};
-use marp_wire::{Wire, WireError};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Duration;
 
@@ -154,128 +153,16 @@ pub enum WvMsg {
     },
 }
 
-impl Wire for WvMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            WvMsg::Client(req) => {
-                0u8.encode(buf);
-                req.encode(buf);
-            }
-            WvMsg::WReq { ballot } => {
-                1u8.encode(buf);
-                ballot.encode(buf);
-            }
-            WvMsg::WGrant {
-                ballot,
-                votes,
-                version,
-            } => {
-                2u8.encode(buf);
-                ballot.encode(buf);
-                votes.encode(buf);
-                version.encode(buf);
-            }
-            WvMsg::WReject { ballot, votes } => {
-                3u8.encode(buf);
-                ballot.encode(buf);
-                votes.encode(buf);
-            }
-            WvMsg::WApply {
-                ballot,
-                key,
-                value,
-                version,
-            } => {
-                4u8.encode(buf);
-                ballot.encode(buf);
-                key.encode(buf);
-                value.encode(buf);
-                version.encode(buf);
-            }
-            WvMsg::WRelease { ballot } => {
-                5u8.encode(buf);
-                ballot.encode(buf);
-            }
-            WvMsg::RReq { rid, key } => {
-                6u8.encode(buf);
-                rid.encode(buf);
-                key.encode(buf);
-            }
-            WvMsg::RResp { rid, votes, held } => {
-                7u8.encode(buf);
-                rid.encode(buf);
-                votes.encode(buf);
-                held.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(WvMsg::Client(ClientRequest::decode(buf)?)),
-            1 => Ok(WvMsg::WReq {
-                ballot: Ballot::decode(buf)?,
-            }),
-            2 => Ok(WvMsg::WGrant {
-                ballot: Ballot::decode(buf)?,
-                votes: u32::decode(buf)?,
-                version: u64::decode(buf)?,
-            }),
-            3 => Ok(WvMsg::WReject {
-                ballot: Ballot::decode(buf)?,
-                votes: u32::decode(buf)?,
-            }),
-            4 => Ok(WvMsg::WApply {
-                ballot: Ballot::decode(buf)?,
-                key: u64::decode(buf)?,
-                value: u64::decode(buf)?,
-                version: u64::decode(buf)?,
-            }),
-            5 => Ok(WvMsg::WRelease {
-                ballot: Ballot::decode(buf)?,
-            }),
-            6 => Ok(WvMsg::RReq {
-                rid: u64::decode(buf)?,
-                key: u64::decode(buf)?,
-            }),
-            7 => Ok(WvMsg::RResp {
-                rid: u64::decode(buf)?,
-                votes: u32::decode(buf)?,
-                held: Option::decode(buf)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                type_name: "WvMsg",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            WvMsg::Client(req) => req.encoded_len(),
-            WvMsg::WReq { ballot } | WvMsg::WRelease { ballot } => ballot.encoded_len(),
-            WvMsg::WGrant {
-                ballot,
-                votes,
-                version,
-            } => ballot.encoded_len() + votes.encoded_len() + version.encoded_len(),
-            WvMsg::WReject { ballot, votes } => ballot.encoded_len() + votes.encoded_len(),
-            WvMsg::WApply {
-                ballot,
-                key,
-                value,
-                version,
-            } => {
-                ballot.encoded_len()
-                    + key.encoded_len()
-                    + value.encoded_len()
-                    + version.encoded_len()
-            }
-            WvMsg::RReq { rid, key } => rid.encoded_len() + key.encoded_len(),
-            WvMsg::RResp { rid, votes, held } => {
-                rid.encoded_len() + votes.encoded_len() + held.encoded_len()
-            }
-        }
-    }
-}
+marp_wire::wire_enum!(WvMsg {
+    0 => Client(request),
+    1 => WReq { ballot },
+    2 => WGrant { ballot, votes, version },
+    3 => WReject { ballot, votes },
+    4 => WApply { ballot, key, value, version },
+    5 => WRelease { ballot },
+    6 => RReq { rid, key },
+    7 => RResp { rid, votes, held },
+});
 
 /// Encode a [`ClientRequest`] into the weighted-voting message space.
 pub fn wrap_client_request(request: ClientRequest) -> Bytes {

@@ -22,12 +22,11 @@
 use crate::host::MarpServerState;
 use crate::lt::{decide, majority, LockingTable, Priority};
 use crate::msg::{AgentReply, CommitMsg, NodeMsg, UpdateMsg};
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use marp_agent::{Action, AgentBehavior, AgentEnv, AgentId, Itinerary};
 use marp_quorum::{QuorumCall, RetryPolicy, TimerMux, Verdict};
 use marp_replica::{CommitRecord, UpdatedList, WriteRequest};
 use marp_sim::{span_id, NodeId, SpanKind, TraceEvent};
-use marp_wire::{Wire, WireError};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -66,58 +65,11 @@ pub enum Phase {
     },
 }
 
-impl Wire for Phase {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            Phase::Travelling => 0u8.encode(buf),
-            Phase::Parked => 1u8.encode(buf),
-            Phase::Updating {
-                via_tie,
-                certificate,
-                call,
-                news,
-            } => {
-                2u8.encode(buf);
-                via_tie.encode(buf);
-                certificate.encode(buf);
-                call.encode(buf);
-                news.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(Phase::Travelling),
-            1 => Ok(Phase::Parked),
-            2 => Ok(Phase::Updating {
-                via_tie: bool::decode(buf)?,
-                certificate: Vec::decode(buf)?,
-                call: QuorumCall::decode(buf)?,
-                news: bool::decode(buf)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                type_name: "Phase",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            Phase::Travelling | Phase::Parked => 0,
-            Phase::Updating {
-                via_tie,
-                certificate,
-                call,
-                news,
-            } => {
-                via_tie.encoded_len()
-                    + certificate.encoded_len()
-                    + call.encoded_len()
-                    + news.encoded_len()
-            }
-        }
-    }
-}
+marp_wire::wire_enum!(Phase {
+    0 => Travelling,
+    1 => Parked,
+    2 => Updating { via_tie, certificate, call, news },
+});
 
 /// The travelling update agent.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,70 +105,26 @@ pub struct UpdateAgent {
     phase: Phase,
 }
 
-impl Wire for UpdateAgent {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.id.encode(buf);
-        self.n.encode(buf);
-        self.gossip.encode(buf);
-        self.lt_delta.encode(buf);
-        self.ack_timeout_ms.encode(buf);
-        self.park_repoll_ms.encode(buf);
-        self.rl.encode(buf);
-        self.itinerary.encode(buf);
-        self.lt.encode(buf);
-        self.ual.encode(buf);
-        self.visited.encode(buf);
-        self.attempt.encode(buf);
-        self.incarnation.encode(buf);
-        self.repoll_epoch.encode(buf);
-        self.repoll_round.encode(buf);
-        self.quiet_fires.encode(buf);
-        self.timers.encode(buf);
-        self.phase.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(UpdateAgent {
-            id: AgentId::decode(buf)?,
-            n: u16::decode(buf)?,
-            gossip: bool::decode(buf)?,
-            lt_delta: bool::decode(buf)?,
-            ack_timeout_ms: u32::decode(buf)?,
-            park_repoll_ms: u32::decode(buf)?,
-            rl: Vec::decode(buf)?,
-            itinerary: Itinerary::decode(buf)?,
-            lt: LockingTable::decode(buf)?,
-            ual: UpdatedList::decode(buf)?,
-            visited: Vec::decode(buf)?,
-            attempt: u32::decode(buf)?,
-            incarnation: u32::decode(buf)?,
-            repoll_epoch: u32::decode(buf)?,
-            repoll_round: u32::decode(buf)?,
-            quiet_fires: u8::decode(buf)?,
-            timers: TimerMux::decode(buf)?,
-            phase: Phase::decode(buf)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.id.encoded_len()
-            + self.n.encoded_len()
-            + self.gossip.encoded_len()
-            + self.lt_delta.encoded_len()
-            + self.ack_timeout_ms.encoded_len()
-            + self.park_repoll_ms.encoded_len()
-            + self.rl.encoded_len()
-            + self.itinerary.encoded_len()
-            + self.lt.encoded_len()
-            + self.ual.encoded_len()
-            + self.visited.encoded_len()
-            + self.attempt.encoded_len()
-            + self.incarnation.encoded_len()
-            + self.repoll_epoch.encoded_len()
-            + self.repoll_round.encoded_len()
-            + self.quiet_fires.encoded_len()
-            + self.timers.encoded_len()
-            + self.phase.encoded_len()
-    }
-}
+marp_wire::wire_struct!(UpdateAgent {
+    id,
+    n,
+    gossip,
+    lt_delta,
+    ack_timeout_ms,
+    park_repoll_ms,
+    rl,
+    itinerary,
+    lt,
+    ual,
+    visited,
+    attempt,
+    incarnation,
+    repoll_epoch,
+    repoll_round,
+    quiet_fires,
+    timers,
+    phase
+});
 
 impl UpdateAgent {
     /// Create an agent carrying `requests`, ready to be spawned at its

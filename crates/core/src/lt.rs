@@ -29,11 +29,9 @@
 //!    the majority-ACK reservation round (see `DESIGN.md`), so a stale
 //!    view can delay but never violate mutual exclusion.
 
-use bytes::{Bytes, BytesMut};
 use marp_agent::AgentId;
 use marp_replica::{LlSnapshot, UpdatedList};
 use marp_sim::NodeId;
-use marp_wire::{Wire, WireError};
 use std::collections::BTreeMap;
 
 /// The travelling Locking Table: the freshest known LL snapshot per
@@ -42,6 +40,8 @@ use std::collections::BTreeMap;
 pub struct LockingTable {
     snapshots: BTreeMap<NodeId, LlSnapshot>,
 }
+
+marp_wire::wire_struct!(LockingTable { snapshots });
 
 impl LockingTable {
     /// An empty table.
@@ -159,20 +159,6 @@ impl LockingTable {
         agents.sort_unstable();
         agents.dedup();
         agents
-    }
-}
-
-impl Wire for LockingTable {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.snapshots.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(LockingTable {
-            snapshots: BTreeMap::decode(buf)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.snapshots.encoded_len()
     }
 }
 

@@ -5,11 +5,10 @@
 //! send back to agents (UPDATE acknowledgements and LL information).
 
 use crate::lt::LockingTable;
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use marp_agent::{AgentEnvelope, AgentId};
 use marp_replica::{ClientRequest, CommitRecord, LlSnapshot, SyncMsg, UpdatedList, WriteRequest};
 use marp_sim::{NodeId, SimTime};
-use marp_wire::{Wire, WireError};
 use std::collections::BTreeMap;
 
 /// The winning agent's UPDATE broadcast: "having obtained the lock,
@@ -129,98 +128,16 @@ pub fn wire_tag_name(tag: u8) -> &'static str {
     }
 }
 
-impl Wire for NodeMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            NodeMsg::Client(req) => {
-                TAG_CLIENT.encode(buf);
-                req.encode(buf);
-            }
-            NodeMsg::Agent(env) => {
-                TAG_AGENT.encode(buf);
-                env.encode(buf);
-            }
-            NodeMsg::Update(msg) => {
-                TAG_UPDATE.encode(buf);
-                msg.encode(buf);
-            }
-            NodeMsg::Commit(msg) => {
-                TAG_COMMIT.encode(buf);
-                msg.encode(buf);
-            }
-            NodeMsg::Release { agent } => {
-                TAG_RELEASE.encode(buf);
-                agent.encode(buf);
-            }
-            NodeMsg::LlQuery {
-                agent,
-                key,
-                reply_to,
-                horizon,
-            } => {
-                TAG_LL_QUERY.encode(buf);
-                agent.encode(buf);
-                key.encode(buf);
-                reply_to.encode(buf);
-                horizon.encode(buf);
-            }
-            NodeMsg::Sync(msg) => {
-                TAG_SYNC.encode(buf);
-                msg.encode(buf);
-            }
-            NodeMsg::RAgent(env) => {
-                TAG_RAGENT.encode(buf);
-                env.encode(buf);
-            }
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            TAG_CLIENT => Ok(NodeMsg::Client(ClientRequest::decode(buf)?)),
-            TAG_AGENT => Ok(NodeMsg::Agent(AgentEnvelope::decode(buf)?)),
-            TAG_UPDATE => Ok(NodeMsg::Update(UpdateMsg::decode(buf)?)),
-            TAG_COMMIT => Ok(NodeMsg::Commit(CommitMsg::decode(buf)?)),
-            TAG_RELEASE => Ok(NodeMsg::Release {
-                agent: AgentId::decode(buf)?,
-            }),
-            TAG_LL_QUERY => Ok(NodeMsg::LlQuery {
-                agent: AgentId::decode(buf)?,
-                key: u64::decode(buf)?,
-                reply_to: NodeId::decode(buf)?,
-                horizon: BTreeMap::decode(buf)?,
-            }),
-            TAG_SYNC => Ok(NodeMsg::Sync(SyncMsg::decode(buf)?)),
-            TAG_RAGENT => Ok(NodeMsg::RAgent(AgentEnvelope::decode(buf)?)),
-            tag => Err(WireError::InvalidTag {
-                type_name: "NodeMsg",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            NodeMsg::Client(req) => req.encoded_len(),
-            NodeMsg::Agent(env) | NodeMsg::RAgent(env) => env.encoded_len(),
-            NodeMsg::Update(msg) => msg.encoded_len(),
-            NodeMsg::Commit(msg) => msg.encoded_len(),
-            NodeMsg::Release { agent } => agent.encoded_len(),
-            NodeMsg::LlQuery {
-                agent,
-                key,
-                reply_to,
-                horizon,
-            } => {
-                agent.encoded_len()
-                    + key.encoded_len()
-                    + reply_to.encoded_len()
-                    + horizon.encoded_len()
-            }
-            NodeMsg::Sync(msg) => msg.encoded_len(),
-        }
-    }
-}
+marp_wire::wire_enum!(NodeMsg {
+    TAG_CLIENT => Client(request),
+    TAG_AGENT => Agent(envelope),
+    TAG_UPDATE => Update(msg),
+    TAG_COMMIT => Commit(msg),
+    TAG_RELEASE => Release { agent },
+    TAG_LL_QUERY => LlQuery { agent, key, reply_to, horizon },
+    TAG_SYNC => Sync(msg),
+    TAG_RAGENT => RAgent(envelope),
+});
 
 /// Payloads servers address to agents (inside `ToAgent` envelopes).
 #[derive(Debug, Clone, PartialEq)]
@@ -272,105 +189,11 @@ pub enum AgentReply {
     },
 }
 
-impl Wire for AgentReply {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            AgentReply::UpdateAck {
-                node,
-                attempt,
-                positive,
-                store_version,
-                last_update,
-                fenced,
-            } => {
-                0u8.encode(buf);
-                node.encode(buf);
-                attempt.encode(buf);
-                positive.encode(buf);
-                store_version.encode(buf);
-                last_update.encode(buf);
-                fenced.encode(buf);
-            }
-            AgentReply::LlInfo {
-                node,
-                snapshot,
-                board,
-                ul,
-            } => {
-                1u8.encode(buf);
-                node.encode(buf);
-                snapshot.encode(buf);
-                board.encode(buf);
-                ul.encode(buf);
-            }
-            AgentReply::LlChanged { node, finished, at } => {
-                2u8.encode(buf);
-                node.encode(buf);
-                finished.encode(buf);
-                at.encode(buf);
-            }
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(AgentReply::UpdateAck {
-                node: NodeId::decode(buf)?,
-                attempt: u32::decode(buf)?,
-                positive: bool::decode(buf)?,
-                store_version: u64::decode(buf)?,
-                last_update: SimTime::decode(buf)?,
-                fenced: bool::decode(buf)?,
-            }),
-            1 => Ok(AgentReply::LlInfo {
-                node: NodeId::decode(buf)?,
-                snapshot: LlSnapshot::decode(buf)?,
-                board: LockingTable::decode(buf)?,
-                ul: UpdatedList::decode(buf)?,
-            }),
-            2 => Ok(AgentReply::LlChanged {
-                node: NodeId::decode(buf)?,
-                finished: AgentId::decode(buf)?,
-                at: SimTime::decode(buf)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                type_name: "AgentReply",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            AgentReply::UpdateAck {
-                node,
-                attempt,
-                positive,
-                store_version,
-                last_update,
-                fenced,
-            } => {
-                node.encoded_len()
-                    + attempt.encoded_len()
-                    + positive.encoded_len()
-                    + store_version.encoded_len()
-                    + last_update.encoded_len()
-                    + fenced.encoded_len()
-            }
-            AgentReply::LlInfo {
-                node,
-                snapshot,
-                board,
-                ul,
-            } => {
-                node.encoded_len() + snapshot.encoded_len() + board.encoded_len() + ul.encoded_len()
-            }
-            AgentReply::LlChanged { node, finished, at } => {
-                node.encoded_len() + finished.encoded_len() + at.encoded_len()
-            }
-        }
-    }
-}
+marp_wire::wire_enum!(AgentReply {
+    0 => UpdateAck { node, attempt, positive, store_version, last_update, fenced },
+    1 => LlInfo { node, snapshot, board, ul },
+    2 => LlChanged { node, finished, at },
+});
 
 /// Encode an [`AgentEnvelope`] into the MARP node message space (the
 /// `WrapFn` handed to the agent runtime).

@@ -13,12 +13,10 @@
 //! majority-read intersects every completed write's quorum.
 
 use crate::host::MarpServerState;
-use bytes::{Bytes, BytesMut};
 use marp_agent::{Action, AgentBehavior, AgentEnv, AgentId, Itinerary};
 use marp_quorum::{QuorumCall, SuccessRule, Verdict};
 use marp_replica::ClientReply;
 use marp_sim::{span_id, NodeId, SpanKind, TraceEvent};
-use marp_wire::{Wire, WireError};
 
 /// What one visit observes: (applied version, key version, value if
 /// present).
@@ -42,40 +40,16 @@ pub struct ReadAgent {
     visited: u32,
 }
 
-impl Wire for ReadAgent {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.id.encode(buf);
-        self.n.encode(buf);
-        self.request.encode(buf);
-        self.client.encode(buf);
-        self.key.encode(buf);
-        self.call.encode(buf);
-        self.itinerary.encode(buf);
-        self.visited.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(ReadAgent {
-            id: AgentId::decode(buf)?,
-            n: u16::decode(buf)?,
-            request: u64::decode(buf)?,
-            client: NodeId::decode(buf)?,
-            key: u64::decode(buf)?,
-            call: QuorumCall::decode(buf)?,
-            itinerary: Itinerary::decode(buf)?,
-            visited: u32::decode(buf)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.id.encoded_len()
-            + self.n.encoded_len()
-            + self.request.encoded_len()
-            + self.client.encoded_len()
-            + self.key.encoded_len()
-            + self.call.encoded_len()
-            + self.itinerary.encoded_len()
-            + self.visited.encoded_len()
-    }
-}
+marp_wire::wire_struct!(ReadAgent {
+    id,
+    n,
+    request,
+    client,
+    key,
+    call,
+    itinerary,
+    visited
+});
 
 impl ReadAgent {
     /// Create a read agent for one `ReadFresh` request.

@@ -1,9 +1,7 @@
 //! Quorum calls: broadcast a question, collect deduplicated per-node
 //! replies, decide through a configurable success predicate.
 
-use bytes::{Bytes, BytesMut};
 use marp_sim::{NodeId, SimTime};
-use marp_wire::{Wire, WireError};
 
 /// When is a call decided, and how?
 ///
@@ -45,6 +43,13 @@ pub enum SuccessRule {
     },
 }
 
+marp_wire::wire_enum!(SuccessRule {
+    0 => Majority { n },
+    1 => Weighted { total_votes, threshold },
+    2 => AllAvailable,
+    3 => FirstK { k },
+});
+
 /// The terminal outcome of a call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
@@ -55,6 +60,12 @@ pub enum Verdict {
     /// The caller's deadline expired first.
     TimedOut,
 }
+
+marp_wire::wire_enum!(Verdict {
+    0 => Won,
+    1 => Lost,
+    2 => TimedOut,
+});
 
 /// One broadcast/collect round.
 ///
@@ -81,6 +92,18 @@ pub struct QuorumCall<T> {
     /// both ends of the round can be attributed to the same span.
     span: u64,
 }
+
+marp_wire::wire_struct!(QuorumCall<T> {
+    rule,
+    outstanding,
+    positives,
+    negatives,
+    granted_votes,
+    rejected_votes,
+    started,
+    verdict,
+    span
+});
 
 impl<T> QuorumCall<T> {
     /// Open a call to `recipients` under `rule`, started at `started`
@@ -261,122 +284,6 @@ impl<T: Ord + Copy> QuorumCall<T> {
     /// copy"), if any reply was positive.
     pub fn max_payload(&self) -> Option<T> {
         self.positives.iter().map(|&(_, p)| p).max()
-    }
-}
-
-impl Wire for Verdict {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            Verdict::Won => 0u8.encode(buf),
-            Verdict::Lost => 1u8.encode(buf),
-            Verdict::TimedOut => 2u8.encode(buf),
-        }
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(Verdict::Won),
-            1 => Ok(Verdict::Lost),
-            2 => Ok(Verdict::TimedOut),
-            tag => Err(WireError::InvalidTag {
-                type_name: "Verdict",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1
-    }
-}
-
-impl Wire for SuccessRule {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            SuccessRule::Majority { n } => {
-                0u8.encode(buf);
-                n.encode(buf);
-            }
-            SuccessRule::Weighted {
-                total_votes,
-                threshold,
-            } => {
-                1u8.encode(buf);
-                total_votes.encode(buf);
-                threshold.encode(buf);
-            }
-            SuccessRule::AllAvailable => 2u8.encode(buf),
-            SuccessRule::FirstK { k } => {
-                3u8.encode(buf);
-                k.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(SuccessRule::Majority {
-                n: u16::decode(buf)?,
-            }),
-            1 => Ok(SuccessRule::Weighted {
-                total_votes: u32::decode(buf)?,
-                threshold: u32::decode(buf)?,
-            }),
-            2 => Ok(SuccessRule::AllAvailable),
-            3 => Ok(SuccessRule::FirstK {
-                k: u16::decode(buf)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                type_name: "SuccessRule",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            SuccessRule::Majority { n } => n.encoded_len(),
-            SuccessRule::Weighted {
-                total_votes,
-                threshold,
-            } => total_votes.encoded_len() + threshold.encoded_len(),
-            SuccessRule::AllAvailable => 0,
-            SuccessRule::FirstK { k } => k.encoded_len(),
-        }
-    }
-}
-
-impl<T: Wire> Wire for QuorumCall<T> {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.rule.encode(buf);
-        self.outstanding.encode(buf);
-        self.positives.encode(buf);
-        self.negatives.encode(buf);
-        self.granted_votes.encode(buf);
-        self.rejected_votes.encode(buf);
-        self.started.encode(buf);
-        self.verdict.encode(buf);
-        self.span.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(QuorumCall {
-            rule: SuccessRule::decode(buf)?,
-            outstanding: Vec::decode(buf)?,
-            positives: Vec::decode(buf)?,
-            negatives: Vec::decode(buf)?,
-            granted_votes: u32::decode(buf)?,
-            rejected_votes: u32::decode(buf)?,
-            started: SimTime::decode(buf)?,
-            verdict: Option::decode(buf)?,
-            span: u64::decode(buf)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.rule.encoded_len()
-            + self.outstanding.encoded_len()
-            + self.positives.encoded_len()
-            + self.negatives.encoded_len()
-            + self.granted_votes.encoded_len()
-            + self.rejected_votes.encoded_len()
-            + self.started.encoded_len()
-            + self.verdict.encoded_len()
-            + self.span.encoded_len()
     }
 }
 

@@ -15,9 +15,6 @@
 //! mints (`ctx.set_timer(after, mux.arm(KIND, epoch))`) and offer every
 //! fired tag back through [`TimerMux::fired`].
 
-use bytes::{Bytes, BytesMut};
-use marp_wire::{Wire, WireError};
-
 /// Bits of the tag word reserved for the kind.
 const KIND_BITS: u32 = 8;
 
@@ -28,6 +25,8 @@ pub struct TimerMux {
     /// beats a map.
     armed: Vec<(u8, u64)>,
 }
+
+marp_wire::wire_struct!(TimerMux { armed });
 
 impl TimerMux {
     /// No timers armed.
@@ -108,20 +107,6 @@ impl TimerMux {
     /// Number of live timers.
     pub fn live(&self) -> usize {
         self.armed.len()
-    }
-}
-
-impl Wire for TimerMux {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.armed.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(TimerMux {
-            armed: Vec::decode(buf)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.armed.encoded_len()
     }
 }
 

@@ -3,9 +3,7 @@
 //! anti-entropy (recovery) exchange.
 
 use crate::store::CommitRecord;
-use bytes::{Bytes, BytesMut};
 use marp_sim::{NodeId, SimTime};
-use marp_wire::{Wire, WireError};
 
 /// A client operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,6 +29,12 @@ pub enum Operation {
     },
 }
 
+marp_wire::wire_enum!(Operation {
+    0 => Read { key },
+    1 => Write { key, value },
+    2 => ReadFresh { key },
+});
+
 impl Operation {
     /// True for writes.
     pub fn is_write(&self) -> bool {
@@ -43,50 +47,6 @@ impl Operation {
             Operation::Read { key }
             | Operation::Write { key, .. }
             | Operation::ReadFresh { key } => key,
-        }
-    }
-}
-
-impl Wire for Operation {
-    fn encode(&self, buf: &mut BytesMut) {
-        match *self {
-            Operation::Read { key } => {
-                0u8.encode(buf);
-                key.encode(buf);
-            }
-            Operation::Write { key, value } => {
-                1u8.encode(buf);
-                key.encode(buf);
-                value.encode(buf);
-            }
-            Operation::ReadFresh { key } => {
-                2u8.encode(buf);
-                key.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(Operation::Read {
-                key: u64::decode(buf)?,
-            }),
-            1 => Ok(Operation::Write {
-                key: u64::decode(buf)?,
-                value: u64::decode(buf)?,
-            }),
-            2 => Ok(Operation::ReadFresh {
-                key: u64::decode(buf)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                type_name: "Operation",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            Operation::Read { key } | Operation::ReadFresh { key } => key.encoded_len(),
-            Operation::Write { key, value } => key.encoded_len() + value.encoded_len(),
         }
     }
 }
@@ -135,66 +95,11 @@ pub enum ClientReply {
     },
 }
 
-impl Wire for ClientReply {
-    fn encode(&self, buf: &mut BytesMut) {
-        match *self {
-            ClientReply::ReadOk {
-                id,
-                key,
-                value,
-                version,
-            } => {
-                0u8.encode(buf);
-                id.encode(buf);
-                key.encode(buf);
-                value.encode(buf);
-                version.encode(buf);
-            }
-            ClientReply::WriteDone { id, version } => {
-                1u8.encode(buf);
-                id.encode(buf);
-                version.encode(buf);
-            }
-            ClientReply::Rejected { id } => {
-                2u8.encode(buf);
-                id.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(ClientReply::ReadOk {
-                id: u64::decode(buf)?,
-                key: u64::decode(buf)?,
-                value: Option::decode(buf)?,
-                version: u64::decode(buf)?,
-            }),
-            1 => Ok(ClientReply::WriteDone {
-                id: u64::decode(buf)?,
-                version: u64::decode(buf)?,
-            }),
-            2 => Ok(ClientReply::Rejected {
-                id: u64::decode(buf)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                type_name: "ClientReply",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            ClientReply::ReadOk {
-                id,
-                key,
-                value,
-                version,
-            } => id.encoded_len() + key.encoded_len() + value.encoded_len() + version.encoded_len(),
-            ClientReply::WriteDone { id, version } => id.encoded_len() + version.encoded_len(),
-            ClientReply::Rejected { id } => id.encoded_len(),
-        }
-    }
-}
+marp_wire::wire_enum!(ClientReply {
+    0 => ReadOk { id, key, value, version },
+    1 => WriteDone { id, version },
+    2 => Rejected { id },
+});
 
 /// A pending write as carried in an agent's Request List (RL) or a
 /// baseline coordinator's queue.
@@ -245,54 +150,17 @@ pub enum SyncMsg {
     },
 }
 
-impl Wire for SyncMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            SyncMsg::Pull { from_version } => {
-                0u8.encode(buf);
-                from_version.encode(buf);
-            }
-            SyncMsg::Push { records } => {
-                1u8.encode(buf);
-                records.encode(buf);
-            }
-            SyncMsg::PullKeyed { versions } => {
-                2u8.encode(buf);
-                versions.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(SyncMsg::Pull {
-                from_version: u64::decode(buf)?,
-            }),
-            1 => Ok(SyncMsg::Push {
-                records: Vec::decode(buf)?,
-            }),
-            2 => Ok(SyncMsg::PullKeyed {
-                versions: std::collections::BTreeMap::decode(buf)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                type_name: "SyncMsg",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            SyncMsg::Pull { from_version } => from_version.encoded_len(),
-            SyncMsg::Push { records } => records.encoded_len(),
-            SyncMsg::PullKeyed { versions } => versions.encoded_len(),
-        }
-    }
-}
+marp_wire::wire_enum!(SyncMsg {
+    0 => Pull { from_version },
+    1 => Push { records },
+    2 => PullKeyed { versions },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
+    fn roundtrip<T: marp_wire::Wire + PartialEq + std::fmt::Debug>(value: T) {
         let bytes = marp_wire::to_bytes(&value);
         assert_eq!(marp_wire::from_bytes::<T>(&bytes).unwrap(), value);
     }

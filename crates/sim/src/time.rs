@@ -5,8 +5,6 @@
 //! spans are ordinary [`std::time::Duration`]s. This is what makes runs
 //! bit-for-bit reproducible from a seed.
 
-use bytes::{Bytes, BytesMut};
-use marp_wire::{Wire, WireError};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 use std::time::Duration;
@@ -14,6 +12,8 @@ use std::time::Duration;
 /// A point in virtual time, in nanoseconds since simulation start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
+
+marp_wire::wire_struct!(SimTime { 0 });
 
 impl SimTime {
     /// The origin of virtual time.
@@ -105,18 +105,6 @@ impl fmt::Display for SimTime {
         } else {
             write!(f, "{nanos}ns")
         }
-    }
-}
-
-impl Wire for SimTime {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(SimTime(u64::decode(buf)?))
-    }
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len()
     }
 }
 

@@ -45,13 +45,13 @@ pub enum SpanKind {
 }
 
 marp_wire::wire_enum!(SpanKind {
-    Request,
-    Dispatch,
-    Migrate,
-    LockAcquire,
-    UpdateQuorum,
-    Commit,
-    Read,
+    0 => Request,
+    1 => Dispatch,
+    2 => Migrate,
+    3 => LockAcquire,
+    4 => UpdateQuorum,
+    5 => Commit,
+    6 => Read,
 });
 
 impl SpanKind {

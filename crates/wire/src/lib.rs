@@ -410,9 +410,12 @@ fn decode_len(buf: &mut Bytes) -> Result<usize, WireError> {
     })
 }
 
-/// Implement [`Wire`] for a struct by encoding its fields in declaration
-/// order. The struct must be constructible with struct-literal syntax from
-/// the macro's call site.
+/// Implement [`Wire`] for a struct by encoding the listed fields in
+/// order. One field list feeds `encode`, `decode` and `encoded_len`, so
+/// the three cannot disagree. Invoke it beside the struct definition;
+/// the struct must be constructible with struct-literal syntax from the
+/// macro's call site. Generic structs name their parameters (each gets
+/// a `Wire` bound), tuple structs list their fields by index.
 ///
 /// ```
 /// use marp_wire::{wire_struct, Wire};
@@ -421,14 +424,26 @@ fn decode_len(buf: &mut Bytes) -> Result<usize, WireError> {
 /// struct Point { x: u32, y: u32 }
 /// wire_struct!(Point { x, y });
 ///
+/// #[derive(Debug, PartialEq)]
+/// struct Tagged<T> { tag: u8, value: T }
+/// wire_struct!(Tagged<T> { tag, value });
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Millis(u64);
+/// wire_struct!(Millis { 0 });
+///
 /// let p = Point { x: 3, y: 9 };
 /// let bytes = marp_wire::to_bytes(&p);
 /// assert_eq!(marp_wire::from_bytes::<Point>(&bytes).unwrap(), p);
+/// let t = Tagged { tag: 1, value: Millis(300) };
+/// let bytes = marp_wire::to_bytes(&t);
+/// assert_eq!(bytes.as_ref(), &[1, 0xac, 0x02]);
+/// assert_eq!(marp_wire::from_bytes::<Tagged<Millis>>(&bytes).unwrap(), t);
 /// ```
 #[macro_export]
 macro_rules! wire_struct {
-    ($name:ident { $($field:ident),* $(,)? }) => {
-        impl $crate::Wire for $name {
+    ($name:ident $(<$($param:ident),+>)? { $($field:tt),* $(,)? }) => {
+        impl $(<$($param: $crate::Wire),+>)? $crate::Wire for $name $(<$($param),+>)? {
             fn encode(&self, buf: &mut ::bytes::BytesMut) {
                 $( $crate::Wire::encode(&self.$field, buf); )*
             }
@@ -442,54 +457,102 @@ macro_rules! wire_struct {
     };
 }
 
-/// Implement [`Wire`] for a field-less (unit-variant) enum by encoding the
-/// variant's declaration index as a single `u8` tag. Decoding rejects
-/// unknown tags with [`WireError::InvalidTag`].
+/// Implement [`Wire`] for an enum as a tagged union: a leading `u8` tag
+/// (a literal or a `const`), then the variant's fields in the listed
+/// order. Variants may be unit, one-field tuple, or named-field. Invoke
+/// it beside the enum definition, as [`wire_struct!`] is beside a
+/// struct. Decoding rejects unknown tags with
+/// [`WireError::InvalidTag`].
+///
+/// One variant list feeds `encode`, `decode` and `encoded_len` through
+/// an exhaustive `match`, so an asymmetric codec is unrepresentable and
+/// an incomplete one does not compile.
 ///
 /// ```
 /// use marp_wire::{wire_enum, Wire};
 ///
-/// #[derive(Debug, Clone, Copy, PartialEq)]
-/// enum Phase { Travelling, Updating, Parked }
-/// wire_enum!(Phase { Travelling, Updating, Parked });
+/// const TAG_PUT: u8 = 1;
 ///
-/// let bytes = marp_wire::to_bytes(&Phase::Updating);
-/// assert_eq!(bytes.as_ref(), &[1]);
-/// assert_eq!(marp_wire::from_bytes::<Phase>(&bytes).unwrap(), Phase::Updating);
+/// #[derive(Debug, Clone, PartialEq)]
+/// enum Msg {
+///     Ping,
+///     Put { key: u64, value: u64 },
+///     Batch(Vec<u64>),
+/// }
+/// wire_enum!(Msg {
+///     0 => Ping,
+///     TAG_PUT => Put { key, value },
+///     2 => Batch(keys),
+/// });
+///
+/// let msg = Msg::Put { key: 5, value: 300 };
+/// let bytes = marp_wire::to_bytes(&msg);
+/// assert_eq!(bytes.as_ref(), &[1, 5, 0xac, 0x02]);
+/// assert_eq!(marp_wire::from_bytes::<Msg>(&bytes).unwrap(), msg);
+/// assert_eq!(marp_wire::to_bytes(&Msg::Ping).as_ref(), &[0]);
+/// assert!(marp_wire::from_bytes::<Msg>(&bytes::Bytes::from_static(&[3])).is_err());
+/// ```
+///
+/// A variant missing from the list is a compile error (the old
+/// unit-only form panicked on the first `encode` of it instead):
+///
+/// ```compile_fail,E0004
+/// # use marp_wire::wire_enum;
+/// enum Msg { Ping, Pong }
+/// wire_enum!(Msg { 0 => Ping });
+/// ```
+///
+/// So is a field missing from a variant's list:
+///
+/// ```compile_fail,E0027
+/// # use marp_wire::wire_enum;
+/// enum Msg { Put { key: u64, value: u64 } }
+/// wire_enum!(Msg { 0 => Put { key } });
+/// ```
+///
+/// And so is a tag given to two variants:
+///
+/// ```compile_fail
+/// # use marp_wire::wire_enum;
+/// enum Msg { Ping, Pong }
+/// wire_enum!(Msg { 0 => Ping, 0 => Pong });
 /// ```
 #[macro_export]
 macro_rules! wire_enum {
-    ($name:ident { $($variant:ident),* $(,)? }) => {
+    ($name:ident { $(
+        $tag:tt => $variant:ident $(($inner:ident))? $({ $($field:ident),* $(,)? })?
+    ),* $(,)? }) => {
         impl $crate::Wire for $name {
             fn encode(&self, buf: &mut ::bytes::BytesMut) {
-                let mut tag: u8 = 0;
-                $(
-                    if matches!(self, $name::$variant) {
-                        $crate::Wire::encode(&tag, buf);
-                        return;
-                    }
-                    tag += 1;
-                )*
-                let _ = tag;
-                unreachable!("wire_enum! covers every variant");
+                match self {
+                    $( $name::$variant $(($inner))? $({ $($field),* })? => {
+                        <u8 as $crate::Wire>::encode(&$tag, buf);
+                        $( $crate::Wire::encode($inner, buf); )?
+                        $( $( $crate::Wire::encode($field, buf); )* )?
+                    } )*
+                }
             }
+            // A tag listed twice makes the second arm unreachable.
+            #[deny(unreachable_patterns)]
             fn decode(buf: &mut ::bytes::Bytes) -> ::core::result::Result<Self, $crate::WireError> {
-                let got: u8 = $crate::Wire::decode(buf)?;
-                let mut tag: u8 = 0;
-                $(
-                    if got == tag {
-                        return Ok($name::$variant);
-                    }
-                    tag += 1;
-                )*
-                let _ = tag;
-                Err($crate::WireError::InvalidTag {
-                    type_name: stringify!($name),
-                    tag: u32::from(got),
-                })
+                match <u8 as $crate::Wire>::decode(buf)? {
+                    $( $tag => Ok($name::$variant
+                        $(({ let $inner = $crate::Wire::decode(buf)?; $inner }))?
+                        $({ $( $field: $crate::Wire::decode(buf)? ),* })?
+                    ), )*
+                    tag => Err($crate::WireError::InvalidTag {
+                        type_name: stringify!($name),
+                        tag: u32::from(tag),
+                    }),
+                }
             }
             fn encoded_len(&self) -> usize {
-                1
+                match self {
+                    $( $name::$variant $(($inner))? $({ $($field),* })? => {
+                        1 $( + $crate::Wire::encoded_len($inner) )?
+                            $( $( + $crate::Wire::encoded_len($field) )* )?
+                    } )*
+                }
             }
         }
     };
@@ -651,10 +714,10 @@ mod tests {
         Green,
         Blue,
     }
-    wire_enum!(Colour { Red, Green, Blue });
+    wire_enum!(Colour { 0 => Red, 1 => Green, 2 => Blue });
 
     #[test]
-    fn wire_enum_macro_roundtrips_and_tags_by_declaration_order() {
+    fn wire_enum_macro_roundtrips_unit_variants_under_their_tags() {
         roundtrip(Colour::Red);
         roundtrip(Colour::Green);
         roundtrip(Colour::Blue);
