@@ -5,8 +5,9 @@
 //!
 //! * [`run_lint`] — the sans-io lint set (formerly regex scans in
 //!   `xtask`), re-ported onto the token model.
-//! * [`run_analyze`] — the five protocol passes: wire symmetry, handler
-//!   exhaustiveness, timer-tag registry, span balance, lease discipline.
+//! * [`run_analyze`] — the four protocol passes (handler
+//!   exhaustiveness, timer-tag registry, span balance, lease discipline)
+//!   plus one rule: no handwritten `impl Wire` outside `crates/wire`.
 //!
 //! Findings print as `path:line: [rule] text`; deliberate exemptions
 //! live in `lint-allow.txt` at the workspace root, one
@@ -99,7 +100,8 @@ pub fn load_workspace(root: &Path) -> Workspace {
     Workspace::from_sources(root, sources)
 }
 
-/// Run the five protocol passes. Allowlist not applied.
+/// Run the four protocol passes and the handwritten-wire-impl rule.
+/// Allowlist not applied.
 pub fn run_analyze(ws: &Workspace) -> Vec<Finding> {
     let mut out = Vec::new();
     passes::wire::check(ws, &mut out);
@@ -175,12 +177,12 @@ mod tests {
         let f = Finding {
             rel: "crates/core/src/x.rs".into(),
             line: 7,
-            rule: "wire-symmetry",
+            rule: "span-balance",
             text: "Msg: bad".into(),
         };
         assert_eq!(
             render(&[f]),
-            "crates/core/src/x.rs:7: [wire-symmetry] Msg: bad\n"
+            "crates/core/src/x.rs:7: [span-balance] Msg: bad\n"
         );
     }
 }

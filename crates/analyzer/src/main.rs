@@ -2,7 +2,7 @@
 //! optionally the lint set) from the command line.
 //!
 //! ```text
-//! marp-analyze            # five protocol passes
+//! marp-analyze            # four protocol passes + one rule
 //! marp-analyze lint       # sans-io lint set only
 //! marp-analyze all        # both
 //! ```

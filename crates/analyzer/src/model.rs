@@ -62,8 +62,6 @@ pub struct ImplDef {
     pub trait_name: Option<String>,
     /// Target type as concatenated tokens (`NodeMsg`, `Option<T>`, …).
     pub type_name: String,
-    /// True for `impl<..>` (blanket/generic impls).
-    pub is_generic: bool,
     pub fns: Vec<FnDef>,
     pub is_test: bool,
     pub line: u32,
@@ -736,10 +734,8 @@ fn parse_fn(fm: &FileModel, i: usize, end: usize, is_test: bool) -> (Option<FnDe
 fn parse_impl(fm: &mut FileModel, i: usize, end: usize, is_test: bool, is_trait: bool) -> usize {
     let line = fm.toks[i].line;
     let mut j = i + 1;
-    let mut is_generic = false;
     // Skip `<...>` generics on the impl itself.
     if fm.toks.get(j).is_some_and(|t| t.is_punct('<')) {
-        is_generic = true;
         let mut depth = 0i64;
         while j < end {
             if fm.toks[j].is_punct('<') {
@@ -830,7 +826,6 @@ fn parse_impl(fm: &mut FileModel, i: usize, end: usize, is_test: bool, is_trait:
     fm.impls.push(ImplDef {
         trait_name,
         type_name,
-        is_generic,
         fns,
         is_test,
         line,
@@ -980,9 +975,7 @@ mod tests {
         assert_eq!(f.impls.len(), 2);
         assert_eq!(f.impls[0].trait_name.as_deref(), Some("Wire"));
         assert_eq!(f.impls[0].type_name, "NodeMsg");
-        assert!(!f.impls[0].is_generic);
         assert_eq!(f.impls[0].fns.len(), 2);
-        assert!(f.impls[1].is_generic);
         assert_eq!(f.impls[1].type_name, "Option<T>");
     }
 

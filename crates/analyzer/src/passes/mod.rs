@@ -9,167 +9,9 @@ pub mod spans;
 pub mod timers;
 pub mod wire;
 
-use crate::lex::{matching_close, Tok, TokKind};
+use crate::lex::Tok;
 use crate::model::FileModel;
 use std::ops::Range;
-
-/// One match arm: pattern tokens and body tokens.
-#[derive(Debug, Clone)]
-pub struct Arm {
-    pub pat: Range<usize>,
-    pub body: Range<usize>,
-}
-
-/// Parse the arms of the `match` whose `match` keyword is at `at`.
-/// Returns `(head, arms)` where `head` is the scrutinee token range.
-/// Returns `None` when no brace follows (e.g. `match` in a string was
-/// misidentified — cannot happen post-lex, but stay tolerant).
-pub fn parse_match(toks: &[Tok], at: usize, limit: usize) -> Option<(Range<usize>, Vec<Arm>)> {
-    let mut i = at + 1;
-    let mut depth = 0i64;
-    // Scrutinee: up to the `{` at delimiter depth 0. The scrutinee can
-    // contain parens/brackets but no braces (struct literals need
-    // parens around them in match-head position).
-    while i < limit {
-        let t = &toks[i];
-        if t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') {
-            depth -= 1;
-        } else if t.is_punct('{') && depth == 0 {
-            break;
-        }
-        i += 1;
-    }
-    if i >= limit {
-        return None;
-    }
-    let head = at + 1..i;
-    let close = matching_close(toks, i).min(limit.saturating_sub(1));
-    let mut arms = Vec::new();
-    let mut k = i + 1;
-    while k < close {
-        // Pattern: up to `=>` at depth 0.
-        let pat_start = k;
-        let mut d = 0i64;
-        while k < close {
-            let t = &toks[k];
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                d += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                d -= 1;
-            } else if d == 0 && t.is_punct('=') && toks.get(k + 1).is_some_and(|n| n.is_punct('>'))
-            {
-                break;
-            }
-            k += 1;
-        }
-        if k >= close {
-            break;
-        }
-        let pat = pat_start..k;
-        k += 2; // skip `=>`
-        if k >= close {
-            break;
-        }
-        let body = if toks[k].is_punct('{') {
-            let bclose = matching_close(toks, k).min(close);
-            let b = k + 1..bclose;
-            k = bclose + 1;
-            b
-        } else {
-            // Expression arm: up to `,` at depth 0 or the match close.
-            let bstart = k;
-            let mut d = 0i64;
-            while k < close {
-                let t = &toks[k];
-                if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                    d += 1;
-                } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                    d -= 1;
-                } else if d == 0 && t.is_punct(',') {
-                    break;
-                }
-                k += 1;
-            }
-            bstart..k
-        };
-        // Skip the arm-separating comma.
-        if k < close && toks[k].is_punct(',') {
-            k += 1;
-        }
-        arms.push(Arm { pat, body });
-    }
-    Some((head, arms))
-}
-
-/// All `Enum::Variant` (or `Self::Variant`) paths in a pattern range,
-/// restricted to paths whose first segment is `enum_name` or `Self`.
-pub fn variant_paths(toks: &[Tok], range: Range<usize>, enum_name: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut i = range.start;
-    while i + 3 < range.end + 3 && i + 3 <= range.end {
-        if toks[i].kind == TokKind::Ident
-            && (toks[i].text == enum_name || toks[i].text == "Self")
-            && toks[i + 1].is_punct(':')
-            && toks[i + 2].is_punct(':')
-            && toks.get(i + 3).is_some_and(|t| t.kind == TokKind::Ident)
-        {
-            out.push(toks[i + 3].text.clone());
-            i += 4;
-        } else {
-            i += 1;
-        }
-    }
-    out
-}
-
-/// Ordered receivers of `.{method}(` calls within a range. A receiver is
-/// the identifier / numeric literal directly before the dot; when the
-/// receiver is a parenthesized expression, the normalized expression
-/// text is returned instead.
-pub fn call_receivers(toks: &[Tok], range: Range<usize>, method: &str) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    let mut i = range.start;
-    while i + 2 < range.end {
-        if toks[i].is_punct('.')
-            && toks[i + 1].is_ident(method)
-            && toks[i + 2].is_punct('(')
-            && i > range.start
-        {
-            let prev = &toks[i - 1];
-            let recv = if prev.kind == TokKind::Ident || prev.kind == TokKind::Num {
-                prev.text.clone()
-            } else if prev.is_punct(')') {
-                // Walk back to the matching open paren.
-                let mut depth = 0i64;
-                let mut j = i - 1;
-                loop {
-                    if toks[j].is_punct(')') {
-                        depth += 1;
-                    } else if toks[j].is_punct('(') {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    if j == range.start {
-                        break;
-                    }
-                    j -= 1;
-                }
-                toks[j..i].iter().map(|t| t.text.as_str()).collect()
-            } else {
-                prev.text.clone()
-            };
-            out.push((i, recv));
-            i += 3;
-        } else {
-            i += 1;
-        }
-    }
-    out
-}
 
 /// Does the range contain the given ident?
 pub fn has_ident_in(toks: &[Tok], range: Range<usize>, name: &str) -> bool {
@@ -198,41 +40,4 @@ pub fn call_sites(toks: &[Tok], range: Range<usize>, name: &str) -> Vec<usize> {
 /// The fn (free or impl method) whose body contains token index `i`.
 pub fn enclosing_fn(file: &FileModel, i: usize) -> Option<&crate::model::FnDef> {
     file.all_fns().find(|f| f.body.contains(&i))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::lex::lex;
-
-    #[test]
-    fn match_arms_parse_brace_and_expr_bodies() {
-        let toks = lex("match self { A::X { a } => { f(a); } A::Y(b) => g(b), tag => Err(tag), }");
-        let at = toks.iter().position(|t| t.is_ident("match")).unwrap();
-        let (head, arms) = parse_match(&toks, at, toks.len()).unwrap();
-        let head_txt: String = toks[head].iter().map(|t| t.text.as_str()).collect();
-        assert_eq!(head_txt, "self");
-        assert_eq!(arms.len(), 3);
-        assert_eq!(variant_paths(&toks, arms[0].pat.clone(), "A"), vec!["X"]);
-        assert_eq!(variant_paths(&toks, arms[1].pat.clone(), "A"), vec!["Y"]);
-        assert!(variant_paths(&toks, arms[2].pat.clone(), "A").is_empty());
-    }
-
-    #[test]
-    fn receivers_handle_fields_consts_literals_and_parens() {
-        let toks = lex(
-            "self.key.encode(buf); TAG_X.encode(buf); 0u8.encode(buf); (a << 16 | b).encode(buf);",
-        );
-        let rs: Vec<String> = call_receivers(&toks, 0..toks.len(), "encode")
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect();
-        assert_eq!(rs, vec!["key", "TAG_X", "0u8", "(a<<16|b)"]);
-    }
-
-    #[test]
-    fn or_patterns_yield_every_variant() {
-        let toks = lex("E::A(x) | E::B(x) =>");
-        assert_eq!(variant_paths(&toks, 0..toks.len(), "E"), vec!["A", "B"]);
-    }
 }

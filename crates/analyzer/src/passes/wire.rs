@@ -1,44 +1,26 @@
-//! Wire symmetry: for every handwritten `impl Wire for T`, the field
-//! sequence written by `encode` must be the sequence read by `decode`,
-//! and `encoded_len` must account for exactly the writes `encode`
-//! performs (including the leading tag byte for enum-shaped impls).
+//! Wire inventory, and the one rule that keeps codecs symmetric by
+//! construction.
 //!
-//! Impls are classified by shape:
-//!
-//! * **macro** — `wire_struct!` / `wire_enum!` invocations are symmetric
-//!   by construction (one field list feeds all three fns) and only
-//!   counted for the inventory; `wire_uvarint!` / `wire_ivarint!`
-//!   likewise.
-//! * **leaf** — generic impls (`impl<T: Wire> …`) and raw codecs that
-//!   write through `put_*` / `get_*`. Their symmetry is covered by the
-//!   round-trip proptests in `crates/wire`; the token model cannot see
-//!   byte arithmetic.
-//! * **enum** — `encode` is a `match self` with one tag write per
-//!   variant. Checked: tag uniqueness, tag→variant bijection with
-//!   `decode`, per-variant field order, per-variant `encoded_len` field
-//!   coverage, and the `1 +` tag-byte term.
-//! * **struct** — flat `self.field.encode(buf)` sequences. Checked:
-//!   field order against `decode`'s construction, and `encoded_len`
-//!   field coverage.
+//! Every message and carried-state type declares its codec with
+//! `wire_struct!` / `wire_enum!`, where a single field list feeds
+//! `encode`, `decode` and `encoded_len` — the three cannot disagree, and
+//! a missing variant, a missing field or a duplicate tag does not
+//! compile. What is left to police is that nobody bypasses the macros:
+//! a handwritten `impl Wire for T` outside `crates/wire/src` (home of
+//! the primitive and container codecs, covered by its round-trip
+//! proptests) is a `handwritten-wire-impl` finding.
 
-use super::{call_receivers, call_sites, parse_match, variant_paths, Arm};
-use crate::lex::{Tok, TokKind};
-use crate::model::{FileModel, ImplDef, Workspace};
+use crate::lex::TokKind;
+use crate::model::Workspace;
 use crate::Finding;
-use std::collections::BTreeMap;
-use std::ops::Range;
 
-/// How an impl provides its symmetry guarantee.
+/// Where an impl comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireShape {
     /// `wire_struct!` / `wire_enum!` / `wire_uvarint!` / `wire_ivarint!`.
     Macro,
-    /// Generic or raw-codec impl; covered by wire round-trip proptests.
-    Leaf,
-    /// Tagged-union impl checked per variant.
-    Enum,
-    /// Flat field-sequence impl.
-    Struct,
+    /// A spelled-out `impl Wire for T`.
+    Handwritten,
 }
 
 /// One `Wire` implementation found in the workspace.
@@ -57,512 +39,50 @@ const WIRE_MACROS: &[&str] = &["wire_struct", "wire_enum", "wire_uvarint", "wire
 pub fn inventory(ws: &Workspace) -> Vec<WireImplInfo> {
     let mut out = Vec::new();
     for f in &ws.files {
-        for im in &f.impls {
-            if im.is_test || im.trait_name.as_deref() != Some("Wire") || im.type_name.is_empty() {
-                continue;
-            }
+        let mut push = |line: u32, type_name: String, shape: WireShape| {
             out.push(WireImplInfo {
                 krate: f.krate.clone(),
                 rel: f.rel.clone(),
-                line: im.line,
-                type_name: im.type_name.clone(),
-                shape: classify(f, im),
+                line,
+                type_name,
+                shape,
             });
+        };
+        for im in &f.impls {
+            if !im.is_test && im.trait_name.as_deref() == Some("Wire") && !im.type_name.is_empty() {
+                push(im.line, im.type_name.clone(), WireShape::Handwritten);
+            }
         }
         for mc in &f.macros {
             if mc.is_test || !WIRE_MACROS.contains(&mc.name.as_str()) {
                 continue;
             }
-            // wire_struct!/wire_enum! name one type; the varint macros
-            // instantiate one impl per listed type.
-            let names: Vec<String> = if mc.name == "wire_struct" || mc.name == "wire_enum" {
-                f.toks[mc.args.clone()]
-                    .iter()
-                    .find(|t| t.kind == TokKind::Ident)
-                    .map(|t| vec![t.text.clone()])
-                    .unwrap_or_default()
-            } else {
-                f.toks[mc.args.clone()]
-                    .iter()
-                    .filter(|t| t.kind == TokKind::Ident)
-                    .map(|t| t.text.clone())
-                    .collect()
-            };
-            for type_name in names {
-                out.push(WireImplInfo {
-                    krate: f.krate.clone(),
-                    rel: f.rel.clone(),
-                    line: mc.line,
-                    type_name,
-                    shape: WireShape::Macro,
-                });
-            }
+            // wire_struct!/wire_enum! name one type (the first ident);
+            // the varint macros instantiate one impl per listed type.
+            let one_type = mc.name == "wire_struct" || mc.name == "wire_enum";
+            f.toks[mc.args.clone()]
+                .iter()
+                .filter(|t| t.kind == TokKind::Ident)
+                .take(if one_type { 1 } else { usize::MAX })
+                .for_each(|t| push(mc.line, t.text.clone(), WireShape::Macro));
         }
     }
     out
 }
 
-fn fn_body<'a>(im: &'a ImplDef, name: &str) -> Option<&'a Range<usize>> {
-    im.fns.iter().find(|f| f.name == name).map(|f| &f.body)
-}
-
-fn classify(f: &FileModel, im: &ImplDef) -> WireShape {
-    if im.is_generic {
-        return WireShape::Leaf;
-    }
-    let Some(enc) = fn_body(im, "encode") else {
-        return WireShape::Leaf;
-    };
-    let toks = &f.toks[enc.clone()];
-    if toks.iter().any(|t| {
-        t.kind == TokKind::Ident && (t.text.starts_with("put_") || t.text.starts_with("get_"))
-    }) {
-        return WireShape::Leaf;
-    }
-    if (0..toks.len()).any(|i| is_match_self(toks, i)) {
-        return WireShape::Enum;
-    }
-    WireShape::Struct
-}
-
-/// `match self` / `match *self` / `match &self` at token `i` (relative
-/// indexing within a slice).
-fn is_match_self(toks: &[Tok], i: usize) -> bool {
-    if !toks[i].is_ident("match") {
-        return false;
-    }
-    let mut j = i + 1;
-    while toks
-        .get(j)
-        .is_some_and(|t| t.is_punct('*') || t.is_punct('&') || t.is_ident("mut"))
-    {
-        j += 1;
-    }
-    toks.get(j).is_some_and(|t| t.is_ident("self"))
-}
-
-/// Is this receiver a tag write: a numeric literal or a SCREAMING_CASE
-/// constant?
-fn is_tag_like(recv: &str) -> bool {
-    recv.chars().next().is_some_and(|c| c.is_ascii_digit())
-        || (!recv.is_empty()
-            && recv
-                .chars()
-                .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
-            && recv.chars().any(|c| c.is_ascii_uppercase()))
-}
-
-/// Tag identity: evaluated value when possible, else the literal text —
-/// so `TAG_CLIENT` in encode matches `TAG_CLIENT` in decode even when
-/// the const value cannot be computed.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-enum TagId {
-    Val(u64),
-    Text(String),
-}
-
-fn tag_id(ws: &Workspace, f: &FileModel, text: &str) -> TagId {
-    if let Some(v) = crate::model::parse_int(text) {
-        return TagId::Val(v);
-    }
-    match ws.const_value(f, text) {
-        Some(v) => TagId::Val(v),
-        None => TagId::Text(text.to_string()),
-    }
-}
-
-/// Named fields of a struct-literal construction of `type_or_variant`
-/// inside `range`, in source order, with a flag for whether each field's
-/// initializer performs an inline `decode` call. Returns `None` when no
-/// such construction exists.
-fn construction_fields(
-    toks: &[Tok],
-    range: Range<usize>,
-    heads: &[&str],
-) -> Option<Vec<(String, bool)>> {
-    let mut i = range.start;
-    while i < range.end {
-        let t = &toks[i];
-        if t.kind == TokKind::Ident
-            && heads.contains(&t.text.as_str())
-            && toks.get(i + 1).is_some_and(|n| n.is_punct('{'))
-        {
-            let close = crate::lex::matching_close(toks, i + 1).min(range.end);
-            let mut fields = Vec::new();
-            let mut d = 0i64;
-            let mut k = i + 1;
-            let mut cur: Option<(String, usize)> = None;
-            while k <= close {
-                let tk = &toks[k];
-                if tk.is_punct('{') || tk.is_punct('(') || tk.is_punct('[') {
-                    d += 1;
-                } else if tk.is_punct('}') || tk.is_punct(')') || tk.is_punct(']') {
-                    d -= 1;
-                } else if d == 1
-                    && tk.kind == TokKind::Ident
-                    && toks.get(k + 1).is_some_and(|n| n.is_punct(':'))
-                    && !toks.get(k + 2).is_some_and(|n| n.is_punct(':'))
-                    && cur.is_none()
-                {
-                    cur = Some((tk.text.clone(), k));
-                } else if d == 1 && tk.is_punct(',') {
-                    if let Some((name, start)) = cur.take() {
-                        let inline = toks[start..k].iter().any(|x| x.is_ident("decode"));
-                        fields.push((name, inline));
-                    }
-                }
-                k += 1;
-            }
-            if let Some((name, start)) = cur.take() {
-                let inline = toks[start..close].iter().any(|x| x.is_ident("decode"));
-                fields.push((name, inline));
-            }
-            return Some(fields);
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Find the index of a `match self` keyword inside `range`.
-fn find_match_self(toks: &[Tok], range: &Range<usize>) -> Option<usize> {
-    (range.start..range.end).find(|&i| is_match_self(toks, i))
-}
-
-/// Find the index of any `match` keyword inside `range`.
-fn find_match(toks: &[Tok], range: &Range<usize>) -> Option<usize> {
-    (range.start..range.end).find(|&i| {
-        toks[i].is_ident("match") && !toks.get(i.wrapping_sub(1)).is_some_and(|p| p.is_punct('.'))
-    })
-}
-
-/// Run the symmetry checks over every handwritten impl.
+/// Flag every handwritten impl outside the wire crate itself.
 pub fn check(ws: &Workspace, out: &mut Vec<Finding>) {
-    for f in &ws.files {
-        for im in &f.impls {
-            if im.is_test || im.trait_name.as_deref() != Some("Wire") || im.type_name.is_empty() {
-                continue;
-            }
-            match classify(f, im) {
-                WireShape::Enum => check_enum(ws, f, im, out),
-                WireShape::Struct => check_struct(f, im, out),
-                _ => {}
-            }
-        }
-    }
-}
-
-fn base_name(type_name: &str) -> &str {
-    type_name.split('<').next().unwrap_or(type_name)
-}
-
-fn check_enum(ws: &Workspace, f: &FileModel, im: &ImplDef, out: &mut Vec<Finding>) {
-    let ty = base_name(&im.type_name).to_string();
-    let report = |out: &mut Vec<Finding>, line: u32, text: String| {
-        out.push(Finding {
-            rel: f.rel.clone(),
-            line,
-            rule: "wire-symmetry",
-            text,
-        });
-    };
-    let (Some(enc), Some(dec)) = (fn_body(im, "encode"), fn_body(im, "decode")) else {
-        return;
-    };
-
-    // ---- encode side: variant -> (tag, fields) ----
-    let Some(m) = find_match_self(&f.toks, enc) else {
-        return;
-    };
-    let Some((_, enc_arms)) = parse_match(&f.toks, m, enc.end) else {
-        return;
-    };
-    // Ordered (variant, tag, fields, line).
-    let mut enc_variants: Vec<(String, TagId, Vec<String>, u32)> = Vec::new();
-    for arm in &enc_arms {
-        let vars = variant_paths(&f.toks, arm.pat.clone(), &ty);
-        if vars.is_empty() {
-            continue;
-        }
-        let line = f.toks[arm.pat.start].line;
-        let recvs = call_receivers(&f.toks, arm.body.clone(), "encode");
-        if recvs.is_empty() {
-            report(
-                out,
-                line,
-                format!("{ty}::{}: encode arm writes nothing (no tag byte)", vars[0]),
-            );
-            continue;
-        }
-        let (_, tag_text) = &recvs[0];
-        if !is_tag_like(tag_text) {
-            report(
-                out,
-                line,
-                format!(
-                    "{ty}::{}: first write in encode arm is `{tag_text}`, not a tag literal/const",
-                    vars[0]
-                ),
-            );
-            continue;
-        }
-        let tag = tag_id(ws, f, tag_text);
-        let fields: Vec<String> = recvs[1..].iter().map(|(_, r)| r.clone()).collect();
-        for v in vars {
-            enc_variants.push((v, tag.clone(), fields.clone(), line));
-        }
-    }
-
-    // Tag uniqueness.
-    let mut by_tag: BTreeMap<TagId, Vec<&str>> = BTreeMap::new();
-    for (v, t, _, _) in &enc_variants {
-        by_tag.entry(t.clone()).or_default().push(v);
-    }
-    for (t, vs) in &by_tag {
-        if vs.len() > 1 {
-            report(
-                out,
-                im.line,
-                format!("{ty}: encode writes tag {t:?} for more than one variant: {vs:?}"),
-            );
-        }
-    }
-
-    // ---- decode side: tag -> (variant, fields / count) ----
-    // (variant name, construction fields if attributable, field count, line)
-    type DecEntry = (String, Option<Vec<(String, bool)>>, usize, u32);
-    let mut dec_map: BTreeMap<TagId, DecEntry> = BTreeMap::new();
-    if let Some(dm) = find_match(&f.toks, dec) {
-        if let Some((_, dec_arms)) = parse_match(&f.toks, dm, dec.end) {
-            for arm in &dec_arms {
-                let vars = variant_paths(&f.toks, arm.body.clone(), &ty);
-                let Some(var) = vars.first() else {
-                    continue; // Err fallthrough arm
-                };
-                let line = f.toks[arm.pat.start].line;
-                // Tag pattern: a lone literal or const.
-                let pat_toks: Vec<&Tok> = f.toks[arm.pat.clone()]
-                    .iter()
-                    .filter(|t| t.kind != TokKind::Punct)
-                    .collect();
-                let [tag_tok] = pat_toks.as_slice() else {
-                    continue;
-                };
-                if tag_tok.kind == TokKind::Ident && !is_tag_like(&tag_tok.text) {
-                    continue; // binding arm (`tag => Err(..)`) with a construction? skip
-                }
-                let tag = tag_id(ws, f, &tag_tok.text);
-                // Enum constructions are headed by the variant name
-                // (`NodeMsg::Client { .. }` — the `{` follows `Client`).
-                let fields = construction_fields(&f.toks, arm.body.clone(), &[var.as_str()]);
-                let count = call_sites(&f.toks, arm.body.clone(), "decode").len();
-                if let Some(prev) = dec_map.get(&tag) {
-                    report(
-                        out,
-                        line,
-                        format!(
-                            "{ty}: decode handles tag {t:?} twice ({} and {var})",
-                            prev.0,
-                            t = tag
-                        ),
-                    );
-                }
-                dec_map.insert(tag, (var.clone(), fields, count, line));
-            }
-        }
-    }
-
-    // ---- cross-check ----
-    for (var, tag, enc_fields, line) in &enc_variants {
-        let Some((dvar, dfields, dcount, dline)) = dec_map.get(tag) else {
-            report(
-                out,
-                *line,
-                format!("{ty}::{var}: encode writes tag {tag:?} but decode has no arm for it"),
-            );
-            continue;
-        };
-        if dvar != var {
-            report(
-                out,
-                *line,
-                format!("{ty}: tag {tag:?} encodes {var} but decodes {dvar}"),
-            );
-            continue;
-        }
-        match dfields {
-            Some(df) if df.iter().all(|(_, inline)| *inline) || df.is_empty() => {
-                let dnames: Vec<&String> = df.iter().map(|(n, _)| n).collect();
-                let enames: Vec<&String> = enc_fields.iter().collect();
-                if dnames != enames {
-                    report(
-                        out,
-                        *dline,
-                        format!(
-                            "{ty}::{var}: encode field order {enames:?} != decode field order {dnames:?}"
-                        ),
-                    );
-                }
-            }
-            _ => {
-                if *dcount != enc_fields.len() {
-                    report(
-                        out,
-                        *dline,
-                        format!(
-                            "{ty}::{var}: encode writes {} fields but decode reads {dcount}",
-                            enc_fields.len()
-                        ),
-                    );
-                }
-            }
-        }
-    }
-    for (tag, (dvar, _, _, dline)) in &dec_map {
-        if !enc_variants.iter().any(|(_, t, _, _)| t == tag) {
-            report(
-                out,
-                *dline,
-                format!("{ty}: decode accepts tag {tag:?} (-> {dvar}) that encode never writes"),
-            );
-        }
-    }
-
-    // ---- encoded_len ----
-    let Some(elen) = fn_body(im, "encoded_len") else {
-        return;
-    };
-    let tag_term = if find_match_self(&f.toks, elen).is_some() {
-        // `1 + match self` prefix, or `match self { .. } + 1` suffix.
-        let pre = (elen.start..elen.end).any(|i| {
-            f.toks[i].kind == TokKind::Num
-                && crate::model::parse_int(&f.toks[i].text) == Some(1)
-                && f.toks.get(i + 1).is_some_and(|t| t.is_punct('+'))
-                && f.toks.get(i + 2).is_some_and(|t| t.is_ident("match"))
-        });
-        let post = (elen.start..elen.end.saturating_sub(1)).any(|i| {
-            f.toks[i].is_punct('+')
-                && f.toks.get(i + 1).is_some_and(|t| {
-                    t.kind == TokKind::Num && crate::model::parse_int(&t.text) == Some(1)
-                })
-        });
-        pre || post
-    } else {
-        // No per-variant arithmetic (every variant is the same width,
-        // e.g. all-unit enums): accept a constant length of at least 1.
-        f.toks[elen.clone()].iter().any(|t| {
-            t.kind == TokKind::Num && crate::model::parse_int(&t.text).is_some_and(|v| v >= 1)
-        })
-    };
-    if !tag_term {
-        report(
-            out,
-            im.line,
-            format!("{ty}: encoded_len does not account for the 1-byte tag (`1 + match self`)"),
-        );
-    }
-    if let Some(lm) = find_match_self(&f.toks, elen) {
-        if let Some((_, len_arms)) = parse_match(&f.toks, lm, elen.end) {
-            check_len_arms(f, &ty, &enc_variants, &len_arms, out);
-        }
-    }
-}
-
-/// Compare each `encoded_len` arm's field multiset against the fields
-/// `encode` writes for the same variant(s).
-fn check_len_arms(
-    f: &FileModel,
-    ty: &str,
-    enc_variants: &[(String, TagId, Vec<String>, u32)],
-    len_arms: &[Arm],
-    out: &mut Vec<Finding>,
-) {
-    for arm in len_arms {
-        let vars = variant_paths(&f.toks, arm.pat.clone(), ty);
-        if vars.is_empty() {
-            continue;
-        }
-        let line = f.toks[arm.pat.start].line;
-        let mut len_fields: Vec<String> = call_receivers(&f.toks, arm.body.clone(), "encoded_len")
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect();
-        len_fields.sort();
-        for v in &vars {
-            let Some((_, _, enc_fields, _)) = enc_variants.iter().find(|(ev, ..)| ev == v) else {
-                continue;
-            };
-            let mut want = enc_fields.clone();
-            want.sort();
-            if want != len_fields {
-                out.push(Finding {
-                    rel: f.rel.clone(),
-                    line,
-                    rule: "wire-symmetry",
-                    text: format!(
-                        "{ty}::{v}: encoded_len sums {len_fields:?} but encode writes {want:?}"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-fn check_struct(f: &FileModel, im: &ImplDef, out: &mut Vec<Finding>) {
-    let ty = base_name(&im.type_name).to_string();
-    let (Some(enc), Some(dec)) = (fn_body(im, "encode"), fn_body(im, "decode")) else {
-        return;
-    };
-    let enc_fields: Vec<String> = call_receivers(&f.toks, enc.clone(), "encode")
-        .into_iter()
-        .map(|(_, r)| r)
-        .collect();
-
-    let dcount = call_sites(&f.toks, dec.clone(), "decode").len();
-    match construction_fields(&f.toks, dec.clone(), &[&ty, "Self"]) {
-        Some(df) if !df.is_empty() && df.iter().all(|(_, inline)| *inline) => {
-            let dnames: Vec<&String> = df.iter().map(|(n, _)| n).collect();
-            let enames: Vec<&String> = enc_fields.iter().collect();
-            if dnames != enames {
-                out.push(Finding {
-                    rel: f.rel.clone(),
-                    line: im.line,
-                    rule: "wire-symmetry",
-                    text: format!(
-                        "{ty}: encode field order {enames:?} != decode field order {dnames:?}"
-                    ),
-                });
-            }
-        }
-        _ => {
-            if dcount != enc_fields.len() {
-                out.push(Finding {
-                    rel: f.rel.clone(),
-                    line: im.line,
-                    rule: "wire-symmetry",
-                    text: format!(
-                        "{ty}: encode writes {} fields but decode reads {dcount}",
-                        enc_fields.len()
-                    ),
-                });
-            }
-        }
-    }
-
-    if let Some(elen) = fn_body(im, "encoded_len") {
-        let mut len_fields: Vec<String> = call_receivers(&f.toks, elen.clone(), "encoded_len")
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect();
-        len_fields.sort();
-        let mut want = enc_fields.clone();
-        want.sort();
-        if want != len_fields {
+    for wi in inventory(ws) {
+        if wi.shape == WireShape::Handwritten && !wi.rel.starts_with("crates/wire/src/") {
             out.push(Finding {
-                rel: f.rel.clone(),
-                line: im.line,
-                rule: "wire-symmetry",
-                text: format!("{ty}: encoded_len sums {len_fields:?} but encode writes {want:?}"),
+                rel: wi.rel,
+                line: wi.line,
+                rule: "handwritten-wire-impl",
+                text: format!(
+                    "`impl Wire for {}`: declare the codec with wire_struct!/wire_enum! so \
+                     encode, decode and encoded_len share one field list",
+                    wi.type_name
+                ),
             });
         }
     }

@@ -1,7 +1,8 @@
-//! Deliberately broken `Wire` impl for the wire-symmetry pass:
-//! * `Put`'s decode constructs `val` before `key`, reversing the encode
-//!   order;
-//! * `encoded_len` forgets the tag byte (`1 +`) entirely.
+//! Positive fixture for the `handwritten-wire-impl` rule: a codec
+//! spelled out by hand instead of declared with `wire_enum!`. It is also
+//! the kind of bug the rule exists to prevent — `Put`'s decode reads
+//! `val` before `key`, reversing the encode order, and `encoded_len`
+//! forgets the tag byte — neither of which the macro can express.
 //! Never compiled — parsed by `crates/analyzer/tests/passes.rs`.
 
 pub enum BrokenMsg {

@@ -6,8 +6,9 @@
 //!   the check) fails here, not in production CI where the tree is
 //!   clean either way.
 //! * **clean tree is clean** — the real workspace produces zero
-//!   non-allowlisted findings, and the wire-symmetry inventory covers
-//!   the expected number of `Wire` impls per protocol crate.
+//!   non-allowlisted findings, and the wire inventory sees the expected
+//!   number of macro-declared codecs per protocol crate and no
+//!   handwritten one.
 
 use marp_analyzer::model::Workspace;
 use marp_analyzer::passes::wire::WireShape;
@@ -32,24 +33,17 @@ fn rules(findings: &[Finding]) -> Vec<&'static str> {
 }
 
 #[test]
-fn wire_symmetry_fires_on_fixture() {
+fn handwritten_wire_impl_fires_on_fixture() {
     let ws = fixture_ws("wire_asymmetry.rs", "crates/core/src/broken.rs");
     let mut out = Vec::new();
     passes::wire::check(&ws, &mut out);
-    assert!(
-        rules(&out).contains(&"wire-symmetry"),
-        "pass did not fire: {out:?}"
-    );
-    // Both defects are distinct findings: the swapped decode order on
-    // `Put` and the missing tag byte in `encoded_len`.
-    assert!(
-        out.iter().any(|f| f.text.contains("Put")),
-        "field-order defect not reported: {out:?}"
-    );
-    assert!(
-        out.iter().any(|f| f.text.contains("tag")),
-        "tag-byte defect not reported: {out:?}"
-    );
+    assert_eq!(rules(&out), vec!["handwritten-wire-impl"], "{out:?}");
+    assert!(out[0].text.contains("BrokenMsg"), "{out:?}");
+    // The same impl inside the wire crate is a leaf codec, not a finding.
+    let ws = fixture_ws("wire_asymmetry.rs", "crates/wire/src/broken.rs");
+    let mut out = Vec::new();
+    passes::wire::check(&ws, &mut out);
+    assert!(out.is_empty(), "{out:?}");
 }
 
 #[test]
@@ -99,7 +93,8 @@ fn lease_passes_fire_on_fixture() {
     assert!(rs.contains(&"lease-release-path"), "{out:?}");
 }
 
-/// The golden run: the real tree, all five passes plus the lint set,
+/// The golden run: the real tree, the four passes, the
+/// `handwritten-wire-impl` rule and the lint set,
 /// zero findings after the allowlist. This is exactly what the CI lint
 /// job executes via `xtask lint && xtask analyze`.
 #[test]
@@ -118,39 +113,47 @@ fn clean_tree_produces_zero_findings() {
     );
 }
 
-/// Wire-symmetry coverage: the inventory must see every `Wire` impl in
-/// the protocol crates. Adding an impl bumps these counts — that is the
-/// point: the analyzer cannot silently lose coverage of a codec.
+/// Symmetry by construction, pinned: every codec in the protocol
+/// crates is a macro declaration and none is handwritten. Adding a
+/// message bumps a count here — the inventory cannot silently lose
+/// sight of a codec.
 #[test]
 fn wire_inventory_covers_protocol_crates() {
     let root = marp_analyzer::workspace_root_from(env!("CARGO_MANIFEST_DIR"));
     let ws = load_workspace(&root);
     let inv = passes::wire::inventory(&ws);
 
-    let count = |krate: &str, macro_shape: bool| {
+    let count = |krate: &str, shape: WireShape| {
         inv.iter()
-            .filter(|wi| wi.krate == krate && (wi.shape == WireShape::Macro) == macro_shape)
+            .filter(|wi| wi.krate == krate && wi.shape == shape)
             .count()
     };
-    // crates/core: Phase, UpdateAgent, LockingTable, NodeMsg, AgentReply,
-    // ReadAgent handwritten; UpdateMsg, CommitMsg via wire_enum!.
-    assert_eq!(count("crates/core", false), 6);
-    assert_eq!(count("crates/core", true), 2);
-    // crates/replica: Operation, ClientReply, SyncMsg handwritten; the
-    // request/lock-entry/snapshot family via macros.
-    assert_eq!(count("crates/replica", false), 3);
-    assert_eq!(count("crates/replica", true), 6);
-    // crates/wire: the primitive leaf codecs plus the four varint-macro
-    // instantiations (u16, u32, i16, i32).
-    assert_eq!(count("crates/wire", false), 15);
-    assert_eq!(count("crates/wire", true), 4);
-    // Every handwritten non-leaf impl is actually checked, not just
-    // inventoried: they all classify as Enum or Struct.
+    for (krate, macros) in [
+        // Phase, UpdateAgent, LockingTable, ReadAgent, UpdateMsg,
+        // CommitMsg, NodeMsg, AgentReply.
+        ("crates/core", 8),
+        // Operation, ClientRequest, ClientReply, WriteRequest, SyncMsg,
+        // LockEntry, LlSnapshot, UpdatedList, CommitRecord.
+        ("crates/replica", 9),
+        // AgentId, AgentEnvelope, ItineraryPolicy, Itinerary.
+        ("crates/agent", 4),
+        // SuccessRule, Verdict, QuorumCall, TimerMux.
+        ("crates/quorum", 4),
+        // Ballot, LwwTs, McvMsg, WvMsg, AcMsg, PcMsg.
+        ("crates/baselines", 6),
+        // SimTime, SpanKind.
+        ("crates/sim", 2),
+    ] {
+        assert_eq!(count(krate, WireShape::Macro), macros, "{krate}");
+        assert_eq!(count(krate, WireShape::Handwritten), 0, "{krate}");
+    }
+    // crates/wire: the primitive and container codecs, plus the four
+    // varint-macro instantiations (u16, u32, i16, i32).
+    assert_eq!(count("crates/wire", WireShape::Handwritten), 15);
+    assert_eq!(count("crates/wire", WireShape::Macro), 4);
     assert_eq!(inv.len(), 52, "workspace-wide Wire impl count");
-    // The two MARP message enums, by variant: the symmetry pass checks
-    // one tag per variant, so these are the tag counts it covers.
-    // AgentReply gained the `LlChanged` change notice; NodeMsg lost
-    // `LlQueryKeyed` (folded into the one keyed `LlQuery`).
+    // The two MARP message enums, by variant (the tag count each
+    // `wire_enum!` declaration covers).
     let variants = |name: &str| {
         ws.files
             .iter()

@@ -33,9 +33,11 @@
 //!   arms: exporters must match `TraceEvent` exhaustively so adding a
 //!   variant is a loud failure, not silently dropped data.
 //!
-//! `cargo run -p xtask -- analyze` runs the five protocol-aware passes:
-//! wire symmetry, handler exhaustiveness, timer-tag registry, span
-//! balance, and lease discipline.
+//! `cargo run -p xtask -- analyze` runs the four protocol-aware passes
+//! (handler exhaustiveness, timer-tag registry, span balance, lease
+//! discipline) plus one rule: no handwritten `impl Wire` outside
+//! `crates/wire` — codecs are declared with `wire_struct!` /
+//! `wire_enum!`, symmetric by construction.
 //!
 //! Known-good exceptions for either command live in `lint-allow.txt` at
 //! the workspace root: lines of `<path-suffix> <rule> <substring>`.
@@ -71,7 +73,7 @@ fn cmd_analyze() -> ExitCode {
     findings.retain(|f| !allowed(&allows, f));
     if findings.is_empty() {
         println!(
-            "xtask analyze: clean ({} files, {impls} Wire impls)",
+            "xtask analyze: four passes + one rule clean ({} files, {impls} Wire impls)",
             ws.files.len()
         );
         return ExitCode::SUCCESS;
