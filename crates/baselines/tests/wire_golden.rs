@@ -11,6 +11,7 @@ use marp_baselines::{AcMsg, Ballot, LwwTs, McvMsg, PcMsg, WvMsg};
 use marp_replica::{ClientRequest, CommitRecord, Operation, SyncMsg, WriteRequest};
 use marp_sim::SimTime;
 use marp_wire::Wire;
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 #[derive(Default)]
@@ -68,7 +69,9 @@ fn ballot() -> Ballot {
 }
 
 fn sync() -> SyncMsg {
-    SyncMsg::Pull { from_version: 3 }
+    SyncMsg::Pull {
+        versions: BTreeMap::from([(0, 3)]),
+    }
 }
 
 #[test]
@@ -107,7 +110,7 @@ fn baseline_message_vectors() {
         McvMsg::Release { ballot: ballot() },
         "04ac0202",
     );
-    g.check("McvMsg::Sync", McvMsg::Sync(sync()), "050003");
+    g.check("McvMsg::Sync", McvMsg::Sync(sync()), "0500010003");
 
     g.check(
         "WvMsg::Client",
@@ -222,6 +225,6 @@ fn baseline_message_vectors() {
         "020102030409c0b19f05",
     );
     g.check("PcMsg::RepAck", PcMsg::RepAck { version: 300 }, "03ac02");
-    g.check("PcMsg::Sync", PcMsg::Sync(sync()), "040003");
+    g.check("PcMsg::Sync", PcMsg::Sync(sync()), "0400010003");
     g.finish();
 }

@@ -274,7 +274,9 @@ mod tests {
             reply_to: 2,
             horizon: BTreeMap::from([(0, 3), (4, 9)]),
         });
-        roundtrip(NodeMsg::Sync(SyncMsg::Pull { from_version: 0 }));
+        roundtrip(NodeMsg::Sync(SyncMsg::Pull {
+            versions: BTreeMap::from([(0, 3)]),
+        }));
         roundtrip(NodeMsg::RAgent(AgentEnvelope::MigrateAck {
             agent: aid(4),
             hop: 1,
@@ -338,11 +340,13 @@ mod tests {
 
     #[test]
     fn wrappers_produce_decodable_node_msgs() {
-        let wrapped = wrap_sync(SyncMsg::Pull { from_version: 3 });
-        assert!(matches!(
-            marp_wire::from_bytes::<NodeMsg>(&wrapped).unwrap(),
-            NodeMsg::Sync(SyncMsg::Pull { from_version: 3 })
-        ));
+        let pull = SyncMsg::Pull {
+            versions: BTreeMap::from([(0, 3)]),
+        };
+        assert_eq!(
+            marp_wire::from_bytes::<NodeMsg>(&wrap_sync(pull.clone())).unwrap(),
+            NodeMsg::Sync(pull)
+        );
         let wrapped = wrap_client_request(ClientRequest {
             id: 4,
             op: Operation::Read { key: 1 },

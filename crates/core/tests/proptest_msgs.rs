@@ -112,7 +112,8 @@ fn arb_node_msg() -> impl Strategy<Value = NodeMsg> {
                 reply_to,
                 horizon,
             }),
-        any::<u64>().prop_map(|v| NodeMsg::Sync(SyncMsg::Pull { from_version: v })),
+        proptest::collection::btree_map(any::<u64>(), any::<u64>(), 0..4)
+            .prop_map(|versions| NodeMsg::Sync(SyncMsg::Pull { versions })),
     ]
 }
 

@@ -241,20 +241,26 @@ fn message_vectors() {
         ClientReply::Rejected { id: 1 },
         "0201",
     );
-    g.check("SyncMsg::Pull", SyncMsg::Pull { from_version: 12 }, "000c");
+    g.check(
+        "SyncMsg::Pull",
+        SyncMsg::Pull {
+            versions: BTreeMap::from([(0, 12)]),
+        },
+        "0001000c",
+    );
+    g.check(
+        "SyncMsg::Pull(keyed)",
+        SyncMsg::Pull {
+            versions: BTreeMap::from([(0, 3), (7, 1)]),
+        },
+        "000200030701",
+    );
     g.check(
         "SyncMsg::Push",
         SyncMsg::Push {
             records: vec![commit_record()],
         },
         "0101010203878080801009c0b19f05",
-    );
-    g.check(
-        "SyncMsg::PullKeyed",
-        SyncMsg::PullKeyed {
-            versions: BTreeMap::from([(0, 3), (7, 1)]),
-        },
-        "020200030701",
     );
     g.check(
         "AgentEnvelope::Migrate",
@@ -333,8 +339,10 @@ fn message_vectors() {
     );
     g.check(
         "NodeMsg::Sync",
-        NodeMsg::Sync(SyncMsg::Pull { from_version: 3 }),
-        "060003",
+        NodeMsg::Sync(SyncMsg::Pull {
+            versions: BTreeMap::from([(0, 3)]),
+        }),
+        "0600010003",
     );
     g.check(
         "NodeMsg::RAgent",

@@ -129,31 +129,23 @@ marp_wire::wire_struct!(WriteRequest {
 /// Anti-entropy exchange for recovering replicas.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SyncMsg {
-    /// "Send me everything after `from_version`."
+    /// "Send me everything my chains are missing."
     Pull {
-        /// Highest version the requester has applied.
-        from_version: u64,
+        /// Highest applied version per chain at the requester. A chain
+        /// absent from the map means "send it in full", so an empty map
+        /// asks for everything.
+        versions: std::collections::BTreeMap<u64, u64>,
     },
     /// The requested commit-log suffix.
     Push {
         /// Records in version order (within each chain).
         records: Vec<CommitRecord>,
     },
-    /// "Send me everything my chains are missing." Sent instead of
-    /// [`SyncMsg::Pull`] only by stores holding per-key chains beyond
-    /// chain 0, so single-key deployments keep the legacy exchange
-    /// byte-for-byte. A chain absent from the map means "send it in
-    /// full".
-    PullKeyed {
-        /// Highest applied version per chain at the requester.
-        versions: std::collections::BTreeMap<u64, u64>,
-    },
 }
 
 marp_wire::wire_enum!(SyncMsg {
-    0 => Pull { from_version },
+    0 => Pull { versions },
     1 => Push { records },
-    2 => PullKeyed { versions },
 });
 
 #[cfg(test)]
@@ -219,8 +211,7 @@ mod tests {
 
     #[test]
     fn sync_messages_roundtrip() {
-        roundtrip(SyncMsg::Pull { from_version: 12 });
-        roundtrip(SyncMsg::PullKeyed {
+        roundtrip(SyncMsg::Pull {
             versions: std::collections::BTreeMap::from([(0u64, 3u64), (7, 1)]),
         });
         roundtrip(SyncMsg::Push {

@@ -281,15 +281,8 @@ impl ServerCore {
     /// Handle an anti-entropy message.
     pub fn handle_sync(&mut self, from: NodeId, msg: SyncMsg, ctx: &mut dyn Context) {
         match msg {
-            SyncMsg::Pull { from_version } => {
-                // A legacy pull comes from a store tracking only chain 0
-                // (single-key, or empty after recovery): serve chain 0
-                // from its version plus every other chain in full. On a
-                // single-key store no other chains exist, so the reply
-                // is exactly the old chain-0 suffix.
-                let records = self
-                    .store
-                    .suffix_for_versions(&std::collections::BTreeMap::from([(0, from_version)]));
+            SyncMsg::Pull { versions } => {
+                let records = self.store.suffix_for_versions(&versions);
                 if !records.is_empty() {
                     let reply = (self.sync_wrap)(SyncMsg::Push { records });
                     ctx.send(from, reply);
@@ -298,29 +291,6 @@ impl ServerCore {
             SyncMsg::Push { records } => {
                 self.apply_commits(records, ctx);
             }
-            SyncMsg::PullKeyed { versions } => {
-                let records = self.store.suffix_for_versions(&versions);
-                if !records.is_empty() {
-                    let reply = (self.sync_wrap)(SyncMsg::Push { records });
-                    ctx.send(from, reply);
-                }
-            }
-        }
-    }
-
-    /// The pull message matching this store's discipline: the legacy
-    /// single-cursor [`SyncMsg::Pull`] unless we actually hold per-key
-    /// chains beyond chain 0, so single-key deployments stay
-    /// byte-identical on the wire.
-    fn pull_msg(&self) -> SyncMsg {
-        if self.store.has_keyed_chains() {
-            SyncMsg::PullKeyed {
-                versions: self.store.chain_versions(),
-            }
-        } else {
-            SyncMsg::Pull {
-                from_version: self.store.applied_version(),
-            }
         }
     }
 
@@ -328,19 +298,19 @@ impl ServerCore {
     /// apply), pull the missing suffix from `peer`. Returns true if a
     /// pull was sent.
     pub fn pull_if_behind(&mut self, peer: NodeId, ctx: &mut dyn Context) -> bool {
-        if self.store.has_gap() {
-            let msg = (self.sync_wrap)(self.pull_msg());
-            ctx.send(peer, msg);
-            true
-        } else {
-            false
+        let behind = self.store.has_gap();
+        if behind {
+            self.pull_from(peer, ctx);
         }
+        behind
     }
 
     /// Unconditionally pull history newer than ours from `peer` (used on
     /// recovery, when we do not yet know whether we missed anything).
     pub fn pull_from(&mut self, peer: NodeId, ctx: &mut dyn Context) {
-        let msg = (self.sync_wrap)(self.pull_msg());
+        let msg = (self.sync_wrap)(SyncMsg::Pull {
+            versions: self.store.chain_versions(),
+        });
         ctx.send(peer, msg);
     }
 
@@ -377,6 +347,7 @@ impl ServerCore {
 mod tests {
     use super::*;
     use marp_sim::{SimTime, TimerId};
+    use std::collections::BTreeMap;
 
     /// Minimal hand-rolled context for driving the core directly.
     struct TestCtx {
@@ -597,7 +568,10 @@ mod tests {
         source.apply_commits(vec![commit(1, 100), commit(2, 200)], &mut ctx);
 
         let mut ctx_pull = TestCtx::new(0);
-        source.handle_sync(5, SyncMsg::Pull { from_version: 1 }, &mut ctx_pull);
+        let pull = SyncMsg::Pull {
+            versions: BTreeMap::from([(0, 1)]),
+        };
+        source.handle_sync(5, pull, &mut ctx_pull);
         assert_eq!(ctx_pull.sent.len(), 1);
         let pushed: SyncMsg = marp_wire::from_bytes(&ctx_pull.sent[0].1).unwrap();
         let SyncMsg::Push { records } = pushed else {
@@ -612,7 +586,9 @@ mod tests {
         assert_eq!(target.store.applied_version(), 0);
         assert!(target.pull_if_behind(0, &mut ctx2));
         let pull: SyncMsg = marp_wire::from_bytes(&ctx2.sent.last().unwrap().1).unwrap();
-        assert_eq!(pull, SyncMsg::Pull { from_version: 0 });
+        // Chain 0 is known (version 2 is buffered) but nothing is applied.
+        let versions = BTreeMap::from([(0, 0)]);
+        assert_eq!(pull, SyncMsg::Pull { versions });
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! applies them in that order. The store enforces it: commits apply
 //! strictly in version order within their chain; out-of-order arrivals
 //! (a replica that missed some commits while down) are buffered until
-//! the gap is filled by anti-entropy ([`VersionedStore::log_suffix`]
+//! the gap is filled by anti-entropy ([`VersionedStore::suffix_for_versions`]
 //! answers a recovering peer's request).
 //!
 //! Two chain disciplines exist, fixed at construction:
@@ -237,21 +237,9 @@ impl VersionedStore {
     }
 
     /// Applied version of every chain this store has touched — the
-    /// horizon map a keyed anti-entropy pull advertises.
+    /// horizon map an anti-entropy pull advertises.
     pub fn chain_versions(&self) -> BTreeMap<u64, u64> {
         self.chains.iter().map(|(&c, ch)| (c, ch.applied)).collect()
-    }
-
-    /// Whether any chain other than chain 0 exists (a single-key or
-    /// global-discipline store can keep using the legacy chain-0 pull).
-    pub fn has_keyed_chains(&self) -> bool {
-        self.chains.keys().any(|&c| c != 0)
-    }
-
-    /// Chain 0's commit log from `from_version` (exclusive) onwards —
-    /// the legacy anti-entropy payload for a recovering peer.
-    pub fn log_suffix(&self, from_version: u64) -> Vec<CommitRecord> {
-        self.log_suffix_for(0, from_version)
     }
 
     /// One chain's commit log from `from_version` (exclusive) onwards.
@@ -269,8 +257,7 @@ impl VersionedStore {
 
     /// Everything the peer behind `versions` is missing: for each local
     /// chain, the suffix past the peer's advertised applied version
-    /// (absent = 0, i.e. the full chain) — the keyed anti-entropy
-    /// payload.
+    /// (absent = 0, i.e. the full chain) — the anti-entropy payload.
     pub fn suffix_for_versions(&self, versions: &BTreeMap<u64, u64>) -> Vec<CommitRecord> {
         let mut records = Vec::new();
         for &chain in self.chains.keys() {
@@ -354,14 +341,14 @@ mod tests {
         for v in 1..=5 {
             store.offer(record(v, v, v * 10), SimTime::ZERO);
         }
-        let suffix = store.log_suffix(3);
+        let suffix = store.log_suffix_for(0, 3);
         assert_eq!(
             suffix.iter().map(|r| r.version).collect::<Vec<_>>(),
             vec![4, 5]
         );
-        assert!(store.log_suffix(5).is_empty());
-        assert!(store.log_suffix(99).is_empty());
-        assert_eq!(store.log_suffix(0).len(), 5);
+        assert!(store.log_suffix_for(0, 5).is_empty());
+        assert!(store.log_suffix_for(0, 99).is_empty());
+        assert_eq!(store.log_suffix_for(0, 0).len(), 5);
     }
 
     #[test]
@@ -385,7 +372,6 @@ mod tests {
         assert_eq!(store.applied_version(), 3);
         assert_eq!(store.applied_version_for(20), 3);
         assert_eq!(store.log().len(), 3);
-        assert!(!store.has_keyed_chains());
     }
 
     #[test]
@@ -403,7 +389,6 @@ mod tests {
         assert_eq!(store.get(2).unwrap().value, 20);
         assert_eq!(store.last_update_time_for(1), SimTime::from_millis(3));
         assert_eq!(store.last_update_time_for(2), SimTime::from_millis(2));
-        assert!(store.has_keyed_chains());
         assert_eq!(
             store.chain_versions(),
             BTreeMap::from([(1u64, 2u64), (2, 1)])

@@ -86,7 +86,7 @@ proptest! {
         for version in 1..=from {
             target.offer(record(version), SimTime::ZERO);
         }
-        for rec in source.log_suffix(from) {
+        for rec in source.log_suffix_for(0, from) {
             target.offer(rec, SimTime::ZERO);
         }
         prop_assert_eq!(target.applied_version(), n);
