@@ -536,6 +536,8 @@ macro_rules! wire_enum {
             #[deny(unreachable_patterns)]
             fn decode(buf: &mut ::bytes::Bytes) -> ::core::result::Result<Self, $crate::WireError> {
                 match <u8 as $crate::Wire>::decode(buf)? {
+                    // (`$inner` is bound and returned only so the optional
+                    // tuple group has a metavariable to repeat over.)
                     $( $tag => Ok($name::$variant
                         $(({ let $inner = $crate::Wire::decode(buf)?; $inner }))?
                         $({ $( $field: $crate::Wire::decode(buf)? ),* })?
