@@ -168,6 +168,17 @@ impl LockingList {
         purged
     }
 
+    /// Crash recovery: the entries are volatile and lost, the content
+    /// version is not. Peers' boards and agents' tables still hold
+    /// pre-crash snapshots of this list, and a version that restarted
+    /// at 0 would lose to every one of them ([`LlSnapshot::is_older_than`]
+    /// compares versions first) — so it is kept, and bumped even when
+    /// the list was already empty.
+    pub fn clear_for_recovery(&mut self) {
+        self.entries.clear();
+        self.version += 1;
+    }
+
     /// The top-ranked (oldest live) agent.
     pub fn top(&self) -> Option<AgentId> {
         self.entries.first().map(|e| e.agent)
@@ -305,6 +316,14 @@ impl LockTable {
             }
         }
         purged
+    }
+
+    /// Crash recovery: empty every queue, keeping (and bumping) its
+    /// content version (see [`LockingList::clear_for_recovery`]).
+    pub fn clear_for_recovery(&mut self) {
+        for ll in self.lists.values_mut() {
+            ll.clear_for_recovery();
+        }
     }
 
     /// `key`'s queue-content version (0 while never touched).
@@ -616,6 +635,28 @@ mod tests {
         // Untouched keys answer with a virgin snapshot.
         assert_eq!(table.snapshot(9, SimTime::from_millis(3)).version, 0);
         assert_eq!(table.version(9), 0);
+    }
+
+    #[test]
+    fn recovered_table_supersedes_its_pre_crash_snapshots() {
+        let mut table = LockTable::new();
+        table.request(5, agent(1, 0), SimTime::from_millis(1), LEASE, 9);
+        table.request(5, agent(2, 0), SimTime::from_millis(2), LEASE, 9);
+        table.list_mut(6); // touched, never queued on
+        let before = table.snapshot(5, SimTime::from_millis(3));
+        let drained = table.snapshot(6, SimTime::from_millis(3));
+        table.clear_for_recovery();
+        assert!(table.is_empty());
+        // The first snapshot after recovery wins against anything taken
+        // before the crash, even one stamped later.
+        let after = table.snapshot(5, SimTime::from_millis(2));
+        assert!(before.is_older_than(&after));
+        assert!(after.queue.is_empty());
+        // So does an already-empty list's.
+        assert!(drained.is_older_than(&table.snapshot(6, SimTime::from_millis(2))));
+        // And the versions keep counting from there.
+        table.request(5, agent(3, 0), SimTime::from_millis(4), LEASE, 9);
+        assert_eq!(table.version(5), before.version + 2);
     }
 
     #[test]

@@ -328,12 +328,13 @@ impl ServerCore {
         purged.len()
     }
 
-    /// Reset volatile state after a crash. The store's applied log and
-    /// the Updated List model stable storage and survive; the Locking
-    /// List, buffered commits, and client bookkeeping are volatile.
+    /// Reset volatile state after a crash. The store's applied log, the
+    /// Updated List and the Locking Lists' version counters model stable
+    /// storage and survive; the Locking Lists' entries, buffered
+    /// commits, and client bookkeeping are volatile.
     pub fn on_recover(&mut self) {
         self.store.clear_volatile();
-        self.ll = LockTable::new();
+        self.ll.clear_for_recovery();
         self.pending_clients.clear();
     }
 

@@ -233,3 +233,25 @@ fn directional_link_outage_is_routed_around() {
         "a one-way link outage must not lose updates"
     );
 }
+
+#[test]
+fn regression_recovered_servers_locking_list_supersedes_its_pre_crash_self() {
+    // Node 2 crashes at 500 ms for 1 s under the paper's N=5, 200 ms
+    // load. Its Locking-List versions used to restart at 0, so every
+    // snapshot it took after recovery lost to the dead pre-crash queue
+    // still held in peers' boards and agents' tables: agents claimed on
+    // that stale view, were refused, and re-polled — 600 k events —
+    // until the 30 s lock lease ran out.
+    let mut s = Scenario::paper(5, 200.0, 2373);
+    s.requests_per_client = 40;
+    s.client_retry = Some((Duration::from_secs(2), 8));
+    s.faults = Some(FaultPlan::new(5).crash(2, SimTime::from_millis(500), Duration::from_secs(1)));
+    let outcome = run_scenario(&s);
+    outcome.audit.assert_ok();
+    assert_eq!(outcome.metrics.completed, 200);
+    assert!(
+        outcome.stats.events < 60_000,
+        "claim → refuse → re-poll storm: {} events",
+        outcome.stats.events
+    );
+}
