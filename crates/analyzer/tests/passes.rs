@@ -129,9 +129,9 @@ fn wire_inventory_covers_protocol_crates() {
             .count()
     };
     for (krate, macros) in [
-        // Phase, UpdateAgent, LockingTable, ReadAgent, UpdateMsg,
+        // Phase, UpdateAgent, LlRow, LockingTable, ReadAgent, UpdateMsg,
         // CommitMsg, NodeMsg, AgentReply.
-        ("crates/core", 8),
+        ("crates/core", 9),
         // Operation, ClientRequest, ClientReply, WriteRequest, SyncMsg,
         // LockEntry, LlSnapshot, UpdatedList, CommitRecord.
         ("crates/replica", 9),
@@ -151,7 +151,7 @@ fn wire_inventory_covers_protocol_crates() {
     // varint-macro instantiations (u16, u32, i16, i32).
     assert_eq!(count("crates/wire", WireShape::Handwritten), 15);
     assert_eq!(count("crates/wire", WireShape::Macro), 4);
-    assert_eq!(inv.len(), 52, "workspace-wide Wire impl count");
+    assert_eq!(inv.len(), 53, "workspace-wide Wire impl count");
     // The two MARP message enums, by variant (the tag count each
     // `wire_enum!` declaration covers).
     let variants = |name: &str| {

@@ -719,14 +719,12 @@ impl AgentBehavior for UpdateAgent {
         // The agent's own entry always travels: it is the zombie-clone
         // self-check, and must survive hops through servers that have
         // already pruned it.
-        let named = self.lt.known_agents(&UpdatedList::new());
         self.ual
-            .retain(|agent| agent == self.id || named.binary_search(&agent).is_ok());
+            .retain(|agent| agent == self.id || self.lt.names(agent));
     }
 
     fn carried_lt_entries(&self) -> u64 {
-        let queued: usize = self.lt.iter().map(|(_, snap)| snap.queue.len()).sum();
-        queued as u64 + self.ual.len() as u64
+        self.lt.entries() as u64 + self.ual.len() as u64
     }
 }
 

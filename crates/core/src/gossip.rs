@@ -87,10 +87,7 @@ mod tests {
         lt.merge(2, snap(5, &[a]));
         board.deposit(0, &lt);
         assert_eq!(board.known_servers(0), 1);
-        assert_eq!(
-            board.contents(0).unwrap().snapshot(2).unwrap().top(),
-            Some(a)
-        );
+        assert_eq!(board.contents(0).unwrap().roster(), [a]);
     }
 
     #[test]
@@ -100,15 +97,9 @@ mod tests {
         let mut board = GossipBoard::new();
         board.post(0, 0, snap(5, &[a]));
         board.post(0, 0, snap(3, &[b]));
-        assert_eq!(
-            board.contents(0).unwrap().snapshot(0).unwrap().top(),
-            Some(a)
-        );
+        assert_eq!(board.contents(0).unwrap().roster(), [a]);
         board.post(0, 0, snap(7, &[b]));
-        assert_eq!(
-            board.contents(0).unwrap().snapshot(0).unwrap().top(),
-            Some(b)
-        );
+        assert_eq!(board.contents(0).unwrap().roster(), [b]);
     }
 
     #[test]

@@ -31,17 +31,58 @@
 
 use marp_agent::AgentId;
 use marp_replica::{LlSnapshot, UpdatedList};
-use marp_sim::NodeId;
+use marp_sim::{NodeId, SimTime};
 use std::collections::BTreeMap;
+
+/// Most agents one table can name: rows index the roster with a `u16`
+/// (and count its slots in one).
+const MAX_ROSTER: usize = u16::MAX as usize;
+
+/// One server's row of a [`LockingTable`]: which snapshot of its LL
+/// this is, and the queue as indices into the table's roster.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LlRow {
+    /// The server's queue-content version when the snapshot was taken.
+    pub version: u64,
+    /// When the snapshot was taken at the server.
+    pub taken_at: SimTime,
+    /// Roster indices in queue order (index 0 is the top).
+    ranks: Vec<u16>,
+}
+
+marp_wire::wire_struct!(LlRow {
+    version,
+    taken_at,
+    ranks
+});
+
+impl LlRow {
+    /// Whether a snapshot stamped `(version, taken_at)` supersedes this
+    /// row (the order of [`LlSnapshot::is_older_than`]).
+    fn is_older_than(&self, version: u64, taken_at: SimTime) -> bool {
+        (self.version, self.taken_at) < (version, taken_at)
+    }
+}
 
 /// The travelling Locking Table: the freshest known LL snapshot per
 /// server.
+///
+/// A contended table names the same few agents once per server that
+/// queues them, so it holds each [`AgentId`] once, in a sorted roster,
+/// and every row is a list of small indices into it. That is also the
+/// wire form — roster, then rows — so migrating agents, `LlInfo`
+/// replies and gossip boards ship an id once however many queues it
+/// waits in. The roster holds exactly the agents some row names (the
+/// mutators drop an id with its last reference), which makes the
+/// representation a function of the content: equal tables are equal
+/// field by field and encode to the same bytes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LockingTable {
-    snapshots: BTreeMap<NodeId, LlSnapshot>,
+    roster: Vec<AgentId>,
+    rows: BTreeMap<NodeId, LlRow>,
 }
 
-marp_wire::wire_struct!(LockingTable { snapshots });
+marp_wire::wire_struct!(LockingTable { roster, rows } if LockingTable::indexes_its_roster);
 
 impl LockingTable {
     /// An empty table.
@@ -49,13 +90,104 @@ impl LockingTable {
         Self::default()
     }
 
+    /// What a decoded table must satisfy before any method may index
+    /// with its ranks: a strictly ascending roster (so no id twice) of
+    /// a size ranks can address, and every rank inside it. An id no row
+    /// references is accepted: tables built here never hold one, and in
+    /// a forged one it can only pad the rival set ([`Self::known_agents`])
+    /// — which the forger could have written into the claim directly,
+    /// and which servers check against their live queues anyway.
+    fn indexes_its_roster(&self) -> bool {
+        self.roster.len() <= MAX_ROSTER
+            && self.roster.windows(2).all(|pair| pair[0] < pair[1])
+            && self
+                .rows
+                .values()
+                .flat_map(|row| &row.ranks)
+                .all(|&rank| usize::from(rank) < self.roster.len())
+    }
+
+    /// The roster index of `agent`, adding it if new. Ranks at or above
+    /// an insertion point move up by one, in every row and in `pending`
+    /// (the ranks of a row still being built).
+    fn intern(&mut self, agent: AgentId, pending: &mut [u16]) -> u16 {
+        let at = match self.roster.binary_search(&agent) {
+            Ok(at) => at,
+            Err(at) => {
+                self.roster.insert(at, agent);
+                // Agents sort by birth, so a new one usually lands last.
+                if at + 1 < self.roster.len() {
+                    let rows = self.rows.values_mut().flat_map(|row| &mut row.ranks);
+                    for rank in rows.chain(pending).filter(|rank| usize::from(**rank) >= at) {
+                        *rank += 1;
+                    }
+                }
+                at
+            }
+        };
+        at as u16
+    }
+
+    /// Install `queue` as `server`'s row, replacing any older one.
+    fn set_row(
+        &mut self,
+        server: NodeId,
+        version: u64,
+        taken_at: SimTime,
+        queue: impl ExactSizeIterator<Item = AgentId>,
+    ) {
+        if self.roster.len() + queue.len() > MAX_ROSTER {
+            return; // no deployment queues 65 535 agents; never index past u16
+        }
+        let mut ranks = Vec::with_capacity(queue.len());
+        for agent in queue {
+            let rank = self.intern(agent, &mut ranks);
+            ranks.push(rank);
+        }
+        let row = LlRow {
+            version,
+            taken_at,
+            ranks,
+        };
+        if let Some(replaced) = self.rows.insert(server, row) {
+            self.release(replaced.ranks);
+        }
+    }
+
+    /// Restore the roster invariant after a row was removed: drop the
+    /// agents only it named and close the gaps in the ranks. `freed` is
+    /// that row's ranks; the vector is reused as scratch.
+    fn release(&mut self, mut freed: Vec<u16>) {
+        freed.sort_unstable();
+        freed.dedup();
+        freed.retain(|rank| !self.rows.values().any(|row| row.ranks.contains(rank)));
+        if freed.is_empty() {
+            return;
+        }
+        // `freed` now lists the dead roster slots in ascending order.
+        let mut slot = 0;
+        self.roster.retain(|_| {
+            slot += 1;
+            freed.binary_search(&(slot - 1)).is_err()
+        });
+        for rank in self.rows.values_mut().flat_map(|row| &mut row.ranks) {
+            *rank -= freed.partition_point(|dead| dead < rank) as u16;
+        }
+    }
+
     /// Merge a snapshot of `server`'s LL, keeping the newer one.
     pub fn merge(&mut self, server: NodeId, snapshot: LlSnapshot) {
-        match self.snapshots.get(&server) {
-            Some(existing) if !existing.is_older_than(&snapshot) => {}
-            _ => {
-                self.snapshots.insert(server, snapshot);
-            }
+        let LlSnapshot {
+            version,
+            taken_at,
+            queue,
+        } = snapshot;
+        if self
+            .rows
+            .get(&server)
+            .is_none_or(|mine| mine.is_older_than(version, taken_at))
+        {
+            self.set_row(server, version, taken_at, queue.into_iter());
         }
     }
 
@@ -63,42 +195,72 @@ impl LockingTable {
     /// servers; later visitors pick it up — the paper's information
     /// sharing).
     pub fn merge_table(&mut self, other: &LockingTable) {
-        for (&server, snapshot) in &other.snapshots {
-            self.merge(server, snapshot.clone());
+        for (&server, row) in &other.rows {
+            if self
+                .rows
+                .get(&server)
+                .is_none_or(|mine| mine.is_older_than(row.version, row.taken_at))
+            {
+                let queue = row.ranks.iter().map(|&r| other.roster[usize::from(r)]);
+                self.set_row(server, row.version, row.taken_at, queue);
+            }
         }
     }
 
-    /// The snapshot held for `server`, if any.
-    pub fn snapshot(&self, server: NodeId) -> Option<&LlSnapshot> {
-        self.snapshots.get(&server)
+    /// The row held for `server`, if any. Its queue is in [`Self::iter`].
+    pub fn snapshot(&self, server: NodeId) -> Option<&LlRow> {
+        self.rows.get(&server)
     }
 
     /// Number of servers with known snapshots.
     pub fn known_servers(&self) -> usize {
-        self.snapshots.len()
+        self.rows.len()
     }
 
-    /// Iterate over `(server, snapshot)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &LlSnapshot)> {
-        self.snapshots.iter().map(|(&s, snap)| (s, snap))
+    /// Every `(server, snapshot)` pair, the queues spelled out.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, LlSnapshot)> + '_ {
+        self.rows.iter().map(|(&server, row)| {
+            let snapshot = LlSnapshot {
+                version: row.version,
+                taken_at: row.taken_at,
+                queue: self.queue(row).collect(),
+            };
+            (server, snapshot)
+        })
+    }
+
+    fn queue<'a>(&'a self, row: &'a LlRow) -> impl Iterator<Item = AgentId> + 'a {
+        row.ranks.iter().map(|&rank| self.roster[usize::from(rank)])
+    }
+
+    /// Every agent some row names, once each, in id order.
+    pub fn roster(&self) -> &[AgentId] {
+        &self.roster
+    }
+
+    /// Whether any row names `agent`.
+    pub fn names(&self, agent: AgentId) -> bool {
+        self.roster.binary_search(&agent).is_ok()
+    }
+
+    /// Queue entries over all rows: what the table would cost with
+    /// every id spelled out where it is queued.
+    pub fn entries(&self) -> usize {
+        self.rows.values().map(|row| row.ranks.len()).sum()
     }
 
     /// The *effective top* of a server's queue: the first agent not
     /// known to have finished already (stale snapshots may still list
     /// committed agents).
     pub fn effective_top(&self, server: NodeId, finished: &UpdatedList) -> Option<AgentId> {
-        self.snapshots
-            .get(&server)?
-            .queue
-            .iter()
-            .find(|a| !finished.contains(**a))
-            .copied()
+        self.queue(self.rows.get(&server)?)
+            .find(|&a| !finished.contains(a))
     }
 
     /// Count, for every agent, the servers whose effective top it is.
     pub fn top_counts(&self, finished: &UpdatedList) -> BTreeMap<AgentId, usize> {
         let mut counts = BTreeMap::new();
-        for &server in self.snapshots.keys() {
+        for &server in self.rows.keys() {
             if let Some(top) = self.effective_top(server, finished) {
                 *counts.entry(top).or_insert(0) += 1;
             }
@@ -112,9 +274,12 @@ impl LockingTable {
     /// requires presence at a strict majority (this is also exactly
     /// Theorem 3's lower bound of ⌈(N+1)/2⌉ visits).
     pub fn presence_count(&self, agent: AgentId) -> usize {
-        self.snapshots
+        let Ok(rank) = self.roster.binary_search(&agent) else {
+            return 0;
+        };
+        self.rows
             .values()
-            .filter(|snap| snap.queue.contains(&agent))
+            .filter(|row| row.ranks.contains(&(rank as u16)))
             .count()
     }
 
@@ -123,9 +288,9 @@ impl LockingTable {
     /// senders can delta-encode (ship only snapshots strictly newer
     /// than the receiver's horizon).
     pub fn horizon(&self) -> BTreeMap<NodeId, u64> {
-        self.snapshots
+        self.rows
             .iter()
-            .map(|(&server, snap)| (server, snap.version))
+            .map(|(&server, row)| (server, row.version))
             .collect()
     }
 
@@ -135,30 +300,35 @@ impl LockingTable {
     /// delta into the receiver's table yields the same result as merging
     /// the full table (proved by property test).
     pub fn prune_covered_by(&mut self, horizon: &BTreeMap<NodeId, u64>) {
-        self.snapshots
-            .retain(|server, snap| horizon.get(server).is_none_or(|&v| snap.version > v));
+        for (&server, &covered) in horizon {
+            if self
+                .rows
+                .get(&server)
+                .is_some_and(|row| row.version <= covered)
+            {
+                self.drop_server(server);
+            }
+        }
     }
 
     /// Remove one server's snapshot (used when migrating *to* that
     /// server: its own LL is re-read on arrival, so carrying a snapshot
     /// of it is always dead weight).
     pub fn drop_server(&mut self, server: NodeId) {
-        self.snapshots.remove(&server);
+        if let Some(row) = self.rows.remove(&server) {
+            self.release(row.ranks);
+        }
     }
 
     /// Every agent appearing anywhere in the table and not finished —
     /// used as the tie certificate (the set of rivals the claimed winner
     /// knows about).
     pub fn known_agents(&self, finished: &UpdatedList) -> Vec<AgentId> {
-        let mut agents: Vec<AgentId> = self
-            .snapshots
-            .values()
-            .flat_map(|snap| snap.queue.iter().copied())
-            .filter(|a| !finished.contains(*a))
-            .collect();
-        agents.sort_unstable();
-        agents.dedup();
-        agents
+        self.roster
+            .iter()
+            .copied()
+            .filter(|&a| !finished.contains(a))
+            .collect()
     }
 }
 
@@ -352,9 +522,10 @@ mod tests {
         let b = aid(2);
         lt.merge(0, snap(5, &[a]));
         lt.merge(0, snap(3, &[b])); // older, ignored
-        assert_eq!(lt.snapshot(0).unwrap().top(), Some(a));
+        assert_eq!(lt.roster(), [a]);
         lt.merge(0, snap(9, &[b])); // newer, replaces
-        assert_eq!(lt.snapshot(0).unwrap().top(), Some(b));
+        assert_eq!(lt.roster(), [b]);
+        assert_eq!(lt.snapshot(0).unwrap().version, 9);
         assert_eq!(lt.known_servers(), 1);
     }
 
@@ -368,7 +539,8 @@ mod tests {
         lt2.merge(0, snap(5, &[]));
         lt1.merge_table(&lt2);
         assert_eq!(lt1.known_servers(), 2);
-        assert_eq!(lt1.snapshot(0).unwrap().queue.len(), 0);
+        assert_eq!(lt1.snapshot(0).unwrap().version, 5);
+        assert_eq!(lt1.entries(), 1);
     }
 
     #[test]

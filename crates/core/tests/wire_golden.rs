@@ -97,6 +97,18 @@ fn locking_table() -> LockingTable {
     lt
 }
 
+/// A contended table as an agent `aid(1)` would carry it: four agents
+/// queued in different orders at four servers, one of which has not
+/// seen the carrier.
+fn contended_table() -> LockingTable {
+    let mut lt = LockingTable::new();
+    lt.merge(0, snapshot(4, &[aid(2), aid(1), aid(4)]));
+    lt.merge(2, snapshot(6, &[aid(1), aid(2), aid(3)]));
+    lt.merge(3, snapshot(2, &[aid(3), aid(4)]));
+    lt.merge(5, snapshot(9, &[aid(2), aid(3), aid(1), aid(4)]));
+    lt
+}
+
 fn quorum_call() -> QuorumCall<u64> {
     let mut call = QuorumCall::majority(5, ms(2)).with_span(77);
     call.offer_vote(0, true, 10);
@@ -169,7 +181,12 @@ fn leaf_and_carried_state_vectors() {
     g.check(
         "LockingTable",
         locking_table(),
-        "020001c0843d01c08db70104070206809bee0202c08db7010107c08db7010207",
+        "03c08db7010107c08db7010207c08db7010407020001c0843d01020206809bee02020001",
+    );
+    g.check(
+        "LockingTable(contended)",
+        contended_table(),
+        "04c08db7010107c08db7010207c08db7010307c08db70104070400048092f401030100030206809bee0203000102030280897a0202030509c0a8a5040401020003",
     );
     g.check("Phase::Travelling", Phase::Travelling, "00");
     g.check("Phase::Parked", Phase::Parked, "01");
@@ -187,7 +204,7 @@ fn leaf_and_carried_state_vectors() {
     g.check(
         "UpdateAgent",
         UpdateAgent::new(aid(1), &cfg, vec![write_request()]).with_incarnation(2),
-        "c08db7010107050101fa011901090807ac02c096b102040002030400000000000000020000000000",
+        "c08db7010107050101fa011901090807ac02c096b10204000203040000000000000000020000000000",
     );
     g.check(
         "ReadAgent",
@@ -371,7 +388,7 @@ fn message_vectors() {
             board: locking_table(),
             ul,
         },
-        "01020280897a02c08db7010107c08db7010207020001c0843d01c08db70104070206809bee0202c08db7010107c08db701020701c08db7010507c0843d",
+        "01020280897a02c08db7010107c08db701020703c08db7010107c08db7010207c08db7010407020001c0843d01020206809bee0202000101c08db7010507c0843d",
     );
     g.check(
         "AgentReply::LlChanged",

@@ -28,6 +28,13 @@ pub enum WireError {
     },
     /// A string field held bytes that are not valid UTF-8.
     InvalidUtf8,
+    /// Every field of `type_name` decoded, but together they break the
+    /// condition the type keeps among them (an index past the table it
+    /// points into, say).
+    Malformed {
+        /// The Rust type being decoded.
+        type_name: &'static str,
+    },
     /// `from_bytes` decoded a value but bytes were left over.
     TrailingBytes {
         /// Number of unconsumed bytes.
@@ -47,6 +54,9 @@ impl fmt::Display for WireError {
                 write!(f, "value {value} out of range for {type_name}")
             }
             WireError::InvalidUtf8 => write!(f, "string field is not valid UTF-8"),
+            WireError::Malformed { type_name } => {
+                write!(f, "decoded fields do not form a valid {type_name}")
+            }
             WireError::TrailingBytes { remaining } => {
                 write!(f, "{remaining} trailing bytes after complete value")
             }

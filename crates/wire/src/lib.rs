@@ -415,7 +415,10 @@ fn decode_len(buf: &mut Bytes) -> Result<usize, WireError> {
 /// the three cannot disagree. Invoke it beside the struct definition;
 /// the struct must be constructible with struct-literal syntax from the
 /// macro's call site. Generic structs name their parameters (each gets
-/// a `Wire` bound), tuple structs list their fields by index.
+/// a `Wire` bound), tuple structs list their fields by index. A type
+/// whose fields must agree with each other names the check after `if`:
+/// a decoded value that fails it is [`WireError::Malformed`], so no
+/// method ever sees one.
 ///
 /// ```
 /// use marp_wire::{wire_struct, Wire};
@@ -439,16 +442,33 @@ fn decode_len(buf: &mut Bytes) -> Result<usize, WireError> {
 /// let bytes = marp_wire::to_bytes(&t);
 /// assert_eq!(bytes.as_ref(), &[1, 0xac, 0x02]);
 /// assert_eq!(marp_wire::from_bytes::<Tagged<Millis>>(&bytes).unwrap(), t);
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Span { from: u32, to: u32 }
+/// impl Span {
+///     fn is_ordered(&self) -> bool { self.from <= self.to }
+/// }
+/// wire_struct!(Span { from, to } if Span::is_ordered);
+///
+/// let backwards = bytes::Bytes::from_static(&[9, 3]);
+/// assert_eq!(
+///     marp_wire::from_bytes::<Span>(&backwards),
+///     Err(marp_wire::WireError::Malformed { type_name: "Span" })
+/// );
 /// ```
 #[macro_export]
 macro_rules! wire_struct {
-    ($name:ident $(<$($param:ident),+>)? { $($field:tt),* $(,)? }) => {
+    ($name:ident $(<$($param:ident),+>)? { $($field:tt),* $(,)? } $(if $valid:path)?) => {
         impl $(<$($param: $crate::Wire),+>)? $crate::Wire for $name $(<$($param),+>)? {
             fn encode(&self, buf: &mut ::bytes::BytesMut) {
                 $( $crate::Wire::encode(&self.$field, buf); )*
             }
             fn decode(buf: &mut ::bytes::Bytes) -> ::core::result::Result<Self, $crate::WireError> {
-                Ok(Self { $( $field: $crate::Wire::decode(buf)? ),* })
+                let value = Self { $( $field: $crate::Wire::decode(buf)? ),* };
+                $( if !$valid(&value) {
+                    return Err($crate::WireError::Malformed { type_name: stringify!($name) });
+                } )?
+                Ok(value)
             }
             fn encoded_len(&self) -> usize {
                 0 $( + $crate::Wire::encoded_len(&self.$field) )*

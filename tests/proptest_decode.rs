@@ -3,11 +3,14 @@
 //! arbitrary bytes and for every strict prefix of a valid encoding the
 //! decoder returns `Err`, or a value that round-trips with an exact
 //! `encoded_len` — never a panic (a malformed packet must not crash a
-//! replica).
+//! replica), and never one allocation sized by a length prefix rather
+//! than by the bytes actually present (the codec pre-allocates at most
+//! 4 096 elements).
 
 use bytes::Bytes;
 use marp_repro::agent::{AgentEnvelope, AgentId};
 use marp_repro::baselines::{AcMsg, Ballot, LwwTs, McvMsg, PcMsg, WvMsg};
+use marp_repro::core::lt::LockingTable;
 use marp_repro::core::{
     AgentReply, CommitMsg, MarpConfig, NodeMsg, ReadAgent, UpdateAgent, UpdateMsg,
 };
@@ -18,12 +21,63 @@ use marp_repro::replica::{
 use marp_repro::sim::SimTime;
 use marp_repro::wire::{from_bytes, to_bytes, Wire};
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 
-/// Whatever `bytes` decodes to as a `T` is a fixed point of the codec.
+/// The system allocator, noting the largest single request each thread
+/// makes.
+struct NotingAlloc;
+
+thread_local! {
+    static LARGEST_REQUEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    LARGEST_REQUEST.with(|largest| largest.set(largest.get().max(size)));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; `note` touches only a const-initialized
+// `Cell<usize>` thread-local, which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for NotingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with `layout` (see `alloc`).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: as for `dealloc`; the caller vouches for `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: NotingAlloc = NotingAlloc;
+
+/// The codec's pre-allocation cap in elements, times a size no element
+/// type here reaches: the most one request may ask for while decoding
+/// an input of a few hundred bytes.
+const LARGEST_HONEST_REQUEST: usize = 4096 * 64;
+
+/// Whatever `bytes` decodes to as a `T` is a fixed point of the codec,
+/// and decoding never trusted a length prefix with memory.
 fn err_or_fixed_point<T: Wire + PartialEq + Debug>(bytes: &Bytes) {
-    if let Ok(value) = from_bytes::<T>(bytes) {
+    LARGEST_REQUEST.with(|largest| largest.set(0));
+    let decoded = from_bytes::<T>(bytes);
+    let largest = LARGEST_REQUEST.with(Cell::get);
+    assert!(
+        largest <= LARGEST_HONEST_REQUEST,
+        "decoding {} bytes asked the allocator for {largest} at once",
+        bytes.len()
+    );
+    if let Ok(value) = decoded {
         let again = to_bytes(&value);
         assert_eq!(value.encoded_len(), again.len());
         assert_eq!(from_bytes::<T>(&again).as_ref(), Ok(&value));
@@ -132,6 +186,86 @@ fn agent_replies() -> Vec<AgentReply> {
             ul,
         },
     ]
+}
+
+/// A Locking Table's wire form, field by field, so each can be forged:
+/// the roster, then one row for server 0 stamped (1, 1 ms).
+fn table_bytes(roster_len: u64, roster: &[AgentId], ranks_len: u64, ranks: &[u16]) -> Bytes {
+    let mut buf = bytes::BytesMut::new();
+    roster_len.encode(&mut buf);
+    for id in roster {
+        id.encode(&mut buf);
+    }
+    1u64.encode(&mut buf); // one row
+    0u16.encode(&mut buf); // ... of server 0
+    1u64.encode(&mut buf);
+    SimTime::from_millis(1).encode(&mut buf);
+    ranks_len.encode(&mut buf);
+    for rank in ranks {
+        rank.encode(&mut buf);
+    }
+    buf.freeze()
+}
+
+/// The same table as the board of an `LlInfo` reply.
+fn ll_info_around(board: &Bytes) -> Bytes {
+    let AgentReply::LlInfo {
+        node, snapshot, ul, ..
+    } = agent_replies().remove(1)
+    else {
+        unreachable!("the second sample is the LlInfo");
+    };
+    let mut buf = bytes::BytesMut::new();
+    1u8.encode(&mut buf); // AgentReply::LlInfo
+    node.encode(&mut buf);
+    snapshot.encode(&mut buf);
+    buf.extend_from_slice(board);
+    ul.encode(&mut buf);
+    buf.freeze()
+}
+
+/// The ways a roster-and-ranks table can lie that a spelled-out one
+/// could not, alone and inside the reply that carries a board.
+#[test]
+fn forged_rosters_are_refused_or_harmless() {
+    let (a, b, c) = (aid(1), aid(2), aid(3));
+    let honest = table_bytes(2, &[a, b], 2, &[1, 0]);
+    let table = from_bytes::<LockingTable>(&honest).expect("honest table");
+    assert_eq!(table.roster(), [a, b]);
+    assert_eq!(to_bytes(&table), honest);
+    assert!(from_bytes::<AgentReply>(&ll_info_around(&honest)).is_ok());
+
+    let refused = [
+        (
+            "a rank past the roster",
+            table_bytes(2, &[a, b], 2, &[0, 2]),
+        ),
+        ("a roster id twice", table_bytes(2, &[a, a], 2, &[0, 1])),
+        ("a roster out of order", table_bytes(2, &[b, a], 2, &[0, 1])),
+        (
+            "a roster length no input could back",
+            table_bytes(u64::MAX, &[a, b], 2, &[0, 1]),
+        ),
+        (
+            "a rank count no input could back",
+            table_bytes(2, &[a, b], u64::MAX, &[0, 1]),
+        ),
+    ];
+    for (what, forged) in &refused {
+        err_or_fixed_point::<LockingTable>(forged);
+        assert!(from_bytes::<LockingTable>(forged).is_err(), "{what}");
+        let reply = ll_info_around(forged);
+        err_or_fixed_point::<AgentReply>(&reply);
+        assert!(from_bytes::<AgentReply>(&reply).is_err(), "{what}");
+    }
+
+    // An id no row references indexes nothing: it is carried, not fatal.
+    let padded = table_bytes(3, &[a, b, c], 2, &[1, 0]);
+    err_or_fixed_point::<LockingTable>(&padded);
+    err_or_fixed_point::<AgentReply>(&ll_info_around(&padded));
+    let table = from_bytes::<LockingTable>(&padded).expect("padded table");
+    assert_eq!(to_bytes(&table), padded);
+    assert_eq!(table.presence_count(c), 0);
 }
 
 proptest! {
