@@ -102,6 +102,14 @@ pub trait AgentBehavior: Wire + Send + 'static {
     fn carried_lt_entries(&self) -> u64 {
         0
     }
+
+    /// How many *distinct* agent ids those entries name — what the
+    /// shipped table spells out once, the entries being small indices.
+    /// Emitted beside it as `Custom { kind: "lt-ids-carried" }`;
+    /// entries ÷ ids is how often a carried table repeats itself.
+    fn carried_lt_ids(&self) -> u64 {
+        0
+    }
 }
 
 /// Encodes an [`AgentEnvelope`] into the owner process's message space.

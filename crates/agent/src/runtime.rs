@@ -370,13 +370,17 @@ impl<B: AgentBehavior> AgentRuntime<B> {
         let hop = resident.hops + 1;
         let state = marp_wire::to_bytes(&resident.behavior);
         // Sampled post-`before_migrate`, so this is what actually ships.
-        let carried = resident.behavior.carried_lt_entries();
-        if carried > 0 {
-            ctx.trace(TraceEvent::Custom {
-                kind: "lt-entries-carried",
-                a: carried,
-                b: id.key(),
-            });
+        for (kind, carried) in [
+            ("lt-entries-carried", resident.behavior.carried_lt_entries()),
+            ("lt-ids-carried", resident.behavior.carried_lt_ids()),
+        ] {
+            if carried > 0 {
+                ctx.trace(TraceEvent::Custom {
+                    kind,
+                    a: carried,
+                    b: id.key(),
+                });
+            }
         }
         ctx.trace(TraceEvent::AgentStateShipped {
             agent: id.key(),

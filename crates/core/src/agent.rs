@@ -726,6 +726,10 @@ impl AgentBehavior for UpdateAgent {
     fn carried_lt_entries(&self) -> u64 {
         self.lt.entries() as u64 + self.ual.len() as u64
     }
+
+    fn carried_lt_ids(&self) -> u64 {
+        self.lt.roster().len() as u64
+    }
 }
 
 #[cfg(test)]

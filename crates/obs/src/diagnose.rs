@@ -287,6 +287,17 @@ fn wire_byte_growth(report: &SweepReport, out: &mut Vec<Verdict>) {
             evidence.push(format!("{metric} per commit grow as n^{k_part:.4}"));
         }
     }
+    // How often the carried tables repeat themselves: an entry ships as
+    // a small index, an id is spelled out once per table.
+    if let Some(p) = report.top_point().filter(|p| p.lt_ids_carried > 0) {
+        evidence.push(format!(
+            "carried tables at n={}: {:.1} entries over {:.1} ids per commit ({:.2} entries per id)",
+            p.n,
+            p.per_commit(p.lt_entries_carried as f64),
+            p.per_commit(p.lt_ids_carried as f64),
+            p.lt_entries_carried as f64 / p.lt_ids_carried as f64
+        ));
+    }
     let dominant = report.top_point().and_then(|p| {
         byte_components(p)
             .into_iter()
@@ -504,6 +515,26 @@ mod tests {
             .find(|v| v.rule == "wire-byte-growth")
             .expect("byte-growth rule should fire");
         assert!(growth.summary.contains("migrated agent state"));
+        // No carried-id counts (an older sweep): the repetition is not
+        // guessed at. With them it is cited at the largest N.
+        assert!(!growth.evidence.iter().any(|e| e.contains("per id")));
+        for p in &mut report.points {
+            p.lt_ids_carried = p.lt_entries_carried / 5;
+        }
+        let diagnosis = Diagnosis::from_sweep(&report);
+        let growth = diagnosis
+            .verdicts
+            .iter()
+            .find(|v| v.rule == "wire-byte-growth")
+            .expect("byte-growth rule should fire");
+        assert!(
+            growth
+                .evidence
+                .iter()
+                .any(|e| e.contains("n=9") && e.contains("(5.00 entries per id)")),
+            "{:?}",
+            growth.evidence
+        );
     }
 
     #[test]

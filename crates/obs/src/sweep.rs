@@ -23,6 +23,11 @@ use std::fmt::Write as _;
 /// carried.
 pub const LT_ENTRIES_KIND: &str = "lt-entries-carried";
 
+/// Its companion: the distinct agent ids that state spelled out (the
+/// roster of the shipped Locking Table). Entries are logical and cost a
+/// byte each; ids are what sets the bytes.
+pub const LT_IDS_KIND: &str = "lt-ids-carried";
+
 /// Aggregated measurements of one sweep point (one replica count,
 /// pooled over its seeds).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -55,6 +60,8 @@ pub struct SweepPoint {
     pub messages: u64,
     /// Locking-knowledge entries carried across all migrations.
     pub lt_entries_carried: u64,
+    /// Distinct agent ids those carried tables spelled out.
+    pub lt_ids_carried: u64,
     /// COMMIT change notices servers pushed to the queued agents they
     /// host. The five mail fields and `claims_held` are the servers' own
     /// counters, not trace-derived: [`Self::measure`] leaves them zero
@@ -121,6 +128,8 @@ impl SweepPoint {
                     TraceEvent::Custom { kind, a, b: _ } => {
                         if kind == LT_ENTRIES_KIND {
                             point.lt_entries_carried += a;
+                        } else if kind == LT_IDS_KIND {
+                            point.lt_ids_carried += a;
                         }
                     }
                     TraceEvent::MsgSent { .. }
@@ -191,6 +200,7 @@ pub const METRICS: &[(&str, MetricFn)] = &[
     ("messages", |p| p.per_commit(p.messages as f64)),
     ("migrations", |p| p.per_commit(p.migrations as f64)),
     ("lt-entries", |p| p.per_commit(p.lt_entries_carried as f64)),
+    ("lt-ids", |p| p.per_commit(p.lt_ids_carried as f64)),
     ("notices", |p| p.per_commit(p.notices as f64)),
     ("notice-bytes", |p| p.per_commit(p.notice_bytes as f64)),
     ("notices-skipped", |p| {
@@ -273,7 +283,7 @@ impl SweepReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:>3} {:>8} {:>12} {:>11} {:>11} {:>11} {:>11} {:>10} {:>12} {:>12} {:>10} {:>10} {:>9} {:>10} {:>9} {:>9} {:>11} {:>8} {:>8}",
+            "{:>3} {:>8} {:>12} {:>11} {:>11} {:>11} {:>11} {:>10} {:>12} {:>12} {:>10} {:>8} {:>10} {:>9} {:>10} {:>9} {:>9} {:>11} {:>8} {:>8}",
             "n",
             "commits",
             "total_ms",
@@ -285,6 +295,7 @@ impl SweepReport {
             "bytes",
             "gossip_b",
             "lt_entries",
+            "lt_ids",
             "phase_sum",
             "notices",
             "notice_b",
@@ -297,7 +308,7 @@ impl SweepReport {
         for p in &self.points {
             let _ = writeln!(
                 out,
-                "{:>3} {:>8} {:>12.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>10} {:>12} {:>12} {:>10} {:>10.3} {:>9} {:>10} {:>9} {:>9} {:>11} {:>8} {:>8}",
+                "{:>3} {:>8} {:>12.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>10} {:>12} {:>12} {:>10} {:>8} {:>10.3} {:>9} {:>10} {:>9} {:>9} {:>11} {:>8} {:>8}",
                 p.n,
                 p.commits,
                 p.total_ms,
@@ -309,6 +320,7 @@ impl SweepReport {
                 p.total_bytes,
                 p.gossip_bytes,
                 p.lt_entries_carried,
+                p.lt_ids_carried,
                 p.phase_sum_ms(),
                 p.notices,
                 p.notice_bytes,
@@ -366,6 +378,7 @@ impl SweepReport {
                     ("total_bytes", Json::Num(p.total_bytes as f64)),
                     ("messages", Json::Num(p.messages as f64)),
                     ("lt_entries_carried", Json::Num(p.lt_entries_carried as f64)),
+                    ("lt_ids_carried", Json::Num(p.lt_ids_carried as f64)),
                     ("notices", Json::Num(p.notices as f64)),
                     ("notice_bytes", Json::Num(p.notice_bytes as f64)),
                     ("notices_skipped", Json::Num(p.notices_skipped as f64)),
@@ -403,9 +416,9 @@ impl SweepReport {
                 .ok_or_else(|| format!("missing numeric field '{field}'"))
         };
         // Sweeps recorded before the servers counted their agent mail
-        // (or the handoff columns existed) lack those fields; they read
-        // as zero so old and new sweeps still diff.
-        let mail =
+        // (or the handoff and carried-id columns existed) lack those
+        // fields; they read as zero so old and new sweeps still diff.
+        let optional =
             |j: &Json, field: &str| j.get(field).and_then(Json::as_num).unwrap_or(0.0) as u64;
         let parsed: Result<Vec<SweepPoint>, String> = points
             .iter()
@@ -435,13 +448,14 @@ impl SweepReport {
                     total_bytes: num(j, "total_bytes")? as u64,
                     messages: num(j, "messages")? as u64,
                     lt_entries_carried: num(j, "lt_entries_carried")? as u64,
-                    notices: mail(j, "notices"),
-                    notice_bytes: mail(j, "notice_bytes"),
-                    notices_skipped: mail(j, "notices_skipped"),
-                    replies: mail(j, "replies"),
-                    reply_bytes: mail(j, "reply_bytes"),
-                    claims_held: mail(j, "claims_held"),
-                    aborted_claims: mail(j, "aborted_claims"),
+                    lt_ids_carried: optional(j, "lt_ids_carried"),
+                    notices: optional(j, "notices"),
+                    notice_bytes: optional(j, "notice_bytes"),
+                    notices_skipped: optional(j, "notices_skipped"),
+                    replies: optional(j, "replies"),
+                    reply_bytes: optional(j, "reply_bytes"),
+                    claims_held: optional(j, "claims_held"),
+                    aborted_claims: optional(j, "aborted_claims"),
                 })
             })
             .collect();
@@ -472,6 +486,7 @@ mod tests {
             total_bytes: (2000.0 * v) as u64,
             messages: (50.0 * v) as u64,
             lt_entries_carried: (20.0 * v) as u64,
+            lt_ids_carried: (6.0 * v) as u64,
             notices: (30.0 * v) as u64,
             notice_bytes: (600.0 * v) as u64,
             notices_skipped: (5.0 * v) as u64,
@@ -511,6 +526,15 @@ mod tests {
             TraceEvent::Custom {
                 kind: LT_ENTRIES_KIND,
                 a: 7,
+                b: 42,
+            },
+        );
+        log.push(
+            SimTime::from_millis(1),
+            0,
+            TraceEvent::Custom {
+                kind: LT_IDS_KIND,
+                a: 3,
                 b: 42,
             },
         );
@@ -563,6 +587,7 @@ mod tests {
         assert_eq!(point.commits, 1);
         assert_eq!(point.migrations, 1);
         assert_eq!(point.lt_entries_carried, 7);
+        assert_eq!(point.lt_ids_carried, 3);
         assert_eq!(point.aborted_claims, 1);
         assert_eq!(point.gossip_bytes, 44);
         assert_eq!(point.migrated_bytes, 120);
