@@ -544,6 +544,30 @@ mod tests {
     }
 
     #[test]
+    fn roster_holds_exactly_the_agents_some_row_names() {
+        let (a, b, c, d) = (aid(1), aid(2), aid(3), aid(4));
+        let mut lt = table(&[&[d, b], &[b, d]]);
+        assert_eq!(lt.roster(), [b, d]);
+        // `a` and `c` sort before and between the ids already ranked.
+        lt.merge(2, snap(1, &[c, a, d]));
+        assert_eq!(lt.roster(), [a, b, c, d]);
+        assert_eq!(lt.entries(), 7);
+        let queues: Vec<Vec<AgentId>> = lt.iter().map(|(_, snap)| snap.queue).collect();
+        assert_eq!(queues, [vec![d, b], vec![b, d], vec![c, a, d]]);
+        // An id goes with the last row that names it, and only then.
+        lt.drop_server(0);
+        assert_eq!(lt.roster(), [a, b, c, d]);
+        lt.merge(1, snap(2, &[d]));
+        assert_eq!(lt.roster(), [a, c, d]);
+        assert!(lt.names(c) && !lt.names(b));
+        assert_eq!(lt.presence_count(d), 2);
+        assert_eq!(lt.effective_top(2, &UpdatedList::new()), Some(c));
+        lt.prune_covered_by(&BTreeMap::from([(2, 1), (1, 1)]));
+        assert_eq!(lt.roster(), [d]);
+        assert_eq!(lt.known_servers(), 1);
+    }
+
+    #[test]
     fn effective_top_skips_finished_agents() {
         let done = aid(9);
         let live = aid(1);
