@@ -534,7 +534,7 @@ impl AgentBehavior for UpdateAgent {
         if !self.visited.contains(&here) {
             self.visited.push(here);
         }
-        let info = host.visit(self.id, self.key(), env.now(), here);
+        let snapshot = host.visit(self.id, self.key(), env.now(), here);
         env.trace(TraceEvent::LockRequested {
             agent: self.id.key(),
             node: here,
@@ -543,7 +543,7 @@ impl AgentBehavior for UpdateAgent {
         // its key's Locking List: the keyspace tests use the *absence*
         // of this event to prove that disjoint-key agents never block
         // each other.
-        if let Some(rank) = info.snapshot.queue.iter().position(|&a| a == self.id) {
+        if let Some(rank) = snapshot.queue.iter().position(|&a| a == self.id) {
             if rank > 0 {
                 env.trace(TraceEvent::Custom {
                     kind: "lock-queued-behind",
@@ -552,7 +552,7 @@ impl AgentBehavior for UpdateAgent {
                 });
             }
         }
-        self.ual.merge(&info.ul);
+        self.ual.merge(&host.core.ul);
         // A clone left over from a duplicated migration discovers here
         // that "it" already obtained the lock and updated (it is in the
         // Updated List): its work is done, it must not compete again.
@@ -564,9 +564,11 @@ impl AgentBehavior for UpdateAgent {
             });
             return Action::Dispose;
         }
-        self.lt.merge(here, info.snapshot);
+        self.lt.merge(here, snapshot);
         if self.gossip {
-            self.lt.merge_table(&info.board);
+            if let Some(board) = host.board.contents(self.key()) {
+                self.lt.merge_table(board);
+            }
             host.deposit_gossip(self.key(), &self.lt);
         }
         self.evaluate(host, env)

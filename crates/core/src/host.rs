@@ -24,24 +24,10 @@ use crate::lt::{pack_horizon_slot, LockingTable, MAX_HORIZON_KEY};
 use crate::msg::{AgentReply, UpdateMsg};
 use marp_agent::AgentId;
 use marp_net::RoutingTable;
-use marp_replica::{LlSnapshot, ServerCore, UpdatedList};
+use marp_replica::{LlSnapshot, ServerCore};
 use marp_sim::{Context, NodeId, SimTime, TraceEvent};
 use std::collections::BTreeMap;
 use std::time::Duration;
-
-/// What a visiting agent reads from the local server in one interaction
-/// (the in-situ equivalent of a round of messages — the mobile-agent
-/// advantage the paper builds on).
-#[derive(Debug, Clone)]
-pub struct VisitInfo {
-    /// The server's LL right after the agent's lock request was
-    /// appended.
-    pub snapshot: LlSnapshot,
-    /// The gossip board contents (empty table when gossip is disabled).
-    pub board: LockingTable,
-    /// The server's Updated List.
-    pub ul: UpdatedList,
-}
 
 /// An UPDATE acknowledgement ready to be mailed to `agent`, which
 /// awaits it at `reply_to`.
@@ -199,10 +185,14 @@ impl MarpServerState {
         self.claims_held
     }
 
-    /// A visiting agent requests the lock on its object key and reads
-    /// the local coordination state (paper Algorithm 2, "upon arrival
-    /// of a mobile agent").
-    pub fn visit(&mut self, agent: AgentId, key: u64, now: SimTime, here: NodeId) -> VisitInfo {
+    /// A visiting agent requests the lock on its object key (paper
+    /// Algorithm 2, "upon arrival of a mobile agent"). Returns the key's
+    /// LL right after the request was appended; the rest of what a
+    /// visit reads — the Updated List (`core.ul`) and what earlier
+    /// visitors left on the `board` — the agent reads in place, the
+    /// in-situ equivalent of a round of messages (the mobile-agent
+    /// advantage the paper builds on).
+    pub fn visit(&mut self, agent: AgentId, key: u64, now: SimTime, here: NodeId) -> LlSnapshot {
         self.core.ll.purge_expired(now);
         // A finished agent (listed in the UL) must never re-enter the
         // queue: a stale clone from a duplicated migration would
@@ -217,15 +207,7 @@ impl MarpServerState {
                 self.core.ll.list_mut(key).chaos_promote_to_front(agent);
             }
         }
-        VisitInfo {
-            snapshot: self.core.ll.snapshot(key, now),
-            board: if self.gossip_enabled {
-                self.board.contents(key).cloned().unwrap_or_default()
-            } else {
-                LockingTable::new()
-            },
-            ul: self.core.ul.clone(),
-        }
+        self.core.ll.snapshot(key, now)
     }
 
     /// A visiting agent leaves its accumulated locking information
@@ -704,11 +686,11 @@ mod tests {
     fn visit_appends_and_returns_snapshot() {
         let mut state = state();
         let a = aid(1, 1);
-        let info = state.visit(a, 1, SimTime::from_millis(1), 1);
-        assert_eq!(info.snapshot.queue, vec![a]);
-        assert!(info.ul.is_empty());
+        let snapshot = state.visit(a, 1, SimTime::from_millis(1), 1);
+        assert_eq!(snapshot.queue, vec![a]);
+        assert!(state.core.ul.is_empty());
         // Gossip on by default: board empty until someone deposits.
-        assert_eq!(info.board.known_servers(), 0);
+        assert!(state.board.contents(1).is_none());
     }
 
     #[test]
@@ -1087,10 +1069,11 @@ mod tests {
         state.handle_commit(a, vec![record], &mut ctx);
         assert!(state.core.ul.contains(a));
         // ...and a stale clone of a tries to queue again: refused.
-        let info = state.visit(a, 1, SimTime::from_millis(6), 2);
+        let snapshot = state.visit(a, 1, SimTime::from_millis(6), 2);
         assert!(!state.core.ll.contains(1, a));
-        // The clone can see its own id in the returned UL and dispose.
-        assert!(info.ul.contains(a));
+        assert!(snapshot.queue.is_empty());
+        // The clone can see its own id in the UL it reads and dispose.
+        assert!(state.core.ul.contains(a));
     }
 
     #[test]
@@ -1169,9 +1152,7 @@ mod tests {
             },
         );
         state.deposit_gossip(1, &lt);
-        assert_eq!(state.board.known_servers(1), 0);
-        let info = state.visit(aid(2, 2), 1, SimTime::from_millis(2), 2);
-        assert_eq!(info.board.known_servers(), 0);
+        assert!(state.board.contents(1).is_none());
     }
 
     #[test]
