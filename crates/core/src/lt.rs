@@ -56,14 +56,6 @@ marp_wire::wire_struct!(LlRow {
     ranks
 });
 
-impl LlRow {
-    /// Whether a snapshot stamped `(version, taken_at)` supersedes this
-    /// row (the order of [`LlSnapshot::is_older_than`]).
-    fn is_older_than(&self, version: u64, taken_at: SimTime) -> bool {
-        (self.version, self.taken_at) < (version, taken_at)
-    }
-}
-
 /// The travelling Locking Table: the freshest known LL snapshot per
 /// server.
 ///
@@ -128,14 +120,20 @@ impl LockingTable {
         at as u16
     }
 
-    /// Install `queue` as `server`'s row, replacing any older one.
-    fn set_row(
+    /// Install `queue` as `server`'s row if the snapshot it comes from
+    /// supersedes the one held (the order of
+    /// [`LlSnapshot::is_older_than`]).
+    fn offer_row(
         &mut self,
         server: NodeId,
         version: u64,
         taken_at: SimTime,
         queue: impl ExactSizeIterator<Item = AgentId>,
     ) {
+        let held = self.rows.get(&server);
+        if held.is_some_and(|row| (row.version, row.taken_at) >= (version, taken_at)) {
+            return;
+        }
         if self.roster.len() + queue.len() > MAX_ROSTER {
             return; // no deployment queues 65 535 agents; never index past u16
         }
@@ -167,8 +165,9 @@ impl LockingTable {
         // `freed` now lists the dead roster slots in ascending order.
         let mut slot = 0;
         self.roster.retain(|_| {
+            let dead = freed.binary_search(&slot).is_ok();
             slot += 1;
-            freed.binary_search(&(slot - 1)).is_err()
+            !dead
         });
         for rank in self.rows.values_mut().flat_map(|row| &mut row.ranks) {
             *rank -= freed.partition_point(|dead| dead < rank) as u16;
@@ -182,13 +181,7 @@ impl LockingTable {
             taken_at,
             queue,
         } = snapshot;
-        if self
-            .rows
-            .get(&server)
-            .is_none_or(|mine| mine.is_older_than(version, taken_at))
-        {
-            self.set_row(server, version, taken_at, queue.into_iter());
-        }
+        self.offer_row(server, version, taken_at, queue.into_iter());
     }
 
     /// Merge every entry of another table (agents leave their LT at
@@ -196,14 +189,7 @@ impl LockingTable {
     /// sharing).
     pub fn merge_table(&mut self, other: &LockingTable) {
         for (&server, row) in &other.rows {
-            if self
-                .rows
-                .get(&server)
-                .is_none_or(|mine| mine.is_older_than(row.version, row.taken_at))
-            {
-                let queue = row.ranks.iter().map(|&r| other.roster[usize::from(r)]);
-                self.set_row(server, row.version, row.taken_at, queue);
-            }
+            self.offer_row(server, row.version, row.taken_at, other.queue(row));
         }
     }
 
@@ -229,7 +215,7 @@ impl LockingTable {
         })
     }
 
-    fn queue<'a>(&'a self, row: &'a LlRow) -> impl Iterator<Item = AgentId> + 'a {
+    fn queue<'a>(&'a self, row: &'a LlRow) -> impl ExactSizeIterator<Item = AgentId> + 'a {
         row.ranks.iter().map(|&rank| self.roster[usize::from(rank)])
     }
 

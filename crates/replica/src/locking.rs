@@ -168,17 +168,6 @@ impl LockingList {
         purged
     }
 
-    /// Crash recovery: the entries are volatile and lost, the content
-    /// version is not. Peers' boards and agents' tables still hold
-    /// pre-crash snapshots of this list, and a version that restarted
-    /// at 0 would lose to every one of them ([`LlSnapshot::is_older_than`]
-    /// compares versions first) — so it is kept, and bumped even when
-    /// the list was already empty.
-    pub fn clear_for_recovery(&mut self) {
-        self.entries.clear();
-        self.version += 1;
-    }
-
     /// The top-ranked (oldest live) agent.
     pub fn top(&self) -> Option<AgentId> {
         self.entries.first().map(|e| e.agent)
@@ -318,11 +307,16 @@ impl LockTable {
         purged
     }
 
-    /// Crash recovery: empty every queue, keeping (and bumping) its
-    /// content version (see [`LockingList::clear_for_recovery`]).
+    /// Crash recovery: every queue's entries are volatile and lost, its
+    /// content version is not. Peers' boards and agents' tables still
+    /// hold pre-crash snapshots of these lists, and a version that
+    /// restarted at 0 would lose to every one of them
+    /// ([`LlSnapshot::is_older_than`] compares versions first) — so it
+    /// is kept, and bumped even when the list was already empty.
     pub fn clear_for_recovery(&mut self) {
         for ll in self.lists.values_mut() {
-            ll.clear_for_recovery();
+            ll.entries.clear();
+            ll.version += 1;
         }
     }
 

@@ -207,20 +207,20 @@ fn table_bytes(roster_len: u64, roster: &[AgentId], ranks_len: u64, ranks: &[u16
     buf.freeze()
 }
 
-/// The same table as the board of an `LlInfo` reply.
+/// The same table as the board of an `LlInfo` reply (tag 1: node,
+/// snapshot, board, ul).
 fn ll_info_around(board: &Bytes) -> Bytes {
-    let AgentReply::LlInfo {
-        node, snapshot, ul, ..
-    } = agent_replies().remove(1)
-    else {
-        unreachable!("the second sample is the LlInfo");
-    };
     let mut buf = bytes::BytesMut::new();
-    1u8.encode(&mut buf); // AgentReply::LlInfo
-    node.encode(&mut buf);
-    snapshot.encode(&mut buf);
+    1u8.encode(&mut buf);
+    2u16.encode(&mut buf);
+    LlSnapshot {
+        version: 2,
+        taken_at: SimTime::from_millis(2),
+        queue: vec![aid(1)],
+    }
+    .encode(&mut buf);
     buf.extend_from_slice(board);
-    ul.encode(&mut buf);
+    UpdatedList::new().encode(&mut buf);
     buf.freeze()
 }
 
