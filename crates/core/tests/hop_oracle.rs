@@ -1,0 +1,232 @@
+//! What crosses the wire on a hop, driven directly: an update-agent
+//! runtime and its server state per host, a recording [`Context`]
+//! between them. The crash-semantics half of
+//! `crates/agent/tests/runtime_sim.rs` is the model — no simulator, so
+//! every envelope can be opened and read.
+
+use bytes::Bytes;
+use marp_agent::{AgentEnvelope, AgentId, AgentRuntime};
+use marp_core::lt::LockingTable;
+use marp_core::{
+    wrap_agent_envelope, wrap_sync, MarpConfig, MarpServerState, NodeMsg, UpdateAgent,
+};
+use marp_net::{RoutingTable, Topology};
+use marp_replica::{LlSnapshot, ServerConfig, ServerCore, WriteRequest};
+use marp_sim::{Context, NodeId, SimTime, TimerId, TraceEvent};
+use std::time::Duration;
+
+const N: usize = 5;
+
+/// Records what a host sends; timers are armed and never fire.
+struct RecCtx {
+    me: NodeId,
+    sent: Vec<(NodeId, NodeMsg)>,
+    timers: u64,
+}
+
+impl Context for RecCtx {
+    fn now(&self) -> SimTime {
+        SimTime::from_millis(20)
+    }
+    fn me(&self) -> NodeId {
+        self.me
+    }
+    fn send(&mut self, to: NodeId, msg: Bytes) {
+        self.sent
+            .push((to, marp_wire::from_bytes(&msg).expect("a NodeMsg")));
+    }
+    fn set_timer(&mut self, _after: Duration, _tag: u64) -> TimerId {
+        self.timers += 1;
+        TimerId(self.timers)
+    }
+    fn cancel_timer(&mut self, _id: TimerId) {}
+    fn trace(&mut self, _event: TraceEvent) {}
+    fn halt(&mut self) {}
+}
+
+/// One replica server as the agent runtime sees it.
+struct Host {
+    state: MarpServerState,
+    runtime: AgentRuntime<UpdateAgent>,
+    ctx: RecCtx,
+}
+
+impl Host {
+    fn new(me: NodeId, cfg: &MarpConfig) -> Self {
+        let topo = Topology::uniform_lan(N, Duration::from_millis(1));
+        Host {
+            state: MarpServerState::new(
+                ServerCore::keyed(me, ServerConfig::default(), wrap_sync),
+                RoutingTable::from_topology(me, &topo),
+                cfg,
+            ),
+            runtime: AgentRuntime::new(cfg.migration, wrap_agent_envelope),
+            ctx: RecCtx {
+                me,
+                sent: Vec::new(),
+                timers: 0,
+            },
+        }
+    }
+
+    fn deliver(&mut self, from: NodeId, envelope: AgentEnvelope) {
+        self.runtime
+            .handle_envelope(from, envelope, &mut self.state, &mut self.ctx);
+    }
+
+    /// The agent envelopes this host has sent to `to`, oldest first.
+    fn envelopes_to(&self, to: NodeId) -> Vec<AgentEnvelope> {
+        self.ctx
+            .sent
+            .iter()
+            .filter(|(dest, _)| *dest == to)
+            .filter_map(|(_, msg)| match msg {
+                NodeMsg::Agent(envelope) => Some(envelope.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+}
+
+fn aid(home: NodeId, seq: u32) -> AgentId {
+    AgentId::new(home, SimTime::from_millis(1), seq)
+}
+
+fn agent_for(id: AgentId, key: u64, cfg: &MarpConfig) -> UpdateAgent {
+    let write = WriteRequest {
+        id: u64::from(id.seq) + 1,
+        client: 9,
+        key,
+        value: 3,
+        arrived: SimTime::ZERO,
+    };
+    UpdateAgent::new(id, cfg, vec![write])
+}
+
+/// The `Migrate` envelope a host has sent to `to`, if any.
+fn migration_to(host: &Host, to: NodeId) -> Option<AgentEnvelope> {
+    host.envelopes_to(to)
+        .into_iter()
+        .find(|e| matches!(e, AgentEnvelope::Migrate { .. }))
+}
+
+/// Dispatch an agent for `key` at `home` (host 0) and return it as it
+/// leaves on its first hop (uniform costs: to host 1).
+fn first_hop(home: &mut Host, id: AgentId, key: u64, cfg: &MarpConfig) -> AgentEnvelope {
+    home.ctx.sent.clear();
+    home.runtime
+        .spawn(agent_for(id, key, cfg), &mut home.state, &mut home.ctx);
+    migration_to(home, 1).expect("the first hop is to host 1")
+}
+
+/// What earlier visitors left about one key: `rival` queued at each of
+/// `servers`, as of `version`.
+fn board_rows(servers: &[(NodeId, u64)], rival: AgentId) -> LockingTable {
+    let mut lt = LockingTable::new();
+    for &(server, version) in servers {
+        lt.merge(
+            server,
+            LlSnapshot {
+                version,
+                taken_at: SimTime::from_millis(version),
+                queue: vec![rival],
+            },
+        );
+    }
+    lt
+}
+
+/// The horizon of the one `MigrateAck` among `envelopes`, as plain
+/// `(slot, version)` pairs whatever integer type the slots have.
+fn acked_horizon(envelopes: &[AgentEnvelope]) -> Vec<(u64, u64)> {
+    let mut acks = envelopes.iter().filter_map(|envelope| match envelope {
+        AgentEnvelope::MigrateAck { horizon, .. } => Some(
+            horizon
+                .iter()
+                .map(|(&slot, &version)| (u64::from(slot), version))
+                .collect::<Vec<_>>(),
+        ),
+        _ => None,
+    });
+    let horizon = acks.next().expect("an ack");
+    assert!(acks.next().is_none(), "exactly one ack");
+    horizon
+}
+
+#[test]
+fn an_arrival_is_acked_with_the_horizon_of_its_own_key_only() {
+    let cfg = MarpConfig::new(N);
+    let mut host = Host::new(1, &cfg);
+    let rival = aid(3, 0);
+    // Boards for sixteen keys, four servers each; key 7's versions are
+    // its own so a horizon for another key cannot pass for it.
+    for key in 0..16u64 {
+        let version = if key == 7 { 40 } else { key + 1 };
+        let rows: Vec<(NodeId, u64)> = [0, 2, 3, 4].map(|s| (s, version + u64::from(s))).into();
+        host.state.deposit_gossip(key, &board_rows(&rows, rival));
+        // The host's own queues have history too: `key + 1` mutations.
+        for round in 0..=key {
+            let visitor = aid(4, 100 + round as u32);
+            host.state.visit(visitor, key, SimTime::from_millis(2), 1);
+        }
+    }
+    let own_version = host.state.core.ll.version(7);
+    assert_eq!(own_version, 8);
+
+    let arrival = first_hop(&mut Host::new(0, &cfg), aid(0, 0), 7, &cfg);
+    host.deliver(0, arrival);
+
+    let horizon = acked_horizon(&host.envelopes_to(0));
+    assert!(
+        horizon.len() <= N,
+        "one key's horizon names at most n servers, got {} entries",
+        horizon.len()
+    );
+    // Server → version for key 7: the board's rows and the host's own
+    // queue as it stood before the arrival appended to it.
+    assert_eq!(
+        horizon,
+        vec![(0, 40), (1, own_version), (2, 42), (3, 43), (4, 44)]
+    );
+}
+
+/// Host 0 is told, by the ack of its first agent's hop, what host 1
+/// holds about `key`; its next agent for `key` leaves for host 1
+/// without the rows host 1 already has.
+fn rows_shipped_to_a_host_that_advertised(key: u64) -> Vec<NodeId> {
+    let cfg = MarpConfig::new(N);
+    let rival = aid(3, 0);
+    let mut source = Host::new(0, &cfg);
+    let mut dest = Host::new(1, &cfg);
+    dest.state
+        .deposit_gossip(key, &board_rows(&[(2, 6), (3, 4)], rival));
+    let arrival = first_hop(&mut source, aid(0, 0), key, &cfg);
+    dest.deliver(0, arrival);
+    let ack = dest
+        .envelopes_to(0)
+        .into_iter()
+        .find(|e| matches!(e, AgentEnvelope::MigrateAck { .. }))
+        .expect("the arrival is acked");
+    source.deliver(1, ack);
+    assert_eq!(source.runtime.in_flight(), 0, "the hop is complete");
+
+    // Host 0's board knows what host 1 knows, and server 4 besides.
+    source
+        .state
+        .deposit_gossip(key, &board_rows(&[(2, 6), (3, 4), (4, 2)], rival));
+    let departure = first_hop(&mut source, aid(0, 1), key, &cfg);
+    let AgentEnvelope::Migrate { state: shipped, .. } = departure else {
+        unreachable!("migration_to returns Migrate envelopes");
+    };
+    let agent: UpdateAgent = marp_wire::from_bytes(&shipped).expect("agent state");
+    assert_eq!(agent.key(), key);
+    agent.locking_table().iter().map(|(s, _)| s).collect()
+}
+
+#[test]
+fn a_key_above_two_to_the_48_is_pruned_like_any_other() {
+    // Rows 2 and 3 are under host 1's horizon and stay behind; row 0 is
+    // host 0's live queue and row 4 is news to host 1.
+    assert_eq!(rows_shipped_to_a_host_that_advertised(7), vec![0, 4]);
+    assert_eq!(rows_shipped_to_a_host_that_advertised(1 << 50), vec![0, 4]);
+}

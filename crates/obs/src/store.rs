@@ -406,59 +406,148 @@ mod tests {
     use super::*;
     use marp_sim::{span_id, SpanKind};
 
+    /// One record of every [`TraceEvent`] variant, in tag order.
     fn sample_trace() -> TraceLog {
-        let mut log = TraceLog::new(TraceLevel::Full);
-        log.push(
-            SimTime::from_millis(1),
-            0,
+        let ms = SimTime::from_millis;
+        let span = span_id(SpanKind::Dispatch, 9, 0);
+        let events = [
             TraceEvent::MsgSent {
                 from: 0,
                 to: 1,
                 bytes: 33,
             },
-        );
-        log.push(
-            SimTime::from_millis(2),
-            1,
+            TraceEvent::MsgDelivered {
+                from: 0,
+                to: 1,
+                bytes: 300,
+            },
             TraceEvent::MsgDropped {
                 from: 1,
                 to: 0,
                 reason: "partition",
             },
-        );
-        log.push(
-            SimTime::from_millis(3),
-            2,
+            TraceEvent::NodeDown(3),
+            TraceEvent::NodeUp(3),
+            TraceEvent::RequestArrived {
+                node: 2,
+                request: 7,
+                write: true,
+            },
+            TraceEvent::ReadServed {
+                node: 2,
+                request: 8,
+                version: 5,
+            },
+            TraceEvent::AgentDispatched {
+                agent: 9,
+                home: 2,
+                batch: 4,
+            },
+            TraceEvent::AgentMigrated {
+                agent: 9,
+                from: 2,
+                to: 3,
+                hops: 1,
+            },
+            TraceEvent::AgentMigrateFailed {
+                agent: 9,
+                from: 3,
+                to: 4,
+            },
+            TraceEvent::ReplicaDeclaredUnavailable { agent: 9, node: 4 },
+            TraceEvent::LockRequested { agent: 9, node: 3 },
+            TraceEvent::LockGranted {
+                agent: 9,
+                node: 3,
+                visits: 3,
+                via_tie: true,
+            },
+            TraceEvent::UpdateSent {
+                agent: 9,
+                version: 0,
+            },
+            TraceEvent::UpdateAcked {
+                agent: 9,
+                node: 1,
+                positive: false,
+            },
+            TraceEvent::WinAborted { agent: 9 },
+            TraceEvent::CommitApplied {
+                node: 1,
+                version: 6,
+                agent: 9,
+                key: 1 << 50,
+                request: 7,
+            },
+            TraceEvent::AgentDisposed {
+                agent: 9,
+                born: ms(2),
+            },
+            TraceEvent::UpdateCompleted {
+                request: 7,
+                home: 2,
+                arrived: ms(1),
+                dispatched: ms(2),
+                locked: ms(4),
+                visits: 3,
+            },
             TraceEvent::SpanStart {
-                id: span_id(SpanKind::Dispatch, 9, 0),
+                id: span,
                 parent: 0,
                 kind: SpanKind::Dispatch,
                 a: 9,
                 b: 0,
             },
-        );
-        log.push(
-            SimTime::from_millis(4),
-            2,
+            TraceEvent::SpanEnd {
+                id: span,
+                kind: SpanKind::Dispatch,
+            },
+            TraceEvent::SpanLink {
+                from: span_id(SpanKind::Request, 7, 2),
+                to: span,
+            },
             TraceEvent::Custom {
                 kind: "adaptive-batch-size",
                 a: 4,
                 b: 2,
             },
-        );
-        log.push(
-            SimTime::from_millis(5),
-            2,
-            TraceEvent::UpdateCompleted {
-                request: 7,
-                home: 2,
-                arrived: SimTime::from_millis(1),
-                dispatched: SimTime::from_millis(2),
-                locked: SimTime::from_millis(4),
-                visits: 3,
+            TraceEvent::AgentStateShipped {
+                agent: 9,
+                bytes: 129,
             },
-        );
+        ];
+        let mut log = TraceLog::new(TraceLevel::Full);
+        for (i, event) in events.into_iter().enumerate() {
+            log.push(ms(i as u64 + 1), (i % 5) as marp_sim::NodeId, event);
+        }
         log
+    }
+
+    /// `encode_trace(sample_trace())`, captured before the codec became
+    /// a declaration: `MARPTRC1` files written by any earlier build
+    /// must keep loading, byte for byte.
+    const SAMPLE_TRACE_HEX: &str = concat!(
+        "4d4152505452433118c0843d000000012180897a01010001ac02c08db701020201000970",
+        "6172746974696f6e8092f401030303c096b102040403809bee020005020701c09fab0301",
+        "0602080580a4e8030207090204c0a8a50403080902030180ade2040409090304c0b19f05",
+        "000a090480b6dc05010b0903c0ba9906020c0903030180bfd606030d0900c0c39307040e",
+        "09010080c8d007000f09c0cc8d08011001060980808080808080020780d1ca0802110980",
+        "897ac0d5870903120702c0843d80897a8092f4010380dac4090413e3aaa8efe9d2fee312",
+        "00010900c0de810a0014e3aaa8efe9d2fee3120180e3be0a0115f6f1b6d3eca9b7f29501",
+        "e3aaa8efe9d2fee312c0e7fb0a02161361646170746976652d62617463682d73697a6504",
+        "0280ecb80b0317098101",
+    );
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn the_file_format_is_pinned_byte_for_byte() {
+        let log = sample_trace();
+        // Every variant is in the sample (tags run 0..=23).
+        assert_eq!(log.records().len(), 24);
+        assert_eq!(hex(&encode_trace(&log)), SAMPLE_TRACE_HEX);
     }
 
     #[test]
@@ -483,8 +572,33 @@ mod tests {
     }
 
     #[test]
-    fn truncated_file_is_rejected() {
+    fn every_strict_prefix_is_rejected() {
         let bytes = encode_trace(&sample_trace());
-        assert!(decode_trace(&bytes[..bytes.len() - 3]).is_err());
+        for len in 0..bytes.len() {
+            assert!(
+                decode_trace(&bytes[..len]).is_err(),
+                "prefix of {len} bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_event_tags_are_rejected() {
+        let mut log = TraceLog::new(TraceLevel::Full);
+        log.push(SimTime::ZERO, 0, TraceEvent::NodeUp(1));
+        let mut bytes = encode_trace(&log);
+        // magic, count, at, node, then the event tag.
+        let tag_at = MAGIC.len() + 3;
+        assert_eq!(bytes[tag_at], 4);
+        for tag in [24, 25, 0xff] {
+            bytes[tag_at] = tag;
+            assert!(matches!(
+                decode_trace(&bytes),
+                Err(WireError::InvalidTag {
+                    type_name: "TraceEvent",
+                    ..
+                })
+            ));
+        }
     }
 }
