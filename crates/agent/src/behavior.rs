@@ -70,22 +70,29 @@ pub trait AgentBehavior: Wire + Send + 'static {
         env: &mut AgentEnv<'_>,
     ) -> Action;
 
-    /// The host's knowledge horizon — for each packed
-    /// `key << 16 | server` slot, the highest locking-list snapshot
-    /// version the host has seen for that object key at that server
-    /// (key-0 slots coincide with bare server ids, keeping single-key
-    /// deployments byte-identical). Piggybacked on every
-    /// [`AgentEnvelope::MigrateAck`] this host sends, so peers can
-    /// delta-encode future agent state shipped to it. The default (no
-    /// horizon tracking) keeps non-MARP behaviours unaffected.
-    fn host_horizon(_host: &Self::Host) -> BTreeMap<u64, u64> {
+    /// What `host` already knows about the state this agent carries,
+    /// as `server → highest locking-list snapshot version` (for MARP:
+    /// the host's board and own queue for the agent's object key). The
+    /// runtime calls it on the freshly decoded arrival, *before*
+    /// [`Self::on_arrive`], and piggybacks the answer on the
+    /// [`AgentEnvelope::MigrateAck`], so the sender can delta-encode
+    /// the next agent of the same kind it ships here. The default (no
+    /// horizon tracking) keeps other behaviours unaffected.
+    fn host_horizon(&self, _host: &Self::Host) -> BTreeMap<NodeId, u64> {
         BTreeMap::new()
     }
 
-    /// A [`AgentEnvelope::MigrateAck`] from `peer` advertised its
-    /// knowledge horizon; record it in the local host so agents
-    /// migrating from here can shrink their carried state.
-    fn record_peer_horizon(_host: &mut Self::Host, _peer: NodeId, _horizon: BTreeMap<u64, u64>) {}
+    /// The [`AgentEnvelope::MigrateAck`] for this agent's hop to `peer`
+    /// advertised `peer`'s horizon (see [`Self::host_horizon`]); record
+    /// it in the local host so later agents migrating from here to
+    /// `peer` can shrink their carried state.
+    fn record_peer_horizon(
+        &self,
+        _host: &mut Self::Host,
+        _peer: NodeId,
+        _horizon: BTreeMap<NodeId, u64>,
+    ) {
+    }
 
     /// About to serialize and ship this agent to `dest`: last chance to
     /// shed state the destination already knows (delta-encoded Locking

@@ -9,6 +9,7 @@
 
 use crate::id::AgentId;
 use bytes::Bytes;
+use marp_sim::NodeId;
 use std::collections::BTreeMap;
 
 /// Messages exchanged by agent runtimes on different hosts. Host
@@ -31,16 +32,13 @@ pub enum AgentEnvelope {
         agent: AgentId,
         /// Hop the ack refers to (for retry deduplication).
         hop: u32,
-        /// The acker's knowledge horizon: for each packed
-        /// `key << 16 | server` slot, the highest locking-list snapshot
-        /// version it has seen for that object key at that server.
-        /// Key-0 slots are numerically equal to a bare
-        /// [`marp_sim::NodeId`], so a
-        /// single-key deployment's acks are byte-identical to the
-        /// pre-keyspace format. Future migrations *to* this host can
+        /// The acker's knowledge horizon about what the arriving agent
+        /// works on (for MARP, its object key): `server → highest
+        /// locking-list snapshot version` the acker held when the
+        /// agent arrived. Future migrations *to* this host can
         /// delta-encode their Locking Table against it (empty when the
-        /// host tracks no horizons).
-        horizon: BTreeMap<u64, u64>,
+        /// host tracks no horizons, or could not decode the state).
+        horizon: BTreeMap<NodeId, u64>,
     },
     /// A message addressed to an agent resident at the destination host.
     ToAgent {

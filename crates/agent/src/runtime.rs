@@ -140,11 +140,14 @@ impl<B: AgentBehavior> AgentRuntime<B> {
                 hop,
                 horizon,
             } => {
-                // The ack advertises the destination's knowledge horizon;
-                // remember it so the *next* agent migrating there from
-                // here can delta-encode its carried state.
-                B::record_peer_horizon(host, from, horizon);
-                if self.outbound.get(&agent).is_some_and(|out| out.hop == hop) {
+                // The ack advertises what the destination knew about the
+                // agent's subject; remember it so the *next* such agent
+                // migrating there from here can delta-encode its state.
+                let Some(out) = self.outbound.get(&agent) else {
+                    return; // a retry's second ack: the agent is gone
+                };
+                out.behavior.record_peer_horizon(host, from, horizon);
+                if out.hop == hop {
                     let out = self.outbound.remove(&agent).expect("checked");
                     self.migrate_timers.remove(&out.timer);
                     ctx.cancel_timer(out.timer);
@@ -210,17 +213,24 @@ impl<B: AgentBehavior> AgentRuntime<B> {
         host: &mut B::Host,
         ctx: &mut dyn Context,
     ) {
-        // Always (re-)ack so a retry caused by a lost ack terminates.
+        // Always (re-)ack so a retry caused by a lost ack terminates:
+        // before the duplicate check, and even for state that does not
+        // decode. The ack carries what this host knew about the agent's
+        // subject *before* the agent arrived.
+        let decoded = marp_wire::from_bytes::<B>(&state);
+        let horizon = decoded
+            .as_ref()
+            .map_or_else(|_| BTreeMap::new(), |behavior| behavior.host_horizon(host));
         let ack = (self.wrap)(AgentEnvelope::MigrateAck {
             agent,
             hop,
-            horizon: B::host_horizon(host),
+            horizon,
         });
         ctx.send(from, ack);
         if !self.seen_migrations.insert((agent, hop)) {
             return; // duplicate delivery of a retried migration
         }
-        let behavior = match marp_wire::from_bytes::<B>(&state) {
+        let behavior = match decoded {
             Ok(b) => b,
             Err(_) => {
                 // Corrupt state should be impossible (reliable channels);

@@ -11,6 +11,7 @@ use marp_sim::{
     impl_as_any, Context, Control, NodeId, Process, SimRng, SimTime, Simulation, TimerId,
     TraceEvent, TraceLevel,
 };
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// A toy agent that walks a fixed itinerary, stamping each host's
@@ -35,6 +36,8 @@ marp_wire::wire_struct!(Hopper {
 struct GuestBook {
     stamps: Vec<u64>,
     pokes: Vec<Bytes>,
+    /// What acking peers said they knew, as `(peer, horizon)`.
+    advertised: Vec<(NodeId, BTreeMap<NodeId, u64>)>,
 }
 
 impl Hopper {
@@ -84,6 +87,21 @@ impl AgentBehavior for Hopper {
         self.skipped.push(dest);
         self.route.retain(|&n| n != dest);
         self.next_action(env)
+    }
+
+    /// A guest book's "horizon": how many stamps it holds, filed under
+    /// the arriving agent's home.
+    fn host_horizon(&self, host: &GuestBook) -> BTreeMap<NodeId, u64> {
+        BTreeMap::from([(self.id.home, host.stamps.len() as u64)])
+    }
+
+    fn record_peer_horizon(
+        &self,
+        host: &mut GuestBook,
+        peer: NodeId,
+        horizon: BTreeMap<NodeId, u64>,
+    ) {
+        host.advertised.push((peer, horizon));
     }
 }
 
@@ -613,4 +631,94 @@ fn crash_loses_residents_and_later_messages_miss_loudly() {
     // instead of dispatching into a dangling agent.
     assert!(!runtime.handle_timer(stale_timer, &mut book, &mut ctx));
     assert_eq!(book.stamps.len(), 0, "no tick ran");
+}
+
+/// The horizons of the `MigrateAck`s in `sent`, oldest first.
+fn acked_horizons(sent: &[(NodeId, Bytes)]) -> Vec<BTreeMap<NodeId, u64>> {
+    sent.iter()
+        .filter_map(|(_, frame)| match marp_wire::from_bytes(frame) {
+            Ok(AgentEnvelope::MigrateAck { horizon, .. }) => Some(horizon),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn the_ack_carries_what_the_host_knew_before_the_agent_arrived() {
+    let mut runtime: AgentRuntime<Hopper> = AgentRuntime::new(AgentConfig::default(), wrap);
+    let mut book = GuestBook::default();
+    let mut ctx = RecCtx::default();
+    let agent = AgentId::new(4, SimTime::ZERO, 0);
+    let hopper = Hopper {
+        id: agent,
+        route: vec![],
+        stamped: vec![],
+        skipped: vec![],
+    };
+    let migrate = AgentEnvelope::Migrate {
+        agent,
+        hop: 1,
+        state: marp_wire::to_bytes(&hopper),
+    };
+    runtime.handle_envelope(0, migrate.clone(), &mut book, &mut ctx);
+    assert_eq!(book.stamps.len(), 1, "on_arrive ran");
+    // The hook saw the decoded agent (its home is the slot) and the
+    // book as it was before `on_arrive` stamped it.
+    assert_eq!(acked_horizons(&ctx.sent), [BTreeMap::from([(4, 0)])]);
+
+    // A duplicate delivery is acked again — with the book as it is now
+    // — and then dropped.
+    runtime.handle_envelope(0, migrate, &mut book, &mut ctx);
+    assert_eq!(book.stamps.len(), 1);
+    assert_eq!(acked_horizons(&ctx.sent)[1], BTreeMap::from([(4, 1)]));
+}
+
+#[test]
+fn undecodable_state_is_acked_with_an_empty_horizon_and_dropped() {
+    let mut runtime: AgentRuntime<Hopper> = AgentRuntime::new(AgentConfig::default(), wrap);
+    let mut book = GuestBook::default();
+    let mut ctx = RecCtx::default();
+    let agent = AgentId::new(0, SimTime::ZERO, 0);
+    let garbage = AgentEnvelope::Migrate {
+        agent,
+        hop: 1,
+        state: Bytes::from_static(&[0xff; 3]),
+    };
+    runtime.handle_envelope(0, garbage, &mut book, &mut ctx);
+    assert_eq!(acked_horizons(&ctx.sent), [BTreeMap::new()]);
+    assert_eq!(runtime.resident_count(), 0);
+    assert!(book.stamps.is_empty());
+    assert!(ctx.traces.iter().any(|e| matches!(
+        e,
+        TraceEvent::Custom {
+            kind: "agent-state-corrupt",
+            ..
+        }
+    )));
+}
+
+#[test]
+fn an_ack_is_recorded_through_the_agent_it_acknowledges() {
+    let mut sim = build_sim(3, vec![1, 2], AgentConfig::default());
+    sim.run_to_quiescence();
+    // Node 0 shipped the hopper to node 1, node 1 to node 2; each heard
+    // back what its destination's book held for the hopper's home.
+    let spawner: &Spawner = sim.process(0).unwrap();
+    assert_eq!(
+        spawner.inner.book.advertised,
+        [(1, BTreeMap::from([(0, 0)]))]
+    );
+    let host1: &HostNode = sim.process(1).unwrap();
+    assert_eq!(host1.book.advertised, [(2, BTreeMap::from([(0, 0)]))]);
+    // An ack for an agent that is not in flight from here has no
+    // subject to be recorded under.
+    let mut runtime: AgentRuntime<Hopper> = AgentRuntime::new(AgentConfig::default(), wrap);
+    let mut book = GuestBook::default();
+    let stray = AgentEnvelope::MigrateAck {
+        agent: AgentId::new(0, SimTime::ZERO, 0),
+        hop: 1,
+        horizon: BTreeMap::from([(0, 9)]),
+    };
+    runtime.handle_envelope(2, stray, &mut book, &mut RecCtx::default());
+    assert!(book.advertised.is_empty());
 }

@@ -683,12 +683,17 @@ impl AgentBehavior for UpdateAgent {
         self.evaluate(host, env)
     }
 
-    fn host_horizon(host: &MarpServerState) -> BTreeMap<u64, u64> {
-        host.horizon()
+    fn host_horizon(&self, host: &MarpServerState) -> BTreeMap<NodeId, u64> {
+        host.horizon(self.key())
     }
 
-    fn record_peer_horizon(host: &mut MarpServerState, peer: NodeId, horizon: BTreeMap<u64, u64>) {
-        host.record_peer_horizon(peer, horizon);
+    fn record_peer_horizon(
+        &self,
+        host: &mut MarpServerState,
+        peer: NodeId,
+        horizon: BTreeMap<NodeId, u64>,
+    ) {
+        host.record_peer_horizon(peer, self.key(), horizon);
     }
 
     fn before_migrate(&mut self, dest: NodeId, host: &mut MarpServerState) {
@@ -706,9 +711,8 @@ impl AgentBehavior for UpdateAgent {
         // crashed and lost its board) costs at most a re-gather round;
         // safety rests on the UPDATE validation quorum, not the LT.
         if self.gossip {
-            if let Some(packed) = host.peer_horizon(dest) {
-                let h = crate::lt::horizon_for_key(packed, self.key());
-                self.lt.prune_covered_by(&h);
+            if let Some(horizon) = host.peer_horizon(dest, self.key()) {
+                self.lt.prune_covered_by(horizon);
             }
         }
         // The UAL is a cache of the servers' Updated Lists, which the

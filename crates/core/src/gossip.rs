@@ -54,11 +54,6 @@ impl GossipBoard {
         self.tables.get(&key).map_or(0, LockingTable::known_servers)
     }
 
-    /// Keys any visitor has left information about.
-    pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.tables.keys().copied()
-    }
-
     /// Reset (volatile across crashes).
     pub fn clear(&mut self) {
         self.tables.clear();

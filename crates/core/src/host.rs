@@ -20,7 +20,7 @@
 
 use crate::config::{ChaosMode, MarpConfig};
 use crate::gossip::GossipBoard;
-use crate::lt::{pack_horizon_slot, LockingTable, MAX_HORIZON_KEY};
+use crate::lt::LockingTable;
 use crate::msg::{AgentReply, UpdateMsg};
 use marp_agent::AgentId;
 use marp_net::RoutingTable;
@@ -73,11 +73,11 @@ pub struct MarpServerState {
     /// again).
     claims_held: u64,
     chaos: ChaosMode,
-    /// Last knowledge horizon advertised by each peer (piggybacked on
-    /// its migration acks), as packed `key << 16 | server` slots.
-    /// Agents migrating from here delta-encode their Locking Tables
-    /// against the destination's entry for their key.
-    peer_horizons: BTreeMap<NodeId, BTreeMap<u64, u64>>,
+    /// Last knowledge horizon each peer advertised per object key
+    /// (piggybacked on its ack of an agent for that key). Agents
+    /// migrating from here delta-encode their Locking Tables against
+    /// the destination's entry for their key.
+    peer_horizons: BTreeMap<(NodeId, u64), BTreeMap<NodeId, u64>>,
     /// Incarnation fence per client request: the highest incarnation
     /// this server positively acked for each request it has seen, plus
     /// when (for pruning). A regenerated agent carries a bumped
@@ -104,59 +104,34 @@ impl MarpServerState {
         }
     }
 
-    /// This server's knowledge horizon: the highest locking-list
-    /// snapshot version it holds per `(key, server)` packed slot — its
-    /// own live lock table plus everything on the gossip board.
-    /// Advertised in migration acks so senders can delta-encode agent
-    /// state shipped here. The key-0 slot for this server is always
-    /// present (even while virgin), matching the pre-keyspace format
-    /// byte-for-byte in single-key deployments.
-    pub fn horizon(&self) -> BTreeMap<u64, u64> {
-        let mut horizon = BTreeMap::new();
-        let me = self.core.me();
-        if self.gossip_enabled {
-            for key in self.board.keys() {
-                if key > MAX_HORIZON_KEY {
-                    continue;
-                }
-                let Some(table) = self.board.contents(key) else {
-                    continue;
-                };
-                for (server, version) in table.horizon() {
-                    let slot = pack_horizon_slot(key, server);
-                    horizon
-                        .entry(slot)
-                        .and_modify(|v: &mut u64| *v = (*v).max(version))
-                        .or_insert(version);
-                }
-            }
-        }
-        let mut own_keys: Vec<u64> = self
-            .core
-            .ll
-            .keys()
-            .filter(|&k| k != 0 && k <= MAX_HORIZON_KEY)
-            .collect();
-        own_keys.push(0);
-        for key in own_keys {
-            let own = self.core.ll.version(key);
-            horizon
-                .entry(pack_horizon_slot(key, me))
-                .and_modify(|v| *v = (*v).max(own))
-                .or_insert(own);
-        }
+    /// This server's knowledge horizon for `key`: the highest
+    /// locking-list snapshot version it holds per server — what is on
+    /// the gossip board, and its own live queue. Advertised in the ack
+    /// of an arriving agent for `key` so senders can delta-encode agent
+    /// state shipped here. The entry for this server is always present
+    /// (even while its queue is virgin).
+    pub fn horizon(&self, key: u64) -> BTreeMap<NodeId, u64> {
+        let mut horizon = match self.board.contents(key) {
+            Some(board) if self.gossip_enabled => board.horizon(),
+            _ => BTreeMap::new(),
+        };
+        let own = self.core.ll.version(key);
+        horizon
+            .entry(self.core.me())
+            .and_modify(|v| *v = (*v).max(own))
+            .or_insert(own);
         horizon
     }
 
-    /// Record the knowledge horizon a peer advertised in a migration
-    /// ack.
-    pub fn record_peer_horizon(&mut self, peer: NodeId, horizon: BTreeMap<u64, u64>) {
-        self.peer_horizons.insert(peer, horizon);
+    /// Record the horizon for `key` a peer advertised in a migration
+    /// ack, replacing what it said about that key before.
+    pub fn record_peer_horizon(&mut self, peer: NodeId, key: u64, horizon: BTreeMap<NodeId, u64>) {
+        self.peer_horizons.insert((peer, key), horizon);
     }
 
-    /// The last (packed) horizon `peer` advertised, if any.
-    pub fn peer_horizon(&self, peer: NodeId) -> Option<&BTreeMap<u64, u64>> {
-        self.peer_horizons.get(&peer)
+    /// The last horizon for `key` that `peer` advertised, if any.
+    pub fn peer_horizon(&self, peer: NodeId, key: u64) -> Option<&BTreeMap<NodeId, u64>> {
+        self.peer_horizons.get(&(peer, key))
     }
 
     /// Whether gossip boards are enabled (E10 ablation).

@@ -339,39 +339,6 @@ pub fn majority(n: usize) -> usize {
     n / 2 + 1
 }
 
-/// Largest object key a packed knowledge-horizon slot can carry
-/// (48 bits; see [`pack_horizon_slot`]). Queues for larger keys simply
-/// are not advertised in horizons — pruning against them is only an
-/// optimization, so correctness is unaffected.
-pub const MAX_HORIZON_KEY: u64 = (1 << 48) - 1;
-
-/// Pack a `(object key, server)` knowledge-horizon coordinate into one
-/// slot id: `key << 16 | server`. Key-0 slots are numerically equal to
-/// the bare server id, so a single-key deployment's horizon maps are
-/// byte-identical to the pre-keyspace `server → version` encoding.
-pub fn pack_horizon_slot(key: u64, server: NodeId) -> u64 {
-    debug_assert!(key <= MAX_HORIZON_KEY);
-    (key << 16) | u64::from(server)
-}
-
-/// Inverse of [`pack_horizon_slot`].
-pub fn unpack_horizon_slot(slot: u64) -> (u64, NodeId) {
-    (slot >> 16, (slot & 0xffff) as NodeId)
-}
-
-/// Project a packed horizon map onto one object key: the per-server
-/// snapshot-version horizon an agent for `key` can prune its Locking
-/// Table against.
-pub fn horizon_for_key(packed: &BTreeMap<u64, u64>, key: u64) -> BTreeMap<NodeId, u64> {
-    packed
-        .iter()
-        .filter_map(|(&slot, &version)| {
-            let (k, server) = unpack_horizon_slot(slot);
-            (k == key).then_some((server, version))
-        })
-        .collect()
-}
-
 /// Evaluate the priority rules for agent `me` over `n` replica servers.
 ///
 /// `unavailable` lists servers this agent has declared unreachable —

@@ -20,7 +20,7 @@
 //! independently (lease refreshes re-stamp without re-versioning).
 
 use marp_agent::AgentId;
-use marp_core::lt::{horizon_for_key, pack_horizon_slot, unpack_horizon_slot, LockingTable};
+use marp_core::lt::LockingTable;
 use marp_replica::LlSnapshot;
 use marp_sim::{NodeId, SimTime};
 use proptest::prelude::*;
@@ -28,10 +28,10 @@ use std::collections::BTreeMap;
 
 const SERVERS: NodeId = 5;
 
-/// The keys of the multi-key properties. Key 0 is deliberately
-/// included: its packed horizon slots are numerically bare server ids
-/// (the single-key byte-identity invariant).
-const KEYS: [u64; 3] = [0, 1, 7];
+/// The keys of the multi-key properties: small ones and one past
+/// 2^48, which the old packed `key << 16 | server` slots could not
+/// carry.
+const KEYS: [u64; 4] = [0, 1, 7, 1 << 50];
 
 /// The queue a server's LL held at a given version — deterministic, so
 /// equal versions always mean equal queues (the protocol's invariant).
@@ -80,8 +80,8 @@ fn arb_table_pair() -> impl Strategy<Value = (LockingTable, LockingTable)> {
 }
 
 /// A table pair per object key — each key's Locking Table evolves
-/// independently (agents are key-uniform), but hosts advertise ONE
-/// packed horizon over all keys.
+/// independently (agents are key-uniform), and a host advertises each
+/// key's horizon on its own.
 fn arb_keyed_table_pairs() -> impl Strategy<Value = Vec<(u64, LockingTable, LockingTable)>> {
     proptest::collection::vec(arb_table_pair(), KEYS.len()).prop_map(|pairs| {
         KEYS.iter()
@@ -92,17 +92,15 @@ fn arb_keyed_table_pairs() -> impl Strategy<Value = Vec<(u64, LockingTable, Lock
     })
 }
 
-/// A host's packed knowledge horizon over every key it has chains for:
-/// slot `key << 16 | server` → snapshot version (what
-/// `HostState::horizon()` broadcasts in `MigrateAck`).
-fn packed_horizon(tables: &[(u64, LockingTable, LockingTable)]) -> BTreeMap<u64, u64> {
-    let mut packed = BTreeMap::new();
-    for (key, _, receiver) in tables {
-        for (server, version) in receiver.horizon() {
-            packed.insert(pack_horizon_slot(*key, server), version);
-        }
-    }
-    packed
+/// What a sender remembers of a host's acks: per key, the plain
+/// `server → snapshot version` horizon the host advertised last.
+fn advertised_horizons(
+    tables: &[(u64, LockingTable, LockingTable)],
+) -> BTreeMap<u64, BTreeMap<NodeId, u64>> {
+    tables
+        .iter()
+        .map(|(key, _, receiver)| (*key, receiver.horizon()))
+        .collect()
 }
 
 /// The protocol-relevant projection of a table: version and queue per
@@ -202,58 +200,29 @@ proptest! {
     }
 
     /// Multi-key obligation 1: each key's agent prunes against the
-    /// per-key projection of the host's single packed horizon, and for
-    /// every key the delta merge matches the full merge — other keys'
-    /// slots never cover (and so never wrongly prune) this key's
-    /// entries.
+    /// horizon the host advertised for *its* key, and for every key the
+    /// delta merge matches the full merge — another key's horizon is
+    /// never consulted, so it can never wrongly prune this key's rows.
     #[test]
     fn per_key_delta_merge_equals_full_merge(tables in arb_keyed_table_pairs()) {
-        let packed = packed_horizon(&tables);
+        let advertised = advertised_horizons(&tables);
         for (key, sender, receiver) in &tables {
-            let horizon = horizon_for_key(&packed, *key);
+            let horizon = &advertised[key];
 
             let mut full = receiver.clone();
             full.merge_table(sender);
 
             let mut delta_table = sender.clone();
-            delta_table.prune_covered_by(&horizon);
+            delta_table.prune_covered_by(horizon);
             let mut delta = receiver.clone();
             delta.merge_table(&delta_table);
 
             prop_assert_eq!(
                 relevant(&delta),
                 relevant(&full),
-                "key {} diverged under packed-horizon pruning",
+                "key {} diverged under per-key horizon pruning",
                 key
             );
         }
-    }
-
-    /// The packed projection is exact: extracting one key out of the
-    /// packed map returns precisely that key's per-server horizon.
-    #[test]
-    fn packed_horizon_projects_exactly(tables in arb_keyed_table_pairs()) {
-        let packed = packed_horizon(&tables);
-        for (key, _, receiver) in &tables {
-            prop_assert_eq!(horizon_for_key(&packed, *key), receiver.horizon());
-        }
-        // A key nobody has chains for projects to an empty horizon.
-        prop_assert!(horizon_for_key(&packed, 999).is_empty());
-    }
-
-    /// Horizon slots round-trip, and key-0 slots collapse to the bare
-    /// server id — the invariant that keeps single-key wire traffic
-    /// byte-identical to the pre-keyspace encoding.
-    #[test]
-    fn horizon_slot_roundtrips(
-        key in 0u64..=marp_core::lt::MAX_HORIZON_KEY,
-        server in proptest::prelude::any::<u16>(),
-    ) {
-        let slot = pack_horizon_slot(key, server);
-        prop_assert_eq!(unpack_horizon_slot(slot), (key, server));
-        if key == 0 {
-            prop_assert_eq!(slot, u64::from(server));
-        }
-        prop_assert_eq!(pack_horizon_slot(0, server), u64::from(server));
     }
 }

@@ -66,7 +66,7 @@ fn arb_node_msg() -> impl Strategy<Value = NodeMsg> {
         (
             arb_agent_id(),
             any::<u32>(),
-            proptest::collection::btree_map(any::<u64>(), any::<u64>(), 0..4),
+            proptest::collection::btree_map(any::<u16>(), any::<u64>(), 0..4),
         )
             .prop_map(
                 |(agent, hop, horizon)| NodeMsg::Agent(AgentEnvelope::MigrateAck {

@@ -9,8 +9,7 @@
 //! 2. **Key isolation**: a mutation under one key never changes the
 //!    content or the content-version of any other key's queue, which is
 //!    what lets agents for disjoint keys proceed independently (and
-//!    keeps single-key horizons byte-identical to the pre-keyspace
-//!    encoding).
+//!    lets a host advertise each key's horizon on its own).
 //!
 //! Both are checked against a naive model: one `Vec<AgentId>` of live
 //! entries per key, maintained by replaying the same operations.
