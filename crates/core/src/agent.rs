@@ -30,6 +30,8 @@ use marp_sim::{span_id, NodeId, SpanKind, TraceEvent};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
+/// Timer kinds, the low byte of a [`TimerMux::tag`]. The epoch above it
+/// is the agent's `attempt` when the timer was armed.
 const TIMER_REPOLL: u8 = 1;
 const TIMER_ACK: u8 = 2;
 /// The re-poll backoff doubles this many times (25 ms → 200 ms).
@@ -45,7 +47,17 @@ pub enum Phase {
     /// Working through the itinerary.
     Travelling,
     /// Itinerary exhausted; waiting for the locking picture to change.
-    Parked,
+    /// The re-poll bookkeeping lives here because only a parked agent
+    /// has any: one that travels cannot carry it.
+    Parked {
+        /// Re-poll timers armed since the last LL news (which zeroes
+        /// it): the backoff step of the next one, and a fire that finds
+        /// it 0 knows news arrived while its timer ran.
+        round: u32,
+        /// Consecutive re-poll fires that sent no query because of
+        /// that.
+        quiet_fires: u8,
+    },
     /// Lock claimed; collecting UPDATE acknowledgements.
     Updating {
         /// Whether the claim came from stuck-configuration resolution.
@@ -67,19 +79,18 @@ pub enum Phase {
 
 marp_wire::wire_enum!(Phase {
     0 => Travelling,
-    1 => Parked,
+    1 => Parked { round, quiet_fires },
     2 => Updating { via_tie, certificate, call, news },
 });
 
-/// The travelling update agent.
+/// The travelling update agent: the paper's four lists (§3.2), where it
+/// has been, and how often it has claimed. Everything else it needs —
+/// the cluster size, the gossip and delta switches, its timeouts — it
+/// reads from the [`MarpConfig`](crate::MarpConfig) of the host it is
+/// running on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UpdateAgent {
     id: AgentId,
-    n: u16,
-    gossip: bool,
-    lt_delta: bool,
-    ack_timeout_ms: u32,
-    park_repoll_ms: u32,
     /// Request List: the writes this agent carries (paper §3.2).
     rl: Vec<WriteRequest>,
     /// Un-visited Servers List (paper §3.2).
@@ -89,29 +100,22 @@ pub struct UpdateAgent {
     /// Updated Agents List (paper §3.2).
     ual: UpdatedList,
     visited: Vec<NodeId>,
+    /// Claims made so far. Also the epoch of every timer the agent
+    /// arms: it grows between any two claims and between any two parks
+    /// on one host (only a claim leaves `Parked` without leaving the
+    /// host), so a fire from an earlier one is recognizably stale.
     attempt: u32,
     /// Regeneration incarnation assigned by the home replica's dispatch
     /// registry: 0 for the original agent, bumped for each regeneration
     /// of the same batch. Servers fence claims from stale incarnations.
     incarnation: u32,
-    repoll_epoch: u32,
-    /// Re-poll timers armed since the last LL news (`on_ll_news` zeroes
-    /// it): the backoff step of the next one, and a fire that finds it 0
-    /// knows news arrived while its timer ran.
-    repoll_round: u32,
-    /// Consecutive re-poll fires that sent no query because of that.
-    quiet_fires: u8,
-    timers: TimerMux,
+    /// One tag byte on the wire: an agent only ever leaves a host as
+    /// [`Phase::Travelling`].
     phase: Phase,
 }
 
 marp_wire::wire_struct!(UpdateAgent {
     id,
-    n,
-    gossip,
-    lt_delta,
-    ack_timeout_ms,
-    park_repoll_ms,
     rl,
     itinerary,
     lt,
@@ -119,10 +123,6 @@ marp_wire::wire_struct!(UpdateAgent {
     visited,
     attempt,
     incarnation,
-    repoll_epoch,
-    repoll_round,
-    quiet_fires,
-    timers,
     phase
 });
 
@@ -132,11 +132,6 @@ impl UpdateAgent {
     pub fn new(id: AgentId, cfg: &crate::MarpConfig, requests: Vec<WriteRequest>) -> Self {
         UpdateAgent {
             id,
-            n: cfg.n_servers as u16,
-            gossip: cfg.gossip,
-            lt_delta: cfg.lt_delta,
-            ack_timeout_ms: cfg.ack_timeout.as_millis() as u32,
-            park_repoll_ms: cfg.park_repoll.as_millis() as u32,
             rl: requests,
             itinerary: Itinerary::for_system(cfg.n_servers, id.home, cfg.itinerary),
             lt: LockingTable::new(),
@@ -144,10 +139,6 @@ impl UpdateAgent {
             visited: Vec::new(),
             attempt: 0,
             incarnation: 0,
-            repoll_epoch: 0,
-            repoll_round: 0,
-            quiet_fires: 0,
-            timers: TimerMux::new(),
             phase: Phase::Travelling,
         }
     }
@@ -218,25 +209,15 @@ impl UpdateAgent {
         &self.ual
     }
 
-    fn maj(&self) -> usize {
-        majority(usize::from(self.n))
-    }
-
-    fn broadcast(&self, env: &mut AgentEnv<'_>, msg: &NodeMsg) {
-        let bytes = marp_wire::to_bytes(msg);
-        for server in 0..self.n {
-            env.send_raw(server, bytes.clone());
-        }
-    }
-
     fn evaluate(&mut self, host: &mut MarpServerState, env: &mut AgentEnv<'_>) -> Action {
         if matches!(self.phase, Phase::Updating { .. }) {
             return Action::Stay;
         }
+        let n = host.config().n_servers;
         match decide(
             &self.lt,
             self.id,
-            usize::from(self.n),
+            n,
             &self.ual,
             self.itinerary.unavailable(),
         ) {
@@ -244,7 +225,7 @@ impl UpdateAgent {
                 via_tie,
                 certificate,
             } => {
-                self.start_update(env, via_tie, certificate);
+                self.start_update(host, env, via_tie, certificate);
                 Action::Stay
             }
             Priority::NotYet => {
@@ -257,7 +238,7 @@ impl UpdateAgent {
                 // travelled), it can never win — begin the paper's "next
                 // round": the skipped replicas become visitable again,
                 // catching ones that have since recovered.
-                if self.lt.presence_count(self.id) < self.maj()
+                if self.lt.presence_count(self.id) < majority(n)
                     && self.itinerary.begin_next_round() > 0
                 {
                     if let Some(next) = self.itinerary.next_destination(|to| host.route_cost(to)) {
@@ -265,46 +246,48 @@ impl UpdateAgent {
                         return Action::Migrate(next);
                     }
                 }
-                self.enter_parked(env);
+                self.enter_parked(host, env);
                 Action::Stay
             }
         }
     }
 
-    fn enter_parked(&mut self, env: &mut AgentEnv<'_>) {
-        if matches!(self.phase, Phase::Parked) {
+    fn enter_parked(&mut self, host: &MarpServerState, env: &mut AgentEnv<'_>) {
+        if matches!(self.phase, Phase::Parked { .. }) {
             return;
         }
-        self.phase = Phase::Parked;
-        self.timers.disarm_kind(TIMER_REPOLL);
-        self.repoll_epoch += 1;
-        self.repoll_round = 0;
-        self.quiet_fires = 0;
-        self.arm_repoll(env);
+        self.phase = Phase::Parked {
+            round: 0,
+            quiet_fires: 0,
+        };
+        self.arm_repoll(host, env);
     }
 
-    /// The parked re-poll backoff: parked agents mostly learn of LL
-    /// changes through pushed notifications, so the re-poll is a
+    /// Arm the parked agent's next re-poll. Parked agents mostly learn
+    /// of LL changes through pushed notifications, so the re-poll is a
     /// fallback that should not flood the network under heavy
-    /// contention — exponential, capped at 8x, with a small
-    /// deterministic per-agent stagger so many agents parking together
-    /// do not re-poll in lockstep.
-    fn repoll_policy(&self) -> RetryPolicy {
-        RetryPolicy::exponential(
-            Duration::from_millis(u64::from(self.park_repoll_ms)),
-            REPOLL_MAX_DOUBLINGS,
-        )
-        .staggered(Duration::from_millis(1), self.id.key(), 8)
-    }
-
-    fn arm_repoll(&mut self, env: &mut AgentEnv<'_>) {
-        let delay = self.repoll_policy().next_delay(self.repoll_round);
-        self.repoll_round = self.repoll_round.saturating_add(1);
-        let tag = self.timers.arm(TIMER_REPOLL, u64::from(self.repoll_epoch));
+    /// contention — exponential in the timers armed since the last
+    /// news, capped at 8x, with a small deterministic per-agent stagger
+    /// so many agents parking together do not re-poll in lockstep.
+    fn arm_repoll(&mut self, host: &MarpServerState, env: &mut AgentEnv<'_>) {
+        let Phase::Parked { round, .. } = &mut self.phase else {
+            return;
+        };
+        let delay = RetryPolicy::exponential(host.config().park_repoll, REPOLL_MAX_DOUBLINGS)
+            .staggered(Duration::from_millis(1), self.id.key(), 8)
+            .next_delay(*round);
+        *round = round.saturating_add(1);
+        let tag = TimerMux::tag(TIMER_REPOLL, u64::from(self.attempt));
         env.set_timer(delay, tag);
     }
 
-    fn start_update(&mut self, env: &mut AgentEnv<'_>, via_tie: bool, certificate: Vec<AgentId>) {
+    fn start_update(
+        &mut self,
+        host: &MarpServerState,
+        env: &mut AgentEnv<'_>,
+        via_tie: bool,
+        certificate: Vec<AgentId>,
+    ) {
         self.attempt += 1;
         env.trace(TraceEvent::SpanEnd {
             id: span_id(
@@ -344,19 +327,19 @@ impl UpdateAgent {
             requests: self.rl.clone(),
             tie_certificate: via_tie.then(|| certificate.clone()),
         });
-        self.broadcast(env, &msg);
+        broadcast(host, env, &msg);
+        let n = host.config().n_servers as NodeId;
         self.phase = Phase::Updating {
             via_tie,
             certificate,
-            call: QuorumCall::majority(self.n, env.now()).with_span(update_span),
+            call: QuorumCall::majority(n, env.now()).with_span(update_span),
             news: false,
         };
-        self.timers.disarm_kind(TIMER_ACK);
-        let tag = self.timers.arm(TIMER_ACK, u64::from(self.attempt));
-        env.set_timer(Duration::from_millis(u64::from(self.ack_timeout_ms)), tag);
+        let tag = TimerMux::tag(TIMER_ACK, u64::from(self.attempt));
+        env.set_timer(host.config().ack_timeout, tag);
     }
 
-    fn commit_and_dispose(&mut self, env: &mut AgentEnv<'_>) -> Action {
+    fn commit_and_dispose(&mut self, host: &MarpServerState, env: &mut AgentEnv<'_>) -> Action {
         let Phase::Updating { call, .. } = &self.phase else {
             return Action::Stay;
         };
@@ -382,7 +365,7 @@ impl UpdateAgent {
             agent: self.id,
             records,
         });
-        self.broadcast(env, &msg);
+        broadcast(host, env, &msg);
         let update_span = span_id(
             SpanKind::UpdateQuorum,
             self.id.key(),
@@ -423,7 +406,7 @@ impl UpdateAgent {
     /// regenerates it under a fresh incarnation. This extends the
     /// zombie-clone self-check: the UL catches clones of the *same*
     /// agent id, the fence catches zombies across regenerations.
-    fn superseded(&mut self, env: &mut AgentEnv<'_>) -> Action {
+    fn superseded(&mut self, host: &MarpServerState, env: &mut AgentEnv<'_>) -> Action {
         env.trace(TraceEvent::Custom {
             kind: "agent-superseded",
             a: self.id.key(),
@@ -437,9 +420,8 @@ impl UpdateAgent {
             ),
             kind: SpanKind::UpdateQuorum,
         });
-        self.timers.disarm_kind(TIMER_ACK);
         let msg = NodeMsg::Release { agent: self.id };
-        self.broadcast(env, &msg);
+        broadcast(host, env, &msg);
         Action::Dispose
     }
 
@@ -474,13 +456,12 @@ impl UpdateAgent {
             a: self.id.key(),
             b: u64::from(self.attempt) + 1,
         });
-        self.timers.disarm_kind(TIMER_ACK);
         let msg = NodeMsg::Release { agent: self.id };
-        self.broadcast(env, &msg);
+        broadcast(host, env, &msg);
         // Fall back to parked: the next re-poll (after a short pause,
-        // which doubles as backoff) refreshes the locking table.
-        self.phase = Phase::Travelling; // force the parked transition
-        self.enter_parked(env);
+        // which doubles as backoff) refreshes the locking table. The
+        // claim's ACK timer, if still pending, finds a later phase.
+        self.enter_parked(host, env);
         if retry {
             self.evaluate(host, env)
         } else {
@@ -499,15 +480,29 @@ impl UpdateAgent {
         host: &mut MarpServerState,
         env: &mut AgentEnv<'_>,
     ) -> Action {
-        self.repoll_round = 0;
         match &mut self.phase {
-            Phase::Parked if changed => self.evaluate(host, env),
+            Phase::Parked { round, .. } => {
+                *round = 0;
+                if changed {
+                    self.evaluate(host, env)
+                } else {
+                    Action::Stay
+                }
+            }
             Phase::Updating { news, .. } => {
                 *news = true;
                 Action::Stay
             }
-            Phase::Parked | Phase::Travelling => Action::Stay,
+            Phase::Travelling => Action::Stay,
         }
+    }
+}
+
+/// Send `msg` to every replica server (the paper's broadcast).
+fn broadcast(host: &MarpServerState, env: &mut AgentEnv<'_>, msg: &NodeMsg) {
+    let bytes = marp_wire::to_bytes(msg);
+    for server in 0..host.config().n_servers as NodeId {
+        env.send_raw(server, bytes.clone());
     }
 }
 
@@ -565,7 +560,7 @@ impl AgentBehavior for UpdateAgent {
             return Action::Dispose;
         }
         self.lt.merge(here, snapshot);
-        if self.gossip {
+        if host.config().gossip {
             if let Some(board) = host.board.contents(self.key()) {
                 self.lt.merge_table(board);
             }
@@ -600,7 +595,7 @@ impl AgentBehavior for UpdateAgent {
                     return Action::Stay;
                 }
                 if fenced {
-                    return self.superseded(env);
+                    return self.superseded(host, env);
                 }
                 let Phase::Updating { call, .. } = &mut self.phase else {
                     return Action::Stay;
@@ -608,7 +603,7 @@ impl AgentBehavior for UpdateAgent {
                 // The call dedupes repeated acks; only a deciding reply
                 // returns a verdict.
                 match call.offer_vote(node, positive, store_version) {
-                    Some(Verdict::Won) => self.commit_and_dispose(env),
+                    Some(Verdict::Won) => self.commit_and_dispose(host, env),
                     // A positive majority is no longer possible.
                     Some(Verdict::Lost) => self.abort_claim(host, env),
                     _ => Action::Stay,
@@ -622,7 +617,7 @@ impl AgentBehavior for UpdateAgent {
             } => {
                 self.ual.merge(&ul);
                 self.lt.merge(node, snapshot);
-                if self.gossip {
+                if host.config().gossip {
                     self.lt.merge_table(&board);
                 }
                 self.on_ll_news(true, host, env)
@@ -636,38 +631,32 @@ impl AgentBehavior for UpdateAgent {
     }
 
     fn on_timer(&mut self, tag: u64, host: &mut MarpServerState, env: &mut AgentEnv<'_>) -> Action {
-        let Some((kind, epoch)) = self.timers.fired(tag) else {
-            return Action::Stay; // stale: disarmed or from a dead epoch
-        };
-        match kind {
-            TIMER_REPOLL => {
-                if matches!(self.phase, Phase::Parked) && epoch == u64::from(self.repoll_epoch) {
-                    if self.repoll_round == 0 && self.quiet_fires < MAX_QUIET_FIRES {
-                        // News arrived while this timer ran: there is
-                        // nothing to ask, and the leases can wait.
-                        self.quiet_fires += 1;
-                    } else {
-                        self.quiet_fires = 0;
-                        let msg = NodeMsg::LlQuery {
-                            agent: self.id,
-                            key: self.key(),
-                            reply_to: env.here(),
-                            horizon: self.lt.horizon(),
-                        };
-                        self.broadcast(env, &msg);
-                    }
-                    self.arm_repoll(env);
+        // A timer from an earlier claim or an earlier park on this host
+        // carries an older `attempt`; one that outlived its phase finds
+        // another phase.
+        let (kind, epoch) = TimerMux::split(tag);
+        if epoch != u64::from(self.attempt) {
+            return Action::Stay;
+        }
+        match (kind, &mut self.phase) {
+            (TIMER_REPOLL, Phase::Parked { round, quiet_fires }) => {
+                // News arrived while this timer ran: there is nothing
+                // to ask, and the leases can wait — but not for ever.
+                let quiet = *round == 0 && *quiet_fires < MAX_QUIET_FIRES;
+                *quiet_fires = if quiet { *quiet_fires + 1 } else { 0 };
+                if !quiet {
+                    let msg = NodeMsg::LlQuery {
+                        agent: self.id,
+                        key: self.key(),
+                        reply_to: env.here(),
+                        horizon: self.lt.horizon(),
+                    };
+                    broadcast(host, env, &msg);
                 }
+                self.arm_repoll(host, env);
                 Action::Stay
             }
-            TIMER_ACK => {
-                if matches!(self.phase, Phase::Updating { .. }) && epoch == u64::from(self.attempt)
-                {
-                    self.abort_claim(host, env)
-                } else {
-                    Action::Stay
-                }
-            }
+            (TIMER_ACK, Phase::Updating { .. }) => self.abort_claim(host, env),
             _ => Action::Stay,
         }
     }
@@ -697,7 +686,7 @@ impl AgentBehavior for UpdateAgent {
     }
 
     fn before_migrate(&mut self, dest: NodeId, host: &mut MarpServerState) {
-        if !self.lt_delta {
+        if !host.config().lt_delta {
             return;
         }
         // The destination re-supplies its own LL snapshot on arrival
@@ -710,7 +699,7 @@ impl AgentBehavior for UpdateAgent {
         // against peers is gated on gossip. A stale horizon (peer
         // crashed and lost its board) costs at most a re-gather round;
         // safety rests on the UPDATE validation quorum, not the LT.
-        if self.gossip {
+        if host.config().gossip {
             if let Some(horizon) = host.peer_horizon(dest, self.key()) {
                 self.lt.prune_covered_by(horizon);
             }
@@ -787,7 +776,6 @@ mod tests {
         a.visited = vec![0, 1, 2];
         a.attempt = 3;
         a.incarnation = 2;
-        a.timers.arm(TIMER_ACK, 3);
         let bytes = marp_wire::to_bytes(&a);
         let back: UpdateAgent = marp_wire::from_bytes(&bytes).unwrap();
         assert_eq!(back, a);
@@ -799,7 +787,6 @@ mod tests {
         assert_eq!(a.visits(), 0);
         assert_eq!(a.requests().len(), 1);
         assert_eq!(*a.phase(), Phase::Travelling);
-        assert_eq!(a.maj(), 3);
         assert_eq!(a.incarnation(), 0);
         assert_eq!(a.with_incarnation(4).incarnation(), 4);
     }
@@ -809,6 +796,7 @@ mod tests {
     struct HostCtx {
         sent: Vec<NodeMsg>,
         timers: Vec<(TimerId, u64)>,
+        delays: Vec<Duration>,
         traced: Vec<TraceEvent>,
     }
     impl Context for HostCtx {
@@ -822,9 +810,10 @@ mod tests {
             self.sent
                 .push(marp_wire::from_bytes(&msg).expect("a NodeMsg"));
         }
-        fn set_timer(&mut self, _after: Duration, tag: u64) -> TimerId {
+        fn set_timer(&mut self, after: Duration, tag: u64) -> TimerId {
             let id = TimerId(self.timers.len() as u64);
             self.timers.push((id, tag));
+            self.delays.push(after);
             id
         }
         fn cancel_timer(&mut self, _id: TimerId) {}
@@ -844,15 +833,24 @@ mod tests {
         winner: AgentId,
     }
 
+    /// Server 0 of a one-server deployment.
+    fn lone_server(cfg: &MarpConfig) -> MarpServerState {
+        let topo = Topology::uniform_lan(1, Duration::from_millis(1));
+        MarpServerState::new(
+            ServerCore::new(0, ServerConfig::default(), wrap_sync),
+            RoutingTable::from_topology(0, &topo),
+            cfg,
+        )
+    }
+
+    fn is_parked(agent: &UpdateAgent) -> bool {
+        matches!(agent.phase(), Phase::Parked { .. })
+    }
+
     impl Parked {
         fn new() -> Self {
             let cfg = MarpConfig::new(1);
-            let topo = Topology::uniform_lan(1, Duration::from_millis(1));
-            let mut state = MarpServerState::new(
-                ServerCore::new(0, ServerConfig::default(), wrap_sync),
-                RoutingTable::from_topology(0, &topo),
-                &cfg,
-            );
+            let mut state = lone_server(&cfg);
             let winner = AgentId::new(0, SimTime::ZERO, 7);
             let me = agent().id;
             state.visit(winner, 2, SimTime::from_millis(1), 0);
@@ -867,7 +865,7 @@ mod tests {
                 me,
                 winner,
             };
-            assert_eq!(*this.agent().phase(), Phase::Parked);
+            assert!(is_parked(this.agent()));
             this.ctx.sent.clear();
             this
         }
@@ -905,9 +903,8 @@ mod tests {
             });
         }
 
-        /// Fire the most recently armed re-poll timer; returns whether
-        /// it sent `LlQuery`.
-        fn fire_repoll(&mut self) -> bool {
+        /// The most recently armed re-poll timer.
+        fn latest_repoll(&self) -> TimerId {
             let &(timer, _) = self
                 .ctx
                 .timers
@@ -915,6 +912,18 @@ mod tests {
                 .rev()
                 .find(|(_, tag)| tag & 0xff == u64::from(TIMER_REPOLL))
                 .expect("a re-poll timer");
+            timer
+        }
+
+        /// Fire the most recently armed re-poll timer; returns whether
+        /// it sent `LlQuery`.
+        fn fire_repoll(&mut self) -> bool {
+            let timer = self.latest_repoll();
+            self.fire(timer)
+        }
+
+        /// Fire `timer`; returns whether that sent `LlQuery`.
+        fn fire(&mut self, timer: TimerId) -> bool {
             self.ctx.sent.clear();
             assert!(self
                 .runtime
@@ -943,13 +952,13 @@ mod tests {
         // The claim is refused with nothing new heard meanwhile, so the
         // agent parks — in a state `decide` would call a win.
         p.refuse_claim(1);
-        assert_eq!(*p.agent().phase(), Phase::Parked);
+        assert!(is_parked(p.agent()));
         assert_eq!(p.claims(), 1);
         // The same notice again changes nothing, so nothing is decided
         // (a second evaluation would claim again)...
         p.notice();
         assert_eq!(p.claims(), 1);
-        assert_eq!(*p.agent().phase(), Phase::Parked);
+        assert!(is_parked(p.agent()));
         // ...but the agent has been heard from: the re-poll stays quiet.
         assert!(!p.fire_repoll());
         // With no news since, the next fire asks.
@@ -972,5 +981,96 @@ mod tests {
         // The streak starts over.
         p.notice();
         assert!(!p.fire_repoll());
+    }
+
+    #[test]
+    fn a_re_park_on_the_same_host_ignores_the_previous_parks_timer() {
+        let mut p = Parked::new();
+        let first_park = p.latest_repoll();
+        // Park → claim → refused → park again, all on this host: the
+        // runtime cancels an agent's timers only when it departs, so
+        // the first park's timer is still pending.
+        p.notice();
+        p.refuse_claim(1);
+        assert!(is_parked(p.agent()));
+        let second_park = p.latest_repoll();
+        assert_ne!(first_park, second_park);
+        // It fires into the second park: nothing is asked, nothing is
+        // armed, and the second park's own schedule is undisturbed.
+        let armed = p.ctx.timers.len();
+        let before = p.agent().clone();
+        assert!(!p.fire(first_park));
+        assert_eq!(p.ctx.timers.len(), armed, "a stale fire re-arms nothing");
+        assert_eq!(*p.agent(), before);
+        // The second park's timer is live: no news since, so it asks,
+        // and arms its successor.
+        assert!(p.fire(second_park));
+        assert_eq!(p.ctx.timers.len(), armed + 1);
+    }
+
+    #[test]
+    fn an_agent_behaves_by_the_config_of_the_host_it_runs_on() {
+        // Dispatched under the defaults (gossip on, 250 ms ack timeout,
+        // 25 ms re-poll)...
+        let home_cfg = MarpConfig::new(1);
+        let travelling = UpdateAgent::new(agent().id, &home_cfg, agent().rl);
+        // ...and decoded at a host configured otherwise.
+        let mut host_cfg = home_cfg;
+        host_cfg.gossip = false;
+        host_cfg.ack_timeout = Duration::from_millis(40);
+        host_cfg.park_repoll = Duration::from_millis(90);
+        assert_ne!(host_cfg.ack_timeout, home_cfg.ack_timeout);
+        let mut state = lone_server(&host_cfg);
+        // Something is on the host's board all the same.
+        let rival = AgentId::new(0, SimTime::ZERO, 7);
+        state.board.post(
+            2,
+            3,
+            marp_replica::LlSnapshot {
+                version: 5,
+                taken_at: SimTime::from_millis(5),
+                queue: vec![rival],
+            },
+        );
+        let mut runtime: AgentRuntime<UpdateAgent> =
+            AgentRuntime::new(host_cfg.migration, wrap_agent_envelope);
+        let mut ctx = HostCtx::default();
+        let arrival = AgentEnvelope::Migrate {
+            agent: travelling.id,
+            hop: 1,
+            state: marp_wire::to_bytes(&travelling),
+        };
+        runtime.handle_envelope(0, arrival, &mut state, &mut ctx);
+        let resident = runtime.resident(travelling.id).expect("resident");
+        // Alone on the only server's queue it claims at once, and waits
+        // for acks as long as this host says.
+        assert!(matches!(resident.phase(), Phase::Updating { .. }));
+        assert_eq!(ctx.delays, [host_cfg.ack_timeout]);
+        // Gossip is off here: the board was neither read nor written.
+        assert_eq!(resident.locking_table().known_servers(), 1);
+        assert_eq!(state.board.known_servers(2), 1);
+        // Refused, it parks and re-polls at this host's interval (plus
+        // its own sub-8 ms stagger).
+        let refusal = AgentEnvelope::ToAgent {
+            agent: travelling.id,
+            payload: marp_wire::to_bytes(&AgentReply::UpdateAck {
+                node: 0,
+                attempt: 1,
+                positive: false,
+                fenced: false,
+                store_version: 0,
+                last_update: SimTime::ZERO,
+            }),
+        };
+        runtime.handle_envelope(0, refusal, &mut state, &mut ctx);
+        assert!(is_parked(
+            runtime.resident(travelling.id).expect("resident")
+        ));
+        let repoll = ctx.delays[1];
+        assert!(
+            repoll >= host_cfg.park_repoll
+                && repoll < host_cfg.park_repoll + Duration::from_millis(8),
+            "re-poll after {repoll:?}"
+        );
     }
 }

@@ -18,7 +18,7 @@
 //! bounded by the claimant's `ack_timeout` (abort → RELEASE → the held
 //! claim is dropped) and the holder's `reserve_lease`.
 
-use crate::config::{ChaosMode, MarpConfig};
+use crate::config::MarpConfig;
 use crate::gossip::GossipBoard;
 use crate::lt::LockingTable;
 use crate::msg::{AgentReply, UpdateMsg};
@@ -27,7 +27,6 @@ use marp_net::RoutingTable;
 use marp_replica::{LlSnapshot, ServerCore};
 use marp_sim::{Context, NodeId, SimTime, TraceEvent};
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 /// An UPDATE acknowledgement ready to be mailed to `agent`, which
 /// awaits it at `reply_to`.
@@ -59,8 +58,9 @@ pub struct MarpServerState {
     pub board: GossipBoard,
     /// Agent-transfer cost estimates (§3.2).
     pub routing: RoutingTable,
-    gossip_enabled: bool,
-    reserve_lease: Duration,
+    /// The deployment's configuration: the one copy the server's
+    /// handlers and every agent running here read.
+    cfg: MarpConfig,
     /// Reservation holder per object key: winners of different keys
     /// validate and commit concurrently, so each key carries its own
     /// reservation.
@@ -72,7 +72,6 @@ pub struct MarpServerState {
     /// UPDATEs held so far (a re-validated claim held again counts
     /// again).
     claims_held: u64,
-    chaos: ChaosMode,
     /// Last knowledge horizon each peer advertised per object key
     /// (piggybacked on its ack of an agent for that key). Agents
     /// migrating from here delta-encode their Locking Tables against
@@ -93,12 +92,10 @@ impl MarpServerState {
             core,
             board: GossipBoard::new(),
             routing,
-            gossip_enabled: cfg.gossip,
-            reserve_lease: cfg.reserve_lease,
+            cfg: *cfg,
             reserved: BTreeMap::new(),
             held: BTreeMap::new(),
             claims_held: 0,
-            chaos: cfg.chaos,
             peer_horizons: BTreeMap::new(),
             fences: BTreeMap::new(),
         }
@@ -112,7 +109,7 @@ impl MarpServerState {
     /// (even while its queue is virgin).
     pub fn horizon(&self, key: u64) -> BTreeMap<NodeId, u64> {
         let mut horizon = match self.board.contents(key) {
-            Some(board) if self.gossip_enabled => board.horizon(),
+            Some(board) if self.cfg.gossip => board.horizon(),
             _ => BTreeMap::new(),
         };
         let own = self.core.ll.version(key);
@@ -134,9 +131,11 @@ impl MarpServerState {
         self.peer_horizons.get(&(peer, key))
     }
 
-    /// Whether gossip boards are enabled (E10 ablation).
-    pub fn gossip_enabled(&self) -> bool {
-        self.gossip_enabled
+    /// The configuration this server was built from. Visiting agents
+    /// carry none of their own: cluster size, gossip and delta
+    /// switches and timeouts are the host's.
+    pub fn config(&self) -> &MarpConfig {
+        &self.cfg
     }
 
     /// Current reservation holder for `key`, if any (for inspection).
@@ -177,7 +176,7 @@ impl MarpServerState {
             self.core
                 .ll
                 .request(key, agent, now, self.core.lock_lease(), here);
-            if self.chaos.lifo_insert() {
+            if self.cfg.chaos.lifo_insert() {
                 // Seeded bug (checker self-test): jump the FIFO queue.
                 self.core.ll.list_mut(key).chaos_promote_to_front(agent);
             }
@@ -188,7 +187,7 @@ impl MarpServerState {
     /// A visiting agent leaves its accumulated locking information
     /// about its key on the board (no-op when gossip is disabled).
     pub fn deposit_gossip(&mut self, key: u64, lt: &LockingTable) {
-        if self.gossip_enabled {
+        if self.cfg.gossip {
             self.board.deposit(key, lt);
         }
     }
@@ -279,7 +278,7 @@ impl MarpServerState {
         let fenced = refusal != 0;
         let positive = if fenced {
             false
-        } else if self.chaos.blind_acks() {
+        } else if self.cfg.chaos.blind_acks() {
             // Seeded bug (checker self-test): ack without validating or
             // reserving.
             true
@@ -331,9 +330,9 @@ impl MarpServerState {
                 b: (u64::from(self.core.me()) << 8) | refusal,
             });
         }
-        if positive && !self.chaos.blind_acks() {
+        if positive && !self.cfg.chaos.blind_acks() {
             self.reserved
-                .insert(key, (msg.agent, now + self.reserve_lease));
+                .insert(key, (msg.agent, now + self.cfg.reserve_lease));
             // Raise the fences: from now on, only this incarnation (or
             // a later regeneration) of the carried requests can gather
             // a positive ack here.
@@ -442,7 +441,7 @@ impl MarpServerState {
             self.reserved.remove(&key);
         }
         // Keep the local board fresh so future visitors see this change.
-        if self.gossip_enabled {
+        if self.cfg.gossip {
             let snapshot = self.core.ll.snapshot(key, ctx.now());
             self.board.post(key, self.core.me(), snapshot);
         }
@@ -492,7 +491,7 @@ impl MarpServerState {
         AgentReply::LlInfo {
             node: self.core.me(),
             snapshot: self.core.ll.snapshot(key, now),
-            board: if self.gossip_enabled {
+            board: if self.cfg.gossip {
                 self.board.contents(key).cloned().unwrap_or_default()
             } else {
                 LockingTable::new()
@@ -538,6 +537,7 @@ mod tests {
     use marp_net::Topology;
     use marp_replica::{ServerConfig, WriteRequest};
     use marp_sim::TimerId;
+    use std::time::Duration;
 
     struct TestCtx {
         now: SimTime,

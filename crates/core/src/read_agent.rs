@@ -26,7 +26,6 @@ type Observation = (u64, u64, Option<u64>);
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReadAgent {
     id: AgentId,
-    n: u16,
     /// The client request being served.
     request: u64,
     /// Who gets the answer.
@@ -42,7 +41,6 @@ pub struct ReadAgent {
 
 marp_wire::wire_struct!(ReadAgent {
     id,
-    n,
     request,
     client,
     key,
@@ -64,7 +62,6 @@ impl ReadAgent {
         let k = crate::lt::majority(cfg.n_servers) as u16;
         ReadAgent {
             id,
-            n,
             request,
             client,
             key,
@@ -77,11 +74,6 @@ impl ReadAgent {
     /// Replicas consulted so far.
     pub fn visits(&self) -> u32 {
         self.visited
-    }
-
-    #[cfg(test)]
-    fn maj(&self) -> usize {
-        crate::lt::majority(usize::from(self.n))
     }
 
     fn read_span(&self) -> marp_sim::SpanId {
@@ -206,8 +198,14 @@ mod tests {
     #[test]
     fn majority_threshold_matches_cluster() {
         let cfg = MarpConfig::new(5);
-        let agent = ReadAgent::new(AgentId::new(0, SimTime::ZERO, 0), &cfg, 1, 9, 1);
-        assert_eq!(agent.maj(), 3);
+        let mut agent = ReadAgent::new(AgentId::new(0, SimTime::ZERO, 0), &cfg, 1, 9, 1);
         assert_eq!(agent.visits(), 0);
+        // Two of five observations decide nothing; the third does.
+        assert_eq!(agent.call.offer_vote(0, true, (1, 1, None)), None);
+        assert_eq!(agent.call.offer_vote(1, true, (1, 1, None)), None);
+        assert_eq!(
+            agent.call.offer_vote(2, true, (1, 1, None)),
+            Some(Verdict::Won)
+        );
     }
 }

@@ -176,7 +176,12 @@ fn parked(sim: &Simulation, n: usize) -> Vec<(NodeId, AgentId)> {
             let runtime = sim.process::<MarpNode>(s).expect("server").update_runtime();
             runtime
                 .resident_ids()
-                .filter(|&id| runtime.resident(id).map(|a| a.phase()) == Some(&Phase::Parked))
+                .filter(|&id| {
+                    matches!(
+                        runtime.resident(id).map(|a| a.phase()),
+                        Some(Phase::Parked { .. })
+                    )
+                })
                 .map(move |id| (s, id))
                 .collect::<Vec<_>>()
         })

@@ -189,7 +189,14 @@ fn leaf_and_carried_state_vectors() {
         "04c08db7010107c08db7010207c08db7010307c08db70104070400048092f401030100030206809bee0203000102030280897a0202030509c0a8a5040401020003",
     );
     g.check("Phase::Travelling", Phase::Travelling, "00");
-    g.check("Phase::Parked", Phase::Parked, "01");
+    g.check(
+        "Phase::Parked",
+        Phase::Parked {
+            round: 3,
+            quiet_fires: 2,
+        },
+        "010302",
+    );
     g.check(
         "Phase::Updating",
         Phase::Updating {
@@ -204,12 +211,27 @@ fn leaf_and_carried_state_vectors() {
     g.check(
         "UpdateAgent",
         UpdateAgent::new(aid(1), &cfg, vec![write_request()]).with_incarnation(2),
-        "c08db7010107050101fa011901090807ac02c096b10204000203040000000000000000020000000000",
+        "c08db701010701090807ac02c096b102040002030400000000000000000200",
+    );
+    // Nothing else rides: a freshly dispatched one-request agent is its
+    // id, the paper's four lists (RL, USL, LT, UAL), where it has been,
+    // two one-byte counters and the phase tag — no host configuration,
+    // no timer or re-poll state.
+    let fresh = UpdateAgent::new(aid(1), &cfg, vec![write_request()]);
+    let lists = vec![write_request()].encoded_len()
+        + Itinerary::for_system(5, 1, cfg.itinerary).encoded_len()
+        + LockingTable::new().encoded_len()
+        + UpdatedList::new().encoded_len();
+    let visited = Vec::<marp_sim::NodeId>::new().encoded_len();
+    let (attempt, incarnation, phase_tag) = (1, 1, 1);
+    assert_eq!(
+        fresh.encoded_len(),
+        aid(1).encoded_len() + lists + visited + attempt + incarnation + phase_tag
     );
     g.check(
         "ReadAgent",
         ReadAgent::new(aid(1), &cfg, 9, 8, 7),
-        "c08db701010705090807030305000102030400000000c08db7010000040002030400000000",
+        "c08db7010107090807030305000102030400000000c08db7010000040002030400000000",
     );
     g.finish();
 }
