@@ -191,7 +191,7 @@ mod tests {
 
     #[test]
     fn timer_discipline_accepts_tags_mux_minted_and_wrappers() {
-        let ok = "fn a(ctx: &mut C) { ctx.set_timer(wait, TAG_BATCH_TICK); }\n\
+        let ok = "fn a(ctx: &mut C) { ctx.set_timer(wait, TAG_BATCH_DEADLINE); }\n\
                   fn b(env: &mut E) {\n\
                   let tag = self.timers.arm(TIMER_ACK, epoch);\n\
                   env.set_timer(delay, tag);\n\

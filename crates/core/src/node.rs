@@ -15,7 +15,9 @@ use marp_replica::{RequestBatcher, ServerCore, WriteRequest};
 use marp_sim::{impl_as_any, span_id, Context, NodeId, Process, SpanKind, TimerId, TraceEvent};
 use std::collections::BTreeMap;
 
-const TAG_BATCH_TICK: u64 = 100;
+/// The oldest pending write has waited `max_wait`: dispatch the batch.
+/// Armed when a write starts a batch, never while none is pending.
+const TAG_BATCH_DEADLINE: u64 = 100;
 const TAG_MAINTENANCE: u64 = 101;
 /// Timer-mux kind for per-dispatch regeneration deadlines (epoch =
 /// registry sequence number). Cannot collide with the raw tags above:
@@ -310,6 +312,10 @@ impl MarpNode {
                         }
                         if let Some(batch) = self.batcher.push(write, ctx.now()) {
                             self.dispatch_agent(batch, ctx);
+                        } else if self.batcher.len() == 1 {
+                            // This write starts a batch: its wait is the
+                            // batch's deadline.
+                            self.arm_batch_deadline(ctx);
                         }
                     }
                     marp_replica::ClientAction::FreshRead(read) => {
@@ -384,9 +390,19 @@ impl MarpNode {
         }
     }
 
+    /// Arm the one timer a pending batch needs: for the moment its
+    /// oldest write has waited `max_wait`. An empty batcher arms none.
+    fn arm_batch_deadline(&self, ctx: &mut dyn Context) {
+        if let Some(wait) = self.batcher.due_in(ctx.now()) {
+            ctx.set_timer(wait, TAG_BATCH_DEADLINE);
+        }
+    }
+
+    /// The timers a (re)started node needs: the maintenance cycle, and
+    /// the deadline of whatever writes are already pending.
     fn arm_node_timers(&self, ctx: &mut dyn Context) {
-        ctx.set_timer(self.batcher.max_wait(), TAG_BATCH_TICK);
         ctx.set_timer(self.state.config().maintenance_interval, TAG_MAINTENANCE);
+        self.arm_batch_deadline(ctx);
     }
 
     /// Adaptive batching (the §5 adaptivity hint): track the commit
@@ -468,11 +484,12 @@ impl Process for MarpNode {
             return;
         }
         match tag {
-            TAG_BATCH_TICK => {
+            TAG_BATCH_DEADLINE => {
+                // Not due means the batch this timer was armed for went
+                // out by size; a later one has its own deadline.
                 if let Some(batch) = self.batcher.take_if_due(ctx.now()) {
                     self.dispatch_agent(batch, ctx);
                 }
-                ctx.set_timer(self.batcher.max_wait(), TAG_BATCH_TICK);
             }
             TAG_MAINTENANCE => {
                 self.maintenance(ctx);
@@ -512,14 +529,26 @@ mod tests {
     use marp_sim::SimTime;
     use std::time::Duration;
 
-    #[derive(Default)]
     struct TestCtx {
+        now: SimTime,
         sent: Vec<(NodeId, Bytes)>,
         traced: Vec<TraceEvent>,
+        /// Every timer armed, as `(delay, tag)`.
+        armed: Vec<(Duration, u64)>,
+    }
+    impl Default for TestCtx {
+        fn default() -> Self {
+            TestCtx {
+                now: SimTime::from_millis(9),
+                sent: Vec::new(),
+                traced: Vec::new(),
+                armed: Vec::new(),
+            }
+        }
     }
     impl Context for TestCtx {
         fn now(&self) -> SimTime {
-            SimTime::from_millis(9)
+            self.now
         }
         fn me(&self) -> NodeId {
             0
@@ -527,8 +556,9 @@ mod tests {
         fn send(&mut self, to: NodeId, msg: Bytes) {
             self.sent.push((to, msg));
         }
-        fn set_timer(&mut self, _after: Duration, _tag: u64) -> TimerId {
-            TimerId(0)
+        fn set_timer(&mut self, after: Duration, tag: u64) -> TimerId {
+            self.armed.push((after, tag));
+            TimerId(self.armed.len() as u64)
         }
         fn cancel_timer(&mut self, _id: TimerId) {}
         fn trace(&mut self, event: TraceEvent) {
@@ -747,5 +777,87 @@ mod tests {
         ));
         assert_eq!(node.mail().replies_sent, 1);
         assert_eq!(node.mail().reply_bytes, payload.len() as u64);
+    }
+
+    fn client_write(id: u64) -> Bytes {
+        marp_wire::to_bytes(&NodeMsg::Client(marp_replica::ClientRequest {
+            id,
+            op: marp_replica::Operation::Write { key: 1, value: id },
+        }))
+    }
+
+    fn dispatches(ctx: &TestCtx) -> usize {
+        ctx.traced
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::AgentDispatched { .. }))
+            .count()
+    }
+
+    #[test]
+    fn an_idle_node_arms_no_batch_timer() {
+        let mut node = test_node();
+        let mut ctx = TestCtx::default();
+        node.on_start(&mut ctx);
+        let maintenance = node.state.config().maintenance_interval;
+        assert_eq!(ctx.armed, [(maintenance, TAG_MAINTENANCE)]);
+        // Maintenance re-arms itself and nothing else.
+        node.on_timer(TimerId(1), TAG_MAINTENANCE, &mut ctx);
+        assert_eq!(ctx.armed, [(maintenance, TAG_MAINTENANCE); 2]);
+        // With batches of one (every benchmark workload) a write
+        // dispatches at once and leaves nothing to wait for.
+        node.on_message(9, client_write(1), &mut ctx);
+        assert_eq!(dispatches(&ctx), 1);
+        assert!(ctx.armed.iter().all(|&(_, tag)| tag != TAG_BATCH_DEADLINE));
+        // Nor does a recovery with nothing pending.
+        ctx.armed.clear();
+        node.on_recover(&mut ctx);
+        assert_eq!(ctx.armed, [(maintenance, TAG_MAINTENANCE)]);
+    }
+
+    #[test]
+    fn a_lone_write_in_a_batch_of_four_dispatches_exactly_max_wait_later() {
+        let topo = Topology::uniform_lan(3, Duration::from_millis(1));
+        let mut cfg = MarpConfig::new(3);
+        cfg.batch.max_batch = 4;
+        let max_wait = cfg.batch.max_wait;
+        let mut node = MarpNode::new(0, cfg, RoutingTable::from_topology(0, &topo));
+        let mut ctx = TestCtx::default();
+        let arrived = ctx.now;
+        node.on_message(9, client_write(1), &mut ctx);
+        assert_eq!(dispatches(&ctx), 0);
+        assert_eq!(ctx.armed, [(max_wait, TAG_BATCH_DEADLINE)]);
+        // A second write joins the batch; the deadline is the first's.
+        ctx.now = arrived + Duration::from_millis(20);
+        node.on_message(9, client_write(2), &mut ctx);
+        assert_eq!(ctx.armed.len(), 1);
+        // The timer fires `max_wait` after the first write arrived —
+        // not at the next multiple of `max_wait` — and both go out.
+        ctx.now = arrived + max_wait;
+        node.on_timer(TimerId(1), TAG_BATCH_DEADLINE, &mut ctx);
+        assert!(ctx
+            .traced
+            .iter()
+            .any(|e| matches!(e, TraceEvent::AgentDispatched { batch: 2, .. })));
+        // Nothing pending, nothing armed: the next write starts over.
+        assert!(ctx
+            .armed
+            .iter()
+            .skip(1)
+            .all(|&(_, tag)| tag != TAG_BATCH_DEADLINE));
+        ctx.now = arrived + Duration::from_millis(70);
+        node.on_message(9, client_write(3), &mut ctx);
+        assert_eq!(
+            ctx.armed.last(),
+            Some(&(max_wait, TAG_BATCH_DEADLINE)),
+            "a full wait from the new batch's first write"
+        );
+        // A recovery re-arms the deadline of what is still pending, for
+        // the time that is left.
+        ctx.armed.clear();
+        ctx.now = arrived + Duration::from_millis(100);
+        node.on_recover(&mut ctx);
+        assert!(ctx
+            .armed
+            .contains(&(max_wait - Duration::from_millis(30), TAG_BATCH_DEADLINE)));
     }
 }

@@ -51,8 +51,9 @@ impl RequestBatcher {
     }
 
     /// Queue a write. Returns the full batch when the size trigger
-    /// fires; otherwise `None` (the owner should keep a periodic timer
-    /// running and call [`RequestBatcher::take_if_due`]).
+    /// fires; otherwise `None` — if that left this write the only one
+    /// pending, the owner arms a timer for [`RequestBatcher::due_in`]
+    /// and calls [`RequestBatcher::take_if_due`] when it fires.
     pub fn push(&mut self, request: WriteRequest, now: SimTime) -> Option<Vec<WriteRequest>> {
         if self.pending.is_empty() {
             self.oldest_at = Some(now);
@@ -74,6 +75,14 @@ impl RequestBatcher {
         }
     }
 
+    /// How long until the oldest pending write has waited `max_wait`
+    /// (zero once it has); `None` while nothing is pending, when there
+    /// is no deadline to arm.
+    pub fn due_in(&self, now: SimTime) -> Option<Duration> {
+        let waited = now.saturating_since(self.oldest_at?);
+        Some(self.cfg.max_wait.saturating_sub(waited))
+    }
+
     /// Unconditionally take whatever is pending.
     pub fn drain(&mut self) -> Vec<WriteRequest> {
         self.oldest_at = None;
@@ -90,12 +99,6 @@ impl RequestBatcher {
         self.pending.is_empty()
     }
 
-    /// The configured periodic-dispatch interval (owners use it to arm
-    /// their timer).
-    pub fn max_wait(&self) -> Duration {
-        self.cfg.max_wait
-    }
-
     /// Current size trigger.
     pub fn max_batch(&self) -> usize {
         self.cfg.max_batch
@@ -104,7 +107,7 @@ impl RequestBatcher {
     /// Adjust the size trigger at runtime (adaptive batching: coalesce
     /// harder when the system is backed up). Takes effect on the next
     /// push; a pending batch that already meets the new size is
-    /// released by the next push or periodic tick.
+    /// released by the next push or its deadline.
     pub fn set_max_batch(&mut self, max_batch: usize) {
         self.cfg.max_batch = max_batch.max(1);
     }
@@ -161,6 +164,25 @@ mod tests {
         assert_eq!(batch.len(), 1);
         // Nothing pending → never due.
         assert!(batcher.take_if_due(SimTime::from_millis(99)).is_none());
+    }
+
+    #[test]
+    fn the_deadline_counts_down_from_the_oldest_write() {
+        let mut batcher = RequestBatcher::new(BatchConfig {
+            max_batch: 100,
+            max_wait: Duration::from_millis(20),
+        });
+        let at = SimTime::from_millis;
+        assert_eq!(batcher.due_in(at(5)), None, "nothing pending, no deadline");
+        batcher.push(request(1, at(10)), at(10));
+        assert_eq!(batcher.due_in(at(10)), Some(Duration::from_millis(20)));
+        batcher.push(request(2, at(25)), at(25));
+        assert_eq!(batcher.due_in(at(25)), Some(Duration::from_millis(5)));
+        // Overdue is due now, and exactly then `take_if_due` agrees.
+        assert_eq!(batcher.due_in(at(30)), Some(Duration::ZERO));
+        assert_eq!(batcher.due_in(at(99)), Some(Duration::ZERO));
+        assert_eq!(batcher.take_if_due(at(30)).map(|b| b.len()), Some(2));
+        assert_eq!(batcher.due_in(at(30)), None);
     }
 
     #[test]
