@@ -141,17 +141,18 @@ fn wire_inventory_covers_protocol_crates() {
         ("crates/quorum", 4),
         // Ballot, LwwTs, McvMsg, WvMsg, AcMsg, PcMsg.
         ("crates/baselines", 6),
-        // SimTime, SpanKind.
-        ("crates/sim", 2),
+        // SimTime, SpanKind, TraceEvent.
+        ("crates/sim", 3),
     ] {
         assert_eq!(count(krate, WireShape::Macro), macros, "{krate}");
         assert_eq!(count(krate, WireShape::Handwritten), 0, "{krate}");
     }
-    // crates/wire: the primitive and container codecs, plus the four
-    // varint-macro instantiations (u16, u32, i16, i32).
-    assert_eq!(count("crates/wire", WireShape::Handwritten), 15);
+    // crates/wire: the primitive and container codecs (`&'static str`
+    // labels among them), plus the four varint-macro instantiations
+    // (u16, u32, i16, i32).
+    assert_eq!(count("crates/wire", WireShape::Handwritten), 16);
     assert_eq!(count("crates/wire", WireShape::Macro), 4);
-    assert_eq!(inv.len(), 53, "workspace-wide Wire impl count");
+    assert_eq!(inv.len(), 55, "workspace-wide Wire impl count");
     // The two MARP message enums, by variant (the tag count each
     // `wire_enum!` declaration covers).
     let variants = |name: &str| {
@@ -163,4 +164,6 @@ fn wire_inventory_covers_protocol_crates() {
     };
     assert_eq!(variants("AgentReply"), Some(3));
     assert_eq!(variants("NodeMsg"), Some(8));
+    // And the trace-file codec: one tag per event kind.
+    assert_eq!(variants("TraceEvent"), Some(24));
 }

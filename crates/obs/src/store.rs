@@ -2,346 +2,17 @@
 //!
 //! A recorded [`TraceLog`] can be written to disk and read back by the
 //! `marp-trace` CLI. The format is the workspace wire encoding: a magic
-//! header, a record count, then each record as `(at, node, event)` with
-//! a one-byte event tag in declaration order. [`TraceEvent`] lives in
-//! `marp-sim` and [`marp_wire::Wire`] in `marp-wire`, so the encoding is
-//! spelled out here as free functions rather than a trait impl.
+//! header, a record count, then each record as `(at, node, event)`. The
+//! event codec is the `wire_enum!` declaration beside [`TraceEvent`] in
+//! `marp-sim`; this module owns the header, the record framing and the
+//! file I/O.
 
 use bytes::{Buf, Bytes, BytesMut};
 use marp_sim::{SimTime, TraceEvent, TraceLevel, TraceLog, TraceRecord};
 use marp_wire::{Wire, WireError};
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
 
 /// File magic: "MARPTRC" + format version.
 pub const MAGIC: &[u8; 8] = b"MARPTRC1";
-
-/// The trace events carry `&'static str` labels. Decoding a file brings
-/// them back as owned strings; this interner hands out `'static`
-/// references, leaking one allocation per *distinct* label (labels are
-/// compile-time constants in practice, so the set is tiny).
-fn intern(label: String) -> &'static str {
-    static INTERNED: OnceLock<Mutex<HashMap<String, &'static str>>> = OnceLock::new();
-    let mut map = INTERNED
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .expect("interner poisoned");
-    if let Some(&stored) = map.get(&label) {
-        return stored;
-    }
-    let leaked: &'static str = Box::leak(label.clone().into_boxed_str());
-    map.insert(label, leaked);
-    leaked
-}
-
-fn encode_event(event: &TraceEvent, buf: &mut BytesMut) {
-    match event {
-        TraceEvent::MsgSent { from, to, bytes } => {
-            0u8.encode(buf);
-            from.encode(buf);
-            to.encode(buf);
-            bytes.encode(buf);
-        }
-        TraceEvent::MsgDelivered { from, to, bytes } => {
-            1u8.encode(buf);
-            from.encode(buf);
-            to.encode(buf);
-            bytes.encode(buf);
-        }
-        TraceEvent::MsgDropped { from, to, reason } => {
-            2u8.encode(buf);
-            from.encode(buf);
-            to.encode(buf);
-            (*reason).to_string().encode(buf);
-        }
-        TraceEvent::NodeDown(node) => {
-            3u8.encode(buf);
-            node.encode(buf);
-        }
-        TraceEvent::NodeUp(node) => {
-            4u8.encode(buf);
-            node.encode(buf);
-        }
-        TraceEvent::RequestArrived {
-            node,
-            request,
-            write,
-        } => {
-            5u8.encode(buf);
-            node.encode(buf);
-            request.encode(buf);
-            write.encode(buf);
-        }
-        TraceEvent::ReadServed {
-            node,
-            request,
-            version,
-        } => {
-            6u8.encode(buf);
-            node.encode(buf);
-            request.encode(buf);
-            version.encode(buf);
-        }
-        TraceEvent::AgentDispatched { agent, home, batch } => {
-            7u8.encode(buf);
-            agent.encode(buf);
-            home.encode(buf);
-            batch.encode(buf);
-        }
-        TraceEvent::AgentMigrated {
-            agent,
-            from,
-            to,
-            hops,
-        } => {
-            8u8.encode(buf);
-            agent.encode(buf);
-            from.encode(buf);
-            to.encode(buf);
-            hops.encode(buf);
-        }
-        TraceEvent::AgentMigrateFailed { agent, from, to } => {
-            9u8.encode(buf);
-            agent.encode(buf);
-            from.encode(buf);
-            to.encode(buf);
-        }
-        TraceEvent::ReplicaDeclaredUnavailable { agent, node } => {
-            10u8.encode(buf);
-            agent.encode(buf);
-            node.encode(buf);
-        }
-        TraceEvent::LockRequested { agent, node } => {
-            11u8.encode(buf);
-            agent.encode(buf);
-            node.encode(buf);
-        }
-        TraceEvent::LockGranted {
-            agent,
-            node,
-            visits,
-            via_tie,
-        } => {
-            12u8.encode(buf);
-            agent.encode(buf);
-            node.encode(buf);
-            visits.encode(buf);
-            via_tie.encode(buf);
-        }
-        TraceEvent::UpdateSent { agent, version } => {
-            13u8.encode(buf);
-            agent.encode(buf);
-            version.encode(buf);
-        }
-        TraceEvent::UpdateAcked {
-            agent,
-            node,
-            positive,
-        } => {
-            14u8.encode(buf);
-            agent.encode(buf);
-            node.encode(buf);
-            positive.encode(buf);
-        }
-        TraceEvent::WinAborted { agent } => {
-            15u8.encode(buf);
-            agent.encode(buf);
-        }
-        TraceEvent::CommitApplied {
-            node,
-            version,
-            agent,
-            key,
-            request,
-        } => {
-            16u8.encode(buf);
-            node.encode(buf);
-            version.encode(buf);
-            agent.encode(buf);
-            key.encode(buf);
-            request.encode(buf);
-        }
-        TraceEvent::AgentDisposed { agent, born } => {
-            17u8.encode(buf);
-            agent.encode(buf);
-            born.encode(buf);
-        }
-        TraceEvent::UpdateCompleted {
-            request,
-            home,
-            arrived,
-            dispatched,
-            locked,
-            visits,
-        } => {
-            18u8.encode(buf);
-            request.encode(buf);
-            home.encode(buf);
-            arrived.encode(buf);
-            dispatched.encode(buf);
-            locked.encode(buf);
-            visits.encode(buf);
-        }
-        TraceEvent::SpanStart {
-            id,
-            parent,
-            kind,
-            a,
-            b,
-        } => {
-            19u8.encode(buf);
-            id.encode(buf);
-            parent.encode(buf);
-            kind.encode(buf);
-            a.encode(buf);
-            b.encode(buf);
-        }
-        TraceEvent::SpanEnd { id, kind } => {
-            20u8.encode(buf);
-            id.encode(buf);
-            kind.encode(buf);
-        }
-        TraceEvent::SpanLink { from, to } => {
-            21u8.encode(buf);
-            from.encode(buf);
-            to.encode(buf);
-        }
-        TraceEvent::Custom { kind, a, b } => {
-            22u8.encode(buf);
-            (*kind).to_string().encode(buf);
-            a.encode(buf);
-            b.encode(buf);
-        }
-        // Tags are appended in declaration order of *introduction*, so
-        // traces written before a variant existed still decode.
-        TraceEvent::AgentStateShipped { agent, bytes } => {
-            23u8.encode(buf);
-            agent.encode(buf);
-            bytes.encode(buf);
-        }
-    }
-}
-
-fn decode_event(buf: &mut Bytes) -> Result<TraceEvent, WireError> {
-    match u8::decode(buf)? {
-        0 => Ok(TraceEvent::MsgSent {
-            from: Wire::decode(buf)?,
-            to: Wire::decode(buf)?,
-            bytes: Wire::decode(buf)?,
-        }),
-        1 => Ok(TraceEvent::MsgDelivered {
-            from: Wire::decode(buf)?,
-            to: Wire::decode(buf)?,
-            bytes: Wire::decode(buf)?,
-        }),
-        2 => Ok(TraceEvent::MsgDropped {
-            from: Wire::decode(buf)?,
-            to: Wire::decode(buf)?,
-            reason: intern(String::decode(buf)?),
-        }),
-        3 => Ok(TraceEvent::NodeDown(Wire::decode(buf)?)),
-        4 => Ok(TraceEvent::NodeUp(Wire::decode(buf)?)),
-        5 => Ok(TraceEvent::RequestArrived {
-            node: Wire::decode(buf)?,
-            request: Wire::decode(buf)?,
-            write: Wire::decode(buf)?,
-        }),
-        6 => Ok(TraceEvent::ReadServed {
-            node: Wire::decode(buf)?,
-            request: Wire::decode(buf)?,
-            version: Wire::decode(buf)?,
-        }),
-        7 => Ok(TraceEvent::AgentDispatched {
-            agent: Wire::decode(buf)?,
-            home: Wire::decode(buf)?,
-            batch: Wire::decode(buf)?,
-        }),
-        8 => Ok(TraceEvent::AgentMigrated {
-            agent: Wire::decode(buf)?,
-            from: Wire::decode(buf)?,
-            to: Wire::decode(buf)?,
-            hops: Wire::decode(buf)?,
-        }),
-        9 => Ok(TraceEvent::AgentMigrateFailed {
-            agent: Wire::decode(buf)?,
-            from: Wire::decode(buf)?,
-            to: Wire::decode(buf)?,
-        }),
-        10 => Ok(TraceEvent::ReplicaDeclaredUnavailable {
-            agent: Wire::decode(buf)?,
-            node: Wire::decode(buf)?,
-        }),
-        11 => Ok(TraceEvent::LockRequested {
-            agent: Wire::decode(buf)?,
-            node: Wire::decode(buf)?,
-        }),
-        12 => Ok(TraceEvent::LockGranted {
-            agent: Wire::decode(buf)?,
-            node: Wire::decode(buf)?,
-            visits: Wire::decode(buf)?,
-            via_tie: Wire::decode(buf)?,
-        }),
-        13 => Ok(TraceEvent::UpdateSent {
-            agent: Wire::decode(buf)?,
-            version: Wire::decode(buf)?,
-        }),
-        14 => Ok(TraceEvent::UpdateAcked {
-            agent: Wire::decode(buf)?,
-            node: Wire::decode(buf)?,
-            positive: Wire::decode(buf)?,
-        }),
-        15 => Ok(TraceEvent::WinAborted {
-            agent: Wire::decode(buf)?,
-        }),
-        16 => Ok(TraceEvent::CommitApplied {
-            node: Wire::decode(buf)?,
-            version: Wire::decode(buf)?,
-            agent: Wire::decode(buf)?,
-            key: Wire::decode(buf)?,
-            request: Wire::decode(buf)?,
-        }),
-        17 => Ok(TraceEvent::AgentDisposed {
-            agent: Wire::decode(buf)?,
-            born: Wire::decode(buf)?,
-        }),
-        18 => Ok(TraceEvent::UpdateCompleted {
-            request: Wire::decode(buf)?,
-            home: Wire::decode(buf)?,
-            arrived: Wire::decode(buf)?,
-            dispatched: Wire::decode(buf)?,
-            locked: Wire::decode(buf)?,
-            visits: Wire::decode(buf)?,
-        }),
-        19 => Ok(TraceEvent::SpanStart {
-            id: Wire::decode(buf)?,
-            parent: Wire::decode(buf)?,
-            kind: Wire::decode(buf)?,
-            a: Wire::decode(buf)?,
-            b: Wire::decode(buf)?,
-        }),
-        20 => Ok(TraceEvent::SpanEnd {
-            id: Wire::decode(buf)?,
-            kind: Wire::decode(buf)?,
-        }),
-        21 => Ok(TraceEvent::SpanLink {
-            from: Wire::decode(buf)?,
-            to: Wire::decode(buf)?,
-        }),
-        22 => Ok(TraceEvent::Custom {
-            kind: intern(String::decode(buf)?),
-            a: Wire::decode(buf)?,
-            b: Wire::decode(buf)?,
-        }),
-        23 => Ok(TraceEvent::AgentStateShipped {
-            agent: Wire::decode(buf)?,
-            bytes: Wire::decode(buf)?,
-        }),
-        tag => Err(WireError::InvalidTag {
-            type_name: "TraceEvent",
-            tag: u32::from(tag),
-        }),
-    }
-}
 
 /// Encode a full trace into the binary file format.
 pub fn encode_trace(trace: &TraceLog) -> Vec<u8> {
@@ -351,7 +22,7 @@ pub fn encode_trace(trace: &TraceLog) -> Vec<u8> {
     for rec in trace.records() {
         rec.at.encode(&mut buf);
         rec.node.encode(&mut buf);
-        encode_event(&rec.event, &mut buf);
+        rec.event.encode(&mut buf);
     }
     buf.to_vec()
 }
@@ -372,7 +43,7 @@ pub fn decode_trace(data: &[u8]) -> Result<TraceLog, WireError> {
     for _ in 0..count {
         let at = SimTime::decode(&mut buf)?;
         let node = marp_sim::NodeId::decode(&mut buf)?;
-        let event = decode_event(&mut buf)?;
+        let event = TraceEvent::decode(&mut buf)?;
         log.push(at, node, event);
     }
     Ok(log)
@@ -560,9 +231,30 @@ mod tests {
 
     #[test]
     fn interner_returns_stable_references() {
-        let a = intern(String::from("some-label"));
-        let b = intern(String::from("some-label"));
-        assert!(std::ptr::eq(a, b));
+        // Labels come back from a file as `'static` references: one
+        // allocation per distinct label, however many records name it.
+        let mut log = TraceLog::new(TraceLevel::Full);
+        for node in 0..2 {
+            let event = TraceEvent::Custom {
+                kind: "some-label",
+                a: 0,
+                b: 0,
+            };
+            log.push(SimTime::ZERO, node, event);
+        }
+        let back = decode_trace(&encode_trace(&log)).unwrap();
+        let labels: Vec<&'static str> = back
+            .records()
+            .iter()
+            .map(|r| {
+                let TraceEvent::Custom { kind, .. } = r.event else {
+                    panic!("only custom events were recorded");
+                };
+                kind
+            })
+            .collect();
+        assert_eq!(labels, ["some-label"; 2]);
+        assert!(std::ptr::eq(labels[0], labels[1]));
     }
 
     #[test]

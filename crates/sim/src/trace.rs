@@ -356,6 +356,36 @@ pub enum TraceEvent {
     },
 }
 
+// The `MARPTRC1` trace-file codec (`marp-obs` frames records around
+// it). Tags are numbered in order of *introduction*, not declaration,
+// so files written before a variant existed still decode.
+marp_wire::wire_enum!(TraceEvent {
+    0 => MsgSent { from, to, bytes },
+    1 => MsgDelivered { from, to, bytes },
+    2 => MsgDropped { from, to, reason },
+    3 => NodeDown(node),
+    4 => NodeUp(node),
+    5 => RequestArrived { node, request, write },
+    6 => ReadServed { node, request, version },
+    7 => AgentDispatched { agent, home, batch },
+    8 => AgentMigrated { agent, from, to, hops },
+    9 => AgentMigrateFailed { agent, from, to },
+    10 => ReplicaDeclaredUnavailable { agent, node },
+    11 => LockRequested { agent, node },
+    12 => LockGranted { agent, node, visits, via_tie },
+    13 => UpdateSent { agent, version },
+    14 => UpdateAcked { agent, node, positive },
+    15 => WinAborted { agent },
+    16 => CommitApplied { node, version, agent, key, request },
+    17 => AgentDisposed { agent, born },
+    18 => UpdateCompleted { request, home, arrived, dispatched, locked, visits },
+    19 => SpanStart { id, parent, kind, a, b },
+    20 => SpanEnd { id, kind },
+    21 => SpanLink { from, to },
+    22 => Custom { kind, a, b },
+    23 => AgentStateShipped { agent, bytes },
+});
+
 /// A timestamped trace record and the node that emitted it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceRecord {

@@ -22,6 +22,7 @@
 #![warn(missing_docs)]
 
 mod error;
+mod label;
 mod varint;
 
 pub use error::WireError;
