@@ -107,7 +107,7 @@ impl MarpServerState {
     /// of an arriving agent for `key` so senders can delta-encode agent
     /// state shipped here. The entry for this server is always present
     /// (even while its queue is virgin).
-    pub fn horizon(&self, key: u64) -> BTreeMap<NodeId, u64> {
+    pub(crate) fn horizon(&self, key: u64) -> BTreeMap<NodeId, u64> {
         let mut horizon = match self.board.contents(key) {
             Some(board) if self.cfg.gossip => board.horizon(),
             _ => BTreeMap::new(),
@@ -122,19 +122,24 @@ impl MarpServerState {
 
     /// Record the horizon for `key` a peer advertised in a migration
     /// ack, replacing what it said about that key before.
-    pub fn record_peer_horizon(&mut self, peer: NodeId, key: u64, horizon: BTreeMap<NodeId, u64>) {
+    pub(crate) fn record_peer_horizon(
+        &mut self,
+        peer: NodeId,
+        key: u64,
+        horizon: BTreeMap<NodeId, u64>,
+    ) {
         self.peer_horizons.insert((peer, key), horizon);
     }
 
     /// The last horizon for `key` that `peer` advertised, if any.
-    pub fn peer_horizon(&self, peer: NodeId, key: u64) -> Option<&BTreeMap<NodeId, u64>> {
+    pub(crate) fn peer_horizon(&self, peer: NodeId, key: u64) -> Option<&BTreeMap<NodeId, u64>> {
         self.peer_horizons.get(&(peer, key))
     }
 
     /// The configuration this server was built from. Visiting agents
     /// carry none of their own: cluster size, gossip and delta
     /// switches and timeouts are the host's.
-    pub fn config(&self) -> &MarpConfig {
+    pub(crate) fn config(&self) -> &MarpConfig {
         &self.cfg
     }
 

@@ -263,8 +263,9 @@ mod tests {
         assert!(decode_trace(b"").is_err());
     }
 
+    /// Truncated anywhere: every strict prefix of a file is an error.
     #[test]
-    fn every_strict_prefix_is_rejected() {
+    fn truncated_file_is_rejected() {
         let bytes = encode_trace(&sample_trace());
         for len in 0..bytes.len() {
             assert!(
