@@ -8,7 +8,7 @@
 //! decoded. Labels are constants in practice, so the set is tiny; do
 //! not point this codec at input whose label set an adversary grows.
 
-use crate::{put_uvarint, uvarint_len, Wire, WireError};
+use crate::{put_str, str_len, Wire, WireError};
 use bytes::{Bytes, BytesMut};
 use std::collections::HashSet;
 use std::sync::{Mutex, OnceLock};
@@ -29,14 +29,13 @@ fn intern(label: String) -> &'static str {
 
 impl Wire for &'static str {
     fn encode(&self, buf: &mut BytesMut) {
-        put_uvarint(buf, self.len() as u64);
-        bytes::BufMut::put_slice(buf, self.as_bytes());
+        put_str(buf, self);
     }
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
         Ok(intern(String::decode(buf)?))
     }
     fn encoded_len(&self) -> usize {
-        uvarint_len(self.len() as u64) + self.len()
+        str_len(self)
     }
 }
 

@@ -219,10 +219,20 @@ impl Wire for f64 {
     }
 }
 
+/// The string encoding, shared by [`String`] and `&'static str`
+/// labels: a length prefix, then the UTF-8 bytes.
+fn put_str(buf: &mut BytesMut, s: &str) {
+    put_uvarint(buf, s.len() as u64);
+    bytes::BufMut::put_slice(buf, s.as_bytes());
+}
+
+fn str_len(s: &str) -> usize {
+    uvarint_len(s.len() as u64) + s.len()
+}
+
 impl Wire for String {
     fn encode(&self, buf: &mut BytesMut) {
-        put_uvarint(buf, self.len() as u64);
-        bytes::BufMut::put_slice(buf, self.as_bytes());
+        put_str(buf, self);
     }
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
         let len = decode_len(buf)?;
@@ -233,7 +243,7 @@ impl Wire for String {
         String::from_utf8(raw.to_vec()).map_err(|_| WireError::InvalidUtf8)
     }
     fn encoded_len(&self) -> usize {
-        uvarint_len(self.len() as u64) + self.len()
+        str_len(self)
     }
 }
 
