@@ -89,7 +89,12 @@ pub fn wrap_client_request(request: ClientRequest) -> Bytes {
     marp_wire::to_bytes(&AcMsg::Client(request))
 }
 
-const TIMER_ACK: u8 = 1;
+marp_quorum::timer_kinds! {
+    enum AcTimer {
+        /// A write's ack deadline (epoch = request id).
+        Ack = 1,
+    }
+}
 
 struct PendingWrite {
     client: NodeId,
@@ -107,7 +112,7 @@ pub struct AcNode {
     pub store: LwwStore,
     up: Vec<bool>,
     pending: HashMap<u64, PendingWrite>,
-    timers: TimerMux,
+    timers: TimerMux<AcTimer>,
 }
 
 impl AcNode {
@@ -130,7 +135,7 @@ impl AcNode {
 
     fn complete(&mut self, request: u64, ctx: &mut dyn Context) {
         if let Some(done) = self.pending.remove(&request) {
-            self.timers.disarm(TIMER_ACK, request);
+            self.timers.disarm(AcTimer::Ack, request);
             let arrived = done.call.started();
             ctx.trace(TraceEvent::SpanEnd {
                 id: done.call.span(),
@@ -235,7 +240,7 @@ impl AcNode {
                                 version: ts.counter,
                             },
                         );
-                        let tag = self.timers.arm(TIMER_ACK, request.id);
+                        let tag = self.timers.arm(AcTimer::Ack, request.id);
                         ctx.set_timer(self.cfg.ack_timeout, tag);
                         if won {
                             self.complete(request.id, ctx);
@@ -289,18 +294,20 @@ impl Process for AcNode {
         let Some((kind, request)) = self.timers.fired(tag) else {
             return; // stale: the write completed or a crash intervened
         };
-        if kind == TIMER_ACK {
+        match kind {
             // Give up on missing acks: the replicas that answered have
             // the write; the silent ones are treated as failed (the
             // paper's fail-stop detection will confirm or they will
             // recover and pull state).
-            if self.pending.contains_key(&request) {
-                ctx.trace(TraceEvent::Custom {
-                    kind: "ac-write-timeout",
-                    a: request,
-                    b: u64::from(self.me),
-                });
-                self.complete(request, ctx);
+            AcTimer::Ack => {
+                if self.pending.contains_key(&request) {
+                    ctx.trace(TraceEvent::Custom {
+                        kind: "ac-write-timeout",
+                        a: request,
+                        b: u64::from(self.me),
+                    });
+                    self.complete(request, ctx);
+                }
             }
         }
     }

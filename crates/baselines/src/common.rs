@@ -1,6 +1,10 @@
 //! Pieces shared by the message-passing baseline protocols.
 
-use marp_sim::{NodeId, SimTime};
+use bytes::Bytes;
+use marp_quorum::{QuorumCall, RetryPolicy, SuccessRule, TimerMux, Verdict};
+use marp_replica::WriteRequest;
+use marp_sim::{span_id, Context, NodeId, SimTime, SpanKind, TraceEvent};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 /// A totally ordered round identifier for coordinator-based protocols:
@@ -28,6 +32,12 @@ impl Ballot {
             seq: self.seq + 1,
             coordinator: self.coordinator,
         }
+    }
+
+    /// The round's stand-in for an agent key (`coordinator << 32 | seq`)
+    /// in spans, commit records and `CommitApplied` events.
+    pub(crate) fn surrogate(self) -> u64 {
+        u64::from(self.coordinator) << 32 | self.seq
     }
 }
 
@@ -85,6 +95,241 @@ impl Promise {
             Some((ballot, expires)) if expires > now => Some(ballot),
             _ => None,
         }
+    }
+}
+
+/// Scale a coordinator's timeouts to a deployment whose worst one-way
+/// latency is `max_latency`: a vote round cannot finish inside the
+/// physical round trip, and a shorter timeout turns every round into an
+/// abort.
+pub(crate) fn scale_to_latency(
+    round_timeout: &mut Duration,
+    retry: &mut RetryPolicy,
+    promise_lease: &mut Duration,
+    max_latency: Duration,
+) {
+    let lat = max_latency.max(Duration::from_millis(1));
+    *round_timeout = (*round_timeout).max(lat * 5);
+    *retry = retry.with_min_base(lat);
+    *promise_lease = (*promise_lease).max(*round_timeout * 10);
+}
+
+marp_quorum::timer_kinds! {
+    /// Timer kinds of a vote-coordinating server.
+    pub(crate) enum VoteTimer {
+        /// The open round's timeout (epoch = ballot sequence).
+        Round = 1,
+        /// Backoff before the next attempt.
+        Retry = 2,
+        /// The host's own periodic work; the coordinator only keeps it
+        /// apart from its two.
+        Maintenance = 3,
+    }
+}
+
+/// What tells one vote protocol's write round from another's.
+pub(crate) struct RoundSpec {
+    /// Servers `0..n_servers` vote.
+    pub n_servers: usize,
+    /// When the votes have decided a round.
+    pub rule: SuccessRule,
+    /// A round undecided for this long is aborted.
+    pub round_timeout: Duration,
+    /// How long a granted vote binds the voter.
+    pub promise_lease: Duration,
+    /// Backoff after a failed round, before this node's stagger.
+    pub retry: RetryPolicy,
+    /// The protocol's vote request for a ballot, encoded.
+    pub vote_request: fn(Ballot) -> Bytes,
+    /// The protocol's release of a ballot's promises, encoded.
+    pub release: fn(Ballot) -> Bytes,
+}
+
+/// One write in its vote round.
+pub(crate) struct Round {
+    pub ballot: Ballot,
+    pub request: WriteRequest,
+    /// Each grant carries the voter's version; the write goes above the
+    /// maximum.
+    pub call: QuorumCall<u64>,
+}
+
+/// The write round of a voting protocol, coordinator and voter side:
+/// queue the write, open a ballot, ask every server for its vote; a won
+/// round is handed to the host to apply, a lost or timed-out one
+/// releases its promises and is retried after a backoff. One write is
+/// in flight per coordinator.
+pub(crate) struct Coordinator {
+    me: NodeId,
+    spec: RoundSpec,
+    /// The vote this server has out, as a voter.
+    promise: Promise,
+    queue: VecDeque<WriteRequest>,
+    round: Option<Round>,
+    ballot_seq: u64,
+    /// Failed rounds since the last win.
+    attempts: u32,
+    /// The server's live timers; the host arms `Maintenance` here.
+    pub timers: TimerMux<VoteTimer>,
+}
+
+impl Coordinator {
+    pub(crate) fn new(me: NodeId, mut spec: RoundSpec) -> Self {
+        spec.retry = spec
+            .retry
+            .staggered(Duration::from_micros(500), u64::from(me), 0);
+        Coordinator {
+            me,
+            spec,
+            promise: Promise::new(),
+            queue: VecDeque::new(),
+            round: None,
+            ballot_seq: 0,
+            attempts: 0,
+            timers: TimerMux::new(),
+        }
+    }
+
+    fn broadcast(&self, msg: Bytes, ctx: &mut dyn Context) {
+        for server in 0..self.spec.n_servers as NodeId {
+            ctx.send(server, msg.clone());
+        }
+    }
+
+    /// Queue a client's write and start its round if none is open.
+    pub(crate) fn submit(&mut self, request: WriteRequest, ctx: &mut dyn Context) {
+        self.queue.push_back(request);
+        self.try_start_round(ctx);
+    }
+
+    fn try_start_round(&mut self, ctx: &mut dyn Context) {
+        if self.round.is_some() || self.timers.is_kind_armed(VoteTimer::Retry) {
+            return;
+        }
+        let Some(request) = self.queue.pop_front() else {
+            return;
+        };
+        self.ballot_seq += 1;
+        let ballot = Ballot {
+            seq: self.ballot_seq,
+            coordinator: self.me,
+        };
+        // The round runs under an UpdateQuorum span keyed by the same
+        // surrogate agent key the commit records carry; the request's
+        // span links to it (a retried write links to each new round).
+        let span = span_id(SpanKind::UpdateQuorum, ballot.surrogate(), ballot.seq);
+        ctx.trace(TraceEvent::SpanStart {
+            id: span,
+            parent: 0,
+            kind: SpanKind::UpdateQuorum,
+            a: ballot.surrogate(),
+            b: ballot.seq,
+        });
+        ctx.trace(TraceEvent::SpanLink {
+            from: span_id(SpanKind::Request, request.id, u64::from(self.me)),
+            to: span,
+        });
+        self.round = Some(Round {
+            ballot,
+            request,
+            call: QuorumCall::new(self.spec.rule, 0..self.spec.n_servers as NodeId, ctx.now())
+                .with_span(span),
+        });
+        self.broadcast((self.spec.vote_request)(ballot), ctx);
+        let tag = self.timers.arm(VoteTimer::Round, ballot.seq);
+        ctx.set_timer(self.spec.round_timeout, tag);
+    }
+
+    fn abort_round(&mut self, ctx: &mut dyn Context) {
+        let Some(round) = self.round.take() else {
+            return;
+        };
+        self.timers.disarm(VoteTimer::Round, round.ballot.seq);
+        ctx.trace(TraceEvent::SpanEnd {
+            id: round.call.span(),
+            kind: SpanKind::UpdateQuorum,
+        });
+        self.broadcast((self.spec.release)(round.ballot), ctx);
+        // Retry the same write later.
+        self.queue.push_front(round.request);
+        self.attempts += 1;
+        let tag = self.timers.arm(VoteTimer::Retry, 0);
+        ctx.set_timer(self.spec.retry.next_delay(self.attempts), tag);
+    }
+
+    /// Count `from`'s vote of weight `votes` on `ballot`. The call
+    /// dedupes repeated votes; only a deciding vote acts. A lost round
+    /// is aborted here; a won one is returned, its `UpdateQuorum` span
+    /// still open, for the host to apply — which then calls
+    /// [`next_round`](Self::next_round).
+    pub(crate) fn on_vote(
+        &mut self,
+        from: NodeId,
+        ballot: Ballot,
+        votes: u32,
+        granted: bool,
+        version: u64,
+        ctx: &mut dyn Context,
+    ) -> Option<Round> {
+        let round = self.round.as_mut().filter(|r| r.ballot == ballot)?;
+        match round.call.offer(from, votes, granted, version) {
+            Some(Verdict::Won) => {
+                self.timers.disarm(VoteTimer::Round, ballot.seq);
+                self.round.take()
+            }
+            Some(Verdict::Lost) => {
+                self.abort_round(ctx);
+                None
+            }
+            _ => None,
+        }
+    }
+
+    /// The won round is applied: forget its failures and open the next
+    /// queued write's round.
+    pub(crate) fn next_round(&mut self, ctx: &mut dyn Context) {
+        self.attempts = 0;
+        self.try_start_round(ctx);
+    }
+
+    /// Voter side: promise this server's vote to `ballot` if it is not
+    /// out to another; returns whether `ballot` now holds it.
+    pub(crate) fn grant(&mut self, ballot: Ballot, now: SimTime) -> bool {
+        self.promise.try_grant(ballot, now, self.spec.promise_lease)
+    }
+
+    /// Voter side: `ballot` is over (applied or aborted).
+    pub(crate) fn release(&mut self, ballot: Ballot) {
+        self.promise.release(ballot);
+    }
+
+    /// Offer a fired tag. The round's own timers are handled here;
+    /// `true` means the host's `Maintenance` timer fired.
+    pub(crate) fn on_timer(&mut self, tag: u64, ctx: &mut dyn Context) -> bool {
+        match self.timers.fired(tag) {
+            // Stale: disarmed, or armed before a crash.
+            None => false,
+            Some((VoteTimer::Round, _)) => {
+                self.abort_round(ctx);
+                false
+            }
+            Some((VoteTimer::Retry, _)) => {
+                self.try_start_round(ctx);
+                false
+            }
+            Some((VoteTimer::Maintenance, _)) => true,
+        }
+    }
+
+    /// Everything here is volatile. Timers armed before the crash never
+    /// fire again (the engine drops them), so the mux restarts from
+    /// scratch; queued writes are re-driven by the clients' retries.
+    pub(crate) fn on_recover(&mut self) {
+        self.promise.clear();
+        self.queue.clear();
+        self.round = None;
+        self.attempts = 0;
+        self.timers.clear();
     }
 }
 
@@ -229,6 +474,168 @@ mod tests {
         let expiry = SimTime::from_millis(11);
         assert_eq!(p.holder(expiry), None);
         assert!(p.try_grant(Ballot::first(1), expiry, lease));
+    }
+
+    /// A `Context` that records what the coordinator asks of it.
+    #[derive(Default)]
+    struct Recorder {
+        now: SimTime,
+        sent: Vec<(NodeId, Bytes)>,
+        /// Every timer armed, as `(delay, tag)`.
+        armed: Vec<(Duration, u64)>,
+    }
+    impl Context for Recorder {
+        fn now(&self) -> SimTime {
+            self.now
+        }
+        fn me(&self) -> NodeId {
+            1
+        }
+        fn send(&mut self, to: NodeId, msg: Bytes) {
+            self.sent.push((to, msg));
+        }
+        fn set_timer(&mut self, after: Duration, tag: u64) -> marp_sim::TimerId {
+            self.armed.push((after, tag));
+            marp_sim::TimerId(self.armed.len() as u64)
+        }
+        fn cancel_timer(&mut self, _id: marp_sim::TimerId) {}
+        fn trace(&mut self, _event: TraceEvent) {}
+        fn halt(&mut self) {}
+    }
+
+    const ROUND_TIMEOUT: Duration = Duration::from_millis(100);
+    const BACKOFF: Duration = Duration::from_millis(8);
+
+    /// Coordinator 1 of three unit-weight servers. The "messages" are
+    /// one marker byte and the ballot, so the tests can tell them apart.
+    fn coordinator() -> Coordinator {
+        fn marked(mark: u8, ballot: Ballot) -> Bytes {
+            let mut msg = vec![mark];
+            msg.extend_from_slice(&marp_wire::to_bytes(&ballot));
+            Bytes::from(msg)
+        }
+        Coordinator::new(
+            1,
+            RoundSpec {
+                n_servers: 3,
+                rule: SuccessRule::Majority { n: 3 },
+                round_timeout: ROUND_TIMEOUT,
+                promise_lease: Duration::from_secs(2),
+                retry: RetryPolicy::linear(BACKOFF, 16),
+                vote_request: |ballot| marked(b'?', ballot),
+                release: |ballot| marked(b'!', ballot),
+            },
+        )
+    }
+
+    fn write(id: u64) -> WriteRequest {
+        WriteRequest {
+            id,
+            client: 9,
+            key: 1,
+            value: id,
+            arrived: SimTime::ZERO,
+        }
+    }
+
+    /// Node 1's stagger: 500 µs per node id.
+    const STAGGER: Duration = Duration::from_micros(500);
+
+    #[test]
+    fn a_round_timer_that_fires_after_the_win_is_stale() {
+        let (mut coord, mut ctx) = (coordinator(), Recorder::default());
+        coord.submit(write(1), &mut ctx);
+        coord.submit(write(2), &mut ctx);
+        let first = Ballot::first(1);
+        let round_tag = TimerMux::tag(VoteTimer::Round, 1);
+        assert_eq!(ctx.armed, [(ROUND_TIMEOUT, round_tag)]);
+        assert_eq!(ctx.sent.len(), 3, "one vote request per server");
+        assert!(ctx.sent.iter().all(|(_, msg)| msg[0] == b'?'));
+
+        assert!(coord.on_vote(0, first, 1, true, 4, &mut ctx).is_none());
+        let won = coord.on_vote(2, first, 1, true, 6, &mut ctx).expect("won");
+        assert_eq!((won.ballot, won.request.id), (first, 1));
+        assert_eq!(won.call.max_payload(), Some(6));
+        // The host applies, then the next write's round opens.
+        coord.next_round(&mut ctx);
+        let second = coord.round.as_ref().expect("second round").ballot;
+        assert_eq!(second, first.next());
+
+        // The first round's timer was disarmed by the win: its fire
+        // must not abort the round that is open now.
+        assert!(!coord.on_timer(round_tag, &mut ctx));
+        assert_eq!(coord.round.as_ref().map(|r| r.ballot), Some(second));
+        assert!(ctx.sent.iter().all(|(_, msg)| msg[0] == b'?'));
+        // Nor does a late vote on the finished ballot count.
+        assert!(coord.on_vote(1, first, 1, true, 9, &mut ctx).is_none());
+        // The open round's own timer does abort it.
+        assert!(!coord.on_timer(TimerMux::tag(VoteTimer::Round, 2), &mut ctx));
+        assert!(coord.round.is_none());
+    }
+
+    #[test]
+    fn a_lost_round_releases_and_backs_off_one_step_further_each_time() {
+        let (mut coord, mut ctx) = (coordinator(), Recorder::default());
+        coord.submit(write(1), &mut ctx);
+        for attempt in 1..=2u32 {
+            let ballot = coord.round.as_ref().expect("open round").ballot;
+            assert_eq!(ballot.seq, u64::from(attempt));
+            ctx.sent.clear();
+            ctx.armed.clear();
+            // Two of three refuse: a majority is out of reach.
+            assert!(coord.on_vote(0, ballot, 1, false, 0, &mut ctx).is_none());
+            assert!(ctx.sent.is_empty());
+            assert!(coord.on_vote(2, ballot, 1, false, 0, &mut ctx).is_none());
+            let release = (coord.spec.release)(ballot);
+            assert_eq!(
+                ctx.sent,
+                [(0, release.clone()), (1, release.clone()), (2, release)],
+                "the release goes to every server"
+            );
+            let retry_tag = TimerMux::tag(VoteTimer::Retry, 0);
+            assert_eq!(ctx.armed, [(BACKOFF * attempt + STAGGER, retry_tag)]);
+            // The write waits at the head of the queue; a new one does
+            // not jump the backoff.
+            assert!(coord.round.is_none());
+            coord.submit(write(10 + u64::from(attempt)), &mut ctx);
+            assert!(coord.round.is_none());
+            assert_eq!(coord.queue.front().map(|w| w.id), Some(1));
+            // The lost round's timeout is stale; the retry reopens.
+            assert!(!coord.on_timer(TimerMux::tag(VoteTimer::Round, ballot.seq), &mut ctx));
+            assert!(coord.round.is_none());
+            assert!(!coord.on_timer(retry_tag, &mut ctx));
+            assert_eq!(coord.round.as_ref().map(|r| r.request.id), Some(1));
+        }
+    }
+
+    #[test]
+    fn recovery_forgets_round_queue_and_promise() {
+        let (mut coord, mut ctx) = (coordinator(), Recorder::default());
+        coord.submit(write(1), &mut ctx);
+        coord.submit(write(2), &mut ctx);
+        let theirs = Ballot::first(0);
+        assert!(coord.grant(theirs, ctx.now));
+        assert!(!coord.grant(Ballot::first(2), ctx.now));
+        let maintenance = coord.timers.arm(VoteTimer::Maintenance, 0);
+        assert_eq!(coord.timers.live(), 2);
+
+        coord.on_recover();
+
+        assert!(coord.round.is_none() && coord.queue.is_empty());
+        assert_eq!(coord.promise.holder(ctx.now), None);
+        assert_eq!(coord.timers.live(), 0);
+        // Pre-crash timers are nobody's, the host's included.
+        ctx.sent.clear();
+        assert!(!coord.on_timer(TimerMux::tag(VoteTimer::Round, 1), &mut ctx));
+        assert!(!coord.on_timer(maintenance, &mut ctx));
+        assert!(ctx.sent.is_empty());
+        // Ballots keep counting up, so a pre-crash vote cannot be
+        // mistaken for one on a post-recovery round.
+        coord.submit(write(3), &mut ctx);
+        assert_eq!(coord.round.as_ref().map(|r| r.ballot.seq), Some(2));
+        // A live maintenance timer is the host's to handle.
+        let maintenance = coord.timers.arm(VoteTimer::Maintenance, 0);
+        assert!(coord.on_timer(maintenance, &mut ctx));
     }
 
     #[test]

@@ -8,12 +8,11 @@
 //! Contention shows up as rejected rounds and backoff retries, the
 //! "sessions of passing messages and waiting for replies" of §1.
 
-use crate::common::{Ballot, Promise};
+use crate::common::{scale_to_latency, Ballot, Coordinator, RoundSpec, VoteTimer};
 use bytes::Bytes;
-use marp_quorum::{QuorumCall, RetryPolicy, TimerMux, Verdict};
-use marp_replica::{ClientRequest, CommitRecord, ServerConfig, ServerCore, SyncMsg, WriteRequest};
+use marp_quorum::{RetryPolicy, SuccessRule};
+use marp_replica::{ClientRequest, CommitRecord, ServerConfig, ServerCore, SyncMsg};
 use marp_sim::{impl_as_any, span_id, Context, NodeId, Process, SpanKind, TimerId, TraceEvent};
-use std::collections::VecDeque;
 use std::time::Duration;
 
 /// MCV deployment knobs.
@@ -51,10 +50,12 @@ impl McvConfig {
     /// inside the physical round trip, and a shorter timeout turns every
     /// round into an abort.
     pub fn scaled_to_latency(mut self, max_latency: std::time::Duration) -> Self {
-        let lat = max_latency.max(Duration::from_millis(1));
-        self.round_timeout = self.round_timeout.max(lat * 5);
-        self.retry = self.retry.with_min_base(lat);
-        self.promise_lease = self.promise_lease.max(self.round_timeout * 10);
+        scale_to_latency(
+            &mut self.round_timeout,
+            &mut self.retry,
+            &mut self.promise_lease,
+            max_latency,
+        );
         self
     }
 }
@@ -112,50 +113,42 @@ fn wrap_sync(msg: SyncMsg) -> Bytes {
     marp_wire::to_bytes(&McvMsg::Sync(msg))
 }
 
-const TIMER_ROUND: u8 = 1;
-const TIMER_RETRY: u8 = 2;
-const TIMER_MAINTENANCE: u8 = 3;
-
-struct Round {
-    ballot: Ballot,
-    request: WriteRequest,
-    /// The vote round: majority of grants wins, each grant carrying the
-    /// voter's applied version.
-    call: QuorumCall<u64>,
+fn vote_request(ballot: Ballot) -> Bytes {
+    marp_wire::to_bytes(&McvMsg::VoteReq { ballot })
 }
 
-/// One MCV replica server.
+fn release(ballot: Ballot) -> Bytes {
+    marp_wire::to_bytes(&McvMsg::Release { ballot })
+}
+
+/// One MCV replica server: the shared vote round decided by a plain
+/// majority, over a store with dense global versions that every replica
+/// applies and anti-entropy repairs; reads are local.
 pub struct McvNode {
     cfg: McvConfig,
     /// Shared replica substrate (store, client bookkeeping, sync).
     pub core: ServerCore,
-    promise: Promise,
-    queue: VecDeque<WriteRequest>,
-    round: Option<Round>,
-    ballot_seq: u64,
-    attempts: u32,
-    /// The coordinator's backoff schedule, with this node's stagger
-    /// folded in.
-    retry: RetryPolicy,
-    timers: TimerMux,
+    coord: Coordinator,
 }
 
 impl McvNode {
     /// Build the node for server `me`.
     pub fn new(me: NodeId, cfg: McvConfig) -> Self {
-        let retry = cfg
-            .retry
-            .staggered(Duration::from_micros(500), u64::from(me), 0);
+        let spec = RoundSpec {
+            n_servers: cfg.n_servers,
+            rule: SuccessRule::Majority {
+                n: cfg.n_servers as u16,
+            },
+            round_timeout: cfg.round_timeout,
+            promise_lease: cfg.promise_lease,
+            retry: cfg.retry,
+            vote_request,
+            release,
+        };
         McvNode {
             cfg,
             core: ServerCore::new(me, ServerConfig::default(), wrap_sync),
-            promise: Promise::new(),
-            queue: VecDeque::new(),
-            round: None,
-            ballot_seq: 0,
-            attempts: 0,
-            retry,
-            timers: TimerMux::new(),
+            coord: Coordinator::new(me, spec),
         }
     }
 
@@ -163,76 +156,15 @@ impl McvNode {
         self.core.me()
     }
 
-    /// Pending writes queued at this coordinator.
-    pub fn queued_writes(&self) -> usize {
-        self.queue.len() + usize::from(self.round.is_some())
+    /// The ring neighbour anti-entropy pulls from, if there is one.
+    fn sync_peer(&self) -> Option<NodeId> {
+        let peer = (self.me() + 1) % self.cfg.n_servers as NodeId;
+        (peer != self.me()).then_some(peer)
     }
 
-    fn broadcast(&self, msg: &McvMsg, ctx: &mut dyn Context) {
-        let bytes = marp_wire::to_bytes(msg);
-        for server in 0..self.cfg.n_servers as NodeId {
-            ctx.send(server, bytes.clone());
-        }
-    }
-
-    fn try_start_round(&mut self, ctx: &mut dyn Context) {
-        if self.round.is_some() || self.timers.is_kind_armed(TIMER_RETRY) {
-            return;
-        }
-        let Some(request) = self.queue.pop_front() else {
-            return;
-        };
-        self.ballot_seq += 1;
-        let ballot = Ballot {
-            seq: self.ballot_seq,
-            coordinator: self.me(),
-        };
-        // The round runs under an UpdateQuorum span keyed by the same
-        // surrogate agent key the commit records carry; the request's
-        // span links to it (a retried write links to each new round).
-        let surrogate = u64::from(self.me()) << 32 | ballot.seq;
-        let span = span_id(SpanKind::UpdateQuorum, surrogate, ballot.seq);
-        ctx.trace(TraceEvent::SpanStart {
-            id: span,
-            parent: 0,
-            kind: SpanKind::UpdateQuorum,
-            a: surrogate,
-            b: ballot.seq,
-        });
-        ctx.trace(TraceEvent::SpanLink {
-            from: span_id(SpanKind::Request, request.id, u64::from(self.me())),
-            to: span,
-        });
-        self.round = Some(Round {
-            ballot,
-            request,
-            call: QuorumCall::majority(self.cfg.n_servers as u16, ctx.now()).with_span(span),
-        });
-        self.broadcast(&McvMsg::VoteReq { ballot }, ctx);
-        let tag = self.timers.arm(TIMER_ROUND, ballot.seq);
-        ctx.set_timer(self.cfg.round_timeout, tag);
-    }
-
-    fn abort_round(&mut self, ctx: &mut dyn Context) {
-        let Some(round) = self.round.take() else {
-            return;
-        };
-        self.timers.disarm(TIMER_ROUND, round.ballot.seq);
-        ctx.trace(TraceEvent::SpanEnd {
-            id: round.call.span(),
-            kind: SpanKind::UpdateQuorum,
-        });
-        self.broadcast(
-            &McvMsg::Release {
-                ballot: round.ballot,
-            },
-            ctx,
-        );
-        // Retry the same write later.
-        self.queue.push_front(round.request);
-        self.attempts += 1;
-        let tag = self.timers.arm(TIMER_RETRY, 0);
-        ctx.set_timer(self.retry.next_delay(self.attempts), tag);
+    fn arm_maintenance(&mut self, ctx: &mut dyn Context) {
+        let tag = self.coord.timers.arm(VoteTimer::Maintenance, 0);
+        ctx.set_timer(self.cfg.maintenance_interval, tag);
     }
 
     fn on_vote(
@@ -243,61 +175,48 @@ impl McvNode {
         version: u64,
         ctx: &mut dyn Context,
     ) {
-        let Some(round) = &mut self.round else {
+        let Some(round) = self.coord.on_vote(from, ballot, 1, granted, version, ctx) else {
             return;
         };
-        if round.ballot != ballot {
-            return;
+        let base = round.call.max_payload().unwrap_or(0);
+        let record = CommitRecord {
+            version: base + 1,
+            key: round.request.key,
+            value: round.request.value,
+            agent: ballot.surrogate(),
+            request: round.request.id,
+            committed_at: ctx.now(),
+        };
+        ctx.trace(TraceEvent::SpanEnd {
+            id: round.call.span(),
+            kind: SpanKind::UpdateQuorum,
+        });
+        // Closed by ServerCore when the commit reaches the
+        // pending client at this (home) replica.
+        ctx.trace(TraceEvent::SpanStart {
+            id: span_id(SpanKind::Commit, record.agent, record.request),
+            parent: round.call.span(),
+            kind: SpanKind::Commit,
+            a: record.agent,
+            b: record.request,
+        });
+        // Thomas: the write lands on every replica.
+        let apply = marp_wire::to_bytes(&McvMsg::Apply {
+            ballot,
+            records: vec![record],
+        });
+        for server in 0..self.cfg.n_servers as NodeId {
+            ctx.send(server, apply.clone());
         }
-        // The call dedupes repeated votes; only a deciding vote returns
-        // a verdict.
-        match round.call.offer_vote(from, granted, version) {
-            Some(Verdict::Won) => {
-                let round = self.round.take().expect("checked");
-                self.timers.disarm(TIMER_ROUND, round.ballot.seq);
-                let base = round.call.max_payload().unwrap_or(0);
-                let record = CommitRecord {
-                    version: base + 1,
-                    key: round.request.key,
-                    value: round.request.value,
-                    agent: u64::from(self.me()) << 32 | round.ballot.seq,
-                    request: round.request.id,
-                    committed_at: ctx.now(),
-                };
-                ctx.trace(TraceEvent::SpanEnd {
-                    id: round.call.span(),
-                    kind: SpanKind::UpdateQuorum,
-                });
-                // Closed by ServerCore when the commit reaches the
-                // pending client at this (home) replica.
-                ctx.trace(TraceEvent::SpanStart {
-                    id: span_id(SpanKind::Commit, record.agent, record.request),
-                    parent: round.call.span(),
-                    kind: SpanKind::Commit,
-                    a: record.agent,
-                    b: record.request,
-                });
-                self.broadcast(
-                    &McvMsg::Apply {
-                        ballot: round.ballot,
-                        records: vec![record],
-                    },
-                    ctx,
-                );
-                ctx.trace(TraceEvent::UpdateCompleted {
-                    request: round.request.id,
-                    home: self.me(),
-                    arrived: round.request.arrived,
-                    dispatched: round.call.started(),
-                    locked: ctx.now(),
-                    visits: 0,
-                });
-                self.attempts = 0;
-                self.try_start_round(ctx);
-            }
-            Some(Verdict::Lost) => self.abort_round(ctx),
-            _ => {}
-        }
+        ctx.trace(TraceEvent::UpdateCompleted {
+            request: round.request.id,
+            home: self.me(),
+            arrived: round.request.arrived,
+            dispatched: round.call.started(),
+            locked: ctx.now(),
+            visits: 0,
+        });
+        self.coord.next_round(ctx);
     }
 
     fn handle_msg(&mut self, from: NodeId, msg: McvMsg, ctx: &mut dyn Context) {
@@ -305,10 +224,7 @@ impl McvNode {
             McvMsg::Client(request) => {
                 match self.core.handle_client_request(from, request, ctx) {
                     marp_replica::ClientAction::Done => {}
-                    marp_replica::ClientAction::Write(write) => {
-                        self.queue.push_back(write);
-                        self.try_start_round(ctx);
-                    }
+                    marp_replica::ClientAction::Write(write) => self.coord.submit(write, ctx),
                     // MCV has no quorum-read machinery: consistent reads
                     // are downgraded to local reads.
                     marp_replica::ClientAction::FreshRead(read) => {
@@ -317,12 +233,9 @@ impl McvNode {
                 }
             }
             McvMsg::VoteReq { ballot } => {
-                let granted = self
-                    .promise
-                    .try_grant(ballot, ctx.now(), self.cfg.promise_lease);
                 let reply = McvMsg::Vote {
                     ballot,
-                    granted,
+                    granted: self.coord.grant(ballot, ctx.now()),
                     store_version: self.core.store.applied_version(),
                 };
                 ctx.send(ballot.coordinator, marp_wire::to_bytes(&reply));
@@ -334,9 +247,9 @@ impl McvNode {
             } => self.on_vote(from, ballot, granted, store_version, ctx),
             McvMsg::Apply { ballot, records } => {
                 self.core.apply_commits(records, ctx);
-                self.promise.release(ballot);
+                self.coord.release(ballot);
             }
-            McvMsg::Release { ballot } => self.promise.release(ballot),
+            McvMsg::Release { ballot } => self.coord.release(ballot),
             McvMsg::Sync(sync) => self.core.handle_sync(from, sync, ctx),
         }
     }
@@ -344,8 +257,7 @@ impl McvNode {
 
 impl Process for McvNode {
     fn on_start(&mut self, ctx: &mut dyn Context) {
-        let tag = self.timers.arm(TIMER_MAINTENANCE, 0);
-        ctx.set_timer(self.cfg.maintenance_interval, tag);
+        self.arm_maintenance(ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: Bytes, ctx: &mut dyn Context) {
@@ -355,41 +267,19 @@ impl Process for McvNode {
     }
 
     fn on_timer(&mut self, _timer: TimerId, tag: u64, ctx: &mut dyn Context) {
-        let Some((kind, epoch)) = self.timers.fired(tag) else {
-            return; // stale: disarmed or from a superseded round
-        };
-        match kind {
-            TIMER_ROUND if self.round.as_ref().is_some_and(|r| r.ballot.seq == epoch) => {
-                self.abort_round(ctx);
+        if self.coord.on_timer(tag, ctx) {
+            if let Some(peer) = self.sync_peer() {
+                self.core.pull_if_behind(peer, ctx);
             }
-            TIMER_RETRY => {
-                self.try_start_round(ctx);
-            }
-            TIMER_MAINTENANCE => {
-                let peer = (self.me() + 1) % self.cfg.n_servers as NodeId;
-                if peer != self.me() {
-                    self.core.pull_if_behind(peer, ctx);
-                }
-                let tag = self.timers.arm(TIMER_MAINTENANCE, 0);
-                ctx.set_timer(self.cfg.maintenance_interval, tag);
-            }
-            _ => {}
+            self.arm_maintenance(ctx);
         }
     }
 
     fn on_recover(&mut self, ctx: &mut dyn Context) {
         self.core.on_recover();
-        self.promise.clear();
-        self.queue.clear();
-        self.round = None;
-        self.attempts = 0;
-        // Timers armed before the crash never fire again (the engine
-        // drops them), so the mux restarts from scratch.
-        self.timers.clear();
-        let tag = self.timers.arm(TIMER_MAINTENANCE, 0);
-        ctx.set_timer(self.cfg.maintenance_interval, tag);
-        let peer = (self.me() + 1) % self.cfg.n_servers as NodeId;
-        if peer != self.me() {
+        self.coord.on_recover();
+        self.arm_maintenance(ctx);
+        if let Some(peer) = self.sync_peer() {
             self.core.pull_from(peer, ctx);
         }
     }

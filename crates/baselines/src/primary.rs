@@ -79,7 +79,11 @@ fn wrap_sync(msg: SyncMsg) -> Bytes {
     marp_wire::to_bytes(&PcMsg::Sync(msg))
 }
 
-const TIMER_MAINTENANCE: u8 = 1;
+marp_quorum::timer_kinds! {
+    enum PcTimer {
+        Maintenance = 1,
+    }
+}
 
 struct InFlight {
     request: WriteRequest,
@@ -95,7 +99,7 @@ pub struct PcNode {
     pub core: ServerCore,
     next_version: u64,
     in_flight: HashMap<u64, InFlight>,
-    timers: TimerMux,
+    timers: TimerMux<PcTimer>,
 }
 
 impl PcNode {
@@ -241,7 +245,7 @@ impl PcNode {
 
 impl Process for PcNode {
     fn on_start(&mut self, ctx: &mut dyn Context) {
-        let tag = self.timers.arm(TIMER_MAINTENANCE, 0);
+        let tag = self.timers.arm(PcTimer::Maintenance, 0);
         ctx.set_timer(self.cfg.maintenance_interval, tag);
     }
 
@@ -255,13 +259,15 @@ impl Process for PcNode {
         let Some((kind, _)) = self.timers.fired(tag) else {
             return; // stale: armed before a crash
         };
-        if kind == TIMER_MAINTENANCE {
-            let peer = self.cfg.primary;
-            if peer != self.me() {
-                self.core.pull_if_behind(peer, ctx);
+        match kind {
+            PcTimer::Maintenance => {
+                let peer = self.cfg.primary;
+                if peer != self.me() {
+                    self.core.pull_if_behind(peer, ctx);
+                }
+                let tag = self.timers.arm(PcTimer::Maintenance, 0);
+                ctx.set_timer(self.cfg.maintenance_interval, tag);
             }
-            let tag = self.timers.arm(TIMER_MAINTENANCE, 0);
-            ctx.set_timer(self.cfg.maintenance_interval, tag);
         }
     }
 
@@ -272,7 +278,7 @@ impl Process for PcNode {
         // Timers armed before the crash never fire again (the engine
         // drops them), so the mux restarts from scratch.
         self.timers.clear();
-        let tag = self.timers.arm(TIMER_MAINTENANCE, 0);
+        let tag = self.timers.arm(PcTimer::Maintenance, 0);
         ctx.set_timer(self.cfg.maintenance_interval, tag);
         if !self.is_primary() {
             self.core.pull_from(self.cfg.primary, ctx);

@@ -6,12 +6,12 @@
 //! consistency argument the paper recounts in §3.1). Unlike MARP,
 //! *reads* pay quorum assembly here — that asymmetry is experiment E13.
 
-use crate::common::{Ballot, Promise};
+use crate::common::{scale_to_latency, Ballot, Coordinator, RoundSpec};
 use bytes::Bytes;
-use marp_quorum::{QuorumCall, RetryPolicy, SuccessRule, TimerMux, Verdict};
+use marp_quorum::{QuorumCall, RetryPolicy, SuccessRule, Verdict};
 use marp_replica::{ClientReply, ClientRequest, Operation, WriteRequest};
 use marp_sim::{impl_as_any, span_id, Context, NodeId, Process, SpanKind, TimerId, TraceEvent};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
 /// Weighted-voting deployment knobs.
@@ -73,10 +73,12 @@ impl WvConfig {
     /// Scale the coordinator's timeouts to a deployment whose worst
     /// one-way latency is `max_latency` (see `McvConfig`).
     pub fn scaled_to_latency(mut self, max_latency: Duration) -> Self {
-        let lat = max_latency.max(Duration::from_millis(1));
-        self.round_timeout = self.round_timeout.max(lat * 5);
-        self.retry = self.retry.with_min_base(lat);
-        self.promise_lease = self.promise_lease.max(self.round_timeout * 10);
+        scale_to_latency(
+            &mut self.round_timeout,
+            &mut self.retry,
+            &mut self.promise_lease,
+            max_latency,
+        );
         self
     }
 
@@ -169,15 +171,12 @@ pub fn wrap_client_request(request: ClientRequest) -> Bytes {
     marp_wire::to_bytes(&WvMsg::Client(request))
 }
 
-const TIMER_ROUND: u8 = 1;
-const TIMER_RETRY: u8 = 2;
+fn vote_request(ballot: Ballot) -> Bytes {
+    marp_wire::to_bytes(&WvMsg::WReq { ballot })
+}
 
-struct WriteRound {
-    ballot: Ballot,
-    request: WriteRequest,
-    /// The vote round: a write quorum of granted votes wins, each grant
-    /// carrying the granter's highest held version.
-    call: QuorumCall<u64>,
+fn release(ballot: Ballot) -> Bytes {
+    marp_wire::to_bytes(&WvMsg::WRelease { ballot })
 }
 
 struct ReadRound {
@@ -189,135 +188,70 @@ struct ReadRound {
     call: QuorumCall<Option<(u64, u64)>>,
 }
 
-/// One weighted-voting replica server.
+/// One weighted-voting replica server: the shared vote round decided by
+/// a write quorum of vote weight, over per-key versions that only the
+/// granting quorum applies; reads assemble a read quorum.
 pub struct WvNode {
     cfg: WvConfig,
     me: NodeId,
     /// Per-key `(value, version)` — replicas may legitimately hold
     /// stale versions; quorum intersection masks them.
     pub store: BTreeMap<u64, (u64, u64)>,
-    promise: Promise,
-    queue: VecDeque<WriteRequest>,
-    round: Option<WriteRound>,
+    coord: Coordinator,
     reads: HashMap<u64, ReadRound>,
-    ballot_seq: u64,
     read_seq: u64,
-    attempts: u32,
-    /// The coordinator's backoff schedule, with this node's stagger
-    /// folded in.
-    retry: RetryPolicy,
-    timers: TimerMux,
 }
 
 impl WvNode {
     /// Build the node for server `me`.
     pub fn new(me: NodeId, cfg: WvConfig) -> Self {
         cfg.validate();
-        let retry = cfg
-            .retry
-            .staggered(Duration::from_micros(500), u64::from(me), 0);
+        let spec = RoundSpec {
+            n_servers: cfg.n_servers(),
+            rule: SuccessRule::Weighted {
+                total_votes: cfg.total_votes(),
+                threshold: cfg.write_quorum,
+            },
+            round_timeout: cfg.round_timeout,
+            promise_lease: cfg.promise_lease,
+            retry: cfg.retry,
+            vote_request,
+            release,
+        };
         WvNode {
             me,
             store: BTreeMap::new(),
-            promise: Promise::new(),
-            queue: VecDeque::new(),
-            round: None,
+            coord: Coordinator::new(me, spec),
             reads: HashMap::new(),
-            ballot_seq: 0,
             read_seq: 0,
-            attempts: 0,
-            retry,
-            timers: TimerMux::new(),
             cfg,
         }
     }
 
-    fn n(&self) -> usize {
-        self.cfg.n_servers()
+    fn my_votes(&self) -> u32 {
+        self.cfg.votes[usize::from(self.me)]
     }
 
-    fn broadcast(&self, msg: &WvMsg, ctx: &mut dyn Context) {
-        let bytes = marp_wire::to_bytes(msg);
-        for server in 0..self.n() as NodeId {
-            ctx.send(server, bytes.clone());
-        }
-    }
-
-    fn try_start_round(&mut self, ctx: &mut dyn Context) {
-        if self.round.is_some() || self.timers.is_kind_armed(TIMER_RETRY) {
-            return;
-        }
-        let Some(request) = self.queue.pop_front() else {
-            return;
-        };
-        self.ballot_seq += 1;
-        let ballot = Ballot {
-            seq: self.ballot_seq,
-            coordinator: self.me,
-        };
-        // The vote round runs under an UpdateQuorum span; the write's
-        // request span links to it (once per round, so retries show up
-        // as separate rounds hanging off the same request).
-        let surrogate = (u64::from(self.me) << 32) | ballot.seq;
-        let span = span_id(SpanKind::UpdateQuorum, surrogate, ballot.seq);
-        ctx.trace(TraceEvent::SpanStart {
-            id: span,
-            parent: 0,
-            kind: SpanKind::UpdateQuorum,
-            a: surrogate,
-            b: ballot.seq,
-        });
-        ctx.trace(TraceEvent::SpanLink {
-            from: span_id(SpanKind::Request, request.id, u64::from(self.me)),
-            to: span,
-        });
-        self.round = Some(WriteRound {
-            ballot,
-            request,
-            call: QuorumCall::new(
-                SuccessRule::Weighted {
-                    total_votes: self.cfg.total_votes(),
-                    threshold: self.cfg.write_quorum,
-                },
-                0..self.n() as NodeId,
-                ctx.now(),
-            )
-            .with_span(span),
-        });
-        self.broadcast(&WvMsg::WReq { ballot }, ctx);
-        let tag = self.timers.arm(TIMER_ROUND, ballot.seq);
-        ctx.set_timer(self.cfg.round_timeout, tag);
-    }
-
-    fn abort_round(&mut self, ctx: &mut dyn Context) {
-        let Some(round) = self.round.take() else {
+    /// Count one write vote; the vote that wins the round applies the
+    /// write.
+    fn on_write_vote(
+        &mut self,
+        from: NodeId,
+        ballot: Ballot,
+        votes: u32,
+        granted: bool,
+        version: u64,
+        ctx: &mut dyn Context,
+    ) {
+        let Some(round) = self
+            .coord
+            .on_vote(from, ballot, votes, granted, version, ctx)
+        else {
             return;
         };
-        self.timers.disarm(TIMER_ROUND, round.ballot.seq);
-        ctx.trace(TraceEvent::SpanEnd {
-            id: round.call.span(),
-            kind: SpanKind::UpdateQuorum,
-        });
-        self.broadcast(
-            &WvMsg::WRelease {
-                ballot: round.ballot,
-            },
-            ctx,
-        );
-        self.queue.push_front(round.request);
-        self.attempts += 1;
-        let tag = self.timers.arm(TIMER_RETRY, 0);
-        ctx.set_timer(self.retry.next_delay(self.attempts), tag);
-    }
-
-    fn finish_round(&mut self, ctx: &mut dyn Context) {
-        let Some(round) = self.round.take() else {
-            return;
-        };
-        self.timers.disarm(TIMER_ROUND, round.ballot.seq);
         let version = round.call.max_payload().unwrap_or(0) + 1;
         let apply = WvMsg::WApply {
-            ballot: round.ballot,
+            ballot,
             key: round.request.key,
             value: round.request.value,
             version,
@@ -348,8 +282,7 @@ impl WvNode {
             version,
         };
         ctx.send(round.request.client, marp_wire::to_bytes(&reply));
-        self.attempts = 0;
-        self.try_start_round(ctx);
+        self.coord.next_round(ctx);
     }
 
     fn handle_msg(&mut self, from: NodeId, msg: WvMsg, ctx: &mut dyn Context) {
@@ -366,7 +299,7 @@ impl WvNode {
                     Operation::Read { key } | Operation::ReadFresh { key } => {
                         self.read_seq += 1;
                         let rid = (u64::from(self.me) << 40) | self.read_seq;
-                        let n = self.n() as NodeId;
+                        let n = self.cfg.n_servers() as NodeId;
                         self.reads.insert(
                             rid,
                             ReadRound {
@@ -383,7 +316,10 @@ impl WvNode {
                                 ),
                             },
                         );
-                        self.broadcast(&WvMsg::RReq { rid, key }, ctx);
+                        let ask = marp_wire::to_bytes(&WvMsg::RReq { rid, key });
+                        for server in 0..n {
+                            ctx.send(server, ask.clone());
+                        }
                     }
                     Operation::Write { key, value } => {
                         ctx.trace(TraceEvent::SpanStart {
@@ -393,23 +329,19 @@ impl WvNode {
                             a: request.id,
                             b: u64::from(self.me),
                         });
-                        self.queue.push_back(WriteRequest {
+                        let write = WriteRequest {
                             id: request.id,
                             client: from,
                             key,
                             value,
                             arrived: ctx.now(),
-                        });
-                        self.try_start_round(ctx);
+                        };
+                        self.coord.submit(write, ctx);
                     }
                 }
             }
             WvMsg::WReq { ballot } => {
-                let my_votes = self.cfg.votes[usize::from(self.me)];
-                let reply = if self
-                    .promise
-                    .try_grant(ballot, ctx.now(), self.cfg.promise_lease)
-                {
+                let reply = if self.coord.grant(ballot, ctx.now()) {
                     // The WReq names only the ballot, not the key, so a
                     // grant reports the highest version this replica
                     // holds for *any* key — an upper bound on the
@@ -417,13 +349,13 @@ impl WvNode {
                     // `max + 1` strictly increasing.
                     WvMsg::WGrant {
                         ballot,
-                        votes: my_votes,
+                        votes: self.my_votes(),
                         version: self.store.values().map(|&(_, v)| v).max().unwrap_or(0),
                     }
                 } else {
                     WvMsg::WReject {
                         ballot,
-                        votes: my_votes,
+                        votes: self.my_votes(),
                     }
                 };
                 ctx.send(ballot.coordinator, marp_wire::to_bytes(&reply));
@@ -432,25 +364,9 @@ impl WvNode {
                 ballot,
                 votes,
                 version,
-            } => {
-                // The call dedupes repeated grants; only the deciding
-                // vote returns a verdict.
-                let won = self.round.as_mut().is_some_and(|round| {
-                    round.ballot == ballot
-                        && round.call.offer(from, votes, true, version) == Some(Verdict::Won)
-                });
-                if won {
-                    self.finish_round(ctx);
-                }
-            }
+            } => self.on_write_vote(from, ballot, votes, true, version, ctx),
             WvMsg::WReject { ballot, votes } => {
-                let lost = self.round.as_mut().is_some_and(|round| {
-                    round.ballot == ballot
-                        && round.call.offer(from, votes, false, 0) == Some(Verdict::Lost)
-                });
-                if lost {
-                    self.abort_round(ctx);
-                }
+                self.on_write_vote(from, ballot, votes, false, 0, ctx);
             }
             WvMsg::WApply {
                 ballot,
@@ -464,20 +380,20 @@ impl WvNode {
                     ctx.trace(TraceEvent::CommitApplied {
                         node: self.me,
                         version,
-                        agent: (u64::from(ballot.coordinator) << 32) | ballot.seq,
+                        agent: ballot.surrogate(),
                         key,
                         // WApply does not carry the client request id; the
                         // ballot identity stands in (relaxed audits only).
-                        request: (u64::from(ballot.coordinator) << 32) | ballot.seq,
+                        request: ballot.surrogate(),
                     });
                 }
-                self.promise.release(ballot);
+                self.coord.release(ballot);
             }
-            WvMsg::WRelease { ballot } => self.promise.release(ballot),
+            WvMsg::WRelease { ballot } => self.coord.release(ballot),
             WvMsg::RReq { rid, key } => {
                 let reply = WvMsg::RResp {
                     rid,
-                    votes: self.cfg.votes[usize::from(self.me)],
+                    votes: self.my_votes(),
                     held: self.store.get(&key).copied(),
                 };
                 ctx.send(from, marp_wire::to_bytes(&reply));
@@ -527,29 +443,13 @@ impl Process for WvNode {
     }
 
     fn on_timer(&mut self, _timer: TimerId, tag: u64, ctx: &mut dyn Context) {
-        let Some((kind, epoch)) = self.timers.fired(tag) else {
-            return; // stale: disarmed or from a superseded round
-        };
-        match kind {
-            TIMER_ROUND if self.round.as_ref().is_some_and(|r| r.ballot.seq == epoch) => {
-                self.abort_round(ctx);
-            }
-            TIMER_RETRY => {
-                self.try_start_round(ctx);
-            }
-            _ => {}
-        }
+        // Never true: this host arms no timer of its own.
+        self.coord.on_timer(tag, ctx);
     }
 
     fn on_recover(&mut self, _ctx: &mut dyn Context) {
-        self.promise.clear();
-        self.queue.clear();
-        self.round = None;
+        self.coord.on_recover();
         self.reads.clear();
-        self.attempts = 0;
-        // Timers armed before the crash never fire again (the engine
-        // drops them), so the mux restarts from scratch.
-        self.timers.clear();
         // The store survives (stable storage); stale versions are
         // masked by quorum intersection.
     }

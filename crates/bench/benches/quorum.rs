@@ -52,21 +52,25 @@ fn bench_quorum_call(c: &mut Criterion) {
     group.finish();
 }
 
+marp_quorum::timer_kinds! {
+    enum Timer { Round = 1, Retry = 2, Maintenance = 3 }
+}
+
 fn bench_timer_mux(c: &mut Criterion) {
     let mut group = c.benchmark_group("quorum/mux");
     group.bench_function("arm-fire-cycle", |b| {
         let mut mux = TimerMux::new();
         b.iter(|| {
-            let tag = mux.arm(1, std::hint::black_box(7));
+            let tag = mux.arm(Timer::Round, std::hint::black_box(7));
             std::hint::black_box(mux.fired(tag))
         })
     });
     group.bench_function("stale-fire/16-armed", |b| {
         let mut mux = TimerMux::new();
         for epoch in 0..16 {
-            mux.arm(2, epoch);
+            mux.arm(Timer::Retry, epoch);
         }
-        let stale = TimerMux::tag(3, 99);
+        let stale = TimerMux::tag(Timer::Maintenance, 99);
         b.iter(|| std::hint::black_box(mux.fired(std::hint::black_box(stale))))
     });
     group.finish();

@@ -30,10 +30,16 @@ use marp_sim::{span_id, NodeId, SpanKind, TraceEvent};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-/// Timer kinds, the low byte of a [`TimerMux::tag`]. The epoch above it
-/// is the agent's `attempt` when the timer was armed.
-const TIMER_REPOLL: u8 = 1;
-const TIMER_ACK: u8 = 2;
+marp_quorum::timer_kinds! {
+    /// The agent's timer kinds. A tag's epoch is the agent's `attempt`
+    /// when the timer was armed.
+    enum AgentTimer {
+        /// A parked agent's next look at the Locking Lists.
+        Repoll = 1,
+        /// The deadline for a claim's UPDATE acks.
+        Ack = 2,
+    }
+}
 /// The re-poll backoff doubles this many times (25 ms → 200 ms).
 const REPOLL_MAX_DOUBLINGS: u32 = 3;
 /// Consecutive re-poll fires that LL news may silence before one
@@ -277,7 +283,7 @@ impl UpdateAgent {
             .staggered(Duration::from_millis(1), self.id.key(), 8)
             .next_delay(*round);
         *round = round.saturating_add(1);
-        let tag = TimerMux::tag(TIMER_REPOLL, u64::from(self.attempt));
+        let tag = TimerMux::tag(AgentTimer::Repoll, u64::from(self.attempt));
         env.set_timer(delay, tag);
     }
 
@@ -335,7 +341,7 @@ impl UpdateAgent {
             call: QuorumCall::majority(n, env.now()).with_span(update_span),
             news: false,
         };
-        let tag = TimerMux::tag(TIMER_ACK, u64::from(self.attempt));
+        let tag = TimerMux::tag(AgentTimer::Ack, u64::from(self.attempt));
         env.set_timer(host.config().ack_timeout, tag);
     }
 
@@ -634,12 +640,17 @@ impl AgentBehavior for UpdateAgent {
         // A timer from an earlier claim or an earlier park on this host
         // carries an older `attempt`; one that outlived its phase finds
         // another phase.
-        let (kind, epoch) = TimerMux::split(tag);
+        let Some((kind, epoch)) = TimerMux::<AgentTimer>::split(tag) else {
+            return Action::Stay;
+        };
         if epoch != u64::from(self.attempt) {
             return Action::Stay;
         }
-        match (kind, &mut self.phase) {
-            (TIMER_REPOLL, Phase::Parked { round, quiet_fires }) => {
+        match kind {
+            AgentTimer::Repoll => {
+                let Phase::Parked { round, quiet_fires } = &mut self.phase else {
+                    return Action::Stay;
+                };
                 // News arrived while this timer ran: there is nothing
                 // to ask, and the leases can wait — but not for ever.
                 let quiet = *round == 0 && *quiet_fires < MAX_QUIET_FIRES;
@@ -656,8 +667,10 @@ impl AgentBehavior for UpdateAgent {
                 self.arm_repoll(host, env);
                 Action::Stay
             }
-            (TIMER_ACK, Phase::Updating { .. }) => self.abort_claim(host, env),
-            _ => Action::Stay,
+            AgentTimer::Ack if matches!(self.phase, Phase::Updating { .. }) => {
+                self.abort_claim(host, env)
+            }
+            AgentTimer::Ack => Action::Stay,
         }
     }
 
@@ -910,7 +923,7 @@ mod tests {
                 .timers
                 .iter()
                 .rev()
-                .find(|(_, tag)| tag & 0xff == u64::from(TIMER_REPOLL))
+                .find(|(_, tag)| matches!(TimerMux::split(*tag), Some((AgentTimer::Repoll, _))))
                 .expect("a re-poll timer");
             timer
         }

@@ -15,14 +15,20 @@ use marp_replica::{RequestBatcher, ServerCore, WriteRequest};
 use marp_sim::{impl_as_any, span_id, Context, NodeId, Process, SpanKind, TimerId, TraceEvent};
 use std::collections::BTreeMap;
 
-/// The oldest pending write has waited `max_wait`: dispatch the batch.
-/// Armed when a write starts a batch, never while none is pending.
-const TAG_BATCH_DEADLINE: u64 = 100;
-const TAG_MAINTENANCE: u64 = 101;
-/// Timer-mux kind for per-dispatch regeneration deadlines (epoch =
-/// registry sequence number). Cannot collide with the raw tags above:
-/// mux tags carry kind 7 in the low byte.
-const KIND_REGEN: u8 = 7;
+marp_quorum::timer_kinds! {
+    /// The node's own timer kinds (resident agents' timers are told
+    /// apart by `TimerId`, in the runtimes).
+    enum NodeTimer {
+        /// A dispatched batch's regeneration deadline (epoch = its
+        /// agent's `seq`).
+        Regen = 7,
+        /// The oldest pending write has waited `max_wait`: dispatch the
+        /// batch. Armed when a write starts a batch, never while none
+        /// is pending.
+        BatchDeadline = 100,
+        Maintenance = 101,
+    }
+}
 
 /// A dispatch-registry entry: a batch whose agent has been launched but
 /// whose commits have not all been observed locally yet. Each entry
@@ -31,13 +37,13 @@ const KIND_REGEN: u8 = 7;
 /// bumped incarnation.
 #[derive(Debug, Clone)]
 struct OutstandingBatch {
+    /// The agent now carrying the batch.
+    agent: AgentId,
     requests: Vec<WriteRequest>,
-    /// Incarnation the current agent for this batch was launched with.
+    /// Incarnation that agent was launched with.
     incarnation: u32,
     /// How many agents (original + regenerations) this batch has had.
     attempts: u32,
-    /// Registry sequence number — the epoch of the regeneration timer.
-    seq: u64,
 }
 
 /// Server→agent mail this node has sent, as plain counts (the hot path
@@ -80,12 +86,10 @@ pub struct MarpNode {
     batcher: RequestBatcher,
     agent_seq: u32,
     read_seq: u32,
-    outstanding: BTreeMap<AgentId, OutstandingBatch>,
-    /// Regeneration-deadline timers, one per registry entry.
-    regen_mux: TimerMux,
-    regen_seq: u64,
-    /// Timer epoch → registry key, for deadline fires.
-    regen_agents: BTreeMap<u64, AgentId>,
+    /// The dispatch registry, by the epoch of the entry's regeneration
+    /// deadline (the carrying agent's `seq`): a deadline whose entry is
+    /// gone is stale.
+    outstanding: BTreeMap<u64, OutstandingBatch>,
     mail: MailCounters,
 }
 
@@ -108,9 +112,6 @@ impl MarpNode {
             // same instant.
             read_seq: 1 << 31,
             outstanding: BTreeMap::new(),
-            regen_mux: TimerMux::new(),
-            regen_seq: 0,
-            regen_agents: BTreeMap::new(),
             mail: MailCounters::default(),
         }
     }
@@ -162,9 +163,12 @@ impl MarpNode {
     ///
     /// SEAM(sharding): this is also where a key→replica-subset mapping
     /// would take effect — each per-key agent would receive an
-    /// itinerary drawn from `replica_set_for_key(key)` instead of the
-    /// full server set. Partial replication is intentionally *not*
-    /// implemented; see `docs/KEYSPACE.md` §"The sharding seam".
+    /// itinerary drawn from the key's replica subset instead of the
+    /// full server set (`0..n_servers`: MARP as reproduced here is fully
+    /// replicated, exactly as in the paper), and UPDATE/COMMIT broadcast
+    /// targets and quorum sizes would draw from the same subset.
+    /// Partial replication is intentionally *not* implemented; see
+    /// `docs/KEYSPACE.md` §"The sharding seam".
     fn dispatch_agent(&mut self, batch: Vec<WriteRequest>, ctx: &mut dyn Context) {
         if batch.windows(2).all(|w| w[0].key == w[1].key) {
             self.launch(batch, 0, 1, ctx);
@@ -177,20 +181,6 @@ impl MarpNode {
         for (_, group) in by_key {
             self.launch(group, 0, 1, ctx);
         }
-    }
-
-    /// The replica subset holding `key` — today, every server: MARP as
-    /// reproduced here is fully replicated, exactly as in the paper.
-    ///
-    /// SEAM(sharding): a real keyspace partitioning scheme (consistent
-    /// hashing, range tables, ...) would plug in here and return a
-    /// proper subset; itineraries, UPDATE/COMMIT broadcast targets, and
-    /// quorum sizes would all need to draw from it. Left unimplemented
-    /// on purpose — the protocol layers above are already keyed, so
-    /// this function is the single point where placement policy enters.
-    #[allow(dead_code)]
-    fn replica_set_for_key(&self, _key: u64) -> Vec<NodeId> {
-        (0..self.state.config().n_servers as NodeId).collect()
     }
 
     /// Launch one update agent for `batch` (original dispatch or a
@@ -229,24 +219,22 @@ impl MarpNode {
                 to: dispatch_span,
             });
         }
-        let seq = self.regen_seq;
-        self.regen_seq += 1;
+        let epoch = u64::from(id.seq);
         self.outstanding.insert(
-            id,
+            epoch,
             OutstandingBatch {
+                agent: id,
                 requests: batch.clone(),
                 incarnation,
                 attempts,
-                seq,
             },
         );
-        self.regen_agents.insert(seq, id);
         // The deadline backs off linearly with the attempt count so a
         // batch stuck in a deep contention backlog is not regenerated
         // at full cadence forever.
         let deadline =
             RetryPolicy::linear(self.state.config().redispatch_timeout, 4).next_delay(attempts);
-        ctx.set_timer(deadline, self.regen_mux.arm(KIND_REGEN, seq));
+        ctx.set_timer(deadline, TimerMux::tag(NodeTimer::Regen, epoch));
         let agent = UpdateAgent::new(id, self.state.config(), batch).with_incarnation(incarnation);
         self.runtime.spawn(agent, &mut self.state, ctx);
     }
@@ -254,13 +242,13 @@ impl MarpNode {
     /// A regeneration deadline fired: if the batch still has
     /// uncommitted requests, its agent is presumed lost — launch a
     /// successor carrying the remainder under a bumped incarnation.
-    fn regen_deadline(&mut self, seq: u64, ctx: &mut dyn Context) {
-        let Some(id) = self.regen_agents.remove(&seq) else {
+    fn regen_deadline(&mut self, epoch: u64, ctx: &mut dyn Context) {
+        // No entry: the batch committed and was retired, or the
+        // deadline was armed before a crash.
+        let Some(batch) = self.outstanding.remove(&epoch) else {
             return;
         };
-        let Some(batch) = self.outstanding.remove(&id) else {
-            return;
-        };
+        let id = batch.agent;
         let remaining: Vec<WriteRequest> = batch
             .requests
             .into_iter()
@@ -394,14 +382,19 @@ impl MarpNode {
     /// oldest write has waited `max_wait`. An empty batcher arms none.
     fn arm_batch_deadline(&self, ctx: &mut dyn Context) {
         if let Some(wait) = self.batcher.due_in(ctx.now()) {
-            ctx.set_timer(wait, TAG_BATCH_DEADLINE);
+            ctx.set_timer(wait, TimerMux::tag(NodeTimer::BatchDeadline, 0));
         }
+    }
+
+    fn arm_maintenance(&self, ctx: &mut dyn Context) {
+        let every = self.state.config().maintenance_interval;
+        ctx.set_timer(every, TimerMux::tag(NodeTimer::Maintenance, 0));
     }
 
     /// The timers a (re)started node needs: the maintenance cycle, and
     /// the deadline of whatever writes are already pending.
     fn arm_node_timers(&self, ctx: &mut dyn Context) {
-        ctx.set_timer(self.state.config().maintenance_interval, TAG_MAINTENANCE);
+        self.arm_maintenance(ctx);
         self.arm_batch_deadline(ctx);
     }
 
@@ -433,26 +426,12 @@ impl MarpNode {
             self.state.core.pull_if_behind(peer, ctx);
         }
         // Retire registry entries whose batch fully committed; their
-        // regeneration deadlines are disarmed. (A deadline that fires
-        // before this sweep re-checks the store itself, so the sweep is
-        // an optimization, not a correctness requirement.)
-        let done: Vec<AgentId> = self
-            .outstanding
-            .iter()
-            .filter(|(_, batch)| {
-                batch
-                    .requests
-                    .iter()
-                    .all(|r| self.state.core.store.request_applied(r.id))
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        for id in done {
-            if let Some(batch) = self.outstanding.remove(&id) {
-                self.regen_mux.disarm(KIND_REGEN, batch.seq);
-                self.regen_agents.remove(&batch.seq);
-            }
-        }
+        // regeneration deadlines go stale with them. (A deadline that
+        // fires before this sweep re-checks the store itself, so the
+        // sweep is an optimization, not a correctness requirement.)
+        let store = &self.state.core.store;
+        self.outstanding
+            .retain(|_, batch| !batch.requests.iter().all(|r| store.request_applied(r.id)));
     }
 }
 
@@ -479,23 +458,22 @@ impl Process for MarpNode {
         if self.read_runtime.handle_timer(timer, &mut self.state, ctx) {
             return;
         }
-        if let Some((KIND_REGEN, seq)) = self.regen_mux.fired(tag) {
-            self.regen_deadline(seq, ctx);
+        let Some((kind, epoch)) = TimerMux::<NodeTimer>::split(tag) else {
             return;
-        }
-        match tag {
-            TAG_BATCH_DEADLINE => {
+        };
+        match kind {
+            NodeTimer::Regen => self.regen_deadline(epoch, ctx),
+            NodeTimer::BatchDeadline => {
                 // Not due means the batch this timer was armed for went
                 // out by size; a later one has its own deadline.
                 if let Some(batch) = self.batcher.take_if_due(ctx.now()) {
                     self.dispatch_agent(batch, ctx);
                 }
             }
-            TAG_MAINTENANCE => {
+            NodeTimer::Maintenance => {
                 self.maintenance(ctx);
-                ctx.set_timer(self.state.config().maintenance_interval, TAG_MAINTENANCE);
+                self.arm_maintenance(ctx);
             }
-            _ => {}
         }
     }
 
@@ -508,8 +486,6 @@ impl Process for MarpNode {
         // epoch), and in-flight client requests are re-driven by the
         // clients' own retries.
         self.outstanding.clear();
-        self.regen_mux.clear();
-        self.regen_agents.clear();
         self.arm_node_timers(ctx);
         let peer = (self.me() + 1) % self.state.config().n_servers as NodeId;
         if peer != self.me() {
@@ -579,6 +555,10 @@ mod tests {
                 committed_at: SimTime::from_millis(8),
             }],
         }))
+    }
+
+    fn tag_of(kind: NodeTimer) -> u64 {
+        TimerMux::tag(kind, 0)
     }
 
     fn test_node() -> MarpNode {
@@ -799,19 +779,25 @@ mod tests {
         let mut ctx = TestCtx::default();
         node.on_start(&mut ctx);
         let maintenance = node.state.config().maintenance_interval;
-        assert_eq!(ctx.armed, [(maintenance, TAG_MAINTENANCE)]);
+        assert_eq!(ctx.armed, [(maintenance, tag_of(NodeTimer::Maintenance))]);
         // Maintenance re-arms itself and nothing else.
-        node.on_timer(TimerId(1), TAG_MAINTENANCE, &mut ctx);
-        assert_eq!(ctx.armed, [(maintenance, TAG_MAINTENANCE); 2]);
+        node.on_timer(TimerId(1), tag_of(NodeTimer::Maintenance), &mut ctx);
+        assert_eq!(
+            ctx.armed,
+            [(maintenance, tag_of(NodeTimer::Maintenance)); 2]
+        );
         // With batches of one (every benchmark workload) a write
         // dispatches at once and leaves nothing to wait for.
         node.on_message(9, client_write(1), &mut ctx);
         assert_eq!(dispatches(&ctx), 1);
-        assert!(ctx.armed.iter().all(|&(_, tag)| tag != TAG_BATCH_DEADLINE));
+        assert!(ctx
+            .armed
+            .iter()
+            .all(|&(_, tag)| tag != tag_of(NodeTimer::BatchDeadline)));
         // Nor does a recovery with nothing pending.
         ctx.armed.clear();
         node.on_recover(&mut ctx);
-        assert_eq!(ctx.armed, [(maintenance, TAG_MAINTENANCE)]);
+        assert_eq!(ctx.armed, [(maintenance, tag_of(NodeTimer::Maintenance))]);
     }
 
     #[test]
@@ -825,7 +811,7 @@ mod tests {
         let arrived = ctx.now;
         node.on_message(9, client_write(1), &mut ctx);
         assert_eq!(dispatches(&ctx), 0);
-        assert_eq!(ctx.armed, [(max_wait, TAG_BATCH_DEADLINE)]);
+        assert_eq!(ctx.armed, [(max_wait, tag_of(NodeTimer::BatchDeadline))]);
         // A second write joins the batch; the deadline is the first's.
         ctx.now = arrived + Duration::from_millis(20);
         node.on_message(9, client_write(2), &mut ctx);
@@ -833,7 +819,7 @@ mod tests {
         // The timer fires `max_wait` after the first write arrived —
         // not at the next multiple of `max_wait` — and both go out.
         ctx.now = arrived + max_wait;
-        node.on_timer(TimerId(1), TAG_BATCH_DEADLINE, &mut ctx);
+        node.on_timer(TimerId(1), tag_of(NodeTimer::BatchDeadline), &mut ctx);
         assert!(ctx
             .traced
             .iter()
@@ -843,12 +829,12 @@ mod tests {
             .armed
             .iter()
             .skip(1)
-            .all(|&(_, tag)| tag != TAG_BATCH_DEADLINE));
+            .all(|&(_, tag)| tag != tag_of(NodeTimer::BatchDeadline)));
         ctx.now = arrived + Duration::from_millis(70);
         node.on_message(9, client_write(3), &mut ctx);
         assert_eq!(
             ctx.armed.last(),
-            Some(&(max_wait, TAG_BATCH_DEADLINE)),
+            Some(&(max_wait, tag_of(NodeTimer::BatchDeadline))),
             "a full wait from the new batch's first write"
         );
         // A recovery re-arms the deadline of what is still pending, for
@@ -856,8 +842,9 @@ mod tests {
         ctx.armed.clear();
         ctx.now = arrived + Duration::from_millis(100);
         node.on_recover(&mut ctx);
-        assert!(ctx
-            .armed
-            .contains(&(max_wait - Duration::from_millis(30), TAG_BATCH_DEADLINE)));
+        assert!(ctx.armed.contains(&(
+            max_wait - Duration::from_millis(30),
+            tag_of(NodeTimer::BatchDeadline)
+        )));
     }
 }

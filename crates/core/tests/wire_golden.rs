@@ -14,7 +14,7 @@ use marp_core::lt::LockingTable;
 use marp_core::{
     AgentReply, CommitMsg, MarpConfig, NodeMsg, Phase, ReadAgent, UpdateAgent, UpdateMsg,
 };
-use marp_quorum::{QuorumCall, SuccessRule, TimerMux, Verdict};
+use marp_quorum::{QuorumCall, SuccessRule, Verdict};
 use marp_replica::{
     ClientReply, ClientRequest, CommitRecord, LlSnapshot, Operation, SyncMsg, UpdatedList,
     WriteRequest,
@@ -151,10 +151,6 @@ fn leaf_and_carried_state_vectors() {
     itinerary.mark_unavailable(4);
     itinerary.next_destination(|_| 0.0);
     g.check("Itinerary", itinerary, "02030201040101");
-    let mut timers = TimerMux::new();
-    timers.arm(2, 9);
-    timers.arm(1, 300);
-    g.check("TimerMux", timers, "0201ac020209");
     g.check("Verdict::Won", Verdict::Won, "00");
     g.check("Verdict::Lost", Verdict::Lost, "01");
     g.check("Verdict::TimedOut", Verdict::TimedOut, "02");

@@ -19,5 +19,5 @@ mod mux;
 mod retry;
 
 pub use call::{QuorumCall, SuccessRule, Verdict};
-pub use mux::TimerMux;
+pub use mux::{TimerKind, TimerMux};
 pub use retry::{Growth, RetryPolicy, DEFAULT_RETRY_BASE};
