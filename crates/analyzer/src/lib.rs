@@ -1,12 +1,11 @@
 //! `marp-analyzer`: protocol-aware static analysis for the MARP
 //! workspace, over a handwritten, dependency-free Rust token model.
 //!
-//! Two entry points, both also exposed through `xtask`:
+//! Two entry points, driven by the `marp-analyze` binary:
 //!
-//! * [`run_lint`] — the sans-io lint set (formerly regex scans in
-//!   `xtask`), re-ported onto the token model.
+//! * [`run_lint`] — the sans-io lint set, on the token model.
 //! * [`run_analyze`] — the four protocol passes (handler
-//!   exhaustiveness, timer-tag registry, span balance, lease discipline)
+//!   exhaustiveness, timer crash paths, span balance, lease discipline)
 //!   plus one rule: no handwritten `impl Wire` outside `crates/wire`.
 //!
 //! Findings print as `path:line: [rule] text`; deliberate exemptions
@@ -135,7 +134,7 @@ pub fn render(findings: &[Finding]) -> String {
     msg
 }
 
-/// Workspace root for the analyzer binary / xtask: two levels above the
+/// Workspace root for the analyzer binary: two levels above the
 /// invoking crate's manifest dir.
 pub fn workspace_root_from(manifest_dir: &str) -> PathBuf {
     let manifest = PathBuf::from(manifest_dir);

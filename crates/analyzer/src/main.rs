@@ -42,12 +42,6 @@ fn main() -> ExitCode {
             for wi in marp_analyzer::passes::wire::inventory(&ws) {
                 println!("{}:{}: {:?} {}", wi.rel, wi.line, wi.shape, wi.type_name);
             }
-            for tc in marp_analyzer::passes::timers::registry(&ws) {
-                println!(
-                    "{}:{}: timer-const {}: {} = {:?}",
-                    tc.rel, tc.line, tc.ty, tc.name, tc.value
-                );
-            }
             for s in marp_analyzer::passes::spans::sites(&ws) {
                 if s.is_emission {
                     println!("{}:{}: span-emit {} {:?}", s.rel, s.line, s.variant, s.kind);

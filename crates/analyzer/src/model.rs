@@ -1,7 +1,7 @@
 //! Item-level parser: walks a token stream and extracts the structural
-//! model the passes consume — enums with ordered variants, consts with
-//! (lazily evaluated) integer values, fns with body token ranges, impl
-//! blocks with their method lists, and macro invocations.
+//! model the passes consume — enums with ordered variants, fns with
+//! body token ranges, impl blocks with their method lists, and macro
+//! invocations.
 //!
 //! This is not a Rust parser. It is a brace-matching item scanner: it
 //! recognizes the handful of item forms the passes care about and skips
@@ -12,7 +12,6 @@
 //! wildcard-match lint (which deliberately covers tests) can keep them.
 
 use crate::lex::{lex, matching_close, Tok, TokKind};
-use std::collections::HashMap;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
@@ -30,17 +29,6 @@ pub struct Variant {
 pub struct EnumDef {
     pub name: String,
     pub variants: Vec<Variant>,
-    pub is_test: bool,
-    pub line: u32,
-}
-
-#[derive(Debug, Clone)]
-pub struct ConstDef {
-    pub name: String,
-    /// Declared type as concatenated tokens (`u8`, `u64`, …).
-    pub ty: String,
-    /// Token range of the initializer expression.
-    pub value: Range<usize>,
     pub is_test: bool,
     pub line: u32,
 }
@@ -93,7 +81,6 @@ pub struct FileModel {
     /// Raw source lines for finding text.
     pub lines: Vec<String>,
     pub enums: Vec<EnumDef>,
-    pub consts: Vec<ConstDef>,
     pub fns: Vec<FnDef>,
     pub impls: Vec<ImplDef>,
     pub macros: Vec<MacroCall>,
@@ -140,187 +127,6 @@ impl Workspace {
             .flat_map(|f| f.enums.iter())
             .find(|e| e.name == name)
     }
-
-    /// Evaluate a const by name. File-local consts shadow workspace-wide
-    /// ones; ambiguous cross-file names resolve to `None` unless every
-    /// definition agrees on the value.
-    pub fn const_value(&self, file: &FileModel, name: &str) -> Option<u64> {
-        if let Some(c) = file.consts.iter().find(|c| c.name == name) {
-            return eval_const(self, file, c, 0);
-        }
-        let mut vals = Vec::new();
-        for f in &self.files {
-            if let Some(c) = f.consts.iter().find(|c| c.name == name) {
-                vals.push(eval_const(self, f, c, 0));
-            }
-        }
-        vals.dedup();
-        match vals.as_slice() {
-            [one] => *one,
-            _ => None,
-        }
-    }
-}
-
-/// Evaluate a const initializer: integer literals (decimal/hex, with
-/// suffix and underscores), other const names, parens, and the binary
-/// operators `<< >> | & + - *`. Anything else yields `None`.
-fn eval_const(ws: &Workspace, file: &FileModel, c: &ConstDef, depth: u32) -> Option<u64> {
-    if depth > 8 {
-        return None;
-    }
-    eval_expr(ws, file, &file.toks[c.value.clone()], depth)
-}
-
-pub(crate) fn eval_expr(ws: &Workspace, file: &FileModel, toks: &[Tok], depth: u32) -> Option<u64> {
-    // Shunting-yard-free: recursive descent over | & shift additive mul.
-    let mut pos = 0usize;
-    let v = eval_bitor(ws, file, toks, &mut pos, depth)?;
-    (pos == toks.len()).then_some(v)
-}
-
-fn eval_bitor(ws: &Workspace, f: &FileModel, t: &[Tok], p: &mut usize, d: u32) -> Option<u64> {
-    let mut v = eval_bitand(ws, f, t, p, d)?;
-    while *p < t.len() && t[*p].is_punct('|') && !t.get(*p + 1).is_some_and(|n| n.is_punct('|')) {
-        *p += 1;
-        v |= eval_bitand(ws, f, t, p, d)?;
-    }
-    Some(v)
-}
-
-fn eval_bitand(ws: &Workspace, f: &FileModel, t: &[Tok], p: &mut usize, d: u32) -> Option<u64> {
-    let mut v = eval_shift(ws, f, t, p, d)?;
-    while *p < t.len() && t[*p].is_punct('&') && !t.get(*p + 1).is_some_and(|n| n.is_punct('&')) {
-        *p += 1;
-        v &= eval_shift(ws, f, t, p, d)?;
-    }
-    Some(v)
-}
-
-fn eval_shift(ws: &Workspace, f: &FileModel, t: &[Tok], p: &mut usize, d: u32) -> Option<u64> {
-    let mut v = eval_add(ws, f, t, p, d)?;
-    loop {
-        if *p + 1 < t.len() && t[*p].is_punct('<') && t[*p + 1].is_punct('<') {
-            *p += 2;
-            v = v.checked_shl(eval_add(ws, f, t, p, d)? as u32)?;
-        } else if *p + 1 < t.len() && t[*p].is_punct('>') && t[*p + 1].is_punct('>') {
-            *p += 2;
-            v = v.checked_shr(eval_add(ws, f, t, p, d)? as u32)?;
-        } else {
-            return Some(v);
-        }
-    }
-}
-
-fn eval_add(ws: &Workspace, f: &FileModel, t: &[Tok], p: &mut usize, d: u32) -> Option<u64> {
-    let mut v = eval_mul(ws, f, t, p, d)?;
-    loop {
-        if *p < t.len() && t[*p].is_punct('+') {
-            *p += 1;
-            v = v.checked_add(eval_mul(ws, f, t, p, d)?)?;
-        } else if *p < t.len() && t[*p].is_punct('-') {
-            *p += 1;
-            v = v.checked_sub(eval_mul(ws, f, t, p, d)?)?;
-        } else {
-            return Some(v);
-        }
-    }
-}
-
-fn eval_mul(ws: &Workspace, f: &FileModel, t: &[Tok], p: &mut usize, d: u32) -> Option<u64> {
-    let mut v = eval_atom(ws, f, t, p, d)?;
-    while *p < t.len() && t[*p].is_punct('*') {
-        *p += 1;
-        v = v.checked_mul(eval_atom(ws, f, t, p, d)?)?;
-    }
-    Some(v)
-}
-
-fn eval_atom(ws: &Workspace, f: &FileModel, t: &[Tok], p: &mut usize, d: u32) -> Option<u64> {
-    let tok = t.get(*p)?;
-    if tok.is_punct('(') {
-        let close = matching_close(t, *p);
-        let inner = eval_expr(ws, f, &t[*p + 1..close], d)?;
-        *p = close + 1;
-        // Tolerate `as u64` style casts after a parenthesized atom.
-        skip_cast(t, p);
-        return Some(inner);
-    }
-    if tok.kind == TokKind::Num {
-        let v = parse_int(&tok.text)?;
-        *p += 1;
-        skip_cast(t, p);
-        return Some(v);
-    }
-    if tok.kind == TokKind::Ident {
-        // `u64::from(X)` / `usize::MAX`-style: only plain const names
-        // and `NAME` paths are supported; give up on anything else.
-        let name = tok.text.clone();
-        *p += 1;
-        if t.get(*p).is_some_and(|n| n.is_punct(':')) {
-            return None; // paths not supported
-        }
-        let local = f.consts.iter().find(|c| c.name == name).map(|c| (f, c));
-        let (cf, c) = local.or_else(|| {
-            ws.files
-                .iter()
-                .flat_map(|fl| fl.consts.iter().map(move |c| (fl, c)))
-                .find(|(_, c)| c.name == name)
-        })?;
-        let v = eval_const(ws, cf, c, d + 1)?;
-        skip_cast(t, p);
-        return Some(v);
-    }
-    None
-}
-
-fn skip_cast(t: &[Tok], p: &mut usize) {
-    while *p + 1 < t.len() && t[*p].is_ident("as") && t[*p + 1].kind == TokKind::Ident {
-        *p += 2;
-    }
-}
-
-/// Parse an integer literal with optional suffix, underscores, hex/oct/
-/// binary prefixes.
-pub fn parse_int(s: &str) -> Option<u64> {
-    let s: String = s.chars().filter(|&c| c != '_').collect();
-    let (digits, radix) = if let Some(rest) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X"))
-    {
-        (rest, 16)
-    } else if let Some(rest) = s.strip_prefix("0b") {
-        (rest, 2)
-    } else if let Some(rest) = s.strip_prefix("0o") {
-        (rest, 8)
-    } else {
-        (s.as_str(), 10)
-    };
-    // Strip a type suffix (u8, u16, u32, u64, usize, i*, …).
-    let end = digits
-        .find(|c: char| !c.is_digit(radix))
-        .unwrap_or(digits.len());
-    let (num, suffix) = digits.split_at(end);
-    if num.is_empty() {
-        return None;
-    }
-    if !suffix.is_empty()
-        && !matches!(
-            suffix,
-            "u8" | "u16"
-                | "u32"
-                | "u64"
-                | "u128"
-                | "usize"
-                | "i8"
-                | "i16"
-                | "i32"
-                | "i64"
-                | "i128"
-                | "isize"
-        )
-    {
-        return None;
-    }
-    u64::from_str_radix(num, radix).ok()
 }
 
 /// Attribute scan result: which markers were present.
@@ -348,7 +154,6 @@ pub fn parse_file(root: &Path, path: PathBuf, src: &str) -> FileModel {
         test_mask: vec![false; n_toks],
         toks,
         enums: Vec::new(),
-        consts: Vec::new(),
         fns: Vec::new(),
         impls: Vec::new(),
         macros: Vec::new(),
@@ -457,7 +262,7 @@ fn parse_one_item(fm: &mut FileModel, i: usize, end: usize, is_test: bool) -> us
     let kw = fm.toks[i].text.clone();
     match kw.as_str() {
         "unsafe" | "async" => parse_one_item(fm, i + 1, end, is_test),
-        "const" | "static" => parse_const(fm, i, end, is_test),
+        "const" | "static" => skip_const(fm, i, end),
         "enum" => parse_enum(fm, i, end, is_test),
         "fn" => {
             let (f, next) = parse_fn(fm, i, end, is_test);
@@ -484,55 +289,25 @@ fn parse_one_item(fm: &mut FileModel, i: usize, end: usize, is_test: bool) -> us
     }
 }
 
-fn parse_const(fm: &mut FileModel, i: usize, end: usize, is_test: bool) -> usize {
-    // const NAME : TYPE = EXPR ;
-    let line = fm.toks[i].line;
-    let mut j = i + 1;
-    let Some(name_tok) = fm.toks.get(j) else {
-        return end;
-    };
-    if name_tok.kind != TokKind::Ident {
-        return j;
+/// Skip `const NAME: TYPE = EXPR;` (the passes read no constants) and
+/// return the index past it. Anything else after the keyword — `const
+/// fn` — is left to the scanner.
+fn skip_const(fm: &FileModel, i: usize, end: usize) -> usize {
+    if !fm.toks.get(i + 2).is_some_and(|t| t.is_punct(':')) {
+        return i + 1;
     }
-    let name = name_tok.text.clone();
-    j += 1;
-    if !fm.toks.get(j).is_some_and(|t| t.is_punct(':')) {
-        return j;
-    }
-    j += 1;
-    let ty_start = j;
-    while j < end && !fm.toks[j].is_punct('=') && !fm.toks[j].is_punct(';') {
-        j += 1;
-    }
-    let ty: String = fm.toks[ty_start..j]
-        .iter()
-        .map(|t| t.text.as_str())
-        .collect();
-    if !fm.toks.get(j).is_some_and(|t| t.is_punct('=')) {
-        return j + 1;
-    }
-    j += 1;
-    let val_start = j;
     let mut depth = 0i64;
-    while j < end {
+    for j in i + 3..end {
         let t = &fm.toks[j];
         if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
             depth += 1;
         } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
             depth -= 1;
         } else if t.is_punct(';') && depth == 0 {
-            break;
+            return j + 1;
         }
-        j += 1;
     }
-    fm.consts.push(ConstDef {
-        name,
-        ty,
-        value: val_start..j,
-        is_test,
-        line,
-    });
-    j + 1
+    end
 }
 
 fn parse_enum(fm: &mut FileModel, i: usize, end: usize, is_test: bool) -> usize {
@@ -810,7 +585,7 @@ fn parse_impl(fm: &mut FileModel, i: usize, end: usize, is_test: bool, is_trait:
             }
             k = next;
         } else if t.is_ident("const") || t.is_ident("static") {
-            k = parse_const(fm, k, close, inner_test);
+            k = skip_const(fm, k, close);
         } else {
             k += 1;
         }
@@ -919,18 +694,6 @@ pub fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Build a registry of every const in the workspace keyed by name, for
-/// diagnostics that need definition sites (the timer pass).
-pub fn const_sites(ws: &Workspace) -> HashMap<String, Vec<(usize, usize)>> {
-    let mut map: HashMap<String, Vec<(usize, usize)>> = HashMap::new();
-    for (fi, f) in ws.files.iter().enumerate() {
-        for (ci, c) in f.consts.iter().enumerate() {
-            map.entry(c.name.clone()).or_default().push((fi, ci));
-        }
-    }
-    map
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -943,14 +706,12 @@ mod tests {
     }
 
     #[test]
-    fn consts_parse_and_evaluate() {
-        let w = ws("const A: u64 = 100;\npub const B: u64 = A + 1;\nconst C: u64 = (1 << 8) | 7;\nconst D: u8 = 0x1F;");
+    fn const_items_are_skipped_whole_and_const_fns_are_fns() {
+        let w = ws("const A: [u8; 2] = [1, { 2 }];\nimpl T { const B: u64 = f(A); pub const fn g() {} }\nfn after() {}");
         let f = &w.files[0];
-        assert_eq!(w.const_value(f, "A"), Some(100));
-        assert_eq!(w.const_value(f, "B"), Some(101));
-        assert_eq!(w.const_value(f, "C"), Some(263));
-        assert_eq!(w.const_value(f, "D"), Some(31));
-        assert_eq!(f.consts[3].ty, "u8");
+        let fns: Vec<&str> = f.all_fns().map(|x| x.name.as_str()).collect();
+        assert_eq!(fns, vec!["after", "g"]);
+        assert!(f.macros.is_empty() && f.enums.is_empty());
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Token-aware ports of the sans-io lint set that `xtask lint` used to
-//! run as regex scans. Same rules, same crate scoping, same output
-//! shape — but matched on the token model, so string literals, doc
-//! comments, and `#[cfg(test)]` code (including `use` statements inside
-//! test modules) can no longer produce false positives, and the
-//! `set_timer` forwarding-wrapper case that needed an allowlist entry
-//! under the regex scan is recognized structurally.
+//! The sans-io lint set (`marp-analyze lint`; the rules are listed in
+//! `docs/ANALYSIS.md`). Matched on the token model, so string literals,
+//! doc comments, and `#[cfg(test)]` code (including `use` statements
+//! inside test modules) cannot produce false positives, and a
+//! `set_timer` forwarding wrapper is recognized structurally instead of
+//! needing an allowlist entry.
 
 use super::enclosing_fn;
 use crate::lex::{seq_at, TokKind};
@@ -28,7 +27,7 @@ pub const SANS_IO_CRATES: &[&str] = &[
 pub const EXHAUSTIVE_MATCH_CRATES: &[&str] = &["crates/obs"];
 
 /// Run the lint set. Returns the findings and the number of files
-/// scanned (for the `xtask lint: N files clean` summary).
+/// scanned (for the `N files linted` summary).
 pub fn check(ws: &Workspace) -> (Vec<Finding>, usize) {
     let mut findings = Vec::new();
     let mut files_scanned = 0usize;
@@ -49,8 +48,9 @@ pub fn check(ws: &Workspace) -> (Vec<Finding>, usize) {
 
 fn lint_file(f: &FileModel, core_crate: bool, findings: &mut Vec<Finding>) {
     let toks = &f.toks;
-    // Lines where a TAG_* constant is named or a TimerMux-minted tag is
-    // produced, for the timer-discipline proximity check.
+    // Lines where a TAG_* constant is named or a tag is minted from a
+    // timer kind (`mux.arm(kind, ..)` / `TimerMux::tag(kind, ..)`), for
+    // the timer-discipline proximity check.
     let mut tag_lines: BTreeSet<u32> = BTreeSet::new();
     let mut minted_lines: BTreeSet<u32> = BTreeSet::new();
     for i in 0..toks.len() {
@@ -111,8 +111,8 @@ fn lint_file(f: &FileModel, core_crate: bool, findings: &mut Vec<Finding>) {
             report(findings, line, "no-unreserved-encode");
         }
         // Timer tag discipline: a `set_timer` *call* must name a TAG_*
-        // constant on the same line or use a TimerMux-minted tag armed
-        // within the preceding few lines. A call inside a fn that is
+        // constant on the same line or use a tag minted from a timer
+        // kind within the preceding few lines. A call inside a fn that is
         // itself named `set_timer` is a forwarding wrapper, not an
         // arming site.
         if t.is_ident("set_timer")
@@ -191,11 +191,12 @@ mod tests {
 
     #[test]
     fn timer_discipline_accepts_tags_mux_minted_and_wrappers() {
-        let ok = "fn a(ctx: &mut C) { ctx.set_timer(wait, TAG_BATCH_DEADLINE); }\n\
+        let ok = "fn a(ctx: &mut C) { ctx.set_timer(wait, TAG_MIGRATE_RETRY); }\n\
                   fn b(env: &mut E) {\n\
-                  let tag = self.timers.arm(TIMER_ACK, epoch);\n\
+                  let tag = self.timers.arm(AcTimer::Ack, epoch);\n\
                   env.set_timer(delay, tag);\n\
                   }\n\
+                  fn c(ctx: &mut C) { ctx.set_timer(d, TimerMux::tag(NodeTimer::Regen, e)); }\n\
                   fn set_timer(&mut self, after: D, tag: u64) { self.ctx.set_timer(after, tag) }\n";
         assert!(rules(&ws_core(ok)).is_empty());
 

@@ -1,11 +1,4 @@
-//! Timer-tag registry and crash-path discipline.
-//!
-//! **timer-tag-collision** — collects every timer-domain constant
-//! (`TAG_*`, `KIND_*`, `TIMER_*`, excluding `*_BIT`/`*_BITS` masks) and
-//! flags two constants in the *same file and same declared type* that
-//! evaluate to the same value. Timer tags are per-process and mux kinds
-//! per-component, so one file is the sound collision domain; cross-file
-//! equality (e.g. two processes both using tag 0) is legal.
+//! Timer crash-path discipline.
 //!
 //! **timer-crash-path** — an impl that arms timers (`set_timer` /
 //! `.arm(`) and also implements the crash-recovery hook (`on_recover` /
@@ -14,74 +7,17 @@
 //! recovery path that forgets its timers leaves the component waiting
 //! for a tick that never comes (the bug class PR-6's regeneration work
 //! guarded against by hand).
+//!
+//! That two timer kinds of one process are distinct is not checked
+//! here: the kinds are one `marp_quorum::timer_kinds!` enum, so a
+//! shared byte is rustc E0081 and a handler that forgets a kind is a
+//! non-exhaustive `match`.
 
 use super::{call_sites, has_ident_in, seq_in};
 use crate::model::Workspace;
 use crate::Finding;
-use std::collections::BTreeMap;
-
-/// One timer-domain constant.
-#[derive(Debug, Clone)]
-pub struct TimerConst {
-    pub rel: String,
-    pub line: u32,
-    pub name: String,
-    pub ty: String,
-    pub value: Option<u64>,
-}
-
-const PREFIXES: &[&str] = &["TAG_", "KIND_", "TIMER_"];
-
-fn is_timer_const(name: &str) -> bool {
-    PREFIXES.iter().any(|p| name.starts_with(p))
-        && !name.ends_with("_BIT")
-        && !name.ends_with("_BITS")
-}
-
-/// Every timer-domain constant in the workspace (the registry).
-pub fn registry(ws: &Workspace) -> Vec<TimerConst> {
-    let mut out = Vec::new();
-    for f in &ws.files {
-        for c in &f.consts {
-            if c.is_test || !is_timer_const(&c.name) {
-                continue;
-            }
-            out.push(TimerConst {
-                rel: f.rel.clone(),
-                line: c.line,
-                name: c.name.clone(),
-                ty: c.ty.clone(),
-                value: ws.const_value(f, &c.name),
-            });
-        }
-    }
-    out
-}
 
 pub fn check(ws: &Workspace, out: &mut Vec<Finding>) {
-    // ---- collisions: same file, same declared type, same value ----
-    let mut by_domain: BTreeMap<(String, String, u64), Vec<(String, u32)>> = BTreeMap::new();
-    for c in registry(ws) {
-        if let Some(v) = c.value {
-            by_domain
-                .entry((c.rel.clone(), c.ty.clone(), v))
-                .or_default()
-                .push((c.name, c.line));
-        }
-    }
-    for ((rel, ty, v), consts) in &by_domain {
-        if consts.len() > 1 {
-            let names: Vec<&str> = consts.iter().map(|(n, _)| n.as_str()).collect();
-            out.push(Finding {
-                rel: rel.clone(),
-                line: consts[0].1,
-                rule: "timer-tag-collision",
-                text: format!("{names:?} all evaluate to {v} in the same {ty} timer domain"),
-            });
-        }
-    }
-
-    // ---- crash paths must touch timers ----
     for f in &ws.files {
         for im in &f.impls {
             if im.is_test || im.type_name.is_empty() {

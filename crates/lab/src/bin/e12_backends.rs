@@ -1,6 +1,6 @@
 //! E12 — cross-validation: the same MARP scenario under the
 //! deterministic discrete-event engine and under the threaded runtime
-//! (real OS threads + crossbeam channels) must produce statistically
+//! (real OS threads + `std::sync::mpsc` channels) must produce statistically
 //! matching results.
 
 use marp_core::{build_cluster, wrap_client_request, MarpConfig, MarpNode};

@@ -2,8 +2,8 @@
 //!
 //! Every scenario is an independent, deterministic simulation, so a
 //! parameter sweep is embarrassingly parallel: scenarios are distributed
-//! over worker threads (crossbeam scoped threads pulling from a shared
-//! atomic cursor), and results come back in input order.
+//! over worker threads (scoped threads pulling from a shared atomic
+//! cursor), and results come back in input order.
 
 use crate::scenario::{run_scenario, run_scenario_traced, RunOutcome, Scenario};
 use marp_sim::TraceLog;
@@ -32,9 +32,10 @@ where
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = scenarios.iter().map(|_| Mutex::new(None)).collect();
 
-    crossbeam::thread::scope(|scope| {
+    // A worker's panic resurfaces here, once all are joined.
+    std::thread::scope(|scope| {
         for _ in 0..worker_count {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let idx = cursor.fetch_add(1, Ordering::Relaxed);
                 if idx >= scenarios.len() {
                     break;
@@ -43,8 +44,7 @@ where
                 *slots[idx].lock().expect("poisoned slot") = Some(outcome);
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
 
     slots
         .into_iter()

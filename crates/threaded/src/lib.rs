@@ -2,7 +2,7 @@
 //!
 //! Runs the exact same sans-io [`Process`] state machines as the
 //! discrete-event engine, but with real concurrency: every node is an
-//! OS thread with a crossbeam-channel mailbox, and a router thread
+//! OS thread with an `std::sync::mpsc` mailbox, and a router thread
 //! applies wall-clock delays priced by the same [`Transport`] models.
 //! Experiment E12 cross-validates the two backends on identical
 //! scenarios.
@@ -14,15 +14,14 @@
 #![warn(missing_docs)]
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, RecvTimeoutError, Sender};
 use marp_sim::{
     Context, Delivery, NodeId, Process, SimTime, TimerId, TraceEvent, TraceLevel, TraceLog,
     Transport,
 };
-use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, sync_channel, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -210,18 +209,17 @@ pub fn run_threaded(
         start: Instant::now(),
         speed: cfg.speed,
     });
-    let (cmd_tx, cmd_rx) = unbounded::<Cmd>();
+    let (cmd_tx, cmd_rx) = channel::<Cmd>();
     let timer_ids = Arc::new(AtomicU64::new(0));
     let halted = Arc::new(AtomicBool::new(false));
-    let trace_slot: Arc<Mutex<Option<TraceLog>>> = Arc::new(Mutex::new(None));
 
     // Host threads.
     let mut host_txs: Vec<Sender<HostEvent>> = Vec::with_capacity(n);
     let mut joins = Vec::with_capacity(n);
-    let (done_tx, done_rx) = bounded::<(NodeId, Box<dyn Process>)>(n);
+    let (done_tx, done_rx) = sync_channel::<(NodeId, Box<dyn Process>)>(n);
     for (idx, mut process) in processes.into_iter().enumerate() {
         let me = idx as NodeId;
-        let (tx, rx) = unbounded::<HostEvent>();
+        let (tx, rx) = channel::<HostEvent>();
         host_txs.push(tx);
         let clock = Arc::clone(&clock);
         let cmd_tx = cmd_tx.clone();
@@ -251,7 +249,6 @@ pub fn run_threaded(
 
     // Router thread.
     let router_clock = Arc::clone(&clock);
-    let router_trace_slot = Arc::clone(&trace_slot);
     let router_hosts = host_txs.clone();
     let trace_level = cfg.trace_level;
     let router = std::thread::spawn(move || {
@@ -352,8 +349,7 @@ pub fn run_threaded(
                 Err(RecvTimeoutError::Disconnected) => break,
             }
         }
-        *router_trace_slot.lock() = Some(trace);
-        sent
+        (sent, trace)
     });
 
     // Kick everything off and let it run.
@@ -379,8 +375,7 @@ pub fn run_threaded(
         let _ = join.join();
     }
     let _ = cmd_tx.send(Cmd::Halt);
-    let messages_sent = router.join().unwrap_or(0);
-    let trace = trace_slot.lock().take().unwrap_or_default();
+    let (messages_sent, trace) = router.join().unwrap_or_default();
 
     ThreadedRun {
         processes: returned.into_iter().map(|p| p.expect("returned")).collect(),
