@@ -15,20 +15,11 @@ use crate::lex::{lex, matching_close, Tok, TokKind};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-/// One enum variant, fields in declaration order.
-#[derive(Debug, Clone)]
-pub struct Variant {
-    pub name: String,
-    /// Named field list for `Variant { a, b }`, `None` for unit/tuple.
-    pub named_fields: Option<Vec<String>>,
-    /// Positional arity for `Variant(A, B)`, 0 for unit.
-    pub tuple_arity: usize,
-}
-
 #[derive(Debug, Clone)]
 pub struct EnumDef {
     pub name: String,
-    pub variants: Vec<Variant>,
+    /// Variant names, in declaration order.
+    pub variants: Vec<String>,
     pub is_test: bool,
     pub line: u32,
 }
@@ -68,7 +59,6 @@ pub struct MacroCall {
 /// Everything extracted from one file.
 #[derive(Debug)]
 pub struct FileModel {
-    pub path: PathBuf,
     /// Path relative to the workspace root, `/`-separated.
     pub rel: String,
     /// Crate directory (`crates/core`).
@@ -147,7 +137,6 @@ pub fn parse_file(root: &Path, path: PathBuf, src: &str) -> FileModel {
     let krate = rel.split('/').take(2).collect::<Vec<_>>().join("/");
     let n_toks = toks.len();
     let mut fm = FileModel {
-        path,
         rel,
         krate,
         lines: src.lines().map(str::to_string).collect(),
@@ -358,53 +347,11 @@ fn parse_enum(fm: &mut FileModel, i: usize, end: usize, is_test: bool) -> usize 
             k += 1;
             continue;
         }
-        let vname = fm.toks[k].text.clone();
+        variants.push(fm.toks[k].text.clone());
         k += 1;
-        let mut named_fields = None;
-        let mut tuple_arity = 0usize;
-        if k < close && fm.toks[k].is_punct('{') {
-            let vclose = matching_close(&fm.toks, k);
-            // Named fields: idents at depth 1 followed by `:`.
-            let mut fields = Vec::new();
-            let mut d = 0i64;
-            let mut m = k;
-            while m < vclose {
-                let t = &fm.toks[m];
-                if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') || t.is_punct('<') {
-                    d += 1;
-                } else if t.is_punct('}') || t.is_punct(')') || t.is_punct(']') || t.is_punct('>') {
-                    d -= 1;
-                } else if d == 1
-                    && t.kind == TokKind::Ident
-                    && fm.toks.get(m + 1).is_some_and(|n| n.is_punct(':'))
-                    && !fm.toks.get(m + 2).is_some_and(|n| n.is_punct(':'))
-                {
-                    fields.push(t.text.clone());
-                }
-                m += 1;
-            }
-            named_fields = Some(fields);
-            k = vclose + 1;
-        } else if k < close && fm.toks[k].is_punct('(') {
-            let vclose = matching_close(&fm.toks, k);
-            // Tuple arity: commas at depth 1, plus one if nonempty.
-            let mut d = 0i64;
-            let mut commas = 0usize;
-            let mut nonempty = false;
-            for t in &fm.toks[k..vclose + 1] {
-                if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') || t.is_punct('<') {
-                    d += 1;
-                } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') || t.is_punct('>') {
-                    d -= 1;
-                } else if d == 1 {
-                    nonempty = true;
-                    if t.is_punct(',') {
-                        commas += 1;
-                    }
-                }
-            }
-            tuple_arity = if nonempty { commas + 1 } else { 0 };
-            k = vclose + 1;
+        // Skip the payload: `{ fields }` or `(types)`.
+        if k < close && (fm.toks[k].is_punct('{') || fm.toks[k].is_punct('(')) {
+            k = matching_close(&fm.toks, k) + 1;
         }
         // Skip discriminant `= expr`.
         if k < close && fm.toks[k].is_punct('=') {
@@ -412,11 +359,6 @@ fn parse_enum(fm: &mut FileModel, i: usize, end: usize, is_test: bool) -> usize 
                 k += 1;
             }
         }
-        variants.push(Variant {
-            name: vname,
-            named_fields,
-            tuple_arity,
-        });
         // Skip trailing comma.
         if k < close && fm.toks[k].is_punct(',') {
             k += 1;
@@ -629,13 +571,8 @@ fn parse_mod(fm: &mut FileModel, i: usize, end: usize, is_test: bool) -> usize {
     let close = matching_close(&fm.toks, j);
     // A `mod tests` body inherits the test marker from its attributes
     // (handled by the caller passing is_test) — recurse.
-    parse_items_range(fm, j + 1, close, is_test);
+    parse_items(fm, j + 1, close, is_test);
     close + 1
-}
-
-// Indirection because parse_items borrows fm mutably while recursing.
-fn parse_items_range(fm: &mut FileModel, start: usize, end: usize, in_test: bool) {
-    parse_items(fm, start, end, in_test);
 }
 
 /// Try to parse a macro invocation at `i`: `path::name ! ( .. )` (or
@@ -716,17 +653,10 @@ mod tests {
 
     #[test]
     fn enums_capture_variant_shapes() {
-        let w = ws("pub enum Msg { A, B(u64), C { x: u64, y: bool }, D(Vec<u8>, u32) }");
+        let w = ws("pub enum Msg { A, B(u64), #[doc = \"c\"] C { x: u64, y: bool }, D(Vec<u8>, u32), E = 7 }");
         let e = w.find_enum("Msg").unwrap();
-        let names: Vec<&str> = e.variants.iter().map(|v| v.name.as_str()).collect();
-        assert_eq!(names, vec!["A", "B", "C", "D"]);
-        assert_eq!(e.variants[0].tuple_arity, 0);
-        assert_eq!(e.variants[1].tuple_arity, 1);
-        assert_eq!(
-            e.variants[2].named_fields.as_deref(),
-            Some(&["x".to_string(), "y".to_string()][..])
-        );
-        assert_eq!(e.variants[3].tuple_arity, 2);
+        // Payloads and discriminants are skipped, not mistaken for variants.
+        assert_eq!(e.variants, ["A", "B", "C", "D", "E"]);
     }
 
     #[test]

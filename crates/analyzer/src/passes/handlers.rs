@@ -121,7 +121,7 @@ pub fn check_specs(ws: &Workspace, specs: &[HandlerSpec], out: &mut Vec<Finding>
                         && w[0].is_ident(spec.enum_name)
                         && w[1].is_punct(':')
                         && w[2].is_punct(':')
-                        && w[3].is_ident(&v.name)
+                        && w[3].is_ident(v)
                 })
             });
             if !handled {
@@ -131,7 +131,7 @@ pub fn check_specs(ws: &Workspace, specs: &[HandlerSpec], out: &mut Vec<Finding>
                     rule: "handler-exhaustiveness",
                     text: format!(
                         "{}::{} is never named in its dispatch file(s) {:?}",
-                        spec.enum_name, v.name, spec.dispatch
+                        spec.enum_name, v, spec.dispatch
                     ),
                 });
             }

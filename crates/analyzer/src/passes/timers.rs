@@ -1,9 +1,9 @@
 //! Timer crash-path discipline.
 //!
-//! **timer-crash-path** — an impl that arms timers (`set_timer` /
-//! `.arm(`) and also implements the crash-recovery hook (`on_recover` /
-//! `clear_volatile`) must touch its timer state in that hook: re-arm,
-//! cancel, or clear. The engine drops armed timers on a crash, so a
+//! **timer-crash-path** — an impl that arms timers (`set_timer`,
+//! `.arm(`, or an `arm_*` helper) and also implements the
+//! crash-recovery hook (`on_recover` / `clear_volatile`) must touch its
+//! timer state in that hook: re-arm, cancel, or clear. The engine drops armed timers on a crash, so a
 //! recovery path that forgets its timers leaves the component waiting
 //! for a tick that never comes (the bug class PR-6's regeneration work
 //! guarded against by hand).
@@ -13,9 +13,24 @@
 //! shared byte is rustc E0081 and a handler that forgets a kind is a
 //! non-exhaustive `match`.
 
-use super::{call_sites, has_ident_in, seq_in};
+use crate::lex::Tok;
 use crate::model::Workspace;
 use crate::Finding;
+
+/// Arming a timer: `set_timer`, the mux's `arm`, or an `arm_*` helper —
+/// the workspace's name for a fn that arms one.
+fn arms(t: &Tok) -> bool {
+    t.is_ident("set_timer")
+        || t.is_ident("arm")
+        || (t.kind == crate::lex::TokKind::Ident && t.text.starts_with("arm_"))
+}
+
+/// Dropping one on purpose.
+fn drops(t: &Tok) -> bool {
+    t.is_ident("cancel_timer") || t.is_ident("clear") || t.is_ident("disarm")
+}
+
+const HOOKS: [&str; 2] = ["on_recover", "clear_volatile"];
 
 pub fn check(ws: &Workspace, out: &mut Vec<Finding>) {
     for f in &ws.files {
@@ -24,32 +39,27 @@ pub fn check(ws: &Workspace, out: &mut Vec<Finding>) {
                 continue;
             }
             let arms_timers = im.fns.iter().any(|func| {
-                !["on_recover", "clear_volatile"].contains(&func.name.as_str())
-                    && (!call_sites(&f.toks, func.body.clone(), "set_timer").is_empty()
-                        || seq_in(&f.toks, func.body.clone(), &[".", "arm", "("]))
+                !HOOKS.contains(&func.name.as_str()) && f.toks[func.body.clone()].iter().any(arms)
             });
             if !arms_timers {
                 continue;
             }
-            for hook in ["on_recover", "clear_volatile"] {
-                let Some(h) = im.fns.iter().find(|func| func.name == hook) else {
-                    continue;
-                };
-                if h.body.is_empty() {
-                    continue; // declaration only
-                }
-                let touches = ["set_timer", "cancel_timer", "clear", "disarm", "arm"]
-                    .iter()
-                    .any(|kw| has_ident_in(&f.toks, h.body.clone(), kw));
-                if !touches {
+            // A hook with an empty body is a declaration only.
+            for h in im
+                .fns
+                .iter()
+                .filter(|func| HOOKS.contains(&func.name.as_str()))
+            {
+                if !h.body.is_empty() && !f.toks[h.body.clone()].iter().any(|t| arms(t) || drops(t))
+                {
                     out.push(Finding {
                         rel: f.rel.clone(),
                         line: h.line,
                         rule: "timer-crash-path",
                         text: format!(
-                            "{}::{hook} does not re-arm, cancel, or clear the timers this \
+                            "{}::{} does not re-arm, cancel, or clear the timers this \
                              impl sets elsewhere",
-                            im.type_name
+                            im.type_name, h.name
                         ),
                     });
                 }

@@ -90,10 +90,8 @@ pub fn wrap_client_request(request: ClientRequest) -> Bytes {
 }
 
 marp_quorum::timer_kinds! {
-    enum AcTimer {
-        /// A write's ack deadline (epoch = request id).
-        Ack = 1,
-    }
+    /// A write's ack deadline (epoch = request id).
+    enum AcTimer { Ack = 1 }
 }
 
 struct PendingWrite {

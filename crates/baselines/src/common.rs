@@ -98,33 +98,26 @@ impl Promise {
     }
 }
 
-/// Scale a coordinator's timeouts to a deployment whose worst one-way
-/// latency is `max_latency`: a vote round cannot finish inside the
-/// physical round trip, and a shorter timeout turns every round into an
-/// abort.
-pub(crate) fn scale_to_latency(
-    round_timeout: &mut Duration,
-    retry: &mut RetryPolicy,
-    promise_lease: &mut Duration,
+/// `(round_timeout, retry, promise_lease)` scaled to a deployment whose
+/// worst one-way latency is `max_latency`: a vote round cannot finish
+/// inside the physical round trip, and a shorter timeout turns every
+/// round into an abort.
+pub(crate) fn scaled_to_latency(
+    (round_timeout, retry, promise_lease): (Duration, RetryPolicy, Duration),
     max_latency: Duration,
-) {
+) -> (Duration, RetryPolicy, Duration) {
     let lat = max_latency.max(Duration::from_millis(1));
-    *round_timeout = (*round_timeout).max(lat * 5);
-    *retry = retry.with_min_base(lat);
-    *promise_lease = (*promise_lease).max(*round_timeout * 10);
+    let round_timeout = round_timeout.max(lat * 5);
+    let promise_lease = promise_lease.max(round_timeout * 10);
+    (round_timeout, retry.with_min_base(lat), promise_lease)
 }
 
 marp_quorum::timer_kinds! {
-    /// Timer kinds of a vote-coordinating server.
-    pub(crate) enum VoteTimer {
-        /// The open round's timeout (epoch = ballot sequence).
-        Round = 1,
-        /// Backoff before the next attempt.
-        Retry = 2,
-        /// The host's own periodic work; the coordinator only keeps it
-        /// apart from its two.
-        Maintenance = 3,
-    }
+    /// Timer kinds of a vote-coordinating server: the open round's
+    /// timeout (epoch = ballot sequence), the backoff before the next
+    /// attempt, and the host's own periodic work, which the coordinator
+    /// only keeps apart from its two.
+    pub(crate) enum VoteTimer { Round = 1, Retry = 2, Maintenance = 3 }
 }
 
 /// What tells one vote protocol's write round from another's.
@@ -139,18 +132,17 @@ pub(crate) struct RoundSpec {
     pub promise_lease: Duration,
     /// Backoff after a failed round, before this node's stagger.
     pub retry: RetryPolicy,
-    /// The protocol's vote request for a ballot, encoded.
+    /// The protocol's own messages for a ballot, encoded: the vote
+    /// request, and the release of the promises an aborted round holds.
     pub vote_request: fn(Ballot) -> Bytes,
-    /// The protocol's release of a ballot's promises, encoded.
     pub release: fn(Ballot) -> Bytes,
 }
 
-/// One write in its vote round.
+/// One write in its vote round. Each grant carries the voter's version;
+/// the write goes above the maximum.
 pub(crate) struct Round {
     pub ballot: Ballot,
     pub request: WriteRequest,
-    /// Each grant carries the voter's version; the write goes above the
-    /// maximum.
     pub call: QuorumCall<u64>,
 }
 
@@ -175,9 +167,8 @@ pub(crate) struct Coordinator {
 
 impl Coordinator {
     pub(crate) fn new(me: NodeId, mut spec: RoundSpec) -> Self {
-        spec.retry = spec
-            .retry
-            .staggered(Duration::from_micros(500), u64::from(me), 0);
+        let stagger = Duration::from_micros(500);
+        spec.retry = spec.retry.staggered(stagger, u64::from(me), 0);
         Coordinator {
             me,
             spec,
@@ -229,11 +220,11 @@ impl Coordinator {
             from: span_id(SpanKind::Request, request.id, u64::from(self.me)),
             to: span,
         });
+        let voters = 0..self.spec.n_servers as NodeId;
         self.round = Some(Round {
             ballot,
             request,
-            call: QuorumCall::new(self.spec.rule, 0..self.spec.n_servers as NodeId, ctx.now())
-                .with_span(span),
+            call: QuorumCall::new(self.spec.rule, voters, ctx.now()).with_span(span),
         });
         self.broadcast((self.spec.vote_request)(ballot), ctx);
         let tag = self.timers.arm(VoteTimer::Round, ballot.seq);
@@ -257,10 +248,10 @@ impl Coordinator {
         ctx.set_timer(self.spec.retry.next_delay(self.attempts), tag);
     }
 
-    /// Count `from`'s vote of weight `votes` on `ballot`. The call
-    /// dedupes repeated votes; only a deciding vote acts. A lost round
-    /// is aborted here; a won one is returned, its `UpdateQuorum` span
-    /// still open, for the host to apply — which then calls
+    /// Count `from`'s vote of weight `votes` on `ballot` (the call
+    /// dedupes repeats; only a deciding vote acts). A lost round is
+    /// aborted here; a won one is returned, its `UpdateQuorum` span
+    /// still open, for the host to apply before it calls
     /// [`next_round`](Self::next_round).
     pub(crate) fn on_vote(
         &mut self,
@@ -272,17 +263,17 @@ impl Coordinator {
         ctx: &mut dyn Context,
     ) -> Option<Round> {
         let round = self.round.as_mut().filter(|r| r.ballot == ballot)?;
-        match round.call.offer(from, votes, granted, version) {
-            Some(Verdict::Won) => {
+        match round.call.offer(from, votes, granted, version)? {
+            Verdict::Won => {
                 self.timers.disarm(VoteTimer::Round, ballot.seq);
-                self.round.take()
+                return self.round.take();
             }
-            Some(Verdict::Lost) => {
-                self.abort_round(ctx);
-                None
-            }
-            _ => None,
+            Verdict::Lost => self.abort_round(ctx),
+            // Only `QuorumCall::timed_out` says so; the round timer
+            // aborts instead.
+            Verdict::TimedOut => {}
         }
+        None
     }
 
     /// The won round is applied: forget its failures and open the next
@@ -292,7 +283,7 @@ impl Coordinator {
         self.try_start_round(ctx);
     }
 
-    /// Voter side: promise this server's vote to `ballot` if it is not
+    /// Voter side: promise this server's vote to `ballot` unless it is
     /// out to another; returns whether `ballot` now holds it.
     pub(crate) fn grant(&mut self, ballot: Ballot, now: SimTime) -> bool {
         self.promise.try_grant(ballot, now, self.spec.promise_lease)
@@ -307,18 +298,13 @@ impl Coordinator {
     /// `true` means the host's `Maintenance` timer fired.
     pub(crate) fn on_timer(&mut self, tag: u64, ctx: &mut dyn Context) -> bool {
         match self.timers.fired(tag) {
+            Some((VoteTimer::Round, _)) => self.abort_round(ctx),
+            Some((VoteTimer::Retry, _)) => self.try_start_round(ctx),
+            Some((VoteTimer::Maintenance, _)) => return true,
             // Stale: disarmed, or armed before a crash.
-            None => false,
-            Some((VoteTimer::Round, _)) => {
-                self.abort_round(ctx);
-                false
-            }
-            Some((VoteTimer::Retry, _)) => {
-                self.try_start_round(ctx);
-                false
-            }
-            Some((VoteTimer::Maintenance, _)) => true,
+            None => {}
         }
+        false
     }
 
     /// Everything here is volatile. Timers armed before the crash never

@@ -8,7 +8,7 @@
 //! Contention shows up as rejected rounds and backoff retries, the
 //! "sessions of passing messages and waiting for replies" of §1.
 
-use crate::common::{scale_to_latency, Ballot, Coordinator, RoundSpec, VoteTimer};
+use crate::common::{scaled_to_latency, Ballot, Coordinator, RoundSpec, VoteTimer};
 use bytes::Bytes;
 use marp_quorum::{RetryPolicy, SuccessRule};
 use marp_replica::{ClientRequest, CommitRecord, ServerConfig, ServerCore, SyncMsg};
@@ -50,10 +50,8 @@ impl McvConfig {
     /// inside the physical round trip, and a shorter timeout turns every
     /// round into an abort.
     pub fn scaled_to_latency(mut self, max_latency: std::time::Duration) -> Self {
-        scale_to_latency(
-            &mut self.round_timeout,
-            &mut self.retry,
-            &mut self.promise_lease,
+        (self.round_timeout, self.retry, self.promise_lease) = scaled_to_latency(
+            (self.round_timeout, self.retry, self.promise_lease),
             max_latency,
         );
         self
@@ -113,14 +111,6 @@ fn wrap_sync(msg: SyncMsg) -> Bytes {
     marp_wire::to_bytes(&McvMsg::Sync(msg))
 }
 
-fn vote_request(ballot: Ballot) -> Bytes {
-    marp_wire::to_bytes(&McvMsg::VoteReq { ballot })
-}
-
-fn release(ballot: Ballot) -> Bytes {
-    marp_wire::to_bytes(&McvMsg::Release { ballot })
-}
-
 /// One MCV replica server: the shared vote round decided by a plain
 /// majority, over a store with dense global versions that every replica
 /// applies and anti-entropy repairs; reads are local.
@@ -142,8 +132,8 @@ impl McvNode {
             round_timeout: cfg.round_timeout,
             promise_lease: cfg.promise_lease,
             retry: cfg.retry,
-            vote_request,
-            release,
+            vote_request: |ballot| marp_wire::to_bytes(&McvMsg::VoteReq { ballot }),
+            release: |ballot| marp_wire::to_bytes(&McvMsg::Release { ballot }),
         };
         McvNode {
             cfg,

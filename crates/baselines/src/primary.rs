@@ -80,9 +80,7 @@ fn wrap_sync(msg: SyncMsg) -> Bytes {
 }
 
 marp_quorum::timer_kinds! {
-    enum PcTimer {
-        Maintenance = 1,
-    }
+    enum PcTimer { Maintenance = 1 }
 }
 
 struct InFlight {

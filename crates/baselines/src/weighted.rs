@@ -6,7 +6,7 @@
 //! consistency argument the paper recounts in §3.1). Unlike MARP,
 //! *reads* pay quorum assembly here — that asymmetry is experiment E13.
 
-use crate::common::{scale_to_latency, Ballot, Coordinator, RoundSpec};
+use crate::common::{scaled_to_latency, Ballot, Coordinator, RoundSpec};
 use bytes::Bytes;
 use marp_quorum::{QuorumCall, RetryPolicy, SuccessRule, Verdict};
 use marp_replica::{ClientReply, ClientRequest, Operation, WriteRequest};
@@ -73,10 +73,8 @@ impl WvConfig {
     /// Scale the coordinator's timeouts to a deployment whose worst
     /// one-way latency is `max_latency` (see `McvConfig`).
     pub fn scaled_to_latency(mut self, max_latency: Duration) -> Self {
-        scale_to_latency(
-            &mut self.round_timeout,
-            &mut self.retry,
-            &mut self.promise_lease,
+        (self.round_timeout, self.retry, self.promise_lease) = scaled_to_latency(
+            (self.round_timeout, self.retry, self.promise_lease),
             max_latency,
         );
         self
@@ -171,14 +169,6 @@ pub fn wrap_client_request(request: ClientRequest) -> Bytes {
     marp_wire::to_bytes(&WvMsg::Client(request))
 }
 
-fn vote_request(ballot: Ballot) -> Bytes {
-    marp_wire::to_bytes(&WvMsg::WReq { ballot })
-}
-
-fn release(ballot: Ballot) -> Bytes {
-    marp_wire::to_bytes(&WvMsg::WRelease { ballot })
-}
-
 struct ReadRound {
     request: u64,
     client: NodeId,
@@ -215,8 +205,8 @@ impl WvNode {
             round_timeout: cfg.round_timeout,
             promise_lease: cfg.promise_lease,
             retry: cfg.retry,
-            vote_request,
-            release,
+            vote_request: |ballot| marp_wire::to_bytes(&WvMsg::WReq { ballot }),
+            release: |ballot| marp_wire::to_bytes(&WvMsg::WRelease { ballot }),
         };
         WvNode {
             me,

@@ -31,14 +31,10 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 marp_quorum::timer_kinds! {
-    /// The agent's timer kinds. A tag's epoch is the agent's `attempt`
-    /// when the timer was armed.
-    enum AgentTimer {
-        /// A parked agent's next look at the Locking Lists.
-        Repoll = 1,
-        /// The deadline for a claim's UPDATE acks.
-        Ack = 2,
-    }
+    /// The agent's timer kinds: a parked agent's next look at the
+    /// Locking Lists, and the deadline for a claim's UPDATE acks. A
+    /// tag's epoch is the agent's `attempt` when the timer was armed.
+    enum AgentTimer { Repoll = 1, Ack = 2 }
 }
 /// The re-poll backoff doubles this many times (25 ms → 200 ms).
 const REPOLL_MAX_DOUBLINGS: u32 = 3;

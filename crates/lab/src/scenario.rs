@@ -15,7 +15,7 @@ use marp_core::{
     build_cluster, wrap_client_request as wrap_marp_client_request, MailCounters, MarpConfig,
     MarpNode,
 };
-use marp_metrics::{audit, audit_keyed, audit_relaxed, AuditReport, PaperMetrics, Samples};
+use marp_metrics::{AuditReport, InvariantMonitor, PaperMetrics, Samples};
 use marp_net::{FaultPlan, LinkModel, SimTransport, Topology};
 use marp_replica::ClientProcess;
 use marp_sim::{NodeId, RunStats, SimRng, SimTime, Simulation, TraceLevel};
@@ -202,12 +202,6 @@ impl Scenario {
     /// Switch the protocol.
     pub fn with_protocol(mut self, protocol: ProtocolKind) -> Self {
         self.protocol = protocol;
-        self
-    }
-
-    /// Override the horizon.
-    pub fn with_horizon(mut self, horizon: Duration) -> Self {
-        self.horizon = Some(horizon);
         self
     }
 
@@ -471,30 +465,26 @@ pub fn run_scenario_traced(scenario: &Scenario) -> (RunOutcome, marp_sim::TraceL
 
     let trace = sim.into_trace();
     let metrics = PaperMetrics::from_trace(&trace);
-    // The durability cross-check: every write acknowledged to a client
-    // must have been applied by at least one replica.
-    let committed: std::collections::HashSet<u64> = trace
-        .records()
-        .iter()
-        .filter_map(|rec| match rec.event {
-            marp_sim::TraceEvent::CommitApplied { request, .. } => Some(request),
-            _ => None,
-        })
-        .collect();
-    let lost_acked_writes: Vec<u64> = acked
-        .iter()
-        .copied()
-        .filter(|id| !committed.contains(id))
-        .collect();
     // MARP orders commits per object key (keyed store), so its audit
     // checks order preservation and denseness per key; the dense
     // *global*-version baselines (MCV, PC) get the strict global
     // audit; the LWW/per-key baselines (AC, WV) get the relaxed one.
-    let audit = match scenario.protocol {
-        ProtocolKind::Marp { .. } => audit_keyed(&trace, n),
-        ProtocolKind::Mcv | ProtocolKind::PrimaryCopy => audit(&trace, 0),
-        ProtocolKind::AvailableCopy | ProtocolKind::WeightedVoting { .. } => audit_relaxed(&trace),
+    let mut monitor = match scenario.protocol {
+        ProtocolKind::Marp { .. } => InvariantMonitor::keyed(n),
+        ProtocolKind::Mcv | ProtocolKind::PrimaryCopy => InvariantMonitor::strict(0),
+        ProtocolKind::AvailableCopy | ProtocolKind::WeightedVoting { .. } => {
+            InvariantMonitor::relaxed()
+        }
     };
+    monitor.observe_all(trace.records());
+    // The durability cross-check: every write acknowledged to a client
+    // must have been applied by at least one replica.
+    let lost_acked_writes: Vec<u64> = acked
+        .iter()
+        .copied()
+        .filter(|&id| !monitor.request_committed(id))
+        .collect();
+    let audit = monitor.report();
 
     let outcome = RunOutcome {
         metrics,

@@ -18,7 +18,8 @@
 //! canonical (zero-preemption) schedule, for seeding the regression
 //! corpus. `selftest` proves the checker can catch a bug: it seeds the
 //! `lifo-blind` protocol mutation, requires a violation to be found,
-//! shrinks it, and re-replays the shrunk schedule.
+//! shrinks it, writes it (`--out`, default `target/mcheck-selftest.txt`)
+//! and re-replays the shrunk schedule.
 
 use marp_mcheck::{
     from_text, replay, schedule, shrink, to_text, CheckConfig, Explorer, Family, ModelSpec, Report,
@@ -325,12 +326,15 @@ fn cmd_selftest(opts: &Opts) -> ExitCode {
     );
     let shrunk = shrink(&spec, cx);
     println!("shrunk to {} steps", shrunk.len());
-    let out = opts.out.as_deref().unwrap_or("mcheck-selftest.txt");
+    let out = opts.out.as_deref().unwrap_or("target/mcheck-selftest.txt");
     let text = to_text(
         &spec,
         &shrunk,
         &format!("selftest: violates {}", rules.join(", ")),
     );
+    if let Some(dir) = std::path::Path::new(out).parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
     if let Err(e) = std::fs::write(out, &text) {
         eprintln!("error: cannot write {out}: {e}");
         return ExitCode::from(2);

@@ -61,7 +61,7 @@ impl Family {
 /// Which server→agent mail the model's network loses (MARP only): the
 /// **missed-notice schedule family**. Safety must not depend on the
 /// COMMIT change notices, and liveness must fall back to the parked
-/// agents' `TIMER_REPOLL`.
+/// agents' re-poll timer (`AgentTimer::Repoll`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MailLoss {
     /// Reliable mail (the faithful default).

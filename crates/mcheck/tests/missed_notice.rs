@@ -3,7 +3,7 @@
 //! reply each host would receive). The notices are an optimisation —
 //! Theorems 1–3 and exactly-once must hold on every interleaving
 //! without them, and a parked agent must still reach its commit
-//! through `TIMER_REPOLL`.
+//! through its re-poll timer (`AgentTimer::Repoll`).
 
 use marp_mcheck::{CheckConfig, Choice, Explorer, Family, MailLoss, ModelSpec};
 use marp_sim::PendingKind;
@@ -14,9 +14,9 @@ fn lossy(loss: MailLoss) -> ModelSpec {
     spec
 }
 
-/// Timer steps of a schedule that are an agent's `TIMER_REPOLL` (mux
-/// kind 1 in the tag's low byte; node timers use raw tags ≥ 100 and
-/// the regeneration mux kind 7).
+/// Timer steps of a schedule that are an agent's `AgentTimer::Repoll`
+/// (kind 1 in the tag's low byte; the node's own `NodeTimer` kinds are
+/// 7, 100 and 101).
 fn repolls(schedule: &[Choice]) -> usize {
     schedule
         .iter()

@@ -45,11 +45,6 @@ impl Welford {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Merge another accumulator (parallel sweeps combine shards).
     pub fn merge(&mut self, other: &Welford) {
         if other.count == 0 {

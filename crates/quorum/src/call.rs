@@ -243,11 +243,6 @@ impl<T> QuorumCall<T> {
         self.verdict
     }
 
-    /// True while undecided.
-    pub fn is_pending(&self) -> bool {
-        self.verdict.is_none()
-    }
-
     /// Positive replies in arrival order: `(node, payload)`.
     pub fn positives(&self) -> &[(NodeId, T)] {
         &self.positives

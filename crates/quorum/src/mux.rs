@@ -130,38 +130,21 @@ impl<K: TimerKind> TimerMux<K> {
     /// if it was live; `None` for anything stale — never armed,
     /// already fired, disarmed, or superseded.
     pub fn fired(&mut self, tag: u64) -> Option<(K, u64)> {
-        let pair = Self::split(tag)?;
-        let slot = self.armed.binary_search(&pair).ok()?;
-        self.armed.remove(slot);
-        Some(pair)
+        let (kind, epoch) = Self::split(tag)?;
+        self.disarm(kind, epoch).then_some((kind, epoch))
     }
 
     /// Forget `(kind, epoch)`: a pending fire for it will be rejected.
     /// Returns whether it was live.
     pub fn disarm(&mut self, kind: K, epoch: u64) -> bool {
-        match self.armed.binary_search(&(kind, epoch)) {
-            Ok(slot) => {
-                self.armed.remove(slot);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Forget every epoch of `kind`.
-    pub fn disarm_kind(&mut self, kind: K) {
-        self.armed.retain(|&(k, _)| k != kind);
+        let found = self.armed.binary_search(&(kind, epoch));
+        found.map(|slot| self.armed.remove(slot)).is_ok()
     }
 
     /// Whether any epoch of `kind` is live (the old `retry_armed`
     /// boolean).
     pub fn is_kind_armed(&self, kind: K) -> bool {
         self.armed.iter().any(|&(k, _)| k == kind)
-    }
-
-    /// Whether exactly `(kind, epoch)` is live.
-    pub fn is_armed(&self, kind: K, epoch: u64) -> bool {
-        self.armed.binary_search(&(kind, epoch)).is_ok()
     }
 
     /// Forget everything (crash recovery).
@@ -195,7 +178,7 @@ mod tests {
     fn fired_accepts_only_live_pairs() {
         let mut mux = TimerMux::new();
         let tag = mux.arm(Round, 3);
-        assert!(mux.is_armed(Round, 3));
+        assert_eq!(mux.live(), 1);
         assert_eq!(mux.fired(tag), Some((Round, 3)));
         // Second fire of the same tag is stale.
         assert_eq!(mux.fired(tag), None);
@@ -224,8 +207,9 @@ mod tests {
         mux.arm(Retry, 0);
         assert_eq!(mux.live(), 3);
         assert_eq!(mux.fired(TimerMux::tag(Round, 1)), Some((Round, 1)));
-        assert!(mux.is_armed(Round, 2));
-        mux.disarm_kind(Round);
+        // The other epoch of the kind is still live.
+        assert!(mux.is_kind_armed(Round));
+        assert!(mux.disarm(Round, 2));
         assert!(!mux.is_kind_armed(Round));
         assert!(mux.is_kind_armed(Retry));
         mux.clear();

@@ -105,11 +105,6 @@ impl OpMix {
         Self::new(1.0, keys)
     }
 
-    /// A read-dominated Internet-style mix.
-    pub fn read_mostly(write_fraction: f64, keys: KeyDist) -> Self {
-        Self::new(write_fraction, keys)
-    }
-
     /// Configured write fraction.
     pub fn write_fraction(&self) -> f64 {
         self.write_fraction
