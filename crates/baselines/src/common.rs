@@ -181,7 +181,8 @@ impl Coordinator {
         }
     }
 
-    fn broadcast(&self, msg: Bytes, ctx: &mut dyn Context) {
+    /// Send `msg` to every server (this one included).
+    pub(crate) fn broadcast(&self, msg: Bytes, ctx: &mut dyn Context) {
         for server in 0..self.spec.n_servers as NodeId {
             ctx.send(server, msg.clone());
         }

@@ -195,9 +195,7 @@ impl McvNode {
             ballot,
             records: vec![record],
         });
-        for server in 0..self.cfg.n_servers as NodeId {
-            ctx.send(server, apply.clone());
-        }
+        self.coord.broadcast(apply, ctx);
         ctx.trace(TraceEvent::UpdateCompleted {
             request: round.request.id,
             home: self.me(),

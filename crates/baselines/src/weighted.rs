@@ -307,9 +307,7 @@ impl WvNode {
                             },
                         );
                         let ask = marp_wire::to_bytes(&WvMsg::RReq { rid, key });
-                        for server in 0..n {
-                            ctx.send(server, ask.clone());
-                        }
+                        self.coord.broadcast(ask, ctx);
                     }
                     Operation::Write { key, value } => {
                         ctx.trace(TraceEvent::SpanStart {
