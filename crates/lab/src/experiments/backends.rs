@@ -3,11 +3,11 @@
 //! (real OS threads + `std::sync::mpsc` channels) must produce statistically
 //! matching results.
 
-use marp_core::{build_cluster, wrap_client_request, MarpConfig, MarpNode};
+use marp_core::{wrap_client_request, MarpConfig, MarpNode};
 use marp_metrics::{audit_keyed, fmt_ms, PaperMetrics, Table};
 use marp_net::{LinkModel, SimTransport, Topology};
 use marp_replica::ClientProcess;
-use marp_sim::{Process, SimRng, SimTime, Simulation, TraceLevel};
+use marp_sim::{Process, SimRng, SimTime, Simulation, TraceLevel, TraceLog};
 use marp_threaded::{run_threaded, ThreadedConfig};
 use marp_workload::WorkloadSource;
 use std::time::Duration;
@@ -39,39 +39,22 @@ fn make_processes() -> Vec<Box<dyn Process>> {
     processes
 }
 
-fn main() {
-    let obs = marp_lab::ObsOptions::from_env();
-    // Discrete-event run.
+/// The discrete-event run of the same processes; its trace is what
+/// `--trace-out` records (there is no `Scenario` to re-run).
+pub(super) fn des_trace() -> TraceLog {
     let transport = SimTransport::new(topology(), LinkModel::ideal(), SimRng::from_seed(5));
     let mut sim = Simulation::new(Box::new(transport), TraceLevel::Protocol);
-    {
-        // Rebuild inside the sim (it owns its processes).
-        let topo = topology();
-        let cfg = MarpConfig::new(N);
-        build_cluster(&mut sim, &cfg, &topo);
-        for k in 0..N {
-            let source = WorkloadSource::paper_writes(MEAN_MS, REQUESTS, 77 + k as u64);
-            sim.add_process(Box::new(ClientProcess::new(
-                k as u16,
-                Box::new(source),
-                wrap_client_request,
-            )));
-        }
+    for process in make_processes() {
+        sim.add_process(process);
     }
     sim.run_until(SimTime::from_secs(30));
-    let des_trace = sim.into_trace();
+    sim.into_trace()
+}
+
+pub(super) fn run(_args: &[String]) -> String {
+    let des_trace = des_trace();
     let des = PaperMetrics::from_trace(&des_trace);
     audit_keyed(&des_trace, N).assert_ok();
-    // This binary drives the sim directly (no Scenario), so dump its own
-    // DES trace rather than re-running a representative one.
-    match obs.write(&des_trace) {
-        Ok(lines) => {
-            for line in lines {
-                eprintln!("{line}");
-            }
-        }
-        Err(err) => eprintln!("observability output failed: {err}"),
-    }
 
     // Threaded run (same processes, real concurrency, 4x speed).
     let transport = SimTransport::new(topology(), LinkModel::ideal(), SimRng::from_seed(5));
@@ -91,23 +74,19 @@ fn main() {
         "E12 — DES vs threaded backend (N = 3, 45 writes)",
         &["backend", "completed", "ALT (ms)", "ATT (ms)"],
     );
-    table.row(vec![
-        "discrete-event".into(),
-        des.completed.to_string(),
-        fmt_ms(des.mean_alt_ms()),
-        fmt_ms(des.mean_att_ms()),
-    ]);
-    table.row(vec![
-        "threaded".into(),
-        threaded.completed.to_string(),
-        fmt_ms(threaded.mean_alt_ms()),
-        fmt_ms(threaded.mean_att_ms()),
-    ]);
-    println!("{}", table.render());
+    for (backend, metrics) in [("discrete-event", &des), ("threaded", &threaded)] {
+        table.row(vec![
+            backend.into(),
+            metrics.completed.to_string(),
+            fmt_ms(metrics.mean_alt_ms()),
+            fmt_ms(metrics.mean_att_ms()),
+        ]);
+    }
     assert_eq!(des.completed, N as u64 * REQUESTS);
     assert!(
         threaded.completed >= (N as u64 * REQUESTS) * 9 / 10,
         "threaded backend lost too many updates: {}",
         threaded.completed
     );
+    format!("{}\n", table.render())
 }

@@ -27,14 +27,26 @@
 //! * `--artifact-dir DIR` — where violation artifacts go
 //!   (default `target/chaos`).
 
-use marp_lab::{run_sweep, RunOutcome, Scenario, PAPER_SEEDS};
+use crate::{run_sweep, RunOutcome, Scenario, PAPER_SEEDS};
 use marp_metrics::Table;
 use marp_net::{ChaosProfile, FaultPlan};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Duration;
 
 const N_SERVERS: usize = 5;
+
+/// The report's count columns, summed per profile and over the sweep.
+const COUNTS: [&str; 7] = [
+    "runs",
+    "issued",
+    "completed",
+    "acked",
+    "retries",
+    "abandoned",
+    "violations",
+];
 
 /// One planned chaos run.
 struct PlanSpec {
@@ -132,7 +144,7 @@ fn write_artifact(dir: &PathBuf, spec: &PlanSpec, ablate: bool, failures: &[Stri
          plan:     {:?}\n\n\
          failures:\n{}\n\n\
          reproduce with:\n\
-         cargo run -p marp-lab --release --bin e15_chaos -- \
+         cargo run -p marp-lab --release -- e15_chaos \
          --seed {:#x} --profile {}{}\n",
         spec.seed,
         spec.profile_name,
@@ -152,17 +164,18 @@ fn write_artifact(dir: &PathBuf, spec: &PlanSpec, ablate: bool, failures: &[Stri
     }
 }
 
-fn main() {
+pub(super) fn run(args: &[String]) -> String {
     let mut plans = 120usize;
     let mut ablate = false;
     let mut seed: Option<u64> = None;
     let mut profile: Option<String> = None;
     let mut artifact_dir = PathBuf::from("target/chaos");
-    let mut args = std::env::args().skip(1);
+    let mut args = args.iter();
     while let Some(arg) = args.next() {
         let mut value = |what: &str| {
             args.next()
                 .unwrap_or_else(|| panic!("{what} expects a value"))
+                .as_str()
         };
         match arg.as_str() {
             "--plans" => plans = value("--plans").parse().expect("--plans expects a number"),
@@ -175,7 +188,7 @@ fn main() {
                     .unwrap_or_else(|| raw.parse());
                 seed = Some(parsed.expect("--seed expects a number"));
             }
-            "--profile" => profile = Some(value("--profile")),
+            "--profile" => profile = Some(value("--profile").to_string()),
             "--artifact-dir" => artifact_dir = PathBuf::from(value("--artifact-dir")),
             other => panic!("unknown flag {other}"),
         }
@@ -185,13 +198,10 @@ fn main() {
         Some(seed) => {
             // Replay a single plan from a failure artifact.
             let name = profile.as_deref().unwrap_or("mixed");
-            let profile =
-                ChaosProfile::by_name(name).unwrap_or_else(|| panic!("unknown profile {name}"));
-            let profile_name = ChaosProfile::all()
-                .iter()
+            let (profile_name, profile) = ChaosProfile::all()
+                .into_iter()
                 .find(|(n, _)| *n == name)
-                .map(|(n, _)| *n)
-                .unwrap();
+                .unwrap_or_else(|| panic!("unknown profile {name}"));
             vec![PlanSpec {
                 seed,
                 profile_name,
@@ -207,31 +217,23 @@ fn main() {
         .collect();
     let outcomes = run_sweep(&scenarios, None);
 
-    // Aggregate per profile for the report.
-    #[derive(Default)]
-    struct Agg {
-        runs: u64,
-        issued: u64,
-        completed: u64,
-        acked: u64,
-        retries: u64,
-        abandoned: u64,
-        violations: u64,
-    }
-    let mut by_profile: BTreeMap<&'static str, Agg> = BTreeMap::new();
-    let mut violating_runs = 0u64;
+    let mut by_profile: BTreeMap<&'static str, [u64; COUNTS.len()]> = BTreeMap::new();
     for (spec, outcome) in specs.iter().zip(&outcomes) {
         let failures = check(outcome, ablate);
-        let agg = by_profile.entry(spec.profile_name).or_default();
-        agg.runs += 1;
-        agg.issued += outcome.issued;
-        agg.completed += outcome.metrics.completed;
-        agg.acked += outcome.acked_writes;
-        agg.retries += outcome.retries;
-        agg.abandoned += outcome.abandoned;
+        let counts = [
+            1,
+            outcome.issued,
+            outcome.metrics.completed,
+            outcome.acked_writes,
+            outcome.retries,
+            outcome.abandoned,
+            !failures.is_empty() as u64,
+        ];
+        let sums = by_profile.entry(spec.profile_name).or_default();
+        for (sum, count) in sums.iter_mut().zip(counts) {
+            *sum += count;
+        }
         if !failures.is_empty() {
-            agg.violations += 1;
-            violating_runs += 1;
             eprintln!(
                 "VIOLATION in plan seed={:#x} profile={}:",
                 spec.seed, spec.profile_name
@@ -242,6 +244,11 @@ fn main() {
             write_artifact(&artifact_dir, spec, ablate, &failures);
         }
     }
+    let total = |column: &str| -> u64 {
+        let index = COUNTS.iter().position(|c| *c == column);
+        let index = index.expect("a count column");
+        by_profile.values().map(|sums| sums[index]).sum()
+    };
 
     let mode = if ablate {
         "ablation: regeneration OFF"
@@ -253,34 +260,16 @@ fn main() {
             "E15 — randomized chaos sweep, {} plans, N = {N_SERVERS} ({mode})",
             specs.len()
         ),
-        &[
-            "profile",
-            "runs",
-            "issued",
-            "completed",
-            "acked",
-            "retries",
-            "abandoned",
-            "violations",
-        ],
+        &[&["profile"], &COUNTS[..]].concat(),
     );
-    for (name, agg) in &by_profile {
-        table.row(vec![
-            name.to_string(),
-            agg.runs.to_string(),
-            agg.issued.to_string(),
-            agg.completed.to_string(),
-            agg.acked.to_string(),
-            agg.retries.to_string(),
-            agg.abandoned.to_string(),
-            agg.violations.to_string(),
-        ]);
+    for (name, sums) in &by_profile {
+        let mut row = vec![name.to_string()];
+        row.extend(sums.iter().map(u64::to_string));
+        table.row(row);
     }
-    println!("{}", table.render());
+    let mut out = format!("{}\n", table.render());
 
-    let total_abandoned: u64 = outcomes.iter().map(|o| o.abandoned).sum();
-    let total_issued: u64 = outcomes.iter().map(|o| o.issued).sum();
-    let total_completed: u64 = outcomes.iter().map(|o| o.metrics.completed).sum();
+    let (violating_runs, issued) = (total("violations"), total("issued"));
     if ablate {
         // The ablation proves the harness has teeth: without
         // regeneration the cluster loses work — but it must still never
@@ -290,15 +279,16 @@ fn main() {
             "ablation may lose writes but must stay consistent"
         );
         assert!(
-            total_abandoned > 0 || total_completed < total_issued,
+            total("abandoned") > 0 || total("completed") < issued,
             "ablation sweep lost nothing — the harness would be \
              insensitive to regeneration bugs"
         );
-        println!(
+        let _ = writeln!(
+            out,
             "(ablation lost {} of {} issued writes across the sweep — \
              the losses the regeneration path exists to prevent)",
-            total_issued - total_completed,
-            total_issued
+            issued - total("completed"),
+            issued
         );
     } else {
         assert_eq!(
@@ -308,14 +298,16 @@ fn main() {
              contract; see artifacts in {}",
             artifact_dir.display()
         );
-        println!(
+        let _ = writeln!(
+            out,
             "(all {} plans clean: no acked write lost, no duplicate \
              apply, no invariant violation; {} retries, {} abandoned \
              of {} issued)",
             specs.len(),
-            outcomes.iter().map(|o| o.retries).sum::<u64>(),
-            total_abandoned,
-            total_issued
+            total("retries"),
+            total("abandoned"),
+            issued
         );
     }
+    out
 }

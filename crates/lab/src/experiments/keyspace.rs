@@ -18,14 +18,15 @@
 //! the paper's workload (`KeyDist::Single` pins every request to key
 //! 0), so the figures stay pinned to the published configuration.
 
-use marp_lab::{run_scenario_traced, RunOutcome, Scenario, PAPER_SEEDS};
+use crate::{run_sweep_traced, Scenario, PAPER_SEEDS};
 use marp_metrics::{fmt_ms, Samples, Table};
 use marp_sim::{SimTime, TraceEvent, TraceLog};
 use marp_workload::KeyDist;
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 
 /// Floor on the committed-writes/sec ratio of 16 uniform keys over the
-/// paper's single key (see the assertion in `main`).
+/// paper's single key (see the assertion in `run`).
 const MIN_SPEEDUP: f64 = 2.3;
 
 /// One sweep arm: a key distribution under the paper's N = 5 cluster
@@ -45,9 +46,8 @@ struct ArmResult {
     /// Sum of per-seed makespans (first arrival to last completion) in
     /// seconds; throughput = completed / makespan.
     makespan_s: f64,
+    /// ALT of every commit, by key.
     per_key_alt: BTreeMap<u64, Samples>,
-    per_key_commits: BTreeMap<u64, u64>,
-    audits_clean: bool,
 }
 
 impl ArmResult {
@@ -63,7 +63,7 @@ impl ArmResult {
 /// its key through the `CommitApplied` record of the same request id,
 /// and clock the makespan from first request arrival to last
 /// completion.
-fn fold(arm: &mut ArmResult, outcome: &RunOutcome, trace: &TraceLog) {
+fn fold(arm: &mut ArmResult, trace: &TraceLog) {
     let mut key_of_request: HashMap<u64, u64> = HashMap::new();
     for record in trace.records() {
         if let TraceEvent::CommitApplied { request, key, .. } = record.event {
@@ -89,10 +89,9 @@ fn fold(arm: &mut ArmResult, outcome: &RunOutcome, trace: &TraceLog) {
                 last_completion = Some(record.at);
                 // A request that completed without any replica applying
                 // it would be an exactly-once violation; the audit
-                // below would already have failed.
+                // would already have failed.
                 if let Some(&key) = key_of_request.get(&request) {
                     arm.per_key_alt.entry(key).or_default().push(alt);
-                    *arm.per_key_commits.entry(key).or_insert(0) += 1;
                 }
             }
             _ => {}
@@ -101,48 +100,62 @@ fn fold(arm: &mut ArmResult, outcome: &RunOutcome, trace: &TraceLog) {
     if let (Some(first), Some(last)) = (first_arrival, last_completion) {
         arm.makespan_s += last.saturating_since(first).as_secs_f64();
     }
-    arm.audits_clean &= outcome.audit.ok();
 }
 
-fn run_arm(keys: &KeyDist, requests_per_client: u64, seeds: &[u64]) -> ArmResult {
-    let mut arm = ArmResult {
-        audits_clean: true,
-        ..ArmResult::default()
-    };
-    for &seed in seeds {
-        let (outcome, trace) =
-            run_scenario_traced(&scenario(keys.clone(), requests_per_client, seed));
-        outcome.audit.assert_ok();
-        fold(&mut arm, &outcome, &trace);
-    }
-    arm
-}
-
-fn main() {
-    let test_mode = std::env::args().any(|a| a == "--test");
-    let obs = marp_lab::ObsOptions::from_env();
-    // The workload is open-loop, so the single-key arm runs far past
-    // saturation and its lock queue — and the cost of every migration
-    // that snapshots it — grows with every request; keep the request
-    // count modest so the maximum-contention arm stays tractable.
-    let (requests_per_client, seeds): (u64, &[u64]) = if test_mode {
+/// `--test` is the CI shape: fewer requests, one seed.
+///
+/// The workload is open-loop, so the single-key arm runs far past
+/// saturation and its lock queue — and the cost of every migration that
+/// snapshots it — grows with every request; the request count stays
+/// modest so the maximum-contention arm stays tractable.
+fn shape(args: &[String]) -> (u64, &'static [u64]) {
+    if args.iter().any(|a| a == "--test") {
         (40, &PAPER_SEEDS[..1])
     } else {
         (60, PAPER_SEEDS)
-    };
+    }
+}
 
-    let arms: Vec<(&str, KeyDist)> = vec![
+/// The run `--trace-out` records: the uniform-16 arm's first seed.
+pub(super) fn representative(args: &[String]) -> Scenario {
+    let (requests_per_client, seeds) = shape(args);
+    scenario(KeyDist::Uniform { keys: 16 }, requests_per_client, seeds[0])
+}
+
+pub(super) fn run(args: &[String]) -> String {
+    let (requests_per_client, seeds) = shape(args);
+
+    let hotspot = KeyDist::Hotspot {
+        keys: 16,
+        hot_fraction: 0.5,
+    };
+    let arms = [
         ("single (paper)", KeyDist::Single),
         ("uniform 16", KeyDist::Uniform { keys: 16 }),
         ("zipf 16 s=1.2", KeyDist::Zipf { keys: 16, s: 1.2 }),
-        (
-            "hotspot 16 50%",
-            KeyDist::Hotspot {
-                keys: 16,
-                hot_fraction: 0.5,
-            },
-        ),
+        ("hotspot 16 50%", hotspot),
     ];
+    // Every arm at every seed in one fan-out.
+    let scenarios: Vec<Scenario> = arms
+        .iter()
+        .flat_map(|(_, keys)| {
+            seeds
+                .iter()
+                .map(move |&seed| scenario(keys.clone(), requests_per_client, seed))
+        })
+        .collect();
+    let runs = run_sweep_traced(&scenarios, None);
+    let mut results: Vec<ArmResult> = runs
+        .chunks(seeds.len())
+        .map(|arm_runs| {
+            let mut arm = ArmResult::default();
+            for (outcome, trace) in arm_runs {
+                outcome.audit.assert_ok();
+                fold(&mut arm, trace);
+            }
+            arm
+        })
+        .collect();
 
     let mut table = Table::new(
         "E16 — key distributions (N = 5, 5 ms mean inter-arrival, write-only)",
@@ -155,14 +168,8 @@ fn main() {
             "vs single",
         ],
     );
-    let mut results = Vec::new();
-    for (label, keys) in &arms {
-        let arm = run_arm(keys, requests_per_client, seeds);
-        assert!(arm.audits_clean, "{label}: audit failed");
-        results.push((*label, arm));
-    }
-    let single_wps = results[0].1.writes_per_sec();
-    for (label, arm) in &mut results {
+    let single_wps = results[0].writes_per_sec();
+    for ((label, _), arm) in arms.iter().zip(&mut results) {
         let wps = arm.writes_per_sec();
         table.row(vec![
             label.to_string(),
@@ -173,7 +180,7 @@ fn main() {
             format!("{:.2}x", wps / single_wps.max(f64::MIN_POSITIVE)),
         ]);
     }
-    println!("{}", table.render());
+    let mut out = format!("{}\n", table.render());
 
     // Per-key breakdown: uniform spreads evenly, Zipf and hotspot pile
     // commits (and queueing) onto the low keys while the tail stays
@@ -192,21 +199,19 @@ fn main() {
     );
     for key in 0..16u64 {
         let mut row = vec![key.to_string()];
-        for (_, arm) in &results[1..] {
-            row.push(
-                arm.per_key_commits
-                    .get(&key)
-                    .map_or("-".to_string(), |n| n.to_string()),
-            );
-            row.push(fmt_ms(arm.per_key_alt.get(&key).and_then(|s| s.mean())));
+        for arm in &results[1..] {
+            let alt = arm.per_key_alt.get(&key);
+            row.push(alt.map_or("-".to_string(), |s| s.len().to_string()));
+            row.push(fmt_ms(alt.and_then(Samples::mean)));
         }
         breakdown.row(row);
     }
-    println!("{}", breakdown.render());
+    let _ = writeln!(out, "{}", breakdown.render());
 
-    let uniform_wps = results[1].1.writes_per_sec();
+    let uniform_wps = results[1].writes_per_sec();
     let speedup = uniform_wps / single_wps.max(f64::MIN_POSITIVE);
-    println!(
+    let _ = writeln!(
+        out,
         "uniform-16 over single-key: {speedup:.2}x committed-writes/sec ({uniform_wps:.0} vs {single_wps:.0})"
     );
     // The keyed protocol's headline claim: disjoint keys commit
@@ -219,11 +224,7 @@ fn main() {
     assert!(
         speedup >= MIN_SPEEDUP,
         "expected >= {MIN_SPEEDUP}x committed-writes/sec from 16 uniform keys over one key \
-         (measured 2.57x since the pipelined handoff sped the single-key arm up), got {speedup:.2}x"
+         (measured 2.57x since the pipelined handoff sped the single-key arm up), got {speedup:.2}x\n{out}"
     );
-
-    marp_lab::write_obs_outputs(
-        &scenario(KeyDist::Uniform { keys: 16 }, requests_per_client, 0),
-        &obs,
-    );
+    out
 }

@@ -3,140 +3,24 @@
 //! A [`Scenario`] fully describes one run (protocol, cluster, topology,
 //! workload, faults, seed); [`run_scenario`] executes it and returns
 //! metrics + audit; [`run_sweep`] fans independent scenarios out across
-//! cores. The `src/bin/` binaries regenerate every figure of the
-//! paper's evaluation plus the extension experiments indexed in
-//! `DESIGN.md`:
-//!
-//! | binary | reproduces |
-//! |---|---|
-//! | `fig2_alt` | Figure 2 — average lock-acquisition time (ALT) |
-//! | `fig3_att` | Figure 3 — average total update time (ATT) |
-//! | `fig4_prk` | Figure 4 — % of locks obtained after K visits |
-//! | `e5_wan_comparison` | E5 — MARP vs baselines as WAN latency grows |
-//! | `e6_scalability` | E6 — scaling the replica count |
-//! | `e7_faults` | E7 — crash/recovery and transient outages |
-//! | `e8_theorem3` | E8 — migration-bound validation |
-//! | `e9_itinerary` | E9 — itinerary policy ablation |
-//! | `e10_gossip` | E10 — information-sharing ablation |
-//! | `e11_batching` | E11 — batch size ablation |
-//! | `e12_backends` | E12 — DES vs threaded runtime cross-check |
-//! | `e13_read_mix` | E13 — read-dominated mixes vs quorum reads |
-//! | `e14_adaptive` | E14 — adaptive batching under bursty arrivals |
-//! | `e15_chaos` | E15 — randomized chaos sweep: exactly-once writes |
-//! | `e16_keyspace` | E16 — key distributions over the keyed store |
-//!
-//! Run one with `cargo run -p marp-lab --release --bin fig2_alt`.
+//! cores. Every figure of the paper's evaluation and every extension
+//! experiment is a row of [`EXPERIMENTS`], run by the `marp-lab` binary:
+//! `cargo run -p marp-lab --release -- fig2_alt`, and `marp-lab list`
+//! for the index.
 
 #![warn(missing_docs)]
 
+mod experiments;
 mod prof;
 mod scenario;
 mod sweep;
 
-pub use marp_obs::ObsOptions;
+pub use experiments::{results, Experiment, EXPERIMENTS};
 pub use prof::{scale_sweep, SweepConfig};
 pub use scenario::{
     run_scenario, run_scenario_traced, LinkKind, ProtocolKind, RunOutcome, Scenario, TopologyKind,
 };
 pub use sweep::{run_seeds, run_sweep, run_sweep_traced};
 
-/// Honor `--trace-out` / `--metrics-out` for an experiment binary: when
-/// either flag is present, re-run the given representative scenario with
-/// tracing and write the requested files. Experiment binaries call this
-/// once at the end of `main` with their canonical configuration; without
-/// the flags it is a no-op.
-pub fn write_obs_outputs(scenario: &Scenario, opts: &ObsOptions) {
-    if !opts.any() {
-        return;
-    }
-    let (_, trace) = run_scenario_traced(scenario);
-    match opts.write(&trace) {
-        Ok(lines) => {
-            for line in lines {
-                eprintln!("{line}");
-            }
-        }
-        Err(err) => eprintln!("observability output failed: {err}"),
-    }
-}
-
-/// The mean inter-arrival sweep used by the paper's figures (ms).
-pub const PAPER_SWEEP_MS: &[f64] = &[5.0, 10.0, 15.0, 25.0, 35.0, 45.0, 60.0, 80.0, 100.0];
-
 /// Seeds pooled per sweep point.
 pub const PAPER_SEEDS: &[u64] = &[101, 202, 303];
-
-/// Pool the paper metrics of several same-configuration runs into one
-/// merged set (used by the figure binaries to average over seeds).
-pub fn pool_metrics(outcomes: &[RunOutcome]) -> marp_metrics::PaperMetrics {
-    let mut pooled = marp_metrics::PaperMetrics::default();
-    for outcome in outcomes {
-        pooled.alt_ms.merge(&outcome.metrics.alt_ms);
-        pooled.att_ms.merge(&outcome.metrics.att_ms);
-        for (&k, &count) in &outcome.metrics.visits {
-            *pooled.visits.entry(k).or_insert(0) += count;
-        }
-        pooled.writes_arrived += outcome.metrics.writes_arrived;
-        pooled.completed += outcome.metrics.completed;
-        pooled.migrations += outcome.metrics.migrations;
-        pooled.agents += outcome.metrics.agents;
-        pooled.aborted_claims += outcome.metrics.aborted_claims;
-    }
-    pooled
-}
-
-/// Sum of messages sent across runs.
-pub fn total_messages(outcomes: &[RunOutcome]) -> u64 {
-    outcomes.iter().map(|o| o.stats.messages_sent).sum()
-}
-
-/// Assert every outcome passed its audit (figure binaries call this
-/// before printing anything).
-pub fn assert_all_clean(outcomes: &[RunOutcome]) {
-    for outcome in outcomes {
-        outcome.audit.assert_ok();
-    }
-}
-
-/// One pooled sweep point for the paper's figures: run the
-/// `Scenario::paper(n, mean_ms, _)` configuration at every seed in
-/// [`PAPER_SEEDS`], audit each run, and pool the metrics.
-pub fn paper_point(n: usize, mean_ms: f64) -> marp_metrics::PaperMetrics {
-    let base = Scenario::paper(n, mean_ms, 0);
-    let outcomes = run_seeds(&base, PAPER_SEEDS, None);
-    assert_all_clean(&outcomes);
-    pool_metrics(&outcomes)
-}
-
-/// Every pooled sweep point of a figure in one batched sweep: the full
-/// `means × ns × PAPER_SEEDS` matrix is submitted to [`run_sweep`] as a
-/// single scenario list, so the fan-out saturates every core for the
-/// whole figure. Calling [`paper_point`] per bin instead parallelizes
-/// only the 3 seeds of the current bin and leaves the other cores idle
-/// at each bin boundary. Returns pooled metrics indexed
-/// `[mean_index][n_index]`, matching the input order.
-pub fn paper_matrix(ns: &[usize], means: &[f64]) -> Vec<Vec<marp_metrics::PaperMetrics>> {
-    let scenarios: Vec<Scenario> = means
-        .iter()
-        .flat_map(|&mean| {
-            ns.iter().flat_map(move |&n| {
-                PAPER_SEEDS
-                    .iter()
-                    .map(move |&seed| Scenario::paper(n, mean, seed))
-            })
-        })
-        .collect();
-    let outcomes = run_sweep(&scenarios, None);
-    assert_all_clean(&outcomes);
-    let per_point = PAPER_SEEDS.len();
-    (0..means.len())
-        .map(|mi| {
-            (0..ns.len())
-                .map(|ni| {
-                    let start = (mi * ns.len() + ni) * per_point;
-                    pool_metrics(&outcomes[start..start + per_point])
-                })
-                .collect()
-        })
-        .collect()
-}

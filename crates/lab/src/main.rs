@@ -1,0 +1,64 @@
+//! `marp-lab` — run one experiment of the table, list them, or
+//! regenerate / check the recorded outputs under `results/`.
+
+use marp_lab::{results, Experiment, EXPERIMENTS};
+use marp_obs::ObsOptions;
+use std::path::Path;
+use std::process::ExitCode;
+
+const USAGE: &str =
+    "usage: marp-lab <experiment> [flags] [--trace-out <file>] [--metrics-out <file>]\n\
+  \x20      marp-lab list               print the experiment index\n\
+  \x20      marp-lab results [--check]  rewrite results/<name>.txt for every recorded\n\
+  \x20                                  experiment, or compare and fail on a stale one";
+
+fn main() -> ExitCode {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let obs = ObsOptions::extract(&mut args);
+    let (command, flags) = match args.split_first() {
+        Some((command, flags)) => (command.as_str(), flags),
+        None => ("", &[][..]),
+    };
+    let outcome = match (command, flags) {
+        ("list", []) => {
+            for e in EXPERIMENTS {
+                let note = if e.recorded { "" } else { "  [not recorded]" };
+                println!("{:<18} {}{note}", e.name, e.title);
+            }
+            Ok(())
+        }
+        ("results", []) => results(Path::new("results"), false, EXPERIMENTS),
+        ("results", [check]) if check == "--check" => {
+            results(Path::new("results"), true, EXPERIMENTS)
+        }
+        _ => match EXPERIMENTS.iter().find(|e| e.name == command) {
+            Some(experiment) => run(experiment, flags, &obs),
+            None => Err(USAGE.to_string()),
+        },
+    };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => {
+            eprintln!("marp-lab: {message}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Print the experiment's output, then honor `--trace-out` /
+/// `--metrics-out` with its representative run.
+fn run(experiment: &Experiment, flags: &[String], obs: &ObsOptions) -> Result<(), String> {
+    if obs.any() && experiment.trace.is_none() {
+        return Err(format!("{} has no run to trace", experiment.name));
+    }
+    print!("{}", (experiment.run)(flags));
+    if let (true, Some(trace)) = (obs.any(), experiment.trace) {
+        let written = obs
+            .write(&trace(flags))
+            .map_err(|err| format!("observability output failed: {err}"))?;
+        for line in written {
+            eprintln!("{line}");
+        }
+    }
+    Ok(())
+}
