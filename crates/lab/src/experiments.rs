@@ -84,7 +84,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         title: "E15 — randomized chaos sweep: exactly-once writes",
         run: chaos::run,
         trace: None,
-        recorded: false,
+        recorded: true,
     },
     Experiment {
         name: "e16_keyspace",

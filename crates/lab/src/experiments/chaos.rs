@@ -110,16 +110,21 @@ fn check(outcome: &RunOutcome, ablate: bool) -> Vec<String> {
         ));
     }
     if !ablate {
-        // With regeneration on, every issued request must be accounted
-        // for: completed, or loudly abandoned by its client.
-        let accounted = outcome.metrics.completed + outcome.abandoned;
-        if accounted < outcome.issued {
+        // With regeneration on, every issued write must end exactly one
+        // way at its client: acknowledged, or loudly abandoned. Counted
+        // there and not in `metrics.completed`, which counts
+        // `UpdateCompleted` events — a regenerated agent and its
+        // original can both emit one, and a write its client abandoned
+        // can still commit later — so a vanished write could hide behind
+        // any duplicate.
+        let accounted = outcome.acked_writes + outcome.abandoned;
+        if accounted != outcome.issued {
             failures.push(format!(
-                "{} of {} issued requests vanished silently \
-                 (completed {} + abandoned {})",
-                outcome.issued - accounted,
+                "{} of {} issued writes vanished silently \
+                 (acked {} + abandoned {})",
+                outcome.issued.abs_diff(accounted),
                 outcome.issued,
-                outcome.metrics.completed,
+                outcome.acked_writes,
                 outcome.abandoned
             ));
         }
@@ -310,4 +315,28 @@ pub(super) fn run(args: &[String]) -> String {
         );
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_duplicate_completion_cannot_hide_an_unanswered_write() {
+        let mut scenario = Scenario::paper(3, 40.0, 7);
+        scenario.requests_per_client = 3;
+        let mut outcome = crate::run_scenario(&scenario);
+        assert!(check(&outcome, false).is_empty());
+        // One write is reported complete twice (a regenerated agent and
+        // its original)...
+        outcome.metrics.completed += 1;
+        // ...and another is neither answered nor abandoned.
+        outcome.acked_writes -= 1;
+        assert!(outcome.metrics.completed + outcome.abandoned >= outcome.issued);
+        let failures = check(&outcome, false);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].starts_with("1 of 9 issued writes vanished silently"));
+        // The ablation arm is allowed to lose work.
+        assert!(check(&outcome, true).is_empty());
+    }
 }
