@@ -8,7 +8,7 @@
 
 use crate::json::Json;
 use crate::profile::Profile;
-use crate::sweep::{SweepReport, METRICS};
+use crate::sweep::{metrics, Column, SweepReport};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
@@ -141,7 +141,7 @@ impl ProfileDiff {
 /// sweeps.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricDelta {
-    /// Metric name (see [`METRICS`]).
+    /// Metric name (see [`metrics`]).
     pub metric: String,
     /// Fitted growth exponent before, if defined.
     pub before_k: Option<f64>,
@@ -158,7 +158,7 @@ pub struct MetricDelta {
 pub struct SweepDiff {
     /// Largest replica count present in both sweeps (0 when disjoint).
     pub top_n: usize,
-    /// One row per metric in [`METRICS`] order.
+    /// One row per metric in [`metrics`] order.
     pub metrics: Vec<MetricDelta>,
 }
 
@@ -172,27 +172,21 @@ impl SweepDiff {
             .filter(|n| after.points.iter().any(|p| p.n == *n))
             .max()
             .unwrap_or(0);
-        let value_at = |report: &SweepReport, metric: &str| -> f64 {
-            let extract = METRICS
-                .iter()
-                .find(|(name, _)| *name == metric)
-                .map(|&(_, f)| f)
-                .expect("metric names come from METRICS");
+        let value_at = |report: &SweepReport, column: &Column| -> f64 {
             report
                 .points
                 .iter()
                 .find(|p| p.n == top_n)
-                .map(|p| (extract(p) * 1000.0).round() / 1000.0)
+                .map(|p| (p.metric(column) * 1000.0).round() / 1000.0)
                 .unwrap_or(0.0)
         };
-        let metrics = METRICS
-            .iter()
-            .map(|&(name, _)| MetricDelta {
+        let metrics = metrics()
+            .map(|(name, column)| MetricDelta {
                 metric: String::from(name),
                 before_k: before.exponent(name),
                 after_k: after.exponent(name),
-                before_top: value_at(before, name),
-                after_top: value_at(after, name),
+                before_top: value_at(before, column),
+                after_top: value_at(after, column),
             })
             .collect();
         SweepDiff { top_n, metrics }
@@ -367,7 +361,7 @@ mod tests {
         let diff = SweepDiff::between(&sweep(1.0), &sweep(1.5));
         let text = diff.render();
         let json = diff.to_json().render();
-        for (name, _) in METRICS {
+        for (name, _) in metrics() {
             assert!(text.contains(name), "render missing {name}");
             assert!(json.contains(name), "json missing {name}");
         }

@@ -181,36 +181,86 @@ impl SweepPoint {
             value / self.commits as f64
         }
     }
+
+    /// One of the [`metrics`]: the column's total per commit.
+    pub fn metric(&self, column: &Column) -> f64 {
+        self.per_commit((column.get)(self))
+    }
 }
 
-/// Extracts one scalar metric from a sweep point.
+/// Extracts one scalar from a sweep point.
 pub type MetricFn = fn(&SweepPoint) -> f64;
 
-/// The per-commit metrics a sweep fits growth exponents for, as
-/// `(name, extractor)` rows. Order is the presentation order.
-pub const METRICS: &[(&str, MetricFn)] = &[
-    ("total-ms", |p| p.per_commit(p.total_ms)),
-    ("queueing-ms", |p| p.per_commit(p.queueing_ms)),
-    ("network-ms", |p| p.per_commit(p.network_ms)),
-    ("lock-wait-ms", |p| p.per_commit(p.lock_wait_ms)),
-    ("quorum-wait-ms", |p| p.per_commit(p.quorum_wait_ms)),
-    ("bytes", |p| p.per_commit(p.total_bytes as f64)),
-    ("migrated-bytes", |p| p.per_commit(p.migrated_bytes as f64)),
-    ("gossip-bytes", |p| p.per_commit(p.gossip_bytes as f64)),
-    ("messages", |p| p.per_commit(p.messages as f64)),
-    ("migrations", |p| p.per_commit(p.migrations as f64)),
-    ("lt-entries", |p| p.per_commit(p.lt_entries_carried as f64)),
-    ("lt-ids", |p| p.per_commit(p.lt_ids_carried as f64)),
-    ("notices", |p| p.per_commit(p.notices as f64)),
-    ("notice-bytes", |p| p.per_commit(p.notice_bytes as f64)),
-    ("notices-skipped", |p| {
-        p.per_commit(p.notices_skipped as f64)
-    }),
-    ("replies", |p| p.per_commit(p.replies as f64)),
-    ("reply-bytes", |p| p.per_commit(p.reply_bytes as f64)),
-    ("held", |p| p.per_commit(p.claims_held as f64)),
-    ("aborted-claims", |p| p.per_commit(p.aborted_claims as f64)),
-];
+/// One numeric field of a [`SweepPoint`], declared once in [`COLUMNS`]:
+/// the table, the JSON form and the fitted per-commit metrics all read
+/// that list.
+pub struct Column {
+    /// Field name, which is also its JSON key.
+    key: &'static str,
+    /// Decimals it prints with: 3 for milliseconds, 0 for a count.
+    decimals: usize,
+    /// Where `render`'s table shows it: position, header, width.
+    table: Option<(usize, &'static str, usize)>,
+    /// Name of the per-commit metric a growth exponent is fitted to.
+    metric: Option<&'static str>,
+    /// A sweep recorded before the field existed lacks it: read as 0,
+    /// so old and new sweeps still diff.
+    optional: bool,
+    get: MetricFn,
+    set: fn(&mut SweepPoint, f64),
+}
+
+macro_rules! columns {
+    ($($field:ident: $decimals:expr, $table:expr, $metric:expr, $optional:expr;)*) => {
+        &[$(Column {
+            key: stringify!($field),
+            decimals: $decimals,
+            table: $table,
+            metric: $metric,
+            optional: $optional,
+            get: |p| p.$field as f64,
+            set: |p, value| p.$field = value as _,
+        }),*]
+    };
+}
+
+const MS: usize = 3;
+const COUNT: usize = 0;
+
+/// Every numeric field, in the presentation order of the per-commit
+/// metrics (the table places its columns by position; `phase_sum`, at
+/// 12, is derived and not stored).
+#[rustfmt::skip]
+const COLUMNS: &[Column] = columns! {
+    // field            unit   table: at, header, width         per-commit metric        optional
+    n:                  COUNT, Some((0, "n", 3)),               None,                    false;
+    commits:            COUNT, Some((1, "commits", 8)),         None,                    false;
+    total_ms:           MS,    Some((2, "total_ms", 12)),       Some("total-ms"),        false;
+    queueing_ms:        MS,    Some((3, "queueing", 11)),       Some("queueing-ms"),     false;
+    network_ms:         MS,    Some((4, "network", 11)),        Some("network-ms"),      false;
+    lock_wait_ms:       MS,    Some((5, "lock_wait", 11)),      Some("lock-wait-ms"),    false;
+    quorum_wait_ms:     MS,    Some((6, "quorum_wait", 11)),    Some("quorum-wait-ms"),  false;
+    total_bytes:        COUNT, Some((8, "bytes", 12)),          Some("bytes"),           false;
+    migrated_bytes:     COUNT, None,                            Some("migrated-bytes"),  false;
+    gossip_bytes:       COUNT, Some((9, "gossip_b", 12)),       Some("gossip-bytes"),    false;
+    messages:           COUNT, None,                            Some("messages"),        false;
+    migrations:         COUNT, Some((7, "migrations", 10)),     Some("migrations"),      false;
+    lt_entries_carried: COUNT, Some((10, "lt_entries", 10)),    Some("lt-entries"),      false;
+    lt_ids_carried:     COUNT, Some((11, "lt_ids", 8)),         Some("lt-ids"),          true;
+    notices:            COUNT, Some((13, "notices", 9)),        Some("notices"),         true;
+    notice_bytes:       COUNT, Some((14, "notice_b", 10)),      Some("notice-bytes"),    true;
+    notices_skipped:    COUNT, Some((15, "skipped", 9)),        Some("notices-skipped"), true;
+    replies:            COUNT, Some((16, "replies", 9)),        Some("replies"),         true;
+    reply_bytes:        COUNT, Some((17, "reply_b", 11)),       Some("reply-bytes"),     true;
+    claims_held:        COUNT, Some((18, "held", 8)),           Some("held"),            true;
+    aborted_claims:     COUNT, Some((19, "aborted", 8)),        Some("aborted-claims"),  true;
+};
+
+/// The per-commit metrics a sweep fits growth exponents for, in
+/// presentation order.
+pub fn metrics() -> impl Iterator<Item = (&'static str, &'static Column)> {
+    COLUMNS.iter().filter_map(|c| Some((c.metric?, c)))
+}
 
 /// A sweep over replica counts.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -258,95 +308,57 @@ impl SweepReport {
 
     /// Fitted growth exponent of one named per-commit metric.
     pub fn exponent(&self, metric: &str) -> Option<f64> {
-        let extract = METRICS
-            .iter()
-            .find(|(name, _)| *name == metric)
-            .map(|&(_, f)| f)?;
+        let (_, column) = metrics().find(|(name, _)| *name == metric)?;
         let samples: Vec<(f64, f64)> = self
             .points
             .iter()
-            .map(|p| (p.n as f64, extract(p)))
+            .map(|p| (p.n as f64, p.metric(column)))
             .collect();
         fit_exponent(&samples)
     }
 
-    /// All `(metric, exponent)` rows in [`METRICS`] order.
+    /// All `(metric, exponent)` rows in [`metrics`] order.
     pub fn exponents(&self) -> Vec<(&'static str, Option<f64>)> {
-        METRICS
-            .iter()
-            .map(|&(name, _)| (name, self.exponent(name)))
+        metrics()
+            .map(|(name, _)| (name, self.exponent(name)))
             .collect()
     }
 
     /// Render the per-phase scaling table plus the fitted exponents.
     pub fn render(&self) -> String {
+        // (position, header, width, decimals, value), by position.
+        let mut table: Vec<(usize, &str, usize, usize, MetricFn)> =
+            vec![(12, "phase_sum", 10, MS, SweepPoint::phase_sum_ms)];
+        table.extend(COLUMNS.iter().filter_map(|c| {
+            let (at, header, width) = c.table?;
+            Some((at, header, width, c.decimals, c.get))
+        }));
+        table.sort_by_key(|&(at, ..)| at);
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:>3} {:>8} {:>12} {:>11} {:>11} {:>11} {:>11} {:>10} {:>12} {:>12} {:>10} {:>8} {:>10} {:>9} {:>10} {:>9} {:>9} {:>11} {:>8} {:>8}",
-            "n",
-            "commits",
-            "total_ms",
-            "queueing",
-            "network",
-            "lock_wait",
-            "quorum_wait",
-            "migrations",
-            "bytes",
-            "gossip_b",
-            "lt_entries",
-            "lt_ids",
-            "phase_sum",
-            "notices",
-            "notice_b",
-            "skipped",
-            "replies",
-            "reply_b",
-            "held",
-            "aborted"
-        );
+        let headers: Vec<String> = table
+            .iter()
+            .map(|&(_, header, width, ..)| format!("{header:>width$}"))
+            .collect();
+        let _ = writeln!(out, "{}", headers.join(" "));
         for p in &self.points {
-            let _ = writeln!(
-                out,
-                "{:>3} {:>8} {:>12.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>10} {:>12} {:>12} {:>10} {:>8} {:>10.3} {:>9} {:>10} {:>9} {:>9} {:>11} {:>8} {:>8}",
-                p.n,
-                p.commits,
-                p.total_ms,
-                p.queueing_ms,
-                p.network_ms,
-                p.lock_wait_ms,
-                p.quorum_wait_ms,
-                p.migrations,
-                p.total_bytes,
-                p.gossip_bytes,
-                p.lt_entries_carried,
-                p.lt_ids_carried,
-                p.phase_sum_ms(),
-                p.notices,
-                p.notice_bytes,
-                p.notices_skipped,
-                p.replies,
-                p.reply_bytes,
-                p.claims_held,
-                p.aborted_claims
-            );
+            let cells: Vec<String> = table
+                .iter()
+                .map(|&(_, _, width, decimals, value)| format!("{:>width$.decimals$}", value(p)))
+                .collect();
+            let _ = writeln!(out, "{}", cells.join(" "));
         }
         let _ = writeln!(
             out,
             "\nper-commit metrics and fitted growth exponents (v ~ n^k):"
         );
-        for (name, exponent) in self.exponents() {
-            let extract = METRICS
-                .iter()
-                .find(|(metric, _)| *metric == name)
-                .map(|&(_, f)| f)
-                .expect("name came from METRICS");
+        for (name, column) in metrics() {
             let values: Vec<String> = self
                 .points
                 .iter()
-                .map(|p| format!("n{}={:.3}", p.n, extract(p)))
+                .map(|p| format!("n{}={:.3}", p.n, p.metric(column)))
                 .collect();
-            let k = exponent
+            let k = self
+                .exponent(name)
                 .map(|k| format!("{k:.4}"))
                 .unwrap_or_else(|| String::from("-"));
             let _ = writeln!(out, "  {name:<16} k={k:<8} {}", values.join(" "));
@@ -360,33 +372,12 @@ impl SweepReport {
             .points
             .iter()
             .map(|p| {
-                Json::obj([
-                    ("n", Json::Num(p.n as f64)),
-                    (
-                        "seeds",
-                        Json::Arr(p.seeds.iter().map(|&s| Json::Num(s as f64)).collect()),
-                    ),
-                    ("commits", Json::Num(p.commits as f64)),
-                    ("total_ms", Json::Num(p.total_ms)),
-                    ("queueing_ms", Json::Num(p.queueing_ms)),
-                    ("network_ms", Json::Num(p.network_ms)),
-                    ("lock_wait_ms", Json::Num(p.lock_wait_ms)),
-                    ("quorum_wait_ms", Json::Num(p.quorum_wait_ms)),
-                    ("migrations", Json::Num(p.migrations as f64)),
-                    ("migrated_bytes", Json::Num(p.migrated_bytes as f64)),
-                    ("gossip_bytes", Json::Num(p.gossip_bytes as f64)),
-                    ("total_bytes", Json::Num(p.total_bytes as f64)),
-                    ("messages", Json::Num(p.messages as f64)),
-                    ("lt_entries_carried", Json::Num(p.lt_entries_carried as f64)),
-                    ("lt_ids_carried", Json::Num(p.lt_ids_carried as f64)),
-                    ("notices", Json::Num(p.notices as f64)),
-                    ("notice_bytes", Json::Num(p.notice_bytes as f64)),
-                    ("notices_skipped", Json::Num(p.notices_skipped as f64)),
-                    ("replies", Json::Num(p.replies as f64)),
-                    ("reply_bytes", Json::Num(p.reply_bytes as f64)),
-                    ("claims_held", Json::Num(p.claims_held as f64)),
-                    ("aborted_claims", Json::Num(p.aborted_claims as f64)),
-                ])
+                let seeds = p.seeds.iter().map(|&s| Json::Num(s as f64)).collect();
+                let seeds = (String::from("seeds"), Json::Arr(seeds));
+                let fields = COLUMNS
+                    .iter()
+                    .map(|c| (String::from(c.key), Json::Num((c.get)(p))));
+                Json::Obj(fields.chain([seeds]).collect())
             })
             .collect();
         let exponents: BTreeMap<String, Json> = self
@@ -410,53 +401,24 @@ impl SweepReport {
             .get("points")
             .and_then(Json::as_arr)
             .ok_or("missing points array")?;
-        let num = |j: &Json, field: &str| -> Result<f64, String> {
-            j.get(field)
-                .and_then(Json::as_num)
-                .ok_or_else(|| format!("missing numeric field '{field}'"))
-        };
-        // Sweeps recorded before the servers counted their agent mail
-        // (or the handoff and carried-id columns existed) lack those
-        // fields; they read as zero so old and new sweeps still diff.
-        let optional =
-            |j: &Json, field: &str| j.get(field).and_then(Json::as_num).unwrap_or(0.0) as u64;
         let parsed: Result<Vec<SweepPoint>, String> = points
             .iter()
             .map(|j| {
-                Ok(SweepPoint {
-                    n: num(j, "n")? as usize,
-                    seeds: j
-                        .get("seeds")
-                        .and_then(Json::as_arr)
-                        .map(|seeds| {
-                            seeds
-                                .iter()
-                                .filter_map(Json::as_num)
-                                .map(|s| s as u64)
-                                .collect()
-                        })
-                        .unwrap_or_default(),
-                    commits: num(j, "commits")? as u64,
-                    total_ms: num(j, "total_ms")?,
-                    queueing_ms: num(j, "queueing_ms")?,
-                    network_ms: num(j, "network_ms")?,
-                    lock_wait_ms: num(j, "lock_wait_ms")?,
-                    quorum_wait_ms: num(j, "quorum_wait_ms")?,
-                    migrations: num(j, "migrations")? as u64,
-                    migrated_bytes: num(j, "migrated_bytes")? as u64,
-                    gossip_bytes: num(j, "gossip_bytes")? as u64,
-                    total_bytes: num(j, "total_bytes")? as u64,
-                    messages: num(j, "messages")? as u64,
-                    lt_entries_carried: num(j, "lt_entries_carried")? as u64,
-                    lt_ids_carried: optional(j, "lt_ids_carried"),
-                    notices: optional(j, "notices"),
-                    notice_bytes: optional(j, "notice_bytes"),
-                    notices_skipped: optional(j, "notices_skipped"),
-                    replies: optional(j, "replies"),
-                    reply_bytes: optional(j, "reply_bytes"),
-                    claims_held: optional(j, "claims_held"),
-                    aborted_claims: optional(j, "aborted_claims"),
-                })
+                let seeds = j.get("seeds").and_then(Json::as_arr);
+                let seeds = seeds.into_iter().flatten().filter_map(Json::as_num);
+                let mut point = SweepPoint {
+                    seeds: seeds.map(|s| s as u64).collect(),
+                    ..SweepPoint::default()
+                };
+                for column in COLUMNS {
+                    let value = match j.get(column.key).and_then(Json::as_num) {
+                        Some(value) => value,
+                        None if column.optional => 0.0,
+                        None => return Err(format!("missing numeric field '{}'", column.key)),
+                    };
+                    (column.set)(&mut point, value);
+                }
+                Ok(point)
             })
             .collect();
         Ok(SweepReport::new(parsed?))
@@ -632,6 +594,59 @@ mod tests {
         let back = SweepReport::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, report);
         assert_eq!(back.to_json().render(), text);
+    }
+
+    #[test]
+    fn a_sweep_recorded_before_the_optional_columns_reads_them_as_zero() {
+        let report = SweepReport::new(vec![synthetic_point(3, 1.0)]);
+        let strip = |doc: &Json, key: &str| {
+            let mut doc = doc.clone();
+            let Json::Obj(top) = &mut doc else {
+                unreachable!()
+            };
+            let Some(Json::Arr(points)) = top.get_mut("points") else {
+                unreachable!()
+            };
+            let Json::Obj(point) = &mut points[0] else {
+                unreachable!()
+            };
+            assert!(point.remove(key).is_some(), "{key} is a stored column");
+            doc
+        };
+        let mut old = report.to_json();
+        let mut expected = report.points[0].clone();
+        for column in COLUMNS.iter().filter(|c| c.optional) {
+            old = strip(&old, column.key);
+            (column.set)(&mut expected, 0.0);
+        }
+        assert_eq!(expected.lt_ids_carried + expected.aborted_claims, 0);
+        let back = SweepReport::from_json(&old).unwrap();
+        assert_eq!(back.points, vec![expected]);
+        let err = SweepReport::from_json(&strip(&report.to_json(), "messages")).unwrap_err();
+        assert_eq!(err, "missing numeric field 'messages'");
+    }
+
+    #[test]
+    fn the_table_places_every_printed_column_once() {
+        let mut positions: Vec<usize> = COLUMNS.iter().filter_map(|c| Some(c.table?.0)).collect();
+        positions.push(12); // the derived phase_sum
+        positions.sort_unstable();
+        assert_eq!(positions, (0..20).collect::<Vec<_>>());
+        let report = SweepReport::new(vec![synthetic_point(3, 1.0)]);
+        let text = report.render();
+        let mut lines = text.lines();
+        assert_eq!(
+            lines.next().unwrap(),
+            "  n  commits     total_ms    queueing     network   lock_wait quorum_wait migrations        \
+             bytes     gossip_b lt_entries   lt_ids  phase_sum   notices   notice_b   skipped   replies     \
+             reply_b     held  aborted"
+        );
+        assert_eq!(
+            lines.next().unwrap(),
+            "  3       10       30.000       6.000       9.000      12.000       3.000         30         \
+             6000          300         60       18     30.000        90       1800        15        45        \
+             2700       24        6"
+        );
     }
 
     #[test]
