@@ -73,7 +73,7 @@ impl Pooled {
         };
         for outcome in outcomes {
             outcome.audit.assert_ok();
-            pool(&mut pooled.metrics, &outcome.metrics);
+            pooled.metrics.merge(&outcome.metrics);
             pooled.messages += outcome.stats.messages_sent;
             pooled.bytes += outcome.stats.bytes_sent;
             pooled.issued += outcome.issued;
@@ -87,28 +87,6 @@ impl Pooled {
     fn per_update(&self, total: u64) -> f64 {
         total as f64 / self.metrics.completed.max(1) as f64
     }
-
-    /// Mean server visits of a winning agent.
-    fn mean_visits(&self) -> f64 {
-        let visits = &self.metrics.visits;
-        let total: u64 = visits.values().sum();
-        let weighted: f64 = visits.iter().map(|(&k, &c)| k as f64 * c as f64).sum();
-        weighted / total.max(1) as f64
-    }
-}
-
-/// Pool one run's paper metrics into `pooled`.
-fn pool(pooled: &mut PaperMetrics, run: &PaperMetrics) {
-    pooled.alt_ms.merge(&run.alt_ms);
-    pooled.att_ms.merge(&run.att_ms);
-    for (&k, &count) in &run.visits {
-        *pooled.visits.entry(k).or_insert(0) += count;
-    }
-    pooled.writes_arrived += run.writes_arrived;
-    pooled.completed += run.completed;
-    pooled.migrations += run.migrations;
-    pooled.agents += run.agents;
-    pooled.aborted_claims += run.aborted_claims;
 }
 
 /// A column a pooled point can fill: its header and its value.
@@ -135,7 +113,9 @@ const MIN_VISITS: Cell = ("observed min", |p| {
 const MAX_VISITS: Cell = ("observed max", |p| {
     p.metrics.visits.keys().max().map_or(0, |&k| k).to_string()
 });
-const MEAN_VISITS: Cell = ("mean visits", |p| format!("{:.2}", p.mean_visits()));
+const MEAN_VISITS: Cell = ("mean visits", |p| {
+    format!("{:.2}", p.metrics.mean_visits().unwrap_or(0.0))
+});
 const READ_P50: Cell = ("read p50 (ms)", |p| fmt_ms(p.client_read_ms.quantile(0.5)));
 const READ_MEAN: Cell = ("read mean (ms)", |p| fmt_ms(p.client_read_ms.mean()));
 const WRITE_MEAN: Cell = ("write mean (ms)", |p| fmt_ms(p.client_write_ms.mean()));

@@ -70,6 +70,32 @@ impl PaperMetrics {
         metrics
     }
 
+    /// Pool another run of the same configuration into this one (the
+    /// figures average over seeds).
+    pub fn merge(&mut self, other: &PaperMetrics) {
+        // Exhaustive on purpose: a new field must say how it pools.
+        let PaperMetrics {
+            alt_ms,
+            att_ms,
+            visits,
+            writes_arrived,
+            completed,
+            migrations,
+            agents,
+            aborted_claims,
+        } = other;
+        self.alt_ms.merge(alt_ms);
+        self.att_ms.merge(att_ms);
+        for (&k, &count) in visits {
+            *self.visits.entry(k).or_insert(0) += count;
+        }
+        self.writes_arrived += writes_arrived;
+        self.completed += completed;
+        self.migrations += migrations;
+        self.agents += agents;
+        self.aborted_claims += aborted_claims;
+    }
+
     /// Mean ALT in milliseconds.
     pub fn mean_alt_ms(&self) -> Option<f64> {
         self.alt_ms.mean()
@@ -88,6 +114,13 @@ impl PaperMetrics {
         }
         let count = self.visits.get(&k).copied().unwrap_or(0);
         100.0 * count as f64 / self.completed as f64
+    }
+
+    /// Mean number of servers a winning agent visited.
+    pub fn mean_visits(&self) -> Option<f64> {
+        let total: u64 = self.visits.values().sum();
+        let weighted: f64 = self.visits.iter().map(|(&k, &c)| k as f64 * c as f64).sum();
+        (total > 0).then(|| weighted / total as f64)
     }
 
     /// Write requests that never completed (lost to faults, still in
@@ -222,6 +255,65 @@ mod tests {
         assert_eq!(plain.mean_alt_ms(), spanned.mean_alt_ms());
         assert_eq!(plain.mean_att_ms(), spanned.mean_att_ms());
         assert_eq!(plain.visits, spanned.visits);
+    }
+
+    #[test]
+    fn merge_pools_every_field() {
+        let completion = |at: u64, visits: u32| {
+            (
+                SimTime::from_millis(at),
+                TraceEvent::UpdateCompleted {
+                    request: at,
+                    home: 0,
+                    arrived: SimTime::from_millis(0),
+                    dispatched: SimTime::from_millis(0),
+                    locked: SimTime::from_millis(at / 2),
+                    visits,
+                },
+            )
+        };
+        let arrival = (
+            SimTime::ZERO,
+            TraceEvent::RequestArrived {
+                node: 0,
+                request: 1,
+                write: true,
+            },
+        );
+        let dispatch = TraceEvent::AgentDispatched {
+            agent: 1,
+            home: 0,
+            batch: 1,
+        };
+        let hop = TraceEvent::AgentMigrated {
+            agent: 1,
+            from: 0,
+            to: 1,
+            hops: 1,
+        };
+        let first = PaperMetrics::from_trace(&trace_with(vec![
+            arrival.clone(),
+            (SimTime::ZERO, dispatch),
+            (SimTime::ZERO, hop),
+            completion(10, 3),
+            completion(20, 5),
+        ]));
+        let second = PaperMetrics::from_trace(&trace_with(vec![
+            arrival,
+            (SimTime::ZERO, TraceEvent::WinAborted { agent: 1 }),
+            completion(40, 5),
+        ]));
+        let mut pooled = first.clone();
+        pooled.merge(&second);
+        assert_eq!(pooled.alt_ms.values(), [5.0, 10.0, 20.0]);
+        assert_eq!(pooled.att_ms.values(), [10.0, 20.0, 40.0]);
+        assert_eq!(pooled.visits, BTreeMap::from([(3, 1), (5, 2)]));
+        assert_eq!(pooled.writes_arrived, 2);
+        assert_eq!(pooled.completed, 3);
+        assert_eq!((pooled.migrations, pooled.agents), (1, 1));
+        assert_eq!(pooled.aborted_claims, 1);
+        assert_eq!(pooled.mean_visits(), Some(13.0 / 3.0));
+        assert_eq!(PaperMetrics::default().mean_visits(), None);
     }
 
     #[test]

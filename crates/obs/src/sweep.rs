@@ -14,6 +14,7 @@
 
 use crate::critical::CriticalPathReport;
 use crate::json::Json;
+use marp_metrics::PaperMetrics;
 use marp_sim::{RunStats, TraceEvent, TraceLog};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -120,38 +121,17 @@ impl SweepPoint {
             point.network_ms += network;
             point.lock_wait_ms += lock_wait;
             point.quorum_wait_ms += quorum_wait;
+            let paper = PaperMetrics::from_trace(trace);
+            point.commits += paper.completed;
+            point.migrations += paper.migrations;
+            point.aborted_claims += paper.aborted_claims;
             for rec in trace.records() {
-                match rec.event {
-                    TraceEvent::UpdateCompleted { .. } => point.commits += 1,
-                    TraceEvent::AgentMigrated { .. } => point.migrations += 1,
-                    TraceEvent::WinAborted { .. } => point.aborted_claims += 1,
-                    TraceEvent::Custom { kind, a, b: _ } => {
-                        if kind == LT_ENTRIES_KIND {
-                            point.lt_entries_carried += a;
-                        } else if kind == LT_IDS_KIND {
-                            point.lt_ids_carried += a;
-                        }
+                if let TraceEvent::Custom { kind, a, b: _ } = rec.event {
+                    if kind == LT_ENTRIES_KIND {
+                        point.lt_entries_carried += a;
+                    } else if kind == LT_IDS_KIND {
+                        point.lt_ids_carried += a;
                     }
-                    TraceEvent::MsgSent { .. }
-                    | TraceEvent::MsgDelivered { .. }
-                    | TraceEvent::MsgDropped { .. }
-                    | TraceEvent::NodeDown(..)
-                    | TraceEvent::NodeUp(..)
-                    | TraceEvent::RequestArrived { .. }
-                    | TraceEvent::ReadServed { .. }
-                    | TraceEvent::AgentDispatched { .. }
-                    | TraceEvent::AgentMigrateFailed { .. }
-                    | TraceEvent::AgentStateShipped { .. }
-                    | TraceEvent::ReplicaDeclaredUnavailable { .. }
-                    | TraceEvent::LockRequested { .. }
-                    | TraceEvent::LockGranted { .. }
-                    | TraceEvent::UpdateSent { .. }
-                    | TraceEvent::UpdateAcked { .. }
-                    | TraceEvent::CommitApplied { .. }
-                    | TraceEvent::AgentDisposed { .. }
-                    | TraceEvent::SpanStart { .. }
-                    | TraceEvent::SpanEnd { .. }
-                    | TraceEvent::SpanLink { .. } => {}
                 }
             }
         }
