@@ -57,17 +57,14 @@ pub const SPECS: &[HandlerSpec] = &[
         enum_name: "TraceEvent",
         dispatch: &["crates/obs/src/spans.rs"],
     },
-    // The marp-prof modules each consume the full trace stream
-    // independently of the span collector; separate rows keep each one
-    // honest on its own (one shared row would let a variant handled in
-    // any of them pass for all).
+    // The profiler consumes the full trace stream independently of the
+    // span collector; its own row keeps it honest on its own (one shared
+    // row would let a variant handled in either pass for both). The
+    // sweep is not a consumer of its own: it reads the critical-path
+    // report and `PaperMetrics`, plus two `Custom` kinds.
     HandlerSpec {
         enum_name: "TraceEvent",
         dispatch: &["crates/obs/src/profile.rs"],
-    },
-    HandlerSpec {
-        enum_name: "TraceEvent",
-        dispatch: &["crates/obs/src/sweep.rs"],
     },
     // The profiler orders and anchors spans by kind; every SpanKind must
     // appear in its ranking match.
