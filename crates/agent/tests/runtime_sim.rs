@@ -8,8 +8,8 @@ use marp_agent::{
 };
 use marp_net::{LinkModel, SimTransport, Topology};
 use marp_sim::{
-    impl_as_any, Context, Control, NodeId, Process, SimRng, SimTime, Simulation, TimerId,
-    TraceEvent, TraceLevel,
+    impl_as_any, Context, Control, NodeId, Process, RecordingCtx, SimRng, SimTime, Simulation,
+    TimerId, TraceEvent, TraceLevel,
 };
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -512,33 +512,9 @@ fn hopper_state_survives_many_hops() {
 // latency tuning required.
 // ---------------------------------------------------------------------
 
-/// A recording [`Context`] for direct runtime tests.
-#[derive(Default)]
-struct RecCtx {
-    sent: Vec<(NodeId, Bytes)>,
-    traces: Vec<TraceEvent>,
-    next_timer: u64,
-}
-
-impl Context for RecCtx {
-    fn now(&self) -> SimTime {
-        SimTime::ZERO
-    }
-    fn me(&self) -> NodeId {
-        1
-    }
-    fn send(&mut self, to: NodeId, msg: Bytes) {
-        self.sent.push((to, msg));
-    }
-    fn set_timer(&mut self, _after: Duration, _tag: u64) -> TimerId {
-        self.next_timer += 1;
-        TimerId(self.next_timer)
-    }
-    fn cancel_timer(&mut self, _id: TimerId) {}
-    fn trace(&mut self, event: TraceEvent) {
-        self.traces.push(event);
-    }
-    fn halt(&mut self) {}
+/// Host 1's recording context for direct runtime tests.
+fn rec_ctx() -> RecordingCtx {
+    RecordingCtx::new(1, SimTime::ZERO)
 }
 
 #[test]
@@ -549,7 +525,7 @@ fn migration_dedup_survives_crash_recovery() {
     // arrival would re-enqueue the agent and double its side effects.
     let mut runtime: AgentRuntime<Hopper> = AgentRuntime::new(AgentConfig::default(), wrap);
     let mut book = GuestBook::default();
-    let mut ctx = RecCtx::default();
+    let mut ctx = rec_ctx();
     let agent = AgentId::new(0, SimTime::ZERO, 0);
     let hopper = Hopper {
         id: agent,
@@ -585,7 +561,7 @@ fn crash_loses_residents_and_later_messages_miss_loudly() {
     // stale pre-crash agent timer must come back as "not ours".
     let mut runtime: AgentRuntime<Sitter> = AgentRuntime::new(AgentConfig::default(), wrap);
     let mut book = GuestBook::default();
-    let mut ctx = RecCtx::default();
+    let mut ctx = rec_ctx();
     let agent = AgentId::new(1, SimTime::ZERO, 0);
     runtime.spawn(
         Sitter {
@@ -597,7 +573,7 @@ fn crash_loses_residents_and_later_messages_miss_loudly() {
     );
     assert_eq!(runtime.resident_count(), 1);
     // on_arrive armed the sitter's tick timer.
-    let stale_timer = TimerId(ctx.next_timer);
+    let stale_timer = TimerId(ctx.armed.len() as u64);
 
     runtime.clear_volatile();
     assert_eq!(runtime.resident_count(), 0);
@@ -614,7 +590,7 @@ fn crash_loses_residents_and_later_messages_miss_loudly() {
     );
     assert!(book.pokes.is_empty(), "the lost agent cannot receive");
     assert_eq!(
-        ctx.traces
+        ctx.traced
             .iter()
             .filter(|e| matches!(
                 e,
@@ -647,7 +623,7 @@ fn acked_horizons(sent: &[(NodeId, Bytes)]) -> Vec<BTreeMap<NodeId, u64>> {
 fn the_ack_carries_what_the_host_knew_before_the_agent_arrived() {
     let mut runtime: AgentRuntime<Hopper> = AgentRuntime::new(AgentConfig::default(), wrap);
     let mut book = GuestBook::default();
-    let mut ctx = RecCtx::default();
+    let mut ctx = rec_ctx();
     let agent = AgentId::new(4, SimTime::ZERO, 0);
     let hopper = Hopper {
         id: agent,
@@ -677,7 +653,7 @@ fn the_ack_carries_what_the_host_knew_before_the_agent_arrived() {
 fn undecodable_state_is_acked_with_an_empty_horizon_and_dropped() {
     let mut runtime: AgentRuntime<Hopper> = AgentRuntime::new(AgentConfig::default(), wrap);
     let mut book = GuestBook::default();
-    let mut ctx = RecCtx::default();
+    let mut ctx = rec_ctx();
     let agent = AgentId::new(0, SimTime::ZERO, 0);
     let garbage = AgentEnvelope::Migrate {
         agent,
@@ -688,7 +664,7 @@ fn undecodable_state_is_acked_with_an_empty_horizon_and_dropped() {
     assert_eq!(acked_horizons(&ctx.sent), [BTreeMap::new()]);
     assert_eq!(runtime.resident_count(), 0);
     assert!(book.stamps.is_empty());
-    assert!(ctx.traces.iter().any(|e| matches!(
+    assert!(ctx.traced.iter().any(|e| matches!(
         e,
         TraceEvent::Custom {
             kind: "agent-state-corrupt",
@@ -719,6 +695,6 @@ fn an_ack_is_recorded_through_the_agent_it_acknowledges() {
         hop: 1,
         horizon: BTreeMap::from([(0, 9)]),
     };
-    runtime.handle_envelope(2, stray, &mut book, &mut RecCtx::default());
+    runtime.handle_envelope(2, stray, &mut book, &mut rec_ctx());
     assert!(book.advertised.is_empty());
 }

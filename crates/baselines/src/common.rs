@@ -400,6 +400,7 @@ impl LwwStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use marp_sim::RecordingCtx;
 
     #[test]
     fn ballots_order_by_seq_then_node() {
@@ -463,31 +464,9 @@ mod tests {
         assert!(p.try_grant(Ballot::first(1), expiry, lease));
     }
 
-    /// A `Context` that records what the coordinator asks of it.
-    #[derive(Default)]
-    struct Recorder {
-        now: SimTime,
-        sent: Vec<(NodeId, Bytes)>,
-        /// Every timer armed, as `(delay, tag)`.
-        armed: Vec<(Duration, u64)>,
-    }
-    impl Context for Recorder {
-        fn now(&self) -> SimTime {
-            self.now
-        }
-        fn me(&self) -> NodeId {
-            1
-        }
-        fn send(&mut self, to: NodeId, msg: Bytes) {
-            self.sent.push((to, msg));
-        }
-        fn set_timer(&mut self, after: Duration, tag: u64) -> marp_sim::TimerId {
-            self.armed.push((after, tag));
-            marp_sim::TimerId(self.armed.len() as u64)
-        }
-        fn cancel_timer(&mut self, _id: marp_sim::TimerId) {}
-        fn trace(&mut self, _event: TraceEvent) {}
-        fn halt(&mut self) {}
+    /// Server 1's context, recording what the coordinator asks of it.
+    fn recorder() -> RecordingCtx {
+        RecordingCtx::new(1, SimTime::ZERO)
     }
 
     const ROUND_TIMEOUT: Duration = Duration::from_millis(100);
@@ -530,7 +509,7 @@ mod tests {
 
     #[test]
     fn a_round_timer_that_fires_after_the_win_is_stale() {
-        let (mut coord, mut ctx) = (coordinator(), Recorder::default());
+        let (mut coord, mut ctx) = (coordinator(), recorder());
         coord.submit(write(1), &mut ctx);
         coord.submit(write(2), &mut ctx);
         let first = Ballot::first(1);
@@ -562,7 +541,7 @@ mod tests {
 
     #[test]
     fn a_lost_round_releases_and_backs_off_one_step_further_each_time() {
-        let (mut coord, mut ctx) = (coordinator(), Recorder::default());
+        let (mut coord, mut ctx) = (coordinator(), recorder());
         coord.submit(write(1), &mut ctx);
         for attempt in 1..=2u32 {
             let ballot = coord.round.as_ref().expect("open round").ballot;
@@ -597,7 +576,7 @@ mod tests {
 
     #[test]
     fn recovery_forgets_round_queue_and_promise() {
-        let (mut coord, mut ctx) = (coordinator(), Recorder::default());
+        let (mut coord, mut ctx) = (coordinator(), recorder());
         coord.submit(write(1), &mut ctx);
         coord.submit(write(2), &mut ctx);
         let theirs = Ballot::first(0);

@@ -744,7 +744,7 @@ mod tests {
     use marp_agent::{AgentEnvelope, AgentRuntime};
     use marp_net::{RoutingTable, Topology};
     use marp_replica::{ServerConfig, ServerCore};
-    use marp_sim::{Context, SimTime, TimerId};
+    use marp_sim::{RecordingCtx, SimTime, TimerId};
 
     fn agent() -> UpdateAgent {
         let cfg = MarpConfig::new(5);
@@ -800,36 +800,10 @@ mod tests {
         assert_eq!(a.with_incarnation(4).incarnation(), 4);
     }
 
-    /// Records what a hosted agent sends, arms and traces.
-    #[derive(Default)]
-    struct HostCtx {
-        sent: Vec<NodeMsg>,
-        timers: Vec<(TimerId, u64)>,
-        delays: Vec<Duration>,
-        traced: Vec<TraceEvent>,
-    }
-    impl Context for HostCtx {
-        fn now(&self) -> SimTime {
-            SimTime::from_millis(9)
-        }
-        fn me(&self) -> NodeId {
-            0
-        }
-        fn send(&mut self, _to: NodeId, msg: Bytes) {
-            self.sent
-                .push(marp_wire::from_bytes(&msg).expect("a NodeMsg"));
-        }
-        fn set_timer(&mut self, after: Duration, tag: u64) -> TimerId {
-            let id = TimerId(self.timers.len() as u64);
-            self.timers.push((id, tag));
-            self.delays.push(after);
-            id
-        }
-        fn cancel_timer(&mut self, _id: TimerId) {}
-        fn trace(&mut self, event: TraceEvent) {
-            self.traced.push(event);
-        }
-        fn halt(&mut self) {}
+    /// Server 0's context, recording what a hosted agent sends, arms
+    /// and traces.
+    fn host_ctx() -> RecordingCtx {
+        RecordingCtx::new(0, SimTime::from_millis(9))
     }
 
     /// A one-server deployment hosting `agent()`, parked behind
@@ -837,7 +811,7 @@ mod tests {
     struct Parked {
         runtime: AgentRuntime<UpdateAgent>,
         state: MarpServerState,
-        ctx: HostCtx,
+        ctx: RecordingCtx,
         me: AgentId,
         winner: AgentId,
     }
@@ -852,6 +826,11 @@ mod tests {
         )
     }
 
+    /// The delay of every timer armed, in order.
+    fn delays(ctx: &RecordingCtx) -> Vec<Duration> {
+        ctx.armed.iter().map(|&(delay, _)| delay).collect()
+    }
+
     fn is_parked(agent: &UpdateAgent) -> bool {
         matches!(agent.phase(), Phase::Parked { .. })
     }
@@ -864,7 +843,7 @@ mod tests {
             let me = agent().id;
             state.visit(winner, 2, SimTime::from_millis(1), 0);
             let mut runtime = AgentRuntime::new(cfg.migration, wrap_agent_envelope);
-            let mut ctx = HostCtx::default();
+            let mut ctx = host_ctx();
             let parked = UpdateAgent::new(me, &cfg, agent().rl);
             runtime.spawn(parked, &mut state, &mut ctx);
             let mut this = Parked {
@@ -914,14 +893,11 @@ mod tests {
 
         /// The most recently armed re-poll timer.
         fn latest_repoll(&self) -> TimerId {
-            let &(timer, _) = self
-                .ctx
-                .timers
-                .iter()
-                .rev()
-                .find(|(_, tag)| matches!(TimerMux::split(*tag), Some((AgentTimer::Repoll, _))))
-                .expect("a re-poll timer");
-            timer
+            let is_repoll = |tag| matches!(TimerMux::split(tag), Some((AgentTimer::Repoll, _)));
+            let mut armed = self.ctx.armed.iter();
+            let position = armed.rposition(|&(_, tag)| is_repoll(tag));
+            let position = position.expect("a re-poll timer");
+            TimerId(position as u64 + 1)
         }
 
         /// Fire the most recently armed re-poll timer; returns whether
@@ -938,9 +914,9 @@ mod tests {
                 .runtime
                 .handle_timer(timer, &mut self.state, &mut self.ctx));
             self.ctx
-                .sent
+                .sent_as()
                 .iter()
-                .any(|m| matches!(m, NodeMsg::LlQuery { .. }))
+                .any(|(_, m)| matches!(m, NodeMsg::LlQuery { .. }))
         }
 
         fn claims(&self) -> usize {
@@ -1006,15 +982,15 @@ mod tests {
         assert_ne!(first_park, second_park);
         // It fires into the second park: nothing is asked, nothing is
         // armed, and the second park's own schedule is undisturbed.
-        let armed = p.ctx.timers.len();
+        let armed = p.ctx.armed.len();
         let before = p.agent().clone();
         assert!(!p.fire(first_park));
-        assert_eq!(p.ctx.timers.len(), armed, "a stale fire re-arms nothing");
+        assert_eq!(p.ctx.armed.len(), armed, "a stale fire re-arms nothing");
         assert_eq!(*p.agent(), before);
         // The second park's timer is live: no news since, so it asks,
         // and arms its successor.
         assert!(p.fire(second_park));
-        assert_eq!(p.ctx.timers.len(), armed + 1);
+        assert_eq!(p.ctx.armed.len(), armed + 1);
     }
 
     #[test]
@@ -1043,7 +1019,7 @@ mod tests {
         );
         let mut runtime: AgentRuntime<UpdateAgent> =
             AgentRuntime::new(host_cfg.migration, wrap_agent_envelope);
-        let mut ctx = HostCtx::default();
+        let mut ctx = host_ctx();
         let arrival = AgentEnvelope::Migrate {
             agent: travelling.id,
             hop: 1,
@@ -1054,7 +1030,7 @@ mod tests {
         // Alone on the only server's queue it claims at once, and waits
         // for acks as long as this host says.
         assert!(matches!(resident.phase(), Phase::Updating { .. }));
-        assert_eq!(ctx.delays, [host_cfg.ack_timeout]);
+        assert_eq!(delays(&ctx), [host_cfg.ack_timeout]);
         // Gossip is off here: the board was neither read nor written.
         assert_eq!(resident.locking_table().known_servers(), 1);
         assert_eq!(state.board.known_servers(2), 1);
@@ -1075,7 +1051,7 @@ mod tests {
         assert!(is_parked(
             runtime.resident(travelling.id).expect("resident")
         ));
-        let repoll = ctx.delays[1];
+        let repoll = delays(&ctx)[1];
         assert!(
             repoll >= host_cfg.park_repoll
                 && repoll < host_cfg.park_repoll + Duration::from_millis(8),

@@ -538,33 +538,10 @@ impl MarpServerState {
 mod tests {
     use super::*;
     use crate::msg::wrap_sync;
-    use bytes::Bytes;
     use marp_net::Topology;
     use marp_replica::{ServerConfig, WriteRequest};
-    use marp_sim::TimerId;
+    use marp_sim::RecordingCtx;
     use std::time::Duration;
-
-    struct TestCtx {
-        now: SimTime,
-        traced: Vec<TraceEvent>,
-    }
-    impl Context for TestCtx {
-        fn now(&self) -> SimTime {
-            self.now
-        }
-        fn me(&self) -> NodeId {
-            0
-        }
-        fn send(&mut self, _to: NodeId, _msg: Bytes) {}
-        fn set_timer(&mut self, _after: Duration, _tag: u64) -> TimerId {
-            TimerId(0)
-        }
-        fn cancel_timer(&mut self, _id: TimerId) {}
-        fn trace(&mut self, event: TraceEvent) {
-            self.traced.push(event);
-        }
-        fn halt(&mut self) {}
-    }
 
     fn state() -> MarpServerState {
         let cfg = MarpConfig::new(3);
@@ -597,15 +574,12 @@ mod tests {
         }
     }
 
-    fn ctx_at(ms: u64) -> TestCtx {
-        TestCtx {
-            now: SimTime::from_millis(ms),
-            traced: vec![],
-        }
+    fn ctx_at(ms: u64) -> RecordingCtx {
+        RecordingCtx::new(0, SimTime::from_millis(ms))
     }
 
     /// Submit a claim that must be answered at once, alone.
-    fn claim(state: &mut MarpServerState, msg: UpdateMsg, ctx: &mut TestCtx) -> AgentReply {
+    fn claim(state: &mut MarpServerState, msg: UpdateMsg, ctx: &mut RecordingCtx) -> AgentReply {
         let mut answers = state.handle_update(msg, ctx);
         assert_eq!(answers.len(), 1, "expected exactly one ack: {answers:?}");
         answers.remove(0).ack
@@ -634,14 +608,14 @@ mod tests {
         }
     }
 
-    fn traced(ctx: &TestCtx, kind: &'static str) -> usize {
+    fn traced(ctx: &RecordingCtx, kind: &'static str) -> usize {
         ctx.traced
             .iter()
             .filter(|e| matches!(e, TraceEvent::Custom { kind: k, .. } if *k == kind))
             .count()
     }
 
-    fn acked(ctx: &TestCtx, agent: AgentId) -> usize {
+    fn acked(ctx: &RecordingCtx, agent: AgentId) -> usize {
         ctx.traced
             .iter()
             .filter(|e| matches!(e, TraceEvent::UpdateAcked { agent: a, .. } if *a == agent.key()))
@@ -678,10 +652,7 @@ mod tests {
         let mut state = state();
         let a = aid(1, 1);
         state.visit(a, 1, SimTime::from_millis(1), 1);
-        let mut ctx = TestCtx {
-            now: SimTime::from_millis(2),
-            traced: vec![],
-        };
+        let mut ctx = RecordingCtx::new(0, SimTime::from_millis(2));
         let ack = claim(&mut state, update_msg(a, None), &mut ctx);
         assert!(positive(&ack));
         assert_eq!(state.reserved_for(1), Some(a));
@@ -694,10 +665,7 @@ mod tests {
         let b = aid(2, 2);
         state.visit(a, 1, SimTime::from_millis(1), 1);
         state.visit(b, 1, SimTime::from_millis(2), 2);
-        let mut ctx = TestCtx {
-            now: SimTime::from_millis(3),
-            traced: vec![],
-        };
+        let mut ctx = RecordingCtx::new(0, SimTime::from_millis(3));
         let ack = claim(&mut state, update_msg(b, None), &mut ctx);
         assert!(!positive(&ack));
         assert_eq!(state.reserved_for(1), None);
@@ -710,10 +678,7 @@ mod tests {
         let b = aid(2, 2);
         state.visit(a, 1, SimTime::from_millis(1), 1);
         state.visit(b, 1, SimTime::from_millis(2), 2);
-        let mut ctx = TestCtx {
-            now: SimTime::from_millis(3),
-            traced: vec![],
-        };
+        let mut ctx = RecordingCtx::new(0, SimTime::from_millis(3));
         // b claims with a certificate naming a — valid.
         let ack = claim(&mut state, update_msg(b, Some(vec![a])), &mut ctx);
         assert!(positive(&ack));
@@ -727,7 +692,7 @@ mod tests {
 
     /// Server 0 with `a` then `b` queued on key 1 and `a` holding the
     /// reservation (its claim acked at 3 ms).
-    fn reserved_for_a() -> (MarpServerState, AgentId, AgentId, TestCtx) {
+    fn reserved_for_a() -> (MarpServerState, AgentId, AgentId, RecordingCtx) {
         let mut state = state();
         let a = aid(1, 1);
         let b = aid(2, 2);
@@ -945,10 +910,7 @@ mod tests {
         let b = aid(2, 2);
         state.visit(a, 1, SimTime::from_millis(1), 1);
         state.visit(b, 1, SimTime::from_millis(2), 2);
-        let mut ctx = TestCtx {
-            now: SimTime::from_millis(3),
-            traced: vec![],
-        };
+        let mut ctx = RecordingCtx::new(0, SimTime::from_millis(3));
         assert!(positive(&claim(&mut state, update_msg(a, None), &mut ctx)));
         // Well past the 5 s reservation lease.
         ctx.now = SimTime::from_secs(10);
@@ -963,10 +925,7 @@ mod tests {
         let b = aid(2, 2);
         state.visit(a, 1, SimTime::from_millis(1), 1);
         state.visit(b, 1, SimTime::from_millis(2), 2);
-        let mut ctx = TestCtx {
-            now: SimTime::from_millis(5),
-            traced: vec![],
-        };
+        let mut ctx = RecordingCtx::new(0, SimTime::from_millis(5));
         let record = marp_replica::CommitRecord {
             version: 1,
             key: 1,
@@ -1032,10 +991,7 @@ mod tests {
     fn finished_agents_are_never_re_enqueued() {
         let mut state = state();
         let a = aid(1, 1);
-        let mut ctx = TestCtx {
-            now: SimTime::from_millis(5),
-            traced: vec![],
-        };
+        let mut ctx = RecordingCtx::new(0, SimTime::from_millis(5));
         // a commits...
         state.visit(a, 1, SimTime::from_millis(1), 1);
         let record = marp_replica::CommitRecord {
@@ -1067,10 +1023,7 @@ mod tests {
         state.visit(stale, 1, SimTime::from_millis(1), 1);
         state.visit(claimant, 1, SimTime::from_millis(2), 2);
         state.core.ul.record(stale, SimTime::from_millis(3));
-        let mut ctx = TestCtx {
-            now: SimTime::from_millis(4),
-            traced: vec![],
-        };
+        let mut ctx = RecordingCtx::new(0, SimTime::from_millis(4));
         // Claim with a certificate that does NOT name the stale agent:
         // it must still validate because the server's UL marks the
         // entry as finished.
@@ -1084,10 +1037,7 @@ mod tests {
         let winner = aid(1, 1);
         state.visit(winner, 9, SimTime::from_millis(1), 1);
         assert!(state.core.ll.contains(9, winner));
-        let mut ctx = TestCtx {
-            now: SimTime::from_millis(2),
-            traced: vec![],
-        };
+        let mut ctx = RecordingCtx::new(0, SimTime::from_millis(2));
         // The commit arrives via SyncMsg::Push (anti-entropy), not the
         // winner's COMMIT broadcast.
         let record = marp_replica::CommitRecord {
@@ -1141,10 +1091,7 @@ mod tests {
         let original = aid(1, 1);
         let regenerated = aid(1, 5);
         state.visit(regenerated, 1, SimTime::from_millis(5), 1);
-        let mut ctx = TestCtx {
-            now: SimTime::from_millis(6),
-            traced: vec![],
-        };
+        let mut ctx = RecordingCtx::new(0, SimTime::from_millis(6));
         // The regenerated agent (incarnation 1) gets a positive ack,
         // raising the fence for request 1.
         let mut first = update_msg(regenerated, None);
@@ -1175,10 +1122,7 @@ mod tests {
         let mut state = state();
         let winner = aid(1, 1);
         let zombie = aid(1, 3);
-        let mut ctx = TestCtx {
-            now: SimTime::from_millis(5),
-            traced: vec![],
-        };
+        let mut ctx = RecordingCtx::new(0, SimTime::from_millis(5));
         state.visit(winner, 1, SimTime::from_millis(1), 1);
         let record = marp_replica::CommitRecord {
             version: 1,

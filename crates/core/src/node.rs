@@ -502,45 +502,11 @@ mod tests {
     use crate::msg::CommitMsg;
     use marp_net::Topology;
     use marp_replica::CommitRecord;
-    use marp_sim::SimTime;
+    use marp_sim::{RecordingCtx, SimTime};
     use std::time::Duration;
 
-    struct TestCtx {
-        now: SimTime,
-        sent: Vec<(NodeId, Bytes)>,
-        traced: Vec<TraceEvent>,
-        /// Every timer armed, as `(delay, tag)`.
-        armed: Vec<(Duration, u64)>,
-    }
-    impl Default for TestCtx {
-        fn default() -> Self {
-            TestCtx {
-                now: SimTime::from_millis(9),
-                sent: Vec::new(),
-                traced: Vec::new(),
-                armed: Vec::new(),
-            }
-        }
-    }
-    impl Context for TestCtx {
-        fn now(&self) -> SimTime {
-            self.now
-        }
-        fn me(&self) -> NodeId {
-            0
-        }
-        fn send(&mut self, to: NodeId, msg: Bytes) {
-            self.sent.push((to, msg));
-        }
-        fn set_timer(&mut self, after: Duration, tag: u64) -> TimerId {
-            self.armed.push((after, tag));
-            TimerId(self.armed.len() as u64)
-        }
-        fn cancel_timer(&mut self, _id: TimerId) {}
-        fn trace(&mut self, event: TraceEvent) {
-            self.traced.push(event);
-        }
-        fn halt(&mut self) {}
+    fn test_ctx() -> RecordingCtx {
+        RecordingCtx::new(0, SimTime::from_millis(9))
     }
 
     fn commit_of(winner: AgentId) -> Bytes {
@@ -621,7 +587,7 @@ mod tests {
                 .ll
                 .request(1, agent, SimTime::from_millis(2), lease, last_host);
         }
-        let mut ctx = TestCtx::default();
+        let mut ctx = test_ctx();
         // Nowhere left to go: it parks on arrival.
         let resident =
             UpdateAgent::new(parked, node.state.config(), vec![write(2)]).with_itinerary_done();
@@ -667,7 +633,7 @@ mod tests {
     #[test]
     fn commit_skips_departed_agents() {
         let (mut node, [winner, departed, remote]) = node_with_queue();
-        let mut ctx = TestCtx::default();
+        let mut ctx = test_ctx();
         node.on_message(1, commit_of(winner), &mut ctx);
         // Neither waiter is hosted here: one migrated away (mail would
         // only produce an `agent-msg-missed`), the other is told by
@@ -695,7 +661,7 @@ mod tests {
     fn a_held_claim_is_acked_by_the_commit_that_frees_it() {
         let (mut node, [winner, _, successor]) = node_with_queue();
         node.state.core.ll.remove(1, agent_ids()[1]);
-        let mut ctx = TestCtx::default();
+        let mut ctx = test_ctx();
         let update = |agent: AgentId, reply_to| {
             marp_wire::to_bytes(&NodeMsg::Update(crate::msg::UpdateMsg {
                 agent,
@@ -737,7 +703,7 @@ mod tests {
     #[test]
     fn ll_query_is_answered_with_a_counted_full_reply() {
         let (mut node, [_, _, remote]) = node_with_queue();
-        let mut ctx = TestCtx::default();
+        let mut ctx = test_ctx();
         let query = NodeMsg::LlQuery {
             agent: remote,
             key: 1,
@@ -766,7 +732,7 @@ mod tests {
         }))
     }
 
-    fn dispatches(ctx: &TestCtx) -> usize {
+    fn dispatches(ctx: &RecordingCtx) -> usize {
         ctx.traced
             .iter()
             .filter(|e| matches!(e, TraceEvent::AgentDispatched { .. }))
@@ -776,7 +742,7 @@ mod tests {
     #[test]
     fn an_idle_node_arms_no_batch_timer() {
         let mut node = test_node();
-        let mut ctx = TestCtx::default();
+        let mut ctx = test_ctx();
         node.on_start(&mut ctx);
         let maintenance = node.state.config().maintenance_interval;
         assert_eq!(ctx.armed, [(maintenance, tag_of(NodeTimer::Maintenance))]);
@@ -807,7 +773,7 @@ mod tests {
         cfg.batch.max_batch = 4;
         let max_wait = cfg.batch.max_wait;
         let mut node = MarpNode::new(0, cfg, RoutingTable::from_topology(0, &topo));
-        let mut ctx = TestCtx::default();
+        let mut ctx = test_ctx();
         let arrived = ctx.now;
         node.on_message(9, client_write(1), &mut ctx);
         assert_eq!(dispatches(&ctx), 0);

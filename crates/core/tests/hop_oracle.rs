@@ -4,7 +4,6 @@
 //! `crates/agent/tests/runtime_sim.rs` is the model — no simulator, so
 //! every envelope can be opened and read.
 
-use bytes::Bytes;
 use marp_agent::{AgentEnvelope, AgentId, AgentRuntime};
 use marp_core::lt::LockingTable;
 use marp_core::{
@@ -12,43 +11,17 @@ use marp_core::{
 };
 use marp_net::{RoutingTable, Topology};
 use marp_replica::{LlSnapshot, ServerConfig, ServerCore, WriteRequest};
-use marp_sim::{Context, NodeId, SimTime, TimerId, TraceEvent};
+use marp_sim::{NodeId, RecordingCtx, SimTime};
 use std::time::Duration;
 
 const N: usize = 5;
-
-/// Records what a host sends; timers are armed and never fire.
-struct RecCtx {
-    me: NodeId,
-    sent: Vec<(NodeId, NodeMsg)>,
-    timers: u64,
-}
-
-impl Context for RecCtx {
-    fn now(&self) -> SimTime {
-        SimTime::from_millis(20)
-    }
-    fn me(&self) -> NodeId {
-        self.me
-    }
-    fn send(&mut self, to: NodeId, msg: Bytes) {
-        self.sent
-            .push((to, marp_wire::from_bytes(&msg).expect("a NodeMsg")));
-    }
-    fn set_timer(&mut self, _after: Duration, _tag: u64) -> TimerId {
-        self.timers += 1;
-        TimerId(self.timers)
-    }
-    fn cancel_timer(&mut self, _id: TimerId) {}
-    fn trace(&mut self, _event: TraceEvent) {}
-    fn halt(&mut self) {}
-}
 
 /// One replica server as the agent runtime sees it.
 struct Host {
     state: MarpServerState,
     runtime: AgentRuntime<UpdateAgent>,
-    ctx: RecCtx,
+    /// Records what the host sends; timers are armed and never fire.
+    ctx: RecordingCtx,
 }
 
 impl Host {
@@ -61,11 +34,7 @@ impl Host {
                 cfg,
             ),
             runtime: AgentRuntime::new(cfg.migration, wrap_agent_envelope),
-            ctx: RecCtx {
-                me,
-                sent: Vec::new(),
-                timers: 0,
-            },
+            ctx: RecordingCtx::new(me, SimTime::from_millis(20)),
         }
     }
 
@@ -77,11 +46,11 @@ impl Host {
     /// The agent envelopes this host has sent to `to`, oldest first.
     fn envelopes_to(&self, to: NodeId) -> Vec<AgentEnvelope> {
         self.ctx
-            .sent
-            .iter()
+            .sent_as()
+            .into_iter()
             .filter(|(dest, _)| *dest == to)
             .filter_map(|(_, msg)| match msg {
-                NodeMsg::Agent(envelope) => Some(envelope.clone()),
+                NodeMsg::Agent(envelope) => Some(envelope),
                 _ => None,
             })
             .collect()

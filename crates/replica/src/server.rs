@@ -347,46 +347,12 @@ impl ServerCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marp_sim::{SimTime, TimerId};
+    use marp_sim::{RecordingCtx, SimTime};
     use std::collections::BTreeMap;
 
-    /// Minimal hand-rolled context for driving the core directly.
-    struct TestCtx {
-        now: SimTime,
-        me: NodeId,
-        sent: Vec<(NodeId, Bytes)>,
-        traced: Vec<TraceEvent>,
-    }
-
-    impl TestCtx {
-        fn new(me: NodeId) -> Self {
-            TestCtx {
-                now: SimTime::from_millis(1),
-                me,
-                sent: Vec::new(),
-                traced: Vec::new(),
-            }
-        }
-    }
-
-    impl Context for TestCtx {
-        fn now(&self) -> SimTime {
-            self.now
-        }
-        fn me(&self) -> NodeId {
-            self.me
-        }
-        fn send(&mut self, to: NodeId, msg: Bytes) {
-            self.sent.push((to, msg));
-        }
-        fn set_timer(&mut self, _after: Duration, _tag: u64) -> TimerId {
-            TimerId(0)
-        }
-        fn cancel_timer(&mut self, _id: TimerId) {}
-        fn trace(&mut self, event: TraceEvent) {
-            self.traced.push(event);
-        }
-        fn halt(&mut self) {}
+    /// A recording context for driving the core directly.
+    fn test_ctx(me: NodeId) -> RecordingCtx {
+        RecordingCtx::new(me, SimTime::from_millis(1))
     }
 
     fn sync_wrap(msg: SyncMsg) -> Bytes {
@@ -411,7 +377,7 @@ mod tests {
     #[test]
     fn reads_are_served_locally_and_traced() {
         let mut core = core(0);
-        let mut ctx = TestCtx::new(0);
+        let mut ctx = test_ctx(0);
         let req = ClientRequest {
             id: 7,
             op: Operation::Read { key: 3 },
@@ -439,7 +405,7 @@ mod tests {
     #[test]
     fn writes_are_queued_for_the_protocol() {
         let mut core = core(0);
-        let mut ctx = TestCtx::new(0);
+        let mut ctx = test_ctx(0);
         let req = ClientRequest {
             id: 8,
             op: Operation::Write { key: 2, value: 5 },
@@ -456,7 +422,7 @@ mod tests {
     #[test]
     fn commit_answers_pending_client() {
         let mut core = core(0);
-        let mut ctx = TestCtx::new(0);
+        let mut ctx = test_ctx(0);
         core.handle_client_request(
             4,
             ClientRequest {
@@ -479,7 +445,7 @@ mod tests {
     #[test]
     fn retried_write_of_committed_request_is_answered_not_redispatched() {
         let mut core = core(0);
-        let mut ctx = TestCtx::new(0);
+        let mut ctx = test_ctx(0);
         let req = ClientRequest {
             id: 8,
             op: Operation::Write { key: 2, value: 5 },
@@ -507,7 +473,7 @@ mod tests {
     #[test]
     fn retried_write_in_flight_is_swallowed() {
         let mut core = core(0);
-        let mut ctx = TestCtx::new(0);
+        let mut ctx = test_ctx(0);
         let req = ClientRequest {
             id: 8,
             op: Operation::Write { key: 2, value: 5 },
@@ -530,7 +496,7 @@ mod tests {
     #[test]
     fn duplicate_commit_is_suppressed_and_client_answered_once() {
         let mut core = core(0);
-        let mut ctx = TestCtx::new(0);
+        let mut ctx = test_ctx(0);
         core.handle_client_request(
             4,
             ClientRequest {
@@ -565,10 +531,10 @@ mod tests {
     #[test]
     fn sync_pull_returns_suffix_and_push_applies() {
         let mut source = core(0);
-        let mut ctx = TestCtx::new(0);
+        let mut ctx = test_ctx(0);
         source.apply_commits(vec![commit(1, 100), commit(2, 200)], &mut ctx);
 
-        let mut ctx_pull = TestCtx::new(0);
+        let mut ctx_pull = test_ctx(0);
         let pull = SyncMsg::Pull {
             versions: BTreeMap::from([(0, 1)]),
         };
@@ -581,7 +547,7 @@ mod tests {
         assert_eq!(records.len(), 1);
 
         let mut target = core(1);
-        let mut ctx2 = TestCtx::new(1);
+        let mut ctx2 = test_ctx(1);
         // Target missed version 1: receiving only version 2 buffers it.
         target.handle_sync(0, SyncMsg::Push { records }, &mut ctx2);
         assert_eq!(target.store.applied_version(), 0);
@@ -595,7 +561,7 @@ mod tests {
     #[test]
     fn pull_if_behind_is_noop_when_current() {
         let mut core = core(0);
-        let mut ctx = TestCtx::new(0);
+        let mut ctx = test_ctx(0);
         assert!(!core.pull_if_behind(1, &mut ctx));
         assert!(ctx.sent.is_empty());
     }
@@ -603,7 +569,7 @@ mod tests {
     #[test]
     fn recover_clears_volatile_keeps_stable() {
         let mut core = core(0);
-        let mut ctx = TestCtx::new(0);
+        let mut ctx = test_ctx(0);
         core.apply_commits(vec![commit(1, 100)], &mut ctx);
         core.ll.request(
             1,
@@ -629,7 +595,7 @@ mod tests {
     #[test]
     fn purge_expired_locks_traces() {
         let mut core = core(0);
-        let mut ctx = TestCtx::new(0);
+        let mut ctx = test_ctx(0);
         ctx.now = SimTime::from_millis(1);
         core.ll.request(
             1,

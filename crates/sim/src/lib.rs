@@ -53,7 +53,9 @@ mod time;
 mod trace;
 
 pub use engine::{Control, PendingEvent, PendingKind, RunStats, Simulation, EXTERNAL};
-pub use process::{Context, Delivery, FixedDelay, NodeId, Process, TimerId, Transport};
+pub use process::{
+    Context, Delivery, FixedDelay, NodeId, Process, RecordingCtx, TimerId, Transport,
+};
 pub use rng::{splitmix64, SimRng};
 pub use time::{duration_nanos, scale_duration, SimTime};
 pub use trace::{

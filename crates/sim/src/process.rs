@@ -131,9 +131,88 @@ impl Transport for FixedDelay {
     }
 }
 
+/// A [`Context`] that records what a process asks of it, for tests that
+/// drive a handler directly rather than through a
+/// [`Simulation`](crate::Simulation): `now` and `me` are what the test
+/// sets them to, nothing is delivered and no timer fires.
+#[derive(Debug, Default)]
+pub struct RecordingCtx {
+    /// What [`Context::now`] answers.
+    pub now: SimTime,
+    /// What [`Context::me`] answers.
+    pub me: NodeId,
+    /// Every message sent, in order.
+    pub sent: Vec<(NodeId, Bytes)>,
+    /// Every event traced, in order.
+    pub traced: Vec<TraceEvent>,
+    /// Every timer armed, as `(delay, tag)`. Its id is its position in
+    /// this list when it was armed, from 1.
+    pub armed: Vec<(Duration, u64)>,
+}
+
+impl RecordingCtx {
+    /// A context for node `me` whose clock reads `now`.
+    pub fn new(me: NodeId, now: SimTime) -> Self {
+        RecordingCtx {
+            now,
+            me,
+            ..RecordingCtx::default()
+        }
+    }
+
+    /// The messages sent, decoded as `T`. Panics on one that is not a
+    /// `T`.
+    pub fn sent_as<T: marp_wire::Wire>(&self) -> Vec<(NodeId, T)> {
+        self.sent
+            .iter()
+            .map(|(to, msg)| {
+                (
+                    *to,
+                    marp_wire::from_bytes(msg).expect("a decodable message"),
+                )
+            })
+            .collect()
+    }
+}
+
+impl Context for RecordingCtx {
+    fn now(&self) -> SimTime {
+        self.now
+    }
+    fn me(&self) -> NodeId {
+        self.me
+    }
+    fn send(&mut self, to: NodeId, msg: Bytes) {
+        self.sent.push((to, msg));
+    }
+    fn set_timer(&mut self, after: Duration, tag: u64) -> TimerId {
+        self.armed.push((after, tag));
+        TimerId(self.armed.len() as u64)
+    }
+    fn cancel_timer(&mut self, _id: TimerId) {}
+    fn trace(&mut self, event: TraceEvent) {
+        self.traced.push(event);
+    }
+    fn halt(&mut self) {}
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn recording_ctx_records_sends_timers_and_traces() {
+        let mut ctx = RecordingCtx::new(3, SimTime::from_millis(7));
+        assert_eq!((ctx.me(), ctx.now()), (3, SimTime::from_millis(7)));
+        ctx.send(1, marp_wire::to_bytes(&42u64));
+        let first = ctx.set_timer(Duration::from_millis(5), 11);
+        let second = ctx.set_timer(Duration::from_millis(6), 12);
+        ctx.trace(TraceEvent::NodeUp(3));
+        assert_eq!(ctx.sent_as::<u64>(), [(1, 42)]);
+        assert_eq!((first, second), (TimerId(1), TimerId(2)));
+        assert_eq!(ctx.armed[1], (Duration::from_millis(6), 12));
+        assert_eq!(ctx.traced, [TraceEvent::NodeUp(3)]);
+    }
 
     #[test]
     fn fixed_delay_routes_uniformly() {
