@@ -19,6 +19,7 @@ use marp_sim::TraceLog;
 use std::path::Path;
 
 /// One runnable experiment.
+#[derive(Clone, Copy)]
 pub struct Experiment {
     /// Command name: `marp-lab <name>`.
     pub name: &'static str,
