@@ -50,6 +50,7 @@ pub(super) struct Grid {
 }
 
 /// One point's runs at every paper seed, audited and pooled.
+#[derive(Default)]
 struct Pooled {
     metrics: PaperMetrics,
     messages: u64,
@@ -62,15 +63,7 @@ struct Pooled {
 
 impl Pooled {
     fn of(outcomes: &[RunOutcome]) -> Pooled {
-        let mut pooled = Pooled {
-            metrics: PaperMetrics::default(),
-            messages: 0,
-            bytes: 0,
-            issued: 0,
-            abandoned: 0,
-            client_read_ms: Samples::new(),
-            client_write_ms: Samples::new(),
-        };
+        let mut pooled = Pooled::default();
         for outcome in outcomes {
             outcome.audit.assert_ok();
             pooled.metrics.merge(&outcome.metrics);
