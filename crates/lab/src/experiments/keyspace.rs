@@ -19,7 +19,7 @@
 //! 0), so the figures stay pinned to the published configuration.
 
 use crate::{run_sweep_traced, Scenario, PAPER_SEEDS};
-use marp_metrics::{fmt_ms, Samples, Table};
+use marp_metrics::{fmt_ms, PaperMetrics, Samples, Table};
 use marp_sim::{SimTime, TraceEvent, TraceLog};
 use marp_workload::KeyDist;
 use std::collections::{BTreeMap, HashMap};
@@ -41,8 +41,7 @@ fn scenario(keys: KeyDist, requests_per_client: u64, seed: u64) -> Scenario {
 /// Per-key and aggregate results pooled over the seeds of one arm.
 #[derive(Default)]
 struct ArmResult {
-    alt_ms: Samples,
-    completed: u64,
+    metrics: PaperMetrics,
     /// Sum of per-seed makespans (first arrival to last completion) in
     /// seconds; throughput = completed / makespan.
     makespan_s: f64,
@@ -55,14 +54,14 @@ impl ArmResult {
         if self.makespan_s <= 0.0 {
             return 0.0;
         }
-        self.completed as f64 / self.makespan_s
+        self.metrics.completed as f64 / self.makespan_s
     }
 }
 
-/// Fold one run's trace into the arm: join each completed update to
-/// its key through the `CommitApplied` record of the same request id,
-/// and clock the makespan from first request arrival to last
-/// completion.
+/// Fold one run's trace into the arm's per-key view: join each
+/// completed update to its key through the `CommitApplied` record of
+/// the same request id, and clock the makespan from first request
+/// arrival to last completion.
 fn fold(arm: &mut ArmResult, trace: &TraceLog) {
     let mut key_of_request: HashMap<u64, u64> = HashMap::new();
     for record in trace.records() {
@@ -84,8 +83,6 @@ fn fold(arm: &mut ArmResult, trace: &TraceLog) {
                 ..
             } => {
                 let alt = locked.saturating_since(dispatched).as_secs_f64() * 1e3;
-                arm.alt_ms.push(alt);
-                arm.completed += 1;
                 last_completion = Some(record.at);
                 // A request that completed without any replica applying
                 // it would be an exactly-once violation; the audit
@@ -151,6 +148,7 @@ pub(super) fn run(args: &[String]) -> String {
             let mut arm = ArmResult::default();
             for (outcome, trace) in arm_runs {
                 outcome.audit.assert_ok();
+                arm.metrics.merge(&outcome.metrics);
                 fold(&mut arm, trace);
             }
             arm
@@ -173,9 +171,9 @@ pub(super) fn run(args: &[String]) -> String {
         let wps = arm.writes_per_sec();
         table.row(vec![
             label.to_string(),
-            arm.completed.to_string(),
-            fmt_ms(arm.alt_ms.mean()),
-            fmt_ms(arm.alt_ms.quantile(0.95)),
+            arm.metrics.completed.to_string(),
+            fmt_ms(arm.metrics.mean_alt_ms()),
+            fmt_ms(arm.metrics.alt_ms.quantile(0.95)),
             format!("{wps:.0}"),
             format!("{:.2}x", wps / single_wps.max(f64::MIN_POSITIVE)),
         ]);

@@ -27,9 +27,8 @@ fn main() -> ExitCode {
             }
             Ok(())
         }
-        ("results", []) => results(Path::new("results"), false, EXPERIMENTS),
-        ("results", [check]) if check == "--check" => {
-            results(Path::new("results"), true, EXPERIMENTS)
+        ("results", check) if check.is_empty() || check == ["--check"] => {
+            results(Path::new("results"), !check.is_empty(), EXPERIMENTS)
         }
         _ => match EXPERIMENTS.iter().find(|e| e.name == command) {
             Some(experiment) => run(experiment, flags, &obs),

@@ -289,6 +289,10 @@ impl SweepReport {
     /// Fitted growth exponent of one named per-commit metric.
     pub fn exponent(&self, metric: &str) -> Option<f64> {
         let (_, column) = metrics().find(|(name, _)| *name == metric)?;
+        self.fit(column)
+    }
+
+    fn fit(&self, column: &Column) -> Option<f64> {
         let samples: Vec<(f64, f64)> = self
             .points
             .iter()
@@ -300,7 +304,7 @@ impl SweepReport {
     /// All `(metric, exponent)` rows in [`metrics`] order.
     pub fn exponents(&self) -> Vec<(&'static str, Option<f64>)> {
         metrics()
-            .map(|(name, _)| (name, self.exponent(name)))
+            .map(|(name, column)| (name, self.fit(column)))
             .collect()
     }
 
@@ -338,7 +342,7 @@ impl SweepReport {
                 .map(|p| format!("n{}={:.3}", p.n, p.metric(column)))
                 .collect();
             let k = self
-                .exponent(name)
+                .fit(column)
                 .map(|k| format!("{k:.4}"))
                 .unwrap_or_else(|| String::from("-"));
             let _ = writeln!(out, "  {name:<16} k={k:<8} {}", values.join(" "));
