@@ -199,3 +199,115 @@ fn a_key_above_two_to_the_48_is_pruned_like_any_other() {
     assert_eq!(rows_shipped_to_a_host_that_advertised(7), vec![0, 4]);
     assert_eq!(rows_shipped_to_a_host_that_advertised(1 << 50), vec![0, 4]);
 }
+
+/// Three servers, each with `rivals` queued on `key` ahead of any
+/// newcomer and `unrelated` finished agents of other keys in its
+/// Updated List.
+fn contended_hosts(cfg: &MarpConfig, key: u64, rivals: &[AgentId], unrelated: u32) -> Vec<Host> {
+    (0..3)
+        .map(|me| {
+            let mut host = Host::new(me, cfg);
+            for &rival in rivals {
+                host.state
+                    .visit(rival, key, SimTime::from_millis(2), rival.home);
+            }
+            for seq in 0..unrelated {
+                host.state
+                    .core
+                    .ul
+                    .record(aid(1, 1_000 + seq), SimTime::from_millis(3));
+            }
+            host
+        })
+        .collect()
+}
+
+/// Send `id` on its whole tour 0 → 1 → 2; it ends parked on host 2,
+/// behind the rivals everywhere. Returns the hosts as it left them.
+fn tour_to_the_last_stop(
+    mut hosts: Vec<Host>,
+    id: AgentId,
+    key: u64,
+    cfg: &MarpConfig,
+) -> Vec<Host> {
+    let hop = first_hop(&mut hosts[0], id, key, cfg);
+    hosts[1].deliver(0, hop);
+    let hop = migration_to(&hosts[1], 2).expect("the second hop is to host 2");
+    hosts[2].deliver(1, hop);
+    hosts
+}
+
+#[test]
+fn an_arrival_reads_only_what_its_table_names_of_the_hosts_updated_list() {
+    let cfg = MarpConfig::new(3);
+    let key = 7;
+    let me = aid(0, 0);
+    let rivals = [aid(1, 0), aid(2, 0), aid(1, 1)];
+
+    let quiet = tour_to_the_last_stop(contended_hosts(&cfg, key, &rivals, 0), me, key, &cfg);
+    let busy = tour_to_the_last_stop(contended_hosts(&cfg, key, &rivals, 10_000), me, key, &cfg);
+    assert_eq!(busy[2].state.core.ul.len(), 10_000);
+
+    let parked = busy[2].runtime.resident(me).expect("parked on host 2");
+    assert!(
+        parked.ual().len() <= rivals.len() + 1,
+        "straight after on_arrive the agent holds {} finished agents; its table names {}",
+        parked.ual().len(),
+        parked.locking_table().roster().len(),
+    );
+    // The same Action, hop for hop: the same agent state parked, and the
+    // same envelopes, timers and trace left behind on every host.
+    assert_eq!(Some(parked), quiet[2].runtime.resident(me));
+    for (busy, quiet) in busy.iter().zip(&quiet) {
+        assert_eq!(busy.ctx.sent, quiet.ctx.sent);
+        assert_eq!(busy.ctx.armed, quiet.ctx.armed);
+        assert_eq!(busy.ctx.traced, quiet.ctx.traced);
+    }
+}
+
+#[test]
+fn a_finished_rival_the_table_names_is_learned_from_the_host() {
+    let cfg = MarpConfig::new(3);
+    let key = 7;
+    let me = aid(0, 0);
+    let rivals = [aid(1, 0), aid(2, 0)];
+    let mut hosts = contended_hosts(&cfg, key, &rivals, 100);
+    // Host 2 saw the first rival's COMMIT; its queue entry there is
+    // gone, but the rows carried from hosts 0 and 1 still name it.
+    let finished_at = SimTime::from_millis(9);
+    hosts[2].state.core.ll.remove(key, rivals[0]);
+    hosts[2].state.core.ul.record(rivals[0], finished_at);
+
+    let hosts = tour_to_the_last_stop(hosts, me, key, &cfg);
+    let parked = hosts[2].runtime.resident(me).expect("parked on host 2");
+    assert_eq!(parked.ual().agents().collect::<Vec<_>>(), [rivals[0]]);
+}
+
+#[test]
+fn a_clone_listed_only_in_the_hosts_updated_list_is_disposed() {
+    let cfg = MarpConfig::new(3);
+    let key = 7;
+    let me = aid(0, 0);
+    let mut hosts = contended_hosts(&cfg, key, &[aid(1, 0)], 10);
+    // "It" already committed as far as host 1 knows; the copy arriving
+    // now carries an empty UAL.
+    hosts[1].state.core.ul.record(me, SimTime::from_millis(4));
+    let hop = first_hop(&mut hosts[0], me, key, &cfg);
+    hosts[1].deliver(0, hop);
+
+    assert!(hosts[1].runtime.resident(me).is_none());
+    assert!(
+        migration_to(&hosts[1], 2).is_none(),
+        "a zombie travels no further"
+    );
+    let disposed = hosts[1].ctx.traced.iter().any(|event| {
+        matches!(
+            event,
+            marp_sim::TraceEvent::Custom {
+                kind: "zombie-clone-disposed",
+                ..
+            }
+        )
+    });
+    assert!(disposed, "traced: {:?}", hosts[1].ctx.traced);
+}
