@@ -211,6 +211,15 @@ impl UpdateAgent {
         &self.ual
     }
 
+    /// Read a server's Updated List in place: take the entries this
+    /// agent's table names (and its own, the zombie-clone self-check) —
+    /// the only ones `decide` can ask about, and all that
+    /// `before_migrate` would let travel.
+    fn absorb(&mut self, ul: &UpdatedList) {
+        let asked = self.lt.roster().iter().copied().chain([self.id]);
+        self.ual.absorb(ul, asked);
+    }
+
     fn evaluate(&mut self, host: &mut MarpServerState, env: &mut AgentEnv<'_>) -> Action {
         if matches!(self.phase, Phase::Updating { .. }) {
             return Action::Stay;
@@ -549,11 +558,10 @@ impl AgentBehavior for UpdateAgent {
                 });
             }
         }
-        self.ual.merge(&host.core.ul);
         // A clone left over from a duplicated migration discovers here
         // that "it" already obtained the lock and updated (it is in the
         // Updated List): its work is done, it must not compete again.
-        if self.ual.contains(self.id) {
+        if self.ual.contains(self.id) || host.core.ul.contains(self.id) {
             env.trace(TraceEvent::Custom {
                 kind: "zombie-clone-disposed",
                 a: self.id.key(),
@@ -568,6 +576,7 @@ impl AgentBehavior for UpdateAgent {
             }
             host.deposit_gossip(self.key(), &self.lt);
         }
+        self.absorb(&host.core.ul);
         self.evaluate(host, env)
     }
 
@@ -617,11 +626,11 @@ impl AgentBehavior for UpdateAgent {
                 board,
                 ul,
             } => {
-                self.ual.merge(&ul);
                 self.lt.merge(node, snapshot);
                 if host.config().gossip {
                     self.lt.merge_table(&board);
                 }
+                self.absorb(&ul);
                 self.on_ll_news(true, host, env)
             }
             AgentReply::LlChanged { finished, at, .. } => {

@@ -409,10 +409,12 @@ impl LlSnapshot {
 /// finished agent only needs to stay listed while stale LL snapshots
 /// naming it can still circulate, which is bounded by the lock lease.
 /// Without pruning the list would grow for the lifetime of the system
-/// and ride inside every migrating agent and LL-info reply.
+/// and ride inside every migrating agent and LL-info reply. It is kept
+/// in id order, which is also its wire form, so a lookup stays cheap
+/// however much the server has committed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UpdatedList {
-    agents: Vec<(AgentId, SimTime)>,
+    agents: BTreeMap<AgentId, SimTime>,
 }
 
 marp_wire::wire_struct!(UpdatedList { agents });
@@ -426,22 +428,37 @@ impl UpdatedList {
     /// Record a finished agent (idempotent; keeps the latest record
     /// time).
     pub fn record(&mut self, agent: AgentId, now: SimTime) {
-        if let Some(entry) = self.agents.iter_mut().find(|(a, _)| *a == agent) {
-            entry.1 = entry.1.max(now);
-        } else {
-            self.agents.push((agent, now));
-        }
+        self.agents
+            .entry(agent)
+            .and_modify(|at| *at = (*at).max(now))
+            .or_insert(now);
     }
 
     /// Whether an agent is known to have finished.
     pub fn contains(&self, agent: AgentId) -> bool {
-        self.agents.iter().any(|(a, _)| *a == agent)
+        self.agents.contains_key(&agent)
     }
 
-    /// Merge another UL into this one (the agents' UAL merge).
+    /// When `agent` was recorded as finished, if it was.
+    pub fn get(&self, agent: AgentId) -> Option<SimTime> {
+        self.agents.get(&agent).copied()
+    }
+
+    /// Merge another UL into this one, whole.
     pub fn merge(&mut self, other: &UpdatedList) {
-        for &(agent, at) in &other.agents {
+        for (&agent, &at) in &other.agents {
             self.record(agent, at);
+        }
+    }
+
+    /// Record those of `asked` that `other` lists, at its times: what a
+    /// visiting agent takes from a server's list is the entries its
+    /// Locking Table can ask about, not the server's whole history.
+    pub fn absorb(&mut self, other: &UpdatedList, asked: impl IntoIterator<Item = AgentId>) {
+        for agent in asked {
+            if let Some(at) = other.get(agent) {
+                self.record(agent, at);
+            }
         }
     }
 
@@ -449,19 +466,19 @@ impl UpdatedList {
     /// pruned.
     pub fn prune_before(&mut self, cutoff: SimTime) -> usize {
         let before = self.agents.len();
-        self.agents.retain(|&(_, at)| at >= cutoff);
+        self.agents.retain(|_, at| *at >= cutoff);
         before - self.agents.len()
     }
 
     /// Keep only the entries `keep` approves (migrating agents shed
     /// entries their carried snapshots no longer name).
     pub fn retain(&mut self, mut keep: impl FnMut(AgentId) -> bool) {
-        self.agents.retain(|&(a, _)| keep(a));
+        self.agents.retain(|&agent, _| keep(agent));
     }
 
-    /// All recorded agents in completion order (locally observed).
+    /// All recorded agents, in id order.
     pub fn agents(&self) -> impl Iterator<Item = AgentId> + '_ {
-        self.agents.iter().map(|&(a, _)| a)
+        self.agents.keys().copied()
     }
 
     /// Number of finished agents recorded.
@@ -591,6 +608,56 @@ mod tests {
         assert!(a.contains(agent(2, 0)));
         let bytes = marp_wire::to_bytes(&a);
         assert_eq!(marp_wire::from_bytes::<UpdatedList>(&bytes).unwrap(), a);
+    }
+
+    #[test]
+    fn updated_list_keeps_the_latest_time_and_absorbs_only_what_is_asked() {
+        let ms = SimTime::from_millis;
+        let mut host = UpdatedList::new();
+        host.record(agent(1, 0), ms(5));
+        host.record(agent(2, 0), ms(6));
+        host.record(agent(3, 0), ms(7));
+        assert_eq!(host.get(agent(2, 0)), Some(ms(6)));
+        assert_eq!(host.get(agent(4, 0)), None);
+
+        // A record or a merge never moves a time backwards.
+        let mut ual = UpdatedList::new();
+        ual.record(agent(1, 0), ms(9));
+        ual.record(agent(1, 0), ms(2));
+        ual.merge(&host);
+        assert_eq!(ual.get(agent(1, 0)), Some(ms(9)));
+        assert_eq!(ual.get(agent(3, 0)), Some(ms(7)));
+
+        // Absorbing takes the asked-for entries the other list holds.
+        let mut ual = UpdatedList::new();
+        ual.record(agent(1, 0), ms(1));
+        ual.absorb(&host, [agent(1, 0), agent(3, 0), agent(4, 0)]);
+        assert_eq!(ual.agents().collect::<Vec<_>>(), [agent(1, 0), agent(3, 0)]);
+        assert_eq!(ual.get(agent(1, 0)), Some(ms(5)));
+    }
+
+    /// The wire form is the one the list had as a vector of pairs — the
+    /// same count, the same pairs — in id order whatever the order of
+    /// recording.
+    #[test]
+    fn updated_list_encodes_as_its_pairs_in_id_order() {
+        let mut pairs = vec![
+            (agent(2, 30), SimTime::from_millis(31)),
+            (agent(0, 10), SimTime::from_millis(40)),
+            (agent(1, 20), SimTime::from_millis(22)),
+        ];
+        let mut ul = UpdatedList::new();
+        for &(agent, at) in &pairs {
+            ul.record(agent, at);
+        }
+        pairs.sort();
+        let bytes = marp_wire::to_bytes(&ul);
+        assert_eq!(bytes, marp_wire::to_bytes(&pairs));
+        assert_eq!(bytes.len(), marp_wire::Wire::encoded_len(&ul));
+        assert_eq!(
+            ul.agents().collect::<Vec<_>>(),
+            [pairs[0].0, pairs[1].0, pairs[2].0]
+        );
     }
 
     #[test]
