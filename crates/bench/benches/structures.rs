@@ -1,6 +1,6 @@
 //! Protocol data-structure microbenchmarks: Locking List operations,
-//! Locking Table merges, the priority calculation, and versioned-store
-//! commit application.
+//! Locking Table merges, the priority calculation, the Updated List an
+//! arriving agent reads, and versioned-store commit application.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use marp_agent::AgentId;
@@ -82,6 +82,51 @@ fn bench_locking_table(c: &mut Criterion) {
     group.finish();
 }
 
+/// A server's Updated List after `n` commits, recorded in the order
+/// COMMITs land (not id order: homes interleave).
+fn updated_list(n: u32) -> UpdatedList {
+    let mut ul = UpdatedList::new();
+    for i in 0..n {
+        let scattered = (i * 61) % n; // 61 is coprime to both sizes
+        ul.record(agent(scattered), SimTime::from_millis(u64::from(i)));
+    }
+    ul
+}
+
+fn bench_updated_list(c: &mut Criterion) {
+    let mut group = c.benchmark_group("structures/updated-list");
+    for n in [64u32, 4096] {
+        let full = updated_list(n);
+        group.throughput(Throughput::Elements(u64::from(n)));
+        group.bench_function(format!("record-{n}"), |b| {
+            b.iter(|| updated_list(std::hint::black_box(n)).len())
+        });
+        group.bench_function(format!("contains-{n}"), |b| {
+            b.iter(|| {
+                let ul = std::hint::black_box(&full);
+                (0..n).filter(|&i| ul.contains(agent(i))).count()
+            })
+        });
+    }
+    // One arrival: the agent's table names itself and three rivals, and
+    // the host has 4096 commits behind it, theirs among them.
+    let host = updated_list(4096);
+    let lt = build_table(5, 4);
+    let me = agent(0);
+    let mut carried = UpdatedList::new();
+    carried.record(agent(5_000), SimTime::from_millis(1));
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("arrive-named3-of-4096", |b| {
+        b.iter(|| {
+            let mut ual = carried.clone();
+            let asked = lt.roster().iter().copied().chain([me]);
+            ual.absorb(std::hint::black_box(&host), asked);
+            ual.contains(me)
+        })
+    });
+    group.finish();
+}
+
 fn bench_versioned_store(c: &mut Criterion) {
     let records: Vec<CommitRecord> = (1..=10_000u64)
         .map(|version| CommitRecord {
@@ -120,6 +165,7 @@ criterion_group!(
     benches,
     bench_locking_list,
     bench_locking_table,
+    bench_updated_list,
     bench_versioned_store
 );
 criterion_main!(benches);
