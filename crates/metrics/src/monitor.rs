@@ -22,6 +22,10 @@
 //!   for an already-applied request must be suppressed, which the
 //!   store traces as `commit-suppressed` instead of `CommitApplied`;
 //!   suppressed slots still advance the denseness cursor).
+//! * **version-conflict** — no server is offered, for a version it has
+//!   applied, a record of another request (the store traces
+//!   `version-conflict`): divergence flagged where the two histories
+//!   meet, even when each replica's own applies look consistent.
 //! * **lost-update** (quiescent-only) — a request that reported
 //!   completion must have its commit applied by at least one replica.
 //!   Only meaningful once no messages are in flight, so it is exposed
@@ -227,6 +231,20 @@ impl InvariantMonitor {
                 }
                 *last = (*last).max(*version);
             }
+            TraceEvent::Custom {
+                kind: "version-conflict",
+                a: version,
+                b: request,
+            } if self.check_order => {
+                self.violations.push(Violation {
+                    rule: "version-conflict",
+                    detail: format!(
+                        "node {} was offered request {request:#x} as version {version}, \
+                         which it has applied as another request",
+                        record.node
+                    ),
+                });
+            }
             _ => {}
         }
     }
@@ -398,6 +416,30 @@ mod tests {
                 b: request,
             },
         }
+    }
+
+    #[test]
+    fn version_conflict_fails_on_the_record_that_reports_it() {
+        let conflict = TraceRecord {
+            at: SimTime::ZERO,
+            node: 3,
+            event: TraceEvent::Custom {
+                kind: "version-conflict",
+                a: 17,
+                b: 0xb,
+            },
+        };
+        let mut mon = InvariantMonitor::keyed(5);
+        mon.observe(&commit(3, 1, 7, 0xa));
+        assert!(mon.ok());
+        mon.observe(&conflict);
+        assert_eq!(mon.violations().len(), 1);
+        assert_eq!(mon.violations()[0].rule, "version-conflict");
+        assert!(mon.violations()[0].detail.contains("node 3"));
+        // Protocols without a dense version order number freely.
+        let mut relaxed = InvariantMonitor::relaxed();
+        relaxed.observe(&conflict);
+        assert!(relaxed.ok());
     }
 
     #[test]

@@ -222,7 +222,10 @@ impl ServerCore {
     /// writes this server accepted. A record whose request already
     /// committed under an earlier version is *suppressed*: the version
     /// slot burns (keeping the log dense) but no data moves, no client
-    /// is answered, and a `commit-suppressed` trace marks the burn.
+    /// is answered, and a `commit-suppressed` trace marks the burn. A
+    /// record for a version this server applied as *another* request is
+    /// dropped like a duplicate, but loudly: `version-conflict` says
+    /// two histories exist, at the step where they meet.
     /// Returns the records that actually applied here, in order.
     pub fn apply_commits(
         &mut self,
@@ -231,6 +234,13 @@ impl ServerCore {
     ) -> Vec<CommitRecord> {
         let mut all_applied = Vec::new();
         for record in records {
+            if self.store.conflicts_with(&record) {
+                ctx.trace(TraceEvent::Custom {
+                    kind: "version-conflict",
+                    a: record.version,
+                    b: record.request,
+                });
+            }
             let applied = self.store.offer(record, ctx.now());
             for (rec, suppressed) in applied {
                 // However the record reached us (COMMIT broadcast or
@@ -526,6 +536,32 @@ mod tests {
             .filter(|e| matches!(e, TraceEvent::CommitApplied { request: 8, .. }))
             .count();
         assert_eq!(applies, 1);
+    }
+
+    #[test]
+    fn a_rival_record_for_an_applied_version_is_traced_and_a_duplicate_is_not() {
+        let mut core = core(0);
+        let mut ctx = test_ctx(0);
+        core.apply_commits(vec![commit(1, 8)], &mut ctx);
+        core.apply_commits(vec![commit(1, 8)], &mut ctx);
+        let conflicts = |ctx: &RecordingCtx| {
+            ctx.traced
+                .iter()
+                .filter(|e| {
+                    matches!(
+                        e,
+                        TraceEvent::Custom {
+                            kind: "version-conflict",
+                            a: 1,
+                            b: 9
+                        }
+                    )
+                })
+                .count()
+        };
+        assert_eq!(conflicts(&ctx), 0, "a true duplicate stays silent");
+        assert!(core.apply_commits(vec![commit(1, 9)], &mut ctx).is_empty());
+        assert_eq!(conflicts(&ctx), 1);
     }
 
     #[test]

@@ -163,7 +163,8 @@ impl VersionedStore {
     /// earlier version, so the slot is burned (the chain advances, its
     /// log stays dense for anti-entropy) but the data and the client
     /// reply are exactly-once. Records at or below their chain's
-    /// applied version are duplicates and are ignored.
+    /// applied version are ignored: duplicates, unless
+    /// [`Self::conflicts_with`] says otherwise.
     pub fn offer(&mut self, record: CommitRecord, now: SimTime) -> Vec<(CommitRecord, bool)> {
         let cid = self.chain_of(record.key);
         let chain = self.chains.entry(cid).or_default();
@@ -199,6 +200,19 @@ impl VersionedStore {
             applied.push((next, suppressed));
         }
         applied
+    }
+
+    /// Whether `record` contradicts this store's history: its version
+    /// is already applied on its chain, as a different request. Two
+    /// committers numbered different writes alike — [`Self::offer`]
+    /// will drop the record as if it were a duplicate, so ask first.
+    pub fn conflicts_with(&self, record: &CommitRecord) -> bool {
+        let applied_as = self
+            .chains
+            .get(&self.chain_of(record.key))
+            .zip(record.version.checked_sub(1))
+            .and_then(|(chain, slot)| chain.log.get(usize::try_from(slot).ok()?));
+        applied_as.is_some_and(|held| held.request != record.request)
     }
 
     /// Whether a client request has already been applied here (used to
@@ -333,6 +347,25 @@ mod tests {
         assert!(store.offer(record(1, 1, 99), SimTime::ZERO).is_empty());
         assert_eq!(store.get(1).unwrap().value, 10);
         assert_eq!(store.log().len(), 1);
+    }
+
+    #[test]
+    fn another_request_at_an_applied_version_is_a_conflict() {
+        let mut store = VersionedStore::per_key();
+        store.offer(record(1, 1, 10), SimTime::ZERO);
+        store.offer(record(2, 1, 20), SimTime::ZERO);
+        // The record again is a duplicate; so is nothing yet applied.
+        assert!(!store.conflicts_with(&record(1, 1, 10)));
+        assert!(!store.conflicts_with(&record(3, 1, 30)));
+        assert!(!store.conflicts_with(&record(1, 2, 10)), "another chain");
+        // Version 1 of key 1 under another request is a second history.
+        let rival = CommitRecord {
+            request: 999,
+            ..record(1, 1, 10)
+        };
+        assert!(store.conflicts_with(&rival));
+        assert!(store.offer(rival, SimTime::ZERO).is_empty());
+        assert_eq!(store.get(1).unwrap().value, 20);
     }
 
     #[test]

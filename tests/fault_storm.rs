@@ -255,3 +255,33 @@ fn regression_recovered_servers_locking_list_supersedes_its_pre_crash_self() {
         outcome.stats.events
     );
 }
+
+#[test]
+#[ignore = "ROADMAP item 1: red until a majority-acked COMMIT is learnable"]
+fn regression_commit_lost_to_its_own_quorum() {
+    // The pinned recipe of ROADMAP item 1. A 3|2 partition begins at
+    // 500 ms, between an agent's UPDATE — acked by nodes 2, 0 and 1 —
+    // and its COMMIT, broadcast once at 501 ms: nodes 2 and 4 apply it
+    // as version 17, the copies for 0, 1 and 3 are dropped, and nobody
+    // retransmits or asks. The servers that acked refuse every rival
+    // (a ~760 k-event claim → refuse → abort storm) until the 30 s
+    // lock lease forgets the winner; then a rival commits *its* write
+    // as version 17 at 0, 1 and 3. One client is never answered and
+    // the audit fails with `order-preservation` and `version-conflict`.
+    let mut s = Scenario::paper(5, 200.0, 9007);
+    s.requests_per_client = 40;
+    s.client_retry = Some((Duration::from_secs(2), 8));
+    s.faults = Some(FaultPlan::new(5).partition(
+        SimTime::from_millis(500),
+        Duration::from_secs(1),
+        &[&[0, 1, 3], &[2, 4]],
+    ));
+    let outcome = run_scenario(&s);
+    outcome.audit.assert_ok();
+    assert_eq!(outcome.acked_writes, 200, "every write is answered");
+    assert!(
+        outcome.stats.events < 60_000,
+        "claim → refuse → abort storm: {} events",
+        outcome.stats.events
+    );
+}
