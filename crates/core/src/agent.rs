@@ -328,7 +328,9 @@ impl UpdateAgent {
         });
         env.trace(TraceEvent::UpdateSent {
             agent: self.id.key(),
-            version: 0, // final versions are assigned at COMMIT
+            // The base the claimant believes in: final versions are
+            // assigned at COMMIT, on top of the quorum's maximum.
+            version: host.core.store.applied_version_for(self.key()),
         });
         let msg = NodeMsg::Update(UpdateMsg {
             agent: self.id,
@@ -1000,6 +1002,30 @@ mod tests {
         // and arms its successor.
         assert!(p.fire(second_park));
         assert_eq!(p.ctx.armed.len(), armed + 1);
+    }
+
+    #[test]
+    fn the_update_trace_names_the_version_the_claim_builds_on() {
+        let cfg = MarpConfig::new(1);
+        let mut state = lone_server(&cfg);
+        let mut ctx = host_ctx();
+        let earlier = |version| CommitRecord {
+            version,
+            key: agent().key(),
+            value: 0,
+            agent: 7,
+            request: 100 + version,
+            committed_at: SimTime::ZERO,
+        };
+        state.core.apply_commits(vec![earlier(1), earlier(2)], &mut ctx);
+        let mut runtime = AgentRuntime::new(cfg.migration, wrap_agent_envelope);
+        runtime.spawn(agent(), &mut state, &mut ctx);
+        // Alone on the only server's queue, it claims at once.
+        let sent = ctx.traced.iter().find_map(|e| match e {
+            TraceEvent::UpdateSent { version, .. } => Some(*version),
+            _ => None,
+        });
+        assert_eq!(sent, Some(2));
     }
 
     #[test]

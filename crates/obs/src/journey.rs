@@ -69,7 +69,7 @@ impl Journeys {
                     );
                 }
                 TraceEvent::UpdateSent { agent, version } => {
-                    journeys.log(agent, at, format!("broadcast UPDATE for version {version}"));
+                    journeys.log(agent, at, format!("broadcast UPDATE on top of v{version}"));
                 }
                 TraceEvent::UpdateAcked {
                     agent,

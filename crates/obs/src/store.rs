@@ -135,7 +135,7 @@ mod tests {
             },
             TraceEvent::UpdateSent {
                 agent: 9,
-                version: 0,
+                version: 5,
             },
             TraceEvent::UpdateAcked {
                 agent: 9,
@@ -201,7 +201,7 @@ mod tests {
         "4d4152505452433118c0843d000000012180897a01010001ac02c08db701020201000970",
         "6172746974696f6e8092f401030303c096b102040403809bee020005020701c09fab0301",
         "0602080580a4e8030207090204c0a8a50403080902030180ade2040409090304c0b19f05",
-        "000a090480b6dc05010b0903c0ba9906020c0903030180bfd606030d0900c0c39307040e",
+        "000a090480b6dc05010b0903c0ba9906020c0903030180bfd606030d0905c0c39307040e",
         "09010080c8d007000f09c0cc8d08011001060980808080808080020780d1ca0802110980",
         "897ac0d5870903120702c0843d80897a8092f4010380dac4090413e3aaa8efe9d2fee312",
         "00010900c0de810a0014e3aaa8efe9d2fee3120180e3be0a0115f6f1b6d3eca9b7f29501",

@@ -253,7 +253,9 @@ pub enum TraceEvent {
     UpdateSent {
         /// Agent identity.
         agent: AgentKey,
-        /// Proposed version.
+        /// The key's applied version at the sending host — the base
+        /// the claimant believes it commits on top of (the final
+        /// version is assigned at COMMIT, from the quorum's acks).
         version: u64,
     },
     /// A replica acknowledged (or refused) an UPDATE.
