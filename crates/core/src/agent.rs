@@ -1017,7 +1017,9 @@ mod tests {
             request: 100 + version,
             committed_at: SimTime::ZERO,
         };
-        state.core.apply_commits(vec![earlier(1), earlier(2)], &mut ctx);
+        state
+            .core
+            .apply_commits(vec![earlier(1), earlier(2)], &mut ctx);
         let mut runtime = AgentRuntime::new(cfg.migration, wrap_agent_envelope);
         runtime.spawn(agent(), &mut state, &mut ctx);
         // Alone on the only server's queue, it claims at once.
