@@ -83,12 +83,13 @@ fn bench_locking_table(c: &mut Criterion) {
 }
 
 /// A server's Updated List after `n` commits, recorded in the order
-/// COMMITs land (not id order: homes interleave).
+/// COMMITs land: close to id order (ids sort by birth), with
+/// neighbours overtaking each other.
 fn updated_list(n: u32) -> UpdatedList {
     let mut ul = UpdatedList::new();
     for i in 0..n {
-        let scattered = (i * 61) % n; // 61 is coprime to both sizes
-        ul.record(agent(scattered), SimTime::from_millis(u64::from(i)));
+        let overtaken = i ^ 5; // a permutation within each block of 8
+        ul.record(agent(overtaken), SimTime::from_millis(u64::from(i)));
     }
     ul
 }

@@ -409,15 +409,17 @@ impl LlSnapshot {
 /// finished agent only needs to stay listed while stale LL snapshots
 /// naming it can still circulate, which is bounded by the lock lease.
 /// Without pruning the list would grow for the lifetime of the system
-/// and ride inside every migrating agent and LL-info reply. It is kept
-/// in id order, which is also its wire form, so a lookup stays cheap
-/// however much the server has committed.
+/// and ride inside every migrating agent and LL-info reply. It is a
+/// flat map kept in id order, which is also its wire form: a lookup is
+/// a binary search however much the server has committed, and copying
+/// the list into a reply stays one block copy.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UpdatedList {
-    agents: BTreeMap<AgentId, SimTime>,
+    /// One entry per agent, sorted by id.
+    agents: Vec<(AgentId, SimTime)>,
 }
 
-marp_wire::wire_struct!(UpdatedList { agents });
+marp_wire::wire_struct!(UpdatedList { agents } if UpdatedList::is_sorted);
 
 impl UpdatedList {
     /// Empty list.
@@ -425,28 +427,39 @@ impl UpdatedList {
         Self::default()
     }
 
+    /// What a decoded list must satisfy before it is searched: ids
+    /// strictly ascending (so none twice).
+    fn is_sorted(&self) -> bool {
+        self.agents.windows(2).all(|pair| pair[0].0 < pair[1].0)
+    }
+
+    /// Where `agent`'s entry is, or where it would go.
+    fn slot(&self, agent: AgentId) -> Result<usize, usize> {
+        self.agents.binary_search_by_key(&agent, |&(a, _)| a)
+    }
+
     /// Record a finished agent (idempotent; keeps the latest record
-    /// time).
+    /// time). Ids sort by birth, so a new one usually lands last.
     pub fn record(&mut self, agent: AgentId, now: SimTime) {
-        self.agents
-            .entry(agent)
-            .and_modify(|at| *at = (*at).max(now))
-            .or_insert(now);
+        match self.slot(agent) {
+            Ok(at) => self.agents[at].1 = self.agents[at].1.max(now),
+            Err(at) => self.agents.insert(at, (agent, now)),
+        }
     }
 
     /// Whether an agent is known to have finished.
     pub fn contains(&self, agent: AgentId) -> bool {
-        self.agents.contains_key(&agent)
+        self.slot(agent).is_ok()
     }
 
     /// When `agent` was recorded as finished, if it was.
     pub fn get(&self, agent: AgentId) -> Option<SimTime> {
-        self.agents.get(&agent).copied()
+        self.slot(agent).ok().map(|at| self.agents[at].1)
     }
 
     /// Merge another UL into this one, whole.
     pub fn merge(&mut self, other: &UpdatedList) {
-        for (&agent, &at) in &other.agents {
+        for &(agent, at) in &other.agents {
             self.record(agent, at);
         }
     }
@@ -466,19 +479,19 @@ impl UpdatedList {
     /// pruned.
     pub fn prune_before(&mut self, cutoff: SimTime) -> usize {
         let before = self.agents.len();
-        self.agents.retain(|_, at| *at >= cutoff);
+        self.agents.retain(|&(_, at)| at >= cutoff);
         before - self.agents.len()
     }
 
     /// Keep only the entries `keep` approves (migrating agents shed
     /// entries their carried snapshots no longer name).
     pub fn retain(&mut self, mut keep: impl FnMut(AgentId) -> bool) {
-        self.agents.retain(|&agent, _| keep(agent));
+        self.agents.retain(|&(agent, _)| keep(agent));
     }
 
     /// All recorded agents, in id order.
     pub fn agents(&self) -> impl Iterator<Item = AgentId> + '_ {
-        self.agents.keys().copied()
+        self.agents.iter().map(|&(agent, _)| agent)
     }
 
     /// Number of finished agents recorded.
@@ -658,6 +671,18 @@ mod tests {
             ul.agents().collect::<Vec<_>>(),
             [pairs[0].0, pairs[1].0, pairs[2].0]
         );
+    }
+
+    #[test]
+    fn updated_list_out_of_id_order_does_not_decode() {
+        let pairs = vec![
+            (agent(2, 30), SimTime::from_millis(1)),
+            (agent(1, 20), SimTime::from_millis(1)),
+        ];
+        let unsorted = marp_wire::to_bytes(&pairs);
+        assert!(marp_wire::from_bytes::<UpdatedList>(&unsorted).is_err());
+        let twice = marp_wire::to_bytes(&vec![pairs[0], pairs[0]]);
+        assert!(marp_wire::from_bytes::<UpdatedList>(&twice).is_err());
     }
 
     #[test]
