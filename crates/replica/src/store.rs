@@ -354,7 +354,8 @@ mod tests {
         let mut store = VersionedStore::per_key();
         store.offer(record(1, 1, 10), SimTime::ZERO);
         store.offer(record(2, 1, 20), SimTime::ZERO);
-        // The record again is a duplicate; so is nothing yet applied.
+        // The same record again is a duplicate, and a version not yet
+        // applied contradicts nothing.
         assert!(!store.conflicts_with(&record(1, 1, 10)));
         assert!(!store.conflicts_with(&record(3, 1, 30)));
         assert!(!store.conflicts_with(&record(1, 2, 10)), "another chain");
