@@ -746,6 +746,27 @@ mod tests {
     }
 
     #[test]
+    fn a_commit_learned_by_push_retires_the_winner_like_its_commit() {
+        let (mut state, a, b, mut ctx) = reserved_for_a();
+        assert!(state.handle_update(own_msg(b, None), &mut ctx).is_empty());
+        // a's COMMIT never arrives; a peer's anti-entropy Push carries
+        // its record instead, well inside the 5 s reservation lease.
+        ctx.now = SimTime::from_millis(5);
+        let records = vec![commit_record(a, 1, ctx.now)];
+        state
+            .core
+            .handle_sync(2, marp_replica::SyncMsg::Push { records }, &mut ctx);
+        assert_eq!(state.core.store.applied_version(), 1);
+        assert!(!state.core.ll.contains(1, a));
+        assert!(state.core.ul.contains(a), "a finished: its UL record");
+        // The claim held behind a is answered in the same call — not
+        // when `reserve_lease` runs out — and takes the reservation.
+        assert_eq!(acked(&ctx, b), 1);
+        assert_eq!(state.reserved_for(1), Some(b));
+        assert_eq!(state.held_claimants(1).count(), 0);
+    }
+
+    #[test]
     fn held_claims_are_answered_when_the_holder_releases() {
         let (mut state, a, b, mut ctx) = reserved_for_a();
         let c = aid(3, 3);

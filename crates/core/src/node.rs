@@ -509,18 +509,29 @@ mod tests {
         RecordingCtx::new(0, SimTime::from_millis(9))
     }
 
+    fn records_of(winner: AgentId) -> Vec<CommitRecord> {
+        vec![CommitRecord {
+            version: 1,
+            key: 1,
+            value: 7,
+            agent: winner.key(),
+            request: 1,
+            committed_at: SimTime::from_millis(8),
+        }]
+    }
+
     fn commit_of(winner: AgentId) -> Bytes {
         marp_wire::to_bytes(&NodeMsg::Commit(CommitMsg {
             agent: winner,
-            records: vec![CommitRecord {
-                version: 1,
-                key: 1,
-                value: 7,
-                agent: winner.key(),
-                request: 1,
-                committed_at: SimTime::from_millis(8),
-            }],
+            records: records_of(winner),
         }))
+    }
+
+    /// The same record as a peer's anti-entropy Push.
+    fn push_of(winner: AgentId) -> Bytes {
+        wrap_sync(marp_replica::SyncMsg::Push {
+            records: records_of(winner),
+        })
     }
 
     fn tag_of(kind: NodeTimer) -> u64 {
@@ -566,8 +577,10 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn commit_mails_exactly_the_resident_waiters_and_nothing_off_node() {
+    /// However the winner's commit record reaches a server — `carrier`
+    /// frames it — the server mails exactly the waiters resident on it
+    /// and nothing off-node.
+    fn retiring_the_winner_mails_the_resident_waiter(carrier: fn(AgentId) -> Bytes) {
         let mut node = test_node();
         let [winner, parked, remote] = agent_ids();
         let write = |id| WriteRequest {
@@ -598,7 +611,7 @@ mod tests {
         ));
         ctx.sent.clear();
 
-        node.on_message(1, commit_of(winner), &mut ctx);
+        node.on_message(1, carrier(winner), &mut ctx);
 
         let mail = agent_mail(&ctx.sent);
         assert_eq!(
@@ -615,7 +628,7 @@ mod tests {
         );
         assert!(
             ctx.sent.iter().all(|(to, _)| *to == 0),
-            "a COMMIT sends nothing across the network"
+            "a commit sends nothing across the network"
         );
         let notice_len = marp_wire::to_bytes(&mail[0].2).len() as u64;
         assert_eq!(
@@ -628,6 +641,16 @@ mod tests {
             }
         );
         assert!(node.state().core.ll.contains(1, remote));
+    }
+
+    #[test]
+    fn commit_mails_exactly_the_resident_waiters_and_nothing_off_node() {
+        retiring_the_winner_mails_the_resident_waiter(commit_of);
+    }
+
+    #[test]
+    fn a_pushed_commit_mails_the_resident_waiters_like_a_commit() {
+        retiring_the_winner_mails_the_resident_waiter(push_of);
     }
 
     #[test]
