@@ -10,7 +10,7 @@
 //!
 //! **lease-release-path** — a file whose live code enqueues lease
 //! requests (`.request(` on a locking list) must also contain a release
-//! path: `remove`, `remove_by_agent`, or a `purge_expired*` sweep.
+//! path: `remove` or a `purge_expired*` sweep.
 //! A component that only ever acquires leaks its slot in every list it
 //! touched the moment an agent dies mid-protocol.
 //!
@@ -75,11 +75,6 @@ pub fn check(ws: &Workspace, out: &mut Vec<Finding>) {
             let releases = (0..f.toks.len()).any(|i| {
                 !f.test_mask[i]
                     && (seq_in(&f.toks, i..(i + 3).min(f.toks.len()), &[".", "remove", "("])
-                        || seq_in(
-                            &f.toks,
-                            i..(i + 3).min(f.toks.len()),
-                            &[".", "remove_by_agent", "("],
-                        )
                         || (f.toks[i].kind == crate::lex::TokKind::Ident
                             && f.toks[i].text.starts_with("purge_expired")))
             });
@@ -89,7 +84,7 @@ pub fn check(ws: &Workspace, out: &mut Vec<Finding>) {
                     line,
                     rule: "lease-release-path",
                     text: "file acquires locking-list leases (`.request(`) but has no \
-                           release path (remove / remove_by_agent / purge_expired*)"
+                           release path (remove / purge_expired*)"
                         .to_string(),
                 });
             }

@@ -2,7 +2,7 @@
 //! * `pick_winner` reads locking-list priority (`.top(`) without a
 //!   `purge_expired*` call earlier in its body;
 //! * the file enqueues lease requests (`.request(`) but contains no
-//!   release path (`remove` / `remove_by_agent` / `purge_expired*`).
+//!   release path (`remove` / `purge_expired*`).
 //! Never compiled — parsed by `crates/analyzer/tests/passes.rs`.
 
 pub fn pick_winner(ll: &LockingList) -> Option<u64> {

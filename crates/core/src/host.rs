@@ -10,13 +10,24 @@
 //! one thing between it and a positive ack is W's reservation, which
 //! the COMMIT in flight is about to clear. A server therefore *holds*
 //! an UPDATE whose sole obstacle is another claimant's live reservation
-//! — it answers nothing — and runs the claim through
-//! [`MarpServerState::handle_update`] again when the reservation goes:
-//! the holder's COMMIT, its RELEASE, or the lease lapsing. A hold only
-//! delays an answer that the unchanged validation then computes, so
-//! safety rests on exactly the code it rested on before; the wait is
-//! bounded by the claimant's `ack_timeout` (abort → RELEASE → the held
-//! claim is dropped) and the holder's `reserve_lease`.
+//! — it answers nothing — and keeps the claim *inside* that
+//! [`Reservation`], so no claim can wait behind nothing. A reservation
+//! ends one way (`end_reservation`), whatever ended it — the holder's
+//! commit, its RELEASE, or the lease lapsing — and ending it runs its
+//! waiting claims through [`MarpServerState::handle_update`] again. A
+//! hold only delays an answer that the unchanged validation then
+//! computes, so safety rests on exactly the code it rested on before;
+//! the wait is bounded by the claimant's `ack_timeout` (abort → RELEASE
+//! → the held claim is dropped) and the holder's `reserve_lease`.
+//!
+//! # Retiring a winner
+//!
+//! A server learns that a winner committed from the winner's COMMIT or
+//! from a peer's anti-entropy Push. Both go through one `retire` and
+//! leave the same state behind:
+//! the winner off its Locking List and in the Updated List, its
+//! reservation ended, the claims behind it answered, the waiters named
+//! for the node to notify.
 
 use crate::config::MarpConfig;
 use crate::gossip::GossipBoard;
@@ -24,8 +35,8 @@ use crate::lt::LockingTable;
 use crate::msg::{AgentReply, UpdateMsg};
 use marp_agent::AgentId;
 use marp_net::RoutingTable;
-use marp_replica::{LlSnapshot, ServerCore};
-use marp_sim::{Context, NodeId, SimTime, TraceEvent};
+use marp_replica::{CommitRecord, LlSnapshot, ServerCore, SyncMsg};
+use marp_sim::{AgentKey, Context, NodeId, SimTime, TraceEvent};
 use std::collections::BTreeMap;
 
 /// An UPDATE acknowledgement ready to be mailed to `agent`, which
@@ -40,14 +51,33 @@ pub struct ClaimAnswer {
     pub ack: AgentReply,
 }
 
-/// What a COMMIT leaves for the node to send.
-#[derive(Debug, Default, PartialEq)]
-pub struct CommitOutcome {
+/// What retiring a winner leaves for the node to send.
+#[derive(Debug, PartialEq)]
+pub struct Retired {
+    /// The winner.
+    pub finished: AgentId,
     /// Agents still queued on the winner's key, in queue order: the
     /// node pushes the change notice to those resident on it.
     pub waiters: Vec<AgentId>,
     /// Acknowledgements of claims that were held behind the winner.
     pub answers: Vec<ClaimAnswer>,
+}
+
+/// What a server remembers of an UPDATE it acked: who holds the key,
+/// until when, and the claims waiting for the holder to finish.
+struct Reservation {
+    holder: AgentId,
+    expires: SimTime,
+    /// Claims held behind `holder` (see the module docs): one slot per
+    /// agent, never the holder's own.
+    waiting: Vec<UpdateMsg>,
+}
+
+impl Reservation {
+    /// Whether the lease ran out: the holder is presumed dead.
+    fn lapsed(&self, now: SimTime) -> bool {
+        self.expires <= now
+    }
 }
 
 /// The MARP-specific state of one replica server.
@@ -61,14 +91,9 @@ pub struct MarpServerState {
     /// The deployment's configuration: the one copy the server's
     /// handlers and every agent running here read.
     cfg: MarpConfig,
-    /// Reservation holder per object key: winners of different keys
-    /// validate and commit concurrently, so each key carries its own
-    /// reservation.
-    reserved: BTreeMap<u64, (AgentId, SimTime)>,
-    /// Claims held behind `reserved[key]` (see the module docs): one
-    /// slot per agent, never the reservation holder's own, and no entry
-    /// for a key without a reservation.
-    held: BTreeMap<u64, Vec<UpdateMsg>>,
+    /// The reservation per object key: winners of different keys
+    /// validate and commit concurrently, so each key carries its own.
+    reserved: BTreeMap<u64, Reservation>,
     /// UPDATEs held so far (a re-validated claim held again counts
     /// again).
     claims_held: u64,
@@ -94,7 +119,6 @@ impl MarpServerState {
             routing,
             cfg: *cfg,
             reserved: BTreeMap::new(),
-            held: BTreeMap::new(),
             claims_held: 0,
             peer_horizons: BTreeMap::new(),
             fences: BTreeMap::new(),
@@ -145,18 +169,14 @@ impl MarpServerState {
 
     /// Current reservation holder for `key`, if any (for inspection).
     pub fn reserved_for(&self, key: u64) -> Option<AgentId> {
-        self.reserved.get(&key).map(|&(agent, _)| agent)
+        self.reserved.get(&key).map(|r| r.holder)
     }
 
     /// Agents whose claim on `key` is held behind the current
     /// reservation (for inspection).
     pub fn held_claimants(&self, key: u64) -> impl Iterator<Item = AgentId> + '_ {
-        self.held.get(&key).into_iter().flatten().map(|m| m.agent)
-    }
-
-    /// Keys with at least one held claim (for inspection).
-    pub fn held_keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.held.keys().copied()
+        let waiting = self.reserved.get(&key).map_or(&[][..], |r| &r.waiting);
+        waiting.iter().map(|m| m.agent)
     }
 
     /// UPDATEs this server has held instead of answering at once.
@@ -204,10 +224,7 @@ impl MarpServerState {
 
     /// The reservation holder of `key`, if that is not `agent` itself.
     fn blocking_holder(&self, key: u64, agent: AgentId) -> Option<AgentId> {
-        self.reserved
-            .get(&key)
-            .map(|&(holder, _)| holder)
-            .filter(|&holder| holder != agent)
+        self.reserved_for(key).filter(|&holder| holder != agent)
     }
 
     /// Whether every agent queued above `rank` on `key` is `vouched`
@@ -234,26 +251,19 @@ impl MarpServerState {
         let key = msg.requests.first().map_or(0, |r| r.key);
         let mut answers = Vec::new();
         self.core.ll.purge_expired(now);
-        if self
-            .reserved
-            .get(&key)
-            .is_some_and(|&(_, expires)| expires <= now)
-        {
-            self.reserved.remove(&key);
-            self.revalidate_held(key, ctx, &mut answers);
+        if self.reserved.get(&key).is_some_and(|r| r.lapsed(now)) {
+            self.end_reservation(key, ctx, &mut answers);
         }
         // One held slot per agent: a newer attempt replaces it, and an
         // older one is dropped unanswered (the agent has moved on and
         // would ignore the ack).
-        if let Some(slots) = self.held.get_mut(&key) {
+        if let Some(reservation) = self.reserved.get_mut(&key) {
+            let slots = &mut reservation.waiting;
             if let Some(i) = slots.iter().position(|h| h.agent == msg.agent) {
                 if slots[i].attempt > msg.attempt {
                     return answers;
                 }
                 slots.remove(i);
-                if slots.is_empty() {
-                    self.held.remove(&key);
-                }
             }
         }
         // Refusal reasons are traced for diagnosability: 1 = reserved
@@ -295,19 +305,22 @@ impl MarpServerState {
             let early = self.core.ll.rank_of(key, msg.agent).is_some_and(|rank| {
                 self.all_above(key, rank, |a| a == holder || cert.contains(&a))
             });
-            if early {
-                ctx.trace(TraceEvent::Custom {
-                    kind: "update-held",
-                    a: msg.agent.key(),
-                    b: u64::from(self.core.me()),
-                });
-                self.claims_held += 1;
-                self.held.entry(key).or_default().push(msg);
-                debug_assert!(self.held_consistent(key));
-                return answers;
+            match self.reserved.get_mut(&key) {
+                Some(blocking) if early => {
+                    ctx.trace(TraceEvent::Custom {
+                        kind: "update-held",
+                        a: msg.agent.key(),
+                        b: u64::from(self.core.me()),
+                    });
+                    self.claims_held += 1;
+                    blocking.waiting.push(msg);
+                    return answers;
+                }
+                _ => {
+                    refusal = 1;
+                    false
+                }
             }
-            refusal = 1;
-            false
         } else if self.core.ll.top(key) == Some(msg.agent) {
             true
         } else if let Some(cert) = &msg.tie_certificate {
@@ -336,8 +349,17 @@ impl MarpServerState {
             });
         }
         if positive && !self.cfg.chaos.blind_acks() {
+            // A holder claiming again renews its lease and keeps the
+            // claims waiting behind it.
+            let expires = now + self.cfg.reserve_lease;
             self.reserved
-                .insert(key, (msg.agent, now + self.cfg.reserve_lease));
+                .entry(key)
+                .and_modify(|r| r.expires = expires)
+                .or_insert(Reservation {
+                    holder: msg.agent,
+                    expires,
+                    waiting: Vec::new(),
+                });
             // Raise the fences: from now on, only this incarnation (or
             // a later regeneration) of the carried requests can gather
             // a positive ack here.
@@ -364,18 +386,18 @@ impl MarpServerState {
                 last_update: self.core.store.last_update_time_for(key),
             },
         });
-        debug_assert!(self.held_consistent(key));
         answers
     }
 
-    /// The reservation of `key` is gone: run the claims it was holding
-    /// through `handle_update` again, in queue order. The first one that
-    /// validates takes the reservation, and the rest are held behind it
-    /// or refused.
-    fn revalidate_held(&mut self, key: u64, ctx: &mut dyn Context, answers: &mut Vec<ClaimAnswer>) {
-        let Some(mut claims) = self.held.remove(&key) else {
+    /// The one way a reservation ends, whatever ended it: forget it and
+    /// run the claims that waited behind it through `handle_update`
+    /// again, in queue order. The first one that validates takes the
+    /// reservation, and the rest are held behind it or refused.
+    fn end_reservation(&mut self, key: u64, ctx: &mut dyn Context, answers: &mut Vec<ClaimAnswer>) {
+        let Some(ended) = self.reserved.remove(&key) else {
             return;
         };
+        let mut claims = ended.waiting;
         self.core.ll.purge_expired(ctx.now());
         claims.sort_by_key(|m| self.core.ll.rank_of(key, m.agent).unwrap_or(usize::MAX));
         for msg in claims {
@@ -383,88 +405,130 @@ impl MarpServerState {
         }
     }
 
-    /// Re-validate the held claims of every key that no longer has a
-    /// reservation.
-    fn revalidate_unreserved(&mut self, ctx: &mut dyn Context) -> Vec<ClaimAnswer> {
-        let mut answers = Vec::new();
-        let freed: Vec<u64> = self
-            .held
-            .keys()
-            .copied()
-            .filter(|key| !self.reserved.contains_key(key))
+    /// End every reservation `ended` picks out.
+    fn end_reservations_where(
+        &mut self,
+        ended: impl Fn(&Reservation) -> bool,
+        ctx: &mut dyn Context,
+    ) -> Vec<ClaimAnswer> {
+        let keys: Vec<u64> = self
+            .reserved
+            .iter()
+            .filter(|(_, r)| ended(r))
+            .map(|(&key, _)| key)
             .collect();
-        for key in freed {
-            self.revalidate_held(key, ctx, &mut answers);
+        let mut answers = Vec::new();
+        for key in keys {
+            self.end_reservation(key, ctx, &mut answers);
         }
-        debug_assert!(self.held_claims_consistent());
         answers
     }
 
     /// Forget `agent`'s own held claims (it finished or gave up).
     fn drop_held_of(&mut self, agent: AgentId) {
-        self.held.retain(|_, slots| {
-            slots.retain(|m| m.agent != agent);
-            !slots.is_empty()
-        });
+        for reservation in self.reserved.values_mut() {
+            reservation.waiting.retain(|m| m.agent != agent);
+        }
     }
 
-    /// The held-claim invariant: no claim stays held once its holder's
-    /// reservation is gone, and a reservation holder is never held
-    /// behind itself. (A lapsed reservation counts as gone when
-    /// `maintain` or the key's next UPDATE removes it.)
-    pub fn held_claims_consistent(&self) -> bool {
-        self.held.keys().all(|&key| self.held_consistent(key))
-    }
-
-    fn held_consistent(&self, key: u64) -> bool {
-        self.held.get(&key).is_none_or(|slots| {
-            !slots.is_empty()
-                && self
-                    .reserved
-                    .get(&key)
-                    .is_some_and(|&(holder, _)| slots.iter().all(|m| m.agent != holder))
-        })
-    }
-
-    /// Handle a COMMIT: apply the records, retire the winner from its
-    /// key's queue into the UL, clear its reservation, and re-validate
-    /// the claims that were held behind it. Reports the remaining queue
-    /// members so the node can push the change notice to its residents.
+    /// Handle a COMMIT: apply the winner's records and retire it.
     pub fn handle_commit(
         &mut self,
-        agent: AgentId,
-        records: Vec<marp_replica::CommitRecord>,
+        winner: AgentId,
+        records: Vec<CommitRecord>,
         ctx: &mut dyn Context,
-    ) -> CommitOutcome {
+    ) -> Vec<Retired> {
+        self.learn_commits(Some(winner), records, ctx)
+    }
+
+    /// Handle an anti-entropy message: a Push is commits learned
+    /// without their COMMIT; a Pull is the substrate's to answer.
+    pub fn handle_sync(
+        &mut self,
+        from: NodeId,
+        msg: SyncMsg,
+        ctx: &mut dyn Context,
+    ) -> Vec<Retired> {
+        match msg {
+            SyncMsg::Push { records } => self.learn_commits(None, records, ctx),
+            pull @ SyncMsg::Pull { .. } => {
+                self.core.handle_sync(from, pull, ctx);
+                Vec::new()
+            }
+        }
+    }
+
+    /// Commit records arrived — in `winner`'s COMMIT, or with no winner
+    /// named in a Push: apply them and retire the winner of each. A
+    /// record names its agent by trace key only; the `AgentId` is the
+    /// one queued or reserved here under that key (if neither, there is
+    /// nothing here to retire).
+    fn learn_commits(
+        &mut self,
+        winner: Option<AgentId>,
+        records: Vec<CommitRecord>,
+        ctx: &mut dyn Context,
+    ) -> Vec<Retired> {
         // Single-key batches: the winner's object key is its records'.
         let key = records.first().map_or(0, |r| r.key);
-        self.core.apply_commits(records, ctx);
-        self.core.ll.remove(key, agent);
-        self.core.ul.record(agent, ctx.now());
-        self.drop_held_of(agent);
-        if self.reserved.get(&key).map(|&(holder, _)| holder) == Some(agent) {
-            self.reserved.remove(&key);
+        let applied = self.core.apply_commits(records, ctx);
+        let mut retired = Vec::new();
+        if let Some(winner) = winner {
+            retired.push(self.retire(winner, key, ctx));
         }
+        for record in applied {
+            if let Some(agent) = self.agent_known_as(record.key, record.agent) {
+                retired.push(self.retire(agent, record.key, ctx));
+            }
+        }
+        retired
+    }
+
+    /// The agent queued on `key` or holding its reservation whose trace
+    /// key is `agent`.
+    fn agent_known_as(&self, key: u64, agent: AgentKey) -> Option<AgentId> {
+        let entries = self.core.ll.list(key).map_or(&[][..], |ll| ll.entries());
+        entries
+            .iter()
+            .map(|e| e.agent)
+            .chain(self.reserved_for(key))
+            .find(|a| a.key() == agent)
+    }
+
+    /// Retire a winner on `key`: off the queue and into the UL, its
+    /// reservation ended and the claims held behind it re-validated.
+    /// Reports the remaining queue members so the node can push the
+    /// change notice to its residents.
+    fn retire(&mut self, finished: AgentId, key: u64, ctx: &mut dyn Context) -> Retired {
+        self.core.ll.remove(key, finished);
+        self.core.ul.record(finished, ctx.now());
+        self.drop_held_of(finished);
         // Keep the local board fresh so future visitors see this change.
         if self.cfg.gossip {
             let snapshot = self.core.ll.snapshot(key, ctx.now());
             self.board.post(key, self.core.me(), snapshot);
         }
-        let answers = self.revalidate_unreserved(ctx);
+        let mut answers = Vec::new();
+        if self.reserved_for(key) == Some(finished) {
+            self.end_reservation(key, ctx, &mut answers);
+        }
         let waiters = self.core.ll.list(key).map_or_else(Vec::new, |ll| {
             ll.entries().iter().map(|e| e.agent).collect()
         });
-        CommitOutcome { waiters, answers }
+        Retired {
+            finished,
+            waiters,
+            answers,
+        }
     }
 
     /// Handle a RELEASE from an aborting claimant (a RELEASE names no
-    /// key; agent ids are globally unique, so clearing every
-    /// reservation the agent holds — and every held claim of its own —
-    /// is unambiguous). Claims held behind it are re-validated.
+    /// key; agent ids are globally unique, so ending every reservation
+    /// the agent holds — and dropping every held claim of its own — is
+    /// unambiguous).
     pub fn handle_release(&mut self, agent: AgentId, ctx: &mut dyn Context) -> Vec<ClaimAnswer> {
         self.drop_held_of(agent);
-        self.reserved.retain(|_, &mut (holder, _)| holder != agent);
-        self.revalidate_unreserved(ctx)
+        self.end_reservations_where(|r| r.holder == agent, ctx)
     }
 
     /// Handle a parked agent's LL query for its key: refresh its lease
@@ -519,8 +583,7 @@ impl MarpServerState {
             self.fences.retain(|_, &mut (_, at)| at >= cutoff);
         }
         let now = ctx.now();
-        self.reserved.retain(|_, &mut (_, expires)| expires > now);
-        self.revalidate_unreserved(ctx)
+        self.end_reservations_where(|r| r.lapsed(now), ctx)
     }
 
     /// Crash recovery: volatile coordination state resets.
@@ -528,7 +591,6 @@ impl MarpServerState {
         self.core.on_recover();
         self.board.clear();
         self.reserved.clear();
-        self.held.clear();
         self.peer_horizons.clear();
         self.fences.clear();
     }
@@ -578,6 +640,18 @@ mod tests {
         RecordingCtx::new(0, SimTime::from_millis(ms))
     }
 
+    /// Deliver `winner`'s COMMIT, which must retire exactly the winner.
+    fn commit(
+        state: &mut MarpServerState,
+        winner: AgentId,
+        records: Vec<CommitRecord>,
+        ctx: &mut RecordingCtx,
+    ) -> Retired {
+        let mut retired = state.handle_commit(winner, records, ctx);
+        assert_eq!(retired.len(), 1, "expected one retirement: {retired:?}");
+        retired.remove(0)
+    }
+
     /// Submit a claim that must be answered at once, alone.
     fn claim(state: &mut MarpServerState, msg: UpdateMsg, ctx: &mut RecordingCtx) -> AgentReply {
         let mut answers = state.handle_update(msg, ctx);
@@ -597,8 +671,8 @@ mod tests {
         msg
     }
 
-    fn commit_record(winner: AgentId, version: u64, at: SimTime) -> marp_replica::CommitRecord {
-        marp_replica::CommitRecord {
+    fn commit_record(winner: AgentId, version: u64, at: SimTime) -> CommitRecord {
+        CommitRecord {
             version,
             key: 1,
             value: 7,
@@ -720,8 +794,8 @@ mod tests {
 
         ctx.now = SimTime::from_millis(5);
         let record = commit_record(a, 1, ctx.now);
-        let outcome = state.handle_commit(a, vec![record], &mut ctx);
-        assert_eq!(outcome.waiters, vec![b]);
+        let outcome = commit(&mut state, a, vec![record], &mut ctx);
+        assert_eq!((outcome.finished, &outcome.waiters), (a, &vec![b]));
         assert_eq!(outcome.answers.len(), 1);
         let answer = &outcome.answers[0];
         assert_eq!((answer.agent, answer.reply_to), (b, b.home));
@@ -742,7 +816,6 @@ mod tests {
         assert_eq!(acked(&ctx, b), 1);
         assert_eq!(state.reserved_for(1), Some(b));
         assert_eq!(state.held_claimants(1).count(), 0);
-        assert!(state.held_claims_consistent());
     }
 
     #[test]
@@ -753,14 +826,19 @@ mod tests {
         // its record instead, well inside the 5 s reservation lease.
         ctx.now = SimTime::from_millis(5);
         let records = vec![commit_record(a, 1, ctx.now)];
-        state
-            .core
-            .handle_sync(2, marp_replica::SyncMsg::Push { records }, &mut ctx);
+        let retired = state.handle_sync(2, SyncMsg::Push { records }, &mut ctx);
         assert_eq!(state.core.store.applied_version(), 1);
         assert!(!state.core.ll.contains(1, a));
         assert!(state.core.ul.contains(a), "a finished: its UL record");
         // The claim held behind a is answered in the same call — not
         // when `reserve_lease` runs out — and takes the reservation.
+        let [retired] = &retired[..] else {
+            panic!("expected one retirement: {retired:?}");
+        };
+        assert_eq!((retired.finished, &retired.waiters), (a, &vec![b]));
+        assert_eq!(retired.answers.len(), 1);
+        assert_eq!(retired.answers[0].agent, b);
+        assert!(positive(&retired.answers[0].ack));
         assert_eq!(acked(&ctx, b), 1);
         assert_eq!(state.reserved_for(1), Some(b));
         assert_eq!(state.held_claimants(1).count(), 0);
@@ -791,7 +869,8 @@ mod tests {
         let answers = state.handle_release(b, &mut ctx);
         assert_eq!(answers.len(), 1);
         assert!(positive(&answers[0].ack));
-        assert!(state.held_claims_consistent());
+        assert_eq!(state.reserved_for(1), Some(c));
+        assert_eq!(state.held_claimants(1).count(), 0);
     }
 
     #[test]
@@ -847,7 +926,7 @@ mod tests {
             .collect();
         assert_eq!(verdicts, vec![(b, true), (c, false)]);
         assert_eq!(state.reserved_for(1), Some(b));
-        assert!(state.held_claims_consistent());
+        assert_eq!(state.held_claimants(1).count(), 0);
     }
 
     #[test]
@@ -863,7 +942,7 @@ mod tests {
         assert!(state.handle_update(first, &mut ctx).is_empty());
         assert_eq!(state.held_claimants(1).collect::<Vec<_>>(), vec![b]);
         let record = commit_record(a, 1, ctx.now);
-        let outcome = state.handle_commit(a, vec![record], &mut ctx);
+        let outcome = commit(&mut state, a, vec![record], &mut ctx);
         assert_eq!(outcome.answers.len(), 1, "one slot per agent");
         assert!(matches!(
             outcome.answers[0].ack,
@@ -873,6 +952,22 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn a_holder_claiming_again_keeps_the_claims_behind_it() {
+        let (mut state, a, b, mut ctx) = reserved_for_a();
+        assert!(state.handle_update(own_msg(b, None), &mut ctx).is_empty());
+        // a's second attempt (its first ack round timed out elsewhere)
+        // renews the reservation; b stays held behind it.
+        let mut again = own_msg(a, None);
+        again.attempt = 2;
+        assert!(positive(&claim(&mut state, again, &mut ctx)));
+        assert_eq!(state.held_claimants(1).collect::<Vec<_>>(), vec![b]);
+        let record = commit_record(a, 1, ctx.now);
+        let outcome = commit(&mut state, a, vec![record], &mut ctx);
+        assert_eq!(outcome.answers.len(), 1);
+        assert!(positive(&outcome.answers[0].ack));
     }
 
     #[test]
@@ -888,8 +983,7 @@ mod tests {
             "a's reservation is untouched"
         );
         let record = commit_record(a, 1, ctx.now);
-        assert!(state
-            .handle_commit(a, vec![record], &mut ctx)
+        assert!(commit(&mut state, a, vec![record], &mut ctx)
             .answers
             .is_empty());
         // Crash recovery forgets held claims with the rest.
@@ -898,8 +992,9 @@ mod tests {
         assert!(state
             .handle_update(own_msg(aid(3, 3), None), &mut ctx)
             .is_empty());
+        assert_eq!(state.held_claimants(1).count(), 1);
         state.on_recover();
-        assert_eq!(state.held_keys().count(), 0);
+        assert_eq!(state.held_claimants(1).count(), 0);
     }
 
     #[test]
@@ -918,7 +1013,7 @@ mod tests {
         state.fences.insert(own_request(b), (1, ctx.now));
         let ack = claim(&mut state, own_msg(b, None), &mut ctx);
         assert!(!positive(&ack) && fenced(&ack));
-        assert_eq!(state.held_keys().count(), 0);
+        assert_eq!(state.held_claimants(1).count(), 0);
         assert_eq!(state.claims_held(), 0);
         assert_eq!(traced(&ctx, "update-held"), 0);
         assert_eq!(traced(&ctx, "update-refused"), 3);
@@ -947,7 +1042,7 @@ mod tests {
         state.visit(a, 1, SimTime::from_millis(1), 1);
         state.visit(b, 1, SimTime::from_millis(2), 2);
         let mut ctx = RecordingCtx::new(0, SimTime::from_millis(5));
-        let record = marp_replica::CommitRecord {
+        let record = CommitRecord {
             version: 1,
             key: 1,
             value: 7,
@@ -955,7 +1050,7 @@ mod tests {
             request: 1,
             committed_at: ctx.now,
         };
-        let outcome = state.handle_commit(a, vec![record], &mut ctx);
+        let outcome = commit(&mut state, a, vec![record], &mut ctx);
         assert_eq!(outcome.waiters, vec![b]);
         assert!(outcome.answers.is_empty());
         assert!(!state.core.ll.contains(1, a));
@@ -1015,7 +1110,7 @@ mod tests {
         let mut ctx = RecordingCtx::new(0, SimTime::from_millis(5));
         // a commits...
         state.visit(a, 1, SimTime::from_millis(1), 1);
-        let record = marp_replica::CommitRecord {
+        let record = CommitRecord {
             version: 1,
             key: 1,
             value: 7,
@@ -1061,7 +1156,7 @@ mod tests {
         let mut ctx = RecordingCtx::new(0, SimTime::from_millis(2));
         // The commit arrives via SyncMsg::Push (anti-entropy), not the
         // winner's COMMIT broadcast.
-        let record = marp_replica::CommitRecord {
+        let record = CommitRecord {
             version: 1,
             key: 9,
             value: 90,
@@ -1069,9 +1164,9 @@ mod tests {
             request: 5,
             committed_at: ctx.now,
         };
-        state.core.handle_sync(
+        state.handle_sync(
             3,
-            marp_replica::SyncMsg::Push {
+            SyncMsg::Push {
                 records: vec![record],
             },
             &mut ctx,
@@ -1145,7 +1240,7 @@ mod tests {
         let zombie = aid(1, 3);
         let mut ctx = RecordingCtx::new(0, SimTime::from_millis(5));
         state.visit(winner, 1, SimTime::from_millis(1), 1);
-        let record = marp_replica::CommitRecord {
+        let record = CommitRecord {
             version: 1,
             key: 1,
             value: 7,

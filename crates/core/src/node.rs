@@ -4,7 +4,7 @@
 
 use crate::agent::UpdateAgent;
 use crate::config::MarpConfig;
-use crate::host::{ClaimAnswer, MarpServerState};
+use crate::host::{ClaimAnswer, MarpServerState, Retired};
 use crate::msg::{wrap_agent_envelope, wrap_read_agent_envelope, wrap_sync, AgentReply, NodeMsg};
 use crate::read_agent::ReadAgent;
 use bytes::Bytes;
@@ -289,6 +289,40 @@ impl MarpNode {
         }
     }
 
+    /// Winners were retired here — by their COMMIT or by a Push: answer
+    /// the claims that were held behind each, and tell the queued
+    /// agents hosted here that it is gone. A waiter hosted elsewhere
+    /// hears it from that host, at the moment the commit lands there.
+    /// One encoding serves every recipient.
+    fn announce_retired(&mut self, retired: Vec<Retired>, ctx: &mut dyn Context) {
+        let me = self.me();
+        for Retired {
+            finished,
+            waiters,
+            answers,
+        } in retired
+        {
+            self.send_answers(answers, ctx);
+            let mut notice: Option<Bytes> = None;
+            for agent in waiters {
+                if self.runtime.resident(agent).is_none() {
+                    self.mail.notices_skipped += 1;
+                    continue;
+                }
+                let notice = notice.get_or_insert_with(|| {
+                    marp_wire::to_bytes(&AgentReply::LlChanged {
+                        node: me,
+                        finished,
+                        at: ctx.now(),
+                    })
+                });
+                self.mail.notices_sent += 1;
+                self.mail.notice_bytes += notice.len() as u64;
+                self.send_to_agent(me, agent, notice.clone(), ctx);
+            }
+        }
+    }
+
     fn handle_node_msg(&mut self, from: NodeId, msg: NodeMsg, ctx: &mut dyn Context) {
         match msg {
             NodeMsg::Client(request) => {
@@ -328,31 +362,8 @@ impl MarpNode {
                 self.send_answers(answers, ctx);
             }
             NodeMsg::Commit(commit) => {
-                let finished = commit.agent;
-                let outcome = self.state.handle_commit(finished, commit.records, ctx);
-                self.send_answers(outcome.answers, ctx);
-                // Tell the queued agents hosted here that the winner is
-                // gone; a waiter hosted elsewhere hears it from that
-                // host, at the moment the COMMIT lands there. One
-                // encoding serves every recipient.
-                let me = self.me();
-                let mut notice: Option<Bytes> = None;
-                for agent in outcome.waiters {
-                    if self.runtime.resident(agent).is_none() {
-                        self.mail.notices_skipped += 1;
-                        continue;
-                    }
-                    let notice = notice.get_or_insert_with(|| {
-                        marp_wire::to_bytes(&AgentReply::LlChanged {
-                            node: me,
-                            finished,
-                            at: ctx.now(),
-                        })
-                    });
-                    self.mail.notices_sent += 1;
-                    self.mail.notice_bytes += notice.len() as u64;
-                    self.send_to_agent(me, agent, notice.clone(), ctx);
-                }
+                let retired = self.state.handle_commit(commit.agent, commit.records, ctx);
+                self.announce_retired(retired, ctx);
             }
             NodeMsg::Release { agent } => {
                 let answers = self.state.handle_release(agent, ctx);
@@ -374,7 +385,10 @@ impl MarpNode {
                 self.mail.reply_bytes += payload.len() as u64;
                 self.send_to_agent(reply_to, agent, payload, ctx);
             }
-            NodeMsg::Sync(sync) => self.state.core.handle_sync(from, sync, ctx),
+            NodeMsg::Sync(sync) => {
+                let retired = self.state.handle_sync(from, sync, ctx);
+                self.announce_retired(retired, ctx);
+            }
         }
     }
 

@@ -297,7 +297,7 @@ fn an_early_claim_is_held_and_the_lock_hands_over_without_an_abort() {
     for server in 0..N as NodeId {
         let node = sim.process::<MarpNode>(server).expect("server");
         assert_eq!(node.state().core.store.applied_version_for(1), 2);
-        assert_eq!(node.state().held_keys().count(), 0);
+        assert_eq!(node.state().held_claimants(1).count(), 0);
     }
 }
 

@@ -253,10 +253,11 @@ pub fn agent_loss_schedule(spec: &ModelSpec, victim: NodeId) -> Vec<Choice> {
 /// winner and successor sit on different hosts, e.g. 5 replicas × 2).
 pub fn early_claim_crash_schedule(spec: &ModelSpec, victim: NodeId) -> Vec<Choice> {
     assert!(spec.early_claims, "not an early-claim model");
+    // Claims are only ever held on a contended key: the shared key 1.
     let holds_a_claim = |sim: &marp_sim::Simulation| {
         (0..spec.replicas as NodeId)
             .filter_map(|s| sim.process::<marp_core::MarpNode>(s))
-            .any(|node| node.state().held_keys().next().is_some())
+            .any(|node| node.state().held_claimants(1).next().is_some())
     };
     let (mut schedule, held) =
         Explorer::new(*spec, CheckConfig::default()).canonical_schedule_until(holds_a_claim);

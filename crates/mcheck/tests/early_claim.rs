@@ -3,9 +3,10 @@
 //! still on its way to the other servers. Those servers must *hold* the
 //! early UPDATE and answer it when the COMMIT lands; Theorems 1–3 and
 //! exactly-once must hold on every interleaving around that path, with
-//! and without a crash in the middle of it, and no claim may stay held
-//! once the reservation it waits behind is gone (the state invariant
-//! `held-claim-orphaned`, checked after every step).
+//! and without a crash in the middle of it. (A held claim lives inside
+//! the reservation it waits behind, so none can outlive it; that no
+//! claimant waits behind its *own* reservation is the state invariant
+//! `held-behind-itself`, checked after every step.)
 
 use marp_mcheck::{early_claim_crash_schedule, replay, CheckConfig, Explorer, Family, ModelSpec};
 

@@ -130,21 +130,6 @@ impl LockingList {
         removed
     }
 
-    /// Remove by compact agent trace key (commit records carry the
-    /// agent's trace key, not the full id): used when commits arrive
-    /// through anti-entropy rather than the winner's COMMIT broadcast.
-    /// ("Key" here always means *agent* key — object keys select the
-    /// list inside a [`LockTable`], never an entry within one.)
-    pub fn remove_by_agent(&mut self, agent: marp_sim::AgentKey) -> bool {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.agent.key() != agent);
-        let removed = self.entries.len() != before;
-        if removed {
-            self.version += 1;
-        }
-        removed
-    }
-
     /// Drop expired entries; returns the agents purged.
     ///
     /// Leases are half-open intervals `[enqueued, expires_at)`: an entry
@@ -273,13 +258,6 @@ impl LockTable {
     /// Remove `agent` from `key`'s queue.
     pub fn remove(&mut self, key: u64, agent: AgentId) -> bool {
         self.lists.get_mut(&key).is_some_and(|ll| ll.remove(agent))
-    }
-
-    /// Remove an agent (by compact trace key) from `key`'s queue.
-    pub fn remove_by_agent(&mut self, key: u64, agent: marp_sim::AgentKey) -> bool {
-        self.lists
-            .get_mut(&key)
-            .is_some_and(|ll| ll.remove_by_agent(agent))
     }
 
     /// Remove `agent` from every queue it occupies (a RELEASE names the
@@ -772,15 +750,6 @@ mod tests {
         let purged = table.purge_expired(SimTime::from_millis(100));
         assert_eq!(purged, vec![(1, agent(1, 0))]);
         assert_eq!(table.top(2), Some(agent(2, 0)));
-    }
-
-    #[test]
-    fn remove_by_agent_matches_trace_key() {
-        let mut table = LockTable::new();
-        let a = agent(4, 7);
-        table.request(1, a, SimTime::from_millis(1), LEASE, 9);
-        assert!(table.remove_by_agent(1, a.key()));
-        assert!(!table.remove_by_agent(1, a.key()));
     }
 
     #[test]

@@ -226,7 +226,9 @@ impl ServerCore {
     /// record for a version this server applied as *another* request is
     /// dropped like a duplicate, but loudly: `version-conflict` says
     /// two histories exist, at the step where they meet.
-    /// Returns the records that actually applied here, in order.
+    /// Returns the records that actually applied here, in order; what
+    /// that means for their agents' lock requests is the protocol
+    /// layer's to say.
     pub fn apply_commits(
         &mut self,
         records: Vec<CommitRecord>,
@@ -243,11 +245,6 @@ impl ServerCore {
             }
             let applied = self.store.offer(record, ctx.now());
             for (rec, suppressed) in applied {
-                // However the record reached us (COMMIT broadcast or
-                // anti-entropy), its agent's lock request is over:
-                // purge any Locking List entry it may still hold here
-                // on the committed key's queue.
-                self.ll.remove_by_agent(rec.key, rec.agent);
                 if suppressed {
                     ctx.trace(TraceEvent::Custom {
                         kind: "commit-suppressed",
