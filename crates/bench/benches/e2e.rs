@@ -27,12 +27,15 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use marp_agent::AgentId;
 use marp_core::lt::LockingTable;
-use marp_lab::{run_seeds, Scenario, PAPER_SEEDS};
+use marp_lab::{run_seeds, Scenario, SweepConfig, PAPER_SEEDS};
 use marp_replica::LlSnapshot;
 use marp_sim::{NodeId, SimTime};
 
-fn paper_scenario(n: usize, lt_delta: bool) -> Scenario {
-    let mut s = Scenario::paper(n, 25.0, 0);
+/// The scale sweep's workload (`marp-trace sweep`: mean 25 ms, 10
+/// requests per client), so `bytes-per-commit/n{3,5,9}` here are the
+/// numbers `results/sweep_n3_n5_n9.json` records.
+fn sweep_scenario(n: usize, lt_delta: bool) -> Scenario {
+    let mut s = SweepConfig::full().scenario(n, 0);
     s.lt_delta = lt_delta;
     s
 }
@@ -41,8 +44,7 @@ fn bench_commit_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("e2e/commit-throughput");
     group.sample_size(10);
     for n in [3usize, 5, 9] {
-        let mut scenario = paper_scenario(n, true);
-        scenario.requests_per_client = 10;
+        let scenario = sweep_scenario(n, true);
         let commits = (scenario.requests_per_client as usize * n) as u64;
         group.throughput(Throughput::Elements(commits));
         group.bench_function(format!("n{n}"), |b| {
@@ -132,12 +134,19 @@ fn bench_lt_merge(c: &mut Criterion) {
     group.finish();
 }
 
-/// Byte-accounting rows: pooled over [`PAPER_SEEDS`] at the paper's
-/// 5-replica configuration (plus 3 and 9 for scaling context), recorded
-/// as plain values rather than timings.
+/// `total` per committed write, to the nearest whole (the sweep's
+/// tables round the same way).
+fn per_commit(total: u64, commits: u64) -> u128 {
+    let commits = commits.max(1);
+    u128::from((total + commits / 2) / commits)
+}
+
+/// Byte-accounting rows: the sweep's workload pooled over
+/// [`PAPER_SEEDS`] at the paper's 5-replica configuration (plus 3 and 9
+/// for scaling context), recorded as plain values rather than timings.
 fn record_byte_metrics(_c: &mut Criterion) {
     for n in [3usize, 5, 9] {
-        let outcomes = run_seeds(&paper_scenario(n, true), PAPER_SEEDS, None);
+        let outcomes = run_seeds(&sweep_scenario(n, true), PAPER_SEEDS, None);
         let mut commits = 0u64;
         let mut bytes = 0u64;
         let mut migrated = 0u64;
@@ -149,16 +158,16 @@ fn record_byte_metrics(_c: &mut Criterion) {
         }
         criterion::record_metric(
             format!("e2e/metric/bytes-per-commit/n{n}"),
-            u128::from(bytes / commits.max(1)),
+            per_commit(bytes, commits),
         );
         criterion::record_metric(
             format!("e2e/metric/migrated-bytes-per-commit/n{n}/delta"),
-            u128::from(migrated / commits.max(1)),
+            per_commit(migrated, commits),
         );
     }
     // The ablation the delta optimisation is judged by: identical N=5
     // runs with full-table shipping.
-    let outcomes = run_seeds(&paper_scenario(5, false), PAPER_SEEDS, None);
+    let outcomes = run_seeds(&sweep_scenario(5, false), PAPER_SEEDS, None);
     let mut commits = 0u64;
     let mut migrated = 0u64;
     for outcome in &outcomes {
@@ -168,14 +177,14 @@ fn record_byte_metrics(_c: &mut Criterion) {
     }
     criterion::record_metric(
         "e2e/metric/migrated-bytes-per-commit/n5/full",
-        u128::from(migrated / commits.max(1)),
+        per_commit(migrated, commits),
     );
     // The keyed-store row: the same 5-replica cluster with writes
     // spread over two object keys, so mixed batches fan out into
     // per-key agents and the store keeps two disjoint version chains.
     // CI gates on this row alongside the single-key one — per-key
     // Locking Tables must not inflate the wire cost of a commit.
-    let mut two_key = paper_scenario(5, true);
+    let mut two_key = sweep_scenario(5, true);
     two_key.keys = marp_workload::KeyDist::Uniform { keys: 2 };
     let outcomes = run_seeds(&two_key, PAPER_SEEDS, None);
     let mut commits = 0u64;
@@ -187,7 +196,7 @@ fn record_byte_metrics(_c: &mut Criterion) {
     }
     criterion::record_metric(
         "e2e/metric/bytes-per-commit/n5-2key",
-        u128::from(bytes / commits.max(1)),
+        per_commit(bytes, commits),
     );
 }
 

@@ -49,7 +49,9 @@ impl SweepConfig {
         }
     }
 
-    fn scenario(&self, n: usize, seed: u64) -> Scenario {
+    /// The sweep's scenario at `n` replicas (also the e2e bench's, so
+    /// its byte rows and the sweep's agree).
+    pub fn scenario(&self, n: usize, seed: u64) -> Scenario {
         let mut s = Scenario::paper(n, self.mean_ms, seed);
         s.requests_per_client = self.requests_per_client;
         s
