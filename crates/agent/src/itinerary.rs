@@ -131,15 +131,6 @@ impl Itinerary {
         }
     }
 
-    /// Put a node back at the end of the unvisited set (used when a
-    /// migration attempt is abandoned but the replica should be retried
-    /// after others).
-    pub fn requeue(&mut self, node: NodeId) {
-        if !self.unvisited.contains(&node) && !self.unavailable.contains(&node) {
-            self.unvisited.push(node);
-        }
-    }
-
     /// Start a "next round" for the replicas previously declared
     /// unavailable (the paper skips an unreachable replica only "until
     /// the next round of request"): they become visitable again.
@@ -226,20 +217,6 @@ mod tests {
         assert_eq!(it.remaining(), 2);
         assert_eq!(it.unavailable(), &[1]);
         assert_eq!(it.next_destination(|_| 0.0), Some(2));
-        // Requeue of an unavailable node is refused.
-        it.requeue(1);
-        assert_eq!(it.remaining(), 1);
-    }
-
-    #[test]
-    fn requeue_restores_visited_node() {
-        let mut it = Itinerary::for_system(3, 0, ItineraryPolicy::FixedOrder);
-        assert_eq!(it.next_destination(|_| 0.0), Some(1));
-        it.requeue(1);
-        assert_eq!(it.remaining(), 2);
-        // Duplicate requeue is a no-op.
-        it.requeue(1);
-        assert_eq!(it.remaining(), 2);
     }
 
     #[test]

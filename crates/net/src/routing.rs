@@ -62,14 +62,6 @@ impl RoutingTable {
         self.cost_ms.is_empty()
     }
 
-    /// Fold a fresh measurement into the estimate for `to` with EWMA
-    /// weight `alpha` (0 = ignore, 1 = replace).
-    pub fn record_measurement(&mut self, to: NodeId, observed_ms: f64, alpha: f64) {
-        let alpha = alpha.clamp(0.0, 1.0);
-        let slot = &mut self.cost_ms[usize::from(to)];
-        *slot = (1.0 - alpha) * *slot + alpha * observed_ms;
-    }
-
     /// Stable-sort candidate nodes cheapest-first according to this
     /// table (ties keep input order, so results are deterministic).
     pub fn sort_cheapest_first(&self, nodes: &mut [NodeId]) {
@@ -120,17 +112,6 @@ mod tests {
         assert_eq!(nodes, vec![3, 1, 2]);
         assert_eq!(table.cheapest(&[2, 1]), Some(1));
         assert_eq!(table.cheapest(&[]), None);
-    }
-
-    #[test]
-    fn ewma_moves_toward_measurements() {
-        let mut table = RoutingTable::from_topology(0, &heterogeneous_topo());
-        table.record_measurement(1, 25.0, 0.5);
-        assert_eq!(table.cost(1), 15.0);
-        table.record_measurement(1, 25.0, 1.0);
-        assert_eq!(table.cost(1), 25.0);
-        table.record_measurement(1, 100.0, 0.0);
-        assert_eq!(table.cost(1), 25.0);
     }
 
     #[test]

@@ -129,20 +129,6 @@ impl Topology {
     pub fn max_latency(&self) -> Duration {
         Duration::from_nanos(self.latency.iter().copied().max().unwrap_or(0))
     }
-
-    /// Mean one-way latency over distinct ordered pairs.
-    pub fn mean_latency(&self) -> Duration {
-        if self.n < 2 {
-            return Duration::ZERO;
-        }
-        let sum: u128 = (0..self.n)
-            .flat_map(|i| (0..self.n).map(move |j| (i, j)))
-            .filter(|(i, j)| i != j)
-            .map(|(i, j)| u128::from(self.latency[i * self.n + j]))
-            .sum();
-        let pairs = (self.n * (self.n - 1)) as u128;
-        Duration::from_nanos((sum / pairs) as u64)
-    }
 }
 
 #[cfg(test)]
@@ -162,7 +148,6 @@ mod tests {
                 assert_eq!(topo.latency(a, b), expected);
             }
         }
-        assert_eq!(topo.mean_latency(), Duration::from_millis(2));
     }
 
     #[test]

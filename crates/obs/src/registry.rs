@@ -196,14 +196,6 @@ impl MetricsRegistry {
         self.samples.sort_by_key(|s| s.at);
     }
 
-    /// Sum of one counter across every node.
-    pub fn counter_total(&self, name: &str) -> u64 {
-        self.nodes
-            .values()
-            .filter_map(|m| m.counters.get(name))
-            .sum()
-    }
-
     /// Render the registry as CSV: one row per (node, metric), counters
     /// first, then histogram quantiles, then the gauge samples.
     pub fn to_csv(&self) -> String {
@@ -316,8 +308,8 @@ mod tests {
         let registry = MetricsRegistry::from_trace(&sample_log(), Duration::from_millis(100));
         assert_eq!(registry.nodes[&0].counters["agent.dispatched"], 1);
         assert_eq!(registry.nodes[&1].counters["agent.migrated"], 1);
-        assert_eq!(registry.counter_total("span.start"), 1);
-        assert_eq!(registry.counter_total("span.end"), 1);
+        assert_eq!(registry.nodes[&0].counters["span.start"], 1);
+        assert_eq!(registry.nodes[&0].counters["span.end"], 1);
         let lock_wait = &registry.nodes[&0].histograms["write.lock_wait_ms"];
         assert_eq!(lock_wait.total(), 1);
         assert!(lock_wait.quantile(0.5).unwrap() > 150.0);

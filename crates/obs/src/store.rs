@@ -8,7 +8,7 @@
 //! file I/O.
 
 use bytes::{Buf, Bytes, BytesMut};
-use marp_sim::{SimTime, TraceEvent, TraceLevel, TraceLog, TraceRecord};
+use marp_sim::{SimTime, TraceEvent, TraceLevel, TraceLog};
 use marp_wire::{Wire, WireError};
 
 /// File magic: "MARPTRC" + format version.
@@ -63,13 +63,6 @@ pub fn load_trace(path: &std::path::Path) -> std::io::Result<TraceLog> {
             format!("{}: not a marp trace file ({err:?})", path.display()),
         )
     })
-}
-
-/// Round-trip helper for tests and the CLI: records compare equal after
-/// a save/load cycle.
-pub fn roundtrip_equal(a: &TraceLog, b: &TraceLog) -> bool {
-    let (ra, rb): (&[TraceRecord], &[TraceRecord]) = (a.records(), b.records());
-    ra == rb
 }
 
 #[cfg(test)]
@@ -226,7 +219,7 @@ mod tests {
         let log = sample_trace();
         let bytes = encode_trace(&log);
         let back = decode_trace(&bytes).unwrap();
-        assert!(roundtrip_equal(&log, &back));
+        assert_eq!(log.records(), back.records());
     }
 
     #[test]

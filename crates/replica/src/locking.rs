@@ -335,11 +335,6 @@ impl LockTable {
         self.lists.keys().copied()
     }
 
-    /// Total queued entries across all keys.
-    pub fn total_len(&self) -> usize {
-        self.lists.values().map(LockingList::len).sum()
-    }
-
     /// True when no agent is queued under any key.
     pub fn is_empty(&self) -> bool {
         self.lists.values().all(LockingList::is_empty)
@@ -675,7 +670,6 @@ mod tests {
         assert_eq!(table.top(2), Some(agent(2, 0)));
         assert_eq!(table.rank_of(1, agent(3, 0)), Some(1));
         assert_eq!(table.rank_of(2, agent(3, 0)), None);
-        assert_eq!(table.total_len(), 3);
         // Removing under one key leaves the other untouched.
         assert!(table.remove(1, agent(1, 0)));
         assert_eq!(table.top(1), Some(agent(3, 0)));

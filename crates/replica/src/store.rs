@@ -98,11 +98,6 @@ impl VersionedStore {
         }
     }
 
-    /// Whether this store keeps per-key chains.
-    pub fn is_per_key(&self) -> bool {
-        self.per_key
-    }
-
     /// The chain a record for `key` belongs to.
     fn chain_of(&self, key: u64) -> u64 {
         if self.per_key {
@@ -124,12 +119,6 @@ impl VersionedStore {
         self.chains
             .get(&self.chain_of(key))
             .map_or(0, |c| c.applied)
-    }
-
-    /// Time of the most recent local application on chain 0 (see
-    /// [`VersionedStore::applied_version`] for the chain-0 convention).
-    pub fn last_update_time(&self) -> SimTime {
-        self.chains.get(&0).map_or(SimTime::ZERO, |c| c.last_update)
     }
 
     /// Time of the most recent local application on `key`'s chain (the
@@ -318,7 +307,7 @@ mod tests {
         assert_eq!(applied.len(), 1);
         assert_eq!(store.applied_version(), 1);
         assert_eq!(store.get(10).unwrap().value, 100);
-        assert_eq!(store.last_update_time(), SimTime::from_millis(1));
+        assert_eq!(store.last_update_time_for(10), SimTime::from_millis(1));
     }
 
     #[test]
@@ -411,7 +400,6 @@ mod tests {
     #[test]
     fn per_key_chains_are_independent() {
         let mut store = VersionedStore::per_key();
-        assert!(store.is_per_key());
         // Keys 1 and 2 each start their own chain at version 1 —
         // concurrent winners on disjoint keys never collide.
         store.offer(record(1, 1, 10), SimTime::from_millis(1));

@@ -81,12 +81,6 @@ pub fn from_bytes<T: Wire>(bytes: &Bytes) -> Result<T, WireError> {
     Ok(value)
 }
 
-/// Decode a value from the front of a buffer without requiring full
-/// consumption (useful for framed streams).
-pub fn from_bytes_prefix<T: Wire>(buf: &mut Bytes) -> Result<T, WireError> {
-    T::decode(buf)
-}
-
 // ---------------------------------------------------------------------------
 // Primitive implementations
 // ---------------------------------------------------------------------------
@@ -776,8 +770,8 @@ mod tests {
         5u32.encode(&mut buf);
         9u32.encode(&mut buf);
         let mut bytes = buf.freeze();
-        let first: u32 = from_bytes_prefix(&mut bytes).unwrap();
-        let second: u32 = from_bytes_prefix(&mut bytes).unwrap();
+        let first = u32::decode(&mut bytes).unwrap();
+        let second = u32::decode(&mut bytes).unwrap();
         assert_eq!((first, second), (5, 9));
         assert!(bytes.is_empty());
     }

@@ -1,6 +1,6 @@
 //! [`WorkloadSource`] — an arrival process plus an operation mix,
-//! bounded by request count and/or virtual deadline, plugged straight
-//! into a [`marp_replica::ClientProcess`].
+//! bounded by request count, plugged straight into a
+//! [`marp_replica::ClientProcess`].
 
 use crate::arrival::{ArrivalGen, ArrivalProcess};
 use crate::mix::{KeyDist, OpGen, OpMix};
@@ -13,8 +13,6 @@ pub struct WorkloadSource {
     arrivals: ArrivalGen,
     ops: OpGen,
     remaining: u64,
-    budget: Option<Duration>,
-    elapsed: Duration,
 }
 
 impl WorkloadSource {
@@ -24,16 +22,7 @@ impl WorkloadSource {
             arrivals: arrival.start(SimRng::derive(seed, "arrivals")),
             ops: mix.start(SimRng::derive(seed, "ops")),
             remaining: count,
-            budget: None,
-            elapsed: Duration::ZERO,
         }
-    }
-
-    /// Additionally stop once the cumulative gaps exceed `budget`
-    /// (keeps every sweep point the same virtual length).
-    pub fn with_time_budget(mut self, budget: Duration) -> Self {
-        self.budget = Some(budget);
-        self
     }
 
     /// The paper's per-server workload for Figures 2–4: `count`
@@ -56,13 +45,6 @@ impl RequestSource for WorkloadSource {
             return None;
         }
         let gap = self.arrivals.next_gap();
-        if let Some(budget) = self.budget {
-            if self.elapsed + gap > budget {
-                self.remaining = 0;
-                return None;
-            }
-        }
-        self.elapsed += gap;
         self.remaining -= 1;
         Some((gap, self.ops.next_op()))
     }
@@ -91,23 +73,6 @@ mod tests {
             assert!(op.is_write());
             assert_eq!(op.key(), 0);
         }
-    }
-
-    #[test]
-    fn time_budget_truncates() {
-        let source = WorkloadSource::new(
-            &ArrivalProcess::Constant { gap_ms: 10.0 },
-            &OpMix::write_only(KeyDist::Single),
-            1_000,
-            3,
-        )
-        .with_time_budget(Duration::from_millis(35));
-        let mut source = source;
-        let mut seen = 0;
-        while source.next_request().is_some() {
-            seen += 1;
-        }
-        assert_eq!(seen, 3); // 10, 20, 30 ms fit; 40 ms does not.
     }
 
     #[test]
