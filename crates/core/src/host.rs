@@ -11,23 +11,15 @@
 //! the COMMIT in flight is about to clear. A server therefore *holds*
 //! an UPDATE whose sole obstacle is another claimant's live reservation
 //! — it answers nothing — and keeps the claim *inside* that
-//! [`Reservation`], so no claim can wait behind nothing. A reservation
+//! `Reservation`, so no claim can wait behind nothing. A reservation
 //! ends one way (`end_reservation`), whatever ended it — the holder's
-//! commit, its RELEASE, or the lease lapsing — and ending it runs its
-//! waiting claims through [`MarpServerState::handle_update`] again. A
-//! hold only delays an answer that the unchanged validation then
-//! computes, so safety rests on exactly the code it rested on before;
-//! the wait is bounded by the claimant's `ack_timeout` (abort → RELEASE
-//! → the held claim is dropped) and the holder's `reserve_lease`.
-//!
-//! # Retiring a winner
-//!
-//! A server learns that a winner committed from the winner's COMMIT or
-//! from a peer's anti-entropy Push. Both go through one `retire` and
-//! leave the same state behind:
-//! the winner off its Locking List and in the Updated List, its
-//! reservation ended, the claims behind it answered, the waiters named
-//! for the node to notify.
+//! commit (learned from its COMMIT or from a peer's Push), its RELEASE,
+//! or the lease lapsing — and ending it runs its waiting claims through
+//! [`MarpServerState::handle_update`] again. A hold only delays an
+//! answer that the unchanged validation then computes, so safety rests
+//! on exactly the code it rested on before; the wait is bounded by the
+//! claimant's `ack_timeout` (abort → RELEASE → the held claim is
+//! dropped) and the holder's `reserve_lease`.
 
 use crate::config::MarpConfig;
 use crate::gossip::GossipBoard;
@@ -35,7 +27,7 @@ use crate::lt::LockingTable;
 use crate::msg::{AgentReply, UpdateMsg};
 use marp_agent::AgentId;
 use marp_net::RoutingTable;
-use marp_replica::{CommitRecord, LlSnapshot, ServerCore, SyncMsg};
+use marp_replica::{CommitRecord, LlSnapshot, ServerCore};
 use marp_sim::{AgentKey, Context, NodeId, SimTime, TraceEvent};
 use std::collections::BTreeMap;
 
@@ -222,11 +214,6 @@ impl MarpServerState {
         self.routing.cost(to)
     }
 
-    /// The reservation holder of `key`, if that is not `agent` itself.
-    fn blocking_holder(&self, key: u64, agent: AgentId) -> Option<AgentId> {
-        self.reserved_for(key).filter(|&holder| holder != agent)
-    }
-
     /// Whether every agent queued above `rank` on `key` is `vouched`
     /// for or, by this server's UL, already finished (a stale entry —
     /// e.g. a commit applied via anti-entropy before the purge — blocks
@@ -297,7 +284,7 @@ impl MarpServerState {
             // Seeded bug (checker self-test): ack without validating or
             // reserving.
             true
-        } else if let Some(holder) = self.blocking_holder(key, msg.agent) {
+        } else if let Some(holder) = self.reserved_for(key).filter(|&h| h != msg.agent) {
             // Early, not wrong: the claimant is enqueued here and the
             // holder is the only unfinished, unvouched-for agent above
             // it, so the reservation is all that stands in the way.
@@ -431,39 +418,12 @@ impl MarpServerState {
         }
     }
 
-    /// Handle a COMMIT: apply the winner's records and retire it.
-    pub fn handle_commit(
-        &mut self,
-        winner: AgentId,
-        records: Vec<CommitRecord>,
-        ctx: &mut dyn Context,
-    ) -> Vec<Retired> {
-        self.learn_commits(Some(winner), records, ctx)
-    }
-
-    /// Handle an anti-entropy message: a Push is commits learned
-    /// without their COMMIT; a Pull is the substrate's to answer.
-    pub fn handle_sync(
-        &mut self,
-        from: NodeId,
-        msg: SyncMsg,
-        ctx: &mut dyn Context,
-    ) -> Vec<Retired> {
-        match msg {
-            SyncMsg::Push { records } => self.learn_commits(None, records, ctx),
-            pull @ SyncMsg::Pull { .. } => {
-                self.core.handle_sync(from, pull, ctx);
-                Vec::new()
-            }
-        }
-    }
-
     /// Commit records arrived — in `winner`'s COMMIT, or with no winner
-    /// named in a Push: apply them and retire the winner of each. A
-    /// record names its agent by trace key only; the `AgentId` is the
-    /// one queued or reserved here under that key (if neither, there is
-    /// nothing here to retire).
-    fn learn_commits(
+    /// named in a peer's anti-entropy Push: apply them and retire the
+    /// winner of each. A record names its agent by trace key only; the
+    /// `AgentId` is the one queued or reserved here under that key (if
+    /// neither, there is nothing here to retire).
+    pub fn handle_commit(
         &mut self,
         winner: Option<AgentId>,
         records: Vec<CommitRecord>,
@@ -647,7 +607,7 @@ mod tests {
         records: Vec<CommitRecord>,
         ctx: &mut RecordingCtx,
     ) -> Retired {
-        let mut retired = state.handle_commit(winner, records, ctx);
+        let mut retired = state.handle_commit(Some(winner), records, ctx);
         assert_eq!(retired.len(), 1, "expected one retirement: {retired:?}");
         retired.remove(0)
     }
@@ -826,7 +786,7 @@ mod tests {
         // its record instead, well inside the 5 s reservation lease.
         ctx.now = SimTime::from_millis(5);
         let records = vec![commit_record(a, 1, ctx.now)];
-        let retired = state.handle_sync(2, SyncMsg::Push { records }, &mut ctx);
+        let retired = state.handle_commit(None, records, &mut ctx);
         assert_eq!(state.core.store.applied_version(), 1);
         assert!(!state.core.ll.contains(1, a));
         assert!(state.core.ul.contains(a), "a finished: its UL record");
@@ -1118,7 +1078,7 @@ mod tests {
             request: 1,
             committed_at: ctx.now,
         };
-        state.handle_commit(a, vec![record], &mut ctx);
+        state.handle_commit(Some(a), vec![record], &mut ctx);
         assert!(state.core.ul.contains(a));
         // ...and a stale clone of a tries to queue again: refused.
         let snapshot = state.visit(a, 1, SimTime::from_millis(6), 2);
@@ -1164,13 +1124,7 @@ mod tests {
             request: 5,
             committed_at: ctx.now,
         };
-        state.handle_sync(
-            3,
-            SyncMsg::Push {
-                records: vec![record],
-            },
-            &mut ctx,
-        );
+        state.handle_commit(None, vec![record], &mut ctx);
         assert_eq!(state.core.store.applied_version(), 1);
         assert!(
             !state.core.ll.contains(9, winner),
@@ -1248,7 +1202,7 @@ mod tests {
             request: 1,
             committed_at: ctx.now,
         };
-        state.handle_commit(winner, vec![record], &mut ctx);
+        state.handle_commit(Some(winner), vec![record], &mut ctx);
         // A different agent carrying the same (already committed)
         // request gets a fenced refusal regardless of queue position.
         state.visit(zombie, 1, SimTime::from_millis(6), 2);

@@ -4,14 +4,14 @@
 
 use crate::agent::UpdateAgent;
 use crate::config::MarpConfig;
-use crate::host::{ClaimAnswer, MarpServerState, Retired};
+use crate::host::{ClaimAnswer, MarpServerState};
 use crate::msg::{wrap_agent_envelope, wrap_read_agent_envelope, wrap_sync, AgentReply, NodeMsg};
 use crate::read_agent::ReadAgent;
 use bytes::Bytes;
 use marp_agent::{AgentEnvelope, AgentId, AgentRuntime};
 use marp_net::RoutingTable;
 use marp_quorum::{RetryPolicy, TimerMux};
-use marp_replica::{RequestBatcher, ServerCore, WriteRequest};
+use marp_replica::{CommitRecord, RequestBatcher, ServerCore, SyncMsg, WriteRequest};
 use marp_sim::{impl_as_any, span_id, Context, NodeId, Process, SpanKind, TimerId, TraceEvent};
 use std::collections::BTreeMap;
 
@@ -289,22 +289,22 @@ impl MarpNode {
         }
     }
 
-    /// Winners were retired here — by their COMMIT or by a Push: answer
-    /// the claims that were held behind each, and tell the queued
-    /// agents hosted here that it is gone. A waiter hosted elsewhere
-    /// hears it from that host, at the moment the commit lands there.
-    /// One encoding serves every recipient.
-    fn announce_retired(&mut self, retired: Vec<Retired>, ctx: &mut dyn Context) {
+    /// Commit records arrived, in `winner`'s COMMIT or in a peer's Push:
+    /// retire each winner, answer the claims that were held behind it,
+    /// and tell the queued agents hosted here that it is gone. A waiter
+    /// hosted elsewhere hears it from that host, at the moment the
+    /// commit lands there. One encoding serves every recipient.
+    fn commits_arrived(
+        &mut self,
+        winner: Option<AgentId>,
+        records: Vec<CommitRecord>,
+        ctx: &mut dyn Context,
+    ) {
         let me = self.me();
-        for Retired {
-            finished,
-            waiters,
-            answers,
-        } in retired
-        {
-            self.send_answers(answers, ctx);
+        for retired in self.state.handle_commit(winner, records, ctx) {
+            self.send_answers(retired.answers, ctx);
             let mut notice: Option<Bytes> = None;
-            for agent in waiters {
+            for agent in retired.waiters {
                 if self.runtime.resident(agent).is_none() {
                     self.mail.notices_skipped += 1;
                     continue;
@@ -312,7 +312,7 @@ impl MarpNode {
                 let notice = notice.get_or_insert_with(|| {
                     marp_wire::to_bytes(&AgentReply::LlChanged {
                         node: me,
-                        finished,
+                        finished: retired.finished,
                         at: ctx.now(),
                     })
                 });
@@ -361,10 +361,7 @@ impl MarpNode {
                 let answers = self.state.handle_update(update, ctx);
                 self.send_answers(answers, ctx);
             }
-            NodeMsg::Commit(commit) => {
-                let retired = self.state.handle_commit(commit.agent, commit.records, ctx);
-                self.announce_retired(retired, ctx);
-            }
+            NodeMsg::Commit(c) => self.commits_arrived(Some(c.agent), c.records, ctx),
             NodeMsg::Release { agent } => {
                 let answers = self.state.handle_release(agent, ctx);
                 self.send_answers(answers, ctx);
@@ -385,10 +382,8 @@ impl MarpNode {
                 self.mail.reply_bytes += payload.len() as u64;
                 self.send_to_agent(reply_to, agent, payload, ctx);
             }
-            NodeMsg::Sync(sync) => {
-                let retired = self.state.handle_sync(from, sync, ctx);
-                self.announce_retired(retired, ctx);
-            }
+            NodeMsg::Sync(SyncMsg::Push { records }) => self.commits_arrived(None, records, ctx),
+            NodeMsg::Sync(pull) => self.state.core.handle_sync(from, pull, ctx),
         }
     }
 
@@ -515,7 +510,6 @@ mod tests {
     use super::*;
     use crate::msg::CommitMsg;
     use marp_net::Topology;
-    use marp_replica::CommitRecord;
     use marp_sim::{RecordingCtx, SimTime};
     use std::time::Duration;
 
@@ -543,7 +537,7 @@ mod tests {
 
     /// The same record as a peer's anti-entropy Push.
     fn push_of(winner: AgentId) -> Bytes {
-        wrap_sync(marp_replica::SyncMsg::Push {
+        wrap_sync(SyncMsg::Push {
             records: records_of(winner),
         })
     }

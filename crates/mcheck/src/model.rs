@@ -221,32 +221,27 @@ impl ModelSpec {
     /// State invariants the trace cannot show, checked after every
     /// step: no MARP server holds a claim behind the claimant's own
     /// reservation. (That a held claim waits behind *some* reservation
-    /// is no longer a check: the claim lives inside it.)
+    /// needs no check: the claim lives inside it.)
     pub fn state_violations(&self, sim: &Simulation) -> Vec<Violation> {
         if self.family != Family::Marp {
             return Vec::new();
         }
-        let mut violations = Vec::new();
-        for server in 0..self.replicas as NodeId {
-            let Some(node) = sim.process::<MarpNode>(server) else {
-                continue;
-            };
-            let state = node.state();
-            // Writer `k` writes key `k + 1`, or every writer key 1.
-            for key in 1..=self.agents as u64 {
-                let holder = state.reserved_for(key);
-                if state.held_claimants(key).any(|c| Some(c) == holder) {
-                    violations.push(Violation {
+        // Writer `k` writes key `k + 1`, or every writer key 1.
+        let keys = 1..=self.agents as u64;
+        (0..self.replicas as NodeId)
+            .flat_map(|server| keys.clone().map(move |key| (server, key)))
+            .filter_map(|(server, key)| {
+                let state = sim.process::<MarpNode>(server)?.state();
+                let holder = state.reserved_for(key)?;
+                state
+                    .held_claimants(key)
+                    .any(|c| c == holder)
+                    .then(|| Violation {
                         rule: "held-behind-itself",
-                        detail: format!(
-                            "server {server} holds {holder:?}'s claim on key {key} \
-                             behind its own reservation"
-                        ),
-                    });
-                }
-            }
-        }
-        violations
+                        detail: format!("server {server}, key {key}: {holder} waits behind itself"),
+                    })
+            })
+            .collect()
     }
 
     /// The invariant monitor matching this family's guarantees (same
