@@ -43,15 +43,14 @@ pub struct ClaimAnswer {
     pub ack: AgentReply,
 }
 
-/// What retiring a winner leaves for the node to send.
-#[derive(Debug, PartialEq)]
-pub struct Retired {
-    /// The winner.
-    pub finished: AgentId,
-    /// Agents still queued on the winner's key, in queue order: the
-    /// node pushes the change notice to those resident on it.
-    pub waiters: Vec<AgentId>,
-    /// Acknowledgements of claims that were held behind the winner.
+/// What learning commits leaves for the node to send.
+#[derive(Debug, Default, PartialEq)]
+pub struct CommitOutcome {
+    /// `(winner, waiter)` for every agent still queued on a retired
+    /// winner's key, in queue order: the node pushes the change notice
+    /// to the waiters resident on it.
+    pub waiters: Vec<(AgentId, AgentId)>,
+    /// Acknowledgements of claims that were held behind a winner.
     pub answers: Vec<ClaimAnswer>,
 }
 
@@ -411,13 +410,6 @@ impl MarpServerState {
         answers
     }
 
-    /// Forget `agent`'s own held claims (it finished or gave up).
-    fn drop_held_of(&mut self, agent: AgentId) {
-        for reservation in self.reserved.values_mut() {
-            reservation.waiting.retain(|m| m.agent != agent);
-        }
-    }
-
     /// Commit records arrived — in `winner`'s COMMIT, or with no winner
     /// named in a peer's anti-entropy Push: apply them and retire the
     /// winner of each. A record names its agent by trace key only; the
@@ -428,20 +420,20 @@ impl MarpServerState {
         winner: Option<AgentId>,
         records: Vec<CommitRecord>,
         ctx: &mut dyn Context,
-    ) -> Vec<Retired> {
+    ) -> CommitOutcome {
         // Single-key batches: the winner's object key is its records'.
         let key = records.first().map_or(0, |r| r.key);
         let applied = self.core.apply_commits(records, ctx);
-        let mut retired = Vec::new();
+        let mut outcome = CommitOutcome::default();
         if let Some(winner) = winner {
-            retired.push(self.retire(winner, key, ctx));
+            self.retire(winner, key, ctx, &mut outcome);
         }
         for record in applied {
             if let Some(agent) = self.agent_known_as(record.key, record.agent) {
-                retired.push(self.retire(agent, record.key, ctx));
+                self.retire(agent, record.key, ctx, &mut outcome);
             }
         }
-        retired
+        outcome
     }
 
     /// The agent queued on `key` or holding its reservation whose trace
@@ -459,27 +451,30 @@ impl MarpServerState {
     /// reservation ended and the claims held behind it re-validated.
     /// Reports the remaining queue members so the node can push the
     /// change notice to its residents.
-    fn retire(&mut self, finished: AgentId, key: u64, ctx: &mut dyn Context) -> Retired {
+    fn retire(
+        &mut self,
+        finished: AgentId,
+        key: u64,
+        ctx: &mut dyn Context,
+        outcome: &mut CommitOutcome,
+    ) {
         self.core.ll.remove(key, finished);
         self.core.ul.record(finished, ctx.now());
-        self.drop_held_of(finished);
         // Keep the local board fresh so future visitors see this change.
         if self.cfg.gossip {
             let snapshot = self.core.ll.snapshot(key, ctx.now());
             self.board.post(key, self.core.me(), snapshot);
         }
-        let mut answers = Vec::new();
-        if self.reserved_for(key) == Some(finished) {
-            self.end_reservation(key, ctx, &mut answers);
+        match self.reserved.get_mut(&key) {
+            // It won elsewhere while its claim here waited behind a rival.
+            Some(r) if r.holder != finished => r.waiting.retain(|m| m.agent != finished),
+            Some(_) => self.end_reservation(key, ctx, &mut outcome.answers),
+            None => {}
         }
-        let waiters = self.core.ll.list(key).map_or_else(Vec::new, |ll| {
-            ll.entries().iter().map(|e| e.agent).collect()
-        });
-        Retired {
-            finished,
-            waiters,
-            answers,
-        }
+        let queued = self.core.ll.list(key).map_or(&[][..], |ll| ll.entries());
+        outcome
+            .waiters
+            .extend(queued.iter().map(|e| (finished, e.agent)));
     }
 
     /// Handle a RELEASE from an aborting claimant (a RELEASE names no
@@ -487,7 +482,9 @@ impl MarpServerState {
     /// the agent holds — and dropping every held claim of its own — is
     /// unambiguous).
     pub fn handle_release(&mut self, agent: AgentId, ctx: &mut dyn Context) -> Vec<ClaimAnswer> {
-        self.drop_held_of(agent);
+        for reservation in self.reserved.values_mut() {
+            reservation.waiting.retain(|m| m.agent != agent);
+        }
         self.end_reservations_where(|r| r.holder == agent, ctx)
     }
 
@@ -600,16 +597,14 @@ mod tests {
         RecordingCtx::new(0, SimTime::from_millis(ms))
     }
 
-    /// Deliver `winner`'s COMMIT, which must retire exactly the winner.
+    /// Deliver `winner`'s COMMIT.
     fn commit(
         state: &mut MarpServerState,
         winner: AgentId,
         records: Vec<CommitRecord>,
         ctx: &mut RecordingCtx,
-    ) -> Retired {
-        let mut retired = state.handle_commit(Some(winner), records, ctx);
-        assert_eq!(retired.len(), 1, "expected one retirement: {retired:?}");
-        retired.remove(0)
+    ) -> CommitOutcome {
+        state.handle_commit(Some(winner), records, ctx)
     }
 
     /// Submit a claim that must be answered at once, alone.
@@ -755,7 +750,7 @@ mod tests {
         ctx.now = SimTime::from_millis(5);
         let record = commit_record(a, 1, ctx.now);
         let outcome = commit(&mut state, a, vec![record], &mut ctx);
-        assert_eq!((outcome.finished, &outcome.waiters), (a, &vec![b]));
+        assert_eq!(outcome.waiters, vec![(a, b)]);
         assert_eq!(outcome.answers.len(), 1);
         let answer = &outcome.answers[0];
         assert_eq!((answer.agent, answer.reply_to), (b, b.home));
@@ -786,19 +781,16 @@ mod tests {
         // its record instead, well inside the 5 s reservation lease.
         ctx.now = SimTime::from_millis(5);
         let records = vec![commit_record(a, 1, ctx.now)];
-        let retired = state.handle_commit(None, records, &mut ctx);
+        let outcome = state.handle_commit(None, records, &mut ctx);
         assert_eq!(state.core.store.applied_version(), 1);
         assert!(!state.core.ll.contains(1, a));
         assert!(state.core.ul.contains(a), "a finished: its UL record");
         // The claim held behind a is answered in the same call — not
         // when `reserve_lease` runs out — and takes the reservation.
-        let [retired] = &retired[..] else {
-            panic!("expected one retirement: {retired:?}");
-        };
-        assert_eq!((retired.finished, &retired.waiters), (a, &vec![b]));
-        assert_eq!(retired.answers.len(), 1);
-        assert_eq!(retired.answers[0].agent, b);
-        assert!(positive(&retired.answers[0].ack));
+        assert_eq!(outcome.waiters, vec![(a, b)]);
+        assert_eq!(outcome.answers.len(), 1);
+        assert_eq!(outcome.answers[0].agent, b);
+        assert!(positive(&outcome.answers[0].ack));
         assert_eq!(acked(&ctx, b), 1);
         assert_eq!(state.reserved_for(1), Some(b));
         assert_eq!(state.held_claimants(1).count(), 0);
@@ -958,6 +950,18 @@ mod tests {
     }
 
     #[test]
+    fn a_held_claimants_own_commit_drops_its_held_claim() {
+        let (mut state, a, b, mut ctx) = reserved_for_a();
+        assert!(state.handle_update(own_msg(b, None), &mut ctx).is_empty());
+        // b assembled its majority elsewhere and commits first.
+        let record = commit_record(b, 1, ctx.now);
+        let outcome = commit(&mut state, b, vec![record], &mut ctx);
+        assert!(outcome.answers.is_empty());
+        assert_eq!(state.held_claimants(1).count(), 0);
+        assert_eq!(state.reserved_for(1), Some(a), "a's is not b's to end");
+    }
+
+    #[test]
     fn doomed_claims_are_refused_at_once_never_held() {
         let (mut state, a, b, mut ctx) = reserved_for_a();
         let c = aid(3, 3);
@@ -1011,7 +1015,7 @@ mod tests {
             committed_at: ctx.now,
         };
         let outcome = commit(&mut state, a, vec![record], &mut ctx);
-        assert_eq!(outcome.waiters, vec![b]);
+        assert_eq!(outcome.waiters, vec![(a, b)]);
         assert!(outcome.answers.is_empty());
         assert!(!state.core.ll.contains(1, a));
         assert!(state.core.ul.contains(a));

@@ -66,7 +66,7 @@ mod read_agent;
 pub use agent::{Phase, UpdateAgent};
 pub use config::{ChaosMode, MarpConfig};
 pub use gossip::GossipBoard;
-pub use host::{ClaimAnswer, MarpServerState, Retired};
+pub use host::{ClaimAnswer, CommitOutcome, MarpServerState};
 pub use msg::{
     wire_tag_name, wrap_agent_envelope, wrap_client_request, wrap_read_agent_envelope, wrap_sync,
     AgentReply, CommitMsg, NodeMsg, UpdateMsg, WIRE_TAG_SYNC,

@@ -293,7 +293,8 @@ impl MarpNode {
     /// retire each winner, answer the claims that were held behind it,
     /// and tell the queued agents hosted here that it is gone. A waiter
     /// hosted elsewhere hears it from that host, at the moment the
-    /// commit lands there. One encoding serves every recipient.
+    /// commit lands there. One encoding serves every recipient of a
+    /// winner's notice.
     fn commits_arrived(
         &mut self,
         winner: Option<AgentId>,
@@ -301,10 +302,12 @@ impl MarpNode {
         ctx: &mut dyn Context,
     ) {
         let me = self.me();
-        for retired in self.state.handle_commit(winner, records, ctx) {
-            self.send_answers(retired.answers, ctx);
+        let outcome = self.state.handle_commit(winner, records, ctx);
+        self.send_answers(outcome.answers, ctx);
+        for of_one_winner in outcome.waiters.chunk_by(|a, b| a.0 == b.0) {
+            let finished = of_one_winner[0].0;
             let mut notice: Option<Bytes> = None;
-            for agent in retired.waiters {
+            for &(_, agent) in of_one_winner {
                 if self.runtime.resident(agent).is_none() {
                     self.mail.notices_skipped += 1;
                     continue;
@@ -312,7 +315,7 @@ impl MarpNode {
                 let notice = notice.get_or_insert_with(|| {
                     marp_wire::to_bytes(&AgentReply::LlChanged {
                         node: me,
-                        finished: retired.finished,
+                        finished,
                         at: ctx.now(),
                     })
                 });
