@@ -1,12 +1,14 @@
 //! Wire-codec microbenchmarks: the cost of serializing protocol
 //! messages and — critically — migrating agent state, which is the
-//! per-hop overhead of the emulated code mobility.
+//! per-hop overhead of the emulated code mobility: the agent as
+//! dispatched, and the Locking Table it has filled mid-journey.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use marp_agent::AgentId;
+use marp_core::lt::LockingTable;
 use marp_core::{MarpConfig, NodeMsg, UpdateAgent, UpdateMsg};
-use marp_replica::{CommitRecord, WriteRequest};
-use marp_sim::SimTime;
+use marp_replica::{CommitRecord, LlSnapshot, WriteRequest};
+use marp_sim::{NodeId, SimTime};
 
 fn sample_requests(count: usize) -> Vec<WriteRequest> {
     (0..count)
@@ -38,6 +40,53 @@ fn bench_agent_state(c: &mut Criterion) {
             b.iter(|| marp_wire::from_bytes::<UpdateAgent>(std::hint::black_box(&bytes)).unwrap())
         });
     }
+    group.finish();
+}
+
+/// A travelling Locking Table as it looks mid-journey: one snapshot per
+/// server, four agents deep.
+fn build_table(servers: u64) -> LockingTable {
+    let mut lt = LockingTable::new();
+    for server in 0..servers {
+        let queued = |i: u64| {
+            let born = SimTime::from_millis(10 * i + server);
+            AgentId::new(((server + i) % 7) as NodeId, born, i as u32)
+        };
+        let snapshot = LlSnapshot {
+            version: 3 + server,
+            taken_at: SimTime::from_millis(100 + server),
+            queue: (0..4).map(queued).collect(),
+        };
+        lt.merge(server as NodeId, snapshot);
+    }
+    lt
+}
+
+fn roundtrip(lt: &LockingTable) -> LockingTable {
+    let bytes = marp_wire::to_bytes(std::hint::black_box(lt));
+    marp_wire::from_bytes(&bytes).unwrap()
+}
+
+/// Encode + decode of the table a migrating agent ships: whole, and as
+/// the delta left once the destination's horizon covers all but the
+/// freshest snapshot.
+fn bench_locking_table(c: &mut Criterion) {
+    let mut group = c.benchmark_group("codec/locking-table");
+    for n in [3u64, 5, 9] {
+        let full = build_table(n);
+        group.throughput(Throughput::Bytes(marp_wire::to_bytes(&full).len() as u64));
+        group.bench_function(format!("roundtrip/full-n{n}"), |b| {
+            b.iter(|| roundtrip(&full))
+        });
+    }
+    let mut delta = build_table(5);
+    let mut horizon = delta.horizon();
+    let freshest = *horizon.keys().last().unwrap();
+    horizon.remove(&freshest);
+    delta.prune_covered_by(&horizon);
+    assert_eq!(delta.known_servers(), 1);
+    group.throughput(Throughput::Bytes(marp_wire::to_bytes(&delta).len() as u64));
+    group.bench_function("roundtrip/delta-n5", |b| b.iter(|| roundtrip(&delta)));
     group.finish();
 }
 
@@ -97,6 +146,7 @@ fn bench_varints(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_agent_state,
+    bench_locking_table,
     bench_protocol_messages,
     bench_varints
 );

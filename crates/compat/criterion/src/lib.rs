@@ -3,7 +3,7 @@
 //!
 //! Implements the measurement API the workspace benches use —
 //! [`Criterion::bench_function`], [`Criterion::benchmark_group`],
-//! [`BenchmarkGroup`] with throughput/sample-size, [`Bencher::iter`],
+//! [`BenchmarkGroup`] with throughput, [`Bencher::iter`],
 //! and the [`criterion_group!`]/[`criterion_main!`] macros — as a real
 //! wall-clock harness: each benchmark is warmed up, then sampled
 //! `sample_size` times, and the median/min/max per-iteration times are
@@ -12,15 +12,12 @@
 //!
 //! Running a bench binary with `--test` (as `cargo test` does for
 //! `harness = false` benches) executes each benchmark exactly once to
-//! smoke-test it. The single shot is still timed and lands in the JSON
-//! snapshot (median = min = max), so smoke-mode CI runs have every row
-//! a full run has — just with single-sample noise instead of a median
-//! over `sample_size` samples.
+//! smoke-test it; nothing is timed or recorded.
 //!
-//! Set `CRITERION_JSON=<path>` to also write the measured results as a
+//! Set `CRITERION_JSON=<path>` to also write a full run's results as a
 //! JSON array (`[{"id", "median_ns", "min_ns", "max_ns"}, ...]`) when
 //! the bench binary exits — the workspace's `BENCH_baseline.json`
-//! snapshots come from this.
+//! snapshot comes from this.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -35,6 +32,10 @@ pub fn write_json_snapshot() {
         return;
     };
     let results = RESULTS.lock().expect("results mutex");
+    if results.is_empty() {
+        // A `--test` run measured nothing: leave the file alone.
+        return;
+    }
     let mut out = String::from("[\n");
     for (i, (id, median, min, max)) in results.iter().enumerate() {
         if i > 0 {
@@ -56,21 +57,6 @@ pub fn black_box<T>(value: T) -> T {
     std::hint::black_box(value)
 }
 
-/// Record a non-timing metric (a byte count, a ratio scaled to integer,
-/// …) into the JSON snapshot alongside the timing rows. The value is
-/// stored in the `median_ns` field (with `min_ns`/`max_ns` equal); the
-/// row's `id` should name the unit. This is an extension over upstream
-/// criterion, used by the e2e benches to snapshot bytes-per-commit so CI
-/// can gate on it.
-pub fn record_metric(id: impl Into<String>, value: u128) {
-    let id = id.into();
-    println!("{id}: {value} (metric)");
-    RESULTS
-        .lock()
-        .expect("results mutex")
-        .push((id, value, value, value));
-}
-
 /// How many logical items one iteration processes, for per-item
 /// throughput reporting.
 #[derive(Debug, Clone, Copy)]
@@ -83,31 +69,19 @@ pub enum Throughput {
 
 /// The timing driver handed to each benchmark closure.
 pub struct Bencher {
-    mode: Mode,
+    /// Samples to record after warming up; `None` under `--test`: run
+    /// the routine once, untimed.
+    sample_size: Option<usize>,
     samples: Vec<Duration>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Mode {
-    /// Warm up, then record `sample_size` samples.
-    Measure { sample_size: usize },
-    /// `--test`: run the routine once, recording the single-shot time.
-    Smoke,
 }
 
 impl Bencher {
     /// Time `routine`, adapting the per-sample iteration count so each
     /// sample takes roughly a millisecond.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        if self.mode == Mode::Smoke {
-            let start = Instant::now();
+        let Some(sample_size) = self.sample_size else {
             black_box(routine());
-            self.samples.clear();
-            self.samples.push(start.elapsed());
             return;
-        }
-        let Mode::Measure { sample_size } = self.mode else {
-            unreachable!()
         };
 
         // Calibrate: grow the batch until one batch takes >= 1ms (or the
@@ -144,8 +118,8 @@ impl Bencher {
 
 /// Entry point mirroring `criterion::Criterion`.
 pub struct Criterion {
-    sample_size: usize,
-    smoke: bool,
+    /// `None` under `--test`.
+    sample_size: Option<usize>,
     filter: Option<String>,
 }
 
@@ -156,8 +130,7 @@ impl Default for Criterion {
         // First non-flag argument filters benchmark names, as upstream.
         let filter = args.into_iter().find(|a| !a.starts_with('-'));
         Criterion {
-            sample_size: 100,
-            smoke,
+            sample_size: (!smoke).then_some(100),
             filter,
         }
     }
@@ -171,14 +144,7 @@ impl Criterion {
         f: F,
     ) -> &mut Self {
         let id = id.into();
-        run_one(
-            &id,
-            self.sample_size,
-            self.smoke,
-            self.filter.as_deref(),
-            None,
-            f,
-        );
+        run_one(&id, self.sample_size, self.filter.as_deref(), None, f);
         self
     }
 
@@ -187,7 +153,6 @@ impl Criterion {
         BenchmarkGroup {
             criterion: self,
             name: name.into(),
-            sample_size: None,
             throughput: None,
         }
     }
@@ -197,7 +162,6 @@ impl Criterion {
 pub struct BenchmarkGroup<'c> {
     criterion: &'c mut Criterion,
     name: String,
-    sample_size: Option<usize>,
     throughput: Option<Throughput>,
 }
 
@@ -205,12 +169,6 @@ impl BenchmarkGroup<'_> {
     /// Report per-item throughput for subsequent benchmarks.
     pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
         self.throughput = Some(throughput);
-        self
-    }
-
-    /// Override the number of timed samples for this group.
-    pub fn sample_size(&mut self, samples: usize) -> &mut Self {
-        self.sample_size = Some(samples);
         self
     }
 
@@ -223,8 +181,7 @@ impl BenchmarkGroup<'_> {
         let id = format!("{}/{}", self.name, id.into());
         run_one(
             &id,
-            self.sample_size.unwrap_or(self.criterion.sample_size),
-            self.criterion.smoke,
+            self.criterion.sample_size,
             self.criterion.filter.as_deref(),
             self.throughput,
             f,
@@ -238,8 +195,7 @@ impl BenchmarkGroup<'_> {
 
 fn run_one<F: FnMut(&mut Bencher)>(
     id: &str,
-    sample_size: usize,
-    smoke: bool,
+    sample_size: Option<usize>,
     filter: Option<&str>,
     throughput: Option<Throughput>,
     mut f: F,
@@ -250,27 +206,12 @@ fn run_one<F: FnMut(&mut Bencher)>(
         }
     }
     let mut bencher = Bencher {
-        mode: if smoke {
-            Mode::Smoke
-        } else {
-            Mode::Measure { sample_size }
-        },
+        sample_size,
         samples: Vec::new(),
     };
     f(&mut bencher);
-    if smoke {
-        match bencher.samples.first() {
-            Some(&shot) => {
-                RESULTS.lock().expect("results mutex").push((
-                    id.to_string(),
-                    shot.as_nanos(),
-                    shot.as_nanos(),
-                    shot.as_nanos(),
-                ));
-                println!("{id}: ok (smoke, single shot {shot:?})");
-            }
-            None => println!("{id}: ok (smoke)"),
-        }
+    if sample_size.is_none() {
+        println!("{id}: ok (smoke)");
         return;
     }
     let mut samples = bencher.samples;
@@ -331,7 +272,7 @@ mod tests {
     #[test]
     fn bencher_measures() {
         let mut b = Bencher {
-            mode: Mode::Measure { sample_size: 5 },
+            sample_size: Some(5),
             samples: Vec::new(),
         };
         let mut count = 0u64;
@@ -346,13 +287,13 @@ mod tests {
     #[test]
     fn smoke_runs_once() {
         let mut b = Bencher {
-            mode: Mode::Smoke,
+            sample_size: None,
             samples: Vec::new(),
         };
         let mut count = 0u64;
         b.iter(|| count += 1);
         assert_eq!(count, 1);
-        // The single shot is timed so smoke runs still snapshot a row.
-        assert_eq!(b.samples.len(), 1);
+        // Nothing is timed: a smoke run adds no row to a snapshot.
+        assert!(b.samples.is_empty());
     }
 }

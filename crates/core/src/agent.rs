@@ -1095,4 +1095,44 @@ mod tests {
             "re-poll after {repoll:?}"
         );
     }
+
+    /// `lt_delta` decides what a hop carries: off, the Locking Table and
+    /// the UAL travel as they are; on, the destination's own row stays
+    /// behind, and with it every UAL entry no remaining row names.
+    #[test]
+    fn a_hop_sheds_the_destinations_row_only_when_lt_delta_is_on() {
+        let rival = AgentId::new(1, SimTime::ZERO, 7);
+        let gone = AgentId::new(2, SimTime::ZERO, 3);
+        let mut loaded = agent();
+        let me = loaded.id;
+        for (server, queue) in [(0, vec![rival, me]), (1, vec![gone, me]), (2, vec![me])] {
+            loaded.lt.merge(
+                server,
+                marp_replica::LlSnapshot {
+                    version: 4,
+                    taken_at: SimTime::from_millis(2),
+                    queue,
+                },
+            );
+        }
+        for finished in [rival, gone, me] {
+            loaded.ual.record(finished, SimTime::from_millis(3));
+        }
+
+        let mut cfg = MarpConfig::new(5);
+        cfg.lt_delta = false;
+        let mut whole = loaded.clone();
+        whole.before_migrate(1, &mut lone_server(&cfg));
+        assert_eq!(whole, loaded);
+
+        cfg.lt_delta = true;
+        let mut delta = loaded.clone();
+        delta.before_migrate(1, &mut lone_server(&cfg));
+        let rows = |agent: &UpdateAgent| agent.lt.iter().collect::<Vec<_>>();
+        let kept: Vec<_> = rows(&loaded).into_iter().filter(|(s, _)| *s != 1).collect();
+        assert_eq!(rows(&delta), kept);
+        assert_eq!(kept.len(), 2);
+        // Only server 1's row named `gone`; its own entry always travels.
+        assert_eq!(delta.ual.agents().collect::<Vec<_>>(), [rival, me]);
+    }
 }

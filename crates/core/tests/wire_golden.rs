@@ -1,8 +1,8 @@
 //! Golden wire vectors: one fixed value per variant of every message
 //! and carried-state type `marp-core` can see, compared against
-//! committed hex. The encoding is the protocol — the byte rows in
-//! `BENCH_e2e.json`, the sweep exponents and the mcheck corpus all rest
-//! on it — so a codec refactor must leave every line here untouched.
+//! committed hex. The encoding is the protocol — the byte counts in
+//! `results/sweep_*.json`, their exponents and the mcheck corpus all
+//! rest on it — so a codec refactor must leave every line here untouched.
 //!
 //! To re-bless after a deliberate format change, run the test: the
 //! failure message prints every mismatching vector as a ready-to-paste

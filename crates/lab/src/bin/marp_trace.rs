@@ -16,11 +16,11 @@
 //! marp-trace aggregate <trace.bin> [...]     flamegraph-style span-path profile
 //! marp-trace sweep [--test] [...]            run N=3/5/9 and fit growth exponents
 //! marp-trace diff <before.json> <after.json> compare two profiles or two sweeps
-//!                                            (--fail-steeper bytes,messages,lock-wait-ms gates CI)
+//!                                            (--fail-steeper <metric,...>: fail on a risen exponent)
 //! marp-trace diagnose <sweep.json> [...]     rule-based cliff diagnosis
 //! ```
 
-use marp_lab::{scale_sweep, SweepConfig};
+use marp_lab::{scale_sweep, sweep_record, SweepConfig};
 use marp_obs::{
     load_trace, perfetto_export_string, CriticalPathReport, Diagnosis, Journeys, Json,
     MetricsRegistry, Profile, ProfileDiff, SpanSet, SweepDiff, SweepReport,
@@ -264,7 +264,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let diagnosis = Diagnosis::from_sweep(&report);
     print!("{}", diagnosis.render());
     if let Some(path) = json_out {
-        write_file(&path, &report.to_json().render())?;
+        write_file(&path, &sweep_record(&report))?;
     }
     if let Some(path) = diagnosis_out {
         write_file(&path, &diagnosis.to_json().render())?;

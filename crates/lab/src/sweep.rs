@@ -72,20 +72,6 @@ pub fn run_sweep_traced(
     fan_out(scenarios, workers, run_scenario_traced)
 }
 
-/// Run the same scenario at several seeds and pool the outcomes
-/// (variance reduction for the figures).
-pub fn run_seeds(base: &Scenario, seeds: &[u64], workers: Option<usize>) -> Vec<RunOutcome> {
-    let scenarios: Vec<Scenario> = seeds
-        .iter()
-        .map(|&seed| {
-            let mut s = base.clone();
-            s.seed = seed;
-            s
-        })
-        .collect();
-    run_sweep(&scenarios, workers)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,11 +104,5 @@ mod tests {
             assert_eq!(p.stats.messages_sent, s.stats.messages_sent);
             assert_eq!(p.metrics.mean_att_ms(), s.metrics.mean_att_ms());
         }
-    }
-
-    #[test]
-    fn run_seeds_pools_outcomes() {
-        let outcomes = run_seeds(&small(0), &[10, 11], Some(2));
-        assert_eq!(outcomes.len(), 2);
     }
 }

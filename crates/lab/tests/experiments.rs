@@ -26,14 +26,11 @@ fn names_are_unique() {
 }
 
 #[test]
-fn results_holds_one_file_per_recorded_experiment_and_the_two_sweeps() {
-    let mut expected: BTreeSet<String> = EXPERIMENTS
+fn results_holds_one_file_per_recorded_experiment() {
+    let expected: BTreeSet<String> = EXPERIMENTS
         .iter()
-        .filter(|e| e.recorded)
-        .map(|e| format!("{}.txt", e.name))
+        .filter_map(|e| e.record.map(String::from))
         .collect();
-    expected.insert("sweep_smoke.json".into());
-    expected.insert("sweep_n3_n5_n9.json".into());
     let present: BTreeSet<String> = std::fs::read_dir(repo("results"))
         .expect("results/ exists")
         .map(|entry| entry.unwrap().file_name().into_string().unwrap())
@@ -50,8 +47,9 @@ fn experiments_md_names_every_experiment_and_quotes_every_recorded_output() {
             "EXPERIMENTS.md does not name `{}`",
             e.name
         );
-        if e.recorded {
-            let file = format!("results/{}.txt", e.name);
+        // A table is quoted; a sweep's JSON document is only named.
+        if let Some(file) = e.record.filter(|file| file.ends_with(".txt")) {
+            let file = format!("results/{file}");
             let text = std::fs::read_to_string(repo(&file)).unwrap();
             assert!(
                 doc.contains(&format!("```text\n{text}```\n")),
@@ -63,18 +61,21 @@ fn experiments_md_names_every_experiment_and_quotes_every_recorded_output() {
 
 /// The experiments quick enough to re-run under tier-1 (about a second
 /// each unoptimised), so a stale table fails here and not only in CI's
-/// full `marp-lab results --check`.
-const QUICK: [&str; 4] = [
+/// full `marp-lab results --check`. Both sweeps are among them: bytes
+/// per commit at N=3/5/9 are checked to the digit on every test run.
+const QUICK: [&str; 6] = [
     "e5_wan_comparison",
     "e6_scalability",
     "e7_faults",
     "e13_read_mix",
+    "sweep_smoke",
+    "sweep_n3_n5_n9",
 ];
 
 #[test]
 fn the_quick_experiments_print_what_results_records() {
     let quick = QUICK.map(experiment);
-    assert!(quick.iter().all(|e| e.recorded));
+    assert!(quick.iter().all(|e| e.record.is_some()));
     assert_eq!(results(&repo("results"), true, &quick), Ok(()));
 }
 
@@ -82,29 +83,35 @@ fn the_quick_experiments_print_what_results_records() {
 fn check_names_the_stale_file_and_its_first_differing_line() {
     let dir = std::env::temp_dir().join(format!("marp-lab-results-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let recorded = std::fs::read_to_string(repo("results/e13_read_mix.txt")).unwrap();
-    // One digit of the fourth line (the first data row) changed.
-    let mut lines: Vec<String> = recorded.lines().map(String::from).collect();
-    let digit = lines[3].rfind(|c: char| c.is_ascii_digit()).unwrap();
-    let changed = if &lines[3][digit..=digit] == "9" {
-        "8"
-    } else {
-        "9"
-    };
-    lines[3].replace_range(digit..=digit, changed);
-    let stale = dir.join("e13_read_mix.txt");
-    std::fs::write(&stale, lines.join("\n") + "\n").unwrap();
+    // A table's fourth line (its first data row), and the one line that
+    // is a sweep's whole record: the last digit of each changed.
+    for (name, row) in [("e13_read_mix", 3), ("sweep_smoke", 0)] {
+        let row_of = [experiment(name)];
+        let file = row_of[0].record.unwrap();
+        let recorded = std::fs::read_to_string(repo("results").join(file)).unwrap();
+        let line = recorded.lines().nth(row).unwrap();
+        let digit = line.as_ptr() as usize - recorded.as_ptr() as usize
+            + line.rfind(|c: char| c.is_ascii_digit()).unwrap();
+        let changed = if &recorded[digit..=digit] == "9" {
+            "8"
+        } else {
+            "9"
+        };
+        let mut stale = recorded.clone();
+        stale.replace_range(digit..=digit, changed);
+        let path = dir.join(file);
+        std::fs::write(&path, stale).unwrap();
 
-    let e13 = [experiment("e13_read_mix")];
-    let err = results(&dir, true, &e13).unwrap_err();
-    assert!(
-        err.starts_with(&format!("{}:4: ", stale.display())),
-        "{err}"
-    );
-    // Without --check the same call repairs the file.
-    assert_eq!(results(&dir, false, &e13), Ok(()));
-    assert_eq!(std::fs::read_to_string(&stale).unwrap(), recorded);
-    assert_eq!(results(&dir, true, &e13), Ok(()));
+        let err = results(&dir, true, &row_of).unwrap_err();
+        let place = format!("{}:{}: ", path.display(), row + 1);
+        assert!(err.starts_with(&place), "{err}");
+        // Both versions of the neighbourhood, not of a 1.2 kB line.
+        assert!(err.len() < place.len() + 400, "{err}");
+        // Without --check the same call repairs the file.
+        assert_eq!(results(&dir, false, &row_of), Ok(()));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), recorded);
+        assert_eq!(results(&dir, true, &row_of), Ok(()));
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

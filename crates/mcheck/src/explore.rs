@@ -450,7 +450,7 @@ impl Explorer {
         timer_steps: u32,
     ) -> Vec<Choice> {
         let pending = sim.pending_events();
-        let done = monitor.completed_requests() >= self.spec.agents;
+        let done = self.spec.finished(monitor.completed_requests());
         let mut choices = Vec::new();
         let mut channels: HashSet<(NodeId, NodeId)> = HashSet::new();
         let mut inbound: HashSet<NodeId> = HashSet::new();

@@ -3,7 +3,8 @@
 //! ```text
 //! marp-mcheck check   [--family marp|mcv|pc] [--replicas N] [--agents N]
 //!                     [--crashes N] [--chaos none|lifo|blind-acks|lifo-blind]
-//!                     [--distinct-keys] [--mail-loss none|notices|notices+reply]
+//!                     [--distinct-keys]
+//!                     [--mail-loss none|notices|notices+reply|commits]
 //!                     [--early-claims] [--preemptions N|full]
 //!                     [--budget N|smoke] [--out FILE]
 //! marp-mcheck replay  <FILE>
@@ -32,9 +33,9 @@ fn usage() -> ExitCode {
          \n\
          check    [--family marp|mcv|pc] [--replicas N] [--agents N] [--crashes N]\n\
          \x20        [--chaos none|lifo|blind-acks|lifo-blind] [--distinct-keys]\n\
-         \x20        [--mail-loss none|notices|notices+reply] [--early-claims]\n\
-         \x20        [--preemptions N|full] [--budget N|smoke] [--depth N]\n\
-         \x20        [--timers N] [--out FILE]\n\
+         \x20        [--mail-loss none|notices|notices+reply|commits]\n\
+         \x20        [--early-claims] [--preemptions N|full] [--budget N|smoke]\n\
+         \x20        [--depth N] [--timers N] [--out FILE]\n\
          replay   <FILE>\n\
          sample   [model options] --out FILE\n\
          selftest [--out FILE]"

@@ -58,10 +58,11 @@ impl Family {
     }
 }
 
-/// Which server→agent mail the model's network loses (MARP only): the
-/// **missed-notice schedule family**. Safety must not depend on the
-/// COMMIT change notices, and liveness must fall back to the parked
-/// agents' re-poll timer (`AgentTimer::Repoll`).
+/// Which mail the model's network loses (MARP only). The
+/// **missed-notice schedule family** loses server→agent mail: safety
+/// must not depend on the COMMIT change notices, and liveness must fall
+/// back to the parked agents' re-poll timer (`AgentTimer::Repoll`). The
+/// **lost-commit family** loses the COMMIT itself (ROADMAP item 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MailLoss {
     /// Reliable mail (the faithful default).
@@ -74,6 +75,9 @@ pub enum MailLoss {
     /// would have received: the first re-poll's answer is incomplete
     /// too.
     NoticesAndFirstReply,
+    /// Every COMMIT that crosses the network: only the winner's own
+    /// host, which gets a loopback copy, learns the decision first-hand.
+    Commits,
 }
 
 impl MailLoss {
@@ -83,6 +87,7 @@ impl MailLoss {
             "none" => Some(MailLoss::None),
             "notices" => Some(MailLoss::Notices),
             "notices+reply" => Some(MailLoss::NoticesAndFirstReply),
+            "commits" => Some(MailLoss::Commits),
             _ => None,
         }
     }
@@ -93,6 +98,7 @@ impl MailLoss {
             MailLoss::None => "none",
             MailLoss::Notices => "notices",
             MailLoss::NoticesAndFirstReply => "notices+reply",
+            MailLoss::Commits => "commits",
         }
     }
 }
@@ -218,6 +224,15 @@ impl ModelSpec {
         sim
     }
 
+    /// Whether a run in which `completed` writes have reported
+    /// completion has only steady-state ticks left. Never when COMMITs
+    /// are lost: a server that missed one catches up on a timer (the
+    /// maintenance tick's pull) or not at all, so those runs go on to
+    /// the timer budget.
+    pub fn finished(&self, completed: usize) -> bool {
+        completed >= self.agents && self.mail_loss != MailLoss::Commits
+    }
+
     /// State invariants the trace cannot show, checked after every
     /// step: no MARP server holds a claim behind the claimant's own
     /// reservation. (That a held claim waits behind *some* reservation
@@ -258,11 +273,11 @@ impl ModelSpec {
     }
 }
 
-/// A MARP node behind a network that loses agent mail per
-/// [`MailLoss`]. Losing a message in flight and discarding it on
-/// arrival are indistinguishable to the protocol; doing it here keeps
-/// the loss a pure function of the delivery order, so explored paths
-/// replay exactly.
+/// A MARP node behind a network that loses mail per [`MailLoss`].
+/// Losing a message in flight and discarding it on arrival are
+/// indistinguishable to the protocol; doing it here keeps the loss a
+/// pure function of the delivery order, so explored paths replay
+/// exactly.
 struct LossyMail {
     node: MarpNode,
     loss: MailLoss,
@@ -270,10 +285,12 @@ struct LossyMail {
 }
 
 impl LossyMail {
-    fn loses(&mut self, msg: &Bytes) -> bool {
-        let Ok(NodeMsg::Agent(AgentEnvelope::ToAgent { payload, .. })) =
-            marp_wire::from_bytes::<NodeMsg>(msg)
-        else {
+    fn loses(&mut self, from: NodeId, me: NodeId, msg: &Bytes) -> bool {
+        let decoded = marp_wire::from_bytes::<NodeMsg>(msg);
+        if self.loss == MailLoss::Commits {
+            return from != me && matches!(decoded, Ok(NodeMsg::Commit(_)));
+        }
+        let Ok(NodeMsg::Agent(AgentEnvelope::ToAgent { payload, .. })) = decoded else {
             return false;
         };
         match marp_wire::from_bytes::<AgentReply>(&payload) {
@@ -294,9 +311,9 @@ impl Process for LossyMail {
     }
 
     fn on_message(&mut self, from: NodeId, msg: Bytes, ctx: &mut dyn Context) {
-        if self.loses(&msg) {
+        if self.loses(from, ctx.me(), &msg) {
             ctx.trace(TraceEvent::Custom {
-                kind: "agent-mail-lost",
+                kind: "mail-lost",
                 a: u64::from(from),
                 b: msg.len() as u64,
             });

@@ -455,7 +455,7 @@ pub fn replay(spec: &ModelSpec, schedule: &[Choice]) -> ReplayOutcome {
     let mut timer_fires = 0u32;
     while outcome.drained_steps < DRAIN_CAP {
         let pending = sim.pending_events();
-        let done = monitor.completed_requests() >= spec.agents;
+        let done = spec.finished(monitor.completed_requests());
         let next = pending
             .iter()
             .find(|e| !matches!(e.kind, PendingKind::Timer { .. }))

@@ -71,7 +71,7 @@ fn main() {
                 record.at.to_string()
             ),
             TraceEvent::Custom {
-                kind: "batch-redispatched",
+                kind: "agent-regenerated",
                 a,
                 b,
             } => println!(

@@ -8,7 +8,9 @@
 //! change notice (`sample --mail-loss notices|notices+reply`), and
 //! `early_claim` that of the early-claim family, whose slow COMMITs let
 //! the next winner's UPDATE overtake them (`sample --replicas 5
-//! --agents 2 --early-claims`).
+//! --agents 2 --early-claims`). `known_red/` holds counterexamples
+//! against the *faithful* protocol — open bugs — replayed by
+//! `#[ignore]`d tests that CI's `known-red` job runs.
 //! Replaying them pins down three
 //! things at once: the schedule text format stays parseable, the
 //! replayer's event resolution keeps finding the recorded steps as the
@@ -103,4 +105,19 @@ fn lifo_blind_counterexample_still_violates_lost_update() {
         "counterexample no longer reproduces: {:?}",
         outcome.all_violations()
     );
+}
+
+/// ROADMAP item 1 at its smallest: every COMMIT is lost at every server
+/// but the winner's own host (`check --replicas 3 --agents 2 --mail-loss
+/// commits` finds it on the canonical path, 50 transitions, and shrinks
+/// it to the empty schedule — the canonical drain alone diverges). Home
+/// 0 never learns that its write committed at node 2 as version 1,
+/// regenerates it at 400 ms, and the regenerated agent's majority
+/// {0, 1} — neither has version 1 — commits it as version 1 again:
+/// `order-preservation`. Red until item 1(b) lands; then drop the
+/// `#[ignore]` and move the file out of `known_red/`.
+#[test]
+#[ignore = "known red: ROADMAP item 1 (CI job `known-red`)"]
+fn regression_commit_lost_schedule() {
+    assert_clean("known_red/marp_commit_lost.txt");
 }
