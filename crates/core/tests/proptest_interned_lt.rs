@@ -8,14 +8,19 @@
 //! sequence of mutations and demands, after every step, that every
 //! query agrees — rows, horizon, tops, presence, rivals and the
 //! `decide` verdict with its tie certificate — and that the table
-//! survives the wire unchanged with an exact `encoded_len`.
+//! survives the wire unchanged with an exact `encoded_len`. A second
+//! property builds what a convoy leaves behind — queues 32 to 64 deep
+//! sharing one order, their first 0…all entries finished, tops held at
+//! servers declared unavailable, finished ids no row names — the shape
+//! the priority calculation spends its time on and the first property's
+//! short, scattered queues almost never reach.
 //!
 //! Snapshots are deliberately *not* generated under the protocol's
 //! invariants: versions tie and regress, equal versions carry different
 //! queues, queues repeat an agent. The table may not lean on any of it.
 
 use marp_agent::AgentId;
-use marp_core::lt::{decide, majority, LockingTable, Priority};
+use marp_core::lt::{decide, majority, ranking, LockingTable, Priority};
 use marp_replica::{LlSnapshot, UpdatedList};
 use marp_sim::{NodeId, SimTime};
 use marp_wire::Wire;
@@ -75,6 +80,12 @@ impl Model {
             }
         }
         counts
+    }
+
+    fn ranking(&self, finished: &UpdatedList) -> Vec<(AgentId, usize)> {
+        let mut ranked: Vec<(AgentId, usize)> = self.top_counts(finished).into_iter().collect();
+        ranked.sort_by_key(|&(agent, tops)| (std::cmp::Reverse(tops), agent));
+        ranked
     }
 
     fn presence_count(&self, agent: AgentId) -> usize {
@@ -199,6 +210,40 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// How deep a convoy's queues go, and how many agents they draw on.
+const CONVOY: u16 = 64;
+
+/// One server's view of a convoy, before the head is known: how deep
+/// its queue goes, its snapshot version, and where neighbours overtook
+/// each other, counted from the head.
+type ConvoyRow = (u16, u64, Vec<(u16, u16)>);
+
+fn arb_convoy_row() -> impl Strategy<Value = ConvoyRow> {
+    // Depths cluster at both ends, so that a head in between has drained
+    // some servers' queues whole and others' not.
+    let len = prop_oneof![Just(32), 32..=CONVOY, Just(CONVOY)];
+    let swaps = proptest::collection::vec((0..4u16, 1..4u16), 0..4);
+    (len, 0u64..6, swaps)
+}
+
+/// The first `len` agents of the shared order, the ones around `head`
+/// swapped: the servers disagree about who leads the unfinished rest.
+fn convoy_snapshot(head: u16, (len, version, swaps): &ConvoyRow) -> LlSnapshot {
+    let mut order: Vec<u16> = (0..CONVOY).collect();
+    for (at, by) in swaps {
+        let at = (head + at) % CONVOY;
+        order.swap(usize::from(at), usize::from((at + by) % CONVOY));
+    }
+    LlSnapshot {
+        version: *version,
+        taken_at: SimTime::from_millis(*version),
+        queue: order[..usize::from(*len)]
+            .iter()
+            .map(|&i| agent(i))
+            .collect(),
+    }
+}
+
 /// Build the same table twice: as the model and as the real thing.
 fn build(rows: &[(NodeId, LlSnapshot)]) -> (Model, LockingTable) {
     let mut model = Model::default();
@@ -295,6 +340,53 @@ proptest! {
             let bytes = marp_wire::to_bytes(&table);
             prop_assert_eq!(table.encoded_len(), bytes.len());
             prop_assert_eq!(marp_wire::from_bytes::<LockingTable>(&bytes), Ok(table.clone()));
+        }
+    }
+    #[test]
+    fn deep_finished_prefixes_are_read_like_the_plain_map(
+        rows in proptest::collection::vec(arb_convoy_row(), SERVERS as usize),
+        unseen in proptest::collection::vec(0..SERVERS, 0..3),
+        // The convoy's head has finished: the first `head` agents of the
+        // shared order, which covers a row whole when `head` is past its end.
+        head in prop_oneof![0..=CONVOY, 32..48u16],
+        stragglers in proptest::collection::vec(0..CONVOY, 0..4),
+        // Finished agents no row names (ids among, and past, the roster's).
+        strangers in proptest::collection::vec(CONVOY..CONVOY + 24, 0..6),
+        unavailable in proptest::collection::vec(0..SERVERS, 0..4),
+        n in 1usize..=SERVERS as usize,
+    ) {
+        let rows: Vec<(NodeId, LlSnapshot)> = (0..SERVERS)
+            .zip(&rows)
+            .filter(|(server, _)| !unseen.contains(server))
+            .map(|(server, row)| (server, convoy_snapshot(head, row)))
+            .collect();
+        let (model, table) = build(&rows);
+        let mut ual = UpdatedList::new();
+        for a in (0..head).chain(stragglers).chain(strangers) {
+            ual.record(agent(a), SimTime::ZERO);
+        }
+
+        for server in 0..SERVERS {
+            prop_assert_eq!(
+                table.effective_top(server, &ual),
+                model.effective_top(server, &ual)
+            );
+        }
+        prop_assert_eq!(table.top_counts(&ual), model.top_counts(&ual));
+        prop_assert_eq!(table.known_agents(&ual), model.known_agents(&ual));
+        prop_assert_eq!(ranking(&table, &ual), model.ranking(&ual));
+        // Whoever wins stands just behind the head; the others are one
+        // finished agent, the convoy's tail and one no row names.
+        let contenders = head.saturating_sub(1)..(head + 8).min(CONVOY);
+        for me in contenders.chain([0, CONVOY - 1, CONVOY]).map(agent) {
+            prop_assert_eq!(table.presence_count(me), model.presence_count(me));
+            for down in [&[][..], &unavailable[..]] {
+                prop_assert_eq!(
+                    decide(&table, me, n, &ual, down),
+                    model.decide(me, n, &ual, down),
+                    "agent {} of {} servers, {:?} down", me, n, down
+                );
+            }
         }
     }
 }
