@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use marp_agent::AgentId;
 use marp_core::lt::{decide, LockingTable};
+use marp_core::GossipBoard;
 use marp_replica::{CommitRecord, LlSnapshot, LockingList, UpdatedList, VersionedStore};
 use marp_sim::{NodeId, SimTime};
 use std::time::Duration;
@@ -79,7 +80,69 @@ fn bench_locking_table(c: &mut Criterion) {
             b.iter(|| decide(std::hint::black_box(&lt), agent(0), servers, &finished, &[]))
         });
     }
+    bench_convoy(&mut group);
     group.finish();
+}
+
+/// `server`'s queue in a convoy at N = 9: those of `agents` that got
+/// as far as this server — each queued at five of the nine, as a
+/// majority walk leaves them — in arrival order. 58 agents make the
+/// queues 30 to 34 deep.
+fn convoy_snapshot(server: u32, agents: std::ops::Range<u32>, version: u64) -> LlSnapshot {
+    LlSnapshot {
+        version,
+        taken_at: SimTime::from_millis(version),
+        queue: agents
+            .filter(|i| (server + 9 - i % 9) % 9 < 5)
+            .map(agent)
+            .collect(),
+    }
+}
+
+/// What `cliff_n9` does to one agent's table: nine servers, queues some
+/// 32 deep, the first 24 or so of each already finished.
+fn bench_convoy(group: &mut criterion::BenchmarkGroup<'_>) {
+    let mut lt = LockingTable::new();
+    for server in 0..9 {
+        lt.merge(server as NodeId, convoy_snapshot(server, 0..58, 1));
+    }
+    let mut finished = UpdatedList::new();
+    for i in 0..43 {
+        finished.record(agent(i), SimTime::from_millis(u64::from(i)));
+    }
+    // A parked agent re-reading its table on a change notice.
+    group.bench_function("decide/9x32-finished-24", |b| {
+        b.iter(|| decide(std::hint::black_box(&lt), agent(50), 9, &finished, &[]))
+    });
+    // An arrival: the visitor brings one row fresher than the board's,
+    // the board holds one fresher than the visitor's.
+    group.bench_function("exchange/9x32", |b| {
+        let mut visitor = lt.clone();
+        let mut board = GossipBoard::new();
+        board.exchange(0, &mut lt.clone());
+        let mut version = 1;
+        b.iter(|| {
+            version += 1;
+            visitor.merge(0, convoy_snapshot(0, 0..58, version));
+            board.post(0, 1, convoy_snapshot(1, 0..58, version));
+            board.exchange(0, &mut visitor);
+            visitor.known_servers()
+        })
+    });
+    // One row replaced by its successor: five agents gone from its head
+    // (other rows still name them) and five newcomers at its tail — or,
+    // every other time, the reverse, which takes the newcomers off the
+    // roster again.
+    group.bench_function("release/9x32", |b| {
+        let mut table = lt.clone();
+        let mut version = 1;
+        b.iter(|| {
+            version += 1;
+            let from = (version % 2) as u32 * 9;
+            table.merge(0, convoy_snapshot(0, from..from + 58, version));
+            table.roster().len()
+        })
+    });
 }
 
 /// A server's Updated List after `n` commits, recorded in the order

@@ -573,10 +573,7 @@ impl AgentBehavior for UpdateAgent {
         }
         self.lt.merge(here, snapshot);
         if host.config().gossip {
-            if let Some(board) = host.board.contents(self.key()) {
-                self.lt.merge_table(board);
-            }
-            host.deposit_gossip(self.key(), &self.lt);
+            host.board.exchange(self.key(), &mut self.lt);
         }
         self.absorb(&host.core.ul);
         self.evaluate(host, env)

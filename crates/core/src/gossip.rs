@@ -3,15 +3,15 @@
 //! Paper §3.3: "Mobile agents can exchange their locking information by
 //! leaving the information at the servers they visited. This information
 //! may be used by a mobile agent to determine which replicated server to
-//! visit next." A [`GossipBoard`] is that shared blackboard: visiting
-//! agents deposit their Locking Table and pick up what earlier visitors
-//! left, so information spreads without extra messages. Disabling the
-//! board is ablation experiment E10.
+//! visit next." A [`GossipBoard`] is that shared blackboard: a visiting
+//! agent picks up what earlier visitors left and leaves what it knows in
+//! one [`exchange`](GossipBoard::exchange), so information spreads
+//! without extra messages. Disabling the board is ablation experiment
+//! E10.
 //!
 //! With the keyed lock table the board keeps one accumulated
 //! [`LockingTable`] per object key: lock queues of different keys are
-//! unrelated, so agents only pick up (and deposit) knowledge about
-//! their own key.
+//! unrelated, so agents only exchange knowledge about their own key.
 
 use crate::lt::LockingTable;
 use marp_replica::LlSnapshot;
@@ -31,14 +31,29 @@ impl GossipBoard {
         Self::default()
     }
 
-    /// Deposit an agent's Locking Table for its key (keeps the freshest
-    /// snapshot per server).
-    pub fn deposit(&mut self, key: u64, lt: &LockingTable) {
-        self.tables.entry(key).or_default().merge_table(lt);
+    /// A visiting agent's whole use of the board: merge what the board
+    /// holds for `key` into `lt`, then leave `lt` there. Both end with
+    /// the freshest snapshot per server either knew. After the merge no
+    /// row of the board is fresher than the visitor's, so merging back
+    /// would rebuild the visitor's table id by id; the board takes a
+    /// copy instead, into the buffers it already holds. (A server bumps
+    /// its LL's version with every change to the sequence, so a row
+    /// neither side holds fresher is the same row.)
+    pub fn exchange(&mut self, key: u64, lt: &mut LockingTable) {
+        let board = self.tables.entry(key).or_default();
+        lt.merge_table(board);
+        debug_assert!(
+            {
+                let mut both = board.clone();
+                both.merge_table(lt);
+                both == *lt
+            },
+            "a server issued two queues under one version"
+        );
+        board.clone_from(lt);
     }
 
-    /// Deposit one snapshot directly (servers post their own per-key
-    /// LL).
+    /// Leave one snapshot directly (servers post their own per-key LL).
     pub fn post(&mut self, key: u64, server: NodeId, snapshot: LlSnapshot) {
         self.tables.entry(key).or_default().merge(server, snapshot);
     }
@@ -77,12 +92,21 @@ mod tests {
     #[test]
     fn deposit_and_pick_up() {
         let a = AgentId::new(1, SimTime::ZERO, 0);
+        let b = AgentId::new(2, SimTime::ZERO, 0);
         let mut board = GossipBoard::new();
+        board.post(0, 1, snap(4, &[a, b]));
+        board.post(0, 2, snap(3, &[b]));
         let mut lt = LockingTable::new();
         lt.merge(2, snap(5, &[a]));
-        board.deposit(0, &lt);
-        assert_eq!(board.known_servers(0), 1);
-        assert_eq!(board.contents(0).unwrap().roster(), [a]);
+        lt.merge(3, snap(1, &[]));
+        board.exchange(0, &mut lt);
+        assert_eq!(lt.horizon(), [(1, 4), (2, 5), (3, 1)].into());
+        assert_eq!(lt.roster(), [a, b]);
+        assert_eq!(board.contents(0), Some(&lt));
+        // Another key's visitor sees none of it.
+        let mut other = LockingTable::new();
+        board.exchange(9, &mut other);
+        assert_eq!(other.known_servers(), 0);
     }
 
     #[test]

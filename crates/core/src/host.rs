@@ -200,14 +200,6 @@ impl MarpServerState {
         self.core.ll.snapshot(key, now)
     }
 
-    /// A visiting agent leaves its accumulated locking information
-    /// about its key on the board (no-op when gossip is disabled).
-    pub fn deposit_gossip(&mut self, key: u64, lt: &LockingTable) {
-        if self.cfg.gossip {
-            self.board.deposit(key, lt);
-        }
-    }
-
     /// Estimated agent-transfer cost to another server, in ms.
     pub fn route_cost(&self, to: NodeId) -> f64 {
         self.routing.cost(to)
@@ -1054,7 +1046,7 @@ mod tests {
                 },
             );
         }
-        state.deposit_gossip(1, &lt);
+        state.board.exchange(1, &mut lt);
         // The asker already holds server 1 at version 4 and server 2 at
         // version 5: only server 2's newer snapshot is news to it.
         let horizon = BTreeMap::from([(1, 4), (2, 5)]);
@@ -1146,16 +1138,21 @@ mod tests {
             RoutingTable::from_topology(0, &topo),
             &cfg,
         );
-        let mut lt = LockingTable::new();
-        lt.merge(
-            1,
-            LlSnapshot {
-                version: 1,
-                taken_at: SimTime::from_millis(1),
-                queue: vec![aid(1, 1)],
-            },
-        );
-        state.deposit_gossip(1, &lt);
+        // A commit changes this server's own queue; with gossip on it
+        // would post the new queue on its board.
+        let winner = aid(1, 1);
+        state.visit(winner, 1, SimTime::from_millis(1), 1);
+        let mut ctx = RecordingCtx::new(0, SimTime::from_millis(2));
+        let record = CommitRecord {
+            version: 1,
+            key: 1,
+            value: 10,
+            agent: winner.key(),
+            request: 5,
+            committed_at: ctx.now,
+        };
+        state.handle_commit(Some(winner), vec![record], &mut ctx);
+        assert!(state.core.ul.contains(winner));
         assert!(state.board.contents(1).is_none());
     }
 

@@ -68,13 +68,43 @@ marp_wire::wire_struct!(LlRow {
 /// mutators drop an id with its last reference), which makes the
 /// representation a function of the content: equal tables are equal
 /// field by field and encode to the same bytes.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct LockingTable {
     roster: Vec<AgentId>,
     rows: BTreeMap<NodeId, LlRow>,
 }
 
 marp_wire::wire_struct!(LockingTable { roster, rows } if LockingTable::indexes_its_roster);
+
+impl Clone for LockingTable {
+    fn clone(&self) -> Self {
+        Self {
+            roster: self.roster.clone(),
+            rows: self.rows.clone(),
+        }
+    }
+
+    /// Row by row into the buffers already held: a table that is
+    /// overwritten again and again (a gossip board) stops allocating
+    /// once its rows have grown to the queues' depth.
+    fn clone_from(&mut self, source: &Self) {
+        self.roster.clone_from(&source.roster);
+        self.rows
+            .retain(|server, _| source.rows.contains_key(server));
+        for (&server, row) in &source.rows {
+            match self.rows.get_mut(&server) {
+                Some(held) => {
+                    held.version = row.version;
+                    held.taken_at = row.taken_at;
+                    held.ranks.clone_from(&row.ranks);
+                }
+                None => {
+                    self.rows.insert(server, row.clone());
+                }
+            }
+        }
+    }
+}
 
 impl LockingTable {
     /// An empty table.
@@ -156,12 +186,27 @@ impl LockingTable {
     /// agents only it named and close the gaps in the ranks. `freed` is
     /// that row's ranks; the vector is reused as scratch.
     fn release(&mut self, mut freed: Vec<u16>) {
-        freed.sort_unstable();
-        freed.dedup();
-        freed.retain(|rank| !self.rows.values().any(|row| row.ranks.contains(rank)));
+        // One pass over the remaining rows flags every roster slot still
+        // in use: on the stack, unless the table names more than 256
+        // agents.
+        let mut inline = [false; 256];
+        let mut spilled = Vec::new();
+        let used = match inline.get_mut(..self.roster.len()) {
+            Some(used) => used,
+            None => {
+                spilled.resize(self.roster.len(), false);
+                &mut spilled[..]
+            }
+        };
+        for &rank in self.rows.values().flat_map(|row| &row.ranks) {
+            used[usize::from(rank)] = true;
+        }
+        freed.retain(|&rank| !used[usize::from(rank)]);
         if freed.is_empty() {
             return;
         }
+        freed.sort_unstable();
+        freed.dedup();
         // `freed` now lists the dead roster slots in ascending order.
         let mut slot = 0;
         self.roster.retain(|_| {
@@ -235,23 +280,63 @@ impl LockingTable {
         self.rows.values().map(|row| row.ranks.len()).sum()
     }
 
+    /// The roster read against `finished`, slot by slot, in one walk of
+    /// the two id-sorted lists: `None` where the agent has finished,
+    /// `Some(0)` — no tops tallied yet — where it has not.
+    fn live_slots(&self, finished: &UpdatedList) -> Vec<Option<u32>> {
+        let mut done = finished.agents().peekable();
+        self.roster
+            .iter()
+            .map(|agent| {
+                while done.next_if(|d| d < agent).is_some() {}
+                (done.peek() != Some(agent)).then_some(0)
+            })
+            .collect()
+    }
+
+    /// The slot of the first agent in `row` that `slots` has as live.
+    fn first_live(row: &LlRow, slots: &[Option<u32>]) -> Option<usize> {
+        let mut ranks = row.ranks.iter().map(|&rank| usize::from(rank));
+        ranks.find(|&rank| slots[rank].is_some())
+    }
+
+    /// One reading of the table against `finished`: per roster slot, the
+    /// number of rows whose effective top the agent is (`None` where it
+    /// has finished). `drained` hears of every server whose queue holds
+    /// no unfinished agent.
+    fn tally_tops(
+        &self,
+        finished: &UpdatedList,
+        mut drained: impl FnMut(NodeId),
+    ) -> Vec<Option<u32>> {
+        let mut slots = self.live_slots(finished);
+        for (&server, row) in &self.rows {
+            match Self::first_live(row, &slots) {
+                Some(top) => slots[top] = slots[top].map(|tops| tops + 1),
+                None => drained(server),
+            }
+        }
+        slots
+    }
+
     /// The *effective top* of a server's queue: the first agent not
     /// known to have finished already (stale snapshots may still list
     /// committed agents).
     pub fn effective_top(&self, server: NodeId, finished: &UpdatedList) -> Option<AgentId> {
-        self.queue(self.rows.get(&server)?)
-            .find(|&a| !finished.contains(a))
+        let top = Self::first_live(self.rows.get(&server)?, &self.live_slots(finished))?;
+        Some(self.roster[top])
     }
 
     /// Count, for every agent, the servers whose effective top it is.
     pub fn top_counts(&self, finished: &UpdatedList) -> BTreeMap<AgentId, usize> {
-        let mut counts = BTreeMap::new();
-        for &server in self.rows.keys() {
-            if let Some(top) = self.effective_top(server, finished) {
-                *counts.entry(top).or_insert(0) += 1;
-            }
-        }
-        counts
+        let tops = self.tally_tops(finished, |_| {});
+        let tally = self.roster.iter().zip(tops);
+        tally
+            .filter_map(|(&agent, tops)| match tops {
+                Some(tops) if tops > 0 => Some((agent, tops as usize)),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Number of servers whose known queue contains `agent` — the
@@ -310,10 +395,10 @@ impl LockingTable {
     /// used as the tie certificate (the set of rivals the claimed winner
     /// knows about).
     pub fn known_agents(&self, finished: &UpdatedList) -> Vec<AgentId> {
-        self.roster
-            .iter()
-            .copied()
-            .filter(|&a| !finished.contains(a))
+        let slots = self.roster.iter().zip(self.live_slots(finished));
+        slots
+            .filter(|(_, slot)| slot.is_some())
+            .map(|(&agent, _)| agent)
             .collect()
     }
 }
@@ -352,9 +437,21 @@ pub fn decide(
     unavailable: &[NodeId],
 ) -> Priority {
     let maj = majority(n);
-    let counts = lt.top_counts(finished);
-    let my_tops = counts.get(&me).copied().unwrap_or(0);
-    if my_tops >= maj {
+    // Servers whose effective queue is empty are the only ones whose top
+    // can change without a commit (new requests append at the tail).
+    // Servers this agent has declared unavailable cannot be claimed by
+    // anyone right now, even if a stale gossip snapshot shows them
+    // empty — counting them would wedge every agent in NotYet while a
+    // replica is down.
+    let mut claimable = 0;
+    let tops = lt.tally_tops(finished, |server| {
+        if usize::from(server) < n && !unavailable.contains(&server) {
+            claimable += 1;
+        }
+    });
+    let my_slot = lt.roster.binary_search(&me).ok();
+    let my_tops = my_slot.and_then(|slot| tops[slot]).unwrap_or(0);
+    if my_tops as usize >= maj {
         return Priority::Win {
             via_tie: false,
             certificate: Vec::new(),
@@ -368,59 +465,38 @@ pub fn decide(
         return Priority::NotYet;
     }
 
-    // Servers whose effective queue is empty are the only ones whose top
-    // can change without a commit (new requests append at the tail).
-    // Servers this agent has declared unavailable cannot be claimed by
-    // anyone right now, even if a stale gossip snapshot shows them
-    // empty — counting them would wedge every agent in NotYet while a
-    // replica is down.
-    let claimable = (0..n as NodeId)
-        .filter(|&s| {
-            !unavailable.contains(&s)
-                && lt.snapshot(s).is_some()
-                && lt.effective_top(s, finished).is_none()
-        })
-        .count();
-
-    // If any agent could still assemble an outright majority, wait.
-    let best = counts.values().copied().max().unwrap_or(0);
-    if best + claimable >= maj || my_tops + claimable >= maj {
+    // If any agent (this one included) could still assemble an outright
+    // majority, wait.
+    let best = tops.iter().flatten().copied().max().unwrap_or(0);
+    if best as usize + claimable >= maj {
         return Priority::NotYet;
     }
 
     // Nobody can reach a majority until a commit happens — but nobody
     // has committed and nobody will: resolve deterministically by
-    // (most tops, then smallest agent id). An empty tally means there is
-    // nothing to resolve yet.
-    let Some(winner) = counts
-        .iter()
-        .map(|(&agent, &tops)| (std::cmp::Reverse(tops), agent))
-        .min()
-        .map(|(_, agent)| agent)
-    else {
+    // (most tops, then smallest agent id), which in a roster kept in id
+    // order is the first slot holding the most. An empty tally means
+    // there is nothing to resolve yet.
+    if best == 0 || tops.iter().position(|&tops| tops == Some(best)) != my_slot {
         return Priority::NotYet;
-    };
-    if winner == me {
-        // A stuck-rule win is only claimable where the winner is
-        // enqueued: servers validate a tie certificate against their
-        // live LL and refuse claimants they have never seen. Without
-        // presence at a strict majority the claim can never assemble a
-        // positive quorum — the agent must keep travelling instead
-        // (Theorem 3's lower bound, enforced structurally).
-        if lt.presence_count(me) < maj {
-            return Priority::NotYet;
-        }
-        let certificate = lt
-            .known_agents(finished)
-            .into_iter()
-            .filter(|&a| a != me)
-            .collect();
-        return Priority::Win {
-            via_tie: true,
-            certificate,
-        };
     }
-    Priority::NotYet
+    // A stuck-rule win is only claimable where the winner is enqueued:
+    // servers validate a tie certificate against their live LL and
+    // refuse claimants they have never seen. Without presence at a
+    // strict majority the claim can never assemble a positive quorum —
+    // the agent must keep travelling instead (Theorem 3's lower bound,
+    // enforced structurally).
+    if lt.presence_count(me) < maj {
+        return Priority::NotYet;
+    }
+    let slots = lt.roster.iter().zip(&tops);
+    Priority::Win {
+        via_tie: true,
+        certificate: slots
+            .filter(|&(&agent, tops)| tops.is_some() && agent != me)
+            .map(|(&agent, _)| agent)
+            .collect(),
+    }
 }
 
 /// Full priority ranking (most tops first, then agent id) — the paper's

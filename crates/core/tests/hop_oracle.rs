@@ -132,7 +132,9 @@ fn an_arrival_is_acked_with_the_horizon_of_its_own_key_only() {
     for key in 0..16u64 {
         let version = if key == 7 { 40 } else { key + 1 };
         let rows: Vec<(NodeId, u64)> = [0, 2, 3, 4].map(|s| (s, version + u64::from(s))).into();
-        host.state.deposit_gossip(key, &board_rows(&rows, rival));
+        host.state
+            .board
+            .exchange(key, &mut board_rows(&rows, rival));
         // The host's own queues have history too: `key + 1` mutations.
         for round in 0..=key {
             let visitor = aid(4, 100 + round as u32);
@@ -168,7 +170,8 @@ fn rows_shipped_to_a_host_that_advertised(key: u64) -> Vec<NodeId> {
     let mut source = Host::new(0, &cfg);
     let mut dest = Host::new(1, &cfg);
     dest.state
-        .deposit_gossip(key, &board_rows(&[(2, 6), (3, 4)], rival));
+        .board
+        .exchange(key, &mut board_rows(&[(2, 6), (3, 4)], rival));
     let arrival = first_hop(&mut source, aid(0, 0), key, &cfg);
     dest.deliver(0, arrival);
     let ack = dest
@@ -182,7 +185,8 @@ fn rows_shipped_to_a_host_that_advertised(key: u64) -> Vec<NodeId> {
     // Host 0's board knows what host 1 knows, and server 4 besides.
     source
         .state
-        .deposit_gossip(key, &board_rows(&[(2, 6), (3, 4), (4, 2)], rival));
+        .board
+        .exchange(key, &mut board_rows(&[(2, 6), (3, 4), (4, 2)], rival));
     let departure = first_hop(&mut source, aid(0, 1), key, &cfg);
     let AgentEnvelope::Migrate { state: shipped, .. } = departure else {
         unreachable!("migration_to returns Migrate envelopes");

@@ -13,14 +13,18 @@
 //! sharing one order, their first 0…all entries finished, tops held at
 //! servers declared unavailable, finished ids no row names — the shape
 //! the priority calculation spends its time on and the first property's
-//! short, scattered queues almost never reach.
+//! short, scattered queues almost never reach. A third holds the board
+//! exchange to the two merges it replaced.
 //!
 //! Snapshots are deliberately *not* generated under the protocol's
 //! invariants: versions tie and regress, equal versions carry different
 //! queues, queues repeat an agent. The table may not lean on any of it.
+//! The exchange leans on one, and its property grants only that one:
+//! two rows of one server with one version and time are the same row.
 
 use marp_agent::AgentId;
 use marp_core::lt::{decide, majority, ranking, LockingTable, Priority};
+use marp_core::GossipBoard;
 use marp_replica::{LlSnapshot, UpdatedList};
 use marp_sim::{NodeId, SimTime};
 use marp_wire::Wire;
@@ -244,6 +248,20 @@ fn convoy_snapshot(head: u16, (len, version, swaps): &ConvoyRow) -> LlSnapshot {
     }
 }
 
+/// What one server's LL looked like at a few moments: no two of them
+/// under one `(version, taken_at)`.
+fn arb_history() -> impl Strategy<Value = Vec<LlSnapshot>> {
+    let queue = proptest::collection::vec(0..AGENTS, 0..14);
+    proptest::collection::btree_map((0u64..6, 0u64..3), queue, 1..4).prop_map(|moments| {
+        let snapshot = |((version, at), queue): (_, Vec<u16>)| LlSnapshot {
+            version,
+            taken_at: SimTime::from_millis(at),
+            queue: queue.into_iter().map(agent).collect(),
+        };
+        moments.into_iter().map(snapshot).collect()
+    })
+}
+
 /// Build the same table twice: as the model and as the real thing.
 fn build(rows: &[(NodeId, LlSnapshot)]) -> (Model, LockingTable) {
     let mut model = Model::default();
@@ -388,5 +406,39 @@ proptest! {
                 );
             }
         }
+    }
+    #[test]
+    fn an_exchange_is_the_two_merges(
+        histories in proptest::collection::vec(arb_history(), SERVERS as usize),
+        // Which of its server's moments each side holds, if any.
+        visitor in proptest::collection::vec(proptest::option::of(0usize..3), SERVERS as usize),
+        board in proptest::collection::vec(proptest::option::of(0usize..3), SERVERS as usize),
+    ) {
+        let held = |picks: &[Option<usize>]| {
+            let rows = (0..SERVERS).zip(&histories).zip(picks);
+            rows.filter_map(|((server, history), pick)| {
+                Some((server, history[(*pick)? % history.len()].clone()))
+            })
+            .collect::<Vec<_>>()
+        };
+        let (_, mut visitor) = build(&held(&visitor));
+        let mut gossip = GossipBoard::new();
+        for (server, snap) in held(&board) {
+            gossip.post(7, server, snap);
+        }
+
+        // Pick up what the board holds, then leave the result there.
+        let mut merged = visitor.clone();
+        let mut left = gossip.contents(7).cloned().unwrap_or_default();
+        merged.merge_table(&left);
+        left.merge_table(&merged);
+
+        gossip.exchange(7, &mut visitor);
+        let board = gossip.contents(7).expect("the visitor left its table");
+        prop_assert_eq!(&visitor, &merged);
+        prop_assert_eq!(board, &left);
+        prop_assert_eq!(marp_wire::to_bytes(&visitor), marp_wire::to_bytes(&merged));
+        prop_assert_eq!(marp_wire::to_bytes(board), marp_wire::to_bytes(&left));
+        prop_assert!(gossip.contents(8).is_none());
     }
 }
