@@ -238,6 +238,9 @@ pub struct Simulation {
     halted: bool,
     started: bool,
     stats: RunStats,
+    /// What the running handler asked for; empty between handlers, kept
+    /// for its capacity.
+    effects: Vec<Effect>,
 }
 
 impl Simulation {
@@ -257,6 +260,7 @@ impl Simulation {
             halted: false,
             started: false,
             stats: RunStats::default(),
+            effects: Vec::new(),
         }
     }
 
@@ -560,7 +564,9 @@ impl Simulation {
     where
         F: FnOnce(&mut dyn Process, &mut dyn Context),
     {
-        let mut effects = Vec::new();
+        // Applying effects never runs a handler, so the one buffer is
+        // free again by the next call.
+        let mut effects = std::mem::take(&mut self.effects);
         let mut halt = false;
         {
             let mut ctx = EngineCtx {
@@ -577,7 +583,7 @@ impl Simulation {
             self.halted = true;
         }
         let epoch = self.epochs[usize::from(node)];
-        for effect in effects {
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Send { to, msg } => self.route_message(node, to, msg),
                 Effect::Timer { at, id, tag } => self.push_event(
@@ -605,6 +611,7 @@ impl Simulation {
                 }
             }
         }
+        self.effects = effects;
     }
 
     fn route_message(&mut self, from: NodeId, to: NodeId, msg: Bytes) {

@@ -21,45 +21,11 @@ use marp_repro::replica::{
 use marp_repro::sim::SimTime;
 use marp_repro::wire::{from_bytes, to_bytes, Wire};
 use proptest::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 
-/// The system allocator, noting the largest single request each thread
-/// makes.
-struct NotingAlloc;
-
-thread_local! {
-    static LARGEST_REQUEST: Cell<usize> = const { Cell::new(0) };
-}
-
-fn note(size: usize) {
-    LARGEST_REQUEST.with(|largest| largest.set(largest.get().max(size)));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; `note` touches only a const-initialized
-// `Cell<usize>` thread-local, which neither allocates nor unwinds.
-unsafe impl GlobalAlloc for NotingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with `layout` (see `alloc`).
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: as for `dealloc`; the caller vouches for `new_size`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: NotingAlloc = NotingAlloc;
+#[path = "support/noting_alloc.rs"]
+mod noting_alloc;
 
 /// The codec's pre-allocation cap in elements, times a size no element
 /// type here reaches: the most one request may ask for while decoding
@@ -69,9 +35,7 @@ const LARGEST_HONEST_REQUEST: usize = 4096 * 64;
 /// Whatever `bytes` decodes to as a `T` is a fixed point of the codec,
 /// and decoding never trusted a length prefix with memory.
 fn err_or_fixed_point<T: Wire + PartialEq + Debug>(bytes: &Bytes) {
-    LARGEST_REQUEST.with(|largest| largest.set(0));
-    let decoded = from_bytes::<T>(bytes);
-    let largest = LARGEST_REQUEST.with(Cell::get);
+    let (decoded, _, largest) = noting_alloc::requests_during(|| from_bytes::<T>(bytes));
     assert!(
         largest <= LARGEST_HONEST_REQUEST,
         "decoding {} bytes asked the allocator for {largest} at once",
