@@ -9,7 +9,7 @@
 //! Semantics intentionally preserved from upstream:
 //! * `Bytes::clone` is O(1) (shared `Arc<[u8]>` plus a view window).
 //! * `advance`/`copy_to_bytes`/`slice` never copy the underlying storage.
-//! * `BytesMut::freeze` transfers the accumulated bytes into a `Bytes`.
+//! * `BytesMut::freeze` turns the accumulated bytes into a `Bytes`.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -36,13 +36,14 @@ macro_rules! fmt_bytes_debug {
 }
 
 /// Backing storage for [`Bytes`]: either reference-counted heap bytes or
-/// a borrowed `'static` slice. Both clone in O(1). Heap storage keeps
-/// the originating `Vec` alive instead of re-packing it into `Arc<[u8]>`,
-/// so `BytesMut::freeze` transfers ownership without copying — encoding
-/// a message costs exactly one buffer allocation.
+/// a borrowed `'static` slice. Both clone in O(1). Heap storage is the
+/// reference count and the bytes in one block, so a buffer copied out
+/// of a slice — a message out of an encoder's reused scratch buffer —
+/// costs exactly one allocation. The price is that a `Vec` or a
+/// [`BytesMut`] becomes a `Bytes` by copying.
 #[derive(Clone)]
 enum Storage {
-    Shared(Arc<Vec<u8>>),
+    Shared(Arc<[u8]>),
     Static(&'static [u8]),
 }
 
@@ -53,14 +54,26 @@ impl Default for Storage {
 }
 
 /// A cheaply cloneable, immutable view into shared byte storage.
+///
+/// Four words, as upstream: every queued message holds one, so the
+/// window is two `u32` offsets and a buffer is under 4 GiB.
 #[derive(Clone, Default)]
 pub struct Bytes {
     data: Storage,
-    start: usize,
-    end: usize,
+    start: u32,
+    end: u32,
 }
 
 impl Bytes {
+    /// A view of all `len` bytes of `data`.
+    fn whole(data: Storage, len: usize) -> Self {
+        Bytes {
+            data,
+            start: 0,
+            end: u32::try_from(len).expect("a buffer of 4 GiB or more"),
+        }
+    }
+
     /// An empty buffer (no allocation).
     pub fn new() -> Self {
         Bytes::default()
@@ -68,21 +81,17 @@ impl Bytes {
 
     /// Wrap a static slice without copying, matching upstream semantics.
     pub fn from_static(bytes: &'static [u8]) -> Self {
-        Bytes {
-            data: Storage::Static(bytes),
-            start: 0,
-            end: bytes.len(),
-        }
+        Bytes::whole(Storage::Static(bytes), bytes.len())
     }
 
-    /// Copy a slice into a fresh buffer.
+    /// Copy a slice into a fresh buffer (one allocation).
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes::from(data.to_vec())
+        Bytes::whole(Storage::Shared(Arc::from(data)), data.len())
     }
 
     /// Length of the view in bytes.
     pub fn len(&self) -> usize {
-        self.end - self.start
+        (self.end - self.start) as usize
     }
 
     /// True when the view is empty.
@@ -103,10 +112,11 @@ impl Bytes {
             Bound::Unbounded => self.len(),
         };
         assert!(lo <= hi && hi <= self.len(), "slice out of bounds");
+        // Both fit: `hi` is within a view that does.
         Bytes {
             data: self.data.clone(),
-            start: self.start + lo,
-            end: self.start + hi,
+            start: self.start + lo as u32,
+            end: self.start + hi as u32,
         }
     }
 
@@ -114,16 +124,17 @@ impl Bytes {
     /// them (zero-copy).
     pub fn split_to(&mut self, at: usize) -> Bytes {
         let head = self.slice(..at);
-        self.start += at;
+        self.start = head.end;
         head
     }
 
     /// Contents as a plain slice.
     pub fn as_slice(&self) -> &[u8] {
-        match &self.data {
-            Storage::Shared(data) => &data[self.start..self.end],
-            Storage::Static(data) => &data[self.start..self.end],
-        }
+        let whole: &[u8] = match &self.data {
+            Storage::Shared(data) => data,
+            Storage::Static(data) => data,
+        };
+        &whole[self.start as usize..self.end as usize]
     }
 
     /// Copy the contents into a fresh `Vec<u8>`.
@@ -134,12 +145,8 @@ impl Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(vec: Vec<u8>) -> Self {
-        let end = vec.len();
-        Bytes {
-            data: Storage::Shared(Arc::new(vec)),
-            start: 0,
-            end,
-        }
+        let len = vec.len();
+        Bytes::whole(Storage::Shared(Arc::from(vec)), len)
     }
 }
 
@@ -261,6 +268,11 @@ impl BytesMut {
         self.vec.is_empty()
     }
 
+    /// Make room for `additional` more bytes.
+    pub fn reserve(&mut self, additional: usize) {
+        self.vec.reserve(additional);
+    }
+
     /// Append a slice.
     pub fn extend_from_slice(&mut self, extend: &[u8]) {
         self.vec.extend_from_slice(extend);
@@ -271,7 +283,7 @@ impl BytesMut {
         self.vec.clear();
     }
 
-    /// Convert into an immutable [`Bytes`].
+    /// Convert into an immutable [`Bytes`] (a copy; see [`Storage`]).
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.vec)
     }
@@ -372,7 +384,7 @@ impl Buf for Bytes {
 
     fn advance(&mut self, cnt: usize) {
         assert!(cnt <= self.len(), "advance past end");
-        self.start += cnt;
+        self.start += cnt as u32;
     }
 
     fn copy_to_bytes(&mut self, len: usize) -> Bytes {
@@ -439,6 +451,11 @@ mod tests {
     }
 
     #[test]
+    fn a_handle_is_at_most_four_words() {
+        assert!(size_of::<Bytes>() <= 32);
+    }
+
+    #[test]
     fn clone_is_view_sharing() {
         let a = Bytes::from(vec![1, 2, 3, 4]);
         let mut b = a.clone();
@@ -468,13 +485,13 @@ mod tests {
     }
 
     #[test]
-    fn freeze_transfers_without_copying() {
+    fn frozen_bytes_are_shared_by_their_clones() {
         let mut buf = BytesMut::with_capacity(4);
         buf.put_slice(&[1, 2, 3, 4]);
-        let ptr = buf.as_ref().as_ptr();
         let frozen = buf.freeze();
-        assert_eq!(frozen.as_slice().as_ptr(), ptr);
+        assert_eq!(frozen.as_slice(), &[1, 2, 3, 4]);
         // O(1) clones keep pointing at the same storage.
+        let ptr = frozen.as_slice().as_ptr();
         assert_eq!(frozen.clone().as_slice().as_ptr(), ptr);
     }
 

@@ -29,6 +29,7 @@ pub use error::WireError;
 pub use varint::{get_ivarint, get_uvarint, ivarint_len, put_ivarint, put_uvarint, uvarint_len};
 
 use bytes::{Buf, Bytes, BytesMut};
+use std::cell::Cell;
 
 /// A type that can be encoded to and decoded from the wire format.
 ///
@@ -51,13 +52,23 @@ pub trait Wire: Sized {
     fn encoded_len(&self) -> usize;
 }
 
+thread_local! {
+    /// The buffer [`to_bytes`] encodes into, kept for its capacity;
+    /// `None` before the first call and while one holds it (so an
+    /// `encode` that itself calls `to_bytes` gets a buffer of its own).
+    static SCRATCH: Cell<Option<BytesMut>> = const { Cell::new(None) };
+}
+
 /// Encode a value into a fresh, frozen byte buffer.
 ///
-/// The buffer is reserved once from [`Wire::encoded_len`], so encoding
-/// never reallocates mid-write.
+/// The value is written into a per-thread scratch buffer, reserved once
+/// from [`Wire::encoded_len`] so encoding never reallocates mid-write,
+/// and copied out: the message is the call's one allocation.
 pub fn to_bytes<T: Wire>(value: &T) -> Bytes {
     let hint = value.encoded_len();
-    let mut buf = BytesMut::with_capacity(hint);
+    let mut buf = SCRATCH.take().unwrap_or_default();
+    buf.clear();
+    buf.reserve(hint);
     value.encode(&mut buf);
     debug_assert_eq!(
         buf.len(),
@@ -65,7 +76,9 @@ pub fn to_bytes<T: Wire>(value: &T) -> Bytes {
         "Wire::encoded_len for {} is not exact",
         std::any::type_name::<T>()
     );
-    buf.freeze()
+    let message = Bytes::copy_from_slice(&buf);
+    SCRATCH.set(Some(buf));
+    message
 }
 
 /// Decode a value from a byte buffer, requiring that the buffer is fully
