@@ -431,15 +431,12 @@ impl<B: AgentBehavior> AgentRuntime<B> {
     }
 
     fn drop_agent_timers(&mut self, id: AgentId, ctx: &mut dyn Context) {
-        let stale: Vec<TimerId> = self
-            .agent_timers
-            .iter()
-            .filter(|(_, (agent, _))| *agent == id)
-            .map(|(&t, _)| t)
-            .collect();
-        for timer in stale {
-            self.agent_timers.remove(&timer);
-            ctx.cancel_timer(timer);
-        }
+        self.agent_timers.retain(|&timer, (agent, _)| {
+            let stale = *agent == id;
+            if stale {
+                ctx.cancel_timer(timer);
+            }
+            !stale
+        });
     }
 }
