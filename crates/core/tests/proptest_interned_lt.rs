@@ -14,7 +14,10 @@
 //! servers declared unavailable, finished ids no row names — the shape
 //! the priority calculation spends its time on and the first property's
 //! short, scattered queues almost never reach. A third holds the board
-//! exchange to the two merges it replaced.
+//! exchange to the two merges it replaced. A fourth holds `merge_table`
+//! to the per-server merge on pairs of tables whose rosters interleave,
+//! whose stale rows name ids nobody else does, and which name more
+//! agents than a table remaps on the stack.
 //!
 //! Snapshots are deliberately *not* generated under the protocol's
 //! invariants: versions tie and regress, equal versions carry different
@@ -262,6 +265,40 @@ fn arb_history() -> impl Strategy<Value = Vec<LlSnapshot>> {
     })
 }
 
+/// One side of a merge: per server, maybe a row — its version, its
+/// time, and its queue as pool indices.
+type Side = Vec<Option<(u64, u64, Vec<u16>)>>;
+
+fn arb_side(pool: u16, depth: std::ops::Range<usize>) -> impl Strategy<Value = Side> {
+    let row = (0u64..4, 0u64..2, proptest::collection::vec(0..pool, depth));
+    proptest::collection::vec(proptest::option::of(row), SERVERS as usize)
+}
+
+/// Both sides of a merge, from one pool: the 40 agents with short
+/// queues, so each side's ids fall between the other's; or a thousand
+/// with queues 40 to 64 deep, so the rosters pass the 256 agents a
+/// table remaps on the stack.
+fn arb_sides() -> impl Strategy<Value = (Side, Side)> {
+    prop_oneof![
+        (arb_side(AGENTS, 0..14), arb_side(AGENTS, 0..14)),
+        (arb_side(1000, 40..65), arb_side(1000, 40..65)),
+    ]
+}
+
+fn side_rows(side: &Side) -> Vec<(NodeId, LlSnapshot)> {
+    let rows = (0..SERVERS).zip(side);
+    rows.filter_map(|(server, row)| {
+        let (version, at, queue) = row.as_ref()?;
+        let snapshot = LlSnapshot {
+            version: *version,
+            taken_at: SimTime::from_millis(*at),
+            queue: queue.iter().map(|&i| agent(i)).collect(),
+        };
+        Some((server, snapshot))
+    })
+    .collect()
+}
+
 /// Build the same table twice: as the model and as the real thing.
 fn build(rows: &[(NodeId, LlSnapshot)]) -> (Model, LockingTable) {
     let mut model = Model::default();
@@ -440,5 +477,57 @@ proptest! {
         prop_assert_eq!(marp_wire::to_bytes(&visitor), marp_wire::to_bytes(&merged));
         prop_assert_eq!(marp_wire::to_bytes(board), marp_wire::to_bytes(&left));
         prop_assert!(gossip.contents(8).is_none());
+    }
+    #[test]
+    fn merge_table_is_the_per_server_merge(
+        (mine, mut theirs) in arb_sides(),
+        // One time in four, `other` holds nothing fresher: each of its
+        // rows stamped at or before the one held, at a server held.
+        stale in 0u8..4,
+    ) {
+        if stale == 0 {
+            for (theirs, mine) in theirs.iter_mut().zip(&mine) {
+                match (theirs.as_mut(), mine) {
+                    (Some((version, at, _)), Some((held, held_at, _))) => {
+                        if (*version, *at) > (*held, *held_at) {
+                            (*version, *at) = (*held, *held_at);
+                        }
+                    }
+                    _ => *theirs = None,
+                }
+            }
+        }
+        let (mut model, mut table) = build(&side_rows(&mine));
+        let (other_model, other) = build(&side_rows(&theirs));
+        let before = table.clone();
+
+        model.merge_table(&other_model);
+        table.merge_table(&other);
+
+        let expected: Vec<_> = model
+            .snapshots
+            .iter()
+            .map(|(&s, snap)| (s, snap.version, snap.taken_at, snap.queue.clone()))
+            .collect();
+        prop_assert_eq!(rows(&table), expected);
+        // The roster is exactly the ids the surviving rows name: none
+        // from a stale row of `other`, none left over from a replaced one.
+        let mut named: Vec<AgentId> = model
+            .snapshots
+            .values()
+            .flat_map(|snap| snap.queue.iter().copied())
+            .collect();
+        named.sort_unstable();
+        named.dedup();
+        prop_assert_eq!(table.roster(), &named[..]);
+        // Equal content, equal table: as if built row by row from scratch.
+        let rebuilt: Vec<_> = model.snapshots.clone().into_iter().collect();
+        prop_assert_eq!(&table, &build(&rebuilt).1);
+        if stale == 0 {
+            prop_assert_eq!(&table, &before);
+        }
+        let bytes = marp_wire::to_bytes(&table);
+        prop_assert_eq!(table.encoded_len(), bytes.len());
+        prop_assert_eq!(marp_wire::from_bytes::<LockingTable>(&bytes), Ok(table.clone()));
     }
 }
