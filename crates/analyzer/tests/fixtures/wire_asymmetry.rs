@@ -24,7 +24,7 @@ impl Wire for BrokenMsg {
             }
         }
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
         match u8::decode(buf)? {
             0 => Ok(BrokenMsg::Put {
                 val: u64::decode(buf)?,

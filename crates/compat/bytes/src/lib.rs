@@ -3,12 +3,13 @@
 //! The build environment has no access to crates.io, so this workspace
 //! vendors the *subset* of the `bytes` API it actually uses: a cheaply
 //! cloneable immutable buffer ([`Bytes`]), a growable builder
-//! ([`BytesMut`]), and the [`Buf`]/[`BufMut`] cursor traits. Multi-byte
-//! integer accessors use big-endian byte order, matching upstream.
+//! ([`BytesMut`]), and the [`BufMut`] write cursor. Multi-byte integer
+//! writes use big-endian byte order, matching upstream. There is no
+//! read cursor: `marp_wire::Reader` reads a message as a plain slice.
 //!
 //! Semantics intentionally preserved from upstream:
 //! * `Bytes::clone` is O(1) (shared `Arc<[u8]>` plus a view window).
-//! * `advance`/`copy_to_bytes`/`slice` never copy the underlying storage.
+//! * `Bytes::slice` never copies the underlying storage.
 //! * `BytesMut::freeze` turns the accumulated bytes into a `Bytes`.
 
 use std::borrow::Borrow;
@@ -118,14 +119,6 @@ impl Bytes {
             start: self.start + lo as u32,
             end: self.start + hi as u32,
         }
-    }
-
-    /// Split off and return the first `at` bytes, advancing `self` past
-    /// them (zero-copy).
-    pub fn split_to(&mut self, at: usize) -> Bytes {
-        let head = self.slice(..at);
-        self.start = head.end;
-        head
     }
 
     /// Contents as a plain slice.
@@ -283,7 +276,8 @@ impl BytesMut {
         self.vec.clear();
     }
 
-    /// Convert into an immutable [`Bytes`] (a copy; see [`Storage`]).
+    /// Convert into an immutable [`Bytes`]: a copy, because heap bytes
+    /// live in one block with their reference count.
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.vec)
     }
@@ -310,88 +304,6 @@ impl AsRef<[u8]> for BytesMut {
 
 impl fmt::Debug for BytesMut {
     fmt_bytes_debug!();
-}
-
-/// Read cursor over a byte source. All multi-byte reads are big-endian.
-pub trait Buf {
-    /// Bytes left to consume.
-    fn remaining(&self) -> usize;
-
-    /// The current unread contiguous chunk.
-    fn chunk(&self) -> &[u8];
-
-    /// Consume `cnt` bytes.
-    fn advance(&mut self, cnt: usize);
-
-    /// True when at least one byte remains.
-    fn has_remaining(&self) -> bool {
-        self.remaining() > 0
-    }
-
-    /// Consume and return one byte.
-    fn get_u8(&mut self) -> u8 {
-        assert!(self.has_remaining(), "get_u8 on empty buffer");
-        let byte = self.chunk()[0];
-        self.advance(1);
-        byte
-    }
-
-    /// Consume and return a big-endian `u16`.
-    fn get_u16(&mut self) -> u16 {
-        let mut raw = [0u8; 2];
-        self.copy_to_slice(&mut raw);
-        u16::from_be_bytes(raw)
-    }
-
-    /// Consume and return a big-endian `u32`.
-    fn get_u32(&mut self) -> u32 {
-        let mut raw = [0u8; 4];
-        self.copy_to_slice(&mut raw);
-        u32::from_be_bytes(raw)
-    }
-
-    /// Consume and return a big-endian `u64`.
-    fn get_u64(&mut self) -> u64 {
-        let mut raw = [0u8; 8];
-        self.copy_to_slice(&mut raw);
-        u64::from_be_bytes(raw)
-    }
-
-    /// Consume `dst.len()` bytes into `dst`.
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        assert!(self.remaining() >= dst.len(), "copy_to_slice past end");
-        dst.copy_from_slice(&self.chunk()[..dst.len()]);
-        self.advance(dst.len());
-    }
-
-    /// Consume `len` bytes and return them as a [`Bytes`].
-    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
-        assert!(self.remaining() >= len, "copy_to_bytes past end");
-        let out = Bytes::copy_from_slice(&self.chunk()[..len]);
-        self.advance(len);
-        out
-    }
-}
-
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn chunk(&self) -> &[u8] {
-        self.as_slice()
-    }
-
-    fn advance(&mut self, cnt: usize) {
-        assert!(cnt <= self.len(), "advance past end");
-        self.start += cnt as u32;
-    }
-
-    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
-        // Zero-copy specialization: hand out a window over the shared
-        // storage instead of copying.
-        self.split_to(len)
-    }
 }
 
 /// Write cursor over a growable byte sink. All multi-byte writes are
@@ -425,6 +337,10 @@ impl BufMut for BytesMut {
     fn put_slice(&mut self, src: &[u8]) {
         self.vec.extend_from_slice(src);
     }
+
+    fn put_u8(&mut self, value: u8) {
+        self.vec.push(value);
+    }
 }
 
 impl BufMut for Vec<u8> {
@@ -443,11 +359,10 @@ mod tests {
         buf.put_u8(7);
         buf.put_u64(0x0102_0304_0506_0708);
         buf.put_slice(b"xyz");
-        let mut bytes = buf.freeze();
+        let bytes = buf.freeze();
         assert_eq!(bytes.len(), 12);
-        assert_eq!(bytes.get_u8(), 7);
-        assert_eq!(bytes.get_u64(), 0x0102_0304_0506_0708);
-        assert_eq!(bytes, b"xyz"[..]);
+        assert_eq!(bytes.as_slice(), b"\x07\x01\x02\x03\x04\x05\x06\x07\x08xyz");
+        assert_eq!(bytes.slice(9..), b"xyz"[..]);
     }
 
     #[test]
@@ -458,19 +373,20 @@ mod tests {
     #[test]
     fn clone_is_view_sharing() {
         let a = Bytes::from(vec![1, 2, 3, 4]);
-        let mut b = a.clone();
-        b.advance(2);
+        let b = a.clone().slice(2..);
         assert_eq!(a.as_slice(), &[1, 2, 3, 4]);
         assert_eq!(b.as_slice(), &[3, 4]);
         assert_eq!(a.slice(1..3).as_slice(), &[2, 3]);
+        assert_eq!(b.slice(..1).as_slice(), &[3]);
     }
 
     #[test]
-    fn copy_to_bytes_is_zero_copy_window() {
-        let mut a = Bytes::from(vec![9, 8, 7]);
-        let head = Buf::copy_to_bytes(&mut a, 2);
+    fn slice_is_a_zero_copy_window() {
+        let a = Bytes::from(vec![9, 8, 7]);
+        let head = a.slice(..2);
         assert_eq!(head.as_slice(), &[9, 8]);
-        assert_eq!(a.as_slice(), &[7]);
+        assert_eq!(head.as_slice().as_ptr(), a.as_slice().as_ptr());
+        assert_eq!(a.slice(2..).as_slice(), &[7]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! out of a slice (reference count and bytes together), nothing for a
 //! clone or a view.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 #[path = "../../../../tests/support/noting_alloc.rs"]
 mod noting_alloc;
@@ -24,8 +24,8 @@ fn a_buffer_copied_out_of_a_slice_is_one_allocation() {
 fn clones_and_views_allocate_nothing() {
     let message = Bytes::copy_from_slice(b"header and body");
     let ((), requests, _) = noting_alloc::requests_during(|| {
-        let mut rest = message.clone();
-        let header = rest.copy_to_bytes(6);
+        let header = message.slice(..6);
+        let rest = message.clone().slice(6..);
         let body = message.slice(11..);
         assert_eq!(header, b"header"[..]);
         assert_eq!(rest, b" and body"[..]);

@@ -7,9 +7,9 @@
 //! `marp-sim`; this module owns the header, the record framing and the
 //! file I/O.
 
-use bytes::{Buf, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use marp_sim::{SimTime, TraceEvent, TraceLevel, TraceLog};
-use marp_wire::{Wire, WireError};
+use marp_wire::{Reader, Wire, WireError};
 
 /// File magic: "MARPTRC" + format version.
 pub const MAGIC: &[u8; 8] = b"MARPTRC1";
@@ -30,14 +30,14 @@ pub fn encode_trace(trace: &TraceLog) -> Vec<u8> {
 /// Decode a binary trace file back into a [`TraceLog`] (at
 /// [`TraceLevel::Full`], so every stored record is retained).
 pub fn decode_trace(data: &[u8]) -> Result<TraceLog, WireError> {
-    let mut buf = Bytes::copy_from_slice(data);
-    if buf.len() < MAGIC.len() || &buf[..MAGIC.len()] != MAGIC {
+    let data = Bytes::copy_from_slice(data);
+    let mut buf = Reader::new(&data);
+    if buf.take(MAGIC.len()) != Ok(MAGIC) {
         return Err(WireError::InvalidTag {
             type_name: "TraceFileMagic",
             tag: 0,
         });
     }
-    buf.advance(MAGIC.len());
     let count = usize::decode(&mut buf)?;
     let mut log = TraceLog::new(TraceLevel::Full);
     for _ in 0..count {

@@ -2,27 +2,27 @@
 //!
 //! Trace events name their drop reasons and custom kinds with
 //! compile-time string constants. On the wire a label is a
-//! length-prefixed string like any [`String`]; decoding brings it back
-//! as an owned string, and an interner turns that into a `'static`
-//! reference again — leaking one allocation per *distinct* label ever
-//! decoded. Labels are constants in practice, so the set is tiny; do
-//! not point this codec at input whose label set an adversary grows.
+//! length-prefixed string like any [`String`]; decoding reads it in
+//! place, and an interner turns it into a `'static` reference again —
+//! leaking one allocation per *distinct* label ever decoded. Labels are
+//! constants in practice, so the set is tiny; do not point this codec
+//! at input whose label set an adversary grows.
 
-use crate::{put_str, str_len, Wire, WireError};
-use bytes::{Bytes, BytesMut};
+use crate::{decode_str, put_str, str_len, Reader, Wire, WireError};
+use bytes::BytesMut;
 use std::collections::HashSet;
 use std::sync::{Mutex, OnceLock};
 
-fn intern(label: String) -> &'static str {
+fn intern(label: &str) -> &'static str {
     static INTERNED: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
     let mut set = INTERNED
         .get_or_init(|| Mutex::new(HashSet::new()))
         .lock()
         .expect("interner poisoned");
-    if let Some(&stored) = set.get(label.as_str()) {
+    if let Some(&stored) = set.get(label) {
         return stored;
     }
-    let leaked: &'static str = Box::leak(label.into_boxed_str());
+    let leaked: &'static str = Box::leak(label.into());
     set.insert(leaked);
     leaked
 }
@@ -31,8 +31,8 @@ impl Wire for &'static str {
     fn encode(&self, buf: &mut BytesMut) {
         put_str(buf, self);
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(intern(String::decode(buf)?))
+    fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
+        decode_str(buf).map(intern)
     }
     fn encoded_len(&self) -> usize {
         str_len(self)

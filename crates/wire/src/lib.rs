@@ -23,12 +23,14 @@
 
 mod error;
 mod label;
+mod reader;
 mod varint;
 
 pub use error::WireError;
+pub use reader::Reader;
 pub use varint::{get_ivarint, get_uvarint, ivarint_len, put_ivarint, put_uvarint, uvarint_len};
 
-use bytes::{Buf, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use std::cell::Cell;
 
 /// A type that can be encoded to and decoded from the wire format.
@@ -42,13 +44,12 @@ pub trait Wire: Sized {
 
     /// Decode a value from the front of `buf`, advancing it past the
     /// consumed bytes.
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError>;
+    fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError>;
 
-    /// Exact number of bytes [`encode`](Wire::encode) will append.
-    ///
-    /// Used by [`to_bytes`] to reserve the output buffer in a single
-    /// allocation. Implementations must be exact — `to_bytes` asserts
-    /// (in debug builds) that the hint matches what `encode` produced.
+    /// Exact number of bytes [`encode`](Wire::encode) will append,
+    /// without encoding: what a message will cost before it is built.
+    /// Implementations must be exact — [`to_bytes`] asserts (in debug
+    /// builds) that it matches what `encode` produced.
     fn encoded_len(&self) -> usize;
 }
 
@@ -61,18 +62,17 @@ thread_local! {
 
 /// Encode a value into a fresh, frozen byte buffer.
 ///
-/// The value is written into a per-thread scratch buffer, reserved once
-/// from [`Wire::encoded_len`] so encoding never reallocates mid-write,
-/// and copied out: the message is the call's one allocation.
+/// The value is written in one pass into a per-thread scratch buffer,
+/// which keeps the capacity the largest message so far gave it, and
+/// copied out: once the buffer is warm, the message is the call's one
+/// allocation.
 pub fn to_bytes<T: Wire>(value: &T) -> Bytes {
-    let hint = value.encoded_len();
     let mut buf = SCRATCH.take().unwrap_or_default();
     buf.clear();
-    buf.reserve(hint);
     value.encode(&mut buf);
     debug_assert_eq!(
         buf.len(),
-        hint,
+        value.encoded_len(),
         "Wire::encoded_len for {} is not exact",
         std::any::type_name::<T>()
     );
@@ -84,14 +84,12 @@ pub fn to_bytes<T: Wire>(value: &T) -> Bytes {
 /// Decode a value from a byte buffer, requiring that the buffer is fully
 /// consumed. Trailing bytes are treated as corruption.
 pub fn from_bytes<T: Wire>(bytes: &Bytes) -> Result<T, WireError> {
-    let mut buf = bytes.clone();
+    let mut buf = Reader::new(bytes);
     let value = T::decode(&mut buf)?;
-    if buf.has_remaining() {
-        return Err(WireError::TrailingBytes {
-            remaining: buf.remaining(),
-        });
+    match buf.remaining() {
+        0 => Ok(value),
+        remaining => Err(WireError::TrailingBytes { remaining }),
     }
-    Ok(value)
 }
 
 // ---------------------------------------------------------------------------
@@ -102,8 +100,8 @@ impl Wire for bool {
     fn encode(&self, buf: &mut BytesMut) {
         bytes::BufMut::put_u8(buf, u8::from(*self));
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match take_u8(buf)? {
+    fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
+        match buf.u8()? {
             0 => Ok(false),
             1 => Ok(true),
             other => Err(WireError::InvalidTag {
@@ -121,8 +119,8 @@ impl Wire for u8 {
     fn encode(&self, buf: &mut BytesMut) {
         bytes::BufMut::put_u8(buf, *self);
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        take_u8(buf)
+    fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
+        buf.u8()
     }
     fn encoded_len(&self) -> usize {
         1
@@ -135,7 +133,7 @@ macro_rules! wire_uvarint {
             fn encode(&self, buf: &mut BytesMut) {
                 put_uvarint(buf, u64::from(*self));
             }
-            fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+            fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
                 let raw = get_uvarint(buf)?;
                 <$ty>::try_from(raw).map_err(|_| WireError::ValueOutOfRange {
                     type_name: stringify!($ty),
@@ -154,7 +152,7 @@ impl Wire for u64 {
     fn encode(&self, buf: &mut BytesMut) {
         put_uvarint(buf, *self);
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
         get_uvarint(buf)
     }
     fn encoded_len(&self) -> usize {
@@ -166,7 +164,7 @@ impl Wire for usize {
     fn encode(&self, buf: &mut BytesMut) {
         put_uvarint(buf, *self as u64);
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
         let raw = get_uvarint(buf)?;
         usize::try_from(raw).map_err(|_| WireError::ValueOutOfRange {
             type_name: "usize",
@@ -184,7 +182,7 @@ macro_rules! wire_ivarint {
             fn encode(&self, buf: &mut BytesMut) {
                 put_ivarint(buf, i64::from(*self));
             }
-            fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+            fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
                 let raw = get_ivarint(buf)?;
                 <$ty>::try_from(raw).map_err(|_| WireError::ValueOutOfRange {
                     type_name: stringify!($ty),
@@ -203,7 +201,7 @@ impl Wire for i64 {
     fn encode(&self, buf: &mut BytesMut) {
         put_ivarint(buf, *self);
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
         get_ivarint(buf)
     }
     fn encoded_len(&self) -> usize {
@@ -215,11 +213,9 @@ impl Wire for f64 {
     fn encode(&self, buf: &mut BytesMut) {
         bytes::BufMut::put_u64(buf, self.to_bits());
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        if buf.remaining() < 8 {
-            return Err(WireError::UnexpectedEof);
-        }
-        Ok(f64::from_bits(buf.get_u64()))
+    fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
+        let raw = buf.take(8)?.try_into().expect("eight bytes");
+        Ok(f64::from_bits(u64::from_be_bytes(raw)))
     }
     fn encoded_len(&self) -> usize {
         8
@@ -237,17 +233,18 @@ fn str_len(s: &str) -> usize {
     uvarint_len(s.len() as u64) + s.len()
 }
 
+/// Read what [`put_str`] wrote, borrowed from the message.
+fn decode_str<'a>(buf: &mut Reader<'a>) -> Result<&'a str, WireError> {
+    let len = decode_len(buf)?;
+    std::str::from_utf8(buf.take(len)?).map_err(|_| WireError::InvalidUtf8)
+}
+
 impl Wire for String {
     fn encode(&self, buf: &mut BytesMut) {
         put_str(buf, self);
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let len = decode_len(buf)?;
-        if buf.remaining() < len {
-            return Err(WireError::UnexpectedEof);
-        }
-        let raw = buf.copy_to_bytes(len);
-        String::from_utf8(raw.to_vec()).map_err(|_| WireError::InvalidUtf8)
+    fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
+        decode_str(buf).map(str::to_owned)
     }
     fn encoded_len(&self) -> usize {
         str_len(self)
@@ -259,12 +256,9 @@ impl Wire for Bytes {
         put_uvarint(buf, self.len() as u64);
         bytes::BufMut::put_slice(buf, self);
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = decode_len(buf)?;
-        if buf.remaining() < len {
-            return Err(WireError::UnexpectedEof);
-        }
-        Ok(buf.copy_to_bytes(len))
+        buf.bytes(len)
     }
     fn encoded_len(&self) -> usize {
         uvarint_len(self.len() as u64) + self.len()
@@ -281,8 +275,8 @@ impl<T: Wire> Wire for Option<T> {
             }
         }
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match take_u8(buf)? {
+    fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
+        match buf.u8()? {
             0 => Ok(None),
             1 => Ok(Some(T::decode(buf)?)),
             other => Err(WireError::InvalidTag {
@@ -303,7 +297,7 @@ impl<T: Wire> Wire for Vec<T> {
             item.encode(buf);
         }
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = decode_len(buf)?;
         // Guard against hostile length prefixes blowing up allocation: cap
         // the pre-allocation; the loop below still reads exactly `len`
@@ -327,7 +321,7 @@ impl<K: Wire + Ord, V: Wire> Wire for std::collections::BTreeMap<K, V> {
             v.encode(buf);
         }
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = decode_len(buf)?;
         let mut out = std::collections::BTreeMap::new();
         for _ in 0..len {
@@ -353,7 +347,7 @@ impl<T: Wire + Ord> Wire for std::collections::BTreeSet<T> {
             item.encode(buf);
         }
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = decode_len(buf)?;
         let mut out = std::collections::BTreeSet::new();
         for _ in 0..len {
@@ -373,7 +367,7 @@ impl<T: Wire> Wire for std::collections::VecDeque<T> {
             item.encode(buf);
         }
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = decode_len(buf)?;
         let mut out = std::collections::VecDeque::with_capacity(len.min(4096));
         for _ in 0..len {
@@ -391,7 +385,7 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
         self.0.encode(buf);
         self.1.encode(buf);
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok((A::decode(buf)?, B::decode(buf)?))
     }
     fn encoded_len(&self) -> usize {
@@ -405,7 +399,7 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
         self.1.encode(buf);
         self.2.encode(buf);
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok((A::decode(buf)?, B::decode(buf)?, C::decode(buf)?))
     }
     fn encoded_len(&self) -> usize {
@@ -413,14 +407,7 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
     }
 }
 
-fn take_u8(buf: &mut Bytes) -> Result<u8, WireError> {
-    if !buf.has_remaining() {
-        return Err(WireError::UnexpectedEof);
-    }
-    Ok(buf.get_u8())
-}
-
-fn decode_len(buf: &mut Bytes) -> Result<usize, WireError> {
+fn decode_len(buf: &mut Reader<'_>) -> Result<usize, WireError> {
     let raw = get_uvarint(buf)?;
     usize::try_from(raw).map_err(|_| WireError::ValueOutOfRange {
         type_name: "length",
@@ -481,7 +468,7 @@ macro_rules! wire_struct {
             fn encode(&self, buf: &mut ::bytes::BytesMut) {
                 $( $crate::Wire::encode(&self.$field, buf); )*
             }
-            fn decode(buf: &mut ::bytes::Bytes) -> ::core::result::Result<Self, $crate::WireError> {
+            fn decode(buf: &mut $crate::Reader<'_>) -> ::core::result::Result<Self, $crate::WireError> {
                 let value = Self { $( $field: $crate::Wire::decode(buf)? ),* };
                 $( if !$valid(&value) {
                     return Err($crate::WireError::Malformed { type_name: stringify!($name) });
@@ -572,7 +559,7 @@ macro_rules! wire_enum {
             }
             // A tag listed twice makes the second arm unreachable.
             #[deny(unreachable_patterns)]
-            fn decode(buf: &mut ::bytes::Bytes) -> ::core::result::Result<Self, $crate::WireError> {
+            fn decode(buf: &mut $crate::Reader<'_>) -> ::core::result::Result<Self, $crate::WireError> {
                 match <u8 as $crate::Wire>::decode(buf)? {
                     // (`$inner` is bound and returned only so the optional
                     // tuple group has a metavariable to repeat over.)
@@ -782,10 +769,11 @@ mod tests {
         let mut buf = BytesMut::new();
         5u32.encode(&mut buf);
         9u32.encode(&mut buf);
-        let mut bytes = buf.freeze();
-        let first = u32::decode(&mut bytes).unwrap();
-        let second = u32::decode(&mut bytes).unwrap();
+        let bytes = buf.freeze();
+        let mut reader = Reader::new(&bytes);
+        let first = u32::decode(&mut reader).unwrap();
+        let second = u32::decode(&mut reader).unwrap();
         assert_eq!((first, second), (5, 9));
-        assert!(bytes.is_empty());
+        assert_eq!(reader.remaining(), 0);
     }
 }

@@ -5,46 +5,46 @@
 //! Signed values are zigzag-mapped (`0, -1, 1, -2, …` → `0, 1, 2, 3, …`)
 //! before the unsigned encoding so small negative numbers stay short.
 
-use crate::WireError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::{Reader, WireError};
+use bytes::{BufMut, BytesMut};
 
 /// Maximum number of bytes a 64-bit varint may occupy.
 const MAX_VARINT_LEN: usize = 10;
 
 /// Append an unsigned 64-bit value as a LEB128 varint.
 pub fn put_uvarint(buf: &mut BytesMut, mut value: u64) {
-    loop {
-        let byte = (value & 0x7F) as u8;
-        value >>= 7;
-        if value == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
+    if value < 0x80 {
+        buf.put_u8(value as u8);
+        return;
     }
+    let mut out = [0u8; MAX_VARINT_LEN];
+    let mut len = 0;
+    while value >= 0x80 {
+        out[len] = (value as u8) | 0x80;
+        value >>= 7;
+        len += 1;
+    }
+    out[len] = value as u8;
+    buf.put_slice(&out[..=len]);
 }
 
 /// Read an unsigned LEB128 varint from the front of `buf`.
-pub fn get_uvarint(buf: &mut Bytes) -> Result<u64, WireError> {
+pub fn get_uvarint(buf: &mut Reader<'_>) -> Result<u64, WireError> {
+    let rest = buf.rest();
     let mut value: u64 = 0;
-    let mut shift = 0u32;
-    for i in 0..MAX_VARINT_LEN {
-        if !buf.has_remaining() {
-            return Err(WireError::UnexpectedEof);
-        }
-        let byte = buf.get_u8();
-        let group = u64::from(byte & 0x7F);
+    for (i, &byte) in rest.iter().take(MAX_VARINT_LEN).enumerate() {
         // The tenth byte may only contribute the final bit of a u64.
         if i == MAX_VARINT_LEN - 1 && byte > 1 {
             return Err(WireError::VarintOverflow);
         }
-        value |= group << shift;
+        value |= u64::from(byte & 0x7F) << (7 * i);
         if byte & 0x80 == 0 {
+            buf.advance(i + 1);
             return Ok(value);
         }
-        shift += 7;
     }
-    Err(WireError::VarintOverflow)
+    // Every byte read asked for another: the input ended first.
+    Err(WireError::UnexpectedEof)
 }
 
 /// Append a signed 64-bit value as a zigzag LEB128 varint.
@@ -53,7 +53,7 @@ pub fn put_ivarint(buf: &mut BytesMut, value: i64) {
 }
 
 /// Read a signed zigzag LEB128 varint from the front of `buf`.
-pub fn get_ivarint(buf: &mut Bytes) -> Result<i64, WireError> {
+pub fn get_ivarint(buf: &mut Reader<'_>) -> Result<i64, WireError> {
     Ok(zigzag_decode(get_uvarint(buf)?))
 }
 
@@ -82,22 +82,25 @@ fn zigzag_decode(value: u64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
 
     fn uroundtrip(value: u64) {
         let mut buf = BytesMut::new();
         put_uvarint(&mut buf, value);
         assert_eq!(buf.len(), uvarint_len(value), "length mismatch for {value}");
-        let mut bytes = buf.freeze();
-        assert_eq!(get_uvarint(&mut bytes).unwrap(), value);
-        assert!(bytes.is_empty());
+        let bytes = buf.freeze();
+        let mut reader = Reader::new(&bytes);
+        assert_eq!(get_uvarint(&mut reader).unwrap(), value);
+        assert_eq!(reader.remaining(), 0);
     }
 
     fn iroundtrip(value: i64) {
         let mut buf = BytesMut::new();
         put_ivarint(&mut buf, value);
-        let mut bytes = buf.freeze();
-        assert_eq!(get_ivarint(&mut bytes).unwrap(), value);
-        assert!(bytes.is_empty());
+        let bytes = buf.freeze();
+        let mut reader = Reader::new(&bytes);
+        assert_eq!(get_ivarint(&mut reader).unwrap(), value);
+        assert_eq!(reader.remaining(), 0);
     }
 
     #[test]
@@ -136,16 +139,30 @@ mod tests {
         let mut buf = BytesMut::new();
         put_uvarint(&mut buf, u64::MAX);
         let bytes = buf.freeze();
-        let mut truncated = bytes.slice(0..bytes.len() - 1);
-        assert_eq!(get_uvarint(&mut truncated), Err(WireError::UnexpectedEof));
+        let truncated = bytes.slice(0..bytes.len() - 1);
+        assert_eq!(
+            get_uvarint(&mut Reader::new(&truncated)),
+            Err(WireError::UnexpectedEof)
+        );
+        // Ended by the first byte's continuation bit, and by no byte.
+        for cut in [&[0x80][..], &[]] {
+            let truncated = Bytes::copy_from_slice(cut);
+            assert_eq!(
+                get_uvarint(&mut Reader::new(&truncated)),
+                Err(WireError::UnexpectedEof)
+            );
+        }
     }
 
     #[test]
     fn overlong_varint_rejected() {
         // Eleven continuation bytes: longer than any valid u64 varint.
         let raw: Vec<u8> = vec![0x80; 11];
-        let mut bytes = Bytes::from(raw);
-        assert_eq!(get_uvarint(&mut bytes), Err(WireError::VarintOverflow));
+        let bytes = Bytes::from(raw);
+        assert_eq!(
+            get_uvarint(&mut Reader::new(&bytes)),
+            Err(WireError::VarintOverflow)
+        );
     }
 
     #[test]
@@ -153,8 +170,19 @@ mod tests {
         // Nine 0xFF continuation bytes followed by 0x02 would need bit 65.
         let mut raw = vec![0xFF; 9];
         raw.push(0x02);
-        let mut bytes = Bytes::from(raw);
-        assert_eq!(get_uvarint(&mut bytes), Err(WireError::VarintOverflow));
+        let bytes = Bytes::from(raw.clone());
+        assert_eq!(
+            get_uvarint(&mut Reader::new(&bytes)),
+            Err(WireError::VarintOverflow)
+        );
+        // ... while 0x01 there is u64::MAX's top bit, and ends the value
+        // before whatever follows.
+        raw[9] = 0x01;
+        raw.push(0x7F);
+        let bytes = Bytes::from(raw);
+        let mut reader = Reader::new(&bytes);
+        assert_eq!(get_uvarint(&mut reader), Ok(u64::MAX));
+        assert_eq!(reader.remaining(), 1);
     }
 
     #[test]

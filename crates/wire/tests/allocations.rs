@@ -1,8 +1,21 @@
 //! `to_bytes` costs one allocation — the message — however large the
 //! value: the bytes are written into a per-thread scratch buffer that a
-//! first call has grown.
+//! first call has grown. Decoding a `Bytes` field costs none: it is a
+//! view of the message.
 
+use bytes::Bytes;
 use marp_wire::{from_bytes, to_bytes};
+
+#[test]
+fn a_bytes_field_decodes_to_a_view_of_the_message() {
+    let message = to_bytes(&(7u64, Bytes::from_static(b"agent state")));
+    let (decoded, requests, _) = noting_alloc::requests_during(|| from_bytes(&message));
+    let (seq, state): (u64, Bytes) = decoded.unwrap();
+    assert_eq!(requests, 0);
+    assert_eq!((seq, &state[..]), (7, &b"agent state"[..]));
+    // After the `u64` and the length prefix, one byte each.
+    assert_eq!(state.as_ptr(), message[2..].as_ptr());
+}
 
 #[path = "../../../tests/support/noting_alloc.rs"]
 mod noting_alloc;
