@@ -248,8 +248,10 @@ impl UpdateAgent {
                 // strict majority (some replicas were unavailable when it
                 // travelled), it can never win — begin the paper's "next
                 // round": the skipped replicas become visitable again,
-                // catching ones that have since recovered.
-                if self.lt.presence_count(self.id) < majority(n)
+                // catching ones that have since recovered. (Presence is a
+                // walk of the table: ask only when a round could begin.)
+                if !self.itinerary.unavailable().is_empty()
+                    && self.lt.presence_count(self.id) < majority(n)
                     && self.itinerary.begin_next_round() > 0
                 {
                     if let Some(next) = self.itinerary.next_destination(|to| host.route_cost(to)) {

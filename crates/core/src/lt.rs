@@ -38,6 +38,31 @@ use std::collections::BTreeMap;
 /// (and count its slots in one).
 const MAX_ROSTER: usize = u16::MAX as usize;
 
+/// A roster slot in a remap table that maps nowhere.
+const DEAD: u16 = u16::MAX;
+
+/// Roster slots a remap table holds on the stack.
+const SCRATCH: usize = 256;
+
+/// A remap table of `len` slots, each `fill`: on the stack up to
+/// [`SCRATCH`] slots, in `heap` past that.
+fn scratch<'a>(
+    stack: &'a mut [u16; SCRATCH],
+    heap: &'a mut Vec<u16>,
+    len: usize,
+    fill: u16,
+) -> &'a mut [u16] {
+    let slots = match stack.get_mut(..len) {
+        Some(slots) => slots,
+        None => {
+            heap.resize(len, 0);
+            heap
+        }
+    };
+    slots.fill(fill);
+    slots
+}
+
 /// One server's row of a [`LockingTable`]: which snapshot of its LL
 /// this is, and the queue as indices into the table's roster.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,6 +80,14 @@ marp_wire::wire_struct!(LlRow {
     taken_at,
     ranks
 });
+
+impl LlRow {
+    /// Which snapshot this is, in the order of
+    /// [`LlSnapshot::is_older_than`]: the greater stamp supersedes.
+    fn stamp(&self) -> (u64, SimTime) {
+        (self.version, self.taken_at)
+    }
+}
 
 /// The travelling Locking Table: the freshest known LL snapshot per
 /// server.
@@ -129,10 +162,15 @@ impl LockingTable {
                 .all(|&rank| usize::from(rank) < self.roster.len())
     }
 
-    /// The roster index of `agent`, adding it if new. Ranks at or above
-    /// an insertion point move up by one, in every row and in `pending`
-    /// (the ranks of a row still being built).
-    fn intern(&mut self, agent: AgentId, pending: &mut [u16]) -> u16 {
+    /// The roster index of `agent`, adding it if new. `guess` is tried
+    /// first: the slot after the previous rank of a queue, where an agent
+    /// queued behind an older one usually is. Ranks at or above an
+    /// insertion point move up by one, in every row and in `pending` (the
+    /// ranks of a row still being built).
+    fn intern(&mut self, agent: AgentId, pending: &mut [u16], guess: usize) -> u16 {
+        if self.roster.get(guess) == Some(&agent) {
+            return guess as u16;
+        }
         let at = match self.roster.binary_search(&agent) {
             Ok(at) => at,
             Err(at) => {
@@ -151,8 +189,7 @@ impl LockingTable {
     }
 
     /// Install `queue` as `server`'s row if the snapshot it comes from
-    /// supersedes the one held (the order of
-    /// [`LlSnapshot::is_older_than`]).
+    /// supersedes the one held.
     fn offer_row(
         &mut self,
         server: NodeId,
@@ -160,62 +197,61 @@ impl LockingTable {
         taken_at: SimTime,
         queue: impl ExactSizeIterator<Item = AgentId>,
     ) {
-        let held = self.rows.get(&server);
-        if held.is_some_and(|row| (row.version, row.taken_at) >= (version, taken_at)) {
+        let held = self.rows.get_mut(&server);
+        if held
+            .as_ref()
+            .is_some_and(|row| row.stamp() >= (version, taken_at))
+        {
             return;
         }
         if self.roster.len() + queue.len() > MAX_ROSTER {
             return; // no deployment queues 65 535 agents; never index past u16
         }
-        let mut ranks = Vec::with_capacity(queue.len());
+        // The held row's buffer, emptied: while the new ranks are built
+        // it names nobody, and `release` drops whom only it named.
+        let mut ranks = held
+            .map(|row| std::mem::take(&mut row.ranks))
+            .unwrap_or_default();
+        ranks.clear();
+        ranks.reserve(queue.len());
+        let mut guess = 0;
         for agent in queue {
-            let rank = self.intern(agent, &mut ranks);
+            let rank = self.intern(agent, &mut ranks, guess);
             ranks.push(rank);
+            guess = usize::from(rank) + 1;
         }
         let row = LlRow {
             version,
             taken_at,
             ranks,
         };
-        if let Some(replaced) = self.rows.insert(server, row) {
-            self.release(replaced.ranks);
+        if self.rows.insert(server, row).is_some() {
+            self.release();
         }
     }
 
-    /// Restore the roster invariant after a row was removed: drop the
-    /// agents only it named and close the gaps in the ranks. `freed` is
-    /// that row's ranks; the vector is reused as scratch.
-    fn release(&mut self, mut freed: Vec<u16>) {
-        // One pass over the remaining rows flags every roster slot still
-        // in use: on the stack, unless the table names more than 256
-        // agents.
-        let mut inline = [false; 256];
-        let mut spilled = Vec::new();
-        let used = match inline.get_mut(..self.roster.len()) {
-            Some(used) => used,
-            None => {
-                spilled.resize(self.roster.len(), false);
-                &mut spilled[..]
-            }
-        };
+    /// Restore the roster invariant after rows were removed or replaced:
+    /// drop every agent no row names and close the gaps in the ranks, in
+    /// one pass over the rows and one over the roster.
+    fn release(&mut self) {
+        let (mut stack, mut heap) = ([0; SCRATCH], Vec::new());
+        // Each roster slot's index once the dead are gone, or DEAD.
+        let slots = scratch(&mut stack, &mut heap, self.roster.len(), DEAD);
         for &rank in self.rows.values().flat_map(|row| &row.ranks) {
-            used[usize::from(rank)] = true;
+            slots[usize::from(rank)] = 0;
         }
-        freed.retain(|&rank| !used[usize::from(rank)]);
-        if freed.is_empty() {
+        let mut live = 0;
+        for slot in slots.iter_mut().filter(|slot| **slot != DEAD) {
+            *slot = live;
+            live += 1;
+        }
+        if usize::from(live) == self.roster.len() {
             return;
         }
-        freed.sort_unstable();
-        freed.dedup();
-        // `freed` now lists the dead roster slots in ascending order.
-        let mut slot = 0;
-        self.roster.retain(|_| {
-            let dead = freed.binary_search(&slot).is_ok();
-            slot += 1;
-            !dead
-        });
+        let mut slot = slots.iter();
+        self.roster.retain(|_| slot.next() != Some(&DEAD));
         for rank in self.rows.values_mut().flat_map(|row| &mut row.ranks) {
-            *rank -= freed.partition_point(|dead| dead < rank) as u16;
+            *rank = slots[usize::from(*rank)];
         }
     }
 
@@ -231,10 +267,103 @@ impl LockingTable {
 
     /// Merge every entry of another table (agents leave their LT at
     /// servers; later visitors pick it up — the paper's information
-    /// sharing).
+    /// sharing), keeping the newer snapshot per server.
+    ///
+    /// One walk of the two id-sorted rosters maps every agent `other`'s
+    /// fresher rows name to its slot in the union, inserting the ones
+    /// `self` lacks in place from the back; each fresher row is then
+    /// written into the buffer of the row it replaces, and one pass
+    /// drops whom the replaced rows alone named. An agent only `other`'s stale rows name never enters.
     pub fn merge_table(&mut self, other: &LockingTable) {
+        let supersedes = |server: &NodeId, row: &LlRow| {
+            let held = self.rows.get(server);
+            held.is_none_or(|held| held.stamp() < row.stamp())
+        };
+        // Per slot of `other`'s roster: DEAD, or (once the walk below has
+        // run) the agent's slot in the union.
+        let (mut stack, mut heap) = ([0; SCRATCH], Vec::new());
+        let theirs = scratch(&mut stack, &mut heap, other.roster.len(), DEAD);
+        let mut fresher = false;
+        for (_, row) in other.rows.iter().filter(|&(s, row)| supersedes(s, row)) {
+            fresher = true;
+            for &rank in &row.ranks {
+                theirs[usize::from(rank)] = 0;
+            }
+        }
+        if !fresher {
+            return;
+        }
+        // Per slot of `self`'s roster: its slot in the union.
+        let (mut stack, mut heap) = ([0; SCRATCH], Vec::new());
+        let mine = scratch(&mut stack, &mut heap, self.roster.len(), 0);
+        let (mut held, mut union) = (0, 0);
+        for (slot, agent) in theirs.iter_mut().zip(&other.roster) {
+            if *slot == DEAD {
+                continue;
+            }
+            while self.roster.get(held).is_some_and(|id| id < agent) {
+                mine[held] = union as u16;
+                held += 1;
+                union += 1;
+            }
+            if self.roster.get(held) == Some(agent) {
+                mine[held] = union as u16;
+                held += 1;
+            }
+            *slot = union as u16;
+            union += 1;
+        }
+        for slot in &mut mine[held..] {
+            *slot = union as u16;
+            union += 1;
+        }
+        if union > MAX_ROSTER {
+            return; // no deployment queues 65 535 agents; never index past u16
+        }
+        let known = self.roster.len();
+        if union > known {
+            // Every slot is written below; the filler never survives.
+            self.roster.resize(union, other.roster[0]);
+            for from in (0..known).rev() {
+                self.roster[usize::from(mine[from])] = self.roster[from];
+            }
+            for (&to, &agent) in theirs.iter().zip(&other.roster) {
+                if to != DEAD {
+                    self.roster[usize::from(to)] = agent;
+                }
+            }
+            for rank in self.rows.values_mut().flat_map(|row| &mut row.ranks) {
+                *rank = mine[usize::from(*rank)];
+            }
+        }
+        let mut replaced = false;
         for (&server, row) in &other.rows {
-            self.offer_row(server, row.version, row.taken_at, other.queue(row));
+            let ranks = row.ranks.iter().map(|&rank| theirs[usize::from(rank)]);
+            match self.rows.get_mut(&server) {
+                Some(held) if held.stamp() >= row.stamp() => {}
+                Some(held) => {
+                    held.version = row.version;
+                    held.taken_at = row.taken_at;
+                    held.ranks.clear();
+                    held.ranks.extend(ranks);
+                    replaced = true;
+                }
+                None => {
+                    let ranks = ranks.collect();
+                    let (version, taken_at) = (row.version, row.taken_at);
+                    self.rows.insert(
+                        server,
+                        LlRow {
+                            version,
+                            taken_at,
+                            ranks,
+                        },
+                    );
+                }
+            }
+        }
+        if replaced {
+            self.release();
         }
     }
 
@@ -371,14 +500,14 @@ impl LockingTable {
     /// delta into the receiver's table yields the same result as merging
     /// the full table (proved by property test).
     pub fn prune_covered_by(&mut self, horizon: &BTreeMap<NodeId, u64>) {
-        for (&server, &covered) in horizon {
-            if self
-                .rows
-                .get(&server)
-                .is_some_and(|row| row.version <= covered)
-            {
-                self.drop_server(server);
-            }
+        let held = self.rows.len();
+        self.rows.retain(|server, row| {
+            horizon
+                .get(server)
+                .is_none_or(|&covered| row.version > covered)
+        });
+        if self.rows.len() < held {
+            self.release();
         }
     }
 
@@ -386,8 +515,8 @@ impl LockingTable {
     /// server: its own LL is re-read on arrival, so carrying a snapshot
     /// of it is always dead weight).
     pub fn drop_server(&mut self, server: NodeId) {
-        if let Some(row) = self.rows.remove(&server) {
-            self.release(row.ranks);
+        if self.rows.remove(&server).is_some() {
+            self.release();
         }
     }
 
