@@ -1,5 +1,7 @@
 //! Decode robustness over every top-level message and carried-state
-//! type a replica, client or agent host decodes off the network: for
+//! type a replica, client or agent host decodes off the network — and
+//! the trace events `marp-trace` reads off disk, and the leaves whose
+//! cursor code is the codec's own (strings, labels, `f64`): for
 //! arbitrary bytes and for every strict prefix of a valid encoding the
 //! decoder returns `Err`, or a value that round-trips with an exact
 //! `encoded_len` — never a panic (a malformed packet must not crash a
@@ -18,8 +20,8 @@ use marp_repro::replica::{
     ClientReply, ClientRequest, CommitRecord, LlSnapshot, Operation, SyncMsg, UpdatedList,
     WriteRequest,
 };
-use marp_repro::sim::SimTime;
-use marp_repro::wire::{from_bytes, to_bytes, Wire};
+use marp_repro::sim::{span_id, SimTime, SpanKind, TraceEvent};
+use marp_repro::wire::{from_bytes, to_bytes, wire_struct, Wire};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -152,6 +154,149 @@ fn agent_replies() -> Vec<AgentReply> {
     ]
 }
 
+/// One event of every `TraceEvent` variant, as `marp-obs`'s trace-file
+/// golden builds them.
+fn trace_events() -> Vec<TraceEvent> {
+    let ms = SimTime::from_millis;
+    let span = span_id(SpanKind::Dispatch, 9, 0);
+    vec![
+        TraceEvent::MsgSent {
+            from: 0,
+            to: 1,
+            bytes: 33,
+        },
+        TraceEvent::MsgDelivered {
+            from: 0,
+            to: 1,
+            bytes: 300,
+        },
+        TraceEvent::MsgDropped {
+            from: 1,
+            to: 0,
+            reason: "partition",
+        },
+        TraceEvent::NodeDown(3),
+        TraceEvent::NodeUp(3),
+        TraceEvent::RequestArrived {
+            node: 2,
+            request: 7,
+            write: true,
+        },
+        TraceEvent::ReadServed {
+            node: 2,
+            request: 8,
+            version: 5,
+        },
+        TraceEvent::AgentDispatched {
+            agent: 9,
+            home: 2,
+            batch: 4,
+        },
+        TraceEvent::AgentMigrated {
+            agent: 9,
+            from: 2,
+            to: 3,
+            hops: 1,
+        },
+        TraceEvent::AgentMigrateFailed {
+            agent: 9,
+            from: 3,
+            to: 4,
+        },
+        TraceEvent::ReplicaDeclaredUnavailable { agent: 9, node: 4 },
+        TraceEvent::LockRequested { agent: 9, node: 3 },
+        TraceEvent::LockGranted {
+            agent: 9,
+            node: 3,
+            visits: 3,
+            via_tie: true,
+        },
+        TraceEvent::UpdateSent {
+            agent: 9,
+            version: 5,
+        },
+        TraceEvent::UpdateAcked {
+            agent: 9,
+            node: 1,
+            positive: false,
+        },
+        TraceEvent::WinAborted { agent: 9 },
+        TraceEvent::CommitApplied {
+            node: 1,
+            version: 6,
+            agent: 9,
+            key: 1 << 50,
+            request: 7,
+        },
+        TraceEvent::AgentDisposed {
+            agent: 9,
+            born: ms(2),
+        },
+        TraceEvent::UpdateCompleted {
+            request: 7,
+            home: 2,
+            arrived: ms(1),
+            dispatched: ms(2),
+            locked: ms(4),
+            visits: 3,
+        },
+        TraceEvent::SpanStart {
+            id: span,
+            parent: 0,
+            kind: SpanKind::Dispatch,
+            a: 9,
+            b: 0,
+        },
+        TraceEvent::SpanEnd {
+            id: span,
+            kind: SpanKind::Dispatch,
+        },
+        TraceEvent::SpanLink {
+            from: span_id(SpanKind::Request, 7, 2),
+            to: span,
+        },
+        TraceEvent::Custom {
+            kind: "adaptive-batch-size",
+            a: 4,
+            b: 2,
+        },
+        TraceEvent::AgentStateShipped {
+            agent: 9,
+            bytes: 129,
+        },
+    ]
+}
+
+fn snapshot(queue: &[AgentId]) -> LlSnapshot {
+    LlSnapshot {
+        version: 2,
+        taken_at: SimTime::from_millis(2),
+        queue: queue.to_vec(),
+    }
+}
+
+/// A table of three rows that name four agents between them.
+fn locking_table() -> LockingTable {
+    let mut lt = LockingTable::new();
+    lt.merge(0, snapshot(&[aid(1), aid(2)]));
+    lt.merge(3, snapshot(&[aid(4), aid(1), aid(3)]));
+    lt.merge(4, snapshot(&[]));
+    lt
+}
+
+/// An `f64` compared by its bits, so that a NaN read off arbitrary
+/// bytes equals itself.
+#[derive(Debug)]
+struct Bits(f64);
+
+impl PartialEq for Bits {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.to_bits() == other.0.to_bits()
+    }
+}
+
+wire_struct!(Bits { 0 });
+
 /// A Locking Table's wire form, field by field, so each can be forged:
 /// the roster, then one row for server 0 stamped (1, 1 ms).
 fn table_bytes(roster_len: u64, roster: &[AgentId], ranks_len: u64, ranks: &[u16]) -> Bytes {
@@ -246,10 +391,25 @@ proptest! {
         robust(&[UpdateAgent::new(aid(1), &cfg, vec![write_request()])], raw);
         robust(&[ReadAgent::new(aid(1), &cfg, 9, 8, 7)], raw);
         robust(&[AgentEnvelope::MigrateAck { agent: aid(2), hop: 3, horizon: BTreeMap::from([(0, 4)]) }], raw);
-        robust(&[ClientReply::ReadOk { id: 1, key: 2, value: Some(300), version: 4 }], raw);
         robust(&[McvMsg::Apply { ballot, records: vec![commit_record()] }], raw);
         robust(&[WvMsg::RResp { rid: 9, votes: 2, held: Some((300, 6)) }], raw);
         robust(&[AcMsg::StatePush { dump: vec![(7, 300, ts)] }], raw);
         robust(&[PcMsg::Forward { request: write_request() }], raw);
+        robust(&trace_events(), raw);
+        robust(&[locking_table()], raw);
+        let mut ul = UpdatedList::new();
+        ul.record(aid(5), SimTime::from_millis(1));
+        ul.record(aid(2), SimTime::from_millis(4));
+        robust(&[ul], raw);
+        robust(&[snapshot(&[aid(1), aid(2)])], raw);
+        robust(&[SyncMsg::Push { records: vec![commit_record()] }], raw);
+        robust(&[
+            ClientReply::ReadOk { id: 1, key: 2, value: Some(300), version: 4 },
+            ClientReply::WriteDone { id: 1, version: 4 },
+            ClientReply::Rejected { id: 1 },
+        ], raw);
+        robust(&[String::from("hello, 世界")], raw);
+        robust(&["partition"], raw);
+        robust(&[Bits(-1234.5678)], raw);
     }
 }
