@@ -1,5 +1,5 @@
 //! The protocol-aware passes. Each submodule exports a `check` function
-//! that appends [`Finding`]s, plus whatever inventory accessors its
+//! that appends [`Finding`](crate::Finding)s, plus whatever inventory accessors its
 //! tests need.
 
 pub mod handlers;

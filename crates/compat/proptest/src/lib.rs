@@ -6,7 +6,7 @@
 //! randomized, deterministic-by-seed, but **non-shrinking** — property
 //! testing engine:
 //!
-//! * [`Strategy`] with `prop_map` / `prop_filter` / `boxed`
+//! * [`Strategy`](strategy::Strategy) with `prop_map` / `prop_filter` / `boxed`
 //! * [`prelude::any`] for primitives and [`sample::Index`]
 //! * ranges (`0u64..100`, `-1e6f64..1e6`, `1..=5`) as strategies
 //! * tuples of strategies (arity 2–8) as strategies

@@ -45,7 +45,7 @@ impl ObsOptions {
         opts
     }
 
-    /// Parse directly from the process arguments (skipping argv[0]).
+    /// Parse directly from the process arguments (skipping `argv[0]`).
     pub fn from_env() -> ObsOptions {
         let mut args: Vec<String> = std::env::args().skip(1).collect();
         ObsOptions::extract(&mut args)

@@ -171,7 +171,7 @@ impl SweepPoint {
 /// Extracts one scalar from a sweep point.
 pub type MetricFn = fn(&SweepPoint) -> f64;
 
-/// One numeric field of a [`SweepPoint`], declared once in [`COLUMNS`]:
+/// One numeric field of a [`SweepPoint`], declared once in `COLUMNS`:
 /// the table, the JSON form and the fitted per-commit metrics all read
 /// that list.
 pub struct Column {

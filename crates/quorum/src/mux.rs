@@ -23,7 +23,7 @@
 const KIND_BITS: u32 = 8;
 
 /// One process's timer kinds: a fieldless enum whose discriminant is
-/// the low byte of the tag. Implemented by [`timer_kinds!`].
+/// the low byte of the tag. Implemented by [`timer_kinds!`](crate::timer_kinds).
 pub trait TimerKind: Copy + Ord {
     /// The byte this kind puts in the tag.
     fn byte(self) -> u8;
