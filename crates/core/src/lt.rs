@@ -273,7 +273,8 @@ impl LockingTable {
     /// fresher rows name to its slot in the union, inserting the ones
     /// `self` lacks in place from the back; each fresher row is then
     /// written into the buffer of the row it replaces, and one pass
-    /// drops whom the replaced rows alone named. An agent only `other`'s stale rows name never enters.
+    /// drops whom the replaced rows alone named. An agent only `other`'s
+    /// stale rows name never enters.
     pub fn merge_table(&mut self, other: &LockingTable) {
         let supersedes = |server: &NodeId, row: &LlRow| {
             let held = self.rows.get(server);
@@ -350,15 +351,8 @@ impl LockingTable {
                 }
                 None => {
                     let ranks = ranks.collect();
-                    let (version, taken_at) = (row.version, row.taken_at);
-                    self.rows.insert(
-                        server,
-                        LlRow {
-                            version,
-                            taken_at,
-                            ranks,
-                        },
-                    );
+                    let row = LlRow { ranks, ..*row };
+                    self.rows.insert(server, row);
                 }
             }
         }

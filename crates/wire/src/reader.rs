@@ -18,12 +18,12 @@ impl<'a> Reader<'a> {
     pub fn new(message: &'a Bytes) -> Self {
         Reader {
             message,
-            rest: message.as_slice(),
+            rest: message,
         }
     }
 
     /// Number of bytes not yet read.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.rest.len()
     }
 
@@ -38,7 +38,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read one byte.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
         let (&byte, rest) = self.rest.split_first().ok_or(WireError::UnexpectedEof)?;
         self.rest = rest;
         Ok(byte)
@@ -56,7 +56,7 @@ impl<'a> Reader<'a> {
 
     /// Read the next `len` bytes as a view of the message: no copy, no
     /// allocation.
-    pub fn bytes(&mut self, len: usize) -> Result<Bytes, WireError> {
+    pub(crate) fn bytes(&mut self, len: usize) -> Result<Bytes, WireError> {
         let start = self.message.len() - self.rest.len();
         self.take(len)?;
         Ok(self.message.slice(start..start + len))
