@@ -75,7 +75,9 @@ fn a_crash_while_a_claim_is_held_loses_nothing() {
             outcome.all_violations()
         );
         assert_eq!(outcome.completed, 2, "victim {victim}");
-        assert!(outcome.held_claims >= 1, "victim {victim}");
+        // The drain after the crash stays on the family's order, so the
+        // successor's claim is still held somewhere besides its own host.
+        assert!(outcome.held_claims >= 2, "victim {victim}");
     }
 }
 
