@@ -29,15 +29,26 @@
 //! the cap.
 //!
 //! The explorer is *stateless* in the model-checking sense: it keeps
-//! one live simulation and, on backtrack, rebuilds it by replaying the
+//! one live `Run` and, on backtrack, rebuilds it by replaying the
 //! choice prefix (cheap — a few hundred dispatches — and free of any
 //! requirement that protocol state be cloneable or hashable).
+//!
+//! There is one way to drive a model. `Run::step` takes every step —
+//! the explorer's, its backtracking's, [`replay`](crate::replay)'s and
+//! the targeted schedule families' — and `Explorer::enabled` is the
+//! only code that picks which pending event runs next. The **canonical
+//! step** is the first delivery it offers, never a fault: the canonical
+//! schedule, `replay`'s drain and the targeted families all take it, so
+//! a replayed tail is the canonical run (in the early-claim family's
+//! order too). A new scheduling family is one [`Choice`] variant, one
+//! `enabled` entry and one `Run::step` arm.
 
 use crate::model::ModelSpec;
 use marp_core::MarpNode;
 use marp_metrics::{InvariantMonitor, Violation};
-use marp_sim::{Control, NodeId, PendingKind, Simulation};
+use marp_sim::{Control, NodeId, PendingKind, Simulation, TraceRecord};
 use std::collections::HashSet;
+use std::ops::Range;
 
 /// One scheduling choice.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -157,6 +168,115 @@ pub struct Report {
     pub violation: Option<Counterexample>,
 }
 
+/// One live execution of a model: its simulation, with the Start
+/// events already run (process starts commute — each touches only its
+/// own node — so their order is not worth exploring), and the invariant
+/// monitor fed after every step.
+pub(crate) struct Run {
+    spec: ModelSpec,
+    pub(crate) sim: Simulation,
+    pub(crate) monitor: InvariantMonitor,
+    /// The last step's trace records (the monitor has seen them all).
+    last: Range<usize>,
+    /// State-invariant violations so far, each once: a broken state
+    /// usually persists over many steps.
+    state_violations: Vec<Violation>,
+}
+
+impl Run {
+    pub(crate) fn new(spec: ModelSpec) -> Run {
+        let mut sim = spec.build();
+        for e in sim.pending_events() {
+            if matches!(e.kind, PendingKind::Start { .. }) {
+                sim.step_event(e.seq);
+            }
+        }
+        let mut monitor = spec.monitor();
+        let records = sim.trace().records();
+        monitor.observe_all(records);
+        Run {
+            last: records.len()..records.len(),
+            spec,
+            sim,
+            monitor,
+            state_violations: Vec::new(),
+        }
+    }
+
+    /// Take one step, then feed the monitor and check the state
+    /// invariants. Returns false, changing nothing, when the step does
+    /// not apply: its event is not queued, or it crashes a replica that
+    /// is down or recovers one that is up.
+    pub(crate) fn step(&mut self, choice: &Choice) -> bool {
+        let taken = self.retake(choice);
+        if taken {
+            for v in self.spec.state_violations(&self.sim) {
+                if !self.state_violations.contains(&v) {
+                    self.state_violations.push(v);
+                }
+            }
+        }
+        taken
+    }
+
+    /// [`Run::step`] without the state check, for re-taking a prefix
+    /// whose states were checked when it was first taken.
+    fn retake(&mut self, choice: &Choice) -> bool {
+        let taken = match *choice {
+            Choice::Deliver { seq, .. } => self.sim.step_event(seq),
+            Choice::Crash { node } => self.set_up(node, false),
+            Choice::Recover { node } => self.set_up(node, true),
+        };
+        if taken {
+            self.last = self.last.end..self.sim.trace().records().len();
+            let records = &self.sim.trace().records()[self.last.clone()];
+            self.monitor.observe_all(records);
+        }
+        taken
+    }
+
+    /// [`Run::step`] for a choice that must apply: one `enabled`
+    /// offered.
+    fn take(&mut self, choice: &Choice) {
+        let taken = self.step(choice);
+        debug_assert!(taken, "{choice:?} was not enabled");
+    }
+
+    /// Crash or recover `node` now, and enqueue failure-detector
+    /// notifications to every other replica. The notifications are
+    /// ordinary queued events, so *when* each replica learns of the
+    /// change is part of the explored schedule — the controlled-schedule
+    /// equivalent of `FaultPlan`'s fixed detection delay.
+    fn set_up(&mut self, node: NodeId, up: bool) -> bool {
+        if self.sim.is_up(node) == up {
+            return false;
+        }
+        self.sim.apply_control_now(Control::SetNodeUp { node, up });
+        let now = self.sim.now();
+        for to in (0..self.spec.replicas as NodeId).filter(|&to| to != node) {
+            let notify = Control::Notify {
+                to,
+                about: node,
+                up,
+            };
+            self.sim.schedule_control(now, notify);
+        }
+        true
+    }
+
+    /// The trace records the last step appended.
+    pub(crate) fn last_step(&self) -> &[TraceRecord] {
+        &self.sim.trace().records()[self.last.clone()]
+    }
+
+    /// Every violation so far: the monitor's, then the state invariants'.
+    pub(crate) fn violations(&self) -> Vec<Violation> {
+        let mut all = self.monitor.violations().to_vec();
+        all.extend(self.state_violations.iter().cloned());
+        all
+    }
+}
+
 /// The explorer itself: a spec plus limits.
 #[derive(Debug, Clone, Copy)]
 pub struct Explorer {
@@ -192,10 +312,10 @@ impl Explorer {
             complete: true,
             ..Report::default()
         };
-        let (mut sim, mut monitor, mut trace_pos) = self.initial();
+        let mut run = Run::new(self.spec);
         let mut path: Vec<Choice> = Vec::new();
         let mut stack = vec![Frame {
-            choices: self.enabled(&mut sim, &monitor, 0, 0),
+            choices: self.enabled(&mut run, 0, 0),
             next: 0,
             explored: Vec::new(),
             sleep: Vec::new(),
@@ -203,27 +323,30 @@ impl Explorer {
             timer_steps: 0,
             crashes_used: 0,
         }];
+        // Whether `run` is past the state `path` reaches.
+        let mut stale = false;
 
         loop {
-            let top = stack.len() - 1;
-            if stack[top].next >= stack[top].choices.len() {
-                // Frame exhausted: pop (with any other exhausted
-                // ancestors), then rebuild the live sim once.
-                while stack.last().is_some_and(|f| f.next >= f.choices.len()) {
-                    stack.pop();
-                    path.pop();
-                }
-                if stack.is_empty() {
-                    break;
-                }
-                (sim, monitor, trace_pos) = self.replay(&path);
-                continue;
+            // Retreat from exhausted frames, then rebuild the live run
+            // once for the state whose next sibling comes up.
+            while stack.last().is_some_and(|f| f.next >= f.choices.len()) {
+                stack.pop();
+                path.pop();
+                stale = true;
+            }
+            if stack.is_empty() {
+                break;
+            }
+            if stale {
+                run = self.rebuild(&path);
+                stale = false;
             }
             if report.transitions >= self.cfg.max_transitions {
                 report.complete = false;
                 break;
             }
 
+            let top = stack.len() - 1;
             let idx = stack[top].next;
             stack[top].next += 1;
             let choice = stack[top].choices[idx].clone();
@@ -253,16 +376,12 @@ impl Explorer {
             let crashes_used =
                 stack[top].crashes_used + usize::from(matches!(choice, Choice::Crash { .. }));
 
-            self.apply(&mut sim, &choice);
+            run.take(&choice);
             report.transitions += 1;
             path.push(choice);
             report.max_depth_seen = report.max_depth_seen.max(path.len());
 
-            let records = sim.trace().records();
-            monitor.observe_all(&records[trace_pos..]);
-            trace_pos = records.len();
-            let mut violations = monitor.violations().to_vec();
-            violations.extend(self.spec.state_violations(&sim));
+            let violations = run.violations();
             if !violations.is_empty() {
                 report.violation = Some(Counterexample {
                     schedule: path.clone(),
@@ -277,7 +396,7 @@ impl Explorer {
                 report.complete = false;
                 Vec::new()
             } else {
-                self.enabled(&mut sim, &monitor, crashes_used, timer_steps)
+                self.enabled(&mut run, crashes_used, timer_steps)
             };
             let terminal = all.is_empty();
             let choices: Vec<Choice> = all.into_iter().filter(|c| !sleep.contains(c)).collect();
@@ -285,7 +404,7 @@ impl Explorer {
             if terminal {
                 // A genuine frontier state: nothing is deliverable.
                 report.paths += 1;
-                let lost = monitor.quiescent_violations();
+                let lost = run.monitor.quiescent_violations();
                 if !lost.is_empty() {
                     report.violation = Some(Counterexample {
                         schedule: path.clone(),
@@ -293,7 +412,7 @@ impl Explorer {
                     });
                     break;
                 }
-                if monitor.completed_requests() >= self.spec.agents {
+                if run.monitor.completed_requests() >= self.spec.agents {
                     report.terminal_paths += 1;
                 } else {
                     report.stuck_paths += 1;
@@ -307,14 +426,7 @@ impl Explorer {
                     report.paths += 1;
                 }
                 path.pop();
-                while stack.last().is_some_and(|f| f.next >= f.choices.len()) {
-                    stack.pop();
-                    path.pop();
-                }
-                if stack.is_empty() {
-                    break;
-                }
-                (sim, monitor, trace_pos) = self.replay(&path);
+                stale = true;
                 continue;
             }
 
@@ -332,125 +444,70 @@ impl Explorer {
     }
 
     /// Record the canonical schedule: from the initial state, always
-    /// take the first enabled choice until a terminal state (or the
-    /// depth limit). This is the zero-preemption path — the schedule a
-    /// plain event-loop run would take — and is what `marp-mcheck
-    /// sample` writes for the regression corpus.
+    /// take the canonical step until a terminal state (or the depth
+    /// limit). This is the zero-preemption path — the schedule a plain
+    /// event-loop run would take — and is what `marp-mcheck sample`
+    /// writes for the regression corpus.
     pub fn canonical_schedule(&self) -> Vec<Choice> {
-        self.canonical_schedule_until(|_| false).0
+        self.canonical_run(&mut Run::new(self.spec), |_| false).0
     }
 
-    /// The canonical schedule, cut short after the first step that
-    /// leaves the simulation in a state `stop` accepts. Also returns
-    /// whether that happened (false: the schedule ran to its end).
-    pub fn canonical_schedule_until(
+    /// Take canonical steps on `run` until none is enabled,
+    /// [`CheckConfig::max_depth`] of them are taken, or `stop` accepts
+    /// the run after one. Timer fires count against
+    /// [`CheckConfig::max_timer_steps`] from this call's first step.
+    /// Returns the steps, and whether `stop` ended them.
+    pub(crate) fn canonical_run(
         &self,
-        mut stop: impl FnMut(&Simulation) -> bool,
+        run: &mut Run,
+        mut stop: impl FnMut(&Run) -> bool,
     ) -> (Vec<Choice>, bool) {
-        let (mut sim, mut monitor, mut trace_pos) = self.initial();
         let mut path = Vec::new();
         let mut timer_steps = 0u32;
         while path.len() < self.cfg.max_depth {
-            let choices = self.enabled(&mut sim, &monitor, 0, timer_steps);
-            let Some(choice) = choices.into_iter().next() else {
+            let Some(choice) = self.canonical_step(run, timer_steps) else {
                 break;
             };
             timer_steps += u32::from(choice.is_timer());
-            self.apply(&mut sim, &choice);
             path.push(choice);
-            let records = sim.trace().records();
-            monitor.observe_all(&records[trace_pos..]);
-            trace_pos = records.len();
-            if stop(&sim) {
+            if stop(run) {
                 return (path, true);
             }
         }
         (path, false)
     }
 
-    /// Build the initial state: construct the sim, execute every Start
-    /// event in sequence order (process starts commute — each touches
-    /// only its own node — so their order is not worth exploring), and
-    /// prime the monitor.
-    fn initial(&self) -> (Simulation, InvariantMonitor, usize) {
-        let mut sim = self.spec.build();
-        let starts: Vec<u64> = sim
-            .pending_events()
-            .iter()
-            .filter(|e| matches!(e.kind, PendingKind::Start { .. }))
-            .map(|e| e.seq)
-            .collect();
-        for seq in starts {
-            sim.step_event(seq);
-        }
-        let mut monitor = self.spec.monitor();
-        let records = sim.trace().records();
-        monitor.observe_all(records);
-        let pos = records.len();
-        (sim, monitor, pos)
+    /// Take the canonical step: the first choice `enabled` offers, when
+    /// it is a delivery (a fault is never canonical).
+    fn canonical_step(&self, run: &mut Run, timer_steps: u32) -> Option<Choice> {
+        let first = self.enabled(run, 0, timer_steps).into_iter().next();
+        let choice = first.filter(|c| matches!(c, Choice::Deliver { .. }))?;
+        run.take(&choice);
+        Some(choice)
     }
 
-    /// Rebuild the live state for a choice prefix (backtracking).
+    /// Rebuild the live run for a choice prefix (backtracking).
     /// Sequence numbers are a pure function of execution history, so
-    /// recorded `Deliver` seqs resolve exactly.
-    fn replay(&self, path: &[Choice]) -> (Simulation, InvariantMonitor, usize) {
-        let (mut sim, mut monitor, mut pos) = self.initial();
+    /// recorded `Deliver` seqs resolve exactly; every state on the
+    /// prefix passed the state check when the search first reached it.
+    fn rebuild(&self, path: &[Choice]) -> Run {
+        let mut run = Run::new(self.spec);
         for choice in path {
-            self.apply(&mut sim, choice);
+            let retaken = run.retake(choice);
+            debug_assert!(retaken, "{choice:?} does not replay");
         }
-        let records = sim.trace().records();
-        monitor.observe_all(&records[pos..]);
-        pos = records.len();
-        (sim, monitor, pos)
-    }
-
-    /// Execute one choice on the live sim.
-    fn apply(&self, sim: &mut Simulation, choice: &Choice) {
-        match choice {
-            Choice::Deliver { seq, .. } => {
-                let stepped = sim.step_event(*seq);
-                debug_assert!(stepped, "replayed seq {seq} not in queue");
-            }
-            Choice::Crash { node } => self.toggle(sim, *node, false),
-            Choice::Recover { node } => self.toggle(sim, *node, true),
-        }
-    }
-
-    /// Crash or recover `node` now, and enqueue failure-detector
-    /// notifications to every other replica. The notifications are
-    /// ordinary queued events, so *when* each replica learns of the
-    /// change is part of the explored schedule — the controlled-schedule
-    /// equivalent of `FaultPlan`'s fixed detection delay.
-    fn toggle(&self, sim: &mut Simulation, node: NodeId, up: bool) {
-        sim.apply_control_now(Control::SetNodeUp { node, up });
-        let now = sim.now();
-        for to in 0..self.spec.replicas as NodeId {
-            if to != node {
-                sim.schedule_control(
-                    now,
-                    Control::Notify {
-                        to,
-                        about: node,
-                        up,
-                    },
-                );
-            }
-        }
+        run
     }
 
     /// Enumerate the enabled choices at the current state, in canonical
     /// order: deliverable messages and controls (sequence order, oldest
     /// per FIFO channel), then — only at message quiescence — the
     /// earliest live timer per node, then crash/recover injections.
-    fn enabled(
-        &self,
-        sim: &mut Simulation,
-        monitor: &InvariantMonitor,
-        crashes_used: usize,
-        timer_steps: u32,
-    ) -> Vec<Choice> {
+    /// The only code that picks which pending event runs next.
+    fn enabled(&self, run: &mut Run, crashes_used: usize, timer_steps: u32) -> Vec<Choice> {
+        let sim = &mut run.sim;
         let pending = sim.pending_events();
-        let done = self.spec.finished(monitor.completed_requests());
+        let done = self.spec.finished(run.monitor.completed_requests());
         let mut choices = Vec::new();
         let mut channels: HashSet<(NodeId, NodeId)> = HashSet::new();
         let mut inbound: HashSet<NodeId> = HashSet::new();

@@ -23,9 +23,16 @@
 //!   paths are explored in order of increasing preemption count with a
 //!   configurable cap. `--preemptions full` lifts the cap.
 //!
+//! Every scheduler here — the explorer, [`replay`] and the targeted
+//! schedule families — steps a model one way and in one canonical
+//! order (see [`explore`]), so a replay's tail after its last recorded
+//! step is the canonical run.
+//!
 //! When a check fails, the offending schedule is shrunk by greedy
-//! event deletion ([`schedule::shrink`]) and written as a replayable
-//! text file; `marp-mcheck replay <file>` re-executes it step by step.
+//! event deletion ([`schedule::shrink`]), written as a replayable text
+//! file, and that file is replayed to prove it reproduces; `marp-mcheck
+//! replay <file>` re-executes it step by step. Its header lines and the
+//! CLI's model flags are one vocabulary ([`ModelSpec::set`]).
 
 pub mod explore;
 pub mod model;

@@ -12,20 +12,26 @@
 //! marp-mcheck selftest [--out FILE]
 //! ```
 //!
-//! `check` explores the interleaving space and exits non-zero on an
-//! invariant violation (writing the shrunk counterexample schedule to
-//! `--out`, default `mcheck-counterexample.txt`). `replay` re-executes
-//! a schedule file and reports the verdict. `sample` records the
-//! canonical (zero-preemption) schedule, for seeding the regression
-//! corpus. `selftest` proves the checker can catch a bug: it seeds the
-//! `lifo-blind` protocol mutation, requires a violation to be found,
-//! shrinks it, writes it (`--out`, default `target/mcheck-selftest.txt`)
-//! and re-replays the shrunk schedule.
+//! `check` explores the interleaving space and exits 1 on an invariant
+//! violation, after shrinking it, writing the schedule to `--out`
+//! (default `mcheck-counterexample.txt`) and replaying the written file
+//! to prove it reproduces. `replay` re-executes a schedule file and
+//! reports the verdict. `sample` records the canonical
+//! (zero-preemption) schedule, for seeding the regression corpus.
+//! `selftest` proves the checker can catch a bug: it seeds the
+//! `lifo-blind` protocol mutation and requires `check`'s own path to
+//! catch it (`--out`, default `target/mcheck-selftest.txt`). Bad input
+//! — an unknown or out-of-range option, an unreadable or malformed
+//! schedule file — exits 2.
+//!
+//! The model flags are the schedule header's names after `--`
+//! ([`ModelSpec::set`] reads both); `regeneration` is header-only.
 
 use marp_mcheck::{
-    from_text, replay, schedule, shrink, to_text, CheckConfig, Explorer, Family, ModelSpec, Report,
+    from_text, replay, shrink, to_text, CheckConfig, Choice, Explorer, Family, ModelSpec, Report,
 };
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -43,6 +49,15 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// Model options the command line sets, each a schedule-header name
+/// after `--` ([`ModelSpec::set`] reads both). `regeneration` is
+/// header-only.
+const MODEL_FLAGS: [&str; 5] = ["family", "replicas", "agents", "chaos", "mail-loss"];
+
+/// Model switches: header names after `--` that take no value and set
+/// the header's `1`.
+const MODEL_SWITCHES: [&str; 2] = ["distinct-keys", "early-claims"];
+
 /// Options shared by `check`, `sample`, and `selftest`.
 struct Opts {
     spec: ModelSpec,
@@ -51,102 +66,59 @@ struct Opts {
     positional: Vec<String>,
 }
 
+fn number<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("{flag}: not a number"))
+}
+
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
-    let mut family = Family::Marp;
-    let mut replicas = 3usize;
-    let mut agents = 2usize;
-    let mut chaos = marp_core::ChaosMode::None;
-    let mut distinct_keys = false;
-    let mut mail_loss = marp_mcheck::MailLoss::None;
-    let mut early_claims = false;
+    let mut spec = ModelSpec::new(Family::Marp, 3, 2);
     let mut cfg = CheckConfig::default();
     let mut out = None;
     let mut positional = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
+        let mut value = || {
             it.next()
                 .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
+                .ok_or_else(|| format!("{arg} needs a value"))
         };
         match arg.as_str() {
-            "--family" => {
-                let v = value("--family")?;
-                family = Family::parse(&v).ok_or_else(|| format!("unknown family {v}"))?;
-            }
-            "--replicas" => {
-                replicas = value("--replicas")?
-                    .parse()
-                    .map_err(|_| "--replicas: not a number".to_string())?;
-            }
-            "--agents" => {
-                agents = value("--agents")?
-                    .parse()
-                    .map_err(|_| "--agents: not a number".to_string())?;
-            }
-            "--crashes" => {
-                cfg.max_crashes = value("--crashes")?
-                    .parse()
-                    .map_err(|_| "--crashes: not a number".to_string())?;
-            }
-            "--chaos" => {
-                let v = value("--chaos")?;
-                chaos =
-                    schedule::parse_chaos(&v).ok_or_else(|| format!("unknown chaos mode {v}"))?;
-            }
+            "--crashes" => cfg.max_crashes = number(arg, &value()?)?,
             "--preemptions" => {
-                let v = value("--preemptions")?;
-                cfg.preemption_bound = if v == "full" {
-                    None
-                } else {
-                    Some(
-                        v.parse()
-                            .map_err(|_| "--preemptions: not a number".to_string())?,
-                    )
-                };
+                cfg.preemption_bound = match value()?.as_str() {
+                    "full" => None,
+                    v => Some(number(arg, v)?),
+                }
             }
             "--budget" => {
-                let v = value("--budget")?;
-                cfg.max_transitions = if v == "smoke" {
-                    120_000
-                } else {
-                    v.parse()
-                        .map_err(|_| "--budget: not a number".to_string())?
-                };
+                cfg.max_transitions = match value()?.as_str() {
+                    "smoke" => 120_000,
+                    v => number(arg, v)?,
+                }
             }
-            "--depth" => {
-                cfg.max_depth = value("--depth")?
-                    .parse()
-                    .map_err(|_| "--depth: not a number".to_string())?;
-            }
-            "--timers" => {
-                cfg.max_timer_steps = value("--timers")?
-                    .parse()
-                    .map_err(|_| "--timers: not a number".to_string())?;
-            }
-            "--distinct-keys" => distinct_keys = true,
-            "--mail-loss" => {
-                let v = value("--mail-loss")?;
-                mail_loss = marp_mcheck::MailLoss::parse(&v)
-                    .ok_or_else(|| format!("unknown mail loss {v}"))?;
-            }
-            "--early-claims" => early_claims = true,
-            "--out" => out = Some(value("--out")?),
-            other if other.starts_with("--") => return Err(format!("unknown option {other}")),
-            other => positional.push(other.to_string()),
+            "--depth" => cfg.max_depth = number(arg, &value()?)?,
+            "--timers" => cfg.max_timer_steps = number(arg, &value()?)?,
+            "--out" => out = Some(value()?),
+            other => match other.strip_prefix("--") {
+                Some(name) if MODEL_SWITCHES.contains(&name) => spec.set(name, "1")?,
+                Some(name) if MODEL_FLAGS.contains(&name) => spec.set(name, &value()?)?,
+                Some(_) => return Err(format!("unknown option {other}")),
+                None => positional.push(other.to_string()),
+            },
         }
     }
-    let mut spec = ModelSpec::new(family, replicas, agents);
-    spec.chaos = chaos;
-    spec.distinct_keys = distinct_keys;
-    spec.mail_loss = mail_loss;
-    spec.early_claims = early_claims;
     Ok(Opts {
         spec,
         cfg,
         out,
         positional,
     })
+}
+
+/// A model's options as `name=value` words, for the banners.
+fn describe(spec: &ModelSpec) -> String {
+    let words = spec.options().into_iter().map(|(n, v)| format!("{n}={v}"));
+    words.collect::<Vec<_>>().join(" ")
 }
 
 fn print_report(report: &Report) {
@@ -166,94 +138,86 @@ fn print_report(report: &Report) {
     );
 }
 
-fn write_counterexample(
-    spec: &ModelSpec,
-    shrunk: &[marp_mcheck::Choice],
-    rules: &[&str],
-    path: &str,
-) -> ExitCode {
-    let note = format!(
-        "counterexample: violates {}\nreplay with: cargo run -p marp-mcheck -- replay {path}",
-        rules.join(", ")
-    );
-    let text = to_text(spec, shrunk, &note);
-    if let Err(e) = std::fs::write(path, &text) {
-        eprintln!("error: cannot write {path}: {e}");
-        return ExitCode::from(2);
-    }
+/// Read and parse a schedule file.
+fn load(file: &str) -> Result<(ModelSpec, Vec<Choice>), String> {
+    let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+    from_text(&text).map_err(|e| format!("{file}: {e}"))
+}
+
+/// `check`'s path, which `selftest` takes too: explore; on a violation,
+/// shrink it, write the schedule to `out`, and prove that the written
+/// file, parsed back and replayed, still reproduces it. Returns whether
+/// a violation was found.
+fn check(spec: &ModelSpec, cfg: CheckConfig, out: &str) -> Result<bool, String> {
     println!(
-        "counterexample       : {} steps (shrunk), written to {path}",
+        "checking {} crashes<={} preemptions={}",
+        describe(spec),
+        cfg.max_crashes,
+        cfg.preemption_bound
+            .map_or("full".to_string(), |b| b.to_string()),
+    );
+    let report = Explorer::new(*spec, cfg).run();
+    print_report(&report);
+    let Some(cx) = &report.violation else {
+        println!("verdict              : no invariant violations");
+        return Ok(false);
+    };
+    let rules: Vec<&str> = cx.violations.iter().map(|v| v.rule).collect();
+    println!("verdict              : VIOLATION ({})", rules.join(", "));
+    for v in &cx.violations {
+        println!("  {}: {}", v.rule, v.detail);
+    }
+    let shrunk = shrink(spec, cx);
+    println!(
+        "schedule             : {} steps, {} after shrinking",
+        cx.schedule.len(),
         shrunk.len()
     );
-    ExitCode::FAILURE
+    let note = format!(
+        "counterexample: violates {}\nreplay with: cargo run -p marp-mcheck -- replay {out}",
+        rules.join(", ")
+    );
+    if let Some(dir) = std::path::Path::new(out).parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
+    std::fs::write(out, to_text(spec, &shrunk, &note))
+        .map_err(|e| format!("cannot write {out}: {e}"))?;
+    println!(
+        "counterexample       : {} steps (shrunk), written to {out}",
+        shrunk.len()
+    );
+    let (spec, steps) = load(out)?;
+    if !replay(&spec, &steps).violates(&rules) {
+        return Err(format!("{out} does not reproduce {}", rules.join(", ")));
+    }
+    println!("replayed             : {out} reproduces it");
+    Ok(true)
 }
 
 fn cmd_check(opts: &Opts) -> ExitCode {
-    println!(
-        "checking {} replicas={} agents={} keys={} chaos={} mail-loss={} early-claims={} crashes<={} preemptions={}",
-        opts.spec.family.name(),
-        opts.spec.replicas,
-        opts.spec.agents,
-        if opts.spec.distinct_keys {
-            "distinct"
-        } else {
-            "shared"
-        },
-        schedule::chaos_name(opts.spec.chaos),
-        opts.spec.mail_loss.name(),
-        if opts.spec.early_claims { "on" } else { "off" },
-        opts.cfg.max_crashes,
-        opts.cfg
-            .preemption_bound
-            .map_or("full".to_string(), |b| b.to_string()),
-    );
-    let report = Explorer::new(opts.spec, opts.cfg).run();
-    print_report(&report);
-    match &report.violation {
-        None => {
-            println!("verdict              : no invariant violations");
-            ExitCode::SUCCESS
-        }
-        Some(cx) => {
-            let rules: Vec<&str> = cx.violations.iter().map(|v| v.rule).collect();
-            println!("verdict              : VIOLATION ({})", rules.join(", "));
-            for v in &cx.violations {
-                println!("  {}: {}", v.rule, v.detail);
-            }
-            let shrunk = shrink(&opts.spec, cx);
-            println!(
-                "schedule             : {} steps, {} after shrinking",
-                cx.schedule.len(),
-                shrunk.len()
-            );
-            let out = opts.out.as_deref().unwrap_or("mcheck-counterexample.txt");
-            write_counterexample(&opts.spec, &shrunk, &rules, out)
+    let out = opts.out.as_deref().unwrap_or("mcheck-counterexample.txt");
+    match check(&opts.spec, opts.cfg, out) {
+        Ok(false) => ExitCode::SUCCESS,
+        Ok(true) => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::from(2)
         }
     }
 }
 
 fn cmd_replay(file: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {file}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let (spec, steps) = match from_text(&text) {
+    let (spec, steps) = match load(file) {
         Ok(v) => v,
         Err(e) => {
-            eprintln!("error: {file}: {e}");
+            eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };
     println!(
-        "replaying {} steps against {} replicas={} agents={} chaos={}",
+        "replaying {} steps against {}",
         steps.len(),
-        spec.family.name(),
-        spec.replicas,
-        spec.agents,
-        schedule::chaos_name(spec.chaos),
+        describe(&spec)
     );
     let outcome = replay(&spec, &steps);
     println!(
@@ -305,56 +269,27 @@ fn cmd_sample(opts: &Opts) -> ExitCode {
 
 /// Prove the checker catches a real bug: seed the `lifo-blind`
 /// mutation (LIFO lock-queue insertion + unconditionally positive
-/// update acks) and require the explorer to find, shrink, and replay a
-/// violation.
+/// update acks) and require `check`'s own path to find, shrink, write
+/// and re-replay a violation.
 fn cmd_selftest(opts: &Opts) -> ExitCode {
     let mut spec = ModelSpec::new(Family::Marp, 3, 2);
     spec.chaos = marp_core::ChaosMode::LlLifoBlindAcks;
-    let cfg = CheckConfig::default();
-    println!("selftest: exploring marp 3x2 with the lifo-blind mutation seeded");
-    let report = Explorer::new(spec, cfg).run();
-    let Some(cx) = &report.violation else {
-        print_report(&report);
-        eprintln!("selftest FAILED: seeded mutation was not caught");
-        return ExitCode::FAILURE;
-    };
-    let rules: Vec<&str> = cx.violations.iter().map(|v| v.rule).collect();
-    println!(
-        "violation found after {} transitions ({}), schedule {} steps",
-        report.transitions,
-        rules.join(", "),
-        cx.schedule.len()
-    );
-    let shrunk = shrink(&spec, cx);
-    println!("shrunk to {} steps", shrunk.len());
+    println!("selftest: the lifo-blind mutation is seeded; check must catch it");
     let out = opts.out.as_deref().unwrap_or("target/mcheck-selftest.txt");
-    let text = to_text(
-        &spec,
-        &shrunk,
-        &format!("selftest: violates {}", rules.join(", ")),
-    );
-    if let Some(dir) = std::path::Path::new(out).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    if let Err(e) = std::fs::write(out, &text) {
-        eprintln!("error: cannot write {out}: {e}");
-        return ExitCode::from(2);
-    }
-    // Round-trip: the written file must still reproduce the violation.
-    let (spec2, steps) = match from_text(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("selftest FAILED: wrote an unparseable schedule: {e}");
-            return ExitCode::FAILURE;
+    match check(&spec, CheckConfig::default(), out) {
+        Ok(true) => {
+            println!("selftest OK: caught, shrunk, written to {out}, and re-replayed");
+            ExitCode::SUCCESS
         }
-    };
-    let outcome = replay(&spec2, &steps);
-    if !outcome.violates(&rules) {
-        eprintln!("selftest FAILED: shrunk schedule no longer reproduces {rules:?}");
-        return ExitCode::FAILURE;
+        Ok(false) => {
+            eprintln!("selftest FAILED: seeded mutation was not caught");
+            ExitCode::FAILURE
+        }
+        Err(e) => {
+            eprintln!("selftest FAILED: {e}");
+            ExitCode::FAILURE
+        }
     }
-    println!("selftest OK: caught, shrunk, written to {out}, and re-replayed");
-    ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
@@ -381,5 +316,50 @@ fn main() -> ExitCode {
         "sample" => cmd_sample(&opts),
         "selftest" => cmd_selftest(&opts),
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use marp_core::ChaosMode;
+    use marp_mcheck::MailLoss;
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn every_model_flag_is_a_header_name() {
+        // Every option but the header-only `regeneration`, off default.
+        let mut spec = ModelSpec::new(Family::PrimaryCopy, 5, 4);
+        spec.chaos = ChaosMode::BlindAcks;
+        spec.distinct_keys = true;
+        spec.mail_loss = MailLoss::Commits;
+        spec.early_claims = true;
+        let mut words = Vec::new();
+        for (name, value) in spec.options() {
+            words.push(format!("--{name}"));
+            if !MODEL_SWITCHES.contains(&name) {
+                words.push(value);
+            }
+        }
+        let flags = MODEL_FLAGS.len() + MODEL_SWITCHES.len();
+        assert_eq!(spec.options().len(), flags, "one flag per option");
+        let parsed = parse_opts(&words).expect("every flag parses").spec;
+        assert_eq!(parsed.options(), spec.options());
+        assert!(parse_opts(&args(&["--regeneration", "0"])).is_err());
+    }
+
+    #[test]
+    fn bad_model_flags_are_errors() {
+        for bad in [
+            &["--replicas", "0"][..],
+            &["--agents", "0"],
+            &["--family", "nope"],
+            &["--replicas"],
+        ] {
+            assert!(parse_opts(&args(bad)).is_err(), "{bad:?}");
+        }
     }
 }

@@ -103,8 +103,33 @@ impl MailLoss {
     }
 }
 
+/// Name of a chaos mode in schedule files and on the CLI.
+pub fn chaos_name(chaos: ChaosMode) -> &'static str {
+    match chaos {
+        ChaosMode::None => "none",
+        ChaosMode::LlLifoInsert => "lifo",
+        ChaosMode::BlindAcks => "blind-acks",
+        ChaosMode::LlLifoBlindAcks => "lifo-blind",
+    }
+}
+
+/// Parse a chaos mode name.
+pub fn parse_chaos(name: &str) -> Option<ChaosMode> {
+    match name {
+        "none" => Some(ChaosMode::None),
+        "lifo" => Some(ChaosMode::LlLifoInsert),
+        "blind-acks" => Some(ChaosMode::BlindAcks),
+        "lifo-blind" => Some(ChaosMode::LlLifoBlindAcks),
+        _ => None,
+    }
+}
+
 /// A fully-specified model: protocol, cluster size, concurrent writers,
 /// and (for checker self-tests) a seeded protocol mutation.
+///
+/// Its options have one vocabulary: a schedule file's header lines and
+/// the command line's model flags (the same names after `--`) are read
+/// by [`ModelSpec::set`] and written from [`ModelSpec::options`].
 #[derive(Debug, Clone, Copy)]
 pub struct ModelSpec {
     /// Protocol family.
@@ -155,6 +180,58 @@ impl ModelSpec {
             mail_loss: MailLoss::None,
             early_claims: false,
         }
+    }
+
+    /// Set the option `name` from its text `value`: `family`, `chaos`
+    /// and `mail-loss` by name, `replicas` and `agents` as a number of
+    /// at least 1, and the switches `regeneration`, `distinct-keys` and
+    /// `early-claims` as a number, on unless 0.
+    pub fn set(&mut self, name: &str, value: &str) -> Result<(), String> {
+        let bad = |what: &str| format!("{name} {value}: {what}");
+        let number = || value.parse::<u64>().map_err(|_| bad("not a number"));
+        let size = || match number()? {
+            0 => Err(bad("must be at least 1")),
+            n => Ok(n as usize),
+        };
+        match name {
+            "family" => self.family = Family::parse(value).ok_or_else(|| bad("unknown family"))?,
+            "replicas" => self.replicas = size()?,
+            "agents" => self.agents = size()?,
+            "chaos" => self.chaos = parse_chaos(value).ok_or_else(|| bad("unknown chaos mode"))?,
+            "regeneration" => self.regeneration = number()? != 0,
+            "distinct-keys" => self.distinct_keys = number()? != 0,
+            "mail-loss" => {
+                self.mail_loss = MailLoss::parse(value).ok_or_else(|| bad("unknown mail loss"))?;
+            }
+            "early-claims" => self.early_claims = number()? != 0,
+            _ => return Err(format!("unknown option {name}")),
+        }
+        Ok(())
+    }
+
+    /// The options as `(name, value)` pairs, in header order. Optional
+    /// ones at their default are left out, so older schedule files
+    /// re-render byte for byte.
+    pub fn options(&self) -> Vec<(&'static str, String)> {
+        let mut options = vec![
+            ("family", self.family.name().to_string()),
+            ("replicas", self.replicas.to_string()),
+            ("agents", self.agents.to_string()),
+            ("chaos", chaos_name(self.chaos).to_string()),
+        ];
+        let loss = self.mail_loss;
+        let optional = [
+            ("regeneration", !self.regeneration, "0"),
+            ("distinct-keys", self.distinct_keys, "1"),
+            ("mail-loss", loss != MailLoss::None, loss.name()),
+            ("early-claims", self.early_claims, "1"),
+        ];
+        for (name, shown, value) in optional {
+            if shown {
+                options.push((name, value.to_string()));
+            }
+        }
+        options
     }
 
     /// The MARP configuration this model runs (time constants shrunk so
@@ -394,6 +471,35 @@ impl Process for OneShotWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A spec whose every option differs from [`ModelSpec::new`]'s.
+    fn every_option_set() -> ModelSpec {
+        let mut spec = ModelSpec::new(Family::PrimaryCopy, 5, 4);
+        spec.chaos = ChaosMode::BlindAcks;
+        spec.regeneration = false;
+        spec.distinct_keys = true;
+        spec.mail_loss = MailLoss::NoticesAndFirstReply;
+        spec.early_claims = true;
+        spec
+    }
+
+    #[test]
+    fn every_printed_option_round_trips_through_set() {
+        for spec in [ModelSpec::new(Family::Mcv, 3, 2), every_option_set()] {
+            let mut back = ModelSpec::new(Family::Marp, 1, 1);
+            for (name, value) in spec.options() {
+                back.set(name, &value).unwrap();
+            }
+            assert_eq!(back.options(), spec.options());
+        }
+        assert_eq!(every_option_set().options().len(), 8, "one line per field");
+        let mut spec = ModelSpec::new(Family::Marp, 3, 2);
+        assert!(spec.set("replicas", "0").is_err());
+        assert!(spec.set("agents", "0").is_err());
+        assert!(spec.set("chaos", "wat").is_err());
+        assert!(spec.set("wat", "1").is_err());
+        assert_eq!(spec.options(), ModelSpec::new(Family::Marp, 3, 2).options());
+    }
 
     #[test]
     fn marp_model_runs_clean_under_the_default_scheduler() {

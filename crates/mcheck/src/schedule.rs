@@ -1,39 +1,21 @@
-//! Replayable schedule files and counterexample shrinking.
+//! Replayable schedule files, the targeted schedule families, and
+//! counterexample shrinking.
 //!
-//! A schedule is a text file: a header naming the model (family,
-//! sizes, chaos mode) and one `deliver`/`crash`/`recover` line per
-//! scheduling choice. Replay resolves each recorded step against the
-//! *current* queue — by exact sequence number when possible, falling
-//! back to the oldest event of the same shape — so a schedule stays
-//! meaningful after shrinking passes delete steps and renumber
-//! everything downstream.
+//! A schedule is a text file: a header naming the model (one
+//! `name value` line per [`ModelSpec::options`] entry) and one
+//! `deliver`/`crash`/`recover` line per scheduling choice. Replay
+//! resolves each recorded step against the *current* queue — by exact
+//! sequence number when possible, falling back to the oldest event of
+//! the same shape — so a schedule stays meaningful after shrinking
+//! passes delete steps and renumber everything downstream. After the
+//! last recorded step the run goes on in the explorer's canonical order
+//! (see [`crate::explore`]): an empty schedule replays the canonical
+//! run itself.
 
-use crate::explore::{CheckConfig, Choice, Counterexample, Explorer};
-use crate::model::{Family, MailLoss, ModelSpec};
-use marp_core::ChaosMode;
+use crate::explore::{CheckConfig, Choice, Counterexample, Explorer, Run};
+use crate::model::{Family, ModelSpec};
 use marp_metrics::Violation;
 use marp_sim::{Control, NodeId, PendingKind, TraceEvent};
-
-/// Name of a chaos mode in schedule files and on the CLI.
-pub fn chaos_name(chaos: ChaosMode) -> &'static str {
-    match chaos {
-        ChaosMode::None => "none",
-        ChaosMode::LlLifoInsert => "lifo",
-        ChaosMode::BlindAcks => "blind-acks",
-        ChaosMode::LlLifoBlindAcks => "lifo-blind",
-    }
-}
-
-/// Parse a chaos mode name.
-pub fn parse_chaos(name: &str) -> Option<ChaosMode> {
-    match name {
-        "none" => Some(ChaosMode::None),
-        "lifo" => Some(ChaosMode::LlLifoInsert),
-        "blind-acks" => Some(ChaosMode::BlindAcks),
-        "lifo-blind" => Some(ChaosMode::LlLifoBlindAcks),
-        _ => None,
-    }
-}
 
 fn fmt_choice(choice: &Choice) -> String {
     match choice {
@@ -57,28 +39,11 @@ fn fmt_choice(choice: &Choice) -> String {
 /// Render a schedule file.
 pub fn to_text(spec: &ModelSpec, schedule: &[Choice], note: &str) -> String {
     let mut out = String::from("# marp-mcheck schedule v1\n");
-    if !note.is_empty() {
-        for line in note.lines() {
-            out.push_str(&format!("# {line}\n"));
-        }
+    for line in note.lines() {
+        out.push_str(&format!("# {line}\n"));
     }
-    out.push_str(&format!("family {}\n", spec.family.name()));
-    out.push_str(&format!("replicas {}\n", spec.replicas));
-    out.push_str(&format!("agents {}\n", spec.agents));
-    out.push_str(&format!("chaos {}\n", chaos_name(spec.chaos)));
-    if !spec.regeneration {
-        // Omitted when on: older schedule files stay byte-identical.
-        out.push_str("regeneration 0\n");
-    }
-    if spec.distinct_keys {
-        // Omitted when off (the conflicting default), same reason.
-        out.push_str("distinct-keys 1\n");
-    }
-    if spec.mail_loss != MailLoss::None {
-        out.push_str(&format!("mail-loss {}\n", spec.mail_loss.name()));
-    }
-    if spec.early_claims {
-        out.push_str("early-claims 1\n");
+    for (name, value) in spec.options() {
+        out.push_str(&format!("{name} {value}\n"));
     }
     for choice in schedule {
         out.push_str(&fmt_choice(choice));
@@ -89,14 +54,13 @@ pub fn to_text(spec: &ModelSpec, schedule: &[Choice], note: &str) -> String {
 
 /// Parse a schedule file.
 pub fn from_text(text: &str) -> Result<(ModelSpec, Vec<Choice>), String> {
-    let mut family = None;
-    let mut replicas = None;
-    let mut agents = None;
-    let mut chaos = ChaosMode::None;
-    let mut regeneration = true;
-    let mut distinct_keys = false;
-    let mut mail_loss = MailLoss::None;
-    let mut early_claims = false;
+    // Zero sizes stand for "no header yet": `set` rejects a zero.
+    let mut spec = ModelSpec {
+        replicas: 0,
+        agents: 0,
+        ..ModelSpec::new(Family::Marp, 1, 1)
+    };
+    let mut family = false;
     let mut schedule = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim();
@@ -106,138 +70,109 @@ pub fn from_text(text: &str) -> Result<(ModelSpec, Vec<Choice>), String> {
         let err = |what: &str| format!("line {}: {what}: {line}", lineno + 1);
         let fields: Vec<&str> = line.split_whitespace().collect();
         let num = |s: &str| s.parse::<u64>().map_err(|_| err("bad number"));
-        match fields[0] {
-            "family" if fields.len() == 2 => {
-                family = Some(Family::parse(fields[1]).ok_or_else(|| err("unknown family"))?);
-            }
-            "replicas" if fields.len() == 2 => replicas = Some(num(fields[1])? as usize),
-            "agents" if fields.len() == 2 => agents = Some(num(fields[1])? as usize),
-            "chaos" if fields.len() == 2 => {
-                chaos = parse_chaos(fields[1]).ok_or_else(|| err("unknown chaos mode"))?;
-            }
-            "regeneration" if fields.len() == 2 => regeneration = num(fields[1])? != 0,
-            "distinct-keys" if fields.len() == 2 => distinct_keys = num(fields[1])? != 0,
-            "mail-loss" if fields.len() == 2 => {
-                mail_loss = MailLoss::parse(fields[1]).ok_or_else(|| err("unknown mail loss"))?;
-            }
-            "early-claims" if fields.len() == 2 => early_claims = num(fields[1])? != 0,
-            "crash" if fields.len() == 2 => {
-                schedule.push(Choice::Crash {
-                    node: num(fields[1])? as u16,
-                });
-            }
-            "recover" if fields.len() == 2 => {
-                schedule.push(Choice::Recover {
-                    node: num(fields[1])? as u16,
-                });
-            }
-            "deliver" if fields.len() >= 3 => {
-                let seq = num(fields[1])?;
-                let kind = match (fields[2], fields.len()) {
-                    ("start", 4) => PendingKind::Start {
-                        node: num(fields[3])? as u16,
+        let replica = |s: &str| match num(s)? {
+            n if n < spec.replicas as u64 => Ok(n as NodeId),
+            _ => Err(err("not a replica (0..replicas)")),
+        };
+        match fields[..] {
+            ["crash", node] => schedule.push(Choice::Crash {
+                node: replica(node)?,
+            }),
+            ["recover", node] => schedule.push(Choice::Recover {
+                node: replica(node)?,
+            }),
+            ["deliver", seq, ref what @ ..] => {
+                let seq = num(seq)?;
+                let kind = match *what {
+                    ["start", node] => PendingKind::Start {
+                        node: num(node)? as u16,
                     },
-                    ("msg", 5) => PendingKind::Message {
-                        from: num(fields[3])? as u16,
-                        to: num(fields[4])? as u16,
+                    ["msg", from, to] => PendingKind::Message {
+                        from: num(from)? as u16,
+                        to: num(to)? as u16,
                         bytes: 0,
                     },
-                    ("timer", 5) => PendingKind::Timer {
-                        node: num(fields[3])? as u16,
-                        tag: num(fields[4])?,
+                    ["timer", node, tag] => PendingKind::Timer {
+                        node: num(node)? as u16,
+                        tag: num(tag)?,
                     },
-                    ("ctl-up", 5) => PendingKind::Control(Control::SetNodeUp {
-                        node: num(fields[3])? as u16,
-                        up: num(fields[4])? != 0,
+                    ["ctl-up", node, up] => PendingKind::Control(Control::SetNodeUp {
+                        node: num(node)? as u16,
+                        up: num(up)? != 0,
                     }),
-                    ("ctl-notify", 6) => PendingKind::Control(Control::Notify {
-                        to: num(fields[3])? as u16,
-                        about: num(fields[4])? as u16,
-                        up: num(fields[5])? != 0,
+                    ["ctl-notify", to, about, up] => PendingKind::Control(Control::Notify {
+                        to: num(to)? as u16,
+                        about: num(about)? as u16,
+                        up: num(up)? != 0,
                     }),
-                    ("ctl-halt", 3) => PendingKind::Control(Control::Halt),
+                    ["ctl-halt"] => PendingKind::Control(Control::Halt),
                     _ => return Err(err("bad deliver step")),
                 };
                 schedule.push(Choice::Deliver { seq, kind });
             }
+            [name, value] => {
+                spec.set(name, value)
+                    .map_err(|e| format!("line {}: {e}", lineno + 1))?;
+                family |= name == "family";
+            }
             _ => return Err(err("unrecognized line")),
         }
     }
-    let family = family.ok_or("missing 'family' header")?;
-    let replicas = replicas.ok_or("missing 'replicas' header")?;
-    let agents = agents.ok_or("missing 'agents' header")?;
-    let mut spec = ModelSpec::new(family, replicas, agents);
-    spec.chaos = chaos;
-    spec.regeneration = regeneration;
-    spec.distinct_keys = distinct_keys;
-    spec.mail_loss = mail_loss;
-    spec.early_claims = early_claims;
+    if !family {
+        return Err("missing 'family' header".into());
+    }
+    if spec.replicas == 0 {
+        return Err("missing 'replicas' header".into());
+    }
+    if spec.agents == 0 {
+        return Err("missing 'agents' header".into());
+    }
     Ok((spec, schedule))
 }
 
+/// The canonical schedule up to the first step after which `stop`
+/// accepts the run, then a fail-stop of `victim` and its immediate
+/// recovery (`None` if no step is accepted).
+fn crash_when(
+    spec: &ModelSpec,
+    victim: NodeId,
+    stop: impl FnMut(&Run) -> bool,
+) -> Option<Vec<Choice>> {
+    let explorer = Explorer::new(*spec, CheckConfig::default());
+    let (mut schedule, stopped) = explorer.canonical_run(&mut Run::new(*spec), stop);
+    schedule.extend([
+        Choice::Crash { node: victim },
+        Choice::Recover { node: victim },
+    ]);
+    stopped.then_some(schedule)
+}
+
 /// Build the **agent-loss schedule family**: run the canonical
-/// schedule until an update agent is observed resident at `victim` (a
-/// replica other than its home), then fail-stop the victim and recover
-/// it immediately. The resident agent dies with the host, so the
-/// schedule puts the home's dispatch registry on the critical path:
-/// with regeneration on, [`replay`]'s canonical drain must still
-/// complete every write exactly once; with
-/// [`ModelSpec::regeneration`] off, the write is provably stranded.
-/// The explorer's random interleavings only hit this situation by
-/// luck, which is why it gets a targeted family.
+/// schedule until an update agent migrates to `victim` (a replica other
+/// than its home), then fail-stop the victim and recover it
+/// immediately. The resident agent dies with the host, so the schedule
+/// puts the home's dispatch registry on the critical path: with
+/// regeneration on, [`replay`]'s canonical drain must still complete
+/// every write exactly once; with [`ModelSpec::regeneration`] off, the
+/// write is provably stranded. The explorer's random interleavings only
+/// hit this situation by luck, which is why it gets a targeted family.
 ///
-/// Panics if the agent never migrates to `victim` within a generous
-/// step budget (pick a victim on the majority itinerary).
+/// Panics if no agent migrates to `victim` on the canonical schedule
+/// (pick a victim on the majority itinerary).
 pub fn agent_loss_schedule(spec: &ModelSpec, victim: NodeId) -> Vec<Choice> {
     assert_eq!(
         spec.family,
         Family::Marp,
         "agent loss targets MARP's mobile agents"
     );
-    let mut sim = spec.build();
-    let starts: Vec<u64> = sim
-        .pending_events()
-        .iter()
-        .filter(|e| matches!(e.kind, PendingKind::Start { .. }))
-        .map(|e| e.seq)
-        .collect();
-    for seq in starts {
-        sim.step_event(seq);
-    }
-    let mut schedule = Vec::new();
-    let mut pos = sim.trace().records().len();
-    let mut timer_fires = 0u32;
-    for _ in 0..DRAIN_CAP {
-        let pending = sim.pending_events();
-        let next = pending
+    let arrived = |run: &Run| {
+        run.last_step()
             .iter()
-            .find(|e| !matches!(e.kind, PendingKind::Timer { .. }))
-            .or_else(|| {
-                if timer_fires >= 8 {
-                    None
-                } else {
-                    timer_fires += 1;
-                    pending
-                        .iter()
-                        .find(|e| matches!(e.kind, PendingKind::Timer { .. }))
-                }
-            })
-            .map(|e| (e.seq, e.kind.clone()));
-        let Some((seq, kind)) = next else { break };
-        sim.step_event(seq);
-        schedule.push(Choice::Deliver { seq, kind });
-        let records = sim.trace().records();
-        let arrived = records[pos..]
-            .iter()
-            .any(|r| matches!(r.event, TraceEvent::AgentMigrated { to, .. } if to == victim));
-        pos = records.len();
-        if arrived {
-            schedule.push(Choice::Crash { node: victim });
-            schedule.push(Choice::Recover { node: victim });
-            return schedule;
-        }
-    }
-    panic!("no agent migrated to node {victim}; pick a victim on the majority itinerary");
+            .any(|r| matches!(r.event, TraceEvent::AgentMigrated { to, .. } if to == victim))
+    };
+    crash_when(spec, victim, arrived).unwrap_or_else(|| {
+        panic!("no agent migrated to node {victim}; pick a victim on the majority itinerary")
+    })
 }
 
 /// Build an **early-claim crash schedule**: follow the early-claim
@@ -254,17 +189,12 @@ pub fn agent_loss_schedule(spec: &ModelSpec, victim: NodeId) -> Vec<Choice> {
 pub fn early_claim_crash_schedule(spec: &ModelSpec, victim: NodeId) -> Vec<Choice> {
     assert!(spec.early_claims, "not an early-claim model");
     // Claims are only ever held on a contended key: the shared key 1.
-    let holds_a_claim = |sim: &marp_sim::Simulation| {
+    let holds_a_claim = |run: &Run| {
         (0..spec.replicas as NodeId)
-            .filter_map(|s| sim.process::<marp_core::MarpNode>(s))
+            .filter_map(|s| run.sim.process::<marp_core::MarpNode>(s))
             .any(|node| node.state().held_claimants(1).next().is_some())
     };
-    let (mut schedule, held) =
-        Explorer::new(*spec, CheckConfig::default()).canonical_schedule_until(holds_a_claim);
-    assert!(held, "the canonical schedule never holds a claim");
-    schedule.push(Choice::Crash { node: victim });
-    schedule.push(Choice::Recover { node: victim });
-    schedule
+    crash_when(spec, victim, holds_a_claim).expect("the canonical schedule never holds a claim")
 }
 
 /// What replaying a schedule produced.
@@ -319,20 +249,10 @@ impl ReplayOutcome {
 /// pending event of shape `live`? Message payload sizes are ignored.
 fn shape_matches(recorded: &PendingKind, live: &PendingKind) -> bool {
     match (recorded, live) {
-        (PendingKind::Start { node: a }, PendingKind::Start { node: b }) => a == b,
-        (
-            PendingKind::Message {
-                from: f1, to: t1, ..
-            },
-            PendingKind::Message {
-                from: f2, to: t2, ..
-            },
-        ) => f1 == f2 && t1 == t2,
-        (PendingKind::Timer { node: n1, tag: g1 }, PendingKind::Timer { node: n2, tag: g2 }) => {
-            n1 == n2 && g1 == g2
+        (PendingKind::Message { from, to, .. }, PendingKind::Message { from: f, to: t, .. }) => {
+            (from, to) == (f, t)
         }
-        (PendingKind::Control(a), PendingKind::Control(b)) => a == b,
-        _ => false,
+        _ => recorded == live,
     }
 }
 
@@ -341,163 +261,66 @@ fn shape_matches(recorded: &PendingKind, live: &PendingKind) -> bool {
 /// at the first violation) so shrinking can compare rule sets.
 ///
 /// After the scheduled steps, the run is **drained to quiescence
-/// canonically**: remaining messages are delivered lowest-sequence
-/// first (and timers fired at message quiescence, within the usual
-/// budget) until the model reaches a terminal state. This gives every
-/// replay a definitive verdict — the quiescent-only rules (lost
-/// update) are checkable — and makes event-deletion shrinking
+/// canonically**: it takes the explorer's canonical step (with a timer
+/// budget of its own) until the model reaches a terminal state. This
+/// gives every replay a definitive verdict — the quiescent-only rules
+/// (lost update) are checkable — and makes event-deletion shrinking
 /// meaningful: a deleted step simply happens later, in the canonical
 /// tail, so only the steps whose *order* matters survive.
 pub fn replay(spec: &ModelSpec, schedule: &[Choice]) -> ReplayOutcome {
-    let mut sim = spec.build();
-    // Auto-run Start events exactly like the explorer does, so recorded
-    // deliver steps line up. Older schedules that *do* record start
-    // steps still resolve (they will simply not match anything here).
-    let starts: Vec<u64> = sim
-        .pending_events()
-        .iter()
-        .filter(|e| matches!(e.kind, PendingKind::Start { .. }))
-        .map(|e| e.seq)
-        .collect();
-    for seq in starts {
-        sim.step_event(seq);
-    }
-    let mut monitor = spec.monitor();
-    let mut pos = 0usize;
-    let mut outcome = ReplayOutcome {
-        violations: Vec::new(),
-        quiescent_violations: Vec::new(),
-        steps_applied: 0,
-        steps_skipped: 0,
-        drained_steps: 0,
-        completed: 0,
-        held_claims: 0,
-        aborted_claims: 0,
-    };
-    // State-invariant violations (deduplicated: a broken state usually
-    // persists over many steps).
-    let mut state_violations: Vec<Violation> = Vec::new();
-    let mut check_state = |sim: &marp_sim::Simulation| {
-        for v in spec.state_violations(sim) {
-            if !state_violations.contains(&v) {
-                state_violations.push(v);
-            }
-        }
-    };
+    let mut run = Run::new(*spec);
+    let mut steps_applied = 0;
     for choice in schedule {
-        let applied = match choice {
+        // Resolve a recorded delivery by exact seq, else by shape.
+        let resolved = match choice {
             Choice::Deliver { seq, kind } => {
-                let pending = sim.pending_events();
-                let resolved = pending
+                let pending = run.sim.pending_events();
+                pending
                     .iter()
                     .find(|e| e.seq == *seq && shape_matches(kind, &e.kind))
                     .or_else(|| pending.iter().find(|e| shape_matches(kind, &e.kind)))
-                    .map(|e| e.seq);
-                match resolved {
-                    Some(seq) => sim.step_event(seq),
-                    None => false,
-                }
+                    .map(|e| Choice::Deliver {
+                        seq: e.seq,
+                        kind: e.kind.clone(),
+                    })
             }
-            Choice::Crash { node } if sim.is_up(*node) => {
-                sim.apply_control_now(Control::SetNodeUp {
-                    node: *node,
-                    up: false,
-                });
-                for to in 0..spec.replicas as u16 {
-                    if to != *node {
-                        let now = sim.now();
-                        sim.schedule_control(
-                            now,
-                            Control::Notify {
-                                to,
-                                about: *node,
-                                up: false,
-                            },
-                        );
-                    }
-                }
-                true
-            }
-            Choice::Recover { node } if !sim.is_up(*node) => {
-                sim.apply_control_now(Control::SetNodeUp {
-                    node: *node,
-                    up: true,
-                });
-                for to in 0..spec.replicas as u16 {
-                    if to != *node {
-                        let now = sim.now();
-                        sim.schedule_control(
-                            now,
-                            Control::Notify {
-                                to,
-                                about: *node,
-                                up: true,
-                            },
-                        );
-                    }
-                }
-                true
-            }
-            _ => false,
+            fault => Some(fault.clone()),
         };
-        if applied {
-            outcome.steps_applied += 1;
-        } else {
-            outcome.steps_skipped += 1;
-        }
-        let records = sim.trace().records();
-        monitor.observe_all(&records[pos..]);
-        pos = records.len();
-        check_state(&sim);
+        steps_applied += usize::from(resolved.is_some_and(|choice| run.step(&choice)));
     }
-    // Canonical drain: deliver what's still in flight, oldest first,
-    // letting time pass (bounded) only at message quiescence.
-    let mut timer_fires = 0u32;
-    while outcome.drained_steps < DRAIN_CAP {
-        let pending = sim.pending_events();
-        let done = spec.finished(monitor.completed_requests());
-        let next = pending
-            .iter()
-            .find(|e| !matches!(e.kind, PendingKind::Timer { .. }))
-            .or_else(|| {
-                if done || timer_fires >= DRAIN_TIMER_CAP {
-                    None
-                } else {
-                    timer_fires += 1;
-                    pending
-                        .iter()
-                        .find(|e| matches!(e.kind, PendingKind::Timer { .. }))
-                }
-            })
-            .map(|e| e.seq);
-        let Some(seq) = next else { break };
-        sim.step_event(seq);
-        outcome.drained_steps += 1;
-        let records = sim.trace().records();
-        monitor.observe_all(&records[pos..]);
-        pos = records.len();
-        check_state(&sim);
-    }
-    outcome.violations = monitor.violations().to_vec();
-    outcome.violations.extend(state_violations);
-    outcome.completed = monitor.completed_requests();
-    outcome.aborted_claims = sim
-        .trace()
-        .count(|e| matches!(e, TraceEvent::WinAborted { .. }));
-    if spec.family == Family::Marp {
-        outcome.held_claims = (0..spec.replicas as NodeId)
-            .filter_map(|s| sim.process::<marp_core::MarpNode>(s))
-            .map(|node| node.mail().claims_held)
-            .sum();
-    }
-    let quiescent = !sim
+    let drain = CheckConfig {
+        max_depth: DRAIN_CAP,
+        max_timer_steps: DRAIN_TIMER_CAP,
+        ..CheckConfig::default()
+    };
+    let (drained, _) = Explorer::new(*spec, drain).canonical_run(&mut run, |_| false);
+    let quiescent = !run
+        .sim
         .pending_events()
         .iter()
         .any(|e| matches!(e.kind, PendingKind::Message { .. }));
-    if quiescent {
-        outcome.quiescent_violations = monitor.quiescent_violations();
+    let sim = &run.sim;
+    // Zero unless MARP: no other family's server is a `MarpNode`.
+    let held_claims = (0..spec.replicas as NodeId)
+        .filter_map(|s| sim.process::<marp_core::MarpNode>(s))
+        .map(|node| node.mail().claims_held)
+        .sum();
+    ReplayOutcome {
+        violations: run.violations(),
+        quiescent_violations: if quiescent {
+            run.monitor.quiescent_violations()
+        } else {
+            Vec::new()
+        },
+        steps_applied,
+        steps_skipped: schedule.len() - steps_applied,
+        drained_steps: drained.len(),
+        completed: run.monitor.completed_requests(),
+        held_claims,
+        aborted_claims: sim
+            .trace()
+            .count(|e| matches!(e, TraceEvent::WinAborted { .. })),
     }
-    outcome
 }
 
 /// Minimize a counterexample by greedy event deletion: repeatedly drop
@@ -529,6 +352,8 @@ pub fn shrink(spec: &ModelSpec, counterexample: &Counterexample) -> Vec<Choice> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use marp_core::ChaosMode;
+    use std::path::Path;
 
     #[test]
     fn schedule_text_roundtrips() {
@@ -573,6 +398,51 @@ mod tests {
         assert!(from_text("family nope\nreplicas 3\nagents 1\n").is_err());
         assert!(from_text("family marp\nreplicas 3\nagents 1\nwat 7\n").is_err());
         assert!(from_text("family marp\nreplicas 3\nagents 1\ndeliver x msg 0 1\n").is_err());
+        // Inputs that used to panic: a fault on a node that is no
+        // replica, and a model with no replicas or no writers.
+        let crash = from_text("family marp\nreplicas 3\nagents 1\ncrash 7\n").unwrap_err();
+        assert_eq!(crash, "line 4: not a replica (0..replicas): crash 7");
+        assert!(from_text("family marp\nreplicas 3\nagents 1\nrecover 3\n").is_err());
+        assert!(from_text("family marp\nreplicas 0\nagents 1\n").is_err());
+        assert!(from_text("family marp\nreplicas 3\nagents 0\n").is_err());
+    }
+
+    /// The schedule files under `dir` and its subdirectories.
+    fn corpus(dir: &Path, files: &mut Vec<std::path::PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("corpus dir") {
+            let path = entry.expect("entry").path();
+            if path.is_dir() {
+                corpus(&path, files);
+            } else if path.extension().is_some_and(|e| e == "txt") {
+                files.push(path);
+            }
+        }
+    }
+
+    #[test]
+    fn every_committed_schedule_re_renders_byte_for_byte() {
+        let mut files = Vec::new();
+        corpus(
+            &Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/schedules"),
+            &mut files,
+        );
+        assert!(files.len() >= 8, "corpus shrank: {files:?}");
+        for path in files {
+            let text = std::fs::read_to_string(&path).expect("read schedule");
+            let (spec, steps) = from_text(&text).expect("parses");
+            // The note is the comment block after the format line.
+            let note: Vec<&str> = text
+                .lines()
+                .skip(1)
+                .filter_map(|l| l.strip_prefix("# "))
+                .collect();
+            assert_eq!(
+                to_text(&spec, &steps, &note.join("\n")),
+                text,
+                "{}",
+                path.display()
+            );
+        }
     }
 
     #[test]
