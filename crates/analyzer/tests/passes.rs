@@ -127,8 +127,8 @@ fn wire_inventory_covers_protocol_crates() {
         // CommitMsg, NodeMsg, AgentReply.
         ("crates/core", 9),
         // Operation, ClientRequest, ClientReply, WriteRequest, SyncMsg,
-        // LockEntry, LlSnapshot, UpdatedList, CommitRecord.
-        ("crates/replica", 9),
+        // LlSnapshot, UpdatedList, CommitRecord.
+        ("crates/replica", 8),
         // AgentId, AgentEnvelope, ItineraryPolicy, Itinerary.
         ("crates/agent", 4),
         // SuccessRule, Verdict, QuorumCall.
@@ -146,7 +146,7 @@ fn wire_inventory_covers_protocol_crates() {
     // (u16, u32, i16, i32).
     assert_eq!(count("crates/wire", WireShape::Handwritten), 16);
     assert_eq!(count("crates/wire", WireShape::Macro), 4);
-    assert_eq!(inv.len(), 54, "workspace-wide Wire impl count");
+    assert_eq!(inv.len(), 53, "workspace-wide Wire impl count");
     // The two MARP message enums, by variant (the tag count each
     // `wire_enum!` declaration covers).
     let variants = |name: &str| {

@@ -4,46 +4,6 @@ use marp_agent::{AgentConfig, ItineraryPolicy};
 use marp_replica::{BatchConfig, ServerConfig};
 use std::time::Duration;
 
-/// Deliberate protocol mutations for checker self-tests.
-///
-/// The `marp-mcheck` model checker proves it can *find* bugs by seeding
-/// one and demanding a counterexample. These are the seeded bugs; they
-/// must never be enabled outside verification tooling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChaosMode {
-    /// Faithful protocol (the only mode real deployments use).
-    #[default]
-    None,
-    /// Insert lock requests at the *front* of the Locking List instead
-    /// of the back, breaking the FIFO assumption behind Theorem 1. On
-    /// its own the UPDATE validation round masks this (stale claimants
-    /// are refused and abort), so it demonstrates the protocol's
-    /// defence in depth rather than a violation.
-    LlLifoInsert,
-    /// Acknowledge every UPDATE positively, skipping top-of-queue
-    /// validation and reservation. On its own FIFO queues mean no two
-    /// agents believe they have won simultaneously, so this too is
-    /// usually masked.
-    BlindAcks,
-    /// Both of the above: LIFO insertion manufactures two simultaneous
-    /// believed-winners and blind acks let both commit — a genuine
-    /// order-preservation / lost-update violation the checker must
-    /// catch.
-    LlLifoBlindAcks,
-}
-
-impl ChaosMode {
-    /// Whether lock requests jump the Locking List queue.
-    pub fn lifo_insert(self) -> bool {
-        matches!(self, ChaosMode::LlLifoInsert | ChaosMode::LlLifoBlindAcks)
-    }
-
-    /// Whether UPDATE validation is skipped.
-    pub fn blind_acks(self) -> bool {
-        matches!(self, ChaosMode::BlindAcks | ChaosMode::LlLifoBlindAcks)
-    }
-}
-
 /// All knobs of a MARP deployment. Start from [`MarpConfig::new`] and
 /// override fields for ablations.
 #[derive(Debug, Clone, Copy)]
@@ -102,9 +62,6 @@ pub struct MarpConfig {
     /// regeneration can never double-apply. Disable only for ablations
     /// (the chaos harness's lost-write demonstration).
     pub regeneration: bool,
-    /// Seeded protocol mutation for model-checker self-tests
-    /// ([`ChaosMode::None`] everywhere else).
-    pub chaos: ChaosMode,
 }
 
 impl MarpConfig {
@@ -126,7 +83,6 @@ impl MarpConfig {
             maintenance_interval: Duration::from_millis(500),
             redispatch_timeout: Duration::from_secs(45),
             regeneration: true,
-            chaos: ChaosMode::default(),
         }
     }
 

@@ -192,10 +192,6 @@ impl MarpServerState {
             self.core
                 .ll
                 .request(key, agent, now, self.core.lock_lease(), here);
-            if self.cfg.chaos.lifo_insert() {
-                // Seeded bug (checker self-test): jump the FIFO queue.
-                self.core.ll.list_mut(key).chaos_promote_to_front(agent);
-            }
         }
         self.core.ll.snapshot(key, now)
     }
@@ -271,10 +267,6 @@ impl MarpServerState {
         let fenced = refusal != 0;
         let positive = if fenced {
             false
-        } else if self.cfg.chaos.blind_acks() {
-            // Seeded bug (checker self-test): ack without validating or
-            // reserving.
-            true
         } else if let Some(holder) = self.reserved_for(key).filter(|&h| h != msg.agent) {
             // Early, not wrong: the claimant is enqueued here and the
             // holder is the only unfinished, unvouched-for agent above
@@ -326,7 +318,7 @@ impl MarpServerState {
                 b: (u64::from(self.core.me()) << 8) | refusal,
             });
         }
-        if positive && !self.cfg.chaos.blind_acks() {
+        if positive {
             // A holder claiming again renews its lease and keeps the
             // claims waiting behind it.
             let expires = now + self.cfg.reserve_lease;

@@ -64,7 +64,7 @@ mod node;
 mod read_agent;
 
 pub use agent::{Phase, UpdateAgent};
-pub use config::{ChaosMode, MarpConfig};
+pub use config::MarpConfig;
 pub use gossip::GossipBoard;
 pub use host::{ClaimAnswer, CommitOutcome, MarpServerState};
 pub use msg::{

@@ -39,7 +39,7 @@ pub mod model;
 pub mod schedule;
 
 pub use explore::{CheckConfig, Choice, Counterexample, Explorer, Report};
-pub use model::{Family, MailLoss, ModelSpec, OneShotWriter};
+pub use model::{Chaos, Family, MailLoss, ModelSpec, OneShotWriter};
 pub use schedule::{
     agent_loss_schedule, early_claim_crash_schedule, from_text, replay, shrink, to_text,
     ReplayOutcome,

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! marp-mcheck check   [--family marp|mcv|pc] [--replicas N] [--agents N]
-//!                     [--crashes N] [--chaos none|lifo|blind-acks|lifo-blind]
+//!                     [--crashes N] [--chaos none|stale-acks]
 //!                     [--distinct-keys]
 //!                     [--mail-loss none|notices|notices+reply|commits]
 //!                     [--early-claims] [--preemptions N|full]
@@ -18,17 +18,20 @@
 //! to prove it reproduces. `replay` re-executes a schedule file and
 //! reports the verdict. `sample` records the canonical
 //! (zero-preemption) schedule, for seeding the regression corpus.
-//! `selftest` proves the checker can catch a bug: it seeds the
-//! `lifo-blind` protocol mutation and requires `check`'s own path to
-//! catch it (`--out`, default `target/mcheck-selftest.txt`). Bad input
-//! — an unknown or out-of-range option, an unreadable or malformed
-//! schedule file — exits 2.
+//! `selftest` proves the checker can catch a bug: it seeds `chaos
+//! stale-acks` (the model's network reports store version 0 in every
+//! UPDATE acknowledgement) and requires `check`'s own path to catch the
+//! resulting `version-conflict` (`--out`, default
+//! `target/mcheck-selftest.txt`). Bad input — an unknown or
+//! out-of-range option, an unreadable or malformed schedule file —
+//! exits 2.
 //!
 //! The model flags are the schedule header's names after `--`
 //! ([`ModelSpec::set`] reads both); `regeneration` is header-only.
 
 use marp_mcheck::{
-    from_text, replay, shrink, to_text, CheckConfig, Choice, Explorer, Family, ModelSpec, Report,
+    from_text, replay, shrink, to_text, Chaos, CheckConfig, Choice, Explorer, Family, ModelSpec,
+    Report,
 };
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -38,7 +41,7 @@ fn usage() -> ExitCode {
         "usage: marp-mcheck <check|replay|sample|selftest> [options]\n\
          \n\
          check    [--family marp|mcv|pc] [--replicas N] [--agents N] [--crashes N]\n\
-         \x20        [--chaos none|lifo|blind-acks|lifo-blind] [--distinct-keys]\n\
+         \x20        [--chaos none|stale-acks] [--distinct-keys]\n\
          \x20        [--mail-loss none|notices|notices+reply|commits]\n\
          \x20        [--early-claims] [--preemptions N|full] [--budget N|smoke]\n\
          \x20        [--depth N] [--timers N] [--out FILE]\n\
@@ -267,14 +270,14 @@ fn cmd_sample(opts: &Opts) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Prove the checker catches a real bug: seed the `lifo-blind`
-/// mutation (LIFO lock-queue insertion + unconditionally positive
-/// update acks) and require `check`'s own path to find, shrink, write
-/// and re-replay a violation.
+/// Prove the checker catches a real bug: seed `stale-acks` (every
+/// UPDATE acknowledgement reports store version 0, so winners number
+/// their writes on top of nothing) and require `check`'s own path to
+/// find, shrink, write and re-replay a violation.
 fn cmd_selftest(opts: &Opts) -> ExitCode {
     let mut spec = ModelSpec::new(Family::Marp, 3, 2);
-    spec.chaos = marp_core::ChaosMode::LlLifoBlindAcks;
-    println!("selftest: the lifo-blind mutation is seeded; check must catch it");
+    spec.chaos = Chaos::StaleAcks;
+    println!("selftest: the stale-acks bug is seeded; check must catch it");
     let out = opts.out.as_deref().unwrap_or("target/mcheck-selftest.txt");
     match check(&spec, CheckConfig::default(), out) {
         Ok(true) => {
@@ -282,7 +285,7 @@ fn cmd_selftest(opts: &Opts) -> ExitCode {
             ExitCode::SUCCESS
         }
         Ok(false) => {
-            eprintln!("selftest FAILED: seeded mutation was not caught");
+            eprintln!("selftest FAILED: the seeded bug was not caught");
             ExitCode::FAILURE
         }
         Err(e) => {
@@ -322,7 +325,6 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marp_core::ChaosMode;
     use marp_mcheck::MailLoss;
 
     fn args(words: &[&str]) -> Vec<String> {
@@ -333,7 +335,7 @@ mod tests {
     fn every_model_flag_is_a_header_name() {
         // Every option but the header-only `regeneration`, off default.
         let mut spec = ModelSpec::new(Family::PrimaryCopy, 5, 4);
-        spec.chaos = ChaosMode::BlindAcks;
+        spec.chaos = Chaos::StaleAcks;
         spec.distinct_keys = true;
         spec.mail_loss = MailLoss::Commits;
         spec.early_claims = true;
@@ -357,6 +359,7 @@ mod tests {
             &["--replicas", "0"][..],
             &["--agents", "0"],
             &["--family", "nope"],
+            &["--chaos", "lifo"],
             &["--replicas"],
         ] {
             assert!(parse_opts(&args(bad)).is_err(), "{bad:?}");

@@ -7,6 +7,11 @@
 //! transport (no jitter — nondeterminism is the *scheduler's* job
 //! here), and protocol time constants shrunk so that timer-driven
 //! recovery paths sit within the explorer's per-path timer budget.
+//!
+//! The model's network is where its faults live: it can lose MARP mail
+//! ([`MailLoss`]) and, for `selftest`, corrupt one field of it
+//! ([`Chaos`]), so the protocol crates carry no seeded bug. A faithful
+//! network wraps nothing.
 
 use bytes::Bytes;
 use marp_agent::AgentEnvelope;
@@ -14,8 +19,8 @@ use marp_baselines::{
     wrap_mcv_client_request, wrap_pc_client_request, McvConfig, McvNode, PcConfig, PcNode,
 };
 use marp_core::{
-    wrap_client_request as wrap_marp_client_request, AgentReply, ChaosMode, MarpConfig, MarpNode,
-    NodeMsg,
+    wrap_agent_envelope, wrap_client_request as wrap_marp_client_request, AgentReply, MarpConfig,
+    MarpNode, NodeMsg,
 };
 use marp_metrics::{InvariantMonitor, Violation};
 use marp_net::{RoutingTable, Topology};
@@ -103,29 +108,42 @@ impl MailLoss {
     }
 }
 
-/// Name of a chaos mode in schedule files and on the CLI.
-pub fn chaos_name(chaos: ChaosMode) -> &'static str {
-    match chaos {
-        ChaosMode::None => "none",
-        ChaosMode::LlLifoInsert => "lifo",
-        ChaosMode::BlindAcks => "blind-acks",
-        ChaosMode::LlLifoBlindAcks => "lifo-blind",
-    }
+/// The bug `selftest` seeds (MARP only): one field of one message kind
+/// corrupted in flight by the model's network, beside [`MailLoss`]. The
+/// protocol itself carries no such switch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Chaos {
+    /// Faithful delivery.
+    None,
+    /// Every UPDATE acknowledgement reaches its agent with
+    /// `store_version: 0`, so a winner numbers its write on top of
+    /// nothing instead of on "the most recent copy": the second winner
+    /// commits a second version 1 (`version-conflict`).
+    StaleAcks,
 }
 
-/// Parse a chaos mode name.
-pub fn parse_chaos(name: &str) -> Option<ChaosMode> {
-    match name {
-        "none" => Some(ChaosMode::None),
-        "lifo" => Some(ChaosMode::LlLifoInsert),
-        "blind-acks" => Some(ChaosMode::BlindAcks),
-        "lifo-blind" => Some(ChaosMode::LlLifoBlindAcks),
-        _ => None,
+impl Chaos {
+    /// Parse a CLI / schedule-file name.
+    pub fn parse(name: &str) -> Option<Chaos> {
+        match name {
+            "none" => Some(Chaos::None),
+            "stale-acks" => Some(Chaos::StaleAcks),
+            _ => None,
+        }
+    }
+
+    /// The CLI / schedule-file name.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Chaos::None => "none",
+            Chaos::StaleAcks => "stale-acks",
+        }
     }
 }
 
 /// A fully-specified model: protocol, cluster size, concurrent writers,
-/// and (for checker self-tests) a seeded protocol mutation.
+/// and the faults its network injects — among them, for the checker's
+/// self-test, a seeded bug.
 ///
 /// Its options have one vocabulary: a schedule file's header lines and
 /// the command line's model flags (the same names after `--`) are read
@@ -139,8 +157,8 @@ pub struct ModelSpec {
     /// Number of concurrent single-write clients (nodes
     /// `replicas..replicas+agents`), each homed at `client % replicas`.
     pub agents: usize,
-    /// Seeded mutation (MARP only; `None` for faithful checking).
-    pub chaos: ChaosMode,
+    /// Seeded bug (MARP only; `None` for faithful checking).
+    pub chaos: Chaos,
     /// Home-side regeneration of lost agents (MARP only). Faithful
     /// models keep this on; the agent-loss schedule family disables it
     /// to prove a crashed host really strands its resident agent's
@@ -174,7 +192,7 @@ impl ModelSpec {
             family,
             replicas,
             agents,
-            chaos: ChaosMode::None,
+            chaos: Chaos::None,
             regeneration: true,
             distinct_keys: false,
             mail_loss: MailLoss::None,
@@ -197,7 +215,7 @@ impl ModelSpec {
             "family" => self.family = Family::parse(value).ok_or_else(|| bad("unknown family"))?,
             "replicas" => self.replicas = size()?,
             "agents" => self.agents = size()?,
-            "chaos" => self.chaos = parse_chaos(value).ok_or_else(|| bad("unknown chaos mode"))?,
+            "chaos" => self.chaos = Chaos::parse(value).ok_or_else(|| bad("unknown chaos mode"))?,
             "regeneration" => self.regeneration = number()? != 0,
             "distinct-keys" => self.distinct_keys = number()? != 0,
             "mail-loss" => {
@@ -217,7 +235,7 @@ impl ModelSpec {
             ("family", self.family.name().to_string()),
             ("replicas", self.replicas.to_string()),
             ("agents", self.agents.to_string()),
-            ("chaos", chaos_name(self.chaos).to_string()),
+            ("chaos", self.chaos.name().to_string()),
         ];
         let loss = self.mail_loss;
         let optional = [
@@ -246,7 +264,6 @@ impl ModelSpec {
         cfg.reserve_lease = Duration::from_millis(200);
         cfg.server.lock_lease = Duration::from_millis(300);
         cfg.redispatch_timeout = Duration::from_millis(400);
-        cfg.chaos = self.chaos;
         cfg.regeneration = self.regeneration;
         cfg
     }
@@ -263,13 +280,15 @@ impl ModelSpec {
                 let cfg = self.marp_config();
                 for me in 0..n as NodeId {
                     let node = MarpNode::new(me, cfg, RoutingTable::from_topology(me, &topo));
-                    sim.add_process(match self.mail_loss {
-                        MailLoss::None => Box::new(node),
-                        loss => Box::new(LossyMail {
+                    sim.add_process(if self.faulty_network() {
+                        Box::new(FaultyMail {
                             node,
-                            loss,
+                            loss: self.mail_loss,
+                            chaos: self.chaos,
                             reply_lost: false,
-                        }),
+                        })
+                    } else {
+                        Box::new(node)
                     });
                 }
                 wrap_marp_client_request
@@ -299,6 +318,13 @@ impl ModelSpec {
             )));
         }
         sim
+    }
+
+    /// Whether the network loses or corrupts MARP mail. A faithful one
+    /// adds the nodes unwrapped, so faithful exploration takes exactly
+    /// the steps it would without the wrapper.
+    fn faulty_network(&self) -> bool {
+        self.mail_loss != MailLoss::None || self.chaos != Chaos::None
     }
 
     /// Whether a run in which `completed` writes have reported
@@ -350,19 +376,23 @@ impl ModelSpec {
     }
 }
 
-/// A MARP node behind a network that loses mail per [`MailLoss`].
-/// Losing a message in flight and discarding it on arrival are
-/// indistinguishable to the protocol; doing it here keeps the loss a
-/// pure function of the delivery order, so explored paths replay
-/// exactly.
-struct LossyMail {
+/// A MARP node behind a network that loses mail per [`MailLoss`] and
+/// corrupts it per [`Chaos`]. Changing a message in flight and changing
+/// it on arrival are indistinguishable to the protocol; doing it here
+/// keeps the fault a pure function of the delivery order, so explored
+/// paths replay exactly.
+struct FaultyMail {
     node: MarpNode,
     loss: MailLoss,
+    chaos: Chaos,
     reply_lost: bool,
 }
 
-impl LossyMail {
+impl FaultyMail {
     fn loses(&mut self, from: NodeId, me: NodeId, msg: &Bytes) -> bool {
+        if self.loss == MailLoss::None {
+            return false;
+        }
         let decoded = marp_wire::from_bytes::<NodeMsg>(msg);
         if self.loss == MailLoss::Commits {
             return from != me && matches!(decoded, Ok(NodeMsg::Commit(_)));
@@ -380,9 +410,32 @@ impl LossyMail {
             Ok(AgentReply::UpdateAck { .. }) | Err(_) => false,
         }
     }
+
+    /// `msg` as the node receives it: under [`Chaos::StaleAcks`] an
+    /// UPDATE acknowledgement's `store_version` is 0; every other frame
+    /// passes untouched.
+    fn corrupt(&self, msg: Bytes) -> Bytes {
+        if self.chaos != Chaos::StaleAcks {
+            return msg;
+        }
+        let Ok(NodeMsg::Agent(AgentEnvelope::ToAgent { agent, payload })) =
+            marp_wire::from_bytes::<NodeMsg>(&msg)
+        else {
+            return msg;
+        };
+        let Ok(mut reply) = marp_wire::from_bytes::<AgentReply>(&payload) else {
+            return msg;
+        };
+        let AgentReply::UpdateAck { store_version, .. } = &mut reply else {
+            return msg;
+        };
+        *store_version = 0;
+        let payload = marp_wire::to_bytes(&reply);
+        wrap_agent_envelope(AgentEnvelope::ToAgent { agent, payload })
+    }
 }
 
-impl Process for LossyMail {
+impl Process for FaultyMail {
     fn on_start(&mut self, ctx: &mut dyn Context) {
         self.node.on_start(ctx);
     }
@@ -396,6 +449,7 @@ impl Process for LossyMail {
             });
             return;
         }
+        let msg = self.corrupt(msg);
         self.node.on_message(from, msg, ctx);
     }
 
@@ -475,12 +529,105 @@ mod tests {
     /// A spec whose every option differs from [`ModelSpec::new`]'s.
     fn every_option_set() -> ModelSpec {
         let mut spec = ModelSpec::new(Family::PrimaryCopy, 5, 4);
-        spec.chaos = ChaosMode::BlindAcks;
+        spec.chaos = Chaos::StaleAcks;
         spec.regeneration = false;
         spec.distinct_keys = true;
         spec.mail_loss = MailLoss::NoticesAndFirstReply;
         spec.early_claims = true;
         spec
+    }
+
+    /// Under `stale-acks` the network changes one field of one frame
+    /// kind and loses nothing; a faithful network is no wrapper at all.
+    #[test]
+    fn stale_acks_change_only_an_update_acks_store_version() {
+        use marp_agent::AgentId;
+        use marp_core::{lt::LockingTable, wrap_sync, CommitMsg};
+        use marp_replica::{CommitRecord, LlSnapshot, SyncMsg, UpdatedList};
+        use marp_sim::SimTime;
+
+        let mut spec = ModelSpec::new(Family::Marp, 3, 2);
+        assert!(!spec.faulty_network(), "faithful nodes are not wrapped");
+        spec.chaos = Chaos::StaleAcks;
+        assert!(spec.faulty_network());
+        let topo = Topology::uniform_lan(3, Duration::from_millis(1));
+        let mut net = FaultyMail {
+            node: MarpNode::new(0, spec.marp_config(), RoutingTable::from_topology(0, &topo)),
+            loss: spec.mail_loss,
+            chaos: spec.chaos,
+            reply_lost: false,
+        };
+
+        let agent = AgentId::new(1, SimTime::from_millis(2), 3);
+        let to_agent = |reply: &AgentReply| {
+            let payload = marp_wire::to_bytes(reply);
+            wrap_agent_envelope(AgentEnvelope::ToAgent { agent, payload })
+        };
+        let at = SimTime::from_millis(6);
+        let record = CommitRecord {
+            version: 1,
+            key: 1,
+            value: 100,
+            agent: agent.key(),
+            request: 9,
+            committed_at: at,
+        };
+        let untouched = [
+            wrap_marp_client_request(ClientRequest {
+                id: 9,
+                op: Operation::Write { key: 1, value: 100 },
+            }),
+            wrap_agent_envelope(AgentEnvelope::Migrate {
+                agent,
+                hop: 1,
+                state: Bytes::from_static(b"state"),
+            }),
+            wrap_agent_envelope(AgentEnvelope::MigrateAck {
+                agent,
+                hop: 1,
+                horizon: [(0, 2)].into(),
+            }),
+            to_agent(&AgentReply::LlChanged {
+                node: 2,
+                finished: agent,
+                at,
+            }),
+            to_agent(&AgentReply::LlInfo {
+                node: 2,
+                snapshot: LlSnapshot {
+                    version: 1,
+                    taken_at: at,
+                    queue: vec![agent],
+                },
+                board: LockingTable::new(),
+                ul: UpdatedList::new(),
+            }),
+            marp_wire::to_bytes(&NodeMsg::Commit(CommitMsg {
+                agent,
+                records: vec![record.clone()],
+            })),
+            wrap_sync(SyncMsg::Push {
+                records: vec![record],
+            }),
+        ];
+        for frame in untouched {
+            assert!(!net.loses(1, 0, &frame));
+            assert_eq!(net.corrupt(frame.clone()), frame);
+        }
+
+        let ack = |store_version| AgentReply::UpdateAck {
+            node: 2,
+            attempt: 3,
+            positive: true,
+            store_version,
+            last_update: at,
+            fenced: false,
+        };
+        let frame = to_agent(&ack(7));
+        assert!(!net.loses(1, 0, &frame));
+        assert_eq!(net.corrupt(frame.clone()), to_agent(&ack(0)));
+        net.chaos = Chaos::None;
+        assert_eq!(net.corrupt(frame.clone()), frame);
     }
 
     #[test]

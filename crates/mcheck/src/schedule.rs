@@ -352,13 +352,13 @@ pub fn shrink(spec: &ModelSpec, counterexample: &Counterexample) -> Vec<Choice> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marp_core::ChaosMode;
+    use crate::model::Chaos;
     use std::path::Path;
 
     #[test]
     fn schedule_text_roundtrips() {
         let mut spec = ModelSpec::new(Family::Marp, 3, 2);
-        spec.chaos = ChaosMode::LlLifoBlindAcks;
+        spec.chaos = Chaos::StaleAcks;
         let schedule = vec![
             Choice::Deliver {
                 seq: 7,
@@ -388,7 +388,7 @@ mod tests {
         assert_eq!(spec2.replicas, 3);
         assert_eq!(spec2.agents, 2);
         assert_eq!(spec2.family, Family::Marp);
-        assert_eq!(spec2.chaos, ChaosMode::LlLifoBlindAcks);
+        assert_eq!(spec2.chaos, Chaos::StaleAcks);
         assert_eq!(schedule2, schedule);
     }
 
@@ -397,6 +397,8 @@ mod tests {
         assert!(from_text("family marp\n").is_err()); // missing sizes
         assert!(from_text("family nope\nreplicas 3\nagents 1\n").is_err());
         assert!(from_text("family marp\nreplicas 3\nagents 1\nwat 7\n").is_err());
+        // `stale-acks` is the only seeded bug.
+        assert!(from_text("family marp\nreplicas 3\nagents 2\nchaos lifo-blind\n").is_err());
         assert!(from_text("family marp\nreplicas 3\nagents 1\ndeliver x msg 0 1\n").is_err());
         // Inputs that used to panic: a fault on a node that is no
         // replica, and a model with no replicas or no writers.

@@ -16,7 +16,7 @@
 //! round-trips the key regime (omitted when off, so the existing
 //! corpus stays byte-identical).
 
-use marp_mcheck::{agent_loss_schedule, from_text, replay, to_text, Family, ModelSpec};
+use marp_mcheck::{agent_loss_schedule, from_text, replay, to_text, Chaos, Family, ModelSpec};
 
 fn two_key_spec(distinct: bool) -> ModelSpec {
     let mut spec = ModelSpec::new(Family::Marp, 3, 2);
@@ -113,9 +113,9 @@ fn distinct_keys_header_roundtrips_and_defaults_off() {
 fn corpus_schedules_still_replay_clean() {
     // The checked-in regression corpus predates the keyed store; its
     // schedules must parse (no headers lost), replay, and stay clean —
-    // except the seeded-mutation counterexample, which must still
-    // violate. (`known_red/` holds counterexamples against the
-    // faithful protocol; `tests/mcheck_replay.rs` replays those.)
+    // except the seeded-bug counterexample, which must still violate.
+    // (`known_red/` holds counterexamples against the faithful protocol;
+    // `tests/mcheck_replay.rs` replays those.)
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/schedules");
     let mut seen = 0;
     for entry in std::fs::read_dir(dir).expect("corpus dir") {
@@ -127,11 +127,8 @@ fn corpus_schedules_still_replay_clean() {
         let text = std::fs::read_to_string(&path).expect("read schedule");
         let (spec, steps) = from_text(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
         let outcome = replay(&spec, &steps);
-        if name.contains("lost_update") {
-            assert!(
-                outcome.violates(&[]),
-                "{name}: seeded mutation no longer caught"
-            );
+        if spec.chaos != Chaos::None {
+            assert!(outcome.violates(&[]), "{name}: seeded bug no longer caught");
         } else {
             assert!(
                 outcome.all_violations().is_empty(),

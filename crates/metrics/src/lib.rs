@@ -1,7 +1,7 @@
 //! Measurement and auditing for the MARP reproduction.
 //!
-//! * [`Welford`], [`Samples`], [`LogHistogram`] — streaming and exact
-//!   statistics, mergeable across parallel sweep shards.
+//! * [`Samples`], [`LogHistogram`] — exact and bucketed sample
+//!   statistics.
 //! * [`PaperMetrics`] — the paper's ALT / ATT / PRK metrics (§4),
 //!   extracted from a run's trace.
 //! * [`audit`] — the post-run consistency auditor that machine-checks
@@ -25,4 +25,4 @@ pub use audit::{audit, audit_keyed, audit_relaxed, AuditReport, Violation};
 pub use monitor::InvariantMonitor;
 pub use paper::PaperMetrics;
 pub use report::{fmt_ms, fmt_pct, Table};
-pub use stats::{LogHistogram, Samples, Welford};
+pub use stats::{LogHistogram, Samples};

@@ -1,73 +1,5 @@
 //! Streaming and exact sample statistics.
 
-/// Welford's online mean/variance accumulator.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Welford {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold in one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Unbiased sample variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Merge another accumulator (parallel sweeps combine shards).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        *self = Welford {
-            count: total,
-            mean,
-            m2,
-        };
-    }
-}
-
 /// An exact sample set: stores every observation, answers quantiles by
 /// sorting on demand. Right-sized for simulation runs (≤ millions of
 /// samples); the log-bucket histogram covers bigger streams.
@@ -220,66 +152,11 @@ impl LogHistogram {
         }
         Some(self.min_value * self.growth.powi(self.counts.len() as i32))
     }
-
-    /// Merge a compatible histogram.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        assert_eq!(self.counts.len(), other.counts.len());
-        assert_eq!(self.min_value, other.min_value);
-        assert_eq!(self.growth, other.growth);
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.underflow += other.underflow;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn welford_matches_direct_computation() {
-        let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
-        for &x in &data {
-            w.push(x);
-        }
-        assert_eq!(w.count(), 8);
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-        // Unbiased variance of this classic data set is 32/7.
-        assert!((w.variance() - 32.0 / 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        let mut whole = Welford::new();
-        for i in 0..50 {
-            let x = (i as f64).sin() * 10.0;
-            if i % 2 == 0 {
-                a.push(x);
-            } else {
-                b.push(x);
-            }
-            whole.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn welford_empty_edge_cases() {
-        let w = Welford::new();
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.variance(), 0.0);
-        let mut a = Welford::new();
-        a.merge(&Welford::new());
-        assert_eq!(a.count(), 0);
-    }
 
     #[test]
     fn samples_quantiles() {
@@ -327,13 +204,11 @@ mod tests {
     }
 
     #[test]
-    fn log_histogram_underflow_and_merge() {
+    fn log_histogram_reports_underflow_as_zero() {
         let mut a = LogHistogram::new(1.0, 2.0, 8);
         a.record(0.5); // underflow
         a.record(3.0);
-        let mut b = LogHistogram::new(1.0, 2.0, 8);
-        b.record(3.0);
-        a.merge(&b);
+        a.record(3.0);
         assert_eq!(a.total(), 3);
         assert_eq!(a.quantile(0.01), Some(0.0)); // underflow reported as 0
     }
@@ -369,50 +244,5 @@ mod tests {
         // q = 0 asks for rank 0 and degenerates to the histogram floor —
         // defined (Some), just not tied to the sample.
         assert!(h.quantile(0.0).unwrap() <= 12.5);
-    }
-
-    #[test]
-    fn log_histogram_merge_is_associative_across_shards() {
-        // Three sweep shards, merged in both groupings, must agree on
-        // totals and every quantile.
-        let shard = |seed: u64| {
-            let mut h = LogHistogram::for_latency_ms();
-            let mut x = seed;
-            for _ in 0..200 {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                h.record(0.01 + (x % 100_000) as f64 / 100.0);
-            }
-            h
-        };
-        let (a, b, c) = (shard(1), shard(2), shard(3));
-
-        let mut left = a.clone(); // (a ⊕ b) ⊕ c
-        left.merge(&b);
-        left.merge(&c);
-        let mut right = b.clone(); // a ⊕ (b ⊕ c)
-        right.merge(&c);
-        let mut right_total = a.clone();
-        right_total.merge(&right);
-
-        assert_eq!(left.total(), 600);
-        assert_eq!(left.total(), right_total.total());
-        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(left.quantile(q), right_total.quantile(q), "q={q}");
-        }
-        // Merging an empty histogram is the identity.
-        let mut with_empty = left.clone();
-        with_empty.merge(&LogHistogram::for_latency_ms());
-        assert_eq!(with_empty.quantile(0.5), left.quantile(0.5));
-        assert_eq!(with_empty.total(), left.total());
-    }
-
-    #[test]
-    #[should_panic]
-    fn log_histogram_merge_rejects_mismatched_configs() {
-        let mut a = LogHistogram::new(0.001, 1.05, 100);
-        let b = LogHistogram::new(0.01, 1.05, 100);
-        a.merge(&b);
     }
 }

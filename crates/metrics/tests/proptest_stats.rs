@@ -1,31 +1,9 @@
 //! Property tests for the statistics primitives.
 
-use marp_metrics::{LogHistogram, Samples, Welford};
+use marp_metrics::{LogHistogram, Samples};
 use proptest::prelude::*;
 
 proptest! {
-    /// Welford merge is associative with sequential accumulation for
-    /// any split point.
-    #[test]
-    fn welford_split_merge(
-        data in proptest::collection::vec(-1e6f64..1e6, 1..200),
-        split in any::<proptest::sample::Index>(),
-    ) {
-        let k = split.index(data.len());
-        let mut left = Welford::new();
-        let mut right = Welford::new();
-        let mut whole = Welford::new();
-        for (i, &x) in data.iter().enumerate() {
-            if i < k { left.push(x); } else { right.push(x); }
-            whole.push(x);
-        }
-        left.merge(&right);
-        prop_assert_eq!(left.count(), whole.count());
-        prop_assert!((left.mean() - whole.mean()).abs() <= 1e-6 * (1.0 + whole.mean().abs()));
-        prop_assert!((left.variance() - whole.variance()).abs()
-            <= 1e-5 * (1.0 + whole.variance().abs()));
-    }
-
     /// Sample quantiles are monotone in q and bounded by min/max.
     #[test]
     fn sample_quantiles_monotone(data in proptest::collection::vec(-1e6f64..1e6, 1..100)) {
@@ -72,21 +50,4 @@ proptest! {
         prop_assert_eq!(hist.total(), data.len() as u64);
     }
 
-    /// Histogram merge equals recording everything into one.
-    #[test]
-    fn log_histogram_merge(
-        a in proptest::collection::vec(0.01f64..1e4, 1..100),
-        b in proptest::collection::vec(0.01f64..1e4, 1..100),
-    ) {
-        let mut ha = LogHistogram::for_latency_ms();
-        let mut hb = LogHistogram::for_latency_ms();
-        let mut hall = LogHistogram::for_latency_ms();
-        for &x in &a { ha.record(x); hall.record(x); }
-        for &x in &b { hb.record(x); hall.record(x); }
-        ha.merge(&hb);
-        prop_assert_eq!(ha.total(), hall.total());
-        for &q in &[0.25, 0.5, 0.75] {
-            prop_assert_eq!(ha.quantile(q), hall.quantile(q));
-        }
-    }
 }

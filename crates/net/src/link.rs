@@ -28,11 +28,6 @@ pub enum Jitter {
         /// Shape of the underlying normal (≥ 0).
         sigma: f64,
     },
-    /// Uniform multiplicative jitter in `[1 - spread, 1 + spread]`.
-    Uniform {
-        /// Half-width of the factor interval, in `[0, 1]`.
-        spread: f64,
-    },
 }
 
 impl Jitter {
@@ -40,7 +35,6 @@ impl Jitter {
         match *self {
             Jitter::None => 1.0,
             Jitter::LogNormal { sigma } => LogNormal::from_median(1.0, sigma).sample(rng),
-            Jitter::Uniform { spread } => 1.0 - spread + 2.0 * spread * rng.f64(),
         }
     }
 }
@@ -171,22 +165,6 @@ mod tests {
         let base_ns = marp_sim::duration_nanos(base);
         let rel_err = (median as f64 - base_ns as f64).abs() / (base_ns as f64);
         assert!(rel_err < 0.05, "median = {median}, base = {base_ns}");
-    }
-
-    #[test]
-    fn uniform_jitter_stays_in_band() {
-        let model = LinkModel {
-            jitter: Jitter::Uniform { spread: 0.2 },
-            bandwidth: None,
-            overhead: Duration::ZERO,
-            local_delay: Duration::ZERO,
-        };
-        let mut rng = SimRng::from_seed(5);
-        let base = Duration::from_millis(10);
-        for _ in 0..5_000 {
-            let d = model.delay(base, 0, &mut rng);
-            assert!(d >= Duration::from_millis(8) && d <= Duration::from_millis(12));
-        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! average.
 
 use crate::topology::Topology;
-use marp_sim::{NodeId, SimRng};
+use marp_sim::NodeId;
 
 /// A host's estimate of the agent-transfer cost (in milliseconds) to
 /// every node in the system.
@@ -27,19 +27,6 @@ impl RoutingTable {
             .map(|to| topo.latency_nanos(me, to) as f64 / 1e6)
             .collect();
         RoutingTable { me, cost_ms }
-    }
-
-    /// Topology costs perturbed by multiplicative noise in
-    /// `[1 − noise, 1 + noise]`, modelling stale or imprecise estimates.
-    pub fn with_noise(me: NodeId, topo: &Topology, noise: f64, rng: &mut SimRng) -> Self {
-        let mut table = Self::from_topology(me, topo);
-        for (to, cost) in table.cost_ms.iter_mut().enumerate() {
-            if to != usize::from(me) {
-                let factor = 1.0 - noise + 2.0 * noise * rng.f64();
-                *cost *= factor.max(0.0);
-            }
-        }
-        table
     }
 
     /// Node this table belongs to.
@@ -60,25 +47,6 @@ impl RoutingTable {
     /// True when the table covers no nodes.
     pub fn is_empty(&self) -> bool {
         self.cost_ms.is_empty()
-    }
-
-    /// Stable-sort candidate nodes cheapest-first according to this
-    /// table (ties keep input order, so results are deterministic).
-    pub fn sort_cheapest_first(&self, nodes: &mut [NodeId]) {
-        nodes.sort_by(|&a, &b| {
-            self.cost(a)
-                .partial_cmp(&self.cost(b))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-    }
-
-    /// The cheapest node among `candidates`, or `None` if empty.
-    pub fn cheapest(&self, candidates: &[NodeId]) -> Option<NodeId> {
-        candidates.iter().copied().min_by(|&a, &b| {
-            self.cost(a)
-                .partial_cmp(&self.cost(b))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
     }
 }
 
@@ -102,45 +70,5 @@ mod tests {
         assert_eq!(table.cost(2), 30.0);
         assert_eq!(table.cost(0), 0.0);
         assert_eq!(table.len(), 4);
-    }
-
-    #[test]
-    fn sorts_cheapest_first() {
-        let table = RoutingTable::from_topology(0, &heterogeneous_topo());
-        let mut nodes = vec![1u16, 2, 3];
-        table.sort_cheapest_first(&mut nodes);
-        assert_eq!(nodes, vec![3, 1, 2]);
-        assert_eq!(table.cheapest(&[2, 1]), Some(1));
-        assert_eq!(table.cheapest(&[]), None);
-    }
-
-    #[test]
-    fn noise_stays_within_band_and_is_deterministic() {
-        let topo = heterogeneous_topo();
-        let mut rng = SimRng::from_seed(5);
-        let noisy = RoutingTable::with_noise(0, &topo, 0.2, &mut rng);
-        for to in 1..4u16 {
-            let truth = RoutingTable::from_topology(0, &topo).cost(to);
-            assert!(
-                (noisy.cost(to) - truth).abs() <= truth * 0.2 + 1e-9,
-                "cost {} vs truth {}",
-                noisy.cost(to),
-                truth
-            );
-        }
-        let mut rng2 = SimRng::from_seed(5);
-        let again = RoutingTable::with_noise(0, &topo, 0.2, &mut rng2);
-        for to in 0..4u16 {
-            assert_eq!(noisy.cost(to), again.cost(to));
-        }
-    }
-
-    #[test]
-    fn tie_costs_keep_input_order() {
-        let topo = Topology::uniform_lan(4, Duration::from_millis(10));
-        let table = RoutingTable::from_topology(0, &topo);
-        let mut nodes = vec![3u16, 1, 2];
-        table.sort_cheapest_first(&mut nodes);
-        assert_eq!(nodes, vec![3, 1, 2]);
     }
 }

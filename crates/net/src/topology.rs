@@ -116,14 +116,6 @@ impl Topology {
         self.latency[usize::from(a) * self.n + usize::from(b)] = marp_sim::duration_nanos(latency);
     }
 
-    /// Scale every link latency by `factor` (used for the WAN-latency
-    /// sweep experiment E5).
-    pub fn scale(&mut self, factor: f64) {
-        for v in &mut self.latency {
-            *v = (*v as f64 * factor).min(u64::MAX as f64) as u64;
-        }
-    }
-
     /// Maximum one-way latency over distinct ordered pairs — the number
     /// protocol timeouts must respect.
     pub fn max_latency(&self) -> Duration {
@@ -206,14 +198,11 @@ mod tests {
     }
 
     #[test]
-    fn set_latency_and_scale() {
+    fn set_latency_sets_one_direction() {
         let mut topo = Topology::uniform_lan(3, Duration::from_millis(10));
         topo.set_latency(0, 1, Duration::from_millis(50));
         assert_eq!(topo.latency(0, 1), Duration::from_millis(50));
         assert_eq!(topo.latency(1, 0), Duration::from_millis(10));
-        topo.scale(2.0);
-        assert_eq!(topo.latency(0, 1), Duration::from_millis(100));
-        assert_eq!(topo.latency(1, 2), Duration::from_millis(20));
     }
 
     #[test]

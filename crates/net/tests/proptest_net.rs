@@ -1,7 +1,7 @@
 //! Property tests for the network substrate: topology invariants, link
-//! delay monotonicity, and routing-table ordering.
+//! delay monotonicity and delivery times.
 
-use marp_net::{Jitter, LinkModel, RoutingTable, SimTransport, Topology};
+use marp_net::{Jitter, LinkModel, SimTransport, Topology};
 use marp_sim::{Delivery, NodeId, SimRng, SimTime, Transport};
 use proptest::prelude::*;
 use std::time::Duration;
@@ -117,28 +117,4 @@ proptest! {
         }
     }
 
-    /// Routing tables sort consistently with their own cost estimates.
-    #[test]
-    fn routing_sort_agrees_with_costs(
-        n in 2usize..10,
-        noise in 0.0f64..0.5,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = SimRng::from_seed(seed);
-        let topo = Topology::random_geometric(
-            n,
-            Duration::from_millis(50),
-            Duration::from_millis(1),
-            &mut rng,
-        );
-        let table = RoutingTable::with_noise(0, &topo, noise, &mut rng);
-        let mut nodes: Vec<NodeId> = (1..n as NodeId).collect();
-        table.sort_cheapest_first(&mut nodes);
-        for window in nodes.windows(2) {
-            prop_assert!(table.cost(window[0]) <= table.cost(window[1]));
-        }
-        if let Some(cheapest) = table.cheapest(&nodes) {
-            prop_assert_eq!(cheapest, nodes[0]);
-        }
-    }
 }

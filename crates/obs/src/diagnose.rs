@@ -21,9 +21,11 @@
 //!   `⌈(N+1)/2⌉ ≤ m ≤ N` bound, i.e. agents tour more than the
 //!   protocol's worst case per won lock;
 //!
-//! plus a generic **superlinear-phase** detector that flags any
+//! plus a generic **superlinear-phase** detector that flags any other
 //! critical-path phase with a fitted exponent above threshold, so a new
-//! kind of blowup still gets named.
+//! kind of blowup still gets named. Lock-wait is the convoy rule's
+//! alone: both fire on the same exponent test, so the generic detector
+//! would report every convoy twice.
 
 use crate::json::Json;
 use crate::sweep::SweepReport;
@@ -381,7 +383,6 @@ fn superlinear_phases(report: &SweepReport, out: &mut Vec<Verdict>) {
     const PHASES: &[(&str, &str, crate::sweep::MetricFn)] = &[
         ("queueing-ms", "queueing", |p| p.queueing_ms),
         ("network-ms", "network", |p| p.network_ms),
-        ("lock-wait-ms", "lock-wait", |p| p.lock_wait_ms),
         ("quorum-wait-ms", "quorum-wait", |p| p.quorum_wait_ms),
     ];
     for &(metric, phase, value) in PHASES {
@@ -452,11 +453,10 @@ mod tests {
             .iter()
             .any(|e| e.starts_with("handoffs per commit: n=3 held")));
         assert!(diagnosis.verdicts[0].summary.contains("aborted"));
-        // The generic detector also names the phase.
-        assert!(diagnosis
-            .verdicts
-            .iter()
-            .any(|v| v.rule == "superlinear-phase" && v.summary.contains("lock-wait")));
+        // The generic detector leaves the phase to the convoy verdict.
+        let verdicts = diagnosis.verdicts.iter();
+        let lock_wait = verdicts.filter(|v| v.summary.contains("lock-wait"));
+        assert_eq!(lock_wait.count(), 1);
     }
 
     #[test]

@@ -78,15 +78,6 @@ impl ProfileDiff {
         ProfileDiff { paths }
     }
 
-    /// Paths whose share grew by more than `threshold` (e.g. 0.01 for
-    /// one percentage point).
-    pub fn grew(&self, threshold: f64) -> Vec<&PathDelta> {
-        self.paths
-            .iter()
-            .filter(|d| d.share_delta() > threshold)
-            .collect()
-    }
-
     /// Render the comparison table.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -290,9 +281,7 @@ mod tests {
         let diff = ProfileDiff::between(&before, &after);
         assert_eq!(diff.paths[0].path, "dispatch;migrate");
         assert!(diff.paths[0].share_delta() > 0.39);
-        let grew = diff.grew(0.01);
-        assert_eq!(grew.len(), 1);
-        assert_eq!(grew[0].path, "dispatch;migrate");
+        assert!(diff.paths[1].share_delta() < 0.0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * [`store`] — a versioned binary on-disk trace format
 //!   (`--trace-out` writes it, `marp-trace` reads it);
 //! * [`registry`] — per-node counters/histograms plus sampled gauges,
-//!   mergeable across sweep shards, exportable as CSV;
+//!   exportable as CSV;
 //! * [`perfetto`] — Chrome `trace_event` JSON for `chrome://tracing` /
 //!   the Perfetto UI, one track per node and per agent;
 //! * [`journey`] — plain-text per-agent timelines;

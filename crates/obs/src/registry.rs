@@ -5,8 +5,7 @@
 //! histograms ([`marp_metrics::LogHistogram`]) for the quantities the
 //! paper cares about (lock wait, end-to-end commit, migrations per win),
 //! and a gauge time-series sampled at a configurable virtual-time
-//! interval. Registries from different sweep shards merge losslessly:
-//! counters add, histograms merge bucket-wise, samples interleave.
+//! interval.
 
 use marp_metrics::LogHistogram;
 use marp_sim::{NodeId, SimTime, TraceEvent, TraceLog};
@@ -32,19 +31,6 @@ impl NodeMetrics {
             .entry(name)
             .or_insert_with(LogHistogram::for_latency_ms)
             .record(value);
-    }
-
-    /// Merge another node's metrics into this one.
-    pub fn merge(&mut self, other: &NodeMetrics) {
-        for (&name, &value) in &other.counters {
-            *self.counters.entry(name).or_insert(0) += value;
-        }
-        for (&name, hist) in &other.histograms {
-            self.histograms
-                .entry(name)
-                .or_insert_with(LogHistogram::for_latency_ms)
-                .merge(hist);
-        }
     }
 }
 
@@ -187,15 +173,6 @@ impl MetricsRegistry {
         registry
     }
 
-    /// Merge another registry (e.g. from a different sweep shard).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (&node, metrics) in &other.nodes {
-            self.nodes.entry(node).or_default().merge(metrics);
-        }
-        self.samples.extend(other.samples.iter().copied());
-        self.samples.sort_by_key(|s| s.at);
-    }
-
     /// Render the registry as CSV: one row per (node, metric), counters
     /// first, then histogram quantiles, then the gauge samples.
     pub fn to_csv(&self) -> String {
@@ -325,17 +302,6 @@ mod tests {
         assert_eq!(registry.samples[0].live_agents, 1);
         assert_eq!(registry.samples[0].pending_writes, 1);
         assert_eq!(registry.samples[2].pending_writes, 1);
-    }
-
-    #[test]
-    fn merge_adds_counters_and_histograms() {
-        let a = MetricsRegistry::from_trace(&sample_log(), Duration::from_millis(100));
-        let mut b = MetricsRegistry::from_trace(&sample_log(), Duration::from_millis(100));
-        b.merge(&a);
-        assert_eq!(b.nodes[&0].counters["agent.dispatched"], 2);
-        assert_eq!(b.nodes[&0].histograms["write.total_ms"].total(), 2);
-        assert_eq!(b.samples.len(), 6);
-        assert!(b.samples.windows(2).all(|w| w[0].at <= w[1].at));
     }
 
     #[test]

@@ -153,11 +153,6 @@ impl SpanSet {
             .map(|&(_, t)| t)
     }
 
-    /// Spans that both opened and closed.
-    pub fn complete(&self) -> impl Iterator<Item = &Span> {
-        self.spans.iter().filter(|s| s.end.is_some())
-    }
-
     /// Spans that never closed.
     pub fn incomplete(&self) -> impl Iterator<Item = &Span> {
         self.spans.iter().filter(|s| s.end.is_none())
@@ -251,7 +246,6 @@ mod tests {
             .linked_from(span_id(SpanKind::Request, 100, 0))
             .collect();
         assert_eq!(linked, vec![dispatch]);
-        assert_eq!(set.complete().count(), 0);
         assert_eq!(set.incomplete().count(), 4);
     }
 }

@@ -22,21 +22,12 @@ use std::collections::BTreeMap;
 pub struct LockEntry {
     /// The requesting agent.
     pub agent: AgentId,
-    /// When the entry was appended (orders the list).
-    pub enqueued_at: SimTime,
     /// Lease expiry; refreshed by agent visits and re-polls.
     pub expires_at: SimTime,
     /// The node the agent was residing at when it last touched this
     /// entry — where LL-change notifications are pushed.
     pub last_host: marp_sim::NodeId,
 }
-
-marp_wire::wire_struct!(LockEntry {
-    agent,
-    enqueued_at,
-    expires_at,
-    last_host
-});
 
 /// FIFO list of lock requests at one server.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -79,24 +70,10 @@ impl LockingList {
         }
         self.entries.push(LockEntry {
             agent,
-            enqueued_at: now,
             expires_at,
             last_host,
         });
         self.version += 1;
-    }
-
-    /// Move an agent's entry to the *front* of the queue, violating the
-    /// FIFO discipline [`LockingList::request`] maintains. This exists
-    /// solely for model-checker self-tests (`ChaosMode::LlLifoInsert`),
-    /// which seed a queue-jumping bug and demand the checker catch its
-    /// consequences. Never call it from protocol code.
-    pub fn chaos_promote_to_front(&mut self, agent: AgentId) {
-        if let Some(pos) = self.entries.iter().position(|e| e.agent == agent) {
-            let entry = self.entries.remove(pos);
-            self.entries.insert(0, entry);
-            self.version += 1;
-        }
     }
 
     /// Refresh the lease of an existing entry without creating one (used
@@ -258,19 +235,6 @@ impl LockTable {
     /// Remove `agent` from `key`'s queue.
     pub fn remove(&mut self, key: u64, agent: AgentId) -> bool {
         self.lists.get_mut(&key).is_some_and(|ll| ll.remove(agent))
-    }
-
-    /// Remove `agent` from every queue it occupies (a RELEASE names the
-    /// agent but no object key; agent ids are globally unique, so a
-    /// full scan is unambiguous). Returns the keys it was removed from.
-    pub fn remove_agent_everywhere(&mut self, agent: AgentId) -> Vec<u64> {
-        let mut keys = Vec::new();
-        for (&key, ll) in self.lists.iter_mut() {
-            if ll.remove(agent) {
-                keys.push(key);
-            }
-        }
-        keys
     }
 
     /// Purge expired entries from every queue; returns `(key, agent)`
@@ -715,19 +679,6 @@ mod tests {
         // And the versions keep counting from there.
         table.request(5, agent(3, 0), SimTime::from_millis(4), LEASE, 9);
         assert_eq!(table.version(5), before.version + 2);
-    }
-
-    #[test]
-    fn lock_table_release_scans_every_key() {
-        let mut table = LockTable::new();
-        let a = agent(1, 0);
-        table.request(1, a, SimTime::from_millis(1), LEASE, 9);
-        table.request(2, a, SimTime::from_millis(1), LEASE, 9);
-        table.request(3, agent(2, 0), SimTime::from_millis(1), LEASE, 9);
-        assert_eq!(table.remove_agent_everywhere(a), vec![1, 2]);
-        assert!(!table.contains(1, a));
-        assert!(!table.contains(2, a));
-        assert!(table.contains(3, agent(2, 0)));
     }
 
     #[test]

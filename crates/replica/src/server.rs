@@ -344,11 +344,6 @@ impl ServerCore {
         self.ll.clear_for_recovery();
         self.pending_clients.clear();
     }
-
-    /// Number of writes accepted but not yet committed and answered.
-    pub fn pending_client_writes(&self) -> usize {
-        self.pending_clients.len()
-    }
 }
 
 #[cfg(test)]
@@ -422,7 +417,7 @@ mod tests {
         };
         assert_eq!(write.key, 2);
         assert_eq!(write.client, 4);
-        assert_eq!(core.pending_client_writes(), 1);
+        assert_eq!(core.pending_clients.len(), 1);
         assert!(ctx.sent.is_empty());
     }
 
@@ -440,7 +435,7 @@ mod tests {
         );
         let applied = core.apply_commits(vec![commit(1, 8)], &mut ctx);
         assert_eq!(applied.len(), 1);
-        assert_eq!(core.pending_client_writes(), 0);
+        assert_eq!(core.pending_clients.len(), 0);
         let reply: ClientReply = marp_wire::from_bytes(&ctx.sent.last().unwrap().1).unwrap();
         assert_eq!(reply, ClientReply::WriteDone { id: 8, version: 1 });
         assert!(ctx
@@ -496,7 +491,7 @@ mod tests {
             core.handle_client_request(4, req, &mut ctx),
             ClientAction::Done
         );
-        assert_eq!(core.pending_client_writes(), 1);
+        assert_eq!(core.pending_clients.len(), 1);
         assert_eq!(ctx.sent.len(), sent_before);
     }
 
@@ -622,7 +617,7 @@ mod tests {
         core.on_recover();
         assert_eq!(core.store.applied_version(), 1);
         assert!(core.ll.is_empty());
-        assert_eq!(core.pending_client_writes(), 0);
+        assert_eq!(core.pending_clients.len(), 0);
     }
 
     #[test]

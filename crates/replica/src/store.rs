@@ -234,11 +234,6 @@ impl VersionedStore {
         self.chains.values().any(|c| !c.pending.is_empty())
     }
 
-    /// Number of buffered out-of-order commits across all chains.
-    pub fn pending_len(&self) -> usize {
-        self.chains.values().map(|c| c.pending.len()).sum()
-    }
-
     /// Applied version of every chain this store has touched — the
     /// horizon map an anti-entropy pull advertises.
     pub fn chain_versions(&self) -> BTreeMap<u64, u64> {
@@ -317,7 +312,7 @@ mod tests {
         assert!(store.offer(record(2, 1, 20), SimTime::ZERO).is_empty());
         assert_eq!(store.gap(), Some(1));
         assert!(store.has_gap());
-        assert_eq!(store.pending_len(), 2);
+        assert_eq!(store.chains[&0].pending.len(), 2);
         let applied = store.offer(record(1, 1, 10), SimTime::from_millis(5));
         assert_eq!(
             applied.iter().map(|(r, _)| r.version).collect::<Vec<_>>(),
@@ -425,7 +420,7 @@ mod tests {
         let applied = store.offer(record(1, 2, 20), SimTime::ZERO);
         assert_eq!(applied.len(), 1);
         assert!(store.has_gap());
-        assert_eq!(store.pending_len(), 1);
+        assert_eq!(store.chains[&1].pending.len(), 1);
         // Filling key 1's gap releases its buffered successor.
         let applied = store.offer(record(1, 1, 11), SimTime::ZERO);
         assert_eq!(
@@ -516,7 +511,7 @@ mod tests {
         store.offer(record(1, 1, 10), SimTime::ZERO);
         store.offer(record(3, 1, 30), SimTime::ZERO);
         store.clear_volatile();
-        assert_eq!(store.pending_len(), 0);
+        assert!(!store.has_gap());
         assert_eq!(store.applied_version(), 1);
         assert_eq!(store.log().len(), 1);
     }

@@ -30,8 +30,6 @@ enum Op {
     Request { key: u64, a: u8 },
     /// Remove agent `a` from `key`'s queue.
     Remove { key: u64, a: u8 },
-    /// Remove agent `a` from every queue.
-    RemoveEverywhere { a: u8 },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -41,7 +39,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0u64..4, 0u8..8).prop_map(|(key, a)| Op::Request { key, a }),
         (0u64..4, 0u8..8).prop_map(|(key, a)| Op::Request { key, a }),
         (0u64..4, 0u8..8).prop_map(|(key, a)| Op::Remove { key, a }),
-        (0u8..8).prop_map(|a| Op::RemoveEverywhere { a }),
     ]
 }
 
@@ -68,14 +65,11 @@ proptest! {
         for (step, op) in ops.iter().enumerate() {
             let now = SimTime::from_millis(step as u64);
             // Key isolation: snapshot every *other* key before the op.
-            let touched: Vec<u64> = match *op {
-                Op::Request { key, .. } | Op::Remove { key, .. } => vec![key],
-                Op::RemoveEverywhere { a } => {
-                    (0..4).filter(|&k| table.contains(k, agent(a))).collect()
-                }
+            let touched = match *op {
+                Op::Request { key, .. } | Op::Remove { key, .. } => key,
             };
             let before: BTreeMap<u64, (u64, Vec<AgentId>)> = (0..4)
-                .filter(|k| !touched.contains(k))
+                .filter(|&k| k != touched)
                 .map(|k| (k, (table.version(k), table_order(&table, k))))
                 .collect();
 
@@ -92,12 +86,6 @@ proptest! {
                 Op::Remove { key, a } => {
                     table.remove(key, agent(a));
                     model.entry(key).or_default().retain(|&x| x != agent(a));
-                }
-                Op::RemoveEverywhere { a } => {
-                    table.remove_agent_everywhere(agent(a));
-                    for queue in model.values_mut() {
-                        queue.retain(|&x| x != agent(a));
-                    }
                 }
             }
 

@@ -7,18 +7,11 @@
 //! a caller-supplied [`SimRng`] so determinism is preserved.
 
 use crate::rng::SimRng;
-use std::time::Duration;
 
 /// A distribution over non-negative floats.
 pub trait Sample {
     /// Draw one value.
     fn sample(&self, rng: &mut SimRng) -> f64;
-
-    /// Draw one value and interpret it as a duration in milliseconds.
-    fn sample_millis(&self, rng: &mut SimRng) -> Duration {
-        let ms = self.sample(rng).max(0.0);
-        Duration::from_nanos((ms * 1e6).min(u64::MAX as f64) as u64)
-    }
 }
 
 /// Exponential distribution with the given mean (not rate).
@@ -49,38 +42,6 @@ impl Sample for Exponential {
         // Inverse-CDF sampling; 1 - u avoids ln(0).
         let u = rng.f64();
         -self.mean * (1.0 - u).ln()
-    }
-}
-
-/// Degenerate (constant) distribution, useful for deterministic workloads
-/// and as the zero-jitter link model.
-#[derive(Debug, Clone, Copy)]
-pub struct Constant(pub f64);
-
-impl Sample for Constant {
-    fn sample(&self, _rng: &mut SimRng) -> f64 {
-        self.0
-    }
-}
-
-/// Uniform distribution on `[lo, hi)`.
-#[derive(Debug, Clone, Copy)]
-pub struct UniformRange {
-    lo: f64,
-    hi: f64,
-}
-
-impl UniformRange {
-    /// Create over `[lo, hi)`; requires `lo <= hi`.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo <= hi, "empty range");
-        UniformRange { lo, hi }
-    }
-}
-
-impl Sample for UniformRange {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.lo + (self.hi - self.lo) * rng.f64()
     }
 }
 
@@ -254,24 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn constant_is_constant() {
-        let dist = Constant(12.5);
-        let mut rng = SimRng::from_seed(1);
-        assert_eq!(dist.sample(&mut rng), 12.5);
-        assert_eq!(dist.sample_millis(&mut rng), Duration::from_micros(12_500));
-    }
-
-    #[test]
-    fn uniform_respects_bounds() {
-        let dist = UniformRange::new(2.0, 3.0);
-        let mut rng = SimRng::from_seed(2);
-        for _ in 0..10_000 {
-            let x = dist.sample(&mut rng);
-            assert!((2.0..3.0).contains(&x));
-        }
-    }
-
-    #[test]
     fn lognormal_median_is_roughly_right() {
         let dist = LogNormal::from_median(10.0, 0.5);
         let mut rng = SimRng::from_seed(4);
@@ -336,12 +279,5 @@ mod tests {
         let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
         // The blended mean must sit strictly between the two state means.
         assert!(mean > 5.0 && mean < 50.0, "mean = {mean}");
-    }
-
-    #[test]
-    fn sample_millis_converts() {
-        let dist = Constant(1.5);
-        let mut rng = SimRng::from_seed(12);
-        assert_eq!(dist.sample_millis(&mut rng), Duration::from_micros(1500));
     }
 }

@@ -6,7 +6,7 @@
 //! wraps the distributions in `marp_sim::dist` as stateful arrival
 //! generators with their own seeded RNG stream.
 
-use marp_sim::dist::{Constant, Exponential, Mmpp2, Sample, UniformRange};
+use marp_sim::dist::{Exponential, Mmpp2, Sample};
 use marp_sim::SimRng;
 use std::time::Duration;
 
@@ -18,18 +18,6 @@ pub enum ArrivalProcess {
     Exponential {
         /// Mean inter-arrival time in milliseconds.
         mean_ms: f64,
-    },
-    /// Deterministic arrivals every `gap_ms`.
-    Constant {
-        /// Fixed gap in milliseconds.
-        gap_ms: f64,
-    },
-    /// Uniform gaps in `[lo_ms, hi_ms)`.
-    Uniform {
-        /// Lower bound (ms).
-        lo_ms: f64,
-        /// Upper bound (ms).
-        hi_ms: f64,
     },
     /// Bursty two-state MMPP: calm/burst exponential phases.
     Bursty {
@@ -51,10 +39,6 @@ impl ArrivalProcess {
             ArrivalProcess::Exponential { mean_ms } => {
                 GenKind::Exponential(Exponential::with_mean(mean_ms))
             }
-            ArrivalProcess::Constant { gap_ms } => GenKind::Constant(Constant(gap_ms)),
-            ArrivalProcess::Uniform { lo_ms, hi_ms } => {
-                GenKind::Uniform(UniformRange::new(lo_ms, hi_ms))
-            }
             ArrivalProcess::Bursty {
                 calm_mean_ms,
                 burst_mean_ms,
@@ -69,32 +53,11 @@ impl ArrivalProcess {
         };
         ArrivalGen { kind, rng }
     }
-
-    /// The long-run mean gap in milliseconds (for reporting).
-    pub fn mean_ms(&self) -> f64 {
-        match *self {
-            ArrivalProcess::Exponential { mean_ms } => mean_ms,
-            ArrivalProcess::Constant { gap_ms } => gap_ms,
-            ArrivalProcess::Uniform { lo_ms, hi_ms } => (lo_ms + hi_ms) / 2.0,
-            ArrivalProcess::Bursty {
-                calm_mean_ms,
-                burst_mean_ms,
-                hold_calm_ms,
-                hold_burst_ms,
-            } => {
-                // Time-weighted blend of the two phases.
-                let total = hold_calm_ms + hold_burst_ms;
-                (calm_mean_ms * hold_calm_ms + burst_mean_ms * hold_burst_ms) / total
-            }
-        }
-    }
 }
 
 #[derive(Debug, Clone)]
 enum GenKind {
     Exponential(Exponential),
-    Constant(Constant),
-    Uniform(UniformRange),
     Bursty(Mmpp2),
 }
 
@@ -110,8 +73,6 @@ impl ArrivalGen {
     pub fn next_gap(&mut self) -> Duration {
         let ms = match &mut self.kind {
             GenKind::Exponential(d) => d.sample(&mut self.rng),
-            GenKind::Constant(d) => d.sample(&mut self.rng),
-            GenKind::Uniform(d) => d.sample(&mut self.rng),
             GenKind::Bursty(d) => d.next_gap(&mut self.rng),
         };
         Duration::from_nanos((ms.max(0.0) * 1e6).min(u64::MAX as f64) as u64)
@@ -130,27 +91,6 @@ mod tests {
         let total: f64 = (0..n).map(|_| gen.next_gap().as_secs_f64() * 1e3).sum();
         let mean = total / f64::from(n);
         assert!((mean - 45.0).abs() < 1.0, "mean = {mean}");
-        assert_eq!(process.mean_ms(), 45.0);
-    }
-
-    #[test]
-    fn constant_is_exact() {
-        let mut gen = ArrivalProcess::Constant { gap_ms: 10.0 }.start(SimRng::from_seed(2));
-        assert_eq!(gen.next_gap(), Duration::from_millis(10));
-        assert_eq!(gen.next_gap(), Duration::from_millis(10));
-    }
-
-    #[test]
-    fn uniform_stays_in_bounds() {
-        let mut gen = ArrivalProcess::Uniform {
-            lo_ms: 5.0,
-            hi_ms: 15.0,
-        }
-        .start(SimRng::from_seed(3));
-        for _ in 0..1000 {
-            let gap = gen.next_gap();
-            assert!(gap >= Duration::from_millis(5) && gap < Duration::from_millis(15));
-        }
     }
 
     #[test]
@@ -166,7 +106,6 @@ mod tests {
         let total: f64 = (0..n).map(|_| gen.next_gap().as_secs_f64() * 1e3).sum();
         let mean = total / f64::from(n);
         assert!(mean > 5.0 && mean < 50.0, "mean = {mean}");
-        assert!(process.mean_ms() > 5.0 && process.mean_ms() < 50.0);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Workload generation for the MARP reproduction.
 //!
-//! * [`ArrivalProcess`] — exponential (the paper's generator),
-//!   constant, uniform, and bursty (two-state MMPP) inter-arrival
-//!   streams.
+//! * [`ArrivalProcess`] — exponential (the paper's generator) and
+//!   bursty (two-state MMPP) inter-arrival streams.
 //! * [`OpMix`] / [`KeyDist`] — read/write ratios over uniform, Zipf,
 //!   hotspot, or single-key spaces.
 //! * [`WorkloadSource`] — the combination, bounded by count and/or

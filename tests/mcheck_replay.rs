@@ -3,7 +3,7 @@
 //! The files under `tests/schedules/` are recorded by `marp-mcheck
 //! sample` (canonical schedules, one per protocol family) and
 //! `marp-mcheck selftest` (a shrunk counterexample for the seeded
-//! `lifo-blind` protocol mutation); the `missed_notice` pair is the
+//! `stale-acks` network bug); the `missed_notice` pair is the
 //! canonical schedule of a model whose network loses every COMMIT
 //! change notice (`sample --mail-loss notices|notices+reply`), and
 //! `early_claim` that of the early-claim family, whose slow COMMITs let
@@ -95,13 +95,15 @@ fn canonical_primary_copy_schedule_replays_clean() {
     assert_clean("pc_3x2_canonical.txt");
 }
 
+/// With every UPDATE acknowledgement reporting store version 0, the
+/// second winner numbers its write version 1 again.
 #[test]
-fn lifo_blind_counterexample_still_violates_lost_update() {
+fn stale_acks_counterexample_violates_version_conflict() {
     let (spec, steps) =
-        from_text(&load("marp_3x2_lifo_blind_lost_update.txt")).expect("schedule parses");
+        from_text(&load("marp_3x2_stale_acks_version_conflict.txt")).expect("schedule parses");
     let outcome = replay(&spec, &steps);
     assert!(
-        outcome.violates(&["lost-update"]),
+        outcome.violates(&["version-conflict"]),
         "counterexample no longer reproduces: {:?}",
         outcome.all_violations()
     );
