@@ -25,7 +25,7 @@ use marp_obs::{
     load_trace, perfetto_export_string, CriticalPathReport, Diagnosis, Journeys, Json,
     MetricsRegistry, Profile, ProfileDiff, SpanSet, SweepDiff, SweepReport,
 };
-use marp_sim::{span_id, SpanKind, TraceEvent, TraceLog};
+use marp_sim::{TraceEvent, TraceLog};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -171,17 +171,8 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
 
     let trace = load(trace_path)?;
     let set = SpanSet::from_trace(&trace);
-    let mut commits = 0u64;
-    let mut missing = Vec::new();
-    for rec in trace.records() {
-        if let TraceEvent::UpdateCompleted { request, home, .. } = rec.event {
-            commits += 1;
-            let id = span_id(SpanKind::Request, request, u64::from(home));
-            if set.get(id).is_none() {
-                missing.push((request, home));
-            }
-        }
-    }
+    let commits = trace.count(|e| matches!(e, TraceEvent::UpdateCompleted { .. }));
+    let missing = set.uncovered_writes(&trace);
     if commits == 0 {
         return Err(String::from("trace has no committed writes"));
     }

@@ -560,6 +560,34 @@ mod tests {
     }
 
     #[test]
+    fn every_protocol_opens_a_request_span_where_each_write_completes() {
+        let mut uncovered = Vec::new();
+        for protocol in [
+            ProtocolKind::marp(),
+            ProtocolKind::Mcv,
+            ProtocolKind::AvailableCopy,
+            ProtocolKind::WeightedVoting {
+                read_one_write_all: false,
+            },
+            ProtocolKind::PrimaryCopy,
+        ] {
+            let mut scenario = Scenario::paper(3, 40.0, 8).with_protocol(protocol.clone());
+            scenario.requests_per_client = 3;
+            let (outcome, trace) = run_scenario_traced(&scenario);
+            assert_eq!(outcome.metrics.completed, 9, "{}", protocol.label());
+            let missing = marp_obs::SpanSet::from_trace(&trace).uncovered_writes(&trace);
+            if !missing.is_empty() {
+                uncovered.push((protocol.label(), missing.len()));
+            }
+        }
+        assert_eq!(
+            uncovered,
+            [],
+            "(protocol, writes with no request span at `home`)"
+        );
+    }
+
+    #[test]
     fn topology_extends_with_clients() {
         let scenario = Scenario::paper(3, 10.0, 1);
         let topo = scenario.build_topology();

@@ -61,12 +61,17 @@ fn export_covers_every_committed_write_with_both_track_kinds() {
 
     // Every committed write has a completed request span in the export.
     let set = SpanSet::from_trace(&trace);
+    assert_eq!(
+        set.uncovered_writes(&trace),
+        [],
+        "committed writes lost their request spans"
+    );
     let mut commits = 0;
     for rec in trace.records() {
         if let TraceEvent::UpdateCompleted { request, home, .. } = rec.event {
             commits += 1;
             let id = marp_sim::span_id(marp_sim::SpanKind::Request, request, u64::from(home));
-            let span = set.get(id).expect("committed write lost its request span");
+            let span = set.get(id).expect("covered");
             assert!(span.end.is_some(), "request {request} span never closed");
             let rendered = format!("\"id\":\"{:#x}\"", id);
             assert!(

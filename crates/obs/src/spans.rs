@@ -7,7 +7,7 @@
 //! and indexes the parent/child and link edges for the exporters and the
 //! critical-path analyzer.
 
-use marp_sim::{NodeId, SimTime, SpanId, SpanKind, TraceEvent, TraceLog};
+use marp_sim::{span_id, NodeId, SimTime, SpanId, SpanKind, TraceEvent, TraceLog};
 use std::collections::HashMap;
 
 /// One reconstructed causal span.
@@ -157,12 +157,33 @@ impl SpanSet {
     pub fn incomplete(&self) -> impl Iterator<Item = &Span> {
         self.spans.iter().filter(|s| s.end.is_none())
     }
+
+    /// Committed writes with no request span where they say they were
+    /// accepted: `(request, home)` of every `UpdateCompleted` in `trace`
+    /// (the trace this set was built from) whose
+    /// `span_id(Request, request, home)` is not in the set, in trace
+    /// order. Every protocol opens that span at the replica its client
+    /// asked, so a non-empty answer is a wrong `home` or a lost span.
+    pub fn uncovered_writes(&self, trace: &TraceLog) -> Vec<(u64, NodeId)> {
+        trace
+            .records()
+            .iter()
+            .filter_map(|rec| match rec.event {
+                TraceEvent::UpdateCompleted { request, home, .. } => Some((request, home)),
+                _ => None,
+            })
+            .filter(|&(request, home)| {
+                self.get(span_id(SpanKind::Request, request, u64::from(home)))
+                    .is_none()
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marp_sim::{span_id, TraceLevel};
+    use marp_sim::TraceLevel;
 
     fn push_start(
         log: &mut TraceLog,
@@ -247,5 +268,27 @@ mod tests {
             .collect();
         assert_eq!(linked, vec![dispatch]);
         assert_eq!(set.incomplete().count(), 4);
+    }
+
+    #[test]
+    fn a_write_is_covered_by_the_request_span_at_its_home() {
+        let mut log = TraceLog::new(TraceLevel::Protocol);
+        push_start(&mut log, 0, 2, SpanKind::Request, 7, 2, 0);
+        for (request, home) in [(7, 2), (7, 0), (8, 2)] {
+            log.push(
+                SimTime::from_millis(1),
+                home,
+                TraceEvent::UpdateCompleted {
+                    request,
+                    home,
+                    arrived: SimTime::ZERO,
+                    dispatched: SimTime::ZERO,
+                    locked: SimTime::ZERO,
+                    visits: 0,
+                },
+            );
+        }
+        let set = SpanSet::from_trace(&log);
+        assert_eq!(set.uncovered_writes(&log), [(7, 0), (8, 2)]);
     }
 }
