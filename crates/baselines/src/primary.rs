@@ -85,6 +85,8 @@ marp_quorum::timer_kinds! {
 
 struct InFlight {
     request: WriteRequest,
+    /// The server that accepted the request (its completion's `home`).
+    origin: NodeId,
     /// The replication round: a majority of per-replica acks (the
     /// primary's own copy included) completes the write.
     call: QuorumCall<()>,
@@ -157,8 +159,14 @@ impl PcNode {
         let mut call = QuorumCall::majority(self.cfg.n_servers as u16, ctx.now()).with_span(span);
         // The primary's own copy counts (decides outright when n = 1).
         let verdict = call.offer_vote(self.me(), true, ());
-        self.in_flight
-            .insert(record.version, InFlight { request, call });
+        self.in_flight.insert(
+            record.version,
+            InFlight {
+                request,
+                origin,
+                call,
+            },
+        );
         let msg = PcMsg::Replicate {
             record: record.clone(),
         };
@@ -184,7 +192,7 @@ impl PcNode {
         });
         ctx.trace(TraceEvent::UpdateCompleted {
             request: flight.request.id,
-            home: flight.request.client, // home unknown at primary; use origin marker
+            home: flight.origin,
             arrived: flight.request.arrived,
             dispatched: flight.call.started(),
             locked: ctx.now(),
