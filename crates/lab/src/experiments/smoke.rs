@@ -1,16 +1,26 @@
 //! Smoke runner: one small audited scenario per protocol plus the key
 //! MARP configurations. Finishes in seconds; exits non-zero on any
-//! violation or lost update. Intended as the CI entry point.
+//! violation, lost update, or committed write whose request span is
+//! missing from the trace. Intended as the CI entry point.
 
 use super::marp;
-use crate::{run_scenario, ProtocolKind, RunOutcome, Scenario};
+use crate::{run_scenario_traced, ProtocolKind, RunOutcome, Scenario};
 use marp_agent::ItineraryPolicy::CostSorted;
+use marp_obs::SpanSet;
 use std::fmt::Write as _;
 
-/// Append one result line; `ok` is the row's own pass condition on top
-/// of a clean audit.
-fn report(out: &mut String, name: &str, outcome: &RunOutcome, ok: bool) -> bool {
-    let ok = ok && outcome.audit.ok();
+/// Run one row and append its result line; `ok` is the row's own pass
+/// condition on top of a clean audit and a request span for every
+/// committed write.
+fn report(
+    out: &mut String,
+    name: &str,
+    scenario: &Scenario,
+    ok: impl FnOnce(&RunOutcome) -> bool,
+) -> bool {
+    let (outcome, trace) = run_scenario_traced(scenario);
+    let uncovered = SpanSet::from_trace(&trace).uncovered_writes(&trace);
+    let ok = ok(&outcome) && outcome.audit.ok() && uncovered.is_empty();
     let _ = writeln!(
         out,
         "{:<28} {:>4} updates  {:>9} msgs  audit {}  {}",
@@ -24,6 +34,9 @@ fn report(out: &mut String, name: &str, outcome: &RunOutcome, ok: bool) -> bool 
         },
         if ok { "ok" } else { "FAIL" },
     );
+    for (request, home) in uncovered {
+        let _ = writeln!(out, "  missing-span: request={request} node={home}");
+    }
     ok
 }
 
@@ -55,16 +68,15 @@ pub(super) fn run(_args: &[String]) -> String {
         ),
         ("Primary Copy", small(ProtocolKind::PrimaryCopy)),
     ] {
-        let outcome = run_scenario(&scenario);
-        all_ok &= report(&mut out, name, &outcome, outcome.metrics.completed == 30);
+        all_ok &= report(&mut out, name, &scenario, |o| o.metrics.completed == 30);
     }
     // Fresh-read path.
     let mut fresh = small(ProtocolKind::marp());
     fresh.write_fraction = 0.5;
     fresh.fresh_reads = true;
-    let outcome = run_scenario(&fresh);
-    let complete = outcome.metrics.incomplete() == 0;
-    all_ok &= report(&mut out, "MARP fresh reads", &outcome, complete);
+    all_ok &= report(&mut out, "MARP fresh reads", &fresh, |o| {
+        o.metrics.incomplete() == 0
+    });
 
     assert!(all_ok, "smoke scenarios failed:\n{out}");
     out.push_str("\nall smoke scenarios clean\n");
