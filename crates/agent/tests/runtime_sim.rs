@@ -169,7 +169,7 @@ impl Process for Spawner {
 fn build_sim(n: usize, route: Vec<NodeId>, cfg: AgentConfig) -> Simulation {
     let topo = Topology::uniform_lan(n, Duration::from_millis(2));
     let transport = SimTransport::new(topo, LinkModel::ideal(), SimRng::from_seed(1));
-    let mut sim = Simulation::new(Box::new(transport), TraceLevel::Full);
+    let mut sim = Simulation::new(Box::new(transport), TraceLevel::Protocol);
     sim.add_process(Box::new(Spawner {
         inner: HostNode::new(cfg),
         route,

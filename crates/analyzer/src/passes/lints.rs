@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 
 /// Crates whose `src/` must stay sans-io. `crates/wire` rides along:
 /// a codec is trivially sans-io, and the scan also enforces the
-/// encode-reservation rule there.
+/// one-encode-path rule there.
 pub const SANS_IO_CRATES: &[&str] = &[
     "crates/core",
     "crates/quorum",
@@ -105,8 +105,9 @@ fn lint_file(f: &FileModel, core_crate: bool, findings: &mut Vec<Finding>) {
         {
             report(findings, line, "no-unwrap-core");
         }
-        // Encode paths reserve before writing: `BytesMut::new()` starts
-        // at capacity zero, so the first encode into it reallocates.
+        // Messages are built through `marp_wire::to_bytes`, which encodes
+        // into a warm per-thread buffer; a `BytesMut::new()` here is an
+        // encode path of its own, starting at capacity zero.
         if seq_at(toks, i, &["BytesMut", "::", "new", "(", ")"]) {
             report(findings, line, "no-unreserved-encode");
         }
@@ -208,7 +209,7 @@ mod tests {
     fn unreserved_encode_buffers_are_flagged() {
         let w = ws_core("fn f() { let mut buf = BytesMut::new(); }\n");
         assert_eq!(rules(&w), vec!["no-unreserved-encode"]);
-        let ok = ws_core("fn f() { let mut b = BytesMut::with_capacity(m.encoded_len()); }\n");
+        let ok = ws_core("fn f() { let msg = marp_wire::to_bytes(&m); }\n");
         assert!(rules(&ok).is_empty());
     }
 

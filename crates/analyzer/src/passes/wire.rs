@@ -3,7 +3,7 @@
 //!
 //! Every message and carried-state type declares its codec with
 //! `wire_struct!` / `wire_enum!`, where a single field list feeds
-//! `encode`, `decode` and `encoded_len` — the three cannot disagree, and
+//! `encode` and `decode` — the two cannot disagree, and
 //! a missing variant, a missing field or a duplicate tag does not
 //! compile. What is left to police is that nobody bypasses the macros:
 //! a handwritten `impl Wire for T` outside `crates/wire/src` (home of
@@ -17,7 +17,7 @@ use crate::Finding;
 /// Where an impl comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireShape {
-    /// `wire_struct!` / `wire_enum!` / `wire_uvarint!` / `wire_ivarint!`.
+    /// `wire_struct!` / `wire_enum!` / `wire_uvarint!`.
     Macro,
     /// A spelled-out `impl Wire for T`.
     Handwritten,
@@ -33,7 +33,7 @@ pub struct WireImplInfo {
     pub shape: WireShape,
 }
 
-const WIRE_MACROS: &[&str] = &["wire_struct", "wire_enum", "wire_uvarint", "wire_ivarint"];
+const WIRE_MACROS: &[&str] = &["wire_struct", "wire_enum", "wire_uvarint"];
 
 /// Every non-test `Wire` impl in the workspace, handwritten or macro.
 pub fn inventory(ws: &Workspace) -> Vec<WireImplInfo> {
@@ -58,7 +58,7 @@ pub fn inventory(ws: &Workspace) -> Vec<WireImplInfo> {
                 continue;
             }
             // wire_struct!/wire_enum! name one type (the first ident);
-            // the varint macros instantiate one impl per listed type.
+            // wire_uvarint! instantiates one impl per listed type.
             let one_type = mc.name == "wire_struct" || mc.name == "wire_enum";
             f.toks[mc.args.clone()]
                 .iter()
@@ -80,7 +80,7 @@ pub fn check(ws: &Workspace, out: &mut Vec<Finding>) {
                 rule: "handwritten-wire-impl",
                 text: format!(
                     "`impl Wire for {}`: declare the codec with wire_struct!/wire_enum! so \
-                     encode, decode and encoded_len share one field list",
+                     encode and decode share one field list",
                     wi.type_name
                 ),
             });

@@ -1,8 +1,8 @@
 //! Positive fixture for the `handwritten-wire-impl` rule: a codec
 //! spelled out by hand instead of declared with `wire_enum!`. It is also
 //! the kind of bug the rule exists to prevent — `Put`'s decode reads
-//! `val` before `key`, reversing the encode order, and `encoded_len`
-//! forgets the tag byte — neither of which the macro can express.
+//! `val` before `key`, reversing the encode order, which the macro
+//! cannot express.
 //! Never compiled — parsed by `crates/analyzer/tests/passes.rs`.
 
 pub enum BrokenMsg {
@@ -37,12 +37,6 @@ impl Wire for BrokenMsg {
                 type_name: "BrokenMsg",
                 tag: u32::from(tag),
             }),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        match self {
-            BrokenMsg::Put { key, val } => key.encoded_len() + val.encoded_len(),
-            BrokenMsg::Del { key } => key.encoded_len(),
         }
     }
 }

@@ -142,11 +142,11 @@ fn wire_inventory_covers_protocol_crates() {
         assert_eq!(count(krate, WireShape::Handwritten), 0, "{krate}");
     }
     // crates/wire: the primitive and container codecs (`&'static str`
-    // labels among them), plus the four varint-macro instantiations
-    // (u16, u32, i16, i32).
-    assert_eq!(count("crates/wire", WireShape::Handwritten), 16);
-    assert_eq!(count("crates/wire", WireShape::Macro), 4);
-    assert_eq!(inv.len(), 53, "workspace-wide Wire impl count");
+    // labels among them), plus the two varint-macro instantiations
+    // (u16, u32).
+    assert_eq!(count("crates/wire", WireShape::Handwritten), 12);
+    assert_eq!(count("crates/wire", WireShape::Macro), 2);
+    assert_eq!(inv.len(), 47, "workspace-wide Wire impl count");
     // The two MARP message enums, by variant (the tag count each
     // `wire_enum!` declaration covers).
     let variants = |name: &str| {
@@ -159,5 +159,5 @@ fn wire_inventory_covers_protocol_crates() {
     assert_eq!(variants("AgentReply"), Some(3));
     assert_eq!(variants("NodeMsg"), Some(8));
     // And the trace-file codec: one tag per event kind.
-    assert_eq!(variants("TraceEvent"), Some(24));
+    assert_eq!(variants("TraceEvent"), Some(22));
 }

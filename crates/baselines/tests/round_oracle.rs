@@ -9,7 +9,12 @@
 //! the full trace (every send, delivery, drop, span and commit, in
 //! order) below were recorded before the round was written once in
 //! `common.rs`; they must not move when the round's code does.
+//!
+//! The kernel traced a record per message sent and delivered when the
+//! hashes were recorded; it no longer does, so [`Logged`] puts them back
+//! where they stood and the hash reads them in their old encoding.
 
+use bytes::Bytes;
 use marp_baselines::{
     wrap_mcv_client_request, wrap_wv_client_request, McvConfig, McvNode, WvConfig, WvNode,
 };
@@ -17,14 +22,98 @@ use marp_net::{LinkModel, SimTransport, Topology};
 use marp_quorum::RetryPolicy;
 use marp_replica::{ClientProcess, ClientWrapFn, Operation, ScriptedSource};
 use marp_sim::{
-    Control, NodeId, Process, SimRng, SimTime, Simulation, SpanKind, TraceEvent, TraceLevel,
+    Context, Control, NodeId, Process, SimRng, SimTime, Simulation, SpanKind, TimerId, TraceEvent,
+    TraceLevel,
 };
+use std::any::Any;
 use std::collections::HashMap;
 use std::time::Duration;
 
 const N: usize = 5;
 /// Both protocols' default.
 const ROUND_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// A process that traces each message it sends or is handed — as a
+/// `Custom` "sent" (`a`: destination) or "delivered" (`a`: sender) with
+/// `b` the size — just before the kernel acts on it, which is where the
+/// kernel's own per-message records used to fall in the trace.
+struct Logged(Box<dyn Process>);
+
+struct LoggedCtx<'a>(&'a mut dyn Context);
+
+impl Context for LoggedCtx<'_> {
+    fn now(&self) -> SimTime {
+        self.0.now()
+    }
+    fn me(&self) -> NodeId {
+        self.0.me()
+    }
+    fn send(&mut self, to: NodeId, msg: Bytes) {
+        self.0.trace(TraceEvent::Custom {
+            kind: "sent",
+            a: u64::from(to),
+            b: msg.len() as u64,
+        });
+        self.0.send(to, msg);
+    }
+    fn set_timer(&mut self, after: Duration, tag: u64) -> TimerId {
+        self.0.set_timer(after, tag)
+    }
+    fn cancel_timer(&mut self, id: TimerId) {
+        self.0.cancel_timer(id);
+    }
+    fn trace(&mut self, event: TraceEvent) {
+        self.0.trace(event);
+    }
+    fn halt(&mut self) {
+        self.0.halt();
+    }
+}
+
+impl Process for Logged {
+    fn on_start(&mut self, ctx: &mut dyn Context) {
+        self.0.on_start(&mut LoggedCtx(ctx));
+    }
+    fn on_message(&mut self, from: NodeId, msg: Bytes, ctx: &mut dyn Context) {
+        ctx.trace(TraceEvent::Custom {
+            kind: "delivered",
+            a: u64::from(from),
+            b: msg.len() as u64,
+        });
+        self.0.on_message(from, msg, &mut LoggedCtx(ctx));
+    }
+    fn on_timer(&mut self, timer: TimerId, tag: u64, ctx: &mut dyn Context) {
+        self.0.on_timer(timer, tag, &mut LoggedCtx(ctx));
+    }
+    fn on_node_status(&mut self, node: NodeId, up: bool, ctx: &mut dyn Context) {
+        self.0.on_node_status(node, up, &mut LoggedCtx(ctx));
+    }
+    fn on_recover(&mut self, ctx: &mut dyn Context) {
+        self.0.on_recover(&mut LoggedCtx(ctx));
+    }
+    fn as_any(&self) -> &dyn Any {
+        self.0.as_any()
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self.0.as_any_mut()
+    }
+}
+
+/// A record as the hash reads it: the per-message records in the
+/// encoding the kernel gave them (tag 0 sent, tag 1 delivered, then
+/// sender, destination, size), every other event in its own.
+fn encoded(node: NodeId, event: &TraceEvent) -> Bytes {
+    let node = u64::from(node);
+    match *event {
+        TraceEvent::Custom { kind: "sent", a, b } => marp_wire::to_bytes(&(0u8, (node, a, b))),
+        TraceEvent::Custom {
+            kind: "delivered",
+            a,
+            b,
+        } => marp_wire::to_bytes(&(1u8, (a, node, b))),
+        _ => marp_wire::to_bytes(event),
+    }
+}
 
 /// Three clients write the same key every 3 ms through servers 0–2
 /// (every round of one coordinator collides with the other two's); a
@@ -36,9 +125,9 @@ const ROUND_TIMEOUT: Duration = Duration::from_millis(100);
 fn run(build: impl Fn(NodeId) -> Box<dyn Process>, wrap: ClientWrapFn, seed: u64) -> Pinned {
     let topo = Topology::uniform_lan(N * 2 + 2, Duration::from_millis(2));
     let transport = SimTransport::new(topo, LinkModel::ideal(), SimRng::from_seed(seed));
-    let mut sim = Simulation::new(Box::new(transport), TraceLevel::Full);
+    let mut sim = Simulation::new(Box::new(transport), TraceLevel::Protocol);
     for me in 0..N as NodeId {
-        sim.add_process(build(me));
+        sim.add_process(Box::new(Logged(build(me))));
     }
     for server in 0..3u16 {
         let script: Vec<(Duration, Operation)> = (0..8)
@@ -52,19 +141,19 @@ fn run(build: impl Fn(NodeId) -> Box<dyn Process>, wrap: ClientWrapFn, seed: u64
                 )
             })
             .collect();
-        sim.add_process(Box::new(
+        sim.add_process(Box::new(Logged(Box::new(
             ClientProcess::new(server, Box::new(ScriptedSource::new(script)), wrap)
                 .with_retry(Duration::from_millis(400), 4),
-        ));
+        ))));
     }
     let reads: Vec<(Duration, Operation)> = (0..6)
         .map(|_| (Duration::from_millis(40), Operation::Read { key: 7 }))
         .collect();
-    sim.add_process(Box::new(ClientProcess::new(
+    sim.add_process(Box::new(Logged(Box::new(ClientProcess::new(
         3,
         Box::new(ScriptedSource::new(reads)),
         wrap,
-    )));
+    )))));
     let outages = [
         (14, 1, false),
         (16, 3, false),
@@ -89,7 +178,7 @@ fn run(build: impl Fn(NodeId) -> Box<dyn Process>, wrap: ClientWrapFn, seed: u64
     for record in sim.trace().records() {
         eat(&record.at.as_nanos().to_le_bytes());
         eat(&record.node.to_le_bytes());
-        eat(&marp_wire::to_bytes(&record.event));
+        eat(&encoded(record.node, &record.event));
         match record.event {
             TraceEvent::SpanStart {
                 id,

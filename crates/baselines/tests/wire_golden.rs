@@ -26,7 +26,6 @@ impl Golden {
         if actual != hex {
             self.mismatches.push(format!("{name}: {actual}"));
         }
-        assert_eq!(value.encoded_len(), bytes.len(), "{name}: encoded_len");
         assert_eq!(
             marp_wire::from_bytes::<T>(&bytes).expect(name),
             value,

@@ -180,8 +180,7 @@ proptest! {
     }
 
     /// Versioned snapshots survive the wire byte-for-byte, and so does a
-    /// whole table (exercises the `encoded_len` hints via the
-    /// debug-assert in `to_bytes`).
+    /// whole table.
     #[test]
     fn versioned_snapshot_roundtrips(
         server in 0..SERVERS,

@@ -8,7 +8,7 @@
 //! sequence of mutations and demands, after every step, that every
 //! query agrees — rows, horizon, tops, presence, rivals and the
 //! `decide` verdict with its tie certificate — and that the table
-//! survives the wire unchanged with an exact `encoded_len`. A second
+//! survives the wire unchanged. A second
 //! property builds what a convoy leaves behind — queues 32 to 64 deep
 //! sharing one order, their first 0…all entries finished, tops held at
 //! servers declared unavailable, finished ids no row names — the shape
@@ -30,7 +30,6 @@ use marp_core::lt::{decide, majority, ranking, LockingTable, Priority};
 use marp_core::GossipBoard;
 use marp_replica::{LlSnapshot, UpdatedList};
 use marp_sim::{NodeId, SimTime};
-use marp_wire::Wire;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -393,7 +392,6 @@ proptest! {
             }
 
             let bytes = marp_wire::to_bytes(&table);
-            prop_assert_eq!(table.encoded_len(), bytes.len());
             prop_assert_eq!(marp_wire::from_bytes::<LockingTable>(&bytes), Ok(table.clone()));
         }
     }
@@ -527,7 +525,6 @@ proptest! {
             prop_assert_eq!(&table, &before);
         }
         let bytes = marp_wire::to_bytes(&table);
-        prop_assert_eq!(table.encoded_len(), bytes.len());
         prop_assert_eq!(marp_wire::from_bytes::<LockingTable>(&bytes), Ok(table.clone()));
     }
 }

@@ -62,10 +62,7 @@ pub(super) fn run(_args: &[String]) -> String {
         make_processes(),
         Box::new(transport),
         Duration::from_secs(8),
-        ThreadedConfig {
-            speed: 4.0,
-            trace_level: TraceLevel::Protocol,
-        },
+        ThreadedConfig { speed: 4.0 },
     );
     let threaded = PaperMetrics::from_trace(&run.trace);
     audit_keyed(&run.trace, N).assert_ok();

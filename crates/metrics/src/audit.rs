@@ -102,7 +102,7 @@ pub fn audit_relaxed(trace: &TraceLog) -> AuditReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marp_sim::{AgentKey, NodeId, SimTime, TraceEvent, TraceLevel};
+    use marp_sim::{AgentKey, NodeId, SimTime, TraceEvent};
 
     fn commit(node: NodeId, version: u64, agent: AgentKey, key: u64) -> TraceEvent {
         TraceEvent::CommitApplied {
@@ -115,7 +115,7 @@ mod tests {
     }
 
     fn log(events: Vec<TraceEvent>) -> TraceLog {
-        let mut log = TraceLog::new(TraceLevel::Full);
+        let mut log = TraceLog::new();
         for (i, event) in events.into_iter().enumerate() {
             log.push(SimTime::from_millis(i as u64), 0, event);
         }

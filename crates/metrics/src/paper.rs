@@ -142,10 +142,10 @@ impl PaperMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marp_sim::{SimTime, TraceLevel};
+    use marp_sim::SimTime;
 
     fn trace_with(events: Vec<(SimTime, TraceEvent)>) -> TraceLog {
-        let mut log = TraceLog::new(TraceLevel::Full);
+        let mut log = TraceLog::new();
         for (at, event) in events {
             log.push(at, 0, event);
         }
@@ -318,7 +318,7 @@ mod tests {
 
     #[test]
     fn empty_trace_yields_empty_metrics() {
-        let m = PaperMetrics::from_trace(&TraceLog::new(TraceLevel::Full));
+        let m = PaperMetrics::from_trace(&TraceLog::new());
         assert_eq!(m.completed, 0);
         assert_eq!(m.mean_alt_ms(), None);
         assert_eq!(m.prk(3), 0.0);

@@ -222,7 +222,7 @@ fn decompose(request: &Span, set: &SpanSet) -> PathBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marp_sim::{span_id, NodeId, SimTime, SpanId, TraceEvent, TraceLevel, TraceLog};
+    use marp_sim::{span_id, NodeId, SimTime, SpanId, TraceEvent, TraceLog};
 
     fn start(
         log: &mut TraceLog,
@@ -267,7 +267,7 @@ mod tests {
 
     #[test]
     fn marp_write_decomposes_into_all_four_buckets() {
-        let mut log = TraceLog::new(TraceLevel::Protocol);
+        let mut log = TraceLog::new();
         let agent = 42u64;
         let dispatch = span_id(SpanKind::Dispatch, agent, 0);
         // Request arrives at t=0, agent dispatched t=2 (queueing 2ms).
@@ -305,7 +305,7 @@ mod tests {
 
     #[test]
     fn baseline_write_folds_everything_into_quorum_wait() {
-        let mut log = TraceLog::new(TraceLevel::Protocol);
+        let mut log = TraceLog::new();
         let round = span_id(SpanKind::UpdateQuorum, 7, 3);
         start(&mut log, 0, 1, SpanKind::Request, 200, 1, 0);
         start(&mut log, 1, 1, SpanKind::UpdateQuorum, 7, 3, 0);
@@ -324,7 +324,7 @@ mod tests {
 
     #[test]
     fn unlinked_request_counts_as_pure_queueing() {
-        let mut log = TraceLog::new(TraceLevel::Protocol);
+        let mut log = TraceLog::new();
         start(&mut log, 0, 0, SpanKind::Request, 5, 0, 0);
         end(&mut log, 4, 0, SpanKind::Request, 5, 0);
         let report = CriticalPathReport::from_trace(&log);
@@ -337,7 +337,7 @@ mod tests {
     fn clamping_never_produces_negative_buckets() {
         // Pathological: lock round "ends" after the request completed,
         // and migrations longer than the whole lock phase.
-        let mut log = TraceLog::new(TraceLevel::Protocol);
+        let mut log = TraceLog::new();
         let agent = 9u64;
         let dispatch = span_id(SpanKind::Dispatch, agent, 0);
         start(&mut log, 0, 0, SpanKind::Request, 300, 0, 0);
@@ -370,7 +370,7 @@ mod tests {
 
     #[test]
     fn report_renders_aggregate_line() {
-        let mut log = TraceLog::new(TraceLevel::Protocol);
+        let mut log = TraceLog::new();
         start(&mut log, 0, 0, SpanKind::Request, 1, 0, 0);
         end(&mut log, 2, 0, SpanKind::Request, 1, 0);
         let text = CriticalPathReport::from_trace(&log).render();

@@ -81,7 +81,6 @@ impl ObsOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marp_sim::TraceLevel;
 
     fn argv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| s.to_string()).collect()
@@ -120,7 +119,7 @@ mod tests {
             trace_out: Some(dir.join("t.bin")),
             metrics_out: Some(dir.join("m.csv")),
         };
-        let trace = TraceLog::new(TraceLevel::Protocol);
+        let trace = TraceLog::new();
         let written = opts.write(&trace).unwrap();
         assert_eq!(written.len(), 2);
         assert!(dir.join("t.bin").exists());

@@ -103,9 +103,7 @@ impl Journeys {
                     let lifetime = at - born.as_millis_f64();
                     journeys.log(agent, at, format!("disposed after {lifetime:.3} ms"));
                 }
-                TraceEvent::MsgSent { .. }
-                | TraceEvent::MsgDelivered { .. }
-                | TraceEvent::MsgDropped { .. }
+                TraceEvent::MsgDropped { .. }
                 | TraceEvent::NodeDown(..)
                 | TraceEvent::NodeUp(..)
                 | TraceEvent::RequestArrived { .. }
@@ -158,7 +156,7 @@ impl Journeys {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marp_sim::{agent_key, NodeId, SimTime, TraceLevel};
+    use marp_sim::{agent_key, NodeId, SimTime};
 
     fn push(log: &mut TraceLog, at: u64, node: NodeId, event: TraceEvent) {
         log.push(SimTime::from_millis(at), node, event);
@@ -166,7 +164,7 @@ mod tests {
 
     #[test]
     fn timeline_is_chronological_per_agent() {
-        let mut log = TraceLog::new(TraceLevel::Protocol);
+        let mut log = TraceLog::new();
         let a = agent_key(0, 1);
         let b = agent_key(2, 1);
         push(
@@ -235,7 +233,7 @@ mod tests {
 
     #[test]
     fn empty_trace_renders_placeholder() {
-        let log = TraceLog::new(TraceLevel::Protocol);
+        let log = TraceLog::new();
         let journeys = Journeys::from_trace(&log);
         assert!(journeys.is_empty());
         assert!(journeys.render().contains("no agent events"));

@@ -180,7 +180,7 @@ pub fn export_string(trace: &TraceLog) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marp_sim::{span_id, NodeId, TraceEvent, TraceLevel};
+    use marp_sim::{span_id, NodeId, TraceEvent};
 
     fn start(log: &mut TraceLog, at: u64, node: NodeId, kind: SpanKind, a: u64, b: u64) {
         log.push(
@@ -209,7 +209,7 @@ mod tests {
 
     #[test]
     fn export_produces_valid_json_with_both_processes() {
-        let mut log = TraceLog::new(TraceLevel::Protocol);
+        let mut log = TraceLog::new();
         start(&mut log, 1, 0, SpanKind::Request, 100, 0);
         start(&mut log, 2, 0, SpanKind::Dispatch, 7, 0);
         log.push(
@@ -252,7 +252,7 @@ mod tests {
 
     #[test]
     fn timestamps_are_microseconds() {
-        let mut log = TraceLog::new(TraceLevel::Protocol);
+        let mut log = TraceLog::new();
         start(&mut log, 3, 0, SpanKind::Request, 1, 0);
         end(&mut log, 5, 0, SpanKind::Request, 1, 0);
         let doc = export(&log);

@@ -166,9 +166,7 @@ impl Profile {
         for rec in trace.records() {
             let (agent, bytes) = match rec.event {
                 TraceEvent::AgentStateShipped { agent, bytes } => (agent, bytes as u64),
-                TraceEvent::MsgSent { .. }
-                | TraceEvent::MsgDelivered { .. }
-                | TraceEvent::MsgDropped { .. }
+                TraceEvent::MsgDropped { .. }
                 | TraceEvent::NodeDown(..)
                 | TraceEvent::NodeUp(..)
                 | TraceEvent::RequestArrived { .. }
@@ -382,7 +380,7 @@ impl Profile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marp_sim::{span_id, NodeId, SimTime, SpanId, TraceLevel};
+    use marp_sim::{span_id, NodeId, SimTime, SpanId};
 
     fn start(
         log: &mut TraceLog,
@@ -419,7 +417,7 @@ mod tests {
 
     /// One dispatch (0..10ms) with a migrate child (2..5ms).
     fn sample_log() -> TraceLog {
-        let mut log = TraceLog::new(TraceLevel::Protocol);
+        let mut log = TraceLog::new();
         let agent = 7u64;
         let dispatch = span_id(SpanKind::Dispatch, agent, 0);
         start(&mut log, 0, 0, SpanKind::Dispatch, agent, 0, 0);
@@ -486,7 +484,7 @@ mod tests {
 
     #[test]
     fn open_spans_count_but_contribute_no_time() {
-        let mut log = TraceLog::new(TraceLevel::Protocol);
+        let mut log = TraceLog::new();
         start(&mut log, 0, 0, SpanKind::Request, 1, 0, 0);
         let profile = Profile::from_trace(&log);
         let request = &profile.by_path["request"];

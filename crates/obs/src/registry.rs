@@ -1,11 +1,11 @@
 //! Per-node metrics registry.
 //!
 //! A [`MetricsRegistry`] is built by one exhaustive walk over a recorded
-//! trace: counters for every message/agent/lock event by kind, latency
-//! histograms ([`marp_metrics::LogHistogram`]) for the quantities the
-//! paper cares about (lock wait, end-to-end commit, migrations per win),
-//! and a gauge time-series sampled at a configurable virtual-time
-//! interval.
+//! trace: counters for every traced event by kind (a message appears
+//! only when dropped; `RunStats` counts the rest), latency histograms
+//! ([`marp_metrics::LogHistogram`]) for the quantities the paper cares
+//! about (lock wait, end-to-end commit, migrations per win), and a gauge
+//! time-series sampled at a configurable virtual-time interval.
 
 use marp_metrics::LogHistogram;
 use marp_sim::{NodeId, SimTime, TraceEvent, TraceLog};
@@ -79,14 +79,6 @@ impl MetricsRegistry {
             }
             let node = registry.nodes.entry(rec.node).or_default();
             match rec.event {
-                TraceEvent::MsgSent { bytes, .. } => {
-                    node.bump("msg.sent");
-                    node.observe("msg.sent_bytes", bytes as f64);
-                }
-                TraceEvent::MsgDelivered { bytes, .. } => {
-                    node.bump("msg.delivered");
-                    node.observe("msg.delivered_bytes", bytes as f64);
-                }
                 TraceEvent::MsgDropped { .. } => node.bump("msg.dropped"),
                 TraceEvent::NodeDown(..) => node.bump("node.down"),
                 TraceEvent::NodeUp(..) => node.bump("node.up"),
@@ -214,10 +206,10 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marp_sim::{span_id, SpanKind, TraceLevel};
+    use marp_sim::{span_id, SpanKind};
 
     fn sample_log() -> TraceLog {
-        let mut log = TraceLog::new(TraceLevel::Full);
+        let mut log = TraceLog::new();
         log.push(
             SimTime::from_millis(1),
             0,

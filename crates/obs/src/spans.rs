@@ -95,9 +95,7 @@ impl SpanSet {
                     None => set.unmatched_ends += 1,
                 },
                 TraceEvent::SpanLink { from, to } => set.links.push((from, to)),
-                TraceEvent::MsgSent { .. }
-                | TraceEvent::MsgDelivered { .. }
-                | TraceEvent::MsgDropped { .. }
+                TraceEvent::MsgDropped { .. }
                 | TraceEvent::NodeDown(..)
                 | TraceEvent::NodeUp(..)
                 | TraceEvent::RequestArrived { .. }
@@ -168,9 +166,11 @@ impl SpanSet {
         trace
             .records()
             .iter()
-            .filter_map(|rec| match rec.event {
-                TraceEvent::UpdateCompleted { request, home, .. } => Some((request, home)),
-                _ => None,
+            .filter_map(|rec| {
+                let TraceEvent::UpdateCompleted { request, home, .. } = rec.event else {
+                    return None;
+                };
+                Some((request, home))
             })
             .filter(|&(request, home)| {
                 self.get(span_id(SpanKind::Request, request, u64::from(home)))
@@ -183,7 +183,6 @@ impl SpanSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marp_sim::TraceLevel;
 
     fn push_start(
         log: &mut TraceLog,
@@ -220,7 +219,7 @@ mod tests {
 
     #[test]
     fn cross_node_halves_are_stitched() {
-        let mut log = TraceLog::new(TraceLevel::Protocol);
+        let mut log = TraceLog::new();
         push_start(&mut log, 1, 0, SpanKind::Migrate, 7, 1, 0);
         push_end(&mut log, 5, 3, SpanKind::Migrate, 7, 1);
         let set = SpanSet::from_trace(&log);
@@ -234,7 +233,7 @@ mod tests {
 
     #[test]
     fn duplicate_ends_and_orphan_ends_are_tolerated() {
-        let mut log = TraceLog::new(TraceLevel::Protocol);
+        let mut log = TraceLog::new();
         push_start(&mut log, 1, 0, SpanKind::Dispatch, 9, 0, 0);
         push_end(&mut log, 2, 0, SpanKind::Dispatch, 9, 0);
         push_end(&mut log, 3, 1, SpanKind::Dispatch, 9, 0); // zombie clone
@@ -247,7 +246,7 @@ mod tests {
 
     #[test]
     fn children_and_links_are_indexed() {
-        let mut log = TraceLog::new(TraceLevel::Protocol);
+        let mut log = TraceLog::new();
         let dispatch = span_id(SpanKind::Dispatch, 5, 0);
         push_start(&mut log, 0, 0, SpanKind::Request, 100, 0, 0);
         push_start(&mut log, 1, 0, SpanKind::Dispatch, 5, 0, 0);
@@ -272,7 +271,7 @@ mod tests {
 
     #[test]
     fn a_write_is_covered_by_the_request_span_at_its_home() {
-        let mut log = TraceLog::new(TraceLevel::Protocol);
+        let mut log = TraceLog::new();
         push_start(&mut log, 0, 2, SpanKind::Request, 7, 2, 0);
         for (request, home) in [(7, 2), (7, 0), (8, 2)] {
             log.push(

@@ -8,7 +8,7 @@
 //! file I/O.
 
 use bytes::{Bytes, BytesMut};
-use marp_sim::{SimTime, TraceEvent, TraceLevel, TraceLog};
+use marp_sim::{SimTime, TraceEvent, TraceLog};
 use marp_wire::{Reader, Wire, WireError};
 
 /// File magic: "MARPTRC" + format version.
@@ -27,8 +27,7 @@ pub fn encode_trace(trace: &TraceLog) -> Vec<u8> {
     buf.to_vec()
 }
 
-/// Decode a binary trace file back into a [`TraceLog`] (at
-/// [`TraceLevel::Full`], so every stored record is retained).
+/// Decode a binary trace file back into a [`TraceLog`].
 pub fn decode_trace(data: &[u8]) -> Result<TraceLog, WireError> {
     let data = Bytes::copy_from_slice(data);
     let mut buf = Reader::new(&data);
@@ -39,7 +38,7 @@ pub fn decode_trace(data: &[u8]) -> Result<TraceLog, WireError> {
         });
     }
     let count = usize::decode(&mut buf)?;
-    let mut log = TraceLog::new(TraceLevel::Full);
+    let mut log = TraceLog::new();
     for _ in 0..count {
         let at = SimTime::decode(&mut buf)?;
         let node = marp_sim::NodeId::decode(&mut buf)?;
@@ -70,21 +69,13 @@ mod tests {
     use super::*;
     use marp_sim::{span_id, SpanKind};
 
-    /// One record of every [`TraceEvent`] variant, in tag order.
+    /// One record of every [`TraceEvent`] variant, in tag order. The
+    /// record of tag `t` is at `t + 1` ms on node `t % 5`, as it was
+    /// when tags 0 and 1 were still assigned.
     fn sample_trace() -> TraceLog {
         let ms = SimTime::from_millis;
         let span = span_id(SpanKind::Dispatch, 9, 0);
         let events = [
-            TraceEvent::MsgSent {
-                from: 0,
-                to: 1,
-                bytes: 33,
-            },
-            TraceEvent::MsgDelivered {
-                from: 0,
-                to: 1,
-                bytes: 300,
-            },
             TraceEvent::MsgDropped {
                 from: 1,
                 to: 0,
@@ -180,18 +171,20 @@ mod tests {
                 bytes: 129,
             },
         ];
-        let mut log = TraceLog::new(TraceLevel::Full);
-        for (i, event) in events.into_iter().enumerate() {
-            log.push(ms(i as u64 + 1), (i % 5) as marp_sim::NodeId, event);
+        let mut log = TraceLog::new();
+        for (tag, event) in (2..).zip(events) {
+            log.push(ms(tag + 1), (tag % 5) as marp_sim::NodeId, event);
         }
         log
     }
 
-    /// `encode_trace(sample_trace())`, captured before the codec became
-    /// a declaration: `MARPTRC1` files written by any earlier build
-    /// must keep loading, byte for byte.
+    /// `encode_trace(sample_trace())` as captured before the codec
+    /// became a declaration, with the records of tags 0 and 1 (the
+    /// per-message events, gone since) cut out and the count lowered to
+    /// match: a `MARPTRC1` file an earlier build wrote without them must
+    /// keep loading, byte for byte.
     const SAMPLE_TRACE_HEX: &str = concat!(
-        "4d4152505452433118c0843d000000012180897a01010001ac02c08db701020201000970",
+        "4d4152505452433116c08db701020201000970",
         "6172746974696f6e8092f401030303c096b102040403809bee020005020701c09fab0301",
         "0602080580a4e8030207090204c0a8a50403080902030180ade2040409090304c0b19f05",
         "000a090480b6dc05010b0903c0ba9906020c0903030180bfd606030d0905c0c39307040e",
@@ -209,8 +202,8 @@ mod tests {
     #[test]
     fn the_file_format_is_pinned_byte_for_byte() {
         let log = sample_trace();
-        // Every variant is in the sample (tags run 0..=23).
-        assert_eq!(log.records().len(), 24);
+        // Every variant is in the sample (tags run 2..=23).
+        assert_eq!(log.records().len(), 22);
         assert_eq!(hex(&encode_trace(&log)), SAMPLE_TRACE_HEX);
     }
 
@@ -226,7 +219,7 @@ mod tests {
     fn interner_returns_stable_references() {
         // Labels come back from a file as `'static` references: one
         // allocation per distinct label, however many records name it.
-        let mut log = TraceLog::new(TraceLevel::Full);
+        let mut log = TraceLog::new();
         for node in 0..2 {
             let event = TraceEvent::Custom {
                 kind: "some-label",
@@ -270,13 +263,13 @@ mod tests {
 
     #[test]
     fn unknown_event_tags_are_rejected() {
-        let mut log = TraceLog::new(TraceLevel::Full);
+        let mut log = TraceLog::new();
         log.push(SimTime::ZERO, 0, TraceEvent::NodeUp(1));
         let mut bytes = encode_trace(&log);
         // magic, count, at, node, then the event tag.
         let tag_at = MAGIC.len() + 3;
         assert_eq!(bytes[tag_at], 4);
-        for tag in [24, 25, 0xff] {
+        for tag in [0, 1, 24, 25, 0xff] {
             bytes[tag_at] = tag;
             assert!(matches!(
                 decode_trace(&bytes),

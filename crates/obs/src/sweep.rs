@@ -412,7 +412,7 @@ impl SweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marp_sim::{span_id, SimTime, SpanKind, TraceLevel};
+    use marp_sim::{span_id, SimTime, SpanKind};
 
     /// A point with every cost field following `scale^power`.
     fn synthetic_point(n: usize, power: f64) -> SweepPoint {
@@ -465,7 +465,7 @@ mod tests {
 
     #[test]
     fn measure_counts_commits_migrations_and_lt_entries() {
-        let mut log = TraceLog::new(TraceLevel::Protocol);
+        let mut log = TraceLog::new();
         log.push(
             SimTime::from_millis(1),
             0,
@@ -542,7 +542,7 @@ mod tests {
 
     #[test]
     fn phase_sum_matches_total_from_a_real_decomposition() {
-        let mut log = TraceLog::new(TraceLevel::Protocol);
+        let mut log = TraceLog::new();
         log.push(
             SimTime::from_millis(0),
             0,

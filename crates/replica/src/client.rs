@@ -305,7 +305,7 @@ mod tests {
     fn client_issues_script_and_records_latencies() {
         let mut sim = Simulation::new(
             Box::new(FixedDelay(Duration::from_millis(2))),
-            TraceLevel::Off,
+            TraceLevel::Protocol,
         );
         let server = sim.add_process(Box::new(FakeServer { seen: Vec::new() }));
         let script = ScriptedSource::new([
@@ -340,7 +340,7 @@ mod tests {
     fn empty_script_sends_nothing() {
         let mut sim = Simulation::new(
             Box::new(FixedDelay(Duration::from_millis(1))),
-            TraceLevel::Off,
+            TraceLevel::Protocol,
         );
         let server = sim.add_process(Box::new(FakeServer { seen: Vec::new() }));
         let client = sim.add_process(Box::new(ClientProcess::new(
@@ -381,7 +381,7 @@ mod tests {
     fn retry_resends_until_answered() {
         let mut sim = Simulation::new(
             Box::new(FixedDelay(Duration::from_millis(2))),
-            TraceLevel::Off,
+            TraceLevel::Protocol,
         );
         let server = sim.add_process(Box::new(FlakyServer {
             drop_first: 2,
@@ -409,7 +409,7 @@ mod tests {
     fn exhausted_retries_are_abandoned_loudly() {
         let mut sim = Simulation::new(
             Box::new(FixedDelay(Duration::from_millis(2))),
-            TraceLevel::Off,
+            TraceLevel::Protocol,
         );
         let server = sim.add_process(Box::new(FlakyServer {
             drop_first: usize::MAX,

@@ -603,7 +603,6 @@ mod tests {
         pairs.sort();
         let bytes = marp_wire::to_bytes(&ul);
         assert_eq!(bytes, marp_wire::to_bytes(&pairs));
-        assert_eq!(bytes.len(), marp_wire::Wire::encoded_len(&ul));
         assert_eq!(
             ul.agents().collect::<Vec<_>>(),
             [pairs[0].0, pairs[1].0, pairs[2].0]

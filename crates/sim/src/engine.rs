@@ -197,10 +197,6 @@ pub struct RunStats {
     pub bytes_sent: u64,
     /// Timer callbacks invoked.
     pub timers_fired: u64,
-    /// Causal spans opened by protocol code (`TraceEvent::SpanStart`).
-    pub spans_started: u64,
-    /// Causal spans closed (`TraceEvent::SpanEnd`).
-    pub spans_ended: u64,
     /// Bytes of serialized agent state shipped in migrations, including
     /// retries (`TraceEvent::AgentStateShipped`). Counts the behaviour
     /// state alone, not the enclosing envelope or message framing.
@@ -244,8 +240,9 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Create a simulation over the given transport, tracing at `level`.
-    pub fn new(transport: Box<dyn Transport>, level: TraceLevel) -> Self {
+    /// Create a simulation over the given transport. `level` is the one
+    /// [`TraceLevel`] there is.
+    pub fn new(transport: Box<dyn Transport>, _level: TraceLevel) -> Self {
         Simulation {
             processes: Vec::new(),
             alive: Vec::new(),
@@ -255,7 +252,7 @@ impl Simulation {
             next_timer: 0,
             cancelled: HashSet::new(),
             transport,
-            trace: TraceLog::new(level),
+            trace: TraceLog::new(),
             now: SimTime::ZERO,
             halted: false,
             started: false,
@@ -502,15 +499,6 @@ impl Simulation {
                     return;
                 }
                 self.stats.messages_delivered += 1;
-                self.trace.push(
-                    self.now,
-                    to,
-                    TraceEvent::MsgDelivered {
-                        from,
-                        to,
-                        bytes: payload.len(),
-                    },
-                );
                 self.with_process(to, |p, ctx| p.on_message(from, payload, ctx));
             }
             EventKind::Timer {
@@ -599,13 +587,8 @@ impl Simulation {
                     self.cancelled.insert(id.0);
                 }
                 Effect::Trace(event) => {
-                    match event {
-                        TraceEvent::SpanStart { .. } => self.stats.spans_started += 1,
-                        TraceEvent::SpanEnd { .. } => self.stats.spans_ended += 1,
-                        TraceEvent::AgentStateShipped { bytes, .. } => {
-                            self.stats.agent_bytes_migrated += bytes as u64
-                        }
-                        _ => {}
+                    if let TraceEvent::AgentStateShipped { bytes, .. } = event {
+                        self.stats.agent_bytes_migrated += bytes as u64;
                     }
                     self.trace.push(self.now, node, event);
                 }
@@ -625,15 +608,6 @@ impl Simulation {
         // tag (every workspace message enum writes a one-byte tag first).
         let kind = usize::from(msg.first().copied().unwrap_or(0).min(15));
         self.stats.bytes_by_kind[kind] += msg.len() as u64;
-        self.trace.push(
-            self.now,
-            from,
-            TraceEvent::MsgSent {
-                from,
-                to,
-                bytes: msg.len(),
-            },
-        );
         match self.transport.route(self.now, from, to, msg.len()) {
             Delivery::Deliver { at } => {
                 let at = at.max(self.now);
@@ -682,6 +656,11 @@ mod tests {
 
     impl Process for Echo {
         fn on_message(&mut self, from: NodeId, msg: Bytes, ctx: &mut dyn Context) {
+            ctx.trace(TraceEvent::Custom {
+                kind: "echo",
+                a: u64::from(from),
+                b: msg.len() as u64,
+            });
             self.received.push((from, msg.clone()));
             if from != EXTERNAL && msg.as_ref() != b"ack" {
                 ctx.send(from, Bytes::from_static(b"ack"));
@@ -702,7 +681,7 @@ mod tests {
     fn two_echo_sim() -> Simulation {
         let mut sim = Simulation::new(
             Box::new(FixedDelay(Duration::from_millis(1))),
-            TraceLevel::Full,
+            TraceLevel::Protocol,
         );
         sim.add_process(Box::new(Echo::new()));
         sim.add_process(Box::new(Echo::new()));
@@ -733,7 +712,7 @@ mod tests {
         }
         let mut sim = Simulation::new(
             Box::new(FixedDelay(Duration::from_millis(3))),
-            TraceLevel::Full,
+            TraceLevel::Protocol,
         );
         sim.add_process(Box::new(Pinger));
         sim.add_process(Box::new(Echo::new()));
@@ -762,7 +741,7 @@ mod tests {
             }
             impl_as_any!();
         }
-        let mut sim = Simulation::new(Box::new(FixedDelay(Duration::ZERO)), TraceLevel::Off);
+        let mut sim = Simulation::new(Box::new(FixedDelay(Duration::ZERO)), TraceLevel::Protocol);
         sim.add_process(Box::new(TimerUser { fired: Vec::new() }));
         let stats = sim.run_to_quiescence();
         let p: &TimerUser = sim.process(0).unwrap();
@@ -829,7 +808,7 @@ mod tests {
             }
             impl_as_any!();
         }
-        let mut sim = Simulation::new(Box::new(FixedDelay(Duration::ZERO)), TraceLevel::Off);
+        let mut sim = Simulation::new(Box::new(FixedDelay(Duration::ZERO)), TraceLevel::Protocol);
         sim.add_process(Box::new(Armer));
         sim.schedule_control(
             SimTime::from_millis(2),
@@ -894,6 +873,7 @@ mod tests {
         };
         let t1 = build();
         let t2 = build();
+        assert_eq!(t1.records().len(), 2, "one record per delivery");
         assert_eq!(t1.records(), t2.records());
     }
 
@@ -969,7 +949,7 @@ mod tests {
             fn on_message(&mut self, _: NodeId, _: Bytes, _: &mut dyn Context) {}
             impl_as_any!();
         }
-        let mut sim = Simulation::new(Box::new(FixedDelay(Duration::ZERO)), TraceLevel::Off);
+        let mut sim = Simulation::new(Box::new(FixedDelay(Duration::ZERO)), TraceLevel::Protocol);
         sim.add_process(Box::new(Armer));
         let pending = sim.pending_events();
         let start = pending[0].seq;
@@ -1016,7 +996,7 @@ mod tests {
             fn on_message(&mut self, _: NodeId, _: Bytes, _: &mut dyn Context) {}
             impl_as_any!();
         }
-        let mut sim = Simulation::new(Box::new(FixedDelay(Duration::ZERO)), TraceLevel::Off);
+        let mut sim = Simulation::new(Box::new(FixedDelay(Duration::ZERO)), TraceLevel::Protocol);
         sim.add_process(Box::new(Sender));
         sim.add_process(Box::new(Echo::new()));
         let stats = sim.run_to_quiescence();

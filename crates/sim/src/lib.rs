@@ -35,7 +35,7 @@
 //!
 //! let mut sim = Simulation::new(
 //!     Box::new(FixedDelay(Duration::from_millis(1))),
-//!     TraceLevel::Off,
+//!     TraceLevel::Protocol,
 //! );
 //! let node = sim.add_process(Box::new(Counter(0)));
 //! sim.schedule_external(SimTime::from_millis(5), node, Bytes::from_static(b"hi"));

@@ -23,7 +23,12 @@ pub type SpanId = u64;
 /// What phase of a write's life a span covers. Each committed write forms
 /// the tree `request → dispatch → {migrate×k, lock-acquire} →
 /// update-quorum → commit`; consistent reads get their own `Read` span.
+///
+/// The discriminants follow declaration order and are the kinds' stable
+/// tags ([`SpanKind::tag`], the wire format, span ids): a new kind goes
+/// at the end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum SpanKind {
     /// Client request pending at its accepting replica (arrival → reply).
     Request,
@@ -70,29 +75,7 @@ impl SpanKind {
 
     /// Stable numeric tag (wire format and span-id derivation).
     pub fn tag(self) -> u8 {
-        match self {
-            SpanKind::Request => 0,
-            SpanKind::Dispatch => 1,
-            SpanKind::Migrate => 2,
-            SpanKind::LockAcquire => 3,
-            SpanKind::UpdateQuorum => 4,
-            SpanKind::Commit => 5,
-            SpanKind::Read => 6,
-        }
-    }
-
-    /// Inverse of [`SpanKind::tag`].
-    pub fn from_tag(tag: u8) -> Option<SpanKind> {
-        Some(match tag {
-            0 => SpanKind::Request,
-            1 => SpanKind::Dispatch,
-            2 => SpanKind::Migrate,
-            3 => SpanKind::LockAcquire,
-            4 => SpanKind::UpdateQuorum,
-            5 => SpanKind::Commit,
-            6 => SpanKind::Read,
-            _ => return None,
-        })
+        self as u8
     }
 }
 
@@ -131,24 +114,7 @@ pub fn agent_key_parts(key: AgentKey) -> (NodeId, u32) {
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     // ----- kernel / network level -----
-    /// A message left `from` heading for `to`.
-    MsgSent {
-        /// Sender node.
-        from: NodeId,
-        /// Destination node.
-        to: NodeId,
-        /// Encoded size in bytes.
-        bytes: usize,
-    },
-    /// A message was handed to the destination process.
-    MsgDelivered {
-        /// Sender node.
-        from: NodeId,
-        /// Destination node.
-        to: NodeId,
-        /// Encoded size in bytes.
-        bytes: usize,
-    },
+    // (A message sent or delivered is counted in `RunStats`, not traced.)
     /// A message was dropped (dead destination, partition, fault model).
     MsgDropped {
         /// Sender node.
@@ -360,10 +326,10 @@ pub enum TraceEvent {
 
 // The `MARPTRC1` trace-file codec (`marp-obs` frames records around
 // it). Tags are numbered in order of *introduction*, not declaration,
-// so files written before a variant existed still decode.
+// so files written before a variant existed still decode. Tags 0 and 1
+// were the per-message sent and delivered records; they stay
+// unassigned, so every other tag decodes as it always has.
 marp_wire::wire_enum!(TraceEvent {
-    0 => MsgSent { from, to, bytes },
-    1 => MsgDelivered { from, to, bytes },
     2 => MsgDropped { from, to, reason },
     3 => NodeDown(node),
     4 => NodeUp(node),
@@ -399,72 +365,40 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-/// Which events the log retains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Which events a log retains. There is one level left: every record
+/// a process or the kernel emits, and none per message sent or
+/// delivered (`RunStats` counts those). [`crate::Simulation::new`]
+/// still takes it because `marp-benchmark` passes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceLevel {
-    /// Keep nothing (benchmark mode).
-    Off,
-    /// Keep protocol-level events, drop per-message kernel noise.
-    #[default]
+    /// Protocol-level events: everything that is traced.
     Protocol,
-    /// Keep everything including every message send/deliver.
-    Full,
 }
 
 /// An append-only in-memory trace log.
 #[derive(Debug, Default)]
 pub struct TraceLog {
-    level: TraceLevel,
     records: Vec<TraceRecord>,
-    dropped: u64,
 }
 
 impl TraceLog {
-    /// Create a log at the given retention level.
-    ///
-    /// The backing store is preallocated according to the level so the
-    /// hot path appends without growth reallocations: `Off` keeps no
-    /// records and reserves nothing, while `Protocol`/`Full` reserve
-    /// generously (a run that outgrows the reservation still works —
-    /// the vector grows as usual).
-    pub fn new(level: TraceLevel) -> Self {
-        let capacity = match level {
-            TraceLevel::Off => 0,
-            TraceLevel::Protocol => 4_096,
-            TraceLevel::Full => 16_384,
-        };
+    /// Create an empty log, with room reserved so a typical run appends
+    /// without growing it (a run that outgrows the reservation still
+    /// works — the vector grows as usual).
+    pub fn new() -> Self {
         TraceLog {
-            level,
-            records: Vec::with_capacity(capacity),
-            dropped: 0,
+            records: Vec::with_capacity(4_096),
         }
     }
 
-    /// Append one record, subject to the retention level.
+    /// Append one record.
     pub fn push(&mut self, at: SimTime, node: NodeId, event: TraceEvent) {
-        let keep = match self.level {
-            TraceLevel::Off => false,
-            TraceLevel::Full => true,
-            TraceLevel::Protocol => !matches!(
-                event,
-                TraceEvent::MsgSent { .. } | TraceEvent::MsgDelivered { .. }
-            ),
-        };
-        if keep {
-            self.records.push(TraceRecord { at, node, event });
-        } else {
-            self.dropped += 1;
-        }
+        self.records.push(TraceRecord { at, node, event });
     }
 
     /// All retained records in emission order.
     pub fn records(&self) -> &[TraceRecord] {
         &self.records
-    }
-
-    /// Number of records suppressed by the retention level.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Iterate over records matching a predicate.
@@ -504,48 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn protocol_level_drops_message_noise() {
-        let mut log = TraceLog::new(TraceLevel::Protocol);
-        log.push(
-            SimTime::ZERO,
-            0,
-            TraceEvent::MsgSent {
-                from: 0,
-                to: 1,
-                bytes: 10,
-            },
-        );
-        log.push(SimTime::ZERO, 0, TraceEvent::NodeDown(1));
-        assert_eq!(log.records().len(), 1);
-        assert_eq!(log.dropped(), 1);
-        assert!(matches!(log.records()[0].event, TraceEvent::NodeDown(1)));
-    }
-
-    #[test]
-    fn full_level_keeps_everything() {
-        let mut log = TraceLog::new(TraceLevel::Full);
-        log.push(
-            SimTime::ZERO,
-            0,
-            TraceEvent::MsgSent {
-                from: 0,
-                to: 1,
-                bytes: 10,
-            },
-        );
-        assert_eq!(log.records().len(), 1);
-        assert_eq!(log.dropped(), 0);
-    }
-
-    #[test]
-    fn off_level_keeps_nothing() {
-        let mut log = TraceLog::new(TraceLevel::Off);
-        log.push(SimTime::ZERO, 0, TraceEvent::NodeDown(1));
-        assert!(log.records().is_empty());
-        assert_eq!(log.dropped(), 1);
-    }
-
-    #[test]
     fn span_ids_are_deterministic_and_distinct() {
         let a = span_id(SpanKind::Migrate, agent_key(1, 0), 3);
         let b = span_id(SpanKind::Migrate, agent_key(1, 0), 3);
@@ -566,15 +458,17 @@ mod tests {
             SpanKind::Commit,
             SpanKind::Read,
         ] {
-            assert_eq!(SpanKind::from_tag(kind.tag()), Some(kind));
+            let wire = bytes::Bytes::copy_from_slice(&[kind.tag()]);
+            assert_eq!(marp_wire::from_bytes::<SpanKind>(&wire), Ok(kind));
             assert!(!kind.name().is_empty());
         }
-        assert_eq!(SpanKind::from_tag(250), None);
+        let past_the_last = bytes::Bytes::from_static(&[SpanKind::Read as u8 + 1]);
+        assert!(marp_wire::from_bytes::<SpanKind>(&past_the_last).is_err());
     }
 
     #[test]
     fn protocol_level_keeps_span_events() {
-        let mut log = TraceLog::new(TraceLevel::Protocol);
+        let mut log = TraceLog::new();
         let id = span_id(SpanKind::Request, 9, 0);
         log.push(
             SimTime::ZERO,
@@ -596,12 +490,11 @@ mod tests {
             },
         );
         assert_eq!(log.records().len(), 2);
-        assert_eq!(log.dropped(), 0);
     }
 
     #[test]
     fn filter_and_count() {
-        let mut log = TraceLog::new(TraceLevel::Full);
+        let mut log = TraceLog::new();
         for node in 0..4 {
             log.push(
                 SimTime::from_millis(node as u64),

@@ -45,7 +45,7 @@ impl Process for Echo {
 fn a_warm_engine_runs_a_handler_without_allocating() {
     let mut sim = Simulation::new(
         Box::new(FixedDelay(Duration::from_millis(1))),
-        TraceLevel::Off,
+        TraceLevel::Protocol,
     );
     for _ in 0..2 {
         sim.add_process(Box::new(Echo { timers_fired: 0 }));

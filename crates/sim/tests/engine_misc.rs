@@ -1,10 +1,9 @@
-//! Miscellaneous engine-surface tests: inspection, halting, trace
-//! levels, and liveness bookkeeping.
+//! Miscellaneous engine-surface tests: inspection, halting, and
+//! liveness bookkeeping.
 
 use bytes::Bytes;
 use marp_sim::{
-    impl_as_any, Context, Control, FixedDelay, NodeId, Process, SimTime, Simulation, TraceEvent,
-    TraceLevel,
+    impl_as_any, Context, Control, FixedDelay, NodeId, Process, SimTime, Simulation, TraceLevel,
 };
 use std::time::Duration;
 
@@ -22,7 +21,7 @@ impl Process for Counter {
 fn sim_with_counters(n: usize) -> Simulation {
     let mut sim = Simulation::new(
         Box::new(FixedDelay(Duration::from_millis(1))),
-        TraceLevel::Full,
+        TraceLevel::Protocol,
     );
     for _ in 0..n {
         sim.add_process(Box::new(Counter { seen: 0 }));
@@ -57,22 +56,6 @@ fn process_mut_allows_in_place_adjustment() {
 }
 
 #[test]
-fn trace_levels_control_retention() {
-    for (level, expect_msgs) in [(TraceLevel::Full, true), (TraceLevel::Protocol, false)] {
-        let mut sim = Simulation::new(Box::new(FixedDelay(Duration::from_millis(1))), level);
-        sim.add_process(Box::new(Counter { seen: 0 }));
-        sim.schedule_external(SimTime::from_millis(1), 0, Bytes::from_static(b"x"));
-        sim.run_to_quiescence();
-        let has_msgs = sim
-            .trace()
-            .records()
-            .iter()
-            .any(|r| matches!(r.event, TraceEvent::MsgDelivered { .. }));
-        assert_eq!(has_msgs, expect_msgs, "level {level:?}");
-    }
-}
-
-#[test]
 fn halt_from_inside_a_handler() {
     struct Halter;
     impl Process for Halter {
@@ -83,7 +66,7 @@ fn halt_from_inside_a_handler() {
     }
     let mut sim = Simulation::new(
         Box::new(FixedDelay(Duration::from_millis(1))),
-        TraceLevel::Off,
+        TraceLevel::Protocol,
     );
     sim.add_process(Box::new(Halter));
     sim.schedule_external(SimTime::from_millis(1), 0, Bytes::from_static(b"stop"));
@@ -115,7 +98,7 @@ fn sending_to_unknown_node_panics() {
         fn on_message(&mut self, _: NodeId, _: Bytes, _: &mut dyn Context) {}
         impl_as_any!();
     }
-    let mut sim = Simulation::new(Box::new(FixedDelay(Duration::ZERO)), TraceLevel::Off);
+    let mut sim = Simulation::new(Box::new(FixedDelay(Duration::ZERO)), TraceLevel::Protocol);
     sim.add_process(Box::new(BadSender));
     sim.run_to_quiescence();
 }

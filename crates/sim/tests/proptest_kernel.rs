@@ -63,7 +63,7 @@ proptest! {
     ) {
         let mut sim = Simulation::new(
             Box::new(FixedDelay(Duration::from_millis(delay_ms))),
-            TraceLevel::Off,
+            TraceLevel::Protocol,
         );
         let node = sim.add_process(Box::new(Recorder::new()));
         for &(at_ms, tag) in &sends {
@@ -90,7 +90,7 @@ proptest! {
     fn timers_fire_in_deadline_order(delays in proptest::collection::vec(0u64..1000, 1..30)) {
         let mut sim = Simulation::new(
             Box::new(FixedDelay(Duration::ZERO)),
-            TraceLevel::Off,
+            TraceLevel::Protocol,
         );
         let node = sim.add_process(Box::new(TimerArmer {
             delays_ms: delays.clone(),
@@ -122,7 +122,7 @@ proptest! {
         let run = || {
             let mut sim = Simulation::new(
                 Box::new(FixedDelay(Duration::from_millis(3))),
-                TraceLevel::Full,
+                TraceLevel::Protocol,
             );
             let node = sim.add_process(Box::new(Recorder::new()));
             for &(at_ms, tag) in &sends {
@@ -146,7 +146,7 @@ fn run_until_is_resumable_at_arbitrary_boundaries() {
     let build = || {
         let mut sim = Simulation::new(
             Box::new(FixedDelay(Duration::from_millis(1))),
-            TraceLevel::Off,
+            TraceLevel::Protocol,
         );
         let node = sim.add_process(Box::new(Recorder::new()));
         for at in [3u64, 7, 11, 42, 99, 100, 250] {

@@ -15,8 +15,7 @@
 
 use bytes::Bytes;
 use marp_sim::{
-    Context, Delivery, NodeId, Process, SimTime, TimerId, TraceEvent, TraceLevel, TraceLog,
-    Transport,
+    Context, Delivery, NodeId, Process, SimTime, TimerId, TraceEvent, TraceLog, Transport,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
@@ -31,16 +30,11 @@ pub struct ThreadedConfig {
     /// How many times faster than wall time virtual time advances
     /// (2.0 = a 10 ms virtual delay sleeps 5 ms of wall time).
     pub speed: f64,
-    /// Trace retention.
-    pub trace_level: TraceLevel,
 }
 
 impl Default for ThreadedConfig {
     fn default() -> Self {
-        ThreadedConfig {
-            speed: 1.0,
-            trace_level: TraceLevel::Protocol,
-        }
+        ThreadedConfig { speed: 1.0 }
     }
 }
 
@@ -250,9 +244,8 @@ pub fn run_threaded(
     // Router thread.
     let router_clock = Arc::clone(&clock);
     let router_hosts = host_txs.clone();
-    let trace_level = cfg.trace_level;
     let router = std::thread::spawn(move || {
-        let mut trace = TraceLog::new(trace_level);
+        let mut trace = TraceLog::new();
         let mut heap: BinaryHeap<Reverse<Due>> = BinaryHeap::new();
         let mut cancelled: HashSet<u64> = HashSet::new();
         let mut seq = 0u64;
@@ -267,15 +260,6 @@ pub fn run_threaded(
                 let Reverse(due) = heap.pop().expect("peeked");
                 match due.kind {
                     DueKind::Message { from, to } => {
-                        trace.push(
-                            router_clock.now_virtual(),
-                            to,
-                            TraceEvent::MsgDelivered {
-                                from,
-                                to,
-                                bytes: due.payload.as_ref().map_or(0, |b| b.len()),
-                            },
-                        );
                         let _ = router_hosts[usize::from(to)].send(HostEvent::Message {
                             from,
                             msg: due.payload.expect("message payload"),
@@ -298,15 +282,6 @@ pub fn run_threaded(
                 Ok(Cmd::Send { from, to, msg }) => {
                     sent += 1;
                     let now_virtual = router_clock.now_virtual();
-                    trace.push(
-                        now_virtual,
-                        from,
-                        TraceEvent::MsgSent {
-                            from,
-                            to,
-                            bytes: msg.len(),
-                        },
-                    );
                     match transport.route(now_virtual, from, to, msg.len()) {
                         Delivery::Deliver { at } => {
                             seq += 1;
@@ -443,19 +418,12 @@ mod tests {
             ],
             Box::new(marp_sim::FixedDelay(Duration::from_millis(2))),
             Duration::from_millis(500),
-            ThreadedConfig {
-                speed: 1.0,
-                trace_level: TraceLevel::Full,
-            },
+            ThreadedConfig::default(),
         );
         let ponger: &Ponger = run.process(1).unwrap();
         assert_eq!(ponger.received, 10);
-        assert!(run.messages_sent >= 19);
-        assert!(run
-            .trace
-            .records()
-            .iter()
-            .any(|r| matches!(r.event, TraceEvent::MsgDelivered { .. })));
+        // Ten pings and nine pongs, each routed once.
+        assert_eq!(run.messages_sent, 19);
     }
 
     #[test]
@@ -476,10 +444,7 @@ mod tests {
             vec![Box::new(TimerCounter { fired: 0 })],
             Box::new(marp_sim::FixedDelay(Duration::ZERO)),
             Duration::from_millis(400),
-            ThreadedConfig {
-                speed: 4.0,
-                trace_level: TraceLevel::Off,
-            },
+            ThreadedConfig { speed: 4.0 },
         );
         // 400 ms of virtual time at 4× ≈ 100 ms wall; all 5 timer
         // firings (50 ms virtual) fit comfortably.

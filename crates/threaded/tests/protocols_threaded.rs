@@ -6,7 +6,7 @@ use marp_baselines::{wrap_mcv_client_request, McvConfig, McvNode};
 use marp_metrics::PaperMetrics;
 use marp_net::{LinkModel, SimTransport, Topology};
 use marp_replica::{ClientProcess, Operation, ScriptedSource};
-use marp_sim::{Process, SimRng, TraceLevel};
+use marp_sim::{Process, SimRng};
 use marp_threaded::{run_threaded, ThreadedConfig};
 use std::time::Duration;
 
@@ -37,10 +37,7 @@ fn mcv_commits_under_real_threads() {
         processes,
         Box::new(transport),
         Duration::from_secs(4),
-        ThreadedConfig {
-            speed: 4.0,
-            trace_level: TraceLevel::Protocol,
-        },
+        ThreadedConfig { speed: 4.0 },
     );
     let metrics = PaperMetrics::from_trace(&run.trace);
     assert!(
@@ -87,10 +84,7 @@ fn workload_sources_drive_threaded_clients() {
         processes,
         Box::new(transport),
         Duration::from_secs(4),
-        ThreadedConfig {
-            speed: 4.0,
-            trace_level: TraceLevel::Protocol,
-        },
+        ThreadedConfig { speed: 4.0 },
     );
     let metrics = PaperMetrics::from_trace(&run.trace);
     assert!(

@@ -8,7 +8,7 @@
 //! constants in practice, so the set is tiny; do not point this codec
 //! at input whose label set an adversary grows.
 
-use crate::{decode_str, put_str, str_len, Reader, Wire, WireError};
+use crate::{decode_str, put_str, Reader, Wire, WireError};
 use bytes::BytesMut;
 use std::collections::HashSet;
 use std::sync::{Mutex, OnceLock};
@@ -33,9 +33,6 @@ impl Wire for &'static str {
     }
     fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
         decode_str(buf).map(intern)
-    }
-    fn encoded_len(&self) -> usize {
-        str_len(self)
     }
 }
 

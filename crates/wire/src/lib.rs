@@ -10,11 +10,13 @@
 //!
 //! Design goals:
 //!
-//! * **Compact**: unsigned values use LEB128 varints, signed values use
-//!   zigzag varints, so small identifiers and counts cost one byte.
+//! * **Compact**: integers use LEB128 varints, so small identifiers and
+//!   counts cost one byte.
 //! * **Deterministic**: a value always encodes to the same bytes; there is
 //!   no padding, no alignment, and no versioning noise. This keeps the
 //!   discrete-event simulator reproducible byte-for-byte.
+//! * **Said once**: `encode` and `decode` are the format. A message's
+//!   size is the length of its encoding; nothing else describes it.
 //! * **Self-contained**: no external serialization framework; the entire
 //!   format is visible in this crate and covered by round-trip property
 //!   tests.
@@ -28,7 +30,7 @@ mod varint;
 
 pub use error::WireError;
 pub use reader::Reader;
-pub use varint::{get_ivarint, get_uvarint, ivarint_len, put_ivarint, put_uvarint, uvarint_len};
+pub use varint::{get_uvarint, put_uvarint};
 
 use bytes::{Bytes, BytesMut};
 use std::cell::Cell;
@@ -46,11 +48,11 @@ pub trait Wire: Sized {
     /// consumed bytes.
     fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError>;
 
-    /// Exact number of bytes [`encode`](Wire::encode) will append,
-    /// without encoding: what a message will cost before it is built.
-    /// Implementations must be exact — [`to_bytes`] asserts (in debug
-    /// builds) that it matches what `encode` produced.
-    fn encoded_len(&self) -> usize;
+    /// Number of bytes [`encode`](Wire::encode) appends. It costs an
+    /// encode: the length of a value is the length of its encoding.
+    fn encoded_len(&self) -> usize {
+        to_bytes(self).len()
+    }
 }
 
 thread_local! {
@@ -70,12 +72,6 @@ pub fn to_bytes<T: Wire>(value: &T) -> Bytes {
     let mut buf = SCRATCH.take().unwrap_or_default();
     buf.clear();
     value.encode(&mut buf);
-    debug_assert_eq!(
-        buf.len(),
-        value.encoded_len(),
-        "Wire::encoded_len for {} is not exact",
-        std::any::type_name::<T>()
-    );
     let message = Bytes::copy_from_slice(&buf);
     SCRATCH.set(Some(buf));
     message
@@ -110,9 +106,6 @@ impl Wire for bool {
             }),
         }
     }
-    fn encoded_len(&self) -> usize {
-        1
-    }
 }
 
 impl Wire for u8 {
@@ -121,9 +114,6 @@ impl Wire for u8 {
     }
     fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
         buf.u8()
-    }
-    fn encoded_len(&self) -> usize {
-        1
     }
 }
 
@@ -140,9 +130,6 @@ macro_rules! wire_uvarint {
                     value: raw,
                 })
             }
-            fn encoded_len(&self) -> usize {
-                uvarint_len(u64::from(*self))
-            }
         }
     )*};
 }
@@ -154,9 +141,6 @@ impl Wire for u64 {
     }
     fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
         get_uvarint(buf)
-    }
-    fn encoded_len(&self) -> usize {
-        uvarint_len(*self)
     }
 }
 
@@ -171,55 +155,6 @@ impl Wire for usize {
             value: raw,
         })
     }
-    fn encoded_len(&self) -> usize {
-        uvarint_len(*self as u64)
-    }
-}
-
-macro_rules! wire_ivarint {
-    ($($ty:ty),*) => {$(
-        impl Wire for $ty {
-            fn encode(&self, buf: &mut BytesMut) {
-                put_ivarint(buf, i64::from(*self));
-            }
-            fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
-                let raw = get_ivarint(buf)?;
-                <$ty>::try_from(raw).map_err(|_| WireError::ValueOutOfRange {
-                    type_name: stringify!($ty),
-                    value: raw as u64,
-                })
-            }
-            fn encoded_len(&self) -> usize {
-                ivarint_len(i64::from(*self))
-            }
-        }
-    )*};
-}
-wire_ivarint!(i16, i32);
-
-impl Wire for i64 {
-    fn encode(&self, buf: &mut BytesMut) {
-        put_ivarint(buf, *self);
-    }
-    fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
-        get_ivarint(buf)
-    }
-    fn encoded_len(&self) -> usize {
-        ivarint_len(*self)
-    }
-}
-
-impl Wire for f64 {
-    fn encode(&self, buf: &mut BytesMut) {
-        bytes::BufMut::put_u64(buf, self.to_bits());
-    }
-    fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
-        let raw = buf.take(8)?.try_into().expect("eight bytes");
-        Ok(f64::from_bits(u64::from_be_bytes(raw)))
-    }
-    fn encoded_len(&self) -> usize {
-        8
-    }
 }
 
 /// The string encoding, shared by [`String`] and `&'static str`
@@ -227,10 +162,6 @@ impl Wire for f64 {
 fn put_str(buf: &mut BytesMut, s: &str) {
     put_uvarint(buf, s.len() as u64);
     bytes::BufMut::put_slice(buf, s.as_bytes());
-}
-
-fn str_len(s: &str) -> usize {
-    uvarint_len(s.len() as u64) + s.len()
 }
 
 /// Read what [`put_str`] wrote, borrowed from the message.
@@ -246,9 +177,6 @@ impl Wire for String {
     fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
         decode_str(buf).map(str::to_owned)
     }
-    fn encoded_len(&self) -> usize {
-        str_len(self)
-    }
 }
 
 impl Wire for Bytes {
@@ -259,9 +187,6 @@ impl Wire for Bytes {
     fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = decode_len(buf)?;
         buf.bytes(len)
-    }
-    fn encoded_len(&self) -> usize {
-        uvarint_len(self.len() as u64) + self.len()
     }
 }
 
@@ -285,9 +210,6 @@ impl<T: Wire> Wire for Option<T> {
             }),
         }
     }
-    fn encoded_len(&self) -> usize {
-        1 + self.as_ref().map_or(0, Wire::encoded_len)
-    }
 }
 
 impl<T: Wire> Wire for Vec<T> {
@@ -307,9 +229,6 @@ impl<T: Wire> Wire for Vec<T> {
             out.push(T::decode(buf)?);
         }
         Ok(out)
-    }
-    fn encoded_len(&self) -> usize {
-        uvarint_len(self.len() as u64) + self.iter().map(Wire::encoded_len).sum::<usize>()
     }
 }
 
@@ -331,53 +250,6 @@ impl<K: Wire + Ord, V: Wire> Wire for std::collections::BTreeMap<K, V> {
         }
         Ok(out)
     }
-    fn encoded_len(&self) -> usize {
-        uvarint_len(self.len() as u64)
-            + self
-                .iter()
-                .map(|(k, v)| k.encoded_len() + v.encoded_len())
-                .sum::<usize>()
-    }
-}
-
-impl<T: Wire + Ord> Wire for std::collections::BTreeSet<T> {
-    fn encode(&self, buf: &mut BytesMut) {
-        put_uvarint(buf, self.len() as u64);
-        for item in self {
-            item.encode(buf);
-        }
-    }
-    fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
-        let len = decode_len(buf)?;
-        let mut out = std::collections::BTreeSet::new();
-        for _ in 0..len {
-            out.insert(T::decode(buf)?);
-        }
-        Ok(out)
-    }
-    fn encoded_len(&self) -> usize {
-        uvarint_len(self.len() as u64) + self.iter().map(Wire::encoded_len).sum::<usize>()
-    }
-}
-
-impl<T: Wire> Wire for std::collections::VecDeque<T> {
-    fn encode(&self, buf: &mut BytesMut) {
-        put_uvarint(buf, self.len() as u64);
-        for item in self {
-            item.encode(buf);
-        }
-    }
-    fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
-        let len = decode_len(buf)?;
-        let mut out = std::collections::VecDeque::with_capacity(len.min(4096));
-        for _ in 0..len {
-            out.push_back(T::decode(buf)?);
-        }
-        Ok(out)
-    }
-    fn encoded_len(&self) -> usize {
-        uvarint_len(self.len() as u64) + self.iter().map(Wire::encoded_len).sum::<usize>()
-    }
 }
 
 impl<A: Wire, B: Wire> Wire for (A, B) {
@@ -387,9 +259,6 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     }
     fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok((A::decode(buf)?, B::decode(buf)?))
-    }
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len() + self.1.encoded_len()
     }
 }
 
@@ -402,9 +271,6 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
     fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok((A::decode(buf)?, B::decode(buf)?, C::decode(buf)?))
     }
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len() + self.1.encoded_len() + self.2.encoded_len()
-    }
 }
 
 fn decode_len(buf: &mut Reader<'_>) -> Result<usize, WireError> {
@@ -416,8 +282,8 @@ fn decode_len(buf: &mut Reader<'_>) -> Result<usize, WireError> {
 }
 
 /// Implement [`Wire`] for a struct by encoding the listed fields in
-/// order. One field list feeds `encode`, `decode` and `encoded_len`, so
-/// the three cannot disagree. Invoke it beside the struct definition;
+/// order. One field list feeds `encode` and `decode`, so the two cannot
+/// disagree. Invoke it beside the struct definition;
 /// the struct must be constructible with struct-literal syntax from the
 /// macro's call site. Generic structs name their parameters (each gets
 /// a `Wire` bound), tuple structs list their fields by index. A type
@@ -475,9 +341,6 @@ macro_rules! wire_struct {
                 } )?
                 Ok(value)
             }
-            fn encoded_len(&self) -> usize {
-                0 $( + $crate::Wire::encoded_len(&self.$field) )*
-            }
         }
     };
 }
@@ -489,8 +352,8 @@ macro_rules! wire_struct {
 /// struct. Decoding rejects unknown tags with
 /// [`WireError::InvalidTag`].
 ///
-/// One variant list feeds `encode`, `decode` and `encoded_len` through
-/// an exhaustive `match`, so an asymmetric codec is unrepresentable and
+/// One variant list feeds `encode` and `decode` through an exhaustive
+/// `match`, so an asymmetric codec is unrepresentable and
 /// an incomplete one does not compile.
 ///
 /// ```
@@ -573,14 +436,6 @@ macro_rules! wire_enum {
                     }),
                 }
             }
-            fn encoded_len(&self) -> usize {
-                match self {
-                    $( $name::$variant $(($inner))? $({ $($field),* })? => {
-                        1 $( + $crate::Wire::encoded_len($inner) )?
-                            $( $( + $crate::Wire::encoded_len($field) )* )?
-                    } )*
-                }
-            }
         }
     };
 }
@@ -588,7 +443,7 @@ macro_rules! wire_enum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::{BTreeMap, BTreeSet, VecDeque};
+    use std::collections::BTreeMap;
 
     fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
         let bytes = to_bytes(&value);
@@ -607,19 +462,6 @@ mod tests {
         roundtrip(u32::MAX);
         roundtrip(u64::MAX);
         roundtrip(usize::MAX);
-        roundtrip(-1i32);
-        roundtrip(i32::MIN);
-        roundtrip(i64::MIN);
-        roundtrip(i64::MAX);
-        roundtrip(0.0f64);
-        roundtrip(-1234.5678f64);
-    }
-
-    #[test]
-    fn roundtrip_f64_nan_bits() {
-        let bytes = to_bytes(&f64::NAN);
-        let back: f64 = from_bytes(&bytes).unwrap();
-        assert!(back.is_nan());
     }
 
     #[test]
@@ -637,10 +479,6 @@ mod tests {
         map.insert(1u32, String::from("one"));
         map.insert(2u32, String::from("two"));
         roundtrip(map);
-        let set: BTreeSet<u16> = [5, 6, 7].into_iter().collect();
-        roundtrip(set);
-        let deque: VecDeque<u8> = [9, 8, 7].into_iter().collect();
-        roundtrip(deque);
     }
 
     #[test]
@@ -648,8 +486,6 @@ mod tests {
         assert_eq!(to_bytes(&0u64).len(), 1);
         assert_eq!(to_bytes(&127u64).len(), 1);
         assert_eq!(to_bytes(&128u64).len(), 2);
-        assert_eq!(to_bytes(&-1i64).len(), 1);
-        assert_eq!(to_bytes(&63i64).len(), 1);
     }
 
     #[test]

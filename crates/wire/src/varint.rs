@@ -1,9 +1,7 @@
 //! LEB128 varint primitives.
 //!
-//! Unsigned values are encoded seven bits at a time, least-significant
-//! group first, with the high bit of each byte marking continuation.
-//! Signed values are zigzag-mapped (`0, -1, 1, -2, …` → `0, 1, 2, 3, …`)
-//! before the unsigned encoding so small negative numbers stay short.
+//! Values are encoded seven bits at a time, least-significant group
+//! first, with the high bit of each byte marking continuation.
 
 use crate::{Reader, WireError};
 use bytes::{BufMut, BytesMut};
@@ -47,60 +45,20 @@ pub fn get_uvarint(buf: &mut Reader<'_>) -> Result<u64, WireError> {
     Err(WireError::UnexpectedEof)
 }
 
-/// Append a signed 64-bit value as a zigzag LEB128 varint.
-pub fn put_ivarint(buf: &mut BytesMut, value: i64) {
-    put_uvarint(buf, zigzag_encode(value));
-}
-
-/// Read a signed zigzag LEB128 varint from the front of `buf`.
-pub fn get_ivarint(buf: &mut Reader<'_>) -> Result<i64, WireError> {
-    Ok(zigzag_decode(get_uvarint(buf)?))
-}
-
-/// Number of bytes `value` occupies as an unsigned varint.
-pub fn uvarint_len(value: u64) -> usize {
-    if value == 0 {
-        return 1;
-    }
-    let bits = 64 - value.leading_zeros() as usize;
-    bits.div_ceil(7)
-}
-
-/// Number of bytes `value` occupies as a signed zigzag varint.
-pub fn ivarint_len(value: i64) -> usize {
-    uvarint_len(zigzag_encode(value))
-}
-
-fn zigzag_encode(value: i64) -> u64 {
-    ((value << 1) ^ (value >> 63)) as u64
-}
-
-fn zigzag_decode(value: u64) -> i64 {
-    ((value >> 1) as i64) ^ -((value & 1) as i64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::Bytes;
 
-    fn uroundtrip(value: u64) {
+    /// Encode `value`, decode it back, and return the encoded length.
+    fn uroundtrip(value: u64) -> usize {
         let mut buf = BytesMut::new();
         put_uvarint(&mut buf, value);
-        assert_eq!(buf.len(), uvarint_len(value), "length mismatch for {value}");
         let bytes = buf.freeze();
         let mut reader = Reader::new(&bytes);
         assert_eq!(get_uvarint(&mut reader).unwrap(), value);
         assert_eq!(reader.remaining(), 0);
-    }
-
-    fn iroundtrip(value: i64) {
-        let mut buf = BytesMut::new();
-        put_ivarint(&mut buf, value);
-        let bytes = buf.freeze();
-        let mut reader = Reader::new(&bytes);
-        assert_eq!(get_ivarint(&mut reader).unwrap(), value);
-        assert_eq!(reader.remaining(), 0);
+        bytes.len()
     }
 
     #[test]
@@ -121,17 +79,10 @@ mod tests {
     }
 
     #[test]
-    fn signed_roundtrip_boundaries() {
-        for value in [0, -1, 1, -64, 63, 64, -65, i64::MIN, i64::MAX] {
-            iroundtrip(value);
+    fn every_bit_width_takes_one_byte_per_seven_bits() {
+        for shift in 0..64 {
+            assert_eq!(uroundtrip(1u64 << shift), shift / 7 + 1, "1 << {shift}");
         }
-    }
-
-    #[test]
-    fn zigzag_small_negatives_are_short() {
-        let mut buf = BytesMut::new();
-        put_ivarint(&mut buf, -3);
-        assert_eq!(buf.len(), 1);
     }
 
     #[test]
@@ -183,21 +134,5 @@ mod tests {
         let mut reader = Reader::new(&bytes);
         assert_eq!(get_uvarint(&mut reader), Ok(u64::MAX));
         assert_eq!(reader.remaining(), 1);
-    }
-
-    #[test]
-    fn uvarint_len_matches_encoding() {
-        for shift in 0..64 {
-            uroundtrip(1u64 << shift);
-        }
-    }
-
-    #[test]
-    fn zigzag_mapping_is_interleaved() {
-        assert_eq!(zigzag_encode(0), 0);
-        assert_eq!(zigzag_encode(-1), 1);
-        assert_eq!(zigzag_encode(1), 2);
-        assert_eq!(zigzag_encode(-2), 3);
-        assert_eq!(zigzag_decode(zigzag_encode(i64::MIN)), i64::MIN);
     }
 }

@@ -1,9 +1,9 @@
 //! Property-based round-trip tests for the wire codec.
 
 use bytes::Bytes;
-use marp_wire::{from_bytes, to_bytes, uvarint_len, wire_struct, Wire};
+use marp_wire::{from_bytes, to_bytes, wire_struct, Wire};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 
 fn assert_roundtrip<T: Wire + PartialEq + std::fmt::Debug + Clone>(value: &T) {
     let bytes = to_bytes(value);
@@ -18,27 +18,12 @@ proptest! {
     }
 
     #[test]
-    fn i64_roundtrip(v in any::<i64>()) {
-        assert_roundtrip(&v);
-    }
-
-    #[test]
     fn u32_roundtrip(v in any::<u32>()) {
         assert_roundtrip(&v);
     }
 
     #[test]
     fn u16_roundtrip(v in any::<u16>()) {
-        assert_roundtrip(&v);
-    }
-
-    #[test]
-    fn i32_roundtrip(v in any::<i32>()) {
-        assert_roundtrip(&v);
-    }
-
-    #[test]
-    fn f64_roundtrip(v in any::<f64>().prop_filter("NaN compares unequal", |x| !x.is_nan())) {
         assert_roundtrip(&v);
     }
 
@@ -58,20 +43,8 @@ proptest! {
     }
 
     #[test]
-    fn deque_roundtrip(v in proptest::collection::vec_deque(any::<u32>(), 0..64)) {
-        let v: VecDeque<u32> = v;
-        assert_roundtrip(&v);
-    }
-
-    #[test]
     fn map_roundtrip(v in proptest::collection::btree_map(any::<u32>(), ".{0,8}", 0..32)) {
         let v: BTreeMap<u32, String> = v.into_iter().map(|(k, s)| (k, s.to_string())).collect();
-        assert_roundtrip(&v);
-    }
-
-    #[test]
-    fn set_roundtrip(v in proptest::collection::btree_set(any::<u16>(), 0..64)) {
-        let v: BTreeSet<u16> = v;
         assert_roundtrip(&v);
     }
 
@@ -96,19 +69,14 @@ proptest! {
         let bytes = Bytes::from(raw);
         let _ = from_bytes::<Vec<(u32, String)>>(&bytes);
         let _ = from_bytes::<BTreeMap<u64, Vec<u8>>>(&bytes);
-        let _ = from_bytes::<Option<(u16, i64, bool)>>(&bytes);
+        let _ = from_bytes::<Option<(u16, u64, bool)>>(&bytes);
     }
 
     /// Encoding is deterministic: the same value always yields identical
     /// bytes.
     #[test]
-    fn encoding_is_deterministic(v in proptest::collection::vec(any::<i64>(), 0..32)) {
+    fn encoding_is_deterministic(v in proptest::collection::vec(any::<u64>(), 0..32)) {
         assert_eq!(to_bytes(&v), to_bytes(&v));
-    }
-
-    #[test]
-    fn uvarint_len_agrees_with_encoding(v in any::<u64>()) {
-        assert_eq!(to_bytes(&v).len(), uvarint_len(v));
     }
 }
 

@@ -66,10 +66,7 @@ fn threaded_backend_matches_des_on_commits() {
         processes,
         Box::new(transport),
         Duration::from_secs(6),
-        ThreadedConfig {
-            speed: 4.0,
-            trace_level: TraceLevel::Protocol,
-        },
+        ThreadedConfig { speed: 4.0 },
     );
     let threaded_metrics = PaperMetrics::from_trace(&run.trace);
     audit(&run.trace, N).assert_ok();
