@@ -270,9 +270,6 @@ impl Coordinator {
                 return self.round.take();
             }
             Verdict::Lost => self.abort_round(ctx),
-            // Only `QuorumCall::timed_out` says so; the round timer
-            // aborts instead.
-            Verdict::TimedOut => {}
         }
         None
     }

@@ -48,18 +48,6 @@ impl WvConfig {
         }
     }
 
-    /// Bias for fast reads: `r = 1`, `w = total votes` (ROWA).
-    pub fn read_one_write_all(n_servers: usize) -> Self {
-        WvConfig {
-            votes: vec![1; n_servers],
-            read_quorum: 1,
-            write_quorum: n_servers as u32,
-            promise_lease: Duration::from_secs(2),
-            round_timeout: Duration::from_millis(200),
-            retry: RetryPolicy::default_for(Duration::ZERO),
-        }
-    }
-
     /// Total votes in the system.
     pub fn total_votes(&self) -> u32 {
         self.votes.iter().sum()
@@ -469,7 +457,6 @@ mod tests {
         assert_eq!(cfg.write_quorum, 3);
         assert_eq!(cfg.read_quorum, 3);
         cfg.validate();
-        WvConfig::read_one_write_all(4).validate();
     }
 
     #[test]

@@ -47,8 +47,9 @@ struct OutstandingBatch {
 }
 
 /// Server→agent mail this node has sent, as plain counts (the hot path
-/// pays an integer add, not a trace record). `marp-trace sweep` reads
-/// them to show where agent-addressed bytes go.
+/// pays an integer add, not a trace record). The scale-sweep rows of
+/// `marp-lab` record them, and `marp-trace diagnose` shows where
+/// agent-addressed bytes go.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MailCounters {
     /// Change notices pushed on COMMIT (to agents resident here).

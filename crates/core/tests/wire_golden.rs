@@ -152,7 +152,6 @@ fn leaf_and_carried_state_vectors() {
     g.check("Itinerary", itinerary, "02030201040101");
     g.check("Verdict::Won", Verdict::Won, "00");
     g.check("Verdict::Lost", Verdict::Lost, "01");
-    g.check("Verdict::TimedOut", Verdict::TimedOut, "02");
     g.check(
         "SuccessRule::Majority",
         SuccessRule::Majority { n: 5 },

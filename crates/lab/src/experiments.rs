@@ -4,10 +4,10 @@
 //!
 //! Twelve rows are [`grid::Grid`]s — data for one runner; E12, E15, E16
 //! and `smoke` are bespoke functions, and the two `sweep_*` rows are the
-//! marp-prof scale sweep (`marp-trace sweep`) as a JSON document.
-//! Because [`Experiment::run`] returns the text it would print,
-//! [`results`] regenerates or checks every row's file under `results/`
-//! from the same table.
+//! marp-prof scale sweep as a JSON document (`marp-trace diagnose` and
+//! `diff` read it). Because [`Experiment::run`] returns the text it
+//! would print, [`results`] regenerates or checks every row's file under
+//! `results/` from the same table.
 
 mod backends;
 mod chaos;
@@ -15,7 +15,8 @@ mod grid;
 mod keyspace;
 mod smoke;
 
-use crate::{run_scenario_traced, scale_sweep, sweep_record, ProtocolKind, Scenario, SweepConfig};
+use crate::prof::{sweep_record, SweepConfig};
+use crate::{run_scenario_traced, ProtocolKind, Scenario};
 use marp_agent::ItineraryPolicy;
 use marp_sim::TraceLog;
 use std::path::Path;
@@ -27,11 +28,13 @@ pub struct Experiment {
     pub name: &'static str,
     /// What it reproduces, for `marp-lab list`.
     pub title: &'static str,
-    /// Run it with its own flags and return exactly what it prints.
-    /// Panics if an audit or the experiment's own assertion fails.
-    pub run: fn(&[String]) -> String,
-    /// The trace of its representative run, recorded on `--trace-out` /
-    /// `--metrics-out`; `None` for an experiment that has no such run.
+    /// Run it with its own flags and return exactly what it prints;
+    /// `Err` names a flag it does not read. Panics if an audit or the
+    /// experiment's own assertion fails.
+    pub run: fn(&[String]) -> Result<String, String>,
+    /// The trace of its representative run, recorded on `--trace-out`
+    /// (with flags `run` accepted); `None` for an experiment that has no
+    /// such run.
     pub trace: Option<fn(&[String]) -> TraceLog>,
     /// The file under `results/` that holds the output of `run(&[])`,
     /// byte for byte. `None` for output that is not a deterministic
@@ -43,13 +46,21 @@ fn trace_of(scenario: &Scenario) -> TraceLog {
     run_scenario_traced(scenario).1
 }
 
+/// Run an experiment that reads no flags, or name the first flag given.
+fn flagless(args: &[String], run: impl FnOnce() -> String) -> Result<String, String> {
+    match args.first() {
+        Some(flag) => Err(format!("unknown flag {flag}")),
+        None => Ok(run()),
+    }
+}
+
 /// A [`grid::Grid`] as a table row.
 macro_rules! grid {
     ($name:ident, $title:literal) => {
         Experiment {
             name: stringify!($name),
             title: $title,
-            run: |_| grid::$name().run(),
+            run: |args| flagless(args, || grid::$name().run()),
             trace: Some(|_| trace_of(&grid::$name().representative())),
             record: Some(concat!(stringify!($name), ".txt")),
         }
@@ -74,7 +85,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "e12_backends",
         title: "E12 — DES vs threaded runtime cross-check (wall-clock)",
-        run: backends::run,
+        run: |args| flagless(args, backends::run),
         trace: Some(|_| backends::des_trace()),
         record: None,
     },
@@ -100,22 +111,22 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "smoke",
         title: "one small audited run per protocol and key MARP configuration",
-        run: smoke::run,
+        run: |args| flagless(args, smoke::run),
         trace: Some(|_| trace_of(&smoke::representative())),
         record: None,
     },
     // The files keep the names `marp-trace diff` and the docs know.
     Experiment {
         name: "sweep_smoke",
-        title: "scale sweep, CI shape (N=3/5, two seeds): `marp-trace sweep --test --json`",
-        run: |_| sweep_record(&scale_sweep(&SweepConfig::smoke())),
+        title: "scale sweep, CI shape (N=3/5, two seeds): JSON for `marp-trace diagnose`",
+        run: |args| flagless(args, || sweep_record(&SweepConfig::smoke())),
         trace: None,
         record: Some("sweep_smoke.json"),
     },
     Experiment {
         name: "sweep_n3_n5_n9",
-        title: "scale sweep N=3/5/9, bytes per commit and exponents: `marp-trace sweep --json`",
-        run: |_| sweep_record(&scale_sweep(&SweepConfig::full())),
+        title: "scale sweep N=3/5/9, bytes per commit and exponents: JSON",
+        run: |args| flagless(args, || sweep_record(&SweepConfig::full())),
         trace: None,
         record: Some("sweep_n3_n5_n9.json"),
     },
@@ -139,7 +150,7 @@ pub fn results(dir: &Path, check: bool, experiments: &[Experiment]) -> Result<()
             continue;
         };
         let path = dir.join(file);
-        let text = (experiment.run)(&[]);
+        let text = (experiment.run)(&[])?;
         if !check {
             std::fs::write(&path, text).map_err(|err| format!("{}: {err}", path.display()))?;
             continue;

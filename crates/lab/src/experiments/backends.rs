@@ -51,7 +51,7 @@ pub(super) fn des_trace() -> TraceLog {
     sim.into_trace()
 }
 
-pub(super) fn run(_args: &[String]) -> String {
+pub(super) fn run() -> String {
     let des_trace = des_trace();
     let des = PaperMetrics::from_trace(&des_trace);
     audit_keyed(&des_trace, N).assert_ok();

@@ -169,7 +169,7 @@ fn write_artifact(dir: &PathBuf, spec: &PlanSpec, ablate: bool, failures: &[Stri
     }
 }
 
-pub(super) fn run(args: &[String]) -> String {
+pub(super) fn run(args: &[String]) -> Result<String, String> {
     let mut plans = 120usize;
     let mut ablate = false;
     let mut seed: Option<u64> = None;
@@ -177,25 +177,25 @@ pub(super) fn run(args: &[String]) -> String {
     let mut artifact_dir = PathBuf::from("target/chaos");
     let mut args = args.iter();
     while let Some(arg) = args.next() {
-        let mut value = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{what} expects a value"))
-                .as_str()
-        };
+        let mut value = || args.next().ok_or(format!("{arg} expects a value"));
+        let number = |raw: &str| format!("{arg} expects a number, not {raw}");
         match arg.as_str() {
-            "--plans" => plans = value("--plans").parse().expect("--plans expects a number"),
+            "--plans" => {
+                let raw = value()?;
+                plans = raw.parse().map_err(|_| number(raw))?;
+            }
             "--ablate" => ablate = true,
             "--seed" => {
-                let raw = value("--seed");
+                let raw = value()?;
                 let parsed = raw
                     .strip_prefix("0x")
                     .map(|hex| u64::from_str_radix(hex, 16))
                     .unwrap_or_else(|| raw.parse());
-                seed = Some(parsed.expect("--seed expects a number"));
+                seed = Some(parsed.map_err(|_| number(raw))?);
             }
-            "--profile" => profile = Some(value("--profile").to_string()),
-            "--artifact-dir" => artifact_dir = PathBuf::from(value("--artifact-dir")),
-            other => panic!("unknown flag {other}"),
+            "--profile" => profile = Some(value()?.to_string()),
+            "--artifact-dir" => artifact_dir = PathBuf::from(value()?),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
 
@@ -206,7 +206,7 @@ pub(super) fn run(args: &[String]) -> String {
             let (profile_name, profile) = ChaosProfile::all()
                 .into_iter()
                 .find(|(n, _)| *n == name)
-                .unwrap_or_else(|| panic!("unknown profile {name}"));
+                .ok_or(format!("unknown profile {name}"))?;
             vec![PlanSpec {
                 seed,
                 profile_name,
@@ -314,7 +314,7 @@ pub(super) fn run(args: &[String]) -> String {
             issued
         );
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

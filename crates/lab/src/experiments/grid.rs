@@ -150,7 +150,7 @@ impl Grid {
         format!("{}\n{}", table.render(), self.footer)
     }
 
-    /// The run `--trace-out` / `--metrics-out` record: the traced row's
+    /// The run `--trace-out` records: the traced row's
     /// last point at the first paper seed — one of the table's own runs.
     pub(super) fn representative(&self) -> Scenario {
         let row = self
@@ -428,13 +428,7 @@ pub(super) fn e13_read_mix() -> Grid {
         for (label, fresh, protocol) in [
             ("MARP", false, ProtocolKind::marp()),
             ("MARP (fresh)", true, ProtocolKind::marp()),
-            (
-                "WV",
-                false,
-                ProtocolKind::WeightedVoting {
-                    read_one_write_all: false,
-                },
-            ),
+            ("WV", false, ProtocolKind::WeightedVoting),
         ] {
             let mut point = paper(5, 20.0, 60).with_protocol(protocol);
             point.write_fraction = write_fraction;

@@ -119,7 +119,10 @@ pub(super) fn representative(args: &[String]) -> Scenario {
     scenario(KeyDist::Uniform { keys: 16 }, requests_per_client, seeds[0])
 }
 
-pub(super) fn run(args: &[String]) -> String {
+pub(super) fn run(args: &[String]) -> Result<String, String> {
+    if let Some(flag) = args.iter().find(|a| *a != "--test") {
+        return Err(format!("unknown flag {flag}"));
+    }
     let (requests_per_client, seeds) = shape(args);
 
     let hotspot = KeyDist::Hotspot {
@@ -224,5 +227,5 @@ pub(super) fn run(args: &[String]) -> String {
         "expected >= {MIN_SPEEDUP}x committed-writes/sec from 16 uniform keys over one key \
          (measured 2.57x since the pipelined handoff sped the single-key arm up), got {speedup:.2}x\n{out}"
     );
-    out
+    Ok(out)
 }

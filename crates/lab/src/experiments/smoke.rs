@@ -51,7 +51,7 @@ pub(super) fn representative() -> Scenario {
     small(ProtocolKind::marp())
 }
 
-pub(super) fn run(_args: &[String]) -> String {
+pub(super) fn run() -> String {
     let mut out = String::new();
     let mut all_ok = true;
     for (name, scenario) in [
@@ -60,12 +60,7 @@ pub(super) fn run(_args: &[String]) -> String {
         ("MARP batch-4", small(marp(true, CostSorted, 4))),
         ("MCV", small(ProtocolKind::Mcv)),
         ("Available Copy", small(ProtocolKind::AvailableCopy)),
-        (
-            "Weighted Voting",
-            small(ProtocolKind::WeightedVoting {
-                read_one_write_all: false,
-            }),
-        ),
+        ("Weighted Voting", small(ProtocolKind::WeightedVoting)),
         ("Primary Copy", small(ProtocolKind::PrimaryCopy)),
     ] {
         all_ok &= report(&mut out, name, &scenario, |o| o.metrics.completed == 30);

@@ -16,7 +16,6 @@ mod scenario;
 mod sweep;
 
 pub use experiments::{results, Experiment, EXPERIMENTS};
-pub use prof::{scale_sweep, sweep_record, SweepConfig};
 pub use scenario::{
     run_scenario, run_scenario_traced, LinkKind, ProtocolKind, RunOutcome, Scenario, TopologyKind,
 };

@@ -6,8 +6,7 @@ use marp_obs::ObsOptions;
 use std::path::Path;
 use std::process::ExitCode;
 
-const USAGE: &str =
-    "usage: marp-lab <experiment> [flags] [--trace-out <file>] [--metrics-out <file>]\n\
+const USAGE: &str = "usage: marp-lab <experiment> [flags] [--trace-out <file>]\n\
   \x20      marp-lab list               print the experiment index\n\
   \x20      marp-lab results [--check]  rewrite every recorded experiment's file under\n\
   \x20                                  results/, or compare and fail on a stale one";
@@ -44,18 +43,20 @@ fn main() -> ExitCode {
     }
 }
 
-/// Print the experiment's output, then honor `--trace-out` /
-/// `--metrics-out` with its representative run.
+/// Print the experiment's output, then honor `--trace-out` with its
+/// representative run.
 fn run(experiment: &Experiment, flags: &[String], obs: &ObsOptions) -> Result<(), String> {
-    if obs.any() && experiment.trace.is_none() {
+    let traced = obs.trace_out.is_some();
+    if traced && experiment.trace.is_none() {
         return Err(format!("{} has no run to trace", experiment.name));
     }
-    print!("{}", (experiment.run)(flags));
-    if let (true, Some(trace)) = (obs.any(), experiment.trace) {
+    let text = (experiment.run)(flags).map_err(|err| format!("{}: {err}", experiment.name))?;
+    print!("{text}");
+    if let (true, Some(trace)) = (traced, experiment.trace) {
         let written = obs
             .write(&trace(flags))
-            .map_err(|err| format!("observability output failed: {err}"))?;
-        for line in written {
+            .map_err(|err| format!("trace output failed: {err}"))?;
+        if let Some(line) = written {
             eprintln!("{line}");
         }
     }

@@ -1,10 +1,12 @@
-//! Scale-sweep harness for the marp-prof pipeline.
+//! Scale-sweep harness for the marp-prof pipeline: the `sweep_smoke`
+//! and `sweep_n3_n5_n9` rows of the experiment table.
 //!
-//! `marp-trace sweep` needs to run *the same scenario* at several
-//! replica counts and feed the recorded traces plus kernel statistics
-//! into [`marp_obs::SweepPoint::measure`]. This module owns that glue:
-//! the scenario grid lives here (next to [`Scenario`]), the folding
-//! arithmetic lives in `marp-obs`.
+//! A sweep runs *the same scenario* at several replica counts and feeds
+//! each run's trace, kernel statistics and paper metrics into
+//! [`marp_obs::SweepPoint::measure`]. This module owns that glue: the
+//! scenario grid lives here (next to [`Scenario`]), the folding
+//! arithmetic lives in `marp-obs`, and `marp-trace diagnose` reads the
+//! record back.
 
 use crate::scenario::Scenario;
 use crate::sweep::run_sweep_traced;
@@ -14,22 +16,22 @@ use marp_obs::{SweepPoint, SweepReport};
 
 /// What to run: replica counts, workload intensity, pooled seeds.
 #[derive(Debug, Clone)]
-pub struct SweepConfig {
+pub(crate) struct SweepConfig {
     /// Replica counts to measure, e.g. `[3, 5, 9]`.
-    pub ns: Vec<usize>,
+    ns: Vec<usize>,
     /// Mean inter-arrival time per client (ms).
-    pub mean_ms: f64,
+    mean_ms: f64,
     /// Writes issued per client.
-    pub requests_per_client: u64,
+    requests_per_client: u64,
     /// Seeds pooled into each point.
-    pub seeds: Vec<u64>,
+    seeds: Vec<u64>,
 }
 
 impl SweepConfig {
     /// The default diagnosis sweep: N = 3/5/9 at the bench workload
     /// (mean 25 ms, 10 requests/client) over the paper's seed pool.
     /// The whole sweep takes about 0.15 s in a release build.
-    pub fn full() -> Self {
+    pub(crate) fn full() -> Self {
         SweepConfig {
             ns: vec![3, 5, 9],
             mean_ms: 25.0,
@@ -40,7 +42,7 @@ impl SweepConfig {
 
     /// A CI-sized sweep: N = 3/5 only, lighter workload, two seeds.
     /// Exercises the whole pipeline in a few seconds.
-    pub fn smoke() -> Self {
+    pub(crate) fn smoke() -> Self {
         SweepConfig {
             ns: vec![3, 5],
             mean_ms: 25.0,
@@ -51,10 +53,10 @@ impl SweepConfig {
 }
 
 /// Run the configured grid (every `n × seed` pair in one parallel
-/// fan-out), audit every run, and fold each replica count's traces into
-/// a [`SweepPoint`]. Deterministic: same config + seeds → identical
+/// fan-out), audit every run, and fold each replica count's runs into a
+/// [`SweepPoint`]. Deterministic: same config + seeds → identical
 /// report, including its rendered and JSON forms.
-pub fn scale_sweep(config: &SweepConfig) -> SweepReport {
+fn scale_sweep(config: &SweepConfig) -> SweepReport {
     let scenarios: Vec<Scenario> = config
         .ns
         .iter()
@@ -75,9 +77,8 @@ pub fn scale_sweep(config: &SweepConfig) -> SweepReport {
         .enumerate()
         .map(|(i, &n)| {
             let chunk = &results[i * per_point..(i + 1) * per_point];
-            let traces: Vec<&marp_sim::TraceLog> = chunk.iter().map(|(_, t)| t).collect();
-            let stats: Vec<marp_sim::RunStats> = chunk.iter().map(|(o, _)| o.stats).collect();
-            let mut point = SweepPoint::measure(n, &config.seeds, &traces, &stats, WIRE_TAG_SYNC);
+            let runs = chunk.iter().map(|(o, t)| (t, &o.stats, &o.metrics));
+            let mut point = SweepPoint::measure(n, &config.seeds, runs, WIRE_TAG_SYNC);
             for (outcome, _) in chunk {
                 point.notices += outcome.mail.notices_sent;
                 point.notice_bytes += outcome.mail.notice_bytes;
@@ -92,11 +93,10 @@ pub fn scale_sweep(config: &SweepConfig) -> SweepReport {
     SweepReport::new(points)
 }
 
-/// A sweep as it is recorded: the document `marp-trace sweep --json`
-/// writes and the `sweep_*` experiment rows return. One rendering, so
-/// `results/sweep_*.json` compare byte for byte whichever binary ran.
-pub fn sweep_record(report: &SweepReport) -> String {
-    report.to_json().render()
+/// A sweep as it is recorded: the JSON document a `sweep_*` row prints
+/// and `results/sweep_*.json` holds.
+pub(crate) fn sweep_record(config: &SweepConfig) -> String {
+    scale_sweep(config).to_json().render()
 }
 
 #[cfg(test)]

@@ -38,11 +38,8 @@ pub enum ProtocolKind {
     Mcv,
     /// Available Copy (write-all-available / read-one).
     AvailableCopy,
-    /// Gifford weighted voting.
-    WeightedVoting {
-        /// `true` = r = 1 / w = n (ROWA); `false` = majority quorums.
-        read_one_write_all: bool,
-    },
+    /// Gifford weighted voting, one vote per replica, majority quorums.
+    WeightedVoting,
     /// Primary copy sequencer.
     PrimaryCopy,
 }
@@ -63,7 +60,7 @@ impl ProtocolKind {
             ProtocolKind::Marp { .. } => "MARP",
             ProtocolKind::Mcv => "MCV",
             ProtocolKind::AvailableCopy => "AC",
-            ProtocolKind::WeightedVoting { .. } => "WV",
+            ProtocolKind::WeightedVoting => "WV",
             ProtocolKind::PrimaryCopy => "PC",
         }
     }
@@ -372,13 +369,8 @@ pub fn run_scenario_traced(scenario: &Scenario) -> (RunOutcome, marp_sim::TraceL
             }
             wrap_ac_client_request
         }
-        ProtocolKind::WeightedVoting { read_one_write_all } => {
-            let cfg = if *read_one_write_all {
-                WvConfig::read_one_write_all(n)
-            } else {
-                WvConfig::uniform(n)
-            }
-            .scaled_to_latency(max_latency);
+        ProtocolKind::WeightedVoting => {
+            let cfg = WvConfig::uniform(n).scaled_to_latency(max_latency);
             for me in 0..n as NodeId {
                 sim.add_process(Box::new(WvNode::new(me, cfg.clone())));
             }
@@ -472,9 +464,7 @@ pub fn run_scenario_traced(scenario: &Scenario) -> (RunOutcome, marp_sim::TraceL
     let mut monitor = match scenario.protocol {
         ProtocolKind::Marp { .. } => InvariantMonitor::keyed(n),
         ProtocolKind::Mcv | ProtocolKind::PrimaryCopy => InvariantMonitor::strict(0),
-        ProtocolKind::AvailableCopy | ProtocolKind::WeightedVoting { .. } => {
-            InvariantMonitor::relaxed()
-        }
+        ProtocolKind::AvailableCopy | ProtocolKind::WeightedVoting => InvariantMonitor::relaxed(),
     };
     monitor.observe_all(trace.records());
     // The durability cross-check: every write acknowledged to a client
@@ -541,9 +531,7 @@ mod tests {
         for protocol in [
             ProtocolKind::Mcv,
             ProtocolKind::AvailableCopy,
-            ProtocolKind::WeightedVoting {
-                read_one_write_all: false,
-            },
+            ProtocolKind::WeightedVoting,
             ProtocolKind::PrimaryCopy,
         ] {
             let mut scenario = Scenario::paper(3, 40.0, 8).with_protocol(protocol.clone());
@@ -566,9 +554,7 @@ mod tests {
             ProtocolKind::marp(),
             ProtocolKind::Mcv,
             ProtocolKind::AvailableCopy,
-            ProtocolKind::WeightedVoting {
-                read_one_write_all: false,
-            },
+            ProtocolKind::WeightedVoting,
             ProtocolKind::PrimaryCopy,
         ] {
             let mut scenario = Scenario::paper(3, 40.0, 8).with_protocol(protocol.clone());

@@ -142,3 +142,32 @@ fn the_binary_lists_the_table_and_rejects_what_is_not_in_it() {
     assert!(!out.status.success());
     assert!(out.stdout.is_empty());
 }
+
+#[test]
+fn an_experiment_fails_on_a_flag_it_does_not_read() {
+    let lab = env!("CARGO_BIN_EXE_marp-lab");
+    for (args, flag) in [
+        (&["fig2_alt", "--bogus"][..], "--bogus"),
+        (&["smoke", "--csv", "m.csv"], "--csv"),
+        (&["sweep_smoke", "--test"], "--test"),
+        (&["e16_keyspace", "--test", "--bogus"], "--bogus"),
+        (&["e15_chaos", "--plans", "0", "--bogus"], "--bogus"),
+    ] {
+        let out = Command::new(lab).args(args).output().unwrap();
+        assert!(!out.status.success(), "{args:?} should fail");
+        assert!(out.stdout.is_empty(), "{args:?} ran");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        let expected = format!("marp-lab: {}: unknown flag {flag}\n", args[0]);
+        assert_eq!(stderr, expected, "{args:?}");
+    }
+    // The flags an experiment does read still parse: zero chaos plans
+    // run nothing and print an empty, clean table.
+    let out = Command::new(lab)
+        .args(["e15_chaos", "--plans", "0", "--profile", "mixed"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    assert!(String::from_utf8(out.stdout)
+        .unwrap()
+        .contains("all 0 plans clean"));
+}

@@ -89,16 +89,6 @@ pub fn audit_keyed(trace: &TraceLog, n_servers: usize) -> AuditReport {
     monitor.report()
 }
 
-/// Audit for protocols *without* a dense global version order (the
-/// Available Copy and weighted-voting baselines use last-writer-wins
-/// timestamps and per-key versions): version-order rules are skipped,
-/// counters and duplicate-completion detection still run.
-pub fn audit_relaxed(trace: &TraceLog) -> AuditReport {
-    let mut monitor = InvariantMonitor::relaxed();
-    monitor.observe_all(trace.records());
-    monitor.report()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

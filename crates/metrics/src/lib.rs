@@ -21,7 +21,7 @@ mod paper;
 mod report;
 mod stats;
 
-pub use audit::{audit, audit_keyed, audit_relaxed, AuditReport, Violation};
+pub use audit::{audit, audit_keyed, AuditReport, Violation};
 pub use monitor::InvariantMonitor;
 pub use paper::PaperMetrics;
 pub use report::{fmt_ms, fmt_pct, Table};

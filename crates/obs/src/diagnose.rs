@@ -1,5 +1,5 @@
-//! Automated cliff diagnosis (`marp-trace diagnose`, and the tail end
-//! of `marp-trace sweep`).
+//! Automated cliff diagnosis (`marp-trace diagnose`, after the sweep's
+//! per-phase table).
 //!
 //! Rule-based detectors over a [`SweepReport`]: each rule inspects the
 //! fitted growth exponents and the top-point cost shares, and — when it

@@ -17,8 +17,8 @@
 //! * [`journey`] — plain-text per-agent timelines;
 //! * [`critical`] — the commit-latency critical-path analyzer
 //!   (queueing / network / lock-wait / quorum-wait buckets);
-//! * [`flags`] — shared `--trace-out` / `--metrics-out` flag handling
-//!   for the lab binaries and examples.
+//! * [`flags`] — the shared `--trace-out` flag of the lab binary and
+//!   the examples.
 //!
 //! The **marp-prof** layer builds on those to answer *where does commit
 //! cost go as the cluster grows*:
@@ -35,7 +35,9 @@
 //!   generic superlinear phases), ranked with cited evidence.
 //!
 //! Unlike the protocol crates this one is *not* sans-io: it owns file
-//! I/O (trace stores, CSV dumps) on behalf of the binaries.
+//! I/O (trace stores, CSV dumps) on behalf of the binaries, and ships
+//! the `marp-trace` reader, which runs no simulation and so builds
+//! without the protocol crates.
 
 #![warn(missing_docs)]
 

@@ -1,4 +1,5 @@
-//! Scale-sweep cost attribution (`marp-trace sweep`).
+//! Scale-sweep cost attribution (the `sweep_*` rows of `marp-lab`, read
+//! back by `marp-trace diagnose` and `diff`).
 //!
 //! One [`SweepPoint`] summarizes the same scenario run at one replica
 //! count: the four critical-path phase totals (which by the clamped
@@ -92,14 +93,15 @@ fn round_us(ms: f64) -> f64 {
 }
 
 impl SweepPoint {
-    /// Measure one point from its runs' traces and kernel stats.
-    /// `gossip_tag` is the leading wire-tag byte of the anti-entropy
-    /// channel (`marp_core::WIRE_TAG_SYNC` for MARP clusters).
-    pub fn measure(
+    /// Measure one point from its runs: each run's trace, kernel stats,
+    /// and the [`PaperMetrics`] its harness already folded from that
+    /// trace. `gossip_tag` is the leading wire-tag byte of the
+    /// anti-entropy channel (`marp_core::WIRE_TAG_SYNC` for MARP
+    /// clusters).
+    pub fn measure<'a>(
         n: usize,
         seeds: &[u64],
-        traces: &[&TraceLog],
-        stats: &[RunStats],
+        runs: impl IntoIterator<Item = (&'a TraceLog, &'a RunStats, &'a PaperMetrics)>,
         gossip_tag: u8,
     ) -> SweepPoint {
         let mut point = SweepPoint {
@@ -107,13 +109,11 @@ impl SweepPoint {
             seeds: seeds.to_vec(),
             ..SweepPoint::default()
         };
-        for s in stats {
-            point.migrated_bytes += s.agent_bytes_migrated;
-            point.gossip_bytes += s.bytes_for_kind(gossip_tag);
-            point.total_bytes += s.bytes_sent;
-            point.messages += s.messages_sent;
-        }
-        for trace in traces {
+        for (trace, stats, paper) in runs {
+            point.migrated_bytes += stats.agent_bytes_migrated;
+            point.gossip_bytes += stats.bytes_for_kind(gossip_tag);
+            point.total_bytes += stats.bytes_sent;
+            point.messages += stats.messages_sent;
             let report = CriticalPathReport::from_trace(trace);
             let (total, queueing, network, lock_wait, quorum_wait) = report.totals();
             point.total_ms += total;
@@ -121,7 +121,6 @@ impl SweepPoint {
             point.network_ms += network;
             point.lock_wait_ms += lock_wait;
             point.quorum_wait_ms += quorum_wait;
-            let paper = PaperMetrics::from_trace(trace);
             point.commits += paper.completed;
             point.migrations += paper.migrations;
             point.aborted_claims += paper.aborted_claims;
@@ -529,7 +528,8 @@ mod tests {
             messages_sent: 9,
             ..RunStats::default()
         };
-        let point = SweepPoint::measure(3, &[7], &[&log], &[stats], 6);
+        let paper = PaperMetrics::from_trace(&log);
+        let point = SweepPoint::measure(3, &[7], [(&log, &stats, &paper)], 6);
         assert_eq!(point.commits, 1);
         assert_eq!(point.migrations, 1);
         assert_eq!(point.lt_entries_carried, 7);
@@ -562,7 +562,8 @@ mod tests {
                 kind: SpanKind::Request,
             },
         );
-        let point = SweepPoint::measure(3, &[1], &[&log], &[RunStats::default()], 6);
+        let runs = [(&log, &RunStats::default(), &PaperMetrics::default())];
+        let point = SweepPoint::measure(3, &[1], runs, 6);
         assert!((point.phase_sum_ms() - point.total_ms).abs() < 1e-6);
         assert_eq!(point.total_ms, 8.0);
     }

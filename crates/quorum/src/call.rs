@@ -57,14 +57,11 @@ pub enum Verdict {
     Won,
     /// Success became impossible.
     Lost,
-    /// The caller's deadline expired first.
-    TimedOut,
 }
 
 marp_wire::wire_enum!(Verdict {
     0 => Won,
     1 => Lost,
-    2 => TimedOut,
 });
 
 /// One broadcast/collect round.
@@ -195,16 +192,6 @@ impl<T> QuorumCall<T> {
         self.verdict
     }
 
-    /// The caller's deadline expired. Returns `true` if this decided
-    /// the call (it was still pending).
-    pub fn timed_out(&mut self) -> bool {
-        if self.verdict.is_some() {
-            return false;
-        }
-        self.verdict = Some(Verdict::TimedOut);
-        true
-    }
-
     fn evaluate(&mut self) {
         debug_assert!(self.verdict.is_none());
         let decided = match self.rule {
@@ -248,29 +235,14 @@ impl<T> QuorumCall<T> {
         &self.positives
     }
 
-    /// Nodes that replied negatively, in arrival order.
-    pub fn negatives(&self) -> &[NodeId] {
-        &self.negatives
-    }
-
     /// Nodes that have granted, in arrival order.
     pub fn positive_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.positives.iter().map(|&(node, _)| node)
     }
 
-    /// Sum of granted vote weights.
-    pub fn granted_votes(&self) -> u32 {
-        self.granted_votes
-    }
-
     /// When the call was opened.
     pub fn started(&self) -> SimTime {
         self.started
-    }
-
-    /// The rule the call decides under.
-    pub fn rule(&self) -> SuccessRule {
-        self.rule
     }
 }
 
@@ -305,7 +277,7 @@ mod tests {
         assert_eq!(call.offer_vote(0, false, 0u64), None);
         assert_eq!(call.offer_vote(1, false, 0), None);
         assert_eq!(call.offer_vote(2, false, 0), Some(Verdict::Lost));
-        assert_eq!(call.negatives(), &[0, 1, 2]);
+        assert_eq!(call.negatives, [0, 1, 2]);
     }
 
     #[test]
@@ -314,7 +286,7 @@ mod tests {
         assert_eq!(call.offer_vote(0, true, 1u64), None);
         // Duplicate from node 0 (even flipping its answer) is inert.
         assert_eq!(call.offer_vote(0, false, 9), None);
-        assert_eq!(call.negatives(), &[] as &[NodeId]);
+        assert!(call.negatives.is_empty());
         // Node 7 is not a recipient.
         assert_eq!(call.offer_vote(7, true, 9), None);
         assert_eq!(call.offer_vote(2, true, 2), Some(Verdict::Won));
@@ -332,7 +304,7 @@ mod tests {
         let mut call = QuorumCall::new(rule, 0..5, SimTime::ZERO);
         assert_eq!(call.offer(0, 3, true, 5u64), None);
         assert_eq!(call.offer(1, 1, true, 2), Some(Verdict::Won));
-        assert_eq!(call.granted_votes(), 4);
+        assert_eq!(call.granted_votes, 4);
     }
 
     #[test]
@@ -375,16 +347,6 @@ mod tests {
         let mut call = QuorumCall::new(SuccessRule::FirstK { k: 2 }, 0..5, SimTime::ZERO);
         assert_eq!(call.offer_vote(4, true, (1u64, 2u64)), None);
         assert_eq!(call.offer_vote(2, true, (3, 1)), Some(Verdict::Won));
-    }
-
-    #[test]
-    fn timeout_only_decides_pending_calls() {
-        let mut call = QuorumCall::majority(3, SimTime::from_millis(5));
-        assert!(call.timed_out());
-        assert_eq!(call.verdict(), Some(Verdict::TimedOut));
-        assert!(!call.timed_out());
-        assert_eq!(call.offer_vote(0, true, 1u64), None);
-        assert_eq!(call.started(), SimTime::from_millis(5));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!
 //! Run with: `cargo run --example agent_journey`
 //!
-//! Pass `--trace-out run.bin` / `--metrics-out run.csv` to record the
-//! run for `marp-trace` (export, journey, critical-path, ...).
+//! Pass `--trace-out run.bin` to record the run for `marp-trace`
+//! (export, journey, metrics, critical-path, ...).
 
 use marp_core::{build_cluster, wrap_client_request, MarpConfig};
 use marp_metrics::audit;
@@ -120,11 +120,8 @@ fn main() {
     );
 
     match obs.write(sim.trace()) {
-        Ok(lines) => {
-            for line in lines {
-                eprintln!("{line}");
-            }
-        }
-        Err(err) => eprintln!("observability output failed: {err}"),
+        Ok(Some(line)) => eprintln!("{line}"),
+        Ok(None) => {}
+        Err(err) => eprintln!("trace output failed: {err}"),
     }
 }

@@ -16,9 +16,7 @@ fn main() {
         ProtocolKind::marp(),
         ProtocolKind::Mcv,
         ProtocolKind::AvailableCopy,
-        ProtocolKind::WeightedVoting {
-            read_one_write_all: false,
-        },
+        ProtocolKind::WeightedVoting,
         ProtocolKind::PrimaryCopy,
     ];
     let mut table = Table::new(

@@ -6,8 +6,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 //!
-//! Pass `--trace-out run.bin` / `--metrics-out run.csv` to record the
-//! run for `marp-trace` (export, journey, critical-path, ...).
+//! Pass `--trace-out run.bin` to record the run for `marp-trace`
+//! (export, journey, metrics, critical-path, ...).
 
 use marp_core::{build_cluster, wrap_client_request, MarpConfig, MarpNode};
 use marp_metrics::{audit, PaperMetrics};
@@ -135,11 +135,8 @@ fn main() {
     );
 
     match obs.write(sim.trace()) {
-        Ok(lines) => {
-            for line in lines {
-                eprintln!("{line}");
-            }
-        }
-        Err(err) => eprintln!("observability output failed: {err}"),
+        Ok(Some(line)) => eprintln!("{line}"),
+        Ok(None) => {}
+        Err(err) => eprintln!("trace output failed: {err}"),
     }
 }

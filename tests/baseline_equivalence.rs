@@ -18,9 +18,7 @@ fn all_protocols_complete_the_same_request_set() {
         ProtocolKind::marp(),
         ProtocolKind::Mcv,
         ProtocolKind::AvailableCopy,
-        ProtocolKind::WeightedVoting {
-            read_one_write_all: false,
-        },
+        ProtocolKind::WeightedVoting,
         ProtocolKind::PrimaryCopy,
     ] {
         let label = protocol.label();
