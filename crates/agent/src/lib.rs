@@ -16,6 +16,8 @@
 //!   policies (cost-sorted, fixed, random) for ablation experiment E9.
 
 #![warn(missing_docs)]
+#![deny(clippy::wildcard_enum_match_arm)]
+#![deny(clippy::match_wildcard_for_single_variants)]
 
 mod behavior;
 mod envelope;

@@ -19,6 +19,11 @@
 //! the bench binary exits — the workspace's `BENCH_baseline.json`
 //! snapshot comes from this.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "a benchmark harness times the wall clock"
+)]
+
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 

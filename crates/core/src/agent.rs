@@ -1022,9 +1022,11 @@ mod tests {
         let mut runtime = AgentRuntime::new(cfg.migration, wrap_agent_envelope);
         runtime.spawn(agent(), &mut state, &mut ctx);
         // Alone on the only server's queue, it claims at once.
-        let sent = ctx.traced.iter().find_map(|e| match e {
-            TraceEvent::UpdateSent { version, .. } => Some(*version),
-            _ => None,
+        let sent = ctx.traced.iter().find_map(|e| {
+            let TraceEvent::UpdateSent { version, .. } = e else {
+                return None;
+            };
+            Some(*version)
         });
         assert_eq!(sent, Some(2));
     }

@@ -272,7 +272,8 @@ impl MarpServerState {
             // holder is the only unfinished, unvouched-for agent above
             // it, so the reservation is all that stands in the way.
             let cert = msg.tie_certificate.as_deref().unwrap_or_default();
-            let early = self.core.ll.rank_of(key, msg.agent).is_some_and(|rank| {
+            let ll = &self.core.ll;
+            let early = ll.rank_of(key, msg.agent, now).is_some_and(|rank| {
                 self.all_above(key, rank, |a| a == holder || cert.contains(&a))
             });
             match self.reserved.get_mut(&key) {
@@ -291,10 +292,10 @@ impl MarpServerState {
                     false
                 }
             }
-        } else if self.core.ll.top(key) == Some(msg.agent) {
+        } else if self.core.ll.top(key, now) == Some(msg.agent) {
             true
         } else if let Some(cert) = &msg.tie_certificate {
-            match self.core.ll.rank_of(key, msg.agent) {
+            match self.core.ll.rank_of(key, msg.agent, now) {
                 Some(rank) => {
                     let ok = self.all_above(key, rank, |a| cert.contains(&a));
                     if !ok {
@@ -368,8 +369,10 @@ impl MarpServerState {
             return;
         };
         let mut claims = ended.waiting;
-        self.core.ll.purge_expired(ctx.now());
-        claims.sort_by_key(|m| self.core.ll.rank_of(key, m.agent).unwrap_or(usize::MAX));
+        let now = ctx.now();
+        self.core.ll.purge_expired(now);
+        let ll = &self.core.ll;
+        claims.sort_by_key(|m| ll.rank_of(key, m.agent, now).unwrap_or(usize::MAX));
         for msg in claims {
             answers.extend(self.handle_update(msg, ctx));
         }
@@ -636,17 +639,17 @@ mod tests {
     }
 
     fn positive(reply: &AgentReply) -> bool {
-        match reply {
-            AgentReply::UpdateAck { positive, .. } => *positive,
-            _ => panic!("expected ack"),
-        }
+        let AgentReply::UpdateAck { positive, .. } = reply else {
+            panic!("expected ack")
+        };
+        *positive
     }
 
     fn fenced(reply: &AgentReply) -> bool {
-        match reply {
-            AgentReply::UpdateAck { fenced, .. } => *fenced,
-            _ => panic!("expected ack"),
-        }
+        let AgentReply::UpdateAck { fenced, .. } = reply else {
+            panic!("expected ack")
+        };
+        *fenced
     }
 
     #[test]
@@ -738,20 +741,19 @@ mod tests {
         assert_eq!(outcome.answers.len(), 1);
         let answer = &outcome.answers[0];
         assert_eq!((answer.agent, answer.reply_to), (b, b.home));
-        match answer.ack {
-            AgentReply::UpdateAck {
-                attempt,
-                positive,
-                fenced,
-                store_version,
-                ..
-            } => {
-                assert!(positive && !fenced);
-                assert_eq!(attempt, 4, "the held message's attempt is echoed");
-                assert_eq!(store_version, 1, "a's commit is already applied");
-            }
-            _ => panic!("expected ack"),
-        }
+        let AgentReply::UpdateAck {
+            attempt,
+            positive,
+            fenced,
+            store_version,
+            ..
+        } = answer.ack
+        else {
+            panic!("expected ack")
+        };
+        assert!(positive && !fenced);
+        assert_eq!(attempt, 4, "the held message's attempt is echoed");
+        assert_eq!(store_version, 1, "a's commit is already applied");
         assert_eq!(acked(&ctx, b), 1);
         assert_eq!(state.reserved_for(1), Some(b));
         assert_eq!(state.held_claimants(1).count(), 0);
@@ -1014,12 +1016,10 @@ mod tests {
         state.visit(a, 1, SimTime::from_millis(1), 1);
         let reply =
             state.handle_ll_query(stranger, 1, 5, &BTreeMap::new(), SimTime::from_millis(2));
-        match reply {
-            AgentReply::LlInfo { snapshot, .. } => {
-                assert_eq!(snapshot.queue, vec![a]);
-            }
-            _ => panic!("expected LlInfo"),
-        }
+        let AgentReply::LlInfo { snapshot, .. } = reply else {
+            panic!("expected LlInfo")
+        };
+        assert_eq!(snapshot.queue, vec![a]);
         assert!(!state.core.ll.contains(1, stranger));
     }
 

@@ -53,6 +53,9 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::wildcard_enum_match_arm)]
+#![deny(clippy::match_wildcard_for_single_variants)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod agent;
 mod config;

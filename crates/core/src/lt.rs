@@ -765,13 +765,14 @@ mod tests {
         let lt = table(&[&[a, b], &[a, b], &[b, a], &[b, a]]);
         let finished = UpdatedList::new();
         let decision_a = decide(&lt, a, 4, &finished, &[]);
-        match decision_a {
-            Priority::Win {
-                via_tie: true,
-                certificate,
-            } => assert_eq!(certificate, vec![b]),
-            other => panic!("expected tie win for a, got {other:?}"),
-        }
+        let Priority::Win {
+            via_tie: true,
+            certificate,
+        } = decision_a
+        else {
+            panic!("expected tie win for a, got {decision_a:?}")
+        };
+        assert_eq!(certificate, vec![b]);
         assert_eq!(decide(&lt, b, 4, &finished, &[]), Priority::NotYet);
     }
 
@@ -784,16 +785,16 @@ mod tests {
         let c = aid(3);
         let lt = table(&[&[a, c], &[a, b], &[b, a], &[b, c], &[c, a, b]]);
         let finished = UpdatedList::new();
-        match decide(&lt, a, 5, &finished, &[]) {
-            Priority::Win {
-                via_tie: true,
-                certificate,
-            } => {
-                assert!(certificate.contains(&b) && certificate.contains(&c));
-                assert!(!certificate.contains(&a));
-            }
-            other => panic!("expected tie win for a, got {other:?}"),
-        }
+        let decision_a = decide(&lt, a, 5, &finished, &[]);
+        let Priority::Win {
+            via_tie: true,
+            certificate,
+        } = decision_a
+        else {
+            panic!("expected tie win for a, got {decision_a:?}")
+        };
+        assert!(certificate.contains(&b) && certificate.contains(&c));
+        assert!(!certificate.contains(&a));
         assert_eq!(decide(&lt, b, 5, &finished, &[]), Priority::NotYet);
         assert_eq!(decide(&lt, c, 5, &finished, &[]), Priority::NotYet);
     }

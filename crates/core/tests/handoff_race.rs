@@ -313,7 +313,11 @@ fn a_claim_refused_behind_an_unfinished_agent_retries_on_the_news_it_absorbed() 
     assert_eq!(waiting.len(), 2);
     let rank = |sim: &Simulation, agent| {
         let node = sim.process::<MarpNode>(0).expect("server");
-        node.state().core.ll.rank_of(1, agent).expect("queued")
+        node.state()
+            .core
+            .ll
+            .rank_of(1, agent, sim.now())
+            .expect("queued")
     };
     let (second_host, second) = *waiting
         .iter()

@@ -547,30 +547,47 @@ mod tests {
         }
     }
 
+    /// Also: every span a fault-free run opens, it closes — so a kind
+    /// whose `SpanEnd` is never emitted fails here. The last row serves
+    /// fresh reads, for `SpanKind::Read`.
     #[test]
     fn every_protocol_opens_a_request_span_where_each_write_completes() {
-        let mut uncovered = Vec::new();
-        for protocol in [
+        let mut fresh_reads = Scenario::paper(3, 40.0, 8);
+        fresh_reads.write_fraction = 0.5;
+        fresh_reads.fresh_reads = true;
+        let mut rows = [
             ProtocolKind::marp(),
             ProtocolKind::Mcv,
             ProtocolKind::AvailableCopy,
             ProtocolKind::WeightedVoting,
             ProtocolKind::PrimaryCopy,
-        ] {
-            let mut scenario = Scenario::paper(3, 40.0, 8).with_protocol(protocol.clone());
+        ]
+        .map(|protocol| Scenario::paper(3, 40.0, 8).with_protocol(protocol))
+        .to_vec();
+        rows.push(fresh_reads);
+        let (mut uncovered, mut open, mut kinds) = (Vec::new(), Vec::new(), Vec::new());
+        for mut scenario in rows {
             scenario.requests_per_client = 3;
+            let label = scenario.protocol.label();
             let (outcome, trace) = run_scenario_traced(&scenario);
-            assert_eq!(outcome.metrics.completed, 9, "{}", protocol.label());
-            let missing = marp_obs::SpanSet::from_trace(&trace).uncovered_writes(&trace);
+            let answered = outcome.client_write_ms.len() + outcome.client_read_ms.len();
+            assert_eq!(answered, 9, "{label}");
+            assert_eq!(outcome.metrics.completed, outcome.acked_writes, "{label}");
+            let spans = marp_obs::SpanSet::from_trace(&trace);
+            let missing = spans.uncovered_writes(&trace);
             if !missing.is_empty() {
-                uncovered.push((protocol.label(), missing.len()));
+                uncovered.push((label, missing.len()));
             }
+            open.extend(spans.incomplete().map(|s| (label, s.kind)));
+            kinds.extend(spans.spans().iter().map(|s| s.kind));
         }
         assert_eq!(
             uncovered,
             [],
             "(protocol, writes with no request span at `home`)"
         );
+        assert_eq!(open, [], "(protocol, kind of a span that never closed)");
+        assert!(kinds.contains(&marp_sim::SpanKind::Read), "no read span");
     }
 
     #[test]

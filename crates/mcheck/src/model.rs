@@ -13,6 +13,9 @@
 //! ([`Chaos`]), so the protocol crates carry no seeded bug. A faithful
 //! network wraps nothing.
 
+#![deny(clippy::wildcard_enum_match_arm)]
+#![deny(clippy::match_wildcard_for_single_variants)]
+
 use bytes::Bytes;
 use marp_agent::AgentEnvelope;
 use marp_baselines::{

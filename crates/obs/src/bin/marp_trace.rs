@@ -20,6 +20,9 @@
 //! marp-trace diagnose <sweep.json> [...]     per-phase table + rule-based cliff diagnosis
 //! ```
 
+#![deny(clippy::wildcard_enum_match_arm)]
+#![deny(clippy::match_wildcard_for_single_variants)]
+
 use marp_obs::{
     load_trace, perfetto_export_string, CriticalPathReport, Diagnosis, Journeys, Json,
     MetricsRegistry, Profile, ProfileDiff, SpanSet, SweepDiff, SweepReport,

@@ -40,6 +40,8 @@
 //! without the protocol crates.
 
 #![warn(missing_docs)]
+#![deny(clippy::wildcard_enum_match_arm)]
+#![deny(clippy::match_wildcard_for_single_variants)]
 
 pub mod critical;
 pub mod diagnose;

@@ -58,9 +58,9 @@ pub struct Profile {
     pub unmatched_ends: u64,
 }
 
-/// Stable ordering rank for a span kind inside sibling paths; also the
-/// exhaustive `SpanKind` match the analyzer pins to this module, so a
-/// new phase kind fails the profiler build until it is ranked here.
+/// Stable ordering rank for a span kind inside sibling paths. The
+/// match is exhaustive (the crate denies wildcard enum arms), so a new
+/// phase kind fails the profiler build until it is ranked here.
 fn kind_rank(kind: SpanKind) -> u8 {
     match kind {
         SpanKind::Request => 0,

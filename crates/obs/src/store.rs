@@ -16,6 +16,10 @@ pub const MAGIC: &[u8; 8] = b"MARPTRC1";
 
 /// Encode a full trace into the binary file format.
 pub fn encode_trace(trace: &TraceLog) -> Vec<u8> {
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "a trace file is encoded once, into a buffer of its own"
+    )]
     let mut buf = BytesMut::new();
     buf.extend_from_slice(MAGIC);
     trace.records().len().encode(&mut buf);

@@ -18,6 +18,8 @@
 //!   latencies.
 
 #![warn(missing_docs)]
+#![deny(clippy::wildcard_enum_match_arm)]
+#![deny(clippy::match_wildcard_for_single_variants)]
 
 mod batch;
 mod client;

@@ -130,19 +130,26 @@ impl LockingList {
         purged
     }
 
-    /// The top-ranked (oldest live) agent.
-    pub fn top(&self) -> Option<AgentId> {
-        self.entries.first().map(|e| e.agent)
+    /// The entries whose lease is still running at `now`.
+    fn live(&self, now: SimTime) -> impl Iterator<Item = &LockEntry> {
+        self.entries.iter().filter(move |e| now < e.expires_at)
     }
 
-    /// 0-based rank of an agent, if present.
-    pub fn rank_of(&self, agent: AgentId) -> Option<usize> {
-        self.entries.iter().position(|e| e.agent == agent)
+    /// The top-ranked (oldest live) agent at `now`: an entry whose lease
+    /// has lapsed ranks nowhere, purged or not.
+    pub fn top(&self, now: SimTime) -> Option<AgentId> {
+        self.live(now).next().map(|e| e.agent)
+    }
+
+    /// 0-based rank of an agent among the entries live at `now`, if its
+    /// own is one of them.
+    pub fn rank_of(&self, agent: AgentId, now: SimTime) -> Option<usize> {
+        self.live(now).position(|e| e.agent == agent)
     }
 
     /// Whether an agent has an entry.
     pub fn contains(&self, agent: AgentId) -> bool {
-        self.rank_of(agent).is_some()
+        self.entries.iter().any(|e| e.agent == agent)
     }
 
     /// Number of entries.
@@ -267,19 +274,19 @@ impl LockTable {
         self.lists.get(&key).map_or(0, LockingList::version)
     }
 
-    /// Top-ranked agent of `key`'s queue.
-    pub fn top(&self, key: u64) -> Option<AgentId> {
-        self.lists.get(&key).and_then(LockingList::top)
+    /// Top-ranked live agent of `key`'s queue (see [`LockingList::top`]).
+    pub fn top(&self, key: u64, now: SimTime) -> Option<AgentId> {
+        self.lists.get(&key).and_then(|ll| ll.top(now))
     }
 
-    /// 0-based rank of `agent` in `key`'s queue.
-    pub fn rank_of(&self, key: u64, agent: AgentId) -> Option<usize> {
-        self.lists.get(&key).and_then(|ll| ll.rank_of(agent))
+    /// 0-based rank of `agent` among `key`'s live entries.
+    pub fn rank_of(&self, key: u64, agent: AgentId, now: SimTime) -> Option<usize> {
+        self.lists.get(&key).and_then(|ll| ll.rank_of(agent, now))
     }
 
     /// Whether `agent` is queued under `key`.
     pub fn contains(&self, key: u64, agent: AgentId) -> bool {
-        self.rank_of(key, agent).is_some()
+        self.lists.get(&key).is_some_and(|ll| ll.contains(agent))
     }
 
     /// Snapshot `key`'s queue (empty virgin snapshot if never touched).
@@ -460,8 +467,9 @@ mod tests {
         ll.request(agent(2, 1), SimTime::from_millis(6), LEASE, 9);
         // Agent 2 was *created* earlier but arrived later: FIFO by
         // arrival, exactly as the paper specifies.
-        assert_eq!(ll.top(), Some(agent(1, 5)));
-        assert_eq!(ll.rank_of(agent(2, 1)), Some(1));
+        let now = SimTime::from_millis(6);
+        assert_eq!(ll.top(now), Some(agent(1, 5)));
+        assert_eq!(ll.rank_of(agent(2, 1), now), Some(1));
         assert_eq!(ll.len(), 2);
     }
 
@@ -472,7 +480,7 @@ mod tests {
         ll.request(agent(2, 0), SimTime::from_millis(2), LEASE, 9);
         ll.request(agent(1, 0), SimTime::from_millis(3), LEASE, 9);
         assert_eq!(ll.len(), 2);
-        assert_eq!(ll.top(), Some(agent(1, 0)));
+        assert_eq!(ll.top(SimTime::from_millis(3)), Some(agent(1, 0)));
         assert!(ll.entries()[0].expires_at > SimTime::from_millis(3));
     }
 
@@ -482,7 +490,7 @@ mod tests {
         ll.request(agent(1, 0), SimTime::from_millis(1), LEASE, 9);
         ll.request(agent(2, 0), SimTime::from_millis(2), LEASE, 9);
         assert!(ll.remove(agent(1, 0)));
-        assert_eq!(ll.top(), Some(agent(2, 0)));
+        assert_eq!(ll.top(SimTime::from_millis(2)), Some(agent(2, 0)));
         assert!(!ll.remove(agent(1, 0)));
     }
 
@@ -498,7 +506,7 @@ mod tests {
         ll.request(agent(2, 0), SimTime::from_millis(2), LEASE, 9);
         let purged = ll.purge_expired(SimTime::from_millis(100));
         assert_eq!(purged, vec![agent(1, 0)]);
-        assert_eq!(ll.top(), Some(agent(2, 0)));
+        assert_eq!(ll.top(SimTime::from_millis(100)), Some(agent(2, 0)));
     }
 
     #[test]
@@ -514,13 +522,16 @@ mod tests {
         assert!(ll
             .purge_expired(SimTime::from_nanos(11_000_000 - 1))
             .is_empty());
-        assert_eq!(ll.top(), Some(agent(1, 0)));
+        assert_eq!(
+            ll.top(SimTime::from_nanos(11_000_000 - 1)),
+            Some(agent(1, 0))
+        );
         // ...and at exactly t = enqueued + lease it is purged.
         assert_eq!(
             ll.purge_expired(SimTime::from_millis(11)),
             vec![agent(1, 0)]
         );
-        assert_eq!(ll.top(), None);
+        assert_eq!(ll.top(SimTime::from_millis(11)), None);
     }
 
     #[test]
@@ -629,14 +640,15 @@ mod tests {
         table.request(1, agent(3, 0), SimTime::from_millis(3), LEASE, 9);
         // Each key's queue is its own FIFO: key 2's sole agent is top
         // despite two older entries under key 1.
-        assert_eq!(table.top(1), Some(agent(1, 0)));
-        assert_eq!(table.top(2), Some(agent(2, 0)));
-        assert_eq!(table.rank_of(1, agent(3, 0)), Some(1));
-        assert_eq!(table.rank_of(2, agent(3, 0)), None);
+        let now = SimTime::from_millis(3);
+        assert_eq!(table.top(1, now), Some(agent(1, 0)));
+        assert_eq!(table.top(2, now), Some(agent(2, 0)));
+        assert_eq!(table.rank_of(1, agent(3, 0), now), Some(1));
+        assert_eq!(table.rank_of(2, agent(3, 0), now), None);
         // Removing under one key leaves the other untouched.
         assert!(table.remove(1, agent(1, 0)));
-        assert_eq!(table.top(1), Some(agent(3, 0)));
-        assert_eq!(table.top(2), Some(agent(2, 0)));
+        assert_eq!(table.top(1, now), Some(agent(3, 0)));
+        assert_eq!(table.top(2, now), Some(agent(2, 0)));
         assert!(!table.remove(7, agent(2, 0)));
     }
 
@@ -693,7 +705,25 @@ mod tests {
         table.request(2, agent(2, 0), SimTime::from_millis(2), LEASE, 9);
         let purged = table.purge_expired(SimTime::from_millis(100));
         assert_eq!(purged, vec![(1, agent(1, 0))]);
-        assert_eq!(table.top(2), Some(agent(2, 0)));
+        assert_eq!(table.top(2, SimTime::from_millis(100)), Some(agent(2, 0)));
+    }
+
+    #[test]
+    fn a_lapsed_lease_ranks_nowhere_before_it_is_purged() {
+        let mut table = LockTable::new();
+        let short = Duration::from_millis(10);
+        table.request(1, agent(1, 0), SimTime::from_millis(1), short, 9);
+        table.request(1, agent(2, 0), SimTime::from_millis(2), LEASE, 9);
+        let live = SimTime::from_millis(10);
+        assert_eq!(table.top(1, live), Some(agent(1, 0)));
+        assert_eq!(table.rank_of(1, agent(2, 0), live), Some(1));
+        // At its expiry instant the first entry is still listed, unpurged,
+        // and ranks nowhere: the lock answers as if it were gone.
+        let lapsed = SimTime::from_millis(11);
+        assert!(table.contains(1, agent(1, 0)));
+        assert_eq!(table.top(1, lapsed), Some(agent(2, 0)));
+        assert_eq!(table.rank_of(1, agent(1, 0), lapsed), None);
+        assert_eq!(table.rank_of(1, agent(2, 0), lapsed), Some(0));
     }
 
     #[test]

@@ -61,7 +61,8 @@ proptest! {
     fn per_key_fifo_order_matches_the_model(ops in proptest::collection::vec(arb_op(), 0..60)) {
         let mut table = LockTable::new();
         let mut model: BTreeMap<u64, Vec<AgentId>> = BTreeMap::new();
-        let lease = Duration::from_millis(LEASE_MS);
+        // Outlives the script: every entry the model holds is live.
+        let lease = Duration::from_secs(1);
         for (step, op) in ops.iter().enumerate() {
             let now = SimTime::from_millis(step as u64);
             // Key isolation: snapshot every *other* key before the op.
@@ -98,9 +99,9 @@ proptest! {
                     key,
                     step
                 );
-                prop_assert_eq!(table.top(key), expect.first().copied());
+                prop_assert_eq!(table.top(key, now), expect.first().copied());
                 for (rank, &a) in expect.iter().enumerate() {
-                    prop_assert_eq!(table.rank_of(key, a), Some(rank));
+                    prop_assert_eq!(table.rank_of(key, a, now), Some(rank));
                 }
             }
             for (key, (version, order)) in before {
@@ -116,7 +117,8 @@ proptest! {
         }
     }
 
-    /// Lease expiry preserves arrival order among survivors, per key.
+    /// Lease expiry preserves arrival order among survivors, per key,
+    /// and a lapsed entry has stopped ranking before it is purged.
     #[test]
     fn purge_keeps_survivors_in_fifo_order(
         arrivals in proptest::collection::vec((0u64..4, 0u8..8, 0u64..100), 1..40),
@@ -136,6 +138,7 @@ proptest! {
             }
         }
         let now = SimTime::from_millis(purge_at);
+        let tops: Vec<Option<AgentId>> = (0..4).map(|key| table.top(key, now)).collect();
         table.purge_expired(now);
         for key in 0..4u64 {
             let survivors: Vec<AgentId> = model
@@ -148,6 +151,7 @@ proptest! {
                         .collect()
                 })
                 .unwrap_or_default();
+            prop_assert_eq!(tops[key as usize], survivors.first().copied());
             prop_assert_eq!(table_order(&table, key), survivors);
         }
     }

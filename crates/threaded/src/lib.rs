@@ -12,6 +12,11 @@
 //! engine where it can be replayed.
 
 #![warn(missing_docs)]
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "this backend runs processes on real threads against the wall clock"
+)]
 
 use bytes::Bytes;
 use marp_sim::{

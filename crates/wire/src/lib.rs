@@ -40,7 +40,26 @@ use std::cell::Cell;
 /// Encoding is infallible (the buffer grows as needed); decoding returns a
 /// [`WireError`] on truncated or malformed input. Implementations must
 /// round-trip: `decode(encode(v)) == v`.
-pub trait Wire: Sized {
+///
+/// The trait is sealed: this crate's leaf codecs and the expansions of
+/// [`wire_struct!`] and [`wire_enum!`] are its only implementations, so
+/// every message's `encode` and `decode` come from one field list. A
+/// handwritten impl does not compile:
+///
+/// ```compile_fail,E0277
+/// use marp_wire::{Reader, Wire, WireError};
+///
+/// struct Handwritten(u8);
+/// impl Wire for Handwritten {
+///     fn encode(&self, buf: &mut bytes::BytesMut) {
+///         self.0.encode(buf);
+///     }
+///     fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
+///         u8::decode(buf).map(Handwritten)
+///     }
+/// }
+/// ```
+pub trait Wire: __private::Sealed + Sized {
     /// Append the encoded representation of `self` to `buf`.
     fn encode(&self, buf: &mut BytesMut);
 
@@ -53,6 +72,12 @@ pub trait Wire: Sized {
     fn encoded_len(&self) -> usize {
         to_bytes(self).len()
     }
+}
+
+/// The seal on [`Wire`]; the two declaration macros implement it.
+#[doc(hidden)]
+pub mod __private {
+    pub trait Sealed {}
 }
 
 thread_local! {
@@ -91,6 +116,16 @@ pub fn from_bytes<T: Wire>(bytes: &Bytes) -> Result<T, WireError> {
 // ---------------------------------------------------------------------------
 // Primitive implementations
 // ---------------------------------------------------------------------------
+
+macro_rules! sealed {
+    ($($ty:ty),*) => {$( impl __private::Sealed for $ty {} )*};
+}
+sealed!(bool, u8, u16, u32, u64, usize, String, Bytes, &'static str);
+impl<T> __private::Sealed for Option<T> {}
+impl<T> __private::Sealed for Vec<T> {}
+impl<K, V> __private::Sealed for std::collections::BTreeMap<K, V> {}
+impl<A, B> __private::Sealed for (A, B) {}
+impl<A, B, C> __private::Sealed for (A, B, C) {}
 
 impl Wire for bool {
     fn encode(&self, buf: &mut BytesMut) {
@@ -330,6 +365,7 @@ fn decode_len(buf: &mut Reader<'_>) -> Result<usize, WireError> {
 #[macro_export]
 macro_rules! wire_struct {
     ($name:ident $(<$($param:ident),+>)? { $($field:tt),* $(,)? } $(if $valid:path)?) => {
+        impl $(<$($param),+>)? $crate::__private::Sealed for $name $(<$($param),+>)? {}
         impl $(<$($param: $crate::Wire),+>)? $crate::Wire for $name $(<$($param),+>)? {
             fn encode(&self, buf: &mut ::bytes::BytesMut) {
                 $( $crate::Wire::encode(&self.$field, buf); )*
@@ -410,6 +446,7 @@ macro_rules! wire_enum {
     ($name:ident { $(
         $tag:tt => $variant:ident $(($inner:ident))? $({ $($field:ident),* $(,)? })?
     ),* $(,)? }) => {
+        impl $crate::__private::Sealed for $name {}
         impl $crate::Wire for $name {
             fn encode(&self, buf: &mut ::bytes::BytesMut) {
                 match self {
@@ -441,6 +478,7 @@ macro_rules! wire_enum {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "tests build raw bytes by hand")]
 mod tests {
     use super::*;
     use std::collections::BTreeMap;

@@ -46,6 +46,7 @@ pub fn get_uvarint(buf: &mut Reader<'_>) -> Result<u64, WireError> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "tests build raw bytes by hand")]
 mod tests {
     use super::*;
     use bytes::Bytes;

@@ -274,6 +274,7 @@ fn locking_table() -> LockingTable {
 
 /// A Locking Table's wire form, field by field, so each can be forged:
 /// the roster, then one row for server 0 stamped (1, 1 ms).
+#[allow(clippy::disallowed_methods, reason = "forges a message field by field")]
 fn table_bytes(roster_len: u64, roster: &[AgentId], ranks_len: u64, ranks: &[u16]) -> Bytes {
     let mut buf = bytes::BytesMut::new();
     roster_len.encode(&mut buf);
@@ -293,6 +294,7 @@ fn table_bytes(roster_len: u64, roster: &[AgentId], ranks_len: u64, ranks: &[u16
 
 /// The same table as the board of an `LlInfo` reply (tag 1: node,
 /// snapshot, board, ul).
+#[allow(clippy::disallowed_methods, reason = "forges a message field by field")]
 fn ll_info_around(board: &Bytes) -> Bytes {
     let mut buf = bytes::BytesMut::new();
     1u8.encode(&mut buf);
