@@ -23,6 +23,11 @@ use std::time::Duration;
 /// traces.
 const TAG_MIGRATE_RETRY: u64 = 0;
 
+/// Behaviours a runtime keeps for the next arrival to decode into: an
+/// agent acked away or disposed of here leaves its buffers behind, and
+/// an arrival of the same shape then decodes without allocating.
+const SPARES: usize = 2;
+
 /// Migration policy knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct AgentConfig {
@@ -77,6 +82,8 @@ pub struct AgentRuntime<B: AgentBehavior> {
     agent_timers: HashMap<TimerId, (AgentId, u64)>,
     migrate_timers: HashMap<TimerId, AgentId>,
     seen_migrations: BTreeSet<(AgentId, u32)>,
+    /// At most [`SPARES`] behaviours no agent is using any more.
+    spares: Vec<B>,
 }
 
 impl<B: AgentBehavior> AgentRuntime<B> {
@@ -91,6 +98,7 @@ impl<B: AgentBehavior> AgentRuntime<B> {
             agent_timers: HashMap::new(),
             migrate_timers: HashMap::new(),
             seen_migrations: BTreeSet::new(),
+            spares: Vec::new(),
         }
     }
 
@@ -151,6 +159,7 @@ impl<B: AgentBehavior> AgentRuntime<B> {
                     let out = self.outbound.remove(&agent).expect("checked");
                     self.migrate_timers.remove(&out.timer);
                     ctx.cancel_timer(out.timer);
+                    self.recycle(out.behavior);
                 }
             }
             AgentEnvelope::ToAgent { agent, payload } => {
@@ -216,8 +225,12 @@ impl<B: AgentBehavior> AgentRuntime<B> {
         // Always (re-)ack so a retry caused by a lost ack terminates:
         // before the duplicate check, and even for state that does not
         // decode. The ack carries what this host knew about the agent's
-        // subject *before* the agent arrived.
-        let decoded = marp_wire::from_bytes::<B>(&state);
+        // subject *before* the agent arrived. A spare that fails to
+        // decode goes with the error.
+        let decoded = match self.spares.pop() {
+            Some(mut spare) => marp_wire::from_bytes_into(&mut spare, &state).map(|()| spare),
+            None => marp_wire::from_bytes::<B>(&state),
+        };
         let horizon = decoded
             .as_ref()
             .map_or_else(|_| BTreeMap::new(), |behavior| behavior.host_horizon(host));
@@ -369,6 +382,16 @@ impl<B: AgentBehavior> AgentRuntime<B> {
                 id: span_id(SpanKind::Dispatch, id.key(), 0),
                 kind: SpanKind::Dispatch,
             });
+            self.recycle(resident.behavior);
+        }
+    }
+
+    /// Keep a behaviour no agent uses any more for the next arrival to
+    /// decode into, while there is room.
+    fn recycle(&mut self, behavior: B) {
+        if self.spares.len() < SPARES {
+            self.spares.reserve_exact(SPARES - self.spares.len());
+            self.spares.push(behavior);
         }
     }
 

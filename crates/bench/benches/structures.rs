@@ -124,7 +124,8 @@ fn bench_convoy(group: &mut criterion::BenchmarkGroup<'_>) {
         b.iter(|| {
             version += 1;
             visitor.merge(0, convoy_snapshot(0, 0..58, version));
-            board.post(0, 1, convoy_snapshot(1, 0..58, version));
+            let row = convoy_snapshot(1, 0..58, version);
+            board.post(0, 1, row.version, row.taken_at, row.queue.into_iter());
             board.exchange(0, &mut visitor);
             visitor.known_servers()
         })

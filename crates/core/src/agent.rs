@@ -544,7 +544,8 @@ impl AgentBehavior for UpdateAgent {
         if !self.visited.contains(&here) {
             self.visited.push(here);
         }
-        let snapshot = host.visit(self.id, self.key(), env.now(), here);
+        host.visit(self.id, self.key(), env.now(), here);
+        let (version, queue) = host.core.ll.queue(self.key());
         env.trace(TraceEvent::LockRequested {
             agent: self.id.key(),
             node: here,
@@ -553,7 +554,7 @@ impl AgentBehavior for UpdateAgent {
         // its key's Locking List: the keyspace tests use the *absence*
         // of this event to prove that disjoint-key agents never block
         // each other.
-        if let Some(rank) = snapshot.queue.iter().position(|&a| a == self.id) {
+        if let Some(rank) = queue.clone().position(|a| a == self.id) {
             if rank > 0 {
                 env.trace(TraceEvent::Custom {
                     kind: "lock-queued-behind",
@@ -573,7 +574,7 @@ impl AgentBehavior for UpdateAgent {
             });
             return Action::Dispose;
         }
-        self.lt.merge(here, snapshot);
+        self.lt.offer_row(here, version, env.now(), queue);
         if host.config().gossip {
             host.board.exchange(self.key(), &mut self.lt);
         }
@@ -1046,15 +1047,9 @@ mod tests {
         let mut state = lone_server(&host_cfg);
         // Something is on the host's board all the same.
         let rival = AgentId::new(0, SimTime::ZERO, 7);
-        state.board.post(
-            2,
-            3,
-            marp_replica::LlSnapshot {
-                version: 5,
-                taken_at: SimTime::from_millis(5),
-                queue: vec![rival],
-            },
-        );
+        state
+            .board
+            .post(2, 3, 5, SimTime::from_millis(5), [rival].into_iter());
         let mut runtime: AgentRuntime<UpdateAgent> =
             AgentRuntime::new(host_cfg.migration, wrap_agent_envelope);
         let mut ctx = host_ctx();

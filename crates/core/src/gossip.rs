@@ -14,8 +14,8 @@
 //! unrelated, so agents only exchange knowledge about their own key.
 
 use crate::lt::LockingTable;
-use marp_replica::LlSnapshot;
-use marp_sim::NodeId;
+use marp_agent::AgentId;
+use marp_sim::{NodeId, SimTime};
 use std::collections::BTreeMap;
 
 /// A server's blackboard of LL snapshots left behind by visiting
@@ -53,9 +53,18 @@ impl GossipBoard {
         board.clone_from(lt);
     }
 
-    /// Leave one snapshot directly (servers post their own per-key LL).
-    pub fn post(&mut self, key: u64, server: NodeId, snapshot: LlSnapshot) {
-        self.tables.entry(key).or_default().merge(server, snapshot);
+    /// Leave one snapshot directly (servers post their own per-key LL,
+    /// read in place: see [`LockingTable::offer_row`]).
+    pub fn post(
+        &mut self,
+        key: u64,
+        server: NodeId,
+        version: u64,
+        taken_at: SimTime,
+        queue: impl ExactSizeIterator<Item = AgentId>,
+    ) {
+        let table = self.tables.entry(key).or_default();
+        table.offer_row(server, version, taken_at, queue);
     }
 
     /// The accumulated knowledge about `key`, for a visiting agent to
@@ -78,8 +87,7 @@ impl GossipBoard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marp_agent::AgentId;
-    use marp_sim::SimTime;
+    use marp_replica::LlSnapshot;
 
     fn snap(ms: u64, agents: &[AgentId]) -> LlSnapshot {
         LlSnapshot {
@@ -89,13 +97,20 @@ mod tests {
         }
     }
 
+    impl GossipBoard {
+        fn post_snapshot(&mut self, key: u64, server: NodeId, snap: LlSnapshot) {
+            let queue = snap.queue.into_iter();
+            self.post(key, server, snap.version, snap.taken_at, queue);
+        }
+    }
+
     #[test]
     fn deposit_and_pick_up() {
         let a = AgentId::new(1, SimTime::ZERO, 0);
         let b = AgentId::new(2, SimTime::ZERO, 0);
         let mut board = GossipBoard::new();
-        board.post(0, 1, snap(4, &[a, b]));
-        board.post(0, 2, snap(3, &[b]));
+        board.post_snapshot(0, 1, snap(4, &[a, b]));
+        board.post_snapshot(0, 2, snap(3, &[b]));
         let mut lt = LockingTable::new();
         lt.merge(2, snap(5, &[a]));
         lt.merge(3, snap(1, &[]));
@@ -114,10 +129,10 @@ mod tests {
         let a = AgentId::new(1, SimTime::ZERO, 0);
         let b = AgentId::new(2, SimTime::ZERO, 0);
         let mut board = GossipBoard::new();
-        board.post(0, 0, snap(5, &[a]));
-        board.post(0, 0, snap(3, &[b]));
+        board.post_snapshot(0, 0, snap(5, &[a]));
+        board.post_snapshot(0, 0, snap(3, &[b]));
         assert_eq!(board.contents(0).unwrap().roster(), [a]);
-        board.post(0, 0, snap(7, &[b]));
+        board.post_snapshot(0, 0, snap(7, &[b]));
         assert_eq!(board.contents(0).unwrap().roster(), [b]);
     }
 
@@ -125,7 +140,7 @@ mod tests {
     fn keys_are_partitioned() {
         let a = AgentId::new(1, SimTime::ZERO, 0);
         let mut board = GossipBoard::new();
-        board.post(7, 0, snap(5, &[a]));
+        board.post_snapshot(7, 0, snap(5, &[a]));
         assert_eq!(board.known_servers(7), 1);
         assert_eq!(board.known_servers(8), 0);
         assert!(board.contents(8).is_none());
@@ -134,7 +149,7 @@ mod tests {
     #[test]
     fn clear_empties_board() {
         let mut board = GossipBoard::new();
-        board.post(0, 0, snap(1, &[]));
+        board.post_snapshot(0, 0, snap(1, &[]));
         board.clear();
         assert_eq!(board.known_servers(0), 0);
     }

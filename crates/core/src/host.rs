@@ -27,7 +27,7 @@ use crate::lt::LockingTable;
 use crate::msg::{AgentReply, UpdateMsg};
 use marp_agent::AgentId;
 use marp_net::RoutingTable;
-use marp_replica::{CommitRecord, LlSnapshot, ServerCore};
+use marp_replica::{CommitRecord, ServerCore};
 use marp_sim::{AgentKey, Context, NodeId, SimTime, TraceEvent};
 use std::collections::BTreeMap;
 
@@ -176,13 +176,12 @@ impl MarpServerState {
     }
 
     /// A visiting agent requests the lock on its object key (paper
-    /// Algorithm 2, "upon arrival of a mobile agent"). Returns the key's
-    /// LL right after the request was appended; the rest of what a
-    /// visit reads — the Updated List (`core.ul`) and what earlier
-    /// visitors left on the `board` — the agent reads in place, the
-    /// in-situ equivalent of a round of messages (the mobile-agent
-    /// advantage the paper builds on).
-    pub fn visit(&mut self, agent: AgentId, key: u64, now: SimTime, here: NodeId) -> LlSnapshot {
+    /// Algorithm 2, "upon arrival of a mobile agent"). What a visit then
+    /// reads — the key's LL (`core.ll.queue`), the Updated List
+    /// (`core.ul`) and what earlier visitors left on the `board` — the
+    /// agent reads in place, the in-situ equivalent of a round of
+    /// messages (the mobile-agent advantage the paper builds on).
+    pub fn visit(&mut self, agent: AgentId, key: u64, now: SimTime, here: NodeId) {
         self.core.ll.purge_expired(now);
         // A finished agent (listed in the UL) must never re-enter the
         // queue: a stale clone from a duplicated migration would
@@ -193,7 +192,6 @@ impl MarpServerState {
                 .ll
                 .request(key, agent, now, self.core.lock_lease(), here);
         }
-        self.core.ll.snapshot(key, now)
     }
 
     /// Estimated agent-transfer cost to another server, in ms.
@@ -449,8 +447,9 @@ impl MarpServerState {
         self.core.ul.record(finished, ctx.now());
         // Keep the local board fresh so future visitors see this change.
         if self.cfg.gossip {
-            let snapshot = self.core.ll.snapshot(key, ctx.now());
-            self.board.post(key, self.core.me(), snapshot);
+            let (version, queue) = self.core.ll.queue(key);
+            self.board
+                .post(key, self.core.me(), version, ctx.now(), queue);
         }
         match self.reserved.get_mut(&key) {
             // It won elsewhere while its claim here waited behind a rival.
@@ -545,7 +544,7 @@ mod tests {
     use super::*;
     use crate::msg::wrap_sync;
     use marp_net::Topology;
-    use marp_replica::{ServerConfig, WriteRequest};
+    use marp_replica::{LlSnapshot, ServerConfig, WriteRequest};
     use marp_sim::RecordingCtx;
     use std::time::Duration;
 
@@ -653,11 +652,11 @@ mod tests {
     }
 
     #[test]
-    fn visit_appends_and_returns_snapshot() {
+    fn visit_appends_to_the_queue() {
         let mut state = state();
         let a = aid(1, 1);
-        let snapshot = state.visit(a, 1, SimTime::from_millis(1), 1);
-        assert_eq!(snapshot.queue, vec![a]);
+        state.visit(a, 1, SimTime::from_millis(1), 1);
+        assert_eq!(state.core.ll.queue(1).1.collect::<Vec<_>>(), vec![a]);
         assert!(state.core.ul.is_empty());
         // Gossip on by default: board empty until someone deposits.
         assert!(state.board.contents(1).is_none());
@@ -1069,9 +1068,9 @@ mod tests {
         state.handle_commit(Some(a), vec![record], &mut ctx);
         assert!(state.core.ul.contains(a));
         // ...and a stale clone of a tries to queue again: refused.
-        let snapshot = state.visit(a, 1, SimTime::from_millis(6), 2);
+        state.visit(a, 1, SimTime::from_millis(6), 2);
         assert!(!state.core.ll.contains(1, a));
-        assert!(snapshot.queue.is_empty());
+        assert_eq!(state.core.ll.queue(1).1.len(), 0);
         // The clone can see its own id in the UL it reads and dispose.
         assert!(state.core.ul.contains(a));
     }

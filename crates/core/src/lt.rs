@@ -38,7 +38,8 @@ use std::collections::BTreeMap;
 /// (and count its slots in one).
 const MAX_ROSTER: usize = u16::MAX as usize;
 
-/// A roster slot in a remap table that maps nowhere.
+/// A roster slot in a remap table that maps nowhere, or in a tally an
+/// agent that has finished.
 const DEAD: u16 = u16::MAX;
 
 /// Roster slots a remap table holds on the stack.
@@ -100,14 +101,17 @@ impl LlRow {
 /// waits in. The roster holds exactly the agents some row names (the
 /// mutators drop an id with its last reference), which makes the
 /// representation a function of the content: equal tables are equal
-/// field by field and encode to the same bytes.
+/// field by field and encode to the same bytes. The rows are one vector
+/// in server order, so a table decoded into another keeps its buffers
+/// row by row ([`marp_wire::Wire::decode_into`]).
 #[derive(Debug, Default, PartialEq)]
 pub struct LockingTable {
     roster: Vec<AgentId>,
-    rows: BTreeMap<NodeId, LlRow>,
+    /// `(server, row)`, servers strictly ascending.
+    rows: Vec<(NodeId, LlRow)>,
 }
 
-marp_wire::wire_struct!(LockingTable { roster, rows } if LockingTable::indexes_its_roster);
+marp_wire::wire_struct!(LockingTable { roster, rows } if LockingTable::is_well_formed);
 
 impl Clone for LockingTable {
     fn clone(&self) -> Self {
@@ -122,20 +126,15 @@ impl Clone for LockingTable {
     /// once its rows have grown to the queues' depth.
     fn clone_from(&mut self, source: &Self) {
         self.roster.clone_from(&source.roster);
-        self.rows
-            .retain(|server, _| source.rows.contains_key(server));
-        for (&server, row) in &source.rows {
-            match self.rows.get_mut(&server) {
-                Some(held) => {
-                    held.version = row.version;
-                    held.taken_at = row.taken_at;
-                    held.ranks.clone_from(&row.ranks);
-                }
-                None => {
-                    self.rows.insert(server, row.clone());
-                }
-            }
+        self.rows.truncate(source.rows.len());
+        let held = self.rows.len();
+        for ((server, held), (from, row)) in self.rows.iter_mut().zip(&source.rows) {
+            *server = *from;
+            held.version = row.version;
+            held.taken_at = row.taken_at;
+            held.ranks.clone_from(&row.ranks);
         }
+        self.rows.extend_from_slice(&source.rows[held..]);
     }
 }
 
@@ -145,21 +144,37 @@ impl LockingTable {
         Self::default()
     }
 
-    /// What a decoded table must satisfy before any method may index
-    /// with its ranks: a strictly ascending roster (so no id twice) of
-    /// a size ranks can address, and every rank inside it. An id no row
+    /// What a decoded table must satisfy before any method may search
+    /// its rows or index with its ranks: servers strictly ascending (so
+    /// none twice), a strictly ascending roster (so no id twice) of a
+    /// size ranks can address, and every rank inside it. An id no row
     /// references is accepted: tables built here never hold one, and in
     /// a forged one it can only pad the rival set ([`Self::known_agents`])
     /// — which the forger could have written into the claim directly,
     /// and which servers check against their live queues anyway.
-    fn indexes_its_roster(&self) -> bool {
+    fn is_well_formed(&self) -> bool {
         self.roster.len() <= MAX_ROSTER
+            && self.rows.windows(2).all(|pair| pair[0].0 < pair[1].0)
             && self.roster.windows(2).all(|pair| pair[0] < pair[1])
             && self
-                .rows
-                .values()
-                .flat_map(|row| &row.ranks)
+                .ranks()
                 .all(|&rank| usize::from(rank) < self.roster.len())
+    }
+
+    /// Every rank of every row.
+    fn ranks(&self) -> impl Iterator<Item = &u16> {
+        self.rows.iter().flat_map(|(_, row)| &row.ranks)
+    }
+
+    /// Every rank of every row, to be rewritten.
+    fn ranks_mut(&mut self) -> impl Iterator<Item = &mut u16> {
+        self.rows.iter_mut().flat_map(|(_, row)| &mut row.ranks)
+    }
+
+    /// Where `server`'s row is, or where it would go.
+    fn slot(&self, server: NodeId) -> Result<usize, usize> {
+        self.rows
+            .binary_search_by_key(&server, |&(server, _)| server)
     }
 
     /// The roster index of `agent`, adding it if new. `guess` is tried
@@ -177,7 +192,7 @@ impl LockingTable {
                 self.roster.insert(at, agent);
                 // Agents sort by birth, so a new one usually lands last.
                 if at + 1 < self.roster.len() {
-                    let rows = self.rows.values_mut().flat_map(|row| &mut row.ranks);
+                    let rows = self.ranks_mut();
                     for rank in rows.chain(pending).filter(|rank| usize::from(**rank) >= at) {
                         *rank += 1;
                     }
@@ -188,30 +203,31 @@ impl LockingTable {
         at as u16
     }
 
-    /// Install `queue` as `server`'s row if the snapshot it comes from
-    /// supersedes the one held.
-    fn offer_row(
+    /// Install `queue` — `server`'s LL as of `(version, taken_at)`, read
+    /// in place — as `server`'s row if that snapshot supersedes the one
+    /// held.
+    pub fn offer_row(
         &mut self,
         server: NodeId,
         version: u64,
         taken_at: SimTime,
         queue: impl ExactSizeIterator<Item = AgentId>,
     ) {
-        let held = self.rows.get_mut(&server);
-        if held
-            .as_ref()
-            .is_some_and(|row| row.stamp() >= (version, taken_at))
-        {
-            return;
+        let slot = self.slot(server);
+        if let Ok(at) = slot {
+            if self.rows[at].1.stamp() >= (version, taken_at) {
+                return;
+            }
         }
         if self.roster.len() + queue.len() > MAX_ROSTER {
             return; // no deployment queues 65 535 agents; never index past u16
         }
         // The held row's buffer, emptied: while the new ranks are built
         // it names nobody, and `release` drops whom only it named.
-        let mut ranks = held
-            .map(|row| std::mem::take(&mut row.ranks))
-            .unwrap_or_default();
+        let mut ranks = match slot {
+            Ok(at) => std::mem::take(&mut self.rows[at].1.ranks),
+            Err(_) => Vec::new(),
+        };
         ranks.clear();
         ranks.reserve(queue.len());
         let mut guess = 0;
@@ -225,8 +241,12 @@ impl LockingTable {
             taken_at,
             ranks,
         };
-        if self.rows.insert(server, row).is_some() {
-            self.release();
+        match slot {
+            Ok(at) => {
+                self.rows[at].1 = row;
+                self.release();
+            }
+            Err(at) => self.rows.insert(at, (server, row)),
         }
     }
 
@@ -237,7 +257,7 @@ impl LockingTable {
         let (mut stack, mut heap) = ([0; SCRATCH], Vec::new());
         // Each roster slot's index once the dead are gone, or DEAD.
         let slots = scratch(&mut stack, &mut heap, self.roster.len(), DEAD);
-        for &rank in self.rows.values().flat_map(|row| &row.ranks) {
+        for &rank in self.ranks() {
             slots[usize::from(rank)] = 0;
         }
         let mut live = 0;
@@ -250,7 +270,7 @@ impl LockingTable {
         }
         let mut slot = slots.iter();
         self.roster.retain(|_| slot.next() != Some(&DEAD));
-        for rank in self.rows.values_mut().flat_map(|row| &mut row.ranks) {
+        for rank in self.ranks_mut() {
             *rank = slots[usize::from(*rank)];
         }
     }
@@ -276,8 +296,8 @@ impl LockingTable {
     /// drops whom the replaced rows alone named. An agent only `other`'s
     /// stale rows name never enters.
     pub fn merge_table(&mut self, other: &LockingTable) {
-        let supersedes = |server: &NodeId, row: &LlRow| {
-            let held = self.rows.get(server);
+        let supersedes = |server: NodeId, row: &LlRow| {
+            let held = self.snapshot(server);
             held.is_none_or(|held| held.stamp() < row.stamp())
         };
         // Per slot of `other`'s roster: DEAD, or (once the walk below has
@@ -285,7 +305,7 @@ impl LockingTable {
         let (mut stack, mut heap) = ([0; SCRATCH], Vec::new());
         let theirs = scratch(&mut stack, &mut heap, other.roster.len(), DEAD);
         let mut fresher = false;
-        for (_, row) in other.rows.iter().filter(|&(s, row)| supersedes(s, row)) {
+        for (_, row) in other.rows.iter().filter(|(s, row)| supersedes(*s, row)) {
             fresher = true;
             for &rank in &row.ranks {
                 theirs[usize::from(rank)] = 0;
@@ -333,26 +353,27 @@ impl LockingTable {
                     self.roster[usize::from(to)] = agent;
                 }
             }
-            for rank in self.rows.values_mut().flat_map(|row| &mut row.ranks) {
+            for rank in self.ranks_mut() {
                 *rank = mine[usize::from(*rank)];
             }
         }
         let mut replaced = false;
-        for (&server, row) in &other.rows {
+        for (server, row) in &other.rows {
             let ranks = row.ranks.iter().map(|&rank| theirs[usize::from(rank)]);
-            match self.rows.get_mut(&server) {
-                Some(held) if held.stamp() >= row.stamp() => {}
-                Some(held) => {
-                    held.version = row.version;
-                    held.taken_at = row.taken_at;
-                    held.ranks.clear();
-                    held.ranks.extend(ranks);
-                    replaced = true;
+            match self.slot(*server) {
+                Ok(at) => {
+                    let held = &mut self.rows[at].1;
+                    if held.stamp() < row.stamp() {
+                        held.version = row.version;
+                        held.taken_at = row.taken_at;
+                        held.ranks.clear();
+                        held.ranks.extend(ranks);
+                        replaced = true;
+                    }
                 }
-                None => {
+                Err(at) => {
                     let ranks = ranks.collect();
-                    let row = LlRow { ranks, ..*row };
-                    self.rows.insert(server, row);
+                    self.rows.insert(at, (*server, LlRow { ranks, ..*row }));
                 }
             }
         }
@@ -363,7 +384,8 @@ impl LockingTable {
 
     /// The row held for `server`, if any. Its queue is in [`Self::iter`].
     pub fn snapshot(&self, server: NodeId) -> Option<&LlRow> {
-        self.rows.get(&server)
+        let at = self.slot(server).ok()?;
+        Some(&self.rows[at].1)
     }
 
     /// Number of servers with known snapshots.
@@ -373,13 +395,13 @@ impl LockingTable {
 
     /// Every `(server, snapshot)` pair, the queues spelled out.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, LlSnapshot)> + '_ {
-        self.rows.iter().map(|(&server, row)| {
+        self.rows.iter().map(|(server, row)| {
             let snapshot = LlSnapshot {
                 version: row.version,
                 taken_at: row.taken_at,
                 queue: self.queue(row).collect(),
             };
-            (server, snapshot)
+            (*server, snapshot)
         })
     }
 
@@ -400,43 +422,49 @@ impl LockingTable {
     /// Queue entries over all rows: what the table would cost with
     /// every id spelled out where it is queued.
     pub fn entries(&self) -> usize {
-        self.rows.values().map(|row| row.ranks.len()).sum()
+        self.rows.iter().map(|(_, row)| row.ranks.len()).sum()
     }
 
     /// The roster read against `finished`, slot by slot, in one walk of
-    /// the two id-sorted lists: `None` where the agent has finished,
-    /// `Some(0)` — no tops tallied yet — where it has not.
-    fn live_slots(&self, finished: &UpdatedList) -> Vec<Option<u32>> {
-        let mut done = finished.agents().peekable();
-        self.roster
-            .iter()
-            .map(|agent| {
-                while done.next_if(|d| d < agent).is_some() {}
-                (done.peek() != Some(agent)).then_some(0)
-            })
-            .collect()
-    }
-
-    /// The slot of the first agent in `row` that `slots` has as live.
-    fn first_live(row: &LlRow, slots: &[Option<u32>]) -> Option<usize> {
-        let mut ranks = row.ranks.iter().map(|&rank| usize::from(rank));
-        ranks.find(|&rank| slots[rank].is_some())
-    }
-
-    /// One reading of the table against `finished`: per roster slot, the
-    /// number of rows whose effective top the agent is (`None` where it
-    /// has finished). `drained` hears of every server whose queue holds
-    /// no unfinished agent.
-    fn tally_tops(
+    /// the two id-sorted lists, into a [`scratch`] table: [`DEAD`] where
+    /// the agent has finished, 0 — no tops tallied yet — where it has
+    /// not.
+    fn live_slots<'a>(
         &self,
         finished: &UpdatedList,
+        stack: &'a mut [u16; SCRATCH],
+        heap: &'a mut Vec<u16>,
+    ) -> &'a mut [u16] {
+        let slots = scratch(stack, heap, self.roster.len(), 0);
+        let mut done = finished.agents().peekable();
+        for (slot, agent) in slots.iter_mut().zip(&self.roster) {
+            while done.next_if(|d| d < agent).is_some() {}
+            if done.peek() == Some(agent) {
+                *slot = DEAD;
+            }
+        }
+        slots
+    }
+
+    /// One reading of the table against `finished`, into a [`scratch`]
+    /// table: per roster slot, the number of rows whose effective top
+    /// the agent is ([`DEAD`] where it has finished). `drained` hears of
+    /// every server whose queue holds no unfinished agent.
+    fn tally_tops<'a>(
+        &self,
+        finished: &UpdatedList,
+        stack: &'a mut [u16; SCRATCH],
+        heap: &'a mut Vec<u16>,
         mut drained: impl FnMut(NodeId),
-    ) -> Vec<Option<u32>> {
-        let mut slots = self.live_slots(finished);
-        for (&server, row) in &self.rows {
-            match Self::first_live(row, &slots) {
-                Some(top) => slots[top] = slots[top].map(|tops| tops + 1),
-                None => drained(server),
+    ) -> &'a mut [u16] {
+        let slots = self.live_slots(finished, stack, heap);
+        for (server, row) in &self.rows {
+            let mut ranks = row.ranks.iter().map(|&rank| usize::from(rank));
+            match ranks.find(|&rank| slots[rank] != DEAD) {
+                // (A count stops one short of DEAD: no deployment has
+                // 65 535 servers.)
+                Some(top) => slots[top] = (slots[top] + 1).min(DEAD - 1),
+                None => drained(*server),
             }
         }
         slots
@@ -446,19 +474,18 @@ impl LockingTable {
     /// known to have finished already (stale snapshots may still list
     /// committed agents).
     pub fn effective_top(&self, server: NodeId, finished: &UpdatedList) -> Option<AgentId> {
-        let top = Self::first_live(self.rows.get(&server)?, &self.live_slots(finished))?;
-        Some(self.roster[top])
+        self.queue(self.snapshot(server)?)
+            .find(|&agent| !finished.contains(agent))
     }
 
     /// Count, for every agent, the servers whose effective top it is.
     pub fn top_counts(&self, finished: &UpdatedList) -> BTreeMap<AgentId, usize> {
-        let tops = self.tally_tops(finished, |_| {});
-        let tally = self.roster.iter().zip(tops);
+        let (mut stack, mut heap) = ([0; SCRATCH], Vec::new());
+        let tops = self.tally_tops(finished, &mut stack, &mut heap, |_| {});
+        let tally = self.roster.iter().zip(tops.iter());
         tally
-            .filter_map(|(&agent, tops)| match tops {
-                Some(tops) if tops > 0 => Some((agent, tops as usize)),
-                _ => None,
-            })
+            .filter(|&(_, &tops)| tops != DEAD && tops > 0)
+            .map(|(&agent, &tops)| (agent, usize::from(tops)))
             .collect()
     }
 
@@ -472,8 +499,8 @@ impl LockingTable {
             return 0;
         };
         self.rows
-            .values()
-            .filter(|row| row.ranks.contains(&(rank as u16)))
+            .iter()
+            .filter(|(_, row)| row.ranks.contains(&(rank as u16)))
             .count()
     }
 
@@ -484,7 +511,7 @@ impl LockingTable {
     pub fn horizon(&self) -> BTreeMap<NodeId, u64> {
         self.rows
             .iter()
-            .map(|(&server, row)| (server, row.version))
+            .map(|(server, row)| (*server, row.version))
             .collect()
     }
 
@@ -495,7 +522,7 @@ impl LockingTable {
     /// the full table (proved by property test).
     pub fn prune_covered_by(&mut self, horizon: &BTreeMap<NodeId, u64>) {
         let held = self.rows.len();
-        self.rows.retain(|server, row| {
+        self.rows.retain(|(server, row)| {
             horizon
                 .get(server)
                 .is_none_or(|&covered| row.version > covered)
@@ -509,7 +536,8 @@ impl LockingTable {
     /// server: its own LL is re-read on arrival, so carrying a snapshot
     /// of it is always dead weight).
     pub fn drop_server(&mut self, server: NodeId) {
-        if self.rows.remove(&server).is_some() {
+        if let Ok(at) = self.slot(server) {
+            self.rows.remove(at);
             self.release();
         }
     }
@@ -518,9 +546,11 @@ impl LockingTable {
     /// used as the tie certificate (the set of rivals the claimed winner
     /// knows about).
     pub fn known_agents(&self, finished: &UpdatedList) -> Vec<AgentId> {
-        let slots = self.roster.iter().zip(self.live_slots(finished));
+        let (mut stack, mut heap) = ([0; SCRATCH], Vec::new());
+        let slots = self.live_slots(finished, &mut stack, &mut heap);
+        let slots = self.roster.iter().zip(slots.iter());
         slots
-            .filter(|(_, slot)| slot.is_some())
+            .filter(|&(_, &slot)| slot != DEAD)
             .map(|(&agent, _)| agent)
             .collect()
     }
@@ -567,14 +597,19 @@ pub fn decide(
     // empty — counting them would wedge every agent in NotYet while a
     // replica is down.
     let mut claimable = 0;
-    let tops = lt.tally_tops(finished, |server| {
+    let (mut stack, mut heap) = ([0; SCRATCH], Vec::new());
+    let tops = lt.tally_tops(finished, &mut stack, &mut heap, |server| {
         if usize::from(server) < n && !unavailable.contains(&server) {
             claimable += 1;
         }
     });
+    let live = |tops: &&u16| **tops != DEAD;
     let my_slot = lt.roster.binary_search(&me).ok();
-    let my_tops = my_slot.and_then(|slot| tops[slot]).unwrap_or(0);
-    if my_tops as usize >= maj {
+    let my_tops = my_slot
+        .map(|slot| &tops[slot])
+        .filter(live)
+        .map_or(0, |&tops| tops);
+    if usize::from(my_tops) >= maj {
         return Priority::Win {
             via_tie: false,
             certificate: Vec::new(),
@@ -590,8 +625,8 @@ pub fn decide(
 
     // If any agent (this one included) could still assemble an outright
     // majority, wait.
-    let best = tops.iter().flatten().copied().max().unwrap_or(0);
-    if best as usize + claimable >= maj {
+    let best = tops.iter().filter(live).copied().max().unwrap_or(0);
+    if usize::from(best) + claimable >= maj {
         return Priority::NotYet;
     }
 
@@ -600,7 +635,7 @@ pub fn decide(
     // (most tops, then smallest agent id), which in a roster kept in id
     // order is the first slot holding the most. An empty tally means
     // there is nothing to resolve yet.
-    if best == 0 || tops.iter().position(|&tops| tops == Some(best)) != my_slot {
+    if best == 0 || tops.iter().position(|&tops| tops == best) != my_slot {
         return Priority::NotYet;
     }
     // A stuck-rule win is only claimable where the winner is enqueued:
@@ -612,11 +647,11 @@ pub fn decide(
     if lt.presence_count(me) < maj {
         return Priority::NotYet;
     }
-    let slots = lt.roster.iter().zip(&tops);
+    let slots = lt.roster.iter().zip(tops.iter());
     Priority::Win {
         via_tie: true,
         certificate: slots
-            .filter(|&(&agent, tops)| tops.is_some() && agent != me)
+            .filter(|(&agent, tops)| live(tops) && agent != me)
             .map(|(&agent, _)| agent)
             .collect(),
     }

@@ -17,7 +17,9 @@
 //! exchange to the two merges it replaced. A fourth holds `merge_table`
 //! to the per-server merge on pairs of tables whose rosters interleave,
 //! whose stale rows name ids nobody else does, and which name more
-//! agents than a table remaps on the stack.
+//! agents than a table remaps on the stack. A fifth holds the wire form
+//! to rows in strictly ascending server order: a table whose rows come
+//! out of order or name a server twice does not decode.
 //!
 //! Snapshots are deliberately *not* generated under the protocol's
 //! invariants: versions tie and regress, equal versions carry different
@@ -26,10 +28,11 @@
 //! two rows of one server with one version and time are the same row.
 
 use marp_agent::AgentId;
-use marp_core::lt::{decide, majority, ranking, LockingTable, Priority};
+use marp_core::lt::{decide, majority, ranking, LlRow, LockingTable, Priority};
 use marp_core::GossipBoard;
 use marp_replica::{LlSnapshot, UpdatedList};
 use marp_sim::{NodeId, SimTime};
+use marp_wire::WireError;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -459,7 +462,7 @@ proptest! {
         let (_, mut visitor) = build(&held(&visitor));
         let mut gossip = GossipBoard::new();
         for (server, snap) in held(&board) {
-            gossip.post(7, server, snap);
+            gossip.post(7, server, snap.version, snap.taken_at, snap.queue.into_iter());
         }
 
         // Pick up what the board holds, then leave the result there.
@@ -526,5 +529,34 @@ proptest! {
         }
         let bytes = marp_wire::to_bytes(&table);
         prop_assert_eq!(marp_wire::from_bytes::<LockingTable>(&bytes), Ok(table.clone()));
+    }
+    #[test]
+    fn rows_out_of_server_order_or_twice_do_not_decode(
+        start in proptest::collection::vec((0..SERVERS, arb_snapshot()), 2..10),
+    ) {
+        let (_, table) = build(&start);
+        let servers: Vec<NodeId> = table.horizon().into_keys().collect();
+        if servers.len() < 2 {
+            return Ok(());
+        }
+        // The wire form with the rows in `order`: the roster, then each
+        // `(server, row)`.
+        let forged = |order: &[NodeId]| {
+            let rows: Vec<(NodeId, LlRow)> = order
+                .iter()
+                .map(|&s| (s, table.snapshot(s).expect("a held row").clone()))
+                .collect();
+            marp_wire::to_bytes(&(table.roster().to_vec(), rows))
+        };
+        prop_assert_eq!(
+            marp_wire::from_bytes::<LockingTable>(&forged(&servers)),
+            Ok(table.clone())
+        );
+        let malformed = Err(WireError::Malformed { type_name: "LockingTable" });
+        let reversed: Vec<NodeId> = servers.iter().rev().copied().collect();
+        prop_assert_eq!(marp_wire::from_bytes::<LockingTable>(&forged(&reversed)), malformed);
+        let mut twice = servers.clone();
+        twice.insert(1, servers[0]);
+        prop_assert_eq!(marp_wire::from_bytes::<LockingTable>(&forged(&twice)), malformed);
     }
 }

@@ -289,15 +289,24 @@ impl LockTable {
         self.lists.get(&key).is_some_and(|ll| ll.contains(agent))
     }
 
+    /// `key`'s queue-content version and its agents in queue order,
+    /// read in place (version 0 and nobody if never touched).
+    pub fn queue(&self, key: u64) -> (u64, impl ExactSizeIterator<Item = AgentId> + Clone + '_) {
+        let ll = self.lists.get(&key);
+        let entries = ll.map_or(&[][..], LockingList::entries);
+        (
+            ll.map_or(0, LockingList::version),
+            entries.iter().map(|e| e.agent),
+        )
+    }
+
     /// Snapshot `key`'s queue (empty virgin snapshot if never touched).
     pub fn snapshot(&self, key: u64, taken_at: SimTime) -> LlSnapshot {
-        match self.lists.get(&key) {
-            Some(ll) => ll.snapshot(taken_at),
-            None => LlSnapshot {
-                version: 0,
-                taken_at,
-                queue: Vec::new(),
-            },
+        let (version, queue) = self.queue(key);
+        LlSnapshot {
+            version,
+            taken_at,
+            queue: queue.collect(),
         }
     }
 

@@ -67,6 +67,16 @@ pub trait Wire: __private::Sealed + Sized {
     /// consumed bytes.
     fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError>;
 
+    /// Decode a value from the front of `buf` into `self`, reusing the
+    /// buffers `self` already holds: the result equals
+    /// [`decode`](Wire::decode)'s, and a warm value of the same shape
+    /// decodes without allocating. On `Err`, `self` holds some mix of
+    /// the old value and the new one and is fit only to be dropped.
+    fn decode_into(&mut self, buf: &mut Reader<'_>) -> Result<(), WireError> {
+        *self = Self::decode(buf)?;
+        Ok(())
+    }
+
     /// Number of bytes [`encode`](Wire::encode) appends. It costs an
     /// encode: the length of a value is the length of its encoding.
     fn encoded_len(&self) -> usize {
@@ -107,8 +117,22 @@ pub fn to_bytes<T: Wire>(value: &T) -> Bytes {
 pub fn from_bytes<T: Wire>(bytes: &Bytes) -> Result<T, WireError> {
     let mut buf = Reader::new(bytes);
     let value = T::decode(&mut buf)?;
+    consumed(&buf).map(|()| value)
+}
+
+/// [`from_bytes`] into a value already held (see [`Wire::decode_into`]):
+/// `Err` exactly when `from_bytes` would be, and on `Ok` `value` equals
+/// what it would have returned.
+pub fn from_bytes_into<T: Wire>(value: &mut T, bytes: &Bytes) -> Result<(), WireError> {
+    let mut buf = Reader::new(bytes);
+    value.decode_into(&mut buf)?;
+    consumed(&buf)
+}
+
+/// Trailing bytes are corruption.
+fn consumed(buf: &Reader<'_>) -> Result<(), WireError> {
     match buf.remaining() {
-        0 => Ok(value),
+        0 => Ok(()),
         remaining => Err(WireError::TrailingBytes { remaining }),
     }
 }
@@ -212,6 +236,12 @@ impl Wire for String {
     fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
         decode_str(buf).map(str::to_owned)
     }
+    fn decode_into(&mut self, buf: &mut Reader<'_>) -> Result<(), WireError> {
+        let s = decode_str(buf)?;
+        self.clear();
+        self.push_str(s);
+        Ok(())
+    }
 }
 
 impl Wire for Bytes {
@@ -236,14 +266,23 @@ impl<T: Wire> Wire for Option<T> {
         }
     }
     fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
-        match buf.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(buf)?)),
-            other => Err(WireError::InvalidTag {
-                type_name: "Option",
-                tag: u32::from(other),
-            }),
+        let mut value = None;
+        value.decode_into(buf)?;
+        Ok(value)
+    }
+    fn decode_into(&mut self, buf: &mut Reader<'_>) -> Result<(), WireError> {
+        match (buf.u8()?, self) {
+            (0, slot) => *slot = None,
+            (1, Some(held)) => held.decode_into(buf)?,
+            (1, slot) => *slot = Some(T::decode(buf)?),
+            (other, _) => {
+                return Err(WireError::InvalidTag {
+                    type_name: "Option",
+                    tag: u32::from(other),
+                })
+            }
         }
+        Ok(())
     }
 }
 
@@ -264,6 +303,23 @@ impl<T: Wire> Wire for Vec<T> {
             out.push(T::decode(buf)?);
         }
         Ok(out)
+    }
+    /// The elements held are decoded into in place, the rest dropped or
+    /// pushed. A fresh vector is sized to its content; a held one grows
+    /// by doubling, as a buffer reused for contents of varying length
+    /// should.
+    fn decode_into(&mut self, buf: &mut Reader<'_>) -> Result<(), WireError> {
+        let len = decode_len(buf)?;
+        self.truncate(len);
+        for item in self.iter_mut() {
+            item.decode_into(buf)?;
+        }
+        let held = self.len();
+        self.reserve((len - held).min(4096)); // the same cap as `decode`'s
+        for _ in held..len {
+            self.push(T::decode(buf)?);
+        }
+        Ok(())
     }
 }
 
@@ -295,6 +351,10 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok((A::decode(buf)?, B::decode(buf)?))
     }
+    fn decode_into(&mut self, buf: &mut Reader<'_>) -> Result<(), WireError> {
+        self.0.decode_into(buf)?;
+        self.1.decode_into(buf)
+    }
 }
 
 impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
@@ -305,6 +365,11 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
     }
     fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok((A::decode(buf)?, B::decode(buf)?, C::decode(buf)?))
+    }
+    fn decode_into(&mut self, buf: &mut Reader<'_>) -> Result<(), WireError> {
+        self.0.decode_into(buf)?;
+        self.1.decode_into(buf)?;
+        self.2.decode_into(buf)
     }
 }
 
@@ -317,14 +382,14 @@ fn decode_len(buf: &mut Reader<'_>) -> Result<usize, WireError> {
 }
 
 /// Implement [`Wire`] for a struct by encoding the listed fields in
-/// order. One field list feeds `encode` and `decode`, so the two cannot
-/// disagree. Invoke it beside the struct definition;
+/// order. One field list feeds `encode`, `decode` and `decode_into`
+/// (field by field into the buffers held), so they cannot disagree. Invoke it beside the struct definition;
 /// the struct must be constructible with struct-literal syntax from the
 /// macro's call site. Generic structs name their parameters (each gets
 /// a `Wire` bound), tuple structs list their fields by index. A type
 /// whose fields must agree with each other names the check after `if`:
 /// a decoded value that fails it is [`WireError::Malformed`], so no
-/// method ever sees one.
+/// method ever sees one (`decode_into` runs the same check).
 ///
 /// ```
 /// use marp_wire::{wire_struct, Wire};
@@ -376,6 +441,13 @@ macro_rules! wire_struct {
                     return Err($crate::WireError::Malformed { type_name: stringify!($name) });
                 } )?
                 Ok(value)
+            }
+            fn decode_into(&mut self, buf: &mut $crate::Reader<'_>) -> ::core::result::Result<(), $crate::WireError> {
+                $( $crate::Wire::decode_into(&mut self.$field, buf)?; )*
+                $( if !$valid(&*self) {
+                    return Err($crate::WireError::Malformed { type_name: stringify!($name) });
+                } )?
+                Ok(())
             }
         }
     };

@@ -125,3 +125,8 @@ fn main() {
         Err(err) => eprintln!("trace output failed: {err}"),
     }
 }
+
+#[test]
+fn runs() {
+    main();
+}

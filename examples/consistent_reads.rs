@@ -48,3 +48,8 @@ fn main() {
          the agent's behaviour, exactly the genericity the paper claims."
     );
 }
+
+#[test]
+fn runs() {
+    main();
+}

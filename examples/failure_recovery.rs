@@ -109,3 +109,8 @@ fn main() {
         completed, report.duplicate_completions
     );
 }
+
+#[test]
+fn runs() {
+    main();
+}

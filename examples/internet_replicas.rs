@@ -57,3 +57,8 @@ fn main() {
          exchanges over the long links."
     );
 }
+
+#[test]
+fn runs() {
+    main();
+}

@@ -48,3 +48,8 @@ fn main() {
         }
     }
 }
+
+#[test]
+fn runs() {
+    main();
+}

@@ -62,3 +62,8 @@ fn main() {
          MARP pays migrations instead of vote rounds."
     );
 }
+
+#[test]
+fn runs() {
+    main();
+}

@@ -10,7 +10,7 @@
 //! (export, journey, metrics, critical-path, ...).
 
 use marp_core::{build_cluster, wrap_client_request, MarpConfig, MarpNode};
-use marp_metrics::{audit, PaperMetrics};
+use marp_metrics::{audit_keyed, PaperMetrics};
 use marp_net::{LinkModel, SimTransport, Topology};
 use marp_replica::{ClientProcess, Operation, ScriptedSource};
 use marp_sim::{SimRng, SimTime, Simulation, TraceEvent, TraceLevel};
@@ -124,7 +124,7 @@ fn main() {
 
     // Machine-checked consistency.
     let metrics = PaperMetrics::from_trace(sim.trace());
-    let report = audit(sim.trace(), n);
+    let report = audit_keyed(sim.trace(), n);
     report.assert_ok();
     println!(
         "\naudit: clean ({} versions committed, {} lock grants, ALT {:.2} ms, ATT {:.2} ms)",
@@ -139,4 +139,9 @@ fn main() {
         Ok(None) => {}
         Err(err) => eprintln!("trace output failed: {err}"),
     }
+}
+
+#[test]
+fn runs() {
+    main();
 }
