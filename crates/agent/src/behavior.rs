@@ -12,7 +12,7 @@
 use crate::envelope::AgentEnvelope;
 use crate::id::AgentId;
 use bytes::Bytes;
-use marp_sim::{Context, NodeId, SimTime, TimerId, TraceEvent};
+use marp_sim::{Context, NodeId, SimTime, SpanKey, TimerId, TraceEvent};
 use marp_wire::Wire;
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
@@ -39,6 +39,13 @@ pub trait AgentBehavior: Wire + Send + 'static {
 
     /// This agent's identity (stable across migrations).
     fn id(&self) -> AgentId;
+
+    /// The span covering this agent's life: the runtime parents every
+    /// migration to it and closes it at disposal. Whoever launches the
+    /// agent opens it; by default it is the dispatch span.
+    fn life_span(&self) -> SpanKey {
+        SpanKey::dispatch(self.id().key())
+    }
 
     /// The agent's state just arrived (or was created) at a host.
     fn on_arrive(&mut self, host: &mut Self::Host, env: &mut AgentEnv<'_>) -> Action;
@@ -103,7 +110,7 @@ pub trait AgentBehavior: Wire + Send + 'static {
     /// now (Locking Table queue entries plus Updated List entries for
     /// MARP update agents). Sampled by the runtime at each migration —
     /// after [`Self::before_migrate`] sheds state — and emitted as a
-    /// `Custom { kind: "lt-entries-carried" }` trace event so profiling
+    /// `Custom` [`marp_sim::trace::LT_ENTRIES_CARRIED`] event so profiling
     /// can attribute wire growth to carried state. Behaviours with no
     /// such tables report 0 and emit nothing.
     fn carried_lt_entries(&self) -> u64 {
@@ -112,7 +119,7 @@ pub trait AgentBehavior: Wire + Send + 'static {
 
     /// How many *distinct* agent ids those entries name — what the
     /// shipped table spells out once, the entries being small indices.
-    /// Emitted beside it as `Custom { kind: "lt-ids-carried" }`;
+    /// Emitted beside it as [`marp_sim::trace::LT_IDS_CARRIED`];
     /// entries ÷ ids is how often a carried table repeats itself.
     fn carried_lt_ids(&self) -> u64 {
         0

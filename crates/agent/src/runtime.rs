@@ -13,7 +13,7 @@ use crate::envelope::AgentEnvelope;
 use crate::id::AgentId;
 use bytes::Bytes;
 use marp_quorum::RetryPolicy;
-use marp_sim::{span_id, Context, NodeId, SpanKind, TimerId, TraceEvent};
+use marp_sim::{trace, Context, NodeId, SpanKey, TimerId, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Duration;
 
@@ -169,7 +169,7 @@ impl<B: AgentBehavior> AgentRuntime<B> {
                     });
                 } else {
                     ctx.trace(TraceEvent::Custom {
-                        kind: "agent-msg-missed",
+                        kind: trace::AGENT_MSG_MISSED,
                         a: agent.key(),
                         b: u64::from(from),
                     });
@@ -249,7 +249,7 @@ impl<B: AgentBehavior> AgentRuntime<B> {
                 // Corrupt state should be impossible (reliable channels);
                 // record and drop rather than crash the server.
                 ctx.trace(TraceEvent::Custom {
-                    kind: "agent-state-corrupt",
+                    kind: trace::AGENT_STATE_CORRUPT,
                     a: agent.key(),
                     b: u64::from(from),
                 });
@@ -263,17 +263,9 @@ impl<B: AgentBehavior> AgentRuntime<B> {
             to: ctx.me(),
             hops: hop,
         });
-        // Close the migration span the sender opened: both ends derive
-        // the id from (agent, hop, destination), and we are the
+        // Close the migration span the sender opened: we are its
         // destination.
-        ctx.trace(TraceEvent::SpanEnd {
-            id: span_id(
-                SpanKind::Migrate,
-                agent.key(),
-                (u64::from(hop) << 32) | u64::from(ctx.me()),
-            ),
-            kind: SpanKind::Migrate,
-        });
+        ctx.trace(SpanKey::migrate(agent.key(), hop, ctx.me()).end());
         self.resident.insert(
             agent,
             Resident {
@@ -378,10 +370,7 @@ impl<B: AgentBehavior> AgentRuntime<B> {
                 agent: id.key(),
                 born: resident.behavior.id().born,
             });
-            ctx.trace(TraceEvent::SpanEnd {
-                id: span_id(SpanKind::Dispatch, id.key(), 0),
-                kind: SpanKind::Dispatch,
-            });
+            ctx.trace(resident.behavior.life_span().end());
             self.recycle(resident.behavior);
         }
     }
@@ -404,8 +393,11 @@ impl<B: AgentBehavior> AgentRuntime<B> {
         let state = marp_wire::to_bytes(&resident.behavior);
         // Sampled post-`before_migrate`, so this is what actually ships.
         for (kind, carried) in [
-            ("lt-entries-carried", resident.behavior.carried_lt_entries()),
-            ("lt-ids-carried", resident.behavior.carried_lt_ids()),
+            (
+                trace::LT_ENTRIES_CARRIED,
+                resident.behavior.carried_lt_entries(),
+            ),
+            (trace::LT_IDS_CARRIED, resident.behavior.carried_lt_ids()),
         ] {
             if carried > 0 {
                 ctx.trace(TraceEvent::Custom {
@@ -426,18 +418,8 @@ impl<B: AgentBehavior> AgentRuntime<B> {
         });
         ctx.send(dest, msg);
         // Open the migration span; the receiving runtime closes it on
-        // arrival with the same (agent, hop, destination)-derived id.
-        ctx.trace(TraceEvent::SpanStart {
-            id: span_id(
-                SpanKind::Migrate,
-                id.key(),
-                (u64::from(hop) << 32) | u64::from(dest),
-            ),
-            parent: span_id(SpanKind::Dispatch, id.key(), 0),
-            kind: SpanKind::Migrate,
-            a: id.key(),
-            b: (u64::from(hop) << 32) | u64::from(dest),
-        });
+        // arrival.
+        ctx.trace(SpanKey::migrate(id.key(), hop, dest).start(Some(resident.behavior.life_span())));
         let timer = ctx.set_timer(self.cfg.retry().next_delay(1), TAG_MIGRATE_RETRY);
         self.migrate_timers.insert(timer, id);
         self.outbound.insert(

@@ -8,8 +8,8 @@ use marp_agent::{
 };
 use marp_net::{LinkModel, SimTransport, Topology};
 use marp_sim::{
-    impl_as_any, Context, Control, NodeId, Process, RecordingCtx, SimRng, SimTime, Simulation,
-    TimerId, TraceEvent, TraceLevel,
+    impl_as_any, trace, Context, Control, NodeId, Process, RecordingCtx, SimRng, SimTime,
+    Simulation, TimerId, TraceEvent, TraceLevel,
 };
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -299,7 +299,7 @@ fn messages_reach_resident_agents() {
         sim.trace().count(|e| matches!(
             e,
             TraceEvent::Custom {
-                kind: "agent-msg-missed",
+                kind: trace::AGENT_MSG_MISSED,
                 ..
             }
         )),
@@ -595,7 +595,7 @@ fn crash_loses_residents_and_later_messages_miss_loudly() {
             .filter(|e| matches!(
                 e,
                 TraceEvent::Custom {
-                    kind: "agent-msg-missed",
+                    kind: trace::AGENT_MSG_MISSED,
                     ..
                 }
             ))
@@ -667,7 +667,7 @@ fn undecodable_state_is_acked_with_an_empty_horizon_and_dropped() {
     assert!(ctx.traced.iter().any(|e| matches!(
         e,
         TraceEvent::Custom {
-            kind: "agent-state-corrupt",
+            kind: trace::AGENT_STATE_CORRUPT,
             ..
         }
     )));

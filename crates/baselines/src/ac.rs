@@ -13,7 +13,7 @@ use crate::common::{LwwStore, LwwTs};
 use bytes::Bytes;
 use marp_quorum::{QuorumCall, SuccessRule, TimerMux, Verdict};
 use marp_replica::{ClientReply, ClientRequest, Operation};
-use marp_sim::{impl_as_any, span_id, Context, NodeId, Process, SpanKind, TimerId, TraceEvent};
+use marp_sim::{impl_as_any, Context, NodeId, Process, SpanKey, SpanKind, TimerId, TraceEvent};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -131,18 +131,17 @@ impl AcNode {
         self.pending.len()
     }
 
+    /// The propagation round of `request`, accepted here.
+    fn round_span(&self, request: u64) -> SpanKey {
+        SpanKey::new(SpanKind::UpdateQuorum, request, u64::from(self.me))
+    }
+
     fn complete(&mut self, request: u64, ctx: &mut dyn Context) {
         if let Some(done) = self.pending.remove(&request) {
             self.timers.disarm(AcTimer::Ack, request);
             let arrived = done.call.started();
-            ctx.trace(TraceEvent::SpanEnd {
-                id: done.call.span(),
-                kind: SpanKind::UpdateQuorum,
-            });
-            ctx.trace(TraceEvent::SpanEnd {
-                id: span_id(SpanKind::Request, request, u64::from(self.me)),
-                kind: SpanKind::Request,
-            });
+            ctx.trace(self.round_span(request).end());
+            ctx.trace(SpanKey::request(request, self.me).end());
             ctx.trace(TraceEvent::UpdateCompleted {
                 request,
                 home: self.me,
@@ -187,14 +186,8 @@ impl AcNode {
                         ctx.send(from, marp_wire::to_bytes(&reply));
                     }
                     Operation::Write { key, value } => {
-                        let req_span = span_id(SpanKind::Request, request.id, u64::from(self.me));
-                        ctx.trace(TraceEvent::SpanStart {
-                            id: req_span,
-                            parent: 0,
-                            kind: SpanKind::Request,
-                            a: request.id,
-                            b: u64::from(self.me),
-                        });
+                        let req_span = SpanKey::request(request.id, self.me);
+                        ctx.trace(req_span.start(None));
                         let ts = self.store.stamp(self.me);
                         self.store.apply(key, value, ts);
                         // Write to every *available* replica.
@@ -212,23 +205,12 @@ impl AcNode {
                         }
                         // The propagation round runs under its own span;
                         // the request span links to it.
-                        let round_span =
-                            span_id(SpanKind::UpdateQuorum, request.id, u64::from(self.me));
-                        ctx.trace(TraceEvent::SpanStart {
-                            id: round_span,
-                            parent: 0,
-                            kind: SpanKind::UpdateQuorum,
-                            a: request.id,
-                            b: u64::from(self.me),
-                        });
-                        ctx.trace(TraceEvent::SpanLink {
-                            from: req_span,
-                            to: round_span,
-                        });
+                        let round_span = self.round_span(request.id);
+                        ctx.trace(round_span.start(None));
+                        ctx.trace(req_span.link_to(round_span));
                         // With no other available replica the call is
                         // won at construction: done immediately.
-                        let call = QuorumCall::new(SuccessRule::AllAvailable, waiting, ctx.now())
-                            .with_span(round_span);
+                        let call = QuorumCall::new(SuccessRule::AllAvailable, waiting, ctx.now());
                         let won = call.verdict() == Some(Verdict::Won);
                         self.pending.insert(
                             request.id,

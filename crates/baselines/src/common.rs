@@ -3,7 +3,7 @@
 use bytes::Bytes;
 use marp_quorum::{QuorumCall, RetryPolicy, SuccessRule, TimerMux, Verdict};
 use marp_replica::WriteRequest;
-use marp_sim::{span_id, Context, NodeId, SimTime, SpanKind, TraceEvent};
+use marp_sim::{Context, NodeId, SimTime, SpanKey, SpanKind};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -38,6 +38,11 @@ impl Ballot {
     /// in spans, commit records and `CommitApplied` events.
     pub(crate) fn surrogate(self) -> u64 {
         u64::from(self.coordinator) << 32 | self.seq
+    }
+
+    /// The span the round runs under.
+    pub(crate) fn span(self) -> SpanKey {
+        SpanKey::new(SpanKind::UpdateQuorum, self.surrogate(), self.seq)
     }
 }
 
@@ -209,23 +214,13 @@ impl Coordinator {
         // The round runs under an UpdateQuorum span keyed by the same
         // surrogate agent key the commit records carry; the request's
         // span links to it (a retried write links to each new round).
-        let span = span_id(SpanKind::UpdateQuorum, ballot.surrogate(), ballot.seq);
-        ctx.trace(TraceEvent::SpanStart {
-            id: span,
-            parent: 0,
-            kind: SpanKind::UpdateQuorum,
-            a: ballot.surrogate(),
-            b: ballot.seq,
-        });
-        ctx.trace(TraceEvent::SpanLink {
-            from: span_id(SpanKind::Request, request.id, u64::from(self.me)),
-            to: span,
-        });
+        ctx.trace(ballot.span().start(None));
+        ctx.trace(SpanKey::request(request.id, self.me).link_to(ballot.span()));
         let voters = 0..self.spec.n_servers as NodeId;
         self.round = Some(Round {
             ballot,
             request,
-            call: QuorumCall::new(self.spec.rule, voters, ctx.now()).with_span(span),
+            call: QuorumCall::new(self.spec.rule, voters, ctx.now()),
         });
         self.broadcast((self.spec.vote_request)(ballot), ctx);
         let tag = self.timers.arm(VoteTimer::Round, ballot.seq);
@@ -237,10 +232,7 @@ impl Coordinator {
             return;
         };
         self.timers.disarm(VoteTimer::Round, round.ballot.seq);
-        ctx.trace(TraceEvent::SpanEnd {
-            id: round.call.span(),
-            kind: SpanKind::UpdateQuorum,
-        });
+        ctx.trace(round.ballot.span().end());
         self.broadcast((self.spec.release)(round.ballot), ctx);
         // Retry the same write later.
         self.queue.push_front(round.request);

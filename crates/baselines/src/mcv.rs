@@ -12,7 +12,7 @@ use crate::common::{scaled_to_latency, Ballot, Coordinator, RoundSpec, VoteTimer
 use bytes::Bytes;
 use marp_quorum::{RetryPolicy, SuccessRule};
 use marp_replica::{ClientRequest, CommitRecord, ServerConfig, ServerCore, SyncMsg};
-use marp_sim::{impl_as_any, span_id, Context, NodeId, Process, SpanKind, TimerId, TraceEvent};
+use marp_sim::{impl_as_any, Context, NodeId, Process, SpanKey, TimerId, TraceEvent};
 use std::time::Duration;
 
 /// MCV deployment knobs.
@@ -177,19 +177,10 @@ impl McvNode {
             request: round.request.id,
             committed_at: ctx.now(),
         };
-        ctx.trace(TraceEvent::SpanEnd {
-            id: round.call.span(),
-            kind: SpanKind::UpdateQuorum,
-        });
+        ctx.trace(ballot.span().end());
         // Closed by ServerCore when the commit reaches the
         // pending client at this (home) replica.
-        ctx.trace(TraceEvent::SpanStart {
-            id: span_id(SpanKind::Commit, record.agent, record.request),
-            parent: round.call.span(),
-            kind: SpanKind::Commit,
-            a: record.agent,
-            b: record.request,
-        });
+        ctx.trace(SpanKey::commit(record.agent, record.request).start(Some(ballot.span())));
         // Thomas: the write lands on every replica.
         let apply = marp_wire::to_bytes(&McvMsg::Apply {
             ballot,

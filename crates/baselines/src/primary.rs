@@ -11,7 +11,7 @@
 use bytes::Bytes;
 use marp_quorum::{QuorumCall, TimerMux, Verdict};
 use marp_replica::{ClientRequest, CommitRecord, ServerConfig, ServerCore, SyncMsg, WriteRequest};
-use marp_sim::{impl_as_any, span_id, Context, NodeId, Process, SpanKind, TimerId, TraceEvent};
+use marp_sim::{impl_as_any, Context, NodeId, Process, SpanKey, SpanKind, TimerId, TraceEvent};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -122,41 +122,34 @@ impl PcNode {
         self.me() == self.cfg.primary
     }
 
+    /// The replication round that commits `version`. Its `a` is the
+    /// surrogate agent key (`primary << 32 | version`) the commit record
+    /// names.
+    fn round_span(&self, version: u64) -> SpanKey {
+        let surrogate = u64::from(self.cfg.primary) << 32 | version;
+        SpanKey::new(SpanKind::UpdateQuorum, surrogate, version)
+    }
+
     /// `origin` is the server that accepted the client request (it holds
     /// the pending-client entry and so anchors the request's span).
     fn sequence_write(&mut self, request: WriteRequest, origin: NodeId, ctx: &mut dyn Context) {
         debug_assert!(self.is_primary());
         self.next_version += 1;
+        let span = self.round_span(self.next_version);
         let record = CommitRecord {
             version: self.next_version,
             key: request.key,
             value: request.value,
-            agent: u64::from(self.cfg.primary) << 32 | self.next_version,
+            agent: span.a,
             request: request.id,
             committed_at: ctx.now(),
         };
-        let span = span_id(SpanKind::UpdateQuorum, record.agent, self.next_version);
-        ctx.trace(TraceEvent::SpanStart {
-            id: span,
-            parent: 0,
-            kind: SpanKind::UpdateQuorum,
-            a: record.agent,
-            b: self.next_version,
-        });
-        ctx.trace(TraceEvent::SpanLink {
-            from: span_id(SpanKind::Request, request.id, u64::from(origin)),
-            to: span,
-        });
+        ctx.trace(span.start(None));
+        ctx.trace(SpanKey::request(request.id, origin).link_to(span));
         // Closed by ServerCore when the commit reaches the pending
         // client at the accepting server (possibly this node).
-        ctx.trace(TraceEvent::SpanStart {
-            id: span_id(SpanKind::Commit, record.agent, record.request),
-            parent: span,
-            kind: SpanKind::Commit,
-            a: record.agent,
-            b: record.request,
-        });
-        let mut call = QuorumCall::majority(self.cfg.n_servers as u16, ctx.now()).with_span(span);
+        ctx.trace(SpanKey::commit(record.agent, record.request).start(Some(span)));
+        let mut call = QuorumCall::majority(self.cfg.n_servers as u16, ctx.now());
         // The primary's own copy counts (decides outright when n = 1).
         let verdict = call.offer_vote(self.me(), true, ());
         self.in_flight.insert(
@@ -186,10 +179,7 @@ impl PcNode {
         let Some(flight) = self.in_flight.remove(&version) else {
             return;
         };
-        ctx.trace(TraceEvent::SpanEnd {
-            id: flight.call.span(),
-            kind: SpanKind::UpdateQuorum,
-        });
+        ctx.trace(self.round_span(version).end());
         ctx.trace(TraceEvent::UpdateCompleted {
             request: flight.request.id,
             home: flight.origin,

@@ -10,7 +10,7 @@ use crate::common::{scaled_to_latency, Ballot, Coordinator, RoundSpec};
 use bytes::Bytes;
 use marp_quorum::{QuorumCall, RetryPolicy, SuccessRule, Verdict};
 use marp_replica::{ClientReply, ClientRequest, Operation, WriteRequest};
-use marp_sim::{impl_as_any, span_id, Context, NodeId, Process, SpanKind, TimerId, TraceEvent};
+use marp_sim::{impl_as_any, Context, NodeId, Process, SpanKey, TimerId, TraceEvent};
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
@@ -239,14 +239,8 @@ impl WvNode {
         for server in round.call.positive_nodes() {
             ctx.send(server, bytes.clone());
         }
-        ctx.trace(TraceEvent::SpanEnd {
-            id: round.call.span(),
-            kind: SpanKind::UpdateQuorum,
-        });
-        ctx.trace(TraceEvent::SpanEnd {
-            id: span_id(SpanKind::Request, round.request.id, u64::from(self.me)),
-            kind: SpanKind::Request,
-        });
+        ctx.trace(ballot.span().end());
+        ctx.trace(SpanKey::request(round.request.id, self.me).end());
         ctx.trace(TraceEvent::UpdateCompleted {
             request: round.request.id,
             home: self.me,
@@ -298,13 +292,7 @@ impl WvNode {
                         self.coord.broadcast(ask, ctx);
                     }
                     Operation::Write { key, value } => {
-                        ctx.trace(TraceEvent::SpanStart {
-                            id: span_id(SpanKind::Request, request.id, u64::from(self.me)),
-                            parent: 0,
-                            kind: SpanKind::Request,
-                            a: request.id,
-                            b: u64::from(self.me),
-                        });
+                        ctx.trace(SpanKey::request(request.id, self.me).start(None));
                         let write = WriteRequest {
                             id: request.id,
                             client: from,

@@ -45,7 +45,7 @@ pub use test_runner::{Config as ProptestConfig, TestCaseError};
 ///
 /// ```ignore
 /// proptest! {
-///     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+///     #![proptest_config(ProptestConfig::with_cases(8))]
 ///     #[test]
 ///     fn name(x in 0u64..10, v in any::<u8>()) { ... }
 /// }

@@ -70,19 +70,20 @@ impl Gen {
 /// struct-update-friendly form.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Number of successful cases required for the test to pass.
+    /// Number of cases to run.
     pub cases: u32,
-    /// Shrink-iteration budget. Accepted for API parity with the real
-    /// crate; this engine does not shrink, so the value is ignored.
-    pub max_shrink_iters: u32,
+}
+
+impl Config {
+    /// The default configuration, running `cases` cases.
+    pub fn with_cases(cases: u32) -> Self {
+        Config { cases }
+    }
 }
 
 impl Default for Config {
     fn default() -> Self {
-        Config {
-            cases: 256,
-            max_shrink_iters: 1024,
-        }
+        Config::with_cases(256)
     }
 }
 
@@ -91,9 +92,6 @@ impl Default for Config {
 pub enum TestCaseError {
     /// The property did not hold.
     Fail(String),
-    /// The case asked to be discarded (kept for API parity; the macro
-    /// subset in use never produces it).
-    Reject(String),
 }
 
 impl TestCaseError {
@@ -101,19 +99,12 @@ impl TestCaseError {
     pub fn fail(message: impl Into<String>) -> Self {
         TestCaseError::Fail(message.into())
     }
-
-    /// A discarded case.
-    pub fn reject(message: impl Into<String>) -> Self {
-        TestCaseError::Reject(message.into())
-    }
 }
 
 impl std::fmt::Display for TestCaseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TestCaseError::Fail(m) => write!(f, "{m}"),
-            TestCaseError::Reject(m) => write!(f, "rejected: {m}"),
-        }
+        let TestCaseError::Fail(m) = self;
+        write!(f, "{m}")
     }
 }
 
@@ -148,24 +139,12 @@ where
 {
     let seed = master_seed(test_name);
     let mut gen = Gen::from_seed(seed);
-    let mut passed = 0u32;
-    let mut case_index = 0u64;
-    while passed < config.cases {
-        case_index += 1;
-        if case_index > u64::from(config.cases) * 16 {
+    for case_index in 1..=config.cases {
+        if let Err(TestCaseError::Fail(message)) = case(&mut gen) {
             panic!(
-                "{test_name}: too many rejected cases ({passed}/{} passed after \
-                 {case_index} attempts; master seed {seed})",
-                config.cases
-            );
-        }
-        match case(&mut gen) {
-            Ok(()) => passed += 1,
-            Err(TestCaseError::Reject(_)) => continue,
-            Err(TestCaseError::Fail(message)) => panic!(
                 "{test_name}: property failed at case {case_index} \
                  (master seed {seed}): {message}"
-            ),
+            );
         }
     }
 }
@@ -205,17 +184,10 @@ mod tests {
     #[test]
     fn runner_counts_cases() {
         let mut calls = 0;
-        run_property_test(
-            "compat::counts",
-            &Config {
-                cases: 17,
-                ..Config::default()
-            },
-            |_| {
-                calls += 1;
-                Ok(())
-            },
-        );
+        run_property_test("compat::counts", &Config::with_cases(17), |_| {
+            calls += 1;
+            Ok(())
+        });
         assert_eq!(calls, 17);
     }
 

@@ -26,7 +26,7 @@ use bytes::Bytes;
 use marp_agent::{Action, AgentBehavior, AgentEnv, AgentId, Itinerary};
 use marp_quorum::{QuorumCall, RetryPolicy, TimerMux, Verdict};
 use marp_replica::{CommitRecord, UpdatedList, WriteRequest};
-use marp_sim::{span_id, NodeId, SpanKind, TraceEvent};
+use marp_sim::{trace, NodeId, SpanKey, SpanKind, TraceEvent};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -294,6 +294,21 @@ impl UpdateAgent {
         env.set_timer(delay, tag);
     }
 
+    /// Lock-acquisition round `round`: the first opens on arrival at
+    /// home, and each aborted claim opens the next.
+    fn lock_span(&self, round: u64) -> SpanKey {
+        SpanKey::new(SpanKind::LockAcquire, self.id.key(), round)
+    }
+
+    /// The validation round of the current claim.
+    fn update_span(&self) -> SpanKey {
+        SpanKey::new(
+            SpanKind::UpdateQuorum,
+            self.id.key(),
+            u64::from(self.attempt),
+        )
+    }
+
     fn start_update(
         &mut self,
         host: &MarpServerState,
@@ -302,26 +317,9 @@ impl UpdateAgent {
         certificate: Vec<AgentId>,
     ) {
         self.attempt += 1;
-        env.trace(TraceEvent::SpanEnd {
-            id: span_id(
-                SpanKind::LockAcquire,
-                self.id.key(),
-                u64::from(self.attempt),
-            ),
-            kind: SpanKind::LockAcquire,
-        });
-        let update_span = span_id(
-            SpanKind::UpdateQuorum,
-            self.id.key(),
-            u64::from(self.attempt),
-        );
-        env.trace(TraceEvent::SpanStart {
-            id: update_span,
-            parent: span_id(SpanKind::Dispatch, self.id.key(), 0),
-            kind: SpanKind::UpdateQuorum,
-            a: self.id.key(),
-            b: u64::from(self.attempt),
-        });
+        env.trace(self.lock_span(u64::from(self.attempt)).end());
+        let update_span = self.update_span();
+        env.trace(update_span.start(Some(self.life_span())));
         env.trace(TraceEvent::LockGranted {
             agent: self.id.key(),
             node: env.here(),
@@ -347,7 +345,7 @@ impl UpdateAgent {
         self.phase = Phase::Updating {
             via_tie,
             certificate,
-            call: QuorumCall::majority(n, env.now()).with_span(update_span),
+            call: QuorumCall::majority(n, env.now()).with_span(update_span.id()),
             news: false,
         };
         let tag = TimerMux::tag(AgentTimer::Ack, u64::from(self.attempt));
@@ -381,25 +379,12 @@ impl UpdateAgent {
             records,
         });
         broadcast(host, env, &msg);
-        let update_span = span_id(
-            SpanKind::UpdateQuorum,
-            self.id.key(),
-            u64::from(self.attempt),
-        );
-        env.trace(TraceEvent::SpanEnd {
-            id: update_span,
-            kind: SpanKind::UpdateQuorum,
-        });
+        let update_span = self.update_span();
+        env.trace(update_span.end());
         // Commit spans close at each request's home server when the
         // commit record reaches its pending client (ServerCore).
         for req in &self.rl {
-            env.trace(TraceEvent::SpanStart {
-                id: span_id(SpanKind::Commit, self.id.key(), req.id),
-                parent: update_span,
-                kind: SpanKind::Commit,
-                a: self.id.key(),
-                b: req.id,
-            });
+            env.trace(SpanKey::commit(self.id.key(), req.id).start(Some(update_span)));
         }
         for req in &self.rl {
             env.trace(TraceEvent::UpdateCompleted {
@@ -427,14 +412,7 @@ impl UpdateAgent {
             a: self.id.key(),
             b: u64::from(self.incarnation),
         });
-        env.trace(TraceEvent::SpanEnd {
-            id: span_id(
-                SpanKind::UpdateQuorum,
-                self.id.key(),
-                u64::from(self.attempt),
-            ),
-            kind: SpanKind::UpdateQuorum,
-        });
+        env.trace(self.update_span().end());
         let msg = NodeMsg::Release { agent: self.id };
         broadcast(host, env, &msg);
         Action::Dispose
@@ -450,27 +428,11 @@ impl UpdateAgent {
         env.trace(TraceEvent::WinAborted {
             agent: self.id.key(),
         });
-        env.trace(TraceEvent::SpanEnd {
-            id: span_id(
-                SpanKind::UpdateQuorum,
-                self.id.key(),
-                u64::from(self.attempt),
-            ),
-            kind: SpanKind::UpdateQuorum,
-        });
+        env.trace(self.update_span().end());
         // The next lock-acquisition round starts immediately (the agent
         // goes back to competing from parked).
-        env.trace(TraceEvent::SpanStart {
-            id: span_id(
-                SpanKind::LockAcquire,
-                self.id.key(),
-                u64::from(self.attempt) + 1,
-            ),
-            parent: span_id(SpanKind::Dispatch, self.id.key(), 0),
-            kind: SpanKind::LockAcquire,
-            a: self.id.key(),
-            b: u64::from(self.attempt) + 1,
-        });
+        let next_round = self.lock_span(u64::from(self.attempt) + 1);
+        env.trace(next_round.start(Some(self.life_span())));
         let msg = NodeMsg::Release { agent: self.id };
         broadcast(host, env, &msg);
         // Fall back to parked: the next re-poll (after a short pause,
@@ -533,13 +495,7 @@ impl AgentBehavior for UpdateAgent {
         if self.visited.is_empty() && self.attempt == 0 {
             // First arrival (at home): the first lock-acquisition round
             // begins. Later rounds are opened by `abort_claim`.
-            env.trace(TraceEvent::SpanStart {
-                id: span_id(SpanKind::LockAcquire, self.id.key(), 1),
-                parent: span_id(SpanKind::Dispatch, self.id.key(), 0),
-                kind: SpanKind::LockAcquire,
-                a: self.id.key(),
-                b: 1,
-            });
+            env.trace(self.lock_span(1).start(Some(self.life_span())));
         }
         if !self.visited.contains(&here) {
             self.visited.push(here);
@@ -557,7 +513,7 @@ impl AgentBehavior for UpdateAgent {
         if let Some(rank) = queue.clone().position(|a| a == self.id) {
             if rank > 0 {
                 env.trace(TraceEvent::Custom {
-                    kind: "lock-queued-behind",
+                    kind: trace::LOCK_QUEUED_BEHIND,
                     a: self.id.key(),
                     b: rank as u64,
                 });
@@ -568,7 +524,7 @@ impl AgentBehavior for UpdateAgent {
         // Updated List): its work is done, it must not compete again.
         if self.ual.contains(self.id) || host.core.ul.contains(self.id) {
             env.trace(TraceEvent::Custom {
-                kind: "zombie-clone-disposed",
+                kind: trace::ZOMBIE_CLONE_DISPOSED,
                 a: self.id.key(),
                 b: u64::from(here),
             });

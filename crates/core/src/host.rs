@@ -27,8 +27,8 @@ use crate::lt::LockingTable;
 use crate::msg::{AgentReply, UpdateMsg};
 use marp_agent::AgentId;
 use marp_net::RoutingTable;
-use marp_replica::{CommitRecord, ServerCore};
-use marp_sim::{AgentKey, Context, NodeId, SimTime, TraceEvent};
+use marp_replica::{CommitRecord, ServerCore, WriteRequest};
+use marp_sim::{trace, AgentKey, Context, NodeId, SimTime, TraceEvent};
 use std::collections::BTreeMap;
 
 /// An UPDATE acknowledgement ready to be mailed to `agent`, which
@@ -52,6 +52,40 @@ pub struct CommitOutcome {
     pub waiters: Vec<(AgentId, AgentId)>,
     /// Acknowledgements of claims that were held behind a winner.
     pub answers: Vec<ClaimAnswer>,
+}
+
+/// Why a server refused an UPDATE. The discriminant is the code the
+/// [`trace::UPDATE_REFUSED`] record carries in its low byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub(crate) enum Refusal {
+    /// Reserved for a rival, and the claim would fail without it too.
+    Reserved = 1,
+    /// The claimant is not in this server's Locking List.
+    NotQueued = 2,
+    /// An agent ranked above the claimant is missing from its certificate.
+    Uncertified = 3,
+    /// The claimant is not on top and offered no certificate.
+    NotTop = 4,
+    /// A regenerated successor of the claim's requests was acked here.
+    StaleIncarnation = 5,
+    /// Every request the claim carries has already committed here.
+    AlreadyCommitted = 6,
+}
+
+impl Refusal {
+    /// Whether the claimant is superseded: its ack is `fenced`, it disposes.
+    pub(crate) fn fenced(self) -> bool {
+        matches!(self, Refusal::StaleIncarnation | Refusal::AlreadyCommitted)
+    }
+}
+
+/// What validation makes of a claim: accept it, hold it behind a
+/// rival's live reservation (see the module docs), or refuse it.
+enum Judgement {
+    Accept,
+    Hold,
+    Refuse(Refusal),
 }
 
 /// What a server remembers of an UPDATE it acked: who holds the key,
@@ -210,6 +244,49 @@ impl MarpServerState {
             .all(|e| vouched(e.agent) || self.core.ul.contains(e.agent))
     }
 
+    /// Validate a claim on `key`. A fenced refusal comes first: it
+    /// holds whatever the queue and the reservation say.
+    fn judge(&self, key: u64, msg: &UpdateMsg, now: SimTime) -> Judgement {
+        let fence_above = |r: &WriteRequest| {
+            self.fences
+                .get(&r.id)
+                .is_some_and(|&(inc, _)| inc > msg.incarnation)
+        };
+        if msg.requests.iter().any(fence_above) {
+            return Judgement::Refuse(Refusal::StaleIncarnation);
+        }
+        let store = &self.core.store;
+        if !msg.requests.is_empty() && msg.requests.iter().all(|r| store.request_applied(r.id)) {
+            return Judgement::Refuse(Refusal::AlreadyCommitted);
+        }
+        let ll = &self.core.ll;
+        if let Some(holder) = self.reserved_for(key).filter(|&h| h != msg.agent) {
+            // Early, not wrong: the claimant is enqueued here and the
+            // holder is the only unfinished, unvouched-for agent above
+            // it, so the reservation is all that stands in the way.
+            let cert = msg.tie_certificate.as_deref().unwrap_or_default();
+            let early = ll.rank_of(key, msg.agent, now).is_some_and(|rank| {
+                self.all_above(key, rank, |a| a == holder || cert.contains(&a))
+            });
+            return if early {
+                Judgement::Hold
+            } else {
+                Judgement::Refuse(Refusal::Reserved)
+            };
+        }
+        if ll.top(key, now) == Some(msg.agent) {
+            return Judgement::Accept;
+        }
+        let Some(cert) = &msg.tie_certificate else {
+            return Judgement::Refuse(Refusal::NotTop);
+        };
+        match ll.rank_of(key, msg.agent, now) {
+            None => Judgement::Refuse(Refusal::NotQueued),
+            Some(rank) if self.all_above(key, rank, |a| cert.contains(&a)) => Judgement::Accept,
+            Some(_) => Judgement::Refuse(Refusal::Uncertified),
+        }
+    }
+
     /// Handle an UPDATE claim (validation + reservation). Returns the
     /// acknowledgements to send: this claim's, unless it is held (see
     /// the module docs), preceded by those of claims a lapsed
@@ -238,86 +315,30 @@ impl MarpServerState {
                 slots.remove(i);
             }
         }
-        // Refusal reasons are traced for diagnosability: 1 = reserved
-        // for another claimant (and the claim would fail without the
-        // reservation too — otherwise it is held), 2 = claimant absent
-        // from the LL, 3 = an agent ranked above the claimant is missing
-        // from its certificate, 4 = not top and no certificate offered,
-        // 5 = the claim's incarnation is below a fence (a regenerated
-        // successor has been acked here), 6 = every carried request has
-        // already committed here. 5 and 6 mark the claimant superseded:
-        // the ack carries `fenced: true` and the agent must dispose.
-        let mut refusal: u64 = 0;
-        if msg.requests.iter().any(|r| {
-            self.fences
-                .get(&r.id)
-                .is_some_and(|&(inc, _)| inc > msg.incarnation)
-        }) {
-            refusal = 5;
-        } else if !msg.requests.is_empty()
-            && msg
-                .requests
-                .iter()
-                .all(|r| self.core.store.request_applied(r.id))
-        {
-            refusal = 6;
-        }
-        let fenced = refusal != 0;
-        let positive = if fenced {
-            false
-        } else if let Some(holder) = self.reserved_for(key).filter(|&h| h != msg.agent) {
-            // Early, not wrong: the claimant is enqueued here and the
-            // holder is the only unfinished, unvouched-for agent above
-            // it, so the reservation is all that stands in the way.
-            let cert = msg.tie_certificate.as_deref().unwrap_or_default();
-            let ll = &self.core.ll;
-            let early = ll.rank_of(key, msg.agent, now).is_some_and(|rank| {
-                self.all_above(key, rank, |a| a == holder || cert.contains(&a))
-            });
-            match self.reserved.get_mut(&key) {
-                Some(blocking) if early => {
-                    ctx.trace(TraceEvent::Custom {
-                        kind: "update-held",
-                        a: msg.agent.key(),
-                        b: u64::from(self.core.me()),
-                    });
-                    self.claims_held += 1;
+        let refusal = match self.judge(key, &msg, now) {
+            Judgement::Accept => None,
+            Judgement::Refuse(refusal) => Some(refusal),
+            Judgement::Hold => {
+                ctx.trace(TraceEvent::Custom {
+                    kind: trace::UPDATE_HELD,
+                    a: msg.agent.key(),
+                    b: u64::from(self.core.me()),
+                });
+                self.claims_held += 1;
+                if let Some(blocking) = self.reserved.get_mut(&key) {
                     blocking.waiting.push(msg);
-                    return answers;
                 }
-                _ => {
-                    refusal = 1;
-                    false
-                }
+                return answers;
             }
-        } else if self.core.ll.top(key, now) == Some(msg.agent) {
-            true
-        } else if let Some(cert) = &msg.tie_certificate {
-            match self.core.ll.rank_of(key, msg.agent, now) {
-                Some(rank) => {
-                    let ok = self.all_above(key, rank, |a| cert.contains(&a));
-                    if !ok {
-                        refusal = 3;
-                    }
-                    ok
-                }
-                None => {
-                    refusal = 2;
-                    false
-                }
-            }
-        } else {
-            refusal = 4;
-            false
         };
-        if !positive {
+        let positive = refusal.is_none();
+        if let Some(refusal) = refusal {
             ctx.trace(TraceEvent::Custom {
-                kind: "update-refused",
+                kind: trace::UPDATE_REFUSED,
                 a: msg.agent.key(),
-                b: (u64::from(self.core.me()) << 8) | refusal,
+                b: (u64::from(self.core.me()) << 8) | refusal as u64,
             });
-        }
-        if positive {
+        } else {
             // A holder claiming again renews its lease and keeps the
             // claims waiting behind it.
             let expires = now + self.cfg.reserve_lease;
@@ -350,7 +371,7 @@ impl MarpServerState {
                 node: self.core.me(),
                 attempt: msg.attempt,
                 positive,
-                fenced,
+                fenced: refusal.is_some_and(Refusal::fenced),
                 store_version: self.core.store.applied_version_for(key),
                 last_update: self.core.store.last_update_time_for(key),
             },
@@ -630,6 +651,22 @@ mod tests {
             .count()
     }
 
+    /// The low byte of every `update-refused` record, in trace order.
+    fn refusals(ctx: &RecordingCtx) -> Vec<u64> {
+        let refused = ctx.traced.iter().filter_map(|e| {
+            let TraceEvent::Custom {
+                kind: trace::UPDATE_REFUSED,
+                b,
+                ..
+            } = e
+            else {
+                return None;
+            };
+            Some(b & 0xff)
+        });
+        refused.collect()
+    }
+
     fn acked(ctx: &RecordingCtx, agent: AgentId) -> usize {
         ctx.traced
             .iter()
@@ -705,14 +742,20 @@ mod tests {
         assert!(!positive(&ack));
     }
 
-    /// Server 0 with `a` then `b` queued on key 1 and `a` holding the
-    /// reservation (its claim acked at 3 ms).
-    fn reserved_for_a() -> (MarpServerState, AgentId, AgentId, RecordingCtx) {
+    /// Server 0 with `a` then `b` queued on key 1.
+    fn a_then_b() -> (MarpServerState, AgentId, AgentId) {
         let mut state = state();
         let a = aid(1, 1);
         let b = aid(2, 2);
         state.visit(a, 1, SimTime::from_millis(1), 1);
         state.visit(b, 1, SimTime::from_millis(2), 2);
+        (state, a, b)
+    }
+
+    /// `a_then_b` with `a` holding the reservation (its claim acked at
+    /// 3 ms).
+    fn reserved_for_a() -> (MarpServerState, AgentId, AgentId, RecordingCtx) {
+        let (mut state, a, b) = a_then_b();
         let mut ctx = ctx_at(3);
         assert!(positive(&claim(&mut state, own_msg(a, None), &mut ctx)));
         (state, a, b, ctx)
@@ -728,8 +771,8 @@ mod tests {
         assert!(state.handle_update(early, &mut ctx).is_empty());
         assert_eq!(state.held_claimants(1).collect::<Vec<_>>(), vec![b]);
         assert_eq!(state.claims_held(), 1);
-        assert_eq!(traced(&ctx, "update-held"), 1);
-        assert_eq!(traced(&ctx, "update-refused"), 0);
+        assert_eq!(traced(&ctx, trace::UPDATE_HELD), 1);
+        assert_eq!(traced(&ctx, trace::UPDATE_REFUSED), 0);
         assert_eq!(acked(&ctx, b), 0, "no ack is traced before one is sent");
         assert_eq!(state.reserved_for(1), Some(a));
 
@@ -820,10 +863,7 @@ mod tests {
         assert_eq!(answers.len(), 1);
         assert!(!positive(&answers[0].ack));
         assert_eq!(state.reserved_for(1), None);
-        assert!(ctx.traced.iter().any(|e| matches!(
-            e,
-            TraceEvent::Custom { kind: "update-refused", b, .. } if b & 0xff == 4
-        )));
+        assert_eq!(refusals(&ctx), [Refusal::NotTop as u64]);
     }
 
     #[test]
@@ -964,8 +1004,8 @@ mod tests {
         assert!(!positive(&ack) && fenced(&ack));
         assert_eq!(state.held_claimants(1).count(), 0);
         assert_eq!(state.claims_held(), 0);
-        assert_eq!(traced(&ctx, "update-held"), 0);
-        assert_eq!(traced(&ctx, "update-refused"), 3);
+        assert_eq!(traced(&ctx, trace::UPDATE_HELD), 0);
+        assert_eq!(traced(&ctx, trace::UPDATE_REFUSED), 3);
     }
 
     #[test]
@@ -1169,14 +1209,7 @@ mod tests {
         let ack = claim(&mut state, update_msg(original, None), &mut ctx);
         assert!(!positive(&ack));
         assert!(fenced(&ack), "stale incarnation must get a fenced ack");
-        assert!(ctx.traced.iter().any(|e| matches!(
-            e,
-            TraceEvent::Custom {
-                kind: "update-refused",
-                b,
-                ..
-            } if b & 0xff == 5
-        )));
+        assert_eq!(refusals(&ctx), [Refusal::StaleIncarnation as u64]);
     }
 
     #[test]
@@ -1201,13 +1234,69 @@ mod tests {
         let ack = claim(&mut state, update_msg(zombie, None), &mut ctx);
         assert!(!positive(&ack));
         assert!(fenced(&ack), "committed work must fence late claimants");
-        assert!(ctx.traced.iter().any(|e| matches!(
-            e,
-            TraceEvent::Custom {
-                kind: "update-refused",
-                b,
-                ..
-            } if b & 0xff == 6
-        )));
+        assert_eq!(refusals(&ctx), [Refusal::AlreadyCommitted as u64]);
+    }
+
+    /// Each refusal, reached by a real claim: traced with its code, and
+    /// fenced or not, both pinned by value (the codes are a trace format).
+    #[test]
+    fn every_refusal_is_traced_with_its_code() {
+        type Setup = fn() -> (MarpServerState, UpdateMsg);
+        let cases: [(Refusal, u64, bool, Setup); 6] = [
+            (Refusal::Reserved, 1, false, || {
+                // c's certificate omits b, unfinished between a and c.
+                let (mut state, a, _, _) = reserved_for_a();
+                let c = aid(3, 3);
+                state.visit(c, 1, SimTime::from_millis(3), 0);
+                (state, own_msg(c, Some(vec![a])))
+            }),
+            (Refusal::NotQueued, 2, false, || {
+                (state(), own_msg(aid(4, 4), Some(vec![])))
+            }),
+            (Refusal::Uncertified, 3, false, || {
+                let (state, _, b) = a_then_b();
+                (state, own_msg(b, Some(vec![])))
+            }),
+            (Refusal::NotTop, 4, false, || {
+                let (state, _, b) = a_then_b();
+                (state, own_msg(b, None))
+            }),
+            (Refusal::StaleIncarnation, 5, true, || {
+                // The original's regenerated successor was acked, then
+                // released: the original is on top, and only the fence
+                // stands in its way.
+                let mut state = state();
+                let (original, successor) = (aid(1, 1), aid(1, 5));
+                state.visit(successor, 1, SimTime::from_millis(1), 1);
+                let mut ctx = ctx_at(2);
+                let mut regenerated = own_msg(successor, None);
+                regenerated.incarnation = 1;
+                assert!(positive(&claim(&mut state, regenerated, &mut ctx)));
+                state.handle_release(successor, &mut ctx);
+                state.core.ll.remove(1, successor);
+                state.visit(original, 1, SimTime::from_millis(2), 1);
+                (state, own_msg(original, None))
+            }),
+            (Refusal::AlreadyCommitted, 6, true, || {
+                // b, now on top, carries the request a committed.
+                let (mut state, a, b) = a_then_b();
+                let mut ctx = ctx_at(2);
+                state.handle_commit(Some(a), vec![commit_record(a, 1, ctx.now)], &mut ctx);
+                let mut msg = own_msg(b, None);
+                msg.requests[0].id = own_request(a);
+                (state, msg)
+            }),
+        ];
+        for (refusal, code, superseded, setup) in cases {
+            assert_eq!((refusal as u64, refusal.fenced()), (code, superseded));
+            let (mut state, msg) = setup();
+            let mut ctx = ctx_at(3);
+            let ack = claim(&mut state, msg, &mut ctx);
+            assert!(!positive(&ack), "{refusal:?}");
+            assert_eq!(refusals(&ctx), [code], "{refusal:?}");
+            assert_eq!(fenced(&ack), superseded, "{refusal:?}");
+            assert_eq!(state.claims_held(), 0, "{refusal:?}");
+            assert_eq!(state.held_claimants(1).count(), 0, "{refusal:?}");
+        }
     }
 }

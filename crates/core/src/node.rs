@@ -12,7 +12,7 @@ use marp_agent::{AgentEnvelope, AgentId, AgentRuntime};
 use marp_net::RoutingTable;
 use marp_quorum::{RetryPolicy, TimerMux};
 use marp_replica::{CommitRecord, RequestBatcher, ServerCore, SyncMsg, WriteRequest};
-use marp_sim::{impl_as_any, span_id, Context, NodeId, Process, SpanKind, TimerId, TraceEvent};
+use marp_sim::{impl_as_any, trace, Context, NodeId, Process, SpanKey, TimerId, TraceEvent};
 use std::collections::BTreeMap;
 
 marp_quorum::timer_kinds! {
@@ -206,19 +206,10 @@ impl MarpNode {
         });
         // Dispatch span: the agent's whole life (closed at disposal by
         // the runtime). Each carried request's span links into it.
-        let dispatch_span = span_id(SpanKind::Dispatch, id.key(), 0);
-        ctx.trace(TraceEvent::SpanStart {
-            id: dispatch_span,
-            parent: 0,
-            kind: SpanKind::Dispatch,
-            a: id.key(),
-            b: 0,
-        });
+        let dispatch_span = SpanKey::dispatch(id.key());
+        ctx.trace(dispatch_span.start(None));
         for req in &batch {
-            ctx.trace(TraceEvent::SpanLink {
-                from: span_id(SpanKind::Request, req.id, u64::from(self.me())),
-                to: dispatch_span,
-            });
+            ctx.trace(SpanKey::request(req.id, self.me()).link_to(dispatch_span));
         }
         let epoch = u64::from(id.seq);
         self.outstanding.insert(
@@ -269,7 +260,7 @@ impl MarpNode {
             return;
         }
         ctx.trace(TraceEvent::Custom {
-            kind: "agent-regenerated",
+            kind: trace::AGENT_REGENERATED,
             a: id.key(),
             b: remaining.len() as u64,
         });
@@ -677,7 +668,7 @@ mod tests {
         assert!(!ctx.traced.iter().any(|e| matches!(
             e,
             TraceEvent::Custom {
-                kind: "agent-msg-missed",
+                kind: trace::AGENT_MSG_MISSED,
                 ..
             }
         )));

@@ -16,7 +16,7 @@ use crate::host::MarpServerState;
 use marp_agent::{Action, AgentBehavior, AgentEnv, AgentId, Itinerary};
 use marp_quorum::{QuorumCall, SuccessRule, Verdict};
 use marp_replica::ClientReply;
-use marp_sim::{span_id, NodeId, SpanKind, TraceEvent};
+use marp_sim::{NodeId, SpanKey, SpanKind, TraceEvent};
 
 /// What one visit observes: (applied version, key version, value if
 /// present).
@@ -76,10 +76,6 @@ impl ReadAgent {
         self.visited
     }
 
-    fn read_span(&self) -> marp_sim::SpanId {
-        span_id(SpanKind::Read, self.request, u64::from(self.id.home))
-    }
-
     fn finish(&self, env: &mut AgentEnv<'_>) -> Action {
         // The freshest observation wins: highest key version, with the
         // highest applied version as tiebreak for absent keys.
@@ -102,10 +98,6 @@ impl ReadAgent {
             version: key_version.max(applied),
         };
         env.send_raw(self.client, marp_wire::to_bytes(&reply));
-        env.trace(TraceEvent::SpanEnd {
-            id: self.read_span(),
-            kind: SpanKind::Read,
-        });
         Action::Dispose
     }
 
@@ -114,10 +106,6 @@ impl ReadAgent {
         // downgrade the guarantee.
         let reply = ClientReply::Rejected { id: self.request };
         env.send_raw(self.client, marp_wire::to_bytes(&reply));
-        env.trace(TraceEvent::SpanEnd {
-            id: self.read_span(),
-            kind: SpanKind::Read,
-        });
         Action::Dispose
     }
 
@@ -140,16 +128,15 @@ impl AgentBehavior for ReadAgent {
         self.id
     }
 
+    /// A read agent's life is the strong read it serves.
+    fn life_span(&self) -> SpanKey {
+        SpanKey::new(SpanKind::Read, self.request, u64::from(self.id.home))
+    }
+
     fn on_arrive(&mut self, host: &mut MarpServerState, env: &mut AgentEnv<'_>) -> Action {
         if self.visited == 0 {
             // First arrival (at home): the strong read begins here.
-            env.trace(TraceEvent::SpanStart {
-                id: self.read_span(),
-                parent: 0,
-                kind: SpanKind::Read,
-                a: self.request,
-                b: u64::from(self.id.home),
-            });
+            env.trace(self.life_span().start(None));
         }
         self.visited += 1;
         let store = &host.core.store;

@@ -24,7 +24,9 @@ use marp_core::{
 };
 use marp_net::Topology;
 use marp_replica::{ClientProcess, Operation, ScriptedSource};
-use marp_sim::{FixedDelay, NodeId, PendingKind, SimTime, Simulation, TraceEvent, TraceLevel};
+use marp_sim::{
+    trace, FixedDelay, NodeId, PendingKind, SimTime, Simulation, TraceEvent, TraceLevel,
+};
 use std::time::Duration;
 
 const ONE_WAY: Duration = Duration::from_millis(1);
@@ -203,7 +205,7 @@ fn an_early_claim_is_held_and_the_lock_hands_over_without_an_abort() {
     };
     // (The winner itself was refused where the other agent queued
     // first; that is not the handoff.)
-    let refused_before = custom(&sim, "update-refused");
+    let refused_before = custom(&sim, trace::UPDATE_REFUSED);
 
     // The winner gets its acks and broadcasts COMMIT; only the parked
     // agent's host applies it for now.
@@ -233,8 +235,8 @@ fn an_early_claim_is_held_and_the_lock_hands_over_without_an_abort() {
     assert!(!reserving.contains(&host));
     assert!(N - reserving.len() < MAJORITY);
     assert_eq!(deliver_all(&mut sim, N, is_update), N);
-    assert_eq!(custom(&sim, "update-held"), reserving.len());
-    assert_eq!(custom(&sim, "update-refused"), refused_before);
+    assert_eq!(custom(&sim, trace::UPDATE_HELD), reserving.len());
+    assert_eq!(custom(&sim, trace::UPDATE_REFUSED), refused_before);
     assert_eq!(
         count(
             &sim,
@@ -359,10 +361,10 @@ fn a_claim_refused_behind_an_unfinished_agent_retries_on_the_news_it_absorbed() 
     assert_eq!(claims(&sim), 3);
     // Every server finds the unfinished second agent ahead of it. That
     // is no early claim: it is refused at once, never held.
-    let refused_before = custom(&sim, "update-refused");
+    let refused_before = custom(&sim, trace::UPDATE_REFUSED);
     assert_eq!(deliver_all(&mut sim, N, from(third)), N);
-    assert_eq!(custom(&sim, "update-refused"), refused_before + N);
-    assert_eq!(custom(&sim, "update-held"), 0);
+    assert_eq!(custom(&sim, trace::UPDATE_REFUSED), refused_before + N);
+    assert_eq!(custom(&sim, trace::UPDATE_HELD), 0);
 
     // Meanwhile the second agent really does win and commit. The
     // notice reaches the third mid-claim: it names an agent already in

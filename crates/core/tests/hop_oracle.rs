@@ -308,7 +308,7 @@ fn a_clone_listed_only_in_the_hosts_updated_list_is_disposed() {
         matches!(
             event,
             marp_sim::TraceEvent::Custom {
-                kind: "zombie-clone-disposed",
+                kind: marp_sim::trace::ZOMBIE_CLONE_DISPOSED,
                 ..
             }
         )

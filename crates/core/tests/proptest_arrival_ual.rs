@@ -52,7 +52,7 @@ fn snapshot(version: u64, queue: Vec<AgentId>) -> LlSnapshot {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(2048))]
 
     #[test]
     fn taking_the_named_entries_equals_copying_the_list_and_shedding(

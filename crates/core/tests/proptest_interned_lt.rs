@@ -321,7 +321,7 @@ fn rows(table: &LockingTable) -> Vec<(NodeId, u64, SimTime, Vec<AgentId>)> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(2048))]
 
     #[test]
     fn table_answers_like_the_plain_map(

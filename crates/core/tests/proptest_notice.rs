@@ -54,7 +54,7 @@ fn table(queues: &[Vec<AgentId>], unknown: &[NodeId], without: Option<AgentId>) 
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(2048))]
 
     #[test]
     fn finished_mark_equals_removal(

@@ -555,7 +555,7 @@ fn queued_behind_events(sim: &Simulation) -> usize {
         matches!(
             e,
             TraceEvent::Custom {
-                kind: "lock-queued-behind",
+                kind: marp_sim::trace::LOCK_QUEUED_BEHIND,
                 ..
             }
         )

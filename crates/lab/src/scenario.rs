@@ -547,9 +547,10 @@ mod tests {
         }
     }
 
-    /// Also: every span a fault-free run opens, it closes — so a kind
-    /// whose `SpanEnd` is never emitted fails here. The last row serves
-    /// fresh reads, for `SpanKind::Read`.
+    /// Also: every span a fault-free run opens, it closes, and it closes
+    /// no span it did not open — so a kind whose `SpanEnd` is never
+    /// emitted, or is emitted for the wrong identity, fails here. The
+    /// last row serves fresh reads, for `SpanKind::Read`.
     #[test]
     fn every_protocol_opens_a_request_span_where_each_write_completes() {
         let mut fresh_reads = Scenario::paper(3, 40.0, 8);
@@ -565,7 +566,8 @@ mod tests {
         .map(|protocol| Scenario::paper(3, 40.0, 8).with_protocol(protocol))
         .to_vec();
         rows.push(fresh_reads);
-        let (mut uncovered, mut open, mut kinds) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut uncovered, mut open, mut orphans, mut kinds) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         for mut scenario in rows {
             scenario.requests_per_client = 3;
             let label = scenario.protocol.label();
@@ -579,6 +581,9 @@ mod tests {
                 uncovered.push((label, missing.len()));
             }
             open.extend(spans.incomplete().map(|s| (label, s.kind)));
+            if spans.unmatched_ends > 0 {
+                orphans.push((label, spans.unmatched_ends));
+            }
             kinds.extend(spans.spans().iter().map(|s| s.kind));
         }
         assert_eq!(
@@ -587,6 +592,7 @@ mod tests {
             "(protocol, writes with no request span at `home`)"
         );
         assert_eq!(open, [], "(protocol, kind of a span that never closed)");
+        assert_eq!(orphans, [], "(protocol, ends of spans never opened)");
         assert!(kinds.contains(&marp_sim::SpanKind::Read), "no read span");
     }
 

@@ -33,7 +33,7 @@
 //!   on every record.
 
 use crate::audit::{AuditReport, Violation};
-use marp_sim::{AgentKey, NodeId, TraceEvent, TraceRecord};
+use marp_sim::{trace, AgentKey, NodeId, TraceEvent, TraceRecord};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Streaming invariant checker over protocol trace records.
@@ -157,16 +157,7 @@ impl InvariantMonitor {
                         self.version_owner.insert((chain, *version), (*agent, *key));
                     }
                 }
-                let last = self.last_applied.entry((*node, chain)).or_insert(0);
-                if *version != *last + 1 {
-                    self.violations.push(Violation {
-                        rule: "in-order-application",
-                        detail: format!(
-                            "node {node} applied version {version} on chain {chain} after {last}"
-                        ),
-                    });
-                }
-                *last = (*last).max(*version);
+                self.advance(*node, chain, *version, "applied");
             }
             TraceEvent::LockGranted {
                 visits, via_tie, ..
@@ -200,7 +191,7 @@ impl InvariantMonitor {
             // replica's denseness cursor or the next real apply would
             // be flagged as a gap.
             TraceEvent::Custom {
-                kind: "commit-suppressed",
+                kind: trace::COMMIT_SUPPRESSED,
                 a: version,
                 b: request,
             } => {
@@ -219,25 +210,15 @@ impl InvariantMonitor {
                 } else {
                     0
                 };
-                let last = self.last_applied.entry((record.node, chain)).or_insert(0);
-                if *version != *last + 1 {
-                    self.violations.push(Violation {
-                        rule: "in-order-application",
-                        detail: format!(
-                            "node {} suppressed version {version} on chain {chain} after {last}",
-                            record.node
-                        ),
-                    });
-                }
-                *last = (*last).max(*version);
+                self.advance(record.node, chain, *version, "suppressed");
             }
             TraceEvent::Custom {
-                kind: "version-conflict",
+                kind: trace::VERSION_CONFLICT,
                 a: version,
                 b: request,
             } if self.check_order => {
                 self.violations.push(Violation {
-                    rule: "version-conflict",
+                    rule: trace::VERSION_CONFLICT,
                     detail: format!(
                         "node {} was offered request {request:#x} as version {version}, \
                          which it has applied as another request",
@@ -247,6 +228,22 @@ impl InvariantMonitor {
             }
             _ => {}
         }
+    }
+
+    /// Move `node`'s denseness cursor on `chain` to `version`, which the
+    /// node just `did` (applied or suppressed): anything but the next
+    /// version is out of order.
+    fn advance(&mut self, node: NodeId, chain: u64, version: u64, did: &str) {
+        let last = self.last_applied.entry((node, chain)).or_insert(0);
+        if version != *last + 1 {
+            self.violations.push(Violation {
+                rule: "in-order-application",
+                detail: format!(
+                    "node {node} {did} version {version} on chain {chain} after {last}"
+                ),
+            });
+        }
+        *last = (*last).max(version);
     }
 
     /// Consume a slice of records (a whole trace, or the suffix a
@@ -411,7 +408,7 @@ mod tests {
             at: SimTime::ZERO,
             node,
             event: TraceEvent::Custom {
-                kind: "commit-suppressed",
+                kind: trace::COMMIT_SUPPRESSED,
                 a: version,
                 b: request,
             },
@@ -424,7 +421,7 @@ mod tests {
             at: SimTime::ZERO,
             node: 3,
             event: TraceEvent::Custom {
-                kind: "version-conflict",
+                kind: trace::VERSION_CONFLICT,
                 a: 17,
                 b: 0xb,
             },
@@ -434,7 +431,7 @@ mod tests {
         assert!(mon.ok());
         mon.observe(&conflict);
         assert_eq!(mon.violations().len(), 1);
-        assert_eq!(mon.violations()[0].rule, "version-conflict");
+        assert_eq!(mon.violations()[0].rule, trace::VERSION_CONFLICT);
         assert!(mon.violations()[0].detail.contains("node 3"));
         // Protocols without a dense version order number freely.
         let mut relaxed = InvariantMonitor::relaxed();

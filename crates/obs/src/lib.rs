@@ -67,4 +67,4 @@ pub use profile::{PathStats, Profile};
 pub use registry::{GaugeSample, MetricsRegistry, NodeMetrics};
 pub use spans::{Span, SpanSet};
 pub use store::{decode_trace, encode_trace, load_trace, save_trace};
-pub use sweep::{SweepPoint, SweepReport, LT_ENTRIES_KIND};
+pub use sweep::{SweepPoint, SweepReport};

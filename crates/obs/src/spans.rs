@@ -7,7 +7,7 @@
 //! and indexes the parent/child and link edges for the exporters and the
 //! critical-path analyzer.
 
-use marp_sim::{span_id, NodeId, SimTime, SpanId, SpanKind, TraceEvent, TraceLog};
+use marp_sim::{NodeId, SimTime, SpanId, SpanKey, SpanKind, TraceEvent, TraceLog};
 use std::collections::HashMap;
 
 /// One reconstructed causal span.
@@ -159,7 +159,7 @@ impl SpanSet {
     /// Committed writes with no request span where they say they were
     /// accepted: `(request, home)` of every `UpdateCompleted` in `trace`
     /// (the trace this set was built from) whose
-    /// `span_id(Request, request, home)` is not in the set, in trace
+    /// `SpanKey::request(request, home)` is not in the set, in trace
     /// order. Every protocol opens that span at the replica its client
     /// asked, so a non-empty answer is a wrong `home` or a lost span.
     pub fn uncovered_writes(&self, trace: &TraceLog) -> Vec<(u64, NodeId)> {
@@ -172,10 +172,7 @@ impl SpanSet {
                 };
                 Some((request, home))
             })
-            .filter(|&(request, home)| {
-                self.get(span_id(SpanKind::Request, request, u64::from(home)))
-                    .is_none()
-            })
+            .filter(|&(request, home)| self.get(SpanKey::request(request, home).id()).is_none())
             .collect()
     }
 }
@@ -183,6 +180,7 @@ impl SpanSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use marp_sim::span_id;
 
     fn push_start(
         log: &mut TraceLog,

@@ -16,19 +16,9 @@
 use crate::critical::CriticalPathReport;
 use crate::json::Json;
 use marp_metrics::PaperMetrics;
-use marp_sim::{RunStats, TraceEvent, TraceLog};
+use marp_sim::{trace, RunStats, TraceEvent, TraceLog};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// The `Custom` trace-event kind the agent runtime emits per migration
-/// with the number of locking-knowledge entries the shipped state
-/// carried.
-pub const LT_ENTRIES_KIND: &str = "lt-entries-carried";
-
-/// Its companion: the distinct agent ids that state spelled out (the
-/// roster of the shipped Locking Table). Entries are logical and cost a
-/// byte each; ids are what sets the bytes.
-pub const LT_IDS_KIND: &str = "lt-ids-carried";
 
 /// Aggregated measurements of one sweep point (one replica count,
 /// pooled over its seeds).
@@ -126,9 +116,9 @@ impl SweepPoint {
             point.aborted_claims += paper.aborted_claims;
             for rec in trace.records() {
                 if let TraceEvent::Custom { kind, a, b: _ } = rec.event {
-                    if kind == LT_ENTRIES_KIND {
+                    if kind == trace::LT_ENTRIES_CARRIED {
                         point.lt_entries_carried += a;
-                    } else if kind == LT_IDS_KIND {
+                    } else if kind == trace::LT_IDS_CARRIED {
                         point.lt_ids_carried += a;
                     }
                 }
@@ -469,7 +459,7 @@ mod tests {
             SimTime::from_millis(1),
             0,
             TraceEvent::Custom {
-                kind: LT_ENTRIES_KIND,
+                kind: trace::LT_ENTRIES_CARRIED,
                 a: 7,
                 b: 42,
             },
@@ -478,7 +468,7 @@ mod tests {
             SimTime::from_millis(1),
             0,
             TraceEvent::Custom {
-                kind: LT_IDS_KIND,
+                kind: trace::LT_IDS_CARRIED,
                 a: 3,
                 b: 42,
             },

@@ -35,10 +35,7 @@ fn run_call(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 256,
-        ..ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn majority_verdict_ignores_order_and_duplicates(

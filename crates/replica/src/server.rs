@@ -9,7 +9,7 @@ use crate::locking::{LockTable, UpdatedList};
 use crate::msg::{ClientReply, ClientRequest, Operation, SyncMsg, WriteRequest};
 use crate::store::{CommitRecord, VersionedStore};
 use bytes::Bytes;
-use marp_sim::{span_id, Context, NodeId, SpanKind, TraceEvent};
+use marp_sim::{trace, Context, NodeId, SpanKey, TraceEvent};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -174,13 +174,7 @@ impl ServerCore {
                 // The request span covers the write's whole life at this
                 // server: intake here, closed when `apply_commits`
                 // answers the client.
-                ctx.trace(TraceEvent::SpanStart {
-                    id: span_id(SpanKind::Request, request.id, u64::from(self.me)),
-                    parent: 0,
-                    kind: SpanKind::Request,
-                    a: request.id,
-                    b: u64::from(self.me),
-                });
+                ctx.trace(SpanKey::request(request.id, self.me).start(None));
                 self.pending_clients.insert(request.id, from);
                 ClientAction::Write(WriteRequest {
                     id: request.id,
@@ -238,7 +232,7 @@ impl ServerCore {
         for record in records {
             if self.store.conflicts_with(&record) {
                 ctx.trace(TraceEvent::Custom {
-                    kind: "version-conflict",
+                    kind: trace::VERSION_CONFLICT,
                     a: record.version,
                     b: record.request,
                 });
@@ -247,7 +241,7 @@ impl ServerCore {
             for (rec, suppressed) in applied {
                 if suppressed {
                     ctx.trace(TraceEvent::Custom {
-                        kind: "commit-suppressed",
+                        kind: trace::COMMIT_SUPPRESSED,
                         a: rec.version,
                         b: rec.request,
                     });
@@ -265,14 +259,8 @@ impl ServerCore {
                     // Only the accepting server holds the pending-client
                     // entry, so the commit and request spans each close
                     // exactly once.
-                    ctx.trace(TraceEvent::SpanEnd {
-                        id: span_id(SpanKind::Commit, rec.agent, rec.request),
-                        kind: SpanKind::Commit,
-                    });
-                    ctx.trace(TraceEvent::SpanEnd {
-                        id: span_id(SpanKind::Request, rec.request, u64::from(self.me)),
-                        kind: SpanKind::Request,
-                    });
+                    ctx.trace(SpanKey::commit(rec.agent, rec.request).end());
+                    ctx.trace(SpanKey::request(rec.request, self.me).end());
                     let reply = ClientReply::WriteDone {
                         id: rec.request,
                         version: rec.version,
@@ -327,7 +315,7 @@ impl ServerCore {
         let purged = self.ll.purge_expired(ctx.now());
         for (_key, agent) in &purged {
             ctx.trace(TraceEvent::Custom {
-                kind: "lock-lease-expired",
+                kind: trace::LOCK_LEASE_EXPIRED,
                 a: agent.key(),
                 b: u64::from(self.me),
             });
@@ -516,7 +504,7 @@ mod tests {
         assert!(ctx.traced.iter().any(|e| matches!(
             e,
             TraceEvent::Custom {
-                kind: "commit-suppressed",
+                kind: trace::COMMIT_SUPPRESSED,
                 a: 2,
                 b: 8
             }
@@ -543,7 +531,7 @@ mod tests {
                     matches!(
                         e,
                         TraceEvent::Custom {
-                            kind: "version-conflict",
+                            kind: trace::VERSION_CONFLICT,
                             a: 1,
                             b: 9
                         }
@@ -637,7 +625,7 @@ mod tests {
         assert!(ctx.traced.iter().any(|e| matches!(
             e,
             TraceEvent::Custom {
-                kind: "lock-lease-expired",
+                kind: trace::LOCK_LEASE_EXPIRED,
                 ..
             }
         )));

@@ -50,7 +50,7 @@ mod engine;
 mod process;
 mod rng;
 mod time;
-mod trace;
+pub mod trace;
 
 pub use engine::{Control, PendingEvent, PendingKind, RunStats, Simulation, EXTERNAL};
 pub use process::{
@@ -59,6 +59,6 @@ pub use process::{
 pub use rng::{splitmix64, SimRng};
 pub use time::{duration_nanos, scale_duration, SimTime};
 pub use trace::{
-    agent_key, agent_key_parts, span_id, AgentKey, SpanId, SpanKind, TraceEvent, TraceLevel,
-    TraceLog, TraceRecord,
+    agent_key, agent_key_parts, span_id, AgentKey, SpanId, SpanKey, SpanKind, TraceEvent,
+    TraceLevel, TraceLog, TraceRecord,
 };

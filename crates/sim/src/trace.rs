@@ -79,14 +79,8 @@ impl SpanKind {
     }
 }
 
-/// Derive the [`SpanId`] for a span from its kind and semantic identity
-/// `(a, b)` — e.g. `(agent_key, hop)` for a migration.
-///
-/// Both ends of a span are usually emitted by *different* processes (the
-/// migration sender and receiver, the winning host and the home replica),
-/// so span ids cannot come from a counter: each emitter independently
-/// derives the same id from the same semantic identity. Never returns 0
-/// (the null-parent sentinel).
+/// Derive the [`SpanId`] of the span `(kind, a, b)` (see [`SpanKey`]).
+/// Never returns 0 (the null-parent sentinel).
 pub fn span_id(kind: SpanKind, a: u64, b: u64) -> SpanId {
     let mixed = splitmix64(
         splitmix64(0x5350414E_u64 ^ u64::from(kind.tag())) ^ splitmix64(a) ^ b.rotate_left(17),
@@ -97,6 +91,114 @@ pub fn span_id(kind: SpanKind, a: u64, b: u64) -> SpanId {
         mixed
     }
 }
+
+/// A span's semantic identity — e.g. `(agent, hop << 32 | dest)` for a
+/// migration — and the one place its records are built.
+///
+/// Both ends of a span are usually emitted by *different* processes (the
+/// migration sender and receiver, the winning host and the home replica),
+/// so span ids cannot come from a counter: each emitter names the span
+/// here and derives the same id from the same identity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpanKey {
+    /// Phase of the write the span covers.
+    pub kind: SpanKind,
+    /// First identity value (agent key or request id).
+    pub a: u64,
+    /// Second identity value (kind-specific; 0 when unused).
+    pub b: u64,
+}
+
+impl SpanKey {
+    /// The span of `kind` identified by `(a, b)`.
+    pub const fn new(kind: SpanKind, a: u64, b: u64) -> Self {
+        SpanKey { kind, a, b }
+    }
+
+    /// A client request pending at `home`, the replica that accepted it.
+    pub fn request(request: u64, home: NodeId) -> Self {
+        SpanKey::new(SpanKind::Request, request, u64::from(home))
+    }
+
+    /// An update agent's whole life, dispatch to disposal.
+    pub fn dispatch(agent: AgentKey) -> Self {
+        SpanKey::new(SpanKind::Dispatch, agent, 0)
+    }
+
+    /// `agent`'s `hop`-th migration, to `dest`.
+    pub fn migrate(agent: AgentKey, hop: u32, dest: NodeId) -> Self {
+        SpanKey::new(
+            SpanKind::Migrate,
+            agent,
+            u64::from(hop) << 32 | u64::from(dest),
+        )
+    }
+
+    /// `committer`'s commit of `request`, until its home answers.
+    pub fn commit(committer: AgentKey, request: u64) -> Self {
+        SpanKey::new(SpanKind::Commit, committer, request)
+    }
+
+    /// The span's id (see [`span_id`]).
+    pub fn id(self) -> SpanId {
+        span_id(self.kind, self.a, self.b)
+    }
+
+    /// The record that opens this span under `parent` (`None`: a root).
+    pub fn start(self, parent: Option<SpanKey>) -> TraceEvent {
+        TraceEvent::SpanStart {
+            id: self.id(),
+            parent: parent.map_or(0, SpanKey::id),
+            kind: self.kind,
+            a: self.a,
+            b: self.b,
+        }
+    }
+
+    /// The record that closes this span.
+    pub fn end(self) -> TraceEvent {
+        TraceEvent::SpanEnd {
+            id: self.id(),
+            kind: self.kind,
+        }
+    }
+
+    /// The record of a causal edge from this span to `to`.
+    pub fn link_to(self, to: SpanKey) -> TraceEvent {
+        TraceEvent::SpanLink {
+            from: self.id(),
+            to: to.id(),
+        }
+    }
+}
+
+// `Custom` labels read outside the code that emits them, named once for
+// emitters and readers alike; each doc gives the record's `a`, `b`.
+
+/// Per migration: LT entries carried, the agent.
+pub const LT_ENTRIES_CARRIED: &str = "lt-entries-carried";
+/// Per migration: distinct agent ids those entries name, the agent.
+pub const LT_IDS_CARRIED: &str = "lt-ids-carried";
+/// A re-commit of a committed request burnt its slot: version, request.
+pub const COMMIT_SUPPRESSED: &str = "commit-suppressed";
+/// A rival record for a version applied as another request: version, request.
+pub const VERSION_CONFLICT: &str = "version-conflict";
+/// A refused UPDATE: claimant, `node << 8 | code` (core's `Refusal`).
+pub const UPDATE_REFUSED: &str = "update-refused";
+/// An UPDATE held behind a live reservation: claimant, server.
+pub const UPDATE_HELD: &str = "update-held";
+/// Mail for an agent not resident here: agent, sender.
+pub const AGENT_MSG_MISSED: &str = "agent-msg-missed";
+/// An arriving agent's state did not decode: agent, sender.
+pub const AGENT_STATE_CORRUPT: &str = "agent-state-corrupt";
+/// A Locking-List entry outlived its lease: agent, server.
+pub const LOCK_LEASE_EXPIRED: &str = "lock-lease-expired";
+/// A home relaunched a batch presumed lost: lost agent, requests left.
+pub const AGENT_REGENERATED: &str = "agent-regenerated";
+/// A clone of a finished agent disposed of itself: agent, host.
+pub const ZOMBIE_CLONE_DISPOSED: &str = "zombie-clone-disposed";
+/// An arrival found agents queued ahead on its key: agent, its rank.
+pub const LOCK_QUEUED_BEHIND: &str = "lock-queued-behind";
 
 /// Build an [`AgentKey`] from a home node and per-home sequence number.
 pub fn agent_key(home: NodeId, seq: u32) -> AgentKey {

@@ -13,7 +13,7 @@ use marp_core::{build_cluster, wrap_client_request, MarpConfig, MarpNode};
 use marp_metrics::audit;
 use marp_net::{FaultPlan, LinkModel, SimTransport, Topology};
 use marp_replica::ClientProcess;
-use marp_sim::{SimRng, SimTime, Simulation, TraceEvent, TraceLevel};
+use marp_sim::{trace, SimRng, SimTime, Simulation, TraceEvent, TraceLevel};
 use marp_workload::WorkloadSource;
 use std::time::Duration;
 
@@ -63,7 +63,7 @@ fn main() {
                 record.at.to_string()
             ),
             TraceEvent::Custom {
-                kind: "lock-lease-expired",
+                kind: trace::LOCK_LEASE_EXPIRED,
                 a,
                 b,
             } => println!(
@@ -71,7 +71,7 @@ fn main() {
                 record.at.to_string()
             ),
             TraceEvent::Custom {
-                kind: "agent-regenerated",
+                kind: trace::AGENT_REGENERATED,
                 a,
                 b,
             } => println!(

@@ -103,7 +103,7 @@ fn stale_acks_counterexample_violates_version_conflict() {
         from_text(&load("marp_3x2_stale_acks_version_conflict.txt")).expect("schedule parses");
     let outcome = replay(&spec, &steps);
     assert!(
-        outcome.violates(&["version-conflict"]),
+        outcome.violates(&[marp_sim::trace::VERSION_CONFLICT]),
         "counterexample no longer reproduces: {:?}",
         outcome.all_violations()
     );

@@ -32,10 +32,8 @@ fn arb_fault_plan() -> impl Strategy<Value = FaultPlan> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 8, // each case is a long fault-injected simulation
-        ..ProptestConfig::default()
-    })]
+    // Each case is a long fault-injected simulation.
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
     fn random_crash_schedules_stay_consistent(

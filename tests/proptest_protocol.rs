@@ -10,10 +10,8 @@ use marp_sim::{NodeId, SimTime};
 use proptest::prelude::*;
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 12, // each case is a full simulation
-        ..ProptestConfig::default()
-    })]
+    // Each case is a full simulation.
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Any small MARP workload completes everything, totally ordered.
     #[test]
