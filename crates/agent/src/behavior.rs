@@ -9,9 +9,9 @@
 //! interaction is a direct call, not a message) and to the rest of the
 //! system through the [`AgentEnv`].
 
-use crate::envelope::AgentEnvelope;
+use crate::horizon::Horizon;
 use crate::id::AgentId;
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use marp_sim::{Context, NodeId, SimTime, SpanKey, TimerId, TraceEvent};
 use marp_wire::Wire;
 use std::collections::{BTreeMap, HashMap};
@@ -50,7 +50,8 @@ pub trait AgentBehavior: Wire + Send + 'static {
     /// The agent's state just arrived (or was created) at a host.
     fn on_arrive(&mut self, host: &mut Self::Host, env: &mut AgentEnv<'_>) -> Action;
 
-    /// A [`AgentEnvelope::ToAgent`] payload addressed to this agent.
+    /// A [`ToAgent`](crate::AgentEnvelope::ToAgent) payload addressed
+    /// to this agent.
     fn on_agent_message(
         &mut self,
         _from: NodeId,
@@ -77,22 +78,21 @@ pub trait AgentBehavior: Wire + Send + 'static {
         env: &mut AgentEnv<'_>,
     ) -> Action;
 
-    /// What `host` already knows about the state this agent carries,
-    /// as `server → highest locking-list snapshot version` (for MARP:
-    /// the host's board and own queue for the agent's object key). The
-    /// runtime calls it on the freshly decoded arrival, *before*
-    /// [`Self::on_arrive`], and piggybacks the answer on the
-    /// [`AgentEnvelope::MigrateAck`], so the sender can delta-encode
-    /// the next agent of the same kind it ships here. The default (no
-    /// horizon tracking) keeps other behaviours unaffected.
-    fn host_horizon(&self, _host: &Self::Host) -> BTreeMap<NodeId, u64> {
-        BTreeMap::new()
-    }
+    /// Write into the empty `horizon` what `host` already knows about
+    /// the state this agent carries, as `server → highest locking-list
+    /// snapshot version` (for MARP: the host's board and own queue for
+    /// the agent's object key). The runtime calls it on the freshly
+    /// decoded arrival, *before* [`Self::on_arrive`], and piggybacks
+    /// the answer on the [`MigrateAck`](crate::AgentEnvelope::MigrateAck),
+    /// so the sender can delta-encode the next agent of the same kind it
+    /// ships here. The default (no horizon tracking) leaves it empty.
+    fn host_horizon(&self, _host: &Self::Host, _horizon: &mut Horizon) {}
 
-    /// The [`AgentEnvelope::MigrateAck`] for this agent's hop to `peer`
-    /// advertised `peer`'s horizon (see [`Self::host_horizon`]); record
-    /// it in the local host so later agents migrating from here to
-    /// `peer` can shrink their carried state.
+    /// The [`MigrateAck`](crate::AgentEnvelope::MigrateAck) for this
+    /// agent's hop to `peer` advertised `peer`'s horizon (see
+    /// [`Self::host_horizon`]); record it in the local host so later
+    /// agents migrating from here to `peer` can shrink their carried
+    /// state.
     fn record_peer_horizon(
         &self,
         _host: &mut Self::Host,
@@ -126,17 +126,17 @@ pub trait AgentBehavior: Wire + Send + 'static {
     }
 }
 
-/// Encodes an [`AgentEnvelope`] into the owner process's message space.
-/// The owner's message enum must have a variant wrapping envelopes; this
-/// function performs that wrapping plus wire encoding.
-pub type WrapFn = fn(AgentEnvelope) -> Bytes;
+/// Writes the header of the owner process's message that wraps an
+/// [`AgentEnvelope`](crate::AgentEnvelope) (the tag of its variant
+/// that carries envelopes); the runtime writes the envelope after it,
+/// into the same buffer.
+pub type WrapFn = fn(&mut BytesMut);
 
 /// Services available to a behaviour handler: the clock, messaging, and
 /// host-local timers. Timers are volatile — they do not survive
 /// migration or a host crash, matching real agent platforms.
 pub struct AgentEnv<'a> {
     pub(crate) ctx: &'a mut dyn Context,
-    pub(crate) wrap: WrapFn,
     pub(crate) agent: AgentId,
     pub(crate) agent_timers: &'a mut HashMap<TimerId, (AgentId, u64)>,
 }
@@ -157,12 +157,6 @@ impl AgentEnv<'_> {
     /// broadcasts).
     pub fn send_raw(&mut self, to: NodeId, msg: Bytes) {
         self.ctx.send(to, msg);
-    }
-
-    /// Send a payload to an agent believed to reside at `node`.
-    pub fn send_to_agent(&mut self, node: NodeId, agent: AgentId, payload: Bytes) {
-        let msg = (self.wrap)(AgentEnvelope::ToAgent { agent, payload });
-        self.ctx.send(node, msg);
     }
 
     /// Arm a host-local timer for this agent; `tag` is returned to

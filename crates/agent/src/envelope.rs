@@ -7,9 +7,12 @@
 //! after enough failures — declare the destination unavailable, exactly
 //! as the paper prescribes for unreachable replicas.
 
+use crate::behavior::WrapFn;
+use crate::horizon::Horizon;
 use crate::id::AgentId;
 use bytes::Bytes;
 use marp_sim::NodeId;
+use marp_wire::Wire;
 use std::collections::BTreeMap;
 
 /// Messages exchanged by agent runtimes on different hosts. Host
@@ -37,7 +40,8 @@ pub enum AgentEnvelope {
         /// locking-list snapshot version` the acker held when the
         /// agent arrived. Future migrations *to* this host can
         /// delta-encode their Locking Table against it (empty when the
-        /// host tracks no horizons, or could not decode the state).
+        /// host tracks no horizons, or could not decode the state). The
+        /// runtime writes it from a [`Horizon`], whose bytes are these.
         horizon: BTreeMap<NodeId, u64>,
     },
     /// A message addressed to an agent resident at the destination host.
@@ -49,11 +53,65 @@ pub enum AgentEnvelope {
     },
 }
 
+const TAG_MIGRATE: u8 = 0;
+const TAG_MIGRATE_ACK: u8 = 1;
+const TAG_TO_AGENT: u8 = 2;
+
 marp_wire::wire_enum!(AgentEnvelope {
-    0 => Migrate { agent, hop, state },
-    1 => MigrateAck { agent, hop, horizon },
-    2 => ToAgent { agent, payload },
+    TAG_MIGRATE => Migrate { agent, hop, state },
+    TAG_MIGRATE_ACK => MigrateAck { agent, hop, horizon },
+    TAG_TO_AGENT => ToAgent { agent, payload },
 });
+
+/// The frames a runtime sends, each written in one pass into one
+/// buffer from values it holds: the owner's header (`wrap`), then the
+/// envelope's fields in the order the declaration above lists them,
+/// a nested state or payload in place. Each is byte for byte the owner
+/// message wrapping the envelope that owns those values.
+impl AgentEnvelope {
+    /// A [`AgentEnvelope::Migrate`] frame whose state is `behavior`'s
+    /// encoding, and that state's length.
+    pub fn migrate_frame<B: Wire>(
+        wrap: WrapFn,
+        agent: AgentId,
+        hop: u32,
+        behavior: &B,
+    ) -> (Bytes, usize) {
+        let mut state_len = 0;
+        let frame = marp_wire::frame(|buf| {
+            wrap(buf);
+            TAG_MIGRATE.encode(buf);
+            agent.encode(buf);
+            hop.encode(buf);
+            state_len = marp_wire::put_nested(buf, behavior);
+        });
+        (frame, state_len)
+    }
+
+    /// A [`AgentEnvelope::MigrateAck`] frame advertising `horizon`.
+    pub fn ack_frame(wrap: WrapFn, agent: AgentId, hop: u32, horizon: &Horizon) -> Bytes {
+        marp_wire::frame(|buf| {
+            wrap(buf);
+            TAG_MIGRATE_ACK.encode(buf);
+            agent.encode(buf);
+            hop.encode(buf);
+            horizon.encode(buf);
+        })
+    }
+
+    /// A [`AgentEnvelope::ToAgent`] frame whose payload is `payload`'s
+    /// encoding, and that payload's length.
+    pub fn to_agent_frame<T: Wire>(wrap: WrapFn, agent: AgentId, payload: &T) -> (Bytes, usize) {
+        let mut payload_len = 0;
+        let frame = marp_wire::frame(|buf| {
+            wrap(buf);
+            TAG_TO_AGENT.encode(buf);
+            agent.encode(buf);
+            payload_len = marp_wire::put_nested(buf, payload);
+        });
+        (frame, payload_len)
+    }
+}
 
 #[cfg(test)]
 mod tests {

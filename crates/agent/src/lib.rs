@@ -21,12 +21,14 @@
 
 mod behavior;
 mod envelope;
+mod horizon;
 mod id;
 mod itinerary;
 mod runtime;
 
 pub use behavior::{Action, AgentBehavior, AgentEnv, WrapFn};
 pub use envelope::AgentEnvelope;
+pub use horizon::Horizon;
 pub use id::AgentId;
 pub use itinerary::{Itinerary, ItineraryPolicy};
 pub use runtime::{AgentConfig, AgentRuntime};

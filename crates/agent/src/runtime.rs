@@ -10,6 +10,7 @@
 
 use crate::behavior::{Action, AgentBehavior, AgentEnv, WrapFn};
 use crate::envelope::AgentEnvelope;
+use crate::horizon::Horizon;
 use crate::id::AgentId;
 use bytes::Bytes;
 use marp_quorum::RetryPolicy;
@@ -70,7 +71,10 @@ struct Outbound<B> {
     hop: u32,
     attempts: u32,
     timer: TimerId,
-    state: Bytes,
+    /// The `Migrate` frame sent, which a retry sends again.
+    frame: Bytes,
+    /// The length of the state within it.
+    state_len: usize,
 }
 
 /// Hosts agents of behaviour type `B` on one node.
@@ -84,6 +88,8 @@ pub struct AgentRuntime<B: AgentBehavior> {
     seen_migrations: BTreeSet<(AgentId, u32)>,
     /// At most [`SPARES`] behaviours no agent is using any more.
     spares: Vec<B>,
+    /// The buffer each ack's horizon is written into.
+    horizon: Horizon,
 }
 
 impl<B: AgentBehavior> AgentRuntime<B> {
@@ -99,6 +105,7 @@ impl<B: AgentBehavior> AgentRuntime<B> {
             migrate_timers: HashMap::new(),
             seen_migrations: BTreeSet::new(),
             spares: Vec::new(),
+            horizon: Horizon::new(),
         }
     }
 
@@ -231,15 +238,14 @@ impl<B: AgentBehavior> AgentRuntime<B> {
             Some(mut spare) => marp_wire::from_bytes_into(&mut spare, &state).map(|()| spare),
             None => marp_wire::from_bytes::<B>(&state),
         };
-        let horizon = decoded
-            .as_ref()
-            .map_or_else(|_| BTreeMap::new(), |behavior| behavior.host_horizon(host));
-        let ack = (self.wrap)(AgentEnvelope::MigrateAck {
-            agent,
-            hop,
-            horizon,
-        });
-        ctx.send(from, ack);
+        self.horizon.clear();
+        if let Ok(behavior) = &decoded {
+            behavior.host_horizon(host, &mut self.horizon);
+        }
+        ctx.send(
+            from,
+            AgentEnvelope::ack_frame(self.wrap, agent, hop, &self.horizon),
+        );
         if !self.seen_migrations.insert((agent, hop)) {
             return; // duplicate delivery of a retried migration
         }
@@ -289,14 +295,9 @@ impl<B: AgentBehavior> AgentRuntime<B> {
             out.attempts += 1;
             ctx.trace(TraceEvent::AgentStateShipped {
                 agent: agent.key(),
-                bytes: out.state.len(),
+                bytes: out.state_len,
             });
-            let msg = (self.wrap)(AgentEnvelope::Migrate {
-                agent,
-                hop: out.hop,
-                state: out.state.clone(),
-            });
-            ctx.send(out.dest, msg);
+            ctx.send(out.dest, out.frame.clone());
             let timer = ctx.set_timer(self.cfg.retry().next_delay(out.attempts), TAG_MIGRATE_RETRY);
             out.timer = timer;
             self.migrate_timers.insert(timer, agent);
@@ -339,7 +340,6 @@ impl<B: AgentBehavior> AgentRuntime<B> {
         let action = {
             let mut env = AgentEnv {
                 ctx,
-                wrap: self.wrap,
                 agent: id,
                 agent_timers: &mut self.agent_timers,
             };
@@ -390,7 +390,8 @@ impl<B: AgentBehavior> AgentRuntime<B> {
         };
         self.drop_agent_timers(id, ctx);
         let hop = resident.hops + 1;
-        let state = marp_wire::to_bytes(&resident.behavior);
+        let (frame, state_len) =
+            AgentEnvelope::migrate_frame(self.wrap, id, hop, &resident.behavior);
         // Sampled post-`before_migrate`, so this is what actually ships.
         for (kind, carried) in [
             (
@@ -409,14 +410,9 @@ impl<B: AgentBehavior> AgentRuntime<B> {
         }
         ctx.trace(TraceEvent::AgentStateShipped {
             agent: id.key(),
-            bytes: state.len(),
+            bytes: state_len,
         });
-        let msg = (self.wrap)(AgentEnvelope::Migrate {
-            agent: id,
-            hop,
-            state: state.clone(),
-        });
-        ctx.send(dest, msg);
+        ctx.send(dest, frame.clone());
         // Open the migration span; the receiving runtime closes it on
         // arrival.
         ctx.trace(SpanKey::migrate(id.key(), hop, dest).start(Some(resident.behavior.life_span())));
@@ -430,7 +426,8 @@ impl<B: AgentBehavior> AgentRuntime<B> {
                 hop,
                 attempts: 1,
                 timer,
-                state,
+                frame,
+                state_len,
             },
         );
     }

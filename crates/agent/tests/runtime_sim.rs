@@ -2,9 +2,9 @@
 //! simulator: migration, retries, unavailability, agent messaging, and
 //! agent timers.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use marp_agent::{
-    Action, AgentBehavior, AgentConfig, AgentEnv, AgentEnvelope, AgentId, AgentRuntime,
+    Action, AgentBehavior, AgentConfig, AgentEnv, AgentEnvelope, AgentId, AgentRuntime, Horizon,
 };
 use marp_net::{LinkModel, SimTransport, Topology};
 use marp_sim::{
@@ -91,8 +91,8 @@ impl AgentBehavior for Hopper {
 
     /// A guest book's "horizon": how many stamps it holds, filed under
     /// the arriving agent's home.
-    fn host_horizon(&self, host: &GuestBook) -> BTreeMap<NodeId, u64> {
-        BTreeMap::from([(self.id.home, host.stamps.len() as u64)])
+    fn host_horizon(&self, host: &GuestBook, horizon: &mut Horizon) {
+        horizon.raise(self.id.home, host.stamps.len() as u64);
     }
 
     fn record_peer_horizon(
@@ -112,9 +112,8 @@ struct HostNode {
     runtime: AgentRuntime<Hopper>,
 }
 
-fn wrap(envelope: AgentEnvelope) -> Bytes {
-    marp_wire::to_bytes(&envelope)
-}
+/// The host's messages are bare envelopes: no header.
+fn wrap(_: &mut BytesMut) {}
 
 impl HostNode {
     fn new(cfg: AgentConfig) -> Self {

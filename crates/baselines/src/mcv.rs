@@ -119,6 +119,8 @@ pub struct McvNode {
     /// Shared replica substrate (store, client bookkeeping, sync).
     pub core: ServerCore,
     coord: Coordinator,
+    /// What `apply_commits` appends to (nothing here reads it).
+    applied: Vec<CommitRecord>,
 }
 
 impl McvNode {
@@ -139,6 +141,7 @@ impl McvNode {
             cfg,
             core: ServerCore::new(me, ServerConfig::default(), wrap_sync),
             coord: Coordinator::new(me, spec),
+            applied: Vec::new(),
         }
     }
 
@@ -225,7 +228,8 @@ impl McvNode {
                 store_version,
             } => self.on_vote(from, ballot, granted, store_version, ctx),
             McvMsg::Apply { ballot, records } => {
-                self.core.apply_commits(records, ctx);
+                self.core.apply_commits(records, ctx, &mut self.applied);
+                self.applied.clear();
                 self.coord.release(ballot);
             }
             McvMsg::Release { ballot } => self.coord.release(ballot),

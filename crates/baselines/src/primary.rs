@@ -100,6 +100,8 @@ pub struct PcNode {
     next_version: u64,
     in_flight: HashMap<u64, InFlight>,
     timers: TimerMux<PcTimer>,
+    /// What `apply_commits` appends to (nothing here reads it).
+    applied: Vec<CommitRecord>,
 }
 
 impl PcNode {
@@ -111,6 +113,7 @@ impl PcNode {
             next_version: 0,
             in_flight: HashMap::new(),
             timers: TimerMux::new(),
+            applied: Vec::new(),
         }
     }
 
@@ -169,7 +172,9 @@ impl PcNode {
                 ctx.send(server, bytes.clone());
             }
         }
-        self.core.apply_commits(vec![record], ctx);
+        self.core
+            .apply_commits(vec![record], ctx, &mut self.applied);
+        self.applied.clear();
         if verdict == Some(Verdict::Won) {
             self.complete(self.next_version, ctx);
         }
@@ -218,7 +223,9 @@ impl PcNode {
             }
             PcMsg::Replicate { record } => {
                 let version = record.version;
-                self.core.apply_commits(vec![record], ctx);
+                self.core
+                    .apply_commits(vec![record], ctx, &mut self.applied);
+                self.applied.clear();
                 ctx.send(
                     self.cfg.primary,
                     marp_wire::to_bytes(&PcMsg::RepAck { version }),

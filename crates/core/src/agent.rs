@@ -23,7 +23,7 @@ use crate::host::MarpServerState;
 use crate::lt::{decide, majority, LockingTable, Priority};
 use crate::msg::{AgentReply, CommitMsg, NodeMsg, UpdateMsg};
 use bytes::Bytes;
-use marp_agent::{Action, AgentBehavior, AgentEnv, AgentId, Itinerary};
+use marp_agent::{Action, AgentBehavior, AgentEnv, AgentId, Horizon, Itinerary};
 use marp_quorum::{QuorumCall, RetryPolicy, TimerMux, Verdict};
 use marp_replica::{CommitRecord, UpdatedList, WriteRequest};
 use marp_sim::{trace, NodeId, SpanKey, SpanKind, TraceEvent};
@@ -648,8 +648,8 @@ impl AgentBehavior for UpdateAgent {
         self.evaluate(host, env)
     }
 
-    fn host_horizon(&self, host: &MarpServerState) -> BTreeMap<NodeId, u64> {
-        host.horizon(self.key())
+    fn host_horizon(&self, host: &MarpServerState, horizon: &mut Horizon) {
+        host.horizon(self.key(), horizon);
     }
 
     fn record_peer_horizon(
@@ -706,7 +706,7 @@ impl AgentBehavior for UpdateAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::{wrap_agent_envelope, wrap_sync};
+    use crate::msg::{agent_header, wrap_sync};
     use crate::MarpConfig;
     use marp_agent::{AgentEnvelope, AgentRuntime};
     use marp_net::{RoutingTable, Topology};
@@ -809,7 +809,7 @@ mod tests {
             let winner = AgentId::new(0, SimTime::ZERO, 7);
             let me = agent().id;
             state.visit(winner, 2, SimTime::from_millis(1), 0);
-            let mut runtime = AgentRuntime::new(cfg.migration, wrap_agent_envelope);
+            let mut runtime = AgentRuntime::new(cfg.migration, agent_header);
             let mut ctx = host_ctx();
             let parked = UpdateAgent::new(me, &cfg, agent().rl);
             runtime.spawn(parked, &mut state, &mut ctx);
@@ -975,8 +975,8 @@ mod tests {
         };
         state
             .core
-            .apply_commits(vec![earlier(1), earlier(2)], &mut ctx);
-        let mut runtime = AgentRuntime::new(cfg.migration, wrap_agent_envelope);
+            .apply_commits(vec![earlier(1), earlier(2)], &mut ctx, &mut Vec::new());
+        let mut runtime = AgentRuntime::new(cfg.migration, agent_header);
         runtime.spawn(agent(), &mut state, &mut ctx);
         // Alone on the only server's queue, it claims at once.
         let sent = ctx.traced.iter().find_map(|e| {
@@ -1007,7 +1007,7 @@ mod tests {
             .board
             .post(2, 3, 5, SimTime::from_millis(5), [rival].into_iter());
         let mut runtime: AgentRuntime<UpdateAgent> =
-            AgentRuntime::new(host_cfg.migration, wrap_agent_envelope);
+            AgentRuntime::new(host_cfg.migration, agent_header);
         let mut ctx = host_ctx();
         let arrival = AgentEnvelope::Migrate {
             agent: travelling.id,

@@ -25,7 +25,7 @@ use crate::config::MarpConfig;
 use crate::gossip::GossipBoard;
 use crate::lt::LockingTable;
 use crate::msg::{AgentReply, UpdateMsg};
-use marp_agent::AgentId;
+use marp_agent::{AgentId, Horizon};
 use marp_net::RoutingTable;
 use marp_replica::{CommitRecord, ServerCore, WriteRequest};
 use marp_sim::{trace, AgentKey, Context, NodeId, SimTime, TraceEvent};
@@ -43,7 +43,9 @@ pub struct ClaimAnswer {
     pub ack: AgentReply,
 }
 
-/// What learning commits leaves for the node to send.
+/// What learning commits leaves for the node to send: the node owns
+/// one, [`MarpServerState::handle_commit`] appends to it, and the node
+/// drains it.
 #[derive(Debug, Default, PartialEq)]
 pub struct CommitOutcome {
     /// `(winner, waiter)` for every agent still queued on a retired
@@ -133,6 +135,9 @@ pub struct MarpServerState {
     /// incarnation; once any server acks it, the original — now a
     /// zombie — can no longer assemble a quorum through that server.
     fences: BTreeMap<u64, (u32, SimTime)>,
+    /// The list [`ServerCore::apply_commits`] appends to, drained by
+    /// [`Self::handle_commit`].
+    applied: Vec<CommitRecord>,
 }
 
 impl MarpServerState {
@@ -147,26 +152,21 @@ impl MarpServerState {
             claims_held: 0,
             peer_horizons: BTreeMap::new(),
             fences: BTreeMap::new(),
+            applied: Vec::new(),
         }
     }
 
-    /// This server's knowledge horizon for `key`: the highest
-    /// locking-list snapshot version it holds per server — what is on
-    /// the gossip board, and its own live queue. Advertised in the ack
-    /// of an arriving agent for `key` so senders can delta-encode agent
-    /// state shipped here. The entry for this server is always present
-    /// (even while its queue is virgin).
-    pub(crate) fn horizon(&self, key: u64) -> BTreeMap<NodeId, u64> {
-        let mut horizon = match self.board.contents(key) {
-            Some(board) if self.cfg.gossip => board.horizon(),
-            _ => BTreeMap::new(),
-        };
-        let own = self.core.ll.version(key);
-        horizon
-            .entry(self.core.me())
-            .and_modify(|v| *v = (*v).max(own))
-            .or_insert(own);
-        horizon
+    /// Write into the empty `horizon` this server's knowledge horizon
+    /// for `key`: the highest locking-list snapshot version it holds
+    /// per server — what is on the gossip board, and its own live
+    /// queue. Advertised in the ack of an arriving agent for `key` so
+    /// senders can delta-encode agent state shipped here. The entry for
+    /// this server is always present (even while its queue is virgin).
+    pub(crate) fn horizon(&self, key: u64, horizon: &mut Horizon) {
+        if let Some(board) = self.board.contents(key).filter(|_| self.cfg.gossip) {
+            board.raise_horizon(horizon);
+        }
+        horizon.raise(self.core.me(), self.core.ll.version(key));
     }
 
     /// Record the horizon for `key` a peer advertised in a migration
@@ -287,21 +287,25 @@ impl MarpServerState {
         }
     }
 
-    /// Handle an UPDATE claim (validation + reservation). Returns the
-    /// acknowledgements to send: this claim's, unless it is held (see
-    /// the module docs), preceded by those of claims a lapsed
-    /// reservation had been holding. Held claims come back through here
-    /// when their obstacle goes, so first-time and re-validated claims
-    /// share one validation path.
-    pub fn handle_update(&mut self, msg: UpdateMsg, ctx: &mut dyn Context) -> Vec<ClaimAnswer> {
+    /// Handle an UPDATE claim (validation + reservation). Appends to
+    /// `answers` the acknowledgements to send: this claim's, unless it
+    /// is held (see the module docs), preceded by those of claims a
+    /// lapsed reservation had been holding. Held claims come back
+    /// through here when their obstacle goes, so first-time and
+    /// re-validated claims share one validation path.
+    pub fn handle_update(
+        &mut self,
+        msg: UpdateMsg,
+        ctx: &mut dyn Context,
+        answers: &mut Vec<ClaimAnswer>,
+    ) {
         let now = ctx.now();
         // Batches are key-uniform (the node splits mixed batches at
         // dispatch), so the claim's object key is its first request's.
         let key = msg.requests.first().map_or(0, |r| r.key);
-        let mut answers = Vec::new();
         self.core.ll.purge_expired(now);
         if self.reserved.get(&key).is_some_and(|r| r.lapsed(now)) {
-            self.end_reservation(key, ctx, &mut answers);
+            self.end_reservation(key, ctx, answers);
         }
         // One held slot per agent: a newer attempt replaces it, and an
         // older one is dropped unanswered (the agent has moved on and
@@ -310,7 +314,7 @@ impl MarpServerState {
             let slots = &mut reservation.waiting;
             if let Some(i) = slots.iter().position(|h| h.agent == msg.agent) {
                 if slots[i].attempt > msg.attempt {
-                    return answers;
+                    return;
                 }
                 slots.remove(i);
             }
@@ -328,7 +332,7 @@ impl MarpServerState {
                 if let Some(blocking) = self.reserved.get_mut(&key) {
                     blocking.waiting.push(msg);
                 }
-                return answers;
+                return;
             }
         };
         let positive = refusal.is_none();
@@ -376,7 +380,6 @@ impl MarpServerState {
                 last_update: self.core.store.last_update_time_for(key),
             },
         });
-        answers
     }
 
     /// The one way a reservation ends, whatever ended it: forget it and
@@ -393,7 +396,7 @@ impl MarpServerState {
         let ll = &self.core.ll;
         claims.sort_by_key(|m| ll.rank_of(key, m.agent, now).unwrap_or(usize::MAX));
         for msg in claims {
-            answers.extend(self.handle_update(msg, ctx));
+            self.handle_update(msg, ctx, answers);
         }
     }
 
@@ -402,44 +405,45 @@ impl MarpServerState {
         &mut self,
         ended: impl Fn(&Reservation) -> bool,
         ctx: &mut dyn Context,
-    ) -> Vec<ClaimAnswer> {
+        answers: &mut Vec<ClaimAnswer>,
+    ) {
         let keys: Vec<u64> = self
             .reserved
             .iter()
             .filter(|(_, r)| ended(r))
             .map(|(&key, _)| key)
             .collect();
-        let mut answers = Vec::new();
         for key in keys {
-            self.end_reservation(key, ctx, &mut answers);
+            self.end_reservation(key, ctx, answers);
         }
-        answers
     }
 
     /// Commit records arrived — in `winner`'s COMMIT, or with no winner
     /// named in a peer's anti-entropy Push: apply them and retire the
     /// winner of each. A record names its agent by trace key only; the
     /// `AgentId` is the one queued or reserved here under that key (if
-    /// neither, there is nothing here to retire).
+    /// neither, there is nothing here to retire). Appends to `outcome`
+    /// what the node is to send.
     pub fn handle_commit(
         &mut self,
         winner: Option<AgentId>,
         records: Vec<CommitRecord>,
         ctx: &mut dyn Context,
-    ) -> CommitOutcome {
+        outcome: &mut CommitOutcome,
+    ) {
         // Single-key batches: the winner's object key is its records'.
         let key = records.first().map_or(0, |r| r.key);
-        let applied = self.core.apply_commits(records, ctx);
-        let mut outcome = CommitOutcome::default();
+        let mut applied = std::mem::take(&mut self.applied);
+        self.core.apply_commits(records, ctx, &mut applied);
         if let Some(winner) = winner {
-            self.retire(winner, key, ctx, &mut outcome);
+            self.retire(winner, key, ctx, outcome);
         }
-        for record in applied {
+        for record in applied.drain(..) {
             if let Some(agent) = self.agent_known_as(record.key, record.agent) {
-                self.retire(agent, record.key, ctx, &mut outcome);
+                self.retire(agent, record.key, ctx, outcome);
             }
         }
-        outcome
+        self.applied = applied;
     }
 
     /// The agent queued on `key` or holding its reservation whose trace
@@ -487,12 +491,18 @@ impl MarpServerState {
     /// Handle a RELEASE from an aborting claimant (a RELEASE names no
     /// key; agent ids are globally unique, so ending every reservation
     /// the agent holds — and dropping every held claim of its own — is
-    /// unambiguous).
-    pub fn handle_release(&mut self, agent: AgentId, ctx: &mut dyn Context) -> Vec<ClaimAnswer> {
+    /// unambiguous). Appends to `answers` the acknowledgements of the
+    /// claims re-validated.
+    pub fn handle_release(
+        &mut self,
+        agent: AgentId,
+        ctx: &mut dyn Context,
+        answers: &mut Vec<ClaimAnswer>,
+    ) {
         for reservation in self.reserved.values_mut() {
             reservation.waiting.retain(|m| m.agent != agent);
         }
-        self.end_reservations_where(|r| r.holder == agent, ctx)
+        self.end_reservations_where(|r| r.holder == agent, ctx, answers);
     }
 
     /// Handle a parked agent's LL query for its key: refresh its lease
@@ -538,7 +548,9 @@ impl MarpServerState {
     /// prune Updated List entries and incarnation fences too old for
     /// any stale claimant to still be live (bounded by the lock lease;
     /// the store's request dedup remains the permanent backstop).
-    pub fn maintain(&mut self, ctx: &mut dyn Context) -> Vec<ClaimAnswer> {
+    /// Appends to `answers` the acknowledgements of the claims
+    /// re-validated.
+    pub fn maintain(&mut self, ctx: &mut dyn Context, answers: &mut Vec<ClaimAnswer>) {
         self.core.purge_expired_locks(ctx);
         let horizon = ctx.now().checked_since(SimTime::ZERO).unwrap_or_default();
         if horizon > self.core.lock_lease() {
@@ -547,7 +559,7 @@ impl MarpServerState {
             self.fences.retain(|_, &mut (_, at)| at >= cutoff);
         }
         let now = ctx.now();
-        self.end_reservations_where(|r| r.lapsed(now), ctx)
+        self.end_reservations_where(|r| r.lapsed(now), ctx, answers);
     }
 
     /// Crash recovery: volatile coordination state resets.
@@ -600,6 +612,48 @@ mod tests {
         }
     }
 
+    /// The handlers, each returning what it appended to a list of its
+    /// own.
+    trait Answered {
+        fn update(&mut self, msg: UpdateMsg, ctx: &mut RecordingCtx) -> Vec<ClaimAnswer>;
+        fn release(&mut self, agent: AgentId, ctx: &mut RecordingCtx) -> Vec<ClaimAnswer>;
+        fn learn(
+            &mut self,
+            winner: Option<AgentId>,
+            records: Vec<CommitRecord>,
+            ctx: &mut RecordingCtx,
+        ) -> CommitOutcome;
+        fn maintained(&mut self, ctx: &mut RecordingCtx) -> Vec<ClaimAnswer>;
+    }
+
+    impl Answered for MarpServerState {
+        fn update(&mut self, msg: UpdateMsg, ctx: &mut RecordingCtx) -> Vec<ClaimAnswer> {
+            let mut answers = Vec::new();
+            self.handle_update(msg, ctx, &mut answers);
+            answers
+        }
+        fn release(&mut self, agent: AgentId, ctx: &mut RecordingCtx) -> Vec<ClaimAnswer> {
+            let mut answers = Vec::new();
+            self.handle_release(agent, ctx, &mut answers);
+            answers
+        }
+        fn learn(
+            &mut self,
+            winner: Option<AgentId>,
+            records: Vec<CommitRecord>,
+            ctx: &mut RecordingCtx,
+        ) -> CommitOutcome {
+            let mut outcome = CommitOutcome::default();
+            self.handle_commit(winner, records, ctx, &mut outcome);
+            outcome
+        }
+        fn maintained(&mut self, ctx: &mut RecordingCtx) -> Vec<ClaimAnswer> {
+            let mut answers = Vec::new();
+            self.maintain(ctx, &mut answers);
+            answers
+        }
+    }
+
     fn ctx_at(ms: u64) -> RecordingCtx {
         RecordingCtx::new(0, SimTime::from_millis(ms))
     }
@@ -611,12 +665,12 @@ mod tests {
         records: Vec<CommitRecord>,
         ctx: &mut RecordingCtx,
     ) -> CommitOutcome {
-        state.handle_commit(Some(winner), records, ctx)
+        state.learn(Some(winner), records, ctx)
     }
 
     /// Submit a claim that must be answered at once, alone.
     fn claim(state: &mut MarpServerState, msg: UpdateMsg, ctx: &mut RecordingCtx) -> AgentReply {
-        let mut answers = state.handle_update(msg, ctx);
+        let mut answers = state.update(msg, ctx);
         assert_eq!(answers.len(), 1, "expected exactly one ack: {answers:?}");
         answers.remove(0).ack
     }
@@ -737,7 +791,7 @@ mod tests {
         // A certificate missing a does not validate for a third agent.
         let c = aid(3, 3);
         state.visit(c, 1, SimTime::from_millis(3), 0);
-        state.handle_release(b, &mut ctx);
+        state.release(b, &mut ctx);
         let ack = claim(&mut state, update_msg(c, Some(vec![b])), &mut ctx);
         assert!(!positive(&ack));
     }
@@ -768,7 +822,7 @@ mod tests {
         // COMMIT lands here: only a's reservation is in the way.
         let mut early = own_msg(b, None);
         early.attempt = 4;
-        assert!(state.handle_update(early, &mut ctx).is_empty());
+        assert!(state.update(early, &mut ctx).is_empty());
         assert_eq!(state.held_claimants(1).collect::<Vec<_>>(), vec![b]);
         assert_eq!(state.claims_held(), 1);
         assert_eq!(traced(&ctx, trace::UPDATE_HELD), 1);
@@ -804,12 +858,12 @@ mod tests {
     #[test]
     fn a_commit_learned_by_push_retires_the_winner_like_its_commit() {
         let (mut state, a, b, mut ctx) = reserved_for_a();
-        assert!(state.handle_update(own_msg(b, None), &mut ctx).is_empty());
+        assert!(state.update(own_msg(b, None), &mut ctx).is_empty());
         // a's COMMIT never arrives; a peer's anti-entropy Push carries
         // its record instead, well inside the 5 s reservation lease.
         ctx.now = SimTime::from_millis(5);
         let records = vec![commit_record(a, 1, ctx.now)];
-        let outcome = state.handle_commit(None, records, &mut ctx);
+        let outcome = state.learn(None, records, &mut ctx);
         assert_eq!(state.core.store.applied_version(), 1);
         assert!(!state.core.ll.contains(1, a));
         assert!(state.core.ul.contains(a), "a finished: its UL record");
@@ -830,23 +884,21 @@ mod tests {
         let c = aid(3, 3);
         state.visit(c, 1, SimTime::from_millis(3), 0);
         // b vouches for a by certificate; c claims as if a were done.
+        assert!(state.update(own_msg(b, Some(vec![a])), &mut ctx).is_empty());
         assert!(state
-            .handle_update(own_msg(b, Some(vec![a])), &mut ctx)
-            .is_empty());
-        assert!(state
-            .handle_update(own_msg(c, Some(vec![a, b])), &mut ctx)
+            .update(own_msg(c, Some(vec![a, b])), &mut ctx)
             .is_empty());
         // a aborts. It is still queued ahead, unfinished: b's
         // certificate covers that, so b takes the reservation, and c is
         // now held behind b.
-        let answers = state.handle_release(a, &mut ctx);
+        let answers = state.release(a, &mut ctx);
         assert_eq!(answers.len(), 1);
         assert_eq!(answers[0].agent, b);
         assert!(positive(&answers[0].ack));
         assert_eq!(state.reserved_for(1), Some(b));
         assert_eq!(state.held_claimants(1).collect::<Vec<_>>(), vec![c]);
         // b aborts too: c's certificate names both, so c validates.
-        let answers = state.handle_release(b, &mut ctx);
+        let answers = state.release(b, &mut ctx);
         assert_eq!(answers.len(), 1);
         assert!(positive(&answers[0].ack));
         assert_eq!(state.reserved_for(1), Some(c));
@@ -858,8 +910,8 @@ mod tests {
         let (mut state, a, b, mut ctx) = reserved_for_a();
         // No certificate: b believed a finished. a aborts instead and
         // stays queued ahead of b, so the unchanged validation refuses.
-        assert!(state.handle_update(own_msg(b, None), &mut ctx).is_empty());
-        let answers = state.handle_release(a, &mut ctx);
+        assert!(state.update(own_msg(b, None), &mut ctx).is_empty());
+        let answers = state.release(a, &mut ctx);
         assert_eq!(answers.len(), 1);
         assert!(!positive(&answers[0].ack));
         assert_eq!(state.reserved_for(1), None);
@@ -869,16 +921,14 @@ mod tests {
     #[test]
     fn held_claims_are_answered_when_the_reservation_lapses() {
         let (mut state, a, b, mut ctx) = reserved_for_a();
-        assert!(state
-            .handle_update(own_msg(b, Some(vec![a])), &mut ctx)
-            .is_empty());
+        assert!(state.update(own_msg(b, Some(vec![a])), &mut ctx).is_empty());
         // Inside the lease, maintenance leaves the hold alone.
         ctx.now = SimTime::from_secs(1);
-        assert!(state.maintain(&mut ctx).is_empty());
+        assert!(state.maintained(&mut ctx).is_empty());
         assert_eq!(state.held_claimants(1).count(), 1);
         // Past the 5 s reservation lease the holder is presumed dead.
         ctx.now = SimTime::from_secs(10);
-        let answers = state.maintain(&mut ctx);
+        let answers = state.maintained(&mut ctx);
         assert_eq!(answers.len(), 1);
         assert_eq!(answers[0].agent, b);
         assert!(positive(&answers[0].ack));
@@ -890,13 +940,11 @@ mod tests {
         let (mut state, a, b, mut ctx) = reserved_for_a();
         let c = aid(3, 3);
         state.visit(c, 1, SimTime::from_millis(3), 0);
-        assert!(state
-            .handle_update(own_msg(b, Some(vec![a])), &mut ctx)
-            .is_empty());
+        assert!(state.update(own_msg(b, Some(vec![a])), &mut ctx).is_empty());
         // c's claim arrives after the lease ran out but before the
         // maintenance tick: b, held first, is answered first.
         ctx.now = SimTime::from_secs(10);
-        let answers = state.handle_update(own_msg(c, None), &mut ctx);
+        let answers = state.update(own_msg(c, None), &mut ctx);
         let verdicts: Vec<(AgentId, bool)> = answers
             .iter()
             .map(|x| (x.agent, positive(&x.ack)))
@@ -913,10 +961,10 @@ mod tests {
         first.attempt = 1;
         let mut second = own_msg(b, None);
         second.attempt = 2;
-        assert!(state.handle_update(first.clone(), &mut ctx).is_empty());
-        assert!(state.handle_update(second, &mut ctx).is_empty());
+        assert!(state.update(first.clone(), &mut ctx).is_empty());
+        assert!(state.update(second, &mut ctx).is_empty());
         // A reordered copy of the older attempt changes nothing.
-        assert!(state.handle_update(first, &mut ctx).is_empty());
+        assert!(state.update(first, &mut ctx).is_empty());
         assert_eq!(state.held_claimants(1).collect::<Vec<_>>(), vec![b]);
         let record = commit_record(a, 1, ctx.now);
         let outcome = commit(&mut state, a, vec![record], &mut ctx);
@@ -934,7 +982,7 @@ mod tests {
     #[test]
     fn a_holder_claiming_again_keeps_the_claims_behind_it() {
         let (mut state, a, b, mut ctx) = reserved_for_a();
-        assert!(state.handle_update(own_msg(b, None), &mut ctx).is_empty());
+        assert!(state.update(own_msg(b, None), &mut ctx).is_empty());
         // a's second attempt (its first ack round timed out elsewhere)
         // renews the reservation; b stays held behind it.
         let mut again = own_msg(a, None);
@@ -950,9 +998,9 @@ mod tests {
     #[test]
     fn the_claimants_own_release_drops_its_held_claim() {
         let (mut state, a, b, mut ctx) = reserved_for_a();
-        assert!(state.handle_update(own_msg(b, None), &mut ctx).is_empty());
+        assert!(state.update(own_msg(b, None), &mut ctx).is_empty());
         // b's ack timeout fired: it aborts and broadcasts RELEASE.
-        assert!(state.handle_release(b, &mut ctx).is_empty());
+        assert!(state.release(b, &mut ctx).is_empty());
         assert_eq!(state.held_claimants(1).count(), 0);
         assert_eq!(
             state.reserved_for(1),
@@ -966,9 +1014,7 @@ mod tests {
         // Crash recovery forgets held claims with the rest.
         state.visit(aid(3, 3), 1, ctx.now, 0);
         assert!(positive(&claim(&mut state, own_msg(b, None), &mut ctx)));
-        assert!(state
-            .handle_update(own_msg(aid(3, 3), None), &mut ctx)
-            .is_empty());
+        assert!(state.update(own_msg(aid(3, 3), None), &mut ctx).is_empty());
         assert_eq!(state.held_claimants(1).count(), 1);
         state.on_recover();
         assert_eq!(state.held_claimants(1).count(), 0);
@@ -977,7 +1023,7 @@ mod tests {
     #[test]
     fn a_held_claimants_own_commit_drops_its_held_claim() {
         let (mut state, a, b, mut ctx) = reserved_for_a();
-        assert!(state.handle_update(own_msg(b, None), &mut ctx).is_empty());
+        assert!(state.update(own_msg(b, None), &mut ctx).is_empty());
         // b assembled its majority elsewhere and commits first.
         let record = commit_record(b, 1, ctx.now);
         let outcome = commit(&mut state, b, vec![record], &mut ctx);
@@ -1105,7 +1151,7 @@ mod tests {
             request: 1,
             committed_at: ctx.now,
         };
-        state.handle_commit(Some(a), vec![record], &mut ctx);
+        state.learn(Some(a), vec![record], &mut ctx);
         assert!(state.core.ul.contains(a));
         // ...and a stale clone of a tries to queue again: refused.
         state.visit(a, 1, SimTime::from_millis(6), 2);
@@ -1151,7 +1197,7 @@ mod tests {
             request: 5,
             committed_at: ctx.now,
         };
-        state.handle_commit(None, vec![record], &mut ctx);
+        state.learn(None, vec![record], &mut ctx);
         assert_eq!(state.core.store.applied_version(), 1);
         assert!(
             !state.core.ll.contains(9, winner),
@@ -1182,7 +1228,7 @@ mod tests {
             request: 5,
             committed_at: ctx.now,
         };
-        state.handle_commit(Some(winner), vec![record], &mut ctx);
+        state.learn(Some(winner), vec![record], &mut ctx);
         assert!(state.core.ul.contains(winner));
         assert!(state.board.contents(1).is_none());
     }
@@ -1201,7 +1247,7 @@ mod tests {
         let ack = claim(&mut state, first, &mut ctx);
         assert!(positive(&ack));
         assert!(!fenced(&ack));
-        state.handle_release(regenerated, &mut ctx);
+        state.release(regenerated, &mut ctx);
         // The zombie original (incarnation 0) now claims — even from the
         // top of the queue it must be refused and told it is superseded.
         state.visit(original, 1, SimTime::from_millis(7), 2);
@@ -1227,7 +1273,7 @@ mod tests {
             request: 1,
             committed_at: ctx.now,
         };
-        state.handle_commit(Some(winner), vec![record], &mut ctx);
+        state.learn(Some(winner), vec![record], &mut ctx);
         // A different agent carrying the same (already committed)
         // request gets a fenced refusal regardless of queue position.
         state.visit(zombie, 1, SimTime::from_millis(6), 2);
@@ -1272,7 +1318,7 @@ mod tests {
                 let mut regenerated = own_msg(successor, None);
                 regenerated.incarnation = 1;
                 assert!(positive(&claim(&mut state, regenerated, &mut ctx)));
-                state.handle_release(successor, &mut ctx);
+                state.release(successor, &mut ctx);
                 state.core.ll.remove(1, successor);
                 state.visit(original, 1, SimTime::from_millis(2), 1);
                 (state, own_msg(original, None))
@@ -1281,7 +1327,7 @@ mod tests {
                 // b, now on top, carries the request a committed.
                 let (mut state, a, b) = a_then_b();
                 let mut ctx = ctx_at(2);
-                state.handle_commit(Some(a), vec![commit_record(a, 1, ctx.now)], &mut ctx);
+                state.learn(Some(a), vec![commit_record(a, 1, ctx.now)], &mut ctx);
                 let mut msg = own_msg(b, None);
                 msg.requests[0].id = own_request(a);
                 (state, msg)

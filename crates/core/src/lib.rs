@@ -71,8 +71,8 @@ pub use config::MarpConfig;
 pub use gossip::GossipBoard;
 pub use host::{ClaimAnswer, CommitOutcome, MarpServerState};
 pub use msg::{
-    wire_tag_name, wrap_agent_envelope, wrap_client_request, wrap_read_agent_envelope, wrap_sync,
-    AgentReply, CommitMsg, NodeMsg, UpdateMsg, WIRE_TAG_SYNC,
+    agent_header, read_agent_header, wire_tag_name, wrap_agent_envelope, wrap_client_request,
+    wrap_sync, AgentReply, CommitMsg, NodeMsg, UpdateMsg, WIRE_TAG_SYNC,
 };
 pub use node::{MailCounters, MarpNode};
 pub use read_agent::ReadAgent;

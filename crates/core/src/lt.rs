@@ -29,7 +29,7 @@
 //!    the majority-ACK reservation round (see `DESIGN.md`), so a stale
 //!    view can delay but never violate mutual exclusion.
 
-use marp_agent::AgentId;
+use marp_agent::{AgentId, Horizon};
 use marp_replica::{LlSnapshot, UpdatedList};
 use marp_sim::{NodeId, SimTime};
 use std::collections::BTreeMap;
@@ -513,6 +513,14 @@ impl LockingTable {
             .iter()
             .map(|(server, row)| (*server, row.version))
             .collect()
+    }
+
+    /// Raise `horizon` to cover every snapshot held: what
+    /// [`Self::horizon`] says, written into a horizon buffer.
+    pub fn raise_horizon(&self, horizon: &mut Horizon) {
+        for (server, row) in &self.rows {
+            horizon.raise(*server, row.version);
+        }
     }
 
     /// Drop every snapshot the `horizon` already covers (entry version

@@ -5,10 +5,11 @@
 //! send back to agents (UPDATE acknowledgements and LL information).
 
 use crate::lt::LockingTable;
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use marp_agent::{AgentEnvelope, AgentId};
 use marp_replica::{ClientRequest, CommitRecord, LlSnapshot, SyncMsg, UpdatedList, WriteRequest};
 use marp_sim::{NodeId, SimTime};
+use marp_wire::Wire;
 use std::collections::BTreeMap;
 
 /// The winning agent's UPDATE broadcast: "having obtained the lock,
@@ -139,6 +140,18 @@ marp_wire::wire_enum!(NodeMsg {
     TAG_RAGENT => RAgent(envelope),
 });
 
+/// The header of a [`NodeMsg::Agent`] frame (the agent runtime's
+/// `WrapFn`: it writes the envelope after it).
+pub fn agent_header(buf: &mut BytesMut) {
+    TAG_AGENT.encode(buf);
+}
+
+/// The header of a [`NodeMsg::RAgent`] frame (the read-agent runtime's
+/// `WrapFn`).
+pub fn read_agent_header(buf: &mut BytesMut) {
+    TAG_RAGENT.encode(buf);
+}
+
 /// Payloads servers address to agents (inside `ToAgent` envelopes).
 #[derive(Debug, Clone, PartialEq)]
 pub enum AgentReply {
@@ -195,8 +208,7 @@ marp_wire::wire_enum!(AgentReply {
     2 => LlChanged { node, finished, at },
 });
 
-/// Encode an [`AgentEnvelope`] into the MARP node message space (the
-/// `WrapFn` handed to the agent runtime).
+/// Encode an [`AgentEnvelope`] into the MARP node message space.
 pub fn wrap_agent_envelope(envelope: AgentEnvelope) -> Bytes {
     marp_wire::to_bytes(&NodeMsg::Agent(envelope))
 }
@@ -204,12 +216,6 @@ pub fn wrap_agent_envelope(envelope: AgentEnvelope) -> Bytes {
 /// Encode a [`SyncMsg`] into the MARP node message space.
 pub fn wrap_sync(msg: SyncMsg) -> Bytes {
     marp_wire::to_bytes(&NodeMsg::Sync(msg))
-}
-
-/// Encode a read-agent [`AgentEnvelope`] into the MARP node message
-/// space.
-pub fn wrap_read_agent_envelope(envelope: AgentEnvelope) -> Bytes {
-    marp_wire::to_bytes(&NodeMsg::RAgent(envelope))
 }
 
 /// Encode a [`ClientRequest`] into the MARP node message space.

@@ -4,8 +4,8 @@
 
 use crate::agent::UpdateAgent;
 use crate::config::MarpConfig;
-use crate::host::{ClaimAnswer, MarpServerState};
-use crate::msg::{wrap_agent_envelope, wrap_read_agent_envelope, wrap_sync, AgentReply, NodeMsg};
+use crate::host::{CommitOutcome, MarpServerState};
+use crate::msg::{agent_header, read_agent_header, wrap_sync, AgentReply, NodeMsg};
 use crate::read_agent::ReadAgent;
 use bytes::Bytes;
 use marp_agent::{AgentEnvelope, AgentId, AgentRuntime};
@@ -92,6 +92,8 @@ pub struct MarpNode {
     /// gone is stale.
     outstanding: BTreeMap<u64, OutstandingBatch>,
     mail: MailCounters,
+    /// What the server state leaves to send, drained as it is sent.
+    outbox: CommitOutcome,
 }
 
 impl MarpNode {
@@ -104,8 +106,8 @@ impl MarpNode {
         let core = ServerCore::keyed(me, cfg.server, wrap_sync);
         MarpNode {
             state: MarpServerState::new(core, routing, &cfg),
-            runtime: AgentRuntime::new(cfg.migration, wrap_agent_envelope),
-            read_runtime: AgentRuntime::new(cfg.migration, wrap_read_agent_envelope),
+            runtime: AgentRuntime::new(cfg.migration, agent_header),
+            read_runtime: AgentRuntime::new(cfg.migration, read_agent_header),
             batcher: RequestBatcher::new(cfg.batch),
             agent_seq: 0,
             // Read agents draw from the upper sequence range so their
@@ -114,6 +116,7 @@ impl MarpNode {
             read_seq: 1 << 31,
             outstanding: BTreeMap::new(),
             mail: MailCounters::default(),
+            outbox: CommitOutcome::default(),
         }
     }
 
@@ -267,17 +270,11 @@ impl MarpNode {
         self.launch(remaining, batch.incarnation + 1, batch.attempts + 1, ctx);
     }
 
-    fn send_to_agent(&self, at: NodeId, agent: AgentId, payload: Bytes, ctx: &mut dyn Context) {
-        ctx.send(
-            at,
-            wrap_agent_envelope(AgentEnvelope::ToAgent { agent, payload }),
-        );
-    }
-
-    fn send_answers(&self, answers: Vec<ClaimAnswer>, ctx: &mut dyn Context) {
-        for answer in answers {
-            let payload = marp_wire::to_bytes(&answer.ack);
-            self.send_to_agent(answer.reply_to, answer.agent, payload, ctx);
+    /// Mail the acknowledgements the server state left in the outbox.
+    fn send_answers(&mut self, ctx: &mut dyn Context) {
+        for answer in self.outbox.answers.drain(..) {
+            let (frame, _) = AgentEnvelope::to_agent_frame(agent_header, answer.agent, &answer.ack);
+            ctx.send(answer.reply_to, frame);
         }
     }
 
@@ -285,8 +282,7 @@ impl MarpNode {
     /// retire each winner, answer the claims that were held behind it,
     /// and tell the queued agents hosted here that it is gone. A waiter
     /// hosted elsewhere hears it from that host, at the moment the
-    /// commit lands there. One encoding serves every recipient of a
-    /// winner's notice.
+    /// commit lands there.
     fn commits_arrived(
         &mut self,
         winner: Option<AgentId>,
@@ -294,27 +290,23 @@ impl MarpNode {
         ctx: &mut dyn Context,
     ) {
         let me = self.me();
-        let outcome = self.state.handle_commit(winner, records, ctx);
-        self.send_answers(outcome.answers, ctx);
-        for of_one_winner in outcome.waiters.chunk_by(|a, b| a.0 == b.0) {
-            let finished = of_one_winner[0].0;
-            let mut notice: Option<Bytes> = None;
-            for &(_, agent) in of_one_winner {
-                if self.runtime.resident(agent).is_none() {
-                    self.mail.notices_skipped += 1;
-                    continue;
-                }
-                let notice = notice.get_or_insert_with(|| {
-                    marp_wire::to_bytes(&AgentReply::LlChanged {
-                        node: me,
-                        finished,
-                        at: ctx.now(),
-                    })
-                });
-                self.mail.notices_sent += 1;
-                self.mail.notice_bytes += notice.len() as u64;
-                self.send_to_agent(me, agent, notice.clone(), ctx);
+        self.state
+            .handle_commit(winner, records, ctx, &mut self.outbox);
+        self.send_answers(ctx);
+        for (finished, agent) in self.outbox.waiters.drain(..) {
+            if self.runtime.resident(agent).is_none() {
+                self.mail.notices_skipped += 1;
+                continue;
             }
+            let notice = AgentReply::LlChanged {
+                node: me,
+                finished,
+                at: ctx.now(),
+            };
+            let (frame, len) = AgentEnvelope::to_agent_frame(agent_header, agent, &notice);
+            self.mail.notices_sent += 1;
+            self.mail.notice_bytes += len as u64;
+            ctx.send(me, frame);
         }
     }
 
@@ -353,13 +345,15 @@ impl MarpNode {
                     .handle_envelope(from, envelope, &mut self.state, ctx);
             }
             NodeMsg::Update(update) => {
-                let answers = self.state.handle_update(update, ctx);
-                self.send_answers(answers, ctx);
+                self.state
+                    .handle_update(update, ctx, &mut self.outbox.answers);
+                self.send_answers(ctx);
             }
             NodeMsg::Commit(c) => self.commits_arrived(Some(c.agent), c.records, ctx),
             NodeMsg::Release { agent } => {
-                let answers = self.state.handle_release(agent, ctx);
-                self.send_answers(answers, ctx);
+                self.state
+                    .handle_release(agent, ctx, &mut self.outbox.answers);
+                self.send_answers(ctx);
             }
             NodeMsg::LlQuery {
                 agent,
@@ -372,10 +366,10 @@ impl MarpNode {
                 let info = self
                     .state
                     .handle_ll_query(agent, key, reply_to, &horizon, ctx.now());
-                let payload = marp_wire::to_bytes(&info);
+                let (frame, len) = AgentEnvelope::to_agent_frame(agent_header, agent, &info);
                 self.mail.replies_sent += 1;
-                self.mail.reply_bytes += payload.len() as u64;
-                self.send_to_agent(reply_to, agent, payload, ctx);
+                self.mail.reply_bytes += len as u64;
+                ctx.send(reply_to, frame);
             }
             NodeMsg::Sync(SyncMsg::Push { records }) => self.commits_arrived(None, records, ctx),
             NodeMsg::Sync(pull) => self.state.core.handle_sync(from, pull, ctx),
@@ -420,8 +414,8 @@ impl MarpNode {
     }
 
     fn maintenance(&mut self, ctx: &mut dyn Context) {
-        let answers = self.state.maintain(ctx);
-        self.send_answers(answers, ctx);
+        self.state.maintain(ctx, &mut self.outbox.answers);
+        self.send_answers(ctx);
         if self.state.config().adaptive_batching {
             self.adapt_batch_size(ctx);
         }

@@ -1,16 +1,23 @@
-//! What an arrival, a decision and a visit ask of the allocator once
-//! the buffers they reuse are warm: an arriving agent decodes into the
-//! behaviour an earlier agent left behind, `decide` tallies on the
-//! stack, and a visit reads the Locking List where it lies.
+//! What an arrival, a decision, a visit, a frame and a commit ask of
+//! the allocator once the buffers they reuse are warm: an arriving
+//! agent decodes into the behaviour an earlier agent left behind,
+//! `decide` tallies on the stack, a visit reads the Locking List where
+//! it lies, a frame that nests a payload is written in one pass, and a
+//! commit fills lists its node owns.
 
+use bytes::Bytes;
 use marp_agent::{AgentEnvelope, AgentId, AgentRuntime};
 use marp_core::lt::{decide, LockingTable, Priority};
 use marp_core::{
-    wrap_agent_envelope, wrap_sync, MarpConfig, MarpServerState, NodeMsg, UpdateAgent,
+    agent_header, wrap_agent_envelope, wrap_client_request, wrap_sync, AgentReply, CommitMsg,
+    MarpConfig, MarpNode, MarpServerState, NodeMsg, UpdateAgent, UpdateMsg,
 };
 use marp_net::{RoutingTable, Topology};
-use marp_replica::{LlSnapshot, ServerConfig, ServerCore, UpdatedList, WriteRequest};
-use marp_sim::{NodeId, RecordingCtx, SimTime};
+use marp_replica::{
+    ClientRequest, CommitRecord, LlSnapshot, Operation, ServerConfig, ServerCore, UpdatedList,
+    WriteRequest,
+};
+use marp_sim::{NodeId, Process, RecordingCtx, SimTime, TimerId};
 use std::time::Duration;
 
 #[path = "../../../tests/support/noting_alloc.rs"]
@@ -36,7 +43,7 @@ impl Host {
                 RoutingTable::from_topology(me, &topo),
                 cfg,
             ),
-            runtime: AgentRuntime::new(cfg.migration, wrap_agent_envelope),
+            runtime: AgentRuntime::new(cfg.migration, agent_header),
             ctx: RecordingCtx::new(me, SimTime::from_millis(20)),
         };
         for key in [1, 2] {
@@ -44,6 +51,12 @@ impl Host {
             host.state.visit(rival, key, SimTime::from_millis(2), 1);
         }
         host
+    }
+
+    /// Room for what one more message records, so that recording it
+    /// is not counted as the message's own allocation.
+    fn make_room(&mut self) {
+        make_room(&mut self.ctx);
     }
 
     /// Deliver `envelope`; returns the allocations that took.
@@ -64,6 +77,12 @@ impl Host {
         });
         envelopes.next().expect("an envelope")
     }
+}
+
+fn make_room(ctx: &mut RecordingCtx) {
+    ctx.sent.reserve(8);
+    ctx.traced.reserve(64);
+    ctx.armed.reserve(8);
 }
 
 fn aid(home: NodeId, seq: u32) -> AgentId {
@@ -232,4 +251,149 @@ fn a_visit_that_does_not_grow_the_queue_allocates_nothing() {
     assert_eq!(requests, 0);
     assert_eq!(lt.known_servers(), 1);
     assert_eq!(lt.roster().len(), 2);
+}
+
+/// A retried hop's state, arriving twice: the second delivery is acked
+/// again and goes no further, and the ack's horizon is written into the
+/// buffer the runtime keeps, so its frame is all it allocates.
+#[test]
+fn an_ack_allocates_only_its_frame() {
+    let (mut host, _, first) = host_after_a_hop(true);
+    let again = AgentEnvelope::Migrate {
+        agent: aid(0, 1),
+        hop: 1,
+        state: first,
+    };
+    host.make_room();
+    let sent = host.ctx.sent.len();
+    assert_eq!(host.deliver(0, again), 1);
+    assert_eq!(host.ctx.sent.len(), sent + 1);
+    assert!(is_ack(&host.sent_to(0, is_ack)));
+}
+
+/// A hop's frame and an answer's are each one allocation, the nested
+/// state or payload written into it in place; a retried hop resends
+/// the frame it kept.
+#[test]
+fn a_migrate_frame_and_a_to_agent_answer_each_allocate_once() {
+    let cfg = MarpConfig::new(N);
+    let mut home = Host::new(0, &cfg);
+    let departed = dispatch(&mut home, 1, 1, &cfg);
+    let traveller: UpdateAgent = marp_wire::from_bytes(state(&departed)).expect("agent state");
+    let ack = AgentReply::UpdateAck {
+        node: 1,
+        attempt: 1,
+        positive: true,
+        store_version: 4,
+        last_update: SimTime::from_millis(3),
+        fenced: false,
+    };
+    let id = aid(0, 1);
+    let ((frame, _), migrate, _) = noting_alloc::requests_during(|| {
+        AgentEnvelope::migrate_frame(agent_header, id, 1, &traveller)
+    });
+    assert_eq!(frame, wrap_agent_envelope(departed));
+    let (_, answer, _) =
+        noting_alloc::requests_during(|| AgentEnvelope::to_agent_frame(agent_header, id, &ack));
+    assert_eq!((migrate, answer), (1, 1));
+
+    let retry = TimerId(home.ctx.armed.len() as u64);
+    home.make_room();
+    let (state, runtime, ctx) = (&mut home.state, &mut home.runtime, &mut home.ctx);
+    let (fired, resend, _) =
+        noting_alloc::requests_during(|| runtime.handle_timer(retry, state, ctx));
+    assert!(fired);
+    assert_eq!(resend, 0);
+    assert_eq!(home.ctx.sent.last(), Some(&(1, frame)));
+}
+
+/// Node 2 of three, hosting an agent parked on key 1 behind a rival
+/// queued ahead of it at servers 0 and 1, and holding a client's write
+/// (a batch of two keeps it waiting, so no agent leaves for it).
+fn node_with_a_parked_agent() -> (MarpNode, RecordingCtx) {
+    let mut cfg = MarpConfig::new(N);
+    cfg.batch.max_batch = 2;
+    let mut home = Host::new(0, &cfg);
+    let mut via = Host::new(1, &cfg);
+    let departed = dispatch(&mut home, 1, 1, &cfg);
+    via.deliver(0, departed);
+    let last_stop = via.sent_to(2, is_migrate);
+    let topo = Topology::uniform_lan(N, Duration::from_millis(1));
+    let mut node = MarpNode::new(2, cfg, RoutingTable::from_topology(2, &topo));
+    let mut ctx = RecordingCtx::new(2, SimTime::from_millis(20));
+    node.on_message(1, wrap_agent_envelope(last_stop), &mut ctx);
+    assert_eq!(node.resident_agents(), 1, "it parks behind the rival");
+    let write = ClientRequest {
+        id: 77,
+        op: Operation::Write { key: 1, value: 5 },
+    };
+    node.on_message(5, wrap_client_request(write), &mut ctx);
+    (node, ctx)
+}
+
+/// `winner`'s COMMIT of version `version` of key 1, serving `request`.
+fn commit_of(winner: AgentId, version: u64, request: u64) -> Bytes {
+    marp_wire::to_bytes(&NodeMsg::Commit(CommitMsg {
+        agent: winner,
+        records: vec![CommitRecord {
+            version,
+            key: 1,
+            value: 5,
+            agent: winner.key(),
+            request,
+            committed_at: SimTime::from_millis(19),
+        }],
+    }))
+}
+
+/// Deliver `msg` to `node`; returns the allocations that took beyond
+/// decoding it.
+fn beyond_decoding(node: &mut MarpNode, ctx: &mut RecordingCtx, msg: Bytes) -> usize {
+    let (_, decoding, _) = noting_alloc::requests_during(|| marp_wire::from_bytes::<NodeMsg>(&msg));
+    make_room(ctx);
+    let ((), requests, _) = noting_alloc::requests_during(|| node.on_message(1, msg, ctx));
+    requests - decoding
+}
+
+/// Once one commit has warmed the store's chain, the server's lists
+/// and the node's outbox, the next in-order COMMIT allocates its client
+/// reply and its notice to the parked waiter, and nothing else.
+#[test]
+fn an_in_order_commit_allocates_only_its_client_reply_and_notice_frames() {
+    let (mut node, mut ctx) = node_with_a_parked_agent();
+    node.on_message(1, commit_of(aid(1, 101), 1, 50), &mut ctx);
+    ctx.sent.clear();
+    let allocated = beyond_decoding(&mut node, &mut ctx, commit_of(aid(1, 103), 2, 77));
+    let notices = node.mail().notices_sent;
+    assert_eq!(notices, 2, "one per commit, to the parked agent");
+    assert_eq!(ctx.sent.len(), 2, "the client's reply and the notice");
+    assert_eq!(allocated, ctx.sent.len());
+}
+
+/// A claim refused at once is answered with one frame: no list of
+/// answers is built for it.
+#[test]
+fn a_refused_claim_allocates_only_its_answer() {
+    let (mut node, mut ctx) = node_with_a_parked_agent();
+    let stranger = aid(1, 9);
+    let claim = |attempt| {
+        marp_wire::to_bytes(&NodeMsg::Update(UpdateMsg {
+            agent: stranger,
+            attempt,
+            incarnation: 0,
+            reply_to: 1,
+            requests: vec![WriteRequest {
+                id: 9,
+                client: 6,
+                key: 1,
+                value: 1,
+                arrived: SimTime::ZERO,
+            }],
+            tie_certificate: None,
+        }))
+    };
+    node.on_message(1, claim(1), &mut ctx);
+    ctx.sent.clear();
+    assert_eq!(beyond_decoding(&mut node, &mut ctx, claim(2)), 1);
+    assert_eq!(ctx.sent.len(), 1);
 }

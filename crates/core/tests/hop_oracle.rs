@@ -6,9 +6,7 @@
 
 use marp_agent::{AgentEnvelope, AgentId, AgentRuntime};
 use marp_core::lt::LockingTable;
-use marp_core::{
-    wrap_agent_envelope, wrap_sync, MarpConfig, MarpServerState, NodeMsg, UpdateAgent,
-};
+use marp_core::{agent_header, wrap_sync, MarpConfig, MarpServerState, NodeMsg, UpdateAgent};
 use marp_net::{RoutingTable, Topology};
 use marp_replica::{LlSnapshot, ServerConfig, ServerCore, WriteRequest};
 use marp_sim::{NodeId, RecordingCtx, SimTime};
@@ -33,7 +31,7 @@ impl Host {
                 RoutingTable::from_topology(me, &topo),
                 cfg,
             ),
-            runtime: AgentRuntime::new(cfg.migration, wrap_agent_envelope),
+            runtime: AgentRuntime::new(cfg.migration, agent_header),
             ctx: RecordingCtx::new(me, SimTime::from_millis(20)),
         }
     }

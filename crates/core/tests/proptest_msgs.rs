@@ -1,11 +1,12 @@
 //! Property tests for the MARP message space: round-trips for every
-//! message shape and decoder robustness against bit flips. (Arbitrary
-//! and truncated bytes are covered for every message type at once by
-//! `tests/proptest_decode.rs` at the workspace root.)
+//! message shape, decoder robustness against bit flips, and the
+//! one-pass agent frames against the messages they stand for.
+//! (Arbitrary and truncated bytes are covered for every message type at
+//! once by `tests/proptest_decode.rs` at the workspace root.)
 
 use bytes::Bytes;
-use marp_agent::{AgentEnvelope, AgentId};
-use marp_core::{AgentReply, CommitMsg, NodeMsg, UpdateMsg};
+use marp_agent::{AgentEnvelope, AgentId, Horizon, WrapFn};
+use marp_core::{agent_header, read_agent_header, AgentReply, CommitMsg, NodeMsg, UpdateMsg};
 use marp_replica::{ClientRequest, CommitRecord, Operation, SyncMsg, WriteRequest};
 use marp_sim::SimTime;
 use proptest::prelude::*;
@@ -119,6 +120,43 @@ fn arb_node_msg() -> impl Strategy<Value = NodeMsg> {
 }
 
 proptest! {
+    /// Each frame the runtimes write in one pass is byte for byte the
+    /// node message wrapping the envelope that owns its values, with a
+    /// nested state or payload as `to_bytes` of it — whatever its
+    /// length prefix's width.
+    #[test]
+    fn one_pass_frames_are_the_messages_they_stand_for(
+        agent in arb_agent_id(),
+        hop in any::<u32>(),
+        read in any::<bool>(),
+        state in proptest::collection::vec(any::<u64>(), 0..40),
+        horizon in proptest::collection::btree_map(any::<u16>(), any::<u64>(), 0..12),
+        node in any::<u16>(),
+        ms in 0u64..1_000_000,
+    ) {
+        // A runtime's header, and the node message it heads.
+        let (header, carrier): (WrapFn, fn(AgentEnvelope) -> NodeMsg) = if read {
+            (read_agent_header, NodeMsg::RAgent)
+        } else {
+            (agent_header, NodeMsg::Agent)
+        };
+        let wrapped = |envelope| marp_wire::to_bytes(&carrier(envelope));
+        let (frame, state_len) = AgentEnvelope::migrate_frame(header, agent, hop, &state);
+        let state = marp_wire::to_bytes(&state);
+        prop_assert_eq!(state_len, state.len());
+        prop_assert_eq!(frame, wrapped(AgentEnvelope::Migrate { agent, hop, state }));
+
+        let written: Horizon = horizon.iter().map(|(&s, &v)| (s, v)).collect();
+        let frame = AgentEnvelope::ack_frame(header, agent, hop, &written);
+        prop_assert_eq!(frame, wrapped(AgentEnvelope::MigrateAck { agent, hop, horizon }));
+
+        let notice = AgentReply::LlChanged { node, finished: agent, at: SimTime::from_millis(ms) };
+        let (frame, payload_len) = AgentEnvelope::to_agent_frame(header, agent, &notice);
+        let payload = marp_wire::to_bytes(&notice);
+        prop_assert_eq!(payload_len, payload.len());
+        prop_assert_eq!(frame, wrapped(AgentEnvelope::ToAgent { agent, payload }));
+    }
+
     #[test]
     fn node_msgs_roundtrip(msg in arb_node_msg()) {
         let bytes = marp_wire::to_bytes(&msg);

@@ -59,6 +59,66 @@ fn experiments_md_names_every_experiment_and_quotes_every_recorded_output() {
     }
 }
 
+/// The decimal numbers in `text` that are not ratios, as written: a
+/// run of digits with one interior point that is not a section number
+/// (`§3.2`) and not a ratio — `×` before it, or `×` or `%` after it or
+/// after the range it opens (`1.38–1.49×`).
+fn decimals(text: &str) -> Vec<&str> {
+    let is_numeric = |c: char| c.is_ascii_digit() || c == '.';
+    let is_ratio = |tail: &str| tail.trim_start().starts_with(['×', '%']);
+    let mut found = Vec::new();
+    let mut rest = text;
+    while let Some(start) = rest.find(is_numeric) {
+        let after = &rest[start..];
+        let len = after.find(|c: char| !is_numeric(c)).unwrap_or(after.len());
+        let token = after[..len].trim_end_matches('.');
+        let (before, tail) = (rest[..start].trim_end(), &after[token.len()..]);
+        let decimal = token.split('.').count() == 2 && token.split('.').all(|p| !p.is_empty());
+        let range_end = tail
+            .strip_prefix('–')
+            .map(|end| end.trim_start_matches(is_numeric));
+        let ratio = before.ends_with('×') || is_ratio(tail) || range_end.is_some_and(is_ratio);
+        if decimal && !ratio && !before.ends_with('§') {
+            found.push(token);
+        }
+        rest = &after[len..];
+    }
+    found
+}
+
+#[test]
+fn the_prose_after_a_recorded_block_quotes_only_numbers_in_it() {
+    let doc = std::fs::read_to_string(repo("EXPERIMENTS.md")).unwrap();
+    let mut stale = Vec::new();
+    for file in EXPERIMENTS
+        .iter()
+        .filter_map(|e| e.record.filter(|f| f.ends_with(".txt")))
+    {
+        let text = std::fs::read_to_string(repo(&format!("results/{file}"))).unwrap();
+        let block = format!("```text\n{text}```\n");
+        let Some(at) = doc.find(&block) else {
+            continue; // the quoting test names it
+        };
+        let prose = &doc[at + block.len()..];
+        let end = ["\n## ", "\n---", "\n```"]
+            .iter()
+            .filter_map(|mark| prose.find(mark))
+            .min()
+            .unwrap_or(prose.len());
+        let quoted = decimals(&text);
+        for number in decimals(&prose[..end]) {
+            if !quoted.contains(&number) {
+                stale.push(format!("{file}: {number}"));
+            }
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "EXPERIMENTS.md's prose quotes numbers its tables do not hold:\n{}",
+        stale.join("\n")
+    );
+}
+
 /// The experiments quick enough to re-run under tier-1 (about a second
 /// each unoptimised), so a stale table fails here and not only in CI's
 /// full `marp-lab results --check`. Both sweeps are among them: bytes

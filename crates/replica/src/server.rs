@@ -70,6 +70,9 @@ pub struct ServerCore {
     pub ul: UpdatedList,
     sync_wrap: SyncWrapFn,
     pending_clients: HashMap<u64, NodeId>,
+    /// The list [`VersionedStore::offer_into`] appends to, drained by
+    /// each record's application.
+    offered: Vec<(CommitRecord, bool)>,
 }
 
 impl ServerCore {
@@ -84,6 +87,7 @@ impl ServerCore {
             ul: UpdatedList::new(),
             sync_wrap,
             pending_clients: HashMap::new(),
+            offered: Vec::new(),
         }
     }
 
@@ -220,15 +224,16 @@ impl ServerCore {
     /// record for a version this server applied as *another* request is
     /// dropped like a duplicate, but loudly: `version-conflict` says
     /// two histories exist, at the step where they meet.
-    /// Returns the records that actually applied here, in order; what
-    /// that means for their agents' lock requests is the protocol
-    /// layer's to say.
+    /// Appends to `applied` the records that actually applied here, in
+    /// order; what that means for their agents' lock requests is the
+    /// protocol layer's to say.
     pub fn apply_commits(
         &mut self,
         records: Vec<CommitRecord>,
         ctx: &mut dyn Context,
-    ) -> Vec<CommitRecord> {
-        let mut all_applied = Vec::new();
+        applied: &mut Vec<CommitRecord>,
+    ) {
+        let mut offered = std::mem::take(&mut self.offered);
         for record in records {
             if self.store.conflicts_with(&record) {
                 ctx.trace(TraceEvent::Custom {
@@ -237,15 +242,15 @@ impl ServerCore {
                     b: record.request,
                 });
             }
-            let applied = self.store.offer(record, ctx.now());
-            for (rec, suppressed) in applied {
+            self.store.offer_into(record, ctx.now(), &mut offered);
+            for (rec, suppressed) in offered.drain(..) {
                 if suppressed {
                     ctx.trace(TraceEvent::Custom {
                         kind: trace::COMMIT_SUPPRESSED,
                         a: rec.version,
                         b: rec.request,
                     });
-                    all_applied.push(rec);
+                    applied.push(rec);
                     continue;
                 }
                 ctx.trace(TraceEvent::CommitApplied {
@@ -267,10 +272,10 @@ impl ServerCore {
                     };
                     ctx.send(client, marp_wire::to_bytes(&reply));
                 }
-                all_applied.push(rec);
+                applied.push(rec);
             }
         }
-        all_applied
+        self.offered = offered;
     }
 
     /// Handle an anti-entropy message.
@@ -284,7 +289,7 @@ impl ServerCore {
                 }
             }
             SyncMsg::Push { records } => {
-                self.apply_commits(records, ctx);
+                self.apply_commits(records, ctx, &mut Vec::new());
             }
         }
     }
@@ -351,6 +356,17 @@ mod tests {
 
     fn core(me: NodeId) -> ServerCore {
         ServerCore::new(me, ServerConfig::default(), sync_wrap)
+    }
+
+    /// Apply `records`; the records that applied.
+    fn apply(
+        core: &mut ServerCore,
+        records: Vec<CommitRecord>,
+        ctx: &mut RecordingCtx,
+    ) -> Vec<CommitRecord> {
+        let mut applied = Vec::new();
+        core.apply_commits(records, ctx, &mut applied);
+        applied
     }
 
     fn commit(version: u64, request: u64) -> CommitRecord {
@@ -421,7 +437,7 @@ mod tests {
             },
             &mut ctx,
         );
-        let applied = core.apply_commits(vec![commit(1, 8)], &mut ctx);
+        let applied = apply(&mut core, vec![commit(1, 8)], &mut ctx);
         assert_eq!(applied.len(), 1);
         assert_eq!(core.pending_clients.len(), 0);
         let reply: ClientReply = marp_wire::from_bytes(&ctx.sent.last().unwrap().1).unwrap();
@@ -444,7 +460,7 @@ mod tests {
             core.handle_client_request(4, req, &mut ctx),
             ClientAction::Write(_)
         ));
-        core.apply_commits(vec![commit(1, 8)], &mut ctx);
+        apply(&mut core, vec![commit(1, 8)], &mut ctx);
         // The client's resend (it may have missed the reply) is answered
         // immediately from the request→version map.
         let action = core.handle_client_request(4, req, &mut ctx);
@@ -495,10 +511,10 @@ mod tests {
             },
             &mut ctx,
         );
-        core.apply_commits(vec![commit(1, 8)], &mut ctx);
+        apply(&mut core, vec![commit(1, 8)], &mut ctx);
         let replies_before = ctx.sent.len();
         // A zombie's re-commit of request 8 arrives as version 2.
-        let applied = core.apply_commits(vec![commit(2, 8)], &mut ctx);
+        let applied = apply(&mut core, vec![commit(2, 8)], &mut ctx);
         assert_eq!(applied.len(), 1);
         assert_eq!(ctx.sent.len(), replies_before, "no second WriteDone");
         assert!(ctx.traced.iter().any(|e| matches!(
@@ -522,8 +538,8 @@ mod tests {
     fn a_rival_record_for_an_applied_version_is_traced_and_a_duplicate_is_not() {
         let mut core = core(0);
         let mut ctx = test_ctx(0);
-        core.apply_commits(vec![commit(1, 8)], &mut ctx);
-        core.apply_commits(vec![commit(1, 8)], &mut ctx);
+        apply(&mut core, vec![commit(1, 8)], &mut ctx);
+        apply(&mut core, vec![commit(1, 8)], &mut ctx);
         let conflicts = |ctx: &RecordingCtx| {
             ctx.traced
                 .iter()
@@ -540,7 +556,7 @@ mod tests {
                 .count()
         };
         assert_eq!(conflicts(&ctx), 0, "a true duplicate stays silent");
-        assert!(core.apply_commits(vec![commit(1, 9)], &mut ctx).is_empty());
+        assert!(apply(&mut core, vec![commit(1, 9)], &mut ctx).is_empty());
         assert_eq!(conflicts(&ctx), 1);
     }
 
@@ -548,7 +564,7 @@ mod tests {
     fn sync_pull_returns_suffix_and_push_applies() {
         let mut source = core(0);
         let mut ctx = test_ctx(0);
-        source.apply_commits(vec![commit(1, 100), commit(2, 200)], &mut ctx);
+        apply(&mut source, vec![commit(1, 100), commit(2, 200)], &mut ctx);
 
         let mut ctx_pull = test_ctx(0);
         let pull = SyncMsg::Pull {
@@ -586,7 +602,7 @@ mod tests {
     fn recover_clears_volatile_keeps_stable() {
         let mut core = core(0);
         let mut ctx = test_ctx(0);
-        core.apply_commits(vec![commit(1, 100)], &mut ctx);
+        apply(&mut core, vec![commit(1, 100)], &mut ctx);
         core.ll.request(
             1,
             marp_agent::AgentId::new(1, SimTime::ZERO, 0),

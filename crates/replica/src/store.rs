@@ -145,23 +145,34 @@ impl VersionedStore {
         self.data.is_empty()
     }
 
-    /// Offer a commit. Returns every record that became applicable (the
-    /// offered one plus any buffered successors on the same chain), in
-    /// application order, each tagged with whether its data write was
-    /// *suppressed* — the record's request was already applied under an
-    /// earlier version, so the slot is burned (the chain advances, its
-    /// log stays dense for anti-entropy) but the data and the client
-    /// reply are exactly-once. Records at or below their chain's
-    /// applied version are ignored: duplicates, unless
-    /// [`Self::conflicts_with`] says otherwise.
+    /// Offer a commit: [`Self::offer_into`] a list of its own.
     pub fn offer(&mut self, record: CommitRecord, now: SimTime) -> Vec<(CommitRecord, bool)> {
+        let mut applied = Vec::new();
+        self.offer_into(record, now, &mut applied);
+        applied
+    }
+
+    /// Offer a commit. Appends to `applied` every record that became
+    /// applicable (the offered one plus any buffered successors on the
+    /// same chain), in application order, each tagged with whether its
+    /// data write was *suppressed* — the record's request was already
+    /// applied under an earlier version, so the slot is burned (the
+    /// chain advances, its log stays dense for anti-entropy) but the
+    /// data and the client reply are exactly-once. Records at or below
+    /// their chain's applied version are ignored: duplicates, unless
+    /// [`Self::conflicts_with`] says otherwise.
+    pub fn offer_into(
+        &mut self,
+        record: CommitRecord,
+        now: SimTime,
+        applied: &mut Vec<(CommitRecord, bool)>,
+    ) {
         let cid = self.chain_of(record.key);
         let chain = self.chains.entry(cid).or_default();
         if record.version <= chain.applied {
-            return Vec::new();
+            return;
         }
         chain.pending.insert(record.version, record);
-        let mut applied = Vec::new();
         loop {
             let chain = self.chains.get_mut(&cid).expect("chain just touched");
             let Some(next) = chain.pending.remove(&(chain.applied + 1)) else {
@@ -188,7 +199,6 @@ impl VersionedStore {
                 .push(next.clone());
             applied.push((next, suppressed));
         }
-        applied
     }
 
     /// Whether `record` contradicts this store's history: its version

@@ -104,12 +104,41 @@ thread_local! {
 /// copied out: once the buffer is warm, the message is the call's one
 /// allocation.
 pub fn to_bytes<T: Wire>(value: &T) -> Bytes {
+    frame(|buf| value.encode(buf))
+}
+
+/// Write a message with `write` in one pass and freeze it, as
+/// [`to_bytes`] does a value: for a frame spelled field by field from
+/// values held elsewhere (a nested payload, say, through [`put_nested`])
+/// without first building the value that owns them.
+pub fn frame(write: impl FnOnce(&mut BytesMut)) -> Bytes {
     let mut buf = SCRATCH.take().unwrap_or_default();
     buf.clear();
-    value.encode(&mut buf);
+    write(&mut buf);
     let message = Bytes::copy_from_slice(&buf);
     SCRATCH.set(Some(buf));
     message
+}
+
+/// Append `value` as a nested payload: the bytes that encoding the
+/// [`Bytes`] of `to_bytes(value)` appends (a length, then the
+/// encoding), written in place. Returns the payload's length. The
+/// payload is encoded after a one-byte length and moved up only when
+/// its length needs more.
+pub fn put_nested<T: Wire>(buf: &mut BytesMut, value: &T) -> usize {
+    let at = buf.len();
+    bytes::BufMut::put_u8(buf, 0);
+    value.encode(buf);
+    let len = buf.len() - at - 1;
+    if len < 0x80 {
+        buf[at] = len as u8;
+        return len;
+    }
+    let (prefix, width) = varint::uvarint(len as u64);
+    buf.extend_from_slice(&prefix[..width - 1]);
+    buf.copy_within(at + 1..at + 1 + len, at + width);
+    buf[at..at + width].copy_from_slice(&prefix[..width]);
+    len
 }
 
 /// Decode a value from a byte buffer, requiring that the buffer is fully
@@ -331,12 +360,20 @@ impl<K: Wire + Ord, V: Wire> Wire for std::collections::BTreeMap<K, V> {
             v.encode(buf);
         }
     }
+    /// Keys must come in strictly ascending order, as `encode` writes
+    /// them: a map has one encoding, so a key out of order or twice is
+    /// [`WireError::Malformed`].
     fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = decode_len(buf)?;
         let mut out = std::collections::BTreeMap::new();
         for _ in 0..len {
             let k = K::decode(buf)?;
             let v = V::decode(buf)?;
+            if out.last_key_value().is_some_and(|(last, _)| *last >= k) {
+                return Err(WireError::Malformed {
+                    type_name: "BTreeMap",
+                });
+            }
             out.insert(k, v);
         }
         Ok(out)
@@ -589,6 +626,20 @@ mod tests {
         map.insert(1u32, String::from("one"));
         map.insert(2u32, String::from("two"));
         roundtrip(map);
+    }
+
+    #[test]
+    fn a_nested_payload_is_the_bytes_of_its_encoding() {
+        for len in [0, 1, 126, 127, 128, 300, 16_383, 16_384, 20_000] {
+            let payload = "x".repeat(len);
+            let mut buf = BytesMut::with_capacity(4);
+            bytes::BufMut::put_u8(&mut buf, 9);
+            assert_eq!(put_nested(&mut buf, &payload), to_bytes(&payload).len());
+            let mut expected = BytesMut::with_capacity(4);
+            bytes::BufMut::put_u8(&mut expected, 9);
+            to_bytes(&payload).encode(&mut expected);
+            assert_eq!(buf.as_ref(), expected.as_ref(), "a {len}-byte string");
+        }
     }
 
     #[test]

@@ -10,11 +10,17 @@ use bytes::{BufMut, BytesMut};
 const MAX_VARINT_LEN: usize = 10;
 
 /// Append an unsigned 64-bit value as a LEB128 varint.
-pub fn put_uvarint(buf: &mut BytesMut, mut value: u64) {
+pub fn put_uvarint(buf: &mut BytesMut, value: u64) {
     if value < 0x80 {
         buf.put_u8(value as u8);
         return;
     }
+    let (out, len) = uvarint(value);
+    buf.put_slice(&out[..len]);
+}
+
+/// `value` as a LEB128 varint: the bytes, and how many of them count.
+pub(crate) fn uvarint(mut value: u64) -> ([u8; MAX_VARINT_LEN], usize) {
     let mut out = [0u8; MAX_VARINT_LEN];
     let mut len = 0;
     while value >= 0x80 {
@@ -23,7 +29,7 @@ pub fn put_uvarint(buf: &mut BytesMut, mut value: u64) {
         len += 1;
     }
     out[len] = value as u8;
-    buf.put_slice(&out[..=len]);
+    (out, len + 1)
 }
 
 /// Read an unsigned LEB128 varint from the front of `buf`.

@@ -3,7 +3,8 @@
 //! the trace events `marp-trace` reads off disk, and the leaves whose
 //! cursor code is the codec's own (strings and labels): for arbitrary
 //! bytes and for every strict prefix of a valid encoding the decoder
-//! returns `Err`, or a value that round-trips — never a panic (a malformed packet must not crash a
+//! returns `Err`, or a value that encodes to exactly the bytes it came
+//! from — never a panic (a malformed packet must not crash a
 //! replica), and never one allocation sized by a length prefix rather
 //! than by the bytes actually present (the codec pre-allocates at most
 //! 4 096 elements). The carried-state types are also decoded into a
@@ -12,7 +13,7 @@
 //! and otherwise yields the same value.
 
 use bytes::Bytes;
-use marp_repro::agent::{AgentEnvelope, AgentId, Itinerary, ItineraryPolicy};
+use marp_repro::agent::{AgentEnvelope, AgentId, Horizon, Itinerary, ItineraryPolicy};
 use marp_repro::baselines::{AcMsg, Ballot, LwwTs, McvMsg, PcMsg, WvMsg};
 use marp_repro::core::lt::LockingTable;
 use marp_repro::core::{
@@ -36,8 +37,9 @@ mod noting_alloc;
 /// an input of a few hundred bytes.
 const LARGEST_HONEST_REQUEST: usize = 4096 * 64;
 
-/// Whatever `bytes` decodes to as a `T` is a fixed point of the codec,
-/// and decoding never trusted a length prefix with memory.
+/// Whatever `bytes` decodes to as a `T` encodes to `bytes` again — a
+/// value has one encoding — and decoding never trusted a length prefix
+/// with memory.
 fn err_or_fixed_point<T: Wire + PartialEq + Debug>(bytes: &Bytes) {
     let (decoded, _, largest) = noting_alloc::requests_during(|| from_bytes::<T>(bytes));
     assert!(
@@ -46,8 +48,7 @@ fn err_or_fixed_point<T: Wire + PartialEq + Debug>(bytes: &Bytes) {
         bytes.len()
     );
     if let Ok(value) = decoded {
-        let again = to_bytes(&value);
-        assert_eq!(from_bytes::<T>(&again).as_ref(), Ok(&value));
+        assert_eq!(&to_bytes(&value), bytes, "{value:?} re-encodes otherwise");
     }
 }
 
@@ -421,6 +422,21 @@ fn forged_rosters_are_refused_or_harmless() {
     assert_eq!(table.presence_count(c), 0);
 }
 
+/// A `server → version` list has one encoding, keys strictly
+/// ascending: out of order it would re-encode sorted, and with a key
+/// twice the second would silently drop the first.
+#[test]
+fn forged_maps_and_horizons_are_refused() {
+    for forged in [[0u8, 2, 7, 1, 0, 3], [0, 2, 7, 1, 7, 3]] {
+        let pull = Bytes::copy_from_slice(&forged); // `SyncMsg::Pull`
+        err_or_fixed_point::<SyncMsg>(&pull);
+        assert!(from_bytes::<SyncMsg>(&pull).is_err(), "{forged:?}");
+        let horizon = pull.slice(1..);
+        err_or_fixed_point::<Horizon>(&horizon);
+        assert!(from_bytes::<Horizon>(&horizon).is_err(), "{forged:?}");
+    }
+}
+
 proptest! {
     #[test]
     fn decoders_never_panic_and_only_accept_fixed_points(
@@ -436,7 +452,8 @@ proptest! {
         robust_into(&[fresh, travelled.clone()], &travelled, raw);
         let wider = ReadAgent::new(aid(3), &MarpConfig::new(9), 99, 4, 11);
         robust_into(&[ReadAgent::new(aid(1), &cfg, 9, 8, 7), wider.clone()], &wider, raw);
-        robust(&[AgentEnvelope::MigrateAck { agent: aid(2), hop: 3, horizon: BTreeMap::from([(0, 4)]) }], raw);
+        robust(&[AgentEnvelope::MigrateAck { agent: aid(2), hop: 3, horizon: BTreeMap::from([(0, 4), (3, 9)]) }], raw);
+        robust(&[[(0, 4), (3, 9)].into_iter().collect::<Horizon>()], raw);
         robust(&[McvMsg::Apply { ballot, records: vec![commit_record()] }], raw);
         robust(&[WvMsg::RResp { rid: 9, votes: 2, held: Some((300, 6)) }], raw);
         robust(&[AcMsg::StatePush { dump: vec![(7, 300, ts)] }], raw);
