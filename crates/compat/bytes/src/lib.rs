@@ -8,9 +8,16 @@
 //! read cursor: `marp_wire::Reader` reads a message as a plain slice.
 //!
 //! Semantics intentionally preserved from upstream:
-//! * `Bytes::clone` is O(1) (shared `Arc<[u8]>` plus a view window).
-//! * `Bytes::slice` never copies the underlying storage.
+//! * `Bytes::clone` and `Bytes::slice` are O(1) and never allocate.
+//! * A slice of shared storage is a window on it, never a copy.
+//! * `Bytes::from_static` borrows its slice.
 //! * `BytesMut::freeze` turns the accumulated bytes into a `Bytes`.
+//! * Equality, ordering, hashing and `Debug` go by content.
+//!
+//! One representation upstream does not have: a buffer of up to 30
+//! bytes copied in (`copy_from_slice`, `From<Vec<u8>>`, `From<&[u8]>`,
+//! `From<String>`, `freeze`) lives inside its handle, so a small
+//! message costs no allocation. A larger one is one heap block.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -36,45 +43,51 @@ macro_rules! fmt_bytes_debug {
     };
 }
 
-/// Backing storage for [`Bytes`]: either reference-counted heap bytes or
-/// a borrowed `'static` slice. Both clone in O(1). Heap storage is the
-/// reference count and the bytes in one block, so a buffer copied out
-/// of a slice — a message out of an encoder's reused scratch buffer —
-/// costs exactly one allocation. The price is that a `Vec` or a
-/// [`BytesMut`] becomes a `Bytes` by copying.
+/// The most bytes a handle holds inline: what is left of its four
+/// words after the variant tag and the length byte.
+const INLINE_CAP: usize = 30;
+
+// A larger inline buffer would make every handle, and every queued
+// message holding one, a word longer.
+const _: () = assert!(size_of::<Bytes>() <= 32);
+
+/// A cheaply cloneable, immutable byte buffer.
+///
+/// Four words, as upstream: every queued message holds one. Three
+/// forms, each cloned and sliced without allocating:
+/// * `Inline`: up to 30 bytes copied into the handle, the
+///   form every small buffer copied in takes; a slice of it is inline
+///   too.
+/// * `Shared`: a window `start..end` on reference-counted heap bytes,
+///   the count and the bytes in one block, so a larger buffer copied in
+///   costs exactly one allocation. A slice is a narrower window, however
+///   short, so a field decoded out of a message is a view of it. The
+///   offsets are `u32`: a buffer is under 4 GiB.
+/// * `Static`: a borrowed `'static` slice, sliced by re-borrowing.
 #[derive(Clone)]
-enum Storage {
-    Shared(Arc<[u8]>),
+pub struct Bytes(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline {
+        len: u8,
+        data: [u8; INLINE_CAP],
+    },
+    Shared {
+        data: Arc<[u8]>,
+        start: u32,
+        end: u32,
+    },
     Static(&'static [u8]),
 }
 
-impl Default for Storage {
+impl Default for Bytes {
     fn default() -> Self {
-        Storage::Static(&[])
+        Bytes(Repr::Static(&[]))
     }
-}
-
-/// A cheaply cloneable, immutable view into shared byte storage.
-///
-/// Four words, as upstream: every queued message holds one, so the
-/// window is two `u32` offsets and a buffer is under 4 GiB.
-#[derive(Clone, Default)]
-pub struct Bytes {
-    data: Storage,
-    start: u32,
-    end: u32,
 }
 
 impl Bytes {
-    /// A view of all `len` bytes of `data`.
-    fn whole(data: Storage, len: usize) -> Self {
-        Bytes {
-            data,
-            start: 0,
-            end: u32::try_from(len).expect("a buffer of 4 GiB or more"),
-        }
-    }
-
     /// An empty buffer (no allocation).
     pub fn new() -> Self {
         Bytes::default()
@@ -82,52 +95,82 @@ impl Bytes {
 
     /// Wrap a static slice without copying, matching upstream semantics.
     pub fn from_static(bytes: &'static [u8]) -> Self {
-        Bytes::whole(Storage::Static(bytes), bytes.len())
+        Bytes(Repr::Static(bytes))
     }
 
-    /// Copy a slice into a fresh buffer (one allocation).
-    pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes::whole(Storage::Shared(Arc::from(data)), data.len())
+    /// Copy a slice into a fresh buffer: inside the handle if it is 30
+    /// bytes or less, else one allocation.
+    pub fn copy_from_slice(bytes: &[u8]) -> Self {
+        if bytes.len() <= INLINE_CAP {
+            let mut data = [0; INLINE_CAP];
+            data[..bytes.len()].copy_from_slice(bytes);
+            return Bytes(Repr::Inline {
+                len: bytes.len() as u8,
+                data,
+            });
+        }
+        Bytes(Repr::Shared {
+            data: Arc::from(bytes),
+            start: 0,
+            end: u32::try_from(bytes.len()).expect("a buffer of 4 GiB or more"),
+        })
     }
 
-    /// Length of the view in bytes.
+    /// Length of the buffer in bytes.
     pub fn len(&self) -> usize {
-        (self.end - self.start) as usize
+        match &self.0 {
+            Repr::Inline { len, .. } => *len as usize,
+            Repr::Shared { start, end, .. } => (end - start) as usize,
+            Repr::Static(bytes) => bytes.len(),
+        }
     }
 
-    /// True when the view is empty.
+    /// True when the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.start == self.end
+        self.len() == 0
     }
 
-    /// A sub-view of `self` over `range` (zero-copy).
+    /// A sub-view of `self` over `range`, without allocating: a window
+    /// on the same storage, or for an inline buffer an inline copy.
+    ///
+    /// # Panics
+    ///
+    /// With "slice out of bounds" unless `range` lies within `self`,
+    /// in every build profile.
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
+        let out_of_bounds = || panic!("slice out of bounds");
         let lo = match range.start_bound() {
             Bound::Included(&i) => i,
-            Bound::Excluded(&i) => i + 1,
+            Bound::Excluded(&i) => i.checked_add(1).unwrap_or_else(out_of_bounds),
             Bound::Unbounded => 0,
         };
         let hi = match range.end_bound() {
-            Bound::Included(&i) => i + 1,
+            Bound::Included(&i) => i.checked_add(1).unwrap_or_else(out_of_bounds),
             Bound::Excluded(&i) => i,
             Bound::Unbounded => self.len(),
         };
-        assert!(lo <= hi && hi <= self.len(), "slice out of bounds");
-        // Both fit: `hi` is within a view that does.
-        Bytes {
-            data: self.data.clone(),
-            start: self.start + lo as u32,
-            end: self.start + hi as u32,
+        if lo > hi || hi > self.len() {
+            out_of_bounds();
+        }
+        match &self.0 {
+            Repr::Inline { .. } => Bytes::copy_from_slice(&self[lo..hi]),
+            // Both fit: `hi` is within a window that does.
+            Repr::Shared { data, start, .. } => Bytes(Repr::Shared {
+                data: data.clone(),
+                start: start + lo as u32,
+                end: start + hi as u32,
+            }),
+            Repr::Static(bytes) => Bytes(Repr::Static(&bytes[lo..hi])),
         }
     }
 
     /// Contents as a plain slice.
     pub fn as_slice(&self) -> &[u8] {
-        let whole: &[u8] = match &self.data {
-            Storage::Shared(data) => data,
-            Storage::Static(data) => data,
-        };
-        &whole[self.start as usize..self.end as usize]
+        match &self.0 {
+            Repr::Inline { len, data } => &data[..*len as usize],
+            Repr::Shared { data, start, end } => &data[*start as usize..*end as usize],
+            Repr::Static(bytes) => bytes,
+        }
     }
 
     /// Copy the contents into a fresh `Vec<u8>`.
@@ -138,8 +181,7 @@ impl Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(vec: Vec<u8>) -> Self {
-        let len = vec.len();
-        Bytes::whole(Storage::Shared(Arc::from(vec)), len)
+        Bytes::copy_from_slice(&vec)
     }
 }
 
@@ -151,7 +193,7 @@ impl From<&[u8]> for Bytes {
 
 impl From<String> for Bytes {
     fn from(s: String) -> Self {
-        Bytes::from(s.into_bytes())
+        Bytes::copy_from_slice(s.as_bytes())
     }
 }
 
@@ -276,10 +318,11 @@ impl BytesMut {
         self.vec.clear();
     }
 
-    /// Convert into an immutable [`Bytes`]: a copy, because heap bytes
-    /// live in one block with their reference count.
+    /// Convert into an immutable [`Bytes`]: a copy, inside the handle
+    /// for 30 bytes or less and otherwise into one block with its
+    /// reference count.
     pub fn freeze(self) -> Bytes {
-        Bytes::from(self.vec)
+        Bytes::copy_from_slice(&self.vec)
     }
 }
 
@@ -353,6 +396,11 @@ impl BufMut for Vec<u8> {
 mod tests {
     use super::*;
 
+    /// `len` bytes counting up from 1.
+    fn counting(len: u8) -> Vec<u8> {
+        (1..=len).collect()
+    }
+
     #[test]
     fn roundtrip_and_views() {
         let mut buf = BytesMut::with_capacity(8);
@@ -380,13 +428,21 @@ mod tests {
         assert_eq!(b.slice(..1).as_slice(), &[3]);
     }
 
+    /// A slice of shared storage is a window on it, however short; a
+    /// slice of an inline buffer is an inline copy.
     #[test]
     fn slice_is_a_zero_copy_window() {
-        let a = Bytes::from(vec![9, 8, 7]);
+        let a = Bytes::from(counting(31));
         let head = a.slice(..2);
-        assert_eq!(head.as_slice(), &[9, 8]);
+        assert_eq!(head.as_slice(), &[1, 2]);
         assert_eq!(head.as_slice().as_ptr(), a.as_slice().as_ptr());
-        assert_eq!(a.slice(2..).as_slice(), &[7]);
+        assert_eq!(a.slice(30..).as_slice(), &[31]);
+        assert_eq!(a.slice(30..).as_slice().as_ptr(), a[30..].as_ptr());
+
+        let small = Bytes::from(counting(30));
+        let head = small.slice(..2);
+        assert_eq!(head.as_slice(), &[1, 2]);
+        assert!(matches!(head.0, Repr::Inline { len: 2, .. }));
     }
 
     #[test]
@@ -400,15 +456,35 @@ mod tests {
         assert_eq!(tail.as_slice(), &[3, 4]);
     }
 
+    /// Past 30 bytes a frozen buffer is one block its clones share; up
+    /// to 30 it lives in the handle, and each clone holds its own copy.
     #[test]
     fn frozen_bytes_are_shared_by_their_clones() {
-        let mut buf = BytesMut::with_capacity(4);
-        buf.put_slice(&[1, 2, 3, 4]);
+        let mut buf = BytesMut::with_capacity(31);
+        buf.put_slice(&counting(31));
         let frozen = buf.freeze();
-        assert_eq!(frozen.as_slice(), &[1, 2, 3, 4]);
+        assert_eq!(frozen.as_slice(), &counting(31)[..]);
         // O(1) clones keep pointing at the same storage.
         let ptr = frozen.as_slice().as_ptr();
         assert_eq!(frozen.clone().as_slice().as_ptr(), ptr);
+
+        let mut buf = BytesMut::with_capacity(30);
+        buf.put_slice(&counting(30));
+        let frozen = buf.freeze();
+        assert_eq!(frozen.as_slice(), &counting(30)[..]);
+        assert!(matches!(frozen.0, Repr::Inline { len: 30, .. }));
+    }
+
+    #[test]
+    #[should_panic(expected = "slice out of bounds")]
+    fn a_slice_ending_past_usize_max_panics() {
+        Bytes::from(counting(6)).slice(..=usize::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "slice out of bounds")]
+    fn a_slice_starting_past_usize_max_panics() {
+        Bytes::from(counting(6)).slice((Bound::Excluded(usize::MAX), Bound::Unbounded));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! agent decodes into the behaviour an earlier agent left behind,
 //! `decide` tallies on the stack, a visit reads the Locking List where
 //! it lies, a frame that nests a payload is written in one pass, and a
-//! commit fills lists its node owns.
+//! commit fills lists its node owns. A frame is one allocation past 30
+//! bytes and none up to 30, where it lives inside its `Bytes` handle.
 
 use bytes::Bytes;
 use marp_agent::{AgentEnvelope, AgentId, AgentRuntime};
@@ -255,7 +256,8 @@ fn a_visit_that_does_not_grow_the_queue_allocates_nothing() {
 
 /// A retried hop's state, arriving twice: the second delivery is acked
 /// again and goes no further, and the ack's horizon is written into the
-/// buffer the runtime keeps, so its frame is all it allocates.
+/// buffer the runtime keeps, so its frame is all it allocates — and at
+/// 30 bytes or less, that frame lives in its handle.
 #[test]
 fn an_ack_allocates_only_its_frame() {
     let (mut host, _, first) = host_after_a_hop(true);
@@ -266,16 +268,18 @@ fn an_ack_allocates_only_its_frame() {
     };
     host.make_room();
     let sent = host.ctx.sent.len();
-    assert_eq!(host.deliver(0, again), 1);
+    assert_eq!(host.deliver(0, again), 0);
     assert_eq!(host.ctx.sent.len(), sent + 1);
+    let (to, frame) = host.ctx.sent.last().expect("the ack");
+    assert!(*to == 0 && frame.len() <= 30, "{} bytes", frame.len());
     assert!(is_ack(&host.sent_to(0, is_ack)));
 }
 
-/// A hop's frame and an answer's are each one allocation, the nested
-/// state or payload written into it in place; a retried hop resends
-/// the frame it kept.
+/// A hop's frame is one allocation, the nested state written into it
+/// in place, and an answer's, at 30 bytes or less, none; a retried hop
+/// resends the frame it kept.
 #[test]
-fn a_migrate_frame_and_a_to_agent_answer_each_allocate_once() {
+fn a_migrate_frame_allocates_once_and_an_answer_not_at_all() {
     let cfg = MarpConfig::new(N);
     let mut home = Host::new(0, &cfg);
     let departed = dispatch(&mut home, 1, 1, &cfg);
@@ -293,9 +297,10 @@ fn a_migrate_frame_and_a_to_agent_answer_each_allocate_once() {
         AgentEnvelope::migrate_frame(agent_header, id, 1, &traveller)
     });
     assert_eq!(frame, wrap_agent_envelope(departed));
-    let (_, answer, _) =
+    let ((answered, _), answer, _) =
         noting_alloc::requests_during(|| AgentEnvelope::to_agent_frame(agent_header, id, &ack));
-    assert_eq!((migrate, answer), (1, 1));
+    assert!(frame.len() > 30 && answered.len() <= 30);
+    assert_eq!((migrate, answer), (1, 0));
 
     let retry = TimerId(home.ctx.armed.len() as u64);
     home.make_room();
@@ -357,7 +362,8 @@ fn beyond_decoding(node: &mut MarpNode, ctx: &mut RecordingCtx, msg: Bytes) -> u
 
 /// Once one commit has warmed the store's chain, the server's lists
 /// and the node's outbox, the next in-order COMMIT allocates its client
-/// reply and its notice to the parked waiter, and nothing else.
+/// reply and its notice to the parked waiter, and nothing else: two
+/// frames of 30 bytes or less, so nothing at all.
 #[test]
 fn an_in_order_commit_allocates_only_its_client_reply_and_notice_frames() {
     let (mut node, mut ctx) = node_with_a_parked_agent();
@@ -367,11 +373,12 @@ fn an_in_order_commit_allocates_only_its_client_reply_and_notice_frames() {
     let notices = node.mail().notices_sent;
     assert_eq!(notices, 2, "one per commit, to the parked agent");
     assert_eq!(ctx.sent.len(), 2, "the client's reply and the notice");
-    assert_eq!(allocated, ctx.sent.len());
+    assert!(ctx.sent.iter().all(|(_, frame)| frame.len() <= 30));
+    assert_eq!(allocated, 0);
 }
 
-/// A claim refused at once is answered with one frame: no list of
-/// answers is built for it.
+/// A claim refused at once is answered with one frame of 30 bytes or
+/// less, which costs no allocation: no list of answers is built for it.
 #[test]
 fn a_refused_claim_allocates_only_its_answer() {
     let (mut node, mut ctx) = node_with_a_parked_agent();
@@ -394,6 +401,7 @@ fn a_refused_claim_allocates_only_its_answer() {
     };
     node.on_message(1, claim(1), &mut ctx);
     ctx.sent.clear();
-    assert_eq!(beyond_decoding(&mut node, &mut ctx, claim(2)), 1);
+    assert_eq!(beyond_decoding(&mut node, &mut ctx, claim(2)), 0);
     assert_eq!(ctx.sent.len(), 1);
+    assert!(ctx.sent[0].1.len() <= 30);
 }

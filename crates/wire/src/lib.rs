@@ -101,8 +101,9 @@ thread_local! {
 ///
 /// The value is written in one pass into a per-thread scratch buffer,
 /// which keeps the capacity the largest message so far gave it, and
-/// copied out: once the buffer is warm, the message is the call's one
-/// allocation.
+/// copied out: once the buffer is warm, a message of 30 bytes or less
+/// costs no allocation (it lives inside its [`Bytes`] handle) and a
+/// larger one costs one.
 pub fn to_bytes<T: Wire>(value: &T) -> Bytes {
     frame(|buf| value.encode(buf))
 }
@@ -111,6 +112,8 @@ pub fn to_bytes<T: Wire>(value: &T) -> Bytes {
 /// [`to_bytes`] does a value: for a frame spelled field by field from
 /// values held elsewhere (a nested payload, say, through [`put_nested`])
 /// without first building the value that owns them.
+/// Allocates as [`to_bytes`] does: nothing for 30 bytes or less, else
+/// the one block the frame is copied into.
 pub fn frame(write: impl FnOnce(&mut BytesMut)) -> Bytes {
     let mut buf = SCRATCH.take().unwrap_or_default();
     buf.clear();

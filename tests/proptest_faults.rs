@@ -33,7 +33,7 @@ fn arb_fault_plan() -> impl Strategy<Value = FaultPlan> {
 
 proptest! {
     // Each case is a long fault-injected simulation.
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn random_crash_schedules_stay_consistent(

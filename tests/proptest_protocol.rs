@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 proptest! {
     // Each case is a full simulation.
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Any small MARP workload completes everything, totally ordered.
     #[test]
