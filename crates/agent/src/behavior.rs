@@ -14,7 +14,7 @@ use crate::id::AgentId;
 use bytes::{Bytes, BytesMut};
 use marp_sim::{Context, NodeId, SimTime, SpanKey, TimerId, TraceEvent};
 use marp_wire::Wire;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::time::Duration;
 
 /// What the agent does next, decided by each behaviour handler.
@@ -93,13 +93,7 @@ pub trait AgentBehavior: Wire + Send + 'static {
     /// [`Self::host_horizon`]); record it in the local host so later
     /// agents migrating from here to `peer` can shrink their carried
     /// state.
-    fn record_peer_horizon(
-        &self,
-        _host: &mut Self::Host,
-        _peer: NodeId,
-        _horizon: BTreeMap<NodeId, u64>,
-    ) {
-    }
+    fn record_peer_horizon(&self, _host: &mut Self::Host, _peer: NodeId, _horizon: Horizon) {}
 
     /// About to serialize and ship this agent to `dest`: last chance to
     /// shed state the destination already knows (delta-encoded Locking

@@ -11,9 +11,7 @@ use crate::behavior::WrapFn;
 use crate::horizon::Horizon;
 use crate::id::AgentId;
 use bytes::Bytes;
-use marp_sim::NodeId;
 use marp_wire::Wire;
-use std::collections::BTreeMap;
 
 /// Messages exchanged by agent runtimes on different hosts. Host
 /// processes embed this in their own message enum and hand received
@@ -40,9 +38,8 @@ pub enum AgentEnvelope {
         /// locking-list snapshot version` the acker held when the
         /// agent arrived. Future migrations *to* this host can
         /// delta-encode their Locking Table against it (empty when the
-        /// host tracks no horizons, or could not decode the state). The
-        /// runtime writes it from a [`Horizon`], whose bytes are these.
-        horizon: BTreeMap<NodeId, u64>,
+        /// host tracks no horizons, or could not decode the state).
+        horizon: Horizon,
     },
     /// A message addressed to an agent resident at the destination host.
     ToAgent {
@@ -138,7 +135,7 @@ mod tests {
         let env = AgentEnvelope::MigrateAck {
             agent: sample_id(),
             hop: 3,
-            horizon: BTreeMap::from([(0, 4u64), (2, 9)]),
+            horizon: Horizon::from_iter([(0, 4), (2, 9)]),
         };
         let bytes = marp_wire::to_bytes(&env);
         assert_eq!(marp_wire::from_bytes::<AgentEnvelope>(&bytes).unwrap(), env);

@@ -4,12 +4,12 @@
 use marp_sim::NodeId;
 
 /// A knowledge horizon, as a vector of `(server, version)` sorted by
-/// server, one entry per server. It encodes as the map it stands for
-/// would (a count, then each pair), and a decoded horizon whose
-/// servers are not strictly ascending is malformed, so it has one
-/// encoding too. A runtime keeps one to write each ack's horizon into,
-/// which [`AgentEnvelope::MigrateAck`](crate::AgentEnvelope) decodes
-/// as that map.
+/// server, one entry per server. It encodes as a count, then each
+/// pair; a decoded horizon whose servers are not strictly ascending is
+/// malformed, so a horizon has one encoding. It is what a
+/// [`AgentEnvelope::MigrateAck`](crate::AgentEnvelope) advertises, what
+/// a host remembers of each peer, and what a Locking Table is pruned
+/// against.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Horizon(Vec<(NodeId, u64)>);
 
@@ -38,15 +38,24 @@ impl Horizon {
         }
     }
 
+    /// The version known for `server`, if any.
+    pub fn get(&self, server: NodeId) -> Option<u64> {
+        let at = self.0.binary_search_by_key(&server, |&(s, _)| s).ok()?;
+        Some(self.0[at].1)
+    }
+
     /// The entries, in server order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
         self.0.iter().copied()
     }
 }
 
+/// Entries in any order, a server named twice keeping its highest
+/// version; the buffer is sized from the iterator's lower bound.
 impl FromIterator<(NodeId, u64)> for Horizon {
     fn from_iter<I: IntoIterator<Item = (NodeId, u64)>>(entries: I) -> Self {
-        let mut horizon = Horizon::new();
+        let entries = entries.into_iter();
+        let mut horizon = Horizon(Vec::with_capacity(entries.size_hint().0));
         for (server, version) in entries {
             horizon.raise(server, version);
         }

@@ -11,7 +11,6 @@ use marp_sim::{
     impl_as_any, trace, Context, Control, NodeId, Process, RecordingCtx, SimRng, SimTime,
     Simulation, TimerId, TraceEvent, TraceLevel,
 };
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// A toy agent that walks a fixed itinerary, stamping each host's
@@ -37,7 +36,7 @@ struct GuestBook {
     stamps: Vec<u64>,
     pokes: Vec<Bytes>,
     /// What acking peers said they knew, as `(peer, horizon)`.
-    advertised: Vec<(NodeId, BTreeMap<NodeId, u64>)>,
+    advertised: Vec<(NodeId, Horizon)>,
 }
 
 impl Hopper {
@@ -95,12 +94,7 @@ impl AgentBehavior for Hopper {
         horizon.raise(self.id.home, host.stamps.len() as u64);
     }
 
-    fn record_peer_horizon(
-        &self,
-        host: &mut GuestBook,
-        peer: NodeId,
-        horizon: BTreeMap<NodeId, u64>,
-    ) {
+    fn record_peer_horizon(&self, host: &mut GuestBook, peer: NodeId, horizon: Horizon) {
         host.advertised.push((peer, horizon));
     }
 }
@@ -609,7 +603,7 @@ fn crash_loses_residents_and_later_messages_miss_loudly() {
 }
 
 /// The horizons of the `MigrateAck`s in `sent`, oldest first.
-fn acked_horizons(sent: &[(NodeId, Bytes)]) -> Vec<BTreeMap<NodeId, u64>> {
+fn acked_horizons(sent: &[(NodeId, Bytes)]) -> Vec<Horizon> {
     sent.iter()
         .filter_map(|(_, frame)| match marp_wire::from_bytes(frame) {
             Ok(AgentEnvelope::MigrateAck { horizon, .. }) => Some(horizon),
@@ -639,13 +633,13 @@ fn the_ack_carries_what_the_host_knew_before_the_agent_arrived() {
     assert_eq!(book.stamps.len(), 1, "on_arrive ran");
     // The hook saw the decoded agent (its home is the slot) and the
     // book as it was before `on_arrive` stamped it.
-    assert_eq!(acked_horizons(&ctx.sent), [BTreeMap::from([(4, 0)])]);
+    assert_eq!(acked_horizons(&ctx.sent), [Horizon::from_iter([(4, 0)])]);
 
     // A duplicate delivery is acked again — with the book as it is now
     // — and then dropped.
     runtime.handle_envelope(0, migrate, &mut book, &mut ctx);
     assert_eq!(book.stamps.len(), 1);
-    assert_eq!(acked_horizons(&ctx.sent)[1], BTreeMap::from([(4, 1)]));
+    assert_eq!(acked_horizons(&ctx.sent)[1], Horizon::from_iter([(4, 1)]));
 }
 
 #[test]
@@ -660,7 +654,7 @@ fn undecodable_state_is_acked_with_an_empty_horizon_and_dropped() {
         state: Bytes::from_static(&[0xff; 3]),
     };
     runtime.handle_envelope(0, garbage, &mut book, &mut ctx);
-    assert_eq!(acked_horizons(&ctx.sent), [BTreeMap::new()]);
+    assert_eq!(acked_horizons(&ctx.sent), [Horizon::new()]);
     assert_eq!(runtime.resident_count(), 0);
     assert!(book.stamps.is_empty());
     assert!(ctx.traced.iter().any(|e| matches!(
@@ -681,10 +675,10 @@ fn an_ack_is_recorded_through_the_agent_it_acknowledges() {
     let spawner: &Spawner = sim.process(0).unwrap();
     assert_eq!(
         spawner.inner.book.advertised,
-        [(1, BTreeMap::from([(0, 0)]))]
+        [(1, Horizon::from_iter([(0, 0)]))]
     );
     let host1: &HostNode = sim.process(1).unwrap();
-    assert_eq!(host1.book.advertised, [(2, BTreeMap::from([(0, 0)]))]);
+    assert_eq!(host1.book.advertised, [(2, Horizon::from_iter([(0, 0)]))]);
     // An ack for an agent that is not in flight from here has no
     // subject to be recorded under.
     let mut runtime: AgentRuntime<Hopper> = AgentRuntime::new(AgentConfig::default(), wrap);
@@ -692,7 +686,7 @@ fn an_ack_is_recorded_through_the_agent_it_acknowledges() {
     let stray = AgentEnvelope::MigrateAck {
         agent: AgentId::new(0, SimTime::ZERO, 0),
         hop: 1,
-        horizon: BTreeMap::from([(0, 9)]),
+        horizon: Horizon::from_iter([(0, 9)]),
     };
     runtime.handle_envelope(2, stray, &mut book, &mut rec_ctx());
     assert!(book.advertised.is_empty());

@@ -215,10 +215,13 @@ impl McvNode {
                 }
             }
             McvMsg::VoteReq { ballot } => {
+                // A buffered commit counts: its `Apply` released this
+                // replica's promise, so the version is taken even while
+                // a gap keeps it unapplied.
                 let reply = McvMsg::Vote {
                     ballot,
                     granted: self.coord.grant(ballot, ctx.now()),
-                    store_version: self.core.store.applied_version(),
+                    store_version: self.core.store.seen_version(),
                 };
                 ctx.send(ballot.coordinator, marp_wire::to_bytes(&reply));
             }

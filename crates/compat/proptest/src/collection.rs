@@ -1,6 +1,6 @@
-//! Collection strategies: `vec`, `vec_deque`, `btree_map`, `btree_set`.
+//! Collection strategies: `vec`, `btree_map`, `btree_set`.
 
-use crate::strategy::{SizeRange, Strategy, VecDequeStrategy, VecStrategy};
+use crate::strategy::{SizeRange, Strategy, VecStrategy};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// `Vec` of values from `element`, with length drawn from `size`.
@@ -9,17 +9,6 @@ pub fn vec<S: Strategy>(
     size: impl Into<SizeRange>,
 ) -> impl Strategy<Value = Vec<S::Value>> {
     VecStrategy {
-        element,
-        size: size.into(),
-    }
-}
-
-/// `VecDeque` of values from `element`, with length drawn from `size`.
-pub fn vec_deque<S: Strategy>(
-    element: S,
-    size: impl Into<SizeRange>,
-) -> impl Strategy<Value = std::collections::VecDeque<S::Value>> {
-    VecDequeStrategy {
         element,
         size: size.into(),
     }

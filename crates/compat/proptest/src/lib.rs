@@ -12,7 +12,7 @@
 //! * tuples of strategies (arity 2–8) as strategies
 //! * `".{lo,hi}"` string patterns (the only regex shape the workspace
 //!   uses; other patterns generate the pattern text literally)
-//! * [`collection`]: `vec`, `vec_deque`, `btree_map`, `btree_set`
+//! * [`collection`]: `vec`, `btree_map`, `btree_set`
 //! * [`option::of`], [`sample::subsequence`], [`prelude::Just`]
 //! * the [`proptest!`] macro with `#![proptest_config(..)]`, and
 //!   `prop_assert!` / `prop_assert_eq!` / `prop_assert_ne!`

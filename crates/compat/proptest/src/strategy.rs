@@ -2,7 +2,6 @@
 //! the combinators the workspace uses.
 
 use crate::test_runner::Gen;
-use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::ops::{Range, RangeInclusive};
 
@@ -364,19 +363,6 @@ pub(crate) struct VecStrategy<S> {
 impl<S: Strategy> Strategy for VecStrategy<S> {
     type Value = Vec<S::Value>;
     fn generate(&self, gen: &mut Gen) -> Vec<S::Value> {
-        let len = self.size.pick(gen);
-        (0..len).map(|_| self.element.generate(gen)).collect()
-    }
-}
-
-pub(crate) struct VecDequeStrategy<S> {
-    pub(crate) element: S,
-    pub(crate) size: SizeRange,
-}
-
-impl<S: Strategy> Strategy for VecDequeStrategy<S> {
-    type Value = VecDeque<S::Value>;
-    fn generate(&self, gen: &mut Gen) -> VecDeque<S::Value> {
         let len = self.size.pick(gen);
         (0..len).map(|_| self.element.generate(gen)).collect()
     }

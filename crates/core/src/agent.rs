@@ -27,7 +27,6 @@ use marp_agent::{Action, AgentBehavior, AgentEnv, AgentId, Horizon, Itinerary};
 use marp_quorum::{QuorumCall, RetryPolicy, TimerMux, Verdict};
 use marp_replica::{CommitRecord, UpdatedList, WriteRequest};
 use marp_sim::{trace, NodeId, SpanKey, SpanKind, TraceEvent};
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 marp_quorum::timer_kinds! {
@@ -652,12 +651,7 @@ impl AgentBehavior for UpdateAgent {
         host.horizon(self.key(), horizon);
     }
 
-    fn record_peer_horizon(
-        &self,
-        host: &mut MarpServerState,
-        peer: NodeId,
-        horizon: BTreeMap<NodeId, u64>,
-    ) {
+    fn record_peer_horizon(&self, host: &mut MarpServerState, peer: NodeId, horizon: Horizon) {
         host.record_peer_horizon(peer, self.key(), horizon);
     }
 

@@ -115,7 +115,10 @@ mod tests {
         lt.merge(2, snap(5, &[a]));
         lt.merge(3, snap(1, &[]));
         board.exchange(0, &mut lt);
-        assert_eq!(lt.horizon(), [(1, 4), (2, 5), (3, 1)].into());
+        assert_eq!(
+            lt.horizon(),
+            marp_agent::Horizon::from_iter([(1, 4), (2, 5), (3, 1)])
+        );
         assert_eq!(lt.roster(), [a, b]);
         assert_eq!(board.contents(0), Some(&lt));
         // Another key's visitor sees none of it.

@@ -128,7 +128,7 @@ pub struct MarpServerState {
     /// (piggybacked on its ack of an agent for that key). Agents
     /// migrating from here delta-encode their Locking Tables against
     /// the destination's entry for their key.
-    peer_horizons: BTreeMap<(NodeId, u64), BTreeMap<NodeId, u64>>,
+    peer_horizons: BTreeMap<(NodeId, u64), Horizon>,
     /// Incarnation fence per client request: the highest incarnation
     /// this server positively acked for each request it has seen, plus
     /// when (for pruning). A regenerated agent carries a bumped
@@ -171,17 +171,12 @@ impl MarpServerState {
 
     /// Record the horizon for `key` a peer advertised in a migration
     /// ack, replacing what it said about that key before.
-    pub(crate) fn record_peer_horizon(
-        &mut self,
-        peer: NodeId,
-        key: u64,
-        horizon: BTreeMap<NodeId, u64>,
-    ) {
+    pub(crate) fn record_peer_horizon(&mut self, peer: NodeId, key: u64, horizon: Horizon) {
         self.peer_horizons.insert((peer, key), horizon);
     }
 
     /// The last horizon for `key` that `peer` advertised, if any.
-    pub(crate) fn peer_horizon(&self, peer: NodeId, key: u64) -> Option<&BTreeMap<NodeId, u64>> {
+    pub(crate) fn peer_horizon(&self, peer: NodeId, key: u64) -> Option<&Horizon> {
         self.peer_horizons.get(&(peer, key))
     }
 
@@ -515,7 +510,7 @@ impl MarpServerState {
         agent: AgentId,
         key: u64,
         reply_to: NodeId,
-        horizon: &BTreeMap<NodeId, u64>,
+        horizon: &Horizon,
         now: SimTime,
     ) -> AgentReply {
         self.core.ll.purge_expired(now);
@@ -1099,8 +1094,7 @@ mod tests {
         let a = aid(1, 1);
         let stranger = aid(7, 7);
         state.visit(a, 1, SimTime::from_millis(1), 1);
-        let reply =
-            state.handle_ll_query(stranger, 1, 5, &BTreeMap::new(), SimTime::from_millis(2));
+        let reply = state.handle_ll_query(stranger, 1, 5, &Horizon::new(), SimTime::from_millis(2));
         let AgentReply::LlInfo { snapshot, .. } = reply else {
             panic!("expected LlInfo")
         };
@@ -1126,12 +1120,12 @@ mod tests {
         state.board.exchange(1, &mut lt);
         // The asker already holds server 1 at version 4 and server 2 at
         // version 5: only server 2's newer snapshot is news to it.
-        let horizon = BTreeMap::from([(1, 4), (2, 5)]);
+        let horizon = Horizon::from_iter([(1, 4), (2, 5)]);
         let reply = state.handle_ll_query(a, 1, 5, &horizon, SimTime::from_millis(7));
         let AgentReply::LlInfo { board, .. } = reply else {
             panic!("expected LlInfo");
         };
-        assert_eq!(board.horizon(), BTreeMap::from([(2, 6)]));
+        assert_eq!(board.horizon(), Horizon::from_iter([(2, 6)]));
         // The board itself keeps everything for the next visitor.
         assert_eq!(state.board.known_servers(1), 2);
     }

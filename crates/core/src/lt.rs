@@ -508,7 +508,7 @@ impl LockingTable {
     /// version of the snapshot held. Receivers advertise this so
     /// senders can delta-encode (ship only snapshots strictly newer
     /// than the receiver's horizon).
-    pub fn horizon(&self) -> BTreeMap<NodeId, u64> {
+    pub fn horizon(&self) -> Horizon {
         self.rows
             .iter()
             .map(|(server, row)| (*server, row.version))
@@ -528,13 +528,10 @@ impl LockingTable {
     /// the delta a receiver with that horizon still needs; merging the
     /// delta into the receiver's table yields the same result as merging
     /// the full table (proved by property test).
-    pub fn prune_covered_by(&mut self, horizon: &BTreeMap<NodeId, u64>) {
+    pub fn prune_covered_by(&mut self, horizon: &Horizon) {
         let held = self.rows.len();
-        self.rows.retain(|(server, row)| {
-            horizon
-                .get(server)
-                .is_none_or(|&covered| row.version > covered)
-        });
+        self.rows
+            .retain(|(server, row)| horizon.get(*server).is_none_or(|v| row.version > v));
         if self.rows.len() < held {
             self.release();
         }
@@ -757,7 +754,7 @@ mod tests {
         assert!(lt.names(c) && !lt.names(b));
         assert_eq!(lt.presence_count(d), 2);
         assert_eq!(lt.effective_top(2, &UpdatedList::new()), Some(c));
-        lt.prune_covered_by(&BTreeMap::from([(2, 1), (1, 1)]));
+        lt.prune_covered_by(&Horizon::from_iter([(2, 1), (1, 1)]));
         assert_eq!(lt.roster(), [d]);
         assert_eq!(lt.known_servers(), 1);
     }

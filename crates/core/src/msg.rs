@@ -6,11 +6,10 @@
 
 use crate::lt::LockingTable;
 use bytes::{Bytes, BytesMut};
-use marp_agent::{AgentEnvelope, AgentId};
+use marp_agent::{AgentEnvelope, AgentId, Horizon};
 use marp_replica::{ClientRequest, CommitRecord, LlSnapshot, SyncMsg, UpdatedList, WriteRequest};
 use marp_sim::{NodeId, SimTime};
 use marp_wire::Wire;
-use std::collections::BTreeMap;
 
 /// The winning agent's UPDATE broadcast: "having obtained the lock,
 /// broadcast a message to all the replicas to request the update".
@@ -88,7 +87,7 @@ pub enum NodeMsg {
         reply_to: NodeId,
         /// The asker's Locking-Table horizon (`server → snapshot
         /// version`): the reply's board omits what it already covers.
-        horizon: BTreeMap<NodeId, u64>,
+        horizon: Horizon,
     },
     /// Anti-entropy.
     Sync(SyncMsg),
@@ -227,6 +226,7 @@ pub fn wrap_client_request(request: ClientRequest) -> Bytes {
 mod tests {
     use super::*;
     use marp_replica::Operation;
+    use std::collections::BTreeMap;
 
     fn roundtrip(msg: NodeMsg) {
         let bytes = marp_wire::to_bytes(&msg);
@@ -278,7 +278,7 @@ mod tests {
             agent: aid(1),
             key: 6,
             reply_to: 2,
-            horizon: BTreeMap::from([(0, 3), (4, 9)]),
+            horizon: Horizon::from_iter([(0, 3), (4, 9)]),
         });
         roundtrip(NodeMsg::Sync(SyncMsg::Pull {
             versions: BTreeMap::from([(0, 3)]),

@@ -728,7 +728,7 @@ mod tests {
             agent: remote,
             key: 1,
             reply_to: 2,
-            horizon: BTreeMap::new(),
+            horizon: marp_agent::Horizon::new(),
         };
         node.on_message(2, marp_wire::to_bytes(&query), &mut ctx);
         assert_eq!(ctx.sent.len(), 1);

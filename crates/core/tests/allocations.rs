@@ -233,6 +233,18 @@ fn deciding_on_a_convoy_table_allocates_nothing() {
     assert!(decided > 100);
 }
 
+/// The horizon a parked agent sends with each `LlQuery` is one block
+/// sized to its table's rows.
+#[test]
+fn a_nine_row_tables_horizon_is_one_allocation() {
+    let (lt, _) = convoy(0);
+    assert_eq!(lt.known_servers(), 9);
+    let (horizon, requests, largest) = noting_alloc::requests_during(|| lt.horizon());
+    assert_eq!(horizon.iter().count(), 9);
+    assert_eq!(requests, 1);
+    assert_eq!(largest, 9 * std::mem::size_of::<(NodeId, u64)>());
+}
+
 /// A repeat visit refreshes the lease in place, and the visitor reads
 /// the queue into the row its table already holds.
 #[test]

@@ -110,7 +110,7 @@ fn acked_horizon(envelopes: &[AgentEnvelope]) -> Vec<(u64, u64)> {
         AgentEnvelope::MigrateAck { horizon, .. } => Some(
             horizon
                 .iter()
-                .map(|(&slot, &version)| (u64::from(slot), version))
+                .map(|(slot, version)| (u64::from(slot), version))
                 .collect::<Vec<_>>(),
         ),
         _ => None,

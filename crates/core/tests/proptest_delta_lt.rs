@@ -96,7 +96,7 @@ fn arb_keyed_table_pairs() -> impl Strategy<Value = Vec<(u64, LockingTable, Lock
 /// `server → snapshot version` horizon the host advertised last.
 fn advertised_horizons(
     tables: &[(u64, LockingTable, LockingTable)],
-) -> BTreeMap<u64, BTreeMap<NodeId, u64>> {
+) -> BTreeMap<u64, marp_agent::Horizon> {
     tables
         .iter()
         .map(|(key, _, receiver)| (*key, receiver.horizon()))
@@ -173,7 +173,7 @@ proptest! {
         pruned.prune_covered_by(&horizon);
         for (server, snap) in sender.iter() {
             let kept = pruned.snapshot(server).is_some();
-            let covered = horizon.get(&server).is_some_and(|&v| snap.version <= v);
+            let covered = horizon.get(server).is_some_and(|v| snap.version <= v);
             prop_assert_eq!(kept, !covered);
         }
         prop_assert!(pruned.known_servers() <= sender.known_servers());

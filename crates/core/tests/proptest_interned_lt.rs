@@ -355,7 +355,7 @@ proptest! {
                 }
                 Op::Prune(horizon) => {
                     model.prune_covered_by(&horizon);
-                    table.prune_covered_by(&horizon);
+                    table.prune_covered_by(&marp_agent::Horizon::from_iter(horizon));
                 }
             }
 
@@ -366,7 +366,7 @@ proptest! {
                 .collect();
             prop_assert_eq!(rows(&table), expected);
             prop_assert_eq!(table.known_servers(), model.snapshots.len());
-            prop_assert_eq!(table.horizon(), model.horizon());
+            prop_assert_eq!(table.horizon(), marp_agent::Horizon::from_iter(model.horizon()));
             for server in 0..SERVERS {
                 prop_assert_eq!(
                     table.snapshot(server).map(|row| (row.version, row.taken_at)),
@@ -535,7 +535,7 @@ proptest! {
         start in proptest::collection::vec((0..SERVERS, arb_snapshot()), 2..10),
     ) {
         let (_, table) = build(&start);
-        let servers: Vec<NodeId> = table.horizon().into_keys().collect();
+        let servers: Vec<NodeId> = table.horizon().iter().map(|(server, _)| server).collect();
         if servers.len() < 2 {
             return Ok(());
         }

@@ -73,7 +73,7 @@ fn arb_node_msg() -> impl Strategy<Value = NodeMsg> {
                 |(agent, hop, horizon)| NodeMsg::Agent(AgentEnvelope::MigrateAck {
                     agent,
                     hop,
-                    horizon,
+                    horizon: horizon.into_iter().collect(),
                 })
             ),
         (
@@ -112,7 +112,7 @@ fn arb_node_msg() -> impl Strategy<Value = NodeMsg> {
                 agent,
                 key,
                 reply_to,
-                horizon,
+                horizon: horizon.into_iter().collect(),
             }),
         proptest::collection::btree_map(any::<u64>(), any::<u64>(), 0..4)
             .prop_map(|versions| NodeMsg::Sync(SyncMsg::Pull { versions })),
@@ -148,7 +148,7 @@ proptest! {
 
         let written: Horizon = horizon.iter().map(|(&s, &v)| (s, v)).collect();
         let frame = AgentEnvelope::ack_frame(header, agent, hop, &written);
-        prop_assert_eq!(frame, wrapped(AgentEnvelope::MigrateAck { agent, hop, horizon }));
+        prop_assert_eq!(frame, wrapped(AgentEnvelope::MigrateAck { agent, hop, horizon: written }));
 
         let notice = AgentReply::LlChanged { node, finished: agent, at: SimTime::from_millis(ms) };
         let (frame, payload_len) = AgentEnvelope::to_agent_frame(header, agent, &notice);

@@ -308,7 +308,7 @@ fn message_vectors() {
     let migrate_ack = AgentEnvelope::MigrateAck {
         agent: aid(2),
         hop: 3,
-        horizon: BTreeMap::from([(0, 4), (2, 9)]),
+        horizon: marp_agent::Horizon::from_iter([(0, 4), (2, 9)]),
     };
     g.check(
         "AgentEnvelope::MigrateAck",
@@ -367,7 +367,7 @@ fn message_vectors() {
             agent: aid(1),
             key: 6,
             reply_to: 2,
-            horizon: BTreeMap::from([(0, 3), (4, 9)]),
+            horizon: marp_agent::Horizon::from_iter([(0, 3), (4, 9)]),
         },
         "05c08db701010706020200030409",
     );

@@ -456,7 +456,7 @@ pub fn run_scenario_traced(scenario: &Scenario) -> (RunOutcome, marp_sim::TraceL
     }
 
     let trace = sim.into_trace();
-    let metrics = PaperMetrics::from_trace(&trace);
+    let mut metrics = PaperMetrics::default();
     // MARP orders commits per object key (keyed store), so its audit
     // checks order preservation and denseness per key; the dense
     // *global*-version baselines (MCV, PC) get the strict global
@@ -466,7 +466,10 @@ pub fn run_scenario_traced(scenario: &Scenario) -> (RunOutcome, marp_sim::TraceL
         ProtocolKind::Mcv | ProtocolKind::PrimaryCopy => InvariantMonitor::strict(0),
         ProtocolKind::AvailableCopy | ProtocolKind::WeightedVoting => InvariantMonitor::relaxed(),
     };
-    monitor.observe_all(trace.records());
+    for record in trace.records() {
+        metrics.observe(record);
+        monitor.observe(record);
+    }
     // The durability cross-check: every write acknowledged to a client
     // must have been applied by at least one replica.
     let lost_acked_writes: Vec<u64> = acked

@@ -588,7 +588,7 @@ mod tests {
             wrap_agent_envelope(AgentEnvelope::MigrateAck {
                 agent,
                 hop: 1,
-                horizon: [(0, 2)].into(),
+                horizon: marp_agent::Horizon::from_iter([(0, 2)]),
             }),
             to_agent(&AgentReply::LlChanged {
                 node: 2,

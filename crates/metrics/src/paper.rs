@@ -14,7 +14,7 @@
 //!   visiting K number of servers".
 
 use crate::stats::Samples;
-use marp_sim::{TraceEvent, TraceLog};
+use marp_sim::{TraceEvent, TraceLog, TraceRecord};
 use std::collections::BTreeMap;
 
 /// ALT/ATT/PRK extracted from one run.
@@ -43,31 +43,37 @@ impl PaperMetrics {
     pub fn from_trace(trace: &TraceLog) -> Self {
         let mut metrics = PaperMetrics::default();
         for record in trace.records() {
-            match record.event {
-                TraceEvent::RequestArrived { write: true, .. } => {
-                    metrics.writes_arrived += 1;
-                }
-                TraceEvent::UpdateCompleted {
-                    arrived,
-                    dispatched,
-                    locked,
-                    visits,
-                    ..
-                } => {
-                    metrics.completed += 1;
-                    let alt = locked.saturating_since(dispatched).as_secs_f64() * 1e3;
-                    let att = record.at.saturating_since(arrived).as_secs_f64() * 1e3;
-                    metrics.alt_ms.push(alt);
-                    metrics.att_ms.push(att);
-                    *metrics.visits.entry(visits).or_insert(0) += 1;
-                }
-                TraceEvent::AgentMigrated { .. } => metrics.migrations += 1,
-                TraceEvent::AgentDispatched { .. } => metrics.agents += 1,
-                TraceEvent::WinAborted { .. } => metrics.aborted_claims += 1,
-                _ => {}
-            }
+            metrics.observe(record);
         }
         metrics
+    }
+
+    /// Count one trace record, in trace order (a caller folding the
+    /// trace for other readers too feeds each record here).
+    pub fn observe(&mut self, record: &TraceRecord) {
+        match record.event {
+            TraceEvent::RequestArrived { write: true, .. } => {
+                self.writes_arrived += 1;
+            }
+            TraceEvent::UpdateCompleted {
+                arrived,
+                dispatched,
+                locked,
+                visits,
+                ..
+            } => {
+                self.completed += 1;
+                let alt = locked.saturating_since(dispatched).as_secs_f64() * 1e3;
+                let att = record.at.saturating_since(arrived).as_secs_f64() * 1e3;
+                self.alt_ms.push(alt);
+                self.att_ms.push(att);
+                *self.visits.entry(visits).or_insert(0) += 1;
+            }
+            TraceEvent::AgentMigrated { .. } => self.migrations += 1,
+            TraceEvent::AgentDispatched { .. } => self.agents += 1,
+            TraceEvent::WinAborted { .. } => self.aborted_claims += 1,
+            _ => {}
+        }
     }
 
     /// Pool another run of the same configuration into this one (the

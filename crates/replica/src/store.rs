@@ -114,6 +114,14 @@ impl VersionedStore {
         self.chains.get(&0).map_or(0, |c| c.applied)
     }
 
+    /// Highest version chain 0 has applied or holds buffered behind a
+    /// gap: every version this store has been handed a commit for.
+    pub fn seen_version(&self) -> u64 {
+        self.chains.get(&0).map_or(0, |c| {
+            c.pending.last_key_value().map_or(c.applied, |(&v, _)| v)
+        })
+    }
+
     /// Highest version applied on `key`'s chain.
     pub fn applied_version_for(&self, key: u64) -> u64 {
         self.chains
@@ -332,6 +340,16 @@ mod tests {
         assert_eq!(store.get(1).unwrap().value, 30);
         assert_eq!(store.gap(), None);
         assert!(!store.has_gap());
+    }
+
+    #[test]
+    fn a_buffered_commit_is_seen_before_it_is_applied() {
+        let mut store = VersionedStore::new();
+        store.offer(record(1, 1, 10), SimTime::ZERO);
+        store.offer(record(3, 1, 30), SimTime::ZERO);
+        assert_eq!((store.applied_version(), store.seen_version()), (1, 3));
+        store.offer(record(2, 1, 20), SimTime::ZERO);
+        assert_eq!((store.applied_version(), store.seen_version()), (3, 3));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Cross-crate consistency fuzzing: MARP clusters across sizes, loads
 //! and seeds — every run must complete all writes, stay totally
-//! ordered, and respect the Theorem 3 visit bounds.
+//! ordered, and respect the Theorem 3 visit bounds — and the MCV
+//! baseline under the contention the paper's figures run it at.
 
-use marp_lab::{run_scenario, run_sweep, Scenario};
+use marp_lab::{run_scenario, run_sweep, ProtocolKind, Scenario};
 
 #[test]
 fn marp_is_consistent_across_sizes_and_loads() {
@@ -92,4 +93,35 @@ fn adaptive_batching_survives_bursts_and_coalesces() {
         "adaptive batching never coalesced ({} agents)",
         outcome.metrics.agents
     );
+}
+
+/// MCV at the paper's 25 ms mean with 400 writes per client: on these
+/// seeds a replica voted with the version it had *applied*, below a
+/// commit it held buffered behind a gap — whose `Apply` had already
+/// released its promise — and a round whose majority paired it with a
+/// replica lacking the newer version reused a taken version.
+#[test]
+fn mcv_never_commits_two_writes_at_one_version() {
+    let scenarios: Vec<Scenario> = [5461, 24954, 25156, 5036, 5050, 5072, 5109]
+        .into_iter()
+        .map(|seed| {
+            let mut s = Scenario::paper(5, 25.0, seed).with_protocol(ProtocolKind::Mcv);
+            s.requests_per_client = 400;
+            s
+        })
+        .collect();
+    let outcomes = run_sweep(&scenarios, None);
+    for (scenario, outcome) in scenarios.iter().zip(&outcomes) {
+        assert!(
+            outcome.audit.ok(),
+            "seed {}: {:?}",
+            scenario.seed,
+            outcome.audit.violations
+        );
+        assert_eq!(
+            outcome.acked_writes, outcome.issued,
+            "seed {}: {} of {} writes acked",
+            scenario.seed, outcome.acked_writes, outcome.issued
+        );
+    }
 }

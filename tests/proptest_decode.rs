@@ -23,7 +23,7 @@ use marp_repro::replica::{
     ClientReply, ClientRequest, CommitRecord, LlSnapshot, Operation, SyncMsg, UpdatedList,
     WriteRequest,
 };
-use marp_repro::sim::{span_id, SimTime, SpanKind, TraceEvent};
+use marp_repro::sim::{span_id, NodeId, SimTime, SpanKind, TraceEvent};
 use marp_repro::wire::{from_bytes, from_bytes_into, to_bytes, Wire};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -150,7 +150,7 @@ fn node_msgs() -> Vec<NodeMsg> {
             agent: aid(1),
             key: 6,
             reply_to: 2,
-            horizon: BTreeMap::from([(0, 3), (4, 9)]),
+            horizon: Horizon::from_iter([(0, 3), (4, 9)]),
         },
         NodeMsg::Sync(SyncMsg::Pull {
             versions: BTreeMap::from([(0, 3), (7, 1)]),
@@ -437,7 +437,42 @@ fn forged_maps_and_horizons_are_refused() {
     }
 }
 
+/// `bytes` decoded as the `server → version` map a horizon used to be
+/// and as a [`Horizon`]: both refused, or both the same entries.
+fn map_and_horizon_agree(bytes: &Bytes) -> Result<(), TestCaseError> {
+    match (
+        from_bytes::<BTreeMap<NodeId, u64>>(bytes),
+        from_bytes::<Horizon>(bytes),
+    ) {
+        (Ok(map), Ok(horizon)) => {
+            prop_assert_eq!(
+                map.into_iter().collect::<Vec<_>>(),
+                horizon.iter().collect::<Vec<_>>()
+            )
+        }
+        (map, horizon) => prop_assert!(map.is_err() && horizon.is_err(), "{map:?} but {horizon:?}"),
+    }
+    Ok(())
+}
+
 proptest! {
+    /// A knowledge horizon is a [`Horizon`] wherever it lives; the map
+    /// it replaced is its oracle here, and only here: the same entries
+    /// encode alike, and any bytes — a map's, a list with servers out
+    /// of order or twice, or noise — decode alike.
+    #[test]
+    fn a_horizon_is_the_map_it_replaced_on_the_wire(
+        map in proptest::collection::btree_map(any::<u16>(), any::<u64>(), 0..13),
+        forged in proptest::collection::vec((0u16..6, any::<u64>()), 0..13),
+        raw in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let horizon: Horizon = map.iter().map(|(&server, &version)| (server, version)).collect();
+        prop_assert_eq!(to_bytes(&map), to_bytes(&horizon));
+        map_and_horizon_agree(&to_bytes(&map))?;
+        map_and_horizon_agree(&to_bytes(&forged))?;
+        map_and_horizon_agree(&Bytes::from(raw))?;
+    }
+
     #[test]
     fn decoders_never_panic_and_only_accept_fixed_points(
         raw in proptest::collection::vec(any::<u8>(), 0..256),
@@ -452,7 +487,7 @@ proptest! {
         robust_into(&[fresh, travelled.clone()], &travelled, raw);
         let wider = ReadAgent::new(aid(3), &MarpConfig::new(9), 99, 4, 11);
         robust_into(&[ReadAgent::new(aid(1), &cfg, 9, 8, 7), wider.clone()], &wider, raw);
-        robust(&[AgentEnvelope::MigrateAck { agent: aid(2), hop: 3, horizon: BTreeMap::from([(0, 4), (3, 9)]) }], raw);
+        robust(&[AgentEnvelope::MigrateAck { agent: aid(2), hop: 3, horizon: Horizon::from_iter([(0, 4), (3, 9)]) }], raw);
         robust(&[[(0, 4), (3, 9)].into_iter().collect::<Horizon>()], raw);
         robust(&[McvMsg::Apply { ballot, records: vec![commit_record()] }], raw);
         robust(&[WvMsg::RResp { rid: 9, votes: 2, held: Some((300, 6)) }], raw);
