@@ -13,7 +13,10 @@
 //! the previous winner's reservation is *held* by the server and
 //! answered when that winner's COMMIT lands, so the lock hands over
 //! without a refusal (see `host.rs`); an agent that exhausts its
-//! itinerary *parks*; its host pushes it a small change notice on every
+//! itinerary *parks*, and so does one enqueued at a majority behind a
+//! rival that already tops a majority (`Priority::Behind`: touring on
+//! could not change who commits next, and news that unsettles the
+//! rival sends it on); its host pushes it a small change notice on every
 //! COMMIT ("agent W finished"), and periodic re-polls — which double as
 //! lock lease refreshes — fetch the full picture if a notice was lost.
 //! A re-poll whose timer ran while notices were arriving has nothing to
@@ -236,6 +239,12 @@ impl UpdateAgent {
                 certificate,
             } => {
                 self.start_update(host, env, via_tie, certificate);
+                Action::Stay
+            }
+            // Touring on cannot change who commits next: wait here for
+            // the news that the rival finished.
+            Priority::Behind => {
+                self.enter_parked(host, env);
                 Action::Stay
             }
             Priority::NotYet => {
@@ -848,7 +857,6 @@ mod tests {
                 positive: false,
                 fenced: false,
                 store_version: 0,
-                last_update: SimTime::ZERO,
             });
         }
 
@@ -1027,7 +1035,6 @@ mod tests {
                 positive: false,
                 fenced: false,
                 store_version: 0,
-                last_update: SimTime::ZERO,
             }),
         };
         runtime.handle_envelope(0, refusal, &mut state, &mut ctx);

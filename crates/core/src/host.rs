@@ -138,6 +138,11 @@ pub struct MarpServerState {
     /// The list [`ServerCore::apply_commits`] appends to, drained by
     /// [`Self::handle_commit`].
     applied: Vec<CommitRecord>,
+    /// A claim was refused behind a stale Locking-List top, or a stale
+    /// agent holds a reservation: this server may have missed the
+    /// COMMIT that would retire it, so its node asks a peer (see
+    /// [`Self::take_ask`]).
+    ask: bool,
 }
 
 impl MarpServerState {
@@ -153,7 +158,25 @@ impl MarpServerState {
             peer_horizons: BTreeMap::new(),
             fences: BTreeMap::new(),
             applied: Vec::new(),
+            ask: false,
         }
+    }
+
+    /// Whether `agent` is old enough that, were it live, it would have
+    /// committed by now: born at least two ack timeouts ago. A server
+    /// that still finds such an agent atop its Locking List or holding
+    /// a reservation may have missed its COMMIT (a lossy link or a
+    /// partition dropped it, and no later commit left a gap to see).
+    /// The one place the threshold is derived.
+    fn stale(&self, agent: AgentId, now: SimTime) -> bool {
+        agent.born + self.cfg.ack_timeout * 2 <= now
+    }
+
+    /// Whether this server has seen reason to ask a peer for commits it
+    /// may have missed since the last call; clears the flag. The node
+    /// pulls from a rotating peer when it is set.
+    pub(crate) fn take_ask(&mut self) -> bool {
+        std::mem::take(&mut self.ask)
     }
 
     /// Write into the empty `horizon` this server's knowledge horizon
@@ -337,6 +360,14 @@ impl MarpServerState {
                 a: msg.agent.key(),
                 b: (u64::from(self.core.me()) << 8) | refusal as u64,
             });
+            // A superseded claimant disposes on this answer. Left in the
+            // queue, it would stand as a dead top until its lease lapsed,
+            // and an agent parked behind it would wait all that time.
+            if refusal.fenced() {
+                self.core.ll.remove(key, msg.agent);
+            }
+            let top = self.core.ll.top(key, now);
+            self.ask |= top.is_some_and(|top| self.stale(top, now));
         } else {
             // A holder claiming again renews its lease and keeps the
             // claims waiting behind it.
@@ -371,8 +402,7 @@ impl MarpServerState {
                 attempt: msg.attempt,
                 positive,
                 fenced: refusal.is_some_and(Refusal::fenced),
-                store_version: self.core.store.applied_version_for(key),
-                last_update: self.core.store.last_update_time_for(key),
+                store_version: self.core.store.seen_version_for(key),
             },
         });
     }
@@ -555,6 +585,9 @@ impl MarpServerState {
         }
         let now = ctx.now();
         self.end_reservations_where(|r| r.lapsed(now), ctx, answers);
+        // A claim held behind a reservation is never refused while the
+        // lease runs, so a stale holder must raise the flag itself.
+        self.ask |= self.reserved.values().any(|r| self.stale(r.holder, now));
     }
 
     /// Crash recovery: volatile coordination state resets.
@@ -848,6 +881,33 @@ mod tests {
         assert_eq!(acked(&ctx, b), 1);
         assert_eq!(state.reserved_for(1), Some(b));
         assert_eq!(state.held_claimants(1).count(), 0);
+    }
+
+    #[test]
+    fn an_ack_reports_a_version_buffered_behind_a_gap() {
+        let (mut state, a, b, mut ctx) = reserved_for_a();
+        let mut early = own_msg(b, None);
+        early.attempt = 4;
+        assert!(state.update(early, &mut ctx).is_empty());
+        // a's COMMIT is for version 3, but versions 1 and 2 never
+        // reached this server: it can only buffer the record. It still
+        // retires a and answers the claim held behind it.
+        ctx.now = SimTime::from_millis(5);
+        let outcome = commit(&mut state, a, vec![commit_record(a, 3, ctx.now)], &mut ctx);
+        assert_eq!(state.core.store.applied_version_for(1), 0);
+        assert_eq!(outcome.answers.len(), 1);
+        let AgentReply::UpdateAck {
+            positive,
+            store_version,
+            ..
+        } = outcome.answers[0].ack
+        else {
+            panic!("expected ack")
+        };
+        // b must number its write past the buffered version: reporting
+        // the applied one would let it commit as version 3 too.
+        assert!(positive);
+        assert_eq!(store_version, 3);
     }
 
     #[test]
@@ -1275,6 +1335,31 @@ mod tests {
         assert!(!positive(&ack));
         assert!(fenced(&ack), "committed work must fence late claimants");
         assert_eq!(refusals(&ctx), [Refusal::AlreadyCommitted as u64]);
+    }
+
+    #[test]
+    fn a_superseded_claimant_leaves_the_queue() {
+        let mut state = state();
+        let (winner, zombie, next) = (aid(1, 1), aid(3, 3), aid(2, 4));
+        let mut ctx = RecordingCtx::new(0, SimTime::from_millis(5));
+        state.visit(winner, 1, SimTime::from_millis(1), 1);
+        state.visit(zombie, 1, SimTime::from_millis(2), 1);
+        state.visit(next, 1, SimTime::from_millis(3), 2);
+        let record = CommitRecord {
+            version: 1,
+            key: 1,
+            value: 7,
+            agent: winner.key(),
+            request: 1,
+            committed_at: ctx.now,
+        };
+        state.learn(Some(winner), vec![record], &mut ctx);
+        // The zombie carries the committed request: refused as
+        // superseded, it disposes, so it stands in no one's way here.
+        let ack = claim(&mut state, update_msg(zombie, None), &mut ctx);
+        assert!(fenced(&ack));
+        assert!(!state.core.ll.contains(1, zombie));
+        assert_eq!(state.core.ll.top(1, ctx.now), Some(next));
     }
 
     /// Each refusal, reached by a real claim: traced with its code, and

@@ -489,6 +489,20 @@ impl LockingTable {
             .collect()
     }
 
+    /// Number of rows where slot `me` is next in line behind slot
+    /// `rival`: the first agent there that is neither `rival` nor
+    /// [`DEAD`] in `slots` (a [`Self::tally_tops`] reading).
+    fn next_in_line(&self, me: usize, rival: usize, slots: &[u16]) -> usize {
+        let first_other = |row: &LlRow| {
+            let mut ranks = row.ranks.iter().map(|&rank| usize::from(rank));
+            ranks.find(|&rank| rank != rival && slots[rank] != DEAD)
+        };
+        self.rows
+            .iter()
+            .filter(|(_, row)| first_other(row) == Some(me))
+            .count()
+    }
+
     /// Number of servers whose known queue contains `agent` — the
     /// agent's *presence*. A claim can only be validated at servers
     /// where the claimant is enqueued, so the stuck-configuration rule
@@ -575,6 +589,12 @@ pub enum Priority {
     },
     /// Not decidable in this agent's favour yet.
     NotYet,
+    /// Another live agent already tops a strict majority, and this one
+    /// is next in line behind it at a strict majority: no further visit
+    /// can change who commits next, and this agent can claim the moment
+    /// the rival finishes, so it parks instead of touring on until news
+    /// leaves no settled rival.
+    Behind,
 }
 
 /// Strict-majority threshold for `n` replicas (`⌊n/2⌋ + 1`).
@@ -620,6 +640,18 @@ pub fn decide(
             certificate: Vec::new(),
         };
     }
+    // A rival's outright majority settles the next commit whatever this
+    // agent sees elsewhere. Only an agent next in line at a majority
+    // can claim after it without another visit (Theorem 3's floor);
+    // one further back gains nothing by waiting here.
+    let best = tops.iter().filter(live).copied().max().unwrap_or(0);
+    if usize::from(best) >= maj {
+        let rival = tops.iter().position(|&tops| tops == best);
+        return match my_slot.zip(rival) {
+            Some((me, rival)) if lt.next_in_line(me, rival, tops) >= maj => Priority::Behind,
+            _ => Priority::NotYet,
+        };
+    }
 
     // Stuck-configuration resolution requires full coverage: a snapshot
     // or an unavailability declaration for every server.
@@ -630,7 +662,6 @@ pub fn decide(
 
     // If any agent (this one included) could still assemble an outright
     // majority, wait.
-    let best = tops.iter().filter(live).copied().max().unwrap_or(0);
     if usize::from(best) + claimable >= maj {
         return Priority::NotYet;
     }
@@ -784,7 +815,69 @@ mod tests {
                 certificate: vec![]
             }
         );
-        assert_eq!(decide(&lt, rival, 5, &finished, &[]), Priority::NotYet);
+        // The rival is next in line behind `me` at 3 of 5: it waits for
+        // `me` to finish.
+        assert_eq!(decide(&lt, rival, 5, &finished, &[]), Priority::Behind);
+    }
+
+    #[test]
+    fn behind_an_outright_rival_parks_only_next_in_line_at_a_majority() {
+        let me = aid(1);
+        let rival = aid(2);
+        let third = aid(3);
+        let finished = UpdatedList::new();
+        // The rival tops 3 of 5; `me` is enqueued at only 2, so it could
+        // not claim after the rival finishes: it keeps travelling.
+        let lt = table(&[&[rival, me], &[rival, me], &[rival], &[], &[]]);
+        assert_eq!(decide(&lt, me, 5, &finished, &[]), Priority::NotYet);
+        // Enqueued at a third server, it has nothing left to gain by a
+        // visit.
+        let lt = table(&[&[rival, me], &[rival, me], &[rival, me], &[], &[]]);
+        assert_eq!(decide(&lt, me, 5, &finished, &[]), Priority::Behind);
+        // The rival finishing unsettles it again.
+        let mut done = UpdatedList::new();
+        done.record(rival, SimTime::ZERO);
+        assert!(matches!(
+            decide(&lt, me, 5, &done, &[]),
+            Priority::Win { via_tie: false, .. }
+        ));
+        // Behind the rival, next in line at only 2 servers: the commit
+        // after the rival's is not settled to be its own, so it tours on.
+        let lt = table(&[
+            &[rival, third, me],
+            &[rival, third, me],
+            &[rival, me, third],
+            &[],
+            &[],
+        ]);
+        assert_eq!(decide(&lt, third, 5, &finished, &[]), Priority::NotYet);
+        assert_eq!(decide(&lt, me, 5, &finished, &[]), Priority::NotYet);
+        // Third in line at a majority gains nothing by parking early.
+        let lt = table(&[
+            &[rival, third, me],
+            &[rival, third, me],
+            &[rival, third, me],
+            &[],
+            &[],
+        ]);
+        assert_eq!(decide(&lt, third, 5, &finished, &[]), Priority::Behind);
+        assert_eq!(decide(&lt, me, 5, &finished, &[]), Priority::NotYet);
+    }
+
+    #[test]
+    fn a_tie_break_winner_does_not_settle_the_next_commit() {
+        // N = 5, tops 2/2/1 with full coverage: `a` wins on the stuck
+        // rule only. `c` is enqueued at 3 servers, but a tie-break win
+        // can still be refused, so `c` is not behind a settled rival.
+        let (a, b, c) = (aid(1), aid(2), aid(3));
+        let lt = table(&[&[a, c], &[a, b], &[b, a], &[b, c], &[c, a, b]]);
+        let finished = UpdatedList::new();
+        assert!(matches!(
+            decide(&lt, a, 5, &finished, &[]),
+            Priority::Win { via_tie: true, .. }
+        ));
+        assert_eq!(lt.presence_count(c), 3);
+        assert_eq!(decide(&lt, c, 5, &finished, &[]), Priority::NotYet);
     }
 
     #[test]

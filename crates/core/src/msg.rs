@@ -163,11 +163,10 @@ pub enum AgentReply {
         /// True when validation passed and the lock is reserved for the
         /// claimant; the paper's plain ack.
         positive: bool,
-        /// The server's applied version (the winner commits from the
-        /// quorum maximum — "uses the most recent copy").
+        /// The highest version the server has seen on the key's chain,
+        /// applied or buffered behind a gap (the winner commits from
+        /// the quorum maximum — "uses the most recent copy").
         store_version: u64,
-        /// The server's last update time (the paper's freshness check).
-        last_update: SimTime,
         /// True when the claim was refused because it is *superseded*:
         /// its incarnation is below a fence, or every request it
         /// carries has already committed. The agent must release and
@@ -202,7 +201,7 @@ pub enum AgentReply {
 }
 
 marp_wire::wire_enum!(AgentReply {
-    0 => UpdateAck { node, attempt, positive, store_version, last_update, fenced },
+    0 => UpdateAck { node, attempt, positive, store_version, fenced },
     1 => LlInfo { node, snapshot, board, ul },
     2 => LlChanged { node, finished, at },
 });
@@ -297,7 +296,6 @@ mod tests {
             attempt: 3,
             positive: true,
             store_version: 5,
-            last_update: SimTime::from_millis(7),
             fenced: false,
         };
         let bytes = marp_wire::to_bytes(&reply);

@@ -94,6 +94,9 @@ pub struct MarpNode {
     mail: MailCounters,
     /// What the server state leaves to send, drained as it is sent.
     outbox: CommitOutcome,
+    /// Maintenance ticks so far: a catch-up pull goes to the peer this
+    /// many places (mod N − 1) past the next one.
+    ask_rotation: NodeId,
 }
 
 impl MarpNode {
@@ -117,6 +120,7 @@ impl MarpNode {
             outstanding: BTreeMap::new(),
             mail: MailCounters::default(),
             outbox: CommitOutcome::default(),
+            ask_rotation: 0,
         }
     }
 
@@ -419,9 +423,16 @@ impl MarpNode {
         if self.state.config().adaptive_batching {
             self.adapt_batch_size(ctx);
         }
-        let peer = (self.me() + 1) % self.state.config().n_servers as NodeId;
-        if peer != self.me() {
-            self.state.core.pull_if_behind(peer, ctx);
+        let n = self.state.config().n_servers as NodeId;
+        if n > 1 {
+            let turn = self.ask_rotation % (n - 1);
+            self.ask_rotation = self.ask_rotation.wrapping_add(1);
+            // A gap, a stale top or a stale reservation holder: the
+            // commits this server lacks may exist only on servers it
+            // cannot tell apart, so the pulls rotate over the others.
+            if self.state.take_ask() || self.state.core.store.has_gap() {
+                self.state.core.pull_from((self.me() + 1 + turn) % n, ctx);
+            }
         }
         // Retire registry entries whose batch fully committed; their
         // regeneration deadlines go stale with them. (A deadline that

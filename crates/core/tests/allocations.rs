@@ -34,8 +34,10 @@ struct Host {
 }
 
 impl Host {
-    /// Server `me`, with a rival queued ahead of any newcomer on keys 1
-    /// and 2: agents for either key travel the whole itinerary.
+    /// Server `me`, with three rivals queued ahead of any newcomer on
+    /// keys 1 and 2, rotated by `me` so that none tops a majority:
+    /// agents for either key travel the whole itinerary (behind a
+    /// rival that topped a majority they would park at a majority).
     fn new(me: NodeId, cfg: &MarpConfig) -> Self {
         let topo = Topology::uniform_lan(N, Duration::from_millis(1));
         let mut host = Host {
@@ -48,8 +50,10 @@ impl Host {
             ctx: RecordingCtx::new(me, SimTime::from_millis(20)),
         };
         for key in [1, 2] {
-            let rival = aid(1, 100 + key as u32);
-            host.state.visit(rival, key, SimTime::from_millis(2), 1);
+            for home in (0..N as NodeId).map(|r| (r + me) % N as NodeId) {
+                let rival = aid(home, 100 + key as u32);
+                host.state.visit(rival, key, SimTime::from_millis(2), home);
+            }
         }
         host
     }
@@ -263,7 +267,8 @@ fn a_visit_that_does_not_grow_the_queue_allocates_nothing() {
     let ((), requests, _) = noting_alloc::requests_during(|| visit(4));
     assert_eq!(requests, 0);
     assert_eq!(lt.known_servers(), 1);
-    assert_eq!(lt.roster().len(), 2);
+    // The host's N rivals and the visitor.
+    assert_eq!(lt.roster().len(), N + 1);
 }
 
 /// A retried hop's state, arriving twice: the second delivery is acked
@@ -301,7 +306,6 @@ fn a_migrate_frame_allocates_once_and_an_answer_not_at_all() {
         attempt: 1,
         positive: true,
         store_version: 4,
-        last_update: SimTime::from_millis(3),
         fenced: false,
     };
     let id = aid(0, 1);

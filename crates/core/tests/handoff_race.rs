@@ -197,7 +197,8 @@ fn an_early_claim_is_held_and_the_lock_hands_over_without_an_abort() {
     let (mut sim, cfg) = cluster(N, &[0, 1]);
 
     // Both agents tour; one claims (its acks are held back so it stays
-    // mid-claim), the other exhausts its itinerary and parks.
+    // mid-claim), the other parks behind it once enqueued at a
+    // majority.
     deliver_all(&mut sim, N, |m| !is_ack(m));
     assert_eq!(claims(&sim), 1);
     let [(host, successor)] = parked(&sim, N)[..] else {
@@ -225,18 +226,31 @@ fn an_early_claim_is_held_and_the_lock_hands_over_without_an_abort() {
     // ...and the claim's UPDATE overtakes the COMMIT at the other
     // servers. Those that acked the winner still hold its reservation:
     // they keep the early claim instead of refusing it. Without them
-    // the successor has no majority.
+    // the successor has no majority: elsewhere it is enqueued at too
+    // few servers (it parked as soon as it was queued at a majority).
     let reserving: Vec<NodeId> = (0..N as NodeId)
         .filter(|&s| {
             let state = sim.process::<MarpNode>(s).expect("server").state();
             state.reserved_for(1).is_some()
         })
         .collect();
+    let queued: Vec<NodeId> = (0..N as NodeId)
+        .filter(|&s| {
+            let state = sim.process::<MarpNode>(s).expect("server").state();
+            state.core.ll.rank_of(1, successor, sim.now()).is_some()
+        })
+        .collect();
     assert!(!reserving.contains(&host));
-    assert!(N - reserving.len() < MAJORITY);
+    assert!(reserving.iter().all(|s| queued.contains(s)));
+    assert!(queued.len() >= MAJORITY);
+    assert!(queued.len() - reserving.len() < MAJORITY);
     assert_eq!(deliver_all(&mut sim, N, is_update), N);
     assert_eq!(custom(&sim, trace::UPDATE_HELD), reserving.len());
-    assert_eq!(custom(&sim, trace::UPDATE_REFUSED), refused_before);
+    // Only the servers it never visited refuse it.
+    assert_eq!(
+        custom(&sim, trace::UPDATE_REFUSED),
+        refused_before + N - queued.len()
+    );
     assert_eq!(
         count(
             &sim,
@@ -251,7 +265,8 @@ fn an_early_claim_is_held_and_the_lock_hands_over_without_an_abort() {
     }
 
     // The COMMIT lands: every server answers the held claim, positively
-    // and carrying the post-COMMIT version, and mails no one else.
+    // where the successor is enqueued and carrying the post-COMMIT
+    // version, and mails no one else.
     assert_eq!(deliver_all(&mut sim, N, is_commit), N - 1);
     let commit_landed = sim.now();
     let acks: Vec<AgentReply> = in_flight(&mut sim, N)
@@ -259,9 +274,9 @@ fn an_early_claim_is_held_and_the_lock_hands_over_without_an_abort() {
         .filter_map(|m| m.mail.map(|(_, reply)| reply))
         .collect();
     assert_eq!(acks.len(), N);
-    assert!(acks
-        .iter()
-        .all(|reply| matches!(reply, AgentReply::UpdateAck { positive: true, .. })));
+    let positive =
+        |reply: &&AgentReply| matches!(reply, AgentReply::UpdateAck { positive: true, .. });
+    assert_eq!(acks.iter().filter(positive).count(), queued.len());
     let post_commit = |reply: &&AgentReply| {
         matches!(
             reply,
@@ -307,7 +322,8 @@ fn an_early_claim_is_held_and_the_lock_hands_over_without_an_abort() {
 fn a_claim_refused_behind_an_unfinished_agent_retries_on_the_news_it_absorbed() {
     const N: usize = 3;
     // Three writers on one server: their agents queue in the same order
-    // everywhere. The first wins; the other two tour and park.
+    // wherever they are queued. The first wins; the second parks behind
+    // it, and the third tours and parks.
     let (mut sim, _) = cluster(N, &[0, 0, 0]);
     deliver_all(&mut sim, N, |m| !is_ack(m));
     assert_eq!(claims(&sim), 1);
@@ -359,11 +375,23 @@ fn a_claim_refused_behind_an_unfinished_agent_retries_on_the_news_it_absorbed() 
     sim.schedule_external(now, third_host, forged);
     assert_eq!(deliver_all(&mut sim, N, is_notice), 1);
     assert_eq!(claims(&sim), 3);
-    // Every server finds the unfinished second agent ahead of it. That
-    // is no early claim: it is refused at once, never held.
+    // Every server that queued the second agent finds it, unfinished,
+    // ahead of the third. That is no early claim: it is refused at
+    // once, never held. (The second parked as soon as it was next in
+    // line at a majority, so a minority may not have queued it.)
+    let queued_second = (0..N as NodeId)
+        .filter(|&s| {
+            let node = sim.process::<MarpNode>(s).expect("server");
+            node.state().core.ll.rank_of(1, second, sim.now()).is_some()
+        })
+        .count();
+    assert!(queued_second > N / 2, "queued at a majority");
     let refused_before = custom(&sim, trace::UPDATE_REFUSED);
     assert_eq!(deliver_all(&mut sim, N, from(third)), N);
-    assert_eq!(custom(&sim, trace::UPDATE_REFUSED), refused_before + N);
+    assert_eq!(
+        custom(&sim, trace::UPDATE_REFUSED),
+        refused_before + queued_second
+    );
     assert_eq!(custom(&sim, trace::UPDATE_HELD), 0);
 
     // Meanwhile the second agent really does win and commit. The

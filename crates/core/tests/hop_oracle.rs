@@ -204,12 +204,15 @@ fn a_key_above_two_to_the_48_is_pruned_like_any_other() {
 
 /// Three servers, each with `rivals` queued on `key` ahead of any
 /// newcomer and `unrelated` finished agents of other keys in its
-/// Updated List.
+/// Updated List. Server `s` queues them rotated by `s`, so no rival
+/// tops a majority: behind one that did, a newcomer enqueued at a
+/// majority would park before its last stop.
 fn contended_hosts(cfg: &MarpConfig, key: u64, rivals: &[AgentId], unrelated: u32) -> Vec<Host> {
     (0..3)
         .map(|me| {
             let mut host = Host::new(me, cfg);
-            for &rival in rivals {
+            let rotated = rivals.iter().cycle().skip(usize::from(me));
+            for &rival in rotated.take(rivals.len()) {
                 host.state
                     .visit(rival, key, SimTime::from_millis(2), rival.home);
             }

@@ -149,6 +149,25 @@ impl Model {
                 certificate: Vec::new(),
             };
         }
+        // A rival's outright majority settles the next commit: wait for
+        // it where this agent is next in line at a majority, travel
+        // otherwise.
+        let leader = self.ranking(finished).first().copied();
+        if let Some((rival, _)) = leader.filter(|&(_, tops)| tops >= maj) {
+            let next_in_line = self
+                .snapshots
+                .values()
+                .filter(|snap| {
+                    let mut others = snap.queue.iter().copied();
+                    others.find(|&a| a != rival && !finished.contains(a)) == Some(me)
+                })
+                .count();
+            return if next_in_line >= maj {
+                Priority::Behind
+            } else {
+                Priority::NotYet
+            };
+        }
         let known = |s: &NodeId| self.snapshots.contains_key(s);
         if !(0..n as NodeId).all(|s| known(&s) || unavailable.contains(&s)) {
             return Priority::NotYet;

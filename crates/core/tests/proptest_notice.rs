@@ -8,12 +8,15 @@
 //! the server would have sent afresh — the same queues with `w` gone:
 //!
 //! `decide(lt, ual ∪ {w}) == decide(lt with w removed from every queue, ual)`
+//!
+//! for every verdict: a win, not yet, and behind a settled rival.
 
 use marp_agent::AgentId;
-use marp_core::lt::{decide, LockingTable};
+use marp_core::lt::{decide, LockingTable, Priority};
 use marp_replica::{LlSnapshot, UpdatedList};
 use marp_sim::{NodeId, SimTime};
 use proptest::prelude::*;
+use proptest::test_runner::{run_property_test, Gen};
 
 /// A small pool, so queues overlap and one agent often tops a majority.
 const POOL: u16 = 4;
@@ -53,48 +56,73 @@ fn table(queues: &[Vec<AgentId>], unknown: &[NodeId], without: Option<AgentId>) 
     lt
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(2048))]
-
-    #[test]
-    fn finished_mark_equals_removal(
-        n in 1usize..8,
-        queues in proptest::collection::vec(arb_queue(), 7),
-        rotate in proptest::collection::vec(0usize..4, 7),
-        unknown in proptest::collection::vec(0u16..7, 0..2),
-        already in proptest::collection::vec(0u16..POOL, 0..2),
-        me in 0u16..POOL,
-        w in 0u16..POOL,
-        unavailable in proptest::collection::vec(0u16..7, 0..2),
-    ) {
-        if me == w {
-            return Ok(()); // a finished agent has disposed; it never decides
-        }
-        // Subsequences keep pool order; rotate each queue so FIFO
-        // orders differ between servers.
-        let queues: Vec<Vec<AgentId>> = queues
-            .into_iter()
-            .zip(rotate)
-            .take(n)
-            .map(|(mut queue, by)| {
-                if !queue.is_empty() {
-                    let by = by % queue.len();
-                    queue.rotate_left(by);
-                }
-                queue
-            })
-            .collect();
-        let mut ual = UpdatedList::new();
-        for a in already {
-            ual.record(agent(a), SimTime::ZERO);
-        }
-        let mut ual_with_w = ual.clone();
-        ual_with_w.record(agent(w), SimTime::from_millis(5));
-
-        let stale = table(&queues, &unknown, None);
-        let fresh = table(&queues, &unknown, Some(agent(w)));
-        let noticed = decide(&stale, agent(me), n, &ual_with_w, &unavailable);
-        let fresh = decide(&fresh, agent(me), n, &ual, &unavailable);
-        prop_assert_eq!(noticed, fresh);
+/// One drawn case: the verdict both ways, or `None` for a case that
+/// cannot occur (a finished agent has disposed; it never decides).
+fn notice_case(gen: &mut Gen) -> Option<(Priority, Priority)> {
+    let n = (1usize..8).generate(gen);
+    let queues = proptest::collection::vec(arb_queue(), 7).generate(gen);
+    let rotate = proptest::collection::vec(0usize..4, 7).generate(gen);
+    let unknown = proptest::collection::vec(0u16..7, 0..2).generate(gen);
+    let already = proptest::collection::vec(0u16..POOL, 0..2).generate(gen);
+    let me = (0u16..POOL).generate(gen);
+    let w = (0u16..POOL).generate(gen);
+    let unavailable = proptest::collection::vec(0u16..7, 0..2).generate(gen);
+    if me == w {
+        return None;
     }
+    // Subsequences keep pool order; rotate each queue so FIFO orders
+    // differ between servers.
+    let queues: Vec<Vec<AgentId>> = queues
+        .into_iter()
+        .zip(rotate)
+        .take(n)
+        .map(|(mut queue, by)| {
+            if !queue.is_empty() {
+                let by = by % queue.len();
+                queue.rotate_left(by);
+            }
+            queue
+        })
+        .collect();
+    let mut ual = UpdatedList::new();
+    for a in already {
+        ual.record(agent(a), SimTime::ZERO);
+    }
+    let mut ual_with_w = ual.clone();
+    ual_with_w.record(agent(w), SimTime::from_millis(5));
+
+    let stale = table(&queues, &unknown, None);
+    let fresh = table(&queues, &unknown, Some(agent(w)));
+    Some((
+        decide(&stale, agent(me), n, &ual_with_w, &unavailable),
+        decide(&fresh, agent(me), n, &ual, &unavailable),
+    ))
+}
+
+/// The equivalence, over cases that draw each of `decide`'s three
+/// verdicts: a notice must leave a settled rival settled (`Behind`)
+/// exactly as a fresh table would.
+#[test]
+fn finished_mark_equals_removal() {
+    let mut drawn = [0u32; 3];
+    run_property_test(
+        concat!(module_path!(), "::finished_mark_equals_removal"),
+        &ProptestConfig::with_cases(2048),
+        |gen| {
+            let Some((noticed, fresh)) = notice_case(gen) else {
+                return Ok(());
+            };
+            drawn[match noticed {
+                Priority::Win { .. } => 0,
+                Priority::NotYet => 1,
+                Priority::Behind => 2,
+            }] += 1;
+            prop_assert_eq!(noticed, fresh);
+            Ok(())
+        },
+    );
+    assert!(
+        drawn.iter().all(|&cases| cases >= 50),
+        "verdicts drawn (win, not yet, behind): {drawn:?}"
+    );
 }

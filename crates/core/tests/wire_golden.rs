@@ -390,10 +390,9 @@ fn message_vectors() {
             attempt: 3,
             positive: true,
             store_version: 5,
-            last_update: ms(7),
             fenced: false,
         },
-        "0001030105c09fab0300",
+        "000103010500",
     );
     let mut ul = UpdatedList::new();
     ul.record(aid(5), ms(1));

@@ -339,4 +339,44 @@ mod tests {
         // The ablation arm is allowed to lose work.
         assert!(check(&outcome, true).is_empty());
     }
+
+    /// What one plan of the sweep fails on, as `e15_chaos --seed
+    /// <seed> --profile <profile>` runs it.
+    fn plan_failures(seed: u64, profile_name: &'static str) -> Vec<String> {
+        let profile = ChaosProfile::by_name(profile_name).expect("a profile");
+        let spec = PlanSpec {
+            seed,
+            profile_name,
+            profile,
+        };
+        check(&crate::run_scenario(&chaos_scenario(&spec, true)), false)
+    }
+
+    /// Network plans in which a lost COMMIT left servers that had
+    /// acked it with a stale Locking-List top: they used to hand its
+    /// version out twice (`order-preservation`, `version-conflict`).
+    /// They now ask a peer and learn the commit; `0x5bbd…` also needs an
+    /// ack to report a version its server holds only buffered.
+    #[test]
+    fn network_plans_that_lost_a_commit_stay_consistent() {
+        for seed in [0xabd7_e5df_74a2_a202, 0x5bbd_fbc4_ecfc_dee8] {
+            let failures = plan_failures(seed, "network");
+            assert!(failures.is_empty(), "{seed:#x}: {failures:?}");
+        }
+    }
+
+    /// Node 2 crashes and recovers, then a partition {0, 2} | {1, 3, 4}
+    /// and 2 % loss. Agent `0x9` wins version 45. Node 2 has applied
+    /// only up to 41 and can only buffer that COMMIT, yet retires the
+    /// winner and ends its reservation all the same. A claimant parked
+    /// behind `0x9` claims on its host's notice; node 2 acked it with
+    /// its applied version 41, nodes 1 and 3 before the COMMIT reached
+    /// them, and it committed its own write as version 45 too. An ack
+    /// reports the highest version seen on the key's chain, buffered
+    /// ones included, so the claimant numbers its write 46.
+    #[test]
+    fn a_mixed_plan_does_not_reuse_a_version_buffered_behind_a_gap() {
+        let failures = plan_failures(0x3336_dfc8_af63_f0d1, "mixed");
+        assert!(failures.is_empty(), "{failures:?}");
+    }
 }

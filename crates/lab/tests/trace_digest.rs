@@ -67,7 +67,7 @@ const ROWS: [Row; 4] = [
     Row {
         name: "marp_convoy",
         scenario: marp_convoy,
-        digest: 0x8a0a3cb57cd39eeb,
+        digest: 0xd20b96d0c07fc86b,
     },
     Row {
         name: "mcv",
@@ -77,12 +77,12 @@ const ROWS: [Row; 4] = [
     Row {
         name: "keyed_fresh_reads",
         scenario: keyed_fresh_reads,
-        digest: 0x290920ca67dae69d,
+        digest: 0xf978fd2a73fe6b89,
     },
     Row {
         name: "client_cut",
         scenario: client_cut,
-        digest: 0x0fe2ef286fae9315,
+        digest: 0x662570c9562ffaae,
     },
 ];
 

@@ -18,9 +18,11 @@
 //!   state space has no finite frontier.
 //!
 //! The **early-claim family** ([`ModelSpec::early_claims`]) changes
-//! only the canonical order — COMMITs travel last, and reach servers
-//! hosting a waiting agent first — so the handoff race sits on the
-//! zero-preemption path instead of two preemptions away from it.
+//! the canonical order — COMMITs travel last, and reach servers
+//! hosting a waiting agent first — and lets a COMMIT be overtaken on
+//! its own link (a jittered link keeps no per-link order either), so
+//! the handoff race sits on the zero-preemption path even when the
+//! winner and its successor share a host.
 //!
 //! On top of those, an optional **preemption bound** (CHESS-style)
 //! caps how many times a path may deviate from the canonical
@@ -501,8 +503,9 @@ impl Explorer {
 
     /// Enumerate the enabled choices at the current state, in canonical
     /// order: deliverable messages and controls (sequence order, oldest
-    /// per FIFO channel), then — only at message quiescence — the
-    /// earliest live timer per node, then crash/recover injections.
+    /// per FIFO channel, an early-claim COMMIT aside), then — only at
+    /// message quiescence — the earliest live timer per node, then
+    /// crash/recover injections.
     /// The only code that picks which pending event runs next.
     fn enabled(&self, run: &mut Run, crashes_used: usize, timer_steps: u32) -> Vec<Choice> {
         let sim = &mut run.sim;
@@ -517,7 +520,11 @@ impl Explorer {
                 PendingKind::Message { from, to, .. } => {
                     have_msgs = true;
                     inbound.insert(*to);
-                    if channels.insert((*from, *to)) {
+                    // In the early-claim family a COMMIT is slow: it
+                    // neither waits its turn on its link nor holds back
+                    // what was sent after it.
+                    let slow = self.spec.early_claims && is_commit(sim, e.seq);
+                    if slow || channels.insert((*from, *to)) {
                         choices.push(Choice::Deliver {
                             seq: e.seq,
                             kind: e.kind.clone(),
@@ -591,8 +598,7 @@ fn commit_lag(sim: &Simulation, choice: &Choice) -> u8 {
     else {
         return 0;
     };
-    let tag = sim.pending_payload(*seq).and_then(|p| p.first().copied());
-    if tag.map(marp_core::wire_tag_name) != Some("commit") {
+    if !is_commit(sim, *seq) {
         return 0;
     }
     let hosts_waiter = sim
@@ -603,4 +609,10 @@ fn commit_lag(sim: &Simulation, choice: &Choice) -> u8 {
     } else {
         2
     }
+}
+
+/// Whether the pending event `seq` is a COMMIT message.
+fn is_commit(sim: &Simulation, seq: u64) -> bool {
+    let tag = sim.pending_payload(seq).and_then(|p| p.first().copied());
+    tag.map(marp_core::wire_tag_name) == Some("commit")
 }

@@ -178,11 +178,12 @@ pub struct ModelSpec {
     pub mail_loss: MailLoss,
     /// The **early-claim schedule family** (MARP only): the network is
     /// slow for COMMITs. Everything else in flight is delivered first,
-    /// and a COMMIT reaches the servers hosting a waiting agent before
-    /// the others — so the next winner hears of the commit, claims, and
-    /// its UPDATE arrives ahead of the previous COMMIT at every other
-    /// server: the pipelined handoff's held-claim path, on the
-    /// canonical schedule and every bounded deviation from it.
+    /// a COMMIT holds back nothing sent after it on its link, and it
+    /// reaches the servers hosting a waiting agent before the others —
+    /// so the next winner hears of the commit, claims, and its UPDATE
+    /// arrives ahead of the previous COMMIT at every other server: the
+    /// pipelined handoff's held-claim path, on the canonical schedule
+    /// and every bounded deviation from it.
     pub early_claims: bool,
 }
 
@@ -623,7 +624,6 @@ mod tests {
             attempt: 3,
             positive: true,
             store_version,
-            last_update: at,
             fenced: false,
         };
         let frame = to_agent(&ack(7));

@@ -184,8 +184,9 @@ pub fn agent_loss_schedule(spec: &ModelSpec, victim: NodeId) -> Vec<Choice> {
 /// waits behind, or the early claimant itself; [`replay`]'s drain must
 /// complete every write exactly once all the same.
 ///
-/// Panics if the schedule never holds a claim (pick a shape whose
-/// winner and successor sit on different hosts, e.g. 5 replicas × 2).
+/// Panics if the schedule never holds a claim (pick a shape where the
+/// successor's UPDATE reaches a server the winner's COMMIT has not,
+/// e.g. 5 replicas × 2).
 pub fn early_claim_crash_schedule(spec: &ModelSpec, victim: NodeId) -> Vec<Choice> {
     assert!(spec.early_claims, "not an early-claim model");
     // Claims are only ever held on a contended key: the shared key 1.

@@ -4,8 +4,8 @@
 //! explorer's canonical order, so a prefix of a canonical schedule must
 //! end exactly where the whole schedule does: the drain takes the steps
 //! the prefix left out, in the order the explorer took them. This is
-//! what makes an empty schedule (`tests/schedules/known_red/`) mean
-//! "the canonical run", and what keeps a shrunk early-claim
+//! what makes an empty schedule (`tests/schedules/marp_3x2_commit_lost.txt`)
+//! mean "the canonical run", and what keeps a shrunk early-claim
 //! counterexample on the family's order after its last recorded step.
 
 use marp_mcheck::{replay, CheckConfig, Explorer, Family, MailLoss, ModelSpec, ReplayOutcome};

@@ -6,10 +6,10 @@
 //! through its re-poll timer (`AgentTimer::Repoll`).
 //!
 //! The lost-commit family (`MailLoss::Commits`) loses the COMMIT
-//! itself at every server but the winner's own host. The protocol does
-//! *not* survive that today (ROADMAP item 1): what this file pins is
-//! the family — which copies are lost — and the pinned counterexample
-//! is `tests/schedules/known_red/marp_commit_lost.txt`.
+//! itself at every server but the winner's own host. What this file
+//! pins is the family — which copies are lost; its canonical run, where
+//! the servers that missed a commit learn it by asking a peer, is
+//! `tests/schedules/marp_3x2_commit_lost.txt`.
 
 use marp_mcheck::{CheckConfig, Choice, Explorer, Family, MailLoss, ModelSpec};
 use marp_sim::{PendingKind, SimTime, TraceEvent};

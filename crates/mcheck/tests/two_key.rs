@@ -114,8 +114,6 @@ fn corpus_schedules_still_replay_clean() {
     // The checked-in regression corpus predates the keyed store; its
     // schedules must parse (no headers lost), replay, and stay clean —
     // except the seeded-bug counterexample, which must still violate.
-    // (`known_red/` holds counterexamples against the faithful protocol;
-    // `tests/mcheck_replay.rs` replays those.)
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/schedules");
     let mut seen = 0;
     for entry in std::fs::read_dir(dir).expect("corpus dir") {

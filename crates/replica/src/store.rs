@@ -67,7 +67,6 @@ pub struct StoredValue {
 #[derive(Debug, Default)]
 struct Chain {
     applied: u64,
-    last_update: SimTime,
     log: Vec<CommitRecord>,
     pending: BTreeMap<u64, CommitRecord>,
 }
@@ -117,7 +116,14 @@ impl VersionedStore {
     /// Highest version chain 0 has applied or holds buffered behind a
     /// gap: every version this store has been handed a commit for.
     pub fn seen_version(&self) -> u64 {
-        self.chains.get(&0).map_or(0, |c| {
+        self.seen_version_for(0)
+    }
+
+    /// Highest version `key`'s chain has applied or holds buffered
+    /// behind a gap: what a quorum member must report, since a version
+    /// it holds only buffered is taken all the same.
+    pub fn seen_version_for(&self, key: u64) -> u64 {
+        self.chains.get(&self.chain_of(key)).map_or(0, |c| {
             c.pending.last_key_value().map_or(c.applied, |(&v, _)| v)
         })
     }
@@ -127,15 +133,6 @@ impl VersionedStore {
         self.chains
             .get(&self.chain_of(key))
             .map_or(0, |c| c.applied)
-    }
-
-    /// Time of the most recent local application on `key`'s chain (the
-    /// paper's "time of last update", which the winning agent compares
-    /// across the quorum — per object once chains are keyed).
-    pub fn last_update_time_for(&self, key: u64) -> SimTime {
-        self.chains
-            .get(&self.chain_of(key))
-            .map_or(SimTime::ZERO, |c| c.last_update)
     }
 
     /// Current value of a key, if any.
@@ -187,7 +184,6 @@ impl VersionedStore {
                 break;
             };
             chain.applied = next.version;
-            chain.last_update = now;
             let suppressed = self.applied_requests.contains_key(&next.request);
             if !suppressed {
                 self.data.insert(
@@ -320,7 +316,6 @@ mod tests {
         assert_eq!(applied.len(), 1);
         assert_eq!(store.applied_version(), 1);
         assert_eq!(store.get(10).unwrap().value, 100);
-        assert_eq!(store.last_update_time_for(10), SimTime::from_millis(1));
     }
 
     #[test]
@@ -350,6 +345,23 @@ mod tests {
         assert_eq!((store.applied_version(), store.seen_version()), (1, 3));
         store.offer(record(2, 1, 20), SimTime::ZERO);
         assert_eq!((store.applied_version(), store.seen_version()), (3, 3));
+    }
+
+    #[test]
+    fn a_buffered_commit_is_seen_on_its_own_keys_chain_only() {
+        let mut store = VersionedStore::per_key();
+        store.offer(record(1, 5, 10), SimTime::ZERO);
+        store.offer(record(4, 5, 40), SimTime::ZERO);
+        store.offer(record(1, 6, 11), SimTime::ZERO);
+        assert_eq!(
+            (store.applied_version_for(5), store.seen_version_for(5)),
+            (1, 4)
+        );
+        assert_eq!(
+            (store.applied_version_for(6), store.seen_version_for(6)),
+            (1, 1)
+        );
+        assert_eq!(store.seen_version_for(7), 0);
     }
 
     #[test]
@@ -432,8 +444,6 @@ mod tests {
         assert_eq!(store.applied_version_for(2), 1);
         assert_eq!(store.get(1).unwrap().value, 11);
         assert_eq!(store.get(2).unwrap().value, 20);
-        assert_eq!(store.last_update_time_for(1), SimTime::from_millis(3));
-        assert_eq!(store.last_update_time_for(2), SimTime::from_millis(2));
         assert_eq!(
             store.chain_versions(),
             BTreeMap::from([(1u64, 2u64), (2, 1)])

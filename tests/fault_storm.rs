@@ -2,7 +2,7 @@
 //! partitions thrown at a MARP cluster; consistency must survive and
 //! recovering replicas must catch up.
 
-use marp_core::MarpNode;
+use marp_core::{wire_tag_name, MarpNode};
 use marp_lab::{run_scenario, ProtocolKind, RunOutcome, Scenario};
 use marp_net::FaultPlan;
 use marp_sim::SimTime;
@@ -246,14 +246,25 @@ fn storm_recipe(seed: u64, faults: FaultPlan) -> RunOutcome {
 }
 
 /// What every recipe must end as: a clean audit, every write answered,
-/// and no storm (a clean run of this shape is 8–16 k events).
+/// and no storm (a clean run of this shape is 8–16 k events). A storm
+/// is reported by what was measured — the event count and the message
+/// kind that carried the most bytes — not by a guess at its cause.
 fn assert_calm(outcome: &RunOutcome, max_events: u64) {
     outcome.audit.assert_ok();
     assert_eq!(outcome.acked_writes, 200, "every write is answered");
+    let stats = &outcome.stats;
+    let (tag, bytes) = (0..16u8)
+        .map(|tag| (tag, stats.bytes_for_kind(tag)))
+        .max_by_key(|&(_, bytes)| bytes)
+        .unwrap_or_default();
     assert!(
-        outcome.stats.events < max_events,
-        "claim → refuse → abort storm: {} events",
-        outcome.stats.events
+        stats.events < max_events,
+        "{} events against a cap of {max_events}; {} messages, {} B, \
+         {bytes} B of them `{}` frames",
+        stats.events,
+        stats.messages_sent,
+        stats.bytes_sent,
+        wire_tag_name(tag),
     );
 }
 
@@ -299,46 +310,69 @@ fn regression_push_learned_commit_frees_the_lock() {
 }
 
 #[test]
-#[ignore = "ROADMAP item 1: red until a majority-acked COMMIT is learnable"]
 fn regression_commit_lost_to_its_own_quorum() {
-    // The pinned recipe of ROADMAP item 1. A 3|2 partition begins at
-    // 500 ms, between an agent's UPDATE — acked by nodes 2, 0 and 1 —
-    // and its COMMIT, broadcast once at 501 ms: nodes 2 and 4 apply it
-    // as version 17, the copies for 0, 1 and 3 are dropped, and nobody
-    // retransmits or asks. The servers that acked refuse every rival
-    // (a ~760 k-event claim → refuse → abort storm) until the 30 s
-    // lock lease forgets the winner; then a rival commits *its* write
-    // as version 17 at 0, 1 and 3. One client is never answered and
-    // the audit fails with `order-preservation` and `version-conflict`.
+    // A 3|2 partition begins at 500 ms, between an agent's UPDATE —
+    // acked by nodes 2, 0 and 1 — and its COMMIT, broadcast once at
+    // 501 ms: nodes 2 and 4 apply it as version 17, and the copies for
+    // 0, 1 and 3 are dropped. No later commit leaves them a gap to see.
+    // They used to refuse every rival behind the dead winner's entry
+    // (~760 k events) until the 30 s lock lease forgot it, and then let
+    // a rival commit *its* write as version 17: `order-preservation`
+    // and `version-conflict`. A server whose Locking-List top or
+    // reservation holder is older than two ack timeouts now asks a
+    // peer, and learns version 17 once the partition heals.
     assert_calm(&storm_recipe(9007, partition_3_2()), 60_000);
 }
 
-// ROADMAP item 1(c)'s before-numbers: the recipes that storm with a
-// *clean* audit — the newest commit is lost to servers that acked its
-// UPDATE, nobody has a gap to pull on, and every rival is refused until
-// the 30 s lock lease forgets the winner (760–800 k events each). Red
-// until item 1(b)/(c) land; CI's `known-red` job prints their counts.
+// The same lost newest commit, with a clean audit: the servers that
+// missed it refused every rival until the 30 s lock lease forgot the
+// winner (760–800 k events each) before they learned to ask.
 
 #[test]
-#[ignore = "ROADMAP item 1(c): storms (audit clean) until the behind server asks"]
 fn regression_storm_partition_seed_10330() {
     assert_calm(&storm_recipe(10330, partition_3_2()), 60_000);
 }
 
 #[test]
-#[ignore = "ROADMAP item 1(c): storms (audit clean) until the behind server asks"]
 fn regression_storm_loss_seed_815() {
     assert_calm(&storm_recipe(815, loss_2pct_for_a_second()), 60_000);
 }
 
 #[test]
-#[ignore = "ROADMAP item 1(c): storms (audit clean) until the behind server asks"]
 fn regression_storm_loss_seed_1118() {
     assert_calm(&storm_recipe(1118, loss_2pct_for_a_second()), 60_000);
 }
 
 #[test]
-#[ignore = "ROADMAP item 1(c): storms (audit clean) until the behind server asks"]
+fn regression_superseded_claimants_leave_no_dead_top() {
+    // E7's crash shape: node 4 down from 1 s for 20 s, node 0 out from
+    // 2 s for 400 ms. Node 0 forgets a request in flight and dispatches
+    // a client's resend again; the first agent commits it, so the
+    // duplicate is refused as superseded when it claims and disposes.
+    // Its Locking-List entries used to stand until their 30 s lease
+    // lapsed, with the agent next in line parked behind them, and a
+    // chain of such duplicates held the key for 30 s each: 2.2 M
+    // events, 153 of 200 writes answered in 180 s.
+    let mut s = Scenario::paper(5, 100.0, 4);
+    s.horizon = Some(Duration::from_secs(180));
+    s.client_retry = Some((Duration::from_secs(2), 8));
+    s.faults = Some(
+        FaultPlan::new(5)
+            .detect_delay(Duration::from_millis(100))
+            .crash(4, SimTime::from_secs(1), Duration::from_secs(20))
+            .transient(0, SimTime::from_secs(2), Duration::from_millis(400)),
+    );
+    assert_calm(&run_scenario(&s), 60_000);
+}
+
+#[test]
+#[ignore = "ROADMAP items 2 and 3: a poll storm behind a winner that died before any COMMIT existed"]
 fn regression_storm_crash_seed_757() {
+    // Node 2 crashes at 500 ms with the winner on board, after a
+    // majority acked its UPDATE and before it sent COMMIT: no server
+    // holds a decision to pull. The acked servers keep its reservation
+    // and Locking-List entry until their leases lapse, and the agents
+    // parked behind it re-poll at full rate meanwhile (~500 MB of
+    // `agent` frames).
     assert_calm(&storm_recipe(757, crash_2_for_a_second()), 60_000);
 }

@@ -5,14 +5,13 @@
 //! `marp-mcheck selftest` (a shrunk counterexample for the seeded
 //! `stale-acks` network bug); the `missed_notice` pair is the
 //! canonical schedule of a model whose network loses every COMMIT
-//! change notice (`sample --mail-loss notices|notices+reply`), and
+//! change notice (`sample --mail-loss notices|notices+reply`),
 //! `early_claim` that of the early-claim family, whose slow COMMITs let
 //! the next winner's UPDATE overtake them (`sample --replicas 5
-//! --agents 2 --early-claims`). `known_red/` holds counterexamples
-//! against the *faithful* protocol — open bugs — replayed by
-//! `#[ignore]`d tests that CI's `known-red` job runs.
-//! Replaying them pins down three
-//! things at once: the schedule text format stays parseable, the
+//! --agents 2 --early-claims`), and `commit_lost` that of a model
+//! whose network loses every COMMIT but the winner's own copy
+//! (`--mail-loss commits`). Replaying them pins down three things at
+//! once: the schedule text format stays parseable, the
 //! replayer's event resolution keeps finding the recorded steps as the
 //! protocols evolve, and each file's verdict — clean or violating —
 //! stays what it was when recorded.
@@ -81,7 +80,7 @@ fn early_claim_schedule_hands_over_through_held_claims() {
     let (spec, steps) = from_text(&load(name)).expect("schedule parses");
     assert!(spec.early_claims, "{name}");
     let outcome = replay(&spec, &steps);
-    assert_eq!(outcome.held_claims, 3, "{name}");
+    assert_eq!(outcome.held_claims, 2, "{name}");
     assert_eq!(outcome.aborted_claims, 0, "{name}");
 }
 
@@ -109,17 +108,19 @@ fn stale_acks_counterexample_violates_version_conflict() {
     );
 }
 
-/// ROADMAP item 1 at its smallest: every COMMIT is lost at every server
-/// but the winner's own host (`check --replicas 3 --agents 2 --mail-loss
-/// commits` finds it on the canonical path, 50 transitions, and shrinks
-/// it to the empty schedule — the canonical drain alone diverges). Home
-/// 0 never learns that its write committed at node 2 as version 1,
-/// regenerates it at 400 ms, and the regenerated agent's majority
-/// {0, 1} — neither has version 1 — commits it as version 1 again:
-/// `order-preservation`. Red until item 1(b) lands; then drop the
-/// `#[ignore]` and move the file out of `known_red/`.
+/// A lost COMMIT at its smallest: every COMMIT is lost at every
+/// server but the winner's own host, and the schedule is empty — the
+/// canonical drain alone. Home 0 never hears that its write committed
+/// at node 2 as version 1; it used to regenerate the write at 400 ms
+/// and let a majority {0, 1} that lacked version 1 commit it as
+/// version 1 again (`order-preservation`). Now a server whose
+/// Locking-List top or reservation holder outlives two ack timeouts
+/// pulls from a peer and learns the commit first.
 #[test]
-#[ignore = "known red: ROADMAP item 1 (CI job `known-red`)"]
-fn regression_commit_lost_schedule() {
-    assert_clean("known_red/marp_commit_lost.txt");
+fn commit_lost_schedule_learns_the_commit_from_a_peer() {
+    let name = "marp_3x2_commit_lost.txt";
+    assert_clean(name);
+    let (spec, steps) = from_text(&load(name)).expect("schedule parses");
+    assert_eq!(spec.mail_loss, marp_mcheck::MailLoss::Commits, "{name}");
+    assert!(steps.is_empty(), "{name}");
 }

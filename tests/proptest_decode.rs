@@ -167,7 +167,6 @@ fn agent_replies() -> Vec<AgentReply> {
             attempt: 3,
             positive: true,
             store_version: 5,
-            last_update: SimTime::from_millis(7),
             fenced: false,
         },
         AgentReply::LlInfo {
