@@ -112,6 +112,11 @@ const MEAN_VISITS: Cell = ("mean visits", |p| {
 const READ_P50: Cell = ("read p50 (ms)", |p| fmt_ms(p.client_read_ms.quantile(0.5)));
 const READ_MEAN: Cell = ("read mean (ms)", |p| fmt_ms(p.client_read_ms.mean()));
 const WRITE_MEAN: Cell = ("write mean (ms)", |p| fmt_ms(p.client_write_ms.mean()));
+/// Every byte sent, over completed reads plus writes.
+const BYTES_PER_OP: Cell = ("bytes/op", |p| {
+    let ops = p.client_read_ms.len() + p.client_write_ms.len();
+    format!("{:.0}", p.bytes as f64 / ops.max(1) as f64)
+});
 const ISSUED: Cell = ("issued", |p| p.issued.to_string());
 const COMPLETED: Cell = ("completed", |p| p.metrics.completed.to_string());
 const ABANDONED: Cell = ("abandoned", |p| p.abandoned.to_string());
@@ -441,7 +446,7 @@ pub(super) fn e13_read_mix() -> Grid {
     Grid {
         title: "E13 — read/write mixes (N = 5, mean arrival 20 ms)",
         lead: &["write fraction", "protocol"],
-        cells: vec![READ_P50, READ_MEAN, WRITE_MEAN],
+        cells: vec![READ_P50, READ_MEAN, WRITE_MEAN, BYTES_PER_OP],
         rows,
         footer: String::new(),
         traced: &["0.20", "MARP (fresh)"],
