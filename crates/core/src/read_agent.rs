@@ -14,7 +14,6 @@
 
 use crate::host::MarpServerState;
 use marp_agent::{Action, AgentBehavior, AgentEnv, AgentId, Itinerary};
-use marp_quorum::{QuorumCall, SuccessRule, Verdict};
 use marp_replica::ClientReply;
 use marp_sim::{NodeId, SpanKey, SpanKind, TraceEvent};
 
@@ -32,10 +31,11 @@ pub struct ReadAgent {
     client: NodeId,
     /// Key under inspection.
     key: u64,
-    /// The visit round: first-majority-of-replicas-consulted wins, each
-    /// positive reply carrying that replica's observation.
-    call: QuorumCall<Observation>,
+    /// The freshest observation so far, by (key version, applied
+    /// version); a later equal one replaces it.
+    best: Observation,
     itinerary: Itinerary,
+    /// Replicas consulted, each once: the read answers at a majority.
     visited: u32,
 }
 
@@ -44,7 +44,7 @@ marp_wire::wire_struct!(ReadAgent {
     request,
     client,
     key,
-    call,
+    best,
     itinerary,
     visited
 });
@@ -58,14 +58,12 @@ impl ReadAgent {
         client: NodeId,
         key: u64,
     ) -> Self {
-        let n = cfg.n_servers as u16;
-        let k = crate::lt::majority(cfg.n_servers) as u16;
         ReadAgent {
             id,
             request,
             client,
             key,
-            call: QuorumCall::new(SuccessRule::FirstK { k }, 0..n, id.born),
+            best: (0, 0, None),
             itinerary: Itinerary::for_system(cfg.n_servers, id.home, cfg.itinerary),
             visited: 0,
         }
@@ -76,16 +74,18 @@ impl ReadAgent {
         self.visited
     }
 
+    /// Keep `seen` if it is at least as fresh as the best so far:
+    /// highest key version, with the highest applied version as
+    /// tiebreak for absent keys.
+    fn observe(&mut self, seen: Observation) {
+        let freshness = |&(applied, key_version, _): &Observation| (key_version, applied);
+        if freshness(&seen) >= freshness(&self.best) {
+            self.best = seen;
+        }
+    }
+
     fn finish(&self, env: &mut AgentEnv<'_>) -> Action {
-        // The freshest observation wins: highest key version, with the
-        // highest applied version as tiebreak for absent keys.
-        let best = self
-            .call
-            .positives()
-            .iter()
-            .map(|&(_, obs)| obs)
-            .max_by_key(|&(applied, key_version, _)| (key_version, applied));
-        let (applied, key_version, value) = best.unwrap_or((0, 0, None));
+        let (applied, key_version, value) = self.best;
         env.trace(TraceEvent::ReadServed {
             node: env.here(),
             request: self.request,
@@ -110,7 +110,7 @@ impl ReadAgent {
     }
 
     fn proceed(&mut self, host: &mut MarpServerState, env: &mut AgentEnv<'_>) -> Action {
-        if self.call.verdict() == Some(Verdict::Won) {
+        if self.visited as usize >= crate::lt::majority(host.config().n_servers) {
             return self.finish(env);
         }
         match self.itinerary.next_destination(|to| host.route_cost(to)) {
@@ -141,15 +141,11 @@ impl AgentBehavior for ReadAgent {
         self.visited += 1;
         let store = &host.core.store;
         let stored = store.get(self.key);
-        self.call.offer_vote(
-            env.here(),
-            true,
-            (
-                store.applied_version_for(self.key),
-                stored.map_or(0, |s| s.version),
-                stored.map(|s| s.value),
-            ),
-        );
+        self.observe((
+            store.applied_version_for(self.key),
+            stored.map_or(0, |s| s.version),
+            stored.map(|s| s.value),
+        ));
         self.proceed(host, env)
     }
 
@@ -168,31 +164,140 @@ impl AgentBehavior for ReadAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::{read_agent_header, wrap_sync, NodeMsg};
     use crate::MarpConfig;
-    use marp_sim::SimTime;
+    use marp_agent::{AgentEnvelope, AgentRuntime};
+    use marp_net::{RoutingTable, Topology};
+    use marp_replica::{CommitRecord, ServerConfig, ServerCore};
+    use marp_sim::{RecordingCtx, SimTime};
+    use proptest::prelude::*;
+    use std::time::Duration;
+
+    const CLIENT: NodeId = 9;
 
     #[test]
     fn wire_roundtrip() {
         let cfg = MarpConfig::new(5);
         let mut agent = ReadAgent::new(AgentId::new(1, SimTime::from_millis(3), 7), &cfg, 42, 9, 5);
-        agent.call.offer_vote(1, true, (3, 2, Some(20)));
+        agent.observe((3, 2, Some(20)));
         agent.visited = 1;
         let bytes = marp_wire::to_bytes(&agent);
         let back: ReadAgent = marp_wire::from_bytes(&bytes).unwrap();
         assert_eq!(back, agent);
     }
 
-    #[test]
-    fn majority_threshold_matches_cluster() {
-        let cfg = MarpConfig::new(5);
-        let mut agent = ReadAgent::new(AgentId::new(0, SimTime::ZERO, 0), &cfg, 1, 9, 1);
-        assert_eq!(agent.visits(), 0);
-        // Two of five observations decide nothing; the third does.
-        assert_eq!(agent.call.offer_vote(0, true, (1, 1, None)), None);
-        assert_eq!(agent.call.offer_vote(1, true, (1, 1, None)), None);
-        assert_eq!(
-            agent.call.offer_vote(2, true, (1, 1, None)),
-            Some(Verdict::Won)
+    /// One replica server of `cfg`'s deployment and its read-agent
+    /// runtime; replica `me` holds `me` commits of key 4, the last one
+    /// of value `10 * me`.
+    struct Replica {
+        runtime: AgentRuntime<ReadAgent>,
+        state: MarpServerState,
+        ctx: RecordingCtx,
+    }
+
+    fn replica(me: NodeId, cfg: &MarpConfig) -> Replica {
+        let topo = Topology::uniform_lan(cfg.n_servers, Duration::from_millis(1));
+        let mut state = MarpServerState::new(
+            ServerCore::keyed(me, ServerConfig::default(), wrap_sync),
+            RoutingTable::from_topology(me, &topo),
+            cfg,
         );
+        for version in 1..=u64::from(me) {
+            let record = CommitRecord {
+                version,
+                key: 4,
+                value: 10 * version,
+                agent: 0,
+                request: version,
+                committed_at: SimTime::ZERO,
+            };
+            state.core.store.offer(record, SimTime::ZERO);
+        }
+        Replica {
+            runtime: AgentRuntime::new(cfg.migration, read_agent_header),
+            state,
+            ctx: RecordingCtx::new(me, SimTime::from_millis(5)),
+        }
+    }
+
+    /// The migration a replica sent, if any.
+    fn departed(ctx: &RecordingCtx) -> Option<(NodeId, AgentEnvelope)> {
+        let frames = ctx.sent.iter().filter(|(to, _)| *to != CLIENT);
+        frames
+            .rev()
+            .find_map(|(to, frame)| match marp_wire::from_bytes(frame) {
+                Ok(NodeMsg::RAgent(migrate @ AgentEnvelope::Migrate { .. })) => {
+                    Some((*to, migrate))
+                }
+                _ => None,
+            })
+    }
+
+    /// What a replica answered the client.
+    fn answers(ctx: &RecordingCtx) -> Vec<ClientReply> {
+        let frames = ctx.sent.iter().filter(|(to, _)| *to == CLIENT);
+        frames
+            .map(|(_, frame)| marp_wire::from_bytes(frame).expect("a client reply"))
+            .collect()
+    }
+
+    #[test]
+    fn two_of_five_visits_migrate_on_and_the_third_answers() {
+        let cfg = MarpConfig::new(5);
+        let mut replicas: Vec<Replica> = (0..5).map(|me| replica(me, &cfg)).collect();
+        let agent = ReadAgent::new(AgentId::new(0, SimTime::ZERO, 0), &cfg, 1, CLIENT, 4);
+        let home = &mut replicas[0];
+        home.runtime.spawn(agent, &mut home.state, &mut home.ctx);
+        let mut visited: Vec<NodeId> = vec![0];
+        for visit in 1..=2 {
+            let at = visited[visit - 1];
+            let here = &replicas[usize::from(at)];
+            assert_eq!(answers(&here.ctx), vec![], "visit {visit} answered");
+            let (to, migrate) = departed(&here.ctx).expect("a visit short of a majority");
+            let next = &mut replicas[usize::from(to)];
+            next.runtime
+                .handle_envelope(at, migrate, &mut next.state, &mut next.ctx);
+            visited.push(to);
+        }
+        let third = &replicas[usize::from(visited[2])];
+        assert_eq!(departed(&third.ctx), None);
+        assert_eq!(third.runtime.resident_count(), 0);
+        // The freshest of the three replicas visited, not of all five.
+        let version = visited.iter().copied().map(u64::from).max().unwrap();
+        assert_eq!(
+            answers(&third.ctx),
+            vec![ClientReply::ReadOk {
+                id: 1,
+                key: 4,
+                value: Some(10 * version),
+                version,
+            }]
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The running best is the old answer: the last maximum by
+        /// (key version, applied version) over every observation, ties
+        /// going to the later one. Narrow ranges make ties common.
+        #[test]
+        fn the_running_best_is_the_last_freshest_observation(
+            seen in proptest::collection::vec(
+                (0u64..3, 0u64..3, proptest::option::of(0u64..4)),
+                1..6,
+            )
+        ) {
+            let cfg = MarpConfig::new(5);
+            let mut agent = ReadAgent::new(AgentId::new(0, SimTime::ZERO, 0), &cfg, 1, CLIENT, 4);
+            for &observation in &seen {
+                agent.observe(observation);
+            }
+            let oracle = seen
+                .iter()
+                .copied()
+                .max_by_key(|&(applied, key_version, _)| (key_version, applied));
+            prop_assert_eq!(Some(agent.best), oracle);
+        }
     }
 }

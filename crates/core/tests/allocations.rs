@@ -7,11 +7,12 @@
 //! bytes and none up to 30, where it lives inside its `Bytes` handle.
 
 use bytes::Bytes;
-use marp_agent::{AgentEnvelope, AgentId, AgentRuntime};
+use marp_agent::{AgentBehavior, AgentEnvelope, AgentId, AgentRuntime, WrapFn};
 use marp_core::lt::{decide, LockingTable, Priority};
 use marp_core::{
-    agent_header, wrap_agent_envelope, wrap_client_request, wrap_sync, AgentReply, CommitMsg,
-    MarpConfig, MarpNode, MarpServerState, NodeMsg, UpdateAgent, UpdateMsg,
+    agent_header, read_agent_header, wrap_agent_envelope, wrap_client_request, wrap_sync,
+    AgentReply, CommitMsg, MarpConfig, MarpNode, MarpServerState, NodeMsg, ReadAgent, UpdateAgent,
+    UpdateMsg,
 };
 use marp_net::{RoutingTable, Topology};
 use marp_replica::{
@@ -26,10 +27,10 @@ mod noting_alloc;
 
 const N: usize = 3;
 
-/// One replica server as the agent runtime sees it.
-struct Host {
+/// One replica server as an agent runtime sees it.
+struct Host<B: AgentBehavior<Host = MarpServerState> = UpdateAgent> {
     state: MarpServerState,
-    runtime: AgentRuntime<UpdateAgent>,
+    runtime: AgentRuntime<B>,
     ctx: RecordingCtx,
 }
 
@@ -39,16 +40,7 @@ impl Host {
     /// agents for either key travel the whole itinerary (behind a
     /// rival that topped a majority they would park at a majority).
     fn new(me: NodeId, cfg: &MarpConfig) -> Self {
-        let topo = Topology::uniform_lan(N, Duration::from_millis(1));
-        let mut host = Host {
-            state: MarpServerState::new(
-                ServerCore::keyed(me, ServerConfig::default(), wrap_sync),
-                RoutingTable::from_topology(me, &topo),
-                cfg,
-            ),
-            runtime: AgentRuntime::new(cfg.migration, agent_header),
-            ctx: RecordingCtx::new(me, SimTime::from_millis(20)),
-        };
+        let mut host = Host::bare(me, cfg, agent_header);
         for key in [1, 2] {
             for home in (0..N as NodeId).map(|r| (r + me) % N as NodeId) {
                 let rival = aid(home, 100 + key as u32);
@@ -56,6 +48,22 @@ impl Host {
             }
         }
         host
+    }
+}
+
+impl<B: AgentBehavior<Host = MarpServerState>> Host<B> {
+    /// Server `me` of `cfg`'s deployment, its store empty.
+    fn bare(me: NodeId, cfg: &MarpConfig, wrap: WrapFn) -> Self {
+        let topo = Topology::uniform_lan(cfg.n_servers, Duration::from_millis(1));
+        Host {
+            state: MarpServerState::new(
+                ServerCore::keyed(me, ServerConfig::default(), wrap_sync),
+                RoutingTable::from_topology(me, &topo),
+                cfg,
+            ),
+            runtime: AgentRuntime::new(cfg.migration, wrap),
+            ctx: RecordingCtx::new(me, SimTime::from_millis(20)),
+        }
     }
 
     /// Room for what one more message records, so that recording it
@@ -77,7 +85,11 @@ impl Host {
     fn sent_to(&self, to: NodeId, pick: fn(&AgentEnvelope) -> bool) -> AgentEnvelope {
         let sent = self.ctx.sent_as::<NodeMsg>().into_iter().rev();
         let mut envelopes = sent.filter_map(|(dest, msg)| match msg {
-            NodeMsg::Agent(envelope) if dest == to && pick(&envelope) => Some(envelope),
+            NodeMsg::Agent(envelope) | NodeMsg::RAgent(envelope)
+                if dest == to && pick(&envelope) =>
+            {
+                Some(envelope)
+            }
             _ => None,
         });
         envelopes.next().expect("an envelope")
@@ -192,6 +204,56 @@ fn a_runtime_decodes_the_next_arrival_into_the_agent_it_acked_away() {
         hosted + fresh_decode <= hosted_cold,
         "{hosted} allocations with a spare, {hosted_cold} without; a fresh decode makes {fresh_decode}"
     );
+}
+
+/// A read agent's middle hop at N = 5, into a runtime whose spare is
+/// the read agent it acked away: the state decodes into the spare, the
+/// visit observes the store, and the agent leaves for its third
+/// replica. Carrying its best observation and a visit count, the agent
+/// leaves in a frame of 30 bytes or less, which lives in its handle
+/// like the ack: the hop allocates nothing.
+#[test]
+fn a_read_agent_hop_into_a_warm_spare_allocates_nothing() {
+    let cfg = MarpConfig::new(5);
+    let mut hosts: Vec<Host<ReadAgent>> = (0..5)
+        .map(|me| Host::bare(me, &cfg, read_agent_header))
+        .collect();
+    let dispatch = |hosts: &mut [Host<ReadAgent>], seq: u32| {
+        let home = &mut hosts[0];
+        let agent = ReadAgent::new(aid(0, seq), &cfg, u64::from(seq), 9, 1);
+        home.runtime.spawn(agent, &mut home.state, &mut home.ctx);
+        home.sent_to(1, is_migrate)
+    };
+    let first = dispatch(&mut hosts, 1);
+    hosts[1].deliver(0, first);
+    let departed = hosts[1].sent_to(2, is_migrate);
+    hosts[2].deliver(1, departed);
+    let ack = hosts[2].sent_to(1, is_ack);
+    hosts[1].deliver(2, ack);
+    assert_eq!(
+        hosts[1].runtime.in_flight(),
+        0,
+        "the first agent is the spare"
+    );
+
+    let next = dispatch(&mut hosts, 2);
+    let host = &mut hosts[1];
+    host.make_room();
+    let sent = host.ctx.sent.len();
+    assert_eq!(host.deliver(0, next), 0);
+    let frames: Vec<(NodeId, usize)> = host.ctx.sent[sent..]
+        .iter()
+        .map(|(to, frame)| (*to, frame.len()))
+        .collect();
+    assert!(
+        matches!(frames[..], [(0, ack), (2, migrate)] if ack <= 30 && migrate <= 30),
+        "an ack and a migration, each inline: {frames:?}"
+    );
+    let departing: NodeMsg = marp_wire::from_bytes(&host.ctx.sent[sent + 1].1).expect("a frame");
+    assert!(matches!(
+        departing,
+        NodeMsg::RAgent(AgentEnvelope::Migrate { .. })
+    ));
 }
 
 fn agent(i: u32) -> AgentId {

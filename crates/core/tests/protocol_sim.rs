@@ -483,6 +483,44 @@ fn fresh_read_is_rejected_when_majority_unreachable() {
 }
 
 #[test]
+fn fresh_read_answers_from_the_three_live_replicas_when_two_are_down() {
+    let n = 5;
+    let (mut sim, topo) = lan_sim(n, 1, 15);
+    build_cluster(&mut sim, &MarpConfig::new(n), &topo);
+    // Two of five servers down: the live three are the only majority,
+    // and the read agent must skip the two it cannot reach.
+    for node in [1u16, 3] {
+        sim.schedule_control(
+            SimTime::ZERO,
+            marp_sim::Control::SetNodeUp { node, up: false },
+        );
+    }
+    let client = add_client(
+        &mut sim,
+        0,
+        vec![
+            (
+                Duration::from_millis(1),
+                Operation::Write { key: 4, value: 44 },
+            ),
+            (
+                Duration::from_millis(400),
+                Operation::Write { key: 4, value: 45 },
+            ),
+            (Duration::from_millis(400), Operation::ReadFresh { key: 4 }),
+        ],
+    );
+    sim.run_until(SimTime::from_secs(30));
+    let proc = sim.process::<ClientProcess>(client).unwrap();
+    assert_eq!(proc.stats.rejected, 0);
+    assert_eq!(proc.stats.read_versions, vec![2]);
+    for server in [0u16, 2, 4] {
+        let node = sim.process::<MarpNode>(server).unwrap();
+        assert_eq!(node.resident_read_agents(), 0);
+    }
+}
+
+#[test]
 fn plain_reads_can_be_stale_but_fresh_reads_are_not() {
     // Write through server 0; immediately read key through server 4,
     // both plain and fresh, racing the commit propagation. The fresh

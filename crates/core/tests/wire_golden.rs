@@ -166,7 +166,6 @@ fn leaf_and_carried_state_vectors() {
         "0109ac02",
     );
     g.check("SuccessRule::AllAvailable", SuccessRule::AllAvailable, "02");
-    g.check("SuccessRule::FirstK", SuccessRule::FirstK { k: 3 }, "0303");
     g.check(
         "QuorumCall",
         quorum_call(),
@@ -226,7 +225,7 @@ fn leaf_and_carried_state_vectors() {
     g.check(
         "ReadAgent",
         ReadAgent::new(aid(1), &cfg, 9, 8, 7),
-        "c08db7010107090807030305000102030400000000c08db7010000040002030400000000",
+        "c08db7010107090807000000040002030400000000",
     );
     g.finish();
 }

@@ -77,7 +77,7 @@ const ROWS: [Row; 4] = [
     Row {
         name: "keyed_fresh_reads",
         scenario: keyed_fresh_reads,
-        digest: 0xf978fd2a73fe6b89,
+        digest: 0xe6a02a1884aa74a0,
     },
     Row {
         name: "client_cut",

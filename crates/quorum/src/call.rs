@@ -33,21 +33,12 @@ pub enum SuccessRule {
     /// retracted as failed): the Available-Copy write-all-available
     /// rule. Never lost by replies alone.
     AllAvailable,
-    /// Won at the first `k` positive replies, regardless of how many
-    /// recipients exist: the travelling read agent's majority visit.
-    /// Never lost by replies alone (the caller decides when to give
-    /// up).
-    FirstK {
-        /// Positive replies required.
-        k: u16,
-    },
 }
 
 marp_wire::wire_enum!(SuccessRule {
     0 => Majority { n },
     1 => Weighted { total_votes, threshold },
     2 => AllAvailable,
-    3 => FirstK { k },
 });
 
 /// The terminal outcome of a call.
@@ -218,9 +209,6 @@ impl<T> QuorumCall<T> {
                 }
             }
             SuccessRule::AllAvailable => self.outstanding.is_empty().then_some(Verdict::Won),
-            SuccessRule::FirstK { k } => {
-                (self.positives.len() >= usize::from(k)).then_some(Verdict::Won)
-            }
         };
         self.verdict = decided;
     }
@@ -340,13 +328,6 @@ mod tests {
         assert_eq!(call.offer_vote(1, true, ()), None);
         assert_eq!(call.retract(2), Some(Verdict::Won));
         assert_eq!(call.retract(2), None);
-    }
-
-    #[test]
-    fn first_k_ignores_recipient_count() {
-        let mut call = QuorumCall::new(SuccessRule::FirstK { k: 2 }, 0..5, SimTime::ZERO);
-        assert_eq!(call.offer_vote(4, true, (1u64, 2u64)), None);
-        assert_eq!(call.offer_vote(2, true, (3, 1)), Some(Verdict::Won));
     }
 
     #[test]

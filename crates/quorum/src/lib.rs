@@ -1,7 +1,7 @@
 //! The shared coordination kernel.
 //!
-//! Every protocol in this workspace — the MARP update and read agents
-//! as well as the four message-passing baselines — runs the same three
+//! Every protocol in this workspace — the MARP update agent as well as
+//! the four message-passing baselines — runs the same three
 //! mechanisms under different names: it *broadcasts a question and
 //! collects per-node replies until a success predicate fires or the
 //! round dies* ([`QuorumCall`]), it *backs off and retries failed
