@@ -40,6 +40,12 @@ pub trait AgentBehavior: Wire + Send + 'static {
     /// This agent's identity (stable across migrations).
     fn id(&self) -> AgentId;
 
+    /// Name this agent. The runtime calls it on each arrival, with the
+    /// id the `Migrate` envelope carried, before any other hook: the
+    /// envelope names the agent, so its state need not (a behaviour
+    /// declares its id field `off_wire` in its `wire_struct!`).
+    fn set_id(&mut self, id: AgentId);
+
     /// The span covering this agent's life: the runtime parents every
     /// migration to it and closes it at disposal. Whoever launches the
     /// agent opens it; by default it is the dispatch span.

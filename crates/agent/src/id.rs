@@ -15,8 +15,10 @@ use std::fmt;
 ///
 /// Ordering is `(born, home, seq)`: older agents sort first, so the tie
 /// rule favours seniority and no agent can be starved by a stream of
-/// younger rivals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// younger rivals. The default (seq 0 of node 0, born at time zero) is
+/// what an agent state decoded without its envelope holds until
+/// [`AgentBehavior::set_id`](crate::AgentBehavior::set_id) names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct AgentId {
     /// Creation time at the home server (the paper's "local creation
     /// time"; virtual clocks are synchronized in simulation, which only

@@ -234,12 +234,13 @@ impl<B: AgentBehavior> AgentRuntime<B> {
         // decode. The ack carries what this host knew about the agent's
         // subject *before* the agent arrived. A spare that fails to
         // decode goes with the error.
-        let decoded = match self.spares.pop() {
+        let mut decoded = match self.spares.pop() {
             Some(mut spare) => marp_wire::from_bytes_into(&mut spare, &state).map(|()| spare),
             None => marp_wire::from_bytes::<B>(&state),
         };
         self.horizon.clear();
-        if let Ok(behavior) = &decoded {
+        if let Ok(behavior) = &mut decoded {
+            behavior.set_id(agent);
             behavior.host_horizon(host, &mut self.horizon);
         }
         ctx.send(
@@ -262,7 +263,6 @@ impl<B: AgentBehavior> AgentRuntime<B> {
                 return;
             }
         };
-        debug_assert_eq!(behavior.id(), agent, "envelope/state identity mismatch");
         ctx.trace(TraceEvent::AgentMigrated {
             agent: agent.key(),
             from,

@@ -14,7 +14,7 @@ use marp_sim::{
 use std::time::Duration;
 
 /// A toy agent that walks a fixed itinerary, stamping each host's
-/// guestbook, then disposes.
+/// guestbook, then disposes. Its envelope names it.
 #[derive(Debug, Clone, PartialEq)]
 struct Hopper {
     id: AgentId,
@@ -24,11 +24,10 @@ struct Hopper {
 }
 
 marp_wire::wire_struct!(Hopper {
-    id,
     route,
     stamped,
     skipped
-});
+} off_wire { id });
 
 /// Host-side state the agent interacts with locally.
 #[derive(Debug, Default)]
@@ -57,6 +56,10 @@ impl AgentBehavior for Hopper {
 
     fn id(&self) -> AgentId {
         self.id
+    }
+
+    fn set_id(&mut self, id: AgentId) {
+        self.id = id;
     }
 
     fn on_arrive(&mut self, host: &mut GuestBook, env: &mut AgentEnv<'_>) -> Action {
@@ -300,19 +303,23 @@ fn messages_reach_resident_agents() {
     );
 }
 
-/// An agent that parks forever and echoes pokes into the guest book.
+/// An agent that parks until a `bye` poke and echoes other pokes into
+/// the guest book. Its envelope names it.
 #[derive(Debug, Clone, PartialEq)]
 struct Sitter {
     id: AgentId,
     ticks: u32,
 }
 
-marp_wire::wire_struct!(Sitter { id, ticks });
+marp_wire::wire_struct!(Sitter { ticks } off_wire { id });
 
 impl AgentBehavior for Sitter {
     type Host = GuestBook;
     fn id(&self) -> AgentId {
         self.id
+    }
+    fn set_id(&mut self, id: AgentId) {
+        self.id = id;
     }
     fn on_arrive(&mut self, _host: &mut GuestBook, env: &mut AgentEnv<'_>) -> Action {
         env.set_timer(Duration::from_millis(5), 7);
@@ -325,8 +332,15 @@ impl AgentBehavior for Sitter {
         host: &mut GuestBook,
         _env: &mut AgentEnv<'_>,
     ) -> Action {
+        if payload == *b"bye" {
+            return Action::Dispose;
+        }
         host.pokes.push(payload);
         Action::Stay
+    }
+    /// How many pokes the book holds, filed under the sitter's home.
+    fn host_horizon(&self, host: &GuestBook, horizon: &mut Horizon) {
+        horizon.raise(self.id.home, host.pokes.len() as u64);
     }
     fn on_timer(&mut self, tag: u64, host: &mut GuestBook, env: &mut AgentEnv<'_>) -> Action {
         assert_eq!(tag, 7);
@@ -690,4 +704,63 @@ fn an_ack_is_recorded_through_the_agent_it_acknowledges() {
     };
     runtime.handle_envelope(2, stray, &mut book, &mut rec_ctx());
     assert!(book.advertised.is_empty());
+}
+
+#[test]
+fn an_arrival_decoded_into_a_spare_runs_as_the_agent_its_envelope_names() {
+    let mut runtime: AgentRuntime<Sitter> = AgentRuntime::new(AgentConfig::default(), wrap);
+    let mut book = GuestBook::default();
+    let mut ctx = rec_ctx();
+    let arrival = |agent: AgentId, ticks| AgentEnvelope::Migrate {
+        agent,
+        hop: 1,
+        state: marp_wire::to_bytes(&Sitter { id: agent, ticks }),
+    };
+    let poke = |agent, payload| AgentEnvelope::ToAgent {
+        agent,
+        payload: Bytes::from_static(payload),
+    };
+    let last_frame = |ctx: &RecordingCtx| {
+        let (_, frame) = ctx.sent.last().expect("a frame sent");
+        marp_wire::from_bytes::<AgentEnvelope>(frame).expect("an envelope")
+    };
+    let first = AgentId::new(2, SimTime::from_millis(1), 4);
+    let second = AgentId::new(3, SimTime::from_millis(2), 0);
+
+    // The first sitter leaves, and its behaviour stays as a spare.
+    runtime.handle_envelope(0, arrival(first, 5), &mut book, &mut ctx);
+    runtime.handle_envelope(0, poke(first, b"bye"), &mut book, &mut ctx);
+    assert_eq!(runtime.resident_count(), 0);
+
+    // The second decodes into that spare: the state is the second's,
+    // and so is the name, from the envelope.
+    runtime.handle_envelope(0, arrival(second, 1), &mut book, &mut ctx);
+    let resident = runtime.resident(second).expect("resident under its own id");
+    assert_eq!(resident.id(), second);
+    assert_eq!(resident.ticks, 1);
+    assert_eq!(
+        last_frame(&ctx),
+        AgentEnvelope::MigrateAck {
+            agent: second,
+            hop: 1,
+            horizon: Horizon::from_iter([(3, 0)]),
+        }
+    );
+
+    // Its mail reaches it, and it leaves under its own name.
+    runtime.handle_envelope(0, poke(second, b"hello"), &mut book, &mut ctx);
+    assert_eq!(book.pokes, [Bytes::from_static(b"hello")]);
+    runtime.handle_envelope(0, poke(second, b"bye"), &mut book, &mut ctx);
+    let disposals: Vec<_> = ctx
+        .traced
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::AgentDisposed { agent, born } => Some((*agent, *born)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        disposals,
+        [(first.key(), first.born), (second.key(), second.born)]
+    );
 }

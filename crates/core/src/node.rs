@@ -85,8 +85,9 @@ pub struct MarpNode {
     runtime: AgentRuntime<UpdateAgent>,
     read_runtime: AgentRuntime<ReadAgent>,
     batcher: RequestBatcher,
+    /// The `seq` of the next agent this home creates, update or read:
+    /// one counter keeps their trace keys `(home, seq)` apart.
     agent_seq: u32,
-    read_seq: u32,
     /// The dispatch registry, by the epoch of the entry's regeneration
     /// deadline (the carrying agent's `seq`): a deadline whose entry is
     /// gone is stale.
@@ -113,10 +114,6 @@ impl MarpNode {
             read_runtime: AgentRuntime::new(cfg.migration, read_agent_header),
             batcher: RequestBatcher::new(cfg.batch),
             agent_seq: 0,
-            // Read agents draw from the upper sequence range so their
-            // ids can never collide with update agents created in the
-            // same instant.
-            read_seq: 1 << 31,
             outstanding: BTreeMap::new(),
             mail: MailCounters::default(),
             outbox: CommitOutcome::default(),
@@ -191,6 +188,13 @@ impl MarpNode {
         }
     }
 
+    /// The id of an agent born here now.
+    fn new_agent_id(&mut self, ctx: &dyn Context) -> AgentId {
+        let id = AgentId::new(self.me(), ctx.now(), self.agent_seq);
+        self.agent_seq += 1;
+        id
+    }
+
     /// Launch one update agent for `batch` (original dispatch or a
     /// regeneration), register it in the dispatch registry, and arm its
     /// regeneration deadline.
@@ -204,8 +208,7 @@ impl MarpNode {
         if batch.is_empty() {
             return;
         }
-        let id = AgentId::new(self.me(), ctx.now(), self.agent_seq);
-        self.agent_seq += 1;
+        let id = self.new_agent_id(ctx);
         ctx.trace(TraceEvent::AgentDispatched {
             agent: id.key(),
             home: self.me(),
@@ -332,8 +335,7 @@ impl MarpNode {
                         }
                     }
                     marp_replica::ClientAction::FreshRead(read) => {
-                        let id = AgentId::new(self.me(), ctx.now(), self.read_seq);
-                        self.read_seq += 1;
+                        let id = self.new_agent_id(ctx);
                         let agent =
                             ReadAgent::new(id, self.state.config(), read.id, read.client, read.key);
                         self.read_runtime.spawn(agent, &mut self.state, ctx);

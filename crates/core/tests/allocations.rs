@@ -209,23 +209,54 @@ fn a_runtime_decodes_the_next_arrival_into_the_agent_it_acked_away() {
 /// A read agent's middle hop at N = 5, into a runtime whose spare is
 /// the read agent it acked away: the state decodes into the spare, the
 /// visit observes the store, and the agent leaves for its third
-/// replica. Carrying its best observation and a visit count, the agent
+/// replica. Its id is shaped as in a run: born 1.2 s in, its `seq`
+/// drawn from its home node's agent counter. Carrying its best
+/// observation and a visit count, and named once per frame, the agent
 /// leaves in a frame of 30 bytes or less, which lives in its handle
 /// like the ack: the hop allocates nothing.
 #[test]
 fn a_read_agent_hop_into_a_warm_spare_allocates_nothing() {
     let cfg = MarpConfig::new(5);
-    let mut hosts: Vec<Host<ReadAgent>> = (0..5)
+    let topo = Topology::uniform_lan(cfg.n_servers, Duration::from_millis(1));
+    let mut home = MarpNode::new(0, cfg, RoutingTable::from_topology(0, &topo));
+    let mut home_ctx = RecordingCtx::new(0, SimTime::from_millis(1_200));
+    let mut dispatch = |request: u64| {
+        let read = ClientRequest {
+            id: request,
+            op: Operation::ReadFresh { key: 1 },
+        };
+        home.on_message(9, wrap_client_request(read), &mut home_ctx);
+        let sent = home_ctx.sent_as::<NodeMsg>().into_iter().rev();
+        let mut migrations = sent.filter_map(|(to, msg)| match msg {
+            NodeMsg::RAgent(migrate @ AgentEnvelope::Migrate { .. }) if to == 1 => Some(migrate),
+            _ => None,
+        });
+        migrations
+            .next()
+            .expect("a read agent leaving for server 1")
+    };
+    let mut hosts: Vec<Host<ReadAgent>> = (0..3)
         .map(|me| Host::bare(me, &cfg, read_agent_header))
         .collect();
-    let dispatch = |hosts: &mut [Host<ReadAgent>], seq: u32| {
-        let home = &mut hosts[0];
-        let agent = ReadAgent::new(aid(0, seq), &cfg, u64::from(seq), 9, 1);
-        home.runtime.spawn(agent, &mut home.state, &mut home.ctx);
-        home.sent_to(1, is_migrate)
+    // Server 1 hosts `arrival`: the allocations that took, and where
+    // each frame it sent went and how long it was.
+    let hop = |host: &mut Host<ReadAgent>, arrival| {
+        host.make_room();
+        let sent = host.ctx.sent.len();
+        let allocations = host.deliver(0, arrival);
+        let frames: Vec<(NodeId, usize)> = host.ctx.sent[sent..]
+            .iter()
+            .map(|(to, frame)| (*to, frame.len()))
+            .collect();
+        (allocations, frames)
     };
-    let first = dispatch(&mut hosts, 1);
-    hosts[1].deliver(0, first);
+
+    let first = dispatch(1);
+    assert!(
+        matches!(first, AgentEnvelope::Migrate { agent, .. } if agent.born == SimTime::from_millis(1_200)),
+        "{first:?}"
+    );
+    assert_eq!(hop(&mut hosts[1], first), (5, vec![(0, 11), (2, 24)]));
     let departed = hosts[1].sent_to(2, is_migrate);
     hosts[2].deliver(1, departed);
     let ack = hosts[2].sent_to(1, is_ack);
@@ -236,20 +267,10 @@ fn a_read_agent_hop_into_a_warm_spare_allocates_nothing() {
         "the first agent is the spare"
     );
 
-    let next = dispatch(&mut hosts, 2);
-    let host = &mut hosts[1];
-    host.make_room();
-    let sent = host.ctx.sent.len();
-    assert_eq!(host.deliver(0, next), 0);
-    let frames: Vec<(NodeId, usize)> = host.ctx.sent[sent..]
-        .iter()
-        .map(|(to, frame)| (*to, frame.len()))
-        .collect();
-    assert!(
-        matches!(frames[..], [(0, ack), (2, migrate)] if ack <= 30 && migrate <= 30),
-        "an ack and a migration, each inline: {frames:?}"
-    );
-    let departing: NodeMsg = marp_wire::from_bytes(&host.ctx.sent[sent + 1].1).expect("a frame");
+    let next = dispatch(2);
+    assert_eq!(hop(&mut hosts[1], next), (0, vec![(0, 11), (2, 24)]));
+    let departing: NodeMsg =
+        marp_wire::from_bytes(&hosts[1].ctx.sent.last().expect("a frame").1).expect("a frame");
     assert!(matches!(
         departing,
         NodeMsg::RAgent(AgentEnvelope::Migrate { .. })

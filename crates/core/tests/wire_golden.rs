@@ -9,10 +9,11 @@
 //! `name: hex` line.
 
 use bytes::Bytes;
-use marp_agent::{AgentEnvelope, AgentId, Itinerary, ItineraryPolicy};
+use marp_agent::{AgentBehavior, AgentEnvelope, AgentId, Itinerary, ItineraryPolicy};
 use marp_core::lt::LockingTable;
 use marp_core::{
-    AgentReply, CommitMsg, MarpConfig, NodeMsg, Phase, ReadAgent, UpdateAgent, UpdateMsg,
+    agent_header, read_agent_header, AgentReply, CommitMsg, MarpConfig, NodeMsg, Phase, ReadAgent,
+    UpdateAgent, UpdateMsg,
 };
 use marp_quorum::{QuorumCall, SuccessRule, Verdict};
 use marp_replica::{
@@ -31,16 +32,31 @@ struct Golden {
 
 impl Golden {
     fn check<T: Wire + PartialEq + Debug>(&mut self, name: &str, value: T, hex: &str) {
-        let bytes = marp_wire::to_bytes(&value);
+        let back: T = self.decoded(name, &value, hex);
+        assert_eq!(back, value, "{name}: round trip");
+    }
+
+    /// [`Self::check`] for an agent state, which ships without its id:
+    /// it round-trips once its envelope names it.
+    fn check_agent<B: AgentBehavior + PartialEq + Debug>(
+        &mut self,
+        name: &str,
+        value: B,
+        hex: &str,
+    ) {
+        let mut back: B = self.decoded(name, &value, hex);
+        back.set_id(value.id());
+        assert_eq!(back, value, "{name}: round trip");
+    }
+
+    /// `value`'s encoding, compared against `hex`, decoded.
+    fn decoded<T: Wire>(&mut self, name: &str, value: &T, hex: &str) -> T {
+        let bytes = marp_wire::to_bytes(value);
         let actual: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
         if actual != hex {
             self.mismatches.push(format!("{name}: {actual}"));
         }
-        assert_eq!(
-            marp_wire::from_bytes::<T>(&bytes).expect(name),
-            value,
-            "{name}: round trip"
-        );
+        marp_wire::from_bytes::<T>(&bytes).expect(name)
     }
 
     fn finish(self) {
@@ -201,15 +217,15 @@ fn leaf_and_carried_state_vectors() {
         "020101c08db701020700050304010201000a0103010180897a004d00",
     );
     let cfg = MarpConfig::new(5);
-    g.check(
+    g.check_agent(
         "UpdateAgent",
         UpdateAgent::new(aid(1), &cfg, vec![write_request()]).with_incarnation(2),
-        "c08db701010701090807ac02c096b102040002030400000000000000000200",
+        "01090807ac02c096b102040002030400000000000000000200",
     );
-    // Nothing else rides: a freshly dispatched one-request agent is its
-    // id, the paper's four lists (RL, USL, LT, UAL), where it has been,
-    // two one-byte counters and the phase tag — no host configuration,
-    // no timer or re-poll state.
+    // Nothing else rides: a freshly dispatched one-request agent is the
+    // paper's four lists (RL, USL, LT, UAL), where it has been, two
+    // one-byte counters and the phase tag — no id (its envelope names
+    // it), no host configuration, no timer or re-poll state.
     use marp_wire::to_bytes;
     let fresh = UpdateAgent::new(aid(1), &cfg, vec![write_request()]);
     let lists = to_bytes(&vec![write_request()]).len()
@@ -220,13 +236,17 @@ fn leaf_and_carried_state_vectors() {
     let (attempt, incarnation, phase_tag) = (1, 1, 1);
     assert_eq!(
         to_bytes(&fresh).len(),
-        to_bytes(&aid(1)).len() + lists + visited + attempt + incarnation + phase_tag
+        lists + visited + attempt + incarnation + phase_tag
     );
-    g.check(
-        "ReadAgent",
-        ReadAgent::new(aid(1), &cfg, 9, 8, 7),
-        "c08db7010107090807000000040002030400000000",
-    );
+    let read = ReadAgent::new(aid(1), &cfg, 9, 8, 7);
+    g.check_agent("ReadAgent", read.clone(), "090807000000040002030400000000");
+    // A migrate frame names its agent once, in the envelope.
+    let id = to_bytes(&aid(1));
+    let occurrences = |frame: Bytes| frame.windows(id.len()).filter(|w| *w == &id[..]).count();
+    let (update_frame, _) = AgentEnvelope::migrate_frame(agent_header, aid(1), 2, &fresh);
+    assert_eq!(occurrences(update_frame), 1, "UpdateAgent migrate frame");
+    let (read_frame, _) = AgentEnvelope::migrate_frame(read_agent_header, aid(1), 2, &read);
+    assert_eq!(occurrences(read_frame), 1, "ReadAgent migrate frame");
     g.finish();
 }
 

@@ -69,9 +69,11 @@ pub trait Wire: __private::Sealed + Sized {
 
     /// Decode a value from the front of `buf` into `self`, reusing the
     /// buffers `self` already holds: the result equals
-    /// [`decode`](Wire::decode)'s, and a warm value of the same shape
-    /// decodes without allocating. On `Err`, `self` holds some mix of
-    /// the old value and the new one and is fit only to be dropped.
+    /// [`decode`](Wire::decode)'s in every field the wire carries (a
+    /// field [`wire_struct!`] declares off the wire keeps what `self`
+    /// held), and a warm value of the same shape decodes without
+    /// allocating. On `Err`, `self` holds some mix of the old value and
+    /// the new one and is fit only to be dropped.
     fn decode_into(&mut self, buf: &mut Reader<'_>) -> Result<(), WireError> {
         *self = Self::decode(buf)?;
         Ok(())
@@ -431,6 +433,11 @@ fn decode_len(buf: &mut Reader<'_>) -> Result<usize, WireError> {
 /// a decoded value that fails it is [`WireError::Malformed`], so no
 /// method ever sees one (`decode_into` runs the same check).
 ///
+/// A field the receiver learns some other way (a migrating agent's id,
+/// which its envelope already names) is listed after `off_wire` and
+/// costs no bytes: `decode` fills it with `Default::default()` and
+/// `decode_into` leaves it as it was, for the receiver to set.
+///
 /// ```
 /// use marp_wire::{wire_struct, Wire};
 ///
@@ -466,17 +473,41 @@ fn decode_len(buf: &mut Reader<'_>) -> Result<usize, WireError> {
 ///     marp_wire::from_bytes::<Span>(&backwards),
 ///     Err(marp_wire::WireError::Malformed { type_name: "Span" })
 /// );
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Visitor { name: u32, route: Vec<u16> }
+/// wire_struct!(Visitor { route } off_wire { name });
+///
+/// let bytes = marp_wire::to_bytes(&Visitor { name: 7, route: vec![1, 2] });
+/// assert_eq!(bytes.as_ref(), &[2, 1, 2]);
+/// let fresh: Visitor = marp_wire::from_bytes(&bytes).unwrap();
+/// assert_eq!(fresh, Visitor { name: 0, route: vec![1, 2] });
+/// let mut held = Visitor { name: 9, route: vec![5] };
+/// marp_wire::from_bytes_into(&mut held, &bytes).unwrap();
+/// assert_eq!(held, Visitor { name: 9, route: vec![1, 2] });
+/// ```
+///
+/// A field in neither list is a compile error:
+///
+/// ```compile_fail,E0063
+/// # use marp_wire::wire_struct;
+/// struct Visitor { name: u32, route: Vec<u16> }
+/// wire_struct!(Visitor { route });
 /// ```
 #[macro_export]
 macro_rules! wire_struct {
-    ($name:ident $(<$($param:ident),+>)? { $($field:tt),* $(,)? } $(if $valid:path)?) => {
+    ($name:ident $(<$($param:ident),+>)? { $($field:tt),* $(,)? }
+        $(off_wire { $($skip:ident),* $(,)? })? $(if $valid:path)?) => {
         impl $(<$($param),+>)? $crate::__private::Sealed for $name $(<$($param),+>)? {}
         impl $(<$($param: $crate::Wire),+>)? $crate::Wire for $name $(<$($param),+>)? {
             fn encode(&self, buf: &mut ::bytes::BytesMut) {
                 $( $crate::Wire::encode(&self.$field, buf); )*
             }
             fn decode(buf: &mut $crate::Reader<'_>) -> ::core::result::Result<Self, $crate::WireError> {
-                let value = Self { $( $field: $crate::Wire::decode(buf)? ),* };
+                let value = Self {
+                    $( $field: $crate::Wire::decode(buf)?, )*
+                    $($( $skip: ::core::default::Default::default(), )*)?
+                };
                 $( if !$valid(&value) {
                     return Err($crate::WireError::Malformed { type_name: stringify!($name) });
                 } )?

@@ -323,11 +323,11 @@ fn finished_list() -> UpdatedList {
 
 /// An update agent well into its tour, at nine servers: three writes,
 /// a full table, a finished list, four servers behind it. Only a run
-/// builds one, so it is decoded from its fields.
+/// builds one, so it is decoded from its fields (its id, which its
+/// envelope carries, is the default).
 #[allow(clippy::disallowed_methods, reason = "forges a message field by field")]
 fn travelled_agent() -> UpdateAgent {
     let mut buf = bytes::BytesMut::new();
-    aid(4).encode(&mut buf);
     vec![write_request(); 3].encode(&mut buf);
     Itinerary::for_system(9, 4, ItineraryPolicy::CostSorted).encode(&mut buf);
     larger_table().encode(&mut buf);
@@ -484,7 +484,9 @@ proptest! {
         robust(&agent_replies(), raw);
         let (fresh, travelled) = (UpdateAgent::new(aid(1), &cfg, vec![write_request()]), travelled_agent());
         robust_into(&[fresh, travelled.clone()], &travelled, raw);
+        // Warm as a decode leaves it: the id is the envelope's to set.
         let wider = ReadAgent::new(aid(3), &MarpConfig::new(9), 99, 4, 11);
+        let wider: ReadAgent = from_bytes(&to_bytes(&wider)).expect("a read agent");
         robust_into(&[ReadAgent::new(aid(1), &cfg, 9, 8, 7), wider.clone()], &wider, raw);
         robust(&[AgentEnvelope::MigrateAck { agent: aid(2), hop: 3, horizon: Horizon::from_iter([(0, 4), (3, 9)]) }], raw);
         robust(&[[(0, 4), (3, 9)].into_iter().collect::<Horizon>()], raw);
