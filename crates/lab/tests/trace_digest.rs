@@ -67,7 +67,7 @@ const ROWS: [Row; 4] = [
     Row {
         name: "marp_convoy",
         scenario: marp_convoy,
-        digest: 0xd20b96d0c07fc86b,
+        digest: 0x45c28eed40c0fc97,
     },
     Row {
         name: "mcv",
@@ -77,12 +77,12 @@ const ROWS: [Row; 4] = [
     Row {
         name: "keyed_fresh_reads",
         scenario: keyed_fresh_reads,
-        digest: 0xe6a02a1884aa74a0,
+        digest: 0x62b2d705a8e0554c,
     },
     Row {
         name: "client_cut",
         scenario: client_cut,
-        digest: 0x662570c9562ffaae,
+        digest: 0x5a1022af91cedb1e,
     },
 ];
 
