@@ -45,10 +45,13 @@ const REPOLL_MAX_DOUBLINGS: u32 = 3;
 /// refreshed at least every ~8 × `park_repoll`.
 const MAX_QUIET_FIRES: u8 = 1 << REPOLL_MAX_DOUBLINGS;
 
-/// The agent's current protocol phase.
-#[derive(Debug, Clone, PartialEq)]
+/// The agent's current protocol phase. An agent only ever leaves a
+/// host travelling, so the phase never ships: an arrival is
+/// [`Phase::Travelling`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum Phase {
     /// Working through the itinerary.
+    #[default]
     Travelling,
     /// Itinerary exhausted; waiting for the locking picture to change.
     /// The re-poll bookkeeping lives here because only a parked agent
@@ -81,17 +84,11 @@ pub enum Phase {
     },
 }
 
-marp_wire::wire_enum!(Phase {
-    0 => Travelling,
-    1 => Parked { round, quiet_fires },
-    2 => Updating { via_tie, certificate, call, news },
-});
-
-/// The travelling update agent: the paper's four lists (§3.2), where it
-/// has been, and how often it has claimed. Everything else it needs —
-/// the cluster size, the gossip and delta switches, its timeouts — it
-/// reads from the [`MarpConfig`](crate::MarpConfig) of the host it is
-/// running on.
+/// The travelling update agent: the paper's four lists (§3.2) and how
+/// often it has claimed. Everything else it needs — the cluster size,
+/// the itinerary policy, the gossip and delta switches, its timeouts —
+/// it reads from the [`MarpConfig`](crate::MarpConfig) of the host it
+/// is running on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UpdateAgent {
     id: AgentId,
@@ -103,7 +100,6 @@ pub struct UpdateAgent {
     lt: LockingTable,
     /// Updated Agents List (paper §3.2).
     ual: UpdatedList,
-    visited: Vec<NodeId>,
     /// Claims made so far. Also the epoch of every timer the agent
     /// arms: it grows between any two claims and between any two parks
     /// on one host (only a claim leaves `Parked` without leaving the
@@ -113,22 +109,19 @@ pub struct UpdateAgent {
     /// registry: 0 for the original agent, bumped for each regeneration
     /// of the same batch. Servers fence claims from stale incarnations.
     incarnation: u32,
-    /// One tag byte on the wire: an agent only ever leaves a host as
-    /// [`Phase::Travelling`].
     phase: Phase,
 }
 
-// The `Migrate` envelope names the agent, so its id does not ship.
+// The `Migrate` envelope names the agent, so its id does not ship; an
+// agent leaves a host only travelling, so its phase does not either.
 marp_wire::wire_struct!(UpdateAgent {
     rl,
     itinerary,
     lt,
     ual,
-    visited,
     attempt,
-    incarnation,
-    phase
-} off_wire { id });
+    incarnation
+} off_wire { id, phase });
 
 impl UpdateAgent {
     /// Create an agent carrying `requests`, ready to be spawned at its
@@ -137,10 +130,9 @@ impl UpdateAgent {
         UpdateAgent {
             id,
             rl: requests,
-            itinerary: Itinerary::for_system(cfg.n_servers, id.home, cfg.itinerary),
+            itinerary: Itinerary::for_system(cfg.n_servers, id.home),
             lt: LockingTable::new(),
             ual: UpdatedList::new(),
-            visited: Vec::new(),
             attempt: 0,
             incarnation: 0,
             phase: Phase::Travelling,
@@ -159,7 +151,8 @@ impl UpdateAgent {
     /// on arrival unless it wins there.
     #[cfg(test)]
     pub(crate) fn with_itinerary_done(mut self) -> Self {
-        while self.itinerary.next_destination(|_| 0.0).is_some() {}
+        let policy = marp_agent::ItineraryPolicy::FixedOrder;
+        while self.itinerary.next_destination(policy, |_| 0.0).is_some() {}
         self
     }
 
@@ -173,9 +166,10 @@ impl UpdateAgent {
         &self.phase
     }
 
-    /// Servers visited so far (the paper's K in PRK).
-    pub fn visits(&self) -> u32 {
-        self.visited.len() as u32
+    /// Servers of an `n`-server system visited so far (the paper's K
+    /// in PRK).
+    pub fn visits(&self, n: usize) -> u32 {
+        self.itinerary.visited(n) as u32
     }
 
     /// Replicas backing this copy's lock — the K that Theorem 3 bounds.
@@ -186,8 +180,9 @@ impl UpdateAgent {
     /// it can legitimately win with a hop count below the majority.
     /// `max` also keeps the hop count authoritative if a lease expiry
     /// shrinks the observed presence mid-flight.
-    fn lock_backing(&self) -> u32 {
-        self.visits().max(self.lt.presence_count(self.id) as u32)
+    fn lock_backing(&self, host: &MarpServerState) -> u32 {
+        let visits = self.visits(host.config().n_servers);
+        visits.max(self.lt.presence_count(self.id) as u32)
     }
 
     /// The requests this agent carries.
@@ -248,7 +243,7 @@ impl UpdateAgent {
                 Action::Stay
             }
             Priority::NotYet => {
-                if let Some(next) = self.itinerary.next_destination(|to| host.route_cost(to)) {
+                if let Some(next) = self.next_destination(host) {
                     self.phase = Phase::Travelling;
                     return Action::Migrate(next);
                 }
@@ -262,7 +257,7 @@ impl UpdateAgent {
                     && self.lt.presence_count(self.id) < majority(n)
                     && self.itinerary.begin_next_round() > 0
                 {
-                    if let Some(next) = self.itinerary.next_destination(|to| host.route_cost(to)) {
+                    if let Some(next) = self.next_destination(host) {
                         self.phase = Phase::Travelling;
                         return Action::Migrate(next);
                     }
@@ -271,6 +266,13 @@ impl UpdateAgent {
                 Action::Stay
             }
         }
+    }
+
+    /// The next stop, by the host's policy and its routing costs.
+    fn next_destination(&mut self, host: &MarpServerState) -> Option<NodeId> {
+        let policy = host.config().itinerary;
+        self.itinerary
+            .next_destination(policy, |to| host.route_cost(to))
     }
 
     fn enter_parked(&mut self, host: &MarpServerState, env: &mut AgentEnv<'_>) {
@@ -331,7 +333,7 @@ impl UpdateAgent {
         env.trace(TraceEvent::LockGranted {
             agent: self.id.key(),
             node: env.here(),
-            visits: self.lock_backing(),
+            visits: self.lock_backing(host),
             via_tie,
         });
         env.trace(TraceEvent::UpdateSent {
@@ -353,7 +355,7 @@ impl UpdateAgent {
         self.phase = Phase::Updating {
             via_tie,
             certificate,
-            call: QuorumCall::majority(n, env.now()).with_span(update_span.id()),
+            call: QuorumCall::majority(n, env.now()),
             news: false,
         };
         let tag = TimerMux::tag(AgentTimer::Ack, u64::from(self.attempt));
@@ -401,7 +403,7 @@ impl UpdateAgent {
                 arrived: req.arrived,
                 dispatched: self.id.born,
                 locked: locked_at,
-                visits: self.lock_backing(),
+                visits: self.lock_backing(host),
             });
         }
         Action::Dispose
@@ -504,13 +506,11 @@ impl AgentBehavior for UpdateAgent {
 
     fn on_arrive(&mut self, host: &mut MarpServerState, env: &mut AgentEnv<'_>) -> Action {
         let here = env.here();
-        if self.visited.is_empty() && self.attempt == 0 {
-            // First arrival (at home): the first lock-acquisition round
-            // begins. Later rounds are opened by `abort_claim`.
+        if here == self.id.home {
+            // First arrival (the itinerary never leads back home): the
+            // first lock-acquisition round begins. Later rounds are
+            // opened by `abort_claim`.
             env.trace(self.lock_span(1).start(Some(self.life_span())));
-        }
-        if !self.visited.contains(&here) {
-            self.visited.push(here);
         }
         host.visit(self.id, self.key(), env.now(), here);
         let (version, queue) = host.core.ll.queue(self.key());
@@ -552,7 +552,7 @@ impl AgentBehavior for UpdateAgent {
 
     fn on_agent_message(
         &mut self,
-        _from: NodeId,
+        from: NodeId,
         payload: Bytes,
         host: &mut MarpServerState,
         env: &mut AgentEnv<'_>,
@@ -562,12 +562,10 @@ impl AgentBehavior for UpdateAgent {
         };
         match reply {
             AgentReply::UpdateAck {
-                node,
                 attempt,
                 positive,
                 store_version,
                 fenced,
-                ..
             } => {
                 if attempt != self.attempt {
                     return Action::Stay; // stale ack from an aborted claim
@@ -583,7 +581,7 @@ impl AgentBehavior for UpdateAgent {
                 };
                 // The call dedupes repeated acks; only a deciding reply
                 // returns a verdict.
-                match call.offer_vote(node, positive, store_version) {
+                match call.offer_vote(from, positive, store_version) {
                     Some(Verdict::Won) => self.commit_and_dispose(host, env),
                     // A positive majority is no longer possible.
                     Some(Verdict::Lost) => self.abort_claim(host, env),
@@ -591,19 +589,18 @@ impl AgentBehavior for UpdateAgent {
                 }
             }
             AgentReply::LlInfo {
-                node,
                 snapshot,
                 board,
                 ul,
             } => {
-                self.lt.merge(node, snapshot);
+                self.lt.merge(from, snapshot);
                 if host.config().gossip {
                     self.lt.merge_table(&board);
                 }
                 self.absorb(&ul);
                 self.on_ll_news(true, host, env)
             }
-            AgentReply::LlChanged { finished, at, .. } => {
+            AgentReply::LlChanged { finished, at } => {
                 let changed = !self.ual.contains(finished);
                 self.ual.record(finished, at);
                 self.on_ll_news(changed, host, env)
@@ -634,7 +631,6 @@ impl AgentBehavior for UpdateAgent {
                     let msg = NodeMsg::LlQuery {
                         agent: self.id,
                         key: self.key(),
-                        reply_to: env.here(),
                         horizon: self.lt.horizon(),
                     };
                     broadcast(host, env, &msg);
@@ -749,28 +745,10 @@ mod tests {
     }
 
     #[test]
-    fn wire_roundtrip_of_updating_phase() {
-        let mut a = agent();
-        let mut call = QuorumCall::majority(5, SimTime::from_millis(7));
-        call.offer_vote(0, true, 4);
-        call.offer_vote(2, true, 5);
-        call.offer_vote(1, false, 0);
-        a.phase = Phase::Updating {
-            via_tie: true,
-            certificate: vec![AgentId::new(1, SimTime::ZERO, 0)],
-            call,
-            news: true,
-        };
-        a.visited = vec![0, 1, 2];
-        a.attempt = 3;
-        a.incarnation = 2;
-        assert_eq!(arrived(&a), a);
-    }
-
-    #[test]
     fn fresh_agent_reports_defaults() {
         let a = agent();
-        assert_eq!(a.visits(), 0);
+        // The home counts as visited from launch.
+        assert_eq!(a.visits(5), 1);
         assert_eq!(a.requests().len(), 1);
         assert_eq!(*a.phase(), Phase::Travelling);
         assert_eq!(a.incarnation(), 0);
@@ -850,7 +828,6 @@ mod tests {
 
         fn notice(&mut self) {
             self.mail(AgentReply::LlChanged {
-                node: 0,
                 finished: self.winner,
                 at: SimTime::from_millis(8),
             });
@@ -859,7 +836,6 @@ mod tests {
         /// The (only) server refuses claim `attempt`.
         fn refuse_claim(&mut self, attempt: u32) {
             self.mail(AgentReply::UpdateAck {
-                node: 0,
                 attempt,
                 positive: false,
                 fenced: false,
@@ -1037,7 +1013,6 @@ mod tests {
         let refusal = AgentEnvelope::ToAgent {
             agent: travelling.id,
             payload: marp_wire::to_bytes(&AgentReply::UpdateAck {
-                node: 0,
                 attempt: 1,
                 positive: false,
                 fenced: false,
@@ -1054,6 +1029,53 @@ mod tests {
                 && repoll < host_cfg.park_repoll + Duration::from_millis(8),
             "re-poll after {repoll:?}"
         );
+    }
+
+    /// A runtime decodes an arrival into the behaviour a disposed agent
+    /// left. One that disposed mid-claim leaves `Updating`, with its
+    /// certificate and its ack round; the arrival must not wake up in
+    /// them, or it would never claim for itself.
+    #[test]
+    fn an_arrival_decoded_into_a_spare_left_updating_starts_travelling() {
+        let cfg = MarpConfig::new(1);
+        let mut state = lone_server(&cfg);
+        let mut ctx = host_ctx();
+        let mut runtime = AgentRuntime::new(cfg.migration, agent_header);
+        // Alone on the only server's queue, the first agent claims at
+        // once, wins on the one ack and disposes while `Updating`.
+        let winner = agent();
+        runtime.spawn(winner.clone(), &mut state, &mut ctx);
+        assert!(matches!(
+            runtime.resident(winner.id).map(UpdateAgent::phase),
+            Some(Phase::Updating { .. })
+        ));
+        let ack = AgentEnvelope::ToAgent {
+            agent: winner.id,
+            payload: marp_wire::to_bytes(&AgentReply::UpdateAck {
+                attempt: 1,
+                positive: true,
+                fenced: false,
+                store_version: 0,
+            }),
+        };
+        runtime.handle_envelope(0, ack, &mut state, &mut ctx);
+        assert_eq!(runtime.resident_count(), 0);
+        // An agent for another key arrives into the spare: alone on its
+        // queue, it claims too.
+        let mut request = winner.rl[0];
+        request.key = 5;
+        let id = AgentId::new(1, SimTime::from_millis(2), 0);
+        let arrival = UpdateAgent::new(id, &cfg, vec![request]);
+        let migrate = AgentEnvelope::Migrate {
+            agent: id,
+            hop: 1,
+            state: marp_wire::to_bytes(&arrival),
+        };
+        runtime.handle_envelope(1, migrate, &mut state, &mut ctx);
+        let claimed = ctx.traced.iter().any(|e| {
+            matches!(e, TraceEvent::LockGranted { agent, via_tie: false, .. } if *agent == id.key())
+        });
+        assert!(claimed, "the arrival woke up in the spare's claim");
     }
 
     /// `lt_delta` decides what a hop carries: off, the Locking Table and

@@ -398,7 +398,6 @@ impl MarpServerState {
             reply_to: msg.reply_to,
             agent: msg.agent,
             ack: AgentReply::UpdateAck {
-                node: self.core.me(),
                 attempt: msg.attempt,
                 positive,
                 fenced: refusal.is_some_and(Refusal::fenced),
@@ -557,7 +556,6 @@ impl MarpServerState {
     /// Build an `LlInfo` reply about `key` from the current state.
     pub fn ll_info(&self, key: u64, now: SimTime) -> AgentReply {
         AgentReply::LlInfo {
-            node: self.core.me(),
             snapshot: self.core.ll.snapshot(key, now),
             board: if self.cfg.gossip {
                 self.board.contents(key).cloned().unwrap_or_default()

@@ -27,7 +27,9 @@ pub struct UpdateMsg {
     /// have positively acknowledged for any of the same requests, so a
     /// zombie original and its replacement can never both commit.
     pub incarnation: u32,
-    /// Where the agent awaits acknowledgements.
+    /// Where the agent awaits acknowledgements: the UPDATE's sender.
+    /// The transport names it, so it does not ship; the receiving node
+    /// sets it before validation, and a held claim keeps it.
     pub reply_to: NodeId,
     /// The write requests about to be committed (versions not yet
     /// assigned — they are fixed at COMMIT from the quorum's maximum).
@@ -42,10 +44,9 @@ marp_wire::wire_struct!(UpdateMsg {
     agent,
     attempt,
     incarnation,
-    reply_to,
     requests,
     tie_certificate
-});
+} off_wire { reply_to });
 
 /// The winning agent's COMMIT broadcast, carrying the final records.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,14 +78,13 @@ pub enum NodeMsg {
     },
     /// A parked agent refreshing its lease and asking for fresh LL info
     /// about its object key — the loss-recovery path behind the pushed
-    /// change notices.
+    /// change notices. The reply goes to the query's sender, where the
+    /// agent is parked.
     LlQuery {
         /// The asking agent.
         agent: AgentId,
         /// The object key whose queue the agent waits on.
         key: u64,
-        /// Where it is parked (replies go there).
-        reply_to: NodeId,
         /// The asker's Locking-Table horizon (`server → snapshot
         /// version`): the reply's board omits what it already covers.
         horizon: Horizon,
@@ -134,7 +134,7 @@ marp_wire::wire_enum!(NodeMsg {
     TAG_UPDATE => Update(msg),
     TAG_COMMIT => Commit(msg),
     TAG_RELEASE => Release { agent },
-    TAG_LL_QUERY => LlQuery { agent, key, reply_to, horizon },
+    TAG_LL_QUERY => LlQuery { agent, key, horizon },
     TAG_SYNC => Sync(msg),
     TAG_RAGENT => RAgent(envelope),
 });
@@ -152,12 +152,11 @@ pub fn read_agent_header(buf: &mut BytesMut) {
 }
 
 /// Payloads servers address to agents (inside `ToAgent` envelopes).
+/// None names the replying server: the transport's sender does.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AgentReply {
     /// Acknowledgement of an UPDATE.
     UpdateAck {
-        /// The acknowledging server.
-        node: NodeId,
         /// Echo of the claim's attempt counter.
         attempt: u32,
         /// True when validation passed and the lock is reserved for the
@@ -176,8 +175,6 @@ pub enum AgentReply {
     /// Fresh locking information: the reply to an `LlQuery`, i.e. the
     /// recovery path for an agent that missed a change notice.
     LlInfo {
-        /// The reporting server.
-        node: NodeId,
         /// Its current LL.
         snapshot: LlSnapshot,
         /// Its gossip board contents (empty when gossip is disabled).
@@ -191,8 +188,6 @@ pub enum AgentReply {
     /// carried snapshots stay valid because the priority calculation
     /// skips finished agents.
     LlChanged {
-        /// The reporting server.
-        node: NodeId,
         /// The agent whose commit was just applied there.
         finished: AgentId,
         /// When the server recorded it in its Updated List.
@@ -201,9 +196,9 @@ pub enum AgentReply {
 }
 
 marp_wire::wire_enum!(AgentReply {
-    0 => UpdateAck { node, attempt, positive, store_version, fenced },
-    1 => LlInfo { node, snapshot, board, ul },
-    2 => LlChanged { node, finished, at },
+    0 => UpdateAck { attempt, positive, store_version, fenced },
+    1 => LlInfo { snapshot, board, ul },
+    2 => LlChanged { finished, at },
 });
 
 /// Encode an [`AgentEnvelope`] into the MARP node message space.
@@ -251,7 +246,7 @@ mod tests {
             agent: aid(1),
             attempt: 2,
             incarnation: 1,
-            reply_to: 4,
+            reply_to: 0,
             requests: vec![WriteRequest {
                 id: 9,
                 client: 8,
@@ -276,7 +271,6 @@ mod tests {
         roundtrip(NodeMsg::LlQuery {
             agent: aid(1),
             key: 6,
-            reply_to: 2,
             horizon: Horizon::from_iter([(0, 3), (4, 9)]),
         });
         roundtrip(NodeMsg::Sync(SyncMsg::Pull {
@@ -292,7 +286,6 @@ mod tests {
     #[test]
     fn agent_replies_roundtrip() {
         let reply = AgentReply::UpdateAck {
-            node: 1,
             attempt: 3,
             positive: true,
             store_version: 5,
@@ -313,7 +306,6 @@ mod tests {
         let mut ul = UpdatedList::new();
         ul.record(aid(5), SimTime::from_millis(1));
         let reply = AgentReply::LlInfo {
-            node: 2,
             snapshot: LlSnapshot {
                 version: 2,
                 taken_at: SimTime::from_millis(2),
@@ -326,7 +318,6 @@ mod tests {
         assert_eq!(marp_wire::from_bytes::<AgentReply>(&bytes).unwrap(), reply);
 
         let notice = AgentReply::LlChanged {
-            node: 2,
             finished: aid(5),
             at: SimTime::from_millis(9),
         };

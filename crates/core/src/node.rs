@@ -306,7 +306,6 @@ impl MarpNode {
                 continue;
             }
             let notice = AgentReply::LlChanged {
-                node: me,
                 finished,
                 at: ctx.now(),
             };
@@ -350,7 +349,9 @@ impl MarpNode {
                 self.read_runtime
                     .handle_envelope(from, envelope, &mut self.state, ctx);
             }
-            NodeMsg::Update(update) => {
+            NodeMsg::Update(mut update) => {
+                // The claimant awaits its acks where it sent from.
+                update.reply_to = from;
                 self.state
                     .handle_update(update, ctx, &mut self.outbox.answers);
                 self.send_answers(ctx);
@@ -364,18 +365,17 @@ impl MarpNode {
             NodeMsg::LlQuery {
                 agent,
                 key,
-                reply_to,
                 horizon,
             } => {
-                // The full `LlInfo`: the recovery path for missed
-                // notices.
+                // The full `LlInfo`, to where the agent is parked: the
+                // recovery path for missed notices.
                 let info = self
                     .state
-                    .handle_ll_query(agent, key, reply_to, &horizon, ctx.now());
+                    .handle_ll_query(agent, key, from, &horizon, ctx.now());
                 let (frame, len) = AgentEnvelope::to_agent_frame(agent_header, agent, &info);
                 self.mail.replies_sent += 1;
                 self.mail.reply_bytes += len as u64;
-                ctx.send(reply_to, frame);
+                ctx.send(from, frame);
             }
             NodeMsg::Sync(SyncMsg::Push { records }) => self.commits_arrived(None, records, ctx),
             NodeMsg::Sync(pull) => self.state.core.handle_sync(from, pull, ctx),
@@ -630,7 +630,6 @@ mod tests {
                 0,
                 parked,
                 AgentReply::LlChanged {
-                    node: 0,
                     finished: winner,
                     at: SimTime::from_millis(9),
                 }
@@ -695,12 +694,13 @@ mod tests {
         let (mut node, [winner, _, successor]) = node_with_queue();
         node.state.core.ll.remove(1, agent_ids()[1]);
         let mut ctx = test_ctx();
-        let update = |agent: AgentId, reply_to| {
+        // Each claimant's acks go back to the host it sent from.
+        let update = |agent: AgentId| {
             marp_wire::to_bytes(&NodeMsg::Update(crate::msg::UpdateMsg {
                 agent,
                 attempt: 1,
                 incarnation: 0,
-                reply_to,
+                reply_to: 0,
                 requests: vec![WriteRequest {
                     id: u64::from(agent.home) + 1,
                     client: 9,
@@ -711,11 +711,13 @@ mod tests {
                 tie_certificate: None,
             }))
         };
-        node.on_message(1, update(winner, 1), &mut ctx);
-        assert_eq!(agent_mail(&ctx.sent).len(), 1);
+        node.on_message(1, update(winner), &mut ctx);
+        let mail = agent_mail(&ctx.sent);
+        assert_eq!(mail.len(), 1);
+        assert_eq!((mail[0].0, mail[0].1), (1, winner));
         // The successor's UPDATE overtakes the winner's COMMIT: nothing
         // is sent until the COMMIT lands.
-        node.on_message(2, update(successor, 2), &mut ctx);
+        node.on_message(2, update(successor), &mut ctx);
         assert_eq!(agent_mail(&ctx.sent).len(), 1);
         assert_eq!(node.mail().claims_held, 1);
         node.on_message(1, commit_of(winner), &mut ctx);
@@ -740,11 +742,12 @@ mod tests {
         let query = NodeMsg::LlQuery {
             agent: remote,
             key: 1,
-            reply_to: 2,
             horizon: marp_agent::Horizon::new(),
         };
         node.on_message(2, marp_wire::to_bytes(&query), &mut ctx);
+        // Back to the sender, where the agent is parked.
         assert_eq!(ctx.sent.len(), 1);
+        assert_eq!(ctx.sent[0].0, 2);
         let Ok(NodeMsg::Agent(AgentEnvelope::ToAgent { payload, .. })) =
             marp_wire::from_bytes::<NodeMsg>(&ctx.sent[0].1)
         else {
@@ -752,7 +755,7 @@ mod tests {
         };
         assert!(matches!(
             marp_wire::from_bytes::<AgentReply>(&payload).unwrap(),
-            AgentReply::LlInfo { node: 0, .. }
+            AgentReply::LlInfo { .. }
         ));
         assert_eq!(node.mail().replies_sent, 1);
         assert_eq!(node.mail().reply_bytes, payload.len() as u64);

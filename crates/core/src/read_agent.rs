@@ -34,9 +34,9 @@ pub struct ReadAgent {
     /// The freshest observation so far, by (key version, applied
     /// version); a later equal one replaces it.
     best: Observation,
+    /// Replicas still to consult; every other one has been, each once
+    /// (the read answers at a majority).
     itinerary: Itinerary,
-    /// Replicas consulted, each once: the read answers at a majority.
-    visited: u32,
 }
 
 // The `Migrate` envelope names the agent, so its id does not ship.
@@ -45,8 +45,7 @@ marp_wire::wire_struct!(ReadAgent {
     client,
     key,
     best,
-    itinerary,
-    visited
+    itinerary
 } off_wire { id });
 
 impl ReadAgent {
@@ -64,14 +63,8 @@ impl ReadAgent {
             client,
             key,
             best: (0, 0, None),
-            itinerary: Itinerary::for_system(cfg.n_servers, id.home, cfg.itinerary),
-            visited: 0,
+            itinerary: Itinerary::for_system(cfg.n_servers, id.home),
         }
-    }
-
-    /// Replicas consulted so far.
-    pub fn visits(&self) -> u32 {
-        self.visited
     }
 
     /// Keep `seen` if it is at least as fresh as the best so far:
@@ -110,10 +103,15 @@ impl ReadAgent {
     }
 
     fn proceed(&mut self, host: &mut MarpServerState, env: &mut AgentEnv<'_>) -> Action {
-        if self.visited as usize >= crate::lt::majority(host.config().n_servers) {
+        let cfg = host.config();
+        if self.itinerary.visited(cfg.n_servers) >= crate::lt::majority(cfg.n_servers) {
             return self.finish(env);
         }
-        match self.itinerary.next_destination(|to| host.route_cost(to)) {
+        let policy = cfg.itinerary;
+        match self
+            .itinerary
+            .next_destination(policy, |to| host.route_cost(to))
+        {
             Some(next) => Action::Migrate(next),
             // Fewer than a majority of replicas reachable.
             None => self.give_up(env),
@@ -138,11 +136,11 @@ impl AgentBehavior for ReadAgent {
     }
 
     fn on_arrive(&mut self, host: &mut MarpServerState, env: &mut AgentEnv<'_>) -> Action {
-        if self.visited == 0 {
-            // First arrival (at home): the strong read begins here.
+        if env.here() == self.id.home {
+            // First arrival (the itinerary never leads back home): the
+            // strong read begins here.
             env.trace(self.life_span().start(None));
         }
-        self.visited += 1;
         let store = &host.core.store;
         let stored = store.get(self.key);
         self.observe((
@@ -184,7 +182,7 @@ mod tests {
         let cfg = MarpConfig::new(5);
         let mut agent = ReadAgent::new(AgentId::new(1, SimTime::from_millis(3), 7), &cfg, 42, 9, 5);
         agent.observe((3, 2, Some(20)));
-        agent.visited = 1;
+        agent.itinerary.next_destination(cfg.itinerary, |_| 0.0);
         let bytes = marp_wire::to_bytes(&agent);
         let mut back: ReadAgent = marp_wire::from_bytes(&bytes).unwrap();
         back.set_id(agent.id);

@@ -211,7 +211,7 @@ fn a_runtime_decodes_the_next_arrival_into_the_agent_it_acked_away() {
 /// visit observes the store, and the agent leaves for its third
 /// replica. Its id is shaped as in a run: born 1.2 s in, its `seq`
 /// drawn from its home node's agent counter. Carrying its best
-/// observation and a visit count, and named once per frame, the agent
+/// observation and its itinerary, and named once per frame, the agent
 /// leaves in a frame of 30 bytes or less, which lives in its handle
 /// like the ack: the hop allocates nothing.
 #[test]
@@ -256,7 +256,7 @@ fn a_read_agent_hop_into_a_warm_spare_allocates_nothing() {
         matches!(first, AgentEnvelope::Migrate { agent, .. } if agent.born == SimTime::from_millis(1_200)),
         "{first:?}"
     );
-    assert_eq!(hop(&mut hosts[1], first), (5, vec![(0, 11), (2, 24)]));
+    assert_eq!(hop(&mut hosts[1], first), (5, vec![(0, 11), (2, 21)]));
     let departed = hosts[1].sent_to(2, is_migrate);
     hosts[2].deliver(1, departed);
     let ack = hosts[2].sent_to(1, is_ack);
@@ -268,7 +268,7 @@ fn a_read_agent_hop_into_a_warm_spare_allocates_nothing() {
     );
 
     let next = dispatch(2);
-    assert_eq!(hop(&mut hosts[1], next), (0, vec![(0, 11), (2, 24)]));
+    assert_eq!(hop(&mut hosts[1], next), (0, vec![(0, 11), (2, 21)]));
     let departing: NodeMsg =
         marp_wire::from_bytes(&hosts[1].ctx.sent.last().expect("a frame").1).expect("a frame");
     assert!(matches!(
@@ -385,7 +385,6 @@ fn a_migrate_frame_allocates_once_and_an_answer_not_at_all() {
     let departed = dispatch(&mut home, 1, 1, &cfg);
     let traveller: UpdateAgent = marp_wire::from_bytes(state(&departed)).expect("agent state");
     let ack = AgentReply::UpdateAck {
-        node: 1,
         attempt: 1,
         positive: true,
         store_version: 4,

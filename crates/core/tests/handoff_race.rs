@@ -366,7 +366,6 @@ fn a_claim_refused_behind_an_unfinished_agent_retries_on_the_news_it_absorbed() 
     let forged = wrap_agent_envelope(AgentEnvelope::ToAgent {
         agent: third,
         payload: marp_wire::to_bytes(&AgentReply::LlChanged {
-            node: third_host,
             finished: second,
             at: sim.now(),
         }),

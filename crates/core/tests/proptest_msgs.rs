@@ -80,22 +80,20 @@ fn arb_node_msg() -> impl Strategy<Value = NodeMsg> {
             arb_agent_id(),
             any::<u32>(),
             any::<u32>(),
-            any::<u16>(),
             proptest::collection::vec(arb_write_request(), 0..4),
             proptest::option::of(proptest::collection::vec(arb_agent_id(), 0..4)),
         )
-            .prop_map(
-                |(agent, attempt, incarnation, reply_to, requests, tie_certificate)| {
-                    NodeMsg::Update(UpdateMsg {
-                        agent,
-                        attempt,
-                        incarnation,
-                        reply_to,
-                        requests,
-                        tie_certificate,
-                    })
-                }
-            ),
+            .prop_map(|(agent, attempt, incarnation, requests, tie_certificate)| {
+                NodeMsg::Update(UpdateMsg {
+                    agent,
+                    attempt,
+                    incarnation,
+                    // The sender, which the receiving node fills in.
+                    reply_to: 0,
+                    requests,
+                    tie_certificate,
+                })
+            }),
         (
             arb_agent_id(),
             proptest::collection::vec(arb_commit_record(), 0..4)
@@ -105,13 +103,11 @@ fn arb_node_msg() -> impl Strategy<Value = NodeMsg> {
         (
             arb_agent_id(),
             0u64..1_000_000,
-            any::<u16>(),
             proptest::collection::btree_map(any::<u16>(), any::<u64>(), 0..4),
         )
-            .prop_map(|(agent, key, reply_to, horizon)| NodeMsg::LlQuery {
+            .prop_map(|(agent, key, horizon)| NodeMsg::LlQuery {
                 agent,
                 key,
-                reply_to,
                 horizon: horizon.into_iter().collect(),
             }),
         proptest::collection::btree_map(any::<u64>(), any::<u64>(), 0..4)
@@ -131,7 +127,6 @@ proptest! {
         read in any::<bool>(),
         state in proptest::collection::vec(any::<u64>(), 0..40),
         horizon in proptest::collection::btree_map(any::<u16>(), any::<u64>(), 0..12),
-        node in any::<u16>(),
         ms in 0u64..1_000_000,
     ) {
         // A runtime's header, and the node message it heads.
@@ -150,7 +145,7 @@ proptest! {
         let frame = AgentEnvelope::ack_frame(header, agent, hop, &written);
         prop_assert_eq!(frame, wrapped(AgentEnvelope::MigrateAck { agent, hop, horizon: written }));
 
-        let notice = AgentReply::LlChanged { node, finished: agent, at: SimTime::from_millis(ms) };
+        let notice = AgentReply::LlChanged { finished: agent, at: SimTime::from_millis(ms) };
         let (frame, payload_len) = AgentEnvelope::to_agent_frame(header, agent, &notice);
         let payload = marp_wire::to_bytes(&notice);
         prop_assert_eq!(payload_len, payload.len());
@@ -165,8 +160,8 @@ proptest! {
     }
 
     #[test]
-    fn change_notices_roundtrip(node in any::<u16>(), finished in arb_agent_id(), ms in 0u64..1_000_000) {
-        let notice = AgentReply::LlChanged { node, finished, at: SimTime::from_millis(ms) };
+    fn change_notices_roundtrip(finished in arb_agent_id(), ms in 0u64..1_000_000) {
+        let notice = AgentReply::LlChanged { finished, at: SimTime::from_millis(ms) };
         let bytes = marp_wire::to_bytes(&notice);
         let back: AgentReply = marp_wire::from_bytes(&bytes).unwrap();
         prop_assert_eq!(back, notice);

@@ -592,12 +592,10 @@ mod tests {
                 horizon: marp_agent::Horizon::from_iter([(0, 2)]),
             }),
             to_agent(&AgentReply::LlChanged {
-                node: 2,
                 finished: agent,
                 at,
             }),
             to_agent(&AgentReply::LlInfo {
-                node: 2,
                 snapshot: LlSnapshot {
                     version: 1,
                     taken_at: at,
@@ -620,7 +618,6 @@ mod tests {
         }
 
         let ack = |store_version| AgentReply::UpdateAck {
-            node: 2,
             attempt: 3,
             positive: true,
             store_version,

@@ -35,12 +35,6 @@ pub enum SuccessRule {
     AllAvailable,
 }
 
-marp_wire::wire_enum!(SuccessRule {
-    0 => Majority { n },
-    1 => Weighted { total_votes, threshold },
-    2 => AllAvailable,
-});
-
 /// The terminal outcome of a call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
@@ -49,11 +43,6 @@ pub enum Verdict {
     /// Success became impossible.
     Lost,
 }
-
-marp_wire::wire_enum!(Verdict {
-    0 => Won,
-    1 => Lost,
-});
 
 /// One broadcast/collect round.
 ///
@@ -75,23 +64,7 @@ pub struct QuorumCall<T> {
     rejected_votes: u32,
     started: SimTime,
     verdict: Option<Verdict>,
-    /// Causal span the round runs under (`marp_sim::SpanId`; 0 = none).
-    /// Travels with the call so the span survives agent migration and
-    /// both ends of the round can be attributed to the same span.
-    span: u64,
 }
-
-marp_wire::wire_struct!(QuorumCall<T> {
-    rule,
-    outstanding,
-    positives,
-    negatives,
-    granted_votes,
-    rejected_votes,
-    started,
-    verdict,
-    span
-});
 
 impl<T> QuorumCall<T> {
     /// Open a call to `recipients` under `rule`, started at `started`
@@ -114,21 +87,9 @@ impl<T> QuorumCall<T> {
             rejected_votes: 0,
             started,
             verdict: None,
-            span: 0,
         };
         call.evaluate();
         call
-    }
-
-    /// Attach the causal span this round runs under (builder style).
-    pub fn with_span(mut self, span: u64) -> Self {
-        self.span = span;
-        self
-    }
-
-    /// The causal span attached at creation, 0 if none.
-    pub fn span(&self) -> u64 {
-        self.span
     }
 
     /// A majority call over servers `0..n`.
@@ -328,32 +289,5 @@ mod tests {
         assert_eq!(call.offer_vote(1, true, ()), None);
         assert_eq!(call.retract(2), Some(Verdict::Won));
         assert_eq!(call.retract(2), None);
-    }
-
-    #[test]
-    fn span_attaches_and_survives_wire_roundtrip() {
-        let call = QuorumCall::<u64>::majority(3, SimTime::ZERO).with_span(0xDEAD_BEEF);
-        assert_eq!(call.span(), 0xDEAD_BEEF);
-        let bytes = marp_wire::to_bytes(&call);
-        let back: QuorumCall<u64> = marp_wire::from_bytes(&bytes).unwrap();
-        assert_eq!(back.span(), 0xDEAD_BEEF);
-        assert_eq!(QuorumCall::<u64>::majority(3, SimTime::ZERO).span(), 0);
-    }
-
-    #[test]
-    fn wire_roundtrip_mid_flight_and_decided() {
-        let mut call = QuorumCall::majority(5, SimTime::from_millis(3)).with_span(17);
-        call.offer_vote(1, true, 7u64);
-        call.offer_vote(4, false, 0);
-        for case in [call.clone(), {
-            let mut c = call;
-            c.offer_vote(0, true, 9);
-            c.offer_vote(2, true, 5);
-            c
-        }] {
-            let bytes = marp_wire::to_bytes(&case);
-            let back: QuorumCall<u64> = marp_wire::from_bytes(&bytes).unwrap();
-            assert_eq!(back, case);
-        }
     }
 }

@@ -11,8 +11,9 @@
 //! those mechanisms once, sans-io: nothing here sends messages or arms
 //! timers, it only decides — the owning process performs the I/O.
 //!
-//! The crate depends only on `marp-sim` (for `NodeId`/`SimTime`) and
-//! `marp-wire` (so call state can travel inside serialized agents).
+//! The crate depends only on `marp-sim` (for `NodeId`/`SimTime`). No
+//! call state travels: an agent's ack round lives in a phase it never
+//! leaves its host in, so nothing here has a wire form.
 
 mod call;
 mod mux;

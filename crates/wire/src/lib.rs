@@ -435,8 +435,9 @@ fn decode_len(buf: &mut Reader<'_>) -> Result<usize, WireError> {
 ///
 /// A field the receiver learns some other way (a migrating agent's id,
 /// which its envelope already names) is listed after `off_wire` and
-/// costs no bytes: `decode` fills it with `Default::default()` and
-/// `decode_into` leaves it as it was, for the receiver to set.
+/// costs no bytes: `decode` and `decode_into` alike leave it
+/// `Default::default()`, for the receiver to set. A value decoded into
+/// a held one thus carries nothing of what the held one was.
 ///
 /// ```
 /// use marp_wire::{wire_struct, Wire};
@@ -484,7 +485,7 @@ fn decode_len(buf: &mut Reader<'_>) -> Result<usize, WireError> {
 /// assert_eq!(fresh, Visitor { name: 0, route: vec![1, 2] });
 /// let mut held = Visitor { name: 9, route: vec![5] };
 /// marp_wire::from_bytes_into(&mut held, &bytes).unwrap();
-/// assert_eq!(held, Visitor { name: 9, route: vec![1, 2] });
+/// assert_eq!(held, fresh);
 /// ```
 ///
 /// A field in neither list is a compile error:
@@ -515,6 +516,7 @@ macro_rules! wire_struct {
             }
             fn decode_into(&mut self, buf: &mut $crate::Reader<'_>) -> ::core::result::Result<(), $crate::WireError> {
                 $( $crate::Wire::decode_into(&mut self.$field, buf)?; )*
+                $($( self.$skip = ::core::default::Default::default(); )*)?
                 $( if !$valid(&*self) {
                     return Err($crate::WireError::Malformed { type_name: stringify!($name) });
                 } )?

@@ -366,6 +366,37 @@ fn regression_superseded_claimants_leave_no_dead_top() {
 }
 
 #[test]
+#[ignore = "ROADMAP items 2 and 3: a claimant whose table counts a crashed server's row claims in a loop, and its waiters poll"]
+fn regression_storm_e7_crash0_seed_1000() {
+    // E7's MARP crash shape with node 0 crashed: node 0 down 1–21 s,
+    // node 1 out 2.0–2.4 s. Agent 0x8 (home 0) wins at node 2 at
+    // 1.002 s on Locking-List tops at nodes 0, 1 and 2, 2 ms after
+    // node 0 crashed. Every one of its 78 claims until node 0 recovers
+    // gets two positive acks (node 2, and node 1 or later node 3), two
+    // refusals and silence from node 0: two refusals of five leave a
+    // majority possible, so each claim waits out `ack_timeout` and
+    // aborts, and the agent's table, which still counts node 0's row,
+    // grants it the lock again (by the tie rule at node 3 from
+    // 2.6 s). The refusals are `NotTop` from nodes 3 and 4 until node
+    // 1's outage, then `NotQueued` from node 1 (it recovered with an
+    // empty Locking List) and node 4 (never visited): 142 `NotQueued`
+    // and 15 `NotTop`. No commit lands between 0.958 s and 21.23 s.
+    // The bytes are the agents parked behind it polling: 101 914
+    // `LlInfo` replies, 149.8 MB of 151.5 MB of `agent` frames, and
+    // 298 762 events in all.
+    let mut s = Scenario::paper(5, 100.0, 1000);
+    s.horizon = Some(Duration::from_secs(180));
+    s.client_retry = Some((Duration::from_secs(2), 8));
+    s.faults = Some(
+        FaultPlan::new(5)
+            .detect_delay(Duration::from_millis(100))
+            .crash(0, SimTime::from_secs(1), Duration::from_secs(20))
+            .transient(1, SimTime::from_secs(2), Duration::from_millis(400)),
+    );
+    assert_calm(&run_scenario(&s), 60_000);
+}
+
+#[test]
 #[ignore = "ROADMAP items 2 and 3: a poll storm behind a winner that died before any COMMIT existed"]
 fn regression_storm_crash_seed_757() {
     // Node 2 crashes at 500 ms with the winner on board, after a

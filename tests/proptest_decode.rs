@@ -17,7 +17,7 @@ use marp_repro::agent::{AgentEnvelope, AgentId, Horizon, Itinerary, ItineraryPol
 use marp_repro::baselines::{AcMsg, Ballot, LwwTs, McvMsg, PcMsg, WvMsg};
 use marp_repro::core::lt::LockingTable;
 use marp_repro::core::{
-    AgentReply, CommitMsg, MarpConfig, NodeMsg, ReadAgent, UpdateAgent, UpdateMsg,
+    AgentReply, CommitMsg, MarpConfig, MarpNode, NodeMsg, ReadAgent, UpdateAgent, UpdateMsg,
 };
 use marp_repro::replica::{
     ClientReply, ClientRequest, CommitRecord, LlSnapshot, Operation, SyncMsg, UpdatedList,
@@ -138,7 +138,7 @@ fn node_msgs() -> Vec<NodeMsg> {
             agent: aid(1),
             attempt: 2,
             incarnation: 1,
-            reply_to: 4,
+            reply_to: 0,
             requests: vec![write_request()],
             tie_certificate: Some(vec![aid(2), aid(3)]),
         }),
@@ -149,7 +149,6 @@ fn node_msgs() -> Vec<NodeMsg> {
         NodeMsg::LlQuery {
             agent: aid(1),
             key: 6,
-            reply_to: 2,
             horizon: Horizon::from_iter([(0, 3), (4, 9)]),
         },
         NodeMsg::Sync(SyncMsg::Pull {
@@ -163,14 +162,12 @@ fn agent_replies() -> Vec<AgentReply> {
     ul.record(aid(5), SimTime::from_millis(1));
     vec![
         AgentReply::UpdateAck {
-            node: 1,
             attempt: 3,
             positive: true,
             store_version: 5,
             fenced: false,
         },
         AgentReply::LlInfo {
-            node: 2,
             snapshot: LlSnapshot {
                 version: 2,
                 taken_at: SimTime::from_millis(2),
@@ -327,16 +324,81 @@ fn finished_list() -> UpdatedList {
 /// envelope carries, is the default).
 #[allow(clippy::disallowed_methods, reason = "forges a message field by field")]
 fn travelled_agent() -> UpdateAgent {
+    let mut itinerary = Itinerary::for_system(9, 4);
+    for _ in 0..3 {
+        itinerary.next_destination(ItineraryPolicy::FixedOrder, |_| 0.0);
+    }
+    from_bytes(&update_agent_bytes(&itinerary, 3)).expect("a travelled agent")
+}
+
+/// An update agent's wire form, field by field, so its itinerary can
+/// be forged: three writes, a full table, a finished list, `attempt`.
+#[allow(clippy::disallowed_methods, reason = "forges a message field by field")]
+fn update_agent_bytes(itinerary: &impl Wire, attempt: u32) -> Bytes {
     let mut buf = bytes::BytesMut::new();
     vec![write_request(); 3].encode(&mut buf);
-    Itinerary::for_system(9, 4, ItineraryPolicy::CostSorted).encode(&mut buf);
+    itinerary.encode(&mut buf);
     larger_table().encode(&mut buf);
     finished_list().encode(&mut buf);
-    vec![4u16, 0, 1, 2].encode(&mut buf);
-    3u32.encode(&mut buf); // attempt
+    attempt.encode(&mut buf);
     1u32.encode(&mut buf); // incarnation
-    0u8.encode(&mut buf); // Phase::Travelling
-    from_bytes(&buf.freeze()).expect("a travelled agent")
+    buf.freeze()
+}
+
+/// A read agent's wire form with a forged itinerary.
+#[allow(clippy::disallowed_methods, reason = "forges a message field by field")]
+fn read_agent_bytes(itinerary: &impl Wire) -> Bytes {
+    let mut buf = bytes::BytesMut::new();
+    9u64.encode(&mut buf); // request
+    8u16.encode(&mut buf); // client
+    7u64.encode(&mut buf); // key
+    (3u64, 2u64, Some(20u64)).encode(&mut buf); // best
+    itinerary.encode(&mut buf);
+    buf.freeze()
+}
+
+/// An agent's visit count is the system size less the servers its
+/// itinerary names, and the itinerary is outside input: one that
+/// names more servers than the host's system has must arrive at an
+/// N = 5 host, count no visits and travel on — not underflow.
+#[test]
+fn an_itinerary_naming_more_servers_than_the_system_arrives_harmlessly() {
+    use marp_repro::net::{RoutingTable, Topology};
+    use marp_repro::sim::{Process, RecordingCtx};
+    // Eight stops to go and two unavailable, all of them real servers.
+    let forged = (vec![1u16, 2, 3, 4, 1, 2, 3, 4], vec![2u16, 3]);
+    let update_state = update_agent_bytes(&forged, 0);
+    let read_state = read_agent_bytes(&forged);
+    err_or_fixed_point::<UpdateAgent>(&update_state);
+    err_or_fixed_point::<ReadAgent>(&read_state);
+    let topo = Topology::uniform_lan(5, std::time::Duration::from_millis(1));
+    let mut node = MarpNode::new(0, MarpConfig::new(5), RoutingTable::from_topology(0, &topo));
+    let mut ctx = RecordingCtx::new(0, SimTime::from_millis(10));
+    for msg in [
+        NodeMsg::Agent(AgentEnvelope::Migrate {
+            // Named in no table or list it carries.
+            agent: AgentId::new(4, SimTime::from_millis(5), 1),
+            hop: 1,
+            state: update_state,
+        }),
+        NodeMsg::RAgent(AgentEnvelope::Migrate {
+            agent: aid(2),
+            hop: 1,
+            state: read_state,
+        }),
+    ] {
+        node.on_message(1, to_bytes(&msg), &mut ctx);
+    }
+    // Neither had a majority behind it: both travelled on.
+    let departures = ctx.sent.iter().filter(|(_, frame)| {
+        matches!(
+            from_bytes::<NodeMsg>(frame),
+            Ok(NodeMsg::Agent(AgentEnvelope::Migrate { .. })
+                | NodeMsg::RAgent(AgentEnvelope::Migrate { .. }))
+        )
+    });
+    assert_eq!(departures.count(), 2);
+    assert_eq!(node.resident_agents(), 0);
 }
 
 /// A Locking Table's wire form, field by field, so each can be forged:
@@ -359,13 +421,12 @@ fn table_bytes(roster_len: u64, roster: &[AgentId], ranks_len: u64, ranks: &[u16
     buf.freeze()
 }
 
-/// The same table as the board of an `LlInfo` reply (tag 1: node,
-/// snapshot, board, ul).
+/// The same table as the board of an `LlInfo` reply (tag 1: snapshot,
+/// board, ul).
 #[allow(clippy::disallowed_methods, reason = "forges a message field by field")]
 fn ll_info_around(board: &Bytes) -> Bytes {
     let mut buf = bytes::BytesMut::new();
     1u8.encode(&mut buf);
-    2u16.encode(&mut buf);
     LlSnapshot {
         version: 2,
         taken_at: SimTime::from_millis(2),
@@ -484,9 +545,8 @@ proptest! {
         robust(&agent_replies(), raw);
         let (fresh, travelled) = (UpdateAgent::new(aid(1), &cfg, vec![write_request()]), travelled_agent());
         robust_into(&[fresh, travelled.clone()], &travelled, raw);
-        // Warm as a decode leaves it: the id is the envelope's to set.
+        // A named warm agent: decoding into it leaves the id unset too.
         let wider = ReadAgent::new(aid(3), &MarpConfig::new(9), 99, 4, 11);
-        let wider: ReadAgent = from_bytes(&to_bytes(&wider)).expect("a read agent");
         robust_into(&[ReadAgent::new(aid(1), &cfg, 9, 8, 7), wider.clone()], &wider, raw);
         robust(&[AgentEnvelope::MigrateAck { agent: aid(2), hop: 3, horizon: Horizon::from_iter([(0, 4), (3, 9)]) }], raw);
         robust(&[[(0, 4), (3, 9)].into_iter().collect::<Horizon>()], raw);
