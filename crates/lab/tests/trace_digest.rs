@@ -67,7 +67,7 @@ const ROWS: [Row; 4] = [
     Row {
         name: "marp_convoy",
         scenario: marp_convoy,
-        digest: 0x45c28eed40c0fc97,
+        digest: 0xfa9cd680acfbecb2,
     },
     Row {
         name: "mcv",
@@ -77,12 +77,12 @@ const ROWS: [Row; 4] = [
     Row {
         name: "keyed_fresh_reads",
         scenario: keyed_fresh_reads,
-        digest: 0x62b2d705a8e0554c,
+        digest: 0x2f35a6f6c09b72a3,
     },
     Row {
         name: "client_cut",
         scenario: client_cut,
-        digest: 0x5a1022af91cedb1e,
+        digest: 0x3abe0c3b91f73b11,
     },
 ];
 
