@@ -238,7 +238,6 @@ fn migration_state_roundtrips_through_wire() {
 fn dead_destination_is_declared_unavailable_and_skipped() {
     let cfg = AgentConfig {
         migrate_timeout: Duration::from_millis(20),
-        max_attempts: 3,
     };
     let mut sim = build_sim(4, vec![1, 2, 3], cfg);
     // Node 2 is down from the start.
@@ -426,7 +425,6 @@ fn agent_timers_fire_repeatedly_and_messages_arrive() {
 fn transient_outage_is_survived_by_retries() {
     let cfg = AgentConfig {
         migrate_timeout: Duration::from_millis(20),
-        max_attempts: 5,
     };
     let mut sim = build_sim(3, vec![1, 2], cfg);
     // Node 1 is down briefly; the first attempt fails, a retry succeeds.
@@ -460,8 +458,7 @@ fn duplicate_migrations_from_slow_acks_are_deduplicated() {
     // the same (agent, hop) migration several times. The dedupe set
     // must run on_arrive exactly once per hop.
     let cfg = AgentConfig {
-        migrate_timeout: Duration::from_millis(1), // rtt is 4 ms
-        max_attempts: 5,
+        migrate_timeout: Duration::from_micros(1500), // rtt is 4 ms
     };
     let mut sim = build_sim(3, vec![1, 2], cfg);
     sim.run_to_quiescence();

@@ -15,6 +15,9 @@ use marp_replica::{ClientRequest, CommitRecord, ServerConfig, ServerCore, SyncMs
 use marp_sim::{impl_as_any, Context, NodeId, Process, SpanKey, TimerId, TraceEvent};
 use std::time::Duration;
 
+/// Maintenance cadence (anti-entropy checks).
+const MAINTENANCE_INTERVAL: Duration = Duration::from_millis(500);
+
 /// MCV deployment knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct McvConfig {
@@ -27,8 +30,6 @@ pub struct McvConfig {
     /// Backoff after a failed round (grown by attempt count; the
     /// per-node stagger is folded in at node construction).
     pub retry: RetryPolicy,
-    /// Maintenance cadence (anti-entropy checks).
-    pub maintenance_interval: Duration,
 }
 
 impl McvConfig {
@@ -40,8 +41,7 @@ impl McvConfig {
             n_servers,
             promise_lease: Duration::from_secs(2),
             round_timeout: Duration::from_millis(100),
-            retry: RetryPolicy::default_for(Duration::ZERO),
-            maintenance_interval: Duration::from_millis(500),
+            retry: RetryPolicy::COORDINATOR,
         }
     }
 
@@ -157,7 +157,7 @@ impl McvNode {
 
     fn arm_maintenance(&mut self, ctx: &mut dyn Context) {
         let tag = self.coord.timers.arm(VoteTimer::Maintenance, 0);
-        ctx.set_timer(self.cfg.maintenance_interval, tag);
+        ctx.set_timer(MAINTENANCE_INTERVAL, tag);
     }
 
     fn on_vote(

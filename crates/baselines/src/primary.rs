@@ -15,26 +15,24 @@ use marp_sim::{impl_as_any, Context, NodeId, Process, SpanKey, SpanKind, TimerId
 use std::collections::HashMap;
 use std::time::Duration;
 
+/// The distinguished primary.
+const PRIMARY: NodeId = 0;
+
+/// Maintenance cadence (anti-entropy checks on backups).
+const MAINTENANCE_INTERVAL: Duration = Duration::from_millis(500);
+
 /// Primary-copy deployment knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct PcConfig {
     /// Number of replica servers.
     pub n_servers: usize,
-    /// The distinguished primary (usually node 0).
-    pub primary: NodeId,
-    /// Maintenance cadence (anti-entropy checks on backups).
-    pub maintenance_interval: Duration,
 }
 
 impl PcConfig {
-    /// Defaults with node 0 as primary.
+    /// A deployment of `n_servers`, node 0 the primary.
     pub fn new(n_servers: usize) -> Self {
         assert!(n_servers >= 1);
-        PcConfig {
-            n_servers,
-            primary: 0,
-            maintenance_interval: Duration::from_millis(500),
-        }
+        PcConfig { n_servers }
     }
 }
 
@@ -122,14 +120,14 @@ impl PcNode {
     }
 
     fn is_primary(&self) -> bool {
-        self.me() == self.cfg.primary
+        self.me() == PRIMARY
     }
 
     /// The replication round that commits `version`. Its `a` is the
     /// surrogate agent key (`primary << 32 | version`) the commit record
     /// names.
     fn round_span(&self, version: u64) -> SpanKey {
-        let surrogate = u64::from(self.cfg.primary) << 32 | version;
+        let surrogate = u64::from(PRIMARY) << 32 | version;
         SpanKey::new(SpanKind::UpdateQuorum, surrogate, version)
     }
 
@@ -206,7 +204,7 @@ impl PcNode {
                             self.sequence_write(write, origin, ctx);
                         } else {
                             let forward = PcMsg::Forward { request: write };
-                            ctx.send(self.cfg.primary, marp_wire::to_bytes(&forward));
+                            ctx.send(PRIMARY, marp_wire::to_bytes(&forward));
                         }
                     }
                     // Primary copy downgrades consistent reads to local
@@ -226,10 +224,7 @@ impl PcNode {
                 self.core
                     .apply_commits(vec![record], ctx, &mut self.applied);
                 self.applied.clear();
-                ctx.send(
-                    self.cfg.primary,
-                    marp_wire::to_bytes(&PcMsg::RepAck { version }),
-                );
+                ctx.send(PRIMARY, marp_wire::to_bytes(&PcMsg::RepAck { version }));
             }
             PcMsg::RepAck { version } => {
                 // The call dedupes repeated acks; only the deciding ack
@@ -249,7 +244,7 @@ impl PcNode {
 impl Process for PcNode {
     fn on_start(&mut self, ctx: &mut dyn Context) {
         let tag = self.timers.arm(PcTimer::Maintenance, 0);
-        ctx.set_timer(self.cfg.maintenance_interval, tag);
+        ctx.set_timer(MAINTENANCE_INTERVAL, tag);
     }
 
     fn on_message(&mut self, from: NodeId, msg: Bytes, ctx: &mut dyn Context) {
@@ -264,12 +259,12 @@ impl Process for PcNode {
         };
         match kind {
             PcTimer::Maintenance => {
-                let peer = self.cfg.primary;
+                let peer = PRIMARY;
                 if peer != self.me() {
                     self.core.pull_if_behind(peer, ctx);
                 }
                 let tag = self.timers.arm(PcTimer::Maintenance, 0);
-                ctx.set_timer(self.cfg.maintenance_interval, tag);
+                ctx.set_timer(MAINTENANCE_INTERVAL, tag);
             }
         }
     }
@@ -282,9 +277,9 @@ impl Process for PcNode {
         // drops them), so the mux restarts from scratch.
         self.timers.clear();
         let tag = self.timers.arm(PcTimer::Maintenance, 0);
-        ctx.set_timer(self.cfg.maintenance_interval, tag);
+        ctx.set_timer(MAINTENANCE_INTERVAL, tag);
         if !self.is_primary() {
-            self.core.pull_from(self.cfg.primary, ctx);
+            self.core.pull_from(PRIMARY, ctx);
         }
     }
 

@@ -44,7 +44,7 @@ impl WvConfig {
             write_quorum: w,
             promise_lease: Duration::from_secs(2),
             round_timeout: Duration::from_millis(100),
-            retry: RetryPolicy::default_for(Duration::ZERO),
+            retry: RetryPolicy::COORDINATOR,
         }
     }
 
@@ -545,7 +545,7 @@ mod tests {
             write_quorum: 4,
             promise_lease: Duration::from_secs(2),
             round_timeout: Duration::from_millis(100),
-            retry: RetryPolicy::default_for(Duration::ZERO),
+            retry: RetryPolicy::COORDINATOR,
         };
         cfg.validate();
         assert_eq!(cfg.total_votes(), 7);
@@ -584,7 +584,7 @@ mod tests {
             write_quorum: 3,
             promise_lease: Duration::from_secs(2),
             round_timeout: Duration::from_millis(100),
-            retry: RetryPolicy::default_for(Duration::ZERO),
+            retry: RetryPolicy::COORDINATOR,
         }
         .validate();
     }

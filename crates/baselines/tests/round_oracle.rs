@@ -279,7 +279,7 @@ fn heterogeneous_weighted_round_is_pinned() {
         write_quorum: 4,
         promise_lease: Duration::from_secs(2),
         round_timeout: ROUND_TIMEOUT,
-        retry: RetryPolicy::default_for(Duration::ZERO),
+        retry: RetryPolicy::COORDINATOR,
     };
     let got = run(
         |me| Box::new(WvNode::new(me, cfg.clone())),

@@ -77,11 +77,7 @@ fn bench_timer_mux(c: &mut Criterion) {
 }
 
 fn bench_retry_policy(c: &mut Criterion) {
-    let policy = RetryPolicy::default_for(Duration::from_millis(2)).staggered(
-        Duration::from_micros(500),
-        3,
-        0,
-    );
+    let policy = RetryPolicy::COORDINATOR.staggered(Duration::from_micros(500), 3, 0);
     c.bench_function("quorum/retry/next-delay", |b| {
         b.iter(|| std::hint::black_box(policy.next_delay(std::hint::black_box(7))))
     });

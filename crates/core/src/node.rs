@@ -22,7 +22,7 @@ marp_quorum::timer_kinds! {
         /// A dispatched batch's regeneration deadline (epoch = its
         /// agent's `seq`).
         Regen = 7,
-        /// The oldest pending write has waited `max_wait`: dispatch the
+        /// The oldest pending write has waited `MAX_WAIT`: dispatch the
         /// batch. Armed when a write starts a batch, never while none
         /// is pending.
         BatchDeadline = 100,
@@ -383,7 +383,8 @@ impl MarpNode {
     }
 
     /// Arm the one timer a pending batch needs: for the moment its
-    /// oldest write has waited `max_wait`. An empty batcher arms none.
+    /// oldest write has waited [`marp_replica::MAX_WAIT`]. An empty
+    /// batcher arms none.
     fn arm_batch_deadline(&self, ctx: &mut dyn Context) {
         if let Some(wait) = self.batcher.due_in(ctx.now()) {
             ctx.set_timer(wait, TimerMux::tag(NodeTimer::BatchDeadline, 0));
@@ -807,7 +808,7 @@ mod tests {
         let topo = Topology::uniform_lan(3, Duration::from_millis(1));
         let mut cfg = MarpConfig::new(3);
         cfg.batch.max_batch = 4;
-        let max_wait = cfg.batch.max_wait;
+        let max_wait = marp_replica::MAX_WAIT;
         let mut node = MarpNode::new(0, cfg, RoutingTable::from_topology(0, &topo));
         let mut ctx = test_ctx();
         let arrived = ctx.now;

@@ -311,7 +311,7 @@ fn deciding_on_a_convoy_table_allocates_nothing() {
         for me in (0..58).map(agent) {
             let (priority, requests, _) =
                 noting_alloc::requests_during(|| decide(&lt, me, 9, &done, &[]));
-            if !matches!(priority, Priority::Win { via_tie: true, .. }) {
+            if !matches!(priority, Priority::Win(Some(_))) {
                 assert_eq!(requests, 0, "{finished} finished, deciding for {me:?}");
                 decided += 1;
             }

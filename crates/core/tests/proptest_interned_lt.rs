@@ -144,10 +144,7 @@ impl Model {
         let counts = self.top_counts(finished);
         let my_tops = counts.get(&me).copied().unwrap_or(0);
         if my_tops >= maj {
-            return Priority::Win {
-                via_tie: false,
-                certificate: Vec::new(),
-            };
+            return Priority::Win(None);
         }
         // A rival's outright majority settles the next commit: wait for
         // it where this agent is next in line at a majority, travel
@@ -192,14 +189,12 @@ impl Model {
         if winner != me || self.presence_count(me) < maj {
             return Priority::NotYet;
         }
-        Priority::Win {
-            via_tie: true,
-            certificate: self
-                .known_agents(finished)
+        Priority::Win(Some(
+            self.known_agents(finished)
                 .into_iter()
                 .filter(|&a| a != me)
                 .collect(),
-        }
+        ))
     }
 }
 

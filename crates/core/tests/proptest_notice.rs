@@ -113,7 +113,7 @@ fn finished_mark_equals_removal() {
                 return Ok(());
             };
             drawn[match noticed {
-                Priority::Win { .. } => 0,
+                Priority::Win(_) => 0,
                 Priority::NotYet => 1,
                 Priority::Behind => 2,
             }] += 1;

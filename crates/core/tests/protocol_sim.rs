@@ -397,7 +397,6 @@ fn batching_coalesces_requests_into_one_agent() {
     let (mut sim, topo) = lan_sim(n, 1, 10);
     let mut cfg = MarpConfig::new(n);
     cfg.batch.max_batch = 4;
-    cfg.batch.max_wait = Duration::from_millis(30);
     build_cluster(&mut sim, &cfg, &topo);
     // Same key throughout: agents are key-uniform, so a single-key
     // batch must coalesce into exactly one agent.
@@ -609,7 +608,6 @@ fn mixed_key_batch_fans_out_into_per_key_agents() {
     let (mut sim, topo) = lan_sim(n, 1, 15);
     let mut cfg = MarpConfig::new(n);
     cfg.batch.max_batch = 4;
-    cfg.batch.max_wait = Duration::from_millis(30);
     build_cluster(&mut sim, &cfg, &topo);
     let script: Vec<(Duration, Operation)> = (0..4)
         .map(|i| {

@@ -201,14 +201,15 @@ impl FaultPlan {
     /// Generate a randomized fault plan from a seeded RNG and a
     /// [`ChaosProfile`]. Plans are valid by construction (every target
     /// node exists, every window is positive) and every injected fault
-    /// heals before `profile.active + longest outage`, leaving a quiet
-    /// convergence tail for the run to settle in. The same `(n, seed,
+    /// heals before `CHAOS_ACTIVE + longest outage`, leaving a quiet
+    /// convergence tail for the run to settle in. Failures are detected
+    /// within the default 100 ms. The same `(n, seed,
     /// profile)` triple always yields the same plan, so any chaos-sweep
     /// failure is replayable from its seed alone.
     pub fn random(n: usize, seed: u64, profile: &ChaosProfile) -> Self {
-        let mut plan = FaultPlan::new(n).detect_delay(profile.detect_delay);
+        let mut plan = FaultPlan::new(n);
         let mut rng = SimRng::derive_indexed(seed, "chaos-plan", n as u64);
-        let active_ms = profile.active.as_millis() as u64;
+        let active_ms = CHAOS_ACTIVE.as_millis() as u64;
         let start_ms = |rng: &mut SimRng| SimTime::from_millis(rng.range_inclusive(200, active_ms));
         let window = |rng: &mut SimRng, (lo, hi): (Duration, Duration)| {
             let lo_ms = lo.as_millis().max(1) as u64;
@@ -269,11 +270,14 @@ impl FaultPlan {
     }
 }
 
+/// The window in which a randomized plan's fault start times are drawn.
+const CHAOS_ACTIVE: Duration = Duration::from_secs(20);
+
 /// Tunable shape of a randomized fault plan: how many faults of each
 /// kind to draw and from what ranges. All fault *start* times fall in
-/// `[200 ms, active]`; durations are drawn per fault, so the last fault
-/// heals by `active + max(outage, partition, loss, link)` and the run
-/// has a quiet tail to converge in.
+/// `[200 ms, CHAOS_ACTIVE]` (20 s); durations are drawn per fault, so
+/// the last fault heals by `CHAOS_ACTIVE + max(outage, partition, loss,
+/// link)` and the run has a quiet tail to converge in.
 #[derive(Debug, Clone)]
 pub struct ChaosProfile {
     /// Inclusive range of crash-with-recovery events (distinct nodes).
@@ -294,10 +298,6 @@ pub struct ChaosProfile {
     pub link_outages: (usize, usize),
     /// Link outage duration range.
     pub link_outage_duration: (Duration, Duration),
-    /// Window in which fault start times are drawn.
-    pub active: Duration,
-    /// Failure-detector notification bound.
-    pub detect_delay: Duration,
 }
 
 impl ChaosProfile {
@@ -314,8 +314,6 @@ impl ChaosProfile {
             loss_duration: (Duration::from_secs(1), Duration::from_secs(5)),
             link_outages: (0, 0),
             link_outage_duration: (Duration::from_secs(1), Duration::from_secs(4)),
-            active: Duration::from_secs(20),
-            detect_delay: Duration::from_millis(100),
         }
     }
 
@@ -332,8 +330,6 @@ impl ChaosProfile {
             loss_duration: (Duration::from_secs(2), Duration::from_secs(10)),
             link_outages: (0, 2),
             link_outage_duration: (Duration::from_secs(1), Duration::from_secs(4)),
-            active: Duration::from_secs(20),
-            detect_delay: Duration::from_millis(100),
         }
     }
 
@@ -350,8 +346,6 @@ impl ChaosProfile {
             loss_duration: (Duration::from_secs(2), Duration::from_secs(8)),
             link_outages: (0, 2),
             link_outage_duration: (Duration::from_secs(1), Duration::from_secs(3)),
-            active: Duration::from_secs(20),
-            detect_delay: Duration::from_millis(100),
         }
     }
 

@@ -29,7 +29,6 @@ use marp_obs::{
 };
 use marp_sim::{TraceEvent, TraceLog};
 use std::process::ExitCode;
-use std::time::Duration;
 
 const USAGE: &str = "usage: marp-trace <command> <args>\n\
   \x20 export <trace.bin> [out.json]   write Chrome trace_event JSON (stdout if no path)\n\
@@ -127,7 +126,7 @@ fn cmd_journey(args: &[String]) -> Result<(), String> {
 fn cmd_metrics(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("metrics: missing <trace.bin>")?;
     let trace = load(path)?;
-    let registry = MetricsRegistry::from_trace(&trace, Duration::from_millis(100));
+    let registry = MetricsRegistry::from_trace(&trace);
     emit(registry.to_csv(), args.get(1))
 }
 

@@ -5,12 +5,15 @@
 //! only when dropped; `RunStats` counts the rest), latency histograms
 //! ([`marp_metrics::LogHistogram`]) for the quantities the paper cares
 //! about (lock wait, end-to-end commit, migrations per win), and a gauge
-//! time-series sampled at a configurable virtual-time interval.
+//! time-series sampled every [`SAMPLE_EVERY`] of virtual time.
 
 use marp_metrics::LogHistogram;
 use marp_sim::{NodeId, SimTime, TraceEvent, TraceLog};
 use std::collections::BTreeMap;
 use std::time::Duration;
+
+/// The gauge series' sampling interval, in virtual time.
+pub const SAMPLE_EVERY: Duration = Duration::from_millis(100);
 
 /// Counter and histogram store for one node.
 #[derive(Debug, Default, Clone)]
@@ -58,11 +61,10 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// Build a registry from a trace, sampling gauges every
-    /// `sample_every` of virtual time (pass e.g. 100 ms; granularity
-    /// below 1 ns is clamped to 1 ns).
-    pub fn from_trace(trace: &TraceLog, sample_every: Duration) -> Self {
+    /// [`SAMPLE_EVERY`] of virtual time.
+    pub fn from_trace(trace: &TraceLog) -> Self {
         let mut registry = MetricsRegistry::default();
-        let step = (sample_every.as_nanos() as u64).max(1);
+        let step = SAMPLE_EVERY.as_nanos() as u64;
         let mut next_sample = SimTime::from_nanos(step);
         let mut open_spans: i64 = 0;
         let mut live_agents: i64 = 0;
@@ -274,7 +276,7 @@ mod tests {
 
     #[test]
     fn counters_land_on_the_emitting_node() {
-        let registry = MetricsRegistry::from_trace(&sample_log(), Duration::from_millis(100));
+        let registry = MetricsRegistry::from_trace(&sample_log());
         assert_eq!(registry.nodes[&0].counters["agent.dispatched"], 1);
         assert_eq!(registry.nodes[&1].counters["agent.migrated"], 1);
         assert_eq!(registry.nodes[&0].counters["span.start"], 1);
@@ -286,7 +288,7 @@ mod tests {
 
     #[test]
     fn gauges_are_sampled_on_the_requested_grid() {
-        let registry = MetricsRegistry::from_trace(&sample_log(), Duration::from_millis(100));
+        let registry = MetricsRegistry::from_trace(&sample_log());
         // Samples at 100, 200, 300 ms (records end at 321 ms).
         assert_eq!(registry.samples.len(), 3);
         assert_eq!(registry.samples[0].at, SimTime::from_millis(100));
@@ -298,7 +300,7 @@ mod tests {
 
     #[test]
     fn csv_has_counter_histogram_and_gauge_sections() {
-        let registry = MetricsRegistry::from_trace(&sample_log(), Duration::from_millis(100));
+        let registry = MetricsRegistry::from_trace(&sample_log());
         let csv = registry.to_csv();
         assert!(csv.starts_with("section,node,metric,count,p50,p90,p99,p999,max_seen"));
         assert!(csv.contains("counter,0,agent.dispatched,1"));

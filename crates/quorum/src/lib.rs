@@ -21,4 +21,4 @@ mod retry;
 
 pub use call::{QuorumCall, SuccessRule, Verdict};
 pub use mux::{TimerKind, TimerMux};
-pub use retry::{Growth, RetryPolicy, DEFAULT_RETRY_BASE};
+pub use retry::{Growth, RetryPolicy};

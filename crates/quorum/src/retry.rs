@@ -2,11 +2,6 @@
 
 use std::time::Duration;
 
-/// The shared base delay every coordinator-style protocol backs off
-/// with on a LAN. Changing this one constant retunes MCV, weighted
-/// voting, and anything else built on [`RetryPolicy::default_for`].
-pub const DEFAULT_RETRY_BASE: Duration = Duration::from_millis(8);
-
 /// How the delay grows with the attempt count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Growth {
@@ -41,6 +36,18 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
+    /// The workspace-wide coordinator default: 8 ms, growing linearly
+    /// and capped at 16×. MCV and weighted voting back off with it, so
+    /// changing it retunes both; on a topology slower than a LAN,
+    /// [`with_min_base`](Self::with_min_base) lifts the base to the
+    /// worst one-way latency (a retry sooner than one hop cannot
+    /// observe a changed world).
+    pub const COORDINATOR: RetryPolicy = RetryPolicy {
+        base: Duration::from_millis(8),
+        growth: Growth::Linear { max_factor: 16 },
+        stagger: Duration::ZERO,
+    };
+
     /// Linearly growing backoff with no stagger.
     pub fn linear(base: Duration, max_factor: u32) -> Self {
         RetryPolicy {
@@ -62,15 +69,6 @@ impl RetryPolicy {
     /// A constant delay for every attempt (migration retries).
     pub fn fixed(delay: Duration) -> Self {
         RetryPolicy::linear(delay, 1)
-    }
-
-    /// The workspace-wide coordinator default: [`DEFAULT_RETRY_BASE`]
-    /// lifted to the topology's worst one-way latency (a retry sooner
-    /// than one hop cannot observe a changed world), growing linearly
-    /// and capped at 16×. All four baselines route through here so a
-    /// LAN/WAN sweep changes one constant.
-    pub fn default_for(max_one_way_latency: Duration) -> Self {
-        RetryPolicy::linear(DEFAULT_RETRY_BASE.max(max_one_way_latency), 16)
     }
 
     /// Fold in a deterministic per-node stagger of
@@ -110,8 +108,7 @@ mod tests {
     fn linear_matches_the_legacy_coordinator_schedule() {
         // The schedule previously copy-pasted into MCV and weighted
         // voting: base * attempts.min(16) + 500µs * node.
-        let policy =
-            RetryPolicy::default_for(Duration::ZERO).staggered(Duration::from_micros(500), 3, 0);
+        let policy = RetryPolicy::COORDINATOR.staggered(Duration::from_micros(500), 3, 0);
         assert_eq!(
             policy.next_delay(1),
             Duration::from_millis(8) + Duration::from_micros(1500)
@@ -143,10 +140,10 @@ mod tests {
     }
 
     #[test]
-    fn default_for_lifts_base_to_latency() {
-        let lan = RetryPolicy::default_for(Duration::from_millis(2));
-        assert_eq!(lan.base, DEFAULT_RETRY_BASE);
-        let wan = RetryPolicy::default_for(Duration::from_millis(200));
+    fn the_coordinator_default_lifts_its_base_to_latency() {
+        let lan = RetryPolicy::COORDINATOR.with_min_base(Duration::from_millis(2));
+        assert_eq!(lan, RetryPolicy::COORDINATOR);
+        let wan = RetryPolicy::COORDINATOR.with_min_base(Duration::from_millis(200));
         assert_eq!(wan.base, Duration::from_millis(200));
         assert_eq!(
             wan.with_min_base(Duration::from_millis(300)).base,

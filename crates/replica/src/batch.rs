@@ -11,13 +11,14 @@ use crate::msg::WriteRequest;
 use marp_sim::SimTime;
 use std::time::Duration;
 
+/// Dispatch when the oldest pending write has waited this long.
+pub const MAX_WAIT: Duration = Duration::from_millis(50);
+
 /// Batching configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchConfig {
     /// Dispatch as soon as this many writes are pending.
     pub max_batch: usize,
-    /// Dispatch when the oldest pending write has waited this long.
-    pub max_wait: Duration,
 }
 
 impl Default for BatchConfig {
@@ -27,7 +28,6 @@ impl Default for BatchConfig {
             // one makes every agent carry a single request, matching the
             // evaluation, while larger batches are the E11 sweep.
             max_batch: 1,
-            max_wait: Duration::from_millis(50),
         }
     }
 }
@@ -67,20 +67,20 @@ impl RequestBatcher {
     }
 
     /// Take the batch if the oldest request has waited at least
-    /// `max_wait`.
+    /// [`MAX_WAIT`].
     pub fn take_if_due(&mut self, now: SimTime) -> Option<Vec<WriteRequest>> {
         match self.oldest_at {
-            Some(oldest) if now.saturating_since(oldest) >= self.cfg.max_wait => Some(self.drain()),
+            Some(oldest) if now.saturating_since(oldest) >= MAX_WAIT => Some(self.drain()),
             _ => None,
         }
     }
 
-    /// How long until the oldest pending write has waited `max_wait`
+    /// How long until the oldest pending write has waited [`MAX_WAIT`]
     /// (zero once it has); `None` while nothing is pending, when there
     /// is no deadline to arm.
     pub fn due_in(&self, now: SimTime) -> Option<Duration> {
         let waited = now.saturating_since(self.oldest_at?);
-        Some(self.cfg.max_wait.saturating_sub(waited))
+        Some(MAX_WAIT.saturating_sub(waited))
     }
 
     /// Unconditionally take whatever is pending.
@@ -129,10 +129,7 @@ mod tests {
 
     #[test]
     fn size_trigger_dispatches_full_batch() {
-        let mut batcher = RequestBatcher::new(BatchConfig {
-            max_batch: 3,
-            max_wait: Duration::from_secs(1),
-        });
+        let mut batcher = RequestBatcher::new(BatchConfig { max_batch: 3 });
         let t = SimTime::from_millis(1);
         assert!(batcher.push(request(1, t), t).is_none());
         assert!(batcher.push(request(2, t), t).is_none());
@@ -153,59 +150,47 @@ mod tests {
 
     #[test]
     fn time_trigger_waits_for_max_wait() {
-        let mut batcher = RequestBatcher::new(BatchConfig {
-            max_batch: 100,
-            max_wait: Duration::from_millis(20),
-        });
+        let mut batcher = RequestBatcher::new(BatchConfig { max_batch: 100 });
         let t0 = SimTime::from_millis(10);
         batcher.push(request(1, t0), t0);
-        assert!(batcher.take_if_due(SimTime::from_millis(25)).is_none());
-        let batch = batcher.take_if_due(SimTime::from_millis(30)).expect("due");
+        assert!(batcher.take_if_due(SimTime::from_millis(55)).is_none());
+        let batch = batcher.take_if_due(SimTime::from_millis(60)).expect("due");
         assert_eq!(batch.len(), 1);
         // Nothing pending → never due.
-        assert!(batcher.take_if_due(SimTime::from_millis(99)).is_none());
+        assert!(batcher.take_if_due(SimTime::from_millis(199)).is_none());
     }
 
     #[test]
     fn the_deadline_counts_down_from_the_oldest_write() {
-        let mut batcher = RequestBatcher::new(BatchConfig {
-            max_batch: 100,
-            max_wait: Duration::from_millis(20),
-        });
+        let mut batcher = RequestBatcher::new(BatchConfig { max_batch: 100 });
         let at = SimTime::from_millis;
         assert_eq!(batcher.due_in(at(5)), None, "nothing pending, no deadline");
         batcher.push(request(1, at(10)), at(10));
-        assert_eq!(batcher.due_in(at(10)), Some(Duration::from_millis(20)));
-        batcher.push(request(2, at(25)), at(25));
-        assert_eq!(batcher.due_in(at(25)), Some(Duration::from_millis(5)));
+        assert_eq!(batcher.due_in(at(10)), Some(MAX_WAIT));
+        batcher.push(request(2, at(55)), at(55));
+        assert_eq!(batcher.due_in(at(55)), Some(Duration::from_millis(5)));
         // Overdue is due now, and exactly then `take_if_due` agrees.
-        assert_eq!(batcher.due_in(at(30)), Some(Duration::ZERO));
-        assert_eq!(batcher.due_in(at(99)), Some(Duration::ZERO));
-        assert_eq!(batcher.take_if_due(at(30)).map(|b| b.len()), Some(2));
-        assert_eq!(batcher.due_in(at(30)), None);
+        assert_eq!(batcher.due_in(at(60)), Some(Duration::ZERO));
+        assert_eq!(batcher.due_in(at(199)), Some(Duration::ZERO));
+        assert_eq!(batcher.take_if_due(at(60)).map(|b| b.len()), Some(2));
+        assert_eq!(batcher.due_in(at(60)), None);
     }
 
     #[test]
     fn age_is_measured_from_oldest() {
-        let mut batcher = RequestBatcher::new(BatchConfig {
-            max_batch: 100,
-            max_wait: Duration::from_millis(20),
-        });
+        let mut batcher = RequestBatcher::new(BatchConfig { max_batch: 100 });
         batcher.push(request(1, SimTime::from_millis(0)), SimTime::from_millis(0));
         batcher.push(
-            request(2, SimTime::from_millis(19)),
-            SimTime::from_millis(19),
+            request(2, SimTime::from_millis(49)),
+            SimTime::from_millis(49),
         );
-        let batch = batcher.take_if_due(SimTime::from_millis(20)).expect("due");
+        let batch = batcher.take_if_due(SimTime::from_millis(50)).expect("due");
         assert_eq!(batch.len(), 2);
     }
 
     #[test]
     fn max_batch_is_adjustable() {
-        let mut batcher = RequestBatcher::new(BatchConfig {
-            max_batch: 1,
-            max_wait: Duration::from_millis(20),
-        });
+        let mut batcher = RequestBatcher::new(BatchConfig { max_batch: 1 });
         assert_eq!(batcher.max_batch(), 1);
         batcher.set_max_batch(3);
         assert_eq!(batcher.max_batch(), 3);
@@ -219,10 +204,7 @@ mod tests {
 
     #[test]
     fn drain_resets_age() {
-        let mut batcher = RequestBatcher::new(BatchConfig {
-            max_batch: 100,
-            max_wait: Duration::from_millis(20),
-        });
+        let mut batcher = RequestBatcher::new(BatchConfig { max_batch: 100 });
         batcher.push(request(1, SimTime::ZERO), SimTime::ZERO);
         assert_eq!(batcher.len(), 1);
         assert_eq!(batcher.drain().len(), 1);

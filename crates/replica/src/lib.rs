@@ -28,7 +28,7 @@ mod msg;
 mod server;
 mod store;
 
-pub use batch::{BatchConfig, RequestBatcher};
+pub use batch::{BatchConfig, RequestBatcher, MAX_WAIT};
 pub use client::{
     ClientProcess, ClientStats, ClientWrapFn, RequestSource, RetryConfig, ScriptedSource,
 };

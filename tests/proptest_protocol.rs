@@ -79,7 +79,7 @@ proptest! {
             .filter(|&me| {
                 matches!(
                     decide(&table, me, 5, &finished, &[]),
-                    Priority::Win { .. }
+                    Priority::Win(_)
                 )
             })
             .collect();
@@ -91,7 +91,7 @@ proptest! {
     fn outright_wins_imply_majority_tops((table, ids) in arbitrary_table(5, 4)) {
         let finished = UpdatedList::new();
         for me in ids.iter().copied() {
-            if let Priority::Win { via_tie: false, .. } =
+            if let Priority::Win(None) =
                 decide(&table, me, 5, &finished, &[])
             {
                 let tops = table
@@ -110,10 +110,7 @@ proptest! {
     fn tie_wins_have_complete_certificates((table, ids) in arbitrary_table(4, 4)) {
         let finished = UpdatedList::new();
         for me in ids.iter().copied() {
-            if let Priority::Win {
-                via_tie: true,
-                certificate,
-            } = decide(&table, me, 4, &finished, &[])
+            if let Priority::Win(Some(certificate)) = decide(&table, me, 4, &finished, &[])
             {
                 for rival in table.known_agents(&finished) {
                     if rival != me {
