@@ -42,6 +42,12 @@ impl AgentId {
     pub fn key(&self) -> AgentKey {
         agent_key(self.home, self.seq)
     }
+
+    /// True when the home is a server of an `n`-server system: every
+    /// agent is launched by one.
+    pub fn validate(self, n: usize) -> bool {
+        usize::from(self.home) < n
+    }
 }
 
 impl fmt::Display for AgentId {

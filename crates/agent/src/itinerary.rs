@@ -52,6 +52,16 @@ impl Itinerary {
         }
     }
 
+    /// True when every server named is one of an `n`-server system
+    /// other than `here`, where the agent has just arrived: the stop
+    /// that brought it there was taken off the list.
+    pub fn validate(&self, n: usize, here: NodeId) -> bool {
+        let named = self.unvisited.iter().chain(&self.unavailable);
+        named
+            .copied()
+            .all(|server| usize::from(server) < n && server != here)
+    }
+
     /// Remaining unvisited nodes (excluding unavailable ones).
     pub fn remaining(&self) -> usize {
         self.unvisited.len()

@@ -201,6 +201,24 @@ marp_wire::wire_enum!(AgentReply {
     2 => LlChanged { finished, at },
 });
 
+impl AgentReply {
+    /// True when every agent the reply names was launched by a server
+    /// of an `n`-server system and every row of its board is such a
+    /// server. A reply is outside input: the agent it is mailed to
+    /// checks it once, as it decodes it, before reading it.
+    pub fn validate(&self, n: usize) -> bool {
+        match self {
+            AgentReply::UpdateAck { .. } => true,
+            AgentReply::LlInfo {
+                snapshot,
+                board,
+                ul,
+            } => snapshot.validate(n) && board.validate(n) && ul.validate(n),
+            AgentReply::LlChanged { finished, .. } => finished.validate(n),
+        }
+    }
+}
+
 /// Encode an [`AgentEnvelope`] into the MARP node message space.
 pub fn wrap_agent_envelope(envelope: AgentEnvelope) -> Bytes {
     marp_wire::to_bytes(&NodeMsg::Agent(envelope))

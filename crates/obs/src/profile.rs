@@ -90,15 +90,10 @@ impl Profile {
         // computed before its children's; a dangling parent id (trace
         // truncated before the parent's start, or a child emitted ahead
         // of its parent) makes the span its own root.
-        let index: std::collections::HashMap<u64, usize> = spans
-            .iter()
-            .enumerate()
-            .map(|(idx, s)| (s.id, idx))
-            .collect();
         let mut paths: Vec<String> = Vec::with_capacity(spans.len());
         for (idx, span) in spans.iter().enumerate() {
-            let path = match index.get(&span.parent) {
-                Some(&parent_idx) if parent_idx < idx => {
+            let path = match set.index_of(span.parent) {
+                Some(parent_idx) if parent_idx < idx => {
                     format!("{};{}", paths[parent_idx], span.kind.name())
                 }
                 Some(_) | None => String::from(span.kind.name()),

@@ -48,6 +48,8 @@ pub struct SpanSet {
     by_id: HashMap<SpanId, usize>,
     children: HashMap<SpanId, Vec<usize>>,
     links: Vec<(SpanId, SpanId)>,
+    /// Link targets by source, in emission order.
+    linked: HashMap<SpanId, Vec<SpanId>>,
     /// `SpanEnd` records whose start was never seen (e.g. the trace was
     /// truncated, or a duplicate end from a disposed clone).
     pub unmatched_ends: u64,
@@ -94,7 +96,10 @@ impl SpanSet {
                     Some(&_idx) => set.unmatched_ends += 1,
                     None => set.unmatched_ends += 1,
                 },
-                TraceEvent::SpanLink { from, to } => set.links.push((from, to)),
+                TraceEvent::SpanLink { from, to } => {
+                    set.links.push((from, to));
+                    set.linked.entry(from).or_default().push(to);
+                }
                 TraceEvent::MsgDropped { .. }
                 | TraceEvent::NodeDown(..)
                 | TraceEvent::NodeUp(..)
@@ -126,7 +131,12 @@ impl SpanSet {
 
     /// Look a span up by id.
     pub fn get(&self, id: SpanId) -> Option<&Span> {
-        self.by_id.get(&id).map(|&idx| &self.spans[idx])
+        self.index_of(id).map(|idx| &self.spans[idx])
+    }
+
+    /// Where a span sits in [`Self::spans`].
+    pub fn index_of(&self, id: SpanId) -> Option<usize> {
+        self.by_id.get(&id).copied()
     }
 
     /// Direct children of a span (spans whose `parent` is `id`).
@@ -145,10 +155,7 @@ impl SpanSet {
 
     /// Targets of links whose source is `from`.
     pub fn linked_from(&self, from: SpanId) -> impl Iterator<Item = SpanId> + '_ {
-        self.links
-            .iter()
-            .filter(move |&&(f, _)| f == from)
-            .map(|&(_, t)| t)
+        self.linked.get(&from).into_iter().flatten().copied()
     }
 
     /// Spans that never closed.

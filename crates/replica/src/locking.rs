@@ -343,6 +343,12 @@ marp_wire::wire_struct!(LlSnapshot {
 });
 
 impl LlSnapshot {
+    /// True when every agent queued was launched by a server of an
+    /// `n`-server system.
+    pub fn validate(&self, n: usize) -> bool {
+        self.queue.iter().all(|agent| agent.validate(n))
+    }
+
     /// The top-ranked agent in this snapshot.
     pub fn top(&self) -> Option<AgentId> {
         self.queue.first().copied()
@@ -445,6 +451,12 @@ impl UpdatedList {
     /// All recorded agents, in id order.
     pub fn agents(&self) -> impl Iterator<Item = AgentId> + '_ {
         self.agents.iter().map(|&(agent, _)| agent)
+    }
+
+    /// True when every agent listed was launched by a server of an
+    /// `n`-server system.
+    pub fn validate(&self, n: usize) -> bool {
+        self.agents().all(|agent| agent.validate(n))
     }
 
     /// Number of finished agents recorded.

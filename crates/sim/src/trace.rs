@@ -191,6 +191,9 @@ pub const UPDATE_HELD: &str = "update-held";
 pub const AGENT_MSG_MISSED: &str = "agent-msg-missed";
 /// An arriving agent's state did not decode: agent, sender.
 pub const AGENT_STATE_CORRUPT: &str = "agent-state-corrupt";
+/// An arriving agent's state, or a reply mailed to an agent, named a
+/// server its host's system does not have: agent, sender.
+pub const AGENT_STATE_FORGED: &str = "agent-state-forged";
 /// A Locking-List entry outlived its lease: agent, server.
 pub const LOCK_LEASE_EXPIRED: &str = "lock-lease-expired";
 /// A home relaunched a batch presumed lost: lost agent, requests left.
