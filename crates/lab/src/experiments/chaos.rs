@@ -18,7 +18,7 @@
 //!
 //! Flags:
 //!
-//! * `--plans N` — number of random plans to sweep (default 120).
+//! * `--plans N` — number of random plans to sweep (default 600).
 //! * `--ablate` — disable agent regeneration. The same sweep then
 //!   demonstrably loses writes (abandoned > 0), proving the harness
 //!   detects real losses; consistency must still hold and no lost
@@ -170,7 +170,7 @@ fn write_artifact(dir: &PathBuf, spec: &PlanSpec, ablate: bool, failures: &[Stri
 }
 
 pub(super) fn run(args: &[String]) -> Result<String, String> {
-    let mut plans = 120usize;
+    let mut plans = 600usize;
     let mut ablate = false;
     let mut seed: Option<u64> = None;
     let mut profile: Option<String> = None;
