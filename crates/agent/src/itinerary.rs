@@ -31,7 +31,7 @@ pub enum ItineraryPolicy {
 /// attempts the replica "is not visited again until the next round").
 /// Every other server of the system has been visited: the home at
 /// launch, the rest as the agent was sent to them.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Itinerary {
     unvisited: Vec<NodeId>,
     unavailable: Vec<NodeId>,
@@ -45,11 +45,16 @@ marp_wire::wire_struct!(Itinerary {
 impl Itinerary {
     /// All nodes in `0..n` except `home`.
     pub fn for_system(n: usize, home: NodeId) -> Self {
-        let unvisited = (0..n as NodeId).filter(|&node| node != home).collect();
-        Itinerary {
-            unvisited,
-            unavailable: Vec::new(),
-        }
+        Self::default().restart(n, home)
+    }
+
+    /// [`Self::for_system`], in the buffers this itinerary holds.
+    pub fn restart(mut self, n: usize, home: NodeId) -> Self {
+        self.unvisited.clear();
+        self.unvisited
+            .extend((0..n as NodeId).filter(|&node| node != home));
+        self.unavailable.clear();
+        self
     }
 
     /// True when every server named is one of an `n`-server system

@@ -129,6 +129,12 @@ impl<B: AgentBehavior> AgentRuntime<B> {
         self.outbound.len()
     }
 
+    /// A behaviour no agent uses any more, if the runtime keeps one: a
+    /// new agent built in its buffers starts warm.
+    pub fn take_spare(&mut self) -> Option<B> {
+        self.spares.pop()
+    }
+
     /// Create an agent at this (its home) host and run its first
     /// `on_arrive`.
     pub fn spawn(&mut self, behavior: B, host: &mut B::Host, ctx: &mut dyn Context) {

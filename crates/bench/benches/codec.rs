@@ -27,6 +27,7 @@ fn bench_agent_state(c: &mut Criterion) {
     let mut group = c.benchmark_group("codec/agent-state");
     for batch in [1usize, 8, 32] {
         let agent = UpdateAgent::new(
+            None,
             AgentId::new(0, SimTime::from_millis(1), 0),
             &cfg,
             sample_requests(batch),

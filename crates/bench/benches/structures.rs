@@ -130,6 +130,30 @@ fn bench_convoy(group: &mut criterion::BenchmarkGroup<'_>) {
             visitor.known_servers()
         })
     });
+    // A hop's whole Locking-Table cost at the destination: the agent
+    // left its row for this server behind (`lt_delta`), reads the
+    // server's queue back in and exchanges with the board.
+    group.bench_function("arrival/9x32", |b| {
+        let mut visitor = lt.clone();
+        let mut board = GossipBoard::new();
+        board.exchange(0, &mut lt.clone());
+        let queue = convoy_snapshot(0, 0..58, 1).queue;
+        let mut version = 1;
+        b.iter(|| {
+            version += 1;
+            visitor.drop_server(0);
+            let taken_at = SimTime::from_millis(version);
+            visitor.offer_row(0, version, taken_at, queue.iter().copied());
+            board.exchange(0, &mut visitor);
+            visitor.known_servers()
+        })
+    });
+    // An arriving agent's table decoded into the one a spare holds.
+    group.bench_function("decode-into/9x32", |b| {
+        let bytes = marp_wire::to_bytes(&lt);
+        let mut spare = lt.clone();
+        b.iter(|| marp_wire::from_bytes_into(&mut spare, std::hint::black_box(&bytes)))
+    });
     // One row replaced by its successor: five agents gone from its head
     // (other rows still name them) and five newcomers at its tail — or,
     // every other time, the reverse, which takes the newcomers off the

@@ -85,7 +85,7 @@ pub enum Phase {
 /// the itinerary policy, the gossip and delta switches, its timeouts —
 /// it reads from the [`MarpConfig`](crate::MarpConfig) of the host it
 /// is running on.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct UpdateAgent {
     id: AgentId,
     /// Request List: the writes this agent carries (paper §3.2).
@@ -121,14 +121,29 @@ marp_wire::wire_struct!(UpdateAgent {
 
 impl UpdateAgent {
     /// Create an agent carrying `requests`, ready to be spawned at its
-    /// home server.
-    pub fn new(id: AgentId, cfg: &crate::MarpConfig, requests: Vec<WriteRequest>) -> Self {
+    /// home server, in the buffers of `spare` — an agent no one uses
+    /// any more — if there is one. Nothing of the spare's state
+    /// survives: the agent equals one built from `None`.
+    pub fn new(
+        spare: Option<Self>,
+        id: AgentId,
+        cfg: &crate::MarpConfig,
+        requests: Vec<WriteRequest>,
+    ) -> Self {
+        let UpdateAgent {
+            itinerary,
+            mut lt,
+            mut ual,
+            ..
+        } = spare.unwrap_or_default();
+        lt.clear();
+        ual.clear();
         UpdateAgent {
             id,
             rl: requests,
-            itinerary: Itinerary::for_system(cfg.n_servers, id.home),
-            lt: LockingTable::new(),
-            ual: UpdatedList::new(),
+            itinerary: itinerary.restart(cfg.n_servers, id.home),
+            lt,
+            ual,
             attempt: 0,
             incarnation: 0,
             phase: Phase::Travelling,
@@ -733,6 +748,7 @@ mod tests {
     fn agent() -> UpdateAgent {
         let cfg = MarpConfig::new(5);
         UpdateAgent::new(
+            None,
             AgentId::new(0, SimTime::from_millis(1), 0),
             &cfg,
             vec![WriteRequest {
@@ -813,7 +829,7 @@ mod tests {
             state.visit(winner, 2, SimTime::from_millis(1), 0);
             let mut runtime = AgentRuntime::new(cfg.migration, agent_header);
             let mut ctx = host_ctx();
-            let parked = UpdateAgent::new(me, &cfg, agent().rl);
+            let parked = UpdateAgent::new(None, me, &cfg, agent().rl);
             runtime.spawn(parked, &mut state, &mut ctx);
             let mut this = Parked {
                 runtime,
@@ -992,7 +1008,7 @@ mod tests {
         // Dispatched under the defaults (gossip on, 250 ms ack timeout,
         // 25 ms re-poll)...
         let home_cfg = MarpConfig::new(1);
-        let travelling = UpdateAgent::new(agent().id, &home_cfg, agent().rl);
+        let travelling = UpdateAgent::new(None, agent().id, &home_cfg, agent().rl);
         // ...and decoded at a host configured otherwise.
         let mut host_cfg = home_cfg;
         host_cfg.gossip = false;
@@ -1135,7 +1151,7 @@ mod tests {
         let mut request = winner.rl[0];
         request.key = 5;
         let id = AgentId::new(0, SimTime::from_millis(2), 1);
-        let arrival = UpdateAgent::new(id, &cfg, vec![request]).with_itinerary_done();
+        let arrival = UpdateAgent::new(None, id, &cfg, vec![request]).with_itinerary_done();
         let migrate = AgentEnvelope::Migrate {
             agent: id,
             hop: 1,
@@ -1146,6 +1162,72 @@ mod tests {
             matches!(e, TraceEvent::LockGranted { agent, via_tie: false, .. } if *agent == id.key())
         });
         assert!(claimed, "the arrival woke up in the spare's claim");
+    }
+
+    /// An agent built in a spare's buffers equals the agent built from
+    /// none, whatever the spare went through: parked, claimed and
+    /// refused, servers declared unavailable — or refused itself, a
+    /// forged arrival the runtime decoded into a spare it then kept.
+    #[test]
+    fn an_agent_built_in_a_spare_equals_one_built_from_none() {
+        let mut p = Parked::new();
+        p.notice();
+        p.refuse_claim(1);
+        let mut toured = p.agent().clone();
+        assert!(is_parked(&toured) && toured.attempt == 1 && !toured.ual.is_empty());
+        toured.itinerary = Itinerary::for_system(5, 0);
+        toured.itinerary.mark_unavailable(3);
+        toured.itinerary.mark_unavailable(1);
+
+        // A claim won alone on a one-server system leaves its agent as
+        // the runtime's spare; a forged arrival (a row for server 7)
+        // is decoded into it, refused, and kept as the spare again.
+        let cfg = MarpConfig::new(1);
+        let mut state = lone_server(&cfg);
+        let mut ctx = host_ctx();
+        let mut runtime = AgentRuntime::new(cfg.migration, agent_header);
+        let winner = agent().with_itinerary_done();
+        runtime.spawn(winner.clone(), &mut state, &mut ctx);
+        let ack = AgentReply::UpdateAck {
+            attempt: 1,
+            positive: true,
+            fenced: false,
+            store_version: 0,
+        };
+        let ack = AgentEnvelope::ToAgent {
+            agent: winner.id,
+            payload: marp_wire::to_bytes(&ack),
+        };
+        runtime.handle_envelope(0, ack, &mut state, &mut ctx);
+        assert_eq!(runtime.resident_count(), 0, "the winner disposed");
+        let mut forged = agent().with_itinerary_done();
+        forged.lt.merge(
+            7,
+            marp_replica::LlSnapshot {
+                version: 2,
+                taken_at: SimTime::from_millis(2),
+                queue: vec![forged.id],
+            },
+        );
+        let arrival = AgentEnvelope::Migrate {
+            agent: forged.id,
+            hop: 1,
+            state: marp_wire::to_bytes(&forged),
+        };
+        runtime.handle_envelope(0, arrival, &mut state, &mut ctx);
+        let refused = ctx.traced.iter().any(
+            |e| matches!(e, TraceEvent::Custom { kind, .. } if *kind == trace::AGENT_STATE_FORGED),
+        );
+        assert!(refused && runtime.resident_count() == 0);
+        let kept = runtime.take_spare().expect("the refused state's spare");
+        assert!(kept.lt.snapshot(7).is_some());
+
+        let cfg = MarpConfig::new(5);
+        let id = AgentId::new(2, SimTime::from_millis(40), 9);
+        let fresh = UpdateAgent::new(None, id, &cfg, agent().rl);
+        for spare in [toured, kept] {
+            assert_eq!(UpdateAgent::new(Some(spare), id, &cfg, agent().rl), fresh);
+        }
     }
 
     /// `lt_delta` decides what a hop carries: off, the Locking Table and

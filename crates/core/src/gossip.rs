@@ -16,7 +16,15 @@
 use crate::lt::LockingTable;
 use marp_agent::AgentId;
 use marp_sim::{NodeId, SimTime};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+
+thread_local! {
+    /// The board merged back into, which a debug build's
+    /// [`GossipBoard::exchange`] compares with the visitor's table: kept
+    /// for its buffers, so the check allocates nothing once warm.
+    static MERGED_BACK: RefCell<LockingTable> = RefCell::new(LockingTable::new());
+}
 
 /// A server's blackboard of LL snapshots left behind by visiting
 /// agents, partitioned by object key.
@@ -43,11 +51,11 @@ impl GossipBoard {
         let board = self.tables.entry(key).or_default();
         lt.merge_table(board);
         debug_assert!(
-            {
-                let mut both = board.clone();
+            MERGED_BACK.with_borrow_mut(|both| {
+                both.clone_from(board);
                 both.merge_table(lt);
-                both == *lt
-            },
+                both == lt
+            }),
             "a server issued two queues under one version"
         );
         board.clone_from(lt);

@@ -28,10 +28,24 @@
 //!    evaluates the same rule, and the winner's claim is *validated* by
 //!    the majority-ACK reservation round (see `DESIGN.md`), so a stale
 //!    view can delay but never violate mutual exclusion.
+//!
+//! # Representation
+//!
+//! A [`LockingTable`] names each agent once, in a sorted roster, and
+//! every row is a list of ranks into it. In memory the table is three
+//! buffers however many rows it holds: the roster, the row heads
+//! (server and [`LlRow`] stamp) and every row's ranks back to back, a
+//! [`Ragged`]. On the wire it is the roster, then the rows each with its
+//! ranks, exactly as when every row kept a vector of its own. A new
+//! row's ranks are built at the tail of the ranks buffer and rotated
+//! into place, so arriving, exchanging with a gossip board and being
+//! copied or decoded into a held table allocate nothing once the
+//! buffers have grown.
 
 use marp_agent::{AgentId, Horizon};
 use marp_replica::{LlSnapshot, UpdatedList};
 use marp_sim::{NodeId, SimTime};
+use marp_wire::Ragged;
 use std::collections::BTreeMap;
 
 /// Most agents one table can name: rows index the roster with a `u16`
@@ -64,23 +78,17 @@ fn scratch<'a>(
     slots
 }
 
-/// One server's row of a [`LockingTable`]: which snapshot of its LL
-/// this is, and the queue as indices into the table's roster.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The head of one server's row of a [`LockingTable`]: which snapshot
+/// of its LL the row is. The queue is the row's ranks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LlRow {
     /// The server's queue-content version when the snapshot was taken.
     pub version: u64,
     /// When the snapshot was taken at the server.
     pub taken_at: SimTime,
-    /// Roster indices in queue order (index 0 is the top).
-    ranks: Vec<u16>,
 }
 
-marp_wire::wire_struct!(LlRow {
-    version,
-    taken_at,
-    ranks
-});
+marp_wire::wire_struct!(LlRow { version, taken_at });
 
 impl LlRow {
     /// Which snapshot this is, in the order of
@@ -101,14 +109,20 @@ impl LlRow {
 /// waits in. The roster holds exactly the agents some row names (the
 /// mutators drop an id with its last reference), which makes the
 /// representation a function of the content: equal tables are equal
-/// field by field and encode to the same bytes. The rows are one vector
-/// in server order, so a table decoded into another keeps its buffers
-/// row by row ([`marp_wire::Wire::decode_into`]).
+/// field by field and encode to the same bytes.
+///
+/// The whole table is three buffers however many rows it holds: the
+/// roster, the row heads in server order, and every row's ranks back to
+/// back (a [`Ragged`]). A row is added, replaced or dropped by a splice
+/// on the ranks, and a table decoded or copied into another reuses all
+/// three ([`marp_wire::Wire::decode_into`], [`Clone::clone_from`]), so
+/// a table that keeps its shape stops allocating.
 #[derive(Debug, Default, PartialEq)]
 pub struct LockingTable {
     roster: Vec<AgentId>,
-    /// `(server, row)`, servers strictly ascending.
-    rows: Vec<(NodeId, LlRow)>,
+    /// `(server, row)` heads, servers strictly ascending, each with its
+    /// ranks: roster indices in queue order (index 0 is the top).
+    rows: Ragged<(NodeId, LlRow), u16>,
 }
 
 marp_wire::wire_struct!(LockingTable { roster, rows } if LockingTable::is_well_formed);
@@ -121,20 +135,12 @@ impl Clone for LockingTable {
         }
     }
 
-    /// Row by row into the buffers already held: a table that is
-    /// overwritten again and again (a gossip board) stops allocating
-    /// once its rows have grown to the queues' depth.
+    /// Into the buffers already held: a table that is overwritten again
+    /// and again (a gossip board) stops allocating once they have grown
+    /// to the queues' depth.
     fn clone_from(&mut self, source: &Self) {
         self.roster.clone_from(&source.roster);
-        self.rows.truncate(source.rows.len());
-        let held = self.rows.len();
-        for ((server, held), (from, row)) in self.rows.iter_mut().zip(&source.rows) {
-            *server = *from;
-            held.version = row.version;
-            held.taken_at = row.taken_at;
-            held.ranks.clone_from(&row.ranks);
-        }
-        self.rows.extend_from_slice(&source.rows[held..]);
+        self.rows.clone_from(&source.rows);
     }
 }
 
@@ -142,6 +148,12 @@ impl LockingTable {
     /// An empty table.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empty the table, keeping its buffers.
+    pub fn clear(&mut self) {
+        self.roster.clear();
+        self.rows.clear();
     }
 
     /// What a decoded table must satisfy before any method may search
@@ -153,36 +165,28 @@ impl LockingTable {
     /// — which the forger could have written into the claim directly,
     /// and which servers check against their live queues anyway.
     fn is_well_formed(&self) -> bool {
+        let servers = self.rows.heads().map(|&(server, _)| server);
         self.roster.len() <= MAX_ROSTER
-            && self.rows.windows(2).all(|pair| pair[0].0 < pair[1].0)
+            && servers.clone().zip(servers.skip(1)).all(|(a, b)| a < b)
             && self.roster.windows(2).all(|pair| pair[0] < pair[1])
             && self
-                .ranks()
+                .rows
+                .items()
+                .iter()
                 .all(|&rank| usize::from(rank) < self.roster.len())
-    }
-
-    /// Every rank of every row.
-    fn ranks(&self) -> impl Iterator<Item = &u16> {
-        self.rows.iter().flat_map(|(_, row)| &row.ranks)
-    }
-
-    /// Every rank of every row, to be rewritten.
-    fn ranks_mut(&mut self) -> impl Iterator<Item = &mut u16> {
-        self.rows.iter_mut().flat_map(|(_, row)| &mut row.ranks)
     }
 
     /// Where `server`'s row is, or where it would go.
     fn slot(&self, server: NodeId) -> Result<usize, usize> {
-        self.rows
-            .binary_search_by_key(&server, |&(server, _)| server)
+        self.rows.binary_search_by(|&(held, _)| held.cmp(&server))
     }
 
     /// The roster index of `agent`, adding it if new. `guess` is tried
     /// first: the slot after the previous rank of a queue, where an agent
     /// queued behind an older one usually is. Ranks at or above an
-    /// insertion point move up by one, in every row and in `pending` (the
+    /// insertion point move up by one, in every row and in the tail (the
     /// ranks of a row still being built).
-    fn intern(&mut self, agent: AgentId, pending: &mut [u16], guess: usize) -> u16 {
+    fn intern(&mut self, agent: AgentId, guess: usize) -> u16 {
         if self.roster.get(guess) == Some(&agent) {
             return guess as u16;
         }
@@ -192,8 +196,8 @@ impl LockingTable {
                 self.roster.insert(at, agent);
                 // Agents sort by birth, so a new one usually lands last.
                 if at + 1 < self.roster.len() {
-                    let rows = self.ranks_mut();
-                    for rank in rows.chain(pending).filter(|rank| usize::from(**rank) >= at) {
+                    let ranks = self.rows.items_mut().iter_mut();
+                    for rank in ranks.filter(|rank| usize::from(**rank) >= at) {
                         *rank += 1;
                     }
                 }
@@ -205,7 +209,8 @@ impl LockingTable {
 
     /// Install `queue` — `server`'s LL as of `(version, taken_at)`, read
     /// in place — as `server`'s row if that snapshot supersedes the one
-    /// held.
+    /// held. The ranks are built at the tail of the ranks buffer and
+    /// rotated into place.
     pub fn offer_row(
         &mut self,
         server: NodeId,
@@ -215,49 +220,40 @@ impl LockingTable {
     ) {
         let slot = self.slot(server);
         if let Ok(at) = slot {
-            if self.rows[at].1.stamp() >= (version, taken_at) {
+            if self.rows.head(at).1.stamp() >= (version, taken_at) {
                 return;
             }
         }
         if self.roster.len() + queue.len() > MAX_ROSTER {
             return; // no deployment queues 65 535 agents; never index past u16
         }
-        // The held row's buffer, emptied: while the new ranks are built
-        // it names nobody, and `release` drops whom only it named.
-        let mut ranks = match slot {
-            Ok(at) => std::mem::take(&mut self.rows[at].1.ranks),
-            Err(_) => Vec::new(),
-        };
-        ranks.clear();
-        ranks.reserve(queue.len());
+        // The held row goes first: while the new ranks are built at the
+        // tail it names nobody, and `release` drops whom only it named.
+        if let Ok(at) = slot {
+            self.rows.remove(at);
+        }
         let mut guess = 0;
         for agent in queue {
-            let rank = self.intern(agent, &mut ranks, guess);
-            ranks.push(rank);
+            let rank = self.intern(agent, guess);
+            self.rows.push(rank);
             guess = usize::from(rank) + 1;
         }
-        let row = LlRow {
-            version,
-            taken_at,
-            ranks,
-        };
-        match slot {
-            Ok(at) => {
-                self.rows[at].1 = row;
-                self.release();
-            }
-            Err(at) => self.rows.insert(at, (server, row)),
+        let (Ok(at) | Err(at)) = slot;
+        self.rows
+            .insert_tail(at, (server, LlRow { version, taken_at }));
+        if slot.is_ok() {
+            self.release();
         }
     }
 
     /// Restore the roster invariant after rows were removed or replaced:
     /// drop every agent no row names and close the gaps in the ranks, in
-    /// one pass over the rows and one over the roster.
+    /// one pass over the ranks and one over the roster.
     fn release(&mut self) {
         let (mut stack, mut heap) = ([0; SCRATCH], Vec::new());
         // Each roster slot's index once the dead are gone, or DEAD.
         let slots = scratch(&mut stack, &mut heap, self.roster.len(), DEAD);
-        for &rank in self.ranks() {
+        for &rank in self.rows.items() {
             slots[usize::from(rank)] = 0;
         }
         let mut live = 0;
@@ -270,7 +266,7 @@ impl LockingTable {
         }
         let mut slot = slots.iter();
         self.roster.retain(|_| slot.next() != Some(&DEAD));
-        for rank in self.ranks_mut() {
+        for rank in self.rows.items_mut() {
             *rank = slots[usize::from(*rank)];
         }
     }
@@ -292,9 +288,9 @@ impl LockingTable {
     /// One walk of the two id-sorted rosters maps every agent `other`'s
     /// fresher rows name to its slot in the union, inserting the ones
     /// `self` lacks in place from the back; each fresher row is then
-    /// written into the buffer of the row it replaces, and one pass
-    /// drops whom the replaced rows alone named. An agent only `other`'s
-    /// stale rows name never enters.
+    /// spliced into the ranks in place of the row it replaces, and one
+    /// pass drops whom the replaced rows alone named. An agent only
+    /// `other`'s stale rows name never enters.
     pub fn merge_table(&mut self, other: &LockingTable) {
         let supersedes = |server: NodeId, row: &LlRow| {
             let held = self.snapshot(server);
@@ -305,10 +301,12 @@ impl LockingTable {
         let (mut stack, mut heap) = ([0; SCRATCH], Vec::new());
         let theirs = scratch(&mut stack, &mut heap, other.roster.len(), DEAD);
         let mut fresher = false;
-        for (_, row) in other.rows.iter().filter(|(s, row)| supersedes(*s, row)) {
-            fresher = true;
-            for &rank in &row.ranks {
-                theirs[usize::from(rank)] = 0;
+        for (&(server, row), ranks) in other.rows.iter() {
+            if supersedes(server, &row) {
+                fresher = true;
+                for &rank in ranks {
+                    theirs[usize::from(rank)] = 0;
+                }
             }
         }
         if !fresher {
@@ -353,28 +351,20 @@ impl LockingTable {
                     self.roster[usize::from(to)] = agent;
                 }
             }
-            for rank in self.ranks_mut() {
+            for rank in self.rows.items_mut() {
                 *rank = mine[usize::from(*rank)];
             }
         }
         let mut replaced = false;
-        for (server, row) in &other.rows {
-            let ranks = row.ranks.iter().map(|&rank| theirs[usize::from(rank)]);
-            match self.slot(*server) {
-                Ok(at) => {
-                    let held = &mut self.rows[at].1;
-                    if held.stamp() < row.stamp() {
-                        held.version = row.version;
-                        held.taken_at = row.taken_at;
-                        held.ranks.clear();
-                        held.ranks.extend(ranks);
-                        replaced = true;
-                    }
+        for (&head, ranks) in other.rows.iter() {
+            let ranks = ranks.iter().map(|&rank| theirs[usize::from(rank)]);
+            match self.slot(head.0) {
+                Ok(at) if self.rows.head(at).1.stamp() < head.1.stamp() => {
+                    self.rows.replace(at, head, ranks);
+                    replaced = true;
                 }
-                Err(at) => {
-                    let ranks = ranks.collect();
-                    self.rows.insert(at, (*server, LlRow { ranks, ..*row }));
-                }
+                Ok(_) => {}
+                Err(at) => self.rows.insert(at, head, ranks),
             }
         }
         if replaced {
@@ -382,10 +372,11 @@ impl LockingTable {
         }
     }
 
-    /// The row held for `server`, if any. Its queue is in [`Self::iter`].
+    /// The head of the row held for `server`, if any. Its queue is in
+    /// [`Self::iter`].
     pub fn snapshot(&self, server: NodeId) -> Option<&LlRow> {
         let at = self.slot(server).ok()?;
-        Some(&self.rows[at].1)
+        Some(&self.rows.head(at).1)
     }
 
     /// Number of servers with known snapshots.
@@ -395,18 +386,18 @@ impl LockingTable {
 
     /// Every `(server, snapshot)` pair, the queues spelled out.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, LlSnapshot)> + '_ {
-        self.rows.iter().map(|(server, row)| {
+        self.rows.iter().map(|(&(server, row), ranks)| {
             let snapshot = LlSnapshot {
                 version: row.version,
                 taken_at: row.taken_at,
-                queue: self.queue(row).collect(),
+                queue: self.queue(ranks).collect(),
             };
-            (*server, snapshot)
+            (server, snapshot)
         })
     }
 
-    fn queue<'a>(&'a self, row: &'a LlRow) -> impl ExactSizeIterator<Item = AgentId> + 'a {
-        row.ranks.iter().map(|&rank| self.roster[usize::from(rank)])
+    fn queue<'a>(&'a self, ranks: &'a [u16]) -> impl ExactSizeIterator<Item = AgentId> + 'a {
+        ranks.iter().map(|&rank| self.roster[usize::from(rank)])
     }
 
     /// Every agent some row names, once each, in id order.
@@ -419,7 +410,8 @@ impl LockingTable {
     /// order, so the last row speaks for all).
     pub fn validate(&self, n: usize) -> bool {
         self.rows
-            .last()
+            .heads()
+            .next_back()
             .is_none_or(|&(server, _)| usize::from(server) < n)
             && self.roster.iter().all(|agent| agent.validate(n))
     }
@@ -432,7 +424,7 @@ impl LockingTable {
     /// Queue entries over all rows: what the table would cost with
     /// every id spelled out where it is queued.
     pub fn entries(&self) -> usize {
-        self.rows.iter().map(|(_, row)| row.ranks.len()).sum()
+        self.rows.items().len()
     }
 
     /// The roster read against `finished`, slot by slot, in one walk of
@@ -468,13 +460,13 @@ impl LockingTable {
         mut drained: impl FnMut(NodeId),
     ) -> &'a mut [u16] {
         let slots = self.live_slots(finished, stack, heap);
-        for (server, row) in &self.rows {
-            let mut ranks = row.ranks.iter().map(|&rank| usize::from(rank));
+        for (&(server, _), ranks) in self.rows.iter() {
+            let mut ranks = ranks.iter().map(|&rank| usize::from(rank));
             match ranks.find(|&rank| slots[rank] != DEAD) {
                 // (A count stops one short of DEAD: no deployment has
                 // 65 535 servers.)
                 Some(top) => slots[top] = (slots[top] + 1).min(DEAD - 1),
-                None => drained(*server),
+                None => drained(server),
             }
         }
         slots
@@ -484,7 +476,8 @@ impl LockingTable {
     /// known to have finished already (stale snapshots may still list
     /// committed agents).
     pub fn effective_top(&self, server: NodeId, finished: &UpdatedList) -> Option<AgentId> {
-        self.queue(self.snapshot(server)?)
+        let at = self.slot(server).ok()?;
+        self.queue(self.rows.row(at))
             .find(|&agent| !finished.contains(agent))
     }
 
@@ -503,13 +496,13 @@ impl LockingTable {
     /// `rival`: the first agent there that is neither `rival` nor
     /// [`DEAD`] in `slots` (a [`Self::tally_tops`] reading).
     fn next_in_line(&self, me: usize, rival: usize, slots: &[u16]) -> usize {
-        let first_other = |row: &LlRow| {
-            let mut ranks = row.ranks.iter().map(|&rank| usize::from(rank));
+        let first_other = |ranks: &[u16]| {
+            let mut ranks = ranks.iter().map(|&rank| usize::from(rank));
             ranks.find(|&rank| rank != rival && slots[rank] != DEAD)
         };
         self.rows
             .iter()
-            .filter(|(_, row)| first_other(row) == Some(me))
+            .filter(|(_, ranks)| first_other(ranks) == Some(me))
             .count()
     }
 
@@ -524,7 +517,7 @@ impl LockingTable {
         };
         self.rows
             .iter()
-            .filter(|(_, row)| row.ranks.contains(&(rank as u16)))
+            .filter(|(_, ranks)| ranks.contains(&(rank as u16)))
             .count()
     }
 
@@ -534,16 +527,16 @@ impl LockingTable {
     /// than the receiver's horizon).
     pub fn horizon(&self) -> Horizon {
         self.rows
-            .iter()
-            .map(|(server, row)| (*server, row.version))
+            .heads()
+            .map(|&(server, row)| (server, row.version))
             .collect()
     }
 
     /// Raise `horizon` to cover every snapshot held: what
     /// [`Self::horizon`] says, written into a horizon buffer.
     pub fn raise_horizon(&self, horizon: &mut Horizon) {
-        for (server, row) in &self.rows {
-            horizon.raise(*server, row.version);
+        for &(server, row) in self.rows.heads() {
+            horizon.raise(server, row.version);
         }
     }
 
@@ -555,7 +548,7 @@ impl LockingTable {
     pub fn prune_covered_by(&mut self, horizon: &Horizon) {
         let held = self.rows.len();
         self.rows
-            .retain(|(server, row)| horizon.get(*server).is_none_or(|v| row.version > v));
+            .retain(|&(server, row), _| horizon.get(server).is_none_or(|v| row.version > v));
         if self.rows.len() < held {
             self.release();
         }

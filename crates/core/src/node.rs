@@ -237,7 +237,9 @@ impl MarpNode {
         let deadline =
             RetryPolicy::linear(self.state.config().redispatch_timeout, 4).next_delay(attempts);
         ctx.set_timer(deadline, TimerMux::tag(NodeTimer::Regen, epoch));
-        let agent = UpdateAgent::new(id, self.state.config(), batch).with_incarnation(incarnation);
+        let spare = self.runtime.take_spare();
+        let agent =
+            UpdateAgent::new(spare, id, self.state.config(), batch).with_incarnation(incarnation);
         self.runtime.spawn(agent, &mut self.state, ctx);
     }
 
@@ -335,8 +337,9 @@ impl MarpNode {
                     }
                     marp_replica::ClientAction::FreshRead(read) => {
                         let id = self.new_agent_id(ctx);
-                        let agent =
-                            ReadAgent::new(id, self.state.config(), read.id, read.client, read.key);
+                        let spare = self.read_runtime.take_spare();
+                        let cfg = self.state.config();
+                        let agent = ReadAgent::new(spare, id, cfg, read.id, read.client, read.key);
                         self.read_runtime.spawn(agent, &mut self.state, ctx);
                     }
                 }
@@ -613,8 +616,8 @@ mod tests {
         }
         let mut ctx = test_ctx();
         // Nowhere left to go: it parks on arrival.
-        let resident =
-            UpdateAgent::new(parked, node.state.config(), vec![write(2)]).with_itinerary_done();
+        let resident = UpdateAgent::new(None, parked, node.state.config(), vec![write(2)])
+            .with_itinerary_done();
         node.runtime.spawn(resident, &mut node.state, &mut ctx);
         assert!(matches!(
             node.runtime.resident(parked).map(|a| a.phase()),

@@ -22,7 +22,7 @@ use marp_sim::{NodeId, SpanKey, SpanKind, TraceEvent};
 type Observation = (u64, u64, Option<u64>);
 
 /// A travelling quorum-read agent.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReadAgent {
     id: AgentId,
     /// The client request being served.
@@ -49,21 +49,26 @@ marp_wire::wire_struct!(ReadAgent {
 } off_wire { id });
 
 impl ReadAgent {
-    /// Create a read agent for one `ReadFresh` request.
+    /// Create a read agent for one `ReadFresh` request, in the buffers
+    /// of `spare` — a read agent no one uses any more — if there is
+    /// one. Nothing of the spare's state survives: the agent equals one
+    /// built from `None`.
     pub fn new(
+        spare: Option<Self>,
         id: AgentId,
         cfg: &crate::MarpConfig,
         request: u64,
         client: NodeId,
         key: u64,
     ) -> Self {
+        let ReadAgent { itinerary, .. } = spare.unwrap_or_default();
         ReadAgent {
             id,
             request,
             client,
             key,
             best: (0, 0, None),
-            itinerary: Itinerary::for_system(cfg.n_servers, id.home),
+            itinerary: itinerary.restart(cfg.n_servers, id.home),
         }
     }
 
@@ -185,13 +190,36 @@ mod tests {
     #[test]
     fn wire_roundtrip() {
         let cfg = MarpConfig::new(5);
-        let mut agent = ReadAgent::new(AgentId::new(1, SimTime::from_millis(3), 7), &cfg, 42, 9, 5);
+        let mut agent = ReadAgent::new(
+            None,
+            AgentId::new(1, SimTime::from_millis(3), 7),
+            &cfg,
+            42,
+            9,
+            5,
+        );
         agent.observe((3, 2, Some(20)));
         agent.itinerary.next_destination(cfg.itinerary, |_| 0.0);
         let bytes = marp_wire::to_bytes(&agent);
         let mut back: ReadAgent = marp_wire::from_bytes(&bytes).unwrap();
         back.set_id(agent.id);
         assert_eq!(back, agent);
+    }
+
+    /// A read agent built in the buffers of one that observed a value
+    /// and travelled equals one built from none.
+    #[test]
+    fn a_read_agent_built_in_a_spare_equals_one_built_from_none() {
+        let cfg = MarpConfig::new(5);
+        let mut spare = ReadAgent::new(None, AgentId::new(1, SimTime::ZERO, 7), &cfg, 42, 9, 5);
+        spare.observe((3, 2, Some(20)));
+        spare.itinerary.next_destination(cfg.itinerary, |_| 0.0);
+        spare.itinerary.mark_unavailable(4);
+        let id = AgentId::new(3, SimTime::from_millis(8), 2);
+        assert_eq!(
+            ReadAgent::new(Some(spare), id, &cfg, 43, 8, 6),
+            ReadAgent::new(None, id, &cfg, 43, 8, 6)
+        );
     }
 
     /// One replica server of `cfg`'s deployment and its read-agent
@@ -253,7 +281,7 @@ mod tests {
     fn two_of_five_visits_migrate_on_and_the_third_answers() {
         let cfg = MarpConfig::new(5);
         let mut replicas: Vec<Replica> = (0..5).map(|me| replica(me, &cfg)).collect();
-        let agent = ReadAgent::new(AgentId::new(0, SimTime::ZERO, 0), &cfg, 1, CLIENT, 4);
+        let agent = ReadAgent::new(None, AgentId::new(0, SimTime::ZERO, 0), &cfg, 1, CLIENT, 4);
         let home = &mut replicas[0];
         home.runtime.spawn(agent, &mut home.state, &mut home.ctx);
         let mut visited: Vec<NodeId> = vec![0];
@@ -297,7 +325,7 @@ mod tests {
             )
         ) {
             let cfg = MarpConfig::new(5);
-            let mut agent = ReadAgent::new(AgentId::new(0, SimTime::ZERO, 0), &cfg, 1, CLIENT, 4);
+            let mut agent = ReadAgent::new(None, AgentId::new(0, SimTime::ZERO, 0), &cfg, 1, CLIENT, 4);
             for &observation in &seen {
                 agent.observe(observation);
             }

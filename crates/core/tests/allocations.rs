@@ -11,8 +11,8 @@ use marp_agent::{AgentBehavior, AgentEnvelope, AgentId, AgentRuntime, WrapFn};
 use marp_core::lt::{decide, LockingTable, Priority};
 use marp_core::{
     agent_header, read_agent_header, wrap_agent_envelope, wrap_client_request, wrap_sync,
-    AgentReply, CommitMsg, MarpConfig, MarpNode, MarpServerState, NodeMsg, ReadAgent, UpdateAgent,
-    UpdateMsg,
+    AgentReply, CommitMsg, GossipBoard, MarpConfig, MarpNode, MarpServerState, NodeMsg, ReadAgent,
+    UpdateAgent, UpdateMsg,
 };
 use marp_net::{RoutingTable, Topology};
 use marp_replica::{
@@ -123,7 +123,7 @@ fn dispatch(home: &mut Host, seq: u32, key: u64, cfg: &MarpConfig) -> AgentEnvel
         value: 3,
         arrived: SimTime::ZERO,
     };
-    let agent = UpdateAgent::new(aid(0, seq), cfg, vec![write]);
+    let agent = UpdateAgent::new(None, aid(0, seq), cfg, vec![write]);
     home.runtime.spawn(agent, &mut home.state, &mut home.ctx);
     home.sent_to(1, is_migrate)
 }
@@ -281,19 +281,25 @@ fn agent(i: u32) -> AgentId {
     AgentId::new((i % 7) as NodeId, SimTime::from_millis(u64::from(i)), i)
 }
 
-/// A convoy at N = 9: 58 agents, each queued at five of the nine
-/// servers, so every queue is 30 to 34 deep; the first `finished` have
-/// committed.
+/// Server `server`'s queue in a convoy at N = 9: 58 agents, each
+/// queued at five of the nine servers, so every queue is 30 to 34 deep.
+fn convoy_queue(server: NodeId) -> Vec<AgentId> {
+    let server = u32::from(server);
+    let queue = (0..58).filter(|i| (server + 9 - i % 9) % 9 < 5);
+    queue.map(agent).collect()
+}
+
+/// A convoy at N = 9 ([`convoy_queue`]); the first `finished` agents
+/// have committed.
 fn convoy(finished: u32) -> (LockingTable, UpdatedList) {
     let mut lt = LockingTable::new();
-    for server in 0..9u32 {
-        let queue = (0..58).filter(|i| (server + 9 - i % 9) % 9 < 5).map(agent);
+    for server in 0..9 {
         let snapshot = LlSnapshot {
             version: 1,
             taken_at: SimTime::from_millis(1),
-            queue: queue.collect(),
+            queue: convoy_queue(server),
         };
-        lt.merge(server as NodeId, snapshot);
+        lt.merge(server, snapshot);
     }
     let mut done = UpdatedList::new();
     for i in 0..finished {
@@ -318,6 +324,99 @@ fn deciding_on_a_convoy_table_allocates_nothing() {
         }
     }
     assert!(decided > 100);
+}
+
+/// A convoy table decoded into one that has held a table of its shape
+/// reuses the roster, the row heads and the ranks: nothing per row.
+#[test]
+fn a_convoy_table_decodes_into_a_warm_one_without_allocating() {
+    let (lt, _) = convoy(0);
+    let bytes = marp_wire::to_bytes(&lt);
+    let mut warm: LockingTable = marp_wire::from_bytes(&bytes).expect("a table");
+    warm.drop_server(4);
+    assert_ne!(warm, lt);
+    let (decoded, requests, _) =
+        noting_alloc::requests_during(|| marp_wire::from_bytes_into(&mut warm, &bytes));
+    assert_eq!(decoded, Ok(()));
+    assert_eq!(warm, lt);
+    assert_eq!(requests, 0);
+}
+
+/// An arrival at a board that knows of a convoy: the visitor brings a
+/// fresher row 0, the board holds a fresher row 1. Once both tables
+/// have held tables of this shape, the exchange is splices and copies
+/// into their buffers.
+#[test]
+fn a_gossip_exchange_into_warm_tables_allocates_nothing() {
+    let (lt, _) = convoy(0);
+    let mut board = GossipBoard::new();
+    board.exchange(1, &mut lt.clone());
+    let mut visitor = lt.clone();
+    let mut exchange = |version: u64| {
+        let taken_at = SimTime::from_millis(version);
+        let (row_0, row_1) = (convoy_queue(0), convoy_queue(1));
+        visitor.offer_row(0, version, taken_at, row_0.into_iter());
+        board.post(1, 1, version, taken_at, row_1.into_iter());
+        let ((), requests, _) = noting_alloc::requests_during(|| board.exchange(1, &mut visitor));
+        assert_eq!(board.contents(1), Some(&visitor));
+        requests
+    };
+    exchange(2);
+    exchange(3);
+    assert_eq!(exchange(4), 0);
+}
+
+/// A hop drops the destination's row from the agent's table, and the
+/// arrival reads that server's queue back in: the row's ranks leave
+/// the buffer and come back through its tail, at no allocation.
+#[test]
+fn dropping_a_row_and_reading_it_back_allocates_nothing() {
+    let (mut lt, _) = convoy(0);
+    let queue = convoy_queue(3);
+    let mut hop = |version: u64| {
+        noting_alloc::requests_during(|| {
+            lt.drop_server(3);
+            lt.offer_row(
+                3,
+                version,
+                SimTime::from_millis(version),
+                queue.iter().copied(),
+            );
+        })
+        .1
+    };
+    hop(2);
+    assert_eq!(hop(3), 0);
+    let mut read_back = convoy(0).0;
+    read_back.offer_row(3, 3, SimTime::from_millis(3), queue.iter().copied());
+    assert_eq!(lt, read_back);
+}
+
+/// Agents launched into the buffers of spares that held agents of
+/// their system: the itinerary is refilled in place and the tables are
+/// emptied, not dropped.
+#[test]
+fn agents_built_in_spares_allocate_nothing() {
+    let cfg = MarpConfig::new(9);
+    let write = WriteRequest {
+        id: 1,
+        client: 9,
+        key: 1,
+        value: 3,
+        arrived: SimTime::ZERO,
+    };
+    let spare = UpdateAgent::new(None, aid(4, 1), &cfg, vec![write]);
+    let requests = vec![write];
+    let (built, allocations, _) =
+        noting_alloc::requests_during(|| UpdateAgent::new(Some(spare), aid(0, 2), &cfg, requests));
+    assert_eq!(built, UpdateAgent::new(None, aid(0, 2), &cfg, vec![write]));
+    assert_eq!(allocations, 0);
+
+    let spare = ReadAgent::new(None, aid(4, 1), &cfg, 7, 9, 1);
+    let (built, allocations, _) =
+        noting_alloc::requests_during(|| ReadAgent::new(Some(spare), aid(0, 2), &cfg, 8, 9, 1));
+    assert_eq!(built, ReadAgent::new(None, aid(0, 2), &cfg, 8, 9, 1));
+    assert_eq!(allocations, 0);
 }
 
 /// The horizon a parked agent sends with each `LlQuery` is one block

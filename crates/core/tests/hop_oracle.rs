@@ -67,7 +67,7 @@ fn agent_for(id: AgentId, key: u64, cfg: &MarpConfig) -> UpdateAgent {
         value: 3,
         arrived: SimTime::ZERO,
     };
-    UpdateAgent::new(id, cfg, vec![write])
+    UpdateAgent::new(None, id, cfg, vec![write])
 }
 
 /// The `Migrate` envelope a host has sent to `to`, if any.

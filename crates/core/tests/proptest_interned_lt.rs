@@ -554,13 +554,16 @@ proptest! {
             return Ok(());
         }
         // The wire form with the rows in `order`: the roster, then each
-        // `(server, row)`.
+        // `(server, row, ranks)`, read back from the table's own bytes.
+        type Rows = Vec<(NodeId, LlRow, Vec<u16>)>;
+        let (roster, rows): (Vec<AgentId>, Rows) =
+            marp_wire::from_bytes(&marp_wire::to_bytes(&table)).expect("the table's bytes");
         let forged = |order: &[NodeId]| {
-            let rows: Vec<(NodeId, LlRow)> = order
+            let rows: Rows = order
                 .iter()
-                .map(|&s| (s, table.snapshot(s).expect("a held row").clone()))
+                .map(|&s| rows.iter().find(|row| row.0 == s).expect("a held row").clone())
                 .collect();
-            marp_wire::to_bytes(&(table.roster().to_vec(), rows))
+            marp_wire::to_bytes(&(roster.clone(), rows))
         };
         prop_assert_eq!(
             marp_wire::from_bytes::<LockingTable>(&forged(&servers)),

@@ -156,7 +156,7 @@ fn leaf_and_carried_state_vectors() {
     let cfg = MarpConfig::new(5);
     g.check_agent(
         "UpdateAgent",
-        UpdateAgent::new(aid(1), &cfg, vec![write_request()]).with_incarnation(2),
+        UpdateAgent::new(None, aid(1), &cfg, vec![write_request()]).with_incarnation(2),
         "01090807ac02c096b1020400020304000000000002",
     );
     // Nothing else rides: a freshly dispatched one-request agent is the
@@ -165,14 +165,14 @@ fn leaf_and_carried_state_vectors() {
     // travelling), no visit list (the USL's complement), no host
     // configuration, no timer or re-poll state.
     use marp_wire::to_bytes;
-    let fresh = UpdateAgent::new(aid(1), &cfg, vec![write_request()]);
+    let fresh = UpdateAgent::new(None, aid(1), &cfg, vec![write_request()]);
     let lists = to_bytes(&vec![write_request()]).len()
         + to_bytes(&Itinerary::for_system(5, 1)).len()
         + to_bytes(&LockingTable::new()).len()
         + to_bytes(&UpdatedList::new()).len();
     let (attempt, incarnation) = (1, 1);
     assert_eq!(to_bytes(&fresh).len(), lists + attempt + incarnation);
-    let read = ReadAgent::new(aid(1), &cfg, 9, 8, 7);
+    let read = ReadAgent::new(None, aid(1), &cfg, 9, 8, 7);
     g.check_agent("ReadAgent", read.clone(), "090807000000040002030400");
     // A migrate frame names its agent once, in the envelope.
     let id = to_bytes(&aid(1));

@@ -464,6 +464,11 @@ impl UpdatedList {
         self.agents.len()
     }
 
+    /// Forget every entry, keeping the buffer.
+    pub fn clear(&mut self) {
+        self.agents.clear();
+    }
+
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.agents.is_empty()

@@ -25,10 +25,12 @@
 
 mod error;
 mod label;
+mod ragged;
 mod reader;
 mod varint;
 
 pub use error::WireError;
+pub use ragged::Ragged;
 pub use reader::Reader;
 pub use varint::{get_uvarint, put_uvarint};
 

@@ -129,6 +129,7 @@ fn node_msgs() -> Vec<NodeMsg> {
             agent: aid(2),
             hop: 3,
             state: to_bytes(&UpdateAgent::new(
+                None,
                 aid(2),
                 &MarpConfig::new(5),
                 vec![write_request()],
@@ -624,11 +625,11 @@ proptest! {
         let ts = LwwTs { counter: 300, node: 2 };
         robust(&node_msgs(), raw);
         robust(&agent_replies(), raw);
-        let (fresh, travelled) = (UpdateAgent::new(aid(1), &cfg, vec![write_request()]), travelled_agent());
+        let (fresh, travelled) = (UpdateAgent::new(None, aid(1), &cfg, vec![write_request()]), travelled_agent());
         robust_into(&[fresh, travelled.clone()], &travelled, raw);
         // A named warm agent: decoding into it leaves the id unset too.
-        let wider = ReadAgent::new(aid(3), &MarpConfig::new(9), 99, 4, 11);
-        robust_into(&[ReadAgent::new(aid(1), &cfg, 9, 8, 7), wider.clone()], &wider, raw);
+        let wider = ReadAgent::new(None, aid(3), &MarpConfig::new(9), 99, 4, 11);
+        robust_into(&[ReadAgent::new(None, aid(1), &cfg, 9, 8, 7), wider.clone()], &wider, raw);
         robust(&[AgentEnvelope::MigrateAck { agent: aid(2), hop: 3, horizon: Horizon::from_iter([(0, 4), (3, 9)]) }], raw);
         robust(&[[(0, 4), (3, 9)].into_iter().collect::<Horizon>()], raw);
         robust(&[McvMsg::Apply { ballot, records: vec![commit_record()] }], raw);
