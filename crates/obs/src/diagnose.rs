@@ -27,7 +27,7 @@
 //! alone: both fire on the same exponent test, so the generic detector
 //! would report every convoy twice.
 
-use crate::json::Json;
+use crate::json::{round_to, Json};
 use crate::sweep::SweepReport;
 use std::fmt::Write as _;
 
@@ -80,10 +80,6 @@ pub struct Verdict {
 pub struct Diagnosis {
     /// Fired rules, highest score first.
     pub verdicts: Vec<Verdict>,
-}
-
-fn round3(x: f64) -> f64 {
-    (x * 1000.0).round() / 1000.0
 }
 
 /// Per-point evidence row for one phase: value per commit and share of
@@ -231,7 +227,7 @@ fn lock_queue_convoy(report: &SweepReport, out: &mut Vec<Verdict>) {
     out.push(Verdict {
         rule: "lock-queue-convoy",
         severity: severity_for(k),
-        score: round3(k * (1.0 + top_share)),
+        score: round_to(k * (1.0 + top_share), 3),
         summary: format!(
             "lock-wait per commit grows as n^{k:.2} and is {:.1}% of commit latency at n={}: \
              agents convoy behind growing Locking List queues ({aborted_at_top:.2} aborted \
@@ -317,7 +313,7 @@ fn wire_byte_growth(report: &SweepReport, out: &mut Vec<Verdict>) {
     out.push(Verdict {
         rule: "wire-byte-growth",
         severity: severity_for(k),
-        score: round3(k),
+        score: round_to(k, 3),
         summary,
         evidence,
     });
@@ -361,7 +357,7 @@ fn migration_storm(report: &SweepReport, out: &mut Vec<Verdict>) {
         } else {
             Severity::Warning
         },
-        score: round3(per_commit / bound_hi + k.unwrap_or(0.0)),
+        score: round_to(per_commit / bound_hi + k.unwrap_or(0.0), 3),
         summary: if exceeds {
             format!(
                 "{per_commit:.2} migrations per commit at n={} exceeds Theorem 3's upper bound \
@@ -399,7 +395,7 @@ fn superlinear_phases(report: &SweepReport, out: &mut Vec<Verdict>) {
         out.push(Verdict {
             rule: "superlinear-phase",
             severity: Severity::Info,
-            score: round3(k / 2.0),
+            score: round_to(k / 2.0, 3),
             summary: format!("the {phase} phase grows as n^{k:.2} per commit"),
             evidence,
         });

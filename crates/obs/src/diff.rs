@@ -6,7 +6,7 @@
 //! table and a deterministic JSON document so CI can gate on the
 //! machine-readable form.
 
-use crate::json::Json;
+use crate::json::{round_to, Json};
 use crate::profile::Profile;
 use crate::sweep::{metrics, Column, SweepReport};
 use std::collections::BTreeSet;
@@ -42,11 +42,6 @@ pub struct ProfileDiff {
     pub paths: Vec<PathDelta>,
 }
 
-/// Round a share to 6 decimals so output stays byte-stable and small.
-fn round_share(x: f64) -> f64 {
-    (x * 1e6).round() / 1e6
-}
-
 impl ProfileDiff {
     /// Compare `before` against `after`.
     pub fn between(before: &Profile, after: &Profile) -> Self {
@@ -63,8 +58,9 @@ impl ProfileDiff {
                     path: path.clone(),
                     before_ns: b,
                     after_ns: a,
-                    before_share: round_share(b as f64 / before_total),
-                    after_share: round_share(a as f64 / after_total),
+                    // 6 decimals keep the output byte-stable and small.
+                    before_share: round_to(b as f64 / before_total, 6),
+                    after_share: round_to(a as f64 / after_total, 6),
                 }
             })
             .collect();
@@ -114,7 +110,7 @@ impl ProfileDiff {
                     ("after_ns", Json::Num(d.after_ns as f64)),
                     ("before_share", Json::Num(d.before_share)),
                     ("after_share", Json::Num(d.after_share)),
-                    ("share_delta", Json::Num(round_share(d.share_delta()))),
+                    ("share_delta", Json::Num(round_to(d.share_delta(), 6))),
                 ])
             })
             .collect();
@@ -168,7 +164,7 @@ impl SweepDiff {
                 .points
                 .iter()
                 .find(|p| p.n == top_n)
-                .map(|p| (p.metric(column) * 1000.0).round() / 1000.0)
+                .map(|p| round_to(p.metric(column), 3))
                 .unwrap_or(0.0)
         };
         let metrics = metrics()

@@ -58,27 +58,6 @@ pub struct Profile {
     pub unmatched_ends: u64,
 }
 
-/// Stable ordering rank for a span kind inside sibling paths. The
-/// match is exhaustive (the crate denies wildcard enum arms), so a new
-/// phase kind fails the profiler build until it is ranked here.
-fn kind_rank(kind: SpanKind) -> u8 {
-    match kind {
-        SpanKind::Request => 0,
-        SpanKind::Dispatch => 1,
-        SpanKind::Migrate => 2,
-        SpanKind::LockAcquire => 3,
-        SpanKind::UpdateQuorum => 4,
-        SpanKind::Commit => 5,
-        SpanKind::Read => 6,
-    }
-}
-
-/// True when the span's `a` value is an agent key (agent-anchored
-/// phases) rather than a request id.
-fn agent_anchored(kind: SpanKind) -> bool {
-    kind_rank(kind) >= kind_rank(SpanKind::Dispatch) && kind != SpanKind::Read
-}
-
 impl Profile {
     /// Aggregate a recorded trace.
     pub fn from_trace(trace: &TraceLog) -> Self {
@@ -133,7 +112,7 @@ impl Profile {
                 .entry((u32::from(span.start_node), path.clone()))
                 .or_default()
                 .fold(incl, excl, open);
-            if agent_anchored(span.kind) {
+            if span.kind.names_agent() {
                 profile
                     .by_agent
                     .entry((span.a, path.clone()))
@@ -191,7 +170,7 @@ impl Profile {
                 .filter(|(_, s)| s.start <= rec.at)
                 // Any migration beats the dispatch root; among
                 // migrations, the latest-started one wins.
-                .max_by_key(|(idx, s)| (kind_rank(s.kind), s.start, *idx));
+                .max_by_key(|(idx, s)| (s.kind == SpanKind::Migrate, s.start, *idx));
             let Some((idx, span)) = target else {
                 continue;
             };
@@ -310,66 +289,6 @@ impl Profile {
             ("by_agent", Json::Obj(by_agent)),
         ])
     }
-
-    /// Parse a profile back from its JSON form (for `marp-trace diff`).
-    pub fn from_json(doc: &Json) -> Result<Self, String> {
-        if doc.get("schema").and_then(Json::as_str) != Some("marp-prof/profile/v1") {
-            return Err(String::from("not a marp-prof/profile/v1 document"));
-        }
-        let num = |j: &Json, field: &str| -> Result<u64, String> {
-            j.get(field)
-                .and_then(Json::as_num)
-                .map(|v| v as u64)
-                .ok_or_else(|| format!("missing numeric field '{field}'"))
-        };
-        let stats = |j: &Json| -> Result<PathStats, String> {
-            Ok(PathStats {
-                count: num(j, "count")?,
-                open: num(j, "open")?,
-                incl_ns: num(j, "incl_ns")?,
-                excl_ns: num(j, "excl_ns")?,
-                bytes: num(j, "bytes")?,
-            })
-        };
-        let obj_of = |field: &str| -> Result<BTreeMap<String, Json>, String> {
-            match doc.get(field) {
-                Some(Json::Obj(map)) => Ok(map.clone()),
-                Some(Json::Null) | Some(Json::Bool(..)) | Some(Json::Num(..))
-                | Some(Json::Str(..)) | Some(Json::Arr(..)) | None => {
-                    Err(format!("missing object field '{field}'"))
-                }
-            }
-        };
-        let mut profile = Profile {
-            total_ns: num(doc, "total_ns")?,
-            unmatched_ends: num(doc, "unmatched_ends")?,
-            ..Profile::default()
-        };
-        for (path, j) in obj_of("by_path")? {
-            profile.by_path.insert(path, stats(&j)?);
-        }
-        for (key, j) in obj_of("by_node")? {
-            let (node, path) = key
-                .split_once('|')
-                .ok_or_else(|| format!("bad by_node key '{key}'"))?;
-            let node: u32 = node.parse().map_err(|_| format!("bad node id '{node}'"))?;
-            profile
-                .by_node
-                .insert((node, String::from(path)), stats(&j)?);
-        }
-        for (key, j) in obj_of("by_agent")? {
-            let (agent, path) = key
-                .split_once('|')
-                .ok_or_else(|| format!("bad by_agent key '{key}'"))?;
-            let agent: u64 = agent
-                .parse()
-                .map_err(|_| format!("bad agent key '{agent}'"))?;
-            profile
-                .by_agent
-                .insert((agent, String::from(path)), stats(&j)?);
-        }
-        Ok(profile)
-    }
 }
 
 #[cfg(test)]
@@ -460,15 +379,6 @@ mod tests {
             profile.by_agent[&(7, String::from("dispatch;migrate"))].bytes,
             100
         );
-    }
-
-    #[test]
-    fn json_roundtrip_is_lossless_and_deterministic() {
-        let profile = Profile::from_trace(&sample_log());
-        let text = profile.to_json().render();
-        let back = Profile::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, profile);
-        assert_eq!(back.to_json().render(), text);
     }
 
     #[test]

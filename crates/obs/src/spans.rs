@@ -29,8 +29,6 @@ pub struct Span {
     pub start_node: NodeId,
     /// When the span closed, if it did.
     pub end: Option<SimTime>,
-    /// Node that emitted the end, if any.
-    pub end_node: Option<NodeId>,
 }
 
 impl Span {
@@ -85,14 +83,10 @@ impl SpanSet {
                         start: rec.at,
                         start_node: rec.node,
                         end: None,
-                        end_node: None,
                     });
                 }
                 TraceEvent::SpanEnd { id, kind: _ } => match set.by_id.get(&id) {
-                    Some(&idx) if set.spans[idx].end.is_none() => {
-                        set.spans[idx].end = Some(rec.at);
-                        set.spans[idx].end_node = Some(rec.node);
-                    }
+                    Some(&idx) if set.spans[idx].end.is_none() => set.spans[idx].end = Some(rec.at),
                     Some(&_idx) => set.unmatched_ends += 1,
                     None => set.unmatched_ends += 1,
                 },
@@ -231,7 +225,6 @@ mod tests {
         assert_eq!(set.spans().len(), 1);
         let span = &set.spans()[0];
         assert_eq!(span.start_node, 0);
-        assert_eq!(span.end_node, Some(3));
         assert_eq!(span.duration_ms(), Some(4.0));
         assert_eq!(set.unmatched_ends, 0);
     }

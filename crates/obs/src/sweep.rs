@@ -14,7 +14,7 @@
 //! what the [`crate::diagnose`] rules run on.
 
 use crate::critical::CriticalPathReport;
-use crate::json::Json;
+use crate::json::{round_to, Json};
 use marp_metrics::PaperMetrics;
 use marp_sim::{trace, RunStats, TraceEvent, TraceLog};
 use std::collections::BTreeMap;
@@ -76,12 +76,6 @@ pub struct SweepPoint {
     pub aborted_claims: u64,
 }
 
-/// Round to microsecond precision so rendered/JSON output is compact
-/// and byte-stable.
-fn round_us(ms: f64) -> f64 {
-    (ms * 1000.0).round() / 1000.0
-}
-
 impl SweepPoint {
     /// Measure one point from its runs: each run's trace, kernel stats,
     /// and the [`PaperMetrics`] its harness already folded from that
@@ -124,14 +118,15 @@ impl SweepPoint {
                 }
             }
         }
-        point.queueing_ms = round_us(point.queueing_ms);
-        point.network_ms = round_us(point.network_ms);
-        point.lock_wait_ms = round_us(point.lock_wait_ms);
-        point.quorum_wait_ms = round_us(point.quorum_wait_ms);
+        // Microsecond precision keeps the record compact and byte-stable.
+        point.queueing_ms = round_to(point.queueing_ms, 3);
+        point.network_ms = round_to(point.network_ms, 3);
+        point.lock_wait_ms = round_to(point.lock_wait_ms, 3);
+        point.quorum_wait_ms = round_to(point.quorum_wait_ms, 3);
         // Re-derive the total from the rounded phases so the clamped
         // decomposition (phases sum exactly to the total) survives the
         // per-field rounding; the drift vs the raw total is < 2 µs.
-        point.total_ms = round_us(point.phase_sum_ms());
+        point.total_ms = round_to(point.phase_sum_ms(), 3);
         point
     }
 
@@ -172,21 +167,17 @@ pub struct Column {
     table: Option<(usize, &'static str, usize)>,
     /// Name of the per-commit metric a growth exponent is fitted to.
     metric: Option<&'static str>,
-    /// A sweep recorded before the field existed lacks it: read as 0,
-    /// so old and new sweeps still diff.
-    optional: bool,
     get: MetricFn,
     set: fn(&mut SweepPoint, f64),
 }
 
 macro_rules! columns {
-    ($($field:ident: $decimals:expr, $table:expr, $metric:expr, $optional:expr;)*) => {
+    ($($field:ident: $decimals:expr, $table:expr, $metric:expr;)*) => {
         &[$(Column {
             key: stringify!($field),
             decimals: $decimals,
             table: $table,
             metric: $metric,
-            optional: $optional,
             get: |p| p.$field as f64,
             set: |p, value| p.$field = value as _,
         }),*]
@@ -201,28 +192,28 @@ const COUNT: usize = 0;
 /// 12, is derived and not stored).
 #[rustfmt::skip]
 const COLUMNS: &[Column] = columns! {
-    // field            unit   table: at, header, width         per-commit metric        optional
-    n:                  COUNT, Some((0, "n", 3)),               None,                    false;
-    commits:            COUNT, Some((1, "commits", 8)),         None,                    false;
-    total_ms:           MS,    Some((2, "total_ms", 12)),       Some("total-ms"),        false;
-    queueing_ms:        MS,    Some((3, "queueing", 11)),       Some("queueing-ms"),     false;
-    network_ms:         MS,    Some((4, "network", 11)),        Some("network-ms"),      false;
-    lock_wait_ms:       MS,    Some((5, "lock_wait", 11)),      Some("lock-wait-ms"),    false;
-    quorum_wait_ms:     MS,    Some((6, "quorum_wait", 11)),    Some("quorum-wait-ms"),  false;
-    total_bytes:        COUNT, Some((8, "bytes", 12)),          Some("bytes"),           false;
-    migrated_bytes:     COUNT, None,                            Some("migrated-bytes"),  false;
-    gossip_bytes:       COUNT, Some((9, "gossip_b", 12)),       Some("gossip-bytes"),    false;
-    messages:           COUNT, None,                            Some("messages"),        false;
-    migrations:         COUNT, Some((7, "migrations", 10)),     Some("migrations"),      false;
-    lt_entries_carried: COUNT, Some((10, "lt_entries", 10)),    Some("lt-entries"),      false;
-    lt_ids_carried:     COUNT, Some((11, "lt_ids", 8)),         Some("lt-ids"),          true;
-    notices:            COUNT, Some((13, "notices", 9)),        Some("notices"),         true;
-    notice_bytes:       COUNT, Some((14, "notice_b", 10)),      Some("notice-bytes"),    true;
-    notices_skipped:    COUNT, Some((15, "skipped", 9)),        Some("notices-skipped"), true;
-    replies:            COUNT, Some((16, "replies", 9)),        Some("replies"),         true;
-    reply_bytes:        COUNT, Some((17, "reply_b", 11)),       Some("reply-bytes"),     true;
-    claims_held:        COUNT, Some((18, "held", 8)),           Some("held"),            true;
-    aborted_claims:     COUNT, Some((19, "aborted", 8)),        Some("aborted-claims"),  true;
+    // field            unit   table: at, header, width         per-commit metric
+    n:                  COUNT, Some((0, "n", 3)),               None;
+    commits:            COUNT, Some((1, "commits", 8)),         None;
+    total_ms:           MS,    Some((2, "total_ms", 12)),       Some("total-ms");
+    queueing_ms:        MS,    Some((3, "queueing", 11)),       Some("queueing-ms");
+    network_ms:         MS,    Some((4, "network", 11)),        Some("network-ms");
+    lock_wait_ms:       MS,    Some((5, "lock_wait", 11)),      Some("lock-wait-ms");
+    quorum_wait_ms:     MS,    Some((6, "quorum_wait", 11)),    Some("quorum-wait-ms");
+    total_bytes:        COUNT, Some((8, "bytes", 12)),          Some("bytes");
+    migrated_bytes:     COUNT, None,                            Some("migrated-bytes");
+    gossip_bytes:       COUNT, Some((9, "gossip_b", 12)),       Some("gossip-bytes");
+    messages:           COUNT, None,                            Some("messages");
+    migrations:         COUNT, Some((7, "migrations", 10)),     Some("migrations");
+    lt_entries_carried: COUNT, Some((10, "lt_entries", 10)),    Some("lt-entries");
+    lt_ids_carried:     COUNT, Some((11, "lt_ids", 8)),         Some("lt-ids");
+    notices:            COUNT, Some((13, "notices", 9)),        Some("notices");
+    notice_bytes:       COUNT, Some((14, "notice_b", 10)),      Some("notice-bytes");
+    notices_skipped:    COUNT, Some((15, "skipped", 9)),        Some("notices-skipped");
+    replies:            COUNT, Some((16, "replies", 9)),        Some("replies");
+    reply_bytes:        COUNT, Some((17, "reply_b", 11)),       Some("reply-bytes");
+    claims_held:        COUNT, Some((18, "held", 8)),           Some("held");
+    aborted_claims:     COUNT, Some((19, "aborted", 8)),        Some("aborted-claims");
 };
 
 /// The per-commit metrics a sweep fits growth exponents for, in
@@ -260,7 +251,7 @@ fn fit_exponent(samples: &[(f64, f64)]) -> Option<f64> {
         .iter()
         .map(|&(x, y)| (x - mean_x) * (y - mean_y))
         .sum();
-    Some((sxy / sxx * 10_000.0).round() / 10_000.0)
+    Some(round_to(sxy / sxx, 4))
 }
 
 impl SweepReport {
@@ -384,11 +375,10 @@ impl SweepReport {
                     ..SweepPoint::default()
                 };
                 for column in COLUMNS {
-                    let value = match j.get(column.key).and_then(Json::as_num) {
-                        Some(value) => value,
-                        None if column.optional => 0.0,
-                        None => return Err(format!("missing numeric field '{}'", column.key)),
-                    };
+                    let value = j
+                        .get(column.key)
+                        .and_then(Json::as_num)
+                        .ok_or_else(|| format!("missing numeric field '{}'", column.key))?;
                     (column.set)(&mut point, value);
                 }
                 Ok(point)
@@ -572,9 +562,9 @@ mod tests {
     }
 
     #[test]
-    fn a_sweep_recorded_before_the_optional_columns_reads_them_as_zero() {
-        let report = SweepReport::new(vec![synthetic_point(3, 1.0)]);
-        let strip = |doc: &Json, key: &str| {
+    fn a_sweep_point_missing_any_column_does_not_load() {
+        let doc = SweepReport::new(vec![synthetic_point(3, 1.0)]).to_json();
+        for column in COLUMNS {
             let mut doc = doc.clone();
             let Json::Obj(top) = &mut doc else {
                 unreachable!()
@@ -585,20 +575,14 @@ mod tests {
             let Json::Obj(point) = &mut points[0] else {
                 unreachable!()
             };
-            assert!(point.remove(key).is_some(), "{key} is a stored column");
-            doc
-        };
-        let mut old = report.to_json();
-        let mut expected = report.points[0].clone();
-        for column in COLUMNS.iter().filter(|c| c.optional) {
-            old = strip(&old, column.key);
-            (column.set)(&mut expected, 0.0);
+            assert!(
+                point.remove(column.key).is_some(),
+                "{} is stored",
+                column.key
+            );
+            let err = SweepReport::from_json(&doc).unwrap_err();
+            assert_eq!(err, format!("missing numeric field '{}'", column.key));
         }
-        assert_eq!(expected.lt_ids_carried + expected.aborted_claims, 0);
-        let back = SweepReport::from_json(&old).unwrap();
-        assert_eq!(back.points, vec![expected]);
-        let err = SweepReport::from_json(&strip(&report.to_json(), "messages")).unwrap_err();
-        assert_eq!(err, "missing numeric field 'messages'");
     }
 
     #[test]

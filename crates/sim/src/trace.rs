@@ -73,6 +73,18 @@ impl SpanKind {
         }
     }
 
+    /// True when `a` is an agent key (or a baseline's round surrogate), not a request id.
+    pub fn names_agent(self) -> bool {
+        match self {
+            SpanKind::Request | SpanKind::Read => false,
+            SpanKind::Dispatch
+            | SpanKind::Migrate
+            | SpanKind::LockAcquire
+            | SpanKind::UpdateQuorum
+            | SpanKind::Commit => true,
+        }
+    }
+
     /// Stable numeric tag (wire format and span-id derivation).
     pub fn tag(self) -> u8 {
         self as u8

@@ -15,8 +15,7 @@ use marp_core::{build_cluster, wrap_client_request, MarpConfig};
 use marp_metrics::audit;
 use marp_net::{LinkModel, SimTransport, Topology};
 use marp_replica::{ClientProcess, Operation, ScriptedSource};
-use marp_sim::{agent_key_parts, SimRng, SimTime, Simulation, TraceEvent, TraceLevel};
-use std::collections::BTreeMap;
+use marp_sim::{SimRng, SimTime, Simulation, TraceLevel};
 use std::time::Duration;
 
 fn main() {
@@ -44,73 +43,9 @@ fn main() {
     }
     sim.run_until(SimTime::from_secs(5));
 
-    // Group the journey per agent.
-    let mut journeys: BTreeMap<u64, Vec<String>> = BTreeMap::new();
-    for record in sim.trace().records() {
-        let (agent, line) = match &record.event {
-            TraceEvent::AgentDispatched { agent, home, batch } => (
-                *agent,
-                format!("dispatched from home server {home} with {batch} request(s)"),
-            ),
-            TraceEvent::LockRequested { agent, node } => (
-                *agent,
-                format!("appended itself to the Locking List at server {node}"),
-            ),
-            TraceEvent::AgentMigrated {
-                agent,
-                from,
-                to,
-                hops,
-            } => (*agent, format!("migrated {from} -> {to} (hop {hops})")),
-            TraceEvent::LockGranted {
-                agent,
-                visits,
-                via_tie,
-                ..
-            } => (
-                *agent,
-                format!(
-                    "WON the lock after {visits} visits{}",
-                    if *via_tie {
-                        " via the tie rule"
-                    } else {
-                        " (majority of LL tops)"
-                    }
-                ),
-            ),
-            TraceEvent::UpdateAcked {
-                agent,
-                node,
-                positive,
-            } => (
-                *agent,
-                format!(
-                    "server {node} {} its UPDATE",
-                    if *positive { "acknowledged" } else { "REFUSED" }
-                ),
-            ),
-            TraceEvent::WinAborted { agent } => {
-                (*agent, "claim aborted — back to gathering".to_string())
-            }
-            TraceEvent::AgentDisposed { agent, .. } => {
-                (*agent, "committed and disposed".to_string())
-            }
-            _ => continue,
-        };
-        journeys
-            .entry(agent)
-            .or_default()
-            .push(format!("  {:>10}  {line}", record.at.to_string()));
-    }
-
-    for (agent, lines) in &journeys {
-        let (home, seq) = agent_key_parts(*agent);
-        println!("=== agent {agent:#x} (home server {home}, #{seq}) ===");
-        for line in lines {
-            println!("{line}");
-        }
-        println!();
-    }
+    // One narrated timeline per agent: dispatch, Locking-List entries,
+    // migrations, the win, the UPDATE round and disposal.
+    print!("{}", marp_obs::Journeys::from_trace(sim.trace()).render());
 
     audit(sim.trace(), n).assert_ok();
     println!(

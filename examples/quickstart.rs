@@ -13,7 +13,7 @@ use marp_core::{build_cluster, wrap_client_request, MarpConfig, MarpNode};
 use marp_metrics::{audit_keyed, PaperMetrics};
 use marp_net::{LinkModel, SimTransport, Topology};
 use marp_replica::{ClientProcess, Operation, ScriptedSource};
-use marp_sim::{SimRng, SimTime, Simulation, TraceEvent, TraceLevel};
+use marp_sim::{SimRng, SimTime, Simulation, TraceLevel};
 use std::time::Duration;
 
 fn main() {
@@ -53,52 +53,11 @@ fn main() {
     sim.run_until(SimTime::from_secs(5));
 
     // --- What happened? ---
-    println!("=== protocol timeline (agent events) ===");
-    for record in sim.trace().records() {
-        match &record.event {
-            TraceEvent::AgentDispatched { agent, home, batch } => {
-                println!(
-                    "{:>10}  server {home} dispatched agent {agent:#x} carrying {batch} write(s)",
-                    record.at.to_string()
-                );
-            }
-            TraceEvent::AgentMigrated {
-                agent,
-                from,
-                to,
-                hops,
-            } => {
-                println!(
-                    "{:>10}  agent {agent:#x} migrated {from} -> {to} (hop {hops})",
-                    record.at.to_string()
-                );
-            }
-            TraceEvent::LockGranted {
-                agent,
-                visits,
-                via_tie,
-                ..
-            } => {
-                println!(
-                    "{:>10}  agent {agent:#x} won the distributed lock after visiting {visits} servers{}",
-                    record.at.to_string(),
-                    if *via_tie { " (tie rule)" } else { "" }
-                );
-            }
-            TraceEvent::CommitApplied {
-                node, version, key, ..
-            } => {
-                println!(
-                    "{:>10}  server {node} applied version {version} (key {key})",
-                    record.at.to_string()
-                );
-            }
-            _ => {}
-        }
-    }
+    println!("=== protocol timeline (per agent) ===");
+    print!("{}", marp_obs::Journeys::from_trace(sim.trace()).render());
 
     // Every replica holds the same data.
-    println!("\n=== final replica state ===");
+    println!("=== final replica state ===");
     for server in 0..n as u16 {
         let node = sim.process::<MarpNode>(server).unwrap();
         let store = &node.state().core.store;
