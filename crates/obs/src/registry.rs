@@ -8,8 +8,8 @@
 //! time-series sampled every [`SAMPLE_EVERY`] of virtual time.
 
 use marp_metrics::LogHistogram;
-use marp_sim::{NodeId, SimTime, TraceEvent, TraceLog};
-use std::collections::BTreeMap;
+use marp_sim::{AgentKey, NodeId, SimTime, TraceEvent, TraceLog};
+use std::collections::{BTreeMap, HashSet};
 use std::time::Duration;
 
 /// The gauge series' sampling interval, in virtual time.
@@ -44,7 +44,9 @@ pub struct GaugeSample {
     pub at: SimTime,
     /// Spans started but not yet ended at this instant.
     pub open_spans: i64,
-    /// Update agents dispatched but not yet disposed.
+    /// Update agents dispatched but not yet disposed. Read agents are
+    /// never dispatched, and a second disposal of one agent (a zombie
+    /// clone's) does not count again.
     pub live_agents: i64,
     /// Writes arrived but not yet completed.
     pub pending_writes: i64,
@@ -67,14 +69,14 @@ impl MetricsRegistry {
         let step = SAMPLE_EVERY.as_nanos() as u64;
         let mut next_sample = SimTime::from_nanos(step);
         let mut open_spans: i64 = 0;
-        let mut live_agents: i64 = 0;
+        let mut live_agents: HashSet<AgentKey> = HashSet::new();
         let mut pending_writes: i64 = 0;
         for rec in trace.records() {
             while rec.at >= next_sample {
                 registry.samples.push(GaugeSample {
                     at: next_sample,
                     open_spans,
-                    live_agents,
+                    live_agents: live_agents.len() as i64,
                     pending_writes,
                 });
                 next_sample = SimTime::from_nanos(next_sample.as_nanos() + step);
@@ -93,10 +95,10 @@ impl MetricsRegistry {
                     }
                 }
                 TraceEvent::ReadServed { .. } => node.bump("read.served"),
-                TraceEvent::AgentDispatched { batch, .. } => {
+                TraceEvent::AgentDispatched { agent, batch, .. } => {
                     node.bump("agent.dispatched");
                     node.observe("agent.batch_size", batch as f64);
-                    live_agents += 1;
+                    live_agents.insert(agent);
                 }
                 TraceEvent::AgentMigrated { .. } => node.bump("agent.migrated"),
                 TraceEvent::AgentMigrateFailed { .. } => node.bump("agent.migrate_failed"),
@@ -127,13 +129,13 @@ impl MetricsRegistry {
                 }
                 TraceEvent::WinAborted { .. } => node.bump("update.retry"),
                 TraceEvent::CommitApplied { .. } => node.bump("commit.applied"),
-                TraceEvent::AgentDisposed { agent: _, born } => {
+                TraceEvent::AgentDisposed { agent, born } => {
                     node.bump("agent.disposed");
                     node.observe(
                         "agent.lifetime_ms",
                         rec.at.as_millis_f64() - born.as_millis_f64(),
                     );
-                    live_agents -= 1;
+                    live_agents.remove(&agent);
                 }
                 TraceEvent::UpdateCompleted {
                     arrived,
@@ -296,6 +298,32 @@ mod tests {
         assert_eq!(registry.samples[0].live_agents, 1);
         assert_eq!(registry.samples[0].pending_writes, 1);
         assert_eq!(registry.samples[2].pending_writes, 1);
+    }
+
+    #[test]
+    fn disposals_without_a_dispatch_never_drive_live_agents_negative() {
+        let mut log = TraceLog::new();
+        let dispatched = TraceEvent::AgentDispatched {
+            agent: 7,
+            home: 0,
+            batch: 1,
+        };
+        let disposed = |agent| TraceEvent::AgentDisposed {
+            agent,
+            born: SimTime::ZERO,
+        };
+        log.push(SimTime::from_millis(1), 0, dispatched);
+        // A read agent's disposal, then agent 7's and its clone's.
+        log.push(SimTime::from_millis(150), 1, disposed(9));
+        log.push(SimTime::from_millis(250), 1, disposed(7));
+        log.push(SimTime::from_millis(350), 2, disposed(7));
+        log.push(SimTime::from_millis(450), 2, TraceEvent::NodeUp(2));
+        let live: Vec<i64> = MetricsRegistry::from_trace(&log)
+            .samples
+            .iter()
+            .map(|s| s.live_agents)
+            .collect();
+        assert_eq!(live, [1, 1, 0, 0]);
     }
 
     #[test]
