@@ -111,8 +111,10 @@ pub trait AgentBehavior: Wire + Send + 'static {
     /// agent's hop to `peer` advertised `peer`'s horizon (see
     /// [`Self::host_horizon`]); record it in the local host so later
     /// agents migrating from here to `peer` can shrink their carried
-    /// state.
-    fn record_peer_horizon(&self, _host: &mut Self::Host, _peer: NodeId, _horizon: Horizon) {}
+    /// state. The horizon is the decoded ack's: a host that keeps it
+    /// swaps it for the buffer it replaces, which the next ack is
+    /// decoded into.
+    fn record_peer_horizon(&self, _host: &mut Self::Host, _peer: NodeId, _horizon: &mut Horizon) {}
 
     /// About to serialize and ship this agent to `dest`: last chance to
     /// shed state the destination already knows (delta-encoded Locking

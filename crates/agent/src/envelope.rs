@@ -66,6 +66,11 @@ marp_wire::wire_enum!(AgentEnvelope {
 /// a nested state or payload in place. Each is byte for byte the owner
 /// message wrapping the envelope that owns those values.
 impl AgentEnvelope {
+    /// The leading byte of a [`AgentEnvelope::MigrateAck`]: the one
+    /// envelope that owns a buffer (its horizon), which an owner that
+    /// decodes envelopes into ones it keeps may keep apart.
+    pub const ACK_TAG: u8 = TAG_MIGRATE_ACK;
+
     /// A [`AgentEnvelope::Migrate`] frame whose state is `behavior`'s
     /// encoding, and that state's length.
     pub fn migrate_frame<B: Wire>(

@@ -144,17 +144,20 @@ impl<B: AgentBehavior> AgentRuntime<B> {
     }
 
     /// Handle an envelope addressed to this host. Call from the owner's
-    /// `on_message` after decoding its own message enum.
+    /// `on_message` after decoding its own message enum. The envelope
+    /// stays the owner's, to decode the next one into: what the runtime
+    /// keeps of it, it swaps out (an ack's horizon leaves the buffer
+    /// it replaces in its place).
     pub fn handle_envelope(
         &mut self,
         from: NodeId,
-        envelope: AgentEnvelope,
+        envelope: &mut AgentEnvelope,
         host: &mut B::Host,
         ctx: &mut dyn Context,
     ) {
         match envelope {
             AgentEnvelope::Migrate { agent, hop, state } => {
-                self.handle_migrate(from, agent, hop, state, host, ctx)
+                self.handle_migrate(from, *agent, *hop, state, host, ctx)
             }
             AgentEnvelope::MigrateAck {
                 agent,
@@ -164,21 +167,22 @@ impl<B: AgentBehavior> AgentRuntime<B> {
                 // The ack advertises what the destination knew about the
                 // agent's subject; remember it so the *next* such agent
                 // migrating there from here can delta-encode its state.
-                let Some(out) = self.outbound.get(&agent) else {
+                let Some(out) = self.outbound.get(agent) else {
                     return; // a retry's second ack: the agent is gone
                 };
                 out.behavior.record_peer_horizon(host, from, horizon);
-                if out.hop == hop {
-                    let out = self.outbound.remove(&agent).expect("checked");
+                if out.hop == *hop {
+                    let out = self.outbound.remove(agent).expect("checked");
                     self.migrate_timers.remove(&out.timer);
                     ctx.cancel_timer(out.timer);
                     self.recycle(out.behavior);
                 }
             }
             AgentEnvelope::ToAgent { agent, payload } => {
+                let agent = *agent;
                 if self.resident.contains_key(&agent) {
                     self.dispatch_callback(agent, host, ctx, |b, h, env| {
-                        b.on_agent_message(from, payload, h, env)
+                        b.on_agent_message(from, payload.clone(), h, env)
                     });
                 } else {
                     ctx.trace(TraceEvent::Custom {
@@ -231,7 +235,7 @@ impl<B: AgentBehavior> AgentRuntime<B> {
         from: NodeId,
         agent: AgentId,
         hop: u32,
-        state: Bytes,
+        state: &Bytes,
         host: &mut B::Host,
         ctx: &mut dyn Context,
     ) {
@@ -242,8 +246,8 @@ impl<B: AgentBehavior> AgentRuntime<B> {
         // agent arrived. A spare that fails to decode goes with the
         // error.
         let mut decoded = match self.spares.pop() {
-            Some(mut spare) => marp_wire::from_bytes_into(&mut spare, &state).map(|()| spare),
-            None => marp_wire::from_bytes::<B>(&state),
+            Some(mut spare) => marp_wire::from_bytes_into(&mut spare, state).map(|()| spare),
+            None => marp_wire::from_bytes::<B>(state),
         };
         let forged = decoded.as_ref().is_ok_and(|b| !b.validate(agent, host));
         self.horizon.clear();

@@ -97,8 +97,8 @@ impl AgentBehavior for Hopper {
         horizon.raise(self.id.home, host.stamps.len() as u64);
     }
 
-    fn record_peer_horizon(&self, host: &mut GuestBook, peer: NodeId, horizon: Horizon) {
-        host.advertised.push((peer, horizon));
+    fn record_peer_horizon(&self, host: &mut GuestBook, peer: NodeId, horizon: &mut Horizon) {
+        host.advertised.push((peer, horizon.clone()));
     }
 }
 
@@ -123,9 +123,9 @@ impl HostNode {
 
 impl Process for HostNode {
     fn on_message(&mut self, from: NodeId, msg: Bytes, ctx: &mut dyn Context) {
-        let envelope: AgentEnvelope = marp_wire::from_bytes(&msg).expect("valid envelope");
+        let mut envelope: AgentEnvelope = marp_wire::from_bytes(&msg).expect("valid envelope");
         self.runtime
-            .handle_envelope(from, envelope, &mut self.book, ctx);
+            .handle_envelope(from, &mut envelope, &mut self.book, ctx);
     }
     fn on_timer(&mut self, timer: TimerId, _tag: u64, ctx: &mut dyn Context) {
         let consumed = self.runtime.handle_timer(timer, &mut self.book, ctx);
@@ -378,9 +378,9 @@ impl Process for SitterHost {
         }
     }
     fn on_message(&mut self, from: NodeId, msg: Bytes, ctx: &mut dyn Context) {
-        let envelope: AgentEnvelope = marp_wire::from_bytes(&msg).expect("valid envelope");
+        let mut envelope: AgentEnvelope = marp_wire::from_bytes(&msg).expect("valid envelope");
         self.runtime
-            .handle_envelope(from, envelope, &mut self.book, ctx);
+            .handle_envelope(from, &mut envelope, &mut self.book, ctx);
     }
     fn on_timer(&mut self, timer: TimerId, _tag: u64, ctx: &mut dyn Context) {
         self.runtime.handle_timer(timer, &mut self.book, ctx);
@@ -539,12 +539,12 @@ fn migration_dedup_survives_crash_recovery() {
     };
     let state = marp_wire::to_bytes(&hopper);
 
-    let migrate = AgentEnvelope::Migrate {
+    let mut migrate = AgentEnvelope::Migrate {
         agent,
         hop: 1,
         state: state.clone(),
     };
-    runtime.handle_envelope(0, migrate.clone(), &mut book, &mut ctx);
+    runtime.handle_envelope(0, &mut migrate.clone(), &mut book, &mut ctx);
     assert_eq!(book.stamps.len(), 1, "first delivery runs on_arrive");
     assert_eq!(ctx.sent.len(), 1, "arrival is acked");
 
@@ -552,7 +552,7 @@ fn migration_dedup_survives_crash_recovery() {
     runtime.clear_volatile();
     assert_eq!(runtime.resident_count(), 0);
 
-    runtime.handle_envelope(0, migrate, &mut book, &mut ctx);
+    runtime.handle_envelope(0, &mut migrate, &mut book, &mut ctx);
     assert_eq!(book.stamps.len(), 1, "duplicate after recovery is deduped");
     assert_eq!(ctx.sent.len(), 2, "but the duplicate is still re-acked");
 }
@@ -585,7 +585,7 @@ fn crash_loses_residents_and_later_messages_miss_loudly() {
 
     runtime.handle_envelope(
         0,
-        AgentEnvelope::ToAgent {
+        &mut AgentEnvelope::ToAgent {
             agent,
             payload: Bytes::from_static(b"poke"),
         },
@@ -635,12 +635,12 @@ fn the_ack_carries_what_the_host_knew_before_the_agent_arrived() {
         stamped: vec![],
         skipped: vec![],
     };
-    let migrate = AgentEnvelope::Migrate {
+    let mut migrate = AgentEnvelope::Migrate {
         agent,
         hop: 1,
         state: marp_wire::to_bytes(&hopper),
     };
-    runtime.handle_envelope(0, migrate.clone(), &mut book, &mut ctx);
+    runtime.handle_envelope(0, &mut migrate.clone(), &mut book, &mut ctx);
     assert_eq!(book.stamps.len(), 1, "on_arrive ran");
     // The hook saw the decoded agent (its home is the slot) and the
     // book as it was before `on_arrive` stamped it.
@@ -648,7 +648,7 @@ fn the_ack_carries_what_the_host_knew_before_the_agent_arrived() {
 
     // A duplicate delivery is acked again — with the book as it is now
     // — and then dropped.
-    runtime.handle_envelope(0, migrate, &mut book, &mut ctx);
+    runtime.handle_envelope(0, &mut migrate, &mut book, &mut ctx);
     assert_eq!(book.stamps.len(), 1);
     assert_eq!(acked_horizons(&ctx.sent)[1], Horizon::from_iter([(4, 1)]));
 }
@@ -659,12 +659,12 @@ fn undecodable_state_is_acked_with_an_empty_horizon_and_dropped() {
     let mut book = GuestBook::default();
     let mut ctx = rec_ctx();
     let agent = AgentId::new(0, SimTime::ZERO, 0);
-    let garbage = AgentEnvelope::Migrate {
+    let mut garbage = AgentEnvelope::Migrate {
         agent,
         hop: 1,
         state: Bytes::from_static(&[0xff; 3]),
     };
-    runtime.handle_envelope(0, garbage, &mut book, &mut ctx);
+    runtime.handle_envelope(0, &mut garbage, &mut book, &mut ctx);
     assert_eq!(acked_horizons(&ctx.sent), [Horizon::new()]);
     assert_eq!(runtime.resident_count(), 0);
     assert!(book.stamps.is_empty());
@@ -694,12 +694,12 @@ fn an_ack_is_recorded_through_the_agent_it_acknowledges() {
     // subject to be recorded under.
     let mut runtime: AgentRuntime<Hopper> = AgentRuntime::new(AgentConfig::default(), wrap);
     let mut book = GuestBook::default();
-    let stray = AgentEnvelope::MigrateAck {
+    let mut stray = AgentEnvelope::MigrateAck {
         agent: AgentId::new(0, SimTime::ZERO, 0),
         hop: 1,
         horizon: Horizon::from_iter([(0, 9)]),
     };
-    runtime.handle_envelope(2, stray, &mut book, &mut rec_ctx());
+    runtime.handle_envelope(2, &mut stray, &mut book, &mut rec_ctx());
     assert!(book.advertised.is_empty());
 }
 
@@ -725,13 +725,13 @@ fn an_arrival_decoded_into_a_spare_runs_as_the_agent_its_envelope_names() {
     let second = AgentId::new(3, SimTime::from_millis(2), 0);
 
     // The first sitter leaves, and its behaviour stays as a spare.
-    runtime.handle_envelope(0, arrival(first, 5), &mut book, &mut ctx);
-    runtime.handle_envelope(0, poke(first, b"bye"), &mut book, &mut ctx);
+    runtime.handle_envelope(0, &mut arrival(first, 5), &mut book, &mut ctx);
+    runtime.handle_envelope(0, &mut poke(first, b"bye"), &mut book, &mut ctx);
     assert_eq!(runtime.resident_count(), 0);
 
     // The second decodes into that spare: the state is the second's,
     // and so is the name, from the envelope.
-    runtime.handle_envelope(0, arrival(second, 1), &mut book, &mut ctx);
+    runtime.handle_envelope(0, &mut arrival(second, 1), &mut book, &mut ctx);
     let resident = runtime.resident(second).expect("resident under its own id");
     assert_eq!(resident.id(), second);
     assert_eq!(resident.ticks, 1);
@@ -745,9 +745,9 @@ fn an_arrival_decoded_into_a_spare_runs_as_the_agent_its_envelope_names() {
     );
 
     // Its mail reaches it, and it leaves under its own name.
-    runtime.handle_envelope(0, poke(second, b"hello"), &mut book, &mut ctx);
+    runtime.handle_envelope(0, &mut poke(second, b"hello"), &mut book, &mut ctx);
     assert_eq!(book.pokes, [Bytes::from_static(b"hello")]);
-    runtime.handle_envelope(0, poke(second, b"bye"), &mut book, &mut ctx);
+    runtime.handle_envelope(0, &mut poke(second, b"bye"), &mut book, &mut ctx);
     let disposals: Vec<_> = ctx
         .traced
         .iter()

@@ -231,12 +231,12 @@ impl McvNode {
                 store_version,
             } => self.on_vote(from, ballot, granted, store_version, ctx),
             McvMsg::Apply { ballot, records } => {
-                self.core.apply_commits(records, ctx, &mut self.applied);
+                self.core.apply_commits(&records, ctx, &mut self.applied);
                 self.applied.clear();
                 self.coord.release(ballot);
             }
             McvMsg::Release { ballot } => self.coord.release(ballot),
-            McvMsg::Sync(sync) => self.core.handle_sync(from, sync, ctx),
+            McvMsg::Sync(sync) => self.core.handle_sync(from, &sync, ctx),
         }
     }
 }

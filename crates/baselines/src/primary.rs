@@ -171,7 +171,7 @@ impl PcNode {
             }
         }
         self.core
-            .apply_commits(vec![record], ctx, &mut self.applied);
+            .apply_commits(std::slice::from_ref(&record), ctx, &mut self.applied);
         self.applied.clear();
         if verdict == Some(Verdict::Won) {
             self.complete(self.next_version, ctx);
@@ -222,7 +222,7 @@ impl PcNode {
             PcMsg::Replicate { record } => {
                 let version = record.version;
                 self.core
-                    .apply_commits(vec![record], ctx, &mut self.applied);
+                    .apply_commits(std::slice::from_ref(&record), ctx, &mut self.applied);
                 self.applied.clear();
                 ctx.send(PRIMARY, marp_wire::to_bytes(&PcMsg::RepAck { version }));
             }
@@ -236,7 +236,7 @@ impl PcNode {
                     self.complete(version, ctx);
                 }
             }
-            PcMsg::Sync(sync) => self.core.handle_sync(from, sync, ctx),
+            PcMsg::Sync(sync) => self.core.handle_sync(from, &sync, ctx),
         }
     }
 }

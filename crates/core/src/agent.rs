@@ -24,10 +24,10 @@
 
 use crate::host::MarpServerState;
 use crate::lt::{decide, majority, LockingTable, Priority};
-use crate::msg::{AgentReply, CommitMsg, NodeMsg, UpdateMsg};
+use crate::msg::{AgentReply, NodeMsg};
 use bytes::Bytes;
 use marp_agent::{Action, AgentBehavior, AgentEnv, AgentId, Horizon, Itinerary};
-use marp_quorum::{QuorumCall, RetryPolicy, TimerMux, Verdict};
+use marp_quorum::{QuorumCall, RetryPolicy, SuccessRule, TimerMux, Verdict};
 use marp_replica::{CommitRecord, UpdatedList, WriteRequest};
 use marp_sim::{trace, NodeId, SpanKey, SpanKind, TraceEvent};
 use std::time::Duration;
@@ -65,12 +65,9 @@ pub enum Phase {
         /// that.
         quiet_fires: u8,
     },
-    /// Lock claimed; collecting UPDATE acknowledgements.
+    /// Lock claimed; collecting UPDATE acknowledgements in the agent's
+    /// call.
     Updating {
-        /// The majority ack round; each positive reply carries the
-        /// server's applied version. Its start time is when the lock was
-        /// established (the paper's ALT endpoint).
-        call: QuorumCall<u64>,
         /// LL news (a change notice or an `LlInfo`) was absorbed while
         /// this claim was in flight. If the claim then aborts, the view
         /// it was refused on is already out of date — typically the
@@ -106,10 +103,17 @@ pub struct UpdateAgent {
     /// of the same batch. Servers fence claims from stale incarnations.
     incarnation: u32,
     phase: Phase,
+    /// The majority ack round of the latest claim; each positive reply
+    /// carries the server's applied version. Its start time is when the
+    /// lock was established (the paper's ALT endpoint). Its buffers
+    /// outlive the claim: a claim made again reopens it, and so does
+    /// the next agent to decode or launch into this one's buffers.
+    call: QuorumCall<u64>,
 }
 
 // The `Migrate` envelope names the agent, so its id does not ship; an
-// agent leaves a host only travelling, so its phase does not either.
+// agent leaves a host only travelling, so its phase and its claim's
+// call do not either.
 marp_wire::wire_struct!(UpdateAgent {
     rl,
     itinerary,
@@ -117,7 +121,7 @@ marp_wire::wire_struct!(UpdateAgent {
     ual,
     attempt,
     incarnation
-} off_wire { id, phase });
+} off_wire { id, phase, call });
 
 impl UpdateAgent {
     /// Create an agent carrying `requests`, ready to be spawned at its
@@ -134,10 +138,12 @@ impl UpdateAgent {
             itinerary,
             mut lt,
             mut ual,
+            mut call,
             ..
         } = spare.unwrap_or_default();
         lt.clear();
         ual.clear();
+        call.clone_from(&QuorumCall::default());
         UpdateAgent {
             id,
             rl: requests,
@@ -147,6 +153,7 @@ impl UpdateAgent {
             attempt: 0,
             incarnation: 0,
             phase: Phase::Travelling,
+            call,
         }
     }
 
@@ -349,51 +356,41 @@ impl UpdateAgent {
             // assigned at COMMIT, on top of the quorum's maximum.
             version: host.core.store.applied_version_for(self.key()),
         });
-        let msg = NodeMsg::Update(UpdateMsg {
-            agent: self.id,
-            attempt: self.attempt,
-            incarnation: self.incarnation,
-            reply_to: env.here(),
-            requests: self.rl.clone(),
-            tie_certificate,
-        });
-        broadcast(host, env, &msg);
+        let frame = NodeMsg::update_frame(
+            self.id,
+            self.attempt,
+            self.incarnation,
+            &self.rl,
+            tie_certificate.as_deref(),
+        );
+        broadcast(host, env, frame);
         let n = host.config().n_servers as NodeId;
-        self.phase = Phase::Updating {
-            call: QuorumCall::majority(n, env.now()),
-            news: false,
-        };
+        self.call
+            .restart(SuccessRule::Majority { n }, 0..n, env.now());
+        self.phase = Phase::Updating { news: false };
         let tag = TimerMux::tag(AgentTimer::Ack, u64::from(self.attempt));
         env.set_timer(host.config().ack_timeout, tag);
     }
 
     fn commit_and_dispose(&mut self, host: &MarpServerState, env: &mut AgentEnv<'_>) -> Action {
-        let Phase::Updating { call, .. } = &self.phase else {
+        if !matches!(self.phase, Phase::Updating { .. }) {
             return Action::Stay;
-        };
-        let locked_at = call.started();
+        }
+        let locked_at = self.call.started();
         // "It then checks the time of last update of all the quorum
         // members and uses the most recent copy": commit on top of the
         // quorum's maximum applied version.
-        let base = call.max_payload().unwrap_or(0);
-        let records: Vec<CommitRecord> = self
-            .rl
-            .iter()
-            .enumerate()
-            .map(|(i, req)| CommitRecord {
-                version: base + 1 + i as u64,
-                key: req.key,
-                value: req.value,
-                agent: self.id.key(),
-                request: req.id,
-                committed_at: env.now(),
-            })
-            .collect();
-        let msg = NodeMsg::Commit(CommitMsg {
-            agent: self.id,
-            records,
+        let base = self.call.max_payload().unwrap_or(0);
+        let now = env.now();
+        let records = self.rl.iter().enumerate().map(|(i, req)| CommitRecord {
+            version: base + 1 + i as u64,
+            key: req.key,
+            value: req.value,
+            agent: self.id.key(),
+            request: req.id,
+            committed_at: now,
         });
-        broadcast(host, env, &msg);
+        broadcast(host, env, NodeMsg::commit_frame(self.id, records));
         let update_span = self.update_span();
         env.trace(update_span.end());
         // Commit spans close at each request's home server when the
@@ -429,7 +426,7 @@ impl UpdateAgent {
         });
         env.trace(self.update_span().end());
         let msg = NodeMsg::Release { agent: self.id };
-        broadcast(host, env, &msg);
+        broadcast(host, env, marp_wire::to_bytes(&msg));
         Action::Dispose
     }
 
@@ -453,7 +450,7 @@ impl UpdateAgent {
         let next_round = self.lock_span(u64::from(self.attempt) + 1);
         env.trace(next_round.start(Some(self.life_span())));
         let msg = NodeMsg::Release { agent: self.id };
-        broadcast(host, env, &msg);
+        broadcast(host, env, marp_wire::to_bytes(&msg));
         if let Some(next) = self.next_destination(host) {
             self.phase = Phase::Travelling;
             return Action::Migrate(next);
@@ -498,11 +495,10 @@ impl UpdateAgent {
     }
 }
 
-/// Send `msg` to every replica server (the paper's broadcast).
-fn broadcast(host: &MarpServerState, env: &mut AgentEnv<'_>, msg: &NodeMsg) {
-    let bytes = marp_wire::to_bytes(msg);
+/// Send `frame` to every replica server (the paper's broadcast).
+fn broadcast(host: &MarpServerState, env: &mut AgentEnv<'_>, frame: Bytes) {
     for server in 0..host.config().n_servers as NodeId {
-        env.send_raw(server, bytes.clone());
+        env.send_raw(server, frame.clone());
     }
 }
 
@@ -605,12 +601,9 @@ impl AgentBehavior for UpdateAgent {
                 if fenced {
                     return self.superseded(host, env);
                 }
-                let Phase::Updating { call, .. } = &mut self.phase else {
-                    return Action::Stay;
-                };
                 // The call dedupes repeated acks; only a deciding reply
                 // returns a verdict.
-                match call.offer_vote(from, positive, store_version) {
+                match self.call.offer_vote(from, positive, store_version) {
                     Some(Verdict::Won) => self.commit_and_dispose(host, env),
                     // A positive majority is no longer possible.
                     Some(Verdict::Lost) => self.abort_claim(host, env),
@@ -662,7 +655,7 @@ impl AgentBehavior for UpdateAgent {
                         key: self.key(),
                         horizon: self.lt.horizon(),
                     };
-                    broadcast(host, env, &msg);
+                    broadcast(host, env, marp_wire::to_bytes(&msg));
                 }
                 self.arm_repoll(host, env);
                 Action::Stay
@@ -689,7 +682,7 @@ impl AgentBehavior for UpdateAgent {
         host.horizon(self.key(), horizon);
     }
 
-    fn record_peer_horizon(&self, host: &mut MarpServerState, peer: NodeId, horizon: Horizon) {
+    fn record_peer_horizon(&self, host: &mut MarpServerState, peer: NodeId, horizon: &mut Horizon) {
         host.record_peer_horizon(peer, self.key(), horizon);
     }
 
@@ -848,12 +841,12 @@ mod tests {
         }
 
         fn mail(&mut self, reply: AgentReply) {
-            let envelope = AgentEnvelope::ToAgent {
+            let mut envelope = AgentEnvelope::ToAgent {
                 agent: self.me,
                 payload: marp_wire::to_bytes(&reply),
             };
             self.runtime
-                .handle_envelope(0, envelope, &mut self.state, &mut self.ctx);
+                .handle_envelope(0, &mut envelope, &mut self.state, &mut self.ctx);
         }
 
         fn notice(&mut self) {
@@ -990,7 +983,7 @@ mod tests {
         };
         state
             .core
-            .apply_commits(vec![earlier(1), earlier(2)], &mut ctx, &mut Vec::new());
+            .apply_commits(&[earlier(1), earlier(2)], &mut ctx, &mut Vec::new());
         let mut runtime = AgentRuntime::new(cfg.migration, agent_header);
         runtime.spawn(agent(), &mut state, &mut ctx);
         // Alone on the only server's queue, it claims at once.
@@ -1024,12 +1017,12 @@ mod tests {
         let mut runtime: AgentRuntime<UpdateAgent> =
             AgentRuntime::new(host_cfg.migration, agent_header);
         let mut ctx = host_ctx();
-        let arrival = AgentEnvelope::Migrate {
+        let mut arrival = AgentEnvelope::Migrate {
             agent: travelling.id,
             hop: 1,
             state: marp_wire::to_bytes(&travelling),
         };
-        runtime.handle_envelope(0, arrival, &mut state, &mut ctx);
+        runtime.handle_envelope(0, &mut arrival, &mut state, &mut ctx);
         let resident = runtime.resident(travelling.id).expect("resident");
         // Alone on the only server's queue it claims at once, and waits
         // for acks as long as this host says.
@@ -1040,7 +1033,7 @@ mod tests {
         assert_eq!(state.board.known_servers(2), 1);
         // Refused, it parks and re-polls at this host's interval (plus
         // its own sub-8 ms stagger).
-        let refusal = AgentEnvelope::ToAgent {
+        let mut refusal = AgentEnvelope::ToAgent {
             agent: travelling.id,
             payload: marp_wire::to_bytes(&AgentReply::UpdateAck {
                 attempt: 1,
@@ -1049,7 +1042,7 @@ mod tests {
                 store_version: 0,
             }),
         };
-        runtime.handle_envelope(0, refusal, &mut state, &mut ctx);
+        runtime.handle_envelope(0, &mut refusal, &mut state, &mut ctx);
         assert!(is_parked(
             runtime.resident(travelling.id).expect("resident")
         ));
@@ -1094,7 +1087,7 @@ mod tests {
         // Three refusals: a positive majority is no longer possible.
         ctx.sent.clear();
         for server in [1, 2, 3] {
-            let refusal = AgentEnvelope::ToAgent {
+            let mut refusal = AgentEnvelope::ToAgent {
                 agent: me.id,
                 payload: marp_wire::to_bytes(&AgentReply::UpdateAck {
                     attempt: 1,
@@ -1103,7 +1096,7 @@ mod tests {
                     store_version: 0,
                 }),
             };
-            runtime.handle_envelope(server, refusal, &mut state, &mut ctx);
+            runtime.handle_envelope(server, &mut refusal, &mut state, &mut ctx);
         }
         assert_eq!(claims(&ctx), 1);
         assert_eq!(runtime.resident_count(), 0, "it left");
@@ -1135,7 +1128,7 @@ mod tests {
             runtime.resident(winner.id).map(UpdateAgent::phase),
             Some(Phase::Updating { .. })
         ));
-        let ack = AgentEnvelope::ToAgent {
+        let mut ack = AgentEnvelope::ToAgent {
             agent: winner.id,
             payload: marp_wire::to_bytes(&AgentReply::UpdateAck {
                 attempt: 1,
@@ -1144,7 +1137,7 @@ mod tests {
                 store_version: 0,
             }),
         };
-        runtime.handle_envelope(0, ack, &mut state, &mut ctx);
+        runtime.handle_envelope(0, &mut ack, &mut state, &mut ctx);
         assert_eq!(runtime.resident_count(), 0);
         // An agent for another key arrives into the spare, with this
         // server its last stop: alone on its queue, it claims too.
@@ -1152,12 +1145,12 @@ mod tests {
         request.key = 5;
         let id = AgentId::new(0, SimTime::from_millis(2), 1);
         let arrival = UpdateAgent::new(None, id, &cfg, vec![request]).with_itinerary_done();
-        let migrate = AgentEnvelope::Migrate {
+        let mut migrate = AgentEnvelope::Migrate {
             agent: id,
             hop: 1,
             state: marp_wire::to_bytes(&arrival),
         };
-        runtime.handle_envelope(1, migrate, &mut state, &mut ctx);
+        runtime.handle_envelope(1, &mut migrate, &mut state, &mut ctx);
         let claimed = ctx.traced.iter().any(|e| {
             matches!(e, TraceEvent::LockGranted { agent, via_tie: false, .. } if *agent == id.key())
         });
@@ -1194,11 +1187,11 @@ mod tests {
             fenced: false,
             store_version: 0,
         };
-        let ack = AgentEnvelope::ToAgent {
+        let mut ack = AgentEnvelope::ToAgent {
             agent: winner.id,
             payload: marp_wire::to_bytes(&ack),
         };
-        runtime.handle_envelope(0, ack, &mut state, &mut ctx);
+        runtime.handle_envelope(0, &mut ack, &mut state, &mut ctx);
         assert_eq!(runtime.resident_count(), 0, "the winner disposed");
         let mut forged = agent().with_itinerary_done();
         forged.lt.merge(
@@ -1209,12 +1202,12 @@ mod tests {
                 queue: vec![forged.id],
             },
         );
-        let arrival = AgentEnvelope::Migrate {
+        let mut arrival = AgentEnvelope::Migrate {
             agent: forged.id,
             hop: 1,
             state: marp_wire::to_bytes(&forged),
         };
-        runtime.handle_envelope(0, arrival, &mut state, &mut ctx);
+        runtime.handle_envelope(0, &mut arrival, &mut state, &mut ctx);
         let refused = ctx.traced.iter().any(
             |e| matches!(e, TraceEvent::Custom { kind, .. } if *kind == trace::AGENT_STATE_FORGED),
         );

@@ -193,9 +193,11 @@ impl MarpServerState {
     }
 
     /// Record the horizon for `key` a peer advertised in a migration
-    /// ack, replacing what it said about that key before.
-    pub(crate) fn record_peer_horizon(&mut self, peer: NodeId, key: u64, horizon: Horizon) {
-        self.peer_horizons.insert((peer, key), horizon);
+    /// ack, replacing what it said about that key before: the two swap,
+    /// and `horizon` is left holding the buffer replaced.
+    pub(crate) fn record_peer_horizon(&mut self, peer: NodeId, key: u64, horizon: &mut Horizon) {
+        let kept = self.peer_horizons.entry((peer, key)).or_default();
+        std::mem::swap(kept, horizon);
     }
 
     /// The last horizon for `key` that `peer` advertised, if any.
@@ -310,10 +312,12 @@ impl MarpServerState {
     /// is held (see the module docs), preceded by those of claims a
     /// lapsed reservation had been holding. Held claims come back
     /// through here when their obstacle goes, so first-time and
-    /// re-validated claims share one validation path.
+    /// re-validated claims share one validation path. Only a held
+    /// claim is kept: it is taken out of `msg`, which is left without
+    /// its lists.
     pub fn handle_update(
         &mut self,
-        msg: UpdateMsg,
+        msg: &mut UpdateMsg,
         ctx: &mut dyn Context,
         answers: &mut Vec<ClaimAnswer>,
     ) {
@@ -337,7 +341,7 @@ impl MarpServerState {
                 slots.remove(i);
             }
         }
-        let refusal = match self.judge(key, &msg, now) {
+        let refusal = match self.judge(key, msg, now) {
             Judgement::Accept => None,
             Judgement::Refuse(refusal) => Some(refusal),
             Judgement::Hold => {
@@ -348,7 +352,12 @@ impl MarpServerState {
                 });
                 self.claims_held += 1;
                 if let Some(blocking) = self.reserved.get_mut(&key) {
-                    blocking.waiting.push(msg);
+                    let emptied = UpdateMsg {
+                        requests: Vec::new(),
+                        tie_certificate: None,
+                        ..*msg
+                    };
+                    blocking.waiting.push(std::mem::replace(msg, emptied));
                 }
                 return;
             }
@@ -419,8 +428,8 @@ impl MarpServerState {
         self.core.ll.purge_expired(now);
         let ll = &self.core.ll;
         claims.sort_by_key(|m| ll.rank_of(key, m.agent, now).unwrap_or(usize::MAX));
-        for msg in claims {
-            self.handle_update(msg, ctx, answers);
+        for mut msg in claims {
+            self.handle_update(&mut msg, ctx, answers);
         }
     }
 
@@ -451,7 +460,7 @@ impl MarpServerState {
     pub fn handle_commit(
         &mut self,
         winner: Option<AgentId>,
-        records: Vec<CommitRecord>,
+        records: &[CommitRecord],
         ctx: &mut dyn Context,
         outcome: &mut CommitOutcome,
     ) {
@@ -653,9 +662,9 @@ mod tests {
     }
 
     impl Answered for MarpServerState {
-        fn update(&mut self, msg: UpdateMsg, ctx: &mut RecordingCtx) -> Vec<ClaimAnswer> {
+        fn update(&mut self, mut msg: UpdateMsg, ctx: &mut RecordingCtx) -> Vec<ClaimAnswer> {
             let mut answers = Vec::new();
-            self.handle_update(msg, ctx, &mut answers);
+            self.handle_update(&mut msg, ctx, &mut answers);
             answers
         }
         fn release(&mut self, agent: AgentId, ctx: &mut RecordingCtx) -> Vec<ClaimAnswer> {
@@ -670,7 +679,7 @@ mod tests {
             ctx: &mut RecordingCtx,
         ) -> CommitOutcome {
             let mut outcome = CommitOutcome::default();
-            self.handle_commit(winner, records, ctx, &mut outcome);
+            self.handle_commit(winner, &records, ctx, &mut outcome);
             outcome
         }
         fn maintained(&mut self, ctx: &mut RecordingCtx) -> Vec<ClaimAnswer> {

@@ -139,6 +139,26 @@ marp_wire::wire_enum!(NodeMsg {
     TAG_RAGENT => RAgent(envelope),
 });
 
+/// How many tags [`NodeMsg`] has: they are `0..NODE_MSG_TAGS`.
+const NODE_MSG_TAGS: usize = 8;
+
+/// How many shapes of frame a node tells apart (see [`frame_shape`]).
+pub(crate) const FRAME_SHAPES: usize = NODE_MSG_TAGS + 2;
+
+/// A frame's shape, below [`FRAME_SHAPES`]: its [`NodeMsg`] tag, except
+/// that an ack under either agent tag is a shape of its own, since its
+/// horizon is the one envelope buffer a migration or a mail between two
+/// acks would drop. A frame whose tag names no variant is given the
+/// shape of one that does, and fails to decode.
+pub(crate) fn frame_shape(frame: &[u8]) -> usize {
+    match *frame {
+        [TAG_AGENT, AgentEnvelope::ACK_TAG, ..] => NODE_MSG_TAGS,
+        [TAG_RAGENT, AgentEnvelope::ACK_TAG, ..] => NODE_MSG_TAGS + 1,
+        [tag, ..] => usize::from(tag).min(NODE_MSG_TAGS - 1),
+        [] => 0,
+    }
+}
+
 /// The header of a [`NodeMsg::Agent`] frame (the agent runtime's
 /// `WrapFn`: it writes the envelope after it).
 pub fn agent_header(buf: &mut BytesMut) {
@@ -216,6 +236,59 @@ impl AgentReply {
             } => snapshot.validate(n) && board.validate(n) && ul.validate(n),
             AgentReply::LlChanged { finished, .. } => finished.validate(n),
         }
+    }
+}
+
+/// The two broadcasts an update agent sends, each written in one pass
+/// from the lists it holds (its requests, the records it derives from
+/// them) rather than from a message owning copies of them: byte for
+/// byte the [`NodeMsg`] that would own them.
+impl NodeMsg {
+    /// The [`NodeMsg::Update`] frame of a claim on `requests`.
+    pub fn update_frame(
+        agent: AgentId,
+        attempt: u32,
+        incarnation: u32,
+        requests: &[WriteRequest],
+        tie_certificate: Option<&[AgentId]>,
+    ) -> Bytes {
+        marp_wire::frame(|buf| {
+            TAG_UPDATE.encode(buf);
+            agent.encode(buf);
+            attempt.encode(buf);
+            incarnation.encode(buf);
+            put_list(buf, requests.iter());
+            match tie_certificate {
+                None => 0u8.encode(buf),
+                Some(rivals) => {
+                    1u8.encode(buf);
+                    put_list(buf, rivals.iter());
+                }
+            }
+        })
+    }
+
+    /// The [`NodeMsg::Commit`] frame of `records`.
+    pub fn commit_frame(
+        agent: AgentId,
+        records: impl ExactSizeIterator<Item = CommitRecord>,
+    ) -> Bytes {
+        marp_wire::frame(|buf| {
+            TAG_COMMIT.encode(buf);
+            agent.encode(buf);
+            marp_wire::put_uvarint(buf, records.len() as u64);
+            for record in records {
+                record.encode(buf);
+            }
+        })
+    }
+}
+
+/// What a `Vec` of `items` encodes to: a count, then each item.
+fn put_list<'a, T: Wire + 'a>(buf: &mut BytesMut, items: impl ExactSizeIterator<Item = &'a T>) {
+    marp_wire::put_uvarint(buf, items.len() as u64);
+    for item in items {
+        item.encode(buf);
     }
 }
 
@@ -342,6 +415,67 @@ mod tests {
         let bytes = marp_wire::to_bytes(&notice);
         assert!(bytes.len() <= 20, "notice is {} bytes", bytes.len());
         assert_eq!(marp_wire::from_bytes::<AgentReply>(&bytes).unwrap(), notice);
+    }
+
+    #[test]
+    fn each_message_and_each_ack_has_a_shape_of_its_own() {
+        let envelopes = [
+            AgentEnvelope::Migrate {
+                agent: aid(1),
+                hop: 1,
+                state: Bytes::from_static(b"state"),
+            },
+            AgentEnvelope::MigrateAck {
+                agent: aid(1),
+                hop: 1,
+                horizon: Horizon::new(),
+            },
+            AgentEnvelope::ToAgent {
+                agent: aid(1),
+                payload: Bytes::new(),
+            },
+        ];
+        let mut msgs = vec![
+            NodeMsg::Client(ClientRequest {
+                id: 1,
+                op: Operation::Read { key: 1 },
+            }),
+            NodeMsg::Release { agent: aid(1) },
+            NodeMsg::LlQuery {
+                agent: aid(1),
+                key: 1,
+                horizon: Horizon::new(),
+            },
+            NodeMsg::Sync(SyncMsg::Pull {
+                versions: BTreeMap::new(),
+            }),
+            NodeMsg::Update(UpdateMsg {
+                agent: aid(1),
+                attempt: 1,
+                incarnation: 0,
+                reply_to: 0,
+                requests: Vec::new(),
+                tie_certificate: None,
+            }),
+            NodeMsg::Commit(CommitMsg {
+                agent: aid(1),
+                records: Vec::new(),
+            }),
+        ];
+        for envelope in envelopes {
+            msgs.push(NodeMsg::Agent(envelope.clone()));
+            msgs.push(NodeMsg::RAgent(envelope));
+        }
+        let shapes: std::collections::BTreeSet<usize> = msgs
+            .iter()
+            .map(|msg| frame_shape(&marp_wire::to_bytes(msg)))
+            .collect();
+        // A migration and a mail share their carrier's shape.
+        assert_eq!(shapes.len(), msgs.len() - 2);
+        assert!(shapes.iter().all(|&shape| shape < FRAME_SHAPES));
+        for garbage in [&[][..], &[255], &[TAG_AGENT, 255], &[TAG_RAGENT]] {
+            assert!(frame_shape(garbage) < FRAME_SHAPES);
+        }
     }
 
     #[test]

@@ -5,7 +5,9 @@
 use crate::agent::UpdateAgent;
 use crate::config::MarpConfig;
 use crate::host::{CommitOutcome, MarpServerState};
-use crate::msg::{agent_header, read_agent_header, wrap_sync, AgentReply, NodeMsg};
+use crate::msg::{
+    agent_header, frame_shape, read_agent_header, wrap_sync, AgentReply, NodeMsg, FRAME_SHAPES,
+};
 use crate::read_agent::ReadAgent;
 use bytes::Bytes;
 use marp_agent::{AgentEnvelope, AgentId, AgentRuntime};
@@ -98,6 +100,20 @@ pub struct MarpNode {
     /// Maintenance ticks so far: a catch-up pull goes to the peer this
     /// many places (mod N − 1) past the next one.
     ask_rotation: NodeId,
+    /// The last message of each frame shape ([`frame_shape`]): the next
+    /// frame of that shape decodes into it, so an UPDATE's requests, a
+    /// COMMIT's records and an ack's horizon land in buffers an earlier
+    /// one grew. Empty until the first frame arrives, so that building
+    /// a node neither allocates for it nor carries it inline.
+    inbox: Vec<NodeMsg>,
+}
+
+/// What an inbox slot holds while its message is being handled, and
+/// before its first frame: a message that owns no buffer.
+fn vacant() -> NodeMsg {
+    NodeMsg::Release {
+        agent: AgentId::default(),
+    }
 }
 
 impl MarpNode {
@@ -118,6 +134,7 @@ impl MarpNode {
             mail: MailCounters::default(),
             outbox: CommitOutcome::default(),
             ask_rotation: 0,
+            inbox: Vec::new(),
         }
     }
 
@@ -295,7 +312,7 @@ impl MarpNode {
     fn commits_arrived(
         &mut self,
         winner: Option<AgentId>,
-        records: Vec<CommitRecord>,
+        records: &[CommitRecord],
         ctx: &mut dyn Context,
     ) {
         let me = self.me();
@@ -318,10 +335,10 @@ impl MarpNode {
         }
     }
 
-    fn handle_node_msg(&mut self, from: NodeId, msg: NodeMsg, ctx: &mut dyn Context) {
+    fn handle_node_msg(&mut self, from: NodeId, msg: &mut NodeMsg, ctx: &mut dyn Context) {
         match msg {
             NodeMsg::Client(request) => {
-                match self.state.core.handle_client_request(from, request, ctx) {
+                match self.state.core.handle_client_request(from, *request, ctx) {
                     marp_replica::ClientAction::Done => {}
                     marp_replica::ClientAction::Write(write) => {
                         if self.state.config().adaptive_batching {
@@ -352,17 +369,17 @@ impl MarpNode {
                 self.read_runtime
                     .handle_envelope(from, envelope, &mut self.state, ctx);
             }
-            NodeMsg::Update(mut update) => {
+            NodeMsg::Update(update) => {
                 // The claimant awaits its acks where it sent from.
                 update.reply_to = from;
                 self.state
                     .handle_update(update, ctx, &mut self.outbox.answers);
                 self.send_answers(ctx);
             }
-            NodeMsg::Commit(c) => self.commits_arrived(Some(c.agent), c.records, ctx),
+            NodeMsg::Commit(c) => self.commits_arrived(Some(c.agent), &c.records, ctx),
             NodeMsg::Release { agent } => {
                 self.state
-                    .handle_release(agent, ctx, &mut self.outbox.answers);
+                    .handle_release(*agent, ctx, &mut self.outbox.answers);
                 self.send_answers(ctx);
             }
             NodeMsg::LlQuery {
@@ -374,8 +391,8 @@ impl MarpNode {
                 // recovery path for missed notices.
                 let info = self
                     .state
-                    .handle_ll_query(agent, key, from, &horizon, ctx.now());
-                let (frame, len) = AgentEnvelope::to_agent_frame(agent_header, agent, &info);
+                    .handle_ll_query(*agent, *key, from, horizon, ctx.now());
+                let (frame, len) = AgentEnvelope::to_agent_frame(agent_header, *agent, &info);
                 self.mail.replies_sent += 1;
                 self.mail.reply_bytes += len as u64;
                 ctx.send(from, frame);
@@ -456,14 +473,20 @@ impl Process for MarpNode {
     }
 
     fn on_message(&mut self, from: NodeId, msg: Bytes, ctx: &mut dyn Context) {
-        match marp_wire::from_bytes::<NodeMsg>(&msg) {
-            Ok(node_msg) => self.handle_node_msg(from, node_msg, ctx),
+        if self.inbox.is_empty() {
+            self.inbox.resize_with(FRAME_SHAPES, vacant);
+        }
+        let shape = frame_shape(&msg);
+        let mut held = std::mem::replace(&mut self.inbox[shape], vacant());
+        match marp_wire::from_bytes_into(&mut held, &msg) {
+            Ok(()) => self.handle_node_msg(from, &mut held, ctx),
             Err(_) => ctx.trace(TraceEvent::Custom {
                 kind: "undecodable-message",
                 a: u64::from(from),
                 b: msg.len() as u64,
             }),
         }
+        self.inbox[shape] = held;
     }
 
     fn on_timer(&mut self, timer: TimerId, tag: u64, ctx: &mut dyn Context) {

@@ -289,10 +289,10 @@ mod tests {
             let at = visited[visit - 1];
             let here = &replicas[usize::from(at)];
             assert_eq!(answers(&here.ctx), vec![], "visit {visit} answered");
-            let (to, migrate) = departed(&here.ctx).expect("a visit short of a majority");
+            let (to, mut migrate) = departed(&here.ctx).expect("a visit short of a majority");
             let next = &mut replicas[usize::from(to)];
             next.runtime
-                .handle_envelope(at, migrate, &mut next.state, &mut next.ctx);
+                .handle_envelope(at, &mut migrate, &mut next.state, &mut next.ctx);
             visited.push(to);
         }
         let third = &replicas[usize::from(visited[2])];

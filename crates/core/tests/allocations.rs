@@ -1,13 +1,16 @@
-//! What an arrival, a decision, a visit, a frame and a commit ask of
-//! the allocator once the buffers they reuse are warm: an arriving
-//! agent decodes into the behaviour an earlier agent left behind,
-//! `decide` tallies on the stack, a visit reads the Locking List where
-//! it lies, a frame that nests a payload is written in one pass, and a
-//! commit fills lists its node owns. A frame is one allocation past 30
-//! bytes and none up to 30, where it lives inside its `Bytes` handle.
+//! What an arrival, a decision, a visit, a frame, a claim and a commit
+//! ask of the allocator once the buffers they reuse are warm: an
+//! arriving agent decodes into the behaviour an earlier agent left
+//! behind, `decide` tallies on the stack, a visit reads the Locking
+//! List where it lies, a frame that nests a payload is written in one
+//! pass, a node decodes each frame into the message the last frame of
+//! its shape left, a claim made again reopens the call the first one
+//! grew, and a commit fills lists its node owns. A frame is one
+//! allocation past 30 bytes and none up to 30, where it lives inside
+//! its `Bytes` handle.
 
 use bytes::Bytes;
-use marp_agent::{AgentBehavior, AgentEnvelope, AgentId, AgentRuntime, WrapFn};
+use marp_agent::{AgentBehavior, AgentEnvelope, AgentId, AgentRuntime, Horizon, WrapFn};
 use marp_core::lt::{decide, LockingTable, Priority};
 use marp_core::{
     agent_header, read_agent_header, wrap_agent_envelope, wrap_client_request, wrap_sync,
@@ -73,10 +76,10 @@ impl<B: AgentBehavior<Host = MarpServerState>> Host<B> {
     }
 
     /// Deliver `envelope`; returns the allocations that took.
-    fn deliver(&mut self, from: NodeId, envelope: AgentEnvelope) -> usize {
+    fn deliver(&mut self, from: NodeId, mut envelope: AgentEnvelope) -> usize {
         let (state, runtime, ctx) = (&mut self.state, &mut self.runtime, &mut self.ctx);
         let ((), requests, _) = noting_alloc::requests_during(|| {
-            runtime.handle_envelope(from, envelope, state, ctx);
+            runtime.handle_envelope(from, &mut envelope, state, ctx);
         });
         requests
     }
@@ -548,25 +551,25 @@ fn commit_of(winner: AgentId, version: u64, request: u64) -> Bytes {
     }))
 }
 
-/// Deliver `msg` to `node`; returns the allocations that took beyond
-/// decoding it.
-fn beyond_decoding(node: &mut MarpNode, ctx: &mut RecordingCtx, msg: Bytes) -> usize {
-    let (_, decoding, _) = noting_alloc::requests_during(|| marp_wire::from_bytes::<NodeMsg>(&msg));
+/// Deliver `msg` to `node` from server `from`; returns the
+/// allocations that took, decoding included.
+fn delivered(node: &mut MarpNode, ctx: &mut RecordingCtx, from: NodeId, msg: Bytes) -> usize {
     make_room(ctx);
-    let ((), requests, _) = noting_alloc::requests_during(|| node.on_message(1, msg, ctx));
-    requests - decoding
+    let ((), requests, _) = noting_alloc::requests_during(|| node.on_message(from, msg, ctx));
+    requests
 }
 
-/// Once one commit has warmed the store's chain, the server's lists
-/// and the node's outbox, the next in-order COMMIT allocates its client
-/// reply and its notice to the parked waiter, and nothing else: two
-/// frames of 30 bytes or less, so nothing at all.
+/// Once one commit has warmed the store's chain, the server's lists,
+/// the node's outbox and the COMMIT its inbox holds, the next in-order
+/// COMMIT decodes into that one and allocates its client reply and its
+/// notice to the parked waiter, and nothing else: two frames of 30
+/// bytes or less, so nothing at all.
 #[test]
 fn an_in_order_commit_allocates_only_its_client_reply_and_notice_frames() {
     let (mut node, mut ctx) = node_with_a_parked_agent();
     node.on_message(1, commit_of(aid(1, 101), 1, 50), &mut ctx);
     ctx.sent.clear();
-    let allocated = beyond_decoding(&mut node, &mut ctx, commit_of(aid(1, 103), 2, 77));
+    let allocated = delivered(&mut node, &mut ctx, 1, commit_of(aid(1, 103), 2, 77));
     let notices = node.mail().notices_sent;
     assert_eq!(notices, 2, "one per commit, to the parked agent");
     assert_eq!(ctx.sent.len(), 2, "the client's reply and the notice");
@@ -575,7 +578,9 @@ fn an_in_order_commit_allocates_only_its_client_reply_and_notice_frames() {
 }
 
 /// A claim refused at once is answered with one frame of 30 bytes or
-/// less, which costs no allocation: no list of answers is built for it.
+/// less, which costs no allocation: no list of answers is built for it,
+/// and its requests land in the list the claim before it left in the
+/// node's inbox.
 #[test]
 fn a_refused_claim_allocates_only_its_answer() {
     let (mut node, mut ctx) = node_with_a_parked_agent();
@@ -598,7 +603,101 @@ fn a_refused_claim_allocates_only_its_answer() {
     };
     node.on_message(1, claim(1), &mut ctx);
     ctx.sent.clear();
-    assert_eq!(beyond_decoding(&mut node, &mut ctx, claim(2)), 0);
+    assert_eq!(delivered(&mut node, &mut ctx, 1, claim(2)), 0);
     assert_eq!(ctx.sent.len(), 1);
     assert!(ctx.sent[0].1.len() <= 30);
+}
+
+/// A home whose agents leave for their second stop, each hop acked with
+/// a horizon of one shape: the node decodes each ack into the one its
+/// inbox holds, and the host keeps the horizon by swapping it for the
+/// one it replaces, which the next ack decodes into. From the third
+/// ack on, both buffers are warm and an ack allocates nothing.
+#[test]
+fn an_ack_decodes_into_the_horizon_an_earlier_ack_left() {
+    let cfg = MarpConfig::new(N);
+    let topo = Topology::uniform_lan(N, Duration::from_millis(1));
+    let mut node = MarpNode::new(0, cfg, RoutingTable::from_topology(0, &topo));
+    let mut ctx = RecordingCtx::new(0, SimTime::from_millis(20));
+    let horizon = Horizon::from_iter([(0, 3), (1, 4), (2, 5)]);
+    let mut hop = |request: u64| {
+        let write = ClientRequest {
+            id: request,
+            op: Operation::Write { key: 1, value: 5 },
+        };
+        node.on_message(9, wrap_client_request(write), &mut ctx);
+        let Some((to, NodeMsg::Agent(AgentEnvelope::Migrate { agent, hop, .. }))) =
+            ctx.sent_as::<NodeMsg>().pop()
+        else {
+            panic!("an agent leaving home");
+        };
+        let ack = AgentEnvelope::ack_frame(agent_header, agent, hop, &horizon);
+        let allocations = delivered(&mut node, &mut ctx, to, ack);
+        assert_eq!(node.update_runtime().in_flight(), 0, "the hop is acked");
+        (to, allocations)
+    };
+    let (first, _) = hop(1);
+    hop(2);
+    assert_eq!(hop(3), (first, 0));
+}
+
+/// An agent alone in a one-server system wins on arrival and claims;
+/// refused, it parks, and each change notice sends it to claim again.
+/// A claim made again reopens the call the first one grew, and its
+/// UPDATE is written from the agent's own request list: once the
+/// agent's timer map has room, a claim and its refusal allocate
+/// nothing.
+#[test]
+fn a_claim_made_again_reuses_its_call() {
+    let cfg = MarpConfig::new(1);
+    let mut home: Host = Host::bare(0, &cfg, agent_header);
+    let me = aid(0, 1);
+    let write = WriteRequest {
+        id: 1,
+        client: 9,
+        key: 1,
+        value: 3,
+        arrived: SimTime::ZERO,
+    };
+    let agent = UpdateAgent::new(None, me, &cfg, vec![write]);
+    home.runtime.spawn(agent, &mut home.state, &mut home.ctx);
+    let mail = |reply: &AgentReply| AgentEnvelope::ToAgent {
+        agent: me,
+        payload: marp_wire::to_bytes(reply),
+    };
+    let claims = |home: &Host| {
+        let sent = home.ctx.sent_as::<NodeMsg>();
+        sent.iter()
+            .filter(|(_, msg)| matches!(msg, NodeMsg::Update(_)))
+            .count()
+    };
+    let mut round = |attempt: u32| {
+        let notice = mail(&AgentReply::LlChanged {
+            finished: aid(0, 100 + attempt),
+            at: SimTime::from_millis(19),
+        });
+        let refusal = mail(&AgentReply::UpdateAck {
+            attempt,
+            positive: false,
+            store_version: 0,
+            fenced: false,
+        });
+        home.make_room();
+        let claimed = if attempt == 1 {
+            0
+        } else {
+            home.deliver(0, notice)
+        };
+        home.make_room();
+        let refused = home.deliver(0, refusal);
+        assert_eq!(claims(&home), attempt as usize);
+        assert!(matches!(
+            home.runtime.resident(me).map(UpdateAgent::phase),
+            Some(marp_core::Phase::Parked { .. })
+        ));
+        claimed + refused
+    };
+    round(1);
+    round(2);
+    assert_eq!(round(3), 0);
 }

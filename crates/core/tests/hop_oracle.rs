@@ -36,9 +36,9 @@ impl Host {
         }
     }
 
-    fn deliver(&mut self, from: NodeId, envelope: AgentEnvelope) {
+    fn deliver(&mut self, from: NodeId, mut envelope: AgentEnvelope) {
         self.runtime
-            .handle_envelope(from, envelope, &mut self.state, &mut self.ctx);
+            .handle_envelope(from, &mut envelope, &mut self.state, &mut self.ctx);
     }
 
     /// The agent envelopes this host has sent to `to`, oldest first.

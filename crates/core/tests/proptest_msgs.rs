@@ -1,6 +1,7 @@
 //! Property tests for the MARP message space: round-trips for every
 //! message shape, decoder robustness against bit flips, and the
-//! one-pass agent frames against the messages they stand for.
+//! one-pass agent and broadcast frames against the messages they stand
+//! for.
 //! (Arbitrary and truncated bytes are covered for every message type at
 //! once by `tests/proptest_decode.rs` at the workspace root.)
 
@@ -150,6 +151,31 @@ proptest! {
         let payload = marp_wire::to_bytes(&notice);
         prop_assert_eq!(payload_len, payload.len());
         prop_assert_eq!(frame, wrapped(AgentEnvelope::ToAgent { agent, payload }));
+    }
+
+    /// An update agent's UPDATE and COMMIT, written in one pass from
+    /// its own lists, are byte for byte the messages owning copies of
+    /// them.
+    #[test]
+    fn broadcast_frames_are_the_messages_they_stand_for(
+        agent in arb_agent_id(),
+        attempt in any::<u32>(),
+        incarnation in any::<u32>(),
+        requests in proptest::collection::vec(arb_write_request(), 0..6),
+        tie_certificate in proptest::option::of(proptest::collection::vec(arb_agent_id(), 0..5)),
+        records in proptest::collection::vec(arb_commit_record(), 0..6),
+    ) {
+        let frame = NodeMsg::update_frame(
+            agent,
+            attempt,
+            incarnation,
+            &requests,
+            tie_certificate.as_deref(),
+        );
+        let update = UpdateMsg { agent, attempt, incarnation, reply_to: 0, requests, tie_certificate };
+        prop_assert_eq!(frame, marp_wire::to_bytes(&NodeMsg::Update(update)));
+        let frame = NodeMsg::commit_frame(agent, records.iter().cloned());
+        prop_assert_eq!(frame, marp_wire::to_bytes(&NodeMsg::Commit(CommitMsg { agent, records })));
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub enum Verdict {
 /// the recipient set are ignored, so duplicate or reordered deliveries
 /// can never change the verdict. `T` is the payload a positive reply
 /// carries (a store version, an observation, or `()`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct QuorumCall<T> {
     rule: SuccessRule,
     /// Recipients that have not answered (and not been retracted).
@@ -75,26 +75,38 @@ impl<T> QuorumCall<T> {
         recipients: impl IntoIterator<Item = NodeId>,
         started: SimTime,
     ) -> Self {
-        let mut outstanding: Vec<NodeId> = recipients.into_iter().collect();
-        outstanding.sort_unstable();
-        outstanding.dedup();
-        let mut call = QuorumCall {
-            rule,
-            outstanding,
-            positives: Vec::new(),
-            negatives: Vec::new(),
-            granted_votes: 0,
-            rejected_votes: 0,
-            started,
-            verdict: None,
-        };
-        call.evaluate();
+        let mut call = QuorumCall::default();
+        call.restart(rule, recipients, started);
         call
     }
 
     /// A majority call over servers `0..n`.
     pub fn majority(n: u16, started: SimTime) -> Self {
         QuorumCall::new(SuccessRule::Majority { n }, 0..n, started)
+    }
+
+    /// Open this call again as [`new`](Self::new) would open a call,
+    /// in the buffers it holds: a caller that runs round after round
+    /// (an agent claiming again) allocates nothing once they have
+    /// grown to its rounds' size.
+    pub fn restart(
+        &mut self,
+        rule: SuccessRule,
+        recipients: impl IntoIterator<Item = NodeId>,
+        started: SimTime,
+    ) {
+        self.rule = rule;
+        self.outstanding.clear();
+        self.outstanding.extend(recipients);
+        self.outstanding.sort_unstable();
+        self.outstanding.dedup();
+        self.positives.clear();
+        self.negatives.clear();
+        self.granted_votes = 0;
+        self.rejected_votes = 0;
+        self.started = started;
+        self.verdict = None;
+        self.evaluate();
     }
 
     /// Record one reply. `votes` is the replier's weight (1 for
@@ -195,6 +207,44 @@ impl<T> QuorumCall<T> {
     }
 }
 
+impl<T: Clone> Clone for QuorumCall<T> {
+    fn clone(&self) -> Self {
+        let mut call = QuorumCall::default();
+        call.clone_from(self);
+        call
+    }
+
+    /// Into the buffers held: a call reset to its `Default` keeps them
+    /// for the next [`restart`](QuorumCall::restart).
+    fn clone_from(&mut self, source: &Self) {
+        self.rule = source.rule;
+        self.outstanding.clone_from(&source.outstanding);
+        self.positives.clone_from(&source.positives);
+        self.negatives.clone_from(&source.negatives);
+        self.granted_votes = source.granted_votes;
+        self.rejected_votes = source.rejected_votes;
+        self.started = source.started;
+        self.verdict = source.verdict;
+    }
+}
+
+/// A call to no one that was never opened: undecided, and nothing it
+/// is offered counts until it is [`restart`](QuorumCall::restart)ed.
+impl<T> Default for QuorumCall<T> {
+    fn default() -> Self {
+        QuorumCall {
+            rule: SuccessRule::AllAvailable,
+            outstanding: Vec::new(),
+            positives: Vec::new(),
+            negatives: Vec::new(),
+            granted_votes: 0,
+            rejected_votes: 0,
+            started: SimTime::ZERO,
+            verdict: None,
+        }
+    }
+}
+
 impl<T: Ord + Copy> QuorumCall<T> {
     /// The largest payload among positive replies ("use the most recent
     /// copy"), if any reply was positive.
@@ -281,6 +331,29 @@ mod tests {
     fn all_available_with_no_recipients_wins_immediately() {
         let call = QuorumCall::<()>::new(SuccessRule::AllAvailable, [], SimTime::ZERO);
         assert_eq!(call.verdict(), Some(Verdict::Won));
+    }
+
+    #[test]
+    fn a_restarted_call_is_a_new_one() {
+        let mut call = QuorumCall::majority(5, SimTime::ZERO);
+        call.offer_vote(0, false, 0u64);
+        call.offer_vote(1, false, 0);
+        assert_eq!(call.offer_vote(2, false, 0), Some(Verdict::Lost));
+        let later = SimTime::from_millis(9);
+        call.restart(SuccessRule::Majority { n: 5 }, [4, 0, 3, 2, 1, 0], later);
+        assert_eq!(call, QuorumCall::majority(5, later));
+        assert_eq!(call.offer_vote(2, true, 7), None);
+        call.restart(SuccessRule::AllAvailable, [], later);
+        assert_eq!(call.verdict(), Some(Verdict::Won));
+    }
+
+    #[test]
+    fn a_default_call_counts_nothing() {
+        let mut call = QuorumCall::<u64>::default();
+        assert_eq!(call.offer_vote(0, true, 1), None);
+        assert_eq!(call.retract(0), None);
+        assert_eq!(call.verdict(), None);
+        assert!(call.positives().is_empty());
     }
 
     #[test]

@@ -229,20 +229,21 @@ impl ServerCore {
     /// protocol layer's to say.
     pub fn apply_commits(
         &mut self,
-        records: Vec<CommitRecord>,
+        records: &[CommitRecord],
         ctx: &mut dyn Context,
         applied: &mut Vec<CommitRecord>,
     ) {
         let mut offered = std::mem::take(&mut self.offered);
         for record in records {
-            if self.store.conflicts_with(&record) {
+            if self.store.conflicts_with(record) {
                 ctx.trace(TraceEvent::Custom {
                     kind: trace::VERSION_CONFLICT,
                     a: record.version,
                     b: record.request,
                 });
             }
-            self.store.offer_into(record, ctx.now(), &mut offered);
+            self.store
+                .offer_into(record.clone(), ctx.now(), &mut offered);
             for (rec, suppressed) in offered.drain(..) {
                 if suppressed {
                     ctx.trace(TraceEvent::Custom {
@@ -279,10 +280,10 @@ impl ServerCore {
     }
 
     /// Handle an anti-entropy message.
-    pub fn handle_sync(&mut self, from: NodeId, msg: SyncMsg, ctx: &mut dyn Context) {
+    pub fn handle_sync(&mut self, from: NodeId, msg: &SyncMsg, ctx: &mut dyn Context) {
         match msg {
             SyncMsg::Pull { versions } => {
-                let records = self.store.suffix_for_versions(&versions);
+                let records = self.store.suffix_for_versions(versions);
                 if !records.is_empty() {
                     let reply = (self.sync_wrap)(SyncMsg::Push { records });
                     ctx.send(from, reply);
@@ -365,7 +366,7 @@ mod tests {
         ctx: &mut RecordingCtx,
     ) -> Vec<CommitRecord> {
         let mut applied = Vec::new();
-        core.apply_commits(records, ctx, &mut applied);
+        core.apply_commits(&records, ctx, &mut applied);
         applied
     }
 
@@ -570,7 +571,7 @@ mod tests {
         let pull = SyncMsg::Pull {
             versions: BTreeMap::from([(0, 1)]),
         };
-        source.handle_sync(5, pull, &mut ctx_pull);
+        source.handle_sync(5, &pull, &mut ctx_pull);
         assert_eq!(ctx_pull.sent.len(), 1);
         let pushed: SyncMsg = marp_wire::from_bytes(&ctx_pull.sent[0].1).unwrap();
         let SyncMsg::Push { records } = pushed else {
@@ -581,7 +582,7 @@ mod tests {
         let mut target = core(1);
         let mut ctx2 = test_ctx(1);
         // Target missed version 1: receiving only version 2 buffers it.
-        target.handle_sync(0, SyncMsg::Push { records }, &mut ctx2);
+        target.handle_sync(0, &SyncMsg::Push { records }, &mut ctx2);
         assert_eq!(target.store.applied_version(), 0);
         assert!(target.pull_if_behind(0, &mut ctx2));
         let pull: SyncMsg = marp_wire::from_bytes(&ctx2.sent.last().unwrap().1).unwrap();

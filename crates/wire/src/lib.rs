@@ -71,11 +71,12 @@ pub trait Wire: __private::Sealed + Sized {
 
     /// Decode a value from the front of `buf` into `self`, reusing the
     /// buffers `self` already holds: the result equals
-    /// [`decode`](Wire::decode)'s in every field the wire carries (a
-    /// field [`wire_struct!`] declares off the wire keeps what `self`
-    /// held), and a warm value of the same shape decodes without
-    /// allocating. On `Err`, `self` holds some mix of the old value and
-    /// the new one and is fit only to be dropped.
+    /// [`decode`](Wire::decode)'s (a field [`wire_struct!`] declares off
+    /// the wire comes out `Default` here too), and a warm value of the
+    /// same shape decodes without allocating. On `Err`, `self` holds
+    /// some mix of the old value and the new one: nothing to read, but
+    /// a warm value still, which the next `decode_into` overwrites as
+    /// it would any other.
     fn decode_into(&mut self, buf: &mut Reader<'_>) -> Result<(), WireError> {
         *self = Self::decode(buf)?;
         Ok(())
@@ -439,7 +440,9 @@ fn decode_len(buf: &mut Reader<'_>) -> Result<usize, WireError> {
 /// which its envelope already names) is listed after `off_wire` and
 /// costs no bytes: `decode` and `decode_into` alike leave it
 /// `Default::default()`, for the receiver to set. A value decoded into
-/// a held one thus carries nothing of what the held one was.
+/// a held one thus carries nothing of what the held one was; the field
+/// is reset with [`Clone::clone_from`], so one whose `clone_from`
+/// reuses its buffers keeps them for the receiver to fill.
 ///
 /// ```
 /// use marp_wire::{wire_struct, Wire};
@@ -518,7 +521,7 @@ macro_rules! wire_struct {
             }
             fn decode_into(&mut self, buf: &mut $crate::Reader<'_>) -> ::core::result::Result<(), $crate::WireError> {
                 $( $crate::Wire::decode_into(&mut self.$field, buf)?; )*
-                $($( self.$skip = ::core::default::Default::default(); )*)?
+                $($( ::core::clone::Clone::clone_from(&mut self.$skip, &::core::default::Default::default()); )*)?
                 $( if !$valid(&*self) {
                     return Err($crate::WireError::Malformed { type_name: stringify!($name) });
                 } )?
@@ -535,9 +538,12 @@ macro_rules! wire_struct {
 /// struct. Decoding rejects unknown tags with
 /// [`WireError::InvalidTag`].
 ///
-/// One variant list feeds `encode` and `decode` through an exhaustive
-/// `match`, so an asymmetric codec is unrepresentable and
-/// an incomplete one does not compile.
+/// One variant list feeds `encode` (an exhaustive `match`), `decode` and
+/// `decode_into`, so an asymmetric codec is unrepresentable and an
+/// incomplete one does not compile. `decode_into` a value holding
+/// the frame's variant decodes each field into the one held (a field
+/// [`wire_struct!`] declares off the wire comes out `Default`, as from
+/// `decode`); into any other variant it is `decode`.
 ///
 /// ```
 /// use marp_wire::{wire_enum, Wire};
@@ -562,6 +568,12 @@ macro_rules! wire_struct {
 /// assert_eq!(marp_wire::from_bytes::<Msg>(&bytes).unwrap(), msg);
 /// assert_eq!(marp_wire::to_bytes(&Msg::Ping).as_ref(), &[0]);
 /// assert!(marp_wire::from_bytes::<Msg>(&bytes::Bytes::from_static(&[3])).is_err());
+///
+/// let mut held = Msg::Batch(Vec::with_capacity(8));
+/// marp_wire::from_bytes_into(&mut held, &marp_wire::to_bytes(&Msg::Batch(vec![4, 5]))).unwrap();
+/// assert!(matches!(&held, Msg::Batch(keys) if keys == &[4, 5] && keys.capacity() == 8));
+/// marp_wire::from_bytes_into(&mut held, &bytes).unwrap();
+/// assert_eq!(held, msg);
 /// ```
 ///
 /// A variant missing from the list is a compile error (the old
@@ -619,6 +631,19 @@ macro_rules! wire_enum {
                         tag: u32::from(tag),
                     }),
                 }
+            }
+            fn decode_into(&mut self, buf: &mut $crate::Reader<'_>) -> ::core::result::Result<(), $crate::WireError> {
+                let mut body = buf.clone();
+                let tag = <u8 as $crate::Wire>::decode(&mut body)?;
+                match (tag, &mut *self) {
+                    $( ($tag, $name::$variant $(($inner))? $({ $($field),* })?) => {
+                        *buf = body;
+                        $( $crate::Wire::decode_into($inner, buf)?; )?
+                        $( $( $crate::Wire::decode_into($field, buf)?; )* )?
+                    } )*
+                    _ => *self = Self::decode(buf)?,
+                }
+                Ok(())
             }
         }
     };

@@ -6,8 +6,9 @@ use bytes::Bytes;
 /// What [`Wire::decode`](crate::Wire::decode) reads from: the unread
 /// bytes of a message as a plain slice, and the [`Bytes`] they live in,
 /// so that a `Bytes` field decodes to a view of the message rather than
-/// a copy. Reading a byte is one slice split and one bounds check.
-#[derive(Debug)]
+/// a copy. Reading a byte is one slice split and one bounds check. A
+/// clone is a second cursor at the same place (to read ahead with).
+#[derive(Debug, Clone)]
 pub struct Reader<'a> {
     message: &'a Bytes,
     rest: &'a [u8],

@@ -56,20 +56,26 @@ fn main() {
     println!("=== protocol timeline (per agent) ===");
     print!("{}", marp_obs::Journeys::from_trace(sim.trace()).render());
 
-    // Every replica holds the same data.
+    // Every replica holds the same data, at the same version of each
+    // key (each key's commits are numbered on its own chain).
     println!("=== final replica state ===");
+    let mut versions = None;
     for server in 0..n as u16 {
         let node = sim.process::<MarpNode>(server).unwrap();
         let store = &node.state().core.store;
+        let held = [1, 2].map(|key| store.applied_version_for(key));
         println!(
-            "server {server}: version {}  key1={:?}  key2={:?}",
-            store.applied_version(),
+            "server {server}: key1={:?} (version {})  key2={:?} (version {})",
             store.get(1).map(|s| s.value),
+            held[0],
             store.get(2).map(|s| s.value),
+            held[1],
         );
         assert_eq!(store.get(1).map(|s| s.value), Some(11));
         assert_eq!(store.get(2).map(|s| s.value), Some(20));
+        assert_eq!(*versions.get_or_insert(held), held, "server {server}");
     }
+    assert_eq!(versions, Some([2, 1]), "two writes to key 1, one to key 2");
 
     // Client-side view.
     let client_proc = sim.process::<ClientProcess>(client).unwrap();
