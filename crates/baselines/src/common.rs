@@ -2,8 +2,8 @@
 
 use bytes::Bytes;
 use marp_quorum::{QuorumCall, RetryPolicy, SuccessRule, TimerMux, Verdict};
-use marp_replica::WriteRequest;
-use marp_sim::{Context, NodeId, SimTime, SpanKey, SpanKind};
+use marp_replica::{Acceptor, WriteRequest};
+use marp_sim::{Context, NodeId, SpanKey, SpanKind};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -48,61 +48,6 @@ impl Ballot {
 
 marp_wire::wire_struct!(Ballot { seq, coordinator });
 
-/// A replica's vote promise: granted to one ballot at a time, with an
-/// expiry so a crashed coordinator cannot wedge the replica.
-///
-/// Leases are half-open intervals `[granted, granted + lease)`: the
-/// promise binds while `now < expires` and is free at the expiry
-/// instant itself. This matches `LockingList::purge_expired` in
-/// `marp-replica`, which purges entries with `expires_at <= now` — at
-/// exactly `t = expires` both structures agree the holder is gone.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Promise {
-    current: Option<(Ballot, SimTime)>,
-}
-
-impl Promise {
-    /// Empty promise slot.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Try to grant a promise to `ballot` at `now` for `lease`. Granting
-    /// again to the same ballot refreshes the lease. Returns whether the
-    /// promise is now held by `ballot`.
-    pub fn try_grant(&mut self, ballot: Ballot, now: SimTime, lease: Duration) -> bool {
-        match self.current {
-            Some((held, expires)) if held != ballot && expires > now => false,
-            _ => {
-                self.current = Some((ballot, now + lease));
-                true
-            }
-        }
-    }
-
-    /// Clear the promise if held by `ballot`.
-    pub fn release(&mut self, ballot: Ballot) {
-        if let Some((held, _)) = self.current {
-            if held == ballot {
-                self.current = None;
-            }
-        }
-    }
-
-    /// Clear unconditionally (crash recovery).
-    pub fn clear(&mut self) {
-        self.current = None;
-    }
-
-    /// The ballot currently holding the promise, if unexpired at `now`.
-    pub fn holder(&self, now: SimTime) -> Option<Ballot> {
-        match self.current {
-            Some((ballot, expires)) if expires > now => Some(ballot),
-            _ => None,
-        }
-    }
-}
-
 /// `(round_timeout, retry, promise_lease)` scaled to a deployment whose
 /// worst one-way latency is `max_latency`: a vote round cannot finish
 /// inside the physical round trip, and a shorter timeout turns every
@@ -133,8 +78,6 @@ pub(crate) struct RoundSpec {
     pub rule: SuccessRule,
     /// A round undecided for this long is aborted.
     pub round_timeout: Duration,
-    /// How long a granted vote binds the voter.
-    pub promise_lease: Duration,
     /// Backoff after a failed round, before this node's stagger.
     pub retry: RetryPolicy,
     /// The protocol's own messages for a ballot, encoded: the vote
@@ -159,8 +102,9 @@ pub(crate) struct Round {
 pub(crate) struct Coordinator {
     me: NodeId,
     spec: RoundSpec,
-    /// The vote this server has out, as a voter.
-    promise: Promise,
+    /// The vote this server has out, as a voter: one ballot at a time,
+    /// for the protocol's `promise_lease`.
+    pub vote: Acceptor<Ballot>,
     queue: VecDeque<WriteRequest>,
     round: Option<Round>,
     ballot_seq: u64,
@@ -177,7 +121,7 @@ impl Coordinator {
         Coordinator {
             me,
             spec,
-            promise: Promise::new(),
+            vote: Acceptor::default(),
             queue: VecDeque::new(),
             round: None,
             ballot_seq: 0,
@@ -273,17 +217,6 @@ impl Coordinator {
         self.try_start_round(ctx);
     }
 
-    /// Voter side: promise this server's vote to `ballot` unless it is
-    /// out to another; returns whether `ballot` now holds it.
-    pub(crate) fn grant(&mut self, ballot: Ballot, now: SimTime) -> bool {
-        self.promise.try_grant(ballot, now, self.spec.promise_lease)
-    }
-
-    /// Voter side: `ballot` is over (applied or aborted).
-    pub(crate) fn release(&mut self, ballot: Ballot) {
-        self.promise.release(ballot);
-    }
-
     /// Offer a fired tag. The round's own timers are handled here;
     /// `true` means the host's `Maintenance` timer fired.
     pub(crate) fn on_timer(&mut self, tag: u64, ctx: &mut dyn Context) -> bool {
@@ -301,7 +234,7 @@ impl Coordinator {
     /// fire again (the engine drops them), so the mux restarts from
     /// scratch; queued writes are re-driven by the clients' retries.
     pub(crate) fn on_recover(&mut self) {
-        self.promise.clear();
+        self.vote.clear();
         self.queue.clear();
         self.round = None;
         self.attempts = 0;
@@ -389,7 +322,7 @@ impl LwwStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marp_sim::RecordingCtx;
+    use marp_sim::{RecordingCtx, SimTime};
 
     #[test]
     fn ballots_order_by_seq_then_node() {
@@ -409,48 +342,6 @@ mod tests {
             } < a
         );
         assert_eq!(a.next().seq, 2);
-    }
-
-    #[test]
-    fn promise_is_exclusive_until_release() {
-        let mut p = Promise::new();
-        let now = SimTime::from_millis(1);
-        let lease = Duration::from_secs(1);
-        let b1 = Ballot::first(0);
-        let b2 = Ballot::first(1);
-        assert!(p.try_grant(b1, now, lease));
-        assert!(!p.try_grant(b2, now, lease));
-        assert!(p.try_grant(b1, now, lease)); // refresh
-        assert_eq!(p.holder(now), Some(b1));
-        p.release(b2); // wrong ballot: no-op
-        assert!(!p.try_grant(b2, now, lease));
-        p.release(b1);
-        assert!(p.try_grant(b2, now, lease));
-    }
-
-    #[test]
-    fn promise_expires() {
-        let mut p = Promise::new();
-        let lease = Duration::from_millis(10);
-        assert!(p.try_grant(Ballot::first(0), SimTime::from_millis(1), lease));
-        let later = SimTime::from_millis(20);
-        assert_eq!(p.holder(later), None);
-        assert!(p.try_grant(Ballot::first(1), later, lease));
-    }
-
-    #[test]
-    fn promise_lease_boundary_is_half_open() {
-        let mut p = Promise::new();
-        let lease = Duration::from_millis(10);
-        assert!(p.try_grant(Ballot::first(0), SimTime::from_millis(1), lease));
-        // One instant before expiry the promise still binds...
-        let almost = SimTime::from_nanos(11_000_000 - 1);
-        assert_eq!(p.holder(almost), Some(Ballot::first(0)));
-        assert!(!p.try_grant(Ballot::first(1), almost, lease));
-        // ...and at exactly t = granted + lease it is free.
-        let expiry = SimTime::from_millis(11);
-        assert_eq!(p.holder(expiry), None);
-        assert!(p.try_grant(Ballot::first(1), expiry, lease));
     }
 
     /// Server 1's context, recording what the coordinator asks of it.
@@ -475,7 +366,6 @@ mod tests {
                 n_servers: 3,
                 rule: SuccessRule::Majority { n: 3 },
                 round_timeout: ROUND_TIMEOUT,
-                promise_lease: Duration::from_secs(2),
                 retry: RetryPolicy::linear(BACKOFF, 16),
                 vote_request: |ballot| marked(b'?', ballot),
                 release: |ballot| marked(b'!', ballot),
@@ -569,15 +459,16 @@ mod tests {
         coord.submit(write(1), &mut ctx);
         coord.submit(write(2), &mut ctx);
         let theirs = Ballot::first(0);
-        assert!(coord.grant(theirs, ctx.now));
-        assert!(!coord.grant(Ballot::first(2), ctx.now));
+        let lease = Duration::from_secs(2);
+        assert!(coord.vote.grant(theirs, ctx.now, lease));
+        assert!(!coord.vote.grant(Ballot::first(2), ctx.now, lease));
         let maintenance = coord.timers.arm(VoteTimer::Maintenance, 0);
         assert_eq!(coord.timers.live(), 2);
 
         coord.on_recover();
 
         assert!(coord.round.is_none() && coord.queue.is_empty());
-        assert_eq!(coord.promise.holder(ctx.now), None);
+        assert_eq!(coord.vote.holder(), None);
         assert_eq!(coord.timers.live(), 0);
         // Pre-crash timers are nobody's, the host's included.
         ctx.sent.clear();

@@ -25,7 +25,7 @@ mod primary;
 mod weighted;
 
 pub use ac::{wrap_client_request as wrap_ac_client_request, AcConfig, AcMsg, AcNode};
-pub use common::{Ballot, LwwStore, LwwTs, Promise};
+pub use common::{Ballot, LwwStore, LwwTs};
 pub use mcv::{wrap_client_request as wrap_mcv_client_request, McvConfig, McvMsg, McvNode};
 pub use primary::{wrap_client_request as wrap_pc_client_request, PcConfig, PcMsg, PcNode};
 pub use weighted::{wrap_client_request as wrap_wv_client_request, WvConfig, WvMsg, WvNode};

@@ -132,7 +132,6 @@ impl McvNode {
                 n: cfg.n_servers as u16,
             },
             round_timeout: cfg.round_timeout,
-            promise_lease: cfg.promise_lease,
             retry: cfg.retry,
             vote_request: |ballot| marp_wire::to_bytes(&McvMsg::VoteReq { ballot }),
             release: |ballot| marp_wire::to_bytes(&McvMsg::Release { ballot }),
@@ -218,9 +217,11 @@ impl McvNode {
                 // A buffered commit counts: its `Apply` released this
                 // replica's promise, so the version is taken even while
                 // a gap keeps it unapplied.
+                let lease = self.cfg.promise_lease;
+                let granted = self.coord.vote.grant(ballot, ctx.now(), lease);
                 let reply = McvMsg::Vote {
                     ballot,
-                    granted: self.coord.grant(ballot, ctx.now()),
+                    granted,
                     store_version: self.core.store.seen_version(),
                 };
                 ctx.send(ballot.coordinator, marp_wire::to_bytes(&reply));
@@ -233,9 +234,9 @@ impl McvNode {
             McvMsg::Apply { ballot, records } => {
                 self.core.apply_commits(&records, ctx, &mut self.applied);
                 self.applied.clear();
-                self.coord.release(ballot);
+                self.coord.vote.release(ballot);
             }
-            McvMsg::Release { ballot } => self.coord.release(ballot),
+            McvMsg::Release { ballot } => self.coord.vote.release(ballot),
             McvMsg::Sync(sync) => self.core.handle_sync(from, &sync, ctx),
         }
     }

@@ -10,8 +10,8 @@
 //! one thing between it and a positive ack is W's reservation, which
 //! the COMMIT in flight is about to clear. A server therefore *holds*
 //! an UPDATE whose sole obstacle is another claimant's live reservation
-//! — it answers nothing — and keeps the claim *inside* that
-//! `Reservation`, so no claim can wait behind nothing. A reservation
+//! — it answers nothing — and keeps the claim *inside* the key's
+//! [`Acceptor`], so no claim can wait behind nothing. A reservation
 //! ends one way (`end_reservation`), whatever ended it — the holder's
 //! commit (learned from its COMMIT or from a peer's Push), its RELEASE,
 //! or the lease lapsing — and ending it runs its waiting claims through
@@ -27,7 +27,7 @@ use crate::lt::LockingTable;
 use crate::msg::{AgentReply, UpdateMsg};
 use marp_agent::{AgentId, Horizon};
 use marp_net::RoutingTable;
-use marp_replica::{CommitRecord, ServerCore, WriteRequest};
+use marp_replica::{Acceptor, CommitRecord, ServerCore, WriteRequest};
 use marp_sim::{trace, AgentKey, Context, NodeId, SimTime, TraceEvent};
 use std::collections::BTreeMap;
 
@@ -90,23 +90,6 @@ enum Judgement {
     Refuse(Refusal),
 }
 
-/// What a server remembers of an UPDATE it acked: who holds the key,
-/// until when, and the claims waiting for the holder to finish.
-struct Reservation {
-    holder: AgentId,
-    expires: SimTime,
-    /// Claims held behind `holder` (see the module docs): one slot per
-    /// agent, never the holder's own.
-    waiting: Vec<UpdateMsg>,
-}
-
-impl Reservation {
-    /// Whether the lease ran out: the holder is presumed dead.
-    fn lapsed(&self, now: SimTime) -> bool {
-        self.expires <= now
-    }
-}
-
 /// The MARP-specific state of one replica server.
 pub struct MarpServerState {
     /// Protocol-independent server substrate.
@@ -118,9 +101,10 @@ pub struct MarpServerState {
     /// The deployment's configuration: the one copy the server's
     /// handlers and every agent running here read.
     cfg: MarpConfig,
-    /// The reservation per object key: winners of different keys
-    /// validate and commit concurrently, so each key carries its own.
-    reserved: BTreeMap<u64, Reservation>,
+    /// The reservation per object key and the claims held behind it
+    /// (one slot per agent, never the holder's): winners of different
+    /// keys validate and commit concurrently, so each key has its own.
+    reserved: BTreeMap<u64, Acceptor<AgentId, UpdateMsg>>,
     /// UPDATEs held so far (a re-validated claim held again counts
     /// again).
     claims_held: u64,
@@ -214,14 +198,14 @@ impl MarpServerState {
 
     /// Current reservation holder for `key`, if any (for inspection).
     pub fn reserved_for(&self, key: u64) -> Option<AgentId> {
-        self.reserved.get(&key).map(|r| r.holder)
+        self.reserved.get(&key).and_then(Acceptor::holder)
     }
 
     /// Agents whose claim on `key` is held behind the current
     /// reservation (for inspection).
     pub fn held_claimants(&self, key: u64) -> impl Iterator<Item = AgentId> + '_ {
-        let waiting = self.reserved.get(&key).map_or(&[][..], |r| &r.waiting);
-        waiting.iter().map(|m| m.agent)
+        let held = self.reserved.get(&key).map_or(&[][..], |r| &r.held);
+        held.iter().map(|m| m.agent)
     }
 
     /// UPDATEs this server has held instead of answering at once.
@@ -333,7 +317,7 @@ impl MarpServerState {
         // older one is dropped unanswered (the agent has moved on and
         // would ignore the ack).
         if let Some(reservation) = self.reserved.get_mut(&key) {
-            let slots = &mut reservation.waiting;
+            let slots = &mut reservation.held;
             if let Some(i) = slots.iter().position(|h| h.agent == msg.agent) {
                 if slots[i].attempt > msg.attempt {
                     return;
@@ -357,7 +341,7 @@ impl MarpServerState {
                         tie_certificate: None,
                         ..*msg
                     };
-                    blocking.waiting.push(std::mem::replace(msg, emptied));
+                    blocking.held.push(std::mem::replace(msg, emptied));
                 }
                 return;
             }
@@ -378,17 +362,12 @@ impl MarpServerState {
             let top = self.core.ll.top(key, now);
             self.ask |= top.is_some_and(|top| self.stale(top, now));
         } else {
-            // A holder claiming again renews its lease and keeps the
-            // claims waiting behind it.
-            let expires = now + self.cfg.reserve_lease;
-            self.reserved
-                .entry(key)
-                .and_modify(|r| r.expires = expires)
-                .or_insert(Reservation {
-                    holder: msg.agent,
-                    expires,
-                    waiting: Vec::new(),
-                });
+            // `judge` accepts no claim against a rival's reservation; a
+            // holder claiming again renews its lease and keeps the
+            // claims held behind it.
+            let acceptor = self.reserved.entry(key).or_default();
+            let granted = acceptor.grant(msg.agent, now, self.cfg.reserve_lease);
+            debug_assert!(granted, "a claim was accepted against a rival");
             // Raise the fences: from now on, only this incarnation (or
             // a later regeneration) of the carried requests can gather
             // a positive ack here.
@@ -423,7 +402,7 @@ impl MarpServerState {
         let Some(ended) = self.reserved.remove(&key) else {
             return;
         };
-        let mut claims = ended.waiting;
+        let mut claims = ended.held;
         let now = ctx.now();
         self.core.ll.purge_expired(now);
         let ll = &self.core.ll;
@@ -436,7 +415,7 @@ impl MarpServerState {
     /// End every reservation `ended` picks out.
     fn end_reservations_where(
         &mut self,
-        ended: impl Fn(&Reservation) -> bool,
+        ended: impl Fn(&Acceptor<AgentId, UpdateMsg>) -> bool,
         ctx: &mut dyn Context,
         answers: &mut Vec<ClaimAnswer>,
     ) {
@@ -511,7 +490,7 @@ impl MarpServerState {
         }
         match self.reserved.get_mut(&key) {
             // It won elsewhere while its claim here waited behind a rival.
-            Some(r) if r.holder != finished => r.waiting.retain(|m| m.agent != finished),
+            Some(r) if r.holder() != Some(finished) => r.held.retain(|m| m.agent != finished),
             Some(_) => self.end_reservation(key, ctx, &mut outcome.answers),
             None => {}
         }
@@ -533,9 +512,9 @@ impl MarpServerState {
         answers: &mut Vec<ClaimAnswer>,
     ) {
         for reservation in self.reserved.values_mut() {
-            reservation.waiting.retain(|m| m.agent != agent);
+            reservation.held.retain(|m| m.agent != agent);
         }
-        self.end_reservations_where(|r| r.holder == agent, ctx, answers);
+        self.end_reservations_where(|r| r.holder() == Some(agent), ctx, answers);
     }
 
     /// Handle a parked agent's LL query for its key: refresh its lease
@@ -594,7 +573,8 @@ impl MarpServerState {
         self.end_reservations_where(|r| r.lapsed(now), ctx, answers);
         // A claim held behind a reservation is never refused while the
         // lease runs, so a stale holder must raise the flag itself.
-        self.ask |= self.reserved.values().any(|r| self.stale(r.holder, now));
+        let mut holders = self.reserved.values().filter_map(Acceptor::holder);
+        self.ask |= holders.any(|holder| self.stale(holder, now));
     }
 
     /// Crash recovery: volatile coordination state resets.
@@ -990,6 +970,24 @@ mod tests {
         assert_eq!(state.held_claimants(1).count(), 1);
         // Past the 5 s reservation lease the holder is presumed dead.
         ctx.now = SimTime::from_secs(10);
+        let answers = state.maintained(&mut ctx);
+        assert_eq!(answers.len(), 1);
+        assert_eq!(answers[0].agent, b);
+        assert!(positive(&answers[0].ack));
+        assert_eq!(state.reserved_for(1), Some(b));
+    }
+
+    #[test]
+    fn a_reservation_binds_until_exactly_granted_plus_lease() {
+        let (mut state, a, b, mut ctx) = reserved_for_a();
+        assert!(state.update(own_msg(b, Some(vec![a])), &mut ctx).is_empty());
+        // a was granted at 3 ms; its lease is half-open.
+        let expiry = ctx.now + state.config().reserve_lease;
+        ctx.now += state.config().reserve_lease - Duration::from_nanos(1);
+        assert!(state.maintained(&mut ctx).is_empty());
+        assert_eq!(state.held_claimants(1).collect::<Vec<_>>(), vec![b]);
+        assert_eq!(state.reserved_for(1), Some(a));
+        ctx.now = expiry;
         let answers = state.maintained(&mut ctx);
         assert_eq!(answers.len(), 1);
         assert_eq!(answers[0].agent, b);

@@ -9,7 +9,8 @@
 //!   for MARP), with buffering and anti-entropy for recovering replicas.
 //! * [`LockingList`] / [`LockTable`] / [`UpdatedList`] — the paper's
 //!   per-server coordination structures (§3.2) generalized to one FIFO
-//!   queue per object key, with lock leases for crash safety.
+//!   queue per object key, with lock leases for crash safety; and
+//!   [`Acceptor`], the vote a server accepted per key.
 //! * [`ServerCore`] — client intake (local reads, queued writes), commit
 //!   application with client replies, recovery pulls.
 //! * [`RequestBatcher`] — the paper's "after a pre-defined number of
@@ -32,7 +33,7 @@ pub use batch::{BatchConfig, RequestBatcher, MAX_WAIT};
 pub use client::{
     ClientProcess, ClientStats, ClientWrapFn, RequestSource, RetryConfig, ScriptedSource,
 };
-pub use locking::{LlSnapshot, LockEntry, LockTable, LockingList, UpdatedList};
+pub use locking::{Acceptor, LlSnapshot, LockEntry, LockTable, LockingList, UpdatedList};
 pub use msg::{request_id, ClientReply, ClientRequest, Operation, SyncMsg, WriteRequest};
 pub use server::{ClientAction, FreshReadRequest, ServerConfig, ServerCore, SyncWrapFn};
 pub use store::{CommitRecord, StoredValue, VersionedStore};
