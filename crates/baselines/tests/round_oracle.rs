@@ -260,11 +260,11 @@ fn uniform_weighted_round_is_pinned() {
             rounds: 29,
             timed_out: 2,
             writes_done: 24,
-            events: 581,
-            messages: 470,
-            bytes: 2456,
+            events: 627,
+            messages: 516,
+            bytes: 2620,
             timers_fired: 94,
-            trace_hash: 6_044_075_460_828_384_186,
+            trace_hash: 10_046_279_483_892_519_144,
         }
     );
 }
@@ -289,14 +289,14 @@ fn heterogeneous_weighted_round_is_pinned() {
     assert_eq!(
         got,
         Pinned {
-            rounds: 31,
-            timed_out: 1,
+            rounds: 27,
+            timed_out: 0,
             writes_done: 24,
-            events: 583,
-            messages: 468,
-            bytes: 2333,
-            timers_fired: 98,
-            trace_hash: 237_009_792_799_468_435,
+            events: 571,
+            messages: 464,
+            bytes: 2320,
+            timers_fired: 90,
+            trace_hash: 833_592_214_195_200_662,
         }
     );
 }
