@@ -70,7 +70,9 @@ impl Family {
 /// **missed-notice schedule family** loses server→agent mail: safety
 /// must not depend on the COMMIT change notices, and liveness must fall
 /// back to the parked agents' re-poll timer (`AgentTimer::Repoll`). The
-/// **lost-commit family** loses the COMMIT itself (ROADMAP item 1).
+/// **lost-commit family** loses the COMMIT itself (FAULTS.md §2's rows
+/// for a COMMIT lost to the servers that acked its UPDATE; canonical run
+/// `tests/schedules/marp_3x2_commit_lost.txt`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MailLoss {
     /// Reliable mail (the faithful default).

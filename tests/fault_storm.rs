@@ -234,9 +234,9 @@ fn directional_link_outage_is_routed_around() {
     );
 }
 
-/// The storm recipes' shape (ROADMAP item 1's table): the paper's N=5,
-/// 200 ms load, 40 writes per client, clients resending after 2 s —
-/// under `faults`, with `seed`.
+/// The storm recipes' shape (the `regression_storm_*` rows of FAULTS.md
+/// §2): the paper's N=5, 200 ms load, 40 writes per client, clients
+/// resending after 2 s — under `faults`, with `seed`.
 fn storm_recipe(seed: u64, faults: FaultPlan) -> RunOutcome {
     let mut s = Scenario::paper(5, 200.0, seed);
     s.requests_per_client = 40;
