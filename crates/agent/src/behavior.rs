@@ -12,7 +12,7 @@
 use crate::horizon::Horizon;
 use crate::id::AgentId;
 use bytes::{Bytes, BytesMut};
-use marp_sim::{Context, NodeId, SimTime, SpanKey, TimerId, TraceEvent};
+use marp_sim::{Context, FixedState, NodeId, SimTime, SpanKey, TimerId, TraceEvent};
 use marp_wire::Wire;
 use std::collections::HashMap;
 use std::time::Duration;
@@ -153,8 +153,11 @@ pub type WrapFn = fn(&mut BytesMut);
 pub struct AgentEnv<'a> {
     pub(crate) ctx: &'a mut dyn Context,
     pub(crate) agent: AgentId,
-    pub(crate) agent_timers: &'a mut HashMap<TimerId, (AgentId, u64)>,
+    pub(crate) agent_timers: &'a mut TimerMap<(AgentId, u64)>,
 }
+
+/// A map keyed by the host's timers.
+pub(crate) type TimerMap<V> = HashMap<TimerId, V, FixedState>;
 
 impl AgentEnv<'_> {
     /// Current virtual time.

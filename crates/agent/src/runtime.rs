@@ -8,14 +8,14 @@
 //! the host has temporarily failed. After a certain number of such
 //! unsuccessful attempts, the protocol declares the replica unavailable."
 
-use crate::behavior::{Action, AgentBehavior, AgentEnv, WrapFn};
+use crate::behavior::{Action, AgentBehavior, AgentEnv, TimerMap, WrapFn};
 use crate::envelope::AgentEnvelope;
 use crate::horizon::Horizon;
 use crate::id::AgentId;
 use bytes::Bytes;
 use marp_quorum::RetryPolicy;
 use marp_sim::{trace, Context, NodeId, SpanKey, TimerId, TraceEvent};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 /// Tag for migration-retry timers. The runtime attributes these by
@@ -83,8 +83,8 @@ pub struct AgentRuntime<B: AgentBehavior> {
     wrap: WrapFn,
     resident: BTreeMap<AgentId, Resident<B>>,
     outbound: BTreeMap<AgentId, Outbound<B>>,
-    agent_timers: HashMap<TimerId, (AgentId, u64)>,
-    migrate_timers: HashMap<TimerId, AgentId>,
+    agent_timers: TimerMap<(AgentId, u64)>,
+    migrate_timers: TimerMap<AgentId>,
     seen_migrations: BTreeSet<(AgentId, u32)>,
     /// At most [`SPARES`] behaviours no agent is using any more.
     spares: Vec<B>,
@@ -101,8 +101,8 @@ impl<B: AgentBehavior> AgentRuntime<B> {
             wrap,
             resident: BTreeMap::new(),
             outbound: BTreeMap::new(),
-            agent_timers: HashMap::new(),
-            migrate_timers: HashMap::new(),
+            agent_timers: TimerMap::default(),
+            migrate_timers: TimerMap::default(),
             seen_migrations: BTreeSet::new(),
             spares: Vec::new(),
             horizon: Horizon::new(),

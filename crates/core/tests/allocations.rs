@@ -13,16 +13,16 @@ use bytes::Bytes;
 use marp_agent::{AgentBehavior, AgentEnvelope, AgentId, AgentRuntime, Horizon, WrapFn};
 use marp_core::lt::{decide, LockingTable, Priority};
 use marp_core::{
-    agent_header, read_agent_header, wrap_agent_envelope, wrap_client_request, wrap_sync,
-    AgentReply, CommitMsg, GossipBoard, MarpConfig, MarpNode, MarpServerState, NodeMsg, ReadAgent,
-    UpdateAgent, UpdateMsg,
+    agent_header, build_cluster, read_agent_header, wrap_agent_envelope, wrap_client_request,
+    wrap_sync, AgentReply, CommitMsg, GossipBoard, MarpConfig, MarpNode, MarpServerState, NodeMsg,
+    ReadAgent, UpdateAgent, UpdateMsg,
 };
-use marp_net::{RoutingTable, Topology};
+use marp_net::{LinkModel, RoutingTable, SimTransport, Topology};
 use marp_replica::{
-    ClientRequest, CommitRecord, LlSnapshot, Operation, ServerConfig, ServerCore, UpdatedList,
-    WriteRequest,
+    ClientProcess, ClientRequest, CommitRecord, LlSnapshot, Operation, ScriptedSource,
+    ServerConfig, ServerCore, UpdatedList, WriteRequest,
 };
-use marp_sim::{NodeId, Process, RecordingCtx, SimTime, TimerId};
+use marp_sim::{NodeId, Process, RecordingCtx, SimRng, SimTime, Simulation, TimerId, TraceLevel};
 use std::time::Duration;
 
 #[path = "../../../tests/support/noting_alloc.rs"]
@@ -700,4 +700,30 @@ fn a_claim_made_again_reuses_its_call() {
     round(1);
     round(2);
     assert_eq!(round(3), 0);
+}
+
+/// `cliff_n9`'s shape — nine servers, a client at each, six writes
+/// apiece to one key, 10 ms apart — run to 5 s again and again in one
+/// process asks the allocator the same number of times: no container
+/// grows on the process's hash seed.
+#[test]
+fn the_same_run_allocates_the_same_number_of_times() {
+    let run = || {
+        let topo = Topology::uniform_lan(18, Duration::from_millis(2));
+        let rng = SimRng::from_seed(7);
+        let transport = SimTransport::new(topo.clone(), LinkModel::lan_1990s(), rng);
+        let mut sim = Simulation::new(Box::new(transport), TraceLevel::Protocol);
+        build_cluster(&mut sim, &MarpConfig::new(9), &topo);
+        let gap = Duration::from_millis(10);
+        for server in 0..9 {
+            let writes = (0..6).map(|value| (gap, Operation::Write { key: 1, value }));
+            let source = Box::new(ScriptedSource::new(writes));
+            let client = ClientProcess::new(server, source, wrap_client_request);
+            sim.add_process(Box::new(client));
+        }
+        noting_alloc::requests_during(|| sim.run_until(SimTime::from_secs(5))).1
+    };
+    run(); // warms the per-thread buffers the codec keeps
+    let counts: Vec<usize> = (0..10).map(|_| run()).collect();
+    assert!(counts.iter().all(|&c| c == counts[0]), "{counts:?}");
 }

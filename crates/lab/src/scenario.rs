@@ -143,7 +143,7 @@ pub struct Scenario {
     pub adaptive_batching: bool,
     /// MARP only: delta-encode the Locking Table across migrations
     /// (prune snapshots the destination already knows). Disable to
-    /// measure the full-table shipping cost — see `docs/PERFORMANCE.md`.
+    /// measure the full-table shipping cost.
     pub lt_delta: bool,
     /// Network shape.
     pub topology: TopologyKind,

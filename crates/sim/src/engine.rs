@@ -11,8 +11,15 @@ use crate::time::SimTime;
 use crate::trace::{TraceEvent, TraceLevel, TraceLog};
 use bytes::Bytes;
 use std::cmp::Reverse;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BinaryHeap, HashSet};
+use std::hash::BuildHasherDefault;
 use std::time::Duration;
+
+/// The hasher of the maps a run churns. Its keys are fixed: under
+/// `RandomState`, when a map regrows — and so how many allocations a
+/// run makes — would follow the process's hash seed.
+pub type FixedState = BuildHasherDefault<DefaultHasher>;
 
 /// Out-of-band control actions, scheduled by fault controllers and tests.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -227,7 +234,7 @@ pub struct Simulation {
     queue: BinaryHeap<Reverse<Event>>,
     seq: u64,
     next_timer: u64,
-    cancelled: HashSet<u64>,
+    cancelled: HashSet<u64, FixedState>,
     transport: Box<dyn Transport>,
     trace: TraceLog,
     now: SimTime,
@@ -250,7 +257,7 @@ impl Simulation {
             queue: BinaryHeap::new(),
             seq: 0,
             next_timer: 0,
-            cancelled: HashSet::new(),
+            cancelled: HashSet::default(),
             transport,
             trace: TraceLog::new(),
             now: SimTime::ZERO,

@@ -52,7 +52,7 @@ mod rng;
 mod time;
 pub mod trace;
 
-pub use engine::{Control, PendingEvent, PendingKind, RunStats, Simulation, EXTERNAL};
+pub use engine::{Control, FixedState, PendingEvent, PendingKind, RunStats, Simulation, EXTERNAL};
 pub use process::{
     Context, Delivery, FixedDelay, NodeId, Process, RecordingCtx, TimerId, Transport,
 };
