@@ -6,19 +6,8 @@
 //! the experiment table print a scale sweep's JSON record; the
 //! inspection commands turn one trace into something viewable, and the
 //! marp-prof commands (`aggregate`, `diff`, `diagnose`) answer *where
-//! commit cost goes as the cluster grows*:
-//!
-//! ```text
-//! marp-trace export <trace.bin> [out.json]   Chrome/Perfetto trace_event JSON
-//! marp-trace journey <trace.bin>             per-agent plain-text timelines
-//! marp-trace metrics <trace.bin> [out.csv]   per-node metrics registry as CSV
-//! marp-trace critical-path <trace.bin>       commit-latency breakdown
-//! marp-trace validate <out.json> <trace.bin> check an export against its trace
-//! marp-trace aggregate <trace.bin> [...]     flamegraph-style span-path profile
-//! marp-trace diff <before> <after>           compare two traces' profiles or two sweeps
-//!                                            (--fail-steeper <metric,...>: fail on a risen exponent)
-//! marp-trace diagnose <sweep.json> [...]     per-phase table + rule-based cliff diagnosis
-//! ```
+//! commit cost goes as the cluster grows*. `marp-trace` with no
+//! arguments prints its usage, the `USAGE` text below.
 
 #![deny(clippy::wildcard_enum_match_arm)]
 #![deny(clippy::match_wildcard_for_single_variants)]
@@ -77,6 +66,14 @@ fn load(path: &str) -> Result<TraceLog, String> {
         .map_err(|err| format!("cannot load trace '{path}': {err}"))
 }
 
+/// The trace named by a command's first argument.
+fn load_first(command: &str, args: &[String]) -> Result<TraceLog, String> {
+    let path = args
+        .first()
+        .ok_or_else(|| format!("{command}: missing <trace.bin>"))?;
+    load(path)
+}
+
 fn load_json(path: &str) -> Result<Json, String> {
     let text =
         std::fs::read_to_string(path).map_err(|err| format!("cannot read '{path}': {err}"))?;
@@ -114,28 +111,24 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, Strin
 }
 
 fn cmd_export(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("export: missing <trace.bin>")?;
-    let trace = load(path)?;
+    let trace = load_first("export", args)?;
     emit(perfetto_export_string(&trace), args.get(1))
 }
 
 fn cmd_journey(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("journey: missing <trace.bin>")?;
-    let trace = load(path)?;
+    let trace = load_first("journey", args)?;
     print!("{}", Journeys::from_trace(&trace).render());
     Ok(())
 }
 
 fn cmd_metrics(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("metrics: missing <trace.bin>")?;
-    let trace = load(path)?;
+    let trace = load_first("metrics", args)?;
     let registry = MetricsRegistry::from_trace(&trace);
     emit(registry.to_csv(), args.get(1))
 }
 
 fn cmd_critical(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("critical-path: missing <trace.bin>")?;
-    let trace = load(path)?;
+    let trace = load_first("critical-path", args)?;
     let report = CriticalPathReport::from_trace(&trace);
     print!("{}", report.render());
     if report.min_coverage() < 0.95 {
@@ -199,8 +192,7 @@ fn cmd_aggregate(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
     let json_out = take_flag(&mut args, "--json")?;
     let collapsed_out = take_flag(&mut args, "--collapsed")?;
-    let path = args.first().ok_or("aggregate: missing <trace.bin>")?;
-    let trace = load(path)?;
+    let trace = load_first("aggregate", &args)?;
     let profile = Profile::from_trace(&trace);
     print!("{}", profile.render());
     if let Some(path) = json_out {

@@ -124,12 +124,11 @@ impl Json {
     /// Parse a JSON document. Returns an error message with a byte
     /// offset on malformed input or nesting deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
+        let mut parser = Parser { text, pos: 0 };
+        let value = parser.value(0)?;
+        parser.skip_ws();
+        if parser.pos != text.len() {
+            return Err(format!("trailing data at byte {}", parser.pos));
         }
         Ok(value)
     }
@@ -160,194 +159,180 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// A cursor over the document [`Json::parse`] reads.
+struct Parser<'a> {
+    text: &'a str,
+    pos: usize,
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, what: u8) -> Result<(), String> {
-    if *pos < bytes.len() && bytes[*pos] == what {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {}", char::from(what), *pos))
+impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
-}
 
-/// Parse the value at `pos`, inside `depth` arrays and objects.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    let Some(&first) = bytes.get(*pos) else {
-        return Err(String::from("unexpected end of input"));
-    };
-    match first {
-        b'{' | b'[' if depth == MAX_DEPTH => {
-            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
-        b'{' => parse_obj(bytes, pos, depth + 1),
-        b'[' => parse_arr(bytes, pos, depth + 1),
-        b'"' => Ok(Json::Str(parse_string(bytes, pos)?)),
-        b't' => parse_keyword(bytes, pos, "true", Json::Bool(true)),
-        b'f' => parse_keyword(bytes, pos, "false", Json::Bool(false)),
-        b'n' => parse_keyword(bytes, pos, "null", Json::Null),
-        other if other == b'-' || other.is_ascii_digit() => parse_number(bytes, pos),
-        other => Err(format!(
-            "unexpected character '{}' at byte {}",
-            char::from(other),
-            *pos
-        )),
     }
-}
 
-fn parse_keyword(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(format!("expected '{word}' at byte {}", *pos))
+    fn expect(&mut self, what: u8) -> Result<(), String> {
+        if self.peek() != Some(what) {
+            return Err(format!(
+                "expected '{}' at byte {}",
+                char::from(what),
+                self.pos
+            ));
+        }
+        self.pos += 1;
+        Ok(())
     }
-}
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if bytes[*pos] == b'-' {
-        *pos += 1;
-    }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii digits");
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|err| format!("bad number '{text}' at byte {start}: {err}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        let Some(&byte) = bytes.get(*pos) else {
-            return Err(String::from("unterminated string"));
+    /// Parse the value at the cursor, inside `depth` arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
+        self.skip_ws();
+        let Some(first) = self.peek() else {
+            return Err(String::from("unexpected end of input"));
         };
-        *pos += 1;
-        match byte {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let Some(&esc) = bytes.get(*pos) else {
-                    return Err(String::from("unterminated escape"));
-                };
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = bytes
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| String::from("truncated \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|err| format!("bad \\u escape: {err}"))?;
-                        *pos += 4;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => {
-                        return Err(format!(
-                            "unknown escape '\\{}' at byte {}",
-                            char::from(other),
-                            *pos
-                        ))
-                    }
+        match first {
+            b'{' | b'[' if depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
+            b'{' => {
+                let mut map = BTreeMap::new();
+                self.items(b'{', b'}', |p| {
+                    p.skip_ws();
+                    let key = p.string()?;
+                    p.skip_ws();
+                    p.expect(b':')?;
+                    map.insert(key, p.value(depth + 1)?);
+                    Ok(())
+                })?;
+                Ok(Json::Obj(map))
+            }
+            b'[' => {
+                let mut items = Vec::new();
+                self.items(b'[', b']', |p| {
+                    items.push(p.value(depth + 1)?);
+                    Ok(())
+                })?;
+                Ok(Json::Arr(items))
+            }
+            b'"' => Ok(Json::Str(self.string()?)),
+            b't' => self.keyword("true", Json::Bool(true)),
+            b'f' => self.keyword("false", Json::Bool(false)),
+            b'n' => self.keyword("null", Json::Null),
+            b'-' | b'0'..=b'9' => self.number(),
+            other => Err(format!(
+                "unexpected character '{}' at byte {}",
+                char::from(other),
+                self.pos
+            )),
+        }
+    }
+
+    /// The items of an array or object, `open` to `close`, each read by
+    /// `item` and followed by a comma or the close.
+    fn items(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.expect(open)?;
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            item(self)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(byte) if byte == close => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                other => {
+                    return Err(format!(
+                        "expected ',' or '{}' at byte {}, got {:?}",
+                        char::from(close),
+                        self.pos,
+                        other
+                    ))
                 }
             }
-            ascii if ascii < 0x80 => out.push(char::from(ascii)),
-            lead => {
-                // Multi-byte UTF-8: re-decode from the lead byte.
-                let width = utf8_width(lead);
-                let chunk = bytes
-                    .get(*pos - 1..*pos - 1 + width)
-                    .ok_or_else(|| String::from("truncated utf-8 sequence"))?;
-                let s = std::str::from_utf8(chunk)
-                    .map_err(|err| format!("invalid utf-8 in string: {err}"))?;
-                out.push_str(s);
-                *pos += width - 1;
-            }
         }
     }
-}
 
-fn utf8_width(lead: u8) -> usize {
-    if lead >= 0xf0 {
-        4
-    } else if lead >= 0xe0 {
-        3
-    } else {
-        2
-    }
-}
-
-fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos, depth)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(&b',') => *pos += 1,
-            Some(&b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            other => {
-                return Err(format!(
-                    "expected ',' or ']' at byte {}, got {other:?}",
-                    *pos
-                ))
-            }
+    fn keyword(&mut self, word: &str, value: Json) -> Result<Json, String> {
+        if !self.text[self.pos..].starts_with(word) {
+            return Err(format!("expected '{word}' at byte {}", self.pos));
         }
+        self.pos += word.len();
+        Ok(value)
     }
-}
 
-fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    expect(bytes, pos, b'{')?;
-    let mut map = BTreeMap::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(map));
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
+            self.pos += 1;
+        }
+        let text = &self.text[start..self.pos];
+        text.parse::<f64>()
+            .map(Json::Num)
+            .map_err(|err| format!("bad number '{text}' at byte {start}: {err}"))
     }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos, depth)?;
-        map.insert(key, value);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(&b',') => *pos += 1,
-            Some(&b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(map));
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            // Everything up to the next quote or backslash is copied as
+            // it stands: the input is a `&str`, so it is valid UTF-8.
+            let run = self.text[self.pos..]
+                .find(['"', '\\'])
+                .ok_or("unterminated string")?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.text.as_bytes()[self.pos - 1] == b'"' {
+                return Ok(out);
             }
-            other => {
-                return Err(format!(
-                    "expected ',' or '}}' at byte {}, got {other:?}",
-                    *pos
-                ))
+            let Some(esc) = self.peek() else {
+                return Err(String::from("unterminated escape"));
+            };
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b't' => out.push('\t'),
+                b'r' => out.push('\r'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let hex = self
+                        .text
+                        .get(self.pos..self.pos + 4)
+                        .ok_or("truncated \\u escape")?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|err| format!("bad \\u escape: {err}"))?;
+                    self.pos += 4;
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                }
+                other => {
+                    return Err(format!(
+                        "unknown escape '\\{}' at byte {}",
+                        char::from(other),
+                        self.pos
+                    ))
+                }
             }
         }
     }

@@ -13,7 +13,7 @@
 //! byte-identical text and JSON — the property the golden tests pin.
 
 use crate::json::Json;
-use crate::spans::SpanSet;
+use crate::spans::{Span, SpanSet};
 use marp_sim::{SpanKind, TraceEvent, TraceLog};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -101,24 +101,7 @@ impl Profile {
                 .sum();
             let excl = incl.saturating_sub(child_time);
             let open = span.end.is_none();
-            let path = &paths[idx];
-            profile
-                .by_path
-                .entry(path.clone())
-                .or_default()
-                .fold(incl, excl, open);
-            profile
-                .by_node
-                .entry((u32::from(span.start_node), path.clone()))
-                .or_default()
-                .fold(incl, excl, open);
-            if span.kind.names_agent() {
-                profile
-                    .by_agent
-                    .entry((span.a, path.clone()))
-                    .or_default()
-                    .fold(incl, excl, open);
-            }
+            profile.roll_up(&paths[idx], span, |s| s.fold(incl, excl, open));
             if span.parent == 0 || set.get(span.parent).is_none() {
                 profile.total_ns += incl;
             }
@@ -138,29 +121,8 @@ impl Profile {
             }
         }
         for rec in trace.records() {
-            let (agent, bytes) = match rec.event {
-                TraceEvent::AgentStateShipped { agent, bytes } => (agent, bytes as u64),
-                TraceEvent::MsgDropped { .. }
-                | TraceEvent::NodeDown(..)
-                | TraceEvent::NodeUp(..)
-                | TraceEvent::RequestArrived { .. }
-                | TraceEvent::ReadServed { .. }
-                | TraceEvent::AgentDispatched { .. }
-                | TraceEvent::AgentMigrated { .. }
-                | TraceEvent::AgentMigrateFailed { .. }
-                | TraceEvent::ReplicaDeclaredUnavailable { .. }
-                | TraceEvent::LockRequested { .. }
-                | TraceEvent::LockGranted { .. }
-                | TraceEvent::UpdateSent { .. }
-                | TraceEvent::UpdateAcked { .. }
-                | TraceEvent::WinAborted { .. }
-                | TraceEvent::CommitApplied { .. }
-                | TraceEvent::AgentDisposed { .. }
-                | TraceEvent::UpdateCompleted { .. }
-                | TraceEvent::SpanStart { .. }
-                | TraceEvent::SpanEnd { .. }
-                | TraceEvent::SpanLink { .. }
-                | TraceEvent::Custom { .. } => continue,
+            let TraceEvent::AgentStateShipped { agent, bytes } = rec.event else {
+                continue;
             };
             let target = agent_spans
                 .get(&agent)
@@ -174,21 +136,23 @@ impl Profile {
             let Some((idx, span)) = target else {
                 continue;
             };
-            let path = &paths[idx];
-            profile.by_path.entry(path.clone()).or_default().bytes += bytes;
-            profile
-                .by_node
-                .entry((u32::from(span.start_node), path.clone()))
-                .or_default()
-                .bytes += bytes;
-            profile
-                .by_agent
-                .entry((agent, path.clone()))
-                .or_default()
-                .bytes += bytes;
+            // A dispatch or migration span names the agent it shipped.
+            profile.roll_up(&paths[idx], span, |s| s.bytes += bytes as u64);
         }
 
         profile
+    }
+
+    /// Apply `update` to the cells a span rolls up into: its path, its
+    /// start node's row of that path and, for a span that names an
+    /// agent, that agent's row.
+    fn roll_up(&mut self, path: &str, span: &Span, update: impl Fn(&mut PathStats)) {
+        let node = u32::from(span.start_node);
+        update(self.by_path.entry(path.to_owned()).or_default());
+        update(self.by_node.entry((node, path.to_owned())).or_default());
+        if span.kind.names_agent() {
+            update(self.by_agent.entry((span.a, path.to_owned())).or_default());
+        }
     }
 
     /// Sum of exclusive time across all paths, ns.

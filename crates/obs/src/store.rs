@@ -2,13 +2,13 @@
 //!
 //! A recorded [`TraceLog`] can be written to disk and read back by the
 //! `marp-trace` CLI. The format is the workspace wire encoding: a magic
-//! header, a record count, then each record as `(at, node, event)`. The
-//! event codec is the `wire_enum!` declaration beside [`TraceEvent`] in
-//! `marp-sim`; this module owns the header, the record framing and the
-//! file I/O.
+//! header, a record count, then each [`TraceRecord`] as `(at, node,
+//! event)`. The record and event codecs are the `wire_struct!` and
+//! `wire_enum!` declarations beside them in `marp-sim`; this module owns
+//! the header and the file I/O.
 
 use bytes::{Bytes, BytesMut};
-use marp_sim::{SimTime, TraceEvent, TraceLog};
+use marp_sim::{TraceLog, TraceRecord};
 use marp_wire::{Reader, Wire, WireError};
 
 /// File magic: "MARPTRC" + format version.
@@ -24,9 +24,7 @@ pub fn encode_trace(trace: &TraceLog) -> Vec<u8> {
     buf.extend_from_slice(MAGIC);
     trace.records().len().encode(&mut buf);
     for rec in trace.records() {
-        rec.at.encode(&mut buf);
-        rec.node.encode(&mut buf);
-        rec.event.encode(&mut buf);
+        rec.encode(&mut buf);
     }
     buf.to_vec()
 }
@@ -44,9 +42,7 @@ pub fn decode_trace(data: &[u8]) -> Result<TraceLog, WireError> {
     let count = usize::decode(&mut buf)?;
     let mut log = TraceLog::new();
     for _ in 0..count {
-        let at = SimTime::decode(&mut buf)?;
-        let node = marp_sim::NodeId::decode(&mut buf)?;
-        let event = TraceEvent::decode(&mut buf)?;
+        let TraceRecord { at, node, event } = TraceRecord::decode(&mut buf)?;
         log.push(at, node, event);
     }
     Ok(log)
@@ -71,7 +67,7 @@ pub fn load_trace(path: &std::path::Path) -> std::io::Result<TraceLog> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marp_sim::{span_id, SpanKind};
+    use marp_sim::{span_id, SimTime, SpanKind, TraceEvent};
 
     /// One record of every [`TraceEvent`] variant, in tag order. The
     /// record of tag `t` is at `t + 1` ms on node `t % 5`, as it was

@@ -20,60 +20,100 @@ use marp_sim::{trace, RunStats, TraceEvent, TraceLog};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Aggregated measurements of one sweep point (one replica count,
-/// pooled over its seeds).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SweepPoint {
+/// One numeric field of a [`SweepPoint`]: the table, the JSON form and
+/// the fitted per-commit metrics all read the one `columns!` list.
+pub struct Column {
+    /// Field name, which is also its JSON key.
+    key: &'static str,
+    /// Decimals it prints with: 3 for milliseconds, 0 for a count.
+    decimals: usize,
+    /// Where `render`'s table shows it: position, header, width.
+    table: Option<(usize, &'static str, usize)>,
+    /// Name of the per-commit metric a growth exponent is fitted to.
+    metric: Option<&'static str>,
+    get: MetricFn,
+    set: fn(&mut SweepPoint, f64),
+}
+
+/// Declares [`SweepPoint`]'s numeric fields and `COLUMNS` from one list.
+macro_rules! columns {
+    ($($(#[doc = $doc:literal])* $field:ident: $ty:ty, $decimals:expr, $table:expr, $metric:expr;)*) => {
+        /// Aggregated measurements of one sweep point (one replica count,
+        /// pooled over its seeds).
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct SweepPoint {
+            /// Seeds pooled into this point.
+            pub seeds: Vec<u64>,
+            $($(#[doc = $doc])* pub $field: $ty,)*
+        }
+
+        /// Every numeric field, in the presentation order of the
+        /// per-commit metrics (the table places its columns by position;
+        /// `phase_sum`, at 12, is derived and not stored).
+        const COLUMNS: &[Column] = &[$(Column {
+            key: stringify!($field),
+            decimals: $decimals,
+            table: $table,
+            metric: $metric,
+            get: |p| p.$field as f64,
+            set: |p, value| p.$field = value as _,
+        }),*];
+    };
+}
+
+const MS: usize = 3;
+const COUNT: usize = 0;
+
+columns! {
+    // field: type             unit   table: at, header, width       per-commit metric
     /// Replica count.
-    pub n: usize,
-    /// Seeds pooled into this point.
-    pub seeds: Vec<u64>,
+    n: usize,                  COUNT, Some((0, "n", 3)),             None;
     /// Committed writes.
-    pub commits: u64,
+    commits: u64,              COUNT, Some((1, "commits", 8)),       None;
     /// Summed end-to-end commit latency, ms.
-    pub total_ms: f64,
+    total_ms: f64,             MS,    Some((2, "total_ms", 12)),     Some("total-ms");
     /// Queueing phase total, ms.
-    pub queueing_ms: f64,
+    queueing_ms: f64,          MS,    Some((3, "queueing", 11)),     Some("queueing-ms");
     /// Network (agent migration) phase total, ms.
-    pub network_ms: f64,
+    network_ms: f64,           MS,    Some((4, "network", 11)),      Some("network-ms");
     /// Lock-wait phase total, ms.
-    pub lock_wait_ms: f64,
+    lock_wait_ms: f64,         MS,    Some((5, "lock_wait", 11)),    Some("lock-wait-ms");
     /// Quorum-wait phase total, ms.
-    pub quorum_wait_ms: f64,
-    /// Completed agent migrations.
-    pub migrations: u64,
-    /// Serialized agent-state bytes shipped (includes retries).
-    pub migrated_bytes: u64,
-    /// Bytes on the anti-entropy (gossip reconciliation) channel.
-    pub gossip_bytes: u64,
+    quorum_wait_ms: f64,       MS,    Some((6, "quorum_wait", 11)),  Some("quorum-wait-ms");
     /// All bytes submitted to the transport.
-    pub total_bytes: u64,
+    total_bytes: u64,          COUNT, Some((8, "bytes", 12)),        Some("bytes");
+    /// Serialized agent-state bytes shipped (includes retries).
+    migrated_bytes: u64,       COUNT, None,                          Some("migrated-bytes");
+    /// Bytes on the anti-entropy (gossip reconciliation) channel.
+    gossip_bytes: u64,         COUNT, Some((9, "gossip_b", 12)),     Some("gossip-bytes");
     /// Messages submitted to the transport.
-    pub messages: u64,
+    messages: u64,             COUNT, None,                          Some("messages");
+    /// Completed agent migrations.
+    migrations: u64,           COUNT, Some((7, "migrations", 10)),   Some("migrations");
     /// Locking-knowledge entries carried across all migrations.
-    pub lt_entries_carried: u64,
+    lt_entries_carried: u64,   COUNT, Some((10, "lt_entries", 10)),  Some("lt-entries");
     /// Distinct agent ids those carried tables spelled out.
-    pub lt_ids_carried: u64,
+    lt_ids_carried: u64,       COUNT, Some((11, "lt_ids", 8)),       Some("lt-ids");
     /// COMMIT change notices servers pushed to the queued agents they
     /// host. The five mail fields and `claims_held` are the servers' own
     /// counters, not trace-derived: [`Self::measure`] leaves them zero
     /// and the harness that owns the nodes adds them.
-    pub notices: u64,
+    notices: u64,              COUNT, Some((13, "notices", 9)),      Some("notices");
     /// Agent-reply payload bytes of those notices.
-    pub notice_bytes: u64,
+    notice_bytes: u64,         COUNT, Some((14, "notice_b", 10)),    Some("notice-bytes");
     /// Notices not sent because the agent, though queued at the server,
     /// is hosted elsewhere (its own host tells it) or has departed.
-    pub notices_skipped: u64,
+    notices_skipped: u64,      COUNT, Some((15, "skipped", 9)),      Some("notices-skipped");
     /// `LlInfo` replies to parked agents' `LlQuery` re-polls.
-    pub replies: u64,
+    replies: u64,              COUNT, Some((16, "replies", 9)),      Some("replies");
     /// Agent-reply payload bytes of those replies.
-    pub reply_bytes: u64,
+    reply_bytes: u64,          COUNT, Some((17, "reply_b", 11)),     Some("reply-bytes");
     /// UPDATE claims servers held behind the committing winner's
     /// reservation instead of refusing (the pipelined handoff at work).
-    pub claims_held: u64,
+    claims_held: u64,          COUNT, Some((18, "held", 8)),         Some("held");
     /// Claims that aborted (`WinAborted`): each costs a RELEASE
     /// broadcast and a second UPDATE round.
-    pub aborted_claims: u64,
+    aborted_claims: u64,       COUNT, Some((19, "aborted", 8)),      Some("aborted-claims");
 }
 
 impl SweepPoint {
@@ -154,67 +194,6 @@ impl SweepPoint {
 
 /// Extracts one scalar from a sweep point.
 pub type MetricFn = fn(&SweepPoint) -> f64;
-
-/// One numeric field of a [`SweepPoint`], declared once in `COLUMNS`:
-/// the table, the JSON form and the fitted per-commit metrics all read
-/// that list.
-pub struct Column {
-    /// Field name, which is also its JSON key.
-    key: &'static str,
-    /// Decimals it prints with: 3 for milliseconds, 0 for a count.
-    decimals: usize,
-    /// Where `render`'s table shows it: position, header, width.
-    table: Option<(usize, &'static str, usize)>,
-    /// Name of the per-commit metric a growth exponent is fitted to.
-    metric: Option<&'static str>,
-    get: MetricFn,
-    set: fn(&mut SweepPoint, f64),
-}
-
-macro_rules! columns {
-    ($($field:ident: $decimals:expr, $table:expr, $metric:expr;)*) => {
-        &[$(Column {
-            key: stringify!($field),
-            decimals: $decimals,
-            table: $table,
-            metric: $metric,
-            get: |p| p.$field as f64,
-            set: |p, value| p.$field = value as _,
-        }),*]
-    };
-}
-
-const MS: usize = 3;
-const COUNT: usize = 0;
-
-/// Every numeric field, in the presentation order of the per-commit
-/// metrics (the table places its columns by position; `phase_sum`, at
-/// 12, is derived and not stored).
-#[rustfmt::skip]
-const COLUMNS: &[Column] = columns! {
-    // field            unit   table: at, header, width         per-commit metric
-    n:                  COUNT, Some((0, "n", 3)),               None;
-    commits:            COUNT, Some((1, "commits", 8)),         None;
-    total_ms:           MS,    Some((2, "total_ms", 12)),       Some("total-ms");
-    queueing_ms:        MS,    Some((3, "queueing", 11)),       Some("queueing-ms");
-    network_ms:         MS,    Some((4, "network", 11)),        Some("network-ms");
-    lock_wait_ms:       MS,    Some((5, "lock_wait", 11)),      Some("lock-wait-ms");
-    quorum_wait_ms:     MS,    Some((6, "quorum_wait", 11)),    Some("quorum-wait-ms");
-    total_bytes:        COUNT, Some((8, "bytes", 12)),          Some("bytes");
-    migrated_bytes:     COUNT, None,                            Some("migrated-bytes");
-    gossip_bytes:       COUNT, Some((9, "gossip_b", 12)),       Some("gossip-bytes");
-    messages:           COUNT, None,                            Some("messages");
-    migrations:         COUNT, Some((7, "migrations", 10)),     Some("migrations");
-    lt_entries_carried: COUNT, Some((10, "lt_entries", 10)),    Some("lt-entries");
-    lt_ids_carried:     COUNT, Some((11, "lt_ids", 8)),         Some("lt-ids");
-    notices:            COUNT, Some((13, "notices", 9)),        Some("notices");
-    notice_bytes:       COUNT, Some((14, "notice_b", 10)),      Some("notice-bytes");
-    notices_skipped:    COUNT, Some((15, "skipped", 9)),        Some("notices-skipped");
-    replies:            COUNT, Some((16, "replies", 9)),        Some("replies");
-    reply_bytes:        COUNT, Some((17, "reply_b", 11)),       Some("reply-bytes");
-    claims_held:        COUNT, Some((18, "held", 8)),           Some("held");
-    aborted_claims:     COUNT, Some((19, "aborted", 8)),        Some("aborted-claims");
-};
 
 /// The per-commit metrics a sweep fits growth exponents for, in
 /// presentation order.

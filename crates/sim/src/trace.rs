@@ -482,6 +482,9 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
+// A record's framing in a `MARPTRC1` trace file.
+marp_wire::wire_struct!(TraceRecord { at, node, event });
+
 /// Which events a log retains. There is one level left: every record
 /// a process or the kernel emits, and none per message sent or
 /// delivered (`RunStats` counts those). [`crate::Simulation::new`]
