@@ -11,7 +11,7 @@
 //!   it trace records as they appear and query violations at any
 //!   point, which is what lets the model checker (`marp-mcheck`)
 //!   assert the invariants at every intermediate state.
-//! * [`Table`] — aligned text / CSV rendering for experiment output.
+//! * [`Table`] — aligned text rendering for experiment output.
 
 #![warn(missing_docs)]
 

@@ -1,4 +1,4 @@
-//! Plain-text table and CSV rendering for experiment output.
+//! Plain-text table rendering for experiment output.
 
 use std::fmt::Write as _;
 
@@ -70,16 +70,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as CSV (headers first).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", self.headers.join(","));
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", row.join(","));
-        }
-        out
-    }
 }
 
 /// Format a float with sensible precision for latency tables.
@@ -111,14 +101,6 @@ mod tests {
         assert!(rendered.contains("  1"));
         assert!(rendered.lines().count() >= 5);
         assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn csv_has_headers_and_rows() {
-        let mut t = Table::new("Demo", &["a", "b"]);
-        t.row(vec!["1".into(), "2".into()]);
-        let csv = t.to_csv();
-        assert_eq!(csv, "a,b\n1,2\n");
     }
 
     #[test]

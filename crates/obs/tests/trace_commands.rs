@@ -1,11 +1,17 @@
 //! `marp-trace` run as a binary on small hand-built traces: `validate`
 //! counts the spans a run left open, and `diff` folds two traces into
-//! profiles.
+//! profiles. `diff --fail-steeper` runs on the recorded sweeps.
 
 use marp_obs::{perfetto_export_string, save_trace, Profile, ProfileDiff};
 use marp_sim::{SimTime, SpanKey, TraceEvent, TraceLog};
 use std::path::PathBuf;
 use std::process::{Command, Output};
+
+fn results(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../results")
+        .join(name)
+}
 
 fn scratch(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("trace_commands_{name}"))
@@ -72,4 +78,61 @@ fn diff_of_two_traces_is_the_diff_of_their_profiles() {
         &Profile::from_trace(&longer),
     );
     assert_eq!(String::from_utf8(out.stdout).unwrap(), expected.render());
+}
+
+/// `marp-trace diff --fail-steeper <metrics> <before> <after>`.
+fn fail_steeper(metrics: &str, before: &PathBuf, after: &PathBuf) -> Output {
+    let (diff, flag) = (PathBuf::from("diff"), PathBuf::from("--fail-steeper"));
+    marp_trace(&[&diff, &flag, &PathBuf::from(metrics), before, after])
+}
+
+fn stderr(out: &Output) -> &str {
+    std::str::from_utf8(&out.stderr).unwrap()
+}
+
+#[test]
+fn fail_steeper_fails_on_a_risen_exponent_and_names_it() {
+    let (smoke, full) = (results("sweep_smoke.json"), results("sweep_n3_n5_n9.json"));
+    let out = fail_steeper("lock-wait-ms", &smoke, &full);
+    assert!(!out.status.success(), "{out:?}");
+    assert_eq!(
+        stderr(&out),
+        "marp-trace: diff: steeper growth: lock-wait-ms exponent Some(0.0164) -> Some(2.3708)\n"
+    );
+    // The table is printed before the verdict, as without the flag.
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../lab/tests/golden/sweep_diff_smoke_n3_n5_n9.txt");
+    let table = std::fs::read_to_string(golden).unwrap();
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), table);
+}
+
+#[test]
+fn fail_steeper_passes_a_sweep_against_itself() {
+    let full = results("sweep_n3_n5_n9.json");
+    let out = fail_steeper("lock-wait-ms,bytes,migrated-bytes", &full, &full);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(stderr(&out), "");
+}
+
+#[test]
+fn fail_steeper_refuses_an_unknown_metric() {
+    let smoke = results("sweep_smoke.json");
+    let out = fail_steeper("bytes,no-such-metric", &smoke, &smoke);
+    assert!(!out.status.success(), "{out:?}");
+    assert_eq!(
+        stderr(&out),
+        "marp-trace: diff: --fail-steeper: no sweep metric 'no-such-metric'\n"
+    );
+}
+
+#[test]
+fn fail_steeper_refuses_a_pair_of_traces() {
+    let trace = scratch("steeper.bin");
+    save_trace(&trace, &one_write_one_open_agent()).unwrap();
+    let out = fail_steeper("bytes", &trace, &trace);
+    assert!(!out.status.success(), "{out:?}");
+    assert_eq!(
+        stderr(&out),
+        "marp-trace: diff: --fail-steeper gates sweeps, not traces\n"
+    );
 }
