@@ -15,6 +15,7 @@ mod grid;
 mod keyspace;
 mod smoke;
 
+use crate::flags::flagless;
 use crate::prof::{sweep_record, SweepConfig};
 use crate::{run_scenario_traced, ProtocolKind, Scenario};
 use marp_agent::ItineraryPolicy;
@@ -44,14 +45,6 @@ pub struct Experiment {
 
 fn trace_of(scenario: &Scenario) -> TraceLog {
     run_scenario_traced(scenario).1
-}
-
-/// Run an experiment that reads no flags, or name the first flag given.
-fn flagless(args: &[String], run: impl FnOnce() -> String) -> Result<String, String> {
-    match args.first() {
-        Some(flag) => Err(format!("unknown flag {flag}")),
-        None => Ok(run()),
-    }
 }
 
 /// A [`grid::Grid`] as a table row.

@@ -11,11 +11,13 @@
 #![warn(missing_docs)]
 
 mod experiments;
+mod flags;
 mod prof;
 mod scenario;
 mod sweep;
 
 pub use experiments::{results, Experiment, EXPERIMENTS};
+pub use flags::ObsOptions;
 pub use scenario::{
     run_scenario, run_scenario_traced, LinkKind, ProtocolKind, RunOutcome, Scenario, TopologyKind,
 };

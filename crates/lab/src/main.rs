@@ -1,8 +1,7 @@
 //! `marp-lab` — run one experiment of the table, list them, or
 //! regenerate / check the recorded outputs under `results/`.
 
-use marp_lab::{results, Experiment, EXPERIMENTS};
-use marp_obs::ObsOptions;
+use marp_lab::{results, Experiment, ObsOptions, EXPERIMENTS};
 use std::path::Path;
 use std::process::ExitCode;
 

@@ -19,6 +19,7 @@
 //! The buckets are computed by clamped subtraction so they always sum to
 //! exactly the total: no negative components, 100% coverage.
 
+use crate::json::{table, Field, Unit};
 use crate::spans::{Span, SpanSet};
 use marp_sim::{NodeId, SpanKind, TraceLog};
 use std::fmt::Write as _;
@@ -53,6 +54,19 @@ impl PathBreakdown {
             / self.total_ms
     }
 }
+
+/// A write's row in [`CriticalPathReport::render`], after its request id
+/// (the report has no JSON form; the keys name the fields).
+#[rustfmt::skip]
+const BUCKETS: [Field<PathBreakdown>; 7] = [
+    ("home",           "home",         5, Unit::Count, |p| Some(f64::from(p.home))),
+    ("total_ms",       "total_ms",    12, Unit::Milli, |p| Some(p.total_ms)),
+    ("queueing_ms",    "queueing",    12, Unit::Milli, |p| Some(p.queueing_ms)),
+    ("network_ms",     "network",     12, Unit::Milli, |p| Some(p.network_ms)),
+    ("lock_wait_ms",   "lock_wait",   12, Unit::Milli, |p| Some(p.lock_wait_ms)),
+    ("quorum_wait_ms", "quorum_wait", 12, Unit::Milli, |p| Some(p.quorum_wait_ms)),
+    ("coverage",       "coverage",     9, Unit::Share, |p| Some(p.coverage())),
+];
 
 /// Critical-path breakdowns for every committed write in a trace.
 #[derive(Debug, Default)]
@@ -99,33 +113,8 @@ impl CriticalPathReport {
 
     /// Render a per-write table plus aggregate percentages.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:>10} {:>5} {:>12} {:>12} {:>12} {:>12} {:>12} {:>9}",
-            "request",
-            "home",
-            "total_ms",
-            "queueing",
-            "network",
-            "lock_wait",
-            "quorum_wait",
-            "coverage"
-        );
-        for p in &self.paths {
-            let _ = writeln!(
-                out,
-                "{:>10} {:>5} {:>12.3} {:>12.3} {:>12.3} {:>12.3} {:>12.3} {:>8.1}%",
-                p.request,
-                p.home,
-                p.total_ms,
-                p.queueing_ms,
-                p.network_ms,
-                p.lock_wait_ms,
-                p.quorum_wait_ms,
-                p.coverage() * 100.0
-            );
-        }
+        let rows = self.paths.iter().map(|p| (format!("{:>10}", p.request), p));
+        let mut out = table(("   request", 10), &BUCKETS, rows);
         let (total, queueing, network, lock_wait, quorum_wait) = self.totals();
         if total > 0.0 {
             let pct = |x: f64| x / total * 100.0;

@@ -6,11 +6,10 @@
 //! table and a deterministic JSON document so CI can gate on the
 //! machine-readable form.
 
-use crate::json::{round_to, Json};
+use crate::json::{object, round_to, table, Field, Json, Unit};
 use crate::profile::Profile;
 use crate::sweep::{metrics, Column, SweepReport};
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 
 /// Share change of one kind path between two profiles.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,6 +32,16 @@ impl PathDelta {
         self.after_share - self.before_share
     }
 }
+
+/// A path's change, each field once for the table and the JSON document.
+#[rustfmt::skip]
+const DELTAS: [Field<PathDelta>; 5] = [
+    ("before_ns",    "before_ms", 12, Unit::Ns,          |d| Some(d.before_ns as f64)),
+    ("after_ns",     "after_ms",  12, Unit::Ns,          |d| Some(d.after_ns as f64)),
+    ("before_share", "before%",    9, Unit::Share,       |d| Some(d.before_share)),
+    ("after_share",  "after%",     9, Unit::Share,       |d| Some(d.after_share)),
+    ("share_delta",  "Δshare",     8, Unit::ShareChange, |d| Some(d.share_delta())),
+];
 
 /// Path-level comparison of two profiles.
 #[derive(Debug, Default, PartialEq)]
@@ -76,50 +85,27 @@ impl ProfileDiff {
 
     /// Render the comparison table.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<48} {:>12} {:>12} {:>9} {:>9} {:>8}",
-            "path", "before_ms", "after_ms", "before%", "after%", "Δshare"
-        );
-        for d in &self.paths {
-            let _ = writeln!(
-                out,
-                "{:<48} {:>12.3} {:>12.3} {:>8.1}% {:>8.1}% {:>+7.1}%",
-                d.path,
-                d.before_ns as f64 / 1e6,
-                d.after_ns as f64 / 1e6,
-                d.before_share * 100.0,
-                d.after_share * 100.0,
-                d.share_delta() * 100.0
-            );
-        }
-        out
+        table(
+            ("path", 48),
+            &DELTAS,
+            self.paths.iter().map(|d| (d.path.as_str(), d)),
+        )
     }
 
     /// Serialize as deterministic JSON (schema
     /// `marp-prof/profile-diff/v1`).
     pub fn to_json(&self) -> Json {
-        let rows: Vec<Json> = self
-            .paths
-            .iter()
-            .map(|d| {
-                Json::obj([
-                    ("path", Json::Str(d.path.clone())),
-                    ("before_ns", Json::Num(d.before_ns as f64)),
-                    ("after_ns", Json::Num(d.after_ns as f64)),
-                    ("before_share", Json::Num(d.before_share)),
-                    ("after_share", Json::Num(d.after_share)),
-                    ("share_delta", Json::Num(round_to(d.share_delta(), 6))),
-                ])
-            })
-            .collect();
+        let rows = self.paths.iter().map(|d| {
+            let mut row = object(&DELTAS, d);
+            row.insert(String::from("path"), Json::Str(d.path.clone()));
+            Json::Obj(row)
+        });
         Json::obj([
             (
                 "schema",
                 Json::Str(String::from("marp-prof/profile-diff/v1")),
             ),
-            ("paths", Json::Arr(rows)),
+            ("paths", Json::Arr(rows.collect())),
         ])
     }
 }
@@ -139,6 +125,15 @@ pub struct MetricDelta {
     /// Per-commit value at the largest common replica count, after.
     pub after_top: f64,
 }
+
+/// A metric's change, each field once for the table and the JSON document.
+#[rustfmt::skip]
+const METRIC_DELTAS: [Field<MetricDelta>; 4] = [
+    ("before_k",   "k_before",       9, Unit::Exponent, |m| m.before_k),
+    ("after_k",    "k_after",        9, Unit::Exponent, |m| m.after_k),
+    ("before_top", "before/commit", 14, Unit::Milli,    |m| Some(m.before_top)),
+    ("after_top",  "after/commit",  14, Unit::Milli,    |m| Some(m.after_top)),
+];
 
 /// Phase-level comparison of two sweeps.
 #[derive(Debug, Default, PartialEq)]
@@ -194,55 +189,25 @@ impl SweepDiff {
 
     /// Render the comparison table.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "comparison at n={} (largest common replica count):",
-            self.top_n
-        );
-        let _ = writeln!(
-            out,
-            "{:<16} {:>9} {:>9} {:>14} {:>14}",
-            "metric", "k_before", "k_after", "before/commit", "after/commit"
-        );
-        let fmt_k = |k: Option<f64>| {
-            k.map(|v| format!("{v:.4}"))
-                .unwrap_or_else(|| String::from("-"))
-        };
-        for m in &self.metrics {
-            let _ = writeln!(
-                out,
-                "{:<16} {:>9} {:>9} {:>14.3} {:>14.3}",
-                m.metric,
-                fmt_k(m.before_k),
-                fmt_k(m.after_k),
-                m.before_top,
-                m.after_top
-            );
-        }
-        out
+        let rows = self.metrics.iter().map(|m| (m.metric.as_str(), m));
+        format!(
+            "comparison at n={} (largest common replica count):\n{}",
+            self.top_n,
+            table(("metric", 16), &METRIC_DELTAS, rows)
+        )
     }
 
     /// Serialize as deterministic JSON (schema `marp-prof/sweep-diff/v1`).
     pub fn to_json(&self) -> Json {
-        let rows: Vec<Json> = self
-            .metrics
-            .iter()
-            .map(|m| {
-                let k = |v: Option<f64>| v.map(Json::Num).unwrap_or(Json::Null);
-                Json::obj([
-                    ("metric", Json::Str(m.metric.clone())),
-                    ("before_k", k(m.before_k)),
-                    ("after_k", k(m.after_k)),
-                    ("before_top", Json::Num(m.before_top)),
-                    ("after_top", Json::Num(m.after_top)),
-                ])
-            })
-            .collect();
+        let rows = self.metrics.iter().map(|m| {
+            let mut row = object(&METRIC_DELTAS, m);
+            row.insert(String::from("metric"), Json::Str(m.metric.clone()));
+            Json::Obj(row)
+        });
         Json::obj([
             ("schema", Json::Str(String::from("marp-prof/sweep-diff/v1"))),
             ("top_n", Json::Num(self.top_n as f64)),
-            ("metrics", Json::Arr(rows)),
+            ("metrics", Json::Arr(rows.collect())),
         ])
     }
 }

@@ -5,6 +5,9 @@
 //! it wrote. This covers exactly the JSON subset those two produce:
 //! objects, arrays, strings with basic escapes, finite numbers, bools,
 //! and null.
+//!
+//! A report declares each number of a row once, as a `Field`, for its
+//! text `table` and its JSON `object`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -139,6 +142,82 @@ impl Json {
 pub fn round_to(x: f64, decimals: i32) -> f64 {
     let scale = 10f64.powi(decimals);
     (x * scale).round() / scale
+}
+
+/// How a report shows one number. Its JSON document stores the number
+/// (`null` when missing, a change of share to 6 decimals); its text
+/// table prints [`Unit::text`].
+#[derive(Clone, Copy)]
+pub(crate) enum Unit {
+    Count,
+    Ns,
+    Milli,
+    Share,
+    ShareChange,
+    Exponent,
+}
+
+impl Unit {
+    pub(crate) fn json(self, value: Option<f64>) -> Json {
+        match (self, value) {
+            (_, None) => Json::Null,
+            (Unit::ShareChange, Some(v)) => Json::Num(round_to(v, 6)),
+            (_, Some(v)) => Json::Num(v),
+        }
+    }
+
+    /// The table cell: a count whole, nanoseconds as milliseconds and a
+    /// value to 3 decimals, a share (0..=1) as a percentage, a change of
+    /// share with its sign, an exponent to 4 decimals; `-` when missing.
+    pub(crate) fn text(self, value: Option<f64>) -> String {
+        let Some(v) = value else {
+            return String::from("-");
+        };
+        match self {
+            Unit::Count => format!("{v:.0}"),
+            Unit::Ns => format!("{:.3}", v / 1e6),
+            Unit::Milli => format!("{v:.3}"),
+            Unit::Share => format!("{:.1}%", v * 100.0),
+            Unit::ShareChange => format!("{:+.1}%", v * 100.0),
+            Unit::Exponent => format!("{v:.4}"),
+        }
+    }
+}
+
+/// One number of a report row, declared once for both of the report's
+/// forms: its JSON key, its table header and width, its unit and value.
+pub(crate) type Field<T> = (
+    &'static str,
+    &'static str,
+    usize,
+    Unit,
+    fn(&T) -> Option<f64>,
+);
+
+/// A text table: the header line, then one line per row, its label
+/// left-aligned in the first column and each field right-aligned.
+pub(crate) fn table<'a, T: 'a>(
+    (label, label_width): (&str, usize),
+    fields: &[Field<T>],
+    rows: impl IntoIterator<Item = (impl std::fmt::Display, &'a T)>,
+) -> String {
+    let mut out = format!("{label:<label_width$}");
+    for &(_, header, width, ..) in fields {
+        let _ = write!(out, " {header:>width$}");
+    }
+    for (name, row) in rows {
+        let _ = write!(out, "\n{name:<label_width$}");
+        for &(_, _, width, unit, get) in fields {
+            let _ = write!(out, " {:>width$}", unit.text(get(row)));
+        }
+    }
+    out + "\n"
+}
+
+/// A row's fields as JSON, each under its key.
+pub(crate) fn object<T>(fields: &[Field<T>], row: &T) -> BTreeMap<String, Json> {
+    let field = |&(key, _, _, unit, get): &Field<T>| (String::from(key), unit.json(get(row)));
+    fields.iter().map(field).collect()
 }
 
 fn write_escaped(s: &str, out: &mut String) {

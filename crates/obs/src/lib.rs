@@ -16,9 +16,7 @@
 //!   the Perfetto UI, one track per node and per agent;
 //! * [`journey`] — plain-text per-agent timelines;
 //! * [`critical`] — the commit-latency critical-path analyzer
-//!   (queueing / network / lock-wait / quorum-wait buckets);
-//! * [`flags`] — the shared `--trace-out` flag of the lab binary and
-//!   the examples.
+//!   (queueing / network / lock-wait / quorum-wait buckets).
 //!
 //! The **marp-prof** layer builds on those to answer *where does commit
 //! cost go as the cluster grows*:
@@ -46,7 +44,6 @@
 pub mod critical;
 pub mod diagnose;
 pub mod diff;
-pub mod flags;
 pub mod journey;
 pub mod json;
 pub mod perfetto;
@@ -59,7 +56,6 @@ pub mod sweep;
 pub use critical::{CriticalPathReport, PathBreakdown};
 pub use diagnose::{Diagnosis, Severity, Verdict};
 pub use diff::{MetricDelta, PathDelta, ProfileDiff, SweepDiff};
-pub use flags::ObsOptions;
 pub use journey::Journeys;
 pub use json::Json;
 pub use perfetto::{export as perfetto_export, export_string as perfetto_export_string};

@@ -19,7 +19,7 @@ use marp_sim::{SimRng, SimTime, Simulation, TraceLevel};
 use std::time::Duration;
 
 fn main() {
-    let obs = marp_obs::ObsOptions::from_env();
+    let obs = marp_lab::ObsOptions::from_env();
     let n = 5usize;
     let writers = 3usize;
     let topo = Topology::uniform_lan(n + writers, Duration::from_millis(2));

@@ -17,7 +17,7 @@ use marp_sim::{SimRng, SimTime, Simulation, TraceLevel};
 use std::time::Duration;
 
 fn main() {
-    let obs = marp_obs::ObsOptions::from_env();
+    let obs = marp_lab::ObsOptions::from_env();
     let n = 5;
     // One extra node for the client.
     let topo = Topology::uniform_lan(n + 1, Duration::from_millis(2));
