@@ -4,7 +4,7 @@
 //! trace: counters for every traced event by kind (a message appears
 //! only when dropped; `RunStats` counts the rest), latency histograms
 //! ([`marp_metrics::LogHistogram`]) for the quantities the paper cares
-//! about (lock wait, end-to-end commit, migrations per win), and a gauge
+//! about (lock wait, end-to-end commit, servers visited per win), and a gauge
 //! time-series sampled every [`SAMPLE_EVERY`] of virtual time.
 
 use marp_metrics::LogHistogram;
@@ -141,7 +141,6 @@ impl MetricsRegistry {
                     arrived,
                     dispatched,
                     locked,
-                    visits,
                     ..
                 } => {
                     node.bump("update.completed");
@@ -152,7 +151,6 @@ impl MetricsRegistry {
                         "write.lock_wait_ms",
                         locked.as_millis_f64() - dispatched.as_millis_f64(),
                     );
-                    node.observe("write.migrations_per_win", f64::from(visits.max(1)));
                 }
                 TraceEvent::SpanStart { .. } => {
                     node.bump("span.start");
