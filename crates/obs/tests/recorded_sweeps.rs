@@ -52,8 +52,8 @@ fn the_n3_n5_n9_record_diagnoses_four_findings_convoy_first() {
         rules,
         [
             "lock-queue-convoy",
-            "migration-storm",
             "wire-byte-growth",
+            "migration-storm",
             "superlinear-phase"
         ]
     );
