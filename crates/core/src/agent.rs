@@ -165,15 +165,6 @@ impl UpdateAgent {
         self
     }
 
-    /// The agent with every itinerary stop already consumed: it parks
-    /// on arrival unless it wins there.
-    #[cfg(test)]
-    pub(crate) fn with_itinerary_done(mut self) -> Self {
-        let policy = marp_agent::ItineraryPolicy::FixedOrder;
-        while self.itinerary.next_destination(policy, |_| 0.0).is_some() {}
-        self
-    }
-
     /// This agent's regeneration incarnation.
     pub fn incarnation(&self) -> u32 {
         self.incarnation
@@ -737,6 +728,16 @@ mod tests {
     use marp_net::{RoutingTable, Topology};
     use marp_replica::{ServerConfig, ServerCore};
     use marp_sim::{RecordingCtx, SimTime, TimerId};
+
+    impl UpdateAgent {
+        /// The agent with every itinerary stop already consumed: it
+        /// parks on arrival unless it wins there.
+        pub(crate) fn with_itinerary_done(mut self) -> Self {
+            let policy = marp_agent::ItineraryPolicy::FixedOrder;
+            while self.itinerary.next_destination(policy, |_| 0.0).is_some() {}
+            self
+        }
+    }
 
     fn agent() -> UpdateAgent {
         let cfg = MarpConfig::new(5);
