@@ -46,24 +46,40 @@ pub enum Family {
 }
 
 impl Family {
+    /// CLI / schedule-file names, each value's printed one first (`pc`
+    /// also reads as `primary` and `primary-copy`).
+    #[rustfmt::skip]
+    const NAMES: &'static [(&'static str, Family)] = &[
+        ("marp", Family::Marp),
+        ("mcv", Family::Mcv),
+        ("pc", Family::PrimaryCopy), ("primary", Family::PrimaryCopy), ("primary-copy", Family::PrimaryCopy),
+    ];
+
     /// Parse a CLI name.
     pub fn parse(name: &str) -> Option<Family> {
-        match name {
-            "marp" => Some(Family::Marp),
-            "mcv" => Some(Family::Mcv),
-            "pc" | "primary" | "primary-copy" => Some(Family::PrimaryCopy),
-            _ => None,
-        }
+        parse_name(Self::NAMES, name)
     }
 
     /// The CLI / schedule-file name.
     pub fn name(&self) -> &'static str {
-        match self {
-            Family::Marp => "marp",
-            Family::Mcv => "mcv",
-            Family::PrimaryCopy => "pc",
-        }
+        name_of(Self::NAMES, self)
     }
+}
+
+/// The value a name stands for in an option's name table.
+fn parse_name<T: Copy>(names: &[(&str, T)], name: &str) -> Option<T> {
+    names
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, value)| value)
+}
+
+/// A value's printed name: its first entry in the option's name table.
+fn name_of<T: PartialEq>(names: &[(&'static str, T)], value: &T) -> &'static str {
+    names
+        .iter()
+        .find(|(_, v)| v == value)
+        .map_or("", |&(n, _)| n)
 }
 
 /// Which mail the model's network loses (MARP only). The
@@ -91,25 +107,22 @@ pub enum MailLoss {
 }
 
 impl MailLoss {
+    /// CLI / schedule-file names.
+    const NAMES: &'static [(&'static str, MailLoss)] = &[
+        ("none", MailLoss::None),
+        ("notices", MailLoss::Notices),
+        ("notices+reply", MailLoss::NoticesAndFirstReply),
+        ("commits", MailLoss::Commits),
+    ];
+
     /// Parse a CLI / schedule-file name.
     pub fn parse(name: &str) -> Option<MailLoss> {
-        match name {
-            "none" => Some(MailLoss::None),
-            "notices" => Some(MailLoss::Notices),
-            "notices+reply" => Some(MailLoss::NoticesAndFirstReply),
-            "commits" => Some(MailLoss::Commits),
-            _ => None,
-        }
+        parse_name(Self::NAMES, name)
     }
 
     /// The CLI / schedule-file name.
     pub fn name(&self) -> &'static str {
-        match self {
-            MailLoss::None => "none",
-            MailLoss::Notices => "notices",
-            MailLoss::NoticesAndFirstReply => "notices+reply",
-            MailLoss::Commits => "commits",
-        }
+        name_of(Self::NAMES, self)
     }
 }
 
@@ -128,21 +141,18 @@ pub enum Chaos {
 }
 
 impl Chaos {
+    /// CLI / schedule-file names.
+    const NAMES: &'static [(&'static str, Chaos)] =
+        &[("none", Chaos::None), ("stale-acks", Chaos::StaleAcks)];
+
     /// Parse a CLI / schedule-file name.
     pub fn parse(name: &str) -> Option<Chaos> {
-        match name {
-            "none" => Some(Chaos::None),
-            "stale-acks" => Some(Chaos::StaleAcks),
-            _ => None,
-        }
+        parse_name(Self::NAMES, name)
     }
 
     /// The CLI / schedule-file name.
     pub fn name(&self) -> &'static str {
-        match self {
-            Chaos::None => "none",
-            Chaos::StaleAcks => "stale-acks",
-        }
+        name_of(Self::NAMES, self)
     }
 }
 
@@ -630,6 +640,21 @@ mod tests {
         assert_eq!(net.corrupt(frame.clone()), to_agent(&ack(0)));
         net.chaos = Chaos::None;
         assert_eq!(net.corrupt(frame.clone()), frame);
+    }
+
+    #[test]
+    fn every_option_value_is_named_and_parses_back() {
+        for &(name, family) in Family::NAMES {
+            assert_eq!(Family::parse(family.name()), Some(family), "{name}");
+        }
+        for &(name, loss) in MailLoss::NAMES {
+            assert_eq!((MailLoss::parse(name), loss.name()), (Some(loss), name));
+        }
+        for &(name, chaos) in Chaos::NAMES {
+            assert_eq!((Chaos::parse(name), chaos.name()), (Some(chaos), name));
+        }
+        assert_eq!(Family::parse("primary-copy"), Some(Family::PrimaryCopy));
+        assert_eq!(Family::PrimaryCopy.name(), "pc");
     }
 
     #[test]
