@@ -207,7 +207,7 @@ fn theorem3_visit_bounds_hold() {
     }
     sim.run_until(SimTime::from_secs(20));
 
-    let min_visits = (n as u32).div_ceil(2);
+    let window = marp_metrics::theorem3_visits(n);
     let mut grants = 0;
     for record in sim
         .trace()
@@ -218,8 +218,8 @@ fn theorem3_visit_bounds_hold() {
         };
         grants += 1;
         assert!(
-            (min_visits..=n as u32).contains(&visits),
-            "visits {visits} outside Theorem 3 bounds [{min_visits}, {n}]"
+            window.contains(&(visits as usize)),
+            "visits {visits} outside Theorem 3 bounds {window:?}"
         );
     }
     assert!(grants >= n as u32 * 4, "every batch should win eventually");

@@ -8,7 +8,7 @@ use marp_metrics::{audit_keyed, fmt_ms, PaperMetrics, Table};
 use marp_net::{LinkModel, SimTransport, Topology};
 use marp_replica::ClientProcess;
 use marp_sim::{Process, SimRng, SimTime, Simulation, TraceLevel, TraceLog};
-use marp_threaded::{run_threaded, ThreadedConfig};
+use marp_threaded::run_threaded;
 use marp_workload::WorkloadSource;
 use std::time::Duration;
 
@@ -62,7 +62,6 @@ pub(super) fn run() -> String {
         make_processes(),
         Box::new(transport),
         Duration::from_secs(8),
-        ThreadedConfig { speed: 4.0 },
     );
     let threaded = PaperMetrics::from_trace(&run.trace);
     audit_keyed(&run.trace, N).assert_ok();

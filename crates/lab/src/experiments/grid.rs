@@ -10,7 +10,7 @@
 use super::marp;
 use crate::{run_sweep, LinkKind, ProtocolKind, RunOutcome, Scenario, TopologyKind, PAPER_SEEDS};
 use marp_agent::ItineraryPolicy;
-use marp_metrics::{fmt_ms, fmt_pct, PaperMetrics, Samples, Table};
+use marp_metrics::{fmt_ms, fmt_pct, theorem3_visits, PaperMetrics, Samples, Table};
 use marp_net::FaultPlan;
 use marp_sim::SimTime;
 use marp_workload::KeyDist;
@@ -330,7 +330,7 @@ pub(super) fn e7_faults() -> Grid {
 }
 
 /// Theorem 3 validation: the winning agent's visit count always lies in
-/// [(N+1)/2, N]; report the observed distribution.
+/// [`theorem3_visits`]; report the observed distribution.
 pub(super) fn e8_theorem3() -> Grid {
     Grid {
         title: "E8 — winning-agent visit distribution (mean arrival 5 ms, heavy contention)",
@@ -338,7 +338,8 @@ pub(super) fn e8_theorem3() -> Grid {
         cells: vec![MIN_VISITS, MAX_VISITS, MEAN_VISITS],
         rows: [3usize, 5, 7]
             .map(|n| {
-                let lead = vec![n.to_string(), format!("[{}, {}]", n.div_ceil(2), n)];
+                let (min, max) = theorem3_visits(n).into_inner();
+                let lead = vec![n.to_string(), format!("[{min}, {max}]")];
                 row(lead, paper(n, 5.0, 30))
             })
             .into(),

@@ -10,7 +10,7 @@
 //! ```
 
 use marp_lab::{run_scenario_traced, Scenario};
-use marp_obs::{perfetto_export_string, Json, SpanSet};
+use marp_obs::{perfetto_export, Json, SpanSet};
 use marp_sim::{TraceEvent, TraceLog};
 use std::path::PathBuf;
 
@@ -26,7 +26,7 @@ fn golden_path() -> PathBuf {
 
 #[test]
 fn export_matches_golden_file() {
-    let exported = perfetto_export_string(&small_run());
+    let exported = perfetto_export(&small_run()).render();
     let path = golden_path();
     if std::env::var_os("BLESS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -45,7 +45,7 @@ fn export_matches_golden_file() {
 #[test]
 fn export_covers_every_committed_write_with_both_track_kinds() {
     let trace = small_run();
-    let text = perfetto_export_string(&trace);
+    let text = perfetto_export(&trace).render();
     let doc = Json::parse(&text).expect("export must be valid JSON");
     let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
 

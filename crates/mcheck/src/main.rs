@@ -1,16 +1,6 @@
-//! `marp-mcheck` — CLI for the bounded exhaustive model checker.
-//!
-//! ```text
-//! marp-mcheck check   [--family marp|mcv|pc] [--replicas N] [--agents N]
-//!                     [--crashes N] [--chaos none|stale-acks]
-//!                     [--distinct-keys]
-//!                     [--mail-loss none|notices|notices+reply|commits]
-//!                     [--early-claims] [--preemptions N|full]
-//!                     [--budget N|smoke] [--out FILE]
-//! marp-mcheck replay  <FILE>
-//! marp-mcheck sample  [model options] --out FILE
-//! marp-mcheck selftest [--out FILE]
-//! ```
+//! `marp-mcheck` — CLI for the bounded exhaustive model checker. With no
+//! command, or an option it cannot read, it prints its usage (the `USAGE`
+//! text below) and exits 2.
 //!
 //! `check` explores the interleaving space and exits 1 on an invariant
 //! violation, after shrinking it, writing the schedule to `--out`
@@ -36,19 +26,19 @@ use marp_mcheck::{
 use std::process::ExitCode;
 use std::str::FromStr;
 
+const USAGE: &str = "usage: marp-mcheck <check|replay|sample|selftest> [options]\n\
+    \n\
+    check    [--family marp|mcv|pc] [--replicas N] [--agents N] [--crashes N]\n\
+    \x20        [--chaos none|stale-acks] [--distinct-keys]\n\
+    \x20        [--mail-loss none|notices|notices+reply|commits]\n\
+    \x20        [--early-claims] [--preemptions N|full] [--budget N|smoke]\n\
+    \x20        [--depth N] [--timers N] [--out FILE]\n\
+    replay   <FILE>\n\
+    sample   [model options] --out FILE\n\
+    selftest [--out FILE]";
+
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: marp-mcheck <check|replay|sample|selftest> [options]\n\
-         \n\
-         check    [--family marp|mcv|pc] [--replicas N] [--agents N] [--crashes N]\n\
-         \x20        [--chaos none|stale-acks] [--distinct-keys]\n\
-         \x20        [--mail-loss none|notices|notices+reply|commits]\n\
-         \x20        [--early-claims] [--preemptions N|full] [--budget N|smoke]\n\
-         \x20        [--depth N] [--timers N] [--out FILE]\n\
-         replay   <FILE>\n\
-         sample   [model options] --out FILE\n\
-         selftest [--out FILE]"
-    );
+    eprintln!("{USAGE}");
     ExitCode::from(2)
 }
 

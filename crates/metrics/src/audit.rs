@@ -246,6 +246,24 @@ mod tests {
     }
 
     #[test]
+    fn half_of_an_even_cluster_is_not_a_majority() {
+        // At N = 4 two visits are two disjoint halves apart from a
+        // rival's two: Theorem 3's floor is ⌊N/2⌋+1 = 3, not ⌈N/2⌉.
+        let grant = |visits| {
+            log(vec![TraceEvent::LockGranted {
+                agent: 7,
+                node: 0,
+                visits,
+                via_tie: false,
+            }])
+        };
+        let report = audit(&grant(2), 4);
+        assert_eq!(report.violations.len(), 1);
+        assert_eq!(report.violations[0].rule, "theorem-3-visits");
+        assert!(audit(&grant(3), 4).ok());
+    }
+
+    #[test]
     fn corrupted_trace_produces_a_violation_per_rule() {
         // Deliberately corrupted history hitting every incremental rule:
         // divergent owner for v1, a version gap at node 2, an

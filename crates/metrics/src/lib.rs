@@ -6,7 +6,7 @@
 //!   extracted from a run's trace.
 //! * [`audit`] — the post-run consistency auditor that machine-checks
 //!   order preservation, single-committer-per-version, and the
-//!   Theorem 3 visit bounds on every run.
+//!   Theorem 3 visit bounds ([`theorem3_visits`]) on every run.
 //! * [`InvariantMonitor`] — the incremental form of the auditor: feed
 //!   it trace records as they appear and query violations at any
 //!   point, which is what lets the model checker (`marp-mcheck`)
@@ -22,7 +22,7 @@ mod report;
 mod stats;
 
 pub use audit::{audit, audit_keyed, AuditReport, Violation};
-pub use monitor::InvariantMonitor;
+pub use monitor::{theorem3_visits, InvariantMonitor};
 pub use paper::PaperMetrics;
 pub use report::{fmt_ms, fmt_pct, Table};
 pub use stats::{LogHistogram, Samples};

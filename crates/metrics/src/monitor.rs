@@ -15,8 +15,8 @@
 //!   highest-priority agent per version, all replicas agree).
 //! * **in-order-application** — each replica's applied versions are
 //!   dense and increasing.
-//! * **theorem-3-visits** — every lock grant took between ⌈(N+1)/2⌉
-//!   and N server visits.
+//! * **theorem-3-visits** — every lock grant took between ⌊N/2⌋+1
+//!   and N server visits ([`theorem3_visits`]).
 //! * **duplicate-apply** — no replica writes the data for the same
 //!   client request twice (exactly-once: a regenerated agent's commit
 //!   for an already-applied request must be suppressed, which the
@@ -35,6 +35,13 @@
 use crate::audit::{AuditReport, Violation};
 use marp_sim::{trace, AgentKey, NodeId, TraceEvent, TraceRecord};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::RangeInclusive;
+
+/// Theorem 3's window: a winning agent visits between ⌊N/2⌋+1 (a strict
+/// majority, ⌈(N+1)/2⌉ in the paper's words) and N of `n_servers`.
+pub fn theorem3_visits(n_servers: usize) -> RangeInclusive<usize> {
+    n_servers / 2 + 1..=n_servers
+}
 
 /// Streaming invariant checker over protocol trace records.
 #[derive(Debug, Clone)]
@@ -166,17 +173,14 @@ impl InvariantMonitor {
                 if *via_tie {
                     self.tie_grants += 1;
                 }
-                if self.n_servers > 0 {
-                    let min = (self.n_servers as u32).div_ceil(2);
-                    let max = self.n_servers as u32;
-                    if !(min..=max).contains(visits) {
-                        self.violations.push(Violation {
-                            rule: "theorem-3-visits",
-                            detail: format!(
-                                "lock granted after {visits} visits, outside [{min}, {max}]"
-                            ),
-                        });
-                    }
+                let (min, max) = theorem3_visits(self.n_servers).into_inner();
+                if self.n_servers > 0 && !(min..=max).contains(&(*visits as usize)) {
+                    self.violations.push(Violation {
+                        rule: "theorem-3-visits",
+                        detail: format!(
+                            "lock granted after {visits} visits, outside [{min}, {max}]"
+                        ),
+                    });
                 }
             }
             TraceEvent::UpdateCompleted { request, .. } => {

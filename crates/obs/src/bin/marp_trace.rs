@@ -14,8 +14,8 @@
 
 use marp_obs::store::MAGIC;
 use marp_obs::{
-    load_trace, perfetto_export_string, CriticalPathReport, Diagnosis, Journeys, Json,
-    MetricsRegistry, Profile, ProfileDiff, SpanSet, SweepDiff, SweepReport,
+    load_trace, perfetto_export, CriticalPathReport, Diagnosis, Journeys, Json, MetricsRegistry,
+    Profile, ProfileDiff, SpanSet, SweepDiff, SweepReport,
 };
 use marp_sim::{TraceEvent, TraceLog};
 use std::fs::File;
@@ -112,7 +112,7 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, Strin
 
 fn cmd_export(args: &[String]) -> Result<(), String> {
     let trace = load_first("export", args)?;
-    emit(perfetto_export_string(&trace), args.get(1))
+    emit(perfetto_export(&trace).render(), args.get(1))
 }
 
 fn cmd_journey(args: &[String]) -> Result<(), String> {

@@ -32,6 +32,7 @@
 
 use crate::json::{round_to, Json};
 use crate::sweep::{fit_exponent, SweepReport};
+use marp_metrics::theorem3_visits;
 use std::fmt::Write as _;
 
 /// Exponent above which a per-commit metric counts as superlinear
@@ -320,11 +321,12 @@ fn wire_byte_growth(report: &SweepReport, out: &mut Vec<Verdict>) {
     });
 }
 
-/// Theorem 3 in hops: a winning agent visits ⌈(N+1)/2⌉..N servers and
-/// is spawned at the first, which is no hop (`AgentMigrated` counts
-/// hops), so it migrates ⌈(N+1)/2⌉−1..N−1 times per won lock.
+/// Theorem 3 in hops: a winning agent visits [`theorem3_visits`] servers
+/// and is spawned at the first, which is no hop (`AgentMigrated` counts
+/// hops), so it migrates one time fewer per won lock.
 fn hop_bounds(n: usize) -> (usize, usize) {
-    ((n + 2) / 2 - 1, n.saturating_sub(1))
+    let (min, max) = theorem3_visits(n).into_inner();
+    (min - 1, max.saturating_sub(1))
 }
 
 fn migration_storm(report: &SweepReport, out: &mut Vec<Verdict>) {

@@ -125,16 +125,6 @@ impl Journeys {
             .push(format!("  {at_ms:>12.3} ms  {line}"));
     }
 
-    /// Number of agents with at least one event.
-    pub fn len(&self) -> usize {
-        self.agents.len()
-    }
-
-    /// True when no agent events were present at all.
-    pub fn is_empty(&self) -> bool {
-        self.agents.is_empty()
-    }
-
     /// Render every journey as plain text.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -219,7 +209,7 @@ mod tests {
             },
         );
         let journeys = Journeys::from_trace(&log);
-        assert_eq!(journeys.len(), 2);
+        assert_eq!(journeys.agents.len(), 2);
         let text = journeys.render();
         assert!(text.contains("agent 0/1:"));
         assert!(text.contains("agent 2/1:"));
@@ -235,7 +225,7 @@ mod tests {
     fn empty_trace_renders_placeholder() {
         let log = TraceLog::new();
         let journeys = Journeys::from_trace(&log);
-        assert!(journeys.is_empty());
+        assert!(journeys.agents.is_empty());
         assert!(journeys.render().contains("no agent events"));
     }
 }

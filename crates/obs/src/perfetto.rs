@@ -157,11 +157,6 @@ pub fn export(trace: &TraceLog) -> Json {
     ])
 }
 
-/// Render the export directly to a JSON string.
-pub fn export_string(trace: &TraceLog) -> String {
-    export(trace).render()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,7 +202,7 @@ mod tests {
         );
         end(&mut log, 9, 0, SpanKind::Request, 100, 0);
         // Dispatch never closes -> instant marker.
-        let text = export_string(&log);
+        let text = export(&log).render();
         let doc = Json::parse(&text).unwrap();
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         let ph = |p: &str| {

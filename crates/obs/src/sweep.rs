@@ -14,7 +14,7 @@
 //! what the [`crate::diagnose`] rules run on.
 
 use crate::critical::CriticalPathReport;
-use crate::json::{round_to, Json, Unit};
+use crate::json::{round_to, table, Field, Json, Unit};
 use marp_metrics::PaperMetrics;
 use marp_sim::{trace, RunStats, TraceEvent, TraceLog};
 use std::collections::BTreeMap;
@@ -25,19 +25,19 @@ use std::fmt::Write as _;
 pub struct Column {
     /// Field name, which is also its JSON key.
     key: &'static str,
-    /// Decimals it prints with: 3 for milliseconds, 0 for a count.
-    decimals: usize,
+    /// How `render`'s table prints it: milliseconds or a count.
+    unit: Unit,
     /// Where `render`'s table shows it: position, header, width.
     table: Option<(usize, &'static str, usize)>,
     /// Name of the per-commit metric a growth exponent is fitted to.
     metric: Option<&'static str>,
-    get: MetricFn,
+    get: fn(&SweepPoint) -> Option<f64>,
     set: fn(&mut SweepPoint, f64),
 }
 
 /// Declares [`SweepPoint`]'s numeric fields and `COLUMNS` from one list.
 macro_rules! columns {
-    ($($(#[doc = $doc:literal])* $field:ident: $ty:ty, $decimals:expr, $table:expr, $metric:expr;)*) => {
+    ($($(#[doc = $doc:literal])* $field:ident: $ty:ty, $unit:ident, $table:expr, $metric:expr;)*) => {
         /// Aggregated measurements of one sweep point (one replica count,
         /// pooled over its seeds).
         #[derive(Debug, Clone, Default, PartialEq)]
@@ -49,71 +49,68 @@ macro_rules! columns {
 
         /// Every numeric field, in the presentation order of the
         /// per-commit metrics (the table places its columns by position;
-        /// `phase_sum`, at 12, is derived and not stored).
+        /// `n` is its row label and `phase_sum`, at 12, is derived).
         const COLUMNS: &[Column] = &[$(Column {
             key: stringify!($field),
-            decimals: $decimals,
+            unit: Unit::$unit,
             table: $table,
             metric: $metric,
-            get: |p| p.$field as f64,
+            get: |p| Some(p.$field as f64),
             set: |p, value| p.$field = value as _,
         }),*];
     };
 }
 
-const MS: usize = 3;
-const COUNT: usize = 0;
-
 columns! {
     // field: type             unit   table: at, header, width       per-commit metric
     /// Replica count.
-    n: usize,                  COUNT, Some((0, "n", 3)),             None;
+    n: usize,                  Count, None,                          None;
     /// Committed writes.
-    commits: u64,              COUNT, Some((1, "commits", 8)),       None;
+    commits: u64,              Count, Some((1, "commits", 8)),       None;
     /// Summed end-to-end commit latency, ms.
-    total_ms: f64,             MS,    Some((2, "total_ms", 12)),     Some("total-ms");
+    total_ms: f64,             Milli, Some((2, "total_ms", 12)),     Some("total-ms");
     /// Queueing phase total, ms.
-    queueing_ms: f64,          MS,    Some((3, "queueing", 11)),     Some("queueing-ms");
+    queueing_ms: f64,          Milli, Some((3, "queueing", 11)),     Some("queueing-ms");
     /// Network (agent migration) phase total, ms.
-    network_ms: f64,           MS,    Some((4, "network", 11)),      Some("network-ms");
+    network_ms: f64,           Milli, Some((4, "network", 11)),      Some("network-ms");
     /// Lock-wait phase total, ms.
-    lock_wait_ms: f64,         MS,    Some((5, "lock_wait", 11)),    Some("lock-wait-ms");
+    lock_wait_ms: f64,         Milli, Some((5, "lock_wait", 11)),    Some("lock-wait-ms");
     /// Quorum-wait phase total, ms.
-    quorum_wait_ms: f64,       MS,    Some((6, "quorum_wait", 11)),  Some("quorum-wait-ms");
+    quorum_wait_ms: f64,       Milli, Some((6, "quorum_wait", 11)),  Some("quorum-wait-ms");
     /// All bytes submitted to the transport.
-    total_bytes: u64,          COUNT, Some((8, "bytes", 12)),        Some("bytes");
+    total_bytes: u64,          Count, Some((8, "bytes", 12)),        Some("bytes");
     /// Serialized agent-state bytes shipped (includes retries).
-    migrated_bytes: u64,       COUNT, None,                          Some("migrated-bytes");
+    migrated_bytes: u64,       Count, None,                          Some("migrated-bytes");
     /// Bytes on the anti-entropy (gossip reconciliation) channel.
-    gossip_bytes: u64,         COUNT, Some((9, "gossip_b", 12)),     Some("gossip-bytes");
+    gossip_bytes: u64,         Count, Some((9, "gossip_b", 12)),     Some("gossip-bytes");
     /// Messages submitted to the transport.
-    messages: u64,             COUNT, None,                          Some("messages");
+    messages: u64,             Count, None,                          Some("messages");
     /// Completed agent migrations.
-    migrations: u64,           COUNT, Some((7, "migrations", 10)),   Some("migrations");
+    migrations: u64,           Count, Some((7, "migrations", 10)),   Some("migrations");
     /// Locking-knowledge entries carried across all migrations.
-    lt_entries_carried: u64,   COUNT, Some((10, "lt_entries", 10)),  Some("lt-entries");
+    lt_entries_carried: u64,   Count, Some((10, "lt_entries", 10)),  Some("lt-entries");
     /// Distinct agent ids those carried tables spelled out.
-    lt_ids_carried: u64,       COUNT, Some((11, "lt_ids", 8)),       Some("lt-ids");
+    lt_ids_carried: u64,       Count, Some((11, "lt_ids", 8)),       Some("lt-ids");
     /// COMMIT change notices servers pushed to the queued agents they
     /// host. The five mail fields and `claims_held` are the servers' own
     /// counters, not trace-derived: [`Self::measure`] leaves them zero
     /// and the harness that owns the nodes adds them.
-    notices: u64,              COUNT, Some((13, "notices", 9)),      Some("notices");
+    notices: u64,              Count, Some((13, "notices", 9)),      Some("notices");
     /// Agent-reply payload bytes of those notices.
-    notice_bytes: u64,         COUNT, Some((14, "notice_b", 10)),    Some("notice-bytes");
+    notice_bytes: u64,         Count, Some((14, "notice_b", 10)),    Some("notice-bytes");
     /// Notices not sent because the agent, though queued at the server,
     /// is hosted elsewhere (its own host tells it) or has departed.
-    notices_skipped: u64,      COUNT, Some((15, "skipped", 9)),      Some("notices-skipped");
+    notices_skipped: u64,      Count, Some((15, "skipped", 9)),      Some("notices-skipped");
     /// `LlInfo` replies to parked agents' `LlQuery` re-polls.
-    replies: u64,              COUNT, Some((16, "replies", 9)),      Some("replies");
+    replies: u64,              Count, Some((16, "replies", 9)),      Some("replies");
     /// Agent-reply payload bytes of those replies.
-    reply_bytes: u64,          COUNT, Some((17, "reply_b", 11)),     Some("reply-bytes");
+    reply_bytes: u64,          Count, Some((17, "reply_b", 11)),     Some("reply-bytes");
     /// UPDATE claims servers held behind the committing winner's
     /// reservation instead of refusing (the pipelined handoff at work).
-    claims_held: u64,          COUNT, Some((18, "held", 8)),         Some("held");
+    claims_held: u64,          Count, Some((18, "held", 8)),         Some("held");
     /// Claims that aborted (`WinAborted`): each costs a RELEASE
     /// broadcast and a second UPDATE round.
-    aborted_claims: u64,       COUNT, Some((19, "aborted", 8)),      Some("aborted-claims");
+    aborted_claims: u64,       Count, Some((19, "aborted", 8)),      Some("aborted-claims");
 }
 
 impl SweepPoint {
@@ -188,7 +185,7 @@ impl SweepPoint {
 
     /// One of the [`metrics`]: the column's total per commit.
     pub fn metric(&self, column: &Column) -> f64 {
-        self.per_commit((column.get)(self))
+        self.per_commit((column.get)(self).unwrap_or_default())
     }
 }
 
@@ -269,27 +266,18 @@ impl SweepReport {
 
     /// Render the per-phase scaling table plus the fitted exponents.
     pub fn render(&self) -> String {
-        // (position, header, width, decimals, value), by position.
-        let mut table: Vec<(usize, &str, usize, usize, MetricFn)> =
-            vec![(12, "phase_sum", 10, MS, SweepPoint::phase_sum_ms)];
-        table.extend(COLUMNS.iter().filter_map(|c| {
+        let phase_sum: Field<SweepPoint> = ("phase_sum", "phase_sum", 10, Unit::Milli, |p| {
+            Some(p.phase_sum_ms())
+        });
+        let mut fields = vec![(12, phase_sum)];
+        fields.extend(COLUMNS.iter().filter_map(|c| {
             let (at, header, width) = c.table?;
-            Some((at, header, width, c.decimals, c.get))
+            Some((at, (c.key, header, width, c.unit, c.get)))
         }));
-        table.sort_by_key(|&(at, ..)| at);
-        let mut out = String::new();
-        let headers: Vec<String> = table
-            .iter()
-            .map(|&(_, header, width, ..)| format!("{header:>width$}"))
-            .collect();
-        let _ = writeln!(out, "{}", headers.join(" "));
-        for p in &self.points {
-            let cells: Vec<String> = table
-                .iter()
-                .map(|&(_, _, width, decimals, value)| format!("{:>width$.decimals$}", value(p)))
-                .collect();
-            let _ = writeln!(out, "{}", cells.join(" "));
-        }
+        fields.sort_by_key(|&(at, _)| at);
+        let fields: Vec<Field<SweepPoint>> = fields.into_iter().map(|(_, f)| f).collect();
+        let rows = self.points.iter().map(|p| (format!("{:>3}", p.n), p));
+        let mut out = table(("  n", 3), &fields, rows);
         let _ = writeln!(
             out,
             "\nper-commit metrics and fitted growth exponents (v ~ n^k):"
@@ -316,7 +304,7 @@ impl SweepReport {
                 let seeds = (String::from("seeds"), Json::Arr(seeds));
                 let fields = COLUMNS
                     .iter()
-                    .map(|c| (String::from(c.key), Json::Num((c.get)(p))));
+                    .map(|c| (String::from(c.key), c.unit.json((c.get)(p))));
                 Json::Obj(fields.chain([seeds]).collect())
             })
             .collect();
@@ -566,7 +554,8 @@ mod tests {
         let mut positions: Vec<usize> = COLUMNS.iter().filter_map(|c| Some(c.table?.0)).collect();
         positions.push(12); // the derived phase_sum
         positions.sort_unstable();
-        assert_eq!(positions, (0..20).collect::<Vec<_>>());
+        // Position 0 is `n`, the row label.
+        assert_eq!(positions, (1..20).collect::<Vec<_>>());
         let report = SweepReport::new(vec![synthetic_point(3, 1.0)]);
         let text = report.render();
         let mut lines = text.lines();

@@ -2,7 +2,7 @@
 //! counts the spans a run left open, and `diff` folds two traces into
 //! profiles. `diff --fail-steeper` runs on the recorded sweeps.
 
-use marp_obs::{perfetto_export_string, save_trace, Profile, ProfileDiff};
+use marp_obs::{perfetto_export, save_trace, Profile, ProfileDiff};
 use marp_sim::{SimTime, SpanKey, TraceEvent, TraceLog};
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -54,7 +54,7 @@ fn validate_counts_the_spans_left_open_and_passes() {
     let (trace, json) = (scratch("open.bin"), scratch("open.json"));
     let log = one_write_one_open_agent();
     save_trace(&trace, &log).unwrap();
-    std::fs::write(&json, perfetto_export_string(&log)).unwrap();
+    std::fs::write(&json, perfetto_export(&log).render()).unwrap();
     let out = marp_trace(&[&PathBuf::from("validate"), &json, &trace]);
     assert!(out.status.success(), "{out:?}");
     assert_eq!(

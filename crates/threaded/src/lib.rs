@@ -29,19 +29,9 @@ use std::sync::mpsc::{channel, sync_channel, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Configuration for a threaded run.
-#[derive(Debug, Clone, Copy)]
-pub struct ThreadedConfig {
-    /// How many times faster than wall time virtual time advances
-    /// (2.0 = a 10 ms virtual delay sleeps 5 ms of wall time).
-    pub speed: f64,
-}
-
-impl Default for ThreadedConfig {
-    fn default() -> Self {
-        ThreadedConfig { speed: 1.0 }
-    }
-}
+/// How many times faster than wall time virtual time advances (a 10 ms
+/// virtual delay sleeps 2.5 ms of wall time).
+const SPEED: f64 = 4.0;
 
 /// Result of a threaded run: the processes (for inspection) and the
 /// trace collected by the router.
@@ -126,22 +116,21 @@ impl Ord for Due {
 
 struct Clock {
     start: Instant,
-    speed: f64,
 }
 
 impl Clock {
     fn now_virtual(&self) -> SimTime {
         let wall = self.start.elapsed();
-        SimTime::from_nanos((wall.as_nanos() as f64 * self.speed) as u64)
+        SimTime::from_nanos((wall.as_nanos() as f64 * SPEED) as u64)
     }
 
     fn wall_after(&self, virtual_delay: Duration) -> Instant {
-        let wall = Duration::from_nanos((virtual_delay.as_nanos() as f64 / self.speed) as u64);
+        let wall = Duration::from_nanos((virtual_delay.as_nanos() as f64 / SPEED) as u64);
         Instant::now() + wall
     }
 
     fn wall_at_virtual(&self, at: SimTime) -> Instant {
-        let wall = Duration::from_nanos((at.as_nanos() as f64 / self.speed) as u64);
+        let wall = Duration::from_nanos((at.as_nanos() as f64 / SPEED) as u64);
         self.start + wall
     }
 }
@@ -195,18 +184,16 @@ impl Context for ThreadedCtx<'_> {
 }
 
 /// Run `processes` under real threads for `virtual_duration` of virtual
-/// time, routing messages through `transport`.
+/// time (which runs four times faster than wall time), routing messages
+/// through `transport`.
 pub fn run_threaded(
     processes: Vec<Box<dyn Process>>,
     mut transport: Box<dyn Transport>,
     virtual_duration: Duration,
-    cfg: ThreadedConfig,
 ) -> ThreadedRun {
-    assert!(cfg.speed > 0.0, "speed must be positive");
     let n = processes.len();
     let clock = Arc::new(Clock {
         start: Instant::now(),
-        speed: cfg.speed,
     });
     let (cmd_tx, cmd_rx) = channel::<Cmd>();
     let timer_ids = Arc::new(AtomicU64::new(0));
@@ -336,7 +323,7 @@ pub fn run_threaded(
     for tx in &host_txs {
         let _ = tx.send(HostEvent::Start);
     }
-    let wall_budget = Duration::from_nanos((virtual_duration.as_nanos() as f64 / cfg.speed) as u64);
+    let wall_budget = Duration::from_nanos((virtual_duration.as_nanos() as f64 / SPEED) as u64);
     let deadline = Instant::now() + wall_budget;
     while Instant::now() < deadline && !halted.load(Ordering::Relaxed) {
         std::thread::sleep(Duration::from_millis(5));
@@ -423,7 +410,6 @@ mod tests {
             ],
             Box::new(marp_sim::FixedDelay(Duration::from_millis(2))),
             Duration::from_millis(500),
-            ThreadedConfig::default(),
         );
         let ponger: &Ponger = run.process(1).unwrap();
         assert_eq!(ponger.received, 10);
@@ -437,7 +423,6 @@ mod tests {
             vec![Box::new(TimerCounter { fired: 0 })],
             Box::new(marp_sim::FixedDelay(Duration::ZERO)),
             Duration::from_millis(300),
-            ThreadedConfig::default(),
         );
         let counter: &TimerCounter = run.process(0).unwrap();
         assert_eq!(counter.fired, 5);
@@ -449,7 +434,6 @@ mod tests {
             vec![Box::new(TimerCounter { fired: 0 })],
             Box::new(marp_sim::FixedDelay(Duration::ZERO)),
             Duration::from_millis(400),
-            ThreadedConfig { speed: 4.0 },
         );
         // 400 ms of virtual time at 4× ≈ 100 ms wall; all 5 timer
         // firings (50 ms virtual) fit comfortably.

@@ -7,7 +7,7 @@ use marp_metrics::PaperMetrics;
 use marp_net::{LinkModel, SimTransport, Topology};
 use marp_replica::{ClientProcess, Operation, ScriptedSource};
 use marp_sim::{Process, SimRng};
-use marp_threaded::{run_threaded, ThreadedConfig};
+use marp_threaded::run_threaded;
 use std::time::Duration;
 
 #[test]
@@ -33,12 +33,7 @@ fn mcv_commits_under_real_threads() {
     )));
 
     let transport = SimTransport::new(topo, LinkModel::ideal(), SimRng::from_seed(3));
-    let run = run_threaded(
-        processes,
-        Box::new(transport),
-        Duration::from_secs(4),
-        ThreadedConfig { speed: 4.0 },
-    );
+    let run = run_threaded(processes, Box::new(transport), Duration::from_secs(4));
     let metrics = PaperMetrics::from_trace(&run.trace);
     assert!(
         metrics.completed >= 5,
@@ -80,12 +75,7 @@ fn workload_sources_drive_threaded_clients() {
         wrap_mcv_client_request,
     )));
     let transport = SimTransport::new(topo, LinkModel::ideal(), SimRng::from_seed(5));
-    let run = run_threaded(
-        processes,
-        Box::new(transport),
-        Duration::from_secs(4),
-        ThreadedConfig { speed: 4.0 },
-    );
+    let run = run_threaded(processes, Box::new(transport), Duration::from_secs(4));
     let metrics = PaperMetrics::from_trace(&run.trace);
     assert!(
         metrics.writes_arrived >= 7,

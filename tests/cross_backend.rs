@@ -7,7 +7,7 @@ use marp_metrics::{audit, PaperMetrics};
 use marp_net::{LinkModel, RoutingTable, SimTransport, Topology};
 use marp_replica::ClientProcess;
 use marp_sim::{Process, SimRng, SimTime, Simulation, TraceLevel};
-use marp_threaded::{run_threaded, ThreadedConfig};
+use marp_threaded::run_threaded;
 use marp_workload::WorkloadSource;
 use std::time::Duration;
 
@@ -62,12 +62,7 @@ fn threaded_backend_matches_des_on_commits() {
         )));
     }
     let transport = SimTransport::new(topo, LinkModel::ideal(), SimRng::from_seed(9));
-    let run = run_threaded(
-        processes,
-        Box::new(transport),
-        Duration::from_secs(6),
-        ThreadedConfig { speed: 4.0 },
-    );
+    let run = run_threaded(processes, Box::new(transport), Duration::from_secs(6));
     let threaded_metrics = PaperMetrics::from_trace(&run.trace);
     audit(&run.trace, N).assert_ok();
 
